@@ -3,7 +3,6 @@ package mvptree
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"testing"
 
 	"mvptree/internal/dataset"
@@ -21,15 +20,8 @@ import (
 // cascadeCase builds the cascade-off and cascade-on twins of one
 // structure over the same items and seed.
 type cascadeCase[T any] struct {
-	name string
-	// orderedRange / countedKNN relax the comparison for the BK-tree,
-	// whose children live in a Go map: range results come back in map
-	// order (compare as multisets) and kNN traversal order varies (skip
-	// the on ≤ off count check; the range check still holds, since the
-	// visited set — and so the off cost — is order-independent).
-	orderedRange bool
-	countedKNN   bool
-	build        func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error)
+	name  string
+	build func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error)
 }
 
 func cascadeCases[T any]() []cascadeCase[T] {
@@ -41,25 +33,25 @@ func cascadeCases[T any]() []cascadeCase[T] {
 	}
 	seed := BuildOptions{Seed: 7}
 	return []cascadeCase[T]{
-		{"mvpt", true, true, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"mvpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return New(items, dist, Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, Build: seed}, opt(cas)...)
 		}},
-		{"vpt", true, true, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"vpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewVP(items, dist, VPOptions{Order: 2, Build: seed}, opt(cas)...)
 		}},
-		{"gmvpt", true, true, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"gmvpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewGeneral(items, dist, GeneralOptions{Build: seed}, opt(cas)...)
 		}},
-		{"gnat", true, true, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"gnat", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewGNAT(items, dist, GNATOptions{Build: seed}, opt(cas)...)
 		}},
-		{"ght", true, true, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"ght", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewGH(items, dist, GHOptions{Build: seed}, opt(cas)...)
 		}},
-		{"ball", true, true, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"ball", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewBall(items, dist, BallOptions{Build: seed}, opt(cas)...)
 		}},
-		{"bkt", false, false, func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"bkt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewBK(items, dist, opt(cas)...)
 		}},
 	}
@@ -99,12 +91,8 @@ func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
 					onCost := on.DistanceCount() - onBefore
 					pruned += s.FilteredByCascade
 
-					if tc.orderedRange {
-						if fmt.Sprint(resOn) != fmt.Sprint(resOff) {
-							t.Fatalf("range r=%g: cascade changed the result sequence", r)
-						}
-					} else if !sameMultiset(resOff, resOn) {
-						t.Fatalf("range r=%g: cascade changed the result set", r)
+					if fmt.Sprint(resOn) != fmt.Sprint(resOff) {
+						t.Fatalf("range r=%g: cascade changed the result sequence", r)
 					}
 					if onCost > offCost {
 						t.Fatalf("range r=%g: cascade cost %d distances, baseline %d", r, onCost, offCost)
@@ -128,7 +116,7 @@ func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
 							t.Fatalf("knn k=%d: neighbor %d distance %g vs %g", k, i, nnOff[i].Dist, nnOn[i].Dist)
 						}
 					}
-					if tc.countedKNN && onCost > offCost {
+					if onCost > offCost {
 						t.Fatalf("knn k=%d: cascade cost %d distances, baseline %d", k, onCost, offCost)
 					}
 				}
@@ -138,26 +126,6 @@ func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
 			}
 		})
 	}
-}
-
-// sameMultiset compares result sets ignoring order.
-func sameMultiset[T any](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ka := make([]string, len(a))
-	kb := make([]string, len(b))
-	for i := range a {
-		ka[i], kb[i] = fmt.Sprint(a[i]), fmt.Sprint(b[i])
-	}
-	sort.Strings(ka)
-	sort.Strings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCascadeInvarianceUniformVectors(t *testing.T) {

@@ -12,19 +12,14 @@
 //     present in both, the cascade-on per-query distance counts must
 //     not exceed the baseline by more than the threshold. Distance
 //     counts are machine-independent, so unlike the wall-clock query
-//     gate this comparison is essentially exact. The bkt kNN column is
-//     skipped outright (its children live in a Go map, so traversal
-//     order — and how fast τ tightens — varies run to run); bkt's
-//     cascade-on range count can also drift by a few distances (map
-//     order decides which pivots a query registers), which the
-//     generous threshold absorbs. Every other cell is bit-reproducible.
+//     gate this comparison is exact: every cell is bit-reproducible.
 //
 //   - -mode quant asserts, inside one `mvpbench -quantjson` report (a
 //     fresh run or the committed BENCH_quant.json), that the quantized
 //     pre-filter actually pays for itself in its target regime: for at
 //     least one guarded-structure workload at dim ≥ 20 under l2, the
-//     best quantized mode must cut range or kNN ns/op by the threshold
-//     (default 25%) against the mode-off row of the same run. Off and
+//     sq8 row must cut range or kNN ns/op by the threshold (default
+//     25%) against the mode-off row of the same run. Off and
 //     on rows come from the same process and machine, so the
 //     comparison needs no cross-machine baseline.
 //
@@ -35,11 +30,7 @@
 //     batched ns/query must beat the sequential batch-size-1 row of
 //     the same run by at least the threshold (default 0.20 = batched
 //     ≥ 20% faster). Both rows come from the same process and machine,
-//     so the comparison needs no cross-machine baseline. kNN rows are
-//     printed for humans but not gated: best-first frontiers diverge,
-//     so lockstep sharing there is workload-dependent (parity on the
-//     mvp-tree), while the range DFS shares its prefix by
-//     construction.
+//     so the comparison needs no cross-machine baseline.
 //
 //   - -mode approx compares a fresh `mvpbench -approxjson` report
 //     against the approxbench section of the committed
@@ -139,9 +130,8 @@ func main() {
 		// The quant gate is self-contained: it asserts the fresh
 		// report's own off-vs-quantized speedup, so -baseline is the
 		// fallback report to check when -fresh is omitted. Its
-		// threshold default is the required improvement (0.25 = the
-		// best quantized mode must cut ns/op by ≥ 25%), not an
-		// allowed regression.
+		// threshold default is the required improvement (0.25 = sq8
+		// must cut ns/op by ≥ 25%), not an allowed regression.
 		t := *threshold
 		if !thresholdSet {
 			t = 0.25
@@ -246,9 +236,7 @@ func cascadeGate(baselinePath, freshPath string, threshold float64) {
 		}
 		compared++
 		ok = check(key+" range", "dist/q", br.RangeDistOn, fr.RangeDistOn, threshold) && ok
-		if br.Structure != "bkt" {
-			ok = check(key+" knn", "dist/q", br.KNNDistOn, fr.KNNDistOn, threshold) && ok
-		}
+		ok = check(key+" knn", "dist/q", br.KNNDistOn, fr.KNNDistOn, threshold) && ok
 	}
 	if compared == 0 {
 		fatal(fmt.Errorf("%s: cascadebench section has no rows", baselinePath))
@@ -320,9 +308,9 @@ func approxGate(baselinePath, freshPath string, threshold float64) {
 
 // quantGate asserts the quantized pre-filter's win inside one report:
 // for every guarded-structure workload at dim ≥ 20 under l2 — the
-// bandwidth-bound regime the filter targets — the best quantized mode
-// must cut range or kNN ns/op by at least `required` relative to the
-// mode-off row of the same workload. The gate passes if any guarded
+// bandwidth-bound regime the filter targets — the sq8 row must cut
+// range or kNN ns/op by at least `required` relative to the mode-off
+// row of the same workload. The gate passes if any guarded
 // workload meets the target (the filter is regime-dependent by design:
 // small cache-resident configs legitimately do not improve), and fails
 // if no guarded workload exists or none meets it.
@@ -343,10 +331,8 @@ func quantGate(path, structure string, required float64) {
 		fatal(fmt.Errorf("%s: no quantbench rows", path))
 	}
 
-	type cell struct{ off, bestRange, bestKNN float64 }
-	cells := make(map[string]*cell)
-	type offKey struct{ rangeNs, knnNs float64 }
-	offs := make(map[string]offKey)
+	type cell struct{ rangeNs, knnNs float64 }
+	offs, ons := make(map[string]cell), make(map[string]cell)
 	var keys []string
 	for i := range rep.Rows {
 		r := &rep.Rows[i]
@@ -356,21 +342,10 @@ func quantGate(path, structure string, required float64) {
 		}
 		key := fmt.Sprintf("%s/%s/dim=%d", baseName, r.Metric, r.Dim)
 		if r.Mode == "off" {
-			offs[key] = offKey{r.RangeNsPerOp, r.KNNNsPerOp}
+			offs[key] = cell{r.RangeNsPerOp, r.KNNNsPerOp}
 			keys = append(keys, key)
-			continue
-		}
-		c := cells[key]
-		if c == nil {
-			c = &cell{bestRange: r.RangeNsPerOp, bestKNN: r.KNNNsPerOp}
-			cells[key] = c
-			continue
-		}
-		if r.RangeNsPerOp < c.bestRange {
-			c.bestRange = r.RangeNsPerOp
-		}
-		if r.KNNNsPerOp < c.bestKNN {
-			c.bestKNN = r.KNNNsPerOp
+		} else {
+			ons[key] = cell{r.RangeNsPerOp, r.KNNNsPerOp}
 		}
 	}
 	if len(keys) == 0 {
@@ -378,21 +353,21 @@ func quantGate(path, structure string, required float64) {
 	}
 	met := false
 	for _, key := range keys {
-		off, okOff := offs[key]
-		c := cells[key]
-		if !okOff || c == nil || off.rangeNs <= 0 || off.knnNs <= 0 {
+		off := offs[key]
+		on, okOn := ons[key]
+		if !okOn || off.rangeNs <= 0 || off.knnNs <= 0 {
 			fmt.Fprintf(os.Stderr, "benchguard: %s: incomplete off/on rows, skipping\n", key)
 			continue
 		}
-		rangeCut := 1 - c.bestRange/off.rangeNs
-		knnCut := 1 - c.bestKNN/off.knnNs
+		rangeCut := 1 - on.rangeNs/off.rangeNs
+		knnCut := 1 - on.knnNs/off.knnNs
 		status := "below target"
 		if rangeCut >= required || knnCut >= required {
 			status = "MEETS TARGET"
 			met = true
 		}
 		fmt.Printf("%-28s range %9.0f -> %9.0f ns/op (%+5.1f%%)   knn %9.0f -> %9.0f ns/op (%+5.1f%%)   %s\n",
-			key, off.rangeNs, c.bestRange, -100*rangeCut, off.knnNs, c.bestKNN, -100*knnCut, status)
+			key, off.rangeNs, on.rangeNs, -100*rangeCut, off.knnNs, on.knnNs, -100*knnCut, status)
 	}
 	if !met {
 		fmt.Fprintf(os.Stderr, "benchguard: FAIL — no guarded workload cut range or knn ns/op by >= %.0f%% (%s)\n", required*100, path)
@@ -403,10 +378,7 @@ func quantGate(path, structure string, required float64) {
 
 // batchGate asserts shared-traversal batching's win inside one report:
 // the guarded structure's best batched range ns/query must beat its
-// sequential (batch-size-1) row by at least `required`. kNN rows are
-// reported but not gated — lockstep sharing under diverging best-first
-// frontiers is workload-dependent, and the batch layer's contract there
-// is byte-identity at no required speedup.
+// sequential (batch-size-1) row by at least `required`.
 func batchGate(path, structure string, required float64) {
 	// Accept both the committed artifact (report nested under
 	// "batchbench") and a bare mvpbench -batchjson report.
@@ -424,56 +396,29 @@ func batchGate(path, structure string, required float64) {
 		fatal(fmt.Errorf("%s: no batchbench rows", path))
 	}
 
-	type cell struct {
-		seq, best float64
-		bestB     int
-	}
-	cells := make(map[string]*cell)
-	var modes []string
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
+	var seq, best float64
+	var bestB int
+	for _, r := range rep.Rows {
 		if !strings.HasPrefix(r.Structure, structure) {
 			continue
 		}
-		c := cells[r.Mode]
-		if c == nil {
-			c = &cell{}
-			cells[r.Mode] = c
-			modes = append(modes, r.Mode)
-		}
 		if r.BatchSize == 1 {
-			c.seq = r.NsPerQuery
-		} else if c.best == 0 || r.NsPerQuery < c.best {
-			c.best, c.bestB = r.NsPerQuery, r.BatchSize
+			seq = r.NsPerQuery
+		} else if best == 0 || r.NsPerQuery < best {
+			best, bestB = r.NsPerQuery, r.BatchSize
 		}
 	}
-	if len(modes) == 0 {
-		fatal(fmt.Errorf("%s: no batchbench rows with structure prefix %q", path, structure))
+	if seq <= 0 || best <= 0 {
+		fatal(fmt.Errorf("%s: incomplete sequential/batched rows for structure prefix %q", path, structure))
 	}
-	ok := true
-	for _, mode := range modes {
-		c := cells[mode]
-		if c.seq <= 0 || c.best <= 0 {
-			fmt.Fprintf(os.Stderr, "benchguard: %s: incomplete sequential/batched rows, skipping\n", mode)
-			if mode == "range" {
-				ok = false
-			}
-			continue
-		}
-		speedup := c.seq / c.best
-		status := "reported only"
-		if mode == "range" {
-			if speedup >= 1+required {
-				status = "MEETS TARGET"
-			} else {
-				status = fmt.Sprintf("BELOW TARGET (< %.2fx)", 1+required)
-				ok = false
-			}
-		}
-		fmt.Printf("%-8s seq %10.0f ns/query   best batched %10.0f ns/query (B=%d)   %5.2fx   %s\n",
-			mode, c.seq, c.best, c.bestB, speedup, status)
+	speedup := seq / best
+	status := "MEETS TARGET"
+	if speedup < 1+required {
+		status = fmt.Sprintf("BELOW TARGET (< %.2fx)", 1+required)
 	}
-	if !ok {
+	fmt.Printf("range    seq %10.0f ns/query   best batched %10.0f ns/query (B=%d)   %5.2fx   %s\n",
+		seq, best, bestB, speedup, status)
+	if speedup < 1+required {
 		fmt.Fprintf(os.Stderr, "benchguard: FAIL — batched range execution must be >= %.0f%% faster than sequential (%s)\n", required*100, path)
 		os.Exit(1)
 	}

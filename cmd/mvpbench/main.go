@@ -488,7 +488,7 @@ func describe(id string) string {
 		"shardbench":   "extension: sharded serving scaling (shards × intra-query workers)",
 		"cascadebench": "extension: cross-query bound cascade, distance counts off vs on",
 		"approxbench":  "extension: approximate & budgeted kNN — recall vs distance cost across dimensions",
-		"quantbench":   "extension: quantized lower-bound pre-filter — wall time off vs sq8/f32",
+		"quantbench":   "extension: quantized lower-bound pre-filter — wall time off vs sq8",
 		"batchbench":   "extension: shared-traversal batch execution — wall time per query vs batch size",
 	}
 	if d, ok := descriptions[id]; ok {

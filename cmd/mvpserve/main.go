@@ -101,7 +101,7 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		retryAfter = fs.Duration("retryafter", time.Second, "Retry-After hint on 503 rejections")
 		casOn      = fs.Bool("cascade", false, "enable the cross-query bound cascade on every shard (identical results, fewer distance computations per query)")
 		casPivots  = fs.Int("cascadepivots", 0, "cascade pivot cap per shard (0 = default)")
-		quantize   = fs.String("quantize", "off", "quantized lower-bound pre-filter on every shard: off, sq8 or f32 (identical results, less leaf-scan memory traffic)")
+		quantize   = fs.String("quantize", "off", "quantized lower-bound pre-filter on every shard: off or sq8 (identical results, less leaf-scan memory traffic)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mvptree"
 )
 
 // startDaemon runs the daemon on an ephemeral port and returns its base
@@ -199,5 +201,14 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	err = run(context.Background(), &bytes.Buffer{}, []string{"-dim", "0"}, nil)
 	if err == nil {
 		t.Fatal("dim 0 accepted")
+	}
+	// The float32 arena mode is gone: it must fail at start-up, naming
+	// the modes that remain, not be silently ignored.
+	err = run(context.Background(), &bytes.Buffer{}, []string{"-quantize", "f32"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-quantize") || !strings.Contains(err.Error(), "off, sq8") {
+		t.Fatalf("-quantize f32: err=%v", err)
+	}
+	if _, err := mvptree.ParseQuantizeMode("f32"); err == nil || !strings.Contains(err.Error(), "off, sq8") {
+		t.Fatalf("ParseQuantizeMode(f32): err=%v", err)
 	}
 }

@@ -49,8 +49,9 @@ func TestFullLifecycle(t *testing.T) {
 				t.Fatalf("KFarthest dist[%d]: %g vs %g", i, kf[i].Dist, lf[i].Dist)
 			}
 		}
-		if got, _ := tree.KNNBudgeted(q, 7, 1<<40); got[6].Dist != fn[6].Dist {
-			t.Fatal("KNNBudgeted(∞) differs from exact")
+		budgeted := mvptree.Query[[]float64]{Point: q, K: 7, Opts: mvptree.SearchOptions{Budget: 1 << 40}}
+		if got := tree.Search(budgeted); got.Neighbors[6].Dist != fn[6].Dist {
+			t.Fatal("budgeted Search(∞) differs from exact")
 		}
 		if _, s := tree.RangeWithStats(q, r); s.Candidates != s.FilteredByD+s.FilteredByPath+s.Computed {
 			t.Fatalf("stats accounting: %+v", s)

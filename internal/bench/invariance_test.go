@@ -46,14 +46,8 @@ func equalStrings(a, b []string) bool {
 // seed — once with the counter's registered bounded kernel active, once
 // with it detached — and requires bit-identical behavior on a grid of
 // range and kNN queries.
-//
-// knnDeterministic relaxes the kNN cost comparison for structures whose
-// best-first traversal order is not reproducible between runs even with
-// one kernel (the BK-tree iterates a children map, so queue ties break
-// in map order): neighbor distances must still match, but visit counts
-// and stats may wobble.
 func checkInvariance[T any](t *testing.T, s Structure[T], items, queries []T,
-	distFn metric.DistanceFunc[T], radii []float64, ks []int, knnDeterministic bool) {
+	distFn metric.DistanceFunc[T], radii []float64, ks []int) {
 	t.Helper()
 	opts := build.Options{Seed: 5}
 
@@ -117,14 +111,11 @@ func checkInvariance[T any](t *testing.T, s Structure[T], items, queries []T,
 						s.Name, qi, k, i, nbF[i].Dist, nbE[i].Dist)
 					break
 				}
-				if knnDeterministic && fmt.Sprint(nbF[i].Item) != fmt.Sprint(nbE[i].Item) {
+				if fmt.Sprint(nbF[i].Item) != fmt.Sprint(nbE[i].Item) {
 					t.Errorf("%s q%d k=%d: neighbor %d differs: (%v, %v) bounded vs (%v, %v) exact",
 						s.Name, qi, k, i, nbF[i].Item, nbF[i].Dist, nbE[i].Item, nbE[i].Dist)
 					break
 				}
-			}
-			if !knnDeterministic {
-				continue
 			}
 			if fd != ed {
 				t.Errorf("%s q%d k=%d: distance count differs: %d bounded vs %d exact", s.Name, qi, k, fd, ed)
@@ -165,7 +156,7 @@ func TestBoundedKernelInvarianceVectors(t *testing.T) {
 	for _, s := range structures {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			checkInvariance(t, s, items, queries, metric.L2, radii, ks, true)
+			checkInvariance(t, s, items, queries, metric.L2, radii, ks)
 		})
 	}
 }
@@ -187,7 +178,7 @@ func TestBoundedKernelInvarianceStrings(t *testing.T) {
 	for _, s := range structures {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			checkInvariance(t, s, items, queries, metric.Edit, radii, ks, s.Name != "bkt")
+			checkInvariance(t, s, items, queries, metric.Edit, radii, ks)
 		})
 	}
 }

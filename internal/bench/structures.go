@@ -47,7 +47,7 @@ func MVPT[T any](m, k, p int) Structure[T] {
 }
 
 // MVPTQuantized is MVPT with the quantized lower-bound pre-filter
-// armed in the given mode, named mvpt(m,k)+sq8 / +f32. Results are
+// armed in the given mode, named mvpt(m,k)+sq8. Results are
 // byte-identical to MVPT; the comparison axis is wall time.
 func MVPTQuantized[T any](m, k, p int, mode quant.Mode) Structure[T] {
 	return Structure[T]{
@@ -62,7 +62,7 @@ func MVPTQuantized[T any](m, k, p int, mode quant.Mode) Structure[T] {
 }
 
 // VPTQuantized is VPT with the quantized pre-filter armed, named
-// vpt(m)+sq8 / +f32.
+// vpt(m)+sq8.
 func VPTQuantized[T any](order int, mode quant.Mode) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("vpt(%d)+%s", order, mode),
@@ -73,7 +73,7 @@ func VPTQuantized[T any](order int, mode quant.Mode) Structure[T] {
 }
 
 // LinearQuantized is Linear with the quantized pre-filter armed, named
-// linear+sq8 / +f32.
+// linear+sq8.
 func LinearQuantized[T any](mode quant.Mode) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("linear+%s", mode),

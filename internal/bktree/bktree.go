@@ -23,6 +23,7 @@ package bktree
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"mvptree/internal/build"
 	"mvptree/internal/cascade"
@@ -67,13 +68,20 @@ type Tree[T any] struct {
 var _ index.StatsIndex[string] = (*Tree[string])(nil)
 
 type node[T any] struct {
-	item     T
-	children map[int]*node[T]
+	item T
+	// keys (ascending) and kids are parallel: kids[i] roots every item at
+	// integer distance keys[i] from item. Both are nil on a leaf. Every
+	// traversal walks them in ascending key order, so result order, kNN
+	// queue order and cascade pivot ids are the same run to run.
+	keys []int
+	kids []*node[T]
 
 	// Cascade stamps (see cascade.go; both zero until EnableCascade).
 	cas   int32 // pivot stamp, set on internal nodes
 	casID int32 // item id + 1, set on nodes that were leaves at enable time
 }
+
+func (n *node[T]) isLeaf() bool { return n.kids == nil }
 
 // New builds a BK-tree equivalent to inserting items in order. The
 // metric must return non-negative integer values; New returns an error
@@ -132,18 +140,18 @@ func bulkBuild[T any](b *build.Builder[T], items []T, depth int) (*node[T], erro
 		}
 		groups[di] = append(groups[di], it)
 	}
-	children := make([]*node[T], len(keys))
+	slices.Sort(keys)
+	kids := make([]*node[T], len(keys))
 	errs := make([]error, len(keys))
 	b.Fork(len(keys), func(gi int) {
-		children[gi], errs[gi] = bulkBuild(b, groups[keys[gi]], depth+1)
+		kids[gi], errs[gi] = bulkBuild(b, groups[keys[gi]], depth+1)
 	})
-	n.children = make(map[int]*node[T], len(keys))
-	for gi, key := range keys {
-		if errs[gi] != nil {
-			return nil, errs[gi]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		n.children[key] = children[gi]
 	}
+	n.keys, n.kids = keys, kids
 	return n, nil
 }
 
@@ -161,30 +169,16 @@ func (t *Tree[T]) Insert(item T) error {
 		if float64(di) != d || d < 0 {
 			return errors.New("bktree: metric returned a non-integer distance")
 		}
-		if di == 0 {
-			// Duplicate (distance zero): store under child 0 so it is
-			// still retrievable; a chain of identical items forms.
-			if n.children == nil {
-				n.children = make(map[int]*node[T])
-			}
-			if c, ok := n.children[0]; ok {
-				n = c
-				continue
-			}
-			n.children[0] = &node[T]{item: item}
+		// A duplicate (distance zero) goes under child 0 so it is still
+		// retrievable; a chain of identical items forms.
+		at, found := slices.BinarySearch(n.keys, di)
+		if !found {
+			n.keys = slices.Insert(n.keys, at, di)
+			n.kids = slices.Insert(n.kids, at, &node[T]{item: item})
 			t.size++
 			return nil
 		}
-		if n.children == nil {
-			n.children = make(map[int]*node[T])
-		}
-		c, ok := n.children[di]
-		if !ok {
-			n.children[di] = &node[T]{item: item}
-			t.size++
-			return nil
-		}
-		n = c
+		n = n.kids[at]
 	}
 }
 
@@ -236,7 +230,7 @@ func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
 
 func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
 	s.NodesVisited++
-	leaf := n.children == nil
+	leaf := n.isLeaf()
 	t.TraceNode(leaf)
 	s.Candidates++
 	if leaf {
@@ -273,8 +267,8 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 	}
 	lo := int(math.Ceil(d - r))
 	hi := int(math.Floor(d + r))
-	for key, c := range n.children {
-		if key >= lo && key <= hi {
+	for i, c := range n.kids {
+		if key := n.keys[i]; key >= lo && key <= hi {
 			t.rangeNode(c, q, r, cc, out, s)
 		} else {
 			s.ShellsPruned++
@@ -317,7 +311,7 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			break
 		}
 		s.NodesVisited++
-		leaf := n.children == nil
+		leaf := n.isLeaf()
 		t.TraceNode(leaf)
 		if leaf {
 			s.LeavesVisited++
@@ -347,8 +341,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			}
 		}
 		best.Push(n.item, d)
-		for key, c := range n.children {
-			lb := math.Abs(d - float64(key))
+		for i, c := range n.kids {
+			lb := math.Abs(d - float64(n.keys[i]))
 			if lb < bound {
 				lb = bound
 			}

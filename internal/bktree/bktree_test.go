@@ -2,9 +2,12 @@ package bktree
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
+	"mvptree/internal/cascade"
+	"mvptree/internal/dataset"
 	"mvptree/internal/linear"
 	"mvptree/internal/metric"
 )
@@ -162,5 +165,45 @@ func TestPruningSavesWork(t *testing.T) {
 	tree.Range("hello", 1)
 	if c.Count() > int64(len(items))/2 {
 		t.Errorf("Range(hello, 1) used %d distance computations over %d items; no pruning", c.Count(), len(items))
+	}
+}
+
+// Two builds of the same words must behave identically: children are
+// walked in ascending key order, so range result order, the kNN queue
+// order (hence its SearchStats) and the cascade's pivot choice are a
+// function of the data alone. With children in a Go map — the earlier
+// layout — every one of these varied run to run.
+func TestTwoBuildsBehaveIdentically(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 4))
+	corpus := dataset.Words(rng, 600, dataset.WordOptions{MisspellingsPer: 2})
+	queries := dataset.SampleQueries(rng, corpus, 8)
+	mk := func() *Tree[string] {
+		tree, err := New(corpus, metric.NewCounter(metric.Edit), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableCascade(cascade.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	a, b := mk(), mk()
+	for _, q := range queries {
+		ra, sa := a.RangeWithStats(q, 2)
+		rb, sb := b.RangeWithStats(q, 2)
+		if !slices.Equal(ra, rb) {
+			t.Fatalf("Range(%q, 2): result order differs between builds:\n%v\n%v", q, ra, rb)
+		}
+		if sa != sb {
+			t.Fatalf("Range(%q, 2): stats differ between builds:\n%+v\n%+v", q, sa, sb)
+		}
+		na, ka := a.KNNWithStats(q, 5)
+		nb, kb := b.KNNWithStats(q, 5)
+		if !slices.Equal(na, nb) {
+			t.Fatalf("KNN(%q, 5): neighbors differ between builds:\n%v\n%v", q, na, nb)
+		}
+		if ka != kb {
+			t.Fatalf("KNN(%q, 5): stats differ between builds:\n%+v\n%+v", q, ka, kb)
+		}
 	}
 }

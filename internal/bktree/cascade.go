@@ -36,14 +36,12 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		if n.children == nil {
+		if n.isLeaf() {
 			n.casID = b.AddItem(n.item) + 1
 			continue
 		}
 		n.cas = b.AddPivot(n.item)
-		for _, c := range n.children {
-			queue = append(queue, c)
-		}
+		queue = append(queue, n.kids...)
 	}
 	if b.NumPivots() == 0 || b.NumItems() == 0 {
 		return nil

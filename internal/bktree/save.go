@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"mvptree/internal/metric"
 	"mvptree/internal/wire"
 )
 
 // Persistence for BK-trees, in the same CRC-protected envelope as the
-// other structures. Children are written in ascending key order so the
-// output is deterministic for a given tree.
+// other structures. Children are written in ascending key order (the
+// order they are stored in) and Load requires it.
 
 // ItemEncoder serializes one item.
 type ItemEncoder[T any] func(T) ([]byte, error)
@@ -52,15 +51,10 @@ func saveNode[T any](w *wire.Writer, n *node[T], enc ItemEncoder[T]) error {
 		return fmt.Errorf("bktree: encoding item: %w", err)
 	}
 	w.Bytes(b)
-	keys := make([]int, 0, len(n.children))
-	for k := range n.children {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
+	w.Int(len(n.keys))
+	for i, k := range n.keys {
 		w.Int(k)
-		if err := saveNode(w, n.children[k], enc); err != nil {
+		if err := saveNode(w, n.kids[i], enc); err != nil {
 			return err
 		}
 	}
@@ -122,22 +116,20 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if count > 0 {
-		n.children = make(map[int]*node[T], count)
-		for i := 0; i < count; i++ {
-			key := r.Int()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			child, err := loadNode(r, dec, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := n.children[key]; dup {
-				return nil, fmt.Errorf("bktree: duplicate child key %d (corrupt stream)", key)
-			}
-			n.children[key] = child
+	for i := 0; i < count; i++ {
+		key := r.Int()
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
+		if i > 0 && key <= n.keys[i-1] {
+			return nil, fmt.Errorf("bktree: child key %d not ascending (corrupt stream)", key)
+		}
+		child, err := loadNode(r, dec, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		n.keys = append(n.keys, key)
+		n.kids = append(n.kids, child)
 	}
 	return n, nil
 }

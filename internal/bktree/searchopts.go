@@ -57,7 +57,7 @@ func (t *Tree[T]) rangeNodeApprox(n *node[T], q T, r, rp float64, a *index.Appro
 		return
 	}
 	s.NodesVisited++
-	leaf := n.children == nil
+	leaf := n.isLeaf()
 	t.TraceNode(leaf)
 	s.Candidates++
 	s.Computed++
@@ -75,8 +75,8 @@ func (t *Tree[T]) rangeNodeApprox(n *node[T], q T, r, rp float64, a *index.Appro
 	}
 	lo := int(math.Ceil(d - rp))
 	hi := int(math.Floor(d + rp))
-	for key, c := range n.children {
-		if key >= lo && key <= hi {
+	for i, c := range n.kids {
+		if key := n.keys[i]; key >= lo && key <= hi {
 			t.rangeNodeApprox(c, q, r, rp, a, out, s)
 			if a.Stop() {
 				return
@@ -117,7 +117,7 @@ func (t *Tree[T]) knnApprox(q T, k int, o index.SearchOptions) index.Result[T] {
 			break
 		}
 		s.NodesVisited++
-		leaf := n.children == nil
+		leaf := n.isLeaf()
 		t.TraceNode(leaf)
 		if leaf {
 			s.LeavesVisited++
@@ -136,8 +136,8 @@ func (t *Tree[T]) knnApprox(q T, k int, o index.SearchOptions) index.Result[T] {
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
-		for key, c := range n.children {
-			lb := math.Abs(d - float64(key))
+		for i, c := range n.kids {
+			lb := math.Abs(d - float64(n.keys[i]))
 			if lb < bound {
 				lb = bound
 			}

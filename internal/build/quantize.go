@@ -16,7 +16,7 @@ import (
 // []T leaves without knowing T; it reports false — callers then leave
 // the pre-filter off — when T is not []float64 or the dataset cannot
 // be quantized (empty, inconsistent dimensions, non-finite
-// coordinates, or a float32 overflow in F32 mode).
+// coordinates).
 func QuantizeVectors[T any](groups [][]T, kind metric.QuantKind, mode quant.Mode) (*quant.Quantized, bool) {
 	vecGroups := make([][][]float64, 0, len(groups))
 	for _, g := range groups {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"mvptree/internal/index"
 	"mvptree/internal/linear"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
@@ -39,7 +40,8 @@ func ApproxStudy(c Config) ([]ApproxResult, error) {
 	queries := c.VectorQueries()
 	results := make([]ApproxResult, len(ApproxBudgetFractions))
 	for i, f := range ApproxBudgetFractions {
-		results[i].Budget = int64(f * float64(len(items)))
+		// At least one computation: Budget 0 means unlimited to Search.
+		results[i].Budget = max(1, int64(f*float64(len(items))))
 	}
 
 	truth := linear.New(items, metric.NewCounter[[]float64](metric.L2))
@@ -58,15 +60,16 @@ func ApproxStudy(c Config) ([]ApproxResult, error) {
 				want[vectorKey(nb.Item)] = true
 			}
 			for i := range results {
-				got, exact := tree.KNNBudgeted(q, ApproxK, results[i].Budget)
+				res := tree.Search(index.Query[[]float64]{Point: q, K: ApproxK,
+					Opts: index.SearchOptions{Budget: results[i].Budget}})
 				hits := 0
-				for _, nb := range got {
+				for _, nb := range res.Neighbors {
 					if want[vectorKey(nb.Item)] {
 						hits++
 					}
 				}
 				results[i].Recall += float64(hits)
-				if exact {
+				if !res.Exhausted() {
 					results[i].ExactFraction++
 				}
 			}

@@ -16,7 +16,7 @@ import (
 )
 
 // BatchBenchRounds is the number of measured passes over the query
-// group per (structure, mode, batch-size) cell, after a warm-up pass
+// group per (structure, batch-size) cell, after a warm-up pass
 // that doubles as the result-identity check.
 const BatchBenchRounds = 5
 
@@ -24,9 +24,6 @@ const BatchBenchRounds = 5
 // workload: the serving micro-batch regime the shared traversal
 // targets (one collector flush of a loaded daemon).
 const BatchBenchQueries = 64
-
-// BatchBenchK is the kNN width of the study.
-const BatchBenchK = 10
 
 // BatchBenchSelectivity is the range-query selectivity target; the
 // radius is calibrated from the dataset's own pairwise-distance
@@ -38,15 +35,14 @@ const BatchBenchSelectivity = 0.02
 // against the sequential (batch = 1) baseline.
 var BatchBenchSizes = []int{8, 64}
 
-// BatchBenchRow is one (structure, mode, batch-size) cell: wall time
-// and distance charges per query, plus the speedup over the same
-// (structure, mode) at batch size 1. Distance counts are byte-identical
+// BatchBenchRow is one (structure, batch-size) range-query cell: wall
+// time and distance charges per query, plus the speedup over the same
+// structure at batch size 1. Distance counts are byte-identical
 // across batch sizes by the SearchBatch contract — the study verifies
 // that in-line before trusting the timings — so the comparison axis is
 // purely wall time.
 type BatchBenchRow struct {
 	Structure    string  `json:"structure"`
-	Mode         string  `json:"mode"`
 	BatchSize    int     `json:"batch_size"`
 	NsPerQuery   float64 `json:"ns_per_query"`
 	DistPerQuery float64 `json:"dist_per_query"`
@@ -62,15 +58,14 @@ type BatchBenchReport struct {
 	Dim     int             `json:"dim"`
 	Queries int             `json:"queries"`
 	Rounds  int             `json:"rounds"`
-	K       int             `json:"k"`
 	Radius  float64         `json:"radius"`
 	Rows    []BatchBenchRow `json:"rows"`
 }
 
 // BatchBenchStudy measures shared-traversal batch execution against
 // per-query execution over uniform L2 vectors: for the two structures
-// implementing SearchBatch it answers one 64-query group sequentially
-// and at each batch size, through the same qexec entry points serve
+// implementing SearchBatch it answers one 64-query range group
+// sequentially and at each batch size, through the same qexec entry points serve
 // uses. The warm-up pass cross-checks byte-identity (results and
 // counter deltas) between every batched run and the sequential one, so
 // a speedup can never come from answering a different query.
@@ -88,7 +83,7 @@ func BatchBenchStudy(c Config) (*BatchBenchReport, error) {
 	}
 	rep := &BatchBenchReport{
 		N: c.N, Dim: dim, Queries: len(queries),
-		Rounds: BatchBenchRounds, K: BatchBenchK, Radius: radius,
+		Rounds: BatchBenchRounds, Radius: radius,
 	}
 	seed := c.TreeSeeds[0]
 	structures := []bench.Structure[[]float64]{
@@ -104,67 +99,48 @@ func BatchBenchStudy(c Config) (*BatchBenchReport, error) {
 		if index.CapabilitiesOf[[]float64](idx).Batch == nil {
 			return nil, fmt.Errorf("%s: structure does not implement SearchBatch", st.Name)
 		}
-		for _, mode := range []string{"range", "knn"} {
-			var seqNs float64
-			for _, b := range append([]int{1}, BatchBenchSizes...) {
-				opts := qexec.Options{Workers: 1, Batch: b}
-				row := BatchBenchRow{Structure: st.Name, Mode: mode, BatchSize: b}
-				var ns, dist int64
-				switch mode {
-				case "range":
-					// Warm-up + identity: the batched answer must equal the
-					// sequential one item for item, at the same distance cost.
-					counter.Reset()
-					ref, _, _ := qexec.RunRange[[]float64](idx, queries, radius, qexec.Options{Workers: 1})
-					refDist := counter.Count()
-					counter.Reset()
-					got, _, _ := qexec.RunRange[[]float64](idx, queries, radius, opts)
-					if !reflect.DeepEqual(got, ref) || counter.Count() != refDist {
-						return nil, fmt.Errorf("%s range B=%d: batched run diverged from sequential", st.Name, b)
-					}
-					ns, _, dist = measureN(counter, BatchBenchRounds, func() {
-						qexec.RunRange[[]float64](idx, queries, radius, opts)
-					})
-				case "knn":
-					counter.Reset()
-					ref, _, _ := qexec.RunKNN[[]float64](idx, queries, BatchBenchK, qexec.Options{Workers: 1})
-					refDist := counter.Count()
-					counter.Reset()
-					got, _, _ := qexec.RunKNN[[]float64](idx, queries, BatchBenchK, opts)
-					if !reflect.DeepEqual(got, ref) || counter.Count() != refDist {
-						return nil, fmt.Errorf("%s knn B=%d: batched run diverged from sequential", st.Name, b)
-					}
-					ns, _, dist = measureN(counter, BatchBenchRounds, func() {
-						qexec.RunKNN[[]float64](idx, queries, BatchBenchK, opts)
-					})
-				}
-				ops := int64(BatchBenchRounds * len(queries))
-				row.NsPerQuery = float64(ns) / float64(ops)
-				row.DistPerQuery = float64(dist) / float64(ops)
-				if b == 1 {
-					seqNs = row.NsPerQuery
-					row.Speedup = 1
-				} else if row.NsPerQuery > 0 {
-					row.Speedup = seqNs / row.NsPerQuery
-				}
-				rep.Rows = append(rep.Rows, row)
+		var seqNs float64
+		for _, b := range append([]int{1}, BatchBenchSizes...) {
+			opts := qexec.Options{Workers: 1, Batch: b}
+			row := BatchBenchRow{Structure: st.Name, BatchSize: b}
+			// Warm-up + identity: the batched answer must equal the
+			// sequential one item for item, at the same distance cost.
+			counter.Reset()
+			ref, _, _ := qexec.RunRange[[]float64](idx, queries, radius, qexec.Options{Workers: 1})
+			refDist := counter.Count()
+			counter.Reset()
+			got, _, _ := qexec.RunRange[[]float64](idx, queries, radius, opts)
+			if !reflect.DeepEqual(got, ref) || counter.Count() != refDist {
+				return nil, fmt.Errorf("%s range B=%d: batched run diverged from sequential", st.Name, b)
 			}
+			ns, _, dist := measureN(counter, BatchBenchRounds, func() {
+				qexec.RunRange[[]float64](idx, queries, radius, opts)
+			})
+			ops := int64(BatchBenchRounds * len(queries))
+			row.NsPerQuery = float64(ns) / float64(ops)
+			row.DistPerQuery = float64(dist) / float64(ops)
+			if b == 1 {
+				seqNs = row.NsPerQuery
+				row.Speedup = 1
+			} else if row.NsPerQuery > 0 {
+				row.Speedup = seqNs / row.NsPerQuery
+			}
+			rep.Rows = append(rep.Rows, row)
 		}
 	}
 	return rep, nil
 }
 
-// WriteBatchBench prints the study as a table grouped by structure and
-// mode.
+// WriteBatchBench prints the study as a table grouped by structure.
 func WriteBatchBench(w io.Writer, rep *BatchBenchReport) error {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "# shared-traversal batching: uniform vectors n=%d dim=%d, %d-query group x %d rounds, r=%.3f k=%d, 1 worker\n",
-		rep.N, rep.Dim, rep.Queries, rep.Rounds, rep.Radius, rep.K)
-	fmt.Fprintf(&sb, "%-12s %-6s %6s %14s %12s %9s\n",
-		"structure", "mode", "batch", "ns/query", "dist/query", "speedup")
+	fmt.Fprintf(&sb, "# shared-traversal batching: uniform vectors n=%d dim=%d, %d-query range group x %d rounds, r=%.3f, 1 worker\n",
+		rep.N, rep.Dim, rep.Queries, rep.Rounds, rep.Radius)
+	fmt.Fprintf(&sb, "%-12s %6s %14s %12s %9s\n",
+		"structure", "batch", "ns/query", "dist/query", "speedup")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&sb, "%-12s %-6s %6d %14.0f %12.1f %8.2fx\n",
-			r.Structure, r.Mode, r.BatchSize, r.NsPerQuery, r.DistPerQuery, r.Speedup)
+		fmt.Fprintf(&sb, "%-12s %6d %14.0f %12.1f %8.2fx\n",
+			r.Structure, r.BatchSize, r.NsPerQuery, r.DistPerQuery, r.Speedup)
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err

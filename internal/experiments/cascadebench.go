@@ -39,10 +39,6 @@ type CascadeBenchRow struct {
 	// query — candidates skipped by the registered pivot bounds.
 	RangePrunedPerQuery float64 `json:"range_pruned_per_query"`
 
-	// Counts for the bkt row may vary slightly run to run: its children
-	// live in a Go map, so visit order — and therefore how fast the kNN
-	// τ tightens and which pivots a query registers in the cascade — is
-	// not fixed. Every other row is deterministic.
 	KNNDistOff        float64 `json:"knn_dist_off"`
 	KNNDistOn         float64 `json:"knn_dist_on"`
 	KNNReductionPct   float64 `json:"knn_reduction_pct"`

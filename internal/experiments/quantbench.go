@@ -67,8 +67,8 @@ type quantBenchConfig struct {
 	radius     float64
 }
 
-// QuantBenchStudy measures the quantized pre-filter off vs on (both
-// representations) over uniform vectors, per metric shape and
+// QuantBenchStudy measures the quantized pre-filter off vs on over
+// uniform vectors, per metric shape and
 // dimension, on the two tree structures that host it plus the linear
 // scan at the highest dimension. Every mode answers the same query
 // batch; the study verifies result identity in-line (length and kNN
@@ -111,7 +111,7 @@ func QuantBenchStudy(c Config) (*QuantBenchReport, error) {
 			// identity check.
 			var refRangeLen []int
 			var refKNN [][]float64
-			for _, mode := range []quant.Mode{quant.Off, quant.SQ8, quant.F32} {
+			for _, mode := range quant.Modes {
 				st := mk(mode)
 				counter := metric.NewCounter[[]float64](qc.fn)
 				idx, bs, err := st.Build(items, counter, build.Options{Seed: seed, Workers: c.BuildWorkers})

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 	"mvptree/internal/shard"
@@ -24,17 +25,10 @@ var ShardQueryWorkerCounts = []int{1, 2, 4, 8}
 var ShardCounts = []int{1, 2, 4, 8}
 
 // ShardWorkerPoint is one (query-worker count) cell of a shard row:
-// serving wall time per query for the range fan-out and the
-// opportunistic parallel kNN.
+// serving wall time per query for the range fan-out.
 type ShardWorkerPoint struct {
 	Workers      int     `json:"workers"`
 	RangeNsPerOp float64 `json:"range_ns_per_op"`
-	KNNNsPerOp   float64 `json:"knn_ns_per_op"`
-	// KNNParDistPerQuery is the opportunistic mode's measured distance
-	// count; unlike every other count in this repository it may vary
-	// run to run (cross-shard τ races), which is exactly what the
-	// deterministic column beside it is for.
-	KNNParDistPerQuery float64 `json:"knn_par_dist_per_query"`
 }
 
 // ShardBenchRow is one shard count's build and serving costs.
@@ -45,10 +39,12 @@ type ShardBenchRow struct {
 	AssignDistances int64 `json:"assign_distances"`
 
 	// RangeDistPerQuery is identical at every worker count (the range
-	// fan-out is deterministic); KNNSeqDistPerQuery is the
-	// deterministic sequential-tightening mode's count.
+	// fan-out is deterministic); KNNSeqDistPerQuery and KNNNsPerOp are
+	// the sequential carried-τ walk's count and wall time, which do not
+	// depend on the worker count.
 	RangeDistPerQuery  float64            `json:"range_dist_per_query"`
 	KNNSeqDistPerQuery float64            `json:"knn_seq_dist_per_query"`
+	KNNNsPerOp         float64            `json:"knn_ns_per_op"`
 	Points             []ShardWorkerPoint `json:"points"`
 }
 
@@ -69,8 +65,8 @@ type ShardBenchReport struct {
 // ShardBenchStudy measures the sharded serving layer: for each shard
 // count it builds a partitioned mvp-tree index (balanced assignment)
 // and reports build wall time, per-query serving time for the range
-// fan-out and both kNN modes across the intra-query worker sweep, and
-// the deterministic distance counts beside the opportunistic one.
+// fan-out across the intra-query worker sweep and for the sequential
+// kNN walk, and the deterministic distance counts.
 // Wall-clock speedups require real cores (see GOMAXPROCS in the
 // report); distance-count behavior is machine-independent.
 func ShardBenchStudy(c Config) (*ShardBenchReport, error) {
@@ -122,33 +118,29 @@ func ShardBenchStudy(c Config) (*ShardBenchReport, error) {
 			x.Range(q, TelemetryRadius)
 		}
 		row.RangeDistPerQuery = float64(counter.Count()-before) / float64(len(queries))
-		before = counter.Count()
-		for _, q := range queries {
-			x.KNNWithStats(q, TelemetryK)
-		}
-		row.KNNSeqDistPerQuery = float64(counter.Count()-before) / float64(len(queries))
-
 		ops := int64(ShardBenchRounds * len(queries))
+		before = counter.Count()
+		start := time.Now()
+		for round := 0; round < ShardBenchRounds; round++ {
+			for _, q := range queries {
+				x.KNNWithStats(q, TelemetryK)
+			}
+		}
+		row.KNNNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(ops)
+		row.KNNSeqDistPerQuery = float64(counter.Count()-before) / float64(ops)
+
 		for _, w := range workerCounts {
-			pt := ShardWorkerPoint{Workers: w}
 			start := time.Now()
 			for round := 0; round < ShardBenchRounds; round++ {
 				for _, q := range queries {
-					x.RangeParallelWithStats(q, TelemetryRadius, w)
+					x.Search(index.Query[[]float64]{Point: q, Radius: TelemetryRadius,
+						Opts: index.SearchOptions{Workers: w}})
 				}
 			}
-			pt.RangeNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(ops)
-
-			before = counter.Count()
-			start = time.Now()
-			for round := 0; round < ShardBenchRounds; round++ {
-				for _, q := range queries {
-					x.KNNParallelWithStats(q, TelemetryK, w)
-				}
-			}
-			pt.KNNNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(ops)
-			pt.KNNParDistPerQuery = float64(counter.Count()-before) / float64(ops)
-			row.Points = append(row.Points, pt)
+			row.Points = append(row.Points, ShardWorkerPoint{
+				Workers:      w,
+				RangeNsPerOp: float64(time.Since(start).Nanoseconds()) / float64(ops),
+			})
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -161,12 +153,12 @@ func WriteShardBench(w io.Writer, rep *ShardBenchReport) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# uniform vectors n=%d dim=%d, %d queries, r=%g k=%d, %s assignment, GOMAXPROCS=%d\n",
 		rep.N, rep.Dim, rep.Queries, rep.Radius, rep.K, rep.Assignment, rep.GOMAXPROCS)
-	fmt.Fprintf(&sb, "%-7s %8s %12s %12s %14s %12s %12s %14s\n",
-		"shards", "workers", "range-ns/op", "knn-ns/op", "knn-par-dist", "range-dist", "knn-seq-dist", "build-wall")
+	fmt.Fprintf(&sb, "%-7s %8s %12s %12s %12s %12s %14s\n",
+		"shards", "workers", "range-ns/op", "knn-ns/op", "range-dist", "knn-seq-dist", "build-wall")
 	for _, row := range rep.Rows {
 		for _, pt := range row.Points {
-			fmt.Fprintf(&sb, "%-7d %8d %12.0f %12.0f %14.1f %12.1f %12.1f %14s\n",
-				row.Shards, pt.Workers, pt.RangeNsPerOp, pt.KNNNsPerOp, pt.KNNParDistPerQuery,
+			fmt.Fprintf(&sb, "%-7d %8d %12.0f %12.0f %12.1f %12.1f %14s\n",
+				row.Shards, pt.Workers, pt.RangeNsPerOp, row.KNNNsPerOp,
 				row.RangeDistPerQuery, row.KNNSeqDistPerQuery,
 				time.Duration(row.BuildWallNs).Round(time.Millisecond))
 		}

@@ -1,9 +1,8 @@
 package index
 
-// Capabilities is the one-call capability report for an index:
-// which optional query surfaces it supports, plus typed handles so a
-// caller probes once instead of chaining type assertions at every
-// call site (the executor and the shard fan-out both used to).
+// Capabilities is the one-call capability report for an index: which
+// query surfaces it supports, as typed handles so a caller probes once
+// instead of chaining type assertions at every call site.
 type Capabilities[T any] struct {
 	// Stats is the index viewed through StatsIndex, nil when the index
 	// offers no stats variants.
@@ -11,54 +10,18 @@ type Capabilities[T any] struct {
 	// Search is the unified query entry point, nil when the index
 	// predates it (external implementations of Index only).
 	Search Searcher[T]
-	// ParallelRange is non-nil when the index can answer one range
-	// query with several goroutines.
-	ParallelRange ParallelRangeIndex[T]
-	// BoundedKNN is non-nil when the kNN search accepts an external
-	// KNNBound.
-	BoundedKNN BoundedKNNIndex[T]
-	// ParallelKNN is non-nil when the index can answer one kNN query
-	// with several goroutines.
-	ParallelKNN ParallelKNNIndex[T]
 	// Batch is non-nil when the index can answer a query group with one
 	// shared traversal (SearchBatch).
 	Batch BatchSearcher[T]
 }
 
-// ParallelKNNIndex is implemented by indexes (the sharded index) whose
-// kNN search can use several goroutines for a single query. Unlike
-// ParallelRangeIndex the result need not be byte-identical to the
-// sequential order at ties, but the distance multiset is exact.
-type ParallelKNNIndex[T any] interface {
-	StatsIndex[T]
-
-	// KNNParallelWithStats answers one kNN query using up to workers
-	// goroutines (values <= 1 fall back to the sequential path).
-	KNNParallelWithStats(q T, k int, workers int) ([]Neighbor[T], SearchStats)
-}
-
-// CapabilityReporter lets a wrapper index (the sharded index, the
-// dynamic store) publish its own capability report instead of being
-// probed by assertion — e.g. to hide a capability its inner shards
-// have but the wrapper cannot honor.
-type CapabilityReporter[T any] interface {
-	Capabilities() Capabilities[T]
-}
-
-// CapabilitiesOf probes idx once and returns its full capability
-// report. Indexes implementing CapabilityReporter answer for
-// themselves; everything else is probed by type assertion here — the
-// single place in the repository that does so.
+// CapabilitiesOf probes idx once and returns its capability report —
+// the single place in the repository that type-asserts for query
+// surfaces.
 func CapabilitiesOf[T any](idx Index[T]) Capabilities[T] {
-	if r, ok := idx.(CapabilityReporter[T]); ok {
-		return r.Capabilities()
-	}
 	var c Capabilities[T]
 	c.Stats, _ = idx.(StatsIndex[T])
 	c.Search, _ = idx.(Searcher[T])
-	c.ParallelRange, _ = idx.(ParallelRangeIndex[T])
-	c.BoundedKNN, _ = idx.(BoundedKNNIndex[T])
-	c.ParallelKNN, _ = idx.(ParallelKNNIndex[T])
 	c.Batch, _ = idx.(BatchSearcher[T])
 	return c
 }

@@ -2,10 +2,11 @@ package index
 
 // This file defines the unified query-options API: one request type
 // (Query + SearchOptions) consulted by every structure's single Search
-// entry point, subsuming the per-capability method variants that
-// accreted over earlier revisions (Range/RangeWithStats/ParallelRange/
-// KNNWithStats/KNNWithStatsBound/...). Those variants remain as thin
-// wrappers; new code should construct a Query and call Search.
+// entry point. Search and SearchBatch are the only query surface one
+// layer calls on another; intra-query parallel range and externally
+// bounded kNN are reachable only through Opts.Workers and Opts.Bound.
+// The StatsIndex methods (Range/KNN and their WithStats forms) remain
+// for direct callers and answer exactly what a zero-options Search does.
 //
 // The options cover three approximation axes on top of the exact knobs:
 //
@@ -42,14 +43,16 @@ type SearchOptions struct {
 	Patience int
 
 	// Workers requests an intra-query parallel traversal where the
-	// structure supports one (values <= 1 run sequentially). Honored
-	// only on exact range queries — the parallel planner does not
-	// thread approximation state.
+	// structure supports one (mvp, vptree and the sharded index; values
+	// <= 1 run sequentially). Results, order, SearchStats and distance
+	// counts are identical at every value. Honored only on exact range
+	// queries — the parallel planner does not thread approximation
+	// state — and ignored on kNN.
 	Workers int
 
 	// Bound is an optional external kNN pruning bound (cross-shard τ
-	// sharing). Honored by structures implementing BoundedKNNIndex on
-	// exact queries; approximate traversals ignore it.
+	// sharing). Honored by mvp and vptree on exact kNN queries;
+	// approximate traversals and every other structure ignore it.
 	Bound KNNBound
 }
 
@@ -133,8 +136,31 @@ type BatchSearcher[T any] interface {
 	// order, SearchStats, and the structure's Counter delta — is
 	// byte-identical to what Search(reqs[i]) produces, at every batch
 	// size; batching changes memory traffic, never answers. Queries the
-	// shared traversal cannot batch (approximate modes, intra-query
-	// parallel requests, external kNN bounds) are answered by per-query
-	// Search calls inside the same invocation.
+	// shared traversal does not batch (kNN, approximate modes,
+	// intra-query parallel requests) are answered by per-query Search
+	// calls inside the same invocation.
 	SearchBatch(reqs []Query[T], results []Result[T])
+}
+
+// KNNBound is an external pruning bound threaded through a kNN search
+// (SearchOptions.Bound): the τ a sharded index carries from shard to
+// shard. The searcher consults min(localTau, Tau()) for every pruning
+// and early-abandonment decision and offers its own tightening
+// k-th-best distance back through Publish, so searches over later
+// shards prune against the best bound found so far.
+//
+// Correctness requirement on implementations: Tau must never return a
+// value smaller than the final k-th-best distance of the *global*
+// query (across all shards). Under that invariant a searcher may
+// discard any candidate certified to exceed Tau() without losing a
+// global result; ties exactly at the global k-th distance may be
+// dropped, which the Index.KNN contract already permits.
+type KNNBound interface {
+	// Tau returns the current external bound (+Inf when none is known
+	// yet). It must be monotonically non-increasing over the lifetime
+	// of one query.
+	Tau() float64
+	// Publish offers a searcher's current local k-th-best distance.
+	// Implementations keep the minimum of everything published.
+	Publish(tau float64)
 }

@@ -25,10 +25,8 @@ type Scan[T any] struct {
 	dist  *metric.Counter[T]
 
 	// Quantized pre-filter state (EnableQuantize); nil when off.
-	// Exactly one of qcodes/qf32 is non-nil while armed.
 	qset   *quant.Set
 	qcodes []byte
-	qf32   []float32
 }
 
 var _ index.StatsIndex[int] = (*Scan[int])(nil)
@@ -65,7 +63,7 @@ func (s *Scan[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
 	var st index.SearchStats
 	var out []T
 	qp := s.prepareQuant(q)
-	qset, qcodes, qf32 := s.qset, s.qcodes, s.qf32
+	qset, qcodes := s.qset, s.qcodes
 	filteredQuant := 0
 	for i, it := range s.items {
 		st.Candidates++
@@ -73,7 +71,7 @@ func (s *Scan[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
 		s.TraceDistance(1)
 		// A certified quantized skip is charged exactly like the
 		// abandoned kernel call it replaces.
-		if qp != nil && qset.PruneAt(qp, qcodes, qf32, i, r) {
+		if qp != nil && qset.PruneAt(qp, qcodes, i, r) {
 			s.dist.Add(1)
 			filteredQuant++
 			continue
@@ -108,7 +106,7 @@ func (s *Scan[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchSta
 		return nil, st
 	}
 	qp := s.prepareQuant(q)
-	qset, qcodes, qf32 := s.qset, s.qcodes, s.qf32
+	qset, qcodes := s.qset, s.qcodes
 	filteredQuant := 0
 	h := heapx.NewKBest[T](k)
 	for i, it := range s.items {
@@ -118,7 +116,7 @@ func (s *Scan[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchSta
 		tau := h.Threshold()
 		// A certified quantized skip is charged exactly like the
 		// abandoned kernel call it replaces.
-		if qp != nil && qset.PruneAt(qp, qcodes, qf32, i, tau) {
+		if qp != nil && qset.PruneAt(qp, qcodes, i, tau) {
 			s.dist.Add(1)
 			filteredQuant++
 			continue

@@ -10,9 +10,9 @@ import (
 )
 
 // EnableQuantize builds the quantized pre-filter for the scan: the
-// item vectors are encoded into one companion arena (SQ8 byte codes or
-// float32 copies, internal/quant) that Range and KNN consult before
-// the exact kernel — a candidate whose quantized lower bound certifies
+// item vectors are encoded into one companion arena (SQ8 byte codes,
+// internal/quant) that Range and KNN consult before the exact kernel —
+// a candidate whose quantized lower bound certifies
 // its distance exceeds the query threshold skips the float64
 // evaluation. The skip is charged to the distance counter and to
 // SearchStats.Computed exactly as the abandoned kernel call would have
@@ -31,10 +31,10 @@ import (
 // filter before serving.
 func (s *Scan[T]) EnableQuantize(mode quant.Mode) error {
 	if mode == quant.Off {
-		s.qset, s.qcodes, s.qf32 = nil, nil, nil
+		s.qset, s.qcodes = nil, nil
 		return nil
 	}
-	if mode != quant.SQ8 && mode != quant.F32 {
+	if mode != quant.SQ8 {
 		return fmt.Errorf("linear: unknown quantize mode %v", mode)
 	}
 	if len(s.items) == 0 {
@@ -48,13 +48,7 @@ func (s *Scan[T]) EnableQuantize(mode quant.Mode) error {
 	if !ok {
 		return nil
 	}
-	s.qset, s.qcodes, s.qf32 = nil, nil, nil
-	if mode == quant.SQ8 {
-		s.qcodes = q.Codes[0]
-	} else {
-		s.qf32 = q.F32s[0]
-	}
-	s.qset = q.Set
+	s.qset, s.qcodes = q.Set, q.Codes[0]
 	return nil
 }
 
@@ -88,7 +82,6 @@ func (s *Scan[T]) releaseQuant(p *quant.Prepared, pruned int) {
 	if p == nil {
 		return
 	}
-	p.Release()
 	qprepPool.Put(p)
 	s.ObserveQuantPruned(pruned)
 }

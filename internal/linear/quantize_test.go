@@ -45,7 +45,7 @@ func TestQuantizeEquivalence(t *testing.T) {
 			radii = []float64{1.0, 1.9}
 		}
 		for _, m := range metrics {
-			for _, mode := range []quant.Mode{quant.SQ8, quant.F32} {
+			for _, mode := range []quant.Mode{quant.SQ8} {
 				name := map[int]string{6: "dim6", 30: "dim30"}[dim] + "/" + m.name + "/" + mode.String()
 				t.Run(name, func(t *testing.T) {
 					distP := metric.NewCounter(m.fn)

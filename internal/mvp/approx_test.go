@@ -4,17 +4,25 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
 )
 
-func TestKNNBudgetedUnlimitedIsExact(t *testing.T) {
+// knnBudget answers a kNN query under a distance budget through Search
+// and reports whether the traversal finished within it.
+func knnBudget[T any](tree *Tree[T], q T, k int, budget int64) ([]index.Neighbor[T], bool) {
+	res := tree.Search(index.Query[T]{Point: q, K: k, Opts: index.SearchOptions{Budget: budget}})
+	return res.Neighbors, !res.Exhausted()
+}
+
+func TestSearchBudgetUnlimitedIsExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(111, 9))
 	w := testutil.NewVectorWorkload(rng, 500, 8, 10, metric.L2)
 	tree, _ := buildWorkloadTree(t, w, Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: Build{Seed: 7}})
 	for _, q := range w.Queries {
 		for _, k := range []int{1, 5, 20} {
-			got, exact := tree.KNNBudgeted(q, k, 1<<40)
+			got, exact := knnBudget(tree, q, k, 1<<40)
 			if !exact {
 				t.Fatalf("unlimited budget reported inexact")
 			}
@@ -31,14 +39,14 @@ func TestKNNBudgetedUnlimitedIsExact(t *testing.T) {
 	}
 }
 
-func TestKNNBudgetedRespectsBudget(t *testing.T) {
+func TestSearchBudgetRespectsBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(112, 9))
 	w := testutil.NewVectorWorkload(rng, 3000, 20, 10, metric.L2) // high-dim: exact kNN ≈ linear
 	tree, c := buildWorkloadTree(t, w, Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}})
 	for _, budget := range []int64{10, 100, 1000} {
 		for _, q := range w.Queries {
 			c.Reset()
-			_, exact := tree.KNNBudgeted(q, 5, budget)
+			_, exact := knnBudget(tree, q, 5, budget)
 			if c.Count() > budget {
 				t.Fatalf("budget %d: spent %d distance computations", budget, c.Count())
 			}
@@ -49,7 +57,7 @@ func TestKNNBudgetedRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestKNNBudgetedRecallGrowsWithBudget(t *testing.T) {
+func TestSearchBudgetRecallGrowsWithBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(113, 9))
 	w := testutil.NewVectorWorkload(rng, 4000, 20, 20, metric.L2)
 	tree, _ := buildWorkloadTree(t, w, Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}})
@@ -61,7 +69,7 @@ func TestKNNBudgetedRecallGrowsWithBudget(t *testing.T) {
 			for _, nb := range w.Truth.KNN(q, k) {
 				truth[nb.Item] = true
 			}
-			got, _ := tree.KNNBudgeted(q, k, budget)
+			got, _ := knnBudget(tree, q, k, budget)
 			for _, nb := range got {
 				if truth[nb.Item] {
 					hits++
@@ -81,23 +89,20 @@ func TestKNNBudgetedRecallGrowsWithBudget(t *testing.T) {
 	}
 }
 
-func TestKNNBudgetedEdgeCases(t *testing.T) {
+func TestSearchBudgetEdgeCases(t *testing.T) {
 	dist := metric.NewCounter(metric.L2)
 	tree, err := New([][]float64{{1}, {2}, {3}}, dist, Options{LeafCapacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, exact := tree.KNNBudgeted([]float64{0}, 0, 100); got != nil || !exact {
+	if got, exact := knnBudget(tree, []float64{0}, 0, 100); got != nil || !exact {
 		t.Errorf("k=0: %v, %v", got, exact)
-	}
-	if got, exact := tree.KNNBudgeted([]float64{0}, 2, 0); got != nil || exact {
-		t.Errorf("budget 0: %v, %v", got, exact)
 	}
 	empty, err := New(nil, dist, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, exact := empty.KNNBudgeted([]float64{0}, 2, 100); got != nil || !exact {
+	if got, exact := knnBudget(empty, []float64{0}, 2, 100); got != nil || !exact {
 		t.Errorf("empty: %v, %v", got, exact)
 	}
 }

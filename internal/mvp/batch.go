@@ -18,51 +18,26 @@ package mvp
 //     the sequential node set in the same (g ascending, h ascending)
 //     order, and item-major leaf scans preserve each query's item
 //     order and therefore its append order.
-//   - Exact kNN is best-first with exactly one node fully processed per
-//     pop. Lockstep rounds — each active query pops one node, pops are
-//     grouped by node and processed with blocked kernels — preserve
-//     each query's pop sequence and τ evolution exactly, because no
-//     state is shared between queries.
 //   - The block kernels produce bit-identical values to the one-to-one
 //     bounded kernels for every (query, point, bound) triple (see
 //     metric.BlockDistanceFunc), so no traversal decision can differ.
 //
-// Queries the shared traversal cannot batch — approximate modes
-// (Epsilon/Budget/Patience), intra-query parallel requests (Workers >
-// 1) and external kNN bounds — are answered by per-query Search calls
-// inside the same invocation, which is trivially byte-identical.
+// Queries the shared traversal does not batch — kNN (best-first pops
+// diverge per query, so there is no traversal to share), approximate
+// modes (Epsilon/Budget/Patience) and intra-query parallel requests
+// (Workers > 1) — are answered by per-query Search calls inside the
+// same invocation, which is trivially byte-identical.
 
 import (
 	"math"
 
 	"mvptree/internal/cascade"
-	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
 	"mvptree/internal/quant"
 )
 
 var _ index.BatchSearcher[int] = (*Tree[int])(nil)
-
-// knnSlot is one query's private best-first state inside a batch: its
-// candidate heap, node queue and query-PATH arena — the same trio
-// queryScratch pools for sequential kNN.
-type knnSlot[T any] struct {
-	best  *heapx.KBest[T]
-	queue heapx.NodeQueue[pendingRef[T]]
-	arena []float64
-}
-
-// knnVisit is one query's pop in a lockstep round: the slot, its
-// query-PATH window, the popped bound, and the τ snapshot read at pop
-// time (sequential reads τ once per node; only the query's own
-// processing can change it before the group is handled).
-type knnVisit struct {
-	slot      int32
-	off, plen int32
-	bound     float64
-	tau       float64
-}
 
 // batchScratch is the pooled working state of one SearchBatch call.
 // Per-slot arrays are indexed by the query's position in reqs; shared
@@ -75,7 +50,6 @@ type batchScratch[T any] struct {
 	bounds []float64
 	dv1    []float64
 	dv2    []float64
-	vb     []float64
 	// Survivor gather buffers for item-major leaf scans.
 	spts    []T
 	sbounds []float64
@@ -99,24 +73,17 @@ type batchScratch[T any] struct {
 	qpreps      []quant.Prepared
 	quantOn     []bool
 	quantPruned []int
-	// qpath/qlo/qhi are B×p flat: slot j's windows live at [j·p, (j+1)·p).
-	qpath []float64
-	qlo   []float64
-	qhi   []float64
+	// qlo/qhi are B×p flat: slot j's PATH windows live at [j·p, (j+1)·p).
+	qlo []float64
+	qhi []float64
 
 	// Leaf-local per-slot windows and stage tallies (leaves never
 	// recurse, so one set serves every leaf).
 	wlo1, whi1, wlo2, whi2 []float64
 	fD, fP, fC, fQ, comp   []int
 
-	// Lockstep kNN bookkeeping.
-	knn      []knnSlot[T]
+	// rangeLst lists the slots the shared DFS answers.
 	rangeLst []int32
-	knnLst   []int32
-	rounds   []int32
-	gMap     map[*node[T]]int32
-	gNodes   []*node[T]
-	gVisits  [][]knnVisit
 }
 
 func growF(s []float64, n int) []float64 {
@@ -140,7 +107,7 @@ func (t *Tree[T]) getBatchScratch(b int) *batchScratch[T] {
 	if v := t.bscratch.Get(); v != nil {
 		bs = v.(*batchScratch[T])
 	} else {
-		bs = &batchScratch[T]{gMap: make(map[*node[T]]int32)}
+		bs = &batchScratch[T]{}
 	}
 	bs.reserve(b, t.p)
 	return bs
@@ -168,9 +135,6 @@ func (bs *batchScratch[T]) reserve(b, p int) {
 		bs.fC = make([]int, b)
 		bs.fQ = make([]int, b)
 		bs.comp = make([]int, b)
-		knn := make([]knnSlot[T], b)
-		copy(knn, bs.knn)
-		bs.knn = knn
 	} else {
 		n := b
 		bs.qs = bs.qs[:n]
@@ -186,41 +150,27 @@ func (bs *batchScratch[T]) reserve(b, p int) {
 		bs.wlo2, bs.whi2 = bs.wlo2[:n], bs.whi2[:n]
 		bs.fD, bs.fP, bs.fC = bs.fD[:n], bs.fP[:n], bs.fC[:n]
 		bs.fQ, bs.comp = bs.fQ[:n], bs.comp[:n]
-		bs.knn = bs.knn[:n]
 	}
-	if cap(bs.qpath) < b*p {
-		bs.qpath = make([]float64, b*p)
+	if cap(bs.qlo) < b*p {
 		bs.qlo = make([]float64, b*p)
 		bs.qhi = make([]float64, b*p)
 	} else {
-		bs.qpath = bs.qpath[:b*p]
 		bs.qlo = bs.qlo[:b*p]
 		bs.qhi = bs.qhi[:b*p]
 	}
 	bs.rangeLst = bs.rangeLst[:0]
-	bs.knnLst = bs.knnLst[:0]
-	bs.rounds = bs.rounds[:0]
 }
 
 // putBatchScratch clears every reference the scratch took from the
-// caller or the tree (query objects, result slices, node pointers) so
-// pooling never pins them, then returns it to the pool.
+// caller (query objects, result slices) so pooling never pins them,
+// then returns it to the pool.
 func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 	var zero T
 	for i := range bs.qs {
 		bs.qs[i] = zero
 		bs.outs[i] = nil
 		bs.ccs[i] = nil
-		bs.qpreps[i].Release()
 		bs.quantOn[i] = false
-	}
-	for i := range bs.knn {
-		sl := &bs.knn[i]
-		sl.arena = sl.arena[:0]
-		sl.queue.Reset()
-		if sl.best != nil {
-			sl.best.Reset(1)
-		}
 	}
 	clear(bs.pts)
 	bs.pts = bs.pts[:0]
@@ -228,10 +178,6 @@ func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 	bs.spts = bs.spts[:0]
 	bs.act = bs.act[:0]
 	bs.dstack = bs.dstack[:0]
-	clear(bs.gMap)
-	for i := range bs.gNodes {
-		bs.gNodes[i] = nil
-	}
 	t.bscratch.Put(bs)
 }
 
@@ -252,10 +198,9 @@ func (t *Tree[T]) prepareQuantSlot(bs *batchScratch[T], i int, q T) {
 
 // SearchBatch answers reqs[i] into results[i] with one shared traversal
 // per query group (index.BatchSearcher). It panics unless len(results)
-// == len(reqs). Exact range queries share one DFS, exact kNN queries
-// run in lockstep rounds, and everything else falls back to per-query
-// Search within the same call; every results[i] is byte-identical to
-// Search(reqs[i]).
+// == len(reqs). Exact range queries share one DFS and everything else
+// (kNN, approximate, Workers > 1) goes to per-query Search within the
+// same call; every results[i] is byte-identical to Search(reqs[i]).
 //
 // SearchBatch is safe to call concurrently with itself and with Search;
 // like Search, per-query counter attribution requires the per-Result
@@ -277,34 +222,7 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	bs := t.getBatchScratch(len(reqs))
 	for i := range reqs {
 		req := &reqs[i]
-		if req.K > 0 {
-			if req.Opts.Approximate() || req.Opts.Bound != nil {
-				results[i] = t.Search(*req)
-				continue
-			}
-			bs.spans[i] = t.StartQuery(obs.KindKNN)
-			bs.stats[i] = SearchStats{}
-			if t.root == nil {
-				bs.spans[i].Done(&bs.stats[i])
-				results[i] = index.Result[T]{Stats: bs.stats[i]}
-				continue
-			}
-			bs.qs[i] = req.Point
-			t.prepareQuantSlot(bs, i, req.Point)
-			if t.cas != nil {
-				bs.ccs[i] = t.cas.Get()
-			}
-			sl := &bs.knn[i]
-			if sl.best == nil {
-				sl.best = heapx.NewKBest[T](req.K)
-			} else {
-				sl.best.Reset(req.K)
-			}
-			sl.queue.PushNode(pendingRef[T]{n: t.root}, 0)
-			bs.knnLst = append(bs.knnLst, int32(i))
-			continue
-		}
-		if req.Opts.Approximate() || req.Opts.Workers > 1 {
+		if req.K > 0 || req.Opts.Approximate() || req.Opts.Workers > 1 {
 			results[i] = t.Search(*req)
 			continue
 		}
@@ -336,22 +254,6 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 			bs.spans[j].Done(s)
 			results[j] = index.Result[T]{Items: bs.outs[j], Stats: *s}
 			bs.outs[j] = nil // the result slice escapes to the caller
-		}
-	}
-	if len(bs.knnLst) > 0 {
-		t.knnBatch(bs)
-		for _, j := range bs.knnLst {
-			sl := &bs.knn[j]
-			out := sl.best.Sorted()
-			s := &bs.stats[j]
-			if t.cas != nil {
-				t.cas.Put(bs.ccs[j])
-				bs.ccs[j] = nil
-			}
-			t.ObserveQuantPruned(bs.quantPruned[j])
-			s.Results = len(out)
-			bs.spans[j].Done(s)
-			results[j] = index.Result[T]{Neighbors: out, Stats: *s}
 		}
 	}
 	t.putBatchScratch(bs)
@@ -465,7 +367,6 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 		for i, j := range act {
 			o := int(j)*t.p + plen
 			r := bs.rads[j]
-			bs.qpath[o] = d1v[i]
 			bs.qlo[o] = d1v[i] - r
 			bs.qhi[o] = d1v[i] + r
 		}
@@ -474,7 +375,6 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 			for i, j := range act {
 				o := int(j)*t.p + plen
 				r := bs.rads[j]
-				bs.qpath[o] = d2v[i]
 				bs.qlo[o] = d2v[i] - r
 				bs.qhi[o] = d2v[i] + r
 			}
@@ -616,8 +516,8 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 		d2s = d2s[:len(items)]
 	}
 	cas, base := t.cas, n.casBase
-	qset, qcodes, qf32 := t.qset, n.qcodes, n.qf32
-	hasQuant := qcodes != nil || qf32 != nil
+	qset, qcodes := t.qset, n.qcodes
+	hasQuant := qcodes != nil
 	p := t.p
 	for i := range items {
 		surv := bs.sslots[:0]
@@ -658,7 +558,7 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 				}
 			}
 			bs.comp[j]++
-			if hasQuant && bs.quantOn[j] && qset.PruneAt(&bs.qpreps[j], qcodes, qf32, i, r) {
+			if hasQuant && bs.quantOn[j] && qset.PruneAt(&bs.qpreps[j], qcodes, i, r) {
 				bs.fQ[j]++
 				continue
 			}

@@ -22,12 +22,13 @@ import (
 // result slice, and results, distance counts and stats are identical to
 // the exact-kernel traversal.
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
-	return t.KNNWithStatsBound(q, k, nil)
+	return t.knnBound(q, k, nil)
 }
 
-// KNNWithStatsBound is KNNWithStats with an optional external pruning
-// bound (index.KNNBound), the hook the sharded index uses to share the
-// shrinking k-th-best distance across shards. With ext == nil the
+// knnBound is KNNWithStats with an optional external pruning bound
+// (index.KNNBound, reached through Search with Opts.Bound), the hook
+// the sharded index uses to share the shrinking k-th-best distance
+// across shards. With ext == nil the
 // traversal, results, distance counts and stats are exactly those of
 // KNNWithStats. With a bound attached, every pruning and abandonment
 // decision consults τ′ = min(τ_local, ext.Tau()), the search publishes
@@ -38,7 +39,7 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 // contract permits). Consequently the returned list may be shorter
 // than k; it always contains every indexed item whose distance is
 // strictly below the external bound's final value, k best at most.
-func (t *Tree[T]) KNNWithStatsBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T], SearchStats) {
+func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T], SearchStats) {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
@@ -246,8 +247,8 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 	useCas := cc != nil && cc.Registered() > 0
 	// Quantized pre-filter state (quantize.go); a pruned candidate still
 	// joins computed, standing in for an abandoned kernel call.
-	useQuant := sc.quantOn && (n.qcodes != nil || n.qf32 != nil)
-	qset, qprep, qcodes, qf32 := t.qset, &sc.qprep, n.qcodes, n.qf32
+	useQuant := sc.quantOn && n.qcodes != nil
+	qset, qprep, qcodes := t.qset, &sc.qprep, n.qcodes
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 	for i := range items {
 		// The D1/D2 bound first; a PATH entry only gets credit when it
@@ -292,7 +293,7 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 		// The quantized lower bound certifies d > cb, so the kernel call
 		// would abandon (> cb) and never push; skipping it changes no
 		// heap state, stat or count (computed was charged above).
-		if useQuant && qset.PruneAt(qprep, qcodes, qf32, i, cb) {
+		if useQuant && qset.PruneAt(qprep, qcodes, i, cb) {
 			filteredQuant++
 			continue
 		}

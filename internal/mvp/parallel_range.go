@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mvptree/internal/index"
 	"mvptree/internal/obs"
 )
 
@@ -60,18 +59,10 @@ type rangePlan[T any] struct {
 	hi    []float64 // matching qpath[l]+r windows
 }
 
-// RangeParallel is Range answered by up to workers goroutines. The
-// result slice is byte-identical to Range(q, r) for every workers
-// value; values <= 1 run the plain sequential traversal.
-func (t *Tree[T]) RangeParallel(q T, r float64, workers int) []T {
-	out, _ := t.RangeParallelWithStats(q, r, workers)
-	return out
-}
-
-// RangeParallelWithStats is RangeWithStats answered by up to workers
-// goroutines, with identical results, stats and distance counts at
-// every worker count (see the file comment for how).
-func (t *Tree[T]) RangeParallelWithStats(q T, r float64, workers int) ([]T, SearchStats) {
+// rangeParallel is RangeWithStats answered by up to workers goroutines
+// (Search with Opts.Workers > 1), with identical results, stats and
+// distance counts at every worker count (see the file comment for how).
+func (t *Tree[T]) rangeParallel(q T, r float64, workers int) ([]T, SearchStats) {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 || t.root == nil {
@@ -84,14 +75,6 @@ func (t *Tree[T]) RangeParallelWithStats(q T, r float64, workers int) ([]T, Sear
 	// identical at every worker count (the cascade only ever skips work,
 	// never changes answers).
 	sc := t.getScratch()
-	if workers <= 1 {
-		var out []T
-		t.rangeNode(t.root, q, r, 0, sc, nil, &out, &s)
-		t.putScratch(sc)
-		s.Results = len(out)
-		span.Done(&s)
-		return out, s
-	}
 
 	// Phase 1: sequential frontier expansion.
 	plan := &rangePlan[T]{
@@ -246,6 +229,3 @@ func (t *Tree[T]) expandPlanLevel(plan *rangePlan[T], q T, r float64, s *SearchS
 	}
 	return expanded
 }
-
-var _ index.ParallelRangeIndex[int] = (*Tree[int])(nil)
-var _ index.BoundedKNNIndex[int] = (*Tree[int])(nil)

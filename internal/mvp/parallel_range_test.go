@@ -8,10 +8,10 @@ import (
 	"mvptree/internal/testutil"
 )
 
-// The ParallelRangeIndex contract: for every worker count the result
-// slice is byte-identical to the sequential traversal — same items,
-// same order — and the stats and metric-counter delta are identical
-// too.
+// The intra-query parallel range contract: for every worker count the
+// result slice is byte-identical to the sequential traversal — same
+// items, same order — and the stats and metric-counter delta are
+// identical too.
 func TestRangeParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 2))
 	w := testutil.NewVectorWorkload(rng, 600, 8, 15, metric.L2)
@@ -24,7 +24,7 @@ func TestRangeParallelMatchesSequential(t *testing.T) {
 				seqCost := c.Count() - before
 				for _, workers := range []int{1, 2, 3, 8} {
 					before = c.Count()
-					got, gotStats := tree.RangeParallelWithStats(q, r, workers)
+					got, gotStats := tree.rangeParallel(q, r, workers)
 					cost := c.Count() - before
 					if len(got) != len(want) {
 						t.Fatalf("workers=%d q=%d r=%g: got %d results, want %d", workers, q, r, len(got), len(want))
@@ -50,12 +50,12 @@ func TestRangeParallelEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 2))
 	w := testutil.NewVectorWorkload(rng, 40, 4, 4, metric.L2)
 	tree, _ := buildWorkloadTree(t, w, Options{Partitions: 2, LeafCapacity: 4, Build: Build{Seed: 7}})
-	if got := tree.RangeParallel(w.Queries[0], -1, 4); got != nil {
+	if got, _ := tree.rangeParallel(w.Queries[0], -1, 4); got != nil {
 		t.Fatalf("negative radius: got %v, want nil", got)
 	}
 	// More workers than frontier subtrees.
 	seq := tree.Range(w.Queries[0], 0.8)
-	par := tree.RangeParallel(w.Queries[0], 0.8, 64)
+	par, _ := tree.rangeParallel(w.Queries[0], 0.8, 64)
 	if len(seq) != len(par) {
 		t.Fatalf("workers=64: got %d results, want %d", len(par), len(seq))
 	}
@@ -69,7 +69,7 @@ func TestRangeParallelEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(empty): %v", err)
 	}
-	if got := empty.RangeParallel(w.Queries[0], 1, 4); got != nil {
+	if got, _ := empty.rangeParallel(w.Queries[0], 1, 4); got != nil {
 		t.Fatalf("empty tree: got %v, want nil", got)
 	}
 }

@@ -66,7 +66,6 @@ func (t *Tree[T]) getScratch() *queryScratch[T] {
 func (t *Tree[T]) putScratch(sc *queryScratch[T]) {
 	sc.arena = sc.arena[:0]
 	sc.quantOn = false
-	sc.qprep.Release()
 	sc.queue.Reset()
 	if sc.best != nil {
 		sc.best.Reset(1) // clears retained neighbors; re-armed per query

@@ -10,8 +10,8 @@ import (
 
 // EnableQuantize builds the quantized pre-filter for the tree: every
 // leaf's item vectors are encoded into a companion arena (SQ8 byte
-// codes or float32 copies, internal/quant) that Range and KNN leaf
-// scans consult before the exact kernel — a candidate whose quantized
+// codes, internal/quant) that Range and KNN leaf scans consult before
+// the exact kernel — a candidate whose quantized
 // lower bound certifies its distance exceeds the query threshold skips
 // the float64 evaluation. The skip is an abandonment certificate, so
 // it is charged to the distance counter and to SearchStats.Computed
@@ -25,19 +25,19 @@ import (
 // kernel registered a quantized lower-bound shape
 // (metric.RegisterQuantized — L1, L2, LInf and Cosine do); any other
 // tree is left unfiltered silently, as are datasets quant.Build
-// rejects (empty, inconsistent dimensions, non-finite coordinates, or
-// float32 overflow in F32 mode). mode Off tears the filter down.
+// rejects (empty, inconsistent dimensions, non-finite coordinates).
+// mode Off tears the filter down.
 //
 // EnableQuantize is not synchronized with in-flight queries: arm the
 // filter before serving. The arenas are not serialized by Save;
-// re-enable after Load. Intra-query parallel range (RangeParallel) and
-// the approximate/budgeted search modes do not consult the filter.
+// re-enable after Load. Intra-query parallel range (Opts.Workers > 1)
+// and the approximate/budgeted search modes do not consult the filter.
 func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	if mode == quant.Off {
 		t.disableQuantize()
 		return nil
 	}
-	if mode != quant.SQ8 && mode != quant.F32 {
+	if mode != quant.SQ8 {
 		return fmt.Errorf("mvp: unknown quantize mode %v", mode)
 	}
 	if t.root == nil {
@@ -74,11 +74,7 @@ func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	}
 	t.disableQuantize()
 	for i, n := range leaves {
-		if mode == quant.SQ8 {
-			n.qcodes = q.Codes[i]
-		} else {
-			n.qf32 = q.F32s[i]
-		}
+		n.qcodes = q.Codes[i]
 	}
 	t.qset = q.Set
 	return nil
@@ -96,7 +92,7 @@ func (t *Tree[T]) disableQuantize() {
 			return
 		}
 		if n.isLeaf() {
-			n.qcodes, n.qf32 = nil, nil
+			n.qcodes = nil
 			return
 		}
 		for _, row := range n.children {

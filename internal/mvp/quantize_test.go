@@ -59,7 +59,7 @@ func TestQuantizeEquivalence(t *testing.T) {
 	opts := Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: Build{Seed: 9}}
 	for _, w := range workloads {
 		for _, m := range metrics {
-			for _, mode := range []quant.Mode{quant.SQ8, quant.F32} {
+			for _, mode := range []quant.Mode{quant.SQ8} {
 				t.Run(w.name+"/"+m.name+"/"+mode.String(), func(t *testing.T) {
 					distP := metric.NewCounter(m.fn)
 					plain, err := New(w.items, distP, opts)
@@ -196,8 +196,8 @@ func TestQuantizeZeroAlloc(t *testing.T) {
 }
 
 // TestQuantizeLifecycle pins mode switching: Off tears the filter
-// down, re-enabling with a different mode swaps representations, and
-// an unquantizable metric leaves the tree unfiltered silently.
+// down, an unknown mode is refused, and an unquantizable metric leaves
+// the tree unfiltered silently.
 func TestQuantizeLifecycle(t *testing.T) {
 	items := uniformItems(91, 600, 6)
 	tree, err := New(items, metric.NewCounter(metric.L2),
@@ -213,12 +213,6 @@ func TestQuantizeLifecycle(t *testing.T) {
 	}
 	if s := tree.Quantized(); s == nil || s.ModeOf() != quant.SQ8 {
 		t.Fatalf("expected armed sq8 filter, got %+v", tree.Quantized())
-	}
-	if err := tree.EnableQuantize(quant.F32); err != nil {
-		t.Fatal(err)
-	}
-	if s := tree.Quantized(); s == nil || s.ModeOf() != quant.F32 {
-		t.Fatalf("expected armed f32 filter, got %+v", tree.Quantized())
 	}
 	if err := tree.EnableQuantize(quant.Off); err != nil {
 		t.Fatal(err)

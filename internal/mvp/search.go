@@ -221,8 +221,8 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r float64, plen int, sc *queryScrat
 	// Quantized pre-filter state (quantize.go). A pruned candidate is
 	// still counted in computed — the skip stands in for an abandoned
 	// kernel call — so every stat and counter below is unchanged.
-	useQuant := sc.quantOn && (n.qcodes != nil || n.qf32 != nil)
-	qset, qprep, qcodes, qf32 := t.qset, &sc.qprep, n.qcodes, n.qf32
+	useQuant := sc.quantOn && n.qcodes != nil
+	qset, qprep, qcodes := t.qset, &sc.qprep, n.qcodes
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 items:
 	for i := range items {
@@ -268,7 +268,7 @@ items:
 		// representation alone; the exact kernel would have returned a
 		// value > r (abandoning), so skipping it changes nothing — the
 		// candidate already joined computed above.
-		if useQuant && qset.PruneAt(qprep, qcodes, qf32, i, r) {
+		if useQuant && qset.PruneAt(qprep, qcodes, i, r) {
 			filteredQuant++
 			continue
 		}

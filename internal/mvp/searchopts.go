@@ -11,10 +11,9 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 // Search is the unified query entry point (index.Searcher). A request
 // with zero-valued SearchOptions runs the exact traversal and is
 // byte-identical — results, order, distance counts, stats — to
-// RangeWithStats / KNNWithStats / their parallel and bounded variants,
-// which remain as thin wrappers over the same code paths. Epsilon,
-// Budget or Patience switch to the approximate traversal below; see
-// index.SearchOptions for the semantics of each knob.
+// RangeWithStats / KNNWithStats. Epsilon, Budget or Patience switch to
+// the approximate traversal below; see index.SearchOptions for the
+// semantics of each knob.
 //
 // Approximate traversals do not consult the cross-query bound cascade
 // or an external KNNBound — those are exact-mode machinery — and
@@ -22,14 +21,14 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		if !req.Opts.Approximate() {
-			nb, s := t.KNNWithStatsBound(req.Point, req.K, req.Opts.Bound)
+			nb, s := t.knnBound(req.Point, req.K, req.Opts.Bound)
 			return index.Result[T]{Neighbors: nb, Stats: s}
 		}
 		return t.knnApprox(req.Point, req.K, req.Opts)
 	}
 	if !req.Opts.Approximate() {
 		if req.Opts.Workers > 1 {
-			out, s := t.RangeParallelWithStats(req.Point, req.Radius, req.Opts.Workers)
+			out, s := t.rangeParallel(req.Point, req.Radius, req.Opts.Workers)
 			return index.Result[T]{Items: out, Stats: s}
 		}
 		out, s := t.RangeWithStats(req.Point, req.Radius)

@@ -103,8 +103,8 @@ func TestRunBatchApproximate(t *testing.T) {
 
 // TestOptionValidationTable pins the executor's option defaulting:
 // Workers <= 0 means runtime.GOMAXPROCS(0), the worker count is capped
-// at the batch size, and Batch/QueryWorkers interactions never change
-// the answered-query accounting.
+// at the batch size, and Batch never changes the answered-query
+// accounting.
 func TestOptionValidationTable(t *testing.T) {
 	tree, _, _ := testTree(t)
 	rng := rand.New(rand.NewPCG(35, 7))
@@ -122,7 +122,6 @@ func TestOptionValidationTable(t *testing.T) {
 		{"capped at batch size", Options{Workers: 64}, 12, 12},
 		{"empty batch still one worker", Options{Workers: 0}, 0, 1},
 		{"batch option keeps worker math", Options{Workers: 3, Batch: 4}, 12, 3},
-		{"batch with query workers", Options{Workers: 2, Batch: 4, QueryWorkers: 2}, 12, 2},
 		{"batch of one is unbatched", Options{Workers: 2, Batch: 1}, 12, 2},
 	}
 	for _, tc := range cases {

@@ -3,15 +3,11 @@ package qexec
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
 	"mvptree/internal/index"
-	"mvptree/internal/metric"
-	"mvptree/internal/mvp"
 	"mvptree/internal/obs"
-	"mvptree/internal/shard"
 )
 
 // slowIndex wraps a StatsIndex, sleeping per query so a short context
@@ -202,61 +198,5 @@ func TestSharedObserverRefused(t *testing.T) {
 	}
 	if s := o.Snapshot(); s.Queries != int64(len(queries)) {
 		t.Fatalf("index observer saw %d queries, want %d", s.Queries, len(queries))
-	}
-}
-
-// QueryWorkers routes range queries through RangeParallelWithStats and
-// sharded KNN through the opportunistic mode; results must match the
-// sequential executor exactly (range) and by distance (KNN).
-func TestQueryWorkersIntraQueryParallelism(t *testing.T) {
-	tree, _, queries := testTree(t)
-	seq, seqStats, err := RunRange[[]float64](tree, queries, 0.5, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, parStats, err := RunRange[[]float64](tree, queries, 0.5, Options{Workers: 1, QueryWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("QueryWorkers changed range results")
-	}
-	if parStats.Search != seqStats.Search {
-		t.Fatalf("QueryWorkers changed aggregated stats: %+v vs %+v", parStats.Search, seqStats.Search)
-	}
-
-	// Sharded index: KNN with QueryWorkers > 1 takes the opportunistic
-	// path; neighbor distances must match the deterministic mode.
-	items := make([]int, 500)
-	for i := range items {
-		items[i] = i
-	}
-	data := make([][]float64, 600)
-	for i := range data {
-		data[i] = []float64{float64(i % 83), float64(i % 47)}
-	}
-	dist := func(a, b int) float64 { return metric.L2(data[a], data[b]) }
-	x, err := shard.New(items, metric.NewCounter(dist), shard.MVP[int](mvp.Options{Partitions: 2, LeafCapacity: 8}), shard.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qids := []int{500, 511, 547, 580}
-	seqK, _, err := RunKNN[int](x, qids, 7, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parK, _, err := RunKNN[int](x, qids, 7, Options{Workers: 1, QueryWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqK {
-		if len(seqK[i]) != len(parK[i]) {
-			t.Fatalf("knn query %d: %d results, want %d", i, len(parK[i]), len(seqK[i]))
-		}
-		for j := range seqK[i] {
-			if seqK[i][j].Dist != parK[i][j].Dist {
-				t.Fatalf("knn query %d: dist[%d] %g vs %g", i, j, parK[i][j].Dist, seqK[i][j].Dist)
-			}
-		}
 	}
 }

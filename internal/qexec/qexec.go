@@ -18,10 +18,7 @@
 //     query does not depend on what other queries run beside it, so the
 //     batch total — measured as an atomic Counter delta — is identical
 //     for every worker count. Parallelism changes wall-clock time only,
-//     never the paper's cost metric. (One opt-in exception: KNN with
-//     QueryWorkers > 1 over a sharded index uses opportunistic
-//     cross-shard bound sharing, whose count varies with scheduling —
-//     see Options.QueryWorkers.)
+//     never the paper's cost metric.
 //
 //   - Deterministic attribution: queries are striped (worker w answers
 //     queries w, w+W, w+2W, ...), so per-worker SearchStats aggregates
@@ -68,23 +65,8 @@ type Options struct {
 	// move from one query to one group: Context cancellation latency,
 	// and the Observer's per-query latency samples (a group's wall time
 	// is amortized equally over its members; every non-latency snapshot
-	// field stays exact). Ignored when the index lacks the surface or
-	// when QueryWorkers > 1 (intra-query parallelism wins).
+	// field stays exact). Ignored when the index lacks the surface.
 	Batch int
-	// QueryWorkers is the intra-query parallelism degree: with a value
-	// > 1, range queries against an index.ParallelRangeIndex are
-	// answered by RangeParallelWithStats with this worker bound, and
-	// KNN queries against an index exposing the sharded
-	// KNNParallelWithStats surface use opportunistic cross-shard bound
-	// sharing at the same bound. Range results, stats and counts stay
-	// exactly those of the sequential traversal (the interface's
-	// determinism contract); parallel KNN keeps the same neighbor
-	// distances but its distance count varies with scheduling. Indexes
-	// without the capability ignore the setting. Use it for
-	// latency-bound serving (few big queries); leave it at 0/1 for
-	// throughput batches, where inter-query parallelism already fills
-	// the machine.
-	QueryWorkers int
 	// Context, when non-nil, is checked between queries: once it is
 	// cancelled, workers stop picking up new queries and the run
 	// returns ctx.Err() with the results slice only partially filled.
@@ -111,8 +93,7 @@ type Options struct {
 	// unified Search entry point; the per-query Budget is each query's
 	// own (not a batch total). Indexes without the Searcher surface
 	// ignore the knobs and answer exactly. Workers/Bound inside this
-	// struct are ignored — use QueryWorkers for intra-query
-	// parallelism.
+	// struct are ignored: the executor's parallelism is across queries.
 	Search index.SearchOptions
 }
 
@@ -170,89 +151,68 @@ type Stats struct {
 }
 
 // approxOpts is the per-query option set derived from the batch
-// options: the approximation knobs pass through, intra-query
-// parallelism comes from QueryWorkers.
+// options: only the approximation knobs pass through.
 func approxOpts(opts Options) index.SearchOptions {
 	return index.SearchOptions{
 		Epsilon:  opts.Search.Epsilon,
 		Budget:   opts.Search.Budget,
 		Patience: opts.Search.Patience,
-		Workers:  opts.QueryWorkers,
 	}
 }
 
 // RunRange answers a range query at radius r for every query point,
 // returning results[i] = idx.Range(queries[i], r) plus batch stats.
-// The index is probed once through index.CapabilitiesOf; the richest
-// surface matching the options answers each query.
 func RunRange[T any](idx index.Index[T], queries []T, r float64, opts Options) ([][]T, Stats, error) {
 	caps := index.CapabilitiesOf(idx)
+	o := approxOpts(opts)
+	exact := func(q T) ([]T, index.SearchStats) { return idx.Range(q, r), index.SearchStats{} }
 	if si := caps.Stats; si != nil {
-		one := func(q T) ([]T, index.SearchStats) {
-			return si.RangeWithStats(q, r)
-		}
-		var many batchFn[T, []T]
-		if sr := caps.Search; sr != nil && opts.Search.Approximate() {
-			o := approxOpts(opts)
-			one = func(q T) ([]T, index.SearchStats) {
-				res := sr.Search(index.Query[T]{Point: q, Radius: r, Opts: o})
-				return res.Items, res.Stats
-			}
-		} else if pi := caps.ParallelRange; pi != nil && opts.QueryWorkers > 1 {
-			one = func(q T) ([]T, index.SearchStats) {
-				return pi.RangeParallelWithStats(q, r, opts.QueryWorkers)
-			}
-		}
-		if bi := caps.Batch; bi != nil && opts.Batch > 1 && opts.QueryWorkers <= 1 {
-			o := approxOpts(opts)
-			many = func(qs []T) ([][]T, []index.SearchStats) {
-				return runBatch(bi, qs, func(q T) index.Query[T] {
-					return index.Query[T]{Point: q, Radius: r, Opts: o}
-				}, func(res *index.Result[T]) []T { return res.Items })
-			}
-		}
-		return run(si, idx, queries, opts, obs.KindRange, true, one, many)
+		exact = func(q T) ([]T, index.SearchStats) { return si.RangeWithStats(q, r) }
 	}
-	return run[T, []T](nil, idx, queries, opts, obs.KindRange, false, func(q T) ([]T, index.SearchStats) {
-		return idx.Range(q, r), index.SearchStats{}
-	}, nil)
+	return route(caps, idx, queries, opts, obs.KindRange, exact,
+		func(q T) index.Query[T] { return index.Query[T]{Point: q, Radius: r, Opts: o} },
+		func(res *index.Result[T]) []T { return res.Items })
 }
 
 // RunKNN answers a k-nearest-neighbor query for every query point,
 // returning results[i] = idx.KNN(queries[i], k) plus batch stats.
-// The index is probed once through index.CapabilitiesOf; the richest
-// surface matching the options answers each query.
 func RunKNN[T any](idx index.Index[T], queries []T, k int, opts Options) ([][]index.Neighbor[T], Stats, error) {
 	caps := index.CapabilitiesOf(idx)
+	o := approxOpts(opts)
+	exact := func(q T) ([]index.Neighbor[T], index.SearchStats) { return idx.KNN(q, k), index.SearchStats{} }
 	if si := caps.Stats; si != nil {
-		one := func(q T) ([]index.Neighbor[T], index.SearchStats) {
-			return si.KNNWithStats(q, k)
-		}
-		var many batchFn[T, []index.Neighbor[T]]
-		if sr := caps.Search; sr != nil && opts.Search.Approximate() {
-			o := approxOpts(opts)
-			one = func(q T) ([]index.Neighbor[T], index.SearchStats) {
-				res := sr.Search(index.Query[T]{Point: q, K: k, Opts: o})
-				return res.Neighbors, res.Stats
-			}
-		} else if pi := caps.ParallelKNN; pi != nil && opts.QueryWorkers > 1 {
-			one = func(q T) ([]index.Neighbor[T], index.SearchStats) {
-				return pi.KNNParallelWithStats(q, k, opts.QueryWorkers)
-			}
-		}
-		if bi := caps.Batch; bi != nil && opts.Batch > 1 && opts.QueryWorkers <= 1 {
-			o := approxOpts(opts)
-			many = func(qs []T) ([][]index.Neighbor[T], []index.SearchStats) {
-				return runBatch(bi, qs, func(q T) index.Query[T] {
-					return index.Query[T]{Point: q, K: k, Opts: o}
-				}, func(res *index.Result[T]) []index.Neighbor[T] { return res.Neighbors })
-			}
-		}
-		return run(si, idx, queries, opts, obs.KindKNN, true, one, many)
+		exact = func(q T) ([]index.Neighbor[T], index.SearchStats) { return si.KNNWithStats(q, k) }
 	}
-	return run[T, []index.Neighbor[T]](nil, idx, queries, opts, obs.KindKNN, false, func(q T) ([]index.Neighbor[T], index.SearchStats) {
-		return idx.KNN(q, k), index.SearchStats{}
-	}, nil)
+	return route(caps, idx, queries, opts, obs.KindKNN, exact,
+		func(q T) index.Query[T] { return index.Query[T]{Point: q, K: k, Opts: o} },
+		func(res *index.Result[T]) []index.Neighbor[T] { return res.Neighbors })
+}
+
+// route picks how each query is answered from the index's capability
+// report: SearchBatch per chunk when Batch > 1, Search when the options
+// are approximate, else exact — the StatsIndex method, or the plain
+// Index method when the index has no stats surface (Searcher and
+// BatchSearcher embed StatsIndex, so that also rules the other two
+// out). mk builds the request for one query point,
+// extract pulls the endpoint's result kind out of the unified Result.
+func route[T any, R any](caps index.Capabilities[T], idx index.Index[T], queries []T, opts Options,
+	kind obs.Kind, exact func(q T) (R, index.SearchStats),
+	mk func(q T) index.Query[T], extract func(res *index.Result[T]) R) ([]R, Stats, error) {
+
+	one := exact
+	if sr := caps.Search; sr != nil && opts.Search.Approximate() {
+		one = func(q T) (R, index.SearchStats) {
+			res := sr.Search(mk(q))
+			return extract(&res), res.Stats
+		}
+	}
+	var many batchFn[T, R]
+	if bi := caps.Batch; bi != nil && opts.Batch > 1 {
+		many = func(qs []T) ([]R, []index.SearchStats) {
+			return runBatch(bi, qs, mk, extract)
+		}
+	}
+	return run(caps.Stats, idx, queries, opts, kind, one, many)
 }
 
 // batchFn answers one contiguous query group with a shared traversal,
@@ -281,12 +241,12 @@ func runBatch[T any, R any](bi index.BatchSearcher[T], qs []T,
 
 // run stripes the batch over the worker pool. one answers a single
 // query; si is non-nil exactly when the index exposes index.StatsIndex,
-// in which case hasStats is true and the per-query SearchStats are
-// real. many, when non-nil, answers a whole group with one shared
-// traversal — each worker then walks its stripe in chunks of
-// opts.Batch, with identical per-query answers and attribution.
+// in which case the per-query SearchStats are real. many, when non-nil,
+// answers a whole group with one shared traversal — each worker then
+// walks its stripe in chunks of opts.Batch, with identical per-query
+// answers and attribution.
 func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, opts Options,
-	kind obs.Kind, hasStats bool, one func(q T) (R, index.SearchStats),
+	kind obs.Kind, one func(q T) (R, index.SearchStats),
 	many batchFn[T, R]) ([]R, Stats, error) {
 
 	if opts.Observer != nil {
@@ -309,11 +269,11 @@ func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, 
 	stats := Stats{
 		Queries:      len(queries),
 		Workers:      workers,
-		HasSearch:    hasStats,
+		HasSearch:    si != nil,
 		PerWorker:    make([]WorkerStats, workers),
 		AnsweredMask: make([]bool, len(queries)),
 	}
-	if hasStats && opts.Search.Approximate() {
+	if si != nil && opts.Search.Approximate() {
 		stats.ExhaustedMask = make([]bool, len(queries))
 	}
 	var before int64
@@ -398,7 +358,7 @@ func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, 
 					stats.ExhaustedMask[i] = true
 				}
 				ws.Queries++
-				if hasStats {
+				if si != nil {
 					ws.Search.Add(s)
 				}
 			}

@@ -52,7 +52,7 @@ func BenchmarkPruneSQ8(b *testing.B) {
 	b.ResetTimer()
 	pruned := 0
 	for i := 0; i < b.N; i++ {
-		if qz.Set.PruneAt(&p, codes, nil, i&1023, 0.5) {
+		if qz.Set.PruneAt(&p, codes, i&1023, 0.5) {
 			pruned++
 		}
 	}
@@ -67,23 +67,4 @@ func BenchmarkExactL2UpTo(b *testing.B) {
 		acc += metric.L2UpTo(q, items[i&1023], 0.5)
 	}
 	_ = acc
-}
-
-func BenchmarkPruneF32(b *testing.B) {
-	items, q := benchData(20, 1024)
-	qz, err := Build(metric.QuantL2, F32, [][][]float64{items})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var p Prepared
-	qz.Set.Prepare(&p, q)
-	f32s := qz.F32s[0]
-	b.ResetTimer()
-	pruned := 0
-	for i := 0; i < b.N; i++ {
-		if qz.Set.PruneAt(&p, nil, f32s, i&1023, 0.5) {
-			pruned++
-		}
-	}
-	_ = pruned
 }

@@ -18,16 +18,13 @@ type Prepared struct {
 	// (dim·1 KB), which is what makes the byte scan cheaper than the
 	// f64 kernel it screens for.
 	table []float32
-	// q is the query vector (aliased, not copied) for F32 mode.
-	q []float64
 
 	// Threshold cache: thresholds are a function of the candidate
 	// bound, which is constant for a range query and changes only when
 	// a kNN heap improves, so the inflated comparison values are
 	// memoized per bound.
 	cachedBound float64
-	thr32       float32 // SQ8 comparison value (squared for L2)
-	thr64       float64 // F32 comparison value (squared for L2)
+	thr32       float32 // comparison value (squared for L2)
 }
 
 // Prepare arms p for query q against the set. Must be called before
@@ -44,10 +41,6 @@ type Prepared struct {
 // relative error is absorbed by the set's comparison slack.
 func (s *Set) Prepare(p *Prepared, q []float64) {
 	p.cachedBound = math.NaN()
-	p.q = q
-	if s.mode != SQ8 {
-		return
-	}
 	dim := s.dim
 	if cap(p.table) < dim*256 {
 		p.table = make([]float32, dim*256)
@@ -123,19 +116,14 @@ func (s *Set) Prepare(p *Prepared, q []float64) {
 	}
 }
 
-// Release drops the query alias so a pooled Prepared does not pin the
-// caller's vector between queries; the table keeps its capacity.
-func (p *Prepared) Release() { p.q = nil }
-
-// PruneAt reports whether candidate i of the encoded block (codes for
-// SQ8, f32s for F32 — exactly one is non-nil) is certified to have
-// exact distance > bound from the prepared query. A true return is a
-// guarantee — the exact kernel's float64 result would exceed bound —
-// so the caller may skip the exact computation without changing any
+// PruneAt reports whether candidate i of the encoded block is
+// certified to have exact distance > bound from the prepared query. A
+// true return is a guarantee — the exact kernel's float64 result would
+// exceed bound — so the caller may skip the exact computation without changing any
 // result, ordering or count; a false return says nothing. The scan
 // early-exits once the partial bound crosses the threshold, mirroring
 // the exact kernels' abandonment.
-func (s *Set) PruneAt(p *Prepared, codes []byte, f32s []float32, i int, bound float64) bool {
+func (s *Set) PruneAt(p *Prepared, codes []byte, i int, bound float64) bool {
 	// +Inf (an unfilled kNN heap) can never be exceeded and NaN/negative
 	// bounds never reach leaf scans with work to skip; bail before
 	// paying for a scan.
@@ -146,10 +134,7 @@ func (s *Set) PruneAt(p *Prepared, codes []byte, f32s []float32, i int, bound fl
 		p.reThreshold(s, bound)
 	}
 	dim := s.dim
-	if codes != nil {
-		return s.pruneSQ8(p, codes[i*dim:i*dim+dim])
-	}
-	return s.pruneF32(p, f32s[i*dim:i*dim+dim])
+	return s.pruneSQ8(p, codes[i*dim:i*dim+dim])
 }
 
 // reThreshold recomputes the memoized comparison values for a new
@@ -162,7 +147,6 @@ func (p *Prepared) reThreshold(s *Set, bound float64) {
 	if s.kind == metric.QuantL2 {
 		thr *= thr
 	}
-	p.thr64 = thr
 	p.thr32 = math.Nextafter32(float32(thr), float32(math.Inf(1)))
 }
 
@@ -200,104 +184,22 @@ func (s *Set) pruneSQ8(p *Prepared, code []byte) bool {
 	return sum > thr
 }
 
-// pruneF32 scans one float32 block with the rounding-error-compensated
-// kernel: |q_j − w_j| − ferr_j is a lower bound on |q_j − v_j| because
-// ferr_j bounds the representation error of dimension j.
-func (s *Set) pruneF32(p *Prepared, w []float32) bool {
-	q := p.q[:len(w)]
-	ferr := s.ferr[:len(w)]
-	thr := p.thr64
-	switch s.kind {
-	case metric.QuantL2:
-		var sum float64
-		j := 0
-		for ; j+4 <= len(w); j += 4 {
-			sum += sq32Term(q[j], w[j], ferr[j])
-			sum += sq32Term(q[j+1], w[j+1], ferr[j+1])
-			sum += sq32Term(q[j+2], w[j+2], ferr[j+2])
-			sum += sq32Term(q[j+3], w[j+3], ferr[j+3])
-			if sum > thr {
-				return true
-			}
-		}
-		for ; j < len(w); j++ {
-			sum += sq32Term(q[j], w[j], ferr[j])
-		}
-		return sum > thr
-	case metric.QuantLInf:
-		for j, x := range w {
-			if t := math.Abs(q[j]-float64(x)) - ferr[j]; t > thr {
-				return true
-			}
-		}
-		return false
-	default: // QuantL1
-		var sum float64
-		j := 0
-		for ; j+4 <= len(w); j += 4 {
-			sum += abs32Term(q[j], w[j], ferr[j])
-			sum += abs32Term(q[j+1], w[j+1], ferr[j+1])
-			sum += abs32Term(q[j+2], w[j+2], ferr[j+2])
-			sum += abs32Term(q[j+3], w[j+3], ferr[j+3])
-			if sum > thr {
-				return true
-			}
-		}
-		for ; j < len(w); j++ {
-			sum += abs32Term(q[j], w[j], ferr[j])
-		}
-		return sum > thr
-	}
-}
-
-func abs32Term(q float64, w float32, e float64) float64 {
-	t := math.Abs(q-float64(w)) - e
-	if t < 0 {
-		return 0
-	}
-	return t
-}
-
-func sq32Term(q float64, w float32, e float64) float64 {
-	t := math.Abs(q-float64(w)) - e
-	if t < 0 {
-		return 0
-	}
-	return t * t
-}
-
 // LowerBoundAt returns the full (non-early-exiting) lower bound the
 // pre-filter holds for candidate i, in the metric's own units — the
 // quantLB(q, v) ≤ exact(q, v) quantity the property tests pin. The
 // aggregate is deflated by the set's relative slack, the same margin
 // PruneAt demands before rejecting, which is what absorbs the
-// ulp-level arithmetic rounding of the per-dimension terms (ferr and
-// eta cover representation error only). Query paths use PruneAt
-// instead; this is the observable form.
-func (s *Set) LowerBoundAt(p *Prepared, codes []byte, f32s []float32, i int) float64 {
+// ulp-level arithmetic rounding of the per-dimension terms (eta covers
+// representation error only). Query paths use PruneAt instead; this
+// is the observable form.
+func (s *Set) LowerBoundAt(p *Prepared, codes []byte, i int) float64 {
 	dim := s.dim
 	var sum, mx float64
-	if codes != nil {
-		for j, c := range codes[i*dim : i*dim+dim] {
-			t := float64(p.table[j<<8|int(c)])
-			sum += t
-			if t > mx {
-				mx = t
-			}
-		}
-	} else {
-		for j, x := range f32s[i*dim : i*dim+dim] {
-			t := math.Abs(p.q[j]-float64(x)) - s.ferr[j]
-			if t < 0 {
-				t = 0
-			}
-			if s.kind == metric.QuantL2 {
-				t *= t
-			}
-			sum += t
-			if t > mx {
-				mx = t
-			}
+	for j, c := range codes[i*dim : i*dim+dim] {
+		t := float64(p.table[j<<8|int(c)])
+		sum += t
+		if t > mx {
+			mx = t
 		}
 	}
 	switch s.kind {

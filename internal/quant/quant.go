@@ -1,8 +1,8 @@
-// Package quant builds small companion representations of []float64
-// datasets — SQ8 byte codes or float32 copies — together with
-// guaranteed lower-bound distance kernels over them, so leaf scans can
-// reject most candidates from 1/8th (SQ8) or 1/2 (f32) of the memory
-// traffic before touching the exact f64 vectors.
+// Package quant builds a small companion representation of []float64
+// datasets — SQ8 byte codes — together with guaranteed lower-bound
+// distance kernels over it, so leaf scans can reject most candidates
+// from 1/8th of the memory traffic before touching the exact f64
+// vectors.
 //
 // The pre-filter is decision-preserving by construction: a candidate
 // is skipped only when its lower bound certifies that the exact
@@ -33,14 +33,6 @@
 // bound exceeds threshold·(1+slack), with slack sized to dominate
 // every rounding term (see slackFor). The float32 contribution tables
 // are rounded toward zero, so table lookups never overstate.
-//
-// # Float32 lower bounds
-//
-// The f32 companion stores float32(v). Training measures the actual
-// per-dimension representation error ferr_j = max_i |v_ij −
-// float64(float32(v_ij))|, and the kernel uses |q_j − w_j| − ferr_j as
-// the per-dimension bound — the rounding-error-compensated form. The
-// same relative slack covers accumulation.
 package quant
 
 import (
@@ -61,10 +53,6 @@ const (
 	// quantization into 256 cells. Smallest representation, loosest
 	// bounds; wins when scans are memory-bound.
 	SQ8
-	// F32 stores one float32 per coordinate. Half the traffic of the
-	// exact vectors with bounds tight to ~1e-7 relative, so almost
-	// every prunable candidate is pruned.
-	F32
 )
 
 func (m Mode) String() string {
@@ -73,8 +61,6 @@ func (m Mode) String() string {
 		return "off"
 	case SQ8:
 		return "sq8"
-	case F32:
-		return "f32"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -82,7 +68,7 @@ func (m Mode) String() string {
 
 // Modes lists every valid Mode, the source of truth for flag parsing
 // and table tests.
-var Modes = []Mode{Off, SQ8, F32}
+var Modes = []Mode{Off, SQ8}
 
 // ParseMode maps a Mode's String form back to the value.
 func ParseMode(s string) (Mode, error) {
@@ -91,7 +77,7 @@ func ParseMode(s string) (Mode, error) {
 			return m, nil
 		}
 	}
-	return Off, fmt.Errorf("quant: unknown mode %q (want off, sq8 or f32)", s)
+	return Off, fmt.Errorf("quant: unknown mode %q (want off, sq8)", s)
 }
 
 // Set is a trained quantization: the per-dataset parameters shared by
@@ -106,9 +92,6 @@ type Set struct {
 	// eta is the absolute float-slop margin subtracted from every
 	// contribution (see the package comment).
 	lo, step, eta []float64
-
-	// F32: measured max representation error per dimension.
-	ferr []float64
 
 	// slack deflates threshold comparisons to absorb relative
 	// accumulation error; fixed at training from the dimension.
@@ -141,25 +124,23 @@ func ulp(x float64) float64 {
 }
 
 // Quantized is the result of Build: the trained Set plus per-group
-// views into one contiguous arena (Codes for SQ8, F32s for F32),
-// parallel to the input groups. Views are len(group)·Dim entries; the
-// representation of group item i starts at i·Dim.
+// code views into one contiguous arena, parallel to the input groups.
+// Views are len(group)·Dim entries; the representation of group item i
+// starts at i·Dim.
 type Quantized struct {
 	Set   *Set
 	Codes [][]byte
-	F32s  [][]float32
 }
 
 // Build trains a Set over every vector in groups and encodes each
 // group into a shared arena. It fails — callers should then leave the
 // pre-filter off — when kind is QuantNone, mode is Off, the dataset is
-// empty or dimensionally inconsistent, any coordinate is non-finite,
-// or (F32 mode) a coordinate overflows float32.
+// empty or dimensionally inconsistent, or any coordinate is non-finite.
 func Build(kind metric.QuantKind, mode Mode, groups [][][]float64) (*Quantized, error) {
 	if kind == metric.QuantNone {
 		return nil, errors.New("quant: metric has no quantized lower-bound shape")
 	}
-	if mode != SQ8 && mode != F32 {
+	if mode != SQ8 {
 		return nil, fmt.Errorf("quant: cannot build arenas for mode %v", mode)
 	}
 	dim, total := -1, 0
@@ -181,31 +162,15 @@ func Build(kind metric.QuantKind, mode Mode, groups [][][]float64) (*Quantized, 
 	if err := s.train(groups); err != nil {
 		return nil, err
 	}
-	switch mode {
-	case SQ8:
-		arena := make([]byte, total*dim)
-		off := 0
-		for _, g := range groups {
-			view := arena[off : off+len(g)*dim : off+len(g)*dim]
-			for i, v := range g {
-				s.encodeSQ8(v, view[i*dim:(i+1)*dim])
-			}
-			q.Codes = append(q.Codes, view)
-			off += len(g) * dim
+	arena := make([]byte, total*dim)
+	off := 0
+	for _, g := range groups {
+		view := arena[off : off+len(g)*dim : off+len(g)*dim]
+		for i, v := range g {
+			s.encodeSQ8(v, view[i*dim:(i+1)*dim])
 		}
-	case F32:
-		arena := make([]float32, total*dim)
-		off := 0
-		for _, g := range groups {
-			view := arena[off : off+len(g)*dim : off+len(g)*dim]
-			for i, v := range g {
-				for j, x := range v {
-					view[i*dim+j] = float32(x)
-				}
-			}
-			q.F32s = append(q.F32s, view)
-			off += len(g) * dim
-		}
+		q.Codes = append(q.Codes, view)
+		off += len(g) * dim
 	}
 	return q, nil
 }
@@ -219,7 +184,6 @@ func (s *Set) train(groups [][][]float64) error {
 		lo[j] = math.Inf(1)
 		hi[j] = math.Inf(-1)
 	}
-	ferr := make([]float64, dim)
 	for _, g := range groups {
 		for _, v := range g {
 			for j, x := range v {
@@ -232,21 +196,8 @@ func (s *Set) train(groups [][][]float64) error {
 				if x > hi[j] {
 					hi[j] = x
 				}
-				if s.mode == F32 {
-					w := float32(x)
-					if math.IsInf(float64(w), 0) {
-						return errors.New("quant: coordinate overflows float32")
-					}
-					if e := math.Abs(x - float64(w)); e > ferr[j] {
-						ferr[j] = e
-					}
-				}
 			}
 		}
-	}
-	if s.mode == F32 {
-		s.ferr = ferr
-		return nil
 	}
 	step := make([]float64, dim)
 	eta := make([]float64, dim)

@@ -54,12 +54,12 @@ func genVectors(rng *rand.Rand, n, dim int) [][]float64 {
 
 // TestLowerBoundNeverExceedsExact is the property test of the
 // pre-filter's whole contract: for random datasets and queries, across
-// both representations and all three metric shapes, the reported lower
+// all three metric shapes, the reported lower
 // bound never exceeds the exact distance, and a positive PruneAt
 // decision never fires at a bound the exact distance does not exceed.
 func TestLowerBoundNeverExceedsExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
-	for _, mode := range []Mode{SQ8, F32} {
+	for _, mode := range []Mode{SQ8} {
 		for _, kind := range kinds {
 			exact := exactFor(kind)
 			for _, dim := range []int{1, 3, 8, 20, 50} {
@@ -68,26 +68,20 @@ func TestLowerBoundNeverExceedsExact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%v dim=%d: Build: %v", mode, kind, dim, err)
 				}
-				var codes []byte
-				var f32s []float32
-				if mode == SQ8 {
-					codes = q.Codes[0]
-				} else {
-					f32s = q.F32s[0]
-				}
+				codes := q.Codes[0]
 				var p Prepared
 				for qi := 0; qi < 8; qi++ {
 					query := genVectors(rng, 1, dim)[0]
 					q.Set.Prepare(&p, query)
 					for i, v := range items {
 						d := exact(query, v)
-						lb := q.Set.LowerBoundAt(&p, codes, f32s, i)
+						lb := q.Set.LowerBoundAt(&p, codes, i)
 						if lb > d {
 							t.Fatalf("%v/%v dim=%d item %d: lower bound %v exceeds exact %v", mode, kind, dim, i, lb, d)
 						}
 						// Prune decisions must be certificates: pruned ⟹ exact > bound.
 						for _, bound := range []float64{0, d * 0.5, d * 0.999999, d, d * 1.5, math.Inf(1)} {
-							if q.Set.PruneAt(&p, codes, f32s, i, bound) && d <= bound {
+							if q.Set.PruneAt(&p, codes, i, bound) && d <= bound {
 								t.Fatalf("%v/%v dim=%d item %d: pruned at bound %v but exact is %v", mode, kind, dim, i, bound, d)
 							}
 						}
@@ -112,18 +106,12 @@ func TestPruneActuallyPrunes(t *testing.T) {
 		}
 		items[i] = v
 	}
-	for _, mode := range []Mode{SQ8, F32} {
+	for _, mode := range []Mode{SQ8} {
 		q, err := Build(metric.QuantL2, mode, [][][]float64{items})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var codes []byte
-		var f32s []float32
-		if mode == SQ8 {
-			codes = q.Codes[0]
-		} else {
-			f32s = q.F32s[0]
-		}
+		codes := q.Codes[0]
 		var p Prepared
 		query := make([]float64, dim)
 		for j := range query {
@@ -135,7 +123,7 @@ func TestPruneActuallyPrunes(t *testing.T) {
 			if metric.L2(query, v) < 0.3 {
 				continue
 			}
-			if q.Set.PruneAt(&p, codes, f32s, i, 0.3) {
+			if q.Set.PruneAt(&p, codes, i, 0.3) {
 				pruned++
 			}
 		}
@@ -145,7 +133,7 @@ func TestPruneActuallyPrunes(t *testing.T) {
 	}
 }
 
-// FuzzPruneSoundness drives the SQ8 and F32 prune decisions from fuzzed
+// FuzzPruneSoundness drives the SQ8 prune decisions from fuzzed
 // scalar inputs: whatever the coordinates, a prune must certify that
 // the exact distance exceeds the bound.
 func FuzzPruneSoundness(f *testing.F) {
@@ -161,22 +149,16 @@ func FuzzPruneSoundness(f *testing.F) {
 		exact := exactFor(kind)
 		items := [][]float64{{a, b}, {b, a}, {a, a}}
 		query := []float64{qc, qc}
-		for _, mode := range []Mode{SQ8, F32} {
+		for _, mode := range []Mode{SQ8} {
 			q, err := Build(kind, mode, [][][]float64{items})
 			if err != nil {
-				continue // unquantizable input (e.g. f32 overflow) is a valid off outcome
+				continue // unquantizable input is a valid off outcome
 			}
 			var p Prepared
 			q.Set.Prepare(&p, query)
 			for i, v := range items {
-				var codes []byte
-				var f32s []float32
-				if mode == SQ8 {
-					codes = q.Codes[0]
-				} else {
-					f32s = q.F32s[0]
-				}
-				if q.Set.PruneAt(&p, codes, f32s, i, bound) && exact(query, v) <= bound {
+				codes := q.Codes[0]
+				if q.Set.PruneAt(&p, codes, i, bound) && exact(query, v) <= bound {
 					t.Fatalf("%v/%v: pruned %v at bound %v but exact is %v", mode, kind, v, bound, exact(query, v))
 				}
 			}
@@ -199,8 +181,8 @@ func TestBuildRejects(t *testing.T) {
 		{"empty", metric.QuantL2, SQ8, nil},
 		{"dim mismatch", metric.QuantL2, SQ8, [][][]float64{{{1, 2}, {1, 2, 3}}}},
 		{"nan", metric.QuantL2, SQ8, [][][]float64{{{math.NaN(), 2}}}},
-		{"inf", metric.QuantL2, F32, [][][]float64{{{math.Inf(1), 2}}}},
-		{"f32 overflow", metric.QuantL2, F32, [][][]float64{{{1e300, 2}}}},
+		{"inf", metric.QuantL2, SQ8, [][][]float64{{{math.Inf(1), 2}}}},
+		{"unknown mode", metric.QuantL2, Mode(2), ok},
 	}
 	for _, c := range cases {
 		if _, err := Build(c.kind, c.mode, c.groups); err == nil {

@@ -12,20 +12,22 @@ import (
 
 // Backend packages the per-shard structure behind closures: how to
 // build one shard, and how to serialize/deserialize it for the
-// directory persistence layer. A struct of closures rather than an
-// interface because the index packages' encoder types are named
-// function types, which would not satisfy literal method signatures.
+// directory persistence layer. Shards are index.BatchSearcher values,
+// so the fan-out calls Search and SearchBatch on them directly. A
+// struct of closures rather than an interface because the index
+// packages' encoder types are named function types, which would not
+// satisfy literal method signatures.
 type Backend[T any] struct {
 	// Name identifies the backend in the persistence manifest; LoadDir
 	// refuses a manifest naming a different backend.
 	Name string
 	// New builds one shard over items with the given intra-shard
 	// worker budget and seed, reporting its construction stats.
-	New func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.StatsIndex[T], build.Stats, error)
+	New func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.BatchSearcher[T], build.Stats, error)
 	// Save serializes one shard previously built by New.
-	Save func(s index.StatsIndex[T], w io.Writer, enc func(T) ([]byte, error)) error
+	Save func(s index.BatchSearcher[T], w io.Writer, enc func(T) ([]byte, error)) error
 	// Load deserializes one shard written by Save.
-	Load func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.StatsIndex[T], error)
+	Load func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.BatchSearcher[T], error)
 }
 
 // MVP is the default backend: one mvp-tree per shard. The options'
@@ -34,16 +36,16 @@ type Backend[T any] struct {
 func MVP[T any](opts mvp.Options) Backend[T] {
 	return Backend[T]{
 		Name: "mvp",
-		New: func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.StatsIndex[T], build.Stats, error) {
+		New: func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.BatchSearcher[T], build.Stats, error) {
 			o := opts
 			o.Build.Workers = workers
 			o.Build.Seed = seed
 			return mvp.NewWithStats(items, dist, o)
 		},
-		Save: func(s index.StatsIndex[T], w io.Writer, enc func(T) ([]byte, error)) error {
+		Save: func(s index.BatchSearcher[T], w io.Writer, enc func(T) ([]byte, error)) error {
 			return s.(*mvp.Tree[T]).Save(w, enc)
 		},
-		Load: func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.StatsIndex[T], error) {
+		Load: func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.BatchSearcher[T], error) {
 			return mvp.Load(r, dist, dec)
 		},
 	}
@@ -54,16 +56,16 @@ func MVP[T any](opts mvp.Options) Backend[T] {
 func VP[T any](opts vptree.Options) Backend[T] {
 	return Backend[T]{
 		Name: "vptree",
-		New: func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.StatsIndex[T], build.Stats, error) {
+		New: func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.BatchSearcher[T], build.Stats, error) {
 			o := opts
 			o.Build.Workers = workers
 			o.Build.Seed = seed
 			return vptree.NewWithStats(items, dist, o)
 		},
-		Save: func(s index.StatsIndex[T], w io.Writer, enc func(T) ([]byte, error)) error {
+		Save: func(s index.BatchSearcher[T], w io.Writer, enc func(T) ([]byte, error)) error {
 			return s.(*vptree.Tree[T]).Save(w, enc)
 		},
-		Load: func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.StatsIndex[T], error) {
+		Load: func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.BatchSearcher[T], error) {
 			return vptree.Load(r, dist, dec)
 		},
 	}

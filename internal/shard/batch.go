@@ -7,16 +7,14 @@ import (
 	"mvptree/internal/obs"
 )
 
-var _ index.BatchSearcher[int] = (*Index[int])(nil)
-
 // SearchBatch answers a query group against the sharded index
 // (index.BatchSearcher), byte-identical to per-query Search calls.
 //
 // Exact single-worker range members are the batched path: the whole
 // group fans out shard by shard, each shard answering it through its
-// own SearchBatch in one shared traversal (per-query Search when the
-// backend lacks the surface), and per-query merges then concatenate
-// shard answers in ascending shard order exactly as Search does.
+// own SearchBatch in one shared traversal, and per-query merges then
+// concatenate shard answers in ascending shard order exactly as Search
+// does.
 //
 // kNN members fall back to per-query Search: the sequential-tightening
 // τ carried across shards is a per-query external bound, which the
@@ -60,18 +58,11 @@ func (x *Index[T]) SearchBatch(reqs []index.Query[T], out []index.Result[T]) {
 		spans[gi] = x.StartQuery(obs.KindRange)
 	}
 
-	// Shard-major fan-out: each shard sees the whole group once, so a
-	// batch-capable backend amortizes its traversal over the group.
+	// Shard-major fan-out: each shard sees the whole group once and
+	// amortizes its traversal over it.
 	sub := make([]index.Result[T], len(group))
 	for _, sh := range x.shards {
-		if b := index.CapabilitiesOf[T](sh).Batch; b != nil {
-			b.SearchBatch(group, sub)
-		} else {
-			for gi, req := range group {
-				items, st := sh.RangeWithStats(req.Point, req.Radius)
-				sub[gi] = index.Result[T]{Items: items, Stats: st}
-			}
-		}
+		sh.SearchBatch(group, sub)
 		for gi := range group {
 			merged[gi].Items = append(merged[gi].Items, sub[gi].Items...)
 			merged[gi].Stats.Add(sub[gi].Stats)

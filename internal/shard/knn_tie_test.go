@@ -12,12 +12,10 @@ import (
 
 // Tie-breaking table test: a fixture built from groups of exactly
 // coincident points, so the k-th distance is almost always a tie shared
-// by several items. For every mode — unsharded tree, sharded
-// sequential tightening, sharded opportunistic parallel, and the
-// intra-query parallel traversal — at several shard/worker counts, the
-// returned distance multiset must equal the ground truth exactly, the
-// list must be sorted, and the deterministic modes must return the
-// identical item sequence on repeated runs.
+// by several items. For every mode — unsharded tree and sharded
+// sequential tightening at several shard counts — the returned
+// distance multiset must equal the ground truth exactly, the list must
+// be sorted, and repeated runs must return the identical sequence.
 func TestKNNTieBreaking(t *testing.T) {
 	// 120 items in 30 groups of 4 coincident 1-D points: data[i] = i/4.
 	const n, group = 120, 4
@@ -76,8 +74,7 @@ func TestKNNTieBreaking(t *testing.T) {
 		name:          "unsharded/bounded-nil",
 		deterministic: true,
 		run: func(q, k int) []float64 {
-			out, _ := unsharded.KNNWithStatsBound(q, k, nil)
-			return neighborDists(t, "bounded-nil", out)
+			return neighborDists(t, "bounded-nil", unsharded.Search(index.KNNQuery(q, k)).Neighbors)
 		},
 	}}
 	for _, s := range []int{2, 3, 5} {
@@ -92,16 +89,6 @@ func TestKNNTieBreaking(t *testing.T) {
 				return neighborDists(t, "sharded-seq", x.KNN(q, k))
 			},
 		})
-		for _, w := range []int{1, 2, 8} {
-			w := w
-			modes = append(modes, mode{
-				name: "sharded-par/S=" + string(rune('0'+s)) + "/W=" + string(rune('0'+w)),
-				run: func(q, k int) []float64 {
-					out, _ := x.KNNParallelWithStats(q, k, w)
-					return neighborDists(t, "sharded-par", out)
-				},
-			})
-		}
 	}
 
 	for _, tc := range cases {

@@ -250,7 +250,7 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 		return nil, fmt.Errorf("shard: manifest inconsistent: %d shards, %d blobs", m.Shards, len(blobs))
 	}
 	x := &Index[T]{
-		shards: make([]index.StatsIndex[T], m.Shards),
+		shards: make([]index.BatchSearcher[T], m.Shards),
 		dist:   dist,
 		opts:   Options{Shards: m.Shards, Seed: m.Seed, Assignment: assignment},
 	}

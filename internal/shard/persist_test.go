@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/obs"
 	"mvptree/internal/testutil"
@@ -485,14 +486,15 @@ func TestShardObserverMerge(t *testing.T) {
 	x.SetObserver(logical)
 	x.AttachShardObservers(1)
 
-	const nq = 8
+	const nq = 6
 	var wantComputed int64
 	for _, q := range w.Queries[:2] {
 		_, s1 := x.RangeWithStats(q, 0.5)
 		_, s2 := x.KNNWithStats(q, 5)
-		_, s3 := x.RangeParallelWithStats(q, 0.5, 2)
-		_, s4 := x.KNNParallelWithStats(q, 5, 2)
-		wantComputed += s1.Distances() + s2.Distances() + s3.Distances() + s4.Distances()
+		par := index.RangeQuery(q, 0.5)
+		par.Opts.Workers = 2
+		s3 := x.Search(par).Stats
+		wantComputed += s1.Distances() + s2.Distances() + s3.Distances()
 	}
 
 	ls := logical.Snapshot()

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
 )
@@ -25,30 +24,6 @@ func (b *carriedBound) Publish(t float64) {
 	}
 }
 
-// sharedTau is the opportunistic index.KNNBound: one atomic float64
-// shared by concurrent per-shard searches, stored as ordered bits
-// (distances are non-negative, so the uint64 ordering matches the
-// float ordering). Tau only ever decreases; Publish is a CAS-min.
-type sharedTau struct{ bits atomic.Uint64 }
-
-func newSharedTau() *sharedTau {
-	s := &sharedTau{}
-	s.bits.Store(math.Float64bits(math.Inf(1)))
-	return s
-}
-
-func (s *sharedTau) Tau() float64 { return math.Float64frombits(s.bits.Load()) }
-
-func (s *sharedTau) Publish(t float64) {
-	nb := math.Float64bits(t)
-	for {
-		cur := s.bits.Load()
-		if cur <= nb || s.bits.CompareAndSwap(cur, nb) {
-			return
-		}
-	}
-}
-
 // Range returns every item within r of q: the concatenation of each
 // shard's answer in ascending shard order.
 func (x *Index[T]) Range(q T, r float64) []T {
@@ -59,38 +34,8 @@ func (x *Index[T]) Range(q T, r float64) []T {
 // RangeWithStats fans the query out over the shards sequentially and
 // returns the per-shard stats summed in shard order.
 func (x *Index[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
-	return x.RangeParallelWithStats(q, r, 1)
-}
-
-// RangeParallelWithStats answers one range query with up to workers
-// goroutines, one shard per task. The contract matches
-// index.ParallelRangeIndex: for every workers value the merged result
-// is identical — each shard's answer is deterministic and the merge is
-// concatenation in ascending shard order — and the summed stats and
-// distance counts are identical too.
-func (x *Index[T]) RangeParallelWithStats(q T, r float64, workers int) ([]T, index.SearchStats) {
-	span := x.StartQuery(obs.KindRange)
-	outs := make([][]T, len(x.shards))
-	stats := make([]index.SearchStats, len(x.shards))
-	x.fanOut(workers, func(i int) {
-		outs[i], stats[i] = x.shards[i].RangeWithStats(q, r)
-	})
-	var s index.SearchStats
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	var out []T
-	if total > 0 {
-		out = make([]T, 0, total)
-	}
-	for i, o := range outs {
-		out = append(out, o...)
-		s.Add(stats[i])
-	}
-	s.Results = len(out)
-	span.Done(&s)
-	return out, s
+	res := x.rangeSearch(index.RangeQuery(q, r))
+	return res.Items, res.Stats
 }
 
 // KNN returns the k nearest items across all shards, ordered by
@@ -101,12 +46,11 @@ func (x *Index[T]) KNN(q T, k int) []index.Neighbor[T] {
 	return out
 }
 
-// KNNWithStats is the deterministic sequential-tightening mode: shards
+// KNNWithStats is the deterministic sequential-tightening walk: shards
 // are searched in ascending id order, each bounded by the tightest
-// k-th-best distance published so far (when the backend implements
-// index.BoundedKNNIndex; plain KNNWithStats otherwise). The distance
-// count is reproducible run to run — this is the mode experiments use
-// for the paper's cost metric.
+// k-th-best distance published so far (SearchOptions.Bound). The
+// distance count is reproducible run to run — it is the paper's cost
+// metric for a sharded kNN query.
 func (x *Index[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchStats) {
 	span := x.StartQuery(obs.KindKNN)
 	var s index.SearchStats
@@ -114,56 +58,13 @@ func (x *Index[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchSt
 		span.Done(&s)
 		return nil, s
 	}
-	bound := &carriedBound{tau: math.Inf(1)}
+	req := index.KNNQuery(q, k)
+	req.Opts.Bound = &carriedBound{tau: math.Inf(1)}
 	lists := make([][]index.Neighbor[T], len(x.shards))
 	for i, sh := range x.shards {
-		var st index.SearchStats
-		if b := index.CapabilitiesOf[T](sh).BoundedKNN; b != nil {
-			lists[i], st = b.KNNWithStatsBound(q, k, bound)
-		} else {
-			lists[i], st = sh.KNNWithStats(q, k)
-			if len(lists[i]) >= k {
-				bound.Publish(lists[i][len(lists[i])-1].Dist)
-			}
-		}
-		s.Add(st)
-	}
-	out := mergeKNN(lists, k)
-	s.Results = len(out)
-	span.Done(&s)
-	return out, s
-}
-
-// KNNParallelWithStats is the opportunistic mode: per-shard searches
-// run concurrently on up to workers goroutines and share one atomic τ,
-// so a tight neighbor found in any shard immediately prunes the
-// others. The returned neighbor set matches the sequential modes
-// (ties at the k-th distance aside, as the KNN contract permits), but
-// the distance count depends on scheduling — whichever shard publishes
-// a tight τ first saves the others work — and is therefore reported by
-// this method separately from the deterministic KNNWithStats count.
-func (x *Index[T]) KNNParallelWithStats(q T, k int, workers int) ([]index.Neighbor[T], index.SearchStats) {
-	span := x.StartQuery(obs.KindKNN)
-	var s index.SearchStats
-	if k <= 0 {
-		span.Done(&s)
-		return nil, s
-	}
-	tau := newSharedTau()
-	lists := make([][]index.Neighbor[T], len(x.shards))
-	stats := make([]index.SearchStats, len(x.shards))
-	x.fanOut(workers, func(i int) {
-		if b := index.CapabilitiesOf[T](x.shards[i]).BoundedKNN; b != nil {
-			lists[i], stats[i] = b.KNNWithStatsBound(q, k, tau)
-		} else {
-			lists[i], stats[i] = x.shards[i].KNNWithStats(q, k)
-			if len(lists[i]) >= k {
-				tau.Publish(lists[i][len(lists[i])-1].Dist)
-			}
-		}
-	})
-	for _, st := range stats {
-		s.Add(st)
+		res := sh.Search(req)
+		lists[i] = res.Neighbors
+		s.Add(res.Stats)
 	}
 	out := mergeKNN(lists, k)
 	s.Results = len(out)
@@ -240,17 +141,3 @@ func mergeKNN[T any](lists [][]index.Neighbor[T], k int) []index.Neighbor[T] {
 	}
 	return out
 }
-
-// Threshold-merge alternative kept for the KBest-based callers; unused
-// today but exercised by tests to cross-check mergeKNN.
-func mergeKNNHeap[T any](lists [][]index.Neighbor[T], k int) []index.Neighbor[T] {
-	best := heapx.NewKBest[T](k)
-	for _, l := range lists {
-		for _, nb := range l {
-			best.Push(nb.Item, nb.Dist)
-		}
-	}
-	return best.Sorted()
-}
-
-var _ index.ParallelRangeIndex[int] = (*Index[int])(nil)

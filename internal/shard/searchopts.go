@@ -5,103 +5,71 @@ import (
 	"mvptree/internal/obs"
 )
 
-var (
-	_ index.Searcher[int]           = (*Index[int])(nil)
-	_ index.ParallelKNNIndex[int]   = (*Index[int])(nil)
-	_ index.CapabilityReporter[int] = (*Index[int])(nil)
-)
-
-// Capabilities publishes the sharded index's capability report
-// directly (index.CapabilityReporter): everything it offers is listed
-// here, and BoundedKNN is deliberately absent — the carried / shared τ
-// machinery is the shard layer's own, and an external bound would
-// race with it.
-func (x *Index[T]) Capabilities() index.Capabilities[T] {
-	return index.Capabilities[T]{
-		Stats:         x,
-		Search:        x,
-		Batch:         x,
-		ParallelRange: x,
-		ParallelKNN:   x,
-	}
-}
-
 // Search is the unified query entry point (index.Searcher). With
 // zero-valued SearchOptions it runs the exact fan-out, byte-identical
-// to RangeWithStats / KNNWithStats (Workers > 1 selects the parallel
-// fan-out variants). Approximate requests split the distance budget
-// across the shards — Budget/S each, the remainder dealt to the lowest
-// shard ids — while Epsilon and Patience pass through unchanged, so
-// the logical query never spends more than its budget no matter how
-// many shards it touches. An external Bound is ignored: cross-shard τ
-// sharing is the shard layer's own machinery.
+// to RangeWithStats / KNNWithStats. Workers > 1 fans a range query (or
+// an approximate kNN query) out over that many goroutines, one shard
+// per task, with results, stats and distance counts identical at every
+// value; exact kNN is always the sequential carried-τ walk and ignores
+// Workers. Approximate requests split the distance budget across the
+// shards — Budget/S each, the remainder dealt to the lowest shard ids —
+// while Epsilon and Patience pass through unchanged, so the logical
+// query never spends more than its budget no matter how many shards it
+// touches. An external Bound is ignored: cross-shard τ sharing is the
+// shard layer's own machinery.
 func (x *Index[T]) Search(req index.Query[T]) index.Result[T] {
-	if req.K > 0 {
-		if !req.Opts.Approximate() {
-			if req.Opts.Workers > 1 {
-				nb, s := x.KNNParallelWithStats(req.Point, req.K, req.Opts.Workers)
-				return index.Result[T]{Neighbors: nb, Stats: s}
-			}
-			nb, s := x.KNNWithStats(req.Point, req.K)
-			return index.Result[T]{Neighbors: nb, Stats: s}
-		}
+	if req.K <= 0 {
+		return x.rangeSearch(req)
+	}
+	if req.Opts.Approximate() {
 		return x.knnApprox(req)
 	}
-	if !req.Opts.Approximate() {
-		out, s := x.RangeParallelWithStats(req.Point, req.Radius, req.Opts.Workers)
-		return index.Result[T]{Items: out, Stats: s}
-	}
-	return x.rangeApprox(req)
+	nb, s := x.KNNWithStats(req.Point, req.K)
+	return index.Result[T]{Neighbors: nb, Stats: s}
 }
 
-// splitBudget deals a logical distance budget across s shards: base
-// share Budget/s, remainder to the lowest shard ids. A zero or
-// negative total means unlimited, reported as all zeroes.
-func splitBudget(total int64, s int) []int64 {
-	per := make([]int64, s)
+// budgetShare is shard i's slice of a logical distance budget dealt
+// across s shards: base share total/s, remainder to the lowest shard
+// ids. A zero or negative total means unlimited, reported as zero.
+func budgetShare(total int64, s, i int) int64 {
 	if total <= 0 {
-		return per
+		return 0
 	}
-	base, rem := total/int64(s), total%int64(s)
-	for i := range per {
-		per[i] = base
-		if int64(i) < rem {
-			per[i]++
-		}
+	share := total / int64(s)
+	if int64(i) < total%int64(s) {
+		share++
 	}
-	return per
+	return share
 }
 
-// shardApprox runs one shard's slice of an approximate query. Shards
-// whose budget share is zero (more shards than budget) are skipped
-// entirely and reported as exhausted. Backends that do not implement
-// index.Searcher fall back to their exact path — a valid superset —
-// with the budget unenforced for that shard.
-func shardApprox[T any](sh index.StatsIndex[T], req index.Query[T], budget int64, limited bool) index.Result[T] {
-	if limited && budget == 0 {
-		return index.Result[T]{Stats: index.SearchStats{BudgetExhausted: 1, Approximated: 1}}
-	}
-	sub := req
-	sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget, Patience: req.Opts.Patience}
-	if s := index.CapabilitiesOf[T](sh).Search; s != nil {
-		return s.Search(sub)
-	}
-	if req.K > 0 {
-		nb, st := sh.KNNWithStats(req.Point, req.K)
-		return index.Result[T]{Neighbors: nb, Stats: st}
-	}
-	out, st := sh.RangeWithStats(req.Point, req.Radius)
-	return index.Result[T]{Items: out, Stats: st}
-}
-
-func (x *Index[T]) rangeApprox(req index.Query[T]) index.Result[T] {
-	span := x.StartQuery(obs.KindRange)
-	budgets := splitBudget(req.Opts.Budget, len(x.shards))
+// fanOutSearch answers req on every shard with up to req.Opts.Workers
+// goroutines: each shard runs its slice of the request — Epsilon and
+// Patience unchanged, its share of the budget, sequential inside the
+// shard. Shards whose budget share is zero (more shards than budget)
+// are skipped entirely and reported as exhausted.
+func (x *Index[T]) fanOutSearch(req index.Query[T]) []index.Result[T] {
 	limited := req.Opts.Budget > 0
 	results := make([]index.Result[T], len(x.shards))
 	x.fanOut(req.Opts.Workers, func(i int) {
-		results[i] = shardApprox(x.shards[i], req, budgets[i], limited)
+		budget := budgetShare(req.Opts.Budget, len(x.shards), i)
+		if limited && budget == 0 {
+			results[i].Stats = index.SearchStats{BudgetExhausted: 1, Approximated: 1}
+			return
+		}
+		sub := req
+		sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget, Patience: req.Opts.Patience}
+		results[i] = x.shards[i].Search(sub)
 	})
+	return results
+}
+
+// rangeSearch answers a range request, exact or approximate: each
+// shard's answer is deterministic and the merge is concatenation in
+// ascending shard order, so the merged result, the summed stats and
+// the distance count are identical at every Workers value.
+func (x *Index[T]) rangeSearch(req index.Query[T]) index.Result[T] {
+	span := x.StartQuery(obs.KindRange)
+	results := x.fanOutSearch(req)
 	var s index.SearchStats
 	total := 0
 	for _, r := range results {
@@ -123,17 +91,8 @@ func (x *Index[T]) rangeApprox(req index.Query[T]) index.Result[T] {
 
 func (x *Index[T]) knnApprox(req index.Query[T]) index.Result[T] {
 	span := x.StartQuery(obs.KindKNN)
+	results := x.fanOutSearch(req)
 	var s index.SearchStats
-	if req.K <= 0 {
-		span.Done(&s)
-		return index.Result[T]{Stats: s}
-	}
-	budgets := splitBudget(req.Opts.Budget, len(x.shards))
-	limited := req.Opts.Budget > 0
-	results := make([]index.Result[T], len(x.shards))
-	x.fanOut(req.Opts.Workers, func(i int) {
-		results[i] = shardApprox(x.shards[i], req, budgets[i], limited)
-	})
 	lists := make([][]index.Neighbor[T], len(x.shards))
 	for i, r := range results {
 		lists[i] = r.Neighbors

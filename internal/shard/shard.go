@@ -12,14 +12,12 @@
 //     concatenation of per-shard answers in ascending shard order, at
 //     every worker count);
 //
-//   - cross-shard kNN bound sharing: the shrinking k-th-best distance τ
-//     is shared between per-shard searches through index.KNNBound, so a
-//     tight neighbor found in one shard prunes the others. Two modes
-//     are offered — deterministic sequential tightening (shards in
-//     order, carried bound; reproducible distance counts for the
-//     paper's cost metric) and opportunistic parallel sharing (atomic
-//     bound; wall-clock fastest, counts vary with scheduling) — and
-//     their costs are reported separately.
+//   - cross-shard kNN bound sharing: shards are searched in ascending
+//     id order and the shrinking k-th-best distance τ is carried from
+//     one to the next through index.KNNBound, so a tight neighbor
+//     found in an early shard prunes the later ones. The walk is
+//     deterministic — reproducible distance counts for the paper's
+//     cost metric.
 //
 // Every shard observes distances through one shared metric.Counter, so
 // DistanceCount stays the paper's single cost ledger for the whole
@@ -109,7 +107,7 @@ func (o Options) shards() int {
 }
 
 // Index is the partitioned logical index. It implements
-// index.StatsIndex, so everything that serves a single tree — the
+// index.BatchSearcher, so everything that serves a single tree — the
 // batch executor, the experiment harness, telemetry — serves a sharded
 // index unchanged.
 //
@@ -120,7 +118,7 @@ func (o Options) shards() int {
 type Index[T any] struct {
 	obs.Hooks
 
-	shards []index.StatsIndex[T]
+	shards []index.BatchSearcher[T]
 	dist   *metric.Counter[T]
 	size   int
 	opts   Options
@@ -172,7 +170,7 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 	if per < 1 {
 		per = 1
 	}
-	shards := make([]index.StatsIndex[T], s)
+	shards := make([]index.BatchSearcher[T], s)
 	stats := make([]build.Stats, s)
 	errs := make([]error, s)
 	b.Fork(s, func(i int) {
@@ -302,7 +300,7 @@ func sortByDistanceThenIndex(order []int, d []float64) {
 func (x *Index[T]) Shards() int { return len(x.shards) }
 
 // Shard returns shard i's underlying index, for inspection and tests.
-func (x *Index[T]) Shard(i int) index.StatsIndex[T] { return x.shards[i] }
+func (x *Index[T]) Shard(i int) index.BatchSearcher[T] { return x.shards[i] }
 
 // Len reports the total number of indexed items.
 func (x *Index[T]) Len() int { return x.size }
@@ -419,4 +417,4 @@ func (x *Index[T]) ShardSnapshots() ([]obs.Snapshot, *obs.Snapshot) {
 	return snaps, &merged
 }
 
-var _ index.StatsIndex[int] = (*Index[int])(nil)
+var _ index.BatchSearcher[int] = (*Index[int])(nil)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
@@ -65,7 +66,10 @@ func TestShardedRangeMatchesUnsharded(t *testing.T) {
 				for _, q := range w.Queries[:4] {
 					want, wantStats := x.RangeWithStats(q, 0.6)
 					for _, workers := range []int{1, 2, 3, 8} {
-						got, gotStats := x.RangeParallelWithStats(q, 0.6, workers)
+						req := index.RangeQuery(q, 0.6)
+						req.Opts.Workers = workers
+						res := x.Search(req)
+						got, gotStats := res.Items, res.Stats
 						if len(got) != len(want) {
 							t.Fatalf("%s S=%d W=%d: %d results, want %d", name, s, workers, len(got), len(want))
 						}
@@ -127,30 +131,41 @@ func TestShardedKNNSequentialDeterministic(t *testing.T) {
 	}
 }
 
-// The opportunistic parallel mode returns the same neighbor distances
-// as the deterministic mode at every worker count (items may differ
-// only on ties at the k-th distance, which the KNN contract permits).
-func TestShardedKNNParallelMatchesSequential(t *testing.T) {
+// Sharded kNN is the sequential carried-τ walk at every Workers value:
+// Search with Opts.Workers set returns the identical neighbor list,
+// SearchStats and counter delta as the plain walk, so no distance count
+// in the repository depends on scheduling.
+func TestShardedKNNIgnoresWorkers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 2))
 	w := testutil.NewVectorWorkload(rng, 400, 6, 8, metric.L2)
 	for name, mk := range backends() {
 		c := metric.NewCounter(w.Dist)
-		x, err := New(w.Items, c, mk(), Options{Shards: 5, Workers: 2, Seed: 7})
+		x, err := New(w.Items, c, mk(), Options{Shards: 4, Workers: 2, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: New: %v", name, err)
 		}
 		for _, q := range w.Queries {
 			for _, k := range []int{1, 4, 15} {
-				want := x.KNN(q, k)
-				for _, workers := range []int{1, 2, 3, 8} {
-					got, _ := x.KNNParallelWithStats(q, k, workers)
-					if len(got) != len(want) {
-						t.Fatalf("%s q=%d k=%d W=%d: %d results, want %d", name, q, k, workers, len(got), len(want))
+				before := c.Count()
+				want, wantStats := x.KNNWithStats(q, k)
+				wantCost := c.Count() - before
+				for _, workers := range []int{1, 2, 8} {
+					req := index.KNNQuery(q, k)
+					req.Opts.Workers = workers
+					before = c.Count()
+					got := x.Search(req)
+					cost := c.Count() - before
+					if got.Stats != wantStats || cost != wantCost {
+						t.Fatalf("%s q=%d k=%d W=%d: stats/cost %+v/%d, want %+v/%d",
+							name, q, k, workers, got.Stats, cost, wantStats, wantCost)
 					}
-					for i := range got {
-						if got[i].Dist != want[i].Dist {
-							t.Fatalf("%s q=%d k=%d W=%d: dist[%d]=%g, want %g",
-								name, q, k, workers, i, got[i].Dist, want[i].Dist)
+					if len(got.Neighbors) != len(want) {
+						t.Fatalf("%s q=%d k=%d W=%d: %d results, want %d", name, q, k, workers, len(got.Neighbors), len(want))
+					}
+					for i := range want {
+						if got.Neighbors[i] != want[i] {
+							t.Fatalf("%s q=%d k=%d W=%d: neighbor[%d]=%+v, want %+v",
+								name, q, k, workers, i, got.Neighbors[i], want[i])
 						}
 					}
 				}
@@ -200,6 +215,18 @@ func TestBalancedAssignmentDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergeKNNHeap is the threshold-merge reference mergeKNN is checked
+// against: push everything through a k-best heap.
+func mergeKNNHeap[T any](lists [][]index.Neighbor[T], k int) []index.Neighbor[T] {
+	best := heapx.NewKBest[T](k)
+	for _, l := range lists {
+		for _, nb := range l {
+			best.Push(nb.Item, nb.Dist)
+		}
+	}
+	return best.Sorted()
 }
 
 // mergeKNN agrees with the heap-based merge on randomized inputs.

@@ -12,21 +12,17 @@ package vptree
 //   - Exact range is a DFS whose per-node decisions depend only on
 //     (q, r), so a shared DFS with per-query active lists visits, per
 //     query, exactly the sequential node set in the same child order.
-//   - Exact kNN is best-first with one node fully processed per pop;
-//     lockstep rounds (each active query pops one node, pops grouped by
-//     node) preserve each query's pop sequence and τ evolution exactly
-//     because no state is shared between queries.
 //   - Block kernels are bit-identical to the one-to-one bounded kernels
 //     for every (query, point, bound) triple.
 //
-// Approximate modes, intra-query parallel requests and external kNN
-// bounds fall back to per-query Search inside the same invocation.
+// kNN (best-first pops diverge per query, so there is no traversal to
+// share), approximate modes and intra-query parallel requests go to
+// per-query Search inside the same invocation.
 
 import (
 	"math"
 
 	"mvptree/internal/cascade"
-	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
 	"mvptree/internal/quant"
@@ -34,26 +30,11 @@ import (
 
 var _ index.BatchSearcher[int] = (*Tree[int])(nil)
 
-// knnSlot is one query's private best-first state inside a batch.
-type knnSlot[T any] struct {
-	best  *heapx.KBest[T]
-	queue heapx.NodeQueue[*node[T]]
-}
-
-// knnVisit is one query's pop in a lockstep round: the slot, the popped
-// bound, and the τ snapshot read at pop time.
-type knnVisit struct {
-	slot  int32
-	bound float64
-	tau   float64
-}
-
 // batchScratch is the pooled working state of one SearchBatch call.
 type batchScratch[T any] struct {
 	// Shared gather buffers for blocked vantage calls.
 	pts    []T
 	bounds []float64
-	dv     []float64
 	// Survivor gather buffers for item-major leaf scans.
 	spts    []T
 	sbounds []float64
@@ -78,14 +59,8 @@ type batchScratch[T any] struct {
 	// Leaf-local per-slot stage tallies.
 	fC, fQ, comp []int
 
-	// Lockstep kNN bookkeeping.
-	knn      []knnSlot[T]
+	// rangeLst lists the slots the shared DFS answers.
 	rangeLst []int32
-	knnLst   []int32
-	rounds   []int32
-	gMap     map[*node[T]]int32
-	gNodes   []*node[T]
-	gVisits  [][]knnVisit
 }
 
 func growF(s []float64, n int) []float64 {
@@ -109,7 +84,7 @@ func (t *Tree[T]) getBatchScratch(b int) *batchScratch[T] {
 	if v := t.bscratch.Get(); v != nil {
 		bs = v.(*batchScratch[T])
 	} else {
-		bs = &batchScratch[T]{gMap: make(map[*node[T]]int32)}
+		bs = &batchScratch[T]{}
 	}
 	bs.reserve(b)
 	return bs
@@ -131,9 +106,6 @@ func (bs *batchScratch[T]) reserve(b int) {
 		bs.fC = make([]int, b)
 		bs.fQ = make([]int, b)
 		bs.comp = make([]int, b)
-		knn := make([]knnSlot[T], b)
-		copy(knn, bs.knn)
-		bs.knn = knn
 	} else {
 		bs.qs = bs.qs[:b]
 		bs.rads = bs.rads[:b]
@@ -145,30 +117,19 @@ func (bs *batchScratch[T]) reserve(b int) {
 		bs.quantOn = bs.quantOn[:b]
 		bs.quantPruned = bs.quantPruned[:b]
 		bs.fC, bs.fQ, bs.comp = bs.fC[:b], bs.fQ[:b], bs.comp[:b]
-		bs.knn = bs.knn[:b]
 	}
 	bs.rangeLst = bs.rangeLst[:0]
-	bs.knnLst = bs.knnLst[:0]
-	bs.rounds = bs.rounds[:0]
 }
 
 // putBatchScratch clears every reference the scratch took from the
-// caller or the tree so pooling never pins them.
+// caller so pooling never pins them.
 func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 	var zero T
 	for i := range bs.qs {
 		bs.qs[i] = zero
 		bs.outs[i] = nil
 		bs.ccs[i] = nil
-		bs.qpreps[i].Release()
 		bs.quantOn[i] = false
-	}
-	for i := range bs.knn {
-		sl := &bs.knn[i]
-		sl.queue.Reset()
-		if sl.best != nil {
-			sl.best.Reset(1)
-		}
 	}
 	clear(bs.pts)
 	bs.pts = bs.pts[:0]
@@ -176,10 +137,6 @@ func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 	bs.spts = bs.spts[:0]
 	bs.act = bs.act[:0]
 	bs.dstack = bs.dstack[:0]
-	clear(bs.gMap)
-	for i := range bs.gNodes {
-		bs.gNodes[i] = nil
-	}
 	t.bscratch.Put(bs)
 }
 
@@ -200,7 +157,9 @@ func (t *Tree[T]) prepareQuantSlot(bs *batchScratch[T], i int, q T) {
 
 // SearchBatch answers reqs[i] into results[i] with one shared traversal
 // per query group (index.BatchSearcher). It panics unless len(results)
-// == len(reqs); every results[i] is byte-identical to Search(reqs[i]).
+// == len(reqs). Exact range queries share one DFS and everything else
+// (kNN, approximate, Workers > 1) goes to per-query Search within the
+// same call; every results[i] is byte-identical to Search(reqs[i]).
 func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) {
 	if len(reqs) != len(results) {
 		panic("vptree: SearchBatch requires len(results) == len(reqs)")
@@ -218,34 +177,7 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	bs := t.getBatchScratch(len(reqs))
 	for i := range reqs {
 		req := &reqs[i]
-		if req.K > 0 {
-			if req.Opts.Approximate() || req.Opts.Bound != nil {
-				results[i] = t.Search(*req)
-				continue
-			}
-			bs.spans[i] = t.StartQuery(obs.KindKNN)
-			bs.stats[i] = SearchStats{}
-			if t.root == nil {
-				bs.spans[i].Done(&bs.stats[i])
-				results[i] = index.Result[T]{Stats: bs.stats[i]}
-				continue
-			}
-			bs.qs[i] = req.Point
-			t.prepareQuantSlot(bs, i, req.Point)
-			if t.cas != nil {
-				bs.ccs[i] = t.cas.Get()
-			}
-			sl := &bs.knn[i]
-			if sl.best == nil {
-				sl.best = heapx.NewKBest[T](req.K)
-			} else {
-				sl.best.Reset(req.K)
-			}
-			sl.queue.PushNode(t.root, 0)
-			bs.knnLst = append(bs.knnLst, int32(i))
-			continue
-		}
-		if req.Opts.Approximate() || req.Opts.Workers > 1 {
+		if req.K > 0 || req.Opts.Approximate() || req.Opts.Workers > 1 {
 			results[i] = t.Search(*req)
 			continue
 		}
@@ -277,22 +209,6 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 			bs.spans[j].Done(s)
 			results[j] = index.Result[T]{Items: bs.outs[j], Stats: *s}
 			bs.outs[j] = nil // the result slice escapes to the caller
-		}
-	}
-	if len(bs.knnLst) > 0 {
-		t.knnBatch(bs)
-		for _, j := range bs.knnLst {
-			sl := &bs.knn[j]
-			out := sl.best.Sorted()
-			s := &bs.stats[j]
-			if t.cas != nil {
-				t.cas.Put(bs.ccs[j])
-				bs.ccs[j] = nil
-			}
-			t.ObserveQuantPruned(bs.quantPruned[j])
-			s.Results = len(out)
-			bs.spans[j].Done(s)
-			results[j] = index.Result[T]{Neighbors: out, Stats: *s}
 		}
 	}
 	t.putBatchScratch(bs)
@@ -395,8 +311,8 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, bs *batchScratch[T]) {
 	}
 	blk := t.dist.BlockKernel()
 	cas, base := t.cas, n.casBase
-	qset, qcodes, qf32 := t.qset, n.qcodes, n.qf32
-	hasQuant := qcodes != nil || qf32 != nil
+	qset, qcodes := t.qset, n.qcodes
+	hasQuant := qcodes != nil
 	items := n.items
 	for i := range items {
 		surv := bs.sslots[:0]
@@ -411,7 +327,7 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, bs *batchScratch[T]) {
 				}
 			}
 			bs.comp[j]++
-			if hasQuant && bs.quantOn[j] && qset.PruneAt(&bs.qpreps[j], qcodes, qf32, i, r) {
+			if hasQuant && bs.quantOn[j] && qset.PruneAt(&bs.qpreps[j], qcodes, i, r) {
 				bs.fQ[j]++
 				continue
 			}
@@ -433,335 +349,6 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, bs *batchScratch[T]) {
 	}
 	total := 0
 	for _, j := range act {
-		total += bs.comp[j]
-		s := &bs.stats[j]
-		s.Candidates += len(items)
-		s.Computed += bs.comp[j]
-		s.FilteredByCascade += bs.fC[j]
-		bs.quantPruned[j] += bs.fQ[j]
-		if bs.fC[j] > 0 {
-			t.TracePrune(obs.FilterCascade, bs.fC[j])
-		}
-		if bs.fQ[j] > 0 {
-			t.TracePrune(obs.FilterQuantized, bs.fQ[j])
-		}
-		if bs.comp[j] > 0 {
-			t.TraceDistance(bs.comp[j])
-		}
-	}
-	t.dist.Add(int64(total))
-}
-
-// knnBatchLeaf1 is knnBatchLeaf for a singleton group. Once frontiers
-// diverge, most lockstep rounds pop distinct nodes and every group has
-// one member, where the gather/blocked-call scaffolding only costs.
-// This path runs the same filters in the same order with the direct
-// one-to-one kernel — bit-identical to one-element blocked calls by the
-// block contract — and settles stats and counts exactly as the group
-// path does.
-func (t *Tree[T]) knnBatchLeaf1(n *node[T], v knnVisit, bs *batchScratch[T]) {
-	j := v.slot
-	s := &bs.stats[j]
-	s.NodesVisited++
-	t.TraceNode(true)
-	s.LeavesVisited++
-	best := bs.knn[j].best
-	kernel := t.dist.Kernel()
-	q := bs.qs[j]
-	cc := bs.ccs[j]
-	cas, base := t.cas, n.casBase
-	qset, qcodes, qf32 := t.qset, n.qcodes, n.qf32
-	useQuant := bs.quantOn[j] && (qcodes != nil || qf32 != nil)
-	hasCas := cc != nil && cc.Registered() > 0
-	fC, fQ, comp := 0, 0, 0
-	for i, it := range n.items {
-		if hasCas {
-			if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) {
-				fC++
-				continue
-			}
-		}
-		comp++
-		cb := best.Threshold()
-		if useQuant && qset.PruneAt(&bs.qpreps[j], qcodes, qf32, i, cb) {
-			fQ++
-			continue
-		}
-		if d := kernel(q, it, cb); d <= cb {
-			best.Push(it, d)
-		}
-	}
-	s.Candidates += len(n.items)
-	s.Computed += comp
-	s.FilteredByCascade += fC
-	bs.quantPruned[j] += fQ
-	if fC > 0 {
-		t.TracePrune(obs.FilterCascade, fC)
-	}
-	if fQ > 0 {
-		t.TracePrune(obs.FilterQuantized, fQ)
-	}
-	if comp > 0 {
-		t.TraceDistance(comp)
-	}
-	t.dist.Add(int64(comp))
-}
-
-// knnBatch runs the exact kNN slots of a batch in lockstep rounds: each
-// round, every still-active query pops exactly one node (the same step
-// the sequential best-first loop takes), pops are grouped by node, and
-// each group is processed with blocked kernel calls. No state is shared
-// between queries, so each query's pop sequence, τ evolution, pushes
-// and stats are exactly its sequential ones.
-func (t *Tree[T]) knnBatch(bs *batchScratch[T]) {
-	rounds := append(bs.rounds[:0], bs.knnLst...)
-	bs.rounds = rounds
-	nGroups := 0
-	for len(rounds) > 0 {
-		// Lone survivor: with one active query no sharing is possible, so
-		// drain its queue in the sequential loop shape without any round
-		// or grouping bookkeeping. The pop sequence is unchanged — it is
-		// exactly what the rounds would have produced.
-		if len(rounds) == 1 {
-			j := rounds[0]
-			sl := &bs.knn[j]
-			for {
-				pn, bound, ok := sl.queue.PopNode()
-				if !ok {
-					break
-				}
-				tau := sl.best.Threshold()
-				if bound >= tau {
-					break
-				}
-				v := knnVisit{slot: j, bound: bound, tau: tau}
-				if pn.leaf {
-					t.knnBatchLeaf1(pn, v, bs)
-				} else {
-					t.knnBatchInternal1(pn, v, bs)
-				}
-			}
-			return
-		}
-		w := 0
-		for _, j := range rounds {
-			sl := &bs.knn[j]
-			pn, bound, ok := sl.queue.PopNode()
-			if !ok {
-				continue // queue drained: this query is finished
-			}
-			tau := sl.best.Threshold()
-			if bound >= tau {
-				continue // sequential break: the rest of the queue is dead
-			}
-			rounds[w] = j
-			w++
-			gi, seen := bs.gMap[pn]
-			if !seen {
-				gi = int32(nGroups)
-				bs.gMap[pn] = gi
-				if nGroups == len(bs.gNodes) {
-					bs.gNodes = append(bs.gNodes, pn)
-					bs.gVisits = append(bs.gVisits, nil)
-				} else {
-					bs.gNodes[nGroups] = pn
-					bs.gVisits[nGroups] = bs.gVisits[nGroups][:0]
-				}
-				nGroups++
-			}
-			bs.gVisits[gi] = append(bs.gVisits[gi], knnVisit{slot: j, bound: bound, tau: tau})
-		}
-		rounds = rounds[:w]
-		for gi := 0; gi < nGroups; gi++ {
-			n := bs.gNodes[gi]
-			vis := bs.gVisits[gi]
-			if n.leaf {
-				t.knnBatchLeaf(n, vis, bs)
-			} else {
-				t.knnBatchInternal(n, vis, bs)
-			}
-		}
-		clear(bs.gMap)
-		nGroups = 0
-	}
-}
-
-// knnBatchInternal1 is knnBatchInternal for a singleton group: the
-// sequential internal-node body run directly against the slot's state,
-// with none of the gather scaffolding. The vp-tree pops many cheap
-// internal nodes per query, so this path carries most of the lockstep
-// tail.
-func (t *Tree[T]) knnBatchInternal1(n *node[T], v knnVisit, bs *batchScratch[T]) {
-	j := v.slot
-	s := &bs.stats[j]
-	s.NodesVisited++
-	t.TraceNode(false)
-	sl := &bs.knn[j]
-	cc := bs.ccs[j]
-	bound := v.tau + n.cutMax
-	wants := cc != nil && n.cas != 0 && cc.Wants()
-	if wants {
-		bound = math.Inf(1)
-	}
-	d := t.dist.Kernel()(bs.qs[j], n.vantage, bound)
-	if wants {
-		cc.Register(n.cas-1, d)
-	}
-	t.dist.Add(1)
-	if d <= v.tau+n.cutMax {
-		sl.best.Push(n.vantage, d)
-	}
-	s.VantagePoints++
-	t.TraceDistance(1)
-	for g, c := range n.children {
-		if c == nil {
-			continue
-		}
-		lo, hi := shellBounds(n.cutoffs, g)
-		lb := 0.0
-		if d < lo {
-			lb = lo - d
-		} else if d > hi {
-			lb = d - hi
-		}
-		if sl.best.Accepts(lb) {
-			sl.queue.PushNode(c, lb)
-		} else {
-			s.ShellsPruned++
-			t.TracePrune(obs.FilterShell, 1)
-		}
-	}
-}
-
-// knnBatchInternal processes one internal node for every group member,
-// mirroring the internal-node body of KNNWithStatsBound with ext == nil.
-func (t *Tree[T]) knnBatchInternal(n *node[T], vis []knnVisit, bs *batchScratch[T]) {
-	if len(vis) == 1 {
-		t.knnBatchInternal1(n, vis[0], bs)
-		return
-	}
-	nv := len(vis)
-	for _, v := range vis {
-		bs.stats[v.slot].NodesVisited++
-		t.TraceNode(false)
-	}
-	pts := bs.pts[:0]
-	for _, v := range vis {
-		pts = append(pts, bs.qs[v.slot])
-	}
-	bs.pts = pts
-	blk := t.dist.BlockKernel()
-	dv := growF(bs.dv, nv)
-	bs.dv = dv
-	bounds := growF(bs.bounds, nv)
-	bs.bounds = bounds
-	for i, v := range vis {
-		if cc := bs.ccs[v.slot]; cc != nil && n.cas != 0 && cc.Wants() {
-			bounds[i] = math.Inf(1)
-		} else {
-			bounds[i] = v.tau + n.cutMax
-		}
-	}
-	blk(n.vantage, pts, bounds, dv)
-	if n.cas != 0 {
-		for i, v := range vis {
-			if cc := bs.ccs[v.slot]; cc != nil && cc.Wants() {
-				cc.Register(n.cas-1, dv[i])
-			}
-		}
-	}
-	t.dist.Add(int64(nv))
-
-	for i, v := range vis {
-		sl := &bs.knn[v.slot]
-		s := &bs.stats[v.slot]
-		d := dv[i]
-		if d <= v.tau+n.cutMax {
-			sl.best.Push(n.vantage, d)
-		}
-		s.VantagePoints++
-		t.TraceDistance(1)
-		for g, c := range n.children {
-			if c == nil {
-				continue
-			}
-			lo, hi := shellBounds(n.cutoffs, g)
-			lb := 0.0
-			if d < lo {
-				lb = lo - d
-			} else if d > hi {
-				lb = d - hi
-			}
-			if sl.best.Accepts(lb) {
-				sl.queue.PushNode(c, lb)
-			} else {
-				s.ShellsPruned++
-				t.TracePrune(obs.FilterShell, 1)
-			}
-		}
-	}
-}
-
-// knnBatchLeaf processes one leaf bucket for every group member,
-// mirroring the leaf body of KNNWithStatsBound with ext == nil: each
-// member applies its cascade and quantized filters in item order and
-// one blocked call evaluates the survivors against each member's
-// current τ.
-func (t *Tree[T]) knnBatchLeaf(n *node[T], vis []knnVisit, bs *batchScratch[T]) {
-	if len(vis) == 1 {
-		t.knnBatchLeaf1(n, vis[0], bs)
-		return
-	}
-	for _, v := range vis {
-		s := &bs.stats[v.slot]
-		s.NodesVisited++
-		t.TraceNode(true)
-		s.LeavesVisited++
-		bs.fC[v.slot], bs.fQ[v.slot], bs.comp[v.slot] = 0, 0, 0
-	}
-	blk := t.dist.BlockKernel()
-	cas, base := t.cas, n.casBase
-	qset, qcodes, qf32 := t.qset, n.qcodes, n.qf32
-	hasQuant := qcodes != nil || qf32 != nil
-	items := n.items
-	for i := range items {
-		surv := bs.sslots[:0]
-		spts := bs.spts[:0]
-		sbounds := bs.sbounds[:0]
-		for _, v := range vis {
-			j := v.slot
-			sl := &bs.knn[j]
-			if cc := bs.ccs[j]; cc != nil && cc.Registered() > 0 {
-				if clb := cas.LowerBound(cc, base+int32(i)); !sl.best.Accepts(clb) {
-					bs.fC[j]++
-					continue
-				}
-			}
-			bs.comp[j]++
-			cb := sl.best.Threshold()
-			if hasQuant && bs.quantOn[j] && qset.PruneAt(&bs.qpreps[j], qcodes, qf32, i, cb) {
-				bs.fQ[j]++
-				continue
-			}
-			surv = append(surv, j)
-			spts = append(spts, bs.qs[j])
-			sbounds = append(sbounds, cb)
-		}
-		bs.sslots, bs.spts, bs.sbounds = surv, spts, sbounds
-		if len(surv) > 0 {
-			sdv := growF(bs.sdv, len(surv))
-			bs.sdv = sdv
-			blk(items[i], spts, sbounds, sdv)
-			for k, j := range surv {
-				if d := sdv[k]; d <= sbounds[k] {
-					bs.knn[j].best.Push(items[i], d)
-				}
-			}
-		}
-	}
-	total := 0
-	for _, v := range vis {
-		j := v.slot
 		total += bs.comp[j]
 		s := &bs.stats[j]
 		s.Candidates += len(items)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mvptree/internal/index"
 	"mvptree/internal/obs"
 )
 
@@ -29,29 +28,15 @@ type vpPlanElem[T any] struct {
 	task int // -1 when the slot carries only planned output
 }
 
-// RangeParallel is Range answered by up to workers goroutines, with a
-// result slice byte-identical to Range(q, r) for every workers value.
-func (t *Tree[T]) RangeParallel(q T, r float64, workers int) []T {
-	out, _ := t.RangeParallelWithStats(q, r, workers)
-	return out
-}
-
-// RangeParallelWithStats is RangeWithStats answered by up to workers
-// goroutines, with identical results, stats and distance counts at
-// every worker count.
-func (t *Tree[T]) RangeParallelWithStats(q T, r float64, workers int) ([]T, SearchStats) {
+// rangeParallel is RangeWithStats answered by up to workers goroutines
+// (Search with Opts.Workers > 1), with identical results, stats and
+// distance counts at every worker count.
+func (t *Tree[T]) rangeParallel(q T, r float64, workers int) ([]T, SearchStats) {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 || t.root == nil {
 		span.Done(&s)
 		return nil, s
-	}
-	if workers <= 1 {
-		var out []T
-		t.rangeNodeStats(t.root, q, r, &out, &s)
-		s.Results = len(out)
-		span.Done(&s)
-		return out, s
 	}
 
 	// Phase 1: sequential frontier expansion.
@@ -156,6 +141,3 @@ func (t *Tree[T]) expandPlanLevel(elems []vpPlanElem[T], tasks []*node[T], q T, 
 	}
 	return newElems, newTasks, expanded
 }
-
-var _ index.ParallelRangeIndex[int] = (*Tree[int])(nil)
-var _ index.BoundedKNNIndex[int] = (*Tree[int])(nil)

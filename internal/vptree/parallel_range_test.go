@@ -31,7 +31,7 @@ func TestRangeParallelMatchesSequential(t *testing.T) {
 				seqCost := c.Count() - before
 				for _, workers := range []int{1, 2, 3, 8} {
 					before = c.Count()
-					got, gotStats := tree.RangeParallelWithStats(q, r, workers)
+					got, gotStats := tree.rangeParallel(q, r, workers)
 					cost := c.Count() - before
 					if len(got) != len(want) {
 						t.Fatalf("workers=%d q=%d r=%g: got %d results, want %d", workers, q, r, len(got), len(want))

@@ -47,7 +47,7 @@ func TestQuantizeEquivalence(t *testing.T) {
 		}
 		opts := Options{Order: 3, LeafCapacity: 25, Build: Build{Seed: 5}}
 		for _, m := range metrics {
-			for _, mode := range []quant.Mode{quant.SQ8, quant.F32} {
+			for _, mode := range []quant.Mode{quant.SQ8} {
 				for _, withCascade := range []bool{false, true} {
 					name := map[int]string{8: "dim8", 40: "dim40"}[dim] + "/" + m.name + "/" + mode.String()
 					if withCascade {

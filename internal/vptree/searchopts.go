@@ -10,22 +10,21 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 
 // Search is the unified query entry point (index.Searcher). With
 // zero-valued SearchOptions it runs the exact traversal, byte-identical
-// to RangeWithStats / KNNWithStats / their parallel and bounded
-// variants (which remain as thin wrappers over the same code paths);
-// Epsilon, Budget or Patience switch to the approximate traversal.
+// to RangeWithStats / KNNWithStats; Epsilon, Budget or Patience switch
+// to the approximate traversal.
 // Approximate traversals do not consult the cascade or an external
 // KNNBound, and Workers is honored only on exact range queries.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		if !req.Opts.Approximate() {
-			nb, s := t.KNNWithStatsBound(req.Point, req.K, req.Opts.Bound)
+			nb, s := t.knnBound(req.Point, req.K, req.Opts.Bound)
 			return index.Result[T]{Neighbors: nb, Stats: s}
 		}
 		return t.knnApprox(req.Point, req.K, req.Opts)
 	}
 	if !req.Opts.Approximate() {
 		if req.Opts.Workers > 1 {
-			out, s := t.RangeParallelWithStats(req.Point, req.Radius, req.Opts.Workers)
+			out, s := t.rangeParallel(req.Point, req.Radius, req.Opts.Workers)
 			return index.Result[T]{Items: out, Stats: s}
 		}
 		out, s := t.RangeWithStats(req.Point, req.Radius)

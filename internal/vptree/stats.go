@@ -44,7 +44,6 @@ func (t *Tree[T]) getScratch() *knnScratch[T] {
 
 func (t *Tree[T]) putScratch(sc *knnScratch[T]) {
 	sc.quantOn = false
-	sc.qprep.Release()
 	sc.queue.Reset()
 	if sc.best != nil {
 		sc.best.Reset(1) // clears retained neighbors; re-armed per query
@@ -118,7 +117,7 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 		// Quantized pre-filter state (quantize.go): a pruned candidate
 		// still joins computed — the skip stands in for an abandoned
 		// kernel call — so every stat and counter below is unchanged.
-		useQuant := sc != nil && sc.quantOn && (n.qcodes != nil || n.qf32 != nil)
+		useQuant := sc != nil && sc.quantOn && n.qcodes != nil
 		var qset *quant.Set
 		var qprep *quant.Prepared
 		if useQuant {
@@ -133,7 +132,7 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 					continue
 				}
 				computed++
-				if useQuant && qset.PruneAt(qprep, n.qcodes, n.qf32, i, r) {
+				if useQuant && qset.PruneAt(qprep, n.qcodes, i, r) {
 					filteredQuant++
 					continue
 				}
@@ -161,7 +160,7 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 		}
 		filteredQuant := 0
 		for i, it := range n.items {
-			if useQuant && qset.PruneAt(qprep, n.qcodes, n.qf32, i, r) {
+			if useQuant && qset.PruneAt(qprep, n.qcodes, i, r) {
 				filteredQuant++
 				continue
 			}
@@ -216,19 +215,20 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 // distance τ in place of r (+Inf until the heap fills), and the heap
 // and node queue come from the tree's pool.
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
-	return t.KNNWithStatsBound(q, k, nil)
+	return t.knnBound(q, k, nil)
 }
 
-// KNNWithStatsBound is KNNWithStats with an optional external pruning
-// bound (index.KNNBound), the hook the sharded index uses to share the
-// shrinking k-th-best distance across shards. With ext == nil it is
+// knnBound is KNNWithStats with an optional external pruning bound
+// (index.KNNBound, reached through Search with Opts.Bound), the hook
+// the sharded index uses to share the shrinking k-th-best distance
+// across shards. With ext == nil it is
 // exactly KNNWithStats. With a bound attached, pruning and abandonment
 // consult τ′ = min(τ_local, ext.Tau()), the search publishes its own
 // tightening threshold through ext.Publish, and candidates certified
 // to exceed the external bound are discarded (they cannot make the
 // caller's merged global top-k), so the returned list may be shorter
 // than k.
-func (t *Tree[T]) KNNWithStatsBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T], SearchStats) {
+func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T], SearchStats) {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
@@ -285,7 +285,7 @@ func (t *Tree[T]) KNNWithStatsBound(q T, k int, ext index.KNNBound) ([]index.Nei
 			// Quantized pre-filter state (quantize.go): a pruned
 			// candidate still joins computed, standing in for an
 			// abandoned kernel call.
-			useQuant := sc.quantOn && (n.qcodes != nil || n.qf32 != nil)
+			useQuant := sc.quantOn && n.qcodes != nil
 			var qset *quant.Set
 			var qprep *quant.Prepared
 			if useQuant {
@@ -301,7 +301,7 @@ func (t *Tree[T]) KNNWithStatsBound(q T, k int, ext index.KNNBound) ([]index.Nei
 					}
 					computed++
 					cb := min(best.Threshold(), extTau)
-					if useQuant && qset.PruneAt(qprep, n.qcodes, n.qf32, i, cb) {
+					if useQuant && qset.PruneAt(qprep, n.qcodes, i, cb) {
 						filteredQuant++
 						continue
 					}
@@ -331,7 +331,7 @@ func (t *Tree[T]) KNNWithStatsBound(q T, k int, ext index.KNNBound) ([]index.Nei
 			filteredQuant := 0
 			for i, it := range n.items {
 				cb := min(best.Threshold(), extTau)
-				if useQuant && qset.PruneAt(qprep, n.qcodes, n.qf32, i, cb) {
+				if useQuant && qset.PruneAt(qprep, n.qcodes, i, cb) {
 					filteredQuant++
 					continue
 				}

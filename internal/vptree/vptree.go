@@ -165,11 +165,10 @@ type node[T any] struct {
 	cas     int32
 	casBase int32
 
-	// Quantized companion views of items (exactly one non-nil when the
-	// tree's qset is armed): len(items)·dim entries, item i's block at
-	// i·dim. See quantize.go.
+	// Quantized companion view of items (non-nil when the tree's qset
+	// is armed): len(items)·dim codes, item i's block at i·dim. See
+	// quantize.go.
 	qcodes []byte
-	qf32   []float32
 }
 
 // setDerived recomputes the cached abandonment bound from the stored

@@ -156,25 +156,24 @@ func WithCascade[T any](opts CascadeOptions) IndexOption[T] {
 }
 
 // QuantizeMode selects the companion representation of the quantized
-// lower-bound pre-filter: QuantizeOff, QuantizeSQ8 (one byte per
-// coordinate) or QuantizeF32 (one float32 per coordinate).
+// lower-bound pre-filter: QuantizeOff or QuantizeSQ8 (one byte per
+// coordinate).
 type QuantizeMode = quant.Mode
 
 // Quantize modes for WithQuantized.
 const (
 	QuantizeOff = quant.Off
 	QuantizeSQ8 = quant.SQ8
-	QuantizeF32 = quant.F32
 )
 
-// ParseQuantizeMode maps "off", "sq8" or "f32" to the QuantizeMode.
+// ParseQuantizeMode maps "off" or "sq8" to the QuantizeMode.
 func ParseQuantizeMode(s string) (QuantizeMode, error) { return quant.ParseMode(s) }
 
 // WithQuantized arms the quantized lower-bound pre-filter on the built
 // index: item vectors are encoded once into a small companion arena
-// (SQ8 byte codes or float32 copies) that leaf scans consult before
-// the exact float64 kernel, skipping candidates whose quantized lower
-// bound certifies rejection. Results, order, SearchStats and distance
+// (SQ8 byte codes) that leaf scans consult before the exact float64
+// kernel, skipping candidates whose quantized lower bound certifies
+// rejection. Results, order, SearchStats and distance
 // counts are byte-identical with the filter on or off — the win is
 // memory bandwidth, which dominates high-dimensional scans. Supported
 // by New, NewVP and NewLinear; the filter arms only for []float64

@@ -46,7 +46,7 @@ func quantizeCases[T any](mode QuantizeMode) []struct {
 func checkQuantizeInvariance(t *testing.T, items, queries [][]float64,
 	dist DistanceFunc[[]float64], radii []float64, ks []int) {
 	t.Helper()
-	for _, mode := range []QuantizeMode{QuantizeSQ8, QuantizeF32} {
+	for _, mode := range []QuantizeMode{QuantizeSQ8} {
 		for _, tc := range quantizeCases[[]float64](mode) {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
 				off, err := tc.build(items, dist, false)

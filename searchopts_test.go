@@ -12,17 +12,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"sort"
 	"testing"
 
 	"mvptree"
+	"mvptree/internal/shard"
 )
 
-// vecSearchers builds each vector-capable structure over items. The
-// bool marks structures whose exact traversal order (and therefore
-// kNN distance count) is deterministic; the BK-tree's map-ordered
-// children make it the one order-insensitive case, on the edit
-// workload below.
+// vecSearchers builds each vector-capable structure over items.
 func vecSearchers(t *testing.T, items [][]float64) map[string]mvptree.Searcher[[]float64] {
 	t.Helper()
 	out := map[string]mvptree.Searcher[[]float64]{}
@@ -89,11 +85,8 @@ func editSearchers(t *testing.T, words []string) map[string]mvptree.Searcher[str
 }
 
 // checkZeroOptsIdentical asserts Search with zero options reproduces
-// the exact methods byte for byte. orderInsensitive relaxes the
-// comparison to distance multisets and skips the cost comparison for
-// kNN — the BK-tree's children live in a map, so its traversal order
-// (legal at ties, and what τ sees when) differs run to run.
-func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Searcher[T], queries []T, r float64, k int, orderInsensitive bool) {
+// the exact methods byte for byte.
+func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Searcher[T], queries []T, r float64, k int) {
 	t.Helper()
 	for qi, q := range queries {
 		c0 := idx.DistanceCount()
@@ -105,20 +98,14 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 		if !res.Exact() || res.Exhausted() {
 			t.Errorf("%s q%d: zero-option range Search not reported exact: %+v", name, qi, res.Stats)
 		}
-		if orderInsensitive {
-			if !sameMultiset(wantItems, res.Items) {
-				t.Errorf("%s q%d: range Search item multiset differs", name, qi)
-			}
-		} else {
-			if !reflect.DeepEqual(wantItems, res.Items) {
-				t.Errorf("%s q%d: range Search items differ: %d vs %d", name, qi, len(wantItems), len(res.Items))
-			}
-			if res.Stats != wantRS {
-				t.Errorf("%s q%d: range Search stats differ:\n  exact  %+v\n  search %+v", name, qi, wantRS, res.Stats)
-			}
-			if gotCost != wantCost {
-				t.Errorf("%s q%d: range Search cost %d, exact %d", name, qi, gotCost, wantCost)
-			}
+		if !reflect.DeepEqual(wantItems, res.Items) {
+			t.Errorf("%s q%d: range Search items differ: %d vs %d", name, qi, len(wantItems), len(res.Items))
+		}
+		if res.Stats != wantRS {
+			t.Errorf("%s q%d: range Search stats differ:\n  exact  %+v\n  search %+v", name, qi, wantRS, res.Stats)
+		}
+		if gotCost != wantCost {
+			t.Errorf("%s q%d: range Search cost %d, exact %d", name, qi, gotCost, wantCost)
 		}
 		if res.Stats.Distances() != gotCost {
 			t.Errorf("%s q%d: range Stats.Distances()=%d, counter delta %d", name, qi, res.Stats.Distances(), gotCost)
@@ -133,20 +120,14 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 		if !kres.Exact() || kres.Exhausted() {
 			t.Errorf("%s q%d: zero-option kNN Search not reported exact: %+v", name, qi, kres.Stats)
 		}
-		if orderInsensitive {
-			if !sameDists(wantNb, kres.Neighbors) {
-				t.Errorf("%s q%d: kNN Search distance multiset differs", name, qi)
-			}
-		} else {
-			if !reflect.DeepEqual(wantNb, kres.Neighbors) {
-				t.Errorf("%s q%d: kNN Search neighbors differ", name, qi)
-			}
-			if kres.Stats != wantKS {
-				t.Errorf("%s q%d: kNN Search stats differ:\n  exact  %+v\n  search %+v", name, qi, wantKS, kres.Stats)
-			}
-			if gotCost != wantCost {
-				t.Errorf("%s q%d: kNN Search cost %d, exact %d", name, qi, gotCost, wantCost)
-			}
+		if !reflect.DeepEqual(wantNb, kres.Neighbors) {
+			t.Errorf("%s q%d: kNN Search neighbors differ", name, qi)
+		}
+		if kres.Stats != wantKS {
+			t.Errorf("%s q%d: kNN Search stats differ:\n  exact  %+v\n  search %+v", name, qi, wantKS, kres.Stats)
+		}
+		if gotCost != wantCost {
+			t.Errorf("%s q%d: kNN Search cost %d, exact %d", name, qi, gotCost, wantCost)
 		}
 		if kres.Stats.Distances() != gotCost {
 			t.Errorf("%s q%d: kNN Stats.Distances()=%d, counter delta %d", name, qi, kres.Stats.Distances(), gotCost)
@@ -154,32 +135,41 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 	}
 }
 
-func sameMultiset[T any](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
+// TestCapabilitiesTable pins the three-field capability report over the
+// eleven Searcher implementations: the nine structures, the dynamic
+// store and the sharded index all report Stats and Search, and exactly
+// the mvp-tree, the vp-tree and the sharded index report Batch.
+func TestCapabilitiesTable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 7))
+	words := mvptree.Words(rng, 200, mvptree.WordOptions{})
+	all := map[string]mvptree.Index[string]{}
+	for name, idx := range editSearchers(t, words) {
+		all[name] = idx
 	}
-	ka := make([]string, len(a))
-	kb := make([]string, len(b))
-	for i := range a {
-		ka[i], kb[i] = fmt.Sprint(a[i]), fmt.Sprint(b[i])
+	dyn, err := mvptree.NewDynamic(words, mvptree.EditDistance, mvptree.DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(ka)
-	sort.Strings(kb)
-	return reflect.DeepEqual(ka, kb)
-}
-
-func sameDists[T any](a, b []mvptree.Neighbor[T]) bool {
-	if len(a) != len(b) {
-		return false
+	all["dynamic"] = dyn
+	sharded, err := shard.New(words, mvptree.NewCounter(mvptree.EditDistance),
+		shard.MVP[string](mvptree.Options{}), shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	da := make([]float64, len(a))
-	db := make([]float64, len(b))
-	for i := range a {
-		da[i], db[i] = a[i].Dist, b[i].Dist
+	all["shard"] = sharded
+	if len(all) != 11 {
+		t.Fatalf("table covers %d implementations, want 11", len(all))
 	}
-	sort.Float64s(da)
-	sort.Float64s(db)
-	return reflect.DeepEqual(da, db)
+	batch := map[string]bool{"mvp": true, "vp": true, "shard": true}
+	for name, idx := range all {
+		caps := mvptree.CapabilitiesOf(idx)
+		if caps.Stats == nil || caps.Search == nil {
+			t.Errorf("%s: Stats=%v Search=%v, want both non-nil", name, caps.Stats != nil, caps.Search != nil)
+		}
+		if got := caps.Batch != nil; got != batch[name] {
+			t.Errorf("%s: Batch reported %v, want %v", name, got, batch[name])
+		}
+	}
 }
 
 // TestSearchZeroOptionsByteIdentical is the cross-structure invariance
@@ -196,13 +186,13 @@ func TestSearchZeroOptionsByteIdentical(t *testing.T) {
 	for wlName, items := range map[string][][]float64{"uniform": uniform, "clustered": clustered} {
 		for name, idx := range vecSearchers(t, items) {
 			t.Run(wlName+"/"+name, func(t *testing.T) {
-				checkZeroOptsIdentical(t, name, idx, vecQueries, 0.6, 5, false)
+				checkZeroOptsIdentical(t, name, idx, vecQueries, 0.6, 5)
 			})
 		}
 	}
 	for name, idx := range editSearchers(t, words) {
 		t.Run("edit/"+name, func(t *testing.T) {
-			checkZeroOptsIdentical(t, name, idx, wordQueries, 2, 3, name == "bk")
+			checkZeroOptsIdentical(t, name, idx, wordQueries, 2, 3)
 		})
 	}
 	// A huge budget must also reproduce the exact answer (the traversal
