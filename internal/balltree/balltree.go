@@ -207,40 +207,61 @@ func (t *Tree[T]) BuildCost() int64 { return t.buildStats.Distances }
 // BuildStats reports the full construction report.
 func (t *Tree[T]) BuildStats() build.Stats { return t.buildStats }
 
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): one
+// range traversal and one best-first kNN traversal, each threaded with
+// the request's index.Approx (inert at zero options, so the cascade
+// serves every mode). Workers and Bound are ignored.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
 // Range returns every indexed item within distance r of q. A set with
 // center c and radius ρ is skipped when d(q,c) − ρ > r: by the triangle
 // inequality every key x of the set has d(q,x) ≥ d(q,c) − d(c,x) ≥
-// d(q,c) − ρ.
+// d(q,c) − ρ. It is a wrapper over Search, the one traversal
+// implementation.
 func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
-// RangeWithStats is Range plus the per-query breakdown. It is the only
-// range traversal implementation — Range delegates here.
+// RangeWithStats is Range plus the per-query breakdown.
 func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	var out []T
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, cc, &out, &s)
+	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
 	if cc != nil {
 		t.cas.Put(cc)
 	}
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
-	if n == nil {
+// rangeNode descends with two radii: r decides membership and bounds
+// the kernels, rp = r/(1+ε) (== r when exact) decides every prune.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+	if n == nil || a.Stop() {
 		return
 	}
 	s.NodesVisited++
@@ -253,10 +274,14 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 		for i, it := range n.items {
 			s.Candidates++
 			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > r {
+				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
 					filtered++
 					continue
 				}
+			}
+			if !a.Pay(1) {
+				s.Candidates-- // not considered: the budget stopped the scan first
+				break
 			}
 			s.Computed++
 			t.TraceDistance(1)
@@ -272,9 +297,12 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 		return
 	}
 	for j, c := range n.centers {
+		if !a.Pay(1) {
+			return
+		}
 		// A center distance is used one-sidedly — membership and the
-		// prune test d−ρ > r — so abandoning past r+ρ forces the same
-		// prune the exact distance would. When the center is a cascade
+		// prune test d−ρ > rp ≤ r — so abandoning past r+ρ forces the
+		// same prune the exact distance would. When the center is a cascade
 		// pivot the exact distance is computed instead (exact is itself
 		// a valid bounded kernel, so every decision is unchanged) and
 		// shared with the leaf filter.
@@ -290,8 +318,11 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 		if d <= r {
 			*out = append(*out, c)
 		}
-		if d-n.radii[j] <= r {
-			t.rangeNode(n.children[j], q, r, cc, out, s)
+		if d-n.radii[j] <= rp {
+			t.rangeNode(n.children[j], q, r, rp, cc, a, out, s)
+			if a.Stop() {
+				return
+			}
 		} else if n.children[j] != nil {
 			s.ShellsPruned++
 			t.TracePrune(obs.FilterShell, 1)
@@ -300,21 +331,32 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 }
 
 // KNN returns the k nearest indexed items by best-first traversal on
-// the lower bound max(0, d(q,c) − ρ). It delegates to KNNWithStats
-// (single traversal implementation).
+// the lower bound max(0, d(q,c) − ρ). It is KNNWithStats without the
+// stats (single traversal implementation).
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
-// KNNWithStats is KNN plus the per-query breakdown.
+// KNNWithStats is KNN plus the per-query breakdown (not through
+// Search, which reads k <= 0 as a range request).
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+// knn is the one best-first kNN traversal: a child ball and a candidate
+// are discarded once their lower bound reaches τ/(1+ε) while the heap
+// keeps accepting against the full τ, the budget is debited before
+// every computation, and patience stops the search after the
+// configured number of consecutive leaves that fail to tighten τ.
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
 	var cc *cascade.Cache
 	if t.cas != nil {
@@ -323,12 +365,14 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
-	for {
+search:
+	for !a.Stop() {
 		n, bound, ok := queue.PopNode()
 		if !ok {
 			break
 		}
-		if !best.Accepts(bound) {
+		tau := best.Threshold()
+		if bound >= a.Shrink(tau) {
 			break
 		}
 		s.NodesVisited++
@@ -341,13 +385,18 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			for i, it := range n.items {
 				s.Candidates++
 				if useCas {
-					// A candidate whose lower bound the heap would
-					// reject cannot change the result set: the bounded
-					// kernel below would return a value ≥ the bound.
-					if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) {
+					// With ε = 0 a candidate whose lower bound the heap
+					// would reject cannot change the result set: the
+					// bounded kernel below would return a value ≥ the
+					// bound.
+					if clb := cas.LowerBound(cc, base+int32(i)); clb >= a.Shrink(best.Threshold()) {
 						filtered++
 						continue
 					}
+				}
+				if !a.Pay(1) {
+					s.Candidates-- // not considered: the budget stopped the scan first
+					break
 				}
 				s.Computed++
 				t.TraceDistance(1)
@@ -358,9 +407,13 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 				s.FilteredByCascade += filtered
 				t.TracePrune(obs.FilterCascade, filtered)
 			}
+			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		for j, c := range n.centers {
+			if !a.Pay(1) {
+				break search
+			}
 			// One-sided use (τ in place of r): abandoning past τ+ρ
 			// rejects the center and prunes the child either way. A
 			// stamped center is computed exactly instead (same
@@ -382,7 +435,7 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			if lb < bound {
 				lb = bound
 			}
-			if best.Accepts(lb) {
+			if lb < a.Shrink(best.Threshold()) {
 				queue.PushNode(n.children[j], lb)
 			} else {
 				s.ShellsPruned++
@@ -391,7 +444,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		}
 	}
 	out := best.Sorted()
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }

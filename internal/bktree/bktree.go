@@ -199,51 +199,76 @@ func (t *Tree[T]) BuildCost() int64 { return t.buildStats.Distances }
 // BuildStats reports the full bulk-construction report.
 func (t *Tree[T]) BuildStats() build.Stats { return t.buildStats }
 
-// Range returns every indexed item within distance r of q. It delegates
-// to RangeWithStats so there is exactly one traversal implementation.
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): one
+// range traversal and one best-first kNN traversal, each threaded with
+// the request's index.Approx (inert at zero options, so the cascade
+// serves every mode). Workers and Bound are ignored.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
+// Range returns every indexed item within distance r of q. It is a
+// wrapper over Search, so there is exactly one traversal implementation.
 func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus the per-query breakdown.
 func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	var out []T
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, cc, &out, &s)
+	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
 	if cc != nil {
 		t.cas.Put(cc)
 	}
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
-	s.NodesVisited++
+// rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
+// (== r when exact) positions the child key window and the cascade
+// skip. A node is entered only once its one distance is paid for.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
 	leaf := n.isLeaf()
+	// A leaf's distance only decides membership — so the cascade may
+	// skip the computation outright, before it is paid for, when the
+	// registered-pivot lower bound already exceeds rp.
+	skip := leaf && cc != nil && n.casID != 0 && cc.Registered() > 0 &&
+		t.cas.LowerBound(cc, n.casID-1) > rp
+	if a.Stop() || (!skip && !a.Pay(1)) {
+		return
+	}
+	s.NodesVisited++
 	t.TraceNode(leaf)
 	s.Candidates++
 	if leaf {
 		s.LeavesVisited++
-		// A leaf's distance only decides membership — so the cascade
-		// may skip the computation outright when the registered-pivot
-		// lower bound already exceeds r.
-		if cc != nil && n.casID != 0 && cc.Registered() > 0 {
-			if lb := t.cas.LowerBound(cc, n.casID-1); lb > r {
-				s.FilteredByCascade++
-				t.TracePrune(obs.FilterCascade, 1)
-				return
-			}
+		if skip {
+			s.FilteredByCascade++
+			t.TracePrune(obs.FilterCascade, 1)
+			return
 		}
 		s.Computed++
 		t.TraceDistance(1)
@@ -256,7 +281,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 	s.Computed++
 	t.TraceDistance(1)
 	// An internal node's distance positions the child key window
-	// [⌈d−r⌉, ⌊d+r⌋] — a two-sided use an understated distance would
+	// [⌈d−rp⌉, ⌊d+rp⌋] — a two-sided use an understated distance would
 	// corrupt — so it stays exact, and the cascade shares it for free.
 	d := t.dist.Distance(q, n.item)
 	if cc != nil && n.cas != 0 && cc.Wants() {
@@ -265,11 +290,14 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 	if d <= r {
 		*out = append(*out, n.item)
 	}
-	lo := int(math.Ceil(d - r))
-	hi := int(math.Floor(d + r))
+	lo := int(math.Ceil(d - rp))
+	hi := int(math.Floor(d + rp))
 	for i, c := range n.kids {
 		if key := n.keys[i]; key >= lo && key <= hi {
-			t.rangeNode(c, q, r, cc, out, s)
+			t.rangeNode(c, q, r, rp, cc, a, out, s)
+			if a.Stop() {
+				return
+			}
 		} else {
 			s.ShellsPruned++
 			t.TracePrune(obs.FilterShell, 1)
@@ -279,21 +307,33 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 
 // KNN returns the k nearest indexed items by best-first traversal: a
 // child keyed key under a node at distance d from the query has lower
-// bound |d − key|. It delegates to KNNWithStats (single traversal
-// implementation).
+// bound |d − key|. It is KNNWithStats without the stats (single
+// traversal implementation).
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
-// KNNWithStats is KNN plus the per-query breakdown.
+// KNNWithStats is KNN plus the per-query breakdown (not through
+// Search, which reads k <= 0 as a range request).
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+// knn is the one best-first kNN traversal: a child is discarded once
+// its lower bound |d − key| reaches τ/(1+ε) while the heap keeps
+// accepting against the full τ, the budget is debited before every
+// computation, and patience stops the search after the configured
+// number of consecutive non-improving leaves (for the bk-tree, nodes
+// whose push failed to tighten τ).
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
 	var cc *cascade.Cache
 	if t.cas != nil {
@@ -302,30 +342,36 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
-	for {
+	for !a.Stop() {
 		n, bound, ok := queue.PopNode()
 		if !ok {
 			break
 		}
-		if !best.Accepts(bound) {
+		tau := best.Threshold()
+		tauP := a.Shrink(tau)
+		if bound >= tauP {
+			break
+		}
+		leaf := n.isLeaf()
+		// A leaf with no children contributes only a heap push; with
+		// ε = 0 a lower bound the heap would reject proves the push
+		// would be rejected too, so the computation is skipped outright
+		// — before it is paid for.
+		skip := leaf && cc != nil && n.casID != 0 && cc.Registered() > 0 &&
+			t.cas.LowerBound(cc, n.casID-1) >= tauP
+		if !skip && !a.Pay(1) {
 			break
 		}
 		s.NodesVisited++
-		leaf := n.isLeaf()
 		t.TraceNode(leaf)
 		if leaf {
 			s.LeavesVisited++
 		}
 		s.Candidates++
-		if leaf && cc != nil && n.casID != 0 && cc.Registered() > 0 {
-			// A leaf with no children contributes only a heap push; a
-			// lower bound the heap would reject proves the push would
-			// be rejected too, so skip the computation outright.
-			if clb := t.cas.LowerBound(cc, n.casID-1); !best.Accepts(clb) {
-				s.FilteredByCascade++
-				t.TracePrune(obs.FilterCascade, 1)
-				continue
-			}
+		if skip {
+			s.FilteredByCascade++
+			t.TracePrune(obs.FilterCascade, 1)
+			continue
 		}
 		s.Computed++
 		t.TraceDistance(1)
@@ -341,12 +387,17 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			}
 		}
 		best.Push(n.item, d)
+		if leaf {
+			a.LeafDone(best.Threshold() < tau, best.Full())
+			continue
+		}
+		tauP = a.Shrink(best.Threshold())
 		for i, c := range n.kids {
 			lb := math.Abs(d - float64(n.keys[i]))
 			if lb < bound {
 				lb = bound
 			}
-			if best.Accepts(lb) {
+			if lb < tauP {
 				queue.PushNode(c, lb)
 			} else {
 				s.ShellsPruned++
@@ -355,7 +406,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		}
 	}
 	out := best.Sorted()
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }

@@ -260,38 +260,80 @@ func (s *Store[T]) rebuild() error {
 	return nil
 }
 
+var _ index.Searcher[int] = (*Store[int])(nil)
+
+// Search is the store's one query implementation (index.Searcher).
+// Epsilon, Budget and Patience are forwarded to the underlying
+// mvp-tree; the overflow buffer's linear tail then spends whatever
+// budget the tree left (ε and patience do not apply to a plain scan —
+// every live buffered item the budget allows is checked exactly). With
+// zero options the query is exact. Workers and Bound are not supported
+// by the store and are ignored.
+func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return s.knn(req.Point, req.K, req.Opts)
+	}
+	return s.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
+// tailBudget reports how much of the query budget the tree phase left
+// for the buffer tail: -1 for unlimited, never negative otherwise.
+func tailBudget(o index.SearchOptions, treeStats index.SearchStats) int64 {
+	if o.Budget <= 0 {
+		return -1
+	}
+	if rem := o.Budget - treeStats.Distances(); rem > 0 {
+		return rem
+	}
+	return 0
+}
+
 // Range returns every live item within distance r of q. Any number of
 // Range/KNN calls may run concurrently; they block only while an update
-// holds the write lock. It delegates to RangeWithStats so there is
+// holds the write lock. It is a wrapper over Search, so there is
 // exactly one query implementation.
 func (s *Store[T]) Range(q T, r float64) []T {
-	out, _ := s.RangeWithStats(q, r)
-	return out
+	return s.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus the per-query breakdown: the underlying
 // tree's stats with the overflow buffer's linear tail folded in.
 func (s *Store[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := s.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (s *Store[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := s.StartQuery(obs.KindRange)
 	var st SearchStats
 	if r < 0 {
 		span.Done(&st)
-		return nil, st
+		return index.Result[T]{Stats: st}
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	slot := s.acquireQuery(q)
 	defer s.releaseQuery(slot)
+	res := s.tree.Search(index.Query[int]{Point: slot, Radius: r,
+		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget}})
+	st = res.Stats
 	var out []T
-	ids, st := s.tree.RangeWithStats(slot, r)
-	for _, id := range ids {
+	for _, id := range res.Items {
 		if s.alive[id] {
 			out = append(out, s.items[id])
 		}
 	}
+	remaining := tailBudget(o, st)
 	for _, id := range s.buffer {
 		if !s.alive[id] {
 			continue
+		}
+		if remaining == 0 {
+			st.BudgetExhausted = 1
+			break
+		}
+		if remaining > 0 {
+			remaining--
 		}
 		st.Candidates++
 		st.Computed++
@@ -301,47 +343,64 @@ func (s *Store[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
 			out = append(out, s.items[id])
 		}
 	}
+	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
+		st.Approximated = 1
+	}
 	st.Results = len(out)
 	span.Done(&st)
-	return out, st
+	return index.Result[T]{Items: out, Stats: st}
 }
 
 // KNN returns the k live items nearest to q in ascending distance
-// order. It delegates to KNNWithStats.
+// order. It is KNNWithStats without the stats.
 func (s *Store[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := s.KNNWithStats(q, k)
-	return out
+	return s.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
-// KNNWithStats is KNN plus the per-query breakdown: the underlying
-// tree's stats with the overflow buffer's linear tail folded in.
+// KNNWithStats is KNN plus the per-query breakdown (not through
+// Search, which reads k <= 0 as a range request).
 func (s *Store[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := s.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := s.StartQuery(obs.KindKNN)
 	var st SearchStats
 	if k <= 0 {
 		span.Done(&st)
-		return nil, st
+		return index.Result[T]{Stats: st}
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.live == 0 {
 		span.Done(&st)
-		return nil, st
+		return index.Result[T]{Stats: st}
 	}
 	slot := s.acquireQuery(q)
 	defer s.releaseQuery(slot)
 	// The tree may return tombstoned items; ask for enough extras to
 	// guarantee k live ones among the answers.
-	fromTree, st := s.tree.KNNWithStats(slot, k+s.treeDead)
+	res := s.tree.Search(index.Query[int]{Point: slot, K: k + s.treeDead,
+		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget, Patience: o.Patience}})
+	st = res.Stats
 	best := heapx.NewKBest[T](k)
-	for _, nb := range fromTree {
+	for _, nb := range res.Neighbors {
 		if s.alive[nb.Item] {
 			best.Push(s.items[nb.Item], nb.Dist)
 		}
 	}
+	remaining := tailBudget(o, st)
 	for _, id := range s.buffer {
 		if !s.alive[id] {
 			continue
+		}
+		if remaining == 0 {
+			st.BudgetExhausted = 1
+			break
+		}
+		if remaining > 0 {
+			remaining--
 		}
 		st.Candidates++
 		st.Computed++
@@ -349,8 +408,11 @@ func (s *Store[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		// Push ignores anything ≥ the current k-th best: abandon at τ.
 		best.Push(s.items[id], s.dist.DistanceUpTo(slot, id, best.Threshold()))
 	}
+	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
+		st.Approximated = 1
+	}
 	out := best.Sorted()
 	st.Results = len(out)
 	span.Done(&st)
-	return out, st
+	return index.Result[T]{Neighbors: out, Stats: st}
 }

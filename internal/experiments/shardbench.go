@@ -17,7 +17,8 @@ import (
 // batch per configuration (after one warm-up pass).
 const ShardBenchRounds = 3
 
-// ShardQueryWorkerCounts is the default intra-query fan-out sweep.
+// ShardQueryWorkerCounts is the default intra-query fan-out sweep
+// (applied at shard counts >= 2; one shard is measured at W=1 only).
 var ShardQueryWorkerCounts = []int{1, 2, 4, 8}
 
 // ShardCounts is the default shard-count sweep (1 = the unsharded
@@ -65,8 +66,8 @@ type ShardBenchReport struct {
 // ShardBenchStudy measures the sharded serving layer: for each shard
 // count it builds a partitioned mvp-tree index (balanced assignment)
 // and reports build wall time, per-query serving time for the range
-// fan-out across the intra-query worker sweep and for the sequential
-// kNN walk, and the deterministic distance counts.
+// fan-out across the intra-query worker sweep (shard counts >= 2) and
+// for the sequential kNN walk, and the deterministic distance counts.
 // Wall-clock speedups require real cores (see GOMAXPROCS in the
 // report); distance-count behavior is machine-independent.
 func ShardBenchStudy(c Config) (*ShardBenchReport, error) {
@@ -129,7 +130,13 @@ func ShardBenchStudy(c Config) (*ShardBenchReport, error) {
 		row.KNNNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(ops)
 		row.KNNSeqDistPerQuery = float64(counter.Count()-before) / float64(ops)
 
-		for _, w := range workerCounts {
+		// W is the cross-shard fan-out width, so it is swept only where
+		// there is more than one shard to fan out over.
+		sweep := workerCounts
+		if s < 2 {
+			sweep = []int{1}
+		}
+		for _, w := range sweep {
 			start := time.Now()
 			for round := 0; round < ShardBenchRounds; round++ {
 				for _, q := range queries {

@@ -171,37 +171,58 @@ func (t *Tree[T]) BuildCost() int64 { return t.buildStats.Distances }
 // BuildStats reports the full construction report.
 func (t *Tree[T]) BuildStats() build.Stats { return t.buildStats }
 
-// Range returns every indexed item within distance r of q. It delegates
-// to RangeWithStats so there is exactly one traversal implementation.
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): one
+// range traversal and one best-first kNN traversal, each threaded with
+// the request's index.Approx (inert at zero options, so the cascade
+// serves every mode). Workers and Bound are ignored.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
+// Range returns every indexed item within distance r of q. It is a
+// wrapper over Search, so there is exactly one traversal implementation.
 func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus the per-query breakdown.
 func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	var out []T
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, cc, &out, &s)
+	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
 	if cc != nil {
 		t.cas.Put(cc)
 	}
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
-	if n == nil {
+// rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
+// (== r when exact) decides every prune.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+	if n == nil || a.Stop() {
 		return
 	}
 	s.NodesVisited++
@@ -214,10 +235,14 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 		for i, it := range n.items {
 			s.Candidates++
 			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > r {
+				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
 					filtered++
 					continue
 				}
+			}
+			if !a.Pay(1) {
+				s.Candidates-- // not considered: the budget stopped the scan first
+				break
 			}
 			s.Computed++
 			t.TraceDistance(1)
@@ -234,6 +259,9 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 		}
 		return
 	}
+	if !a.Pay(1) {
+		return
+	}
 	d1 := t.dist.Distance(q, n.p1)
 	if cc != nil && n.cas1 != 0 && cc.Wants() {
 		cc.Register(n.cas1-1, d1) // already exact; free to share
@@ -243,7 +271,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 	if d1 <= r {
 		*out = append(*out, n.p1)
 	}
-	if !n.hasP2 {
+	if !n.hasP2 || !a.Pay(1) {
 		return
 	}
 	d2 := t.dist.Distance(q, n.p2)
@@ -257,15 +285,15 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 	}
 	// Hyperplane pruning: points on the p1 side satisfy
 	// d(x,p1) ≤ d(x,p2); the query ball reaches that side only if
-	// (d1 − d2)/2 ≤ r. Symmetrically for the p2 side.
-	if (d1-d2)/2 <= r {
-		t.rangeNode(n.left, q, r, cc, out, s)
+	// (d1 − d2)/2 ≤ rp. Symmetrically for the p2 side.
+	if (d1-d2)/2 <= rp {
+		t.rangeNode(n.left, q, r, rp, cc, a, out, s)
 	} else if n.left != nil {
 		s.ShellsPruned++
 		t.TracePrune(obs.FilterShell, 1)
 	}
-	if (d2-d1)/2 <= r {
-		t.rangeNode(n.right, q, r, cc, out, s)
+	if (d2-d1)/2 <= rp {
+		t.rangeNode(n.right, q, r, rp, cc, a, out, s)
 	} else if n.right != nil {
 		s.ShellsPruned++
 		t.TracePrune(obs.FilterShell, 1)
@@ -273,21 +301,33 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 }
 
 // KNN returns the k nearest indexed items by best-first traversal using
-// the hyperplane lower bound max(0, (dNear − dFar)/2). It delegates to
-// KNNWithStats (single traversal implementation).
+// the hyperplane lower bound max(0, (dNear − dFar)/2). It is
+// KNNWithStats without the stats (single traversal implementation).
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
-// KNNWithStats is KNN plus the per-query breakdown.
+// KNNWithStats is KNN plus the per-query breakdown (not through
+// Search, which reads k <= 0 as a range request).
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+// knn is the one best-first kNN traversal: a side of the hyperplane and
+// a candidate are discarded once their lower bound reaches τ/(1+ε)
+// while the heap keeps accepting against the full τ, the budget is
+// debited before every computation, and patience stops the search
+// after the configured number of consecutive leaves that fail to
+// tighten τ.
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
 	var cc *cascade.Cache
 	if t.cas != nil {
@@ -296,12 +336,13 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
-	for {
+	for !a.Stop() {
 		n, bound, ok := queue.PopNode()
 		if !ok {
 			break
 		}
-		if !best.Accepts(bound) {
+		tau := best.Threshold()
+		if bound >= a.Shrink(tau) {
 			break
 		}
 		s.NodesVisited++
@@ -314,13 +355,18 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			for i, it := range n.items {
 				s.Candidates++
 				if useCas {
-					// A candidate whose lower bound the heap would
-					// reject cannot change the result set: the bounded
-					// kernel below would return a value ≥ the bound.
-					if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) {
+					// With ε = 0 a candidate whose lower bound the heap
+					// would reject cannot change the result set: the
+					// bounded kernel below would return a value ≥ the
+					// bound.
+					if clb := cas.LowerBound(cc, base+int32(i)); clb >= a.Shrink(best.Threshold()) {
 						filtered++
 						continue
 					}
+				}
+				if !a.Pay(1) {
+					s.Candidates-- // not considered: the budget stopped the scan first
+					break
 				}
 				s.Computed++
 				t.TraceDistance(1)
@@ -333,7 +379,11 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 				s.FilteredByCascade += filtered
 				t.TracePrune(obs.FilterCascade, filtered)
 			}
+			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
+		}
+		if !a.Pay(1) {
+			break
 		}
 		d1 := t.dist.Distance(q, n.p1)
 		if cc != nil && n.cas1 != 0 && cc.Wants() {
@@ -345,6 +395,9 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		if !n.hasP2 {
 			continue
 		}
+		if !a.Pay(1) {
+			break
+		}
 		d2 := t.dist.Distance(q, n.p2)
 		if cc != nil && n.cas2 != 0 && cc.Wants() {
 			cc.Register(n.cas2-1, d2)
@@ -352,9 +405,10 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		best.Push(n.p2, d2)
 		s.VantagePoints++
 		t.TraceDistance(1)
+		tauP := a.Shrink(best.Threshold())
 		if n.left != nil {
 			lb := max(bound, (d1-d2)/2)
-			if best.Accepts(lb) {
+			if lb < tauP {
 				queue.PushNode(n.left, lb)
 			} else {
 				s.ShellsPruned++
@@ -363,7 +417,7 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		}
 		if n.right != nil {
 			lb := max(bound, (d2-d1)/2)
-			if best.Accepts(lb) {
+			if lb < tauP {
 				queue.PushNode(n.right, lb)
 			} else {
 				s.ShellsPruned++
@@ -372,7 +426,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		}
 	}
 	out := best.Sorted()
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }

@@ -376,13 +376,23 @@ func shellBounds(cutoffs []float64, g int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Range returns every indexed item within distance r of q. It delegates
-// to RangeWithStats so there is exactly one traversal implementation;
-// the two are guaranteed to agree in both results and distance
-// computations.
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): one
+// range traversal and one best-first kNN traversal, each threaded with
+// the request's index.Approx (inert at zero options, so the cascade
+// serves every mode). Workers and Bound are ignored.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
+// Range returns every indexed item within distance r of q. It is a
+// wrapper over Search, so there is exactly one traversal implementation.
 func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus the per-query filtering breakdown shared
@@ -390,35 +400,47 @@ func (t *Tree[T]) Range(q T, r float64) []T {
 // leaf-vantage distance, FilteredByPath those additionally excluded by
 // a retained PATH entry.
 func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	var out []T
 	qpath := make([]float64, 0, t.p)
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, qpath, cc, &out, &s)
+	t.rangeNode(t.root, q, r, a.Shrink(r), qpath, cc, &a, &out, &s)
 	if cc != nil {
 		t.cas.Put(cc)
 	}
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, qpath []float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
-	if n == nil {
+// rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
+// (== r when exact) decides every prune and filter.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+	if n == nil || a.Stop() {
 		return
 	}
 	s.NodesVisited++
 	t.TraceNode(n.isLeaf())
 	dq := make([]float64, len(n.vantages))
 	for j, v := range n.vantages {
+		if !a.Pay(1) {
+			return
+		}
 		dq[j] = t.dist.Distance(q, v)
 		if cc != nil && n.casV != nil && n.casV[j] != 0 && cc.Wants() {
 			cc.Register(n.casV[j]-1, dq[j]) // already exact; free to share
@@ -441,7 +463,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, qpath []float64, cc *cas
 		for i, it := range n.items {
 			s.Candidates++
 			for j := range n.dists {
-				if d := n.dists[j][i]; d < dq[j]-r || d > dq[j]+r {
+				if d := n.dists[j][i]; d < dq[j]-rp || d > dq[j]+rp {
 					s.FilteredByD++
 					t.TracePrune(obs.FilterD, 1)
 					continue items
@@ -449,7 +471,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, qpath []float64, cc *cas
 			}
 			path := n.paths[i]
 			for l := 0; l < len(path) && l < len(qpath); l++ {
-				if path[l] < qpath[l]-r || path[l] > qpath[l]+r {
+				if path[l] < qpath[l]-rp || path[l] > qpath[l]+rp {
 					s.FilteredByPath++
 					t.TracePrune(obs.FilterPath, 1)
 					continue items
@@ -458,10 +480,14 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, qpath []float64, cc *cas
 			// Last chance to skip the real computation: the cascade's
 			// registered-pivot lower bound.
 			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > r {
+				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
 					filtered++
 					continue items
 				}
+			}
+			if !a.Pay(1) {
+				s.Candidates-- // not considered: the budget stopped the scan first
+				break
 			}
 			s.Computed++
 			t.TraceDistance(1)
@@ -478,32 +504,34 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, qpath []float64, cc *cas
 		}
 		return
 	}
-	t.rangeSplit(n.top, q, r, dq, qpath, cc, out, s)
+	t.rangeSplit(n.top, q, r, rp, dq, qpath, cc, a, out, s)
 }
 
-func (t *Tree[T]) rangeSplit(sp *split[T], q T, r float64, dq, qpath []float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeSplit(sp *split[T], q T, r, rp float64, dq, qpath []float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
 	d := dq[sp.level]
 	count := len(sp.cutoffs) + 1
 	for g := 0; g < count; g++ {
+		if a.Stop() {
+			return
+		}
 		lo, hi := shellBounds(sp.cutoffs, g)
-		if d+r < lo || d-r > hi {
+		if d+rp < lo || d-rp > hi {
 			s.ShellsPruned++
 			t.TracePrune(obs.FilterShell, 1)
 			continue
 		}
 		if sp.subs != nil {
-			t.rangeSplit(sp.subs[g], q, r, dq, qpath, cc, out, s)
+			t.rangeSplit(sp.subs[g], q, r, rp, dq, qpath, cc, a, out, s)
 		} else if sp.children[g] != nil {
-			t.rangeNode(sp.children[g], q, r, qpath, cc, out, s)
+			t.rangeNode(sp.children[g], q, r, rp, qpath, cc, a, out, s)
 		}
 	}
 }
 
 // KNN returns the k nearest indexed items by best-first traversal. It
-// delegates to KNNWithStats (single traversal implementation).
+// is KNNWithStats without the stats (single traversal implementation).
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
 // KNNWithStats is KNN plus the per-query filtering breakdown. Leaf
@@ -512,13 +540,25 @@ func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
 // tightens the bound past the acceptance threshold on its own
 // (FilteredByPath). The accept/reject outcome is identical either way —
 // the final bound is the same maximum.
+// (Not through Search, which reads k <= 0 as a range request.)
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+// knn is the one best-first kNN traversal: subtrees and leaf candidates
+// are discarded once their lower bound reaches τ/(1+ε) while the heap
+// keeps accepting against the full τ, the budget is debited before
+// every computation, and patience stops the search after the
+// configured number of consecutive leaves that fail to tighten τ.
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
 	var cc *cascade.Cache
 	if t.cas != nil {
@@ -527,12 +567,14 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 	}
 	var queue heapx.NodeQueue[knnPending[T]]
 	queue.PushNode(knnPending[T]{t.root, make([]float64, 0, t.p)}, 0)
-	for {
+search:
+	for !a.Stop() {
 		pn, bound, ok := queue.PopNode()
 		if !ok {
 			break
 		}
-		if !best.Accepts(bound) {
+		tau := best.Threshold()
+		if bound >= a.Shrink(tau) {
 			break
 		}
 		n, qpath := pn.n, pn.qpath
@@ -540,6 +582,9 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		t.TraceNode(n.isLeaf())
 		dq := make([]float64, len(n.vantages))
 		for j, v := range n.vantages {
+			if !a.Pay(1) {
+				break search
+			}
 			dq[j] = t.dist.Distance(q, v)
 			if cc != nil && n.casV != nil && n.casV[j] != 0 && cc.Wants() {
 				cc.Register(n.casV[j]-1, dq[j]) // already exact; free to share
@@ -571,7 +616,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 						lbD = b
 					}
 				}
-				if !best.Accepts(lbD) {
+				tauP := a.Shrink(best.Threshold())
+				if lbD >= tauP {
 					s.FilteredByD++
 					t.TracePrune(obs.FilterD, 1)
 					continue
@@ -583,19 +629,23 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 						lb = b
 					}
 				}
-				if !best.Accepts(lb) {
+				if lb >= tauP {
 					s.FilteredByPath++
 					t.TracePrune(obs.FilterPath, 1)
 					continue
 				}
-				// Last chance to skip the real computation: a cascade
-				// lower bound the heap would reject proves the push
-				// below would be rejected too.
+				// Last chance to skip the real computation: with ε = 0 a
+				// cascade lower bound the heap would reject proves the
+				// push below would be rejected too.
 				if useCas {
-					if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) {
+					if clb := cas.LowerBound(cc, base+int32(i)); clb >= tauP {
 						filtered++
 						continue
 					}
+				}
+				if !a.Pay(1) {
+					s.Candidates-- // not considered: the budget stopped the scan first
+					break
 				}
 				s.Computed++
 				t.TraceDistance(1)
@@ -607,14 +657,16 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 				s.FilteredByCascade += filtered
 				t.TracePrune(obs.FilterCascade, filtered)
 			}
+			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
-		t.knnSplit(n.top, dq, qpath, bound, best, &queue, &s)
+		t.knnSplit(n.top, dq, qpath, bound, a.Shrink(best.Threshold()), &queue, &s)
 	}
 	out := best.Sorted()
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }
 
 // knnPending is one enqueued subtree in the best-first kNN traversal.
@@ -624,9 +676,10 @@ type knnPending[T any] struct {
 }
 
 // knnSplit walks a cascade accumulating interval-gap lower bounds and
-// enqueues surviving child nodes.
-func (t *Tree[T]) knnSplit(sp *split[T], dq, qpath []float64, bound float64,
-	best *heapx.KBest[T], queue *heapx.NodeQueue[knnPending[T]], s *SearchStats) {
+// enqueues surviving child nodes. tauP is the prune threshold τ/(1+ε);
+// nothing is pushed onto the heap during the walk, so it is fixed.
+func (t *Tree[T]) knnSplit(sp *split[T], dq, qpath []float64, bound, tauP float64,
+	queue *heapx.NodeQueue[knnPending[T]], s *SearchStats) {
 	d := dq[sp.level]
 	count := len(sp.cutoffs) + 1
 	for g := 0; g < count; g++ {
@@ -642,13 +695,13 @@ func (t *Tree[T]) knnSplit(sp *split[T], dq, qpath []float64, bound float64,
 				lb = gap
 			}
 		}
-		if !best.Accepts(lb) {
+		if lb >= tauP {
 			s.ShellsPruned++
 			t.TracePrune(obs.FilterShell, 1)
 			continue
 		}
 		if sp.subs != nil {
-			t.knnSplit(sp.subs[g], dq, qpath, lb, best, queue, s)
+			t.knnSplit(sp.subs[g], dq, qpath, lb, tauP, queue, s)
 		} else if sp.children[g] != nil {
 			queue.PushNode(knnPending[T]{sp.children[g], qpath}, lb)
 		}

@@ -307,39 +307,61 @@ func (t *Tree[T]) BuildCost() int64 { return t.buildStats.Distances }
 // BuildStats reports the full construction report.
 func (t *Tree[T]) BuildStats() build.Stats { return t.buildStats }
 
-// Range returns every indexed item within distance r of q, following
-// [Bri95]'s search: split points are consumed one at a time and each
-// distance prunes sibling datasets through the stored ranges.
-func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): one
+// range traversal and one best-first kNN traversal, each threaded with
+// the request's index.Approx (inert at zero options, so the cascade
+// serves every mode). Workers and Bound are ignored.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
 }
 
-// RangeWithStats is Range plus the per-query breakdown. It is the only
-// range traversal implementation — Range delegates here.
+// Range returns every indexed item within distance r of q, following
+// [Bri95]'s search: split points are consumed one at a time and each
+// distance prunes sibling datasets through the stored ranges. It is a
+// wrapper over Search, so there is exactly one traversal implementation.
+func (t *Tree[T]) Range(q T, r float64) []T {
+	return t.Search(index.RangeQuery(q, r)).Items
+}
+
+// RangeWithStats is Range plus the per-query breakdown.
 func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	var out []T
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, cc, &out, &s)
+	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
 	if cc != nil {
 		t.cas.Put(cc)
 	}
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *[]T, s *SearchStats) {
-	if n == nil {
+// rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
+// (== r when exact) decides every prune — a dataset is killed as soon
+// as it provably contains nothing within rp of q.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+	if n == nil || a.Stop() {
 		return
 	}
 	s.NodesVisited++
@@ -352,10 +374,14 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 		for i, it := range n.items {
 			s.Candidates++
 			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > r {
+				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
 					filtered++
 					continue
 				}
+			}
+			if !a.Pay(1) {
+				s.Candidates-- // not considered: the budget stopped the scan first
+				break
 			}
 			s.Computed++
 			t.TraceDistance(1)
@@ -391,6 +417,9 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 			break
 		}
 		visited[i] = true
+		if !a.Pay(1) {
+			return
+		}
 		d := t.dist.Distance(q, n.splits[i])
 		if cc != nil && n.casS != nil && n.casS[i] != 0 && cc.Wants() {
 			cc.Register(n.casS[i]-1, d) // already exact; free to share
@@ -404,7 +433,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 			if !alive[j] {
 				continue
 			}
-			if d+r < n.lo[i][j] || d-r > n.hi[i][j] {
+			if d+rp < n.lo[i][j] || d-rp > n.hi[i][j] {
 				alive[j] = false
 				s.ShellsPruned++
 				t.TracePrune(obs.FilterShell, 1)
@@ -413,7 +442,10 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 	}
 	for j := 0; j < k; j++ {
 		if alive[j] {
-			t.rangeNode(n.children[j], q, r, cc, out, s)
+			t.rangeNode(n.children[j], q, r, rp, cc, a, out, s)
+			if a.Stop() {
+				return
+			}
 		}
 	}
 }
@@ -422,19 +454,30 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, cc *cascade.Cache, out *
 // lower bound of a child dataset is the tightest interval gap over all
 // split points whose query distance was computed.
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
-// KNNWithStats is KNN plus the per-query breakdown. It is the only
-// best-first kNN traversal implementation — KNN delegates here.
+// KNNWithStats is KNN plus the per-query breakdown (not through
+// Search, which reads k <= 0 as a range request).
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+// knn is the only best-first kNN traversal implementation: child
+// datasets and candidates are discarded once their lower bound reaches
+// τ/(1+ε) while the heap keeps accepting against the full τ, the budget
+// is debited before every computation, and patience stops the search
+// after the configured number of consecutive leaves that fail to
+// tighten τ.
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
+	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
 	var cc *cascade.Cache
 	if t.cas != nil {
@@ -443,12 +486,14 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
-	for {
+search:
+	for !a.Stop() {
 		n, bound, ok := queue.PopNode()
 		if !ok {
 			break
 		}
-		if !best.Accepts(bound) {
+		tau := best.Threshold()
+		if bound >= a.Shrink(tau) {
 			break
 		}
 		s.NodesVisited++
@@ -461,13 +506,18 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			for i, it := range n.items {
 				s.Candidates++
 				if useCas {
-					// A candidate whose lower bound the heap would
-					// reject cannot change the result set: the bounded
-					// kernel below would return a value ≥ the bound.
-					if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) {
+					// With ε = 0 a candidate whose lower bound the heap
+					// would reject cannot change the result set: the
+					// bounded kernel below would return a value ≥ the
+					// bound.
+					if clb := cas.LowerBound(cc, base+int32(i)); clb >= a.Shrink(best.Threshold()) {
 						filtered++
 						continue
 					}
+				}
+				if !a.Pay(1) {
+					s.Candidates-- // not considered: the budget stopped the scan first
+					break
 				}
 				s.Computed++
 				t.TraceDistance(1)
@@ -479,6 +529,7 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 				s.FilteredByCascade += filtered
 				t.TracePrune(obs.FilterCascade, filtered)
 			}
+			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		nk := len(n.splits)
@@ -487,6 +538,9 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 			lbs[j] = bound
 		}
 		for i := 0; i < nk; i++ {
+			if !a.Pay(1) {
+				break search
+			}
 			d := t.dist.Distance(q, n.splits[i])
 			if cc != nil && n.casS != nil && n.casS[i] != 0 && cc.Wants() {
 				cc.Register(n.casS[i]-1, d) // already exact; free to share
@@ -507,11 +561,12 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 				}
 			}
 		}
+		tauP := a.Shrink(best.Threshold())
 		for j := 0; j < nk; j++ {
 			if n.children[j] == nil {
 				continue
 			}
-			if best.Accepts(lbs[j]) {
+			if lbs[j] < tauP {
 				queue.PushNode(n.children[j], lbs[j])
 			} else {
 				s.ShellsPruned++
@@ -520,7 +575,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		}
 	}
 	out := best.Sorted()
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }

@@ -1,11 +1,14 @@
 package index
 
-// Approx is the per-query state an approximate/budgeted traversal
-// threads through its recursion: the (1+ε) prune scale, the remaining
-// distance budget, and the kNN patience counter. Structures construct
-// one with StartApprox, consult Shrink/Scale for every prune decision,
-// call Pay before every distance computation, poll Stop at loop heads,
-// and stamp the outcome into the query's SearchStats with Finish.
+// Approx is the per-query state every traversal threads through its
+// recursion: the (1+ε) prune scale, the remaining distance budget, and
+// the kNN patience counter. Structures construct one with StartApprox,
+// consult Shrink for every prune decision, call Pay before every
+// distance computation, poll Stop at loop heads, and stamp the outcome
+// into the query's SearchStats with Finish. Compiled from zero-valued
+// SearchOptions it is inert — Shrink(r) is r·1, Pay always succeeds,
+// Stop never fires, Finish sets no flag — so the exact query is the
+// same code with nothing switched on, not a second traversal.
 //
 // The discipline that keeps budget accounting exact (Distances() ==
 // Counter delta even on budget-terminated queries): Pay debits the
@@ -17,11 +20,18 @@ type Approx struct {
 	scale     float64 // 1/(1+ε); 1 when exact
 	remaining int64
 	limited   bool
-	exhausted bool
-	patience  int // configured leaf patience; 0 = disabled
-	calm      int // consecutive non-improving leaves
-	bored     bool
+	stopped   stopReason // zero while the traversal may continue: Stop is one load
+	patience  int        // configured leaf patience; 0 = disabled
+	calm      int        // consecutive non-improving leaves
 }
+
+// stopReason records why a traversal must unwind.
+type stopReason uint8
+
+const (
+	exhausted stopReason = 1 << iota // the budget could not pay for a computation
+	bored                            // kNN patience fired
+)
 
 // StartApprox compiles SearchOptions into traversal state.
 func StartApprox(o SearchOptions) Approx {
@@ -49,8 +59,8 @@ func (a *Approx) Pay(n int) bool {
 	if !a.limited {
 		return true
 	}
-	if a.exhausted || a.remaining < int64(n) {
-		a.exhausted = true
+	if a.stopped&exhausted != 0 || a.remaining < int64(n) {
+		a.stopped |= exhausted
 		return false
 	}
 	a.remaining -= int64(n)
@@ -59,7 +69,7 @@ func (a *Approx) Pay(n int) bool {
 
 // Stop reports whether the traversal must unwind now — the budget ran
 // out or kNN patience fired. Poll it at loop and recursion heads.
-func (a *Approx) Stop() bool { return a.exhausted || a.bored }
+func (a *Approx) Stop() bool { return a.stopped != 0 }
 
 // LeafDone records one processed kNN leaf (or candidate, for
 // scan-shaped structures). improved says whether the k-th-best
@@ -74,7 +84,7 @@ func (a *Approx) LeafDone(improved, full bool) {
 		return
 	}
 	if a.calm++; a.calm >= a.patience {
-		a.bored = true
+		a.stopped |= bored
 	}
 }
 
@@ -82,10 +92,10 @@ func (a *Approx) LeafDone(improved, full bool) {
 // budget cut the traversal short, and Approximated whenever the answer
 // is not certified exact (ε slack, exhausted budget, or patience).
 func (a *Approx) Finish(s *SearchStats) {
-	if a.exhausted {
+	if a.stopped&exhausted != 0 {
 		s.BudgetExhausted = 1
 	}
-	if a.scale != 1 || a.exhausted || a.bored {
+	if a.scale != 1 || a.stopped != 0 {
 		s.Approximated = 1
 	}
 }

@@ -3,10 +3,10 @@ package index
 // This file defines the unified query-options API: one request type
 // (Query + SearchOptions) consulted by every structure's single Search
 // entry point. Search and SearchBatch are the only query surface one
-// layer calls on another; intra-query parallel range and externally
-// bounded kNN are reachable only through Opts.Workers and Opts.Bound.
-// The StatsIndex methods (Range/KNN and their WithStats forms) remain
-// for direct callers and answer exactly what a zero-options Search does.
+// layer calls on another; externally bounded kNN is reachable only
+// through Opts.Bound. The StatsIndex methods (Range/KNN and their
+// WithStats forms) remain for direct callers as wrappers over the same
+// traversal and answer exactly what a zero-options Search does.
 //
 // The options cover three approximation axes on top of the exact knobs:
 //
@@ -26,9 +26,11 @@ package index
 //     scan-shaped structures) that fail to tighten the k-th-best
 //     distance.
 //
-// A query with all three at their zero values is exact: it runs the
-// same code path as the legacy methods and is byte-identical to them
-// in results, order, and distance counts.
+// Each structure has one range traversal and one kNN traversal, and
+// the knobs only change the number in its pruning rule (see Approx): a
+// query with all three at their zero values is exact, and everything
+// that accelerates an exact query — the bound cascade, the quantized
+// pre-filter, Bound, pooled scratch — serves an approximate one too.
 type SearchOptions struct {
 	// Epsilon is the (1+ε) approximation slack. 0 means exact.
 	// Negative values are treated as 0.
@@ -42,23 +44,23 @@ type SearchOptions struct {
 	// non-improving leaves once k candidates are held. 0 disables.
 	Patience int
 
-	// Workers requests an intra-query parallel traversal where the
-	// structure supports one (mvp, vptree and the sharded index; values
-	// <= 1 run sequentially). Results, order, SearchStats and distance
-	// counts are identical at every value. Honored only on exact range
-	// queries — the parallel planner does not thread approximation
-	// state — and ignored on kNN.
+	// Workers is the sharded index's fan-out width: a range query (or
+	// an approximate kNN query) is answered by up to this many
+	// goroutines, one shard per task (values <= 1 run sequentially).
+	// Results, order, SearchStats and distance counts are identical at
+	// every value. Single structures ignore it, as does sharded exact
+	// kNN (a sequential carried-τ walk).
 	Workers int
 
 	// Bound is an optional external kNN pruning bound (cross-shard τ
-	// sharing). Honored by mvp and vptree on exact kNN queries;
-	// approximate traversals and every other structure ignore it.
+	// sharing). Honored by mvp and vptree on every kNN query, exact or
+	// approximate; every other structure ignores it.
 	Bound KNNBound
 }
 
-// Approximate reports whether any approximation knob is active — i.e.
-// whether the query must run the approximate traversal rather than the
-// exact one.
+// Approximate reports whether any approximation knob is active, i.e.
+// whether the answer may differ from the exact one. Batching layers use
+// it to keep such queries out of a shared traversal.
 func (o SearchOptions) Approximate() bool {
 	return o.Epsilon > 0 || o.Budget > 0 || o.Patience > 0
 }
@@ -117,9 +119,9 @@ func (r Result[T]) Exact() bool { return r.Stats.Approximated == 0 }
 type Searcher[T any] interface {
 	StatsIndex[T]
 
-	// Search answers req. With zero-valued SearchOptions it is
-	// byte-identical — results, order, and distance counts — to
-	// RangeWithStats / KNNWithStats.
+	// Search answers req. RangeWithStats / KNNWithStats are wrappers
+	// over the same traversal, so with zero-valued SearchOptions the
+	// three agree in results, order, and distance counts.
 	Search(req Query[T]) Result[T]
 }
 
@@ -136,9 +138,8 @@ type BatchSearcher[T any] interface {
 	// order, SearchStats, and the structure's Counter delta — is
 	// byte-identical to what Search(reqs[i]) produces, at every batch
 	// size; batching changes memory traffic, never answers. Queries the
-	// shared traversal does not batch (kNN, approximate modes,
-	// intra-query parallel requests) are answered by per-query Search
-	// calls inside the same invocation.
+	// shared traversal does not batch (kNN, approximate modes) are
+	// answered by per-query Search calls inside the same invocation.
 	SearchBatch(reqs []Query[T], results []Result[T])
 }
 

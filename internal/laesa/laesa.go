@@ -150,41 +150,79 @@ func (t *Table[T]) BuildCost() int64 { return t.buildStats.Distances }
 func (t *Table[T]) BuildStats() build.Stats { return t.buildStats }
 
 // queryPivots fills a pooled cascade.Cache with the query's exact
-// distances to all pivots. The caller must return the cache with
+// distances to the pivots — all of them, or as many as the budget
+// allows: a cache with fewer registered pivots yields looser but still
+// valid lower bounds. The caller must return the cache with
 // t.filter.Put when the scan finishes.
-func (t *Table[T]) queryPivots(q T) *cascade.Cache {
+func (t *Table[T]) queryPivots(q T, a *index.Approx) *cascade.Cache {
 	c := t.filter.Get()
 	for j := 0; j < t.filter.Pivots(); j++ {
+		if !a.Pay(1) {
+			break
+		}
 		c.Register(int32(j), t.dist.Distance(q, t.filter.Pivot(j)))
 	}
 	return c
 }
 
-// Range returns every indexed item within distance r of q. It delegates
-// to RangeWithStats so there is exactly one scan implementation.
+var _ index.Searcher[int] = (*Table[int])(nil)
+
+// Search is the table's one query implementation (index.Searcher): a
+// single range scan and a single bound-ordered kNN scan, each threaded
+// with the request's index.Approx. Zero-valued SearchOptions are the
+// exact query; Epsilon, Budget and Patience only change the number in
+// the filtering rule — the lower-bound filter compares against the
+// shrunken threshold, acceptance against the full one, Pay precedes
+// every distance computation (pivot distances included). Workers and
+// Bound are not supported by this structure and are ignored.
+func (t *Table[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
+// Range returns every indexed item within distance r of q. It is a
+// wrapper over Search, so there is exactly one scan implementation.
 func (t *Table[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus the per-query breakdown.
 func (t *Table[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+// rangeSearch filters against rp = r/(1+ε) (== r when exact) while
+// acceptance keeps the full r: every reported item is within r and
+// every item within rp is reported.
+func (t *Table[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 || len(t.items) == 0 {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
-	c := t.queryPivots(q)
+	a := index.StartApprox(o)
+	rp := a.Shrink(r)
+	c := t.queryPivots(q, &a)
 	s.VantagePoints = c.Registered()
 	t.TraceDistance(c.Registered())
 	var out []T
 	for i, it := range t.items {
+		if a.Stop() {
+			break
+		}
 		s.Candidates++
-		if t.filter.LowerBound(c, int32(i)) > r {
+		if t.filter.LowerBound(c, int32(i)) > rp {
 			s.FilteredByD++
 			t.TracePrune(obs.FilterD, 1)
 			continue
+		}
+		if !a.Pay(1) {
+			s.Candidates-- // not considered: the budget stopped the scan first
+			break
 		}
 		s.Computed++
 		t.TraceDistance(1)
@@ -196,31 +234,42 @@ func (t *Table[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
 		}
 	}
 	t.filter.Put(c)
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
 // KNN returns the k nearest indexed items: candidates are visited in
 // ascending lower-bound order and the scan stops as soon as the next
-// lower bound cannot beat the current k-th distance. It delegates to
-// KNNWithStats (single scan implementation).
+// lower bound cannot beat the current k-th distance. It is KNNWithStats
+// without the stats (single scan implementation).
 func (t *Table[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
 // KNNWithStats is KNN plus the per-query breakdown. Items never popped
 // (or popped after the bound closed) count as FilteredByD: the pivot
 // lower bound excluded them without a real distance computation.
+// (Not through Search, which reads k <= 0 as a range request.)
 func (t *Table[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+// knn visits candidates in ascending lower-bound order and stops once
+// the next bound reaches τ/(1+ε), the budget runs out, or patience sees
+// the configured number of consecutive candidates that fail to tighten
+// τ.
+func (t *Table[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || len(t.items) == 0 {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
-	c := t.queryPivots(q)
+	a := index.StartApprox(o)
+	c := t.queryPivots(q, &a)
 	s.VantagePoints = c.Registered()
 	t.TraceDistance(c.Registered())
 	var queue heapx.NodeQueue[int]
@@ -229,16 +278,18 @@ func (t *Table[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 	}
 	t.filter.Put(c)
 	best := heapx.NewKBest[T](k)
-	for {
+	for !a.Stop() {
 		i, lb, ok := queue.PopNode()
-		if !ok || !best.Accepts(lb) {
+		tau := best.Threshold()
+		if !ok || lb >= a.Shrink(tau) || !a.Pay(1) {
 			break
 		}
 		s.Computed++
 		t.TraceDistance(1)
 		// Push ignores anything ≥ the current k-th best, so the kernel
 		// may abandon at τ (exact while the heap is still filling).
-		best.Push(t.items[i], t.dist.DistanceUpTo(q, t.items[i], best.Threshold()))
+		best.Push(t.items[i], t.dist.DistanceUpTo(q, t.items[i], tau))
+		a.LeafDone(best.Threshold() < tau, best.Full())
 	}
 	s.Candidates = len(t.items)
 	s.FilteredByD = s.Candidates - s.Computed
@@ -246,7 +297,8 @@ func (t *Table[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 		t.TracePrune(obs.FilterD, s.FilteredByD)
 	}
 	out := best.Sorted()
+	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }

@@ -29,8 +29,6 @@ type Scan[T any] struct {
 	qcodes []byte
 }
 
-var _ index.StatsIndex[int] = (*Scan[int])(nil)
-
 // New returns a Scan over items measuring distances through dist. The
 // item slice is copied.
 func New[T any](items []T, dist *metric.Counter[T]) *Scan[T] {
@@ -49,23 +47,47 @@ func (s *Scan[T]) Counter() *metric.Counter[T] { return s.dist }
 // scan's counter, the paper's cost metric.
 func (s *Scan[T]) DistanceCount() int64 { return s.dist.Count() }
 
+var _ index.Searcher[int] = (*Scan[int])(nil)
+
+// Search is the scan's one query implementation (index.Searcher). A
+// scan has no pruning, so Epsilon changes nothing here beyond flagging
+// the answer; Budget truncates the scan after the allowed number of
+// computations and Patience stops kNN after the configured number of
+// consecutive non-improving candidates. The quantized pre-filter
+// serves every query: a skipped evaluation is paid for like the kernel
+// call it replaces. Workers and Bound are ignored.
+func (s *Scan[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return s.knn(req.Point, req.K, req.Opts)
+	}
+	return s.rangeScan(req.Point, req.Radius, req.Opts)
+}
+
 // Range returns every item within distance r of q, computing exactly
-// Len() distances. It delegates to RangeWithStats.
+// Len() distances. It is a wrapper over Search.
 func (s *Scan[T]) Range(q T, r float64) []T {
-	out, _ := s.RangeWithStats(q, r)
-	return out
+	return s.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus the trivial breakdown of a scan: every
 // item is a candidate and every candidate is computed.
 func (s *Scan[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
+	res := s.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (s *Scan[T]) rangeScan(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := s.StartQuery(obs.KindRange)
 	var st index.SearchStats
+	a := index.StartApprox(o)
 	var out []T
 	qp := s.prepareQuant(q)
 	qset, qcodes := s.qset, s.qcodes
 	filteredQuant := 0
 	for i, it := range s.items {
+		if !a.Pay(1) {
+			break
+		}
 		st.Candidates++
 		st.Computed++
 		s.TraceDistance(1)
@@ -85,31 +107,41 @@ func (s *Scan[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
 		s.TracePrune(obs.FilterQuantized, filteredQuant)
 	}
 	s.releaseQuant(qp, filteredQuant)
+	a.Finish(&st)
 	st.Results = len(out)
 	span.Done(&st)
-	return out, st
+	return index.Result[T]{Items: out, Stats: st}
 }
 
 // KNN returns the k items nearest to q in ascending distance order. It
-// delegates to KNNWithStats.
+// is KNNWithStats without the stats.
 func (s *Scan[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := s.KNNWithStats(q, k)
-	return out
+	return s.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
-// KNNWithStats is KNN plus the trivial breakdown of a scan.
+// KNNWithStats is KNN plus the trivial breakdown of a scan (not through
+// Search, which reads k <= 0 as a range request).
 func (s *Scan[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchStats) {
+	res := s.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
+}
+
+func (s *Scan[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := s.StartQuery(obs.KindKNN)
 	var st index.SearchStats
 	if k <= 0 || len(s.items) == 0 {
 		span.Done(&st)
-		return nil, st
+		return index.Result[T]{Stats: st}
 	}
+	a := index.StartApprox(o)
 	qp := s.prepareQuant(q)
 	qset, qcodes := s.qset, s.qcodes
 	filteredQuant := 0
 	h := heapx.NewKBest[T](k)
 	for i, it := range s.items {
+		if a.Stop() || !a.Pay(1) {
+			break
+		}
 		st.Candidates++
 		st.Computed++
 		s.TraceDistance(1)
@@ -119,18 +151,21 @@ func (s *Scan[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchSta
 		if qp != nil && qset.PruneAt(qp, qcodes, i, tau) {
 			s.dist.Add(1)
 			filteredQuant++
-			continue
+		} else {
+			// Push ignores anything ≥ the current k-th best, so the
+			// kernel may abandon at τ (exact while the heap is still
+			// filling).
+			h.Push(it, s.dist.DistanceUpTo(q, it, tau))
 		}
-		// Push ignores anything ≥ the current k-th best, so the kernel
-		// may abandon at τ (exact while the heap is still filling).
-		h.Push(it, s.dist.DistanceUpTo(q, it, tau))
+		a.LeafDone(h.Threshold() < tau, h.Full())
 	}
 	if filteredQuant > 0 {
 		s.TracePrune(obs.FilterQuantized, filteredQuant)
 	}
 	s.releaseQuant(qp, filteredQuant)
 	out := h.Sorted()
+	a.Finish(&st)
 	st.Results = len(out)
 	span.Done(&st)
-	return out, st
+	return index.Result[T]{Neighbors: out, Stats: st}
 }

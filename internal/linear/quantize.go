@@ -25,7 +25,7 @@ import (
 // kernel registered a quantized lower-bound shape
 // (metric.RegisterQuantized); any other scan, and any dataset
 // quant.Build rejects, is left unfiltered silently. mode Off tears the
-// filter down. The approximate Search paths do not consult the filter.
+// filter down.
 //
 // EnableQuantize is not synchronized with in-flight queries: arm the
 // filter before serving.

@@ -23,10 +23,9 @@ package mvp
 //     metric.BlockDistanceFunc), so no traversal decision can differ.
 //
 // Queries the shared traversal does not batch — kNN (best-first pops
-// diverge per query, so there is no traversal to share), approximate
-// modes (Epsilon/Budget/Patience) and intra-query parallel requests
-// (Workers > 1) — are answered by per-query Search calls inside the
-// same invocation, which is trivially byte-identical.
+// diverge per query, so there is no traversal to share) and approximate
+// modes (Epsilon/Budget/Patience) — are answered by per-query Search
+// calls inside the same invocation, which is trivially byte-identical.
 
 import (
 	"math"
@@ -199,7 +198,7 @@ func (t *Tree[T]) prepareQuantSlot(bs *batchScratch[T], i int, q T) {
 // SearchBatch answers reqs[i] into results[i] with one shared traversal
 // per query group (index.BatchSearcher). It panics unless len(results)
 // == len(reqs). Exact range queries share one DFS and everything else
-// (kNN, approximate, Workers > 1) goes to per-query Search within the
+// (kNN, approximate) goes to per-query Search within the
 // same call; every results[i] is byte-identical to Search(reqs[i]).
 //
 // SearchBatch is safe to call concurrently with itself and with Search;
@@ -222,7 +221,7 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	bs := t.getBatchScratch(len(reqs))
 	for i := range reqs {
 		req := &reqs[i]
-		if req.K > 0 || req.Opts.Approximate() || req.Opts.Workers > 1 {
+		if req.K > 0 || req.Opts.Approximate() {
 			results[i] = t.Search(*req)
 			continue
 		}

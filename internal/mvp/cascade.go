@@ -22,9 +22,9 @@ import "mvptree/internal/cascade"
 //
 // EnableCascade is not synchronized with in-flight queries: enable the
 // cascade before serving. The cascade state is not serialized by Save;
-// re-enable after Load. Intra-query parallel range (Opts.Workers > 1)
-// does not consult the cascade — its per-query cache is single-owner —
-// so its results stay identical at every worker count.
+// re-enable after Load. Every Search consults it, approximate and
+// budgeted ones included (their leaf filter compares the bound against
+// the shrunken threshold).
 func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	if t.root == nil {
 		return nil

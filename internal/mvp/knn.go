@@ -13,12 +13,9 @@ import (
 // over vp-tree-style structures follows [Chi94]; the paper lists kNN as
 // a straightforward variation of the near-neighbor query.)
 //
-// KNN delegates to KNNWithStats so there is exactly one traversal
-// implementation; the two are guaranteed to agree in both results and
-// distance computations.
+// KNN is KNNWithStats without the stats: one traversal implementation.
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }
 
 func abs(x float64) float64 {

@@ -13,24 +13,33 @@ import (
 // RangeWithStats reports: how many leaf candidates the stored D1/D2
 // distances excluded on their own, how many additionally needed a PATH
 // entry, and how many real distance computations remained.
-//
-// The traversal state (node queue, k-best heap, query-PATH arena) is
-// pooled on the tree, and every threshold-only distance computation
-// goes through the metric's early-abandoning fast path with τ — the
-// current k-th best distance, +Inf until the heap fills — in the role
-// the radius plays for Range. Steady state allocates nothing but the
-// result slice, and results, distance counts and stats are identical to
-// the exact-kernel traversal.
+// (Not through Search, which reads k <= 0 as a range request.)
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
-	return t.knnBound(q, k, nil)
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
 }
 
-// knnBound is KNNWithStats with an optional external pruning bound
-// (index.KNNBound, reached through Search with Opts.Bound), the hook
-// the sharded index uses to share the shrinking k-th-best distance
-// across shards. With ext == nil the
-// traversal, results, distance counts and stats are exactly those of
-// KNNWithStats. With a bound attached, every pruning and abandonment
+// knn is the tree's one best-first kNN traversal, reached through
+// Search. The traversal state (node queue, k-best heap, query-PATH
+// arena) is pooled on the tree, and every threshold-only distance
+// computation goes through the metric's early-abandoning fast path with
+// τ — the current k-th best distance, +Inf until the heap fills — in
+// the role the radius plays for Range. Steady state allocates nothing
+// but the result slice, and results, distance counts and stats are
+// identical to the exact-kernel traversal.
+//
+// The approximation knobs only move the number in the pruning rule:
+// subtrees and leaf candidates are discarded once their lower bound
+// reaches τ/(1+ε) (so each returned distance is within (1+ε) of the
+// true i-th nearest) while the heap keeps accepting against the full
+// τ; the budget is debited before every computation (anytime: the heap
+// always holds the best candidates seen so far); and patience stops the
+// search after the configured number of consecutive leaves that fail
+// to tighten τ. With zero options all three are inert.
+//
+// o.Bound is an optional external pruning bound (index.KNNBound), the
+// hook the sharded index uses to share the shrinking k-th-best distance
+// across shards. With a bound attached, every pruning and abandonment
 // decision consults τ′ = min(τ_local, ext.Tau()), the search publishes
 // its own tightening threshold back through ext.Publish, and any
 // candidate certified to exceed the external bound is discarded — it
@@ -39,14 +48,15 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 // contract permits). Consequently the returned list may be shorter
 // than k; it always contains every indexed item whose distance is
 // strictly below the external bound's final value, k best at most.
-func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T], SearchStats) {
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
-	sc := t.getScratch()
+	sc := t.getScratch(o)
+	a, ext := &sc.ap, o.Bound
 	t.prepareQuant(sc, q)
 	if sc.best == nil {
 		sc.best = heapx.NewKBest[T](k)
@@ -59,7 +69,7 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 		cc = t.cas.Get()
 	}
 	queue.PushNode(pendingRef[T]{n: t.root}, 0)
-	for {
+	for !a.Stop() {
 		pn, bound, ok := queue.PopNode()
 		if !ok {
 			break
@@ -74,7 +84,7 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 				tau = e
 			}
 		}
-		if bound >= tau {
+		if bound >= a.Shrink(tau) {
 			break
 		}
 		n := pn.n
@@ -82,8 +92,12 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 		t.TraceNode(n.isLeaf())
 		if n.isLeaf() {
 			s.LeavesVisited++
-			t.knnLeafStats(n, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
+			t.knnLeaf(n, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
+			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
+		}
+		if !a.Pay(2) {
+			break
 		}
 		// Stamped cascade pivots are computed exactly while the cache
 		// still wants registrations (an exact value is a valid bounded
@@ -152,10 +166,13 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 			}
 			off, plen = noff, int32(len(sc.arena))-noff
 		}
+		// No push happens below, so the prune threshold — the shrunken
+		// τ′ — is fixed for the whole child loop.
+		tauP := a.Shrink(min(best.Threshold(), extTau))
 		for g, row := range n.children {
 			lo1, hi1 := shellBounds(n.cut1, g)
 			lb1 := intervalGap(d1, lo1, hi1)
-			if gb := max(lb1, bound); !best.Accepts(gb) || gb >= extTau {
+			if gb := max(lb1, bound); gb >= tauP {
 				s.ShellsPruned += len(row)
 				t.TracePrune(obs.FilterShell, len(row))
 				continue
@@ -166,7 +183,7 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 				}
 				lo2, hi2 := shellBounds(n.cut2[g], h)
 				lb := max(bound, lb1, intervalGap(d2, lo2, hi2))
-				if best.Accepts(lb) && lb < extTau {
+				if lb < tauP {
 					queue.PushNode(pendingRef[T]{n: c, off: off, plen: plen}, lb)
 				} else {
 					s.ShellsPruned++
@@ -180,14 +197,16 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 		t.cas.Put(cc)
 	}
 	t.finishQuant(sc)
+	a.Finish(&s)
 	t.putScratch(sc)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
 }
 
-func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
-	if !n.hasSV1 {
+func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
+	a := &sc.ap
+	if !n.hasSV1 || !a.Pay(1) {
 		return
 	}
 	extTau := math.Inf(1)
@@ -219,6 +238,10 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 	t.TraceDistance(1)
 	var d2 float64
 	if n.hasSV2 {
+		if !a.Pay(1) {
+			t.dist.Add(1)
+			return
+		}
 		b2 := min(best.Threshold(), extTau) + n.maxD2
 		if cc != nil && n.cas2 != 0 && cc.Wants() {
 			d2 = kernel(q, n.sv2, math.Inf(1))
@@ -233,9 +256,12 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 		s.VantagePoints++
 		t.TraceDistance(1)
 	}
-	// Hot candidate loop: slice headers hoisted, stage tallies kept in
-	// locals and reported once per leaf (totals identical, trace event
-	// granularity coarsens — the same batching the shell filter uses).
+	// Hot candidate loop: slice headers and the budget test hoisted,
+	// stage tallies kept in locals and reported once per leaf (totals
+	// identical, trace event granularity coarsens — the same batching
+	// the shell filter uses). cb = τ′ is the acceptance bound and
+	// tauP = τ′/(1+ε) the prune bound; both move only when a push
+	// tightens the heap, so they are re-read there and nowhere else.
 	items := n.items
 	d1s := n.d1[:len(items)] // len(d1)==len(items): lets the compiler drop the d1s[i] bounds check
 	d2s := n.d2
@@ -249,6 +275,10 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 	// joins computed, standing in for an abandoned kernel call.
 	useQuant := sc.quantOn && n.qcodes != nil
 	qset, qprep, qcodes := t.qset, &sc.qprep, n.qcodes
+	limited := sc.limited
+	cand := len(items)
+	cb := min(best.Threshold(), extTau)
+	tauP := a.Shrink(cb)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 	for i := range items {
 		// The D1/D2 bound first; a PATH entry only gets credit when it
@@ -259,7 +289,7 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 				lbD = b
 			}
 		}
-		if !best.Accepts(lbD) || lbD >= extTau {
+		if lbD >= tauP {
 			filteredD++
 			continue
 		}
@@ -273,23 +303,26 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 				lb = b
 			}
 		}
-		if !best.Accepts(lb) || lb >= extTau {
+		if lb >= tauP {
 			filteredPath++
 			continue
 		}
 		// Last filter: the cascade lower bound over the vantage
-		// distances this query registered on its way down. A bound the
-		// heap would reject (or one past the external τ) proves the
-		// true distance would be rejected too, so skipping the
-		// computation changes nothing.
+		// distances this query registered on its way down. With ε = 0 a
+		// bound the heap would reject (or one past the external τ)
+		// proves the true distance would be rejected too, so skipping
+		// the computation changes nothing.
 		if useCas {
-			if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) || clb >= extTau {
+			if clb := cas.LowerBound(cc, base+int32(i)); clb >= tauP {
 				filteredCascade++
 				continue
 			}
 		}
+		if limited && !a.Pay(1) {
+			cand = i // not considered: the budget stopped the scan first
+			break
+		}
 		computed++
-		cb := min(best.Threshold(), extTau)
 		// The quantized lower bound certifies d > cb, so the kernel call
 		// would abandon (> cb) and never push; skipping it changes no
 		// heap state, stat or count (computed was charged above).
@@ -299,13 +332,15 @@ func (t *Tree[T]) knnLeafStats(n *node[T], q T, qpath []float64, best *heapx.KBe
 		}
 		if d := kernel(q, items[i], cb); d <= cb {
 			best.Push(items[i], d)
+			cb = min(best.Threshold(), extTau)
+			tauP = a.Shrink(cb)
 		}
 	}
 	if ext != nil {
 		ext.Publish(best.Threshold())
 	}
 	t.dist.Add(int64(vantages + computed))
-	s.Candidates += len(items)
+	s.Candidates += cand
 	s.FilteredByD += filteredD
 	s.FilteredByPath += filteredPath
 	s.FilteredByCascade += filteredCascade

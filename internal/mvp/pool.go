@@ -2,6 +2,7 @@ package mvp
 
 import (
 	"mvptree/internal/heapx"
+	"mvptree/internal/index"
 	"mvptree/internal/quant"
 )
 
@@ -9,6 +10,12 @@ import (
 // the tree's sync.Pool so steady-state queries allocate nothing but the
 // result slice. Every buffer is reused at its high-water capacity.
 type queryScratch[T any] struct {
+	// ap is the query's approximation state, compiled from its
+	// SearchOptions by getScratch (exact when they are zero). limited
+	// caches "a distance budget is set" so the leaf scans test a local
+	// before calling ap.Pay per candidate.
+	ap      index.Approx
+	limited bool
 	// qpath is the recursive range search's query-PATH buffer (always
 	// capacity p; the live prefix length is threaded through the
 	// recursion). qlo/qhi hold the precomputed per-level filter windows
@@ -44,13 +51,15 @@ type pendingRef[T any] struct {
 	plen int32
 }
 
-func (t *Tree[T]) getScratch() *queryScratch[T] {
+func (t *Tree[T]) getScratch(o index.SearchOptions) *queryScratch[T] {
 	var sc *queryScratch[T]
 	if v := t.scratch.Get(); v != nil {
 		sc = v.(*queryScratch[T])
 	} else {
 		sc = &queryScratch[T]{}
 	}
+	sc.ap = index.StartApprox(o)
+	sc.limited = o.Budget > 0
 	// The range recursion writes qpath[plen] directly, so the buffers
 	// are kept at their full length (p entries) up front.
 	if len(sc.qpath) < t.p {

@@ -30,8 +30,9 @@ import (
 //
 // EnableQuantize is not synchronized with in-flight queries: arm the
 // filter before serving. The arenas are not serialized by Save;
-// re-enable after Load. Intra-query parallel range (Opts.Workers > 1)
-// and the approximate/budgeted search modes do not consult the filter.
+// re-enable after Load. Every Search consults the filter, approximate
+// and budgeted ones included: a skipped evaluation is debited from the
+// budget like the kernel call it replaces.
 func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	if mode == quant.Off {
 		t.disableQuantize()

@@ -130,9 +130,9 @@ func TestQuantizeEquivalence(t *testing.T) {
 // pruneTracer tallies FilterQuantized trace events.
 type pruneTracer struct{ quantized int }
 
-func (p *pruneTracer) OnQueryStart(obs.Kind)  {}
-func (p *pruneTracer) OnNodeVisit(bool)       {}
-func (p *pruneTracer) OnDistance(int)         {}
+func (p *pruneTracer) OnQueryStart(obs.Kind)                                  {}
+func (p *pruneTracer) OnNodeVisit(bool)                                       {}
+func (p *pruneTracer) OnDistance(int)                                         {}
 func (p *pruneTracer) OnQueryDone(_ obs.Kind, _ time.Duration, _ SearchStats) {}
 func (p *pruneTracer) OnFilterPrune(f obs.Filter, n int) {
 	if f == obs.FilterQuantized {

@@ -14,6 +14,26 @@ import (
 // index.SearchStats; the alias preserves existing call sites.
 type SearchStats = index.SearchStats
 
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): a
+// single range traversal and a single best-first kNN traversal, each
+// threaded with the request's index.Approx. Zero-valued SearchOptions
+// are the exact query — Shrink(r) is r, Pay always succeeds, Stop never
+// fires — and Epsilon, Budget and Patience only change the number in
+// the pruning rule, never the rule: every prune test compares against
+// the shrunken threshold, every acceptance test against the full one,
+// and Pay precedes every distance computation. The cascade, the
+// quantized pre-filter, Opts.Bound and the pooled scratch therefore
+// serve every query, approximate or not. Opts.Workers is a sharded
+// fan-out knob and means nothing to a single tree.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
 // Range returns every indexed item within distance r of q, implementing
 // the paper's similarity-search algorithm (§4.3) generalized to m
 // partitions per vantage point. While descending, the query's own
@@ -30,45 +50,57 @@ type SearchStats = index.SearchStats
 // kernel forces exactly the decisions the exact kernel would have made;
 // results, distance counts and per-query stats are identical either way.
 func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
 // RangeWithStats is Range plus a per-query breakdown of the filtering
 // stages.
 func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
 	var out []T
-	sc := t.getScratch()
+	sc := t.getScratch(o)
 	t.prepareQuant(sc, q)
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, 0, sc, cc, &out, &s)
+	t.rangeNode(t.root, q, r, sc.ap.Shrink(r), 0, sc, cc, &out, &s)
 	if t.cas != nil {
 		t.cas.Put(cc)
 	}
 	t.finishQuant(sc)
+	sc.ap.Finish(&s)
 	t.putScratch(sc)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
-	if n == nil {
+// rangeNode descends with two radii: r decides membership and bounds
+// the kernels, rp = r/(1+ε) (== r when exact) decides every prune, so
+// each reported item is within r and nothing within rp is skipped.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
+	a := &sc.ap
+	if n == nil || a.Stop() {
 		return
 	}
 	s.NodesVisited++
 	t.TraceNode(n.isLeaf())
 	if n.isLeaf() {
-		t.rangeLeaf(n, q, r, plen, sc, cc, out, s)
+		t.rangeLeaf(n, q, r, rp, plen, sc, cc, out, s)
+		return
+	}
+	if !a.Pay(2) {
 		return
 	}
 
@@ -77,7 +109,9 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, plen int, sc *queryScrat
 	// While the query PATH is still filling, the distances must be exact
 	// because they are recorded in it; once it is full they are only
 	// compared against shell boundaries ≤ cutMax and the radius, so the
-	// kernel may abandon past r+cutMax without changing any decision.
+	// kernel may abandon past r+cutMax without changing any decision
+	// (rp ≤ r, so an abandoned value and the true one also land on the
+	// same side of every rp-window test).
 	// A vantage point stamped as a cascade pivot is computed exactly
 	// while the query's cache still wants registrations — an exact value
 	// is a valid bounded-kernel result, so every decision below is
@@ -118,13 +152,13 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, plen int, sc *queryScrat
 	}
 	if plen < t.p {
 		sc.qpath[plen] = d1
-		sc.qlo[plen] = d1 - r
-		sc.qhi[plen] = d1 + r
+		sc.qlo[plen] = d1 - rp
+		sc.qhi[plen] = d1 + rp
 		plen++
 		if plen < t.p {
 			sc.qpath[plen] = d2
-			sc.qlo[plen] = d2 - r
-			sc.qhi[plen] = d2 + r
+			sc.qlo[plen] = d2 - rp
+			sc.qhi[plen] = d2 + rp
 			plen++
 		}
 	}
@@ -133,7 +167,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, plen int, sc *queryScrat
 	// ball intersects both its sv1 shell and its sv2 sub-shell.
 	for g, row := range n.children {
 		lo1, hi1 := shellBounds(n.cut1, g)
-		if d1+r < lo1 || d1-r > hi1 {
+		if d1+rp < lo1 || d1-rp > hi1 {
 			s.ShellsPruned += len(row)
 			t.TracePrune(obs.FilterShell, len(row))
 			continue
@@ -143,23 +177,28 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r float64, plen int, sc *queryScrat
 				continue
 			}
 			lo2, hi2 := shellBounds(n.cut2[g], h)
-			if d2+r < lo2 || d2-r > hi2 {
+			if d2+rp < lo2 || d2-rp > hi2 {
 				s.ShellsPruned++
 				t.TracePrune(obs.FilterShell, 1)
 				continue
 			}
-			t.rangeNode(c, q, r, plen, sc, cc, out, s)
+			t.rangeNode(c, q, r, rp, plen, sc, cc, out, s)
+			if a.Stop() {
+				return
+			}
 		}
 	}
 }
 
 // rangeLeaf implements step 2 of the search algorithm: filter each leaf
 // point through its exact distances to the leaf vantage points (D1, D2)
-// and through its PATH prefix, computing the real distance only for
-// survivors — and only up to r, since membership is all that matters.
-func (t *Tree[T]) rangeLeaf(n *node[T], q T, r float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
+// and through its PATH prefix — windows of half-width rp — computing the
+// real distance only for survivors, and only up to r, since membership
+// is all that matters.
+func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
 	s.LeavesVisited++
-	if !n.hasSV1 {
+	a := &sc.ap
+	if !n.hasSV1 || !a.Pay(1) {
 		return
 	}
 	// Every distance in a leaf — the two vantage points and the
@@ -187,6 +226,10 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r float64, plen int, sc *queryScrat
 	vantages := 1
 	var d2 float64
 	if n.hasSV2 {
+		if !a.Pay(1) {
+			t.dist.Add(1)
+			return
+		}
 		if cc != nil && n.cas2 != 0 && cc.Wants() {
 			d2 = kernel(q, n.sv2, math.Inf(1))
 			cc.Register(n.cas2-1, d2)
@@ -201,12 +244,12 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r float64, plen int, sc *queryScrat
 		}
 	}
 	// The candidate loop is the hottest code in the tree: hoist the
-	// filter windows and slice headers, keep the stage tallies in
-	// locals, and report stats and trace events once per leaf (the same
-	// batching rangeNode applies to shell pruning — totals are
+	// filter windows, slice headers and the budget test, keep the stage
+	// tallies in locals, and report stats and trace events once per leaf
+	// (the same batching rangeNode applies to shell pruning — totals are
 	// identical, only the event granularity coarsens).
-	d1lo, d1hi := d1-r, d1+r
-	d2lo, d2hi := d2-r, d2+r
+	d1lo, d1hi := d1-rp, d1+rp
+	d2lo, d2hi := d2-rp, d2+rp
 	items := n.items
 	d1s := n.d1[:len(items)] // len(d1)==len(items): lets the compiler drop the d1s[i] bounds check
 	d2s := n.d2
@@ -223,10 +266,12 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r float64, plen int, sc *queryScrat
 	// kernel call — so every stat and counter below is unchanged.
 	useQuant := sc.quantOn && n.qcodes != nil
 	qset, qprep, qcodes := t.qset, &sc.qprep, n.qcodes
+	limited := sc.limited
+	cand := len(items)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 items:
 	for i := range items {
-		// |d(Q,SV) − d(Si,SV)| > r ⟹ d(Q,Si) > r by the triangle
+		// |d(Q,SV) − d(Si,SV)| > rp ⟹ d(Q,Si) > rp by the triangle
 		// inequality; likewise for every retained PATH entry. The D2
 		// window only applies when the leaf actually has a second
 		// vantage point (a single-vantage leaf stores no D2 distances,
@@ -256,12 +301,16 @@ items:
 		// Last, cheapest-to-skip filter: the cascade lower bound over
 		// the vantage distances this query registered on its way down.
 		// It only ever skips candidates whose true distance provably
-		// exceeds r, so the result set is unchanged.
+		// exceeds rp, so nothing within rp is lost.
 		if useCas {
-			if lb := cas.LowerBound(cc, base+int32(i)); lb > r {
+			if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
 				filteredCascade++
 				continue
 			}
+		}
+		if limited && !a.Pay(1) {
+			cand = i // not considered: the budget stopped the scan first
+			break
 		}
 		computed++
 		// The quantized lower bound certifies d > r from the companion
@@ -277,7 +326,7 @@ items:
 		}
 	}
 	t.dist.Add(int64(vantages + computed))
-	s.Candidates += len(items)
+	s.Candidates += cand
 	s.FilteredByD += filteredD
 	s.FilteredByPath += filteredPath
 	s.FilteredByCascade += filteredCascade

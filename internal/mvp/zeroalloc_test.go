@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
 )
@@ -60,6 +61,19 @@ func TestSteadyStateQueryAllocations(t *testing.T) {
 	// Stats variants share the same pooled traversal.
 	if allocs := testing.AllocsPerRun(200, func() { tree.RangeWithStats(far, 0.5) }); allocs != 0 {
 		t.Errorf("empty-result RangeWithStats allocated %.1f times per query, want 0", allocs)
+	}
+	// A budgeted query is the same pooled traversal with a counter
+	// switched on, so it allocates no more than the exact one.
+	budget := index.SearchOptions{Budget: 1 << 40}
+	if allocs := testing.AllocsPerRun(200, func() {
+		tree.Search(index.Query[[]float64]{Point: far, Radius: 0.5, Opts: budget})
+	}); allocs != 0 {
+		t.Errorf("budgeted empty-result range Search allocated %.1f times per query, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		tree.Search(index.Query[[]float64]{Point: near, K: 10, Opts: budget})
+	}); allocs > 1 {
+		t.Errorf("budgeted kNN Search allocated %.1f times per query, want <= 1 (the result slice)", allocs)
 	}
 }
 

@@ -208,8 +208,8 @@ type SearchTotals struct {
 	// and is fed through Observer.ObserveQuantPruned instead of Observe.
 	FilteredByQuantized int64 `json:"filtered_by_quantized"`
 	Computed            int64 `json:"computed"`
-	VantagePoints     int64 `json:"vantage_points"`
-	Results           int64 `json:"results"`
+	VantagePoints       int64 `json:"vantage_points"`
+	Results             int64 `json:"results"`
 	// Approximated counts queries whose answer was not certified
 	// exact; BudgetExhausted counts queries the distance budget cut
 	// short. Both sum per-query 0/1 flags.

@@ -87,13 +87,13 @@ type Options struct {
 	Observer *obs.Observer
 	// Search carries the approximation knobs (index.SearchOptions:
 	// Epsilon, Budget, Patience) applied to every query in the batch.
-	// The zero value runs the exact paths — existing behavior,
-	// byte-identical results and counts. When any knob is set and the
-	// index implements index.Searcher, each query routes through the
-	// unified Search entry point; the per-query Budget is each query's
-	// own (not a batch total). Indexes without the Searcher surface
-	// ignore the knobs and answer exactly. Workers/Bound inside this
-	// struct are ignored: the executor's parallelism is across queries.
+	// The zero value is the exact query. Every query of an index that
+	// implements index.Searcher goes through its Search (or SearchBatch)
+	// entry point with these knobs; the per-query Budget is each
+	// query's own (not a batch total). Indexes without the Searcher
+	// surface ignore the knobs and answer exactly. Workers/Bound inside
+	// this struct are ignored: the executor's parallelism is across
+	// queries.
 	Search index.SearchOptions
 }
 
@@ -178,6 +178,11 @@ func RunRange[T any](idx index.Index[T], queries []T, r float64, opts Options) (
 // returning results[i] = idx.KNN(queries[i], k) plus batch stats.
 func RunKNN[T any](idx index.Index[T], queries []T, k int, opts Options) ([][]index.Neighbor[T], Stats, error) {
 	caps := index.CapabilitiesOf(idx)
+	if k <= 0 {
+		// index.Query reads K <= 0 as a range request; an empty kNN
+		// answer is only spelled by the per-mode methods.
+		caps.Search, caps.Batch = nil, nil
+	}
 	o := approxOpts(opts)
 	exact := func(q T) ([]index.Neighbor[T], index.SearchStats) { return idx.KNN(q, k), index.SearchStats{} }
 	if si := caps.Stats; si != nil {
@@ -189,18 +194,17 @@ func RunKNN[T any](idx index.Index[T], queries []T, k int, opts Options) ([][]in
 }
 
 // route picks how each query is answered from the index's capability
-// report: SearchBatch per chunk when Batch > 1, Search when the options
-// are approximate, else exact — the StatsIndex method, or the plain
-// Index method when the index has no stats surface (Searcher and
-// BatchSearcher embed StatsIndex, so that also rules the other two
-// out). mk builds the request for one query point,
-// extract pulls the endpoint's result kind out of the unified Result.
+// report: SearchBatch per chunk when Batch > 1, else Search; fallback
+// is what an index without the Searcher surface gets — the StatsIndex
+// method, or the plain Index method when it has no stats surface
+// either. mk builds the request for one query point, extract pulls the
+// endpoint's result kind out of the unified Result.
 func route[T any, R any](caps index.Capabilities[T], idx index.Index[T], queries []T, opts Options,
-	kind obs.Kind, exact func(q T) (R, index.SearchStats),
+	kind obs.Kind, fallback func(q T) (R, index.SearchStats),
 	mk func(q T) index.Query[T], extract func(res *index.Result[T]) R) ([]R, Stats, error) {
 
-	one := exact
-	if sr := caps.Search; sr != nil && opts.Search.Approximate() {
+	one := fallback
+	if sr := caps.Search; sr != nil {
 		one = func(q T) (R, index.SearchStats) {
 			res := sr.Search(mk(q))
 			return extract(&res), res.Stats

@@ -129,6 +129,19 @@ func TestRunKNNMatchesSequential(t *testing.T) {
 	if got := int64(stats.Search.Computed + stats.Search.VantagePoints); got != stats.Distances {
 		t.Fatalf("SearchStats account for %d computations, Counter delta is %d", got, stats.Distances)
 	}
+	// k <= 0 is an empty kNN answer on every route — never the range
+	// request a Query with K == 0 spells.
+	for _, opts := range []Options{{Workers: 2}, {Workers: 2, Batch: 4}} {
+		res, stats, _ := RunKNN[[]float64](tree, queries, 0, opts)
+		for i := range res {
+			if res[i] != nil {
+				t.Fatalf("batch=%d: k=0 results[%d] = %v, want nil", opts.Batch, i, res[i])
+			}
+		}
+		if stats.Distances != 0 {
+			t.Fatalf("batch=%d: k=0 computed %d distances, want 0", opts.Batch, stats.Distances)
+		}
+	}
 }
 
 // plainIndex hides an index's stats surface so only the bare

@@ -228,6 +228,7 @@ func (s *Server[T]) Close() {
 // responses carry "approximate" and "exhausted" flags.
 //
 // Remaining endpoints:
+//
 //	GET  /stats        admission counters + observer snapshot
 //	GET  /healthz      liveness
 //	POST /admin/reload swap in a freshly loaded snapshot
@@ -280,7 +281,7 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 // overloaded writes the backpressure rejection: 503 plus a Retry-After
 // hint, the contract load generators and clients key off.
 func (s *Server[T]) overloaded(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter + time.Second - 1) / time.Second)))
+	w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: ErrQueueFull.Error()})
 }
 

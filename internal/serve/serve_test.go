@@ -163,9 +163,9 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		path string
 		body string
 	}{
-		{"/range", `{"query": [0.1, 0.2], "r": 0.5}`},            // wrong dim
-		{"/range", `{"query": [0.1,0.2,0.3,0.4,0.5,0.6]}`},       // missing r
-		{"/range", `{"query": "nope", "r": 0.5}`},                // not a vector
+		{"/range", `{"query": [0.1, 0.2], "r": 0.5}`},      // wrong dim
+		{"/range", `{"query": [0.1,0.2,0.3,0.4,0.5,0.6]}`}, // missing r
+		{"/range", `{"query": "nope", "r": 0.5}`},          // not a vector
 		{"/range", `{"query": [0.1,0.2,0.3,0.4,0.5,0.6], "r": -1}`},
 		{"/knn", `{"query": [0.1,0.2,0.3,0.4,0.5,0.6], "k": 0}`},
 		{"/knn", `{"query": [], "k": 3}`},

@@ -10,8 +10,9 @@ import (
 // to RangeWithStats / KNNWithStats. Workers > 1 fans a range query (or
 // an approximate kNN query) out over that many goroutines, one shard
 // per task, with results, stats and distance counts identical at every
-// value; exact kNN is always the sequential carried-τ walk and ignores
-// Workers. Approximate requests split the distance budget across the
+// value — this fan-out is the only reader of Workers in the
+// repository; the per-shard requests carry none. Exact kNN is always
+// the sequential carried-τ walk and ignores Workers. Approximate requests split the distance budget across the
 // shards — Budget/S each, the remainder dealt to the lowest shard ids —
 // while Epsilon and Patience pass through unchanged, so the logical
 // query never spends more than its budget no matter how many shards it

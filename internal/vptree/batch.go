@@ -16,8 +16,8 @@ package vptree
 //     for every (query, point, bound) triple.
 //
 // kNN (best-first pops diverge per query, so there is no traversal to
-// share), approximate modes and intra-query parallel requests go to
-// per-query Search inside the same invocation.
+// share) and approximate modes go to per-query Search inside the same
+// invocation.
 
 import (
 	"math"
@@ -158,7 +158,7 @@ func (t *Tree[T]) prepareQuantSlot(bs *batchScratch[T], i int, q T) {
 // SearchBatch answers reqs[i] into results[i] with one shared traversal
 // per query group (index.BatchSearcher). It panics unless len(results)
 // == len(reqs). Exact range queries share one DFS and everything else
-// (kNN, approximate, Workers > 1) goes to per-query Search within the
+// (kNN, approximate) goes to per-query Search within the
 // same call; every results[i] is byte-identical to Search(reqs[i]).
 func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) {
 	if len(reqs) != len(results) {
@@ -177,7 +177,7 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	bs := t.getBatchScratch(len(reqs))
 	for i := range reqs {
 		req := &reqs[i]
-		if req.K > 0 || req.Opts.Approximate() || req.Opts.Workers > 1 {
+		if req.K > 0 || req.Opts.Approximate() {
 			results[i] = t.Search(*req)
 			continue
 		}
@@ -214,7 +214,7 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	t.putBatchScratch(bs)
 }
 
-// rangeBatchNode is rangeNodeCas for a group: act holds the slots whose
+// rangeBatchNode is rangeNode for a group: act holds the slots whose
 // query balls can still reach n.
 func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, bs *batchScratch[T]) {
 	if n == nil || len(act) == 0 {
@@ -241,7 +241,7 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, bs *batchScratch[T]) {
 	// cannot clobber them; one blocked call replaces na sequential ones.
 	// Stamped cascade pivots a query's cache still wants are computed
 	// exactly (+Inf bound) and registered; everyone else abandons past
-	// r+cutMax, exactly as rangeNodeCas does.
+	// r+cutMax, exactly as rangeNode does.
 	dBase := len(bs.dstack)
 	bs.dstack = growTo(bs.dstack, dBase+na)
 	dv := bs.dstack[dBase : dBase+na]

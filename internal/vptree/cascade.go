@@ -19,8 +19,8 @@ import "mvptree/internal/cascade"
 // computations (Cascade().BuildDistances). A tree too small to hold
 // leaf items is left uncascaded silently. EnableCascade is not
 // synchronized with in-flight queries; the cascade state is not
-// serialized by Save — re-enable after Load. Intra-query parallel
-// range (Opts.Workers > 1) and KNNDepthFirst do not consult the cascade.
+// serialized by Save — re-enable after Load. Every Search consults it,
+// approximate and budgeted ones included; KNNDepthFirst does not.
 func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	if t.root == nil {
 		return nil

@@ -28,8 +28,9 @@ import (
 //
 // EnableQuantize is not synchronized with in-flight queries: arm the
 // filter before serving. The arenas are not serialized by Save;
-// re-enable after Load. Intra-query parallel range (Opts.Workers > 1)
-// does not consult the filter.
+// re-enable after Load. Every Search consults the filter, approximate
+// and budgeted ones included: a skipped evaluation is debited from the
+// budget like the kernel call it replaces.
 func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	if mode == quant.Off {
 		t.disableQuantize()
@@ -104,7 +105,7 @@ func (t *Tree[T]) Quantized() *quant.Set { return t.qset }
 
 // prepareQuant arms the scratch's pre-filter state for one query
 // (quant stays off for non-vector queries; T is erased here).
-func (t *Tree[T]) prepareQuant(sc *knnScratch[T], q T) {
+func (t *Tree[T]) prepareQuant(sc *queryScratch[T], q T) {
 	sc.quantOn = false
 	sc.quantPruned = 0
 	if t.qset == nil {
@@ -120,6 +121,6 @@ func (t *Tree[T]) prepareQuant(sc *knnScratch[T], q T) {
 
 // finishQuant flushes the query's skipped-evaluation tally to the
 // Observer.
-func (t *Tree[T]) finishQuant(sc *knnScratch[T]) {
+func (t *Tree[T]) finishQuant(sc *queryScratch[T]) {
 	t.ObserveQuantPruned(sc.quantPruned)
 }

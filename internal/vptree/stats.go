@@ -20,13 +20,19 @@ import (
 // computation.
 type SearchStats = index.SearchStats
 
-// knnScratch is the pooled best-first traversal state, so steady-state
-// KNN allocates nothing but the result slice. Range queries borrow it
-// too when the quantized pre-filter is armed (its per-query Prepared
-// table lives here).
-type knnScratch[T any] struct {
-	best  *heapx.KBest[T]
-	queue heapx.NodeQueue[*node[T]]
+// queryScratch is the pooled per-query state: the best-first kNN heap
+// and node queue, the query's approximation state, and the quantized
+// pre-filter's Prepared table. Steady-state queries allocate nothing
+// but the result slice.
+type queryScratch[T any] struct {
+	// ap is the query's approximation state, compiled from its
+	// SearchOptions by getScratch (exact when they are zero). limited
+	// caches "a distance budget is set" so the leaf scans test a local
+	// before calling ap.Pay per candidate.
+	ap      index.Approx
+	limited bool
+	best    *heapx.KBest[T]
+	queue   heapx.NodeQueue[*node[T]]
 	// Quantized pre-filter state, re-armed per query by prepareQuant
 	// (quantOn guards staleness across pool reuse); quantPruned tallies
 	// the query's skipped exact evaluations for the Observer.
@@ -35,14 +41,19 @@ type knnScratch[T any] struct {
 	quantPruned int
 }
 
-func (t *Tree[T]) getScratch() *knnScratch[T] {
+func (t *Tree[T]) getScratch(o index.SearchOptions) *queryScratch[T] {
+	var sc *queryScratch[T]
 	if v := t.scratch.Get(); v != nil {
-		return v.(*knnScratch[T])
+		sc = v.(*queryScratch[T])
+	} else {
+		sc = &queryScratch[T]{}
 	}
-	return &knnScratch[T]{}
+	sc.ap = index.StartApprox(o)
+	sc.limited = o.Budget > 0
+	return sc
 }
 
-func (t *Tree[T]) putScratch(sc *knnScratch[T]) {
+func (t *Tree[T]) putScratch(sc *queryScratch[T]) {
 	sc.quantOn = false
 	sc.queue.Reset()
 	if sc.best != nil {
@@ -51,8 +62,32 @@ func (t *Tree[T]) putScratch(sc *knnScratch[T]) {
 	t.scratch.Put(sc)
 }
 
-// RangeWithStats is Range plus the per-query breakdown. It is the only
-// range traversal implementation — Range delegates here.
+var _ index.Searcher[int] = (*Tree[int])(nil)
+
+// Search is the tree's one query implementation (index.Searcher): a
+// single range traversal and a single best-first kNN traversal, each
+// threaded with the request's index.Approx. Zero-valued SearchOptions
+// are the exact query; Epsilon, Budget and Patience only change the
+// number in the pruning rule — prune tests compare against the
+// shrunken threshold, acceptance tests against the full one, and Pay
+// precedes every distance computation — so the cascade, the quantized
+// pre-filter, Opts.Bound and the pooled scratch serve every query.
+// Opts.Workers is a sharded fan-out knob and means nothing to a single
+// tree.
+func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return t.knn(req.Point, req.K, req.Opts)
+	}
+	return t.rangeSearch(req.Point, req.Radius, req.Opts)
+}
+
+// RangeWithStats is Range plus the per-query breakdown.
+func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+	res := t.Search(index.RangeQuery(q, r))
+	return res.Items, res.Stats
+}
+
+// rangeSearch is the only range traversal implementation.
 //
 // Both distance roles are threshold-only, so both use the metric's
 // early-abandoning fast path when one is attached: leaf candidates only
@@ -60,48 +95,38 @@ func (t *Tree[T]) putScratch(sc *knnScratch[T]) {
 // r+cutMax prunes every bounded shell and visits the unbounded
 // outermost one — exactly what the exact distance would do. Results,
 // distance counts and stats are identical with or without the fast path.
-func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
+func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
 	if r < 0 {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
 	var out []T
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	// The range traversal only needs scratch for the quantized
-	// pre-filter's per-query state; without it the path stays
-	// scratch-free as before.
-	var sc *knnScratch[T]
-	if t.qset != nil {
-		sc = t.getScratch()
-		t.prepareQuant(sc, q)
-	}
-	t.rangeNodeCas(t.root, q, r, cc, sc, &out, &s)
+	sc := t.getScratch(o)
+	t.prepareQuant(sc, q)
+	t.rangeNode(t.root, q, r, sc.ap.Shrink(r), cc, sc, &out, &s)
 	if t.cas != nil {
 		t.cas.Put(cc)
 	}
-	if sc != nil {
-		t.finishQuant(sc)
-		t.putScratch(sc)
-	}
+	t.finishQuant(sc)
+	sc.ap.Finish(&s)
+	t.putScratch(sc)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-// rangeNodeStats is the uncascaded, unquantized traversal, kept as the
-// entry point for the intra-query parallel search (whose workers
-// cannot share a single-owner cascade cache or prepared filter state).
-func (t *Tree[T]) rangeNodeStats(n *node[T], q T, r float64, out *[]T, s *SearchStats) {
-	t.rangeNodeCas(n, q, r, nil, nil, out, s)
-}
-
-func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc *knnScratch[T], out *[]T, s *SearchStats) {
-	if n == nil {
+// rangeNode descends with two radii: r decides membership and bounds
+// the kernels, rp = r/(1+ε) (== r when exact) decides every prune, so
+// each reported item is within r and nothing within rp is skipped.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, sc *queryScratch[T], out *[]T, s *SearchStats) {
+	a := &sc.ap
+	if n == nil || a.Stop() {
 		return
 	}
 	s.NodesVisited++
@@ -112,54 +137,28 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 		// batch is settled once — the count matches per-call accounting.
 		// The cascade lower bound is the vp-tree's only leaf filter (it
 		// stores no leaf distances): a candidate whose bound over the
-		// registered vantage distances exceeds r cannot be a result.
+		// registered vantage distances exceeds rp cannot lie within rp.
 		kernel := t.dist.Kernel()
+		cas, base := t.cas, n.casBase
+		useCas := cc != nil && cc.Registered() > 0
 		// Quantized pre-filter state (quantize.go): a pruned candidate
 		// still joins computed — the skip stands in for an abandoned
 		// kernel call — so every stat and counter below is unchanged.
-		useQuant := sc != nil && sc.quantOn && n.qcodes != nil
-		var qset *quant.Set
-		var qprep *quant.Prepared
-		if useQuant {
-			qset, qprep = t.qset, &sc.qprep
-		}
-		if cc != nil && cc.Registered() > 0 {
-			cas, base := t.cas, n.casBase
-			filtered, filteredQuant, computed := 0, 0, 0
-			for i, it := range n.items {
-				if cas.LowerBound(cc, base+int32(i)) > r {
-					filtered++
-					continue
-				}
-				computed++
-				if useQuant && qset.PruneAt(qprep, n.qcodes, i, r) {
-					filteredQuant++
-					continue
-				}
-				if kernel(q, it, r) <= r {
-					*out = append(*out, it)
-				}
-			}
-			t.dist.Add(int64(computed))
-			s.Candidates += len(n.items)
-			s.Computed += computed
-			s.FilteredByCascade += filtered
-			if sc != nil {
-				sc.quantPruned += filteredQuant
-			}
-			if filtered > 0 {
-				t.TracePrune(obs.FilterCascade, filtered)
-			}
-			if filteredQuant > 0 {
-				t.TracePrune(obs.FilterQuantized, filteredQuant)
-			}
-			if computed > 0 {
-				t.TraceDistance(computed)
-			}
-			return
-		}
-		filteredQuant := 0
+		useQuant := sc.quantOn && n.qcodes != nil
+		qset, qprep := t.qset, &sc.qprep
+		limited := sc.limited
+		cand := len(n.items)
+		filtered, filteredQuant, computed := 0, 0, 0
 		for i, it := range n.items {
+			if useCas && cas.LowerBound(cc, base+int32(i)) > rp {
+				filtered++
+				continue
+			}
+			if limited && !a.Pay(1) {
+				cand = i // not considered: the budget stopped the scan first
+				break
+			}
+			computed++
 			if useQuant && qset.PruneAt(qprep, n.qcodes, i, r) {
 				filteredQuant++
 				continue
@@ -168,24 +167,31 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 				*out = append(*out, it)
 			}
 		}
-		t.dist.Add(int64(len(n.items)))
-		s.Candidates += len(n.items)
-		s.Computed += len(n.items)
-		if sc != nil {
-			sc.quantPruned += filteredQuant
+		t.dist.Add(int64(computed))
+		s.Candidates += cand
+		s.Computed += computed
+		s.FilteredByCascade += filtered
+		if filtered > 0 {
+			t.TracePrune(obs.FilterCascade, filtered)
 		}
 		if filteredQuant > 0 {
+			sc.quantPruned += filteredQuant
 			t.TracePrune(obs.FilterQuantized, filteredQuant)
 		}
-		if len(n.items) > 0 {
-			t.TraceDistance(len(n.items))
+		if computed > 0 {
+			t.TraceDistance(computed)
 		}
+		return
+	}
+	if !a.Pay(1) {
 		return
 	}
 	// A vantage point stamped as a cascade pivot is computed exactly
 	// while the cache still wants registrations (an exact value is a
 	// valid bounded-kernel result, so every shell decision is
-	// unchanged) and doubles as a global filter bound.
+	// unchanged) and doubles as a global filter bound. The kernel bound
+	// stays r+cutMax under ε: an abandoned value and the true one land
+	// on the same side of every rp-shell test because rp ≤ r.
 	var d float64
 	if cc != nil && n.cas != 0 && cc.Wants() {
 		d = t.dist.Distance(q, n.vantage)
@@ -200,8 +206,11 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 	}
 	for g, c := range n.children {
 		lo, hi := shellBounds(n.cutoffs, g)
-		if d+r >= lo && d-r <= hi {
-			t.rangeNodeCas(c, q, r, cc, sc, out, s)
+		if d+rp >= lo && d-rp <= hi {
+			t.rangeNode(c, q, r, rp, cc, sc, out, s)
+			if a.Stop() {
+				return
+			}
 		} else {
 			s.ShellsPruned++
 			t.TracePrune(obs.FilterShell, 1)
@@ -209,33 +218,40 @@ func (t *Tree[T]) rangeNodeCas(n *node[T], q T, r float64, cc *cascade.Cache, sc
 	}
 }
 
-// KNNWithStats is KNN plus the per-query breakdown. It is the only
-// best-first kNN traversal implementation — KNN delegates here. The
-// abandonment bounds mirror RangeWithStats with the live k-th best
-// distance τ in place of r (+Inf until the heap fills), and the heap
-// and node queue come from the tree's pool.
+// KNNWithStats is KNN plus the per-query breakdown (not through
+// Search, which reads k <= 0 as a range request).
 func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
-	return t.knnBound(q, k, nil)
+	res := t.knn(q, k, index.SearchOptions{})
+	return res.Neighbors, res.Stats
 }
 
-// knnBound is KNNWithStats with an optional external pruning bound
-// (index.KNNBound, reached through Search with Opts.Bound), the hook
-// the sharded index uses to share the shrinking k-th-best distance
-// across shards. With ext == nil it is
-// exactly KNNWithStats. With a bound attached, pruning and abandonment
-// consult τ′ = min(τ_local, ext.Tau()), the search publishes its own
+// knn is the only best-first kNN traversal implementation. The
+// abandonment bounds mirror rangeSearch with the live k-th best
+// distance τ in place of r (+Inf until the heap fills), and the heap
+// and node queue come from the tree's pool. Under the approximation
+// knobs subtrees and candidates are discarded once their lower bound
+// reaches τ/(1+ε) while the heap keeps accepting against the full τ,
+// the budget is debited before every computation, and patience stops
+// the search after the configured number of consecutive leaves that
+// fail to tighten τ.
+//
+// o.Bound is an optional external pruning bound (index.KNNBound), the
+// hook the sharded index uses to share the shrinking k-th-best distance
+// across shards. With a bound attached, pruning and abandonment consult
+// τ′ = min(τ_local, ext.Tau()), the search publishes its own
 // tightening threshold through ext.Publish, and candidates certified
 // to exceed the external bound are discarded (they cannot make the
 // caller's merged global top-k), so the returned list may be shorter
 // than k.
-func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T], SearchStats) {
+func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
 	if k <= 0 || t.root == nil {
 		span.Done(&s)
-		return nil, s
+		return index.Result[T]{Stats: s}
 	}
-	sc := t.getScratch()
+	sc := t.getScratch(o)
+	a, ext := &sc.ap, o.Bound
 	t.prepareQuant(sc, q)
 	if sc.best == nil {
 		sc.best = heapx.NewKBest[T](k)
@@ -248,7 +264,7 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 		cc = t.cas.Get()
 	}
 	queue.PushNode(t.root, 0)
-	for {
+	for !a.Stop() {
 		n, bound, ok := queue.PopNode()
 		if !ok {
 			break
@@ -261,98 +277,19 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 				tau = e
 			}
 		}
-		if bound >= tau {
+		if bound >= a.Shrink(tau) {
 			break
 		}
 		s.NodesVisited++
 		t.TraceNode(n.leaf)
 		if n.leaf {
 			s.LeavesVisited++
-			// Uncounted kernel + one batched settle, as in the range
-			// scan. A reported distance above the bound it was computed
-			// with may understate the true value and is globally
-			// discardable, so only in-bound values enter the heap (with
-			// ext == nil the heap would reject out-of-bound values
-			// anyway).
-			kernel := t.dist.Kernel()
-			extTau := math.Inf(1)
-			if ext != nil {
-				extTau = ext.Tau()
-			}
-			// The cascade lower bound filters candidates the heap would
-			// reject anyway: a bound with !Accepts (or past the external
-			// τ) proves the true distance would be rejected too.
-			// Quantized pre-filter state (quantize.go): a pruned
-			// candidate still joins computed, standing in for an
-			// abandoned kernel call.
-			useQuant := sc.quantOn && n.qcodes != nil
-			var qset *quant.Set
-			var qprep *quant.Prepared
-			if useQuant {
-				qset, qprep = t.qset, &sc.qprep
-			}
-			if cc != nil && cc.Registered() > 0 {
-				cas, base := t.cas, n.casBase
-				filtered, filteredQuant, computed := 0, 0, 0
-				for i, it := range n.items {
-					if clb := cas.LowerBound(cc, base+int32(i)); !best.Accepts(clb) || clb >= extTau {
-						filtered++
-						continue
-					}
-					computed++
-					cb := min(best.Threshold(), extTau)
-					if useQuant && qset.PruneAt(qprep, n.qcodes, i, cb) {
-						filteredQuant++
-						continue
-					}
-					if d := kernel(q, it, cb); d <= cb {
-						best.Push(it, d)
-					}
-				}
-				if ext != nil {
-					ext.Publish(best.Threshold())
-				}
-				t.dist.Add(int64(computed))
-				s.Candidates += len(n.items)
-				s.Computed += computed
-				s.FilteredByCascade += filtered
-				sc.quantPruned += filteredQuant
-				if filtered > 0 {
-					t.TracePrune(obs.FilterCascade, filtered)
-				}
-				if filteredQuant > 0 {
-					t.TracePrune(obs.FilterQuantized, filteredQuant)
-				}
-				if computed > 0 {
-					t.TraceDistance(computed)
-				}
-				continue
-			}
-			filteredQuant := 0
-			for i, it := range n.items {
-				cb := min(best.Threshold(), extTau)
-				if useQuant && qset.PruneAt(qprep, n.qcodes, i, cb) {
-					filteredQuant++
-					continue
-				}
-				if d := kernel(q, it, cb); d <= cb {
-					best.Push(it, d)
-				}
-			}
-			if ext != nil {
-				ext.Publish(best.Threshold())
-			}
-			t.dist.Add(int64(len(n.items)))
-			s.Candidates += len(n.items)
-			s.Computed += len(n.items)
-			sc.quantPruned += filteredQuant
-			if filteredQuant > 0 {
-				t.TracePrune(obs.FilterQuantized, filteredQuant)
-			}
-			if len(n.items) > 0 {
-				t.TraceDistance(len(n.items))
-			}
+			t.knnLeaf(n, q, best, ext, cc, sc, &s)
+			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
+		}
+		if !a.Pay(1) {
+			break
 		}
 		// Stamped cascade pivots are computed exactly while the cache
 		// wants registrations; the push and shell decisions below are
@@ -375,6 +312,9 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 			ext.Publish(best.Threshold())
 			extTau = ext.Tau()
 		}
+		// No push happens below, so the prune threshold — the shrunken
+		// τ′ — is fixed for the whole child loop.
+		tauP := a.Shrink(min(best.Threshold(), extTau))
 		for g, c := range n.children {
 			if c == nil {
 				continue
@@ -386,7 +326,7 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 			} else if d > hi {
 				lb = d - hi
 			}
-			if best.Accepts(lb) && lb < extTau {
+			if lb < tauP {
 				queue.PushNode(c, lb)
 			} else {
 				s.ShellsPruned++
@@ -399,8 +339,77 @@ func (t *Tree[T]) knnBound(q T, k int, ext index.KNNBound) ([]index.Neighbor[T],
 		t.cas.Put(cc)
 	}
 	t.finishQuant(sc)
+	a.Finish(&s)
 	t.putScratch(sc)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Neighbors: out, Stats: s}
+}
+
+// knnLeaf scans one leaf for knn. Candidates go through the uncounted
+// kernel with one batched settle, as in the range scan. A reported
+// distance above the bound it was computed with may understate the
+// true value and is globally discardable, so only in-bound values
+// enter the heap (with ext == nil the heap would reject out-of-bound
+// values anyway). cb = τ′ is the acceptance bound and tauP = τ′/(1+ε)
+// the prune bound; both move only when a push tightens the heap, so
+// they are re-read there and nowhere else.
+func (t *Tree[T]) knnLeaf(n *node[T], q T, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
+	a := &sc.ap
+	kernel := t.dist.Kernel()
+	extTau := math.Inf(1)
+	if ext != nil {
+		extTau = ext.Tau()
+	}
+	// With ε = 0 the cascade lower bound filters candidates the heap
+	// would reject anyway: a bound at or past τ′ proves the true
+	// distance would be rejected too.
+	cas, base := t.cas, n.casBase
+	useCas := cc != nil && cc.Registered() > 0
+	// Quantized pre-filter state (quantize.go): a pruned candidate
+	// still joins computed, standing in for an abandoned kernel call.
+	useQuant := sc.quantOn && n.qcodes != nil
+	qset, qprep := t.qset, &sc.qprep
+	limited := sc.limited
+	cand := len(n.items)
+	cb := min(best.Threshold(), extTau)
+	tauP := a.Shrink(cb)
+	filtered, filteredQuant, computed := 0, 0, 0
+	for i, it := range n.items {
+		if useCas && cas.LowerBound(cc, base+int32(i)) >= tauP {
+			filtered++
+			continue
+		}
+		if limited && !a.Pay(1) {
+			cand = i // not considered: the budget stopped the scan first
+			break
+		}
+		computed++
+		if useQuant && qset.PruneAt(qprep, n.qcodes, i, cb) {
+			filteredQuant++
+			continue
+		}
+		if d := kernel(q, it, cb); d <= cb {
+			best.Push(it, d)
+			cb = min(best.Threshold(), extTau)
+			tauP = a.Shrink(cb)
+		}
+	}
+	if ext != nil {
+		ext.Publish(best.Threshold())
+	}
+	t.dist.Add(int64(computed))
+	s.Candidates += cand
+	s.Computed += computed
+	s.FilteredByCascade += filtered
+	if filtered > 0 {
+		t.TracePrune(obs.FilterCascade, filtered)
+	}
+	if filteredQuant > 0 {
+		sc.quantPruned += filteredQuant
+		t.TracePrune(obs.FilterQuantized, filteredQuant)
+	}
+	if computed > 0 {
+		t.TraceDistance(computed)
+	}
 }

@@ -131,7 +131,7 @@ type Tree[T any] struct {
 	size       int
 	order      int
 	buildStats build.Stats
-	scratch    sync.Pool // *knnScratch[T]; see stats.go
+	scratch    sync.Pool // *queryScratch[T]; see stats.go
 	bscratch   sync.Pool // *batchScratch[T]; see batch.go
 	// cas is the cross-query bound cascade, nil unless EnableCascade
 	// built one; see cascade.go.
@@ -398,20 +398,16 @@ func shellBounds(cutoffs []float64, g int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Range returns every indexed item within distance r of q. It delegates
-// to RangeWithStats so there is exactly one traversal implementation;
-// the two are guaranteed to agree in both results and distance
-// computations.
+// Range returns every indexed item within distance r of q. It is a
+// wrapper over Search, so there is exactly one traversal implementation.
 func (t *Tree[T]) Range(q T, r float64) []T {
-	out, _ := t.RangeWithStats(q, r)
-	return out
+	return t.Search(index.RangeQuery(q, r)).Items
 }
 
 // KNN returns the k nearest indexed items using best-first traversal:
 // subtrees are visited in order of their triangle-inequality lower bound
 // and search stops when no pending subtree can beat the k-th candidate.
-// It delegates to KNNWithStats (single traversal implementation).
+// It is KNNWithStats without the stats (single traversal implementation).
 func (t *Tree[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := t.KNNWithStats(q, k)
-	return out
+	return t.knn(q, k, index.SearchOptions{}).Neighbors
 }

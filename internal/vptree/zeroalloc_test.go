@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
 )
@@ -12,8 +13,7 @@ import (
 // absolutely for the vp-tree: a range query that returns nothing
 // performs zero heap allocations, and a kNN query at most one — the
 // result slice. (AllocsPerRun runs the body once before measuring,
-// which warms the kNN scratch pool; the range recursion needs no
-// scratch at all.)
+// which warms the scratch pool.)
 func TestSteadyStateQueryAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -51,5 +51,18 @@ func TestSteadyStateQueryAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { tree.RangeWithStats(far, 0.5) }); allocs != 0 {
 		t.Errorf("empty-result RangeWithStats allocated %.1f times per query, want 0", allocs)
+	}
+	// A budgeted query is the same pooled traversal with a counter
+	// switched on, so it allocates no more than the exact one.
+	budget := index.SearchOptions{Budget: 1 << 40}
+	if allocs := testing.AllocsPerRun(200, func() {
+		tree.Search(index.Query[[]float64]{Point: far, Radius: 0.5, Opts: budget})
+	}); allocs != 0 {
+		t.Errorf("budgeted empty-result range Search allocated %.1f times per query, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		tree.Search(index.Query[[]float64]{Point: near, K: 10, Opts: budget})
+	}); allocs > 1 {
+		t.Errorf("budgeted kNN Search allocated %.1f times per query, want <= 1 (the result slice)", allocs)
 	}
 }

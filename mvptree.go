@@ -32,9 +32,12 @@ type Neighbor[T any] = index.Neighbor[T]
 // SearchOptions are the per-query knobs of the unified Search entry
 // point every structure implements: Epsilon ((1+ε)-approximation),
 // Budget (distance-computation cap), Patience (early kNN
-// termination), Workers (intra-query parallelism on capable indexes)
-// and Bound (an external kNN pruning bound). The zero value asks for
-// the exact answer.
+// termination), Workers (the sharded index's per-query fan-out width;
+// single structures ignore it) and Bound (an external kNN pruning
+// bound). The zero value asks for the exact answer. Each structure
+// runs one range traversal and one kNN traversal in every mode, so the
+// bound cascade and the quantized pre-filter serve approximate and
+// budgeted queries exactly as they serve exact ones.
 type SearchOptions = index.SearchOptions
 
 // Query is one unified search request: a range query when Radius is

@@ -18,8 +18,9 @@ import (
 	"mvptree/internal/shard"
 )
 
-// vecSearchers builds each vector-capable structure over items.
-func vecSearchers(t *testing.T, items [][]float64) map[string]mvptree.Searcher[[]float64] {
+// vecSearchers builds each vector-capable structure over items; every
+// constructor is handed ixOpts and honors the ones it supports.
+func vecSearchers(t *testing.T, items [][]float64, ixOpts ...mvptree.IndexOption[[]float64]) map[string]mvptree.Searcher[[]float64] {
 	t.Helper()
 	out := map[string]mvptree.Searcher[[]float64]{}
 	mustVec := func(name string, idx mvptree.Searcher[[]float64], err error) {
@@ -29,24 +30,24 @@ func vecSearchers(t *testing.T, items [][]float64) map[string]mvptree.Searcher[[
 		out[name] = idx
 	}
 	bo := mvptree.BuildOptions{Seed: 5}
-	tree, err := mvptree.New(items, mvptree.L2, mvptree.Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: bo})
+	tree, err := mvptree.New(items, mvptree.L2, mvptree.Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: bo}, ixOpts...)
 	mustVec("mvp", tree, err)
-	vp, err := mvptree.NewVP(items, mvptree.L2, mvptree.VPOptions{Order: 3, Build: bo})
+	vp, err := mvptree.NewVP(items, mvptree.L2, mvptree.VPOptions{Order: 3, Build: bo}, ixOpts...)
 	mustVec("vp", vp, err)
-	gh, err := mvptree.NewGH(items, mvptree.L2, mvptree.GHOptions{Build: bo})
+	gh, err := mvptree.NewGH(items, mvptree.L2, mvptree.GHOptions{Build: bo}, ixOpts...)
 	mustVec("gh", gh, err)
-	gn, err := mvptree.NewGNAT(items, mvptree.L2, mvptree.GNATOptions{Build: bo})
+	gn, err := mvptree.NewGNAT(items, mvptree.L2, mvptree.GNATOptions{Build: bo}, ixOpts...)
 	mustVec("gnat", gn, err)
-	ball, err := mvptree.NewBall(items, mvptree.L2, mvptree.BallOptions{Build: bo})
+	ball, err := mvptree.NewBall(items, mvptree.L2, mvptree.BallOptions{Build: bo}, ixOpts...)
 	mustVec("ball", ball, err)
-	pv, err := mvptree.NewPivotTable(items, mvptree.L2, mvptree.PivotOptions{Pivots: 8, Build: bo})
+	pv, err := mvptree.NewPivotTable(items, mvptree.L2, mvptree.PivotOptions{Pivots: 8, Build: bo}, ixOpts...)
 	mustVec("pivot", pv, err)
-	gen, err := mvptree.NewGeneral(items, mvptree.L2, mvptree.GeneralOptions{Vantages: 3, Partitions: 2, Build: bo})
+	gen, err := mvptree.NewGeneral(items, mvptree.L2, mvptree.GeneralOptions{Vantages: 3, Partitions: 2, Build: bo}, ixOpts...)
 	mustVec("general", gen, err)
-	out["linear"] = mvptree.NewLinear(items, mvptree.L2)
+	out["linear"] = mvptree.NewLinear(items, mvptree.L2, ixOpts...)
 	dyn, err := mvptree.NewDynamic(items, mvptree.L2, mvptree.DynamicOptions{
 		Tree: mvptree.Options{Partitions: 2, LeafCapacity: 20, PathLength: 3, Build: bo},
-	})
+	}, ixOpts...)
 	mustVec("dynamic", dyn, err)
 	return out
 }
@@ -195,24 +196,55 @@ func TestSearchZeroOptionsByteIdentical(t *testing.T) {
 			checkZeroOptsIdentical(t, name, idx, wordQueries, 2, 3)
 		})
 	}
-	// A huge budget must also reproduce the exact answer (the traversal
-	// completes within it), though the query is still flagged
-	// approximate-capable only if it exhausted — which it cannot here.
-	tree, err := mvptree.New(uniform, mvptree.L2, mvptree.Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: mvptree.BuildOptions{Seed: 5}})
-	if err != nil {
-		t.Fatal(err)
+	// A budget the traversal completes within must reproduce the
+	// zero-options Search in every observable — items or neighbors,
+	// order, each SearchStats field, the Exact flag, the counter delta
+	// and the observer's quantize-pruned total — on the plain tree and
+	// with the cascade and the SQ8 pre-filter armed: the budgeted query
+	// is the same traversal, so it gets the same accelerators.
+	accel := func(ob *mvptree.Observer) []mvptree.IndexOption[[]float64] {
+		return []mvptree.IndexOption[[]float64]{
+			mvptree.WithObserver[[]float64](ob),
+			mvptree.WithCascade[[]float64](mvptree.CascadeOptions{}),
+			mvptree.WithQuantized[[]float64](mvptree.QuantizeSQ8),
+		}
 	}
-	for _, q := range vecQueries {
-		want, _ := tree.KNNWithStats(q, 5)
-		req := mvptree.NewKNNQuery(q, 5)
-		req.Opts.Budget = 1 << 40
-		got := tree.Search(req)
-		if got.Exhausted() || !got.Exact() {
-			t.Fatalf("unlimited-budget query flagged approximate: %+v", got.Stats)
-		}
-		if !reflect.DeepEqual(want, got.Neighbors) {
-			t.Fatal("unlimited-budget kNN differs from exact")
-		}
+	plainOb, mvpOb, vpOb := mvptree.NewObserver(1), mvptree.NewObserver(1), mvptree.NewObserver(1)
+	budgeted := map[string]struct {
+		idx mvptree.Searcher[[]float64]
+		ob  *mvptree.Observer
+	}{
+		"mvp":             {vecSearchers(t, uniform, mvptree.WithObserver[[]float64](plainOb))["mvp"], plainOb},
+		"mvp+cascade+sq8": {vecSearchers(t, uniform, accel(mvpOb)...)["mvp"], mvpOb},
+		"vp+cascade+sq8":  {vecSearchers(t, uniform, accel(vpOb)...)["vp"], vpOb},
+	}
+	for name, c := range budgeted {
+		t.Run("budget/"+name, func(t *testing.T) {
+			pruned := func() int64 { return c.ob.Snapshot().Search.FilteredByQuantized }
+			for qi, q := range vecQueries {
+				for _, req := range []mvptree.Query[[]float64]{mvptree.NewRangeQuery(q, 0.6), mvptree.NewKNNQuery(q, 5)} {
+					c0, p0 := c.idx.DistanceCount(), pruned()
+					want := c.idx.Search(req)
+					wantCost, wantPruned := c.idx.DistanceCount()-c0, pruned()-p0
+					req.Opts.Budget = 1 << 40
+					c0, p0 = c.idx.DistanceCount(), pruned()
+					got := c.idx.Search(req)
+					gotCost, gotPruned := c.idx.DistanceCount()-c0, pruned()-p0
+					if !got.Exact() || got.Exhausted() {
+						t.Errorf("q%d k=%d: unlimited-budget query flagged approximate: %+v", qi, req.K, got.Stats)
+					}
+					if !reflect.DeepEqual(want.Items, got.Items) || !reflect.DeepEqual(want.Neighbors, got.Neighbors) {
+						t.Errorf("q%d k=%d: unlimited-budget answer differs from zero-options Search", qi, req.K)
+					}
+					if got.Stats != want.Stats {
+						t.Errorf("q%d k=%d: stats differ:\n  zero   %+v\n  budget %+v", qi, req.K, want.Stats, got.Stats)
+					}
+					if gotCost != wantCost || gotPruned != wantPruned {
+						t.Errorf("q%d k=%d: cost %d vs %d, quantize-pruned %d vs %d", qi, req.K, gotCost, wantCost, gotPruned, wantPruned)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -221,7 +253,11 @@ func TestSearchZeroOptionsByteIdentical(t *testing.T) {
 // answer at r/(1+ε) and the exact answer at r; ε-kNN distances are
 // within (1+ε) of the true ones rank by rank; budgeted queries never
 // spend more than the budget and report exhaustion; and
-// Stats.Distances() equals the counter delta even mid-traversal.
+// Stats.Distances() equals the counter delta even mid-traversal. The
+// table runs twice: plain, and with the cascade enabled on every
+// structure that has one and the SQ8 pre-filter armed on the three
+// that support it — the approximate query is the one traversal, so
+// the contracts must hold with its accelerators switched on.
 func TestApproxSemanticsAllStructures(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 9))
 	items := mvptree.ClusteredVectors(rng, 1500, 10, 75, 0.15)
@@ -233,7 +269,16 @@ func TestApproxSemanticsAllStructures(t *testing.T) {
 	)
 	scan := mvptree.NewLinear(items, mvptree.L2)
 
+	all := map[string]mvptree.Searcher[[]float64]{}
 	for name, idx := range vecSearchers(t, items) {
+		all[name] = idx
+	}
+	for name, idx := range vecSearchers(t, items,
+		mvptree.WithCascade[[]float64](mvptree.CascadeOptions{}),
+		mvptree.WithQuantized[[]float64](mvptree.QuantizeSQ8)) {
+		all["cascade+sq8/"+name] = idx
+	}
+	for name, idx := range all {
 		t.Run(name, func(t *testing.T) {
 			for qi, q := range queries {
 				// ε-range: superset of exact at r/(1+ε), subset of exact at r.
