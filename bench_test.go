@@ -13,12 +13,14 @@ package mvptree_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"mvptree"
 	"mvptree/internal/bench"
 	"mvptree/internal/experiments"
+	"mvptree/internal/metric"
 )
 
 // benchConfig is the reduced scale used by the figure benchmarks.
@@ -258,6 +260,22 @@ func BenchmarkBuildMVP(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildMVPWords is the build the repository benchmark's
+// words-edit workload times: 50 000 words under edit distance, the
+// paper's options, two workers.
+func BenchmarkBuildMVPWords(b *testing.B) {
+	items := mvptree.Words(rand.New(rand.NewPCG(42, 42)), 50000, mvptree.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mvptree.New(items, mvptree.EditDistance, mvptree.Options{
+			Partitions: 3, LeafCapacity: 80, PathLength: 5,
+			Build: mvptree.BuildOptions{Workers: 2},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildVP is BenchmarkBuildMVP for the binary vp-tree, whose
 // leaf-heavy recursion stresses Fork more than Measure.
 func BenchmarkBuildVP(b *testing.B) {
@@ -338,12 +356,43 @@ func BenchmarkKNNVP(b *testing.B) {
 	}
 }
 
+// BenchmarkEditDistance times the edit kernels: "words" is the exact
+// kernel over dictionary-like words; the len=L sub-benchmarks run
+// EditUpTo over equal-length strings (every second pair two edits
+// apart, the others unrelated) so the 64-byte cliff of the bit-parallel
+// path (len 64 vs 65) and the band/bit-vector crossover (bound 1 and 4
+// vs +Inf) are numbers of their own.
 func BenchmarkEditDistance(b *testing.B) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	words := mvptree.Words(rng, 256, mvptree.WordOptions{MinLen: 8, MaxLen: 16})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mvptree.EditDistance(words[i%256], words[(i+1)%256])
+	b.Run("words", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mvptree.EditDistance(words[i%256], words[(i+1)%256])
+		}
+	})
+	for _, length := range []int{8, 32, 64, 65, 200} {
+		pool := make([]string, 256)
+		for i := range pool {
+			s := make([]byte, length)
+			if i%2 == 1 {
+				copy(s, pool[i-1])
+				s[rng.IntN(length)] = 'z'
+				s[rng.IntN(length)] = 'y'
+			} else {
+				for j := range s {
+					s[j] = byte('a' + rng.IntN(8))
+				}
+			}
+			pool[i] = string(s)
+		}
+		for _, bound := range []float64{1, 4, math.Inf(1)} {
+			b.Run(fmt.Sprintf("len=%d/bound=%g", length, bound), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					metric.EditUpTo(pool[i%256], pool[(i+1)%256], bound)
+				}
+			})
+		}
 	}
 }
 

@@ -7,11 +7,17 @@
 // template. This package is that template's engine room; the index
 // packages keep only their structure-specific partitioning logic.
 //
-// It provides three primitives:
+// It provides four primitives:
 //
 //   - Measure, a batch-distance evaluator that spreads the distances
 //     from one vantage point to a set of items over a bounded worker
 //     pool shared across the whole build;
+//
+//   - SplitEqual over a Scratch, the partition step of the vp-tree
+//     family: the tree is built over one permutation of item positions
+//     partitioned in place, each node ordering its own range of packed
+//     (distance, id) keys and cutting it into equal-cardinality shells
+//     (see partition.go);
 //
 //   - Fork, subtree-level task spawning for the recursive builders,
 //     paired with a splittable deterministic RNG (see RNG) so that the
@@ -27,7 +33,9 @@
 // settles the shared Counter once per batch, so distances and counter
 // totals are scheduling-independent; Fork gives every subtree its own
 // RNG derived from the parent's by index, so random choices are fixed
-// by tree position, not by execution order.
+// by tree position, not by execution order; and sibling subtrees own
+// disjoint ranges of the Scratch arenas, so what one task writes no
+// other reads.
 package build
 
 import (
@@ -130,16 +138,18 @@ func (b *Builder[T]) Workers() int { return b.workers }
 
 // Measure fills out[i] with the distance from item(i) to the vantage
 // point v for every i in [0, len(out)). With more than one worker and a
-// large enough batch the raw metric runs on pool goroutines and the
-// shared Counter is settled once at the end; otherwise it runs
-// sequentially through the Counter. Either way the resulting distances
-// and the final count are identical.
+// large enough batch the raw metric runs on pool goroutines; otherwise
+// it runs on the calling goroutine. Either way the shared Counter is
+// settled once at the end (one atomic update per batch, not one per
+// distance on a cache line every worker shares), and the resulting
+// distances and the final count are identical.
 func (b *Builder[T]) Measure(v T, item func(int) T, out []float64) {
 	n := len(out)
 	if b.workers <= 1 || n < MeasureThreshold {
-		for i := 0; i < n; i++ {
-			out[i] = b.dist.Distance(item(i), v)
+		for i := range out {
+			out[i] = b.raw(item(i), v)
 		}
+		b.dist.Add(int64(n))
 		return
 	}
 	chunk := (n + b.workers - 1) / b.workers

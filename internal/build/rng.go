@@ -1,6 +1,9 @@
 package build
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+	"sync"
+)
 
 // RNG is a splittable deterministic random source for parallel
 // construction. Each tree node derives its local rand.Rand from an RNG
@@ -48,5 +51,30 @@ func (r RNG) Child(i int) RNG {
 // decisions. Repeated calls return identically-seeded sources; draw
 // from one instance for sequenced decisions within a node.
 func (r RNG) Rand() *rand.Rand {
-	return rand.New(rand.NewPCG(r.key, 0x6275696c642e726e)) // "build.rn"
+	return rand.New(rand.NewPCG(r.key, randStream))
+}
+
+const randStream = 0x6275696c642e726e // "build.rn"
+
+// generator is a reusable source for Pick.
+type generator struct {
+	pcg  rand.PCG
+	rand *rand.Rand
+}
+
+var generators = sync.Pool{New: func() any {
+	g := new(generator)
+	g.rand = rand.New(&g.pcg)
+	return g
+}}
+
+// Pick returns r.Rand().IntN(n) — the first random decision at this
+// tree position — without allocating a generator, for the nodes (most
+// of them: every leaf) that make exactly one.
+func (r RNG) Pick(n int) int {
+	g := generators.Get().(*generator)
+	g.pcg.Seed(r.key, randStream)
+	i := g.rand.IntN(n)
+	generators.Put(g)
+	return i
 }

@@ -107,10 +107,8 @@ func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T]
 	if opts.RebuildFraction <= 0 {
 		return nil, errors.New("dynamic: RebuildFraction must be positive")
 	}
-	s := &Store[T]{opts: opts, itemDist: dist}
-	s.dist = metric.NewCounter(func(a, b int) float64 {
-		return dist(s.resolve(a), s.resolve(b))
-	})
+	s := &Store[T]{opts: opts}
+	s.bindMetric(dist)
 	s.items = append(s.items, items...)
 	s.alive = make([]bool, len(items))
 	for i := range s.alive {
@@ -121,6 +119,24 @@ func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T]
 		return nil, err
 	}
 	return s, nil
+}
+
+// bindMetric points the store's counter — a metric over IDs — at the
+// item metric dist. The ID closure is not a registered top-level
+// function, so NewCounter finds no early-abandoning kernel for it; the
+// item metric's own registered fast path (if any) is attached behind
+// the same resolve indirection, or every DistanceUpTo of the tree and
+// of the buffer-tail scans would run the exact kernel.
+func (s *Store[T]) bindMetric(dist metric.DistanceFunc[T]) {
+	s.itemDist = dist
+	s.dist = metric.NewCounter(func(a, b int) float64 {
+		return dist(s.resolve(a), s.resolve(b))
+	})
+	if bounded := metric.NewCounter(dist).Bounded(); bounded != nil {
+		s.dist.SetBounded(func(a, b int, bound float64) float64 {
+			return bounded(s.resolve(a), s.resolve(b), bound)
+		})
+	}
 }
 
 // resolve maps an ID to its item: non-negative IDs index the backing

@@ -118,10 +118,8 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	}
 	rr := wire.NewReader(bytes.NewReader(payload))
 
-	s := &Store[T]{itemDist: dist}
-	s.dist = metric.NewCounter(func(a, b int) float64 {
-		return dist(s.resolve(a), s.resolve(b))
-	})
+	s := &Store[T]{}
+	s.bindMetric(dist)
 	s.opts.RebuildFraction = rr.Float()
 	s.opts.Tree = loadTreeOptions(rr)
 	s.seq = rr.Uvarint()

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"mvptree/internal/build"
 	"mvptree/internal/cascade"
@@ -282,15 +281,15 @@ func (t *Tree[T]) buildInternal(b *build.Builder[T], entries []entry[T], src bui
 	n := &node[T]{}
 	vantages, dists, rest := t.chooseVantages(b, entries, src.Rand(), t.v)
 	n.vantages = vantages
-	ids := make([]int, len(rest))
-	for i := range ids {
-		ids[i] = i
+	keys := make([]build.Key, len(rest))
+	for i := range keys {
+		keys[i].ID = int32(i)
 	}
 	// The cascade partitions without any distance computations; child
 	// subtrees are collected during the walk and then built through the
 	// pool, each with an RNG derived from its cascade position.
 	var tasks []childTask[T]
-	n.top = t.buildSplit(rest, dists, ids, 0, &tasks)
+	n.top = t.buildSplit(rest, dists, keys, 0, &tasks)
 	b.Fork(len(tasks), func(i int) {
 		ct := tasks[i]
 		ct.sp.children[ct.g] = t.build(b, ct.entries, src.Child(i), depth+1)
@@ -306,62 +305,35 @@ type childTask[T any] struct {
 	entries []entry[T]
 }
 
-// buildSplit partitions the region holding the points rest[ids] by the
-// distance slice dists[level], recursing down the cascade and finally
-// into child subtrees.
-func (t *Tree[T]) buildSplit(rest []entry[T], dists [][]float64, ids []int, level int, tasks *[]childTask[T]) *split[T] {
-	ds := dists[level]
-	sort.Slice(ids, func(a, b int) bool { return ds[ids[a]] < ds[ids[b]] })
-	sp := &split[T]{level: level}
-	groups := equalGroups(len(ids), t.m)
+// buildSplit partitions the region holding the points rest[keys[i].ID]
+// by the distance slice dists[level], recursing down the cascade and
+// finally into child subtrees.
+func (t *Tree[T]) buildSplit(rest []entry[T], dists [][]float64, keys []build.Key, level int, tasks *[]childTask[T]) *split[T] {
+	for i := range keys {
+		keys[i].D = dists[level][keys[i].ID]
+	}
+	groups := min(t.m, len(keys))
+	sp := &split[T]{level: level, cutoffs: build.SplitEqual(keys, groups)}
 	last := level == len(dists)-1
 	if !last {
-		sp.subs = make([]*split[T], len(groups))
+		sp.subs = make([]*split[T], groups)
 	} else {
-		sp.children = make([]*node[T], len(groups))
+		sp.children = make([]*node[T], groups)
 	}
-	sp.cutoffs = make([]float64, len(groups)-1)
-	for g, grp := range groups {
-		if g < len(groups)-1 {
-			sp.cutoffs[g] = (ds[ids[grp.hi-1]] + ds[ids[grp.hi]]) / 2
-		}
-		region := ids[grp.lo:grp.hi]
+	for g := 0; g < groups; g++ {
+		lo, hi := build.GroupBounds(len(keys), groups, g)
+		region := keys[lo:hi]
 		if !last {
 			sp.subs[g] = t.buildSplit(rest, dists, region, level+1, tasks)
 			continue
 		}
 		child := make([]entry[T], len(region))
-		for i, id := range region {
-			child[i] = rest[id]
+		for i, k := range region {
+			child[i] = rest[k.ID]
 		}
 		*tasks = append(*tasks, childTask[T]{sp, g, child})
 	}
 	return sp
-}
-
-// rankRange is a half-open rank interval.
-type rankRange struct{ lo, hi int }
-
-// equalGroups splits n ranks into at most m near-equal groups.
-func equalGroups(n, m int) []rankRange {
-	if n == 0 {
-		return nil
-	}
-	if m > n {
-		m = n
-	}
-	groups := make([]rankRange, m)
-	base, extra := n/m, n%m
-	lo := 0
-	for g := 0; g < m; g++ {
-		hi := lo + base
-		if g < extra {
-			hi++
-		}
-		groups[g] = rankRange{lo, hi}
-		lo = hi
-	}
-	return groups
 }
 
 // shellBounds returns the closed interval of region g.

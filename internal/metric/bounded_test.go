@@ -161,25 +161,43 @@ func TestBoundedStringKernelsAgreeWithExact(t *testing.T) {
 	}
 }
 
-func FuzzEditUpTo(f *testing.F) {
+// FuzzEditKernels is the one differential fuzzer of the edit kernels:
+// Edit must equal the two-row reference program, and EditUpTo must obey
+// the BoundedDistanceFunc contract at the bounds either side of the
+// distance, the degenerate ones and the fuzzer's own, in both argument
+// orders. The seeds sit on the kernels' seams: the 64-byte word of the
+// bit-parallel sweep (63/64/65 bytes, on one side and on both), bytes
+// ≥ 0x80 and NUL in the match table, long shared prefixes and suffixes
+// (trimmed before any kernel runs), and empty strings.
+func FuzzEditKernels(f *testing.F) {
 	f.Add("kitten", "sitting", 2.0)
 	f.Add("", "abc", 0.0)
 	f.Add("abcdefgh", "abcdefgh", 1.0)
 	f.Add("aaaa", "bbbb", 3.5)
+	f.Add("", "", 1.0)
+	x63, y64, z65 := strings.Repeat("abcdefg", 9), strings.Repeat("hgfedcba", 8), strings.Repeat("badce", 13)
+	f.Add(x63, y64, 70.0)
+	f.Add(y64, z65, 3.0)
+	f.Add(x63, z65, 40.0)
+	f.Add(z65, z65[1:]+"q", 1.0)
+	f.Add(y64+"x", y64[:40]+"\x00\xff"+y64[40:], 2.0)
+	f.Add("\x00\x80\xfe\xff", "\xff\x00\x80", 2.0)
+	f.Add(x63+"left"+y64, x63+"right"+y64, 4.0)
+	f.Add(strings.Repeat("a", 200), strings.Repeat("a", 130)+strings.Repeat("b", 70), 64.0)
 	f.Fuzz(func(t *testing.T, a, b string, bound float64) {
-		if len(a) > 256 || len(b) > 256 {
+		if len(a) > 300 || len(b) > 300 || math.IsNaN(bound) {
 			return
 		}
-		if math.IsNaN(bound) {
-			return
+		d := editReference(a, b)
+		if got := Edit(a, b); got != d {
+			t.Fatalf("Edit(%q, %q) = %v, reference %v", a, b, got, d)
 		}
-		exact := Edit(a, b)
-		got := EditUpTo(a, b, bound)
-		if got <= bound && got != exact {
-			t.Fatalf("EditUpTo(%q, %q, %v) = %v within bound but exact = %v", a, b, bound, got, exact)
+		if got := Edit(b, a); got != d {
+			t.Fatalf("Edit(%q, %q) = %v, reference %v", b, a, got, d)
 		}
-		if got > bound && exact <= bound {
-			t.Fatalf("EditUpTo(%q, %q, %v) abandoned (%v) but exact = %v is within bound", a, b, bound, got, exact)
+		for _, bnd := range []float64{0, d - 1, d - 0.5, d, d + 0.5, math.Inf(1), math.Abs(bound)} {
+			checkContract(t, "EditUpTo", d, EditUpTo(a, b, bnd), bnd)
+			checkContract(t, "EditUpTo swapped", d, EditUpTo(b, a, bnd), bnd)
 		}
 	})
 }

@@ -1,5 +1,7 @@
 package metric
 
+import "sync"
+
 // Edit returns the Levenshtein edit distance between two strings: the
 // minimum number of single-character insertions, deletions and
 // substitutions needed to turn a into b. Edit distance is a metric and is
@@ -9,130 +11,205 @@ package metric
 //
 // The strings are compared byte-wise; for the ASCII corpora used in this
 // repository that coincides with character-wise comparison.
+//
+// When the shorter string (after the common prefix and suffix are
+// dropped) fits a machine word — 64 bytes — the distance comes from the
+// bit-parallel column sweep of editBits, which touches no heap; longer
+// pairs run the two-row dynamic program over pooled rows.
 func Edit(a, b string) float64 {
-	if a == b {
-		return 0
-	}
-	// Ensure b is the shorter string so the DP rows stay small.
-	if len(a) < len(b) {
-		a, b = b, a
-	}
+	a, b = trimCommon(a, b)
 	if len(b) == 0 {
 		return float64(len(a))
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
+	if len(b) <= wordBits {
+		return float64(editBits(a, b, len(a)))
 	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ca := a[i-1]
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
-			}
-			m := prev[j-1] + cost        // substitution or match
-			if d := prev[j] + 1; d < m { // deletion from a
-				m = d
-			}
-			if d := cur[j-1] + 1; d < m { // insertion into a
-				m = d
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return float64(prev[len(b)])
+	return float64(editRows(a, b, len(a)))
 }
 
-// EditUpTo is the early-abandoning (banded) Levenshtein distance. With
-// halfwidth k = ⌊bound⌋ only DP cells within k of the diagonal can hold
-// a value ≤ k, so the band suffices to decide whether the true distance
-// is within bound; cells outside it act as +∞. When the band result
-// exceeds k it may overestimate the true distance, but then the true
-// distance also exceeds k ≥ nothing more is claimed than "> bound",
-// which is exactly the BoundedDistanceFunc contract.
+// EditUpTo is the early-abandoning Levenshtein distance under the
+// BoundedDistanceFunc contract. With k = ⌊bound⌋ it picks, from the
+// bound and the lengths alone, the cheapest kernel that can certify
+// "distance > k": the banded dynamic program (2k+1 cells per row) when
+// the band is narrow, the bit-parallel sweep with its
+// score − remaining cut-off when the band would be wider than a word's
+// worth of bit operations, and the exact kernel when the bound is too
+// large to ever cut off.
 func EditUpTo(a, b string, bound float64) float64 {
-	if a == b {
-		return 0
-	}
-	if len(a) < len(b) {
-		a, b = b, a
-	}
+	a, b = trimCommon(a, b)
 	if len(b) == 0 {
 		return float64(len(a))
 	}
-	if bound < 0 {
-		bound = 0
-	}
-	var k int
-	if float64(len(a)+len(b)) <= bound {
-		// The band covers the whole table; the banded DP degenerates to
-		// the full DP, so just run the exact kernel.
+	if !(bound < float64(len(a))) {
+		// No pair of these lengths is farther apart than len(a), so
+		// nothing can be abandoned (this is also where +Inf lands).
 		return Edit(a, b)
 	}
-	k = int(bound)
+	k := 0
+	if bound > 0 {
+		k = int(bound)
+	}
 	if len(a)-len(b) > k {
 		// At least len(a)-len(b) insertions are unavoidable, and that
 		// alone already exceeds the bound.
 		return float64(len(a) - len(b))
 	}
-	// Banded two-row DP over columns j ∈ [i-k, i+k] clipped to [0, len(b)].
-	// big is the +∞ sentinel for cells outside the band; it is chosen so
-	// additions cannot overflow.
-	const big = 1 << 30
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	if len(b) > wordBits {
+		return float64(editRows(a, b, k))
+	}
+	if k > bandMaxHalfwidth {
+		return float64(editBits(a, b, k))
+	}
+	var rows [2 * (wordBits + 1)]int32
+	return float64(editBand(a, b, k, rows[:len(b)+1], rows[wordBits+1:wordBits+2+len(b)]))
+}
+
+// wordBits is the pattern length one machine word of the bit-parallel
+// kernel covers.
+const wordBits = 64
+
+// bandMaxHalfwidth is the widest band halfwidth for which the banded
+// program beats the bit-parallel sweep on strings of at most wordBits
+// bytes: the sweep pays a fixed match-table set-up plus a dozen word
+// operations per column, the band 2k+1 cells per column. Measured on
+// 8- to 64-byte strings the band is ahead at k = 1 (the r = 1 range
+// queries of the word workloads) and behind from k = 2 or 3 on;
+// BenchmarkEditDistance's bound=1 and bound=4 rows sit either side.
+const bandMaxHalfwidth = 1
+
+// trimCommon drops the common prefix and suffix of a and b — they
+// contribute nothing to the edit distance — and returns the remainders
+// with the longer one first.
+func trimCommon(a, b string) (string, string) {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	i := 0
+	for i < len(b) && a[i] == b[i] {
+		i++
+	}
+	a, b = a[i:], b[i:]
+	for len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	return a, b
+}
+
+// editBits is the bit-parallel Levenshtein distance of Myers (1999) in
+// Hyyrö's (2001) edit-distance formulation, for 1 ≤ len(b) ≤ wordBits.
+// One column of the dynamic-programming table is held as two words of
+// vertical deltas (pv: +1, mv: −1) over the rows of b; each byte of a
+// advances the column with a constant number of word operations, and
+// score tracks the bottom cell. The bottom row changes by at most one
+// per column, so once score minus the number of columns left exceeds k
+// the final distance must too, and that lower bound is returned as the
+// certificate (pass k ≥ len(a) for the exact distance: the cut-off can
+// then never fire).
+func editBits(a, b string, k int) int {
+	var peq [256]uint64
+	for i := 0; i < len(b); i++ {
+		peq[b[i]] |= 1 << uint(i)
+	}
+	var (
+		pv    = ^uint64(0)
+		mv    uint64
+		score = len(b)
+		last  = uint64(1) << uint(len(b)-1)
+	)
+	for i := 0; i < len(a); i++ {
+		eq := peq[a[i]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		if low := score - (len(a) - 1 - i); low > k {
+			return low
+		}
+		ph = ph<<1 | 1
+		pv = mh<<1 | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
+}
+
+// rowPool recycles the dynamic-programming rows of pairs whose shorter
+// string exceeds wordBits bytes.
+var rowPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// editRows runs editBand over pooled rows, for a shorter string too
+// long for the stack rows and the bit-parallel kernel. k ≥ len(a)
+// makes the band the whole table, i.e. the exact two-row program.
+func editRows(a, b string, k int) int {
+	p := rowPool.Get().(*[]int32)
+	if cap(*p) < 2*(len(b)+1) {
+		*p = make([]int32, 2*(len(b)+1))
+	}
+	rows := (*p)[:2*(len(b)+1)]
+	d := editBand(a, b, k, rows[:len(b)+1], rows[len(b)+1:])
+	rowPool.Put(p)
+	return d
+}
+
+// editBand is the banded two-row Levenshtein program with halfwidth k
+// over caller-supplied rows of len(b)+1 cells; len(a) ≥ len(b) ≥ 1.
+// Only cells within k of the diagonal can hold a value ≤ k, so the band
+// suffices to decide whether the true distance is within k; cells
+// outside it act as +∞. A result ≤ k is exact; a result > k may be a
+// band overestimate, but then the true distance also exceeds k — for
+// the integer-valued edit distance, exceeds any bound with ⌊bound⌋ = k —
+// which is all the BoundedDistanceFunc contract claims.
+func editBand(a, b string, k int, prev, cur []int32) int {
 	for j := 0; j <= len(b) && j <= k; j++ {
-		prev[j] = j
+		prev[j] = int32(j)
 	}
 	for i := 1; i <= len(a); i++ {
 		lo := i - k
 		if lo < 1 {
 			lo = 1
-			cur[0] = i
+			cur[0] = int32(i)
 		}
 		hi := i + k
 		if hi > len(b) {
 			hi = len(b)
 		}
 		if lo > hi {
-			return float64(k + 1)
+			return k + 1
 		}
 		ca := a[i-1]
-		rowMin := big
+		rowMin := int32(1 << 30)
 		for j := lo; j <= hi; j++ {
-			cost := 1
-			if ca == b[j-1] {
-				cost = 0
+			m := prev[j-1] // substitution or match
+			if ca != b[j-1] {
+				m++
 			}
-			m := prev[j-1] + cost
-			if j == i+k {
-				// prev[j] is outside the band for row i-1.
-			} else if d := prev[j] + 1; d < m {
-				m = d
+			// prev[j] is outside the band of row i-1 when j == i+k.
+			if j != i+k {
+				if d := prev[j] + 1; d < m { // deletion from a
+					m = d
+				}
 			}
-			if j == lo && lo == i-k {
-				// cur[j-1] is outside the band for row i.
-			} else if d := cur[j-1] + 1; d < m {
-				m = d
+			// cur[j-1] is outside the band of row i when j == i-k.
+			if j != i-k {
+				if d := cur[j-1] + 1; d < m { // insertion into a
+					m = d
+				}
 			}
 			cur[j] = m
 			if m < rowMin {
 				rowMin = m
 			}
 		}
-		if rowMin > k {
+		if int(rowMin) > k {
 			// Every in-band cell exceeds k and values are monotone down
 			// the table, so the true distance exceeds the bound.
-			return float64(rowMin)
+			return int(rowMin)
 		}
 		prev, cur = cur, prev
 	}
-	// A result ≤ k is exact; a result > k may be a band overestimate but
-	// then the true distance is also > k ≥ ⌊bound⌋, i.e. > bound for the
-	// integer-valued edit distance.
-	return float64(prev[len(b)])
+	return int(prev[len(b)])
 }

@@ -82,3 +82,70 @@ func TestEditSingleOps(t *testing.T) {
 		}
 	}
 }
+
+// editReference is the textbook two-row Levenshtein program the kernels
+// replaced, kept as the oracle of FuzzEditKernels and
+// TestEditKernelsAgainstReference.
+func editReference(a, b string) float64 {
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			m := prev[j-1] // substitution or match
+			if a[i-1] != b[j-1] {
+				m++
+			}
+			m = min(m, prev[j]+1, cur[j-1]+1) // deletion, insertion
+			cur[j] = m
+		}
+		prev, cur = cur, prev
+	}
+	return float64(prev[len(b)])
+}
+
+// TestEditKernelsAgainstReference sweeps random pairs across the
+// 64-byte seam of the bit-parallel kernel and every band halfwidth
+// around the band/bit-vector switch, so the tier-1 run covers what the
+// fuzzer explores.
+func TestEditKernelsAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 64))
+	word := func(n, alphabet int) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = byte(rng.IntN(alphabet)) * 37 // spans NUL and bytes ≥ 0x80
+		}
+		return s
+	}
+	lengths := []int{0, 1, 2, 7, 31, 62, 63, 64, 65, 66, 100, 129}
+	for trial := 0; trial < 6000; trial++ {
+		a := word(lengths[rng.IntN(len(lengths))], 2+rng.IntN(6))
+		var b []byte
+		if rng.IntN(2) == 0 {
+			b = word(lengths[rng.IntN(len(lengths))], 2+rng.IntN(6))
+		} else {
+			// A few edits away, so small bounds land on both sides.
+			b = append(b, a...)
+			for e := rng.IntN(6); e > 0 && len(b) > 0; e-- {
+				switch pos := rng.IntN(len(b)); rng.IntN(3) {
+				case 0:
+					b[pos] ^= 0x55
+				case 1:
+					b = append(b[:pos], b[pos+1:]...)
+				default:
+					b = append(b[:pos+1], b[pos:]...)
+				}
+			}
+		}
+		d := editReference(string(a), string(b))
+		if got := Edit(string(a), string(b)); got != d {
+			t.Fatalf("Edit(%q, %q) = %v, reference %v", a, b, got, d)
+		}
+		for _, bound := range []float64{0, 1, 2, 3, 4.5, d - 1, d - 0.5, d, d + 0.5, float64(rng.IntN(140))} {
+			checkContract(t, "EditUpTo", d, EditUpTo(string(a), string(b), bound), bound)
+		}
+	}
+}

@@ -1,49 +1,74 @@
 package mvp
 
 import (
-	"sort"
+	"sync"
 
 	"mvptree/internal/build"
 )
 
-// build recursively constructs the subtree over entries, following the
-// paper's construction algorithm (§4.2) generalized from m=2 to any m.
-// Each entry's path slice accumulates distances to the vantage points of
-// the internal nodes above it, capped at p entries; leaves retain the
-// accumulated paths.
+// construction is the state of one tree build. The tree is built over a
+// permutation of item positions partitioned in place (build.Scratch):
+// the subtree over slots [lo, hi) owns those slots of the permutation,
+// of the distance row and of the sort keys, so no level copies its
+// points and no node allocates scratch. paths is the n×p PATH arena:
+// row id accumulates item id's distances to the vantage points above
+// it, and leaves copy their rows out when they are built.
+type construction[T any] struct {
+	t     *Tree[T]
+	b     *build.Builder[T]
+	opts  *Options
+	items []T
+	build.Scratch
+	paths []float64
+
+	offMu   sync.Mutex
+	offsets [][]int32 // by entries held; see pathOffsets
+}
+
+// pathLen is the number of PATH entries every point of a subtree at
+// depth already holds: two per internal level above it, capped at p.
+func (c *construction[T]) pathLen(depth int) int { return min(c.t.p, 2*depth) }
+
+// build recursively constructs the subtree over slots [lo, hi),
+// following the paper's construction algorithm (§4.2) generalized from
+// m=2 to any m.
 //
 // src is the splittable RNG fixed by this subtree's position, so the
 // tree is identical for every worker count.
-func (t *Tree[T]) build(b *build.Builder[T], entries []entry[T], src build.RNG, opts *Options, depth int) *node[T] {
+func (c *construction[T]) build(lo, hi int, src build.RNG, depth int) *node[T] {
 	switch {
-	case len(entries) == 0:
+	case lo == hi:
 		return nil
-	case len(entries) <= t.k+2:
-		return t.buildLeaf(b, entries, src, depth)
+	case hi-lo <= c.t.k+2:
+		return c.buildLeaf(lo, hi, src, depth)
 	default:
-		return t.buildInternal(b, entries, src, opts, depth)
+		return c.buildInternal(lo, hi, src, depth)
 	}
+}
+
+// firstVantage draws the node's first vantage point — arbitrary
+// (seeded-random, like the paper's implementation) — moves it to the
+// last slot and returns the remaining slots.
+func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int32 {
+	last := len(perm) - 1
+	perm[pick], perm[last] = perm[last], perm[pick]
+	n.sv1, n.hasSV1 = c.items[perm[last]], true
+	return perm[:last]
 }
 
 // buildLeaf implements step 2 of the paper's algorithm: pick the first
 // vantage point arbitrarily, the second as the farthest point from the
 // first, and store exact distances D1, D2 for the remaining points.
-func (t *Tree[T]) buildLeaf(b *build.Builder[T], entries []entry[T], src build.RNG, depth int) *node[T] {
-	b.Node(depth)
-	rng := src.Rand()
+func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth int) *node[T] {
+	c.b.Node(depth)
 	n := &node[T]{}
-	// First vantage point: arbitrary (seeded-random, like the paper's
-	// implementation).
-	vi := rng.IntN(len(entries))
-	entries[vi], entries[len(entries)-1] = entries[len(entries)-1], entries[vi]
-	n.sv1, n.hasSV1 = entries[len(entries)-1].item, true
-	rest := entries[:len(entries)-1]
+	rest := c.firstVantage(n, c.Perm[lo:hi], src.Pick(hi-lo))
 	if len(rest) == 0 {
 		return n
 	}
 
-	d1 := make([]float64, len(rest))
-	b.Measure(n.sv1, func(i int) T { return rest[i].item }, d1)
+	d1 := c.Dist[lo : lo+len(rest)]
+	c.b.MeasureIDs(n.sv1, c.items, rest, d1)
 	far := 0
 	for i := range rest {
 		if d1[i] > d1[far] {
@@ -56,173 +81,137 @@ func (t *Tree[T]) buildLeaf(b *build.Builder[T], entries []entry[T], src build.R
 	last := len(rest) - 1
 	rest[far], rest[last] = rest[last], rest[far]
 	d1[far], d1[last] = d1[last], d1[far]
-	n.sv2, n.hasSV2 = rest[last].item, true
+	n.sv2, n.hasSV2 = c.items[rest[last]], true
 	rest, d1 = rest[:last], d1[:last]
 	if len(rest) == 0 {
 		return n
 	}
 
+	p, held := c.t.p, c.pathLen(depth)
 	n.items = make([]T, len(rest))
-	n.d1 = d1
+	n.d1 = append(make([]float64, 0, len(rest)), d1...)
 	n.d2 = make([]float64, len(rest))
-	total := 0
-	for i := range rest {
-		total += len(rest[i].path)
+	n.pathData = make([]float64, 0, len(rest)*held)
+	n.pathOff = c.pathOffsets(held)[: len(rest)+1 : len(rest)+1]
+	for i, id := range rest {
+		n.items[i] = c.items[id]
+		n.pathData = append(n.pathData, c.paths[int(id)*p:int(id)*p+held]...)
 	}
-	n.pathData = make([]float64, 0, total)
-	n.pathOff = make([]int32, len(rest)+1)
-	for i := range rest {
-		n.items[i] = rest[i].item
-		n.pathData = append(n.pathData, rest[i].path...)
-		n.pathOff[i+1] = int32(len(n.pathData))
-	}
-	b.Measure(n.sv2, func(i int) T { return n.items[i] }, n.d2)
+	c.b.MeasureIDs(n.sv2, c.items, rest, n.d2)
 	n.setDerived()
 	return n
+}
+
+// pathOffsets returns the PATH offset table 0, held, 2·held, … of a
+// leaf whose points each hold held entries, long enough for a full
+// leaf. Every point of a leaf holds the same number, so the table
+// depends on held alone and the leaves of a tree share one per value
+// instead of allocating their own.
+func (c *construction[T]) pathOffsets(held int) []int32 {
+	c.offMu.Lock()
+	defer c.offMu.Unlock()
+	if c.offsets[held] == nil {
+		off := make([]int32, c.t.k+1)
+		for i := range off {
+			off[i] = int32(i * held)
+		}
+		c.offsets[held] = off
+	}
+	return c.offsets[held]
+}
+
+// measure fills keys with the distances from v to the points in ids and
+// retains each in the point's PATH row at index held while below the
+// cap.
+func (c *construction[T]) measure(v T, ids []int32, dist []float64, keys []build.Key, held int) {
+	c.b.MeasureKeys(v, c.items, ids, dist, keys)
+	if p := c.t.p; held < p {
+		for i, id := range ids {
+			c.paths[int(id)*p+held] = dist[i]
+		}
+	}
 }
 
 // buildInternal implements step 3 of the paper's algorithm generalized
 // to m partitions per vantage point: the first vantage point splits the
 // set into m equal shells; one second vantage point (from the outermost
 // shell) splits every shell into m more. Child subtrees build through
-// the shared pool via Fork, each with its own position-derived RNG.
-func (t *Tree[T]) buildInternal(b *build.Builder[T], entries []entry[T], src build.RNG, opts *Options, depth int) *node[T] {
-	b.Node(depth)
+// the shared pool via Fork, each over its own slot range and with its
+// own position-derived RNG.
+func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth int) *node[T] {
+	c.b.Node(depth)
 	rng := src.Rand()
 	n := &node[T]{}
-	vi := rng.IntN(len(entries))
-	entries[vi], entries[len(entries)-1] = entries[len(entries)-1], entries[vi]
-	n.sv1, n.hasSV1 = entries[len(entries)-1].item, true
-	rest := entries[:len(entries)-1]
+	rest := c.firstVantage(n, c.Perm[lo:hi], rng.IntN(hi-lo))
+	dist, keys := c.Dist[lo:lo+len(rest)], c.Keys[lo:lo+len(rest)]
+	held := c.pathLen(depth)
 
-	// Distances to sv1; retain in PATH while below the cap.
-	d1 := make([]float64, len(rest))
-	b.Measure(n.sv1, func(i int) T { return rest[i].item }, d1)
-	for i := range rest {
-		if len(rest[i].path) < t.p {
-			rest[i].path = append(rest[i].path, d1[i])
-		}
-	}
-
-	ord := sortedOrder(d1)
-	groups, cut1 := splitEqual(d1, ord, t.m)
-	n.cut1 = cut1
+	c.measure(n.sv1, rest, dist, keys, held)
+	shells := min(c.t.m, len(keys))
+	n.cut1 = build.SplitEqual(keys, shells)
 
 	// Second vantage point: from the outermost shell — the farthest
 	// point from sv1 by default, or a random member for the ablation.
-	outer := groups[len(groups)-1]
-	var pick int // rank within ord
-	if opts.RandomSecondVantage {
-		pick = outer.lo + rng.IntN(outer.hi-outer.lo)
-	} else {
-		pick = outer.hi - 1 // ranks are sorted by d1: the farthest point
+	outerLo, outerHi := build.GroupBounds(len(keys), shells, shells-1)
+	pick := outerHi - 1 // keys are sorted by d1: the farthest point
+	if c.opts.RandomSecondVantage {
+		pick = outerLo + rng.IntN(outerHi-outerLo)
 	}
-	svIdx := ord[pick]
-	n.sv2, n.hasSV2 = rest[svIdx].item, true
-	// Remove the picked rank from the order (and from its group).
-	copy(ord[pick:], ord[pick+1:])
-	ord = ord[:len(ord)-1]
-	groups[len(groups)-1].hi--
+	sv2 := keys[pick].ID
+	n.sv2, n.hasSV2 = c.items[sv2], true
+	// Remove the picked key from the order (and from the outer shell);
+	// its slot is the one after the points that go on to the children.
+	keys = append(keys[:pick], keys[pick+1:]...)
+	for i, k := range keys {
+		rest[i] = k.ID
+	}
+	rest[len(keys)] = sv2
+	rest, dist = rest[:len(keys)], dist[:len(keys)]
 
 	// Distances to sv2 for every remaining point, across all shells.
-	d2 := make([]float64, len(rest))
-	dOrd := make([]float64, len(ord))
-	b.Measure(n.sv2, func(i int) T { return rest[ord[i]].item }, dOrd)
-	for k, i := range ord {
-		d2[i] = dOrd[k]
-		if len(rest[i].path) < t.p {
-			rest[i].path = append(rest[i].path, d2[i])
-		}
-	}
+	c.measure(n.sv2, rest, dist, keys, held+1)
 
-	// Partition into child entry sets sequentially (cheap: no distance
-	// computations), then recurse through the pool. Each task writes one
-	// distinct child slot and derives its RNG from the child's position.
+	// Partition every shell again (cheap: no distance computations),
+	// then recurse through the pool. Each task writes one distinct
+	// child slot, works on its own slot range and derives its RNG from
+	// the child's position.
 	type childTask struct {
-		g, h    int
-		entries []entry[T]
-		rng     build.RNG
+		g, h   int
+		lo, hi int
+		rng    build.RNG
 	}
-	var tasks []childTask
-	childIdx := 0
-	n.cut2 = make([][]float64, len(groups))
-	n.children = make([][]*node[T], len(groups))
-	for g, grp := range groups {
-		shell := ord[grp.lo:grp.hi]
-		// Order the shell's points by distance to sv2 and split again.
-		sort.Slice(shell, func(a, b int) bool { return d2[shell[a]] < d2[shell[b]] })
-		subGroups, cut2 := splitEqualRanks(d2, shell, t.m)
-		n.cut2[g] = cut2
-		n.children[g] = make([]*node[T], len(subGroups))
-		for h, sub := range subGroups {
-			child := make([]entry[T], sub.hi-sub.lo)
-			for i := sub.lo; i < sub.hi; i++ {
-				child[i-sub.lo] = rest[shell[i]]
-			}
-			tasks = append(tasks, childTask{g, h, child, src.Child(childIdx)})
-			childIdx++
+	tasks := make([]childTask, 0, shells*c.t.m)
+	n.cut2 = make([][]float64, shells)
+	n.children = make([][]*node[T], shells)
+	for g := range n.children {
+		shellLo, shellHi := build.GroupBounds(len(keys)+1, shells, g)
+		if g == shells-1 {
+			shellHi-- // the outer shell gave up sv2
 		}
-		if len(n.children[g]) == 0 {
+		shell := keys[shellLo:shellHi]
+		if len(shell) == 0 {
 			// An empty shell (possible when sv2 came from a shell of
 			// size one): keep a placeholder so cut2/children stay
 			// index-aligned with cut1 shells.
 			n.children[g] = []*node[T]{nil}
+			continue
 		}
+		// Order the shell's points by distance to sv2 and split again.
+		parts := min(c.t.m, len(shell))
+		n.cut2[g] = build.SplitEqual(shell, parts)
+		n.children[g] = make([]*node[T], parts)
+		for h := range n.children[g] {
+			partLo, partHi := build.GroupBounds(len(shell), parts, h)
+			tasks = append(tasks, childTask{g, h, lo + shellLo + partLo, lo + shellLo + partHi, src.Child(len(tasks))})
+		}
+	}
+	for i, k := range keys {
+		rest[i] = k.ID
 	}
 	n.setDerived()
-	b.Fork(len(tasks), func(i int) {
+	c.b.Fork(len(tasks), func(i int) {
 		ct := tasks[i]
-		n.children[ct.g][ct.h] = t.build(b, ct.entries, ct.rng, opts, depth+1)
+		n.children[ct.g][ct.h] = c.build(ct.lo, ct.hi, ct.rng, depth+1)
 	})
 	return n
-}
-
-// rankRange is a half-open interval of ranks into a sorted order.
-type rankRange struct{ lo, hi int }
-
-// sortedOrder returns the permutation that sorts d ascending.
-func sortedOrder(d []float64) []int {
-	ord := make([]int, len(d))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return d[ord[a]] < d[ord[b]] })
-	return ord
-}
-
-// splitEqual splits the sorted order ord over distances d into at most m
-// equal-cardinality groups and returns the groups' rank ranges together
-// with the cutoff values between consecutive groups. A cutoff is the
-// midpoint between the last distance of one group and the first of the
-// next, so every group's distances lie within its closed shell.
-func splitEqual(d []float64, ord []int, m int) ([]rankRange, []float64) {
-	return splitEqualRanks(d, ord, m)
-}
-
-// splitEqualRanks is splitEqual for an order slice that may be a
-// sub-slice (ranks local to the slice).
-func splitEqualRanks(d []float64, ord []int, m int) ([]rankRange, []float64) {
-	n := len(ord)
-	if n == 0 {
-		return nil, nil
-	}
-	if m > n {
-		m = n
-	}
-	groups := make([]rankRange, m)
-	cutoffs := make([]float64, m-1)
-	base, extra := n/m, n%m
-	lo := 0
-	for g := 0; g < m; g++ {
-		hi := lo + base
-		if g < extra {
-			hi++
-		}
-		groups[g] = rankRange{lo, hi}
-		if g < m-1 {
-			cutoffs[g] = (d[ord[hi-1]] + d[ord[hi]]) / 2
-		}
-		lo = hi
-	}
-	return groups, cutoffs
 }

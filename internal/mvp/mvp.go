@@ -234,12 +234,6 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// entry carries an item and its accumulating PATH during construction.
-type entry[T any] struct {
-	item T
-	path []float64
-}
-
 // New builds an mvp-tree over items using the counted metric dist. The
 // items slice is not retained. Construction makes O(n · log_{m²} n)
 // distance computations, visible on dist and recorded in BuildCost.
@@ -262,13 +256,14 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 		k:    opts.LeafCapacity,
 		p:    opts.PathLength,
 	}
-	entries := make([]entry[T], len(items))
-	for i, it := range items {
-		entries[i] = entry[T]{item: it}
+	c := construction[T]{
+		t: t, b: build.Start(dist, opts.Build), opts: &opts, items: items,
+		Scratch: build.NewScratch(len(items)),
+		paths:   make([]float64, len(items)*t.p),
+		offsets: make([][]int32, t.p+1),
 	}
-	b := build.Start(dist, opts.Build)
-	t.root = t.build(b, entries, build.NewRNG(opts.Seed, 0x6d767074726565), &opts, 0)
-	t.buildStats = b.Finish()
+	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, 0x6d767074726565), 0)
+	t.buildStats = c.b.Finish()
 	if opts.FlatVectors {
 		t.flattenLeafVectors()
 	}

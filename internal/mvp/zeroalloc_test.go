@@ -3,8 +3,10 @@ package mvp
 import (
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 
+	"mvptree/internal/dataset"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
@@ -75,6 +77,68 @@ func TestSteadyStateQueryAllocations(t *testing.T) {
 	}); allocs > 1 {
 		t.Errorf("budgeted kNN Search allocated %.1f times per query, want <= 1 (the result slice)", allocs)
 	}
+
+	// The same pin over strings under edit distance: the kernels work in
+	// registers, stack rows or pooled rows (the 70-byte query crosses
+	// the 64-byte word of the bit-parallel kernel), so a word query
+	// allocates only its result slice.
+	rng := rand.New(rand.NewPCG(13, 64))
+	words := dataset.Words(rng, 2000, dataset.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	words = append(words, strings.Repeat("lorem ipsum ", 6), strings.Repeat("dolor sit amet ", 5))
+	wordTree, err := New(words, metric.NewCounter(metric.Edit),
+		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"0123456789", strings.Repeat("0123456789", 7)} {
+		if got := wordTree.Range(q, 1); len(got) != 0 {
+			t.Fatalf("Range(%q, 1) returned %d results, want 0", q, len(got))
+		}
+		if allocs := testing.AllocsPerRun(200, func() { wordTree.Range(q, 1) }); allocs != 0 {
+			t.Errorf("empty-result Range(%q, 1) allocated %.1f times per query, want 0", q, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { wordTree.KNN(q, 10) }); allocs > 1 {
+			t.Errorf("KNN(%q, 10) allocated %.1f times per query, want <= 1 (the result slice)", q, allocs)
+		}
+	}
+}
+
+// TestBuildAllocationsScaleWithNodes pins construction to O(nodes)
+// allocations — what each node keeps (its struct, cutoffs, child slots,
+// leaf arrays) plus a constant of tree-wide arenas — and not O(items):
+// no per-point PATH slice, no per-level copy of the points, no per-node
+// scratch. At the paper's options a node holds about sixty points, so a
+// regression to per-item allocation overshoots the bound several times.
+func TestBuildAllocationsScaleWithNodes(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	const n = 20000
+	opts := Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}}
+	vectors := uniformItems(21, n, 10)
+	words := dataset.Words(rand.New(rand.NewPCG(21, 5)), n, dataset.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	check := func(name string, build func() int) {
+		nodes := build()
+		allocs := testing.AllocsPerRun(3, func() { build() })
+		if limit := float64(12*nodes + 64); allocs > limit {
+			t.Errorf("%s: building %d items into %d nodes allocated %.0f times, want <= 12 per node + 64 = %.0f",
+				name, n, nodes, allocs, limit)
+		}
+	}
+	check("vectors/L2", func() int {
+		tree, err := New(vectors, metric.NewCounter(metric.L2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree.BuildStats().Nodes
+	})
+	check("words/Edit", func() int {
+		tree, err := New(words, metric.NewCounter(metric.Edit), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree.BuildStats().Nodes
+	})
 }
 
 // TestSingleVantageLeafFiltering is the regression test for the leaf

@@ -19,7 +19,6 @@ package vptree
 import (
 	"errors"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"sync"
 
@@ -198,11 +197,12 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 		return nil, build.Stats{}, err
 	}
 	t := &Tree[T]{dist: dist, size: len(items), order: opts.Order}
-	work := make([]T, len(items))
-	copy(work, items)
-	b := build.Start(dist, opts.Build)
-	t.root = t.build(b, work, build.NewRNG(opts.Seed, 0x767074726565), &opts, 0)
-	t.buildStats = b.Finish()
+	c := construction[T]{
+		t: t, b: build.Start(dist, opts.Build), opts: &opts, items: items,
+		Scratch: build.NewScratch(len(items)),
+	}
+	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, 0x767074726565), 0)
+	t.buildStats = c.b.Finish()
 	if opts.FlatVectors {
 		t.flattenLeafVectors()
 	}
@@ -237,101 +237,85 @@ func (t *Tree[T]) flattenLeafVectors() {
 	build.FlattenVectors(groups)
 }
 
-// build consumes work (it reorders and slices it freely). src is the
+// construction is the state of one tree build: the tree is built over
+// a permutation of item positions partitioned in place (build.Scratch),
+// the subtree over slots [lo, hi) owning those slots of the
+// permutation, the distance row and the sort keys.
+type construction[T any] struct {
+	t     *Tree[T]
+	b     *build.Builder[T]
+	opts  *Options
+	items []T
+	build.Scratch
+}
+
+// build constructs the subtree over slots [lo, hi). src is the
 // splittable RNG fixed by this subtree's position, so the tree is
 // identical for every worker count.
-func (t *Tree[T]) build(b *build.Builder[T], work []T, src build.RNG, opts *Options, depth int) *node[T] {
-	if len(work) == 0 {
+func (c *construction[T]) build(lo, hi int, src build.RNG, depth int) *node[T] {
+	perm := c.Perm[lo:hi]
+	if len(perm) == 0 {
 		return nil
 	}
-	b.Node(depth)
-	if len(work) <= opts.LeafCapacity {
-		leaf := &node[T]{leaf: true, items: make([]T, len(work))}
-		copy(leaf.items, work)
+	c.b.Node(depth)
+	if len(perm) <= c.opts.LeafCapacity {
+		leaf := &node[T]{leaf: true, items: make([]T, len(perm))}
+		for i, id := range perm {
+			leaf.items[i] = c.items[id]
+		}
 		return leaf
 	}
-	rng := src.Rand()
-	vi := t.selectVantage(work, rng, opts)
-	work[vi], work[len(work)-1] = work[len(work)-1], work[vi]
-	v := work[len(work)-1]
-	rest := work[:len(work)-1]
+	vi := c.selectVantage(perm, src)
+	last := len(perm) - 1
+	perm[vi], perm[last] = perm[last], perm[vi]
+	n := &node[T]{vantage: c.items[perm[last]]}
+	rest, keys := perm[:last], c.Keys[lo:lo+last]
+	c.b.MeasureKeys(n.vantage, c.items, rest, c.Dist[lo:lo+last], keys)
 
-	ds := make([]float64, len(rest))
-	b.Measure(v, func(i int) T { return rest[i] }, ds)
-	ord := make([]int, len(rest))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return ds[ord[a]] < ds[ord[b]] })
-
-	m := opts.Order
-	if m > len(rest) {
-		m = len(rest)
-	}
-	n := &node[T]{vantage: v}
+	m := min(c.opts.Order, len(rest))
 	if m < 2 {
 		// One remaining point: a single child leaf.
-		n.children = []*node[T]{t.build(b, rest, src.Child(0), opts, depth+1)}
+		n.children = []*node[T]{c.build(lo, lo+last, src.Child(0), depth+1)}
 		return n
 	}
-	n.cutoffs = make([]float64, m-1)
-	n.children = make([]*node[T], m)
-	groupOf := groupBoundaries(len(rest), m)
-	groupsOut := make([][]T, m)
-	for g := 0; g < m; g++ {
-		lo, hi := groupOf(g)
-		group := make([]T, hi-lo)
-		for i := lo; i < hi; i++ {
-			group[i-lo] = rest[ord[i]]
-		}
-		groupsOut[g] = group
-		if g < m-1 {
-			// Cutoff between the largest distance in this group and
-			// the smallest in the next; every point in group g is
-			// ≤ cutoff[g] and every point in group g+1 is ≥ cutoff[g].
-			n.cutoffs[g] = (ds[ord[hi-1]] + ds[ord[hi]]) / 2
-		}
+	// Cutoff g lies between the largest distance in group g and the
+	// smallest in the next; every point in group g is ≤ cutoff[g] and
+	// every point in group g+1 is ≥ cutoff[g].
+	n.cutoffs = build.SplitEqual(keys, m)
+	for i, k := range keys {
+		rest[i] = k.ID
 	}
+	n.children = make([]*node[T], m)
 	n.setDerived()
-	b.Fork(m, func(g int) {
-		n.children[g] = t.build(b, groupsOut[g], src.Child(g), opts, depth+1)
+	c.b.Fork(m, func(g int) {
+		groupLo, groupHi := build.GroupBounds(len(rest), m, g)
+		n.children[g] = c.build(lo+groupLo, lo+groupHi, src.Child(g), depth+1)
 	})
 	return n
 }
 
-// groupBoundaries returns a function mapping group index g ∈ [0,m) to the
-// half-open rank interval [lo, hi) of an equal-cardinality m-way split of
-// n items (sizes differ by at most one).
-func groupBoundaries(n, m int) func(g int) (lo, hi int) {
-	base, extra := n/m, n%m
-	return func(g int) (int, int) {
-		lo := g*base + min(g, extra)
-		hi := lo + base
-		if g < extra {
-			hi++
-		}
-		return lo, hi
+// selectVantage returns the slot, within the subtree's permutation
+// range, of the point to promote to vantage point.
+func (c *construction[T]) selectVantage(perm []int32, src build.RNG) int {
+	opts := c.opts
+	if opts.Selection == SelectRandom || len(perm) <= 2 {
+		return src.Pick(len(perm))
 	}
-}
-
-func (t *Tree[T]) selectVantage(work []T, rng *rand.Rand, opts *Options) int {
-	if opts.Selection == SelectRandom || len(work) <= 2 {
-		return rng.IntN(len(work))
-	}
+	rng := src.Rand()
 	// Best-spread heuristic [Yia93]: maximize the second moment of the
 	// distance distribution about its median.
 	best, bestSpread := 0, math.Inf(-1)
-	cands := min(opts.Candidates, len(work))
-	for c := 0; c < cands; c++ {
-		ci := rng.IntN(len(work))
-		sample := min(opts.SampleSize, len(work)-1)
+	cands := min(opts.Candidates, len(perm))
+	for range cands {
+		ci := rng.IntN(len(perm))
+		sample := min(opts.SampleSize, len(perm)-1)
 		ds := make([]float64, 0, sample)
 		for s := 0; s < sample; s++ {
-			si := rng.IntN(len(work))
+			si := rng.IntN(len(perm))
 			if si == ci {
 				continue
 			}
-			ds = append(ds, t.dist.Distance(work[ci], work[si]))
+			ds = append(ds, c.t.dist.Distance(c.items[perm[ci]], c.items[perm[si]]))
 		}
 		if len(ds) == 0 {
 			continue
