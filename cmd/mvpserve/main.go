@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -158,14 +159,20 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		start := time.Now()
 		rng := rand.New(rand.NewPCG(*dataSeed, 0))
 		items := dataset.UniformVectors(rng, *n, *dim)
+		heap := liveHeap()
 		x, bs, err := shard.NewWithStats(items, metric.NewCounter(distFn), be, shard.Options{
 			Shards: *shards, Workers: *buildW, Seed: *dataSeed,
 		})
 		if err != nil {
 			return fmt.Errorf("building index: %w", err)
 		}
-		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances)\n",
-			x.Len(), x.Shards(), time.Since(start).Round(time.Millisecond), bs.Distances)
+		built := time.Since(start)
+		// What the index adds to the live heap beside the data it was
+		// handed (which stays reachable until after the measurement).
+		perItem := (float64(liveHeap()) - float64(heap)) / float64(max(x.Len(), 1))
+		runtime.KeepAlive(items)
+		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, index %.1f B/item)\n",
+			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, perItem)
 		if *dir != "" {
 			if err := x.SaveDir(*dir, be, codec.EncodeVector); err != nil {
 				return fmt.Errorf("saving snapshot to %s: %w", *dir, err)
@@ -239,4 +246,12 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 func hasManifest(dir string) bool {
 	_, err := os.Stat(dir + string(os.PathSeparator) + "manifest.json")
 	return err == nil
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -23,13 +23,16 @@ import (
 // (continuous coordinates), so the hashes do not depend on how the
 // sort breaks ties and stand in for the deleted copying build: any
 // change of vantage choice, cutoff, leaf order or stored distance
-// changes a hash.
+// changes a hash. The mvp rows were re-recorded when leaf distances
+// became float32 (PR 15): each is the hash of the PR 14 bytes with every
+// leaf distance x replaced by what mvp's narrow stores for it, checked
+// once against that commit; vptree and gmvp rows are the originals.
 var goldenSave = map[string]string{
-	"mvp/uniform/1":         "0eee54088fb15e4984cc3076c290fc5556388c16257e810ff0ef4a64b46fb717",
-	"mvp/uniform/7":         "ba264b2880b471820b8dfcfac7e626052a71399353411f0d2ad6311f43666d77",
-	"mvp/clustered/1":       "18086a14cc9746df6a2546512ddeca2f4325926743719baaea43eb4c7ced24c0",
-	"mvp/clustered/7":       "cd100dcdc134512171ee1f73cf523e9a79e2ce8ebc8c75052c290c2e3ea8f623",
-	"mvp-random2/uniform/1": "5824f9f64eac5ed38ce3485481b1e6692f2ba7167b295dd40a2417cba153c2f6",
+	"mvp/uniform/1":         "98961428886633d34d3bdd2590e50a9eadf3277f2eab56149f80e414cee5637d",
+	"mvp/uniform/7":         "8ac097547dce861794df4f981abb719bbc626b181f597ce4ee9f932a417a1341",
+	"mvp/clustered/1":       "f9f7bc5f9f7411cfc21f825ff875ecfd9adfe9c3a11822fa86fd4147caefb27a",
+	"mvp/clustered/7":       "473b95978896dcd8812a324800a3e9e352a12075abd09e246b3e171548e239b7",
+	"mvp-random2/uniform/1": "cd5694d130de45da37354adc09880f1f63a2e56efcf931d09b509925ed93afe6",
 	"vptree/uniform/1":      "d0e3c81c479c88cf7d4276a9674b672a0f2ede9ed557dc21d491a5d6e56ae177",
 	"vptree/uniform/7":      "82b4591c8fc17d89dbe601313873ba12d9feb3cd31c55e591837cf71d7b37475",
 	"vptree/clustered/1":    "40ec20629faad795eb59ed373f85eff97cf978c9de22c3d4269964369ea26301",

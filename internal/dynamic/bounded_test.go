@@ -89,3 +89,43 @@ func TestStoreAttachesBoundedKernel(t *testing.T) {
 		t.Fatal("workload never rebuilt; the rebuilt tree's kernel went untested")
 	}
 }
+
+// TestDeleteTailScanAbandons pins Delete's buffer-tail scan to the
+// bounded kernel: "is the distance zero" is a threshold question, so
+// EditUpTo's length and first-mismatch exits must get to answer it. The
+// store is all buffer (no tree to muddy the tally), and the removed
+// count and the counter total must not care which kernel ran.
+func TestDeleteTailScanAbandons(t *testing.T) {
+	words := []string{"alpha", "alphas", "beta", "gamma", "alpha", "delta", "epsilons"}
+	s, err := New[string](nil, metric.Edit, Options{RebuildFraction: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range words {
+		if err := s.Insert(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Rebuilds() != 1 || s.Buffered() != len(words) {
+		t.Fatalf("want every word in the buffer, got %d buffered after %d rebuilds", s.Buffered(), s.Rebuilds())
+	}
+	bounded, calls := s.dist.Bounded(), 0
+	s.dist.SetBounded(func(a, b int, bound float64) float64 {
+		calls++
+		if bound != 0 {
+			t.Errorf("tail scan asked the kernel for bound %g, want 0", bound)
+		}
+		return bounded(a, b, bound)
+	})
+	before := s.DistanceCount()
+	removed, err := s.Delete("alpha")
+	if err != nil || removed != 2 {
+		t.Fatalf("Delete removed %d (%v), want 2", removed, err)
+	}
+	if calls != len(words) {
+		t.Errorf("bounded kernel ran %d times over a buffer of %d", calls, len(words))
+	}
+	if got := s.DistanceCount() - before; got != int64(len(words)) {
+		t.Errorf("Delete counted %d distances, want %d", got, len(words))
+	}
+}

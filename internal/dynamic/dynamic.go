@@ -223,7 +223,7 @@ func (s *Store[T]) Delete(item T) (int, error) {
 	}
 	kept := s.buffer[:0]
 	for _, id := range s.buffer {
-		if s.alive[id] && s.dist.Distance(slot, id) == 0 {
+		if s.alive[id] && s.dist.DistanceUpTo(slot, id, 0) == 0 {
 			s.alive[id] = false
 			s.live--
 			removed++

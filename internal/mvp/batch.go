@@ -85,11 +85,12 @@ type batchScratch[T any] struct {
 	rangeLst []int32
 }
 
-func growF(s []float64, n int) []float64 {
+// growF returns s at length n, reallocated (contents dropped) if short.
+func growF[E any](s []E, n int) []E {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
+	return make([]E, n)
 }
 
 func growTo(s []float64, n int) []float64 {
@@ -112,51 +113,28 @@ func (t *Tree[T]) getBatchScratch(b int) *batchScratch[T] {
 	return bs
 }
 
-// reserve sizes every per-slot array for b slots (keeping pooled
-// sub-state alive across growth) and resets the per-call lists.
+// reserve sizes every per-slot array for b slots; rangeLst restarts.
 func (bs *batchScratch[T]) reserve(b, p int) {
-	if cap(bs.qs) < b {
-		bs.qs = make([]T, b)
-		bs.rads = make([]float64, b)
-		bs.stats = make([]SearchStats, b)
-		bs.outs = make([][]T, b)
-		bs.spans = make([]obs.Span, b)
-		bs.ccs = make([]*cascade.Cache, b)
-		bs.qpreps = make([]quant.Prepared, b)
-		bs.quantOn = make([]bool, b)
-		bs.quantPruned = make([]int, b)
-		bs.wlo1 = make([]float64, b)
-		bs.whi1 = make([]float64, b)
-		bs.wlo2 = make([]float64, b)
-		bs.whi2 = make([]float64, b)
-		bs.fD = make([]int, b)
-		bs.fP = make([]int, b)
-		bs.fC = make([]int, b)
-		bs.fQ = make([]int, b)
-		bs.comp = make([]int, b)
-	} else {
-		n := b
-		bs.qs = bs.qs[:n]
-		bs.rads = bs.rads[:n]
-		bs.stats = bs.stats[:n]
-		bs.outs = bs.outs[:n]
-		bs.spans = bs.spans[:n]
-		bs.ccs = bs.ccs[:n]
-		bs.qpreps = bs.qpreps[:n]
-		bs.quantOn = bs.quantOn[:n]
-		bs.quantPruned = bs.quantPruned[:n]
-		bs.wlo1, bs.whi1 = bs.wlo1[:n], bs.whi1[:n]
-		bs.wlo2, bs.whi2 = bs.wlo2[:n], bs.whi2[:n]
-		bs.fD, bs.fP, bs.fC = bs.fD[:n], bs.fP[:n], bs.fC[:n]
-		bs.fQ, bs.comp = bs.fQ[:n], bs.comp[:n]
-	}
-	if cap(bs.qlo) < b*p {
-		bs.qlo = make([]float64, b*p)
-		bs.qhi = make([]float64, b*p)
-	} else {
-		bs.qlo = bs.qlo[:b*p]
-		bs.qhi = bs.qhi[:b*p]
-	}
+	bs.qs = growF(bs.qs, b)
+	bs.rads = growF(bs.rads, b)
+	bs.stats = growF(bs.stats, b)
+	bs.outs = growF(bs.outs, b)
+	bs.spans = growF(bs.spans, b)
+	bs.ccs = growF(bs.ccs, b)
+	bs.qpreps = growF(bs.qpreps, b)
+	bs.quantOn = growF(bs.quantOn, b)
+	bs.quantPruned = growF(bs.quantPruned, b)
+	bs.wlo1 = growF(bs.wlo1, b)
+	bs.whi1 = growF(bs.whi1, b)
+	bs.wlo2 = growF(bs.wlo2, b)
+	bs.whi2 = growF(bs.whi2, b)
+	bs.fD = growF(bs.fD, b)
+	bs.fP = growF(bs.fP, b)
+	bs.fC = growF(bs.fC, b)
+	bs.fQ = growF(bs.fQ, b)
+	bs.comp = growF(bs.comp, b)
+	bs.qlo = growF(bs.qlo, b*p)
+	bs.qhi = growF(bs.qhi, b*p)
 	bs.rangeLst = bs.rangeLst[:0]
 }
 
@@ -363,19 +341,20 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 		}
 	}
 	if plen < t.p {
+		// PATH windows meet narrowed values: slack wider than the shells'.
 		for i, j := range act {
 			o := int(j)*t.p + plen
-			r := bs.rads[j]
-			bs.qlo[o] = d1v[i] - r
-			bs.qhi[o] = d1v[i] + r
+			w := bs.rads[j] + t.slack
+			bs.qlo[o] = d1v[i] - w
+			bs.qhi[o] = d1v[i] + w
 		}
 		plen++
 		if plen < t.p {
 			for i, j := range act {
 				o := int(j)*t.p + plen
-				r := bs.rads[j]
-				bs.qlo[o] = d2v[i] - r
-				bs.qhi[o] = d2v[i] + r
+				w := bs.rads[j] + t.slack
+				bs.qlo[o] = d2v[i] - w
+				bs.qhi[o] = d2v[i] + w
 			}
 			plen++
 		}
@@ -501,19 +480,14 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 	}
 
 	for i, j := range act {
-		r := bs.rads[j]
-		bs.wlo1[j], bs.whi1[j] = dv1[i]-r, dv1[i]+r
-		bs.wlo2[j], bs.whi2[j] = dv2[i]-r, dv2[i]+r
+		w := bs.rads[j] + t.slack
+		bs.wlo1[j], bs.whi1[j] = dv1[i]-w, dv1[i]+w
+		bs.wlo2[j], bs.whi2[j] = dv2[i]-w, dv2[i]+w
 		bs.fD[j], bs.fP[j], bs.fC[j], bs.fQ[j], bs.comp[j] = 0, 0, 0, 0, 0
 	}
 
-	items := n.items
-	d1s := n.d1[:len(items)]
-	d2s := n.d2
+	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
-	if hasSV2 {
-		d2s = d2s[:len(items)]
-	}
 	cas, base := t.cas, n.casBase
 	qset, qcodes := t.qset, n.qcodes
 	hasQuant := qcodes != nil
@@ -522,25 +496,21 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 		surv := bs.sslots[:0]
 		spts := bs.spts[:0]
 		sbounds := bs.sbounds[:0]
+		row := rows[i*stride : (i+1)*stride]
+		x1, x2, path := float64(row[0]), float64(row[1]), row[2:]
 		for _, j := range act {
-			if x := d1s[i]; x < bs.wlo1[j] || x > bs.whi1[j] {
+			if x1 < bs.wlo1[j] || x1 > bs.whi1[j] {
 				bs.fD[j]++
 				continue
 			}
-			if hasSV2 {
-				if x := d2s[i]; x < bs.wlo2[j] || x > bs.whi2[j] {
-					bs.fD[j]++
-					continue
-				}
-			}
-			path := n.pathData[n.pathOff[i]:n.pathOff[i+1]]
-			if len(path) > plen {
-				path = path[:plen]
+			if hasSV2 && (x2 < bs.wlo2[j] || x2 > bs.whi2[j]) {
+				bs.fD[j]++
+				continue
 			}
 			qbase := int(j) * p
 			pathOK := true
-			for l, pd := range path {
-				if pd < bs.qlo[qbase+l] || pd > bs.qhi[qbase+l] {
+			for l, x := range path {
+				if pd := float64(x); pd < bs.qlo[qbase+l] || pd > bs.qhi[qbase+l] {
 					bs.fP[j]++
 					pathOK = false
 					break

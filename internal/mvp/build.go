@@ -1,10 +1,6 @@
 package mvp
 
-import (
-	"sync"
-
-	"mvptree/internal/build"
-)
+import "mvptree/internal/build"
 
 // construction is the state of one tree build. The tree is built over a
 // permutation of item positions partitioned in place (build.Scratch):
@@ -12,7 +8,9 @@ import (
 // of the distance row and of the sort keys, so no level copies its
 // points and no node allocates scratch. paths is the n×p PATH arena:
 // row id accumulates item id's distances to the vantage points above
-// it, and leaves copy their rows out when they are built.
+// it. The tree's two leaf arenas are allocated whole beforehand: where
+// a subtree's leaves land depends on its size and depth alone (leafLoad),
+// so every leaf writes its items and narrowed rows straight into place.
 type construction[T any] struct {
 	t     *Tree[T]
 	b     *build.Builder[T]
@@ -20,9 +18,6 @@ type construction[T any] struct {
 	items []T
 	build.Scratch
 	paths []float64
-
-	offMu   sync.Mutex
-	offsets [][]int32 // by entries held; see pathOffsets
 }
 
 // pathLen is the number of PATH entries every point of a subtree at
@@ -34,16 +29,47 @@ func (c *construction[T]) pathLen(depth int) int { return min(c.t.p, 2*depth) }
 // m=2 to any m.
 //
 // src is the splittable RNG fixed by this subtree's position, so the
-// tree is identical for every worker count.
-func (c *construction[T]) build(lo, hi int, src build.RNG, depth int) *node[T] {
+// tree is identical for every worker count; off and foff are where the
+// subtree's leaves start in the tree's item and filter arenas.
+func (c *construction[T]) build(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
 	switch {
 	case lo == hi:
 		return nil
 	case hi-lo <= c.t.k+2:
-		return c.buildLeaf(lo, hi, src, depth)
+		return c.buildLeaf(lo, hi, src, depth, off, foff)
 	default:
-		return c.buildInternal(lo, hi, src, depth)
+		return c.buildInternal(lo, hi, src, depth, off, foff)
 	}
+}
+
+// leafLoad is the number of leaf items, and of filter floats, in the
+// subtree build makes of size points at depth: splits are by rank, so
+// sizes alone decide it (shellRange is shared with buildInternal).
+func (c *construction[T]) leafLoad(size, depth int) (items, floats int) {
+	if size <= c.t.k+2 {
+		items = max(size-2, 0)
+		return items, items * (2 + c.pathLen(depth))
+	}
+	for g := 0; g < min(c.t.m, size-1); g++ {
+		lo, hi := c.shellRange(size, g)
+		for h, parts := 0, min(c.t.m, hi-lo); h < parts; h++ {
+			partLo, partHi := build.GroupBounds(hi-lo, parts, h)
+			i, f := c.leafLoad(partHi-partLo, depth+1)
+			items, floats = items+i, floats+f
+		}
+	}
+	return items, floats
+}
+
+// shellRange is the rank range of shell g among the size-1 points an
+// internal node ranks by distance to its first vantage point.
+func (c *construction[T]) shellRange(size, g int) (lo, hi int) {
+	shells := min(c.t.m, size-1)
+	lo, hi = build.GroupBounds(size-1, shells, g)
+	if g == shells-1 {
+		hi-- // the outer shell gave up sv2
+	}
+	return lo, hi
 }
 
 // firstVantage draws the node's first vantage point — arbitrary
@@ -59,7 +85,7 @@ func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int
 // buildLeaf implements step 2 of the paper's algorithm: pick the first
 // vantage point arbitrarily, the second as the farthest point from the
 // first, and store exact distances D1, D2 for the remaining points.
-func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth int) *node[T] {
+func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
 	c.b.Node(depth)
 	n := &node[T]{}
 	rest := c.firstVantage(n, c.Perm[lo:hi], src.Pick(hi-lo))
@@ -87,37 +113,24 @@ func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth int) *node[
 		return n
 	}
 
+	// D1 goes into the rows first, so its slots of Dist can take D2.
 	p, held := c.t.p, c.pathLen(depth)
-	n.items = make([]T, len(rest))
-	n.d1 = append(make([]float64, 0, len(rest)), d1...)
-	n.d2 = make([]float64, len(rest))
-	n.pathData = make([]float64, 0, len(rest)*held)
-	n.pathOff = c.pathOffsets(held)[: len(rest)+1 : len(rest)+1]
+	n.off, n.foff, n.cnt, n.held = int32(off), foff, int32(len(rest)), int32(held)
+	items, rows, stride := c.t.leaf(n)
 	for i, id := range rest {
-		n.items[i] = c.items[id]
-		n.pathData = append(n.pathData, c.paths[int(id)*p:int(id)*p+held]...)
-	}
-	c.b.MeasureIDs(n.sv2, c.items, rest, n.d2)
-	n.setDerived()
-	return n
-}
-
-// pathOffsets returns the PATH offset table 0, held, 2·held, … of a
-// leaf whose points each hold held entries, long enough for a full
-// leaf. Every point of a leaf holds the same number, so the table
-// depends on held alone and the leaves of a tree share one per value
-// instead of allocating their own.
-func (c *construction[T]) pathOffsets(held int) []int32 {
-	c.offMu.Lock()
-	defer c.offMu.Unlock()
-	if c.offsets[held] == nil {
-		off := make([]int32, c.t.k+1)
-		for i := range off {
-			off[i] = int32(i * held)
+		items[i] = c.items[id]
+		row := rows[i*stride : (i+1)*stride]
+		row[0] = narrow(d1[i])
+		for l, x := range c.paths[int(id)*p : int(id)*p+held] {
+			row[2+l] = narrow(x)
 		}
-		c.offsets[held] = off
 	}
-	return c.offsets[held]
+	c.b.MeasureIDs(n.sv2, c.items, rest, d1)
+	for i := range rest {
+		rows[i*stride+1] = narrow(d1[i])
+	}
+	c.t.setLeafMax(n)
+	return n
 }
 
 // measure fills keys with the distances from v to the points in ids and
@@ -138,7 +151,7 @@ func (c *construction[T]) measure(v T, ids []int32, dist []float64, keys []build
 // shell) splits every shell into m more. Child subtrees build through
 // the shared pool via Fork, each over its own slot range and with its
 // own position-derived RNG.
-func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth int) *node[T] {
+func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
 	c.b.Node(depth)
 	rng := src.Rand()
 	n := &node[T]{}
@@ -176,18 +189,16 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth int) *n
 	// child slot, works on its own slot range and derives its RNG from
 	// the child's position.
 	type childTask struct {
-		g, h   int
-		lo, hi int
-		rng    build.RNG
+		g, h      int
+		lo, hi    int
+		rng       build.RNG
+		off, foff int
 	}
 	tasks := make([]childTask, 0, shells*c.t.m)
 	n.cut2 = make([][]float64, shells)
 	n.children = make([][]*node[T], shells)
 	for g := range n.children {
-		shellLo, shellHi := build.GroupBounds(len(keys)+1, shells, g)
-		if g == shells-1 {
-			shellHi-- // the outer shell gave up sv2
-		}
+		shellLo, shellHi := c.shellRange(hi-lo, g)
 		shell := keys[shellLo:shellHi]
 		if len(shell) == 0 {
 			// An empty shell (possible when sv2 came from a shell of
@@ -202,7 +213,9 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth int) *n
 		n.children[g] = make([]*node[T], parts)
 		for h := range n.children[g] {
 			partLo, partHi := build.GroupBounds(len(shell), parts, h)
-			tasks = append(tasks, childTask{g, h, lo + shellLo + partLo, lo + shellLo + partHi, src.Child(len(tasks))})
+			tasks = append(tasks, childTask{g, h, lo + shellLo + partLo, lo + shellLo + partHi, src.Child(len(tasks)), off, foff})
+			items, floats := c.leafLoad(partHi-partLo, depth+1)
+			off, foff = off+items, foff+floats
 		}
 	}
 	for i, k := range keys {
@@ -211,7 +224,7 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth int) *n
 	n.setDerived()
 	c.b.Fork(len(tasks), func(i int) {
 		ct := tasks[i]
-		n.children[ct.g][ct.h] = c.build(ct.lo, ct.hi, ct.rng, depth+1)
+		n.children[ct.g][ct.h] = c.build(ct.lo, ct.hi, ct.rng, depth+1, ct.off, ct.foff)
 	})
 	return n
 }

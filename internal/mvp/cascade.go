@@ -44,7 +44,7 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 			n.cas2 = b.AddPivot(n.sv2)
 		}
 		if n.isLeaf() {
-			n.casBase = b.AddItems(n.items)
+			n.casBase = b.AddItems(t.items[n.off : n.off+n.cnt])
 			continue
 		}
 		for _, row := range n.children {

@@ -22,7 +22,7 @@ func (t *Tree[T]) RangeFarther(q T, r float64) []T {
 	}
 	var out []T
 	if r <= 0 {
-		collectAll(t.root, &out)
+		t.collectAll(t.root, &out)
 		return out
 	}
 	qpath := make([]float64, 0, t.p)
@@ -68,7 +68,7 @@ func (t *Tree[T]) rangeFartherNode(n *node[T], q T, r float64, qpath []float64, 
 			// If the whole sub-shell is provably far enough, take it
 			// wholesale without any further distance computations.
 			if intervalGap(d1, lo1, hi1) >= r || intervalGap(d2, lo2, hi2) >= r {
-				collectAll(c, out)
+				t.collectAll(c, out)
 				continue
 			}
 			t.rangeFartherNode(c, q, r, qpath, out)
@@ -91,8 +91,9 @@ func (t *Tree[T]) rangeFartherLeaf(n *node[T], q T, r float64, qpath []float64, 
 			*out = append(*out, n.sv2)
 		}
 	}
-	for i, it := range n.items {
-		lb, ub := t.leafBounds(n, i, d1, d2, qpath)
+	items, rows, stride := t.leaf(n)
+	for i, it := range items {
+		lb, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2, d1, d2, qpath)
 		switch {
 		case ub < r:
 			// Provably too close.
@@ -108,34 +109,25 @@ func (t *Tree[T]) rangeFartherLeaf(n *node[T], q T, r float64, qpath []float64, 
 }
 
 // leafBounds returns lower and upper triangle-inequality bounds on the
-// distance from the query to leaf item i, using the stored D1/D2 and
-// PATH distances together with the query's qpath.
-func (t *Tree[T]) leafBounds(n *node[T], i int, d1, d2 float64, qpath []float64) (lb, ub float64) {
-	lb = abs(d1 - n.d1[i])
-	ub = d1 + n.d1[i]
-	if n.hasSV2 {
-		if b := abs(d2 - n.d2[i]); b > lb {
-			lb = b
-		}
-		if b := d2 + n.d2[i]; b < ub {
-			ub = b
-		}
+// distance from the query to a leaf item, from its stored filter row and
+// the query's qpath; the row is float32, so both give the slack away.
+func (t *Tree[T]) leafBounds(row []float32, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
+	x1 := float64(row[0])
+	lb, ub = abs(d1-x1), d1+x1
+	if hasSV2 {
+		x2 := float64(row[1])
+		lb, ub = max(lb, abs(d2-x2)), min(ub, d2+x2)
 	}
-	path := n.path(i)
-	for l := 0; l < len(path) && l < len(qpath); l++ {
-		if b := abs(qpath[l] - path[l]); b > lb {
-			lb = b
-		}
-		if b := qpath[l] + path[l]; b < ub {
-			ub = b
-		}
+	for l, x := range row[2:] {
+		pd := float64(x)
+		lb, ub = max(lb, abs(qpath[l]-pd)), min(ub, qpath[l]+pd)
 	}
-	return lb, ub
+	return lb - t.slack, ub + t.slack
 }
 
 // collectAll appends every data point in the subtree without any
 // distance computations.
-func collectAll[T any](n *node[T], out *[]T) {
+func (t *Tree[T]) collectAll(n *node[T], out *[]T) {
 	if n == nil {
 		return
 	}
@@ -146,12 +138,12 @@ func collectAll[T any](n *node[T], out *[]T) {
 		*out = append(*out, n.sv2)
 	}
 	if n.isLeaf() {
-		*out = append(*out, n.items...)
+		*out = append(*out, t.items[n.off:n.off+n.cnt]...)
 		return
 	}
 	for _, row := range n.children {
 		for _, c := range row {
-			collectAll(c, out)
+			t.collectAll(c, out)
 		}
 	}
 }
@@ -229,8 +221,9 @@ func (t *Tree[T]) kFarthestLeaf(n *node[T], q T, qpath []float64, best *heapx.KL
 		d2 = t.dist.Distance(q, n.sv2)
 		best.Push(n.sv2, d2)
 	}
-	for i, it := range n.items {
-		_, ub := t.leafBounds(n, i, d1, d2, qpath)
+	items, rows, stride := t.leaf(n)
+	for i, it := range items {
+		_, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2, d1, d2, qpath)
 		if best.Accepts(ub) {
 			best.Push(it, t.dist.Distance(q, it))
 		}

@@ -1,0 +1,100 @@
+package mvp
+
+import (
+	"bytes"
+	"hash/crc32"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+
+	"mvptree/internal/codec"
+	"mvptree/internal/dataset"
+	"mvptree/internal/index"
+	"mvptree/internal/metric"
+	"mvptree/internal/wire"
+)
+
+// seal frames payload as Save does — magic, payload, its CRC — so a
+// mutated payload still gets past the checksum and into the decoder.
+func seal(payload []byte) []byte {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	w.Bytes([]byte(saveMagic))
+	w.Bytes(payload)
+	w.Uvarint(uint64(crc32.ChecksumIEEE(payload)))
+	if err := w.Flush(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// payloadOf is seal's inverse for a stream Save wrote.
+func payloadOf(stream []byte) []byte {
+	r := wire.NewReader(bytes.NewReader(stream))
+	r.Bytes()
+	return r.Bytes()
+}
+
+// saved builds a tree over items and returns its Save bytes.
+func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc ItemEncoder[T], opts Options) []byte {
+	tree, err := New(items, metric.NewCounter(dist), opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tree.Save(&buf, enc); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoad feeds Load arbitrary payloads, each both raw and sealed
+// behind a matching CRC. Load must never panic, never allocate beyond a
+// small multiple of its input, and whatever it returns must pass the
+// shape half of Validate and answer every query kind without panicking.
+// Items decode as strings under edit distance, so any bytes are an item.
+func FuzzLoad(f *testing.F) {
+	enc := func(s string) ([]byte, error) { return []byte(s), nil }
+	words := dataset.Words(rand.New(rand.NewPCG(15, 8)), 120, dataset.WordOptions{MinLen: 3, MaxLen: 8, MisspellingsPer: 2})
+	wordTree := payloadOf(saved(f, words, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}}))
+	for _, payload := range [][]byte{
+		wordTree,
+		payloadOf(saved(f, dataset.UniformVectors(rand.New(rand.NewPCG(15, 9)), 80, 3), metric.L2, codec.EncodeVector,
+			Options{Partitions: 3, LeafCapacity: 4, PathLength: 5, Build: Build{Seed: 2}})),
+		payloadOf(saved(f, words[:6], metric.Edit, enc, Options{LeafCapacity: 13})), // a single leaf
+		payloadOf(saved(f, nil, metric.Edit, enc, Options{})),                       // empty
+		wordTree[:len(wordTree)/2],                                                  // truncated
+		flipByte(wordTree, 9),
+		flipByte(wordTree, len(wordTree)/3),
+	} {
+		f.Add(payload)
+	}
+	f.Add(saved(f, words[:20], metric.Edit, enc, Options{})) // a whole stream: loads raw, nests sealed
+
+	dec := func(b []byte) (string, error) { return string(b), nil }
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, stream := range [][]byte{payload, seal(payload)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tree, err := Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(stream)+1<<20); got > limit {
+				t.Fatalf("Load allocated %d bytes for a %d-byte stream", got, len(stream))
+			}
+			if err != nil {
+				continue
+			}
+			if err := tree.checkShape(); err != nil {
+				t.Fatalf("loaded tree fails the shape check: %v", err)
+			}
+			for _, q := range []string{"", "probe"} {
+				tree.Range(q, 1)
+				tree.KNN(q, 3)
+				tree.RangeFarther(q, 2)
+				tree.KFarthest(q, 3)
+			}
+			reqs := []index.Query[string]{index.RangeQuery("probe", 2), index.RangeQuery("", 0)}
+			tree.SearchBatch(reqs, make([]index.Result[string], len(reqs)))
+		}
+	})
+}

@@ -22,23 +22,21 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 		return
 	}
 	if n.isLeaf() {
-		for i, it := range n.items {
-			if got := raw(it, n.sv1); got != n.d1[i] {
-				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, n.d1[i], got)
+		// Stored precision: the leaf holds narrow of each distance.
+		items, rows, stride := tr.leaf(n)
+		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
+			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
+		}
+		for i, it := range items {
+			row := rows[i*stride : (i+1)*stride]
+			if got := raw(it, n.sv1); narrow(got) != row[0] {
+				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, row[0], got)
 			}
-			if got := raw(it, n.sv2); got != n.d2[i] {
-				t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, n.d2[i], got)
+			if got := raw(it, n.sv2); narrow(got) != row[1] {
+				t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, row[1], got)
 			}
-			path := n.path(i)
-			if len(path) > tr.p {
-				t.Fatalf("leaf PATH length %d exceeds p = %d", len(path), tr.p)
-			}
-			if want := min(tr.p, len(ancestors)); len(path) != want {
-				t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)",
-					len(path), want, tr.p, len(ancestors))
-			}
-			for l, stored := range path {
-				if got := raw(it, ancestors[l]); got != stored {
+			for l, stored := range row[2:] {
+				if got := raw(it, ancestors[l]); narrow(got) != stored {
 					t.Fatalf("leaf PATH[%d] = %g, recomputed %g", l, stored, got)
 				}
 			}
@@ -54,7 +52,9 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 		lo1, hi1 := shellBounds(n.cut1, g)
 		for h, c := range row {
 			lo2, hi2 := shellBounds(n.cut2[g], h)
-			forEachPoint(c, func(pt int) {
+			var points []int
+			tr.collectAll(c, &points)
+			for _, pt := range points {
 				d1 := raw(pt, n.sv1)
 				if d1 < lo1 || d1 > hi1 {
 					t.Fatalf("point %d in shell %d has d1 = %g outside [%g, %g]", pt, g, d1, lo1, hi1)
@@ -63,31 +63,48 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 				if d2 < lo2 || d2 > hi2 {
 					t.Fatalf("point %d in sub-shell (%d,%d) has d2 = %g outside [%g, %g]", pt, g, h, d2, lo2, hi2)
 				}
-			})
+			}
 			checkNode(t, tr, c, raw, next)
 		}
 	}
 }
 
-func forEachPoint(n *node[int], f func(int)) {
-	if n == nil {
-		return
-	}
-	if n.hasSV1 {
-		f(n.sv1)
-	}
-	if n.hasSV2 {
-		f(n.sv2)
-	}
-	if n.isLeaf() {
-		for _, it := range n.items {
-			f(it)
+// checkArenasTiled verifies that the leaves, in order, tile the tree's
+// two arenas exactly — what construction's leafLoad promises before any
+// leaf exists.
+func checkArenasTiled[T any](t *testing.T, tr *Tree[T]) {
+	t.Helper()
+	items, floats := 0, 0
+	tr.root.eachLeaf(func(n *node[T]) {
+		if n.cnt > 0 && (int(n.off) != items || n.foff != floats) {
+			t.Fatalf("leaf at items[%d], filter[%d]; the leaves before it end at %d, %d", n.off, n.foff, items, floats)
 		}
-		return
+		items, floats = items+int(n.cnt), floats+int(n.cnt)*(2+int(n.held))
+	})
+	if items != len(tr.items) || floats != len(tr.filter) {
+		t.Fatalf("leaves hold %d items and %d floats, arenas %d and %d", items, floats, len(tr.items), len(tr.filter))
 	}
-	for _, row := range n.children {
-		for _, c := range row {
-			forEachPoint(c, f)
+}
+
+// TestLeavesTileTheArenas sweeps every size through the shapes where
+// rank arithmetic is delicate (shells of one point, leaves of none).
+func TestLeavesTileTheArenas(t *testing.T) {
+	dist := func(a, b int) float64 { return float64(abs(float64(a*7919%1013 - b*7919%1013))) }
+	for _, m := range []int{2, 3, 5} {
+		for _, k := range []int{1, 2, 7, 30} {
+			for n := 0; n <= 220; n++ {
+				for _, random := range []bool{false, true} {
+					tree, err := New(testutil.IDs(n), metric.NewCounter(dist),
+						Options{Partitions: m, LeafCapacity: k, PathLength: 3, RandomSecondVantage: random, Build: Build{Seed: uint64(n), Workers: 1 + n%3}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkArenasTiled(t, tree)
+					if err := tree.Validate(); err != nil {
+						t.Fatalf("m=%d k=%d n=%d: %v", m, k, n, err)
+					}
+				}
+			}
 		}
 	}
 }
@@ -107,6 +124,7 @@ func TestStructuralInvariants(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			checkNode(t, tree, tree.root, w.Dist, nil)
+			checkArenasTiled(t, tree)
 		}
 	}
 }

@@ -259,16 +259,12 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	// Hot candidate loop: slice headers and the budget test hoisted,
 	// stage tallies kept in locals and reported once per leaf (totals
 	// identical, trace event granularity coarsens — the same batching
-	// the shell filter uses). cb = τ′ is the acceptance bound and
-	// tauP = τ′/(1+ε) the prune bound; both move only when a push
-	// tightens the heap, so they are re-read there and nowhere else.
-	items := n.items
-	d1s := n.d1[:len(items)] // len(d1)==len(items): lets the compiler drop the d1s[i] bounds check
-	d2s := n.d2
+	// the shell filter uses). cb = τ′ is the acceptance bound, tauP =
+	// τ′/(1+ε) the prune bound, tauS = tauP+slack the one for the stored
+	// float32s; all move only when a push tightens the heap.
+	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
-	if hasSV2 {
-		d2s = d2s[:len(items)]
-	}
+	qpath = qpath[:n.held] // held == len(qpath): both are min(p, 2·depth)
 	cas, base := t.cas, n.casBase
 	useCas := cc != nil && cc.Registered() > 0
 	// Quantized pre-filter state (quantize.go); a pruned candidate still
@@ -279,31 +275,30 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	cand := len(items)
 	cb := min(best.Threshold(), extTau)
 	tauP := a.Shrink(cb)
+	tauS := tauP + t.slack
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 	for i := range items {
 		// The D1/D2 bound first; a PATH entry only gets credit when it
 		// tightens the bound past the acceptance threshold on its own.
-		lbD := abs(d1 - d1s[i])
+		o := i * stride
+		lbD := abs(d1 - float64(rows[o]))
 		if hasSV2 {
-			if b := abs(d2 - d2s[i]); b > lbD {
+			if b := abs(d2 - float64(rows[o+1])); b > lbD {
 				lbD = b
 			}
 		}
-		if lbD >= tauP {
+		if lbD >= tauS {
 			filteredD++
 			continue
 		}
 		lb := lbD
-		path := n.pathData[n.pathOff[i]:n.pathOff[i+1]]
-		if len(path) > len(qpath) {
-			path = path[:len(qpath)]
-		}
-		for l, pd := range path {
-			if b := abs(qpath[l] - pd); b > lb {
+		path := rows[o+2:][:len(qpath)]
+		for l, qd := range qpath {
+			if b := abs(qd - float64(path[l])); b > lb {
 				lb = b
 			}
 		}
-		if lb >= tauP {
+		if lb >= tauS {
 			filteredPath++
 			continue
 		}
@@ -334,6 +329,7 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 			best.Push(items[i], d)
 			cb = min(best.Threshold(), extTau)
 			tauP = a.Shrink(cb)
+			tauS = tauP + t.slack
 		}
 	}
 	if ext != nil {

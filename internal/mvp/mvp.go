@@ -17,8 +17,8 @@
 //     give triangle-inequality lower bounds that filter leaf points
 //     before any real distance computation (paper Observation 2).
 //
-// Leaves also store each point's exact distances to the leaf's own two
-// vantage points (the D1/D2 arrays of the paper), and leaf capacity k is
+// Leaves also store each point's distances to the leaf's own two vantage
+// points (the D1/D2 arrays of the paper; float32, see narrow.go), and k is
 // typically made large so that most points live in leaves, delaying the
 // major filtering step to the leaf level where it is cheapest.
 //
@@ -128,12 +128,18 @@ func (o *Options) validate() error {
 // only nil checks.
 type Tree[T any] struct {
 	obs.Hooks
-	root       *node[T]
-	dist       *metric.Counter[T]
-	size       int
-	m          int
-	k          int
-	p          int
+	root *node[T]
+	dist *metric.Counter[T]
+	size int
+	m    int
+	k    int
+	p    int
+	// The two leaf arenas, in leaf order: every leaf item, and per item
+	// one float32 filter row (D1, D2, the leaf's held PATH entries).
+	// slack is what narrowing the rows may have lost; see narrow.go.
+	items      []T
+	filter     []float32
+	slack      float64
 	buildStats build.Stats
 	scratch    sync.Pool // *queryScratch[T]; see pool.go
 	bscratch   sync.Pool // *batchScratch[T]; see batch.go
@@ -169,21 +175,15 @@ type node[T any] struct {
 	cut1Max  float64
 	cut2Max  float64
 
-	// Leaf node: items with exact distances to the leaf vantage
-	// points (the paper's D1, D2 arrays) and the retained PATH
-	// prefix of ancestor vantage distances. PATHs live in one
-	// contiguous backing array (pathData) addressed by pathOff
-	// (len(items)+1 offsets), so the Observation-2 filter scans
-	// sequential memory instead of chasing a pointer per point.
-	// maxD1/maxD2 cache the largest stored leaf distance, the
-	// abandonment bounds for the leaf's vantage-point kernels.
-	items    []T
-	d1       []float64
-	d2       []float64
-	pathData []float64
-	pathOff  []int32
-	maxD1    float64
-	maxD2    float64
+	// Leaf node: a view into the tree's arenas (Tree.leaf): cnt items
+	// from items[off], their filter rows from filter[foff]. A row is the
+	// item's distances to the leaf vantage points (the paper's D1, D2)
+	// and held = min(p, 2·depth) PATH entries. maxD1/maxD2 cache the
+	// largest stored leaf distance plus the tree's slack, the abandonment
+	// bounds for the leaf's vantage-point kernels.
+	off, cnt, held int32
+	foff           int
+	maxD1, maxD2   float64
 
 	// Cascade stamps (see cascade.go; all zero until EnableCascade).
 	// cas1/cas2 mark the node's vantage points as cascade pivots (the
@@ -200,27 +200,49 @@ type node[T any] struct {
 
 func (n *node[T]) isLeaf() bool { return n.children == nil }
 
-// path returns leaf point i's retained PATH prefix (a view into the
-// leaf's contiguous backing array).
-func (n *node[T]) path(i int) []float64 {
-	return n.pathData[n.pathOff[i]:n.pathOff[i+1]]
+// leaf returns leaf n's items and rows; item i's is rows[i*stride:][:stride].
+func (t *Tree[T]) leaf(n *node[T]) (items []T, rows []float32, stride int) {
+	stride = 2 + int(n.held)
+	return t.items[n.off : n.off+n.cnt], t.filter[n.foff : n.foff+int(n.cnt)*stride], stride
 }
 
-// setDerived recomputes the cached filter bounds (maxD1/maxD2 for
-// leaves, cut1Max/cut2Max for internal nodes) from the node's stored
-// distances. Construction and Load both route through it so the two
-// always agree.
-func (n *node[T]) setDerived() {
-	if n.isLeaf() {
-		n.maxD1, n.maxD2 = maxOf(n.d1), maxOf(n.d2)
-		return
-	}
-	n.cut1Max = maxOf(n.cut1)
-	n.cut2Max = 0
-	for _, row := range n.cut2 {
-		if m := maxOf(row); m > n.cut2Max {
-			n.cut2Max = m
+// eachLeaf calls f on every leaf below n, in arena order.
+func (n *node[T]) eachLeaf(f func(*node[T])) {
+	switch {
+	case n == nil:
+	case n.isLeaf():
+		f(n)
+	default:
+		for _, row := range n.children {
+			for _, c := range row {
+				c.eachLeaf(f)
+			}
 		}
+	}
+}
+
+// setLeafMax caches the largest D1 and D2 in the leaf's written rows.
+func (t *Tree[T]) setLeafMax(n *node[T]) {
+	_, rows, stride := t.leaf(n)
+	for ; len(rows) > 0; rows = rows[stride:] {
+		n.maxD1, n.maxD2 = max(n.maxD1, float64(rows[0])), max(n.maxD2, float64(rows[1]))
+	}
+}
+
+// sealLeaves derives the tree's slack from the filled filter arena and
+// adds it to every leaf's maxD: a vantage distance certified past r+maxD
+// must fail every window of half-width r+slack. Build and Load end here.
+func (t *Tree[T]) sealLeaves() {
+	t.slack = slackOf(t.filter)
+	t.root.eachLeaf(func(n *node[T]) { n.maxD1, n.maxD2 = n.maxD1+t.slack, n.maxD2+t.slack })
+}
+
+// setDerived recomputes an internal node's cached filter bounds from its
+// cutoffs; construction and Load both route through it.
+func (n *node[T]) setDerived() {
+	n.cut1Max, n.cut2Max = maxOf(n.cut1), 0
+	for _, row := range n.cut2 {
+		n.cut2Max = max(n.cut2Max, maxOf(row))
 	}
 }
 
@@ -260,12 +282,15 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 		t: t, b: build.Start(dist, opts.Build), opts: &opts, items: items,
 		Scratch: build.NewScratch(len(items)),
 		paths:   make([]float64, len(items)*t.p),
-		offsets: make([][]int32, t.p+1),
 	}
-	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, 0x6d767074726565), 0)
+	leafItems, floats := c.leafLoad(len(items), 0)
+	t.items, t.filter = make([]T, leafItems), make([]float32, floats)
+	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, 0x6d767074726565), 0, 0, 0)
+	t.sealLeaves()
 	t.buildStats = c.b.Finish()
 	if opts.FlatVectors {
-		t.flattenLeafVectors()
+		// Relocates leaf vectors into one arena; no-op unless T is []float64.
+		build.FlattenVectors([][]T{t.items})
 	}
 	if opts.Quantize != quant.Off {
 		if err := t.EnableQuantize(opts.Quantize); err != nil {
@@ -273,31 +298,6 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 		}
 	}
 	return t, t.buildStats, nil
-}
-
-// flattenLeafVectors rewrites every leaf's item vectors into one
-// contiguous arena (no-op for non-[]float64 item types).
-func (t *Tree[T]) flattenLeafVectors() {
-	var groups [][]T
-	var walk func(n *node[T])
-	walk = func(n *node[T]) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			if len(n.items) > 0 {
-				groups = append(groups, n.items)
-			}
-			return
-		}
-		for _, row := range n.children {
-			for _, c := range row {
-				walk(c)
-			}
-		}
-	}
-	walk(t.root)
-	build.FlattenVectors(groups)
 }
 
 // Len reports the number of indexed items.
@@ -326,22 +326,7 @@ func (t *Tree[T]) PathLength() int   { return t.p }
 
 // Height reports the height of the tree in node levels below the root; a
 // tree that is a single leaf has height 0.
-func (t *Tree[T]) Height() int { return nodeHeight(t.root) }
-
-func nodeHeight[T any](n *node[T]) int {
-	if n == nil || n.isLeaf() {
-		return 0
-	}
-	h := 0
-	for _, row := range n.children {
-		for _, c := range row {
-			if ch := nodeHeight(c); ch > h {
-				h = ch
-			}
-		}
-	}
-	return h + 1
-}
+func (t *Tree[T]) Height() int { return t.Shape().Height }
 
 // Stats describes the shape of a built tree.
 type Stats struct {
@@ -351,21 +336,22 @@ type Stats struct {
 	LeafItems     int // data points stored in leaves
 	Height        int
 	MaxPathLen    int // longest retained PATH across all leaf points
+	FilterBytes   int // the float32 filter arena: 4·(2+held) per leaf item
 }
 
 // Shape walks the tree and reports its Stats.
 func (t *Tree[T]) Shape() Stats {
-	var s Stats
-	walkShape(t.root, &s)
-	s.Height = t.Height()
+	s := Stats{FilterBytes: 4 * len(t.filter)}
+	walkShape(t.root, 0, &s)
 	return s
 }
 
-func walkShape[T any](n *node[T], s *Stats) {
+func walkShape[T any](n *node[T], depth int, s *Stats) {
 	if n == nil {
 		return
 	}
 	s.Nodes++
+	s.Height = max(s.Height, depth)
 	if n.hasSV1 {
 		s.VantagePoints++
 	}
@@ -374,17 +360,14 @@ func walkShape[T any](n *node[T], s *Stats) {
 	}
 	if n.isLeaf() {
 		s.Leaves++
-		s.LeafItems += len(n.items)
-		for i := range n.items {
-			if l := len(n.path(i)); l > s.MaxPathLen {
-				s.MaxPathLen = l
-			}
+		s.LeafItems += int(n.cnt)
+		if n.cnt > 0 {
+			s.MaxPathLen = max(s.MaxPathLen, int(n.held))
 		}
-		return
 	}
 	for _, row := range n.children {
 		for _, c := range row {
-			walkShape(c, s)
+			walkShape(c, depth+1, s)
 		}
 	}
 }

@@ -50,25 +50,12 @@ func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	}
 	var leaves []*node[T]
 	var groups [][]T
-	var walk func(n *node[T])
-	walk = func(n *node[T]) {
-		if n == nil {
-			return
+	t.root.eachLeaf(func(n *node[T]) {
+		if n.cnt > 0 {
+			leaves = append(leaves, n)
+			groups = append(groups, t.items[n.off:n.off+n.cnt])
 		}
-		if n.isLeaf() {
-			if len(n.items) > 0 {
-				leaves = append(leaves, n)
-				groups = append(groups, n.items)
-			}
-			return
-		}
-		for _, row := range n.children {
-			for _, c := range row {
-				walk(c)
-			}
-		}
-	}
-	walk(t.root)
+	})
 	q, ok := build.QuantizeVectors(groups, kind, mode)
 	if !ok {
 		return nil
@@ -87,22 +74,7 @@ func (t *Tree[T]) disableQuantize() {
 		return
 	}
 	t.qset = nil
-	var walk func(n *node[T])
-	walk = func(n *node[T]) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			n.qcodes = nil
-			return
-		}
-		for _, row := range n.children {
-			for _, c := range row {
-				walk(c)
-			}
-		}
-	}
-	walk(t.root)
+	t.root.eachLeaf(func(n *node[T]) { n.qcodes = nil })
 }
 
 // Quantized reports the trained pre-filter, nil unless EnableQuantize

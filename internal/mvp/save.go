@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"mvptree/internal/metric"
 	"mvptree/internal/wire"
@@ -15,7 +16,8 @@ import (
 // construction is the expensive part (O(n log n) metric invocations on
 // costly domains). Items are serialized through caller-supplied
 // encode/decode functions; everything else (cutoffs, D1/D2, PATH
-// arrays, shape) is stored verbatim.
+// arrays, shape) is stored verbatim — the leaf distances as the
+// float32 values the tree holds, widened to the format's eight bytes.
 
 // ItemEncoder serializes one item.
 type ItemEncoder[T any] func(T) ([]byte, error)
@@ -81,14 +83,19 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 				return err
 			}
 		}
-		w.Int(len(n.items))
-		for i, it := range n.items {
+		items, rows, stride := t.leaf(n)
+		w.Int(len(items))
+		for i, it := range items {
 			if err := item(it); err != nil {
 				return err
 			}
-			w.Float(n.d1[i])
-			w.Float(n.d2[i])
-			w.Floats(n.path(i))
+			row := rows[i*stride : (i+1)*stride]
+			w.Float(float64(row[0]))
+			w.Float(float64(row[1]))
+			w.Int(len(row) - 2)
+			for _, x := range row[2:] {
+				w.Float(float64(x))
+			}
 		}
 		return w.Err()
 	}
@@ -114,7 +121,10 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 }
 
 // Load reads a tree written by Save, verifying the payload checksum.
-// dist must wrap the same metric the tree was built with.
+// dist must wrap the same metric the tree was built with. Leaf distances
+// are narrowed as they are read, so a stream of full float64s loads too.
+// A checksum only proves the payload is the one written: nothing is
+// allocated on the word of a count in it, and what loads passes checkShape.
 func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	outer := wire.NewReader(r)
 	if string(outer.Bytes()) != saveMagic {
@@ -140,34 +150,38 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 	if t.m < 2 || t.k < 1 || t.p < 0 || t.size < 0 {
 		return nil, fmt.Errorf("mvp: corrupt header (m=%d k=%d p=%d n=%d)", t.m, t.k, t.p, t.size)
 	}
-	root, err := loadNode(rr, dec, 0)
-	if err != nil {
+	// No loadable leaf can hold more PATH entries than this, and p sizes
+	// the query scratch. The arenas start at what the header asks for or
+	// the payload could hold (18 bytes a leaf item at least, 8 a
+	// distance), whichever is less; cloning then drops the spare.
+	t.p = min(t.p, 2*maxLoadDepth)
+	t.items = make([]T, 0, min(t.size, len(payload)/18))
+	t.filter = make([]float32, 0, min(t.size*(2+t.p), len(payload)/8))
+	var err error
+	if t.root, err = t.loadNode(rr, dec, 0); err != nil {
 		return nil, err
 	}
-	t.root = root
-	return t, nil
+	t.items, t.filter = slices.Clone(t.items), slices.Clone(t.filter)
+	t.sealLeaves()
+	return t, t.checkShape()
 }
 
 // maxLoadDepth guards against corrupt streams describing pathologically
 // deep recursion.
 const maxLoadDepth = 64
 
-func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], error) {
+func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], error) {
 	if depth > maxLoadDepth {
 		return nil, fmt.Errorf("mvp: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
-	item := func() (T, error) {
+	item := func() (it T, err error) {
 		b := r.Bytes()
-		if err := r.Err(); err != nil {
-			var zero T
-			return zero, err
+		if err = r.Err(); err == nil {
+			if it, err = dec(b); err != nil {
+				err = fmt.Errorf("mvp: decoding item: %w", err)
+			}
 		}
-		it, err := dec(b)
-		if err != nil {
-			var zero T
-			return zero, fmt.Errorf("mvp: decoding item: %w", err)
-		}
-		return it, nil
+		return it, err
 	}
 	switch tag := r.Byte(); tag {
 	case tagNil:
@@ -191,26 +205,27 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
+		// The wire format gives each item its own PATH length; a leaf's
+		// rows on the tree's arenas have one, the depth's.
+		n.off, n.foff, n.cnt = int32(len(t.items)), len(t.filter), int32(count)
 		if count > 0 {
-			n.items = make([]T, count)
-			n.d1 = make([]float64, count)
-			n.d2 = make([]float64, count)
-			// PATHs go straight into the contiguous backing array; the
-			// wire format allows each item its own length (offsets, not
-			// a fixed stride), though built trees always store uniform
-			// lengths within a leaf.
-			n.pathOff = make([]int32, count+1)
-			for i := 0; i < count; i++ {
-				if n.items[i], err = item(); err != nil {
-					return nil, err
-				}
-				n.d1[i] = r.Float()
-				n.d2[i] = r.Float()
-				n.pathData = append(n.pathData, r.Floats()...)
-				n.pathOff[i+1] = int32(len(n.pathData))
+			n.held = int32(min(t.p, 2*depth))
+		}
+		for i := 0; i < count; i++ {
+			it, err := item()
+			if err != nil {
+				return nil, err
+			}
+			t.items = append(t.items, it)
+			t.filter = append(t.filter, narrow(r.Float()), narrow(r.Float()))
+			if held := r.Int(); held != int(n.held) && r.Err() == nil {
+				return nil, fmt.Errorf("mvp: PATH length %d at depth %d, want %d (corrupt stream)", held, depth, n.held)
+			}
+			for l := int32(0); l < n.held; l++ {
+				t.filter = append(t.filter, narrow(r.Float()))
 			}
 		}
-		n.setDerived()
+		t.setLeafMax(n)
 		return n, r.Err()
 	case tagInternal:
 		n := &node[T]{hasSV1: true, hasSV2: true}
@@ -226,8 +241,8 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if rows == 0 {
-			return nil, fmt.Errorf("mvp: internal node with no children (corrupt stream)")
+		if rows != len(n.cut1)+1 {
+			return nil, fmt.Errorf("mvp: %d shells for %d cutoffs (corrupt stream)", rows, len(n.cut1))
 		}
 		n.cut2 = make([][]float64, rows)
 		n.children = make([][]*node[T], rows)
@@ -237,9 +252,12 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 			if err := r.Err(); err != nil {
 				return nil, err
 			}
+			if cols != len(n.cut2[g])+1 {
+				return nil, fmt.Errorf("mvp: %d sub-shells for %d cutoffs (corrupt stream)", cols, len(n.cut2[g]))
+			}
 			n.children[g] = make([]*node[T], cols)
 			for h := 0; h < cols; h++ {
-				if n.children[g][h], err = loadNode(r, dec, depth+1); err != nil {
+				if n.children[g][h], err = t.loadNode(r, dec, depth+1); err != nil {
 					return nil, err
 				}
 			}

@@ -151,14 +151,16 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 		*out = append(*out, n.sv2)
 	}
 	if plen < t.p {
+		// PATH windows meet narrowed values: slack wider than the shells'.
+		w := rp + t.slack
 		sc.qpath[plen] = d1
-		sc.qlo[plen] = d1 - rp
-		sc.qhi[plen] = d1 + rp
+		sc.qlo[plen] = d1 - w
+		sc.qhi[plen] = d1 + w
 		plen++
 		if plen < t.p {
 			sc.qpath[plen] = d2
-			sc.qlo[plen] = d2 - rp
-			sc.qhi[plen] = d2 + rp
+			sc.qlo[plen] = d2 - w
+			sc.qhi[plen] = d2 + w
 			plen++
 		}
 	}
@@ -192,9 +194,9 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 
 // rangeLeaf implements step 2 of the search algorithm: filter each leaf
 // point through its exact distances to the leaf vantage points (D1, D2)
-// and through its PATH prefix — windows of half-width rp — computing the
-// real distance only for survivors, and only up to r, since membership
-// is all that matters.
+// and through its PATH prefix — windows of half-width rp+slack, the
+// stored values being float32 — computing the real distance only for
+// survivors, and only up to r, since membership is all that matters.
 func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
 	s.LeavesVisited++
 	a := &sc.ap
@@ -248,17 +250,14 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	// tallies in locals, and report stats and trace events once per leaf
 	// (the same batching rangeNode applies to shell pruning — totals are
 	// identical, only the event granularity coarsens).
-	d1lo, d1hi := d1-rp, d1+rp
-	d2lo, d2hi := d2-rp, d2+rp
-	items := n.items
-	d1s := n.d1[:len(items)] // len(d1)==len(items): lets the compiler drop the d1s[i] bounds check
-	d2s := n.d2
+	w := rp + t.slack
+	d1lo, d1hi := d1-w, d1+w
+	d2lo, d2hi := d2-w, d2+w
+	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
-	if hasSV2 {
-		d2s = d2s[:len(items)]
-	}
-	qlo := sc.qlo[:plen]
-	qhi := sc.qhi[:plen]
+	// held == plen: both are min(p, 2·depth) (Load checks the stream's).
+	qlo := sc.qlo[:n.held]
+	qhi := sc.qhi[:n.held]
 	cas, base := t.cas, n.casBase
 	useCas := cc != nil && cc.Registered() > 0
 	// Quantized pre-filter state (quantize.go). A pruned candidate is
@@ -276,24 +275,22 @@ items:
 		// window only applies when the leaf actually has a second
 		// vantage point (a single-vantage leaf stores no D2 distances,
 		// and d2 would be a meaningless zero).
-		if x := d1s[i]; x < d1lo || x > d1hi {
+		o := i * stride
+		if x := float64(rows[o]); x < d1lo || x > d1hi {
 			filteredD++
 			continue
 		}
 		if hasSV2 {
-			if x := d2s[i]; x < d2lo || x > d2hi {
+			if x := float64(rows[o+1]); x < d2lo || x > d2hi {
 				filteredD++
 				continue
 			}
 		}
-		path := n.pathData[n.pathOff[i]:n.pathOff[i+1]]
-		if len(path) > plen {
-			path = path[:plen]
-		}
 		// Ranging over the window slice lets the compiler drop the
-		// path[l] bounds check (len(path) ≤ plen by the clamp above).
-		for l, lo := range qlo[:len(path)] {
-			if pd := path[l]; pd < lo || pd > qhi[l] {
+		// path[l] bounds check.
+		path := rows[o+2:][:len(qlo)]
+		for l, lo := range qlo {
+			if pd := float64(path[l]); pd < lo || pd > qhi[l] {
 				filteredPath++
 				continue items
 			}

@@ -4,8 +4,10 @@ import "fmt"
 
 // Validate recomputes every stored distance and partition bound in the
 // tree and verifies the structural invariants the search algorithms
-// rely on: leaf D1/D2 arrays and PATH prefixes equal to fresh metric
-// evaluations, and every point inside its shells' closed intervals.
+// rely on: the shape (checkShape), leaf D1/D2 arrays and PATH prefixes
+// equal to fresh metric evaluations at stored precision (narrow of the
+// fresh value is the float32 the leaf holds), and every point inside
+// its shells' closed intervals.
 //
 // A failure means either the tree was built with a different metric
 // than the one now wired in (the classic persistence mistake — Load
@@ -13,7 +15,53 @@ import "fmt"
 // O(n·(log n + p)) distance computations through the tree's Counter; it
 // is a diagnostic, not something to run per query.
 func (t *Tree[T]) Validate() error {
+	if err := t.checkShape(); err != nil {
+		return err
+	}
 	return t.validateNode(t.root, nil)
+}
+
+// checkShape is the half of Validate that needs no metric: the header's
+// point count, leaves within capacity holding min(p, 2·depth) PATH
+// entries, and one child row per shell and one child per sub-shell, which
+// keeps shellBounds inside the cutoff arrays. Load ends with it.
+func (t *Tree[T]) checkShape() error {
+	points, err := t.shapeOf(t.root, 0)
+	if err == nil && points != t.size {
+		err = fmt.Errorf("mvp: tree holds %d points, header says %d", points, t.size)
+	}
+	return err
+}
+
+func (t *Tree[T]) shapeOf(n *node[T], depth int) (points int, err error) {
+	switch {
+	case n == nil:
+		return 0, nil
+	case n.isLeaf() && (int(n.cnt) > t.k || n.cnt > 0 && int(n.held) != min(t.p, 2*depth)):
+		return 0, fmt.Errorf("mvp: leaf at depth %d holds %d items with %d PATH entries (k=%d, p=%d)", depth, n.cnt, n.held, t.k, t.p)
+	case !n.isLeaf() && (len(n.children) != len(n.cut1)+1 || len(n.cut2) != len(n.children)):
+		return 0, fmt.Errorf("mvp: internal node has %d child rows for %d cut1 and %d cut2 rows", len(n.children), len(n.cut1), len(n.cut2))
+	}
+	if n.hasSV1 {
+		points++
+	}
+	if n.hasSV2 {
+		points++
+	}
+	points += int(n.cnt)
+	for g, row := range n.children {
+		if len(row) != len(n.cut2[g])+1 {
+			return 0, fmt.Errorf("mvp: shell %d has %d children for %d cutoffs", g, len(row), len(n.cut2[g]))
+		}
+		for _, c := range row {
+			sub, err := t.shapeOf(c, depth+1)
+			if err != nil {
+				return 0, err
+			}
+			points += sub
+		}
+	}
+	return points, nil
 }
 
 func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
@@ -21,51 +69,37 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 		return nil
 	}
 	if n.isLeaf() {
-		for i, it := range n.items {
-			if got := t.dist.Distance(it, n.sv1); got != n.d1[i] {
-				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, n.d1[i], got)
+		items, rows, stride := t.leaf(n)
+		for i, it := range items {
+			row := rows[i*stride : (i+1)*stride]
+			if got := t.dist.Distance(it, n.sv1); narrow(got) != row[0] {
+				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, row[0], got)
 			}
-			if got := t.dist.Distance(it, n.sv2); got != n.d2[i] {
-				return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, n.d2[i], got)
+			if got := t.dist.Distance(it, n.sv2); narrow(got) != row[1] {
+				return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, row[1], got)
 			}
-			path := n.path(i)
-			if len(path) > t.p {
-				return fmt.Errorf("mvp: PATH length %d exceeds p = %d", len(path), t.p)
-			}
-			if want := min(t.p, len(ancestors)); len(path) != want {
-				return fmt.Errorf("mvp: PATH length %d, want %d", len(path), want)
-			}
-			for l, stored := range path {
-				if got := t.dist.Distance(it, ancestors[l]); got != stored {
+			for l, stored := range row[2:] {
+				if got := t.dist.Distance(it, ancestors[l]); narrow(got) != stored {
 					return fmt.Errorf("mvp: PATH[%d] = %g, metric now yields %g", l, stored, got)
 				}
 			}
 		}
 		return nil
 	}
-	if len(n.cut2) != len(n.children) {
-		return fmt.Errorf("mvp: internal node has %d cut2 rows for %d child rows", len(n.cut2), len(n.children))
-	}
 	next := append(append([]T(nil), ancestors...), n.sv1, n.sv2)
 	for g, row := range n.children {
 		lo1, hi1 := shellBounds(n.cut1, g)
 		for h, c := range row {
 			lo2, hi2 := shellBounds(n.cut2[g], h)
-			var bad error
-			t.forEachPoint(c, func(pt T) {
-				if bad != nil {
-					return
-				}
+			var points []T
+			t.collectAll(c, &points)
+			for _, pt := range points {
 				if d := t.dist.Distance(pt, n.sv1); d < lo1 || d > hi1 {
-					bad = fmt.Errorf("mvp: point at distance %g from first vantage point outside shell [%g, %g]", d, lo1, hi1)
-					return
+					return fmt.Errorf("mvp: point at distance %g from first vantage point outside shell [%g, %g]", d, lo1, hi1)
 				}
 				if d := t.dist.Distance(pt, n.sv2); d < lo2 || d > hi2 {
-					bad = fmt.Errorf("mvp: point at distance %g from second vantage point outside sub-shell [%g, %g]", d, lo2, hi2)
+					return fmt.Errorf("mvp: point at distance %g from second vantage point outside sub-shell [%g, %g]", d, lo2, hi2)
 				}
-			})
-			if bad != nil {
-				return bad
 			}
 			if err := t.validateNode(c, next); err != nil {
 				return err
@@ -73,27 +107,4 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 		}
 	}
 	return nil
-}
-
-func (t *Tree[T]) forEachPoint(n *node[T], f func(T)) {
-	if n == nil {
-		return
-	}
-	if n.hasSV1 {
-		f(n.sv1)
-	}
-	if n.hasSV2 {
-		f(n.sv2)
-	}
-	if n.isLeaf() {
-		for _, it := range n.items {
-			f(it)
-		}
-		return
-	}
-	for _, row := range n.children {
-		for _, c := range row {
-			t.forEachPoint(c, f)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package mvp
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -104,11 +105,12 @@ func TestSteadyStateQueryAllocations(t *testing.T) {
 }
 
 // TestBuildAllocationsScaleWithNodes pins construction to O(nodes)
-// allocations — what each node keeps (its struct, cutoffs, child slots,
-// leaf arrays) plus a constant of tree-wide arenas — and not O(items):
-// no per-point PATH slice, no per-level copy of the points, no per-node
-// scratch. At the paper's options a node holds about sixty points, so a
-// regression to per-item allocation overshoots the bound several times.
+// allocations — what each internal node keeps (its struct, cutoffs,
+// child slots) and one struct per leaf, whose items and filter rows live
+// in the two tree-wide arenas — plus a constant, and not O(items): no
+// per-point PATH slice, no per-level copy of the points, no per-node
+// scratch, no per-leaf array. The paper's options measure 2.4 per node
+// (PR 14, with five slices to a leaf: 5.9).
 func TestBuildAllocationsScaleWithNodes(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -120,8 +122,8 @@ func TestBuildAllocationsScaleWithNodes(t *testing.T) {
 	check := func(name string, build func() int) {
 		nodes := build()
 		allocs := testing.AllocsPerRun(3, func() { build() })
-		if limit := float64(12*nodes + 64); allocs > limit {
-			t.Errorf("%s: building %d items into %d nodes allocated %.0f times, want <= 12 per node + 64 = %.0f",
+		if limit := float64(3*nodes + 64); allocs > limit {
+			t.Errorf("%s: building %d items into %d nodes allocated %.0f times, want <= 3 per node + 64 = %.0f",
 				name, n, nodes, allocs, limit)
 		}
 	}
@@ -141,27 +143,79 @@ func TestBuildAllocationsScaleWithNodes(t *testing.T) {
 	})
 }
 
+// TestIndexBytesPerItem pins what the index adds to the live heap per
+// item at the paper's options — the benchmark's mem_bytes_per_item,
+// measured the same way: node structs, one item header and one float32
+// filter row (D1, D2, five PATH entries: 28 bytes; Shape().FilterBytes)
+// per leaf item. A float64 row alone is 56.
+func TestIndexBytesPerItem(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("heap sizes are inflated by race-detector instrumentation")
+	}
+	const n = 20000
+	opts := Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}}
+	vectors := uniformItems(21, n, 10)
+	words := dataset.Words(rand.New(rand.NewPCG(21, 5)), n, dataset.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second empties what sync.Pool kept through the first
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	check := func(name string, limit float64, build func() (Stats, any)) {
+		before := liveHeap()
+		shape, tree := build()
+		perItem := float64(liveHeap()-before) / n
+		runtime.KeepAlive(tree)
+		if want := 4 * (2 + 5) * shape.LeafItems; shape.FilterBytes != want {
+			t.Errorf("%s: FilterBytes = %d, want %d (28 per leaf item)", name, shape.FilterBytes, want)
+		}
+		t.Logf("%s: index adds %.1f B/item to the heap", name, perItem)
+		if perItem > limit {
+			t.Errorf("%s: index adds %.1f B/item to the heap, want <= %.0f", name, perItem, limit)
+		}
+	}
+	check("vectors/L2", 64, func() (Stats, any) {
+		tree, err := New(vectors, metric.NewCounter(metric.L2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree.Shape(), tree
+	})
+	check("words/Edit", 56, func() (Stats, any) {
+		tree, err := New(words, metric.NewCounter(metric.Edit), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree.Shape(), tree
+	})
+	// The inputs outlive both measurements, or collecting their slice
+	// headers would be credited to the index.
+	runtime.KeepAlive(vectors)
+	runtime.KeepAlive(words)
+}
+
 // TestSingleVantageLeafFiltering is the regression test for the leaf
 // scan's D2-filter guard: a leaf that stores items but has no second
 // vantage point (possible via Load; the builder always promotes one)
-// must skip the D2 window entirely — d2 is a meaningless zero there and
-// n.d2 is empty — and still answer exactly like a linear scan.
+// must skip the D2 window entirely — d2 is a meaningless zero there —
+// and still answer exactly like a linear scan.
 func TestSingleVantageLeafFiltering(t *testing.T) {
 	pts := uniformItems(29, 24, 6)
 	sv1 := pts[0]
 	rest := pts[1:]
 
-	n := &node[[]float64]{sv1: sv1, hasSV1: true}
-	n.items = rest
-	n.d1 = make([]float64, len(rest))
-	for i, it := range rest {
-		n.d1[i] = metric.L2(sv1, it)
-	}
-	n.pathOff = make([]int32, len(rest)+1) // empty PATHs
-	n.setDerived()
-
+	// The row's D2 slot holds a value no query could pass, so a scan
+	// that consulted it would lose results.
+	n := &node[[]float64]{sv1: sv1, hasSV1: true, cnt: int32(len(rest))}
 	dist := metric.NewCounter(metric.L2)
-	tree := &Tree[[]float64]{root: n, dist: dist, size: len(pts), m: 2, k: len(rest), p: 0}
+	tree := &Tree[[]float64]{root: n, dist: dist, size: len(pts), m: 2, k: len(rest), p: 0, items: rest}
+	for _, it := range rest {
+		tree.filter = append(tree.filter, narrow(metric.L2(sv1, it)), 1e9)
+	}
+	tree.setLeafMax(n)
+	tree.sealLeaves()
 
 	q := pts[5]
 	for _, r := range []float64{0, 0.3, 0.8, 2.5} {

@@ -16,6 +16,12 @@ import (
 // in the input indicate corruption.
 const MaxBytes = 1 << 28
 
+// firstChunk is the most a reader allocates on the word of a length
+// prefix alone; past it, Bytes and Floats grow with the data that
+// actually arrives, so a corrupt length costs no more memory than the
+// stream is long.
+const firstChunk = 1 << 16
+
 // Writer serializes values with sticky errors.
 type Writer struct {
 	w   *bufio.Writer
@@ -170,9 +176,9 @@ func (r *Reader) Floats() []float64 {
 	if n == 0 || r.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Float()
+	out := make([]float64, 0, min(n, firstChunk/8))
+	for len(out) < n && r.err == nil {
+		out = append(out, r.Float())
 	}
 	if r.err != nil {
 		return nil
@@ -186,12 +192,17 @@ func (r *Reader) Bytes() []byte {
 	if r.err != nil {
 		return nil
 	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r.r, out); err != nil {
-		r.fail(fmt.Errorf("wire: reading bytes: %w", err))
-		return nil
+	out := make([]byte, min(n, firstChunk))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r.r, out[read:]); err != nil {
+			r.fail(fmt.Errorf("wire: reading bytes: %w", err))
+			return nil
+		}
+		if read = len(out); read == n {
+			return out
+		}
+		out = append(out, make([]byte, min(read, n-read))...)
 	}
-	return out
 }
 
 // Bool reads a boolean.
