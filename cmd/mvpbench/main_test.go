@@ -1,109 +1,76 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// TestRunQuickExperiments runs every entry of the experiments table at a
+// tiny scale through the real CLI path.
 func TestRunQuickExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	// A tiny run of each experiment family through the real CLI path.
-	for _, id := range []string{"fig4", "fig8", "claims", "words", "ablation-v"} {
+	for _, e := range table {
 		var sb strings.Builder
 		err := run(&sb, []string{
-			"-experiment", id, "-quick",
+			"-experiment", e.id, "-quick",
 			"-n", "800", "-queries", "5", "-seeds", "1", "-pairs", "20000",
 			"-imgcount", "60", "-imgdim", "16",
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", e.id, err)
 		}
 		out := sb.String()
-		if !strings.Contains(out, "== ") || !strings.Contains(out, "completed in") {
-			t.Errorf("%s: output missing frame:\n%s", id, out)
+		if !strings.HasPrefix(out, "== "+e.desc+" ==\n") || !strings.Contains(out, "# "+e.id+" completed in") {
+			t.Errorf("%s: output missing frame:\n%s", e.id, out)
 		}
-		if id == "fig8" && !strings.Contains(out, "mvpt(3,80)") {
+		if e.id == "fig8" && !strings.Contains(out, "mvpt(3,80)") {
 			t.Errorf("fig8 output missing structure column:\n%s", out)
 		}
 	}
 }
 
+// TestRunRejectsUnknownExperiment: an unknown id — a typo, or one of the
+// serving drivers the benchmark ledger replaced — fails before anything
+// runs, naming the valid ids.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	var sb strings.Builder
-	if err := run(&sb, []string{"-experiment", "fig99"}); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, arg := range []string{"fig99", "querybench", "fig4,shardbench"} {
+		var sb strings.Builder
+		err := run(&sb, []string{"-experiment", arg, "-quick", "-n", "300", "-pairs", "1000"})
+		if err == nil {
+			t.Errorf("-experiment %s accepted", arg)
+			continue
+		}
+		for _, e := range table {
+			if !strings.Contains(err.Error(), e.id) {
+				t.Errorf("-experiment %s: error does not name valid id %q: %v", arg, e.id, err)
+			}
+		}
+		if sb.Len() != 0 {
+			t.Errorf("-experiment %s: ran before rejecting:\n%s", arg, sb.String())
+		}
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var sb strings.Builder
-	if err := run(&sb, []string{"-bogus"}); err == nil {
-		t.Error("bogus flag accepted")
+	for _, args := range [][]string{{"-bogus"}, {"-queryjson", "x.json"}, {"-buildjson", "x.json"}, {"-shards", "2"}} {
+		var sb strings.Builder
+		if err := run(&sb, append(args, "-experiment", "fig4", "-quick", "-n", "300", "-pairs", "1000")); err == nil {
+			t.Errorf("flag %s accepted", args[0])
+		}
 	}
 }
 
+// TestDescribeCoversAllIDs: every table entry is complete and no id is
+// listed twice.
 func TestDescribeCoversAllIDs(t *testing.T) {
-	ids := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"claims", "ablation-p", "ablation-k", "ablation-sv2", "ablation-v",
-		"knn", "structures", "words", "build", "approx", "filters",
-		"telemetry", "querybench"}
-	for _, id := range ids {
-		if describe(id) == id {
-			t.Errorf("describe(%q) has no description", id)
+	seen := map[string]bool{}
+	for _, e := range table {
+		if e.id == "" || e.desc == "" || e.desc == e.id || e.run == nil {
+			t.Errorf("incomplete table entry %+v", e)
 		}
-	}
-}
-
-func TestQueryBenchJSONArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_query.json")
-	var sb strings.Builder
-	// -queryjson alone must add the querybench experiment to the run.
-	err := run(&sb, []string{
-		"-experiment", "fig4", "-quick",
-		"-n", "500", "-queries", "4", "-seeds", "1", "-pairs", "5000",
-		"-queryjson", path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "serving hot-path cost") {
-		t.Errorf("-queryjson did not add the querybench experiment:\n%s", sb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		N    int `json:"n"`
-		Rows []struct {
-			Structure        string  `json:"structure"`
-			RangeNsPerOp     float64 `json:"range_ns_per_op"`
-			RangeAllocsPerOp float64 `json:"range_allocs_per_op"`
-			KNNDistPerQuery  float64 `json:"knn_dist_per_query"`
-		} `json:"structures"`
-	}
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if art.N != 500 || len(art.Rows) == 0 {
-		t.Fatalf("artifact shape: n=%d rows=%d", art.N, len(art.Rows))
-	}
-	for _, r := range art.Rows {
-		if r.Structure == "" || r.RangeNsPerOp <= 0 || r.KNNDistPerQuery <= 0 {
-			t.Errorf("implausible row: %+v", r)
+		if seen[e.id] {
+			t.Errorf("id %q listed twice", e.id)
 		}
-		// The absolute zero-alloc guarantees are pinned by AllocsPerRun
-		// tests in internal/mvp and internal/vptree; here only require
-		// that mvpt range allocations stay in result-slice territory
-		// rather than per-node-traversal territory.
-		if r.Structure == "mvpt(3,80)" && r.RangeAllocsPerOp > 8 {
-			t.Errorf("mvpt range allocs/op = %v, want near-zero steady-state serving", r.RangeAllocsPerOp)
-		}
+		seen[e.id] = true
 	}
 }
 

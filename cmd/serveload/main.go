@@ -8,7 +8,7 @@
 // Usage:
 //
 //	serveload -addr 127.0.0.1:8080 -rate 500 -duration 10s -dim 20 \
-//	          -r 0.4 -k 5 -knnfrac 0.3 -out BENCH_serve.json
+//	          -r 0.4 -k 5 -knnfrac 0.3 -out load.json
 //
 // The report counts 503 rejections (the server's bounded-admission
 // backpressure) separately from transport errors: a loaded server that
@@ -91,7 +91,7 @@ func summarize(lat []time.Duration) LatencySummary {
 	}
 }
 
-// Report is the BENCH_serve.json schema.
+// Report is the JSON document serveload prints (and -out writes).
 type Report struct {
 	Target      string  `json:"target"`
 	OfferedRPS  float64 `json:"offered_rps"`

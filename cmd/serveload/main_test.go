@@ -44,7 +44,7 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	outFile := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	outFile := filepath.Join(t.TempDir(), "load.json")
 	var buf bytes.Buffer
 	err = run(&buf, []string{
 		"-addr", ts.URL,

@@ -340,35 +340,6 @@ func (t *Table) WriteBuildCosts(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// BuildReport is the machine-readable form of one structure's
-// construction measurements, averaged over seeds.
-type BuildReport struct {
-	Name       string  `json:"name"`
-	BuildCost  float64 `json:"build_cost"`
-	BuildWallS float64 `json:"build_wall_seconds"`
-	SeedStdDev float64 `json:"seed_std_dev"`
-}
-
-// BuildReports extracts per-structure construction measurements from
-// the table's first row (construction is per-structure, not per sweep
-// value, so any row would do).
-func (t *Table) BuildReports() []BuildReport {
-	if len(t.Cells) == 0 {
-		return nil
-	}
-	reports := make([]BuildReport, len(t.Structures))
-	for si, name := range t.Structures {
-		c := t.Cells[0][si]
-		reports[si] = BuildReport{
-			Name:       name,
-			BuildCost:  c.BuildCost,
-			BuildWallS: c.BuildWall,
-			SeedStdDev: c.SeedStdDev,
-		}
-	}
-	return reports
-}
-
 // WriteCSV prints the table as CSV (header row of structure names, one
 // data row per sweep value) for consumption by plotting tools.
 func (t *Table) WriteCSV(w io.Writer) (int64, error) {

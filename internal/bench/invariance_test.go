@@ -143,7 +143,6 @@ func TestBoundedKernelInvarianceVectors(t *testing.T) {
 		Linear[[]float64](),
 		VPT[[]float64](2),
 		VPT[[]float64](3),
-		VPTDepthFirst[[]float64](2),
 		MVPT[[]float64](2, 8, 3),
 		MVPT[[]float64](3, 12, 4),
 		MVPTRandomSV2[[]float64](3, 8, 3),

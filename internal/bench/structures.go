@@ -14,7 +14,6 @@ import (
 	"mvptree/internal/linear"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
-	"mvptree/internal/quant"
 	"mvptree/internal/vptree"
 )
 
@@ -42,47 +41,6 @@ func MVPT[T any](m, k, p int) Structure[T] {
 		Name: fmt.Sprintf("mvpt(%d,%d)", m, k),
 		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
 			return mvp.NewWithStats(items, dist, mvp.Options{Build: opts, Partitions: m, LeafCapacity: k, PathLength: p})
-		},
-	}
-}
-
-// MVPTQuantized is MVPT with the quantized lower-bound pre-filter
-// armed in the given mode, named mvpt(m,k)+sq8. Results are
-// byte-identical to MVPT; the comparison axis is wall time.
-func MVPTQuantized[T any](m, k, p int, mode quant.Mode) Structure[T] {
-	return Structure[T]{
-		Name: fmt.Sprintf("mvpt(%d,%d)+%s", m, k, mode),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
-			return mvp.NewWithStats(items, dist, mvp.Options{
-				Build: opts, Partitions: m, LeafCapacity: k, PathLength: p,
-				Quantize: mode,
-			})
-		},
-	}
-}
-
-// VPTQuantized is VPT with the quantized pre-filter armed, named
-// vpt(m)+sq8.
-func VPTQuantized[T any](order int, mode quant.Mode) Structure[T] {
-	return Structure[T]{
-		Name: fmt.Sprintf("vpt(%d)+%s", order, mode),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
-			return vptree.NewWithStats(items, dist, vptree.Options{Build: opts, Order: order, Quantize: mode})
-		},
-	}
-}
-
-// LinearQuantized is Linear with the quantized pre-filter armed, named
-// linear+sq8.
-func LinearQuantized[T any](mode quant.Mode) Structure[T] {
-	return Structure[T]{
-		Name: fmt.Sprintf("linear+%s", mode),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
-			s := linear.New(items, dist)
-			if err := s.EnableQuantize(mode); err != nil {
-				return nil, build.Stats{}, err
-			}
-			return s, build.Stats{}, nil
 		},
 	}
 }
@@ -161,29 +119,6 @@ func GMVPT[T any](v, m, k, p int) Structure[T] {
 			return gmvp.NewWithStats(items, dist, gmvp.Options{
 				Build: opts, Vantages: v, Partitions: m, LeafCapacity: k, PathLength: p,
 			})
-		},
-	}
-}
-
-// dfsAdapter swaps a vp-tree's KNN for the [Chi94] depth-first variant.
-type dfsAdapter[T any] struct{ *vptree.Tree[T] }
-
-func (a dfsAdapter[T]) KNN(q T, k int) []index.Neighbor[T] {
-	return a.Tree.KNNDepthFirst(q, k)
-}
-
-// VPTDepthFirst returns a vp-tree whose kNN queries use the
-// decreasing-radius depth-first search of [Chi94] instead of the
-// best-first traversal, named vpt(m)-dfs.
-func VPTDepthFirst[T any](order int) Structure[T] {
-	return Structure[T]{
-		Name: fmt.Sprintf("vpt(%d)-dfs", order),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
-			t, stats, err := vptree.NewWithStats(items, dist, vptree.Options{Build: opts, Order: order})
-			if err != nil {
-				return nil, build.Stats{}, err
-			}
-			return dfsAdapter[T]{t}, stats, nil
 		},
 	}
 }

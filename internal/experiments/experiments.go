@@ -62,12 +62,6 @@ type Config struct {
 	// collection (cmd/mvpbench -imgdir). ImageDim must be set to the
 	// images' side length so distance normalization stays correct.
 	ImageSet []*pgm.Image
-
-	// ShardCounts and ShardQueryWorkers are the sweeps of the
-	// shardbench experiment (cmd/mvpbench -shards / -queryworkers);
-	// empty slices mean the experiment's defaults.
-	ShardCounts       []int
-	ShardQueryWorkers []int
 }
 
 // DefaultConfig returns the paper-scale configuration.

@@ -75,7 +75,6 @@ var KNNKs = []int{1, 5, 10}
 // variation, §2).
 func KNNStudy(c Config) (*bench.Table, error) {
 	structures := append(VectorStructures(),
-		bench.VPTDepthFirst[[]float64](2), // [Chi94] traversal, same tree as vpt(2)
 		bench.GHT[[]float64](8),
 		bench.GNAT[[]float64](8),
 		bench.LAESA[[]float64](32),

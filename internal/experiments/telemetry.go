@@ -32,9 +32,8 @@ type TelemetryEntry struct {
 	Snapshot  obs.Snapshot  `json:"snapshot"`
 }
 
-// TelemetryReport is the artifact cmd/mvpbench -obsjson writes: the
-// per-structure query telemetry of the uniform vector workload, with
-// the run configuration needed to interpret it.
+// TelemetryReport is the per-structure query telemetry of the uniform
+// vector workload, with the run configuration needed to interpret it.
 type TelemetryReport struct {
 	N          int              `json:"n"`
 	Dim        int              `json:"dim"`

@@ -128,7 +128,12 @@ func saveSplit[T any](w *wire.Writer, sp *split[T], enc ItemEncoder[T]) error {
 const maxLoadDepth = 96
 
 // Load reads a tree written by Save, verifying the checksum. dist must
-// wrap the same metric the tree was built with.
+// wrap the same metric the tree was built with. A checksum only proves
+// the payload is the one written: no count in it is trusted further than
+// the bytes that back it, and the shape that loads is one the traversals
+// can walk (every cascade level has a vantage point, split arity matches
+// the cutoffs, leaves store one distance column per vantage point, the
+// header's size is the number of items read).
 func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	outer := wire.NewReader(r)
 	if string(outer.Bytes()) != saveMagic {
@@ -155,110 +160,140 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 	if t.v < 1 || t.m < 2 || t.k < 1 || t.p < 0 || t.size < 0 {
 		return nil, fmt.Errorf("gmvp: corrupt header (v=%d m=%d k=%d p=%d n=%d)", t.v, t.m, t.k, t.p, t.size)
 	}
-	root, err := loadNode(rr, dec, t.v, 0)
+	l := loader[T]{r: rr, dec: dec, v: t.v, left: len(payload)}
+	root, err := l.node(0)
 	if err != nil {
 		return nil, err
 	}
+	if l.items != t.size {
+		return nil, fmt.Errorf("gmvp: header says %d items, stream holds %d (corrupt stream)", t.size, l.items)
+	}
+	// A PATH has one entry per ancestor vantage point, each a different
+	// item of the tree, and p sizes the query scratch.
+	t.p = min(t.p, t.size)
 	t.root = root
 	return t, nil
 }
 
-func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], v, depth int) (*node[T], error) {
+// loader is the state of one Load.
+type loader[T any] struct {
+	r     *wire.Reader
+	dec   ItemDecoder[T]
+	v     int
+	left  int // payload bytes no count has claimed yet
+	items int // items decoded so far, vantage points included
+}
+
+// claim charges count groups of each elements about to be allocated
+// against the payload. Every element is backed by at least one byte of
+// its own, so the counts of a stream Save wrote never add up to more
+// than its length; one that asks for more is refused before the
+// allocation.
+func (l *loader[T]) claim(count, each int) error {
+	if count > l.left/each {
+		return fmt.Errorf("gmvp: count %d exceeds the bytes left in the payload (corrupt stream)", count)
+	}
+	l.left -= count * each
+	return nil
+}
+
+func (l *loader[T]) item() (it T, err error) {
+	b := l.r.Bytes()
+	if err = l.r.Err(); err == nil {
+		if it, err = l.dec(b); err != nil {
+			err = fmt.Errorf("gmvp: decoding item: %w", err)
+		}
+	}
+	l.items++
+	return it, err
+}
+
+func (l *loader[T]) vantages() ([]T, error) {
+	count := l.r.Int()
+	if err := l.r.Err(); err != nil {
+		return nil, err
+	}
+	if count > l.v {
+		return nil, fmt.Errorf("gmvp: node claims %d vantage points, tree allows %d", count, l.v)
+	}
+	if err := l.claim(count, 1); err != nil {
+		return nil, err
+	}
+	vs := make([]T, count)
+	var err error
+	for i := range vs {
+		if vs[i], err = l.item(); err != nil {
+			return nil, err
+		}
+	}
+	return vs, nil
+}
+
+func (l *loader[T]) node(depth int) (*node[T], error) {
 	if depth > maxLoadDepth {
 		return nil, fmt.Errorf("gmvp: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
-	item := func() (T, error) {
-		b := r.Bytes()
-		if err := r.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-		it, err := dec(b)
-		if err != nil {
-			var zero T
-			return zero, fmt.Errorf("gmvp: decoding item: %w", err)
-		}
-		return it, nil
-	}
-	readVantages := func(n *node[T]) error {
-		count := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if count > v {
-			return fmt.Errorf("gmvp: node claims %d vantage points, tree allows %d", count, v)
-		}
-		n.vantages = make([]T, count)
-		var err error
-		for i := 0; i < count; i++ {
-			if n.vantages[i], err = item(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	r := l.r
 	switch tag := r.Byte(); tag {
 	case tagNil:
 		return nil, r.Err()
 	case tagLeaf:
 		n := &node[T]{}
-		if err := readVantages(n); err != nil {
+		var err error
+		if n.vantages, err = l.vantages(); err != nil {
 			return nil, err
 		}
 		count := r.Int()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if count > 0 {
-			n.items = make([]T, count)
-			n.paths = make([][]float64, count)
-			var err error
-			for i := 0; i < count; i++ {
-				if n.items[i], err = item(); err != nil {
-					return nil, err
-				}
-				cols := r.Int()
-				if err := r.Err(); err != nil {
-					return nil, err
-				}
-				if i == 0 {
-					if cols > v {
-						return nil, fmt.Errorf("gmvp: leaf claims %d distance columns", cols)
-					}
-					n.dists = make([][]float64, cols)
-					for j := range n.dists {
-						n.dists[j] = make([]float64, count)
-					}
-				} else if cols != len(n.dists) {
-					return nil, fmt.Errorf("gmvp: inconsistent distance columns (corrupt stream)")
-				}
-				for j := 0; j < cols; j++ {
-					n.dists[j][i] = r.Float()
-				}
-				n.paths[i] = r.Floats()
+		if count == 0 {
+			return n, nil
+		}
+		// An item brings one element to items, to paths and to each
+		// distance column.
+		cols := len(n.vantages)
+		if err := l.claim(count, 2+cols); err != nil {
+			return nil, err
+		}
+		n.items = make([]T, count)
+		n.paths = make([][]float64, count)
+		n.dists = make([][]float64, cols)
+		for j := range n.dists {
+			n.dists[j] = make([]float64, count)
+		}
+		for i := 0; i < count; i++ {
+			if n.items[i], err = l.item(); err != nil {
+				return nil, err
 			}
+			if got := r.Int(); got != cols && r.Err() == nil {
+				return nil, fmt.Errorf("gmvp: %d distance columns for %d vantage points (corrupt stream)", got, cols)
+			}
+			for j := 0; j < cols; j++ {
+				n.dists[j][i] = r.Float()
+			}
+			n.paths[i] = r.Floats()
 		}
 		return n, r.Err()
 	case tagInternal:
 		n := &node[T]{}
-		if err := readVantages(n); err != nil {
+		var err error
+		if n.vantages, err = l.vantages(); err != nil {
 			return nil, err
 		}
-		top, err := loadSplit(r, dec, v, depth)
-		if err != nil {
-			return nil, err
-		}
-		n.top = top
-		return n, nil
+		n.top, err = l.split(len(n.vantages), depth)
+		return n, err
 	default:
 		return nil, fmt.Errorf("gmvp: unknown node tag %d (corrupt stream)", tag)
 	}
 }
 
-func loadSplit[T any](r *wire.Reader, dec ItemDecoder[T], v, depth int) (*split[T], error) {
+// split reads one level of the cascade of a node with nv vantage points.
+func (l *loader[T]) split(nv, depth int) (*split[T], error) {
 	if depth > maxLoadDepth {
 		return nil, fmt.Errorf("gmvp: cascade deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
+	r := l.r
 	sp := &split[T]{}
 	sp.level = r.Int()
 	sp.cutoffs = r.Floats()
@@ -267,23 +302,27 @@ func loadSplit[T any](r *wire.Reader, dec ItemDecoder[T], v, depth int) (*split[
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if sp.level >= v {
-		return nil, fmt.Errorf("gmvp: split level %d ≥ v = %d (corrupt stream)", sp.level, v)
+	if sp.level >= nv {
+		return nil, fmt.Errorf("gmvp: split level %d of a node with %d vantage points (corrupt stream)", sp.level, nv)
 	}
+	// Slot g covers the shell between cutoffs g-1 and g, so the cutoffs
+	// already read bound the count.
+	if count != len(sp.cutoffs)+1 {
+		return nil, fmt.Errorf("gmvp: %d shells for %d cutoffs (corrupt stream)", count, len(sp.cutoffs))
+	}
+	var err error
 	switch kind {
 	case kindSubs:
 		sp.subs = make([]*split[T], count)
-		var err error
-		for i := 0; i < count; i++ {
-			if sp.subs[i], err = loadSplit(r, dec, v, depth+1); err != nil {
+		for i := range sp.subs {
+			if sp.subs[i], err = l.split(nv, depth+1); err != nil {
 				return nil, err
 			}
 		}
 	case kindChild:
 		sp.children = make([]*node[T], count)
-		var err error
-		for i := 0; i < count; i++ {
-			if sp.children[i], err = loadNode(r, dec, v, depth+1); err != nil {
+		for i := range sp.children {
+			if sp.children[i], err = l.node(depth + 1); err != nil {
 				return nil, err
 			}
 		}

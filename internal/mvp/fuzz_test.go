@@ -2,7 +2,6 @@ package mvp
 
 import (
 	"bytes"
-	"hash/crc32"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -11,29 +10,8 @@ import (
 	"mvptree/internal/dataset"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
-	"mvptree/internal/wire"
+	"mvptree/internal/testutil"
 )
-
-// seal frames payload as Save does — magic, payload, its CRC — so a
-// mutated payload still gets past the checksum and into the decoder.
-func seal(payload []byte) []byte {
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	w.Bytes([]byte(saveMagic))
-	w.Bytes(payload)
-	w.Uvarint(uint64(crc32.ChecksumIEEE(payload)))
-	if err := w.Flush(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// payloadOf is seal's inverse for a stream Save wrote.
-func payloadOf(stream []byte) []byte {
-	r := wire.NewReader(bytes.NewReader(stream))
-	r.Bytes()
-	return r.Bytes()
-}
 
 // saved builds a tree over items and returns its Save bytes.
 func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc ItemEncoder[T], opts Options) []byte {
@@ -56,14 +34,14 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 func FuzzLoad(f *testing.F) {
 	enc := func(s string) ([]byte, error) { return []byte(s), nil }
 	words := dataset.Words(rand.New(rand.NewPCG(15, 8)), 120, dataset.WordOptions{MinLen: 3, MaxLen: 8, MisspellingsPer: 2})
-	wordTree := payloadOf(saved(f, words, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}}))
+	wordTree := testutil.PayloadOf(saved(f, words, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}}))
 	for _, payload := range [][]byte{
 		wordTree,
-		payloadOf(saved(f, dataset.UniformVectors(rand.New(rand.NewPCG(15, 9)), 80, 3), metric.L2, codec.EncodeVector,
+		testutil.PayloadOf(saved(f, dataset.UniformVectors(rand.New(rand.NewPCG(15, 9)), 80, 3), metric.L2, codec.EncodeVector,
 			Options{Partitions: 3, LeafCapacity: 4, PathLength: 5, Build: Build{Seed: 2}})),
-		payloadOf(saved(f, words[:6], metric.Edit, enc, Options{LeafCapacity: 13})), // a single leaf
-		payloadOf(saved(f, nil, metric.Edit, enc, Options{})),                       // empty
-		wordTree[:len(wordTree)/2],                                                  // truncated
+		testutil.PayloadOf(saved(f, words[:6], metric.Edit, enc, Options{LeafCapacity: 13})), // a single leaf
+		testutil.PayloadOf(saved(f, nil, metric.Edit, enc, Options{})),                       // empty
+		wordTree[:len(wordTree)/2], // truncated
 		flipByte(wordTree, 9),
 		flipByte(wordTree, len(wordTree)/3),
 	} {
@@ -73,7 +51,7 @@ func FuzzLoad(f *testing.F) {
 
 	dec := func(b []byte) (string, error) { return string(b), nil }
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, stream := range [][]byte{payload, seal(payload)} {
+		for _, stream := range [][]byte{payload, testutil.Seal(saveMagic, payload)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			tree, err := Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)

@@ -20,7 +20,7 @@ import "mvptree/internal/cascade"
 // leaf items is left uncascaded silently. EnableCascade is not
 // synchronized with in-flight queries; the cascade state is not
 // serialized by Save — re-enable after Load. Every Search consults it,
-// approximate and budgeted ones included; KNNDepthFirst does not.
+// approximate and budgeted ones included.
 func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	if t.root == nil {
 		return nil

@@ -90,7 +90,11 @@ func saveNode[T any](w *wire.Writer, n *node[T], enc ItemEncoder[T]) error {
 const maxLoadDepth = 128
 
 // Load reads a tree written by Save, verifying the payload checksum.
-// dist must wrap the same metric the tree was built with.
+// dist must wrap the same metric the tree was built with. A checksum
+// only proves the payload is the one written: no count in it is trusted
+// further than the bytes that back it, and the shape that loads is one
+// the traversals can walk (child arity matches the cutoffs, the header's
+// size is the number of items read).
 func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	outer := wire.NewReader(r)
 	if string(outer.Bytes()) != saveMagic {
@@ -114,31 +118,55 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 	if t.order < 2 || t.size < 0 {
 		return nil, fmt.Errorf("vptree: corrupt header (order=%d n=%d)", t.order, t.size)
 	}
-	root, err := loadNode(rr, dec, 0)
+	l := loader[T]{r: rr, dec: dec, order: t.order, left: len(payload)}
+	root, err := l.node(0)
 	if err != nil {
 		return nil, err
+	}
+	if l.items != t.size {
+		return nil, fmt.Errorf("vptree: header says %d items, stream holds %d (corrupt stream)", t.size, l.items)
 	}
 	t.root = root
 	return t, nil
 }
 
-func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], error) {
+// loader is the state of one Load.
+type loader[T any] struct {
+	r     *wire.Reader
+	dec   ItemDecoder[T]
+	order int
+	left  int // payload bytes no count has claimed yet
+	items int // items decoded so far, vantage points included
+}
+
+// claim charges count elements about to be allocated against the
+// payload. Every element is backed by at least one byte of its own, so
+// the counts of a stream Save wrote never add up to more than its
+// length; one that asks for more is refused before the allocation.
+func (l *loader[T]) claim(count int) error {
+	if count > l.left {
+		return fmt.Errorf("vptree: count %d exceeds the bytes left in the payload (corrupt stream)", count)
+	}
+	l.left -= count
+	return nil
+}
+
+func (l *loader[T]) item() (it T, err error) {
+	b := l.r.Bytes()
+	if err = l.r.Err(); err == nil {
+		if it, err = l.dec(b); err != nil {
+			err = fmt.Errorf("vptree: decoding item: %w", err)
+		}
+	}
+	l.items++
+	return it, err
+}
+
+func (l *loader[T]) node(depth int) (*node[T], error) {
 	if depth > maxLoadDepth {
 		return nil, fmt.Errorf("vptree: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
-	item := func() (T, error) {
-		b := r.Bytes()
-		if err := r.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-		it, err := dec(b)
-		if err != nil {
-			var zero T
-			return zero, fmt.Errorf("vptree: decoding item: %w", err)
-		}
-		return it, nil
-	}
+	r := l.r
 	switch tag := r.Byte(); tag {
 	case tagNil:
 		return nil, r.Err()
@@ -147,10 +175,13 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
+		if err := l.claim(count); err != nil {
+			return nil, err
+		}
 		n := &node[T]{leaf: true, items: make([]T, count)}
 		var err error
 		for i := 0; i < count; i++ {
-			if n.items[i], err = item(); err != nil {
+			if n.items[i], err = l.item(); err != nil {
 				return nil, err
 			}
 		}
@@ -158,7 +189,7 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 	case tagInternal:
 		n := &node[T]{}
 		var err error
-		if n.vantage, err = item(); err != nil {
+		if n.vantage, err = l.item(); err != nil {
 			return nil, err
 		}
 		n.cutoffs = r.Floats()
@@ -166,12 +197,14 @@ func loadNode[T any](r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], e
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if count == 0 {
-			return nil, fmt.Errorf("vptree: internal node with no children (corrupt stream)")
+		// Child g covers the shell between cutoffs g-1 and g, so the
+		// cutoffs already read bound the count.
+		if count != len(n.cutoffs)+1 || count > l.order {
+			return nil, fmt.Errorf("vptree: %d children for %d cutoffs at order %d (corrupt stream)", count, len(n.cutoffs), l.order)
 		}
 		n.children = make([]*node[T], count)
 		for i := 0; i < count; i++ {
-			if n.children[i], err = loadNode(r, dec, depth+1); err != nil {
+			if n.children[i], err = l.node(depth + 1); err != nil {
 				return nil, err
 			}
 		}

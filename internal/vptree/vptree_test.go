@@ -292,62 +292,6 @@ func TestParallelBuildIdenticalToSequential(t *testing.T) {
 	}
 }
 
-func TestKNNDepthFirstMatchesBestFirst(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 1))
-	w := testutil.NewVectorWorkload(rng, 600, 8, 10, metric.L2)
-	tree, c := buildWorkloadTree(t, w, Options{Order: 3, Build: Build{Seed: 13}})
-	for _, q := range w.Queries {
-		for _, k := range []int{1, 5, 20, 600} {
-			a := tree.KNN(q, k)
-			b := tree.KNNDepthFirst(q, k)
-			if len(a) != len(b) {
-				t.Fatalf("k=%d: %d vs %d results", k, len(a), len(b))
-			}
-			for i := range a {
-				if a[i].Dist != b[i].Dist {
-					t.Fatalf("k=%d: dist[%d] = %g vs %g", k, i, a[i].Dist, b[i].Dist)
-				}
-			}
-		}
-	}
-	// Best-first expands subtrees in optimal order, so it never makes
-	// more distance computations than the [Chi94] depth-first variant.
-	var bf, dfs int64
-	for _, q := range w.Queries {
-		c.Reset()
-		tree.KNN(q, 5)
-		bf += c.Count()
-		c.Reset()
-		tree.KNNDepthFirst(q, 5)
-		dfs += c.Count()
-	}
-	if bf > dfs {
-		t.Errorf("best-first cost %d > depth-first cost %d; expansion order broken", bf, dfs)
-	}
-}
-
-func TestKNNDepthFirstEdgeCases(t *testing.T) {
-	dist := metric.NewCounter(metric.L2)
-	tree, err := New(nil, dist, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.KNNDepthFirst([]float64{0}, 3); got != nil {
-		t.Errorf("empty tree: %v", got)
-	}
-	tree, err = New([][]float64{{1}, {2}}, dist, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.KNNDepthFirst([]float64{0}, 0); got != nil {
-		t.Errorf("k=0: %v", got)
-	}
-	got := tree.KNNDepthFirst([]float64{0}, 5)
-	if len(got) != 2 || got[0].Dist != 1 {
-		t.Errorf("KNNDepthFirst = %v", got)
-	}
-}
-
 func TestRangeWithStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 1))
 	w := testutil.NewVectorWorkload(rng, 1500, 8, 8, metric.L2)

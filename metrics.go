@@ -10,9 +10,9 @@ import (
 
 // The facade wrappers below are distinct top-level functions from the
 // internal kernels they delegate to, so they carry their own code
-// pointers. Register their bounded (early-abandoning) counterparts so a
-// Counter built over e.g. mvptree.L2 picks up the threshold-aware fast
-// path exactly as one built over metric.L2 would.
+// pointers. Register every kernel their internal twins carry, so a
+// Counter built over e.g. mvptree.L2 picks up the same fast paths as
+// one built over metric.L2 (TestFacadeMetricsCarryInternalKernels).
 func init() {
 	metric.RegisterBounded(L1, metric.L1UpTo)
 	metric.RegisterBounded(L2, metric.L2UpTo)
@@ -22,6 +22,13 @@ func init() {
 	metric.RegisterBounded(HammingDistance, metric.HammingUpTo)
 	metric.RegisterBounded(Angular, metric.AngularUpTo)
 	metric.RegisterBounded(Cosine, metric.L2UpTo)
+
+	// Blocked one-to-many kernels, so SearchBatch over a facade metric
+	// streams each data vector once per batch instead of once per query.
+	metric.RegisterBlock(L1, metric.L1Block)
+	metric.RegisterBlock(L2, metric.L2Block)
+	metric.RegisterBlock(LInf, metric.LInfBlock)
+	metric.RegisterBlock(Cosine, metric.L2Block)
 
 	// Quantized lower-bound shapes (WithQuantized) for the same
 	// wrappers; Cosine is L2 on the caller's pre-normalized vectors.
