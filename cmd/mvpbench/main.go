@@ -191,6 +191,7 @@ var table = []experiment{
 	{"claims", "headline claims: mvp-tree savings over the best vp-tree", study(experiments.Claims, experiments.WriteClaims)},
 	{"ablation-p", "ablation: retained PATH length p (Observation 2)", costs(experiments.AblationP)},
 	{"ablation-k", "ablation: leaf capacity k ('keep k large', §4.2)", costs(experiments.AblationK)},
+	{"ablation-sv1", "ablation: spread-selected vs drawn first vantage point ([Yia93] applied to §4.2)", study(experiments.AblationSV1, experiments.WriteAblationSV1)},
 	{"ablation-sv2", "ablation: farthest vs random second vantage point (§4.2)", costs(experiments.AblationSV2)},
 	{"ablation-v", "ablation: vantage points per node at fixed fanout (§4.2 remark)", costs(experiments.VantageStudy)},
 	{"knn", "extension: k-nearest-neighbor cost across structures", costs(experiments.KNNStudy)},

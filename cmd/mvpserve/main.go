@@ -171,8 +171,8 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		// handed (which stays reachable until after the measurement).
 		perItem := (float64(liveHeap()) - float64(heap)) / float64(max(x.Len(), 1))
 		runtime.KeepAlive(items)
-		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, index %.1f B/item)\n",
-			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, perItem)
+		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item)\n",
+			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem)
 		if *dir != "" {
 			if err := x.SaveDir(*dir, be, codec.EncodeVector); err != nil {
 				return fmt.Errorf("saving snapshot to %s: %w", *dir, err)

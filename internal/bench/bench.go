@@ -41,6 +41,9 @@ type Cell struct {
 	// BuildCost is the average construction cost in distance
 	// computations across seeds.
 	BuildCost float64
+	// SelectCost is the share of BuildCost spent choosing vantage
+	// points (build.Stats.SelectionDistances), averaged the same way.
+	SelectCost float64
 	// SeedStdDev is the standard deviation of the per-seed mean cost —
 	// the sensitivity to the random vantage-point choice the paper
 	// remarks on ("the random function that is used to pick vantage
@@ -184,6 +187,7 @@ func run[T any](items, queries []T, distFn metric.DistanceFunc[T],
 			cells := make([]Cell, len(values))
 			for vi, v := range values {
 				cells[vi].BuildCost = buildCost
+				cells[vi].SelectCost = float64(bstats.SelectionDistances)
 				cells[vi].BuildWall = bstats.Wall.Seconds()
 				// The batch total is measured as one Counter delta: the
 				// counter is atomic and per-query costs are independent,
@@ -212,6 +216,7 @@ func run[T any](items, queries []T, distFn metric.DistanceFunc[T],
 				cell := &t.Cells[vi][si]
 				p := partial[si][seedIdx][vi]
 				cell.BuildCost += p.BuildCost / float64(len(seeds))
+				cell.SelectCost += p.SelectCost / float64(len(seeds))
 				cell.BuildWall += p.BuildWall / float64(len(seeds))
 				cell.AvgDistComps += p.AvgDistComps / norm
 				cell.AvgResults += p.AvgResults / norm
@@ -318,7 +323,8 @@ func (t *Table) WriteResultCounts(w io.Writer) (int64, error) {
 // WriteBuildCosts prints average construction costs (distance
 // computations, averaged over seeds) per structure — the preprocessing
 // comparison the paper makes in §3.2/§4.2 (vp-tree O(n·log_m n), GNAT
-// "more expensive", mvp-tree O(n·log_{m²} n)).
+// "more expensive", mvp-tree O(n·log_{m²} n)) — and, in the selection
+// row, how much of each went into choosing vantage points.
 func (t *Table) WriteBuildCosts(w io.Writer) (int64, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s", "build")
@@ -329,6 +335,11 @@ func (t *Table) WriteBuildCosts(w io.Writer) (int64, error) {
 	fmt.Fprintf(&sb, "%-10s", "cost")
 	for si := range t.Structures {
 		fmt.Fprintf(&sb, " %14.0f", t.Cells[0][si].BuildCost)
+	}
+	sb.WriteByte('\n')
+	fmt.Fprintf(&sb, "%-10s", "selection")
+	for si := range t.Structures {
+		fmt.Fprintf(&sb, " %14.0f", t.Cells[0][si].SelectCost)
 	}
 	sb.WriteByte('\n')
 	fmt.Fprintf(&sb, "%-10s", "wall_s")

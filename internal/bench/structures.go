@@ -35,27 +35,37 @@ func VPT[T any](order int) Structure[T] {
 // MVPT returns an mvp-tree structure with m partitions per vantage
 // point, leaf capacity k and path length p, named mvpt(m,k) as in the
 // paper's figures (the paper suppresses p in the name since it is
-// constant per figure).
+// constant per figure). It is the paper's tree: the first vantage point
+// of every node is drawn at random, as in the paper's implementation
+// and in vpt, its random-draw comparator, so the figures stay the
+// paper's; MVPTSpreadSV1 is the tree the library builds by default.
 func MVPT[T any](m, k, p int) Structure[T] {
-	return Structure[T]{
-		Name: fmt.Sprintf("mvpt(%d,%d)", m, k),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
-			return mvp.NewWithStats(items, dist, mvp.Options{Build: opts, Partitions: m, LeafCapacity: k, PathLength: p})
-		},
-	}
+	return mvpt[T](fmt.Sprintf("mvpt(%d,%d)", m, k),
+		mvp.Options{Partitions: m, LeafCapacity: k, PathLength: p, RandomFirstVantage: true})
+}
+
+// MVPTSpreadSV1 is MVPT with the first vantage point of every internal
+// node chosen by sampled spread, mvp's default — the abl-sv1 ablation.
+func MVPTSpreadSV1[T any](m, k, p int) Structure[T] {
+	return mvpt[T](fmt.Sprintf("mvpt(%d,%d)-spr1", m, k),
+		mvp.Options{Partitions: m, LeafCapacity: k, PathLength: p})
 }
 
 // MVPTRandomSV2 is MVPT with the second vantage point chosen randomly
 // from the outermost shell instead of farthest-first — the abl-sv2
 // ablation.
 func MVPTRandomSV2[T any](m, k, p int) Structure[T] {
+	return mvpt[T](fmt.Sprintf("mvpt(%d,%d)-rnd2", m, k),
+		mvp.Options{Partitions: m, LeafCapacity: k, PathLength: p, RandomFirstVantage: true, RandomSecondVantage: true})
+}
+
+func mvpt[T any](name string, o mvp.Options) Structure[T] {
 	return Structure[T]{
-		Name: fmt.Sprintf("mvpt(%d,%d)-rnd2", m, k),
+		Name: name,
 		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
-			return mvp.NewWithStats(items, dist, mvp.Options{
-				Build: opts, Partitions: m, LeafCapacity: k, PathLength: p,
-				RandomSecondVantage: true,
-			})
+			o := o // builds of one structure run concurrently
+			o.Build = opts
+			return mvp.NewWithStats(items, dist, o)
 		},
 	}
 }

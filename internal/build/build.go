@@ -7,7 +7,7 @@
 // template. This package is that template's engine room; the index
 // packages keep only their structure-specific partitioning logic.
 //
-// It provides four primitives:
+// It provides five primitives:
 //
 //   - Measure, a batch-distance evaluator that spreads the distances
 //     from one vantage point to a set of items over a bounded worker
@@ -23,6 +23,9 @@
 //     paired with a splittable deterministic RNG (see RNG) so that the
 //     tree built with Workers=1 and Workers=N is identical — same
 //     shape, same vantage points, same Save bytes;
+//
+//   - SelectVantage, sampled best-spread vantage-point selection, the
+//     only implementation of it in the repository (see select.go);
 //
 //   - Stats, the uniform construction report (distance computations,
 //     wall time, node count, max depth) returned by every structure's
@@ -85,6 +88,10 @@ type Stats struct {
 	// made — the paper's build-cost measure. It is identical for every
 	// worker count.
 	Distances int64
+	// SelectionDistances is the share of Distances spent choosing
+	// vantage points (SelectVantage) rather than measuring a node's
+	// points to the vantage points chosen.
+	SelectionDistances int64
 	// Wall is the wall-clock construction time; the quantity Workers
 	// trades against.
 	Wall time.Duration
@@ -116,6 +123,8 @@ type Builder[T any] struct {
 	before  int64
 	nodes   atomic.Int64
 	depth   atomic.Int64
+	// selection tallies the distances SelectVantage made.
+	selection atomic.Int64
 }
 
 // Start opens a build context measuring distances through dist.
@@ -229,10 +238,11 @@ func (b *Builder[T]) Node(depth int) {
 // Finish closes the build context and reports its Stats.
 func (b *Builder[T]) Finish() Stats {
 	return Stats{
-		Distances: b.dist.Count() - b.before,
-		Wall:      time.Since(b.start),
-		Nodes:     int(b.nodes.Load()),
-		MaxDepth:  int(b.depth.Load()),
-		Workers:   b.workers,
+		Distances:          b.dist.Count() - b.before,
+		SelectionDistances: b.selection.Load(),
+		Wall:               time.Since(b.start),
+		Nodes:              int(b.nodes.Load()),
+		MaxDepth:           int(b.depth.Load()),
+		Workers:            b.workers,
 	}
 }

@@ -41,6 +41,12 @@ func (b *Builder[T]) MeasureIDs(v T, items []T, ids []int32, out []float64) {
 		b.Measure(v, func(i int) T { return items[ids[i]] }, out)
 		return
 	}
+	b.measureSerial(v, items, ids, out)
+}
+
+// measureSerial is MeasureIDs on the calling goroutine. It retains
+// neither ids nor out, so a caller's stack arrays stay on its stack.
+func (b *Builder[T]) measureSerial(v T, items []T, ids []int32, out []float64) {
 	for i, id := range ids {
 		out[i] = b.raw(items[id], v)
 	}

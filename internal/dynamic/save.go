@@ -66,12 +66,27 @@ func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	return ww.Flush()
 }
 
+// The vantage-selection switches share the byte that was a bool for
+// RandomSecondVantage alone, so streams written before
+// RandomFirstVantage existed read as that switch unset.
+const (
+	flagRandomSV2 = 1 << iota
+	flagRandomSV1
+)
+
 func saveTreeOptions(w *wire.Writer, o mvp.Options) {
 	w.Int(o.Partitions)
 	w.Int(o.LeafCapacity)
 	// PathLength uses -1 as "genuine zero"; shift to keep it varint-able.
 	w.Int(o.PathLength + 1)
-	w.Bool(o.RandomSecondVantage)
+	var flags byte
+	if o.RandomSecondVantage {
+		flags |= flagRandomSV2
+	}
+	if o.RandomFirstVantage {
+		flags |= flagRandomSV1
+	}
+	w.Byte(flags)
 	w.Int(o.Workers)
 	w.Uvarint(o.Seed)
 }
@@ -81,7 +96,9 @@ func loadTreeOptions(r *wire.Reader) mvp.Options {
 	o.Partitions = r.Int()
 	o.LeafCapacity = r.Int()
 	o.PathLength = r.Int() - 1
-	o.RandomSecondVantage = r.Bool()
+	flags := r.Byte()
+	o.RandomSecondVantage = flags&flagRandomSV2 != 0
+	o.RandomFirstVantage = flags&flagRandomSV1 != 0
 	o.Workers = r.Int()
 	o.Seed = r.Uvarint()
 	return o

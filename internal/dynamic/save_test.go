@@ -8,6 +8,7 @@ import (
 	"mvptree/internal/codec"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
+	"mvptree/internal/wire"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -124,25 +125,58 @@ func TestLoadRejectsCorruption(t *testing.T) {
 }
 
 func TestOptionsSurviveReload(t *testing.T) {
-	s, err := New([][]float64{{1}, {2}, {3}}, metric.L2, Options{
-		Tree:            mvp.Options{Partitions: 4, LeafCapacity: 7, PathLength: 3, Build: mvp.Build{Seed: 5}},
-		RebuildFraction: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, sw := range []struct{ sv1, sv2 bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		tree := mvp.Options{Partitions: 4, LeafCapacity: 7, PathLength: 3, Build: mvp.Build{Seed: 5},
+			RandomFirstVantage: sw.sv1, RandomSecondVantage: sw.sv2}
+		s, err := New([][]float64{{1}, {2}, {3}}, metric.L2, Options{Tree: tree, RebuildFraction: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf, codec.EncodeVector); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf, metric.L2, codec.DecodeVector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.opts.RebuildFraction != 0.5 {
+			t.Errorf("RebuildFraction = %g", loaded.opts.RebuildFraction)
+		}
+		if o := loaded.opts.Tree; o != tree {
+			t.Errorf("tree options = %+v, want %+v", o, tree)
+		}
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf, codec.EncodeVector); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, metric.L2, codec.DecodeVector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.opts.RebuildFraction != 0.5 {
-		t.Errorf("RebuildFraction = %g", loaded.opts.RebuildFraction)
-	}
-	if o := loaded.opts.Tree; o.Partitions != 4 || o.LeafCapacity != 7 || o.PathLength != 3 {
-		t.Errorf("tree options = %+v", o)
+}
+
+// TestTreeOptionsReadOldStreams pins the options header against the
+// encoding written before RandomFirstVantage existed, where the flags
+// byte was a bool for RandomSecondVantage.
+func TestTreeOptionsReadOldStreams(t *testing.T) {
+	for _, sv2 := range []bool{false, true} {
+		want := mvp.Options{Partitions: 3, LeafCapacity: 9, PathLength: -1, RandomSecondVantage: sv2, Build: mvp.Build{Workers: 2, Seed: 11}}
+		var old, cur bytes.Buffer
+		w := wire.NewWriter(&old)
+		w.Int(want.Partitions)
+		w.Int(want.LeafCapacity)
+		w.Int(want.PathLength + 1)
+		w.Bool(sv2)
+		w.Int(want.Workers)
+		w.Uvarint(want.Seed)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		w = wire.NewWriter(&cur)
+		saveTreeOptions(w, want)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(old.Bytes(), cur.Bytes()) {
+			t.Errorf("sv2=%v: header bytes %x, old encoding %x", sv2, cur.Bytes(), old.Bytes())
+		}
+		r := wire.NewReader(&old)
+		if got := loadTreeOptions(r); got != want || r.Err() != nil {
+			t.Errorf("sv2=%v: old header read as %+v (err %v), want %+v", sv2, got, r.Err(), want)
+		}
 	}
 }

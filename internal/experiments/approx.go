@@ -48,7 +48,7 @@ func ApproxStudy(c Config) ([]ApproxResult, error) {
 	for _, seed := range c.TreeSeeds {
 		counter := metric.NewCounter[[]float64](metric.L2)
 		tree, err := mvp.New(items, counter, mvp.Options{
-			Partitions: 3, LeafCapacity: 80, PathLength: 5,
+			Partitions: 3, LeafCapacity: 80, PathLength: 5, RandomFirstVantage: true, // the paper's tree, as bench.MVPT
 			Build: mvp.Build{Seed: seed, Workers: c.BuildWorkers},
 		})
 		if err != nil {

@@ -206,6 +206,43 @@ func TestAblationSV2(t *testing.T) {
 	}
 }
 
+func TestAblationSV1(t *testing.T) {
+	results, err := AblationSV1(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("%d workloads, want uniform, clustered and words", len(results))
+	}
+	for _, r := range results {
+		// At this scale only the root of the two vector trees is large
+		// enough to sample (the word corpus, 240 words, is not), so the
+		// shape to hold is: same answers, selection paid for exactly
+		// where it happened, and a chosen sv1 not dramatically worse
+		// than a drawn one.
+		sav, err := r.Table.SavingsPercent("mvpt(3,80)-spr1", "mvpt(3,80)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range r.Table.Values {
+			drawn, spread := r.Table.Cells[i][0], r.Table.Cells[i][1]
+			if drawn.AvgResults != spread.AvgResults {
+				t.Errorf("%s r=%g: %.2f results with sv1 drawn, %.2f chosen", r.Workload, v, drawn.AvgResults, spread.AvgResults)
+			}
+			if sav[i] < -50 {
+				t.Errorf("%s r=%g: chosen sv1 %.1f%% worse than drawn", r.Workload, v, -sav[i])
+			}
+			if drawn.SelectCost != 0 || spread.BuildCost-drawn.BuildCost != spread.SelectCost {
+				t.Errorf("%s: build %.0f (selection %.0f) chosen vs %.0f (selection %.0f) drawn",
+					r.Workload, spread.BuildCost, spread.SelectCost, drawn.BuildCost, drawn.SelectCost)
+			}
+			if sampled := r.Workload != "words"; (spread.SelectCost > 0) != sampled {
+				t.Errorf("%s: selection cost %.0f", r.Workload, spread.SelectCost)
+			}
+		}
+	}
+}
+
 func TestKNNStudy(t *testing.T) {
 	tbl, err := KNNStudy(tinyConfig())
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"mvptree/internal/bench"
 	"mvptree/internal/build"
@@ -11,7 +12,7 @@ import (
 )
 
 // The experiments below go beyond the paper's figures: ablations of the
-// mvp-tree's design choices (DESIGN.md rows abl-p, abl-k, abl-sv2) and
+// mvp-tree's design choices (DESIGN.md rows abl-p, abl-k, abl-sv1, abl-sv2) and
 // extension studies (kNN, the related structures of §3.2, and the
 // BK-tree word workload).
 
@@ -34,6 +35,7 @@ func AblationP(c Config) (*bench.Table, error) {
 				}
 				return mvp.NewWithStats(items, dist, mvp.Options{
 					Build: opts, Partitions: 3, LeafCapacity: 80, PathLength: pl,
+					RandomFirstVantage: true, // the paper's tree, as bench.MVPT
 				})
 			},
 		})
@@ -65,6 +67,56 @@ func AblationSV2(c Config) (*bench.Table, error) {
 	}
 	return bench.RunRange(c.UniformVectors(), c.VectorQueries(), metric.L2,
 		structures, Fig8Radii, c.TreeSeeds, c.QueryWorkers, c.BuildWorkers)
+}
+
+// SV1Result is AblationSV1's table for one workload.
+type SV1Result struct {
+	Workload string
+	Table    *bench.Table
+}
+
+// AblationSV1 quantifies the choice of the first vantage point: mvpt(3,80)
+// with sv1 drawn at random, as in the paper, against sv1 chosen by
+// sampled spread (mvp's default), on the uniform and clustered vectors
+// and on the word corpus. Each table carries the build costs, so what
+// choosing buys at query time reads beside what it costs.
+func AblationSV1(c Config) ([]SV1Result, error) {
+	uniform, err := sv1Table(c, c.UniformVectors(), c.VectorQueries(), metric.L2, Fig8Radii)
+	if err != nil {
+		return nil, err
+	}
+	clustered, err := sv1Table(c, c.ClusteredVectors(), c.VectorQueries(), metric.L2, Fig9Radii)
+	if err != nil {
+		return nil, err
+	}
+	words := c.Words()
+	edit, err := sv1Table(c, words, c.WordQueries(words), metric.Edit, WordRadii)
+	if err != nil {
+		return nil, err
+	}
+	return []SV1Result{{"uniform", uniform}, {"clustered", clustered}, {"words", edit}}, nil
+}
+
+func sv1Table[T any](c Config, items, queries []T, dist metric.DistanceFunc[T], radii []float64) (*bench.Table, error) {
+	structures := []bench.Structure[T]{bench.MVPT[T](3, 80, 5), bench.MVPTSpreadSV1[T](3, 80, 5)}
+	return bench.RunRange(items, queries, dist, structures, radii, c.TreeSeeds, c.QueryWorkers, c.BuildWorkers)
+}
+
+// WriteAblationSV1 prints, per workload, the query costs and the build
+// costs of the two trees.
+func WriteAblationSV1(w io.Writer, results []SV1Result) error {
+	for _, r := range results {
+		if _, err := fmt.Fprintf(w, "# %s\n", r.Workload); err != nil {
+			return err
+		}
+		if _, err := r.Table.WriteTo(w); err != nil {
+			return err
+		}
+		if _, err := r.Table.WriteBuildCosts(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // KNNKs are the neighbor counts swept by KNNStudy.

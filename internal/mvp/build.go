@@ -72,9 +72,8 @@ func (c *construction[T]) shellRange(size, g int) (lo, hi int) {
 	return lo, hi
 }
 
-// firstVantage draws the node's first vantage point — arbitrary
-// (seeded-random, like the paper's implementation) — moves it to the
-// last slot and returns the remaining slots.
+// firstVantage makes the point at slot pick the node's first vantage
+// point, moves it to the last slot and returns the remaining slots.
 func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int32 {
 	last := len(perm) - 1
 	perm[pick], perm[last] = perm[last], perm[pick]
@@ -83,8 +82,11 @@ func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int
 }
 
 // buildLeaf implements step 2 of the paper's algorithm: pick the first
-// vantage point arbitrarily, the second as the farthest point from the
-// first, and store exact distances D1, D2 for the remaining points.
+// vantage point arbitrarily (a seeded draw, like the paper's
+// implementation; choosing it by spread as internal nodes do bought at
+// most a point of query cost for 6–35 points of build distances,
+// docs/TUNING.md), the second as the farthest point from the first, and
+// store exact distances D1, D2 for the remaining points.
 func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
 	c.b.Node(depth)
 	n := &node[T]{}
@@ -151,11 +153,22 @@ func (c *construction[T]) measure(v T, ids []int32, dist []float64, keys []build
 // shell) splits every shell into m more. Child subtrees build through
 // the shared pool via Fork, each over its own slot range and with its
 // own position-derived RNG.
+//
+// The paper draws the first vantage point; here it is the candidate of
+// largest sampled spread (build.SelectVantage, the [Yia93] heuristic),
+// because every PATH entry and shell boundary below is a distance to
+// it. Nodes too small to sample, and every node under
+// RandomFirstVantage, take the single draw.
 func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
 	c.b.Node(depth)
 	rng := src.Rand()
 	n := &node[T]{}
-	rest := c.firstVantage(n, c.Perm[lo:hi], rng.IntN(hi-lo))
+	sample := build.SpreadSample(hi - lo)
+	if c.opts.RandomFirstVantage {
+		sample = 0
+	}
+	perm := c.Perm[lo:hi]
+	rest := c.firstVantage(n, perm, c.b.SelectVantage(c.items, perm, rng, build.SpreadCandidates, sample))
 	dist, keys := c.Dist[lo:lo+len(rest)], c.Keys[lo:lo+len(rest)]
 	held := c.pathLen(depth)
 

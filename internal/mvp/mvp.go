@@ -17,6 +17,14 @@
 //     give triangle-inequality lower bounds that filter leaf points
 //     before any real distance computation (paper Observation 2).
 //
+// The paper draws every first vantage point at random; here an internal
+// node keeps, of a few drawn candidates, the one whose distances to a
+// sample of its points are most spread (build.SelectVantage, the
+// [Yia93] heuristic), since every shell boundary and PATH entry below
+// it is a distance to that point. Leaves, and nodes too small to
+// sample, draw; Options.RandomFirstVantage draws everywhere. The second
+// vantage point is the paper's: the farthest point from the first.
+//
 // Leaves also store each point's distances to the leaf's own two vantage
 // points (the D1/D2 arrays of the paper; float32, see narrow.go), and k is
 // typically made large so that most points live in leaves, delaying the
@@ -67,9 +75,18 @@ type Options struct {
 	// PathLength is p, the number of ancestor-vantage-point distances
 	// retained for every leaf point. It cannot exceed the number of
 	// vantage points on a root-to-leaf path; extra slots are simply
-	// never filled. PathLength 0 disables path filtering (useful for
-	// the ablation benchmark); -1 requests a genuine zero. Default 4.
+	// never filled. PathLength 0 means the default, 4; -1 requests a
+	// genuine zero, which disables path filtering (the abl-p ablation).
 	PathLength int
+	// RandomFirstVantage, when true, draws the first vantage point of
+	// every internal node uniformly at random, as the paper's
+	// implementation does, instead of keeping the candidate with the
+	// largest sampled spread of distances (build.SelectVantage). The
+	// draw consumes the node's random stream exactly as construction
+	// did before selection existed, so the trees are those builds' byte
+	// for byte; this switch exists for the ablation experiment that
+	// quantifies the choice and for the paper's tables.
+	RandomFirstVantage bool
 	// RandomSecondVantage, when true, picks the second vantage point
 	// uniformly from the outermost shell instead of taking the point
 	// farthest from the first vantage point. The paper argues the

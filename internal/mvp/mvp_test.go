@@ -27,6 +27,7 @@ var optionMatrix = []Options{
 	{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}},
 	{Partitions: 4, LeafCapacity: 13, PathLength: 8, Build: Build{Seed: 7}},
 	{Partitions: 3, LeafCapacity: 13, PathLength: 4, RandomSecondVantage: true, Build: Build{Seed: 7}},
+	{Partitions: 3, LeafCapacity: 9, PathLength: 5, RandomFirstVantage: true, Build: Build{Seed: 7}},
 }
 
 func TestRangeMatchesLinearScan(t *testing.T) {

@@ -197,11 +197,12 @@ func TestFilterSoundAtExtremeMagnitudes(t *testing.T) {
 // workload whose per-query SearchStats and counter deltas were recorded
 // at the commit before leaves became float32 (PR 14). Edit distances
 // are float32-exact, so slack is 0 and every filter decision, tie prune
-// and count is the one a float64 leaf made.
+// and count is the one a float64 leaf made. The recorded tree drew its
+// first vantage points, hence RandomFirstVantage.
 func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 	words := dataset.Words(rand.New(rand.NewPCG(15, 1)), 3000, dataset.WordOptions{MinLen: 4, MaxLen: 11, MisspellingsPer: 3})
 	c := metric.NewCounter(metric.Edit)
-	tree, err := New(words, c, Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, Build: Build{Seed: 9}})
+	tree, err := New(words, c, Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true, Build: Build{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +255,15 @@ func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 // TestLoadsFloat64LeafStream loads a stream written by PR 14, whose leaf
 // distances have all 53 bits, and holds it to a fresh build of the same
 // items: same Save bytes (the narrowed ones), same slack, same answers
-// at the same cost.
+// at the same cost. PR 14 drew its first vantage points, so the fresh
+// build does too.
 func TestLoadsFloat64LeafStream(t *testing.T) {
 	old, err := os.ReadFile("testdata/pr14_float64_leaves.mvp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	items := dataset.UniformVectors(rand.New(rand.NewPCG(15, 3)), 400, 6)
-	fresh, err := New(items, metric.NewCounter(metric.L2), Options{Partitions: 2, LeafCapacity: 7, PathLength: 4, Build: Build{Seed: 4}})
+	fresh, err := New(items, metric.NewCounter(metric.L2), Options{Partitions: 2, LeafCapacity: 7, PathLength: 4, RandomFirstVantage: true, Build: Build{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,6 +191,7 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 		total += len(p)
 	}
 	for _, st := range stats {
+		bs.SelectionDistances += st.SelectionDistances
 		bs.Nodes += st.Nodes
 		if st.MaxDepth > bs.MaxDepth {
 			bs.MaxDepth = st.MaxDepth

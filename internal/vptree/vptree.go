@@ -19,7 +19,6 @@ package vptree
 import (
 	"errors"
 	"math"
-	"sort"
 	"sync"
 
 	"mvptree/internal/build"
@@ -44,8 +43,9 @@ const (
 	SelectRandom SelectionStrategy = iota
 	// SelectBestSpread implements the heuristic of [Yia93]: sample a
 	// few candidate vantage points, estimate for each the spread of
-	// distances to a random subset (second moment about the median),
-	// and keep the candidate with the largest spread.
+	// its distances to one random subset of the node's points (their
+	// variance), and keep the candidate with the largest spread
+	// (build.SelectVantage, which the mvp-tree uses by default).
 	SelectBestSpread
 )
 
@@ -68,8 +68,9 @@ type Options struct {
 	// Selection chooses the vantage-point selection strategy.
 	Selection SelectionStrategy
 	// Candidates and SampleSize tune SelectBestSpread: Candidates
-	// vantage candidates are evaluated against SampleSize random
-	// points each. Defaults are 5 and 20. Ignored for SelectRandom.
+	// vantage candidates are evaluated against one sample of
+	// SampleSize random points (at most build.MaxSample, 64). Defaults
+	// are 5 and 20. Ignored for SelectRandom.
 	Candidates int
 	SampleSize int
 	// FlatVectors, for []float64 items only, copies every leaf's
@@ -297,42 +298,10 @@ func (c *construction[T]) build(lo, hi int, src build.RNG, depth int) *node[T] {
 // selectVantage returns the slot, within the subtree's permutation
 // range, of the point to promote to vantage point.
 func (c *construction[T]) selectVantage(perm []int32, src build.RNG) int {
-	opts := c.opts
-	if opts.Selection == SelectRandom || len(perm) <= 2 {
+	if c.opts.Selection == SelectRandom {
 		return src.Pick(len(perm))
 	}
-	rng := src.Rand()
-	// Best-spread heuristic [Yia93]: maximize the second moment of the
-	// distance distribution about its median.
-	best, bestSpread := 0, math.Inf(-1)
-	cands := min(opts.Candidates, len(perm))
-	for range cands {
-		ci := rng.IntN(len(perm))
-		sample := min(opts.SampleSize, len(perm)-1)
-		ds := make([]float64, 0, sample)
-		for s := 0; s < sample; s++ {
-			si := rng.IntN(len(perm))
-			if si == ci {
-				continue
-			}
-			ds = append(ds, c.t.dist.Distance(c.items[perm[ci]], c.items[perm[si]]))
-		}
-		if len(ds) == 0 {
-			continue
-		}
-		sort.Float64s(ds)
-		median := ds[len(ds)/2]
-		var spread float64
-		for _, d := range ds {
-			dd := d - median
-			spread += dd * dd
-		}
-		spread /= float64(len(ds))
-		if spread > bestSpread {
-			best, bestSpread = ci, spread
-		}
-	}
-	return best
+	return c.b.SelectVantage(c.items, perm, src.Rand(), c.opts.Candidates, c.opts.SampleSize)
 }
 
 // Len reports the number of indexed items.

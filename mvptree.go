@@ -84,8 +84,9 @@ type BuildOptions = build.Options
 
 // BuildStats is the uniform construction report returned by every
 // structure's New*WithStats constructor: distance computations (the
-// paper's build-cost measure, identical for every worker count), wall
-// time, node count, maximum depth and the worker count used.
+// paper's build-cost measure, identical for every worker count) and the
+// share of them spent choosing vantage points, wall time, node count,
+// maximum depth and the worker count used.
 type BuildStats = build.Stats
 
 // Index is the query interface shared by every structure in this
