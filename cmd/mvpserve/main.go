@@ -154,7 +154,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		if err != nil {
 			return fmt.Errorf("loading snapshot from %s: %w", *dir, err)
 		}
-		fmt.Fprintf(out, "mvpserve: loaded %d items from %s in %v\n", idx.Len(), *dir, time.Since(start).Round(time.Millisecond))
+		step, slack := filterGrid(idx.(*shard.Index[[]float64]))
+		fmt.Fprintf(out, "mvpserve: loaded %d items from %s in %v (leaf filter step %.3g, slack %.3g)\n",
+			idx.Len(), *dir, time.Since(start).Round(time.Millisecond), step, slack)
 	default:
 		start := time.Now()
 		rng := rand.New(rand.NewPCG(*dataSeed, 0))
@@ -171,8 +173,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		// handed (which stays reachable until after the measurement).
 		perItem := (float64(liveHeap()) - float64(heap)) / float64(max(x.Len(), 1))
 		runtime.KeepAlive(items)
-		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item)\n",
-			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem)
+		step, slack := filterGrid(x)
+		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
+			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, step, slack)
 		if *dir != "" {
 			if err := x.SaveDir(*dir, be, codec.EncodeVector); err != nil {
 				return fmt.Errorf("saving snapshot to %s: %w", *dir, err)
@@ -241,6 +244,18 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		st.Range.Queries+st.KNN.Queries, st.Range.Queries, st.KNN.Queries,
 		st.Range.Rejected+st.KNN.Rejected, st.Swaps)
 	return nil
+}
+
+// filterGrid reports the coarsest step any shard's leaf filter stores
+// its distances on, and the largest slack that costs a shard's windows
+// (mvp.Stats). One far outlier coarsens its shard's whole grid; a slack
+// of +Inf means a shard's leaf filter passes everything.
+func filterGrid(x *shard.Index[[]float64]) (step, slack float64) {
+	for i := 0; i < x.Shards(); i++ {
+		s := x.Shard(i).(*mvp.Tree[[]float64]).Shape()
+		step, slack = max(step, s.FilterStep), max(slack, s.FilterSlack)
+	}
+	return step, slack
 }
 
 func hasManifest(dir string) bool {

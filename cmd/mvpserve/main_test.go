@@ -184,7 +184,7 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	// Second run must load from disk, not rebuild.
 	base, out2, shutdown2 := startDaemon(t, "-dim", fmt.Sprint(dim), "-dir", dir)
 	defer shutdown2()
-	if !strings.Contains(out2.String(), "loaded 400 items") {
+	if !strings.Contains(out2.String(), "loaded 400 items") || !strings.Contains(out2.String(), "leaf filter step") {
 		t.Fatalf("second run did not load the snapshot:\n%s", out2.String())
 	}
 	resp, body = postJSON(t, base+"/range", map[string]any{"query": query(dim, 0.5), "r": 0.8})

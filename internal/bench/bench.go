@@ -19,6 +19,7 @@ import (
 	"mvptree/internal/build"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
+	"mvptree/internal/mvp"
 	"mvptree/internal/qexec"
 )
 
@@ -54,6 +55,10 @@ type Cell struct {
 	// distance-computation BuildCost is identical for every worker
 	// count).
 	BuildWall float64
+	// FilterStep and FilterSlack describe the grid an mvp-tree stores its
+	// leaf distances on (mvp.Stats): the coarsest step and largest slack
+	// across seeds, zero for the other structures.
+	FilterStep, FilterSlack float64
 }
 
 // Table is the result of a sweep: rows are swept values (query radii or
@@ -184,9 +189,14 @@ func run[T any](items, queries []T, distFn metric.DistanceFunc[T],
 				return
 			}
 			buildCost := float64(counter.Count())
+			var shape mvp.Stats
+			if tr, ok := idx.(*mvp.Tree[T]); ok {
+				shape = tr.Shape()
+			}
 			cells := make([]Cell, len(values))
 			for vi, v := range values {
 				cells[vi].BuildCost = buildCost
+				cells[vi].FilterStep, cells[vi].FilterSlack = shape.FilterStep, shape.FilterSlack
 				cells[vi].SelectCost = float64(bstats.SelectionDistances)
 				cells[vi].BuildWall = bstats.Wall.Seconds()
 				// The batch total is measured as one Counter delta: the
@@ -218,6 +228,7 @@ func run[T any](items, queries []T, distFn metric.DistanceFunc[T],
 				cell.BuildCost += p.BuildCost / float64(len(seeds))
 				cell.SelectCost += p.SelectCost / float64(len(seeds))
 				cell.BuildWall += p.BuildWall / float64(len(seeds))
+				cell.FilterStep, cell.FilterSlack = max(cell.FilterStep, p.FilterStep), max(cell.FilterSlack, p.FilterSlack)
 				cell.AvgDistComps += p.AvgDistComps / norm
 				cell.AvgResults += p.AvgResults / norm
 			}
@@ -324,7 +335,8 @@ func (t *Table) WriteResultCounts(w io.Writer) (int64, error) {
 // computations, averaged over seeds) per structure — the preprocessing
 // comparison the paper makes in §3.2/§4.2 (vp-tree O(n·log_m n), GNAT
 // "more expensive", mvp-tree O(n·log_{m²} n)) — and, in the selection
-// row, how much of each went into choosing vantage points.
+// row, how much of each went into choosing vantage points. The last two
+// rows are the grid each mvp-tree's leaf distances ended up on.
 func (t *Table) WriteBuildCosts(w io.Writer) (int64, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s", "build")
@@ -347,6 +359,23 @@ func (t *Table) WriteBuildCosts(w io.Writer) (int64, error) {
 		fmt.Fprintf(&sb, " %14.4f", t.Cells[0][si].BuildWall)
 	}
 	sb.WriteByte('\n')
+	for _, row := range []struct {
+		name string
+		of   func(Cell) float64
+	}{
+		{"filt_step", func(c Cell) float64 { return c.FilterStep }},
+		{"filt_slack", func(c Cell) float64 { return c.FilterSlack }},
+	} {
+		fmt.Fprintf(&sb, "%-10s", row.name)
+		for si := range t.Structures {
+			if c := t.Cells[0][si]; c.FilterStep == 0 {
+				fmt.Fprintf(&sb, " %14s", "-")
+			} else {
+				fmt.Fprintf(&sb, " %14.3g", row.of(c))
+			}
+		}
+		sb.WriteByte('\n')
+	}
 	n, err := io.WriteString(w, sb.String())
 	return int64(n), err
 }

@@ -164,7 +164,7 @@ func TestWriteCSV(t *testing.T) {
 func TestWriteBuildCosts(t *testing.T) {
 	items, queries := smallWorkload()
 	tbl, err := RunRange(items, queries, metric.L2,
-		[]Structure[[]float64]{Linear[[]float64](), VPT[[]float64](2)}, []float64{0.25}, []uint64{1})
+		[]Structure[[]float64]{Linear[[]float64](), VPT[[]float64](2), MVPT[[]float64](2, 4, 3)}, []float64{0.25}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +174,11 @@ func TestWriteBuildCosts(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "vpt(2)") || !strings.Contains(sb.String(), "cost") {
 		t.Errorf("WriteBuildCosts:\n%s", sb.String())
+	}
+	// Only the mvp-tree has a leaf-filter grid to report.
+	if c := tbl.Cells[0]; c[1].FilterStep != 0 || c[2].FilterStep <= 0 || c[2].FilterSlack != c[2].FilterStep ||
+		!strings.Contains(sb.String(), "filt_slack") {
+		t.Errorf("filter grid: vpt %+v, mvpt %+v\n%s", c[1], c[2], sb.String())
 	}
 }
 

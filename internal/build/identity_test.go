@@ -23,26 +23,30 @@ import (
 // (continuous coordinates), so the hashes do not depend on how the
 // sort breaks ties and stand in for the deleted copying build: any
 // change of vantage choice, cutoff, leaf order or stored distance
-// changes a hash. The mvp rows were re-recorded when leaf distances
-// became float32 (PR 15): each is the hash of the PR 14 bytes with every
-// leaf distance x replaced by what mvp's narrow stores for it, checked
-// once against that commit; vptree and gmvp rows are the originals.
+// changes a hash. The mvp rows were re-recorded twice, each time because
+// Save's bytes for a leaf distance changed and nothing else: when the
+// distances became float32 values (PR 15), and when they became 16-bit
+// codes under the MVPTREE2 grammar (PR 19). Each PR 19 row is the hash of
+// what that commit's Save writes after its Load has read the parent
+// commit's MVPTREE1 bytes for the same build — the same tree, put on the
+// grid — checked once for all nine rows. vptree and gmvp rows are the
+// originals.
 //
 // The mvp and mvp-random2 rows are built with RandomFirstVantage and
-// were not re-recorded when the first vantage point became a selection:
-// that they still match is the proof the switch restores the drawn
-// build byte for byte. The mvp-spread rows pin the default, the same
-// options without the switch.
+// were not otherwise re-recorded when the first vantage point became a
+// selection: that they matched is the proof the switch restores the
+// drawn build byte for byte. The mvp-spread rows pin the default, the
+// same options without the switch.
 var goldenSave = map[string]string{
-	"mvp/uniform/1":          "98961428886633d34d3bdd2590e50a9eadf3277f2eab56149f80e414cee5637d",
-	"mvp/uniform/7":          "8ac097547dce861794df4f981abb719bbc626b181f597ce4ee9f932a417a1341",
-	"mvp/clustered/1":        "f9f7bc5f9f7411cfc21f825ff875ecfd9adfe9c3a11822fa86fd4147caefb27a",
-	"mvp/clustered/7":        "473b95978896dcd8812a324800a3e9e352a12075abd09e246b3e171548e239b7",
-	"mvp-spread/uniform/1":   "22a2175948b88bd021528c73c8a18f8cd43ad99f7a6c7ea98b518839f4dab578",
-	"mvp-spread/uniform/7":   "3a0360fcae6b75f51d08992c7ee67311084c40a518f4de0e383968b487f85eeb",
-	"mvp-spread/clustered/1": "0eee69d3c376382a2cc3e363bebe355f30ccc98d776462adc30f87c923a667f3",
-	"mvp-spread/clustered/7": "1db2cb9521fb4f4a0ed06ad3c96ad959ac7328d5f8aada8555f62dbc50b14f63",
-	"mvp-random2/uniform/1":  "cd5694d130de45da37354adc09880f1f63a2e56efcf931d09b509925ed93afe6",
+	"mvp/uniform/1":          "4b247dfa27c67437e39d84e2a0e6ad36f6593fac148ffe54eb8d123bebecc012",
+	"mvp/uniform/7":          "fd50827ffcd285ea75bb9505459b05dfb4922b2ee5e2ace309be383e412f8541",
+	"mvp/clustered/1":        "950a13efdafa36c22031d2cbb3f78711b97a3bddf2b8c7472804bd38ee9dd773",
+	"mvp/clustered/7":        "d5795fbb3bc71655b685813b07471ebc59f066aee2a6773e092ff41ccb52baea",
+	"mvp-spread/uniform/1":   "d62f02a1bcb021cfbf2a4f57fd3e93671bee04dbba34d455d9b19abe26fcb6cb",
+	"mvp-spread/uniform/7":   "ab744aaf178ecd8d95a9c610623eabc15d7cbacfa419b34aaa4fac984cd17515",
+	"mvp-spread/clustered/1": "2aeeaa527c2af589a9ec64a0f413adfe236ce61ec361badec37b3d095f8b83f6",
+	"mvp-spread/clustered/7": "08675dc655af8be099ea1a92c5d3deed0d86ef7a3dbedccc45b3e533b2f23b15",
+	"mvp-random2/uniform/1":  "23eec4913ef2ee276d8b1d0e1b5cb09495ed1c4a7ffdcb3858f8b161f9b14eea",
 	"vptree/uniform/1":       "d0e3c81c479c88cf7d4276a9674b672a0f2ede9ed557dc21d491a5d6e56ae177",
 	"vptree/uniform/7":       "82b4591c8fc17d89dbe601313873ba12d9feb3cd31c55e591837cf71d7b37475",
 	"vptree/clustered/1":     "40ec20629faad795eb59ed373f85eff97cf978c9de22c3d4269964369ea26301",

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bytes"
 	"math/rand/v2"
+	"os"
 	"testing"
 
 	"mvptree/internal/codec"
@@ -11,18 +12,48 @@ import (
 	"mvptree/internal/wire"
 )
 
+// TestSaveLoadRoundTrip runs over a store just built and over one whose
+// tree Load read from an MVPTREE1 stream (written by PR 18 from the same
+// 400 items and options): what Save writes next is MVPTREE2 either way.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(101, 5))
-	initial := make([][]float64, 400)
-	for i := range initial {
-		initial[i] = randVec(rng, 6)
+	for _, from := range []string{"built", "loaded from v1"} {
+		t.Run(from, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(101, 5))
+			initial := make([][]float64, 400)
+			for i := range initial {
+				initial[i] = randVec(rng, 6)
+			}
+			s, err := New(initial, metric.L2, Options{
+				Tree: mvp.Options{Partitions: 3, LeafCapacity: 10, PathLength: 4, Build: mvp.Build{Seed: 9}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if from != "built" {
+				v1, err := os.ReadFile("testdata/pr18_store_v1.dyn")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Contains(v1, []byte("MVPTREE1")) {
+					t.Fatal("the fixture's tree is not an MVPTREE1 stream")
+				}
+				built := s
+				if s, err = Load(bytes.NewReader(v1), metric.L2, codec.DecodeVector); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.tree.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := s.tree.Shape(), built.tree.Shape(); got != want {
+					t.Fatalf("loaded tree %+v, built %+v", got, want)
+				}
+			}
+			roundTrip(t, s, initial, rng)
+		})
 	}
-	s, err := New(initial, metric.L2, Options{
-		Tree: mvp.Options{Partitions: 3, LeafCapacity: 10, PathLength: 4, Build: mvp.Build{Seed: 9}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func roundTrip(t *testing.T, s *Store[[]float64], initial [][]float64, rng *rand.Rand) {
 	// Dirty the store so Save has something to compact.
 	for i := 0; i < 60; i++ {
 		if err := s.Insert(randVec(rng, 6)); err != nil {

@@ -72,13 +72,14 @@ type batchScratch[T any] struct {
 	qpreps      []quant.Prepared
 	quantOn     []bool
 	quantPruned []int
-	// qlo/qhi are B×p flat: slot j's PATH windows live at [j·p, (j+1)·p).
-	qlo []float64
-	qhi []float64
+	// qlo/qhi are B×p flat: slot j's PATH windows, as the codes they
+	// hold (Tree.window), live at [j·p, (j+1)·p).
+	qlo []uint16
+	qhi []uint16
 
-	// Leaf-local per-slot windows and stage tallies (leaves never
-	// recurse, so one set serves every leaf).
-	wlo1, whi1, wlo2, whi2 []float64
+	// Leaf-local per-slot D1/D2 windows, as codes too, and stage tallies
+	// (leaves never recurse, so one set serves every leaf).
+	wlo1, whi1, wlo2, whi2 []uint16
 	fD, fP, fC, fQ, comp   []int
 
 	// rangeLst lists the slots the shared DFS answers.
@@ -341,20 +342,18 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 		}
 	}
 	if plen < t.p {
-		// PATH windows meet narrowed values: slack wider than the shells'.
+		// PATH windows meet stored codes: slack wider than the shells'.
 		for i, j := range act {
 			o := int(j)*t.p + plen
 			w := bs.rads[j] + t.slack
-			bs.qlo[o] = d1v[i] - w
-			bs.qhi[o] = d1v[i] + w
+			bs.qlo[o], bs.qhi[o] = t.window(d1v[i]-w, d1v[i]+w)
 		}
 		plen++
 		if plen < t.p {
 			for i, j := range act {
 				o := int(j)*t.p + plen
 				w := bs.rads[j] + t.slack
-				bs.qlo[o] = d2v[i] - w
-				bs.qhi[o] = d2v[i] + w
+				bs.qlo[o], bs.qhi[o] = t.window(d2v[i]-w, d2v[i]+w)
 			}
 			plen++
 		}
@@ -481,8 +480,8 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 
 	for i, j := range act {
 		w := bs.rads[j] + t.slack
-		bs.wlo1[j], bs.whi1[j] = dv1[i]-w, dv1[i]+w
-		bs.wlo2[j], bs.whi2[j] = dv2[i]-w, dv2[i]+w
+		bs.wlo1[j], bs.whi1[j] = t.window(dv1[i]-w, dv1[i]+w)
+		bs.wlo2[j], bs.whi2[j] = t.window(dv2[i]-w, dv2[i]+w)
 		bs.fD[j], bs.fP[j], bs.fC[j], bs.fQ[j], bs.comp[j] = 0, 0, 0, 0, 0
 	}
 
@@ -497,7 +496,7 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 		spts := bs.spts[:0]
 		sbounds := bs.sbounds[:0]
 		row := rows[i*stride : (i+1)*stride]
-		x1, x2, path := float64(row[0]), float64(row[1]), row[2:]
+		x1, x2, path := row[0], row[1], row[2:]
 		for _, j := range act {
 			if x1 < bs.wlo1[j] || x1 > bs.whi1[j] {
 				bs.fD[j]++
@@ -509,8 +508,8 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 			}
 			qbase := int(j) * p
 			pathOK := true
-			for l, x := range path {
-				if pd := float64(x); pd < bs.qlo[qbase+l] || pd > bs.qhi[qbase+l] {
+			for l, pd := range path {
+				if pd < bs.qlo[qbase+l] || pd > bs.qhi[qbase+l] {
 					bs.fP[j]++
 					pathOK = false
 					break

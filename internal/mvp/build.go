@@ -8,9 +8,11 @@ import "mvptree/internal/build"
 // of the distance row and of the sort keys, so no level copies its
 // points and no node allocates scratch. paths is the n×p PATH arena:
 // row id accumulates item id's distances to the vantage points above
-// it. The tree's two leaf arenas are allocated whole beforehand: where
-// a subtree's leaves land depends on its size and depth alone (leafLoad),
-// so every leaf writes its items and narrowed rows straight into place.
+// it. The tree's item arena and raw, the filter arena's rows as the
+// float64s measured, are allocated whole beforehand: where a subtree's
+// leaves land depends on its size and depth alone (leafLoad), so every
+// leaf writes its items and rows straight into place. raw lives until
+// Tree.encodeLeaves has put it on the tree's grid.
 type construction[T any] struct {
 	t     *Tree[T]
 	b     *build.Builder[T]
@@ -18,6 +20,7 @@ type construction[T any] struct {
 	items []T
 	build.Scratch
 	paths []float64
+	raw   []float64
 }
 
 // pathLen is the number of PATH entries every point of a subtree at
@@ -42,7 +45,7 @@ func (c *construction[T]) build(lo, hi int, src build.RNG, depth, off, foff int)
 	}
 }
 
-// leafLoad is the number of leaf items, and of filter floats, in the
+// leafLoad is the number of leaf items, and of stored distances, in the
 // subtree build makes of size points at depth: splits are by rank, so
 // sizes alone decide it (shellRange is shared with buildInternal).
 func (c *construction[T]) leafLoad(size, depth int) (items, floats int) {
@@ -118,20 +121,18 @@ func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff 
 	// D1 goes into the rows first, so its slots of Dist can take D2.
 	p, held := c.t.p, c.pathLen(depth)
 	n.off, n.foff, n.cnt, n.held = int32(off), foff, int32(len(rest)), int32(held)
-	items, rows, stride := c.t.leaf(n)
+	items, stride := c.t.items[off:off+len(rest)], 2+held
+	rows := c.raw[foff : foff+len(rest)*stride]
 	for i, id := range rest {
 		items[i] = c.items[id]
 		row := rows[i*stride : (i+1)*stride]
-		row[0] = narrow(d1[i])
-		for l, x := range c.paths[int(id)*p : int(id)*p+held] {
-			row[2+l] = narrow(x)
-		}
+		row[0] = d1[i]
+		copy(row[2:], c.paths[int(id)*p:int(id)*p+held])
 	}
 	c.b.MeasureIDs(n.sv2, c.items, rest, d1)
 	for i := range rest {
-		rows[i*stride+1] = narrow(d1[i])
+		rows[i*stride+1] = d1[i]
 	}
-	c.t.setLeafMax(n)
 	return n
 }
 

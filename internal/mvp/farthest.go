@@ -110,16 +110,16 @@ func (t *Tree[T]) rangeFartherLeaf(n *node[T], q T, r float64, qpath []float64, 
 
 // leafBounds returns lower and upper triangle-inequality bounds on the
 // distance from the query to a leaf item, from its stored filter row and
-// the query's qpath; the row is float32, so both give the slack away.
-func (t *Tree[T]) leafBounds(row []float32, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
-	x1 := float64(row[0])
+// the query's qpath; the row is codes, so both give the slack away.
+func (t *Tree[T]) leafBounds(row []uint16, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
+	x1 := t.decode(row[0])
 	lb, ub = abs(d1-x1), d1+x1
 	if hasSV2 {
-		x2 := float64(row[1])
+		x2 := t.decode(row[1])
 		lb, ub = max(lb, abs(d2-x2)), min(ub, d2+x2)
 	}
-	for l, x := range row[2:] {
-		pd := float64(x)
+	for l, c := range row[2:] {
+		pd := t.decode(c)
 		lb, ub = max(lb, abs(qpath[l]-pd)), min(ub, qpath[l]+pd)
 	}
 	return lb - t.slack, ub + t.slack

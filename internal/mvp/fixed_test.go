@@ -1,0 +1,528 @@
+package mvp
+
+// Tests that pin the fixed-point leaf filter's soundness rule (fixed.go):
+// the stored distances are put on a grid, the tree's slack covers what
+// that lost, and no query answer or — for integer-valued metrics — no
+// counter moves because of it.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"os"
+	"reflect"
+	"testing"
+
+	"mvptree/internal/codec"
+	"mvptree/internal/dataset"
+	"mvptree/internal/index"
+	"mvptree/internal/linear"
+	"mvptree/internal/metric"
+	"mvptree/internal/testutil"
+	"mvptree/internal/wire"
+)
+
+// TestNarrow pins the three functions every stored distance and every
+// query window goes through: stepExp, encode and Tree.window.
+func TestNarrow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 15))
+	for i := 0; i < 2000; i++ {
+		// Magnitudes from the smallest denormal to MaxFloat64.
+		top := math.Ldexp(1+rng.Float64(), rng.IntN(2098)-1075)
+		if i == 0 {
+			top = math.MaxFloat64
+		}
+		e := stepExp([]float64{0, top / 3, top, math.Inf(1), math.NaN(), -1})
+		if e < minStepExp || e > maxStepExp {
+			t.Fatalf("stepExp(%g) = %d, outside [%d, %d]", top, e, minStepExp, maxStepExp)
+		}
+		step := math.Ldexp(1, e)
+		if top/step > topCode || e > minStepExp && top/(step/2) <= topCode {
+			t.Fatalf("stepExp(%g) = %d: not the smallest step that holds it", top, e)
+		}
+		tree := &Tree[int]{step: step}
+		for j := 0; j < 100; j++ {
+			x := top * rng.Float64()
+			if j%10 == 0 {
+				x = step * float64(rng.IntN(int(top/step)+1)) // on the grid
+			}
+			c := encode(x, step)
+			switch v := tree.decode(c); {
+			case c > topCode:
+				t.Fatalf("encode(%g, step %g) = %d, past the top code", x, step, c)
+			case v == x:
+			case c&1 == 0:
+				t.Fatalf("encode(%g, step %g) = %d: inexact, yet even", x, step, c)
+			case !(math.Abs(x-v) < step):
+				t.Fatalf("encode(%g, step %g) = %d: off by %g", x, step, c, math.Abs(x-v))
+			}
+			// A window keeps exactly the codes whose values it holds.
+			y := top * rng.Float64()
+			lo, hi := tree.window(min(x, y), max(x, y))
+			for _, c := range []uint16{encode(x, step), encode(y, step), uint16(rng.UintN(topCode + 1))} {
+				if v := tree.decode(c); (min(x, y) <= v && v <= max(x, y)) != (lo <= c && c <= hi) {
+					t.Fatalf("window(%g, %g) at step %g = [%d, %d]: wrong about code %d", min(x, y), max(x, y), step, lo, hi, c)
+				}
+			}
+		}
+	}
+	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1, 65535} {
+		if c := encode(x, 1); c != idleCode || !math.IsInf(slackOf([]uint16{0, c}, 1), 1) {
+			t.Errorf("encode(%g, 1) = %d, want the idle code and an infinite slack", x, c)
+		}
+	}
+	if c := encode(math.SmallestNonzeroFloat64, 0x1p1000); c != 1 {
+		t.Errorf("the smallest distance on the coarsest grid took code %d, want 1 (never zero)", c)
+	}
+	// Integer distances up to 32 767 are exact and even: no slack.
+	for _, top := range []float64{1, 20, 255, 32767} {
+		step := math.Ldexp(1, stepExp([]float64{top}))
+		var codes []uint16
+		for x := 0.0; x <= top; x += max(1, math.Floor(top/50)) {
+			codes = append(codes, encode(x, step))
+			if float64(codes[len(codes)-1])*step != x {
+				t.Errorf("integer %g is off the grid of step %g", x, step)
+			}
+		}
+		if s := slackOf(append(codes, encode(top, step)), step); s != 0 {
+			t.Errorf("integer distances up to %g have slack %g, want 0", top, s)
+		}
+	}
+	if s := slackOf([]uint16{0, 2, 7, 4}, 0.25); s != 0.25 {
+		t.Errorf("slackOf with an odd code = %g, want the step", s)
+	}
+	// Windows move outward, never inward, where a bound is not a number
+	// on the grid: all of these must keep every code.
+	tree := &Tree[int]{step: 0.5}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, w := range [][2]float64{{-inf, inf}, {nan, nan}, {-3, 1e9}, {nan, inf}, {-inf, nan}} {
+		if lo, hi := tree.window(w[0], w[1]); lo != 0 || hi != idleCode {
+			t.Errorf("window(%g, %g) = [%d, %d], want every code", w[0], w[1], lo, hi)
+		}
+	}
+	if lo, hi := tree.window(inf, inf); lo != idleCode || hi != idleCode {
+		t.Errorf("window(+Inf, +Inf) = [%d, %d], want no code a distance takes", lo, hi)
+	}
+}
+
+// reload round-trips a tree of IDs through Save and Load.
+func reload(t *testing.T, tree *Tree[int], c *metric.Counter[int]) *Tree[int] {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tree.Save(&buf, encodeID); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, c, decodeID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// checkAllQueryKinds compares Range, SearchBatch, RangeFarther, KNN and
+// KFarthest against the workload's linear scan.
+func checkAllQueryKinds(t *testing.T, name string, tree *Tree[int], w *testutil.Workload, radii []float64, ks []int) {
+	t.Helper()
+	testutil.CheckRange(t, name, tree, w, radii)
+	testutil.CheckRangeFarther(t, name, tree, w, radii)
+	testutil.CheckKNN(t, name, tree, w, ks)
+	testutil.CheckKFarthest(t, name, tree, w, ks)
+	var reqs []index.Query[int]
+	for _, q := range w.Queries {
+		for _, r := range radii {
+			reqs = append(reqs, index.RangeQuery(q, r))
+		}
+	}
+	results := make([]index.Result[int], len(reqs))
+	tree.SearchBatch(reqs, results)
+	for i, req := range reqs {
+		if one := tree.Search(req); !reflect.DeepEqual(results[i], one) {
+			t.Errorf("%s: SearchBatch[%d] (q=%d, r=%g) differs from Search", name, i, req.Point, req.Radius)
+			return
+		}
+	}
+}
+
+// TestFilterSoundAtBoundaryRadii queries at radii where the
+// triangle-inequality bound is tight: r = |d(q,v) − d(x,v)| for a PATH
+// vantage point v, and the float64 on either side of it.
+//
+// On the line every coordinate is a multiple of 2⁻⁴⁰, so distances,
+// windows and bounds are computed without rounding and |d(q,v) − d(x,v)|
+// is d(q,x) itself whenever q and x lie on one side of v: the item sits
+// exactly on the filter's edge, a 16-bit code cannot hold its distances
+// — it is the last code inside the window — and only the slack, and a
+// window not rounded inward, keep it in the answer. Half the line's
+// points have a twin 2⁻²⁰ away, so that kNN meets bounds within a step of
+// τ. The uniform vectors are the same recipe in general position.
+func TestFilterSoundAtBoundaryRadii(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 6))
+	const n, nq = 700, 6
+	line := make([]float64, n+nq)
+	for i := range line {
+		line[i] = float64(rng.Uint64N(1<<40)) / (1 << 40)
+		if i%2 == 1 && i < n {
+			// Twins well inside one step of each other: kNN must still
+			// tell which is nearer, whichever it met first.
+			line[i] = line[i-1] + 0x1p-20
+		}
+	}
+	lineDist := func(a, b int) float64 { return math.Abs(line[a] - line[b]) }
+	workloads := map[string]*testutil.Workload{
+		"line":    {Items: testutil.IDs(n), Dist: lineDist, Truth: linear.New(testutil.IDs(n), metric.NewCounter(lineDist))},
+		"uniform": testutil.NewVectorWorkload(rng, n, 6, nq, metric.L2),
+	}
+	for i := 0; i < nq; i++ {
+		workloads["line"].Queries = append(workloads["line"].Queries, n+i)
+	}
+	for name, w := range workloads {
+		for _, opts := range optionMatrix[2:] {
+			tree, c := buildWorkloadTree(t, w, opts)
+			if tree.slack != tree.step || tree.step > 1e-4 {
+				t.Fatalf("%s: step %g, slack %g, want one step of a grid this fine", name, tree.step, tree.slack)
+			}
+			var radii []float64
+			for _, q := range w.Queries {
+				for _, v := range []int{tree.root.sv1, tree.root.sv2} {
+					x := w.Items[rng.IntN(n)]
+					r := math.Abs(w.Dist(q, v) - w.Dist(x, v))
+					radii = append(radii, math.Nextafter(r, 0), r, math.Nextafter(r, 2))
+				}
+			}
+			loaded := reload(t, tree, c)
+			if loaded.slack != tree.slack || loaded.step != tree.step {
+				t.Fatalf("%s: step %g, slack %g became %g, %g across Save/Load", name, tree.step, tree.slack, loaded.step, loaded.slack)
+			}
+			ks := []int{1, 2, 3, 7, 8, 20, 21, 60, 61}
+			checkAllQueryKinds(t, name, tree, w, radii, ks)
+			checkAllQueryKinds(t, name+"/loaded", loaded, w, radii, ks)
+		}
+	}
+}
+
+// TestFilterSoundAtExtremeMagnitudes runs one dataset under the metric
+// scaled to either end of float64's range, capped so that the largest
+// stored distance lands on the top code, scaled into the denormals, and
+// with +Inf between two halves of the data (an extended metric: the
+// triangle inequality holds), where the filter idles.
+func TestFilterSoundAtExtremeMagnitudes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 7))
+	base := testutil.NewVectorWorkload(rng, 500, 5, 6, metric.L2)
+	variant := func(dist metric.DistanceFunc[int]) *testutil.Workload {
+		return &testutil.Workload{Items: base.Items, Queries: base.Queries, Dist: dist,
+			Truth: linear.New(base.Items, metric.NewCounter(dist))}
+	}
+	radii := []float64{0, 0.2, 0.45, 0.8, 3}
+	// Rounding up to a multiple of 2⁻²⁰ and capping both keep a metric a
+	// metric, and make the scaled distances below exact.
+	coarse := func(a, b int) float64 { return math.Ceil(base.Dist(a, b)*(1<<20)) / (1 << 20) }
+	for name, v := range map[string]struct {
+		scale    float64
+		dist     metric.DistanceFunc[int]
+		wantStep float64
+	}{
+		"huge": {1e300, func(a, b int) float64 { return 1e300 * base.Dist(a, b) }, 0},
+		"tiny": {1e-300, func(a, b int) float64 { return 1e-300 * base.Dist(a, b) }, 0},
+		// Every pair a unit apart or more measures topCode: step 1.
+		"top code":  {topCode, func(a, b int) float64 { return min(topCode*base.Dist(a, b), topCode) }, 1},
+		"denormals": {0x1p-1054, func(a, b int) float64 { return 0x1p-1054 * coarse(a, b) }, 0x1p-1069},
+	} {
+		w := variant(v.dist)
+		scaled := make([]float64, len(radii))
+		for i, r := range radii {
+			scaled[i] = v.scale * r
+		}
+		tree, c := buildWorkloadTree(t, w, optionMatrix[3])
+		if tree.slack != tree.step || v.wantStep != 0 && tree.step != v.wantStep {
+			t.Errorf("%s: step %g, slack %g", name, tree.step, tree.slack)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		checkAllQueryKinds(t, name, tree, w, scaled, []int{1, 10})
+		checkAllQueryKinds(t, name+"/loaded", reload(t, tree, c), w, scaled, []int{1, 10})
+	}
+
+	// Odd and even IDs are infinitely far apart; the queries (IDs 500…)
+	// keep both parities. k stays below a half's size: the items at +Inf
+	// have no order among themselves.
+	w := variant(func(a, b int) float64 {
+		if a%2 != b%2 {
+			return math.Inf(1)
+		}
+		return base.Dist(a, b)
+	})
+	tree, c := buildWorkloadTree(t, w, optionMatrix[3])
+	if !math.IsInf(tree.slack, 1) {
+		t.Errorf("slack = %g with +Inf among the stored distances, want the filter idle", tree.slack)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Error(err)
+	}
+	for name, tr := range map[string]*Tree[int]{"inf": tree, "inf/loaded": reload(t, tree, c)} {
+		testutil.CheckRange(t, name, tr, w, radii)
+		testutil.CheckRangeFarther(t, name, tr, w, radii)
+		testutil.CheckKNN(t, name, tr, w, []int{1, 10, 100})
+	}
+}
+
+// TestFilterSoundOnDegenerateLeaves covers the arenas' corner shapes: a
+// tree that is one leaf, and leaves whose stored distances are all 0.
+func TestFilterSoundOnDegenerateLeaves(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 9))
+	oneLeaf := testutil.NewVectorWorkload(rng, 12, 4, 5, metric.L2)
+	same := testutil.NewVectorWorkload(rng, 90, 4, 5, metric.L2)
+	same.Dist = func(a, b int) float64 { return 0 }
+	same.Truth = linear.New(same.Items, metric.NewCounter(same.Dist))
+	for name, tc := range map[string]struct {
+		w         *testutil.Workload
+		opts      Options
+		wantSlack bool
+	}{
+		"one leaf":  {oneLeaf, Options{LeafCapacity: 13, Build: Build{Seed: 3}}, true},
+		"all zeros": {same, Options{Partitions: 2, LeafCapacity: 6, PathLength: 3, Build: Build{Seed: 3}}, false},
+	} {
+		tree, c := buildWorkloadTree(t, tc.w, tc.opts)
+		if shape := tree.Shape(); name == "one leaf" && shape.Nodes != 1 || shape.LeafItems == 0 {
+			t.Fatalf("%s: %+v", name, shape)
+		}
+		if (tree.slack != 0) != tc.wantSlack {
+			t.Errorf("%s: step %g, slack %g", name, tree.step, tree.slack)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		radii := []float64{0, 0.3, 0.9, 4}
+		checkAllQueryKinds(t, name, tree, tc.w, radii, []int{1, 5, 100})
+		checkAllQueryKinds(t, name+"/loaded", reload(t, tree, c), tc.w, radii, []int{1, 5, 100})
+	}
+}
+
+// TestIntegerMetricIdenticalToFloat64Leaves replays a fixed word
+// workload whose per-query SearchStats and counter deltas were recorded
+// at the commit before leaves stopped being float64 (PR 14). Edit
+// distances sit on even codes, so slack is 0 and every filter decision,
+// tie prune and count is the one a float64 leaf made. The recorded tree
+// drew its first vantage points, hence RandomFirstVantage.
+func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
+	words := dataset.Words(rand.New(rand.NewPCG(15, 1)), 3000, dataset.WordOptions{MinLen: 4, MaxLen: 11, MisspellingsPer: 3})
+	c := metric.NewCounter(metric.Edit)
+	tree, err := New(words, c, Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true, Build: Build{Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.slack != 0 {
+		t.Fatalf("slack = %g over edit distances, want 0", tree.slack)
+	}
+	h := sha256.New()
+	var sum SearchStats
+	var total int64
+	add := func(s SearchStats, delta int64) {
+		fmt.Fprintln(h, s.NodesVisited, s.LeavesVisited, s.ShellsPruned, s.Candidates, s.FilteredByD, s.FilteredByPath, s.Computed, s.VantagePoints, s.Results, delta)
+		sum.NodesVisited += s.NodesVisited
+		sum.LeavesVisited += s.LeavesVisited
+		sum.ShellsPruned += s.ShellsPruned
+		sum.Candidates += s.Candidates
+		sum.FilteredByD += s.FilteredByD
+		sum.FilteredByPath += s.FilteredByPath
+		sum.Computed += s.Computed
+		sum.VantagePoints += s.VantagePoints
+		sum.Results += s.Results
+		total += delta
+	}
+	qrng := rand.New(rand.NewPCG(15, 2))
+	for i := 0; i < 60; i++ {
+		q := words[qrng.IntN(len(words))]
+		if i%3 == 0 {
+			q += "x"
+		}
+		for _, r := range []float64{0, 1, 2, 2.5} {
+			before := c.Count()
+			_, s := tree.RangeWithStats(q, r)
+			add(s, c.Count()-before)
+		}
+		for _, k := range []int{1, 10, 25} {
+			before := c.Count()
+			_, s := tree.KNNWithStats(q, k)
+			add(s, c.Count()-before)
+		}
+	}
+	want := SearchStats{NodesVisited: 198134, LeavesVisited: 172844, ShellsPruned: 25327, Candidates: 322151,
+		FilteredByD: 82597, FilteredByPath: 33910, Computed: 205644, VantagePoints: 396268, Results: 2660}
+	if tree.BuildCost() != 21132 || sum != want || total != 601912 {
+		t.Errorf("build %d distances, queries %+v, %d distances;\nrecorded 21132, %+v, 601912", tree.BuildCost(), sum, total, want)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != "3e33aa1598638b108a41ed94412fc2704ce22106e37310b319682bffafabb221" {
+		t.Errorf("per-query stats hash %s differs from the recorded one", got)
+	}
+}
+
+// TestLoadsFloat64LeafStream loads the two kinds of MVPTREE1 stream there
+// are — PR 14's, whose leaf distances have all 53 bits, and PR 18's,
+// whose are float32 values — and holds each to a fresh build of the same
+// items: same Save bytes (MVPTREE2), same step and slack, same answers
+// at the same cost. Both drew their first vantage points, so the fresh
+// build does too.
+func TestLoadsFloat64LeafStream(t *testing.T) {
+	items := dataset.UniformVectors(rand.New(rand.NewPCG(15, 3)), 400, 6)
+	fresh, err := New(items, metric.NewCounter(metric.L2), Options{Partitions: 2, LeafCapacity: 7, PathLength: 4, RandomFirstVantage: true, Build: Build{Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(tr *Tree[[]float64]) []byte {
+		var buf bytes.Buffer
+		if err := tr.Save(&buf, codec.EncodeVector); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	load := func(stream []byte) *Tree[[]float64] {
+		tr, err := Load(bytes.NewReader(stream), metric.NewCounter(metric.L2), codec.DecodeVector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	want := save(fresh)
+	if fresh.slack != fresh.step {
+		t.Errorf("fresh build: step %g, slack %g", fresh.step, fresh.slack)
+	}
+	queries := dataset.UniformVectors(rand.New(rand.NewPCG(15, 4)), 40, 6)
+	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp"} {
+		old, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(old[:16], []byte(loadMagicV1)) {
+			t.Fatalf("%s is not an %s stream", name, loadMagicV1)
+		}
+		loaded := load(old)
+		v2 := save(loaded)
+		if !bytes.Equal(v2, want) {
+			t.Errorf("%s: the loaded tree saves differently (%d bytes) from a fresh build of the same items (%d)", name, len(v2), len(want))
+		}
+		// Two bytes a leaf distance for eight, and no PATH length per item.
+		saved := 0
+		fresh.root.eachLeaf(func(n *node[[]float64]) { saved += int(n.cnt) * (6*(2+int(n.held)) + 1) })
+		if got := len(old) - len(v2); got < saved-8 || got > saved {
+			t.Errorf("%s: %d bytes as %s, %d as %s: want about %d fewer", name, len(old), loadMagicV1, len(v2), saveMagic, saved)
+		}
+		again := load(v2)
+		if !bytes.Equal(save(again), v2) {
+			t.Errorf("%s: Save → Load → Save is not byte-stable", name)
+		}
+		for _, tr := range []*Tree[[]float64]{loaded, again} {
+			if tr.step != fresh.step || tr.slack != fresh.slack {
+				t.Errorf("%s: step %g, slack %g; fresh %g, %g", name, tr.step, tr.slack, fresh.step, fresh.slack)
+			}
+			for _, q := range queries {
+				for _, r := range []float64{0.1, 0.35, 0.7} {
+					if got, want := tr.Search(index.RangeQuery(q, r)), fresh.Search(index.RangeQuery(q, r)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Range(r=%g): loaded %+v, fresh %+v", name, r, got.Stats, want.Stats)
+					}
+				}
+				if got, want := tr.Search(index.KNNQuery(q, 9)), fresh.Search(index.KNNQuery(q, 9)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: KNN: loaded %+v, fresh %+v", name, got.Stats, want.Stats)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadV1OutsideFloat32Range holds Load to the two rules that keep a
+// PR 15–18 stream sound where float32 ran out: a distance those versions
+// clamped to MaxFloat32 idles the filter, as it did then, and the grid
+// never gets finer than float32's denormals, whose odd ones stand for
+// distances they only neighbour.
+func TestLoadV1OutsideFloat32Range(t *testing.T) {
+	v1 := func(d1, d2 float64) []byte {
+		return testutil.Seal(loadMagicV1, testutil.Payload(func(w *wire.Writer) {
+			for _, n := range []int{2, 4, 0, 3} { // m, k, p, n
+				w.Int(n)
+			}
+			w.Byte(tagLeaf)
+			w.Bool(true)
+			w.Bool(true)
+			for _, id := range []byte{0, 1} {
+				w.Bytes([]byte{id, 0, 0})
+			}
+			w.Int(1)
+			w.Bytes([]byte{2, 0, 0})
+			w.Float(d1)
+			w.Float(d2)
+			w.Int(0)
+		}))
+	}
+	for _, tc := range []struct {
+		d1, d2, step, slack float64
+	}{
+		{math.MaxFloat32, 7, 0x1p-13, math.Inf(1)},
+		{3 * math.SmallestNonzeroFloat32, 0, 0x1p-148, 0x1p-148},
+		{3, 7, 0x1p-13, 0},
+	} {
+		tree, err := Load(bytes.NewReader(v1(tc.d1, tc.d2)), metric.NewCounter(func(a, b int) float64 { return 0 }), decodeID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.step != tc.step || tree.slack != tc.slack {
+			t.Errorf("D1 %g, D2 %g: step %g, slack %g; want %g, %g", tc.d1, tc.d2, tree.step, tree.slack, tc.step, tc.slack)
+		}
+	}
+}
+
+// BenchmarkLeafFilter times the leaf scan's filter alone: every leaf of a
+// tree at the paper's options (m=3, k=80) over points on a line, whose
+// metric costs next to nothing, is handed to rangeLeaf with windows that
+// keep every row (all columns read, every row goes on to the kernel) or
+// drop every row at D1 (one column read). ns/row is per leaf item; B/row
+// is what a row adds to the filter arena.
+func BenchmarkLeafFilter(b *testing.B) {
+	const n = 50000
+	rng := rand.New(rand.NewPCG(19, 1))
+	items := make([]float64, n)
+	for i := range items {
+		items[i] = rng.Float64()
+	}
+	line := func(a, b float64) float64 { return math.Abs(a - b) }
+	for _, p := range []int{-1, 5} { // -1 asks for no PATH at all
+		tree, err := New(items, metric.NewCounter(line), Options{Partitions: 3, LeafCapacity: 80, PathLength: p, Build: Build{Seed: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shape := tree.Shape()
+		for _, mode := range []struct {
+			name string
+			q, r float64
+			pass bool
+		}{
+			{"all-pass", 0.5, 2, true},
+			{"all-fail", -5, 0, false}, // farther from every vantage point than any stored D1
+		} {
+			b.Run(fmt.Sprintf("p=%d/%s", tree.p, mode.name), func(b *testing.B) {
+				sc := tree.getScratch(index.SearchOptions{})
+				for l := range sc.qlo {
+					sc.qlo[l], sc.qhi[l] = 0, idleCode
+				}
+				var out []float64
+				var s SearchStats
+				for b.Loop() {
+					out, s = out[:0], SearchStats{}
+					tree.root.eachLeaf(func(leaf *node[float64]) {
+						tree.rangeLeaf(leaf, mode.q, mode.r, mode.r, int(leaf.held), sc, nil, &out, &s)
+					})
+				}
+				if s.Candidates != shape.LeafItems || (s.Computed == shape.LeafItems) != mode.pass || !mode.pass && s.Computed != 0 {
+					b.Fatalf("%d leaf items: %+v", shape.LeafItems, s)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.LeafItems), "ns/row")
+				b.ReportMetric(float64(shape.FilterBytes)/float64(shape.LeafItems), "B/row")
+			})
+		}
+	}
+}

@@ -3,6 +3,7 @@ package mvp
 import (
 	"bytes"
 	"math/rand/v2"
+	"os"
 	"runtime"
 	"testing"
 
@@ -26,8 +27,8 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 	return buf.Bytes()
 }
 
-// FuzzLoad feeds Load arbitrary payloads, each both raw and sealed
-// behind a matching CRC. Load must never panic, never allocate beyond a
+// FuzzLoad feeds Load arbitrary payloads, each raw and sealed behind a
+// matching CRC as either grammar. Load must never panic, never allocate beyond a
 // small multiple of its input, and whatever it returns must pass the
 // shape half of Validate and answer every query kind without panicking.
 // Items decode as strings under edit distance, so any bytes are an item.
@@ -48,10 +49,18 @@ func FuzzLoad(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Add(saved(f, words[:20], metric.Edit, enc, Options{})) // a whole stream: loads raw, nests sealed
+	// What Save writes is MVPTREE2; the payloads earlier versions wrote.
+	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp"} {
+		v1, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(testutil.PayloadOf(v1))
+	}
 
 	dec := func(b []byte) (string, error) { return string(b), nil }
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, stream := range [][]byte{payload, testutil.Seal(saveMagic, payload)} {
+		for _, stream := range [][]byte{payload, testutil.Seal(saveMagic, payload), testutil.Seal(loadMagicV1, payload)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			tree, err := Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)

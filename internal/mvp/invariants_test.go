@@ -22,22 +22,22 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 		return
 	}
 	if n.isLeaf() {
-		// Stored precision: the leaf holds narrow of each distance.
+		// Stored precision: the leaf holds the code of each distance.
 		items, rows, stride := tr.leaf(n)
 		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
 			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
 		}
 		for i, it := range items {
 			row := rows[i*stride : (i+1)*stride]
-			if got := raw(it, n.sv1); narrow(got) != row[0] {
-				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, row[0], got)
+			if got := raw(it, n.sv1); encode(got, tr.step) != row[0] {
+				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, tr.decode(row[0]), got)
 			}
-			if got := raw(it, n.sv2); narrow(got) != row[1] {
-				t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, row[1], got)
+			if got := raw(it, n.sv2); encode(got, tr.step) != row[1] {
+				t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, tr.decode(row[1]), got)
 			}
 			for l, stored := range row[2:] {
-				if got := raw(it, ancestors[l]); narrow(got) != stored {
-					t.Fatalf("leaf PATH[%d] = %g, recomputed %g", l, stored, got)
+				if got := raw(it, ancestors[l]); encode(got, tr.step) != stored {
+					t.Fatalf("leaf PATH[%d] = %g, recomputed %g", l, tr.decode(stored), got)
 				}
 			}
 		}

@@ -204,6 +204,17 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	return index.Result[T]{Neighbors: out, Stats: s}
 }
 
+// storedBound is what a lower bound computed from stored codes must
+// reach to prune at tauP: the slack above it. Under an idle filter
+// (slack +Inf) no bound may prune, not even one that is +Inf itself, so
+// the answer is NaN, which nothing reaches.
+func (t *Tree[T]) storedBound(tauP float64) float64 {
+	if math.IsInf(t.slack, 1) {
+		return math.NaN()
+	}
+	return tauP + t.slack
+}
+
 func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
 	a := &sc.ap
 	if !n.hasSV1 || !a.Pay(1) {
@@ -260,8 +271,9 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	// stage tallies kept in locals and reported once per leaf (totals
 	// identical, trace event granularity coarsens — the same batching
 	// the shell filter uses). cb = τ′ is the acceptance bound, tauP =
-	// τ′/(1+ε) the prune bound, tauS = tauP+slack the one for the stored
-	// float32s; all move only when a push tightens the heap.
+	// τ′/(1+ε) the prune bound, tauS the one for bounds from the stored
+	// codes (storedBound), which are decoded here: a kNN bound is a
+	// magnitude, not a window. All move only when a push tightens the heap.
 	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
 	qpath = qpath[:n.held] // held == len(qpath): both are min(p, 2·depth)
@@ -275,15 +287,15 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	cand := len(items)
 	cb := min(best.Threshold(), extTau)
 	tauP := a.Shrink(cb)
-	tauS := tauP + t.slack
+	tauS := t.storedBound(tauP)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 	for i := range items {
 		// The D1/D2 bound first; a PATH entry only gets credit when it
 		// tightens the bound past the acceptance threshold on its own.
 		o := i * stride
-		lbD := abs(d1 - float64(rows[o]))
+		lbD := abs(d1 - t.decode(rows[o]))
 		if hasSV2 {
-			if b := abs(d2 - float64(rows[o+1])); b > lbD {
+			if b := abs(d2 - t.decode(rows[o+1])); b > lbD {
 				lbD = b
 			}
 		}
@@ -294,7 +306,7 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 		lb := lbD
 		path := rows[o+2:][:len(qpath)]
 		for l, qd := range qpath {
-			if b := abs(qd - float64(path[l])); b > lb {
+			if b := abs(qd - t.decode(path[l])); b > lb {
 				lb = b
 			}
 		}
@@ -329,7 +341,7 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 			best.Push(items[i], d)
 			cb = min(best.Threshold(), extTau)
 			tauP = a.Shrink(cb)
-			tauS = tauP + t.slack
+			tauS = t.storedBound(tauP)
 		}
 	}
 	if ext != nil {

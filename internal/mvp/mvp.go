@@ -26,7 +26,7 @@
 // vantage point is the paper's: the farthest point from the first.
 //
 // Leaves also store each point's distances to the leaf's own two vantage
-// points (the D1/D2 arrays of the paper; float32, see narrow.go), and k is
+// points (the D1/D2 arrays of the paper; 16-bit codes, see fixed.go), and k is
 // typically made large so that most points live in leaves, delaying the
 // major filtering step to the leaf level where it is cheapest.
 //
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"unsafe"
 
 	"mvptree/internal/build"
 	"mvptree/internal/cascade"
@@ -152,10 +153,12 @@ type Tree[T any] struct {
 	k    int
 	p    int
 	// The two leaf arenas, in leaf order: every leaf item, and per item
-	// one float32 filter row (D1, D2, the leaf's held PATH entries).
-	// slack is what narrowing the rows may have lost; see narrow.go.
+	// one filter row (D1, D2, the leaf's held PATH entries) of fixed-point
+	// codes: a code c stands for the distance c·step, and slack is what
+	// putting the distances on that grid may have lost; see fixed.go.
 	items      []T
-	filter     []float32
+	filter     []uint16
+	step       float64
 	slack      float64
 	buildStats build.Stats
 	scratch    sync.Pool // *queryScratch[T]; see pool.go
@@ -197,7 +200,7 @@ type node[T any] struct {
 	// item's distances to the leaf vantage points (the paper's D1, D2)
 	// and held = min(p, 2·depth) PATH entries. maxD1/maxD2 cache the
 	// largest stored leaf distance plus the tree's slack, the abandonment
-	// bounds for the leaf's vantage-point kernels.
+	// bounds for the leaf's vantage-point kernels (sealLeaves).
 	off, cnt, held int32
 	foff           int
 	maxD1, maxD2   float64
@@ -218,7 +221,7 @@ type node[T any] struct {
 func (n *node[T]) isLeaf() bool { return n.children == nil }
 
 // leaf returns leaf n's items and rows; item i's is rows[i*stride:][:stride].
-func (t *Tree[T]) leaf(n *node[T]) (items []T, rows []float32, stride int) {
+func (t *Tree[T]) leaf(n *node[T]) (items []T, rows []uint16, stride int) {
 	stride = 2 + int(n.held)
 	return t.items[n.off : n.off+n.cnt], t.filter[n.foff : n.foff+int(n.cnt)*stride], stride
 }
@@ -238,20 +241,31 @@ func (n *node[T]) eachLeaf(f func(*node[T])) {
 	}
 }
 
-// setLeafMax caches the largest D1 and D2 in the leaf's written rows.
-func (t *Tree[T]) setLeafMax(n *node[T]) {
-	_, rows, stride := t.leaf(n)
-	for ; len(rows) > 0; rows = rows[stride:] {
-		n.maxD1, n.maxD2 = max(n.maxD1, float64(rows[0])), max(n.maxD2, float64(rows[1]))
+// encodeLeaves puts raw, the leaves' distances laid out as the filter
+// arena is, on the grid of step 2^exp: stepExp(raw), the smallest that
+// holds the largest of them, unless Load has a reason for a coarser one.
+func (t *Tree[T]) encodeLeaves(raw []float64, exp int) {
+	t.step = math.Ldexp(1, exp)
+	t.filter = make([]uint16, len(raw))
+	for i, x := range raw {
+		t.filter[i] = encode(x, t.step)
 	}
 }
 
-// sealLeaves derives the tree's slack from the filled filter arena and
-// adds it to every leaf's maxD: a vantage distance certified past r+maxD
-// must fail every window of half-width r+slack. Build and Load end here.
+// sealLeaves derives from the filled filter arena the tree's slack and
+// every leaf's maxD, the largest D1 and D2 in its rows plus that slack: a
+// vantage distance certified past r+maxD must fail every window of
+// half-width r+slack. Build and Load end here.
 func (t *Tree[T]) sealLeaves() {
-	t.slack = slackOf(t.filter)
-	t.root.eachLeaf(func(n *node[T]) { n.maxD1, n.maxD2 = n.maxD1+t.slack, n.maxD2+t.slack })
+	t.slack = slackOf(t.filter, t.step)
+	t.root.eachLeaf(func(n *node[T]) {
+		var top1, top2 uint16
+		_, rows, stride := t.leaf(n)
+		for ; len(rows) > 0; rows = rows[stride:] {
+			top1, top2 = max(top1, rows[0]), max(top2, rows[1])
+		}
+		n.maxD1, n.maxD2 = t.decode(top1)+t.slack, t.decode(top2)+t.slack
+	})
 }
 
 // setDerived recomputes an internal node's cached filter bounds from its
@@ -301,8 +315,9 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 		paths:   make([]float64, len(items)*t.p),
 	}
 	leafItems, floats := c.leafLoad(len(items), 0)
-	t.items, t.filter = make([]T, leafItems), make([]float32, floats)
+	t.items, c.raw = make([]T, leafItems), make([]float64, floats)
 	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, 0x6d767074726565), 0, 0, 0)
+	t.encodeLeaves(c.raw, stepExp(c.raw))
 	t.sealLeaves()
 	t.buildStats = c.b.Finish()
 	if opts.FlatVectors {
@@ -353,12 +368,22 @@ type Stats struct {
 	LeafItems     int // data points stored in leaves
 	Height        int
 	MaxPathLen    int // longest retained PATH across all leaf points
-	FilterBytes   int // the float32 filter arena: 4·(2+held) per leaf item
+	FilterBytes   int // the filter arena: 2·(2+held) per leaf item
+	// FilterStep is the grid the leaf distances are stored on and
+	// FilterSlack what that may have cost each of them: 0 (every distance
+	// is on the grid), FilterStep, or +Inf (a distance was not a number
+	// the grid holds, and the leaf filter passes everything). The step is
+	// tree-wide and set by the largest stored distance, so one far outlier
+	// coarsens it for all; see docs/TUNING.md.
+	FilterStep, FilterSlack float64
 }
 
 // Shape walks the tree and reports its Stats.
 func (t *Tree[T]) Shape() Stats {
-	s := Stats{FilterBytes: 4 * len(t.filter)}
+	s := Stats{
+		FilterBytes: len(t.filter) * int(unsafe.Sizeof(t.filter[0])),
+		FilterStep:  t.step, FilterSlack: t.slack,
+	}
 	walkShape(t.root, 0, &s)
 	return s
 }

@@ -16,14 +16,12 @@ type queryScratch[T any] struct {
 	// before calling ap.Pay per candidate.
 	ap      index.Approx
 	limited bool
-	// qpath is the recursive range search's query-PATH buffer (always
-	// capacity p; the live prefix length is threaded through the
-	// recursion). qlo/qhi hold the precomputed per-level filter windows
-	// qpath[l]±r so the leaf scan compares candidates against ready-made
-	// bounds instead of re-deriving them per item.
-	qpath []float64
-	qlo   []float64
-	qhi   []float64
+	// qlo/qhi are the recursive range search's query PATH as the leaf
+	// scan needs it: per level, the codes inside the filter window
+	// d(q, vantage point) ± (r+slack), computed once on the way down
+	// (Tree.window). Always p long; the live prefix length is threaded
+	// through the recursion.
+	qlo, qhi []uint16
 	// best and queue drive best-first kNN. best is created lazily
 	// because heapx.NewKBest requires k up front; Reset re-arms it for
 	// each query's k.
@@ -60,12 +58,11 @@ func (t *Tree[T]) getScratch(o index.SearchOptions) *queryScratch[T] {
 	}
 	sc.ap = index.StartApprox(o)
 	sc.limited = o.Budget > 0
-	// The range recursion writes qpath[plen] directly, so the buffers
+	// The range recursion writes qlo[plen] directly, so the buffers
 	// are kept at their full length (p entries) up front.
-	if len(sc.qpath) < t.p {
-		sc.qpath = make([]float64, t.p)
-		sc.qlo = make([]float64, t.p)
-		sc.qhi = make([]float64, t.p)
+	if len(sc.qlo) < t.p {
+		sc.qlo = make([]uint16, t.p)
+		sc.qhi = make([]uint16, t.p)
 	}
 	return sc
 }

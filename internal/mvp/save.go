@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 
 	"mvptree/internal/metric"
@@ -16,8 +17,8 @@ import (
 // construction is the expensive part (O(n log n) metric invocations on
 // costly domains). Items are serialized through caller-supplied
 // encode/decode functions; everything else (cutoffs, D1/D2, PATH
-// arrays, shape) is stored verbatim — the leaf distances as the
-// float32 values the tree holds, widened to the format's eight bytes.
+// arrays, shape) is stored verbatim — the leaf distances as the 16-bit
+// codes the tree holds, with the step they count in the header.
 
 // ItemEncoder serializes one item.
 type ItemEncoder[T any] func(T) ([]byte, error)
@@ -25,7 +26,12 @@ type ItemEncoder[T any] func(T) ([]byte, error)
 // ItemDecoder deserializes one item.
 type ItemDecoder[T any] func([]byte) (T, error)
 
-const saveMagic = "MVPTREE1"
+// Save writes saveMagic; Load also reads loadMagicV1, whose leaves carry
+// a double per distance and a PATH length per item (docs/FORMAT.md).
+const (
+	saveMagic   = "MVPTREE2"
+	loadMagicV1 = "MVPTREE1"
+)
 
 // Save writes the tree to w as a CRC-protected payload. The distance
 // function is not serialized; Load must be given the same metric or
@@ -37,6 +43,8 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	pw.Int(t.k)
 	pw.Int(t.p)
 	pw.Int(t.size)
+	_, e := math.Frexp(t.step) // step = 0.5 · 2^e
+	pw.Int(e - 1 - minStepExp)
 	if err := t.saveNode(pw, t.root, enc); err != nil {
 		return err
 	}
@@ -89,12 +97,8 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 			if err := item(it); err != nil {
 				return err
 			}
-			row := rows[i*stride : (i+1)*stride]
-			w.Float(float64(row[0]))
-			w.Float(float64(row[1]))
-			w.Int(len(row) - 2)
-			for _, x := range row[2:] {
-				w.Float(float64(x))
+			for _, c := range rows[i*stride : (i+1)*stride] {
+				w.Uint16(c)
 			}
 		}
 		return w.Err()
@@ -121,13 +125,15 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 }
 
 // Load reads a tree written by Save, verifying the payload checksum.
-// dist must wrap the same metric the tree was built with. Leaf distances
-// are narrowed as they are read, so a stream of full float64s loads too.
+// dist must wrap the same metric the tree was built with. A stream of
+// the older grammar, whose leaf distances are doubles, is put on a grid
+// as a fresh build's are, so it loads as the tree that build gives.
 // A checksum only proves the payload is the one written: nothing is
 // allocated on the word of a count in it, and what loads passes checkShape.
 func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	outer := wire.NewReader(r)
-	if string(outer.Bytes()) != saveMagic {
+	magic := string(outer.Bytes())
+	if magic != saveMagic && magic != loadMagicV1 {
 		return nil, fmt.Errorf("mvp: bad magic (not an mvp-tree stream)")
 	}
 	payload := outer.Bytes()
@@ -144,33 +150,71 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 	t.k = rr.Int()
 	t.p = rr.Int()
 	t.size = rr.Int()
+	exp := minStepExp
+	if magic == saveMagic {
+		exp += rr.Int()
+	}
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if t.m < 2 || t.k < 1 || t.p < 0 || t.size < 0 {
-		return nil, fmt.Errorf("mvp: corrupt header (m=%d k=%d p=%d n=%d)", t.m, t.k, t.p, t.size)
+	if t.m < 2 || t.k < 1 || t.p < 0 || t.size < 0 || exp > maxStepExp {
+		return nil, fmt.Errorf("mvp: corrupt header (m=%d k=%d p=%d n=%d step=2^%d)", t.m, t.k, t.p, t.size, exp)
 	}
 	// No loadable leaf can hold more PATH entries than this, and p sizes
 	// the query scratch. The arenas start at what the header asks for or
-	// the payload could hold (18 bytes a leaf item at least, 8 a
-	// distance), whichever is less; cloning then drops the spare.
+	// the payload could hold (5 bytes a leaf item at least; 2 a code, 8 a
+	// double), whichever is less; cloning then drops the spare.
 	t.p = min(t.p, 2*maxLoadDepth)
-	t.items = make([]T, 0, min(t.size, len(payload)/18))
-	t.filter = make([]float32, 0, min(t.size*(2+t.p), len(payload)/8))
+	t.items = make([]T, 0, min(t.size, len(payload)/5))
+	var raw *[]float64 // the distances of a v1 stream, nil reading a v2
+	if magic == saveMagic {
+		t.step = math.Ldexp(1, exp)
+		t.filter = make([]uint16, 0, min(t.size*(2+t.p), len(payload)/2))
+	} else {
+		doubles := make([]float64, 0, min(t.size*(2+t.p), len(payload)/8))
+		raw = &doubles
+	}
 	var err error
-	if t.root, err = t.loadNode(rr, dec, 0); err != nil {
+	if t.root, err = t.loadNode(rr, dec, 0, raw); err != nil {
 		return nil, err
 	}
-	t.items, t.filter = slices.Clone(t.items), slices.Clone(t.filter)
+	t.items = slices.Clone(t.items)
+	if raw != nil {
+		t.encodeLeaves(*raw, max(stepExp(*raw), minStepExpV1))
+	} else {
+		t.filter = slices.Clone(t.filter)
+	}
 	t.sealLeaves()
 	return t, t.checkShape()
+}
+
+// A v1 leaf distance is the double measured (PR 14 and before) or, from
+// PR 15 to PR 18, that double as a float32, rounded to the neighbour with
+// an odd last bit when float32 could not hold it. Such a neighbour and
+// the distance behind it take the same code — so the tree loaded is the
+// one a fresh build gives — as long as every grid point is a float32 with
+// an even last bit, because then none lies strictly between the two. That
+// holds for any step a tree of float32 magnitudes gets (a grid point has
+// 16 significant bits) once it is no finer than float32's denormals,
+// minStepExpV1. It does not hold for a distance clamped to MaxFloat32,
+// the one rounded value with nothing known above it, which those
+// versions answered by idling the filter: v1Distance reads it as +Inf,
+// which does the same.
+const minStepExpV1 = -148
+
+func v1Distance(r *wire.Reader) float64 {
+	x := r.Float()
+	if x >= math.MaxFloat32 {
+		return math.Inf(1)
+	}
+	return x
 }
 
 // maxLoadDepth guards against corrupt streams describing pathologically
 // deep recursion.
 const maxLoadDepth = 64
 
-func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int) (*node[T], error) {
+func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[]float64) (*node[T], error) {
 	if depth > maxLoadDepth {
 		return nil, fmt.Errorf("mvp: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
@@ -205,9 +249,12 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int) (*node
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		// The wire format gives each item its own PATH length; a leaf's
-		// rows on the tree's arenas have one, the depth's.
+		// A leaf's rows have one PATH length, the depth's; the v1 grammar
+		// gives each item its own.
 		n.off, n.foff, n.cnt = int32(len(t.items)), len(t.filter), int32(count)
+		if raw != nil {
+			n.foff = len(*raw)
+		}
 		if count > 0 {
 			n.held = int32(min(t.p, 2*depth))
 		}
@@ -217,15 +264,20 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int) (*node
 				return nil, err
 			}
 			t.items = append(t.items, it)
-			t.filter = append(t.filter, narrow(r.Float()), narrow(r.Float()))
+			if raw == nil {
+				for l := int32(0); l < 2+n.held; l++ {
+					t.filter = append(t.filter, r.Uint16())
+				}
+				continue
+			}
+			*raw = append(*raw, v1Distance(r), v1Distance(r))
 			if held := r.Int(); held != int(n.held) && r.Err() == nil {
 				return nil, fmt.Errorf("mvp: PATH length %d at depth %d, want %d (corrupt stream)", held, depth, n.held)
 			}
 			for l := int32(0); l < n.held; l++ {
-				t.filter = append(t.filter, narrow(r.Float()))
+				*raw = append(*raw, v1Distance(r))
 			}
 		}
-		t.setLeafMax(n)
 		return n, r.Err()
 	case tagInternal:
 		n := &node[T]{hasSV1: true, hasSV2: true}
@@ -257,7 +309,7 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int) (*node
 			}
 			n.children[g] = make([]*node[T], cols)
 			for h := 0; h < cols; h++ {
-				if n.children[g][h], err = t.loadNode(r, dec, depth+1); err != nil {
+				if n.children[g][h], err = t.loadNode(r, dec, depth+1, raw); err != nil {
 					return nil, err
 				}
 			}

@@ -37,9 +37,9 @@ func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 // Range returns every indexed item within distance r of q, implementing
 // the paper's similarity-search algorithm (§4.3) generalized to m
 // partitions per vantage point. While descending, the query's own
-// distances to the first p vantage points are recorded in qpath and used
-// at the leaves to filter points through their stored PATH arrays before
-// any real distance computation.
+// distances to the first p vantage points are recorded as filter windows
+// (qlo/qhi) and used at the leaves to filter points through their stored
+// PATH arrays before any real distance computation.
 //
 // Distance computations whose outcome is only ever compared against a
 // threshold go through the metric's early-abandoning fast path when one
@@ -151,16 +151,12 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 		*out = append(*out, n.sv2)
 	}
 	if plen < t.p {
-		// PATH windows meet narrowed values: slack wider than the shells'.
+		// PATH windows meet stored codes: slack wider than the shells'.
 		w := rp + t.slack
-		sc.qpath[plen] = d1
-		sc.qlo[plen] = d1 - w
-		sc.qhi[plen] = d1 + w
+		sc.qlo[plen], sc.qhi[plen] = t.window(d1-w, d1+w)
 		plen++
 		if plen < t.p {
-			sc.qpath[plen] = d2
-			sc.qlo[plen] = d2 - w
-			sc.qhi[plen] = d2 + w
+			sc.qlo[plen], sc.qhi[plen] = t.window(d2-w, d2+w)
 			plen++
 		}
 	}
@@ -194,9 +190,10 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 
 // rangeLeaf implements step 2 of the search algorithm: filter each leaf
 // point through its exact distances to the leaf vantage points (D1, D2)
-// and through its PATH prefix — windows of half-width rp+slack, the
-// stored values being float32 — computing the real distance only for
-// survivors, and only up to r, since membership is all that matters.
+// and through its PATH prefix — windows of half-width rp+slack, turned
+// into the codes they hold once per leaf so the scan compares integers —
+// computing the real distance only for survivors, and only up to r,
+// since membership is all that matters.
 func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
 	s.LeavesVisited++
 	a := &sc.ap
@@ -251,8 +248,8 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	// (the same batching rangeNode applies to shell pruning — totals are
 	// identical, only the event granularity coarsens).
 	w := rp + t.slack
-	d1lo, d1hi := d1-w, d1+w
-	d2lo, d2hi := d2-w, d2+w
+	d1lo, d1hi := t.window(d1-w, d1+w)
+	d2lo, d2hi := t.window(d2-w, d2+w)
 	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
 	// held == plen: both are min(p, 2·depth) (Load checks the stream's).
@@ -276,12 +273,12 @@ items:
 		// vantage point (a single-vantage leaf stores no D2 distances,
 		// and d2 would be a meaningless zero).
 		o := i * stride
-		if x := float64(rows[o]); x < d1lo || x > d1hi {
+		if x := rows[o]; x < d1lo || x > d1hi {
 			filteredD++
 			continue
 		}
 		if hasSV2 {
-			if x := float64(rows[o+1]); x < d2lo || x > d2hi {
+			if x := rows[o+1]; x < d2lo || x > d2hi {
 				filteredD++
 				continue
 			}
@@ -290,7 +287,7 @@ items:
 		// path[l] bounds check.
 		path := rows[o+2:][:len(qlo)]
 		for l, lo := range qlo {
-			if pd := float64(path[l]); pd < lo || pd > qhi[l] {
+			if pd := path[l]; pd < lo || pd > qhi[l] {
 				filteredPath++
 				continue items
 			}

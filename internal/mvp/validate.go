@@ -1,13 +1,16 @@
 package mvp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Validate recomputes every stored distance and partition bound in the
 // tree and verifies the structural invariants the search algorithms
-// rely on: the shape (checkShape), leaf D1/D2 arrays and PATH prefixes
-// equal to fresh metric evaluations at stored precision (narrow of the
-// fresh value is the float32 the leaf holds), and every point inside
-// its shells' closed intervals.
+// rely on: the shape (checkShape), a filter grid the codes agree with
+// (checkGrid), leaf D1/D2 arrays and PATH prefixes equal to fresh metric
+// evaluations at stored precision (the fresh value's code is the one the
+// leaf holds), and every point inside its shells' closed intervals.
 //
 // A failure means either the tree was built with a different metric
 // than the one now wired in (the classic persistence mistake — Load
@@ -18,7 +21,23 @@ func (t *Tree[T]) Validate() error {
 	if err := t.checkShape(); err != nil {
 		return err
 	}
+	if err := t.checkGrid(); err != nil {
+		return err
+	}
 	return t.validateNode(t.root, nil)
+}
+
+// checkGrid verifies what decode and window assume of the filter arena:
+// a step that is a power of two, and the slack the codes call for — so no
+// odd code under slack 0, and none past topCode under a finite slack.
+func (t *Tree[T]) checkGrid() error {
+	if f, e := math.Frexp(t.step); f != 0.5 || e-1 < minStepExp || e-1 > maxStepExp {
+		return fmt.Errorf("mvp: filter step %g is not a power of two a tree can have", t.step)
+	}
+	if want := slackOf(t.filter, t.step); t.slack != want {
+		return fmt.Errorf("mvp: filter slack %g, the stored codes call for %g", t.slack, want)
+	}
+	return nil
 }
 
 // checkShape is the half of Validate that needs no metric: the header's
@@ -72,15 +91,15 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 		items, rows, stride := t.leaf(n)
 		for i, it := range items {
 			row := rows[i*stride : (i+1)*stride]
-			if got := t.dist.Distance(it, n.sv1); narrow(got) != row[0] {
-				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, row[0], got)
+			if got := t.dist.Distance(it, n.sv1); encode(got, t.step) != row[0] {
+				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(row[0]), got)
 			}
-			if got := t.dist.Distance(it, n.sv2); narrow(got) != row[1] {
-				return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, row[1], got)
+			if got := t.dist.Distance(it, n.sv2); encode(got, t.step) != row[1] {
+				return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(row[1]), got)
 			}
 			for l, stored := range row[2:] {
-				if got := t.dist.Distance(it, ancestors[l]); narrow(got) != stored {
-					return fmt.Errorf("mvp: PATH[%d] = %g, metric now yields %g", l, stored, got)
+				if got := t.dist.Distance(it, ancestors[l]); encode(got, t.step) != stored {
+					return fmt.Errorf("mvp: PATH[%d] = %g, metric now yields %g", l, t.decode(stored), got)
 				}
 			}
 		}

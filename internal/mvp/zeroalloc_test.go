@@ -145,9 +145,9 @@ func TestBuildAllocationsScaleWithNodes(t *testing.T) {
 
 // TestIndexBytesPerItem pins what the index adds to the live heap per
 // item at the paper's options — the benchmark's mem_bytes_per_item,
-// measured the same way: node structs, one item header and one float32
-// filter row (D1, D2, five PATH entries: 28 bytes; Shape().FilterBytes)
-// per leaf item. A float64 row alone is 56.
+// measured the same way: node structs, one item header and one filter
+// row of 16-bit codes (D1, D2, five PATH entries: 14 bytes;
+// Shape().FilterBytes) per leaf item. A float64 row alone is 56.
 func TestIndexBytesPerItem(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap sizes are inflated by race-detector instrumentation")
@@ -168,22 +168,22 @@ func TestIndexBytesPerItem(t *testing.T) {
 		shape, tree := build()
 		perItem := float64(liveHeap()-before) / n
 		runtime.KeepAlive(tree)
-		if want := 4 * (2 + 5) * shape.LeafItems; shape.FilterBytes != want {
-			t.Errorf("%s: FilterBytes = %d, want %d (28 per leaf item)", name, shape.FilterBytes, want)
+		if want := 2 * (2 + 5) * shape.LeafItems; shape.FilterBytes != want {
+			t.Errorf("%s: FilterBytes = %d, want %d (14 per leaf item)", name, shape.FilterBytes, want)
 		}
 		t.Logf("%s: index adds %.1f B/item to the heap", name, perItem)
 		if perItem > limit {
 			t.Errorf("%s: index adds %.1f B/item to the heap, want <= %.0f", name, perItem, limit)
 		}
 	}
-	check("vectors/L2", 64, func() (Stats, any) {
+	check("vectors/L2", 50, func() (Stats, any) {
 		tree, err := New(vectors, metric.NewCounter(metric.L2), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tree.Shape(), tree
 	})
-	check("words/Edit", 56, func() (Stats, any) {
+	check("words/Edit", 42, func() (Stats, any) {
 		tree, err := New(words, metric.NewCounter(metric.Edit), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -211,10 +211,11 @@ func TestSingleVantageLeafFiltering(t *testing.T) {
 	n := &node[[]float64]{sv1: sv1, hasSV1: true, cnt: int32(len(rest))}
 	dist := metric.NewCounter(metric.L2)
 	tree := &Tree[[]float64]{root: n, dist: dist, size: len(pts), m: 2, k: len(rest), p: 0, items: rest}
+	var raw []float64
 	for _, it := range rest {
-		tree.filter = append(tree.filter, narrow(metric.L2(sv1, it)), 1e9)
+		raw = append(raw, metric.L2(sv1, it), 50)
 	}
-	tree.setLeafMax(n)
+	tree.encodeLeaves(raw, stepExp(raw))
 	tree.sealLeaves()
 
 	q := pts[5]

@@ -1,7 +1,7 @@
 // Package wire provides the minimal binary encoding used to persist
-// index structures: unsigned varints, IEEE-754 floats, length-prefixed
-// byte strings and booleans, with sticky error handling so encoders and
-// decoders read as straight-line code.
+// index structures: unsigned varints, IEEE-754 floats, 16-bit words,
+// length-prefixed byte strings and booleans, with sticky error handling
+// so encoders and decoders read as straight-line code.
 package wire
 
 import (
@@ -75,6 +75,16 @@ func (w *Writer) Float(f float64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
 	_, w.err = w.w.Write(buf[:])
+}
+
+// Uint16 writes a 16-bit word, little endian.
+func (w *Writer) Uint16(u uint16) {
+	if w.err != nil {
+		return
+	}
+	if w.err = w.w.WriteByte(byte(u)); w.err == nil {
+		w.err = w.w.WriteByte(byte(u >> 8))
+	}
 }
 
 // Floats writes a length-prefixed float64 slice.
@@ -168,6 +178,19 @@ func (r *Reader) Float() float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+}
+
+// Uint16 reads a 16-bit word.
+func (r *Reader) Uint16() uint16 {
+	if r.err != nil {
+		return 0
+	}
+	var buf [2]byte
+	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
+		r.fail(fmt.Errorf("wire: reading uint16: %w", err))
+		return 0
+	}
+	return binary.LittleEndian.Uint16(buf[:])
 }
 
 // Floats reads a length-prefixed float64 slice; nil for length zero.

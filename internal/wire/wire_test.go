@@ -24,6 +24,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 	w.Bool(true)
 	w.Bool(false)
 	w.Byte(0xAB)
+	w.Uint16(0xFE01)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +63,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 	if got := r.Byte(); got != 0xAB {
 		t.Errorf("Byte = %#x", got)
+	}
+	if got := r.Uint16(); got != 0xFE01 {
+		t.Errorf("Uint16 = %#x", got)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
