@@ -12,7 +12,11 @@
 // reconstruction (and all of its distance computations):
 //
 //	mvpquery -data vectors.txt -index mvp -saveindex idx.mvpt -range 0.3 -query "..."
-//	mvpquery -loadindex idx.mvpt -index mvp -range 0.3 -query "..."
+//	mvpquery -loadindex idx.mvpt -range 0.3 -query "..."
+//
+// The file says which of the two it holds (a vp-tree is an mvp-tree with
+// one vantage point per node), so -loadindex needs no -index; mvp and vp
+// are both accepted.
 //
 // With -query omitted, queries are read one per line from stdin.
 // -stats adds each query's filtering breakdown (nodes visited, shell
@@ -165,35 +169,28 @@ func saveIndex[T any](path, id string, idx counted[T], enc mvptree.ItemEncoder[T
 		return err
 	}
 	defer f.Close()
-	switch t := idx.(type) {
-	case *mvptree.Tree[T]:
-		err = mvptree.SaveTree(f, t, enc)
-	case *mvptree.VPTree[T]:
-		err = mvptree.SaveVPTree(f, t, enc)
-	default:
+	t, ok := idx.(*mvptree.Tree[T]) // -index vp builds one too
+	if !ok {
 		return fmt.Errorf("index %q does not support -saveindex (mvp and vp only)", id)
 	}
-	if err != nil {
+	if err := mvptree.SaveTree(f, t, enc); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// loadIndex reads a persisted mvp or vp index.
+// loadIndex reads a persisted mvp or vp index: one loader, the stream
+// says which it holds, and id is only checked to be one of the two.
 func loadIndex[T any](path, id string, dist mvptree.DistanceFunc[T], dec mvptree.ItemDecoder[T]) (counted[T], error) {
+	if id != "mvp" && id != "vp" {
+		return nil, fmt.Errorf("index %q does not support -loadindex (mvp and vp only)", id)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch id {
-	case "mvp":
-		return mvptree.LoadTree(f, dist, dec)
-	case "vp":
-		return mvptree.LoadVPTree(f, dist, dec)
-	default:
-		return nil, fmt.Errorf("index %q does not support -loadindex (mvp and vp only)", id)
-	}
+	return mvptree.LoadTree(f, dist, dec)
 }
 
 // counted is the read surface every index here provides.

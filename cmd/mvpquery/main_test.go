@@ -150,16 +150,20 @@ func TestSaveLoadVPIndexStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.Reset()
-	err = run(&sb, strings.NewReader(""), []string{
-		"-loadindex", idxPath, "-metric", "edit", "-index", "vp",
-		"-range", "1", "-query", "hello",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "2 results") {
-		t.Errorf("loaded vp index:\n%s", sb.String())
+	// One loader: the stream says it is a vp-tree, whatever -index says.
+	for _, index := range [][]string{{"-index", "vp"}, {"-index", "mvp"}, nil} {
+		sb.Reset()
+		err = run(&sb, strings.NewReader(""), append([]string{
+			"-loadindex", idxPath, "-metric", "edit", "-range", "1", "-query", "hello", "-stats",
+		}, index...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Four words, each a vantage point of the classic vp-tree: every
+		// distance is one to a vantage point and nothing is a candidate.
+		if out := sb.String(); !strings.Contains(out, "2 results") || !strings.Contains(out, "candidates=0 filtered-d=0 filtered-path=0 computed=0 vantage=3") {
+			t.Errorf("loaded vp index (%v):\n%s", index, out)
+		}
 	}
 }
 

@@ -25,10 +25,9 @@ type DynamicOptions = dynamic.Options
 func NewDynamic[T any](items []T, dist DistanceFunc[T], opts DynamicOptions, ixOpts ...IndexOption[T]) (*DynamicStore[T], error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	s, err := dynamic.New(items, metric.DistanceFunc[T](dist), opts)
-	if err != nil {
+	if err = cfg.equip(s, err); err != nil {
 		return nil, err
 	}
-	cfg.install(s)
 	return s, nil
 }
 

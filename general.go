@@ -21,27 +21,15 @@ type GeneralOptions = gmvp.Options
 // NewGeneral builds a generalized mvp-tree with a fresh internal
 // Counter unless WithCounter overrides it.
 func NewGeneral[T any](items []T, dist DistanceFunc[T], opts GeneralOptions, ixOpts ...IndexOption[T]) (*GeneralTree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := gmvp.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewGeneralWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewGeneralWithStats is NewGeneral plus the construction report.
 func NewGeneralWithStats[T any](items []T, dist DistanceFunc[T], opts GeneralOptions, ixOpts ...IndexOption[T]) (*GeneralTree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := gmvp.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil

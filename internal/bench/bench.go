@@ -191,7 +191,11 @@ func run[T any](items, queries []T, distFn metric.DistanceFunc[T],
 			buildCost := float64(counter.Count())
 			var shape mvp.Stats
 			if tr, ok := idx.(*mvp.Tree[T]); ok {
-				shape = tr.Shape()
+				// A grid is reported where something is stored on it: a
+				// classic vp-tree's leaves hold no items.
+				if s := tr.Shape(); s.FilterBytes > 0 {
+					shape = s
+				}
 			}
 			cells := make([]Cell, len(values))
 			for vi, v := range values {

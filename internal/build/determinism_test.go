@@ -270,7 +270,11 @@ func TestValidationErrors(t *testing.T) {
 			return err
 		}()},
 		{"mvp/leafcap", "mvp", func() error {
-			_, err := mvp.New(items, c(), mvp.Options{LeafCapacity: -1})
+			_, err := mvp.New(items, c(), mvp.Options{LeafCapacity: -2})
+			return err
+		}()},
+		{"mvp/vantages", "mvp", func() error {
+			_, err := mvp.New(items, c(), mvp.Options{Vantages: 3})
 			return err
 		}()},
 		{"vptree/workers", "vptree", func() error {
@@ -283,10 +287,6 @@ func TestValidationErrors(t *testing.T) {
 		}()},
 		{"vptree/leafcap", "vptree", func() error {
 			_, err := vptree.New(items, c(), vptree.Options{LeafCapacity: -1})
-			return err
-		}()},
-		{"vptree/candidates", "vptree", func() error {
-			_, err := vptree.New(items, c(), vptree.Options{Candidates: -1})
 			return err
 		}()},
 		{"gmvp/workers", "gmvp", func() error {

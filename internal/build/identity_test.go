@@ -23,14 +23,18 @@ import (
 // (continuous coordinates), so the hashes do not depend on how the
 // sort breaks ties and stand in for the deleted copying build: any
 // change of vantage choice, cutoff, leaf order or stored distance
-// changes a hash. The mvp rows were re-recorded twice, each time because
-// Save's bytes for a leaf distance changed and nothing else: when the
-// distances became float32 values (PR 15), and when they became 16-bit
-// codes under the MVPTREE2 grammar (PR 19). Each PR 19 row is the hash of
-// what that commit's Save writes after its Load has read the parent
-// commit's MVPTREE1 bytes for the same build — the same tree, put on the
-// grid — checked once for all nine rows. vptree and gmvp rows are the
-// originals.
+// changes a hash. The mvp rows were re-recorded three times, each time
+// because Save's bytes changed and the tree did not: when the leaf
+// distances became float32 values (PR 15), when they became 16-bit codes
+// under the MVPTREE2 grammar (PR 19), and when the header gained v under
+// MVPTREE3 (PR 20). Each PR 19 and PR 20 row is the hash of what that
+// commit's Save writes after its Load has read the parent commit's bytes
+// for the same build — the same tree — checked once for all nine rows.
+// The vptree rows were re-recorded in PR 20 too, as the v = 1 streams the
+// constructor's trees save now that VPTREE1 is retired; that those are the
+// trees internal/vptree built is pinned where the old bytes cannot be, by
+// their answers (vptree.TestSameTreesAsSeparatePackage). gmvp rows are
+// the originals.
 //
 // The mvp and mvp-random2 rows are built with RandomFirstVantage and
 // were not otherwise re-recorded when the first vantage point became a
@@ -38,19 +42,19 @@ import (
 // drawn build byte for byte. The mvp-spread rows pin the default, the
 // same options without the switch.
 var goldenSave = map[string]string{
-	"mvp/uniform/1":          "4b247dfa27c67437e39d84e2a0e6ad36f6593fac148ffe54eb8d123bebecc012",
-	"mvp/uniform/7":          "fd50827ffcd285ea75bb9505459b05dfb4922b2ee5e2ace309be383e412f8541",
-	"mvp/clustered/1":        "950a13efdafa36c22031d2cbb3f78711b97a3bddf2b8c7472804bd38ee9dd773",
-	"mvp/clustered/7":        "d5795fbb3bc71655b685813b07471ebc59f066aee2a6773e092ff41ccb52baea",
-	"mvp-spread/uniform/1":   "d62f02a1bcb021cfbf2a4f57fd3e93671bee04dbba34d455d9b19abe26fcb6cb",
-	"mvp-spread/uniform/7":   "ab744aaf178ecd8d95a9c610623eabc15d7cbacfa419b34aaa4fac984cd17515",
-	"mvp-spread/clustered/1": "2aeeaa527c2af589a9ec64a0f413adfe236ce61ec361badec37b3d095f8b83f6",
-	"mvp-spread/clustered/7": "08675dc655af8be099ea1a92c5d3deed0d86ef7a3dbedccc45b3e533b2f23b15",
-	"mvp-random2/uniform/1":  "23eec4913ef2ee276d8b1d0e1b5cb09495ed1c4a7ffdcb3858f8b161f9b14eea",
-	"vptree/uniform/1":       "d0e3c81c479c88cf7d4276a9674b672a0f2ede9ed557dc21d491a5d6e56ae177",
-	"vptree/uniform/7":       "82b4591c8fc17d89dbe601313873ba12d9feb3cd31c55e591837cf71d7b37475",
-	"vptree/clustered/1":     "40ec20629faad795eb59ed373f85eff97cf978c9de22c3d4269964369ea26301",
-	"vptree/clustered/7":     "ca66f91039564f67d0b457f456d32ef7c5e25c395abe9e29cf810deedc2f953a",
+	"mvp/uniform/1":          "9ebaa51fd1f70e90ac0e577c23deeac7e61783db8d45767e13ac6a93473fd442",
+	"mvp/uniform/7":          "7002104309eb42c677e869e00b1e87965a569289dd5add327f0113b78113c0f2",
+	"mvp/clustered/1":        "65d93ec71e2c8cfde907051b1e1c45a7bdb3000bfcfca946d274588a3642f7d0",
+	"mvp/clustered/7":        "73e751447a9bb13992039b98833a48e4cc9e144304f9f155059b33b23cd6523e",
+	"mvp-spread/uniform/1":   "a3f0d1c953ee2e9c110a630237087557180f58bfa402f1c2d027fd78c984f7e6",
+	"mvp-spread/uniform/7":   "f072834c745fcb521866381045f6bfe5e8dcf38f5fa2a516fc48939fd4babe5d",
+	"mvp-spread/clustered/1": "62f6dc91e1720ae5d2202f5357b593db2255b0c7498d57f39e4419964349d47f",
+	"mvp-spread/clustered/7": "c31999f5fca22c64b0bddf56b36a2cbc21dcd97af0cbae736819895326734981",
+	"mvp-random2/uniform/1":  "7d01f436062dcf638a8d77f4761531f01119182795d32c11daa6d7a9a81ef99e",
+	"vptree/uniform/1":       "d20fb3544d2384c83524e3b2e265dcdc9379f5f8b0e30045a8e151fdf793ae8f",
+	"vptree/uniform/7":       "01328602ba06b02a0df64cece61c04d17cfb906acdc154c594db94df623787fa",
+	"vptree/clustered/1":     "158e0dcd073336b16177e89e196f3f634f1fc70b5b5bf5985e26bc645c93e183",
+	"vptree/clustered/7":     "a8acf3c9bf3299fe560daf91b1ab18e09e4cce4bef161639175915992d4eeaf0",
 	"gmvp/uniform/1":         "a4255b6a102474d81afbb8d3be9432aa7a9962bcbbb5d8cc98d784b076b21bab",
 	"gmvp/uniform/7":         "003e2767371c1e269129cce832e68ed1dc76ebc11fa510555582680e1ec1fcfe",
 	"gmvp/clustered/1":       "d1e459f640274aa63f4fcc61831665d7a25bcb474041261d193f87dd40798cde",

@@ -6,10 +6,13 @@ package index
 // — so the batch executor and the experiment harness can aggregate
 // stats from any structure uniformly.
 //
-// Not every structure populates every field: the vp-tree stores no leaf
-// distances, so FilteredByD and FilteredByPath stay zero there and
-// Computed always equals Candidates; only the mvp-tree family fills the
-// two Filtered counters (the paper's Observation 2 made measurable).
+// Not every structure populates every field: only the mvp-tree family
+// fills the two Filtered counters (the paper's Observation 2 made
+// measurable). A classic vp-tree is that family's tree with nothing
+// stored: its leaves are a vantage point each, so every distance it pays
+// is counted under VantagePoints and Candidates stays zero unless the
+// cascade excludes a leaf's point, which then counts as a filtered
+// candidate.
 type SearchStats struct {
 	// NodesVisited and LeavesVisited count tree nodes entered.
 	NodesVisited  int

@@ -19,42 +19,46 @@ func knnBudget[T any](tree *Tree[T], q T, k int, budget int64) ([]index.Neighbor
 func TestSearchBudgetUnlimitedIsExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(111, 9))
 	w := testutil.NewVectorWorkload(rng, 500, 8, 10, metric.L2)
-	tree, _ := buildWorkloadTree(t, w, Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: Build{Seed: 7}})
-	for _, q := range w.Queries {
-		for _, k := range []int{1, 5, 20} {
-			got, exact := knnBudget(tree, q, k, 1<<40)
-			if !exact {
-				t.Fatalf("unlimited budget reported inexact")
-			}
-			want := tree.KNN(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: %d vs %d results", k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Dist != want[i].Dist {
-					t.Fatalf("k=%d: dist[%d] = %g, want %g", k, i, got[i].Dist, want[i].Dist)
+	eachV(t, Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: Build{Seed: 7}}, func(t *testing.T, opts Options) {
+		tree, _ := buildWorkloadTree(t, w, opts)
+		for _, q := range w.Queries {
+			for _, k := range []int{1, 5, 20} {
+				got, exact := knnBudget(tree, q, k, 1<<40)
+				if !exact {
+					t.Fatalf("unlimited budget reported inexact")
+				}
+				want := tree.KNN(q, k)
+				if len(got) != len(want) {
+					t.Fatalf("k=%d: %d vs %d results", k, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Dist != want[i].Dist {
+						t.Fatalf("k=%d: dist[%d] = %g, want %g", k, i, got[i].Dist, want[i].Dist)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestSearchBudgetRespectsBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(112, 9))
 	w := testutil.NewVectorWorkload(rng, 3000, 20, 10, metric.L2) // high-dim: exact kNN ≈ linear
-	tree, c := buildWorkloadTree(t, w, Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}})
-	for _, budget := range []int64{10, 100, 1000} {
-		for _, q := range w.Queries {
-			c.Reset()
-			_, exact := knnBudget(tree, q, 5, budget)
-			if c.Count() > budget {
-				t.Fatalf("budget %d: spent %d distance computations", budget, c.Count())
-			}
-			if exact && c.Count() >= int64(tree.Len()) {
-				t.Fatalf("budget %d: claimed exact after full scan", budget)
+	eachV(t, Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 7}}, func(t *testing.T, opts Options) {
+		tree, c := buildWorkloadTree(t, w, opts)
+		for _, budget := range []int64{10, 100, 1000} {
+			for _, q := range w.Queries {
+				c.Reset()
+				_, exact := knnBudget(tree, q, 5, budget)
+				if c.Count() > budget {
+					t.Fatalf("budget %d: spent %d distance computations", budget, c.Count())
+				}
+				if exact && c.Count() >= int64(tree.Len()) {
+					t.Fatalf("budget %d: claimed exact after full scan", budget)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestSearchBudgetRecallGrowsWithBudget(t *testing.T) {

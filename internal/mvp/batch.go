@@ -260,7 +260,6 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 		pts = append(pts, bs.qs[j])
 	}
 	bs.pts = pts
-	blk := t.dist.BlockKernel()
 
 	// Per-node d1‖d2 values live on the dstack so sibling recursion
 	// cannot clobber them; the block kernels write into the windows
@@ -270,90 +269,37 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 	d1v := bs.dstack[dBase : dBase+na]
 	d2v := bs.dstack[dBase+na : dBase+2*na]
 
-	// The two vantage phases replicate rangeNode exactly, one blocked
-	// call per vantage point: while the query PATH is filling every
-	// distance is exact; afterwards each query abandons past r+cutMax
-	// unless it is a stamped cascade pivot the query's cache still
-	// wants, which is computed exactly (+Inf bound) and registered. d1
-	// registrations land before any d2 Wants() decision, preserving the
-	// per-query registration order (and the cache's per-query limit
-	// cut) of the sequential code.
-	if plen >= t.p {
-		bounds := growF(bs.bounds, na)
-		for i, j := range act {
-			if cc := bs.ccs[j]; cc != nil && n.cas1 != 0 && cc.Wants() {
-				bounds[i] = math.Inf(1)
-			} else {
-				bounds[i] = bs.rads[j] + n.cut1Max
-			}
-		}
-		bs.bounds = bounds
-		blk(n.sv1, pts, bounds, d1v)
-		if n.cas1 != 0 {
-			for i, j := range act {
-				if cc := bs.ccs[j]; cc != nil && cc.Wants() {
-					cc.Register(n.cas1-1, d1v[i])
-				}
-			}
-		}
-		for i, j := range act {
-			if cc := bs.ccs[j]; cc != nil && n.cas2 != 0 && cc.Wants() {
-				bounds[i] = math.Inf(1)
-			} else {
-				bounds[i] = bs.rads[j] + n.cut2Max
-			}
-		}
-		blk(n.sv2, pts, bounds, d2v)
-		if n.cas2 != 0 {
-			for i, j := range act {
-				if cc := bs.ccs[j]; cc != nil && cc.Wants() {
-					cc.Register(n.cas2-1, d2v[i])
-				}
-			}
-		}
+	// The vantage phases replicate rangeNode exactly, one blocked call
+	// per vantage point (vantageBlock); without a second one d2v stays
+	// the zeros rangeNode's d2 is.
+	exact := plen < t.p
+	t.vantageBlock(n.sv1, n.cas1, exact, n.cut1Max, act, d1v, bs)
+	if n.hasSV2 {
+		t.vantageBlock(n.sv2, n.cas2, exact, n.cut2Max, act, d2v, bs)
 	} else {
-		blk(n.sv1, pts, nil, d1v)
-		blk(n.sv2, pts, nil, d2v)
-		for i, j := range act {
-			cc := bs.ccs[j]
-			if cc == nil {
-				continue
-			}
-			if n.cas1 != 0 && cc.Wants() {
-				cc.Register(n.cas1-1, d1v[i])
-			}
-			if n.cas2 != 0 && cc.Wants() {
-				cc.Register(n.cas2-1, d2v[i])
-			}
-		}
+		clear(d2v)
 	}
-	t.dist.Add(int64(2 * na))
+	t.dist.Add(int64(t.v * na))
 
 	for i, j := range act {
 		s := &bs.stats[j]
-		s.VantagePoints += 2
-		t.TraceDistance(2)
+		s.VantagePoints += t.v
+		t.TraceDistance(t.v)
 		r := bs.rads[j]
 		if d1v[i] <= r {
 			bs.outs[j] = append(bs.outs[j], n.sv1)
 		}
-		if d2v[i] <= r {
+		if n.hasSV2 && d2v[i] <= r {
 			bs.outs[j] = append(bs.outs[j], n.sv2)
 		}
 	}
-	if plen < t.p {
-		// PATH windows meet stored codes: slack wider than the shells'.
-		for i, j := range act {
-			o := int(j)*t.p + plen
-			w := bs.rads[j] + t.slack
-			bs.qlo[o], bs.qhi[o] = t.window(d1v[i]-w, d1v[i]+w)
-		}
-		plen++
+	// PATH windows meet stored codes: slack wider than the shells'.
+	for _, dv := range [][]float64{d1v, d2v}[:t.v] {
 		if plen < t.p {
 			for i, j := range act {
 				o := int(j)*t.p + plen
 				w := bs.rads[j] + t.slack
-				bs.qlo[o], bs.qhi[o] = t.window(d2v[i]-w, d2v[i]+w)
+				bs.qlo[o], bs.qhi[o] = t.window(dv[i]-w, dv[i]+w)
 			}
 			plen++
 		}
@@ -407,6 +353,36 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 	bs.dstack = bs.dstack[:dBase]
 }
 
+// vantageBlock is vantageDistance for a group, one blocked call: while
+// the query PATH is filling every distance is exact; afterwards each
+// query abandons past r+cutMax unless sv is a stamped cascade pivot the
+// query's cache still wants, which is computed exactly (+Inf bound) and
+// registered. A node's d1 registrations so land before any d2 Wants()
+// decision, preserving the per-query registration order (and the cache's
+// per-query limit cut) of the sequential code.
+func (t *Tree[T]) vantageBlock(sv T, stamp int32, exact bool, cutMax float64, act []int32, dv []float64, bs *batchScratch[T]) {
+	var bounds []float64 // nil: every distance exact
+	if !exact {
+		bounds = growF(bs.bounds, len(act))
+		bs.bounds = bounds
+		for i, j := range act {
+			if cc := bs.ccs[j]; cc != nil && stamp != 0 && cc.Wants() {
+				bounds[i] = math.Inf(1)
+			} else {
+				bounds[i] = bs.rads[j] + cutMax
+			}
+		}
+	}
+	t.dist.BlockKernel()(sv, bs.pts, bounds, dv)
+	if stamp != 0 {
+		for i, j := range act {
+			if cc := bs.ccs[j]; cc != nil && cc.Wants() {
+				cc.Register(stamp-1, dv[i])
+			}
+		}
+	}
+}
+
 // rangeBatchLeaf is rangeLeaf for a group: the vantage points are
 // evaluated with one blocked call each, then the leaf arena is streamed
 // item-major — every still-interested query filters item i through its
@@ -415,6 +391,10 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScratch[T]) {
 	for _, j := range act {
 		bs.stats[j].LeavesVisited++
+	}
+	if n.cnt == 0 {
+		t.rangeBatchBare(n, act, bs)
+		return
 	}
 	if !n.hasSV1 {
 		return
@@ -535,16 +515,7 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 			sbounds = append(sbounds, r)
 		}
 		bs.sslots, bs.spts, bs.sbounds = surv, spts, sbounds
-		if len(surv) > 0 {
-			sdv := growF(bs.sdv, len(surv))
-			bs.sdv = sdv
-			blk(items[i], spts, sbounds, sdv)
-			for k, j := range surv {
-				if sdv[k] <= sbounds[k] {
-					bs.outs[j] = append(bs.outs[j], items[i])
-				}
-			}
-		}
+		t.measureSurvivors(items[i], bs)
 	}
 
 	total := 0
@@ -572,6 +543,53 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 		if bs.comp[j] > 0 {
 			t.TraceDistance(bs.comp[j])
 		}
+	}
+	t.dist.Add(int64(total))
+}
+
+// measureSurvivors measures pt for the queries gathered in bs.sslots,
+// each up to its radius (bs.spts, bs.sbounds run parallel), with one
+// blocked call, and reports it to those it is within range of.
+func (t *Tree[T]) measureSurvivors(pt T, bs *batchScratch[T]) {
+	if len(bs.sslots) == 0 {
+		return
+	}
+	sdv := growF(bs.sdv, len(bs.sslots))
+	bs.sdv = sdv
+	t.dist.BlockKernel()(pt, bs.spts, bs.sbounds, sdv)
+	for k, j := range bs.sslots {
+		if sdv[k] <= bs.sbounds[k] {
+			bs.outs[j] = append(bs.outs[j], pt)
+		}
+	}
+}
+
+// rangeBatchBare is rangeBare for a group: each point of the item-less
+// leaf is measured, with one blocked call, for the queries whose cascade
+// bound does not already exclude it.
+func (t *Tree[T]) rangeBatchBare(n *node[T], act []int32, bs *batchScratch[T]) {
+	total := 0
+	for i := 0; i < 2; i++ {
+		pt, ok := n.point(i)
+		if !ok {
+			break
+		}
+		surv, spts, sbounds := bs.sslots[:0], bs.spts[:0], bs.sbounds[:0]
+		for _, j := range act {
+			s, r := &bs.stats[j], bs.rads[j]
+			if cc := bs.ccs[j]; cc != nil && cc.Registered() > 0 && t.cas.LowerBound(cc, n.casBase+int32(i)) > r {
+				s.Candidates++
+				s.FilteredByCascade++
+				t.TracePrune(obs.FilterCascade, 1)
+				continue
+			}
+			s.VantagePoints++
+			t.TraceDistance(1)
+			surv, spts, sbounds = append(surv, j), append(spts, bs.qs[j]), append(sbounds, r)
+		}
+		bs.sslots, bs.spts, bs.sbounds = surv, spts, sbounds
+		t.measureSurvivors(*pt, bs)
+		total += len(surv)
 	}
 	t.dist.Add(int64(total))
 }

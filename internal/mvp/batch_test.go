@@ -11,63 +11,6 @@ import (
 	"mvptree/internal/testutil"
 )
 
-// checkBatchMatchesSequential pins the SearchBatch contract: for every
-// batch size, results, neighbor order, SearchStats, and the tree's
-// counter delta are byte-identical to per-query Search calls.
-func checkBatchMatchesSequential[T any](t *testing.T, tree *Tree[T], dist *metric.Counter[T],
-	reqs []index.Query[T], sizes []int, eq func(a, b T) bool) {
-	t.Helper()
-
-	want := make([]index.Result[T], len(reqs))
-	wantDelta := make([]int64, len(reqs))
-	for i, req := range reqs {
-		c0 := dist.Count()
-		want[i] = tree.Search(req)
-		wantDelta[i] = dist.Count() - c0
-	}
-
-	for _, b := range sizes {
-		for lo := 0; lo < len(reqs); lo += b {
-			hi := min(lo+b, len(reqs))
-			chunk := reqs[lo:hi]
-			got := make([]index.Result[T], len(chunk))
-			c0 := dist.Count()
-			tree.SearchBatch(chunk, got)
-			delta := dist.Count() - c0
-			var wd int64
-			for i := lo; i < hi; i++ {
-				wd += wantDelta[i]
-			}
-			if delta != wd {
-				t.Errorf("B=%d chunk [%d,%d): counter delta %d, sequential %d", b, lo, hi, delta, wd)
-			}
-			for i := range chunk {
-				w, g := want[lo+i], got[i]
-				if w.Stats != g.Stats {
-					t.Errorf("B=%d query %d: stats differ\nseq   %+v\nbatch %+v", b, lo+i, w.Stats, g.Stats)
-				}
-				if len(w.Items) != len(g.Items) {
-					t.Fatalf("B=%d query %d: %d items sequential, %d batched", b, lo+i, len(w.Items), len(g.Items))
-				}
-				for k := range w.Items {
-					if !eq(w.Items[k], g.Items[k]) {
-						t.Fatalf("B=%d query %d: item %d differs", b, lo+i, k)
-					}
-				}
-				if len(w.Neighbors) != len(g.Neighbors) {
-					t.Fatalf("B=%d query %d: %d neighbors sequential, %d batched", b, lo+i, len(w.Neighbors), len(g.Neighbors))
-				}
-				for k := range w.Neighbors {
-					if w.Neighbors[k].Dist != g.Neighbors[k].Dist || !eq(w.Neighbors[k].Item, g.Neighbors[k].Item) {
-						t.Fatalf("B=%d query %d: neighbor %d differs (%v vs %v)", b, lo+i, k,
-							w.Neighbors[k].Dist, g.Neighbors[k].Dist)
-					}
-				}
-			}
-		}
-	}
-}
-
 func vecEq(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -115,18 +58,20 @@ var batchSizes = []int{1, 4, 16, 64}
 // block-kernel path plus quant consultation.
 func TestBatchInvarianceUniform(t *testing.T) {
 	items := uniformItems(101, 2500, 12)
-	dist := metric.NewCounter(metric.L2)
-	tree, err := New(items, dist, Options{
-		Partitions: 3, LeafCapacity: 20, PathLength: 4,
-		Quantize: quant.SQ8, Build: Build{Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := uniformItems(102, 30, 12)
 	queries = append(queries, items[3], items[1234])
 	reqs := mixedVectorRequests(queries, []float64{0.4, 0.9}, []int{1, 10})
-	checkBatchMatchesSequential(t, tree, dist, reqs, batchSizes, vecEq)
+	eachV(t, Options{
+		Partitions: 3, LeafCapacity: 20, PathLength: 4,
+		Quantize: quant.SQ8, Build: Build{Seed: 9},
+	}, func(t *testing.T, opts Options) {
+		dist := metric.NewCounter(metric.L2)
+		tree, err := New(items, dist, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.CheckBatch(t, tree, dist, reqs, batchSizes, vecEq)
+	})
 }
 
 // TestBatchInvarianceClustered pins batch == sequential on clumped,
@@ -136,16 +81,6 @@ func TestBatchInvarianceUniform(t *testing.T) {
 // decisions and prune counts) to agree.
 func TestBatchInvarianceClustered(t *testing.T) {
 	items := clusteredItems(103, 2000, 10, 6)
-	dist := metric.NewCounter(metric.L1)
-	tree, err := New(items, dist, Options{
-		Partitions: 3, LeafCapacity: 24, PathLength: 4, Build: Build{Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableCascade(cascade.Options{}); err != nil {
-		t.Fatal(err)
-	}
 	queries := uniformItems(104, 30, 10)
 	for i := range queries {
 		for j := range queries[i] {
@@ -154,7 +89,22 @@ func TestBatchInvarianceClustered(t *testing.T) {
 	}
 	queries = append(queries, items[0], items[999])
 	reqs := mixedVectorRequests(queries, []float64{0.5, 2.5}, []int{1, 8})
-	checkBatchMatchesSequential(t, tree, dist, reqs, batchSizes, vecEq)
+	eachV(t, Options{
+		Partitions: 3, LeafCapacity: 24, PathLength: 4, Build: Build{Seed: 11},
+	}, func(t *testing.T, opts Options) {
+		dist := metric.NewCounter(metric.L1)
+		tree, err := New(items, dist, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableCascade(cascade.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if tree.Cascade() == nil {
+			t.Fatal("EnableCascade left the filter nil")
+		}
+		testutil.CheckBatch(t, tree, dist, reqs, batchSizes, vecEq)
+	})
 }
 
 // TestBatchInvarianceEdit pins batch == sequential over strings under
@@ -172,21 +122,23 @@ func TestBatchInvarianceEdit(t *testing.T) {
 		}
 		words[i] = string(b)
 	}
-	dist := metric.NewCounter(metric.Edit)
-	tree, err := New(words, dist, Options{
-		Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: Build{Seed: 13},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var reqs []index.Query[string]
 	for qi := 0; qi < 24; qi++ {
 		q := words[rng.IntN(len(words))] + string(letters[rng.IntN(len(letters))])
 		reqs = append(reqs, index.RangeQuery(q, float64(1+qi%3)))
 		reqs = append(reqs, index.KNNQuery(q, 1+qi%7))
 	}
-	checkBatchMatchesSequential(t, tree, dist, reqs, batchSizes,
-		func(a, b string) bool { return a == b })
+	eachV(t, Options{
+		Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: Build{Seed: 13},
+	}, func(t *testing.T, opts Options) {
+		dist := metric.NewCounter(metric.Edit)
+		tree, err := New(words, dist, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.CheckBatch(t, tree, dist, reqs, batchSizes,
+			func(a, b string) bool { return a == b })
+	})
 }
 
 // TestBatchEdgeCases covers the contract's edges: length mismatch
@@ -241,21 +193,22 @@ func TestBatchSteadyStateAllocations(t *testing.T) {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
 	items := uniformItems(109, 2000, 8)
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
 	reqs := make([]index.Query[[]float64], 16)
 	for i := range reqs {
 		reqs[i] = index.RangeQuery(far, 0.5)
 	}
-	results := make([]index.Result[[]float64], len(reqs))
-	tree.SearchBatch(reqs, results) // warm the pool
-	if allocs := testing.AllocsPerRun(100, func() {
-		tree.SearchBatch(reqs, results)
-	}); allocs != 0 {
-		t.Errorf("steady-state batch Range allocated %.1f times per batch, want 0", allocs)
-	}
+	eachV(t, Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}}, func(t *testing.T, opts Options) {
+		tree, err := New(items, metric.NewCounter(metric.L2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make([]index.Result[[]float64], len(reqs))
+		tree.SearchBatch(reqs, results) // warm the pool
+		if allocs := testing.AllocsPerRun(100, func() {
+			tree.SearchBatch(reqs, results)
+		}); allocs != 0 {
+			t.Errorf("steady-state batch Range allocated %.1f times per batch, want 0", allocs)
+		}
+	})
 }

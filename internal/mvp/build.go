@@ -24,12 +24,12 @@ type construction[T any] struct {
 }
 
 // pathLen is the number of PATH entries every point of a subtree at
-// depth already holds: two per internal level above it, capped at p.
-func (c *construction[T]) pathLen(depth int) int { return min(c.t.p, 2*depth) }
+// depth already holds: v per internal level above it, capped at p.
+func (c *construction[T]) pathLen(depth int) int { return min(c.t.p, c.t.v*depth) }
 
 // build recursively constructs the subtree over slots [lo, hi),
 // following the paper's construction algorithm (§4.2) generalized from
-// m=2 to any m.
+// m=2 to any m, and its vp-tree construction (§3.3) where v is 1.
 //
 // src is the splittable RNG fixed by this subtree's position, so the
 // tree is identical for every worker count; off and foff are where the
@@ -38,7 +38,7 @@ func (c *construction[T]) build(lo, hi int, src build.RNG, depth, off, foff int)
 	switch {
 	case lo == hi:
 		return nil
-	case hi-lo <= c.t.k+2:
+	case hi-lo <= c.t.k+c.t.v:
 		return c.buildLeaf(lo, hi, src, depth, off, foff)
 	default:
 		return c.buildInternal(lo, hi, src, depth, off, foff)
@@ -49,13 +49,13 @@ func (c *construction[T]) build(lo, hi int, src build.RNG, depth, off, foff int)
 // subtree build makes of size points at depth: splits are by rank, so
 // sizes alone decide it (shellRange is shared with buildInternal).
 func (c *construction[T]) leafLoad(size, depth int) (items, floats int) {
-	if size <= c.t.k+2 {
-		items = max(size-2, 0)
+	if v := c.t.v; size <= c.t.k+v {
+		items = max(size-v, 0)
 		return items, items * (2 + c.pathLen(depth))
 	}
 	for g := 0; g < min(c.t.m, size-1); g++ {
 		lo, hi := c.shellRange(size, g)
-		for h, parts := 0, min(c.t.m, hi-lo); h < parts; h++ {
+		for h, parts := 0, c.parts(hi-lo); h < parts; h++ {
 			partLo, partHi := build.GroupBounds(hi-lo, parts, h)
 			i, f := c.leafLoad(partHi-partLo, depth+1)
 			items, floats = items+i, floats+f
@@ -69,10 +69,19 @@ func (c *construction[T]) leafLoad(size, depth int) (items, floats int) {
 func (c *construction[T]) shellRange(size, g int) (lo, hi int) {
 	shells := min(c.t.m, size-1)
 	lo, hi = build.GroupBounds(size-1, shells, g)
-	if g == shells-1 {
+	if g == shells-1 && c.t.v == 2 {
 		hi-- // the outer shell gave up sv2
 	}
 	return lo, hi
+}
+
+// parts is the number of children a shell of size points gets: one per
+// sub-shell the second vantage point cuts it into, else the shell itself.
+func (c *construction[T]) parts(size int) int {
+	if c.t.v == 1 {
+		return 1 // its shells are never empty: none gave up a vantage point
+	}
+	return min(c.t.m, size)
 }
 
 // firstVantage makes the point at slot pick the node's first vantage
@@ -88,8 +97,8 @@ func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int
 // vantage point arbitrarily (a seeded draw, like the paper's
 // implementation; choosing it by spread as internal nodes do bought at
 // most a point of query cost for 6–35 points of build distances,
-// docs/TUNING.md), the second as the farthest point from the first, and
-// store exact distances D1, D2 for the remaining points.
+// docs/TUNING.md), the second — when v is 2 — as the farthest point from
+// the first, and store exact distances D1, D2 for the remaining points.
 func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
 	c.b.Node(depth)
 	n := &node[T]{}
@@ -100,22 +109,25 @@ func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff 
 
 	d1 := c.Dist[lo : lo+len(rest)]
 	c.b.MeasureIDs(n.sv1, c.items, rest, d1)
-	far := 0
-	for i := range rest {
-		if d1[i] > d1[far] {
-			far = i
+	v := c.t.v
+	if v == 2 {
+		far := 0
+		for i := range rest {
+			if d1[i] > d1[far] {
+				far = i
+			}
 		}
-	}
-	// Second vantage point: the farthest point from the first (§4.2:
-	// "we chose the second vantage point in a leaf node to be the
-	// farthest point from the first vantage point of that leaf node").
-	last := len(rest) - 1
-	rest[far], rest[last] = rest[last], rest[far]
-	d1[far], d1[last] = d1[last], d1[far]
-	n.sv2, n.hasSV2 = c.items[rest[last]], true
-	rest, d1 = rest[:last], d1[:last]
-	if len(rest) == 0 {
-		return n
+		// Second vantage point: the farthest point from the first (§4.2:
+		// "we chose the second vantage point in a leaf node to be the
+		// farthest point from the first vantage point of that leaf node").
+		last := len(rest) - 1
+		rest[far], rest[last] = rest[last], rest[far]
+		d1[far], d1[last] = d1[last], d1[far]
+		n.sv2, n.hasSV2 = c.items[rest[last]], true
+		rest, d1 = rest[:last], d1[:last]
+		if len(rest) == 0 {
+			return n
+		}
 	}
 
 	// D1 goes into the rows first, so its slots of Dist can take D2.
@@ -129,9 +141,11 @@ func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff 
 		row[0] = d1[i]
 		copy(row[2:], c.paths[int(id)*p:int(id)*p+held])
 	}
-	c.b.MeasureIDs(n.sv2, c.items, rest, d1)
-	for i := range rest {
-		rows[i*stride+1] = d1[i]
+	if v == 2 {
+		c.b.MeasureIDs(n.sv2, c.items, rest, d1)
+		for i := range rest {
+			rows[i*stride+1] = d1[i]
+		}
 	}
 	return n
 }
@@ -151,7 +165,8 @@ func (c *construction[T]) measure(v T, ids []int32, dist []float64, keys []build
 // buildInternal implements step 3 of the paper's algorithm generalized
 // to m partitions per vantage point: the first vantage point splits the
 // set into m equal shells; one second vantage point (from the outermost
-// shell) splits every shell into m more. Child subtrees build through
+// shell) splits every shell into m more — with v = 1 there is none, and
+// each shell is a child (the vp-tree's node). Child subtrees build through
 // the shared pool via Fork, each over its own slot range and with its
 // own position-derived RNG.
 //
@@ -177,26 +192,28 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, f
 	shells := min(c.t.m, len(keys))
 	n.cut1 = build.SplitEqual(keys, shells)
 
-	// Second vantage point: from the outermost shell — the farthest
-	// point from sv1 by default, or a random member for the ablation.
-	outerLo, outerHi := build.GroupBounds(len(keys), shells, shells-1)
-	pick := outerHi - 1 // keys are sorted by d1: the farthest point
-	if c.opts.RandomSecondVantage {
-		pick = outerLo + rng.IntN(outerHi-outerLo)
-	}
-	sv2 := keys[pick].ID
-	n.sv2, n.hasSV2 = c.items[sv2], true
-	// Remove the picked key from the order (and from the outer shell);
-	// its slot is the one after the points that go on to the children.
-	keys = append(keys[:pick], keys[pick+1:]...)
-	for i, k := range keys {
-		rest[i] = k.ID
-	}
-	rest[len(keys)] = sv2
-	rest, dist = rest[:len(keys)], dist[:len(keys)]
+	if c.t.v == 2 {
+		// Second vantage point: from the outermost shell — the farthest
+		// point from sv1 by default, or a random member for the ablation.
+		outerLo, outerHi := build.GroupBounds(len(keys), shells, shells-1)
+		pick := outerHi - 1 // keys are sorted by d1: the farthest point
+		if c.opts.RandomSecondVantage {
+			pick = outerLo + rng.IntN(outerHi-outerLo)
+		}
+		sv2 := keys[pick].ID
+		n.sv2, n.hasSV2 = c.items[sv2], true
+		// Remove the picked key from the order (and from the outer shell);
+		// its slot is the one after the points that go on to the children.
+		keys = append(keys[:pick], keys[pick+1:]...)
+		for i, k := range keys {
+			rest[i] = k.ID
+		}
+		rest[len(keys)] = sv2
+		rest, dist = rest[:len(keys)], dist[:len(keys)]
 
-	// Distances to sv2 for every remaining point, across all shells.
-	c.measure(n.sv2, rest, dist, keys, held+1)
+		// Distances to sv2 for every remaining point, across all shells.
+		c.measure(n.sv2, rest, dist, keys, held+1)
+	}
 
 	// Partition every shell again (cheap: no distance computations),
 	// then recurse through the pool. Each task writes one distinct
@@ -222,8 +239,10 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, f
 			continue
 		}
 		// Order the shell's points by distance to sv2 and split again.
-		parts := min(c.t.m, len(shell))
-		n.cut2[g] = build.SplitEqual(shell, parts)
+		parts := c.parts(len(shell))
+		if c.t.v == 2 {
+			n.cut2[g] = build.SplitEqual(shell, parts)
+		}
 		n.children[g] = make([]*node[T], parts)
 		for h := range n.children[g] {
 			partLo, partHi := build.GroupBounds(len(shell), parts, h)

@@ -5,7 +5,10 @@ import "mvptree/internal/cascade"
 // EnableCascade builds the cross-query bound cascade for the tree: a
 // breadth-first walk collects the first opts.Pivots vantage points as
 // cascade pivots (stamping their nodes) and assigns every leaf item a
-// contiguous id, then precomputes the pivot × item distance rows
+// contiguous id — as it does the points of a leaf too small to have
+// items, which the scans treat as candidates (rangeBare): in a classic
+// vp-tree those are all there is to filter — then precomputes the pivot
+// × item distance rows
 // through the tree's own counter (internal/cascade). Afterwards every
 // Range/KNN query registers the exact distances it computes at stamped
 // vantage points — distances the traversal pays for anyway — and skips
@@ -37,6 +40,15 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
+		if n.isLeaf() && n.cnt == 0 {
+			n.casBase = b.AddItems(nil) // the id the first point gets
+			for i := 0; i < 2; i++ {
+				if pt, ok := n.point(i); ok {
+					b.AddItem(*pt)
+				}
+			}
+			continue
+		}
 		if n.hasSV1 {
 			n.cas1 = b.AddPivot(n.sv1)
 		}

@@ -9,11 +9,12 @@ import (
 	"mvptree/internal/testutil"
 )
 
+var cascadeOpts = Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}}
+
 // newCascadePair builds two identical trees over the same items and
 // enables the cascade on the second.
-func newCascadePair(t *testing.T, items [][]float64) (off, on *Tree[[]float64]) {
+func newCascadePair(t *testing.T, items [][]float64, opts Options) (off, on *Tree[[]float64]) {
 	t.Helper()
-	opts := Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}}
 	var err error
 	if off, err = New(items, metric.NewCounter(metric.L2), opts); err != nil {
 		t.Fatal(err)
@@ -30,12 +31,16 @@ func newCascadePair(t *testing.T, items [][]float64) (off, on *Tree[[]float64]) 
 	return off, on
 }
 
-// TestCascadeInvariance checks the core cascade contract on the
-// mvp-tree: byte-identical results with cascade on and off, and
-// per-query distance counts that never increase.
+// TestCascadeInvariance checks the core cascade contract on both
+// trees: byte-identical results with cascade on and off, and per-query
+// distance counts that never increase.
 func TestCascadeInvariance(t *testing.T) {
+	eachV(t, cascadeOpts, checkCascadeInvariance)
+}
+
+func checkCascadeInvariance(t *testing.T, opts Options) {
 	items := uniformItems(41, 3000, 12)
-	off, on := newCascadePair(t, items)
+	off, on := newCascadePair(t, items, opts)
 	rng := rand.New(rand.NewPCG(5, 5))
 	var pruned int
 	for qi := 0; qi < 40; qi++ {
@@ -91,31 +96,26 @@ func TestCascadeSteadyStateAllocations(t *testing.T) {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
 	items := uniformItems(13, 2000, 8)
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableCascade(cascade.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
-	near := items[17]
-	tree.Range(far, 0.5)
-	tree.KNN(near, 10)
-	if allocs := testing.AllocsPerRun(200, func() { tree.Range(far, 0.5) }); allocs != 0 {
-		t.Errorf("cascaded empty-result Range allocated %.1f times per query, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { tree.KNN(near, 10) }); allocs > 1 {
-		t.Errorf("cascaded KNN allocated %.1f times per query, want <= 1 (the result slice)", allocs)
-	}
+	eachV(t, cascadeOpts, func(t *testing.T, opts Options) {
+		_, tree := newCascadePair(t, items, opts)
+		far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
+		near := items[17]
+		tree.Range(far, 0.5)
+		tree.KNN(near, 10)
+		if allocs := testing.AllocsPerRun(200, func() { tree.Range(far, 0.5) }); allocs != 0 {
+			t.Errorf("cascaded empty-result Range allocated %.1f times per query, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { tree.KNN(near, 10) }); allocs > 1 {
+			t.Errorf("cascaded KNN allocated %.1f times per query, want <= 1 (the result slice)", allocs)
+		}
+	})
 }
 
 // TestCascadeConcurrentQueries runs cascaded queries from many
 // goroutines for the race detector: caches are pooled but single-owner.
 func TestCascadeConcurrentQueries(t *testing.T) {
 	items := uniformItems(3, 1200, 8)
-	_, on := newCascadePair(t, items)
+	_, on := newCascadePair(t, items, cascadeOpts)
 	done := make(chan struct{})
 	for g := 0; g < 6; g++ {
 		go func(g int) {

@@ -42,12 +42,17 @@ func (t *Tree[T]) rangeFartherNode(n *node[T], q T, r float64, qpath []float64, 
 	if d1 >= r {
 		*out = append(*out, n.sv1)
 	}
-	d2 := t.dist.Distance(q, n.sv2)
-	if d2 >= r {
-		*out = append(*out, n.sv2)
-	}
 	if len(qpath) < t.p {
 		qpath = append(qpath, d1)
+	}
+	// Without a second vantage point d2 is 0 and each shell's one
+	// sub-shell [0, +Inf]: neither test on them below ever fires.
+	var d2 float64
+	if n.hasSV2 {
+		d2 = t.dist.Distance(q, n.sv2)
+		if d2 >= r {
+			*out = append(*out, n.sv2)
+		}
 		if len(qpath) < t.p {
 			qpath = append(qpath, d2)
 		}
@@ -90,6 +95,9 @@ func (t *Tree[T]) rangeFartherLeaf(n *node[T], q T, r float64, qpath []float64, 
 		if d2 >= r {
 			*out = append(*out, n.sv2)
 		}
+	}
+	if n.cnt == 0 {
+		return
 	}
 	items, rows, stride := t.leaf(n)
 	for i, it := range items {
@@ -178,13 +186,16 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		}
 		d1 := t.dist.Distance(q, n.sv1)
 		best.Push(n.sv1, d1)
-		d2 := t.dist.Distance(q, n.sv2)
-		best.Push(n.sv2, d2)
+		var d2 float64 // 0 without a second vantage point; so is its shell's upper bound +Inf
+		if n.hasSV2 {
+			d2 = t.dist.Distance(q, n.sv2)
+			best.Push(n.sv2, d2)
+		}
 		if len(qpath) < t.p {
 			ext := make([]float64, len(qpath), t.p)
 			copy(ext, qpath)
 			ext = append(ext, d1)
-			if len(ext) < t.p {
+			if n.hasSV2 && len(ext) < t.p {
 				ext = append(ext, d2)
 			}
 			qpath = ext
@@ -220,6 +231,9 @@ func (t *Tree[T]) kFarthestLeaf(n *node[T], q T, qpath []float64, best *heapx.KL
 	if n.hasSV2 {
 		d2 = t.dist.Distance(q, n.sv2)
 		best.Push(n.sv2, d2)
+	}
+	if n.cnt == 0 {
+		return
 	}
 	items, rows, stride := t.leaf(n)
 	for i, it := range items {

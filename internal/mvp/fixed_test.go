@@ -181,12 +181,15 @@ func TestFilterSoundAtBoundaryRadii(t *testing.T) {
 	for name, w := range workloads {
 		for _, opts := range optionMatrix[2:] {
 			tree, c := buildWorkloadTree(t, w, opts)
+			if len(tree.filter) == 0 {
+				continue // the classic vp-tree: nothing stored, nothing to round
+			}
 			if tree.slack != tree.step || tree.step > 1e-4 {
 				t.Fatalf("%s: step %g, slack %g, want one step of a grid this fine", name, tree.step, tree.slack)
 			}
 			var radii []float64
 			for _, q := range w.Queries {
-				for _, v := range []int{tree.root.sv1, tree.root.sv2} {
+				for _, v := range []int{tree.root.sv1, tree.root.sv2}[:tree.v] {
 					x := w.Items[rng.IntN(n)]
 					r := math.Abs(w.Dist(q, v) - w.Dist(x, v))
 					radii = append(radii, math.Nextafter(r, 0), r, math.Nextafter(r, 2))
@@ -362,9 +365,10 @@ func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 
 // TestLoadsFloat64LeafStream loads the two kinds of MVPTREE1 stream there
 // are — PR 14's, whose leaf distances have all 53 bits, and PR 18's,
-// whose are float32 values — and holds each to a fresh build of the same
-// items: same Save bytes (MVPTREE2), same step and slack, same answers
-// at the same cost. Both drew their first vantage points, so the fresh
+// whose are float32 values — and PR 19's MVPTREE2, which has the codes
+// but no v in its header, and holds each to a fresh build of the same
+// items: same Save bytes (MVPTREE3), same step and slack, same answers
+// at the same cost. All drew their first vantage points, so the fresh
 // build does too.
 func TestLoadsFloat64LeafStream(t *testing.T) {
 	items := dataset.UniformVectors(rand.New(rand.NewPCG(15, 3)), 400, 6)
@@ -394,24 +398,38 @@ func TestLoadsFloat64LeafStream(t *testing.T) {
 		t.Errorf("fresh build: step %g, slack %g", fresh.step, fresh.slack)
 	}
 	queries := dataset.UniformVectors(rand.New(rand.NewPCG(15, 4)), 40, 6)
-	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp"} {
+	for name, magic := range map[string]string{
+		"testdata/pr14_float64_leaves.mvp": loadMagicV1, "testdata/pr18_float32_leaves.mvp": loadMagicV1, "testdata/pr19_mvptree2.mvp": loadMagicV2,
+	} {
 		old, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(old[:16], []byte(loadMagicV1)) {
-			t.Fatalf("%s is not an %s stream", name, loadMagicV1)
+		if !bytes.Contains(old[:16], []byte(magic)) {
+			t.Fatalf("%s is not an %s stream", name, magic)
 		}
 		loaded := load(old)
 		v2 := save(loaded)
 		if !bytes.Equal(v2, want) {
 			t.Errorf("%s: the loaded tree saves differently (%d bytes) from a fresh build of the same items (%d)", name, len(v2), len(want))
 		}
-		// Two bytes a leaf distance for eight, and no PATH length per item.
-		saved := 0
-		fresh.root.eachLeaf(func(n *node[[]float64]) { saved += int(n.cnt) * (6*(2+int(n.held)) + 1) })
+		// Two bytes a leaf distance for eight, and no PATH length per
+		// item; from MVPTREE2 only the header differs, by v's one byte.
+		saved := -1
+		if magic == loadMagicV1 {
+			fresh.root.eachLeaf(func(n *node[[]float64]) { saved += int(n.cnt) * (6*(2+int(n.held)) + 1) })
+		}
 		if got := len(old) - len(v2); got < saved-8 || got > saved {
-			t.Errorf("%s: %d bytes as %s, %d as %s: want about %d fewer", name, len(old), loadMagicV1, len(v2), saveMagic, saved)
+			t.Errorf("%s: %d bytes as %s, %d as %s: want about %d fewer", name, len(old), magic, len(v2), saveMagic, saved)
+		}
+		if p2, p3 := testutil.PayloadOf(old), testutil.PayloadOf(v2); magic == loadMagicV2 {
+			i := 0 // v is where the payloads first differ
+			for i < len(p2) && p2[i] == p3[i] {
+				i++
+			}
+			if i > 8 || !bytes.Equal(p3[i+1:], p2[i:]) {
+				t.Errorf("%s: the %s payload is not the %s one with v in the header", name, saveMagic, magic)
+			}
 		}
 		again := load(v2)
 		if !bytes.Equal(save(again), v2) {

@@ -28,10 +28,12 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 }
 
 // FuzzLoad feeds Load arbitrary payloads, each raw and sealed behind a
-// matching CRC as either grammar. Load must never panic, never allocate beyond a
+// matching CRC under every magic Load knows — the three it reads and the
+// retired one it refuses. Load must never panic, never allocate beyond a
 // small multiple of its input, and whatever it returns must pass the
-// shape half of Validate and answer every query kind without panicking.
-// Items decode as strings under edit distance, so any bytes are an item.
+// shape half of Validate, answer every query kind without panicking and
+// survive Save → Load → Save byte for byte. Items decode as strings under
+// edit distance, so any bytes are an item.
 func FuzzLoad(f *testing.F) {
 	enc := func(s string) ([]byte, error) { return []byte(s), nil }
 	words := dataset.Words(rand.New(rand.NewPCG(15, 8)), 120, dataset.WordOptions{MinLen: 3, MaxLen: 8, MisspellingsPer: 2})
@@ -40,6 +42,8 @@ func FuzzLoad(f *testing.F) {
 		wordTree,
 		testutil.PayloadOf(saved(f, dataset.UniformVectors(rand.New(rand.NewPCG(15, 9)), 80, 3), metric.L2, codec.EncodeVector,
 			Options{Partitions: 3, LeafCapacity: 4, PathLength: 5, Build: Build{Seed: 2}})),
+		testutil.PayloadOf(saved(f, words, metric.Edit, enc, vpOptions(3, 1, 3))), // a classic vp-tree
+		testutil.PayloadOf(saved(f, words, metric.Edit, enc, Options{Vantages: 1, Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 4}})),
 		testutil.PayloadOf(saved(f, words[:6], metric.Edit, enc, Options{LeafCapacity: 13})), // a single leaf
 		testutil.PayloadOf(saved(f, nil, metric.Edit, enc, Options{})),                       // empty
 		wordTree[:len(wordTree)/2], // truncated
@@ -49,21 +53,28 @@ func FuzzLoad(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Add(saved(f, words[:20], metric.Edit, enc, Options{})) // a whole stream: loads raw, nests sealed
-	// What Save writes is MVPTREE2; the payloads earlier versions wrote.
-	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp"} {
-		v1, err := os.ReadFile(name)
+	// What Save writes is MVPTREE3; the payloads earlier versions wrote.
+	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp", "testdata/pr19_mvptree2.mvp", "testdata/pr19_vptree1.vp"} {
+		old, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(testutil.PayloadOf(v1))
+		f.Add(testutil.PayloadOf(old))
 	}
 
 	dec := func(b []byte) (string, error) { return string(b), nil }
+	load := func(stream []byte) (*Tree[string], error) {
+		return Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, stream := range [][]byte{payload, testutil.Seal(saveMagic, payload), testutil.Seal(loadMagicV1, payload)} {
+		streams := [][]byte{payload}
+		for _, magic := range []string{saveMagic, loadMagicV2, loadMagicV1, retiredVPMagic} {
+			streams = append(streams, testutil.Seal(magic, payload))
+		}
+		for _, stream := range streams {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			tree, err := Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)
+			tree, err := load(stream)
 			runtime.ReadMemStats(&after)
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(stream)+1<<20); got > limit {
 				t.Fatalf("Load allocated %d bytes for a %d-byte stream", got, len(stream))
@@ -82,6 +93,21 @@ func FuzzLoad(f *testing.F) {
 			}
 			reqs := []index.Query[string]{index.RangeQuery("probe", 2), index.RangeQuery("", 0)}
 			tree.SearchBatch(reqs, make([]index.Result[string], len(reqs)))
+
+			var first, second bytes.Buffer
+			if err := tree.Save(&first, enc); err != nil {
+				t.Fatalf("Save of a loaded tree: %v", err)
+			}
+			again, err := load(first.Bytes())
+			if err != nil {
+				t.Fatalf("Load of a loaded tree's Save: %v", err)
+			}
+			if err := again.Save(&second, enc); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("Save -> Load -> Save changed the stream")
+			}
 		}
 	})
 }

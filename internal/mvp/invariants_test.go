@@ -27,13 +27,19 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
 			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
 		}
+		if n.hasSV2 != (tr.v == 2 && len(items) > 0) && len(items) > 0 {
+			t.Fatalf("leaf of %d items in a tree of %d vantage points: second vantage point %v", len(items), tr.v, n.hasSV2)
+		}
 		for i, it := range items {
 			row := rows[i*stride : (i+1)*stride]
 			if got := raw(it, n.sv1); encode(got, tr.step) != row[0] {
 				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, tr.decode(row[0]), got)
 			}
-			if got := raw(it, n.sv2); encode(got, tr.step) != row[1] {
+			if got := raw(it, n.sv2); tr.v == 2 && encode(got, tr.step) != row[1] {
 				t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, tr.decode(row[1]), got)
+			}
+			if tr.v == 1 && row[1] != 0 {
+				t.Fatalf("leaf row %d of a one-vantage tree has %d in the D2 slot it does not use", i, row[1])
 			}
 			for l, stored := range row[2:] {
 				if got := raw(it, ancestors[l]); encode(got, tr.step) != stored {
@@ -47,8 +53,14 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 	if len(n.cut2) != len(n.children) {
 		t.Fatalf("internal node: %d cut2 rows for %d child rows", len(n.cut2), len(n.children))
 	}
-	next := append(append([]int(nil), ancestors...), n.sv1, n.sv2)
+	if n.hasSV2 != (tr.v == 2) {
+		t.Fatalf("internal node in a tree of %d vantage points: second vantage point %v", tr.v, n.hasSV2)
+	}
+	next := append(append([]int(nil), ancestors...), n.sv1, n.sv2)[:len(ancestors)+tr.v]
 	for g, row := range n.children {
+		if tr.v == 1 && (len(row) != 1 || len(n.cut2[g]) != 0) {
+			t.Fatalf("shell %d of a one-vantage node has %d children and %d cutoffs", g, len(row), len(n.cut2[g]))
+		}
 		lo1, hi1 := shellBounds(n.cut1, g)
 		for h, c := range row {
 			lo2, hi2 := shellBounds(n.cut2[g], h)
@@ -60,7 +72,7 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 					t.Fatalf("point %d in shell %d has d1 = %g outside [%g, %g]", pt, g, d1, lo1, hi1)
 				}
 				d2 := raw(pt, n.sv2)
-				if d2 < lo2 || d2 > hi2 {
+				if tr.v == 2 && (d2 < lo2 || d2 > hi2) {
 					t.Fatalf("point %d in sub-shell (%d,%d) has d2 = %g outside [%g, %g]", pt, g, h, d2, lo2, hi2)
 				}
 			}
@@ -91,17 +103,18 @@ func checkArenasTiled[T any](t *testing.T, tr *Tree[T]) {
 func TestLeavesTileTheArenas(t *testing.T) {
 	dist := func(a, b int) float64 { return float64(abs(float64(a*7919%1013 - b*7919%1013))) }
 	for _, m := range []int{2, 3, 5} {
-		for _, k := range []int{1, 2, 7, 30} {
+		for _, k := range []int{-1, 1, 2, 7, 30} {
 			for n := 0; n <= 220; n++ {
-				for _, random := range []bool{false, true} {
+				// v = 2 with the second vantage point farthest and drawn, then v = 1.
+				for i, v := range []int{2, 2, 1} {
 					tree, err := New(testutil.IDs(n), metric.NewCounter(dist),
-						Options{Partitions: m, LeafCapacity: k, PathLength: 3, RandomSecondVantage: random, Build: Build{Seed: uint64(n), Workers: 1 + n%3}})
+						Options{Vantages: v, Partitions: m, LeafCapacity: k, PathLength: 3, RandomSecondVantage: i == 1, Build: Build{Seed: uint64(n), Workers: 1 + n%3}})
 					if err != nil {
 						t.Fatal(err)
 					}
 					checkArenasTiled(t, tree)
 					if err := tree.Validate(); err != nil {
-						t.Fatalf("m=%d k=%d n=%d: %v", m, k, n, err)
+						t.Fatalf("v=%d m=%d k=%d n=%d: %v", v, m, k, n, err)
 					}
 				}
 			}

@@ -92,46 +92,21 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		t.TraceNode(n.isLeaf())
 		if n.isLeaf() {
 			s.LeavesVisited++
-			t.knnLeaf(n, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
+			if n.cnt == 0 {
+				t.knnBare(n, q, best, ext, cc, a, &s)
+			} else {
+				t.knnLeaf(n, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
+			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
-		if !a.Pay(2) {
+		if !a.Pay(t.v) {
 			break
 		}
-		// Stamped cascade pivots are computed exactly while the cache
-		// still wants registrations (an exact value is a valid bounded
-		// result, so every decision below is unchanged).
-		var d1, d2 float64
-		if int(pn.plen) >= t.p {
-			// The query PATH is full, so these distances are only
-			// compared against shell boundaries and τ′; abandoning past
-			// τ′+cutMax prunes exactly the shells the exact kernel
-			// would.
-			if cc != nil && n.cas1 != 0 && cc.Wants() {
-				d1 = t.dist.Distance(q, n.sv1)
-				cc.Register(n.cas1-1, d1)
-			} else {
-				d1 = t.dist.DistanceUpTo(q, n.sv1, tau+n.cut1Max)
-			}
-			if cc != nil && n.cas2 != 0 && cc.Wants() {
-				d2 = t.dist.Distance(q, n.sv2)
-				cc.Register(n.cas2-1, d2)
-			} else {
-				d2 = t.dist.DistanceUpTo(q, n.sv2, tau+n.cut2Max)
-			}
-		} else {
-			d1 = t.dist.Distance(q, n.sv1)
-			d2 = t.dist.Distance(q, n.sv2)
-			if cc != nil {
-				if n.cas1 != 0 && cc.Wants() {
-					cc.Register(n.cas1-1, d1)
-				}
-				if n.cas2 != 0 && cc.Wants() {
-					cc.Register(n.cas2-1, d2)
-				}
-			}
-		}
+		// While the query PATH is filling the distances are exact; once
+		// it is full they are only compared against shell boundaries and
+		// τ′, and abandoning past τ′+cutMax prunes exactly the shells the
+		// exact kernel would (vantageDistance).
 		// A reported distance above the bound it was computed with may
 		// understate the true value, and above the bound it is also
 		// globally discardable (≥ τ_local rejects locally; ≥ ext.Tau()
@@ -139,14 +114,20 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		// values enter the heap. With ext == nil this is equivalent to
 		// the unconditional push: an out-of-bound value is ≥ τ_local
 		// and the heap would reject it.
+		exact := int(pn.plen) < t.p
+		d1 := t.vantageDistance(q, n.sv1, n.cas1, exact, tau+n.cut1Max, cc)
+		var d2 float64 // 0 without a second vantage point: inside the one sub-shell
+		if n.hasSV2 {
+			d2 = t.vantageDistance(q, n.sv2, n.cas2, exact, tau+n.cut2Max, cc)
+		}
 		if d1 <= tau+n.cut1Max {
 			best.Push(n.sv1, d1)
 		}
-		if d2 <= tau+n.cut2Max {
+		if n.hasSV2 && d2 <= tau+n.cut2Max {
 			best.Push(n.sv2, d2)
 		}
-		s.VantagePoints += 2
-		t.TraceDistance(2)
+		s.VantagePoints += t.v
+		t.TraceDistance(t.v)
 		extTau := math.Inf(1)
 		if ext != nil {
 			ext.Publish(best.Threshold())
@@ -161,7 +142,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			noff := int32(len(sc.arena))
 			sc.arena = append(sc.arena, sc.arena[off:off+plen]...)
 			sc.arena = append(sc.arena, d1)
-			if int(plen)+1 < t.p {
+			if n.hasSV2 && int(plen)+1 < t.p {
 				sc.arena = append(sc.arena, d2)
 			}
 			off, plen = noff, int32(len(sc.arena))-noff
@@ -276,7 +257,7 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	// magnitude, not a window. All move only when a push tightens the heap.
 	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
-	qpath = qpath[:n.held] // held == len(qpath): both are min(p, 2·depth)
+	qpath = qpath[:n.held] // held == len(qpath): both are min(p, v·depth)
 	cas, base := t.cas, n.casBase
 	useCas := cc != nil && cc.Registered() > 0
 	// Quantized pre-filter state (quantize.go); a pruned candidate still
@@ -369,4 +350,43 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	if computed > 0 {
 		t.TraceDistance(computed)
 	}
+}
+
+// knnBare is knnLeaf for a leaf without items (see rangeBare): each of
+// its points is measured up to τ′ and pushed when within it, unless the
+// cascade bound already reaches the prune threshold.
+func (t *Tree[T]) knnBare(n *node[T], q T, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, a *index.Approx, s *SearchStats) {
+	extTau := math.Inf(1)
+	if ext != nil {
+		extTau = ext.Tau()
+	}
+	kernel := t.dist.Kernel()
+	useCas := cc != nil && cc.Registered() > 0
+	paid := 0
+	for i := 0; i < 2; i++ {
+		pt, ok := n.point(i)
+		if !ok {
+			break
+		}
+		cb := min(best.Threshold(), extTau)
+		if useCas && t.cas.LowerBound(cc, n.casBase+int32(i)) >= a.Shrink(cb) {
+			s.Candidates++
+			s.FilteredByCascade++
+			t.TracePrune(obs.FilterCascade, 1)
+			continue
+		}
+		if !a.Pay(1) {
+			break
+		}
+		paid++
+		t.TraceDistance(1)
+		if d := kernel(q, *pt, cb); d <= cb {
+			best.Push(*pt, d)
+		}
+	}
+	if ext != nil {
+		ext.Publish(best.Threshold())
+	}
+	t.dist.Add(int64(paid))
+	s.VantagePoints += paid
 }

@@ -2,7 +2,9 @@
 // Ozsoyoglu (SIGMOD 1997), the paper's primary contribution.
 //
 // The mvp-tree is a static, balanced, distance-based index for metric
-// spaces. It differs from the vp-tree in two ways:
+// spaces. It differs from the vp-tree in two ways, and this package is
+// both trees: Options.Vantages 1 with no retained distances is the m-way
+// vp-tree of the paper's §3.3 (internal/vptree is that constructor).
 //
 //  1. Every node uses two vantage points. The first partitions the
 //     node's points into m equal-cardinality spherical shells; the
@@ -63,15 +65,20 @@ type Options struct {
 	// for every worker count), and Seed makes vantage-point selection
 	// deterministic.
 	Build
+	// Vantages is v, the number of vantage points per node: 2 (also what
+	// 0 means) is the mvp-tree, 1 the m-way vp-tree, whose nodes have one
+	// child per shell and whose leaf points keep no D2.
+	Vantages int
 	// Partitions is m, the number of partitions created by each
-	// vantage point; each node has fanout m². The paper finds m=3 the
+	// vantage point; each node has fanout mᵛ. The paper finds m=3 the
 	// sweet spot for its vector workloads. Default 2 (the paper's
 	// presentation case).
 	Partitions int
 	// LeafCapacity is k, the maximum number of data points in a leaf
-	// in addition to the leaf's two vantage points. The paper
-	// recommends large leaves (e.g. 80) so most points are filtered by
-	// the pre-computed distances. Default 13.
+	// in addition to the leaf's vantage points. The paper recommends
+	// large leaves (e.g. 80) so most points are filtered by the
+	// pre-computed distances. 0 means the default, 13; -1 requests a
+	// genuine zero: leaves of vantage points only, the classic vp-tree's.
 	LeafCapacity int
 	// PathLength is p, the number of ancestor-vantage-point distances
 	// retained for every leaf point. It cannot exceed the number of
@@ -94,12 +101,6 @@ type Options struct {
 	// farthest point is the best candidate (§4.2); this switch exists
 	// for the ablation experiment that quantifies the claim.
 	RandomSecondVantage bool
-	// FlatVectors, for []float64 items only, copies every leaf's
-	// vectors into one contiguous arena after construction so survivor
-	// distance computations read sequential memory. Results, distance
-	// counts and the serialized form are unaffected; the option is
-	// silently ignored for non-vector item types.
-	FlatVectors bool
 	// Quantize, for []float64 items under a metric with a registered
 	// quantized lower-bound shape (metric.RegisterQuantized), builds a
 	// small companion representation of every leaf (internal/quant) that
@@ -113,11 +114,17 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
+	if o.Vantages == 0 {
+		o.Vantages = 2
+	}
 	if o.Partitions == 0 {
 		o.Partitions = 2
 	}
-	if o.LeafCapacity == 0 {
+	switch o.LeafCapacity {
+	case 0:
 		o.LeafCapacity = 13
+	case -1:
+		o.LeafCapacity = 0
 	}
 	switch {
 	case o.PathLength == 0:
@@ -131,11 +138,17 @@ func (o *Options) validate() error {
 	if err := o.Build.Validate("mvp"); err != nil {
 		return err
 	}
+	if o.Vantages != 1 && o.Vantages != 2 {
+		return errors.New("mvp: Vantages must be 1 or 2")
+	}
 	if o.Partitions < 2 {
 		return errors.New("mvp: Partitions must be at least 2")
 	}
-	if o.LeafCapacity < 1 {
-		return errors.New("mvp: LeafCapacity must be at least 1")
+	if o.LeafCapacity < 0 {
+		return errors.New("mvp: LeafCapacity must be positive, or -1 for none")
+	}
+	if o.RandomSecondVantage && o.Vantages == 1 {
+		return errors.New("mvp: RandomSecondVantage needs a second vantage point (Vantages 2)")
 	}
 	return nil
 }
@@ -149,6 +162,7 @@ type Tree[T any] struct {
 	root *node[T]
 	dist *metric.Counter[T]
 	size int
+	v    int
 	m    int
 	k    int
 	p    int
@@ -174,7 +188,7 @@ type Tree[T any] struct {
 var _ index.StatsIndex[int] = (*Tree[int])(nil)
 
 // node is either an internal node (children != nil) or a leaf. Both
-// kinds carry up to two vantage points, which are real data points.
+// kinds carry up to v vantage points, which are real data points.
 type node[T any] struct {
 	sv1, sv2 T
 	hasSV1   bool
@@ -182,7 +196,9 @@ type node[T any] struct {
 
 	// Internal node: cut1 partitions by distance to sv1 into
 	// len(cut1)+1 shells; cut2[g] partitions shell g by distance to
-	// sv2. children[g][h] indexes shell g, sub-shell h. cut1Max and
+	// sv2. children[g][h] indexes shell g, sub-shell h. With one vantage
+	// point cut2[g] is empty — one sub-shell, [0, +Inf] — and every shell
+	// has the one child children[g][0]. cut1Max and
 	// cut2Max cache the largest finite shell boundary per vantage
 	// point: any query-to-vantage distance certified to exceed
 	// radius+cutMax prunes every inner shell and leaves only the
@@ -197,8 +213,12 @@ type node[T any] struct {
 
 	// Leaf node: a view into the tree's arenas (Tree.leaf): cnt items
 	// from items[off], their filter rows from filter[foff]. A row is the
-	// item's distances to the leaf vantage points (the paper's D1, D2)
-	// and held = min(p, 2·depth) PATH entries. maxD1/maxD2 cache the
+	// item's distances to the leaf vantage points (the paper's D1, D2;
+	// with one vantage point the D2 slot is a zero no scan reads, so that
+	// the PATH codes sit at a constant offset in both trees: an offset of
+	// v cost the mvp-tree's leaf scans 2–6 % on uniform vectors, and only
+	// a bucketed vp-tree has rows to waste the 2 bytes in) and
+	// held = min(p, v·depth) PATH entries. maxD1/maxD2 cache the
 	// largest stored leaf distance plus the tree's slack, the abandonment
 	// bounds for the leaf's vantage-point kernels (sealLeaves).
 	off, cnt, held int32
@@ -208,7 +228,8 @@ type node[T any] struct {
 	// Cascade stamps (see cascade.go; all zero until EnableCascade).
 	// cas1/cas2 mark the node's vantage points as cascade pivots (the
 	// stamp is the pivot index plus one; zero means unstamped) and
-	// casBase is the cascade id of the leaf's first item.
+	// casBase is the cascade id of the leaf's first item — in a leaf
+	// without items, of its first vantage point.
 	cas1, cas2 int32
 	casBase    int32
 
@@ -219,6 +240,15 @@ type node[T any] struct {
 }
 
 func (n *node[T]) isLeaf() bool { return n.children == nil }
+
+// point returns the i-th point, of at most two, of a leaf without items:
+// its i-th vantage point (checkShape: no second without a first).
+func (n *node[T]) point(i int) (*T, bool) {
+	if i == 0 {
+		return &n.sv1, n.hasSV1
+	}
+	return &n.sv2, n.hasSV2
+}
 
 // leaf returns leaf n's items and rows; item i's is rows[i*stride:][:stride].
 func (t *Tree[T]) leaf(n *node[T]) (items []T, rows []uint16, stride int) {
@@ -288,12 +318,17 @@ func maxOf(xs []float64) float64 {
 }
 
 // New builds an mvp-tree over items using the counted metric dist. The
-// items slice is not retained. Construction makes O(n · log_{m²} n)
+// items slice is not retained. Construction makes O(n · log_m n)
 // distance computations, visible on dist and recorded in BuildCost.
 func New[T any](items []T, dist *metric.Counter[T], opts Options) (*Tree[T], error) {
 	t, _, err := NewWithStats(items, dist, opts)
 	return t, err
 }
+
+// rngSalt seeds the build's random stream, by v: the two trees drew from
+// streams of their own ("mvptree", "vptree") when they were two packages,
+// and keep the trees those seeds gave.
+var rngSalt = [...]uint64{1: 0x767074726565, 2: 0x6d767074726565}
 
 // NewWithStats is New plus the shared construction report: distance
 // computations, wall time, node count and depth (build.Stats).
@@ -305,6 +340,7 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 	t := &Tree[T]{
 		dist: dist,
 		size: len(items),
+		v:    opts.Vantages,
 		m:    opts.Partitions,
 		k:    opts.LeafCapacity,
 		p:    opts.PathLength,
@@ -316,14 +352,10 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 	}
 	leafItems, floats := c.leafLoad(len(items), 0)
 	t.items, c.raw = make([]T, leafItems), make([]float64, floats)
-	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, 0x6d767074726565), 0, 0, 0)
+	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, rngSalt[t.v]), 0, 0, 0)
 	t.encodeLeaves(c.raw, stepExp(c.raw))
 	t.sealLeaves()
 	t.buildStats = c.b.Finish()
-	if opts.FlatVectors {
-		// Relocates leaf vectors into one arena; no-op unless T is []float64.
-		build.FlattenVectors([][]T{t.items})
-	}
 	if opts.Quantize != quant.Off {
 		if err := t.EnableQuantize(opts.Quantize); err != nil {
 			return nil, build.Stats{}, err
@@ -350,8 +382,9 @@ func (t *Tree[T]) BuildCost() int64 { return t.buildStats.Distances }
 // produced by Load, which computes no distances).
 func (t *Tree[T]) BuildStats() build.Stats { return t.buildStats }
 
-// Partitions returns m, LeafCapacity returns k and PathLength returns p
-// as actually used (after defaulting).
+// Vantages returns v, Partitions m, LeafCapacity k and PathLength p as
+// actually used (after defaulting).
+func (t *Tree[T]) Vantages() int     { return t.v }
 func (t *Tree[T]) Partitions() int   { return t.m }
 func (t *Tree[T]) LeafCapacity() int { return t.k }
 func (t *Tree[T]) PathLength() int   { return t.p }

@@ -6,8 +6,18 @@ import (
 
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
-	"mvptree/internal/vptree"
 )
+
+// vpOptions are the options of the paper's vp-tree of the given order
+// (internal/vptree's mapping): one vantage point per node, leaves of at
+// most capacity points, nothing retained, every vantage point drawn.
+func vpOptions(order, capacity int, seed uint64) Options {
+	k := -1
+	if capacity > 1 {
+		k = capacity - 1
+	}
+	return Options{Vantages: 1, Partitions: order, LeafCapacity: k, PathLength: -1, RandomFirstVantage: true, Build: Build{Seed: seed}}
+}
 
 func buildWorkloadTree(t *testing.T, w *testutil.Workload, opts Options) (*Tree[int], *metric.Counter[int]) {
 	t.Helper()
@@ -28,6 +38,24 @@ var optionMatrix = []Options{
 	{Partitions: 4, LeafCapacity: 13, PathLength: 8, Build: Build{Seed: 7}},
 	{Partitions: 3, LeafCapacity: 13, PathLength: 4, RandomSecondVantage: true, Build: Build{Seed: 7}},
 	{Partitions: 3, LeafCapacity: 9, PathLength: 5, RandomFirstVantage: true, Build: Build{Seed: 7}},
+	// One vantage point per node: two of the shapes above, the classic
+	// vp-tree, and a bucketed one.
+	{Vantages: 1, Partitions: 2, LeafCapacity: 4, PathLength: 2, Build: Build{Seed: 7}},
+	{Vantages: 1, Partitions: 3, LeafCapacity: 9, PathLength: 5, Build: Build{Seed: 7}},
+	vpOptions(3, 1, 7),
+	vpOptions(2, 10, 7),
+}
+
+// eachV runs body on opts as given (v = 2, under the test's own name so
+// what it pinned before stays pinned) and, as subtests, on the same shape
+// at one vantage point per node and on the classic vp-tree of the same
+// order: every table so takes v as one more input.
+func eachV(t *testing.T, opts Options, body func(t *testing.T, opts Options)) {
+	body(t, opts)
+	one := opts
+	one.Vantages = 1
+	t.Run("v1", func(t *testing.T) { body(t, one) })
+	t.Run("vp", func(t *testing.T) { body(t, vpOptions(opts.Partitions, 1, opts.Seed)) })
 }
 
 func TestRangeMatchesLinearScan(t *testing.T) {
@@ -108,6 +136,9 @@ func TestInvalidOptions(t *testing.T) {
 		{Partitions: 1},
 		{Partitions: -1},
 		{LeafCapacity: -2},
+		{Vantages: 3},
+		{Vantages: -1},
+		{Vantages: 1, RandomSecondVantage: true},
 	} {
 		if _, err := New(items, dist, opts); err == nil {
 			t.Errorf("New with %+v succeeded, want error", opts)
@@ -243,7 +274,7 @@ func TestMVPBeatsVPOnPaperWorkload(t *testing.T) {
 	w := testutil.NewVectorWorkload(rng, 4000, 20, 25, metric.L2)
 
 	vc := metric.NewCounter(w.Dist)
-	vt, err := vptree.New(w.Items, vc, vptree.Options{Order: 2, Build: Build{Seed: 4}})
+	vt, err := New(w.Items, vc, vpOptions(2, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,25 +27,26 @@ func TestQueryAllocationsUnaffectedByHooks(t *testing.T) {
 		}
 		items[i] = v
 	}
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Partitions: 2, LeafCapacity: 16, PathLength: 3, Build: Build{Seed: 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := items[0]
+	eachV(t, Options{Partitions: 2, LeafCapacity: 16, PathLength: 3, Build: Build{Seed: 11}}, func(t *testing.T, opts Options) {
+		tree, err := New(items, metric.NewCounter(metric.L2), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := items[0]
 
-	disarmedRange := testing.AllocsPerRun(100, func() { tree.RangeWithStats(q, 0.3) })
-	disarmedKNN := testing.AllocsPerRun(100, func() { tree.KNNWithStats(q, 5) })
+		disarmedRange := testing.AllocsPerRun(100, func() { tree.RangeWithStats(q, 0.3) })
+		disarmedKNN := testing.AllocsPerRun(100, func() { tree.KNNWithStats(q, 5) })
 
-	tree.SetObserver(obs.NewObserver(1))
-	defer tree.SetObserver(nil)
-	armedRange := testing.AllocsPerRun(100, func() { tree.RangeWithStats(q, 0.3) })
-	armedKNN := testing.AllocsPerRun(100, func() { tree.KNNWithStats(q, 5) })
+		tree.SetObserver(obs.NewObserver(1))
+		defer tree.SetObserver(nil)
+		armedRange := testing.AllocsPerRun(100, func() { tree.RangeWithStats(q, 0.3) })
+		armedKNN := testing.AllocsPerRun(100, func() { tree.KNNWithStats(q, 5) })
 
-	if armedRange > disarmedRange {
-		t.Errorf("range: observer added allocations: %.1f armed vs %.1f disarmed", armedRange, disarmedRange)
-	}
-	if armedKNN > disarmedKNN {
-		t.Errorf("knn: observer added allocations: %.1f armed vs %.1f disarmed", armedKNN, disarmedKNN)
-	}
+		if armedRange > disarmedRange {
+			t.Errorf("range: observer added allocations: %.1f armed vs %.1f disarmed", armedRange, disarmedRange)
+		}
+		if armedKNN > disarmedKNN {
+			t.Errorf("knn: observer added allocations: %.1f armed vs %.1f disarmed", armedKNN, disarmedKNN)
+		}
+	})
 }

@@ -61,63 +61,67 @@ func TestQuantizeEquivalence(t *testing.T) {
 		for _, m := range metrics {
 			for _, mode := range []quant.Mode{quant.SQ8} {
 				t.Run(w.name+"/"+m.name+"/"+mode.String(), func(t *testing.T) {
-					distP := metric.NewCounter(m.fn)
-					plain, err := New(w.items, distP, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					optsQ := opts
-					optsQ.Quantize = mode
-					distQ := metric.NewCounter(m.fn)
-					quantized, err := New(w.items, distQ, optsQ)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if quantized.Quantized() == nil {
-						t.Fatal("pre-filter did not arm on a quantizable tree")
-					}
-					queries := uniformItems(64, 6, len(w.items[0]))
-					queries = append(queries, w.items[3], w.items[77])
-					for qi, q := range queries {
-						for _, r := range w.radii {
-							p0, q0 := distP.Count(), distQ.Count()
-							resP, stP := plain.RangeWithStats(q, r)
-							resQ, stQ := quantized.RangeWithStats(q, r)
-							if len(resP) != len(resQ) {
-								t.Fatalf("q%d r=%v: %d results plain vs %d quantized", qi, r, len(resP), len(resQ))
-							}
-							for i := range resP {
-								for j := range resP[i] {
-									if resP[i][j] != resQ[i][j] {
-										t.Fatalf("q%d r=%v: result %d differs", qi, r, i)
+					for _, v := range []int{2, 1} {
+						opts := opts
+						opts.Vantages = v
+						distP := metric.NewCounter(m.fn)
+						plain, err := New(w.items, distP, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						optsQ := opts
+						optsQ.Quantize = mode
+						distQ := metric.NewCounter(m.fn)
+						quantized, err := New(w.items, distQ, optsQ)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if quantized.Quantized() == nil {
+							t.Fatal("pre-filter did not arm on a quantizable tree")
+						}
+						queries := uniformItems(64, 6, len(w.items[0]))
+						queries = append(queries, w.items[3], w.items[77])
+						for qi, q := range queries {
+							for _, r := range w.radii {
+								p0, q0 := distP.Count(), distQ.Count()
+								resP, stP := plain.RangeWithStats(q, r)
+								resQ, stQ := quantized.RangeWithStats(q, r)
+								if len(resP) != len(resQ) {
+									t.Fatalf("q%d r=%v: %d results plain vs %d quantized", qi, r, len(resP), len(resQ))
+								}
+								for i := range resP {
+									for j := range resP[i] {
+										if resP[i][j] != resQ[i][j] {
+											t.Fatalf("q%d r=%v: result %d differs", qi, r, i)
+										}
 									}
 								}
-							}
-							if stP != stQ {
-								t.Errorf("q%d r=%v: stats differ:\nplain %+v\nquant %+v", qi, r, stP, stQ)
-							}
-							if pd, qd := distP.Count()-p0, distQ.Count()-q0; pd != qd {
-								t.Errorf("q%d r=%v: counter delta differs: %d plain vs %d quantized", qi, r, pd, qd)
-							}
-						}
-						for _, k := range []int{1, 10} {
-							p0, q0 := distP.Count(), distQ.Count()
-							nbP, stP := plain.KNNWithStats(q, k)
-							nbQ, stQ := quantized.KNNWithStats(q, k)
-							if len(nbP) != len(nbQ) {
-								t.Fatalf("q%d k=%d: %d neighbors plain vs %d quantized", qi, k, len(nbP), len(nbQ))
-							}
-							for i := range nbP {
-								if nbP[i].Dist != nbQ[i].Dist {
-									t.Errorf("q%d k=%d: neighbor %d dist %v plain vs %v quantized", qi, k, i, nbP[i].Dist, nbQ[i].Dist)
-									break
+								if stP != stQ {
+									t.Errorf("q%d r=%v: stats differ:\nplain %+v\nquant %+v", qi, r, stP, stQ)
+								}
+								if pd, qd := distP.Count()-p0, distQ.Count()-q0; pd != qd {
+									t.Errorf("q%d r=%v: counter delta differs: %d plain vs %d quantized", qi, r, pd, qd)
 								}
 							}
-							if stP != stQ {
-								t.Errorf("q%d k=%d: stats differ:\nplain %+v\nquant %+v", qi, k, stP, stQ)
-							}
-							if pd, qd := distP.Count()-p0, distQ.Count()-q0; pd != qd {
-								t.Errorf("q%d k=%d: counter delta differs: %d plain vs %d quantized", qi, k, pd, qd)
+							for _, k := range []int{1, 10} {
+								p0, q0 := distP.Count(), distQ.Count()
+								nbP, stP := plain.KNNWithStats(q, k)
+								nbQ, stQ := quantized.KNNWithStats(q, k)
+								if len(nbP) != len(nbQ) {
+									t.Fatalf("q%d k=%d: %d neighbors plain vs %d quantized", qi, k, len(nbP), len(nbQ))
+								}
+								for i := range nbP {
+									if nbP[i].Dist != nbQ[i].Dist {
+										t.Errorf("q%d k=%d: neighbor %d dist %v plain vs %v quantized", qi, k, i, nbP[i].Dist, nbQ[i].Dist)
+										break
+									}
+								}
+								if stP != stQ {
+									t.Errorf("q%d k=%d: stats differ:\nplain %+v\nquant %+v", qi, k, stP, stQ)
+								}
+								if pd, qd := distP.Count()-p0, distQ.Count()-q0; pd != qd {
+									t.Errorf("q%d k=%d: counter delta differs: %d plain vs %d quantized", qi, k, pd, qd)
+								}
 							}
 						}
 					}
@@ -178,20 +182,22 @@ func TestQuantizeZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
 	items := uniformItems(81, 2000, 8)
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}, Quantize: quant.SQ8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
-	near := items[17]
-	tree.Range(far, 0.5)
-	tree.KNN(near, 10)
-	if allocs := testing.AllocsPerRun(200, func() { tree.Range(far, 0.5) }); allocs != 0 {
-		t.Errorf("quantized empty-result Range allocated %.1f times per query, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { tree.KNN(near, 10) }); allocs > 1 {
-		t.Errorf("quantized KNN allocated %.1f times per query, want <= 1", allocs)
+	for _, v := range []int{2, 1} {
+		tree, err := New(items, metric.NewCounter(metric.L2),
+			Options{Vantages: v, Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}, Quantize: quant.SQ8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
+		near := items[17]
+		tree.Range(far, 0.5)
+		tree.KNN(near, 10)
+		if allocs := testing.AllocsPerRun(200, func() { tree.Range(far, 0.5) }); allocs != 0 {
+			t.Errorf("v=%d: quantized empty-result Range allocated %.1f times per query, want 0", v, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { tree.KNN(near, 10) }); allocs > 1 {
+			t.Errorf("v=%d: quantized KNN allocated %.1f times per query, want <= 1", v, allocs)
+		}
 	}
 }
 

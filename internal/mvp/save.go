@@ -2,6 +2,7 @@ package mvp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,11 +27,17 @@ type ItemEncoder[T any] func(T) ([]byte, error)
 // ItemDecoder deserializes one item.
 type ItemDecoder[T any] func([]byte) (T, error)
 
-// Save writes saveMagic; Load also reads loadMagicV1, whose leaves carry
-// a double per distance and a PATH length per item (docs/FORMAT.md).
+// Save writes saveMagic. Load also reads loadMagicV2, which has no v in
+// its header because v was always 2, and loadMagicV1, whose leaves besides
+// carry a double per distance and a PATH length per item. retiredVPMagic
+// is the stream internal/vptree wrote while it was a tree of its own: its
+// bucket leaves store no distances, so it cannot become a tree of this
+// package without computing some, and Load says so (docs/FORMAT.md).
 const (
-	saveMagic   = "MVPTREE2"
-	loadMagicV1 = "MVPTREE1"
+	saveMagic      = "MVPTREE3"
+	loadMagicV2    = "MVPTREE2"
+	loadMagicV1    = "MVPTREE1"
+	retiredVPMagic = "VPTREE1"
 )
 
 // Save writes the tree to w as a CRC-protected payload. The distance
@@ -45,6 +52,7 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	pw.Int(t.size)
 	_, e := math.Frexp(t.step) // step = 0.5 · 2^e
 	pw.Int(e - 1 - minStepExp)
+	pw.Int(t.v)
 	if err := t.saveNode(pw, t.root, enc); err != nil {
 		return err
 	}
@@ -97,8 +105,12 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 			if err := item(it); err != nil {
 				return err
 			}
-			for _, c := range rows[i*stride : (i+1)*stride] {
-				w.Uint16(c)
+			// The stream has no D2 where the tree has no second vantage
+			// point; the arena keeps the slot (node, "Leaf node").
+			for l, c := range rows[i*stride : (i+1)*stride] {
+				if l != 1 || t.v == 2 {
+					w.Uint16(c)
+				}
 			}
 		}
 		return w.Err()
@@ -107,14 +119,19 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 	if err := item(n.sv1); err != nil {
 		return err
 	}
-	if err := item(n.sv2); err != nil {
-		return err
+	if n.hasSV2 {
+		if err := item(n.sv2); err != nil {
+			return err
+		}
 	}
 	w.Floats(n.cut1)
 	w.Int(len(n.children))
 	for g, row := range n.children {
-		w.Floats(n.cut2[g])
-		w.Int(len(row))
+		// One vantage point: each shell is its one child.
+		if n.hasSV2 {
+			w.Floats(n.cut2[g])
+			w.Int(len(row))
+		}
 		for _, c := range row {
 			if err := t.saveNode(w, c, enc); err != nil {
 				return err
@@ -133,7 +150,11 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	outer := wire.NewReader(r)
 	magic := string(outer.Bytes())
-	if magic != saveMagic && magic != loadMagicV1 {
+	switch magic {
+	case saveMagic, loadMagicV2, loadMagicV1:
+	case retiredVPMagic:
+		return nil, errRetiredVP
+	default:
 		return nil, fmt.Errorf("mvp: bad magic (not an mvp-tree stream)")
 	}
 	payload := outer.Bytes()
@@ -151,25 +172,30 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 	t.p = rr.Int()
 	t.size = rr.Int()
 	exp := minStepExp
-	if magic == saveMagic {
+	if magic != loadMagicV1 {
 		exp += rr.Int()
+	}
+	t.v = 2
+	if magic == saveMagic {
+		t.v = rr.Int()
 	}
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if t.m < 2 || t.k < 1 || t.p < 0 || t.size < 0 || exp > maxStepExp {
-		return nil, fmt.Errorf("mvp: corrupt header (m=%d k=%d p=%d n=%d step=2^%d)", t.m, t.k, t.p, t.size, exp)
+	if t.v < 1 || t.v > 2 || t.m < 2 || t.k < 0 || t.p < 0 || t.size < 0 || exp > maxStepExp {
+		return nil, fmt.Errorf("mvp: corrupt header (v=%d m=%d k=%d p=%d n=%d step=2^%d)", t.v, t.m, t.k, t.p, t.size, exp)
 	}
 	// No loadable leaf can hold more PATH entries than this, and p sizes
 	// the query scratch. The arenas start at what the header asks for or
-	// the payload could hold (5 bytes a leaf item at least; 2 a code, 8 a
-	// double), whichever is less; cloning then drops the spare.
-	t.p = min(t.p, 2*maxLoadDepth)
+	// the payload could hold (5 bytes a leaf item at least; a code per
+	// byte at most, since a one-vantage row's D2 slot is not in the stream;
+	// 8 bytes a double), whichever is less; cloning then drops the spare.
+	t.p = min(t.p, t.v*maxLoadDepth)
 	t.items = make([]T, 0, min(t.size, len(payload)/5))
-	var raw *[]float64 // the distances of a v1 stream, nil reading a v2
-	if magic == saveMagic {
+	var raw *[]float64 // the distances of a v1 stream, nil reading a later one
+	if magic != loadMagicV1 {
 		t.step = math.Ldexp(1, exp)
-		t.filter = make([]uint16, 0, min(t.size*(2+t.p), len(payload)/2))
+		t.filter = make([]uint16, 0, min(t.size*(2+t.p), len(payload)))
 	} else {
 		doubles := make([]float64, 0, min(t.size*(2+t.p), len(payload)/8))
 		raw = &doubles
@@ -209,6 +235,9 @@ func v1Distance(r *wire.Reader) float64 {
 	}
 	return x
 }
+
+// errRetiredVP is Load's answer to a stream of the retired vp-tree grammar.
+var errRetiredVP = errors.New("mvp: a " + retiredVPMagic + " stream: the vp-tree's own format is retired (its leaves stored no distances, which a tree of this package needs); rebuild the tree and save it again")
 
 // maxLoadDepth guards against corrupt streams describing pathologically
 // deep recursion.
@@ -256,7 +285,7 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[
 			n.foff = len(*raw)
 		}
 		if count > 0 {
-			n.held = int32(min(t.p, 2*depth))
+			n.held = int32(min(t.p, t.v*depth))
 		}
 		for i := 0; i < count; i++ {
 			it, err := item()
@@ -266,7 +295,11 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[
 			t.items = append(t.items, it)
 			if raw == nil {
 				for l := int32(0); l < 2+n.held; l++ {
-					t.filter = append(t.filter, r.Uint16())
+					var c uint16 // the D2 slot a one-vantage stream leaves out
+					if l != 1 || t.v == 2 {
+						c = r.Uint16()
+					}
+					t.filter = append(t.filter, c)
 				}
 				continue
 			}
@@ -280,13 +313,15 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[
 		}
 		return n, r.Err()
 	case tagInternal:
-		n := &node[T]{hasSV1: true, hasSV2: true}
+		n := &node[T]{hasSV1: true, hasSV2: t.v == 2}
 		var err error
 		if n.sv1, err = item(); err != nil {
 			return nil, err
 		}
-		if n.sv2, err = item(); err != nil {
-			return nil, err
+		if n.hasSV2 {
+			if n.sv2, err = item(); err != nil {
+				return nil, err
+			}
 		}
 		n.cut1 = r.Floats()
 		rows := r.Int()
@@ -299,8 +334,11 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[
 		n.cut2 = make([][]float64, rows)
 		n.children = make([][]*node[T], rows)
 		for g := 0; g < rows; g++ {
-			n.cut2[g] = r.Floats()
-			cols := r.Int()
+			cols := 1 // one vantage point: each shell is its one child
+			if n.hasSV2 {
+				n.cut2[g] = r.Floats()
+				cols = r.Int()
+			}
 			if err := r.Err(); err != nil {
 				return nil, err
 			}

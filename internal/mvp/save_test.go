@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"os"
+	"strings"
 	"testing"
 
 	"mvptree/internal/codec"
@@ -38,8 +40,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if loaded.Len() != orig.Len() {
 			t.Fatalf("Len = %d, want %d", loaded.Len(), orig.Len())
 		}
-		if loaded.Partitions() != orig.Partitions() || loaded.LeafCapacity() != orig.LeafCapacity() ||
-			loaded.PathLength() != orig.PathLength() {
+		if loaded.Vantages() != orig.Vantages() || loaded.Partitions() != orig.Partitions() ||
+			loaded.LeafCapacity() != orig.LeafCapacity() || loaded.PathLength() != orig.PathLength() {
 			t.Fatal("parameters changed across save/load")
 		}
 		// The loaded tree must answer every query identically and
@@ -55,25 +57,27 @@ func TestSaveLoadIdenticalQueryCosts(t *testing.T) {
 	// distance computations per query, not just identical answers.
 	rng := rand.New(rand.NewPCG(72, 3))
 	w := testutil.NewVectorWorkload(rng, 500, 6, 8, metric.L2)
-	orig, c := buildWorkloadTree(t, w, Options{Partitions: 3, LeafCapacity: 9, PathLength: 5, Build: Build{Seed: 3}})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf, encodeID); err != nil {
-		t.Fatal(err)
-	}
-	c2 := metric.NewCounter(w.Dist)
-	loaded, err := Load(&buf, c2, decodeID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range w.Queries {
-		c.Reset()
-		orig.Range(q, 0.4)
-		c2.Reset()
-		loaded.Range(q, 0.4)
-		if c.Count() != c2.Count() {
-			t.Fatalf("query cost differs after reload: %d vs %d", c.Count(), c2.Count())
+	eachV(t, Options{Partitions: 3, LeafCapacity: 9, PathLength: 5, Build: Build{Seed: 3}}, func(t *testing.T, opts Options) {
+		orig, c := buildWorkloadTree(t, w, opts)
+		var buf bytes.Buffer
+		if err := orig.Save(&buf, encodeID); err != nil {
+			t.Fatal(err)
 		}
-	}
+		c2 := metric.NewCounter(w.Dist)
+		loaded, err := Load(&buf, c2, decodeID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range w.Queries {
+			c.Reset()
+			orig.Range(q, 0.4)
+			c2.Reset()
+			loaded.Range(q, 0.4)
+			if c.Count() != c2.Count() {
+				t.Fatalf("query cost differs after reload: %d vs %d", c.Count(), c2.Count())
+			}
+		}
+	})
 }
 
 func TestSaveLoadEmptyAndTiny(t *testing.T) {
@@ -100,24 +104,51 @@ func TestSaveLoadEmptyAndTiny(t *testing.T) {
 func TestLoadRejectsCorruptStreams(t *testing.T) {
 	rng := rand.New(rand.NewPCG(73, 3))
 	w := testutil.NewVectorWorkload(rng, 100, 4, 1, metric.L2)
-	orig, c := buildWorkloadTree(t, w, Options{Build: Build{Seed: 1}})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf, encodeID); err != nil {
+	eachV(t, Options{Build: Build{Seed: 1}}, func(t *testing.T, opts Options) {
+		orig, c := buildWorkloadTree(t, w, opts)
+		var buf bytes.Buffer
+		if err := orig.Save(&buf, encodeID); err != nil {
+			t.Fatal(err)
+		}
+		valid := buf.Bytes()
+
+		cases := map[string][]byte{
+			"empty":       {},
+			"bad magic":   append([]byte{8}, []byte("NOTMVPTR")...),
+			"truncated":   valid[:len(valid)/2],
+			"one byte":    valid[:1],
+			"flipped tag": flipByte(valid, len(valid)-1),
+			// Any single corrupted payload byte is caught by the checksum.
+			"flipped header": flipByte(valid, 20),
+			"flipped middle": flipByte(valid, len(valid)/2),
+			"flipped late":   flipByte(valid, len(valid)-10),
+		}
+		for name, data := range cases {
+			if _, err := Load(bytes.NewReader(data), c, decodeID); err == nil {
+				t.Errorf("%s: Load succeeded on corrupt data", name)
+			}
+		}
+	})
+}
+
+// TestLoadNamesRetiredVPStream: a stream internal/vptree saved while it
+// was a tree of its own (PR 19's bytes) is refused by name — not as a bad
+// magic — without reading past the magic.
+func TestLoadNamesRetiredVPStream(t *testing.T) {
+	old, err := os.ReadFile("testdata/pr19_vptree1.vp")
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte{8}, []byte("NOTMVPTR")...),
-		"truncated":   valid[:len(valid)/2],
-		"one byte":    valid[:1],
-		"flipped tag": flipByte(valid, len(valid)-1),
+	load := func() error {
+		_, err := Load(bytes.NewReader(old), metric.NewCounter(metric.L2), codec.DecodeVector)
+		return err
 	}
-	for name, data := range cases {
-		if _, err := Load(bytes.NewReader(data), c, decodeID); err == nil {
-			t.Errorf("%s: Load succeeded on corrupt data", name)
-		}
+	if err := load(); !errors.Is(err, errRetiredVP) || !strings.Contains(err.Error(), "VPTREE1") || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("Load of a VPTREE1 stream: %v", err)
+	}
+	// The reader, the counter and the magic's seven bytes: nothing sized by the stream.
+	if allocs := testing.AllocsPerRun(20, func() { _ = load() }); !testutil.RaceEnabled && allocs > 8 {
+		t.Errorf("refusing a VPTREE1 stream allocated %.0f times", allocs)
 	}
 }
 

@@ -97,10 +97,15 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	s.NodesVisited++
 	t.TraceNode(n.isLeaf())
 	if n.isLeaf() {
-		t.rangeLeaf(n, q, r, rp, plen, sc, cc, out, s)
+		s.LeavesVisited++
+		if n.cnt == 0 {
+			t.rangeBare(n, q, r, rp, a, cc, out, s)
+		} else {
+			t.rangeLeaf(n, q, r, rp, plen, sc, cc, out, s)
+		}
 		return
 	}
-	if !a.Pay(2) {
+	if !a.Pay(t.v) {
 		return
 	}
 
@@ -112,54 +117,30 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	// kernel may abandon past r+cutMax without changing any decision
 	// (rp ≤ r, so an abandoned value and the true one also land on the
 	// same side of every rp-window test).
-	// A vantage point stamped as a cascade pivot is computed exactly
-	// while the query's cache still wants registrations — an exact value
-	// is a valid bounded-kernel result, so every decision below is
-	// unchanged — and the distance doubles as a global filter bound.
-	var d1, d2 float64
-	if plen >= t.p {
-		if cc != nil && n.cas1 != 0 && cc.Wants() {
-			d1 = t.dist.Distance(q, n.sv1)
-			cc.Register(n.cas1-1, d1)
-		} else {
-			d1 = t.dist.DistanceUpTo(q, n.sv1, r+n.cut1Max)
-		}
-		if cc != nil && n.cas2 != 0 && cc.Wants() {
-			d2 = t.dist.Distance(q, n.sv2)
-			cc.Register(n.cas2-1, d2)
-		} else {
-			d2 = t.dist.DistanceUpTo(q, n.sv2, r+n.cut2Max)
-		}
-	} else {
-		d1 = t.dist.Distance(q, n.sv1)
-		d2 = t.dist.Distance(q, n.sv2)
-		if cc != nil {
-			if n.cas1 != 0 && cc.Wants() {
-				cc.Register(n.cas1-1, d1)
-			}
-			if n.cas2 != 0 && cc.Wants() {
-				cc.Register(n.cas2-1, d2)
-			}
-		}
-	}
-	s.VantagePoints += 2
-	t.TraceDistance(2)
+	exact, w := plen < t.p, rp+t.slack // PATH windows meet stored codes: slack wider than the shells'
+	d1 := t.vantageDistance(q, n.sv1, n.cas1, exact, r+n.cut1Max, cc)
 	if d1 <= r {
 		*out = append(*out, n.sv1)
 	}
-	if d2 <= r {
-		*out = append(*out, n.sv2)
-	}
 	if plen < t.p {
-		// PATH windows meet stored codes: slack wider than the shells'.
-		w := rp + t.slack
 		sc.qlo[plen], sc.qhi[plen] = t.window(d1-w, d1+w)
 		plen++
+	}
+	// Without a second vantage point d2 stays 0, inside the one
+	// sub-shell [0, +Inf] each shell then has.
+	var d2 float64
+	if n.hasSV2 {
+		d2 = t.vantageDistance(q, n.sv2, n.cas2, exact, r+n.cut2Max, cc)
+		if d2 <= r {
+			*out = append(*out, n.sv2)
+		}
 		if plen < t.p {
 			sc.qlo[plen], sc.qhi[plen] = t.window(d2-w, d2+w)
 			plen++
 		}
 	}
+	s.VantagePoints += t.v
+	t.TraceDistance(t.v)
 
 	// Steps 3.2/3.3 generalized: visit shell (g, h) only if the query
 	// ball intersects both its sv1 shell and its sv2 sub-shell.
@@ -188,6 +169,24 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	}
 }
 
+// vantageDistance is the distance from q to an internal node's vantage
+// point sv: exact when the caller records it (a PATH still filling) or
+// when sv is stamped as a cascade pivot and the query's cache still wants
+// registrations — an exact value is a valid bounded-kernel result, so
+// every decision is unchanged, and the distance doubles as a global
+// filter bound — and otherwise abandoned past bound.
+func (t *Tree[T]) vantageDistance(q, sv T, stamp int32, exact bool, bound float64, cc *cascade.Cache) float64 {
+	register := cc != nil && stamp != 0 && cc.Wants()
+	if !exact && !register {
+		return t.dist.DistanceUpTo(q, sv, bound)
+	}
+	d := t.dist.Distance(q, sv)
+	if register {
+		cc.Register(stamp-1, d)
+	}
+	return d
+}
+
 // rangeLeaf implements step 2 of the search algorithm: filter each leaf
 // point through its exact distances to the leaf vantage points (D1, D2)
 // and through its PATH prefix — windows of half-width rp+slack, turned
@@ -195,7 +194,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 // computing the real distance only for survivors, and only up to r,
 // since membership is all that matters.
 func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
-	s.LeavesVisited++
 	a := &sc.ap
 	if !n.hasSV1 || !a.Pay(1) {
 		return
@@ -252,7 +250,7 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	d2lo, d2hi := t.window(d2-w, d2+w)
 	items, rows, stride := t.leaf(n)
 	hasSV2 := n.hasSV2
-	// held == plen: both are min(p, 2·depth) (Load checks the stream's).
+	// held == plen: both are min(p, v·depth) (Load checks the stream's).
 	qlo := sc.qlo[:n.held]
 	qhi := sc.qhi[:n.held]
 	cas, base := t.cas, n.casBase
@@ -341,4 +339,37 @@ items:
 	if computed > 0 {
 		t.TraceDistance(computed)
 	}
+}
+
+// rangeBare is rangeLeaf for a leaf without items, which is every leaf
+// of a classic vp-tree. Its one or two points are vantage points with
+// nothing to filter, so they are candidates like any leaf item: measured
+// up to r, unless the cascade — which numbers them as it does items
+// (EnableCascade) — already puts them past rp.
+func (t *Tree[T]) rangeBare(n *node[T], q T, r, rp float64, a *index.Approx, cc *cascade.Cache, out *[]T, s *SearchStats) {
+	kernel := t.dist.Kernel()
+	useCas := cc != nil && cc.Registered() > 0
+	paid := 0
+	for i := 0; i < 2; i++ {
+		pt, ok := n.point(i)
+		if !ok {
+			break
+		}
+		if useCas && t.cas.LowerBound(cc, n.casBase+int32(i)) > rp {
+			s.Candidates++
+			s.FilteredByCascade++
+			t.TracePrune(obs.FilterCascade, 1)
+			continue
+		}
+		if !a.Pay(1) {
+			break
+		}
+		paid++
+		t.TraceDistance(1)
+		if kernel(q, *pt, r) <= r {
+			*out = append(*out, *pt)
+		}
+	}
+	t.dist.Add(int64(paid))
+	s.VantagePoints += paid
 }

@@ -41,7 +41,8 @@ func (t *Tree[T]) checkGrid() error {
 }
 
 // checkShape is the half of Validate that needs no metric: the header's
-// point count, leaves within capacity holding min(p, 2·depth) PATH
+// point count, no second vantage point where v is 1 (a leaf row has no
+// slot for its D2), leaves within capacity holding min(p, v·depth) PATH
 // entries, and one child row per shell and one child per sub-shell, which
 // keeps shellBounds inside the cutoff arrays. Load ends with it.
 func (t *Tree[T]) checkShape() error {
@@ -56,7 +57,9 @@ func (t *Tree[T]) shapeOf(n *node[T], depth int) (points int, err error) {
 	switch {
 	case n == nil:
 		return 0, nil
-	case n.isLeaf() && (int(n.cnt) > t.k || n.cnt > 0 && int(n.held) != min(t.p, 2*depth)):
+	case n.hasSV2 && (t.v == 1 || !n.hasSV1):
+		return 0, fmt.Errorf("mvp: node at depth %d has a second vantage point without a first, or in a tree of one per node", depth)
+	case n.isLeaf() && (int(n.cnt) > t.k || n.cnt > 0 && int(n.held) != min(t.p, t.v*depth)):
 		return 0, fmt.Errorf("mvp: leaf at depth %d holds %d items with %d PATH entries (k=%d, p=%d)", depth, n.cnt, n.held, t.k, t.p)
 	case !n.isLeaf() && (len(n.children) != len(n.cut1)+1 || len(n.cut2) != len(n.children)):
 		return 0, fmt.Errorf("mvp: internal node has %d child rows for %d cut1 and %d cut2 rows", len(n.children), len(n.cut1), len(n.cut2))
@@ -94,8 +97,10 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 			if got := t.dist.Distance(it, n.sv1); encode(got, t.step) != row[0] {
 				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(row[0]), got)
 			}
-			if got := t.dist.Distance(it, n.sv2); encode(got, t.step) != row[1] {
-				return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(row[1]), got)
+			if n.hasSV2 {
+				if got := t.dist.Distance(it, n.sv2); encode(got, t.step) != row[1] {
+					return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(row[1]), got)
+				}
 			}
 			for l, stored := range row[2:] {
 				if got := t.dist.Distance(it, ancestors[l]); encode(got, t.step) != stored {
@@ -105,7 +110,7 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 		}
 		return nil
 	}
-	next := append(append([]T(nil), ancestors...), n.sv1, n.sv2)
+	next := append(append([]T(nil), ancestors...), n.sv1, n.sv2)[:len(ancestors)+t.v]
 	for g, row := range n.children {
 		lo1, hi1 := shellBounds(n.cut1, g)
 		for h, c := range row {
@@ -115,6 +120,9 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 			for _, pt := range points {
 				if d := t.dist.Distance(pt, n.sv1); d < lo1 || d > hi1 {
 					return fmt.Errorf("mvp: point at distance %g from first vantage point outside shell [%g, %g]", d, lo1, hi1)
+				}
+				if !n.hasSV2 {
+					continue
 				}
 				if d := t.dist.Distance(pt, n.sv2); d < lo2 || d > hi2 {
 					return fmt.Errorf("mvp: point at distance %g from second vantage point outside sub-shell [%g, %g]", d, lo2, hi2)

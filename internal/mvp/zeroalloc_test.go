@@ -35,9 +35,12 @@ func TestSteadyStateQueryAllocations(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
+	eachV(t, Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}}, checkSteadyStateQueryAllocations)
+}
+
+func checkSteadyStateQueryAllocations(t *testing.T, opts Options) {
 	items := uniformItems(13, 2000, 8)
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}})
+	tree, err := New(items, metric.NewCounter(metric.L2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +89,7 @@ func TestSteadyStateQueryAllocations(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 64))
 	words := dataset.Words(rng, 2000, dataset.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
 	words = append(words, strings.Repeat("lorem ipsum ", 6), strings.Repeat("dolor sit amet ", 5))
-	wordTree, err := New(words, metric.NewCounter(metric.Edit),
-		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}})
+	wordTree, err := New(words, metric.NewCounter(metric.Edit), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestSingleVantageLeafFiltering(t *testing.T) {
 	// that consulted it would lose results.
 	n := &node[[]float64]{sv1: sv1, hasSV1: true, cnt: int32(len(rest))}
 	dist := metric.NewCounter(metric.L2)
-	tree := &Tree[[]float64]{root: n, dist: dist, size: len(pts), m: 2, k: len(rest), p: 0, items: rest}
+	tree := &Tree[[]float64]{root: n, dist: dist, size: len(pts), v: 2, m: 2, k: len(rest), p: 0, items: rest}
 	var raw []float64
 	for _, it := range rest {
 		raw = append(raw, metric.L2(sv1, it), 50)

@@ -7,7 +7,6 @@ import (
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
-	"mvptree/internal/vptree"
 )
 
 // Backend packages the per-shard structure behind closures: how to
@@ -30,7 +29,8 @@ type Backend[T any] struct {
 	Load func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.BatchSearcher[T], error)
 }
 
-// MVP is the default backend: one mvp-tree per shard. The options'
+// MVP is the backend: one mvp-tree per shard, or with Vantages 1 one
+// vp-tree. The options'
 // Build.Workers and Build.Seed are overridden per shard by the sharded
 // build (budget slicing and per-shard seed mixing).
 func MVP[T any](opts mvp.Options) Backend[T] {
@@ -47,26 +47,6 @@ func MVP[T any](opts mvp.Options) Backend[T] {
 		},
 		Load: func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.BatchSearcher[T], error) {
 			return mvp.Load(r, dist, dec)
-		},
-	}
-}
-
-// VP is the vp-tree backend, mostly exercised by tests and experiments
-// comparing shard behavior across structures.
-func VP[T any](opts vptree.Options) Backend[T] {
-	return Backend[T]{
-		Name: "vptree",
-		New: func(items []T, dist *metric.Counter[T], workers int, seed uint64) (index.BatchSearcher[T], build.Stats, error) {
-			o := opts
-			o.Build.Workers = workers
-			o.Build.Seed = seed
-			return vptree.NewWithStats(items, dist, o)
-		},
-		Save: func(s index.BatchSearcher[T], w io.Writer, enc func(T) ([]byte, error)) error {
-			return s.(*vptree.Tree[T]).Save(w, enc)
-		},
-		Load: func(r io.Reader, dist *metric.Counter[T], dec func([]byte) (T, error)) (index.BatchSearcher[T], error) {
-			return vptree.Load(r, dist, dec)
 		},
 	}
 }

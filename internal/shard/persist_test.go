@@ -86,7 +86,9 @@ func TestLoadDirRejectsMismatches(t *testing.T) {
 		t.Fatalf("SaveDir: %v", err)
 	}
 	// Wrong backend.
-	if _, err := LoadDir(dir, metric.NewCounter(w.Dist), VP[int](vpOpts), dec); err == nil {
+	other := be
+	other.Name = "gmvp"
+	if _, err := LoadDir(dir, metric.NewCounter(w.Dist), other, dec); err == nil {
 		t.Fatalf("LoadDir accepted mismatched backend")
 	}
 	// Missing blob.

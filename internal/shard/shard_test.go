@@ -10,16 +10,15 @@ import (
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 	"mvptree/internal/testutil"
-	"mvptree/internal/vptree"
 )
 
 var mvpOpts = mvp.Options{Partitions: 3, LeafCapacity: 13, PathLength: 5}
-var vpOpts = vptree.Options{Order: 3, LeafCapacity: 8}
+var vpOpts = mvp.Options{Vantages: 1, Partitions: 3, LeafCapacity: 7, PathLength: -1}
 
 func backends() map[string]func() Backend[int] {
 	return map[string]func() Backend[int]{
 		"mvp": func() Backend[int] { return MVP[int](mvpOpts) },
-		"vp":  func() Backend[int] { return VP[int](vpOpts) },
+		"vp":  func() Backend[int] { return MVP[int](vpOpts) },
 	}
 }
 

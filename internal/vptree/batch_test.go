@@ -2,6 +2,7 @@ package vptree
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mvptree/internal/cascade"
@@ -11,87 +12,6 @@ import (
 	"mvptree/internal/testutil"
 )
 
-func batchVecs(seed uint64, n, dim int) [][]float64 {
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
-	items := make([][]float64, n)
-	for i := range items {
-		v := make([]float64, dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		items[i] = v
-	}
-	return items
-}
-
-// checkBatchMatchesSequential pins the SearchBatch contract: for every
-// batch size, results, neighbor order, SearchStats, and the tree's
-// counter delta are byte-identical to per-query Search calls.
-func checkBatchMatchesSequential[T any](t *testing.T, tree *Tree[T], dist *metric.Counter[T],
-	reqs []index.Query[T], sizes []int, eq func(a, b T) bool) {
-	t.Helper()
-
-	want := make([]index.Result[T], len(reqs))
-	wantDelta := make([]int64, len(reqs))
-	for i, req := range reqs {
-		c0 := dist.Count()
-		want[i] = tree.Search(req)
-		wantDelta[i] = dist.Count() - c0
-	}
-
-	for _, b := range sizes {
-		for lo := 0; lo < len(reqs); lo += b {
-			hi := min(lo+b, len(reqs))
-			chunk := reqs[lo:hi]
-			got := make([]index.Result[T], len(chunk))
-			c0 := dist.Count()
-			tree.SearchBatch(chunk, got)
-			delta := dist.Count() - c0
-			var wd int64
-			for i := lo; i < hi; i++ {
-				wd += wantDelta[i]
-			}
-			if delta != wd {
-				t.Errorf("B=%d chunk [%d,%d): counter delta %d, sequential %d", b, lo, hi, delta, wd)
-			}
-			for i := range chunk {
-				w, g := want[lo+i], got[i]
-				if w.Stats != g.Stats {
-					t.Errorf("B=%d query %d: stats differ\nseq   %+v\nbatch %+v", b, lo+i, w.Stats, g.Stats)
-				}
-				if len(w.Items) != len(g.Items) {
-					t.Fatalf("B=%d query %d: %d items sequential, %d batched", b, lo+i, len(w.Items), len(g.Items))
-				}
-				for k := range w.Items {
-					if !eq(w.Items[k], g.Items[k]) {
-						t.Fatalf("B=%d query %d: item %d differs", b, lo+i, k)
-					}
-				}
-				if len(w.Neighbors) != len(g.Neighbors) {
-					t.Fatalf("B=%d query %d: %d neighbors sequential, %d batched", b, lo+i, len(w.Neighbors), len(g.Neighbors))
-				}
-				for k := range w.Neighbors {
-					if w.Neighbors[k].Dist != g.Neighbors[k].Dist || !eq(w.Neighbors[k].Item, g.Neighbors[k].Item) {
-						t.Fatalf("B=%d query %d: neighbor %d differs", b, lo+i, k)
-					}
-				}
-			}
-		}
-	}
-}
-
-func vecEq(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 var batchSizes = []int{1, 4, 16, 64}
 
 // TestBatchInvariance pins batch == sequential on the vp-tree across
@@ -100,17 +20,17 @@ var batchSizes = []int{1, 4, 16, 64}
 // per-query fallback inside the batch), with the quantized pre-filter
 // and the cascade armed on one variant each.
 func TestBatchInvariance(t *testing.T) {
-	items := batchVecs(201, 2200, 10)
+	items := vectors(201, 2200, 10)
 	variants := []struct {
-		name    string
-		opts    Options
-		cascade bool
+		name              string
+		opts              Options
+		quantize, cascade bool
 	}{
-		{"binary", Options{Order: 2, LeafCapacity: 8, Build: Build{Seed: 5}}, false},
-		{"m4/quantized", Options{Order: 4, LeafCapacity: 16, Quantize: quant.SQ8, Build: Build{Seed: 6}}, false},
-		{"m3/cascade", Options{Order: 3, LeafCapacity: 12, Build: Build{Seed: 7}}, true},
+		{"binary", Options{Order: 2, LeafCapacity: 8, Build: Build{Seed: 5}}, false, false},
+		{"m4/quantized", Options{Order: 4, LeafCapacity: 16, Build: Build{Seed: 6}}, true, false},
+		{"m3/cascade", Options{Order: 3, LeafCapacity: 12, Build: Build{Seed: 7}}, false, true},
 	}
-	queries := batchVecs(202, 30, 10)
+	queries := vectors(202, 30, 10)
 	queries = append(queries, items[5], items[1717])
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -118,6 +38,11 @@ func TestBatchInvariance(t *testing.T) {
 			tree, err := New(items, dist, v.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if v.quantize {
+				if err := tree.EnableQuantize(quant.SQ8); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if v.cascade {
 				if err := tree.EnableCascade(cascade.Options{}); err != nil {
@@ -141,7 +66,7 @@ func TestBatchInvariance(t *testing.T) {
 					reqs = append(reqs, index.RangeQuery(q, 0))
 				}
 			}
-			checkBatchMatchesSequential(t, tree, dist, reqs, batchSizes, vecEq)
+			testutil.CheckBatch(t, tree, dist, reqs, batchSizes, slices.Equal[[]float64])
 		})
 	}
 }
@@ -172,32 +97,6 @@ func TestBatchEdit(t *testing.T) {
 		reqs = append(reqs, index.RangeQuery(q, float64(1+qi%3)))
 		reqs = append(reqs, index.KNNQuery(q, 1+qi%6))
 	}
-	checkBatchMatchesSequential(t, tree, dist, reqs, batchSizes,
+	testutil.CheckBatch(t, tree, dist, reqs, batchSizes,
 		func(a, b string) bool { return a == b })
-}
-
-// TestBatchSteadyStateAllocations pins the pooled batch scratch: once
-// warm, a batch of empty-result range queries allocates nothing.
-func TestBatchSteadyStateAllocations(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are inflated by race-detector instrumentation")
-	}
-	items := batchVecs(205, 2000, 8)
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Order: 3, LeafCapacity: 16, Build: Build{Seed: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
-	reqs := make([]index.Query[[]float64], 16)
-	for i := range reqs {
-		reqs[i] = index.RangeQuery(far, 0.5)
-	}
-	results := make([]index.Result[[]float64], len(reqs))
-	tree.SearchBatch(reqs, results) // warm the pool
-	if allocs := testing.AllocsPerRun(100, func() {
-		tree.SearchBatch(reqs, results)
-	}); allocs != 0 {
-		t.Errorf("steady-state batch Range allocated %.1f times per batch, want 0", allocs)
-	}
 }

@@ -6,28 +6,14 @@ import (
 
 	"mvptree/internal/cascade"
 	"mvptree/internal/metric"
-	"mvptree/internal/testutil"
 )
-
-func cascadeItems(seed uint64, n, dim int) [][]float64 {
-	rng := rand.New(rand.NewPCG(seed, seed^0x51))
-	items := make([][]float64, n)
-	for i := range items {
-		v := make([]float64, dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		items[i] = v
-	}
-	return items
-}
 
 // TestCascadeInvariance checks byte-identical results and
 // never-increasing distance counts with the cascade enabled — the
-// vp-tree is the structure where the cascade matters most, since it has
-// no leaf filter of its own (Computed == Candidates without it).
+// bucketed vp-tree is where the cascade matters most, since its leaves
+// have one stored distance per item and no PATH to filter with.
 func TestCascadeInvariance(t *testing.T) {
-	items := cascadeItems(19, 3000, 12)
+	items := vectors(19, 3000, 12)
 	opts := Options{Order: 3, LeafCapacity: 20, Build: Build{Seed: 7}}
 	off, err := New(items, metric.NewCounter(metric.L2), opts)
 	if err != nil {
@@ -87,32 +73,5 @@ func TestCascadeInvariance(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Fatal("cascade never pruned a candidate across 40 queries")
-	}
-}
-
-// TestCascadeSteadyStateAllocations re-pins the zero-alloc serving
-// guarantee with the cascade enabled.
-func TestCascadeSteadyStateAllocations(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts are inflated by race-detector instrumentation")
-	}
-	items := cascadeItems(13, 2000, 8)
-	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Order: 3, LeafCapacity: 20, Build: Build{Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableCascade(cascade.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
-	near := items[17]
-	tree.Range(far, 0.5)
-	tree.KNN(near, 10)
-	if allocs := testing.AllocsPerRun(200, func() { tree.Range(far, 0.5) }); allocs != 0 {
-		t.Errorf("cascaded empty-result Range allocated %.1f times per query, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { tree.KNN(near, 10) }); allocs > 1 {
-		t.Errorf("cascaded KNN allocated %.1f times per query, want <= 1 (the result slice)", allocs)
 	}
 }

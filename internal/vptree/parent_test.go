@@ -1,0 +1,170 @@
+package vptree
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"mvptree/internal/cascade"
+	"mvptree/internal/dataset"
+	"mvptree/internal/index"
+	"mvptree/internal/metric"
+	"mvptree/internal/quant"
+)
+
+// parentRun is what one tree answered over the fixed query grid: a hash
+// of every query's result ids in the order returned, the same with each
+// range answer sorted (a set), a hash of every query's Distances(), and
+// their total.
+type parentRun struct {
+	ordered, set, costs string
+	total               int64
+}
+
+func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
+
+// runParentGrid answers 24 queries × r ∈ {0.2, 0.4} and k ∈ {1, 10}
+// through search, which stands for Search or SearchBatch.
+func runParentGrid(items [][]float64, search func([]index.Query[[]float64]) []index.Result[[]float64], seed uint64) parentRun {
+	id := make(map[*float64]uint32, len(items))
+	for i, v := range items {
+		id[&v[0]] = uint32(i)
+	}
+	queries := dataset.UniformQueries(rand.New(rand.NewPCG(seed, 20)), 24, len(items[0]))
+	var reqs []index.Query[[]float64]
+	for _, q := range queries {
+		reqs = append(reqs, index.RangeQuery(q, 0.2), index.RangeQuery(q, 0.4), index.KNNQuery(q, 1), index.KNNQuery(q, 10))
+	}
+	ordered, set, costs := sha256.New(), sha256.New(), sha256.New()
+	var run parentRun
+	put := func(h hash.Hash, ids []uint32) {
+		for _, x := range ids {
+			binary.Write(h, binary.LittleEndian, x)
+		}
+		binary.Write(h, binary.LittleEndian, uint32(math.MaxUint32))
+	}
+	for _, res := range search(reqs) {
+		var ids []uint32
+		for _, it := range res.Items {
+			ids = append(ids, id[&it[0]])
+		}
+		for _, nb := range res.Neighbors {
+			ids = append(ids, id[&nb.Item[0]])
+			binary.Write(ordered, binary.LittleEndian, nb.Dist)
+		}
+		put(ordered, ids)
+		if res.Items != nil {
+			slices.Sort(ids)
+		}
+		put(set, ids)
+		binary.Write(costs, binary.LittleEndian, res.Stats.Distances())
+		run.total += res.Stats.Distances()
+	}
+	run.ordered, run.set, run.costs = sum(ordered), sum(set), sum(costs)
+	return run
+}
+
+// parentRows were recorded from internal/vptree at PR 19, while it was a
+// tree of its own, by this file's grid (Order 3; plain is Search,
+// SearchBatch and SQ8 alike, which agreed; cascade is with EnableCascade's
+// defaults).
+var parentRows = []struct {
+	capacity       int
+	data           string
+	seed           uint64
+	plain, cascade parentRun
+}{
+	{1, "uniform", 1, parentRun{ordered: "484c961a5a74f656", set: "54a2f2716352fd0d", costs: "6ef3e937e45c5fcc", total: 165026}, parentRun{ordered: "484c961a5a74f656", set: "54a2f2716352fd0d", costs: "64eee52289b344d5", total: 121685}},
+	{1, "uniform", 7, parentRun{ordered: "b4e68a4404c5cb7e", set: "cb3902e545dfe0d5", costs: "e0f6854736d1375a", total: 154628}, parentRun{ordered: "b4e68a4404c5cb7e", set: "cb3902e545dfe0d5", costs: "5aa0be4f86851b98", total: 112149}},
+	{1, "clustered", 1, parentRun{ordered: "23881c9955fb5d36", set: "8d3ea19e2e616ddb", costs: "8a654a8a9e977c57", total: 121030}, parentRun{ordered: "23881c9955fb5d36", set: "8d3ea19e2e616ddb", costs: "a3051bc8450080f6", total: 92193}},
+	{1, "clustered", 7, parentRun{ordered: "2e5f124ba090641c", set: "e56ee1b947b6abbc", costs: "4a0ace50c326e727", total: 107380}, parentRun{ordered: "2e5f124ba090641c", set: "e56ee1b947b6abbc", costs: "1c30d0e67d15206c", total: 82240}},
+	{10, "uniform", 1, parentRun{ordered: "a602c620152d5b96", set: "54a2f2716352fd0d", costs: "fb67dd00b6a7d022", total: 197270}, parentRun{ordered: "a602c620152d5b96", set: "54a2f2716352fd0d", costs: "6b1234425bf44fca", total: 79194}},
+	{10, "uniform", 7, parentRun{ordered: "a722e31a48fc5db3", set: "cb3902e545dfe0d5", costs: "c8cfa9743ee06efb", total: 185540}, parentRun{ordered: "a722e31a48fc5db3", set: "cb3902e545dfe0d5", costs: "2de34addd71b82a2", total: 70034}},
+	{10, "clustered", 1, parentRun{ordered: "21a753f8e452d75b", set: "8d3ea19e2e616ddb", costs: "78a205cb1e3fe5f1", total: 153824}, parentRun{ordered: "21a753f8e452d75b", set: "8d3ea19e2e616ddb", costs: "91ab937382b89c93", total: 68605}},
+	{10, "clustered", 7, parentRun{ordered: "50c748298f39435a", set: "e56ee1b947b6abbc", costs: "f04874b21c8b4137", total: 140152}, parentRun{ordered: "50c748298f39435a", set: "e56ee1b947b6abbc", costs: "c9bea2a0bcdceb56", total: 63154}},
+}
+
+// TestSameTreesAsSeparatePackage holds the constructor to what the
+// package it replaced answered. At LeafCapacity 1 the tree is the same
+// tree: every query's results in the same order at the same cost, plain,
+// batched and with SQ8 on. With the cascade on the results are the same
+// in the same order and the range costs too, but a kNN query pays a
+// handful of distances more or fewer: the core queues a child under
+// max(its parent's bound, its own gap) where the package queued it under
+// its own gap, so the stamped vantage points a query meets first, and
+// registers, are not always the same eight. At LeafCapacity 10 a leaf's
+// first point is now its vantage point and filters the rest, so the
+// answers are the same sets, at no more distances unless the cascade is
+// on: it used to filter all ten points of a bucket and now filters nine
+// after the leaf's vantage point is paid for.
+func TestSameTreesAsSeparatePackage(t *testing.T) {
+	const n, dim = 5000, 8
+	for _, row := range parentRows {
+		rng := rand.New(rand.NewPCG(row.seed, 14))
+		items := dataset.UniformVectors(rng, n, dim)
+		if row.data == "clustered" {
+			items = dataset.ClusteredVectors(rng, n, dim, 250, 0.15)
+		}
+		mk := func() *Tree[[]float64] {
+			tr, err := New(items, metric.NewCounter(metric.L2), Options{Build: Build{Seed: row.seed}, Order: 3, LeafCapacity: row.capacity})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		each := func(tr *Tree[[]float64]) func([]index.Query[[]float64]) []index.Result[[]float64] {
+			return func(reqs []index.Query[[]float64]) []index.Result[[]float64] {
+				out := make([]index.Result[[]float64], len(reqs))
+				for i, r := range reqs {
+					out[i] = tr.Search(r)
+				}
+				return out
+			}
+		}
+		plain, sq8, cas := mk(), mk(), mk()
+		if err := sq8.EnableQuantize(quant.SQ8); err != nil {
+			t.Fatal(err)
+		}
+		if err := cas.EnableCascade(cascade.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		batch := func(reqs []index.Query[[]float64]) []index.Result[[]float64] {
+			out := make([]index.Result[[]float64], len(reqs))
+			for lo := 0; lo < len(reqs); lo += 16 {
+				plain.SearchBatch(reqs[lo:lo+16], out[lo:lo+16])
+			}
+			return out
+		}
+		for _, mode := range []struct {
+			name   string
+			search func([]index.Query[[]float64]) []index.Result[[]float64]
+			want   parentRun
+		}{
+			{"search", each(plain), row.plain},
+			{"batch", batch, row.plain},
+			{"sq8", each(sq8), row.plain},
+			{"cascade", each(cas), row.cascade},
+		} {
+			got := runParentGrid(items, mode.search, row.seed)
+			where := fmt.Sprintf("capacity %d %s/%d %s", row.capacity, row.data, row.seed, mode.name)
+			switch cascaded := mode.name == "cascade"; {
+			case row.capacity == 1 && !cascaded && got != mode.want:
+				t.Errorf("%s: %+v, the separate package gave %+v", where, got, mode.want)
+			case row.capacity == 1 && got.ordered != mode.want.ordered, got.set != mode.want.set:
+				t.Errorf("%s: answers differ from the separate package's", where)
+			case row.capacity == 1 && (got.total-mode.want.total)*200 > mode.want.total:
+				t.Errorf("%s: %d distances, the separate package paid %d", where, got.total, mode.want.total)
+			case row.capacity > 1 && !cascaded && got.total > mode.want.total:
+				t.Errorf("%s: %d distances, the separate package paid %d", where, got.total, mode.want.total)
+			case cascaded && got.total > row.plain.total:
+				t.Errorf("%s: %d distances, more than the %d without", where, got.total, row.plain.total)
+			}
+		}
+	}
+}

@@ -114,8 +114,6 @@ func TestInvalidOptions(t *testing.T) {
 		{Order: 1},
 		{Order: -2},
 		{LeafCapacity: -1},
-		{Candidates: -1},
-		{SampleSize: -5},
 	} {
 		if _, err := New(items, dist, opts); err == nil {
 			t.Errorf("New with %+v succeeded, want error", opts)
@@ -306,10 +304,11 @@ func TestRangeWithStatsAccounting(t *testing.T) {
 			if s.Results != len(out) {
 				t.Fatalf("r=%g: Results = %d, len = %d", r, s.Results, len(out))
 			}
-			// The vp-tree's defining cost property: no stored leaf
-			// distances, so every candidate is computed.
-			if s.Computed != s.Candidates {
-				t.Fatalf("r=%g: Computed %d != Candidates %d", r, s.Computed, s.Candidates)
+			// The classic vp-tree's defining cost property: no stored leaf
+			// distances, so nothing is filtered; its leaves are a vantage
+			// point each, so nothing is a candidate either.
+			if s.Candidates != 0 || s.Computed != 0 || s.VantagePoints != s.NodesVisited {
+				t.Fatalf("r=%g: %+v: want one vantage distance per node and no candidates", r, s)
 			}
 			// And results must match the plain Range.
 			if want := tree.Range(q, r); len(want) != len(out) {

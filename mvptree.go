@@ -114,40 +114,24 @@ type TreeStats = mvp.Stats
 // through a fresh internal Counter; pass WithCounter, WithObserver or
 // WithTracer to share a counter or attach telemetry.
 func New[T any](items []T, dist DistanceFunc[T], opts Options, ixOpts ...IndexOption[T]) (*Tree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := mvp.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	if err := cfg.enableQuantize(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewWithStats is New plus the construction report.
 func NewWithStats[T any](items []T, dist DistanceFunc[T], opts Options, ixOpts ...IndexOption[T]) (*Tree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := mvp.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, bs, err
-	}
-	if err := cfg.enableQuantize(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil
 }
 
-// VPTree is a vantage-point tree [Uhl91, Yia93], the paper's baseline.
-type VPTree[T any] = vptree.Tree[T]
+// VPTree is a vantage-point tree [Uhl91, Yia93], the paper's baseline:
+// a Tree with one vantage point per node and no retained distances, which
+// NewVP builds.
+type VPTree[T any] = Tree[T]
 
 // VPOptions configure vp-tree construction: Order (m), LeafCapacity and
 // the vantage-point selection strategy.
@@ -162,33 +146,15 @@ const (
 // NewVP builds a vp-tree over items with a fresh internal Counter
 // unless WithCounter overrides it.
 func NewVP[T any](items []T, dist DistanceFunc[T], opts VPOptions, ixOpts ...IndexOption[T]) (*VPTree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := vptree.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	if err := cfg.enableQuantize(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewVPWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewVPWithStats is NewVP plus the construction report.
 func NewVPWithStats[T any](items []T, dist DistanceFunc[T], opts VPOptions, ixOpts ...IndexOption[T]) (*VPTree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := vptree.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, bs, err
-	}
-	if err := cfg.enableQuantize(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil
@@ -203,27 +169,15 @@ type GHOptions = ghtree.Options
 // NewGH builds a gh-tree over items with a fresh internal Counter
 // unless WithCounter overrides it.
 func NewGH[T any](items []T, dist DistanceFunc[T], opts GHOptions, ixOpts ...IndexOption[T]) (*GHTree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := ghtree.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewGHWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewGHWithStats is NewGH plus the construction report.
 func NewGHWithStats[T any](items []T, dist DistanceFunc[T], opts GHOptions, ixOpts ...IndexOption[T]) (*GHTree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := ghtree.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil
@@ -238,27 +192,15 @@ type GNATOptions = gnat.Options
 // NewGNAT builds a GNAT over items with a fresh internal Counter
 // unless WithCounter overrides it.
 func NewGNAT[T any](items []T, dist DistanceFunc[T], opts GNATOptions, ixOpts ...IndexOption[T]) (*GNATree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := gnat.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewGNATWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewGNATWithStats is NewGNAT plus the construction report.
 func NewGNATWithStats[T any](items []T, dist DistanceFunc[T], opts GNATOptions, ixOpts ...IndexOption[T]) (*GNATree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := gnat.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil
@@ -277,16 +219,8 @@ type BKOptions = bktree.Options
 // unless WithCounter overrides it. The metric must return non-negative
 // integers.
 func NewBK[T any](items []T, dist DistanceFunc[T], ixOpts ...IndexOption[T]) (*BKTree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := bktree.New(items, cfg.counter, BKOptions{})
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewBKWithStats(items, dist, BKOptions{}, ixOpts...)
+	return t, err
 }
 
 // NewBKWithStats is NewBK with explicit options plus the construction
@@ -294,11 +228,7 @@ func NewBK[T any](items []T, dist DistanceFunc[T], ixOpts ...IndexOption[T]) (*B
 func NewBKWithStats[T any](items []T, dist DistanceFunc[T], opts BKOptions, ixOpts ...IndexOption[T]) (*BKTree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := bktree.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil
@@ -314,23 +244,17 @@ type PivotOptions = laesa.Options
 // NewPivotTable builds a pivot table over items with a fresh internal
 // Counter unless WithCounter overrides it.
 func NewPivotTable[T any](items []T, dist DistanceFunc[T], opts PivotOptions, ixOpts ...IndexOption[T]) (*PivotTable[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := laesa.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	return t, nil
+	t, _, err := NewPivotTableWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewPivotTableWithStats is NewPivotTable plus the construction report.
 func NewPivotTableWithStats[T any](items []T, dist DistanceFunc[T], opts PivotOptions, ixOpts ...IndexOption[T]) (*PivotTable[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := laesa.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
-	cfg.install(t)
 	return t, bs, nil
 }
 
@@ -345,8 +269,7 @@ type LinearScan[T any] = linear.Scan[T]
 func NewLinear[T any](items []T, dist DistanceFunc[T], ixOpts ...IndexOption[T]) *LinearScan[T] {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	s := linear.New(items, cfg.counter)
-	cfg.install(s)
-	_ = cfg.enableQuantize(s)
+	_ = cfg.equip(s, nil)
 	return s
 }
 
@@ -361,27 +284,15 @@ type BallOptions = balltree.Options
 // NewBall builds a ball tree over items with a fresh internal Counter
 // unless WithCounter overrides it.
 func NewBall[T any](items []T, dist DistanceFunc[T], opts BallOptions, ixOpts ...IndexOption[T]) (*BallTree[T], error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, err := balltree.New(items, cfg.counter, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := NewBallWithStats(items, dist, opts, ixOpts...)
+	return t, err
 }
 
 // NewBallWithStats is NewBall plus the construction report.
 func NewBallWithStats[T any](items []T, dist DistanceFunc[T], opts BallOptions, ixOpts ...IndexOption[T]) (*BallTree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := balltree.NewWithStats(items, cfg.counter, opts)
-	if err != nil {
-		return nil, bs, err
-	}
-	cfg.install(t)
-	if err := cfg.enableCascade(t); err != nil {
+	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}
 	return t, bs, nil

@@ -1,7 +1,6 @@
 package mvptree
 
 import (
-	"errors"
 	"io"
 
 	"mvptree/internal/cascade"
@@ -205,61 +204,30 @@ type hooked interface {
 	SetTracer(obs.Tracer)
 }
 
-// install attaches the configured observer and tracer, if any.
-func (cfg indexConfig[T]) install(h hooked) {
+// equip ends every constructor: unless the build failed with err, it
+// attaches the configured observer and tracer to h and switches on what
+// the options asked for and the structure has — the bound cascade (every
+// tree; see WithCascade for the two structures that ignore it) and the
+// quantized pre-filter (see WithQuantized).
+func (cfg indexConfig[T]) equip(h hooked, err error) error {
+	if err != nil {
+		return err
+	}
 	if cfg.observer != nil {
 		h.SetObserver(cfg.observer)
 	}
 	if cfg.tracer != nil {
 		h.SetTracer(cfg.tracer)
 	}
-}
-
-// cascadable is implemented by every structure supporting the
-// cross-query bound cascade.
-type cascadable interface {
-	EnableCascade(cascade.Options) error
-}
-
-// errInternalNotCascadable guards against a constructor wiring
-// enableCascade to a structure that lacks EnableCascade; it indicates a
-// bug in this package, not caller error.
-var errInternalNotCascadable = errors.New("mvptree: internal error: structure does not support WithCascade")
-
-// enableCascade builds the cascade when WithCascade was given. Called
-// by the constructors of cascade-capable structures only; NewPivotTable
-// and NewLinear skip it (see WithCascade).
-func (cfg indexConfig[T]) enableCascade(h any) error {
-	if cfg.cascade == nil {
-		return nil
+	if c, ok := h.(interface {
+		EnableCascade(cascade.Options) error
+	}); ok && cfg.cascade != nil {
+		if err := c.EnableCascade(*cfg.cascade); err != nil {
+			return err
+		}
 	}
-	c, ok := h.(cascadable)
-	if !ok {
-		return errInternalNotCascadable
+	if q, ok := h.(interface{ EnableQuantize(quant.Mode) error }); ok && cfg.quantize != quant.Off {
+		return q.EnableQuantize(cfg.quantize)
 	}
-	return c.EnableCascade(*cfg.cascade)
-}
-
-// quantizable is implemented by every structure supporting the
-// quantized pre-filter.
-type quantizable interface {
-	EnableQuantize(quant.Mode) error
-}
-
-// errInternalNotQuantizable guards against a constructor wiring
-// enableQuantize to a structure that lacks EnableQuantize; it
-// indicates a bug in this package, not caller error.
-var errInternalNotQuantizable = errors.New("mvptree: internal error: structure does not support WithQuantized")
-
-// enableQuantize arms the pre-filter when WithQuantized was given.
-// Called by the constructors of quantize-capable structures only.
-func (cfg indexConfig[T]) enableQuantize(h any) error {
-	if cfg.quantize == quant.Off {
-		return nil
-	}
-	q, ok := h.(quantizable)
-	if !ok {
-		return errInternalNotQuantizable
-	}
-	return q.EnableQuantize(cfg.quantize)
+	return nil
 }

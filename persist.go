@@ -8,7 +8,6 @@ import (
 	"mvptree/internal/laesa"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
-	"mvptree/internal/vptree"
 )
 
 // Persistence: a built tree is written to a stream and reloaded without
@@ -30,20 +29,24 @@ func SaveTree[T any](w io.Writer, t *Tree[T], enc ItemEncoder[T]) error {
 	return t.Save(w, enc)
 }
 
-// LoadTree reads an mvp-tree written by SaveTree, measuring future
-// queries through a fresh Counter over dist.
+// LoadTree reads a tree written by SaveTree — an mvp-tree or a vp-tree,
+// as the stream says — measuring future queries through a fresh Counter
+// over dist.
 func LoadTree[T any](r io.Reader, dist DistanceFunc[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	return mvp.Load(r, metric.NewCounter(dist), mvp.ItemDecoder[T](dec))
 }
 
-// SaveVPTree writes a vp-tree to w.
+// SaveVPTree is SaveTree: a vp-tree is a Tree, and the stream records
+// how many vantage points its nodes have.
 func SaveVPTree[T any](w io.Writer, t *VPTree[T], enc ItemEncoder[T]) error {
-	return t.Save(w, vptree.ItemEncoder[T](enc))
+	return SaveTree(w, t, enc)
 }
 
-// LoadVPTree reads a vp-tree written by SaveVPTree.
+// LoadVPTree is LoadTree. Streams written by SaveVPTree before the two
+// trees shared a format ("VPTREE1") are refused with an error that says
+// to rebuild.
 func LoadVPTree[T any](r io.Reader, dist DistanceFunc[T], dec ItemDecoder[T]) (*VPTree[T], error) {
-	return vptree.Load(r, metric.NewCounter(dist), vptree.ItemDecoder[T](dec))
+	return LoadTree(r, dist, dec)
 }
 
 // Built-in item codecs for the paper's domains.

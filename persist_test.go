@@ -2,7 +2,10 @@ package mvptree_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand/v2"
+	"os"
+	"strings"
 	"testing"
 
 	"mvptree"
@@ -57,17 +60,31 @@ func TestSaveLoadVPTreePublicAPI(t *testing.T) {
 }
 
 func TestLoadTreeRejectsWrongKind(t *testing.T) {
+	// A vp-tree stream is a Tree's (TestSaveLoadVPTreePublicAPI); the
+	// wrong kinds are the other structures' streams and the vp-tree's
+	// retired format, which is refused by name.
 	words := []string{"a", "b", "c"}
-	vp, err := mvptree.NewVP(words, mvptree.EditDistance, mvptree.VPOptions{})
+	g, err := mvptree.NewGeneral(words, mvptree.EditDistance, mvptree.GeneralOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := mvptree.SaveVPTree(&buf, vp, mvptree.EncodeString); err != nil {
+	if err := mvptree.SaveGeneralTree(&buf, g, mvptree.EncodeString); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mvptree.LoadTree(&buf, mvptree.EditDistance, mvptree.DecodeString); err == nil {
-		t.Error("mvp Load accepted a vp-tree stream")
+		t.Error("LoadTree accepted a generalized tree's stream")
+	}
+	old, err := os.ReadFile("internal/mvp/testdata/pr19_vptree1.vp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func(io.Reader, mvptree.DistanceFunc[[]float64], mvptree.ItemDecoder[[]float64]) (*mvptree.Tree[[]float64], error){
+		"LoadTree": mvptree.LoadTree[[]float64], "LoadVPTree": mvptree.LoadVPTree[[]float64],
+	} {
+		if _, err := load(bytes.NewReader(old), mvptree.L2, mvptree.DecodeVector); err == nil || !strings.Contains(err.Error(), "VPTREE1") {
+			t.Errorf("%s of a VPTREE1 stream: %v", name, err)
+		}
 	}
 }
 
