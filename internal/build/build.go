@@ -43,6 +43,7 @@ package build
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,10 +120,13 @@ type Builder[T any] struct {
 	raw     metric.DistanceFunc[T]
 	workers int
 	sem     chan struct{} // worker tokens; capacity workers-1
-	start   time.Time
-	before  int64
-	nodes   atomic.Int64
-	depth   atomic.Int64
+	// gens holds the generators no node is drawing from: at most one per
+	// worker is ever out, and a build so allocates that many (Rand).
+	gens   chan *Generator
+	start  time.Time
+	before int64
+	nodes  atomic.Int64
+	depth  atomic.Int64
 	// selection tallies the distances SelectVantage made.
 	selection atomic.Int64
 }
@@ -133,6 +137,7 @@ func Start[T any](dist *metric.Counter[T], opts Options) *Builder[T] {
 		dist:    dist,
 		raw:     dist.Func(),
 		workers: opts.WorkerCount(),
+		gens:    make(chan *Generator, opts.WorkerCount()),
 		start:   time.Now(),
 		before:  dist.Count(),
 	}
@@ -193,21 +198,49 @@ func (b *Builder[T]) Measure(v T, item func(int) T, out []float64) {
 	b.dist.Add(int64(n))
 }
 
+// Rand returns src.Rand() — the source of the random decisions at tree
+// position src — on a generator of the build's. The node hands it back
+// with Done once its decisions are made, which is before it forks.
+func (b *Builder[T]) Rand(src RNG) *Generator {
+	var g *Generator
+	select {
+	case g = <-b.gens:
+	default:
+		g = new(Generator)
+		g.Rand = rand.New(&g.pcg)
+	}
+	g.pcg.Seed(src.key, randStream)
+	return g
+}
+
+// Done returns a generator Rand lent.
+func (b *Builder[T]) Done(g *Generator) {
+	select {
+	case b.gens <- g:
+	default:
+	}
+}
+
 // Fork runs task(i) for every i in [0, n), spawning pool goroutines
 // when worker tokens are free and running inline otherwise, and returns
 // when all tasks finished. Tasks may themselves call Fork and Measure:
 // token acquisition never blocks (a saturated pool degrades to inline
 // execution), so nested forks cannot deadlock. Tasks must write to
 // disjoint state — typically distinct child slots of one node.
-func (b *Builder[T]) Fork(n int, task func(int)) {
-	if b.workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
+func (b *Builder[T]) Fork(n int, task func(int)) { b.ForkRange(0, n, task) }
+
+// ForkRange is Fork over the i in [lo, hi): a builder whose tasks are
+// rows of one table forks a range of it through one func value, where a
+// closure per fork would be an allocation per node.
+func (b *Builder[T]) ForkRange(lo, hi int, task func(int)) {
+	if b.workers <= 1 || hi-lo <= 1 {
+		for i := lo; i < hi; i++ {
 			task(i)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		select {
 		case b.sem <- struct{}{}:
 			wg.Add(1)

@@ -64,23 +64,22 @@ func (b *Builder[T]) MeasureKeys(v T, items []T, ids []int32, dist []float64, ke
 }
 
 // SplitEqual is the partition step the vp-tree family shares: it orders
-// keys by distance and returns the m-1 cutoffs of the split into m
-// groups of equal cardinality (sizes differ by at most one; group g is
-// keys[lo:hi] for lo, hi = GroupBounds(len(keys), m, g)). A cutoff is
-// the midpoint between the last distance of one group and the first of
-// the next, so every group's distances lie within its closed shell.
-// It requires 1 <= m <= len(keys).
+// keys by distance and fills cutoffs with the cutoffs of the split into
+// m = len(cutoffs)+1 groups of equal cardinality (sizes differ by at most
+// one; group g is keys[lo:hi] for lo, hi = GroupBounds(len(keys), m, g)).
+// A cutoff is the midpoint between the last distance of one group and
+// the first of the next, so every group's distances lie within its
+// closed shell. It requires m <= len(keys), and allocates nothing: the
+// caller's cutoffs are its tree's.
 //
 // The ids take no part in the comparison; the order among equal
 // distances is the one sortKeys documents.
-func SplitEqual(keys []Key, m int) []float64 {
+func SplitEqual(keys []Key, cutoffs []float64) {
 	sortKeys(keys)
-	cutoffs := make([]float64, m-1)
 	for g := range cutoffs {
-		_, hi := GroupBounds(len(keys), m, g)
+		_, hi := GroupBounds(len(keys), len(cutoffs)+1, g)
 		cutoffs[g] = (keys[hi-1].D + keys[hi].D) / 2
 	}
-	return cutoffs
 }
 
 // GroupBounds returns the half-open rank interval [lo, hi) of group g

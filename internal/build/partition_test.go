@@ -66,7 +66,8 @@ func TestSortKeysMatchesStandardLibrary(t *testing.T) {
 
 func TestSplitEqual(t *testing.T) {
 	keys := []Key{{5, 0}, {1, 1}, {4, 2}, {2, 3}, {3, 4}, {9, 5}, {7, 6}}
-	cut := SplitEqual(keys, 3)
+	cut := make([]float64, 2)
+	SplitEqual(keys, cut)
 	if want := []float64{3.5, 6}; !slices.Equal(cut, want) {
 		t.Fatalf("cutoffs %v, want %v", cut, want)
 	}
@@ -83,7 +84,5 @@ func TestSplitEqual(t *testing.T) {
 			t.Fatalf("group %d = [%d,%d), want %v", g, lo, hi, want)
 		}
 	}
-	if cut := SplitEqual(keys[:1], 1); cut == nil || len(cut) != 0 {
-		t.Fatalf("one group has no cutoffs, got %v", cut)
-	}
+	SplitEqual(keys[:1], nil) // one group: no cutoffs
 }

@@ -1,9 +1,6 @@
 package build
 
-import (
-	"math/rand/v2"
-	"sync"
-)
+import "math/rand/v2"
 
 // RNG is a splittable deterministic random source for parallel
 // construction. Each tree node derives its local rand.Rand from an RNG
@@ -56,25 +53,9 @@ func (r RNG) Rand() *rand.Rand {
 
 const randStream = 0x6275696c642e726e // "build.rn"
 
-// generator is a reusable source for Pick.
-type generator struct {
-	pcg  rand.PCG
-	rand *rand.Rand
-}
-
-var generators = sync.Pool{New: func() any {
-	g := new(generator)
-	g.rand = rand.New(&g.pcg)
-	return g
-}}
-
-// Pick returns r.Rand().IntN(n) — the first random decision at this
-// tree position — without allocating a generator, for the nodes (most
-// of them: every leaf) that make exactly one.
-func (r RNG) Pick(n int) int {
-	g := generators.Get().(*generator)
-	g.pcg.Seed(r.key, randStream)
-	i := g.rand.IntN(n)
-	generators.Put(g)
-	return i
+// Generator is RNG.Rand on a source a build seeds again for every node, so
+// that a node's draws allocate nothing (Builder.Rand).
+type Generator struct {
+	pcg rand.PCG
+	*rand.Rand
 }

@@ -51,7 +51,7 @@ func TestSelectVantageFallsBackToOneDraw(t *testing.T) {
 		b := Start(ctr, Options{})
 		src := NewRNG(3, 9)
 		got := b.SelectVantage(items, c.perm, src.Rand(), c.candidates, c.sample)
-		if want := src.Pick(len(c.perm)); got != want {
+		if want := src.Rand().IntN(len(c.perm)); got != want {
 			t.Errorf("%s: slot %d, want the single draw %d", c.name, got, want)
 		}
 		if s := b.Finish(); s.Distances != 0 || s.SelectionDistances != 0 {

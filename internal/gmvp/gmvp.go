@@ -313,7 +313,8 @@ func (t *Tree[T]) buildSplit(rest []entry[T], dists [][]float64, keys []build.Ke
 		keys[i].D = dists[level][keys[i].ID]
 	}
 	groups := min(t.m, len(keys))
-	sp := &split[T]{level: level, cutoffs: build.SplitEqual(keys, groups)}
+	sp := &split[T]{level: level, cutoffs: make([]float64, groups-1)}
+	build.SplitEqual(keys, sp.cutoffs)
 	last := level == len(dists)-1
 	if !last {
 		sp.subs = make([]*split[T], groups)

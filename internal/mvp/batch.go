@@ -159,21 +159,6 @@ func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 	t.bscratch.Put(bs)
 }
 
-// prepareQuantSlot is prepareQuant for one batch slot.
-func (t *Tree[T]) prepareQuantSlot(bs *batchScratch[T], i int, q T) {
-	bs.quantOn[i] = false
-	bs.quantPruned[i] = 0
-	if t.qset == nil {
-		return
-	}
-	qv, ok := any(q).([]float64)
-	if !ok {
-		return
-	}
-	t.qset.Prepare(&bs.qpreps[i], qv)
-	bs.quantOn[i] = true
-}
-
 // SearchBatch answers reqs[i] into results[i] with one shared traversal
 // per query group (index.BatchSearcher). It panics unless len(results)
 // == len(reqs). Exact range queries share one DFS and everything else
@@ -206,21 +191,21 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 		}
 		bs.spans[i] = t.StartQuery(obs.KindRange)
 		bs.stats[i] = SearchStats{}
-		if req.Radius < 0 || t.root == nil {
+		if req.Radius < 0 || len(t.nodes) == 0 {
 			bs.spans[i].Done(&bs.stats[i])
 			results[i] = index.Result[T]{Stats: bs.stats[i]}
 			continue
 		}
 		bs.qs[i] = req.Point
 		bs.rads[i] = req.Radius
-		t.prepareQuantSlot(bs, i, req.Point)
+		bs.quantOn[i], bs.quantPruned[i] = t.prepareQuant(&bs.qpreps[i], req.Point), 0
 		if t.cas != nil {
 			bs.ccs[i] = t.cas.Get()
 		}
 		bs.rangeLst = append(bs.rangeLst, int32(i))
 	}
 	if len(bs.rangeLst) > 0 {
-		t.rangeBatchNode(t.root, bs.rangeLst, 0, bs)
+		t.rangeBatchNode(0, bs.rangeLst, 0, bs)
 		for _, j := range bs.rangeLst {
 			s := &bs.stats[j]
 			if t.cas != nil {
@@ -240,17 +225,18 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 // rangeBatchNode is rangeNode for a group: act holds the slots whose
 // query balls can still reach n. plen is uniform across the group — it
 // is a function of tree position, not of the query.
-func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScratch[T]) {
-	if n == nil || len(act) == 0 {
+func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScratch[T]) {
+	if len(act) == 0 {
 		return
 	}
+	n := &t.nodes[ni]
 	leaf := n.isLeaf()
 	for _, j := range act {
 		bs.stats[j].NodesVisited++
 		t.TraceNode(leaf)
 	}
 	if leaf {
-		t.rangeBatchLeaf(n, act, plen, bs)
+		t.rangeBatchLeaf(ni, act, bs)
 		return
 	}
 
@@ -272,10 +258,11 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 	// The vantage phases replicate rangeNode exactly, one blocked call
 	// per vantage point (vantageBlock); without a second one d2v stays
 	// the zeros rangeNode's d2 is.
-	exact := plen < t.p
-	t.vantageBlock(n.sv1, n.cas1, exact, n.cut1Max, act, d1v, bs)
-	if n.hasSV2 {
-		t.vantageBlock(n.sv2, n.cas2, exact, n.cut2Max, act, d2v, bs)
+	exact, sv := plen < t.p, t.vantages(ni)
+	cut1, cutMax, sh := t.inner(n)
+	t.vantageBlock(int(ni)*t.v, exact, cutMax[0], act, d1v, bs)
+	if t.v == 2 {
+		t.vantageBlock(int(ni)*t.v+1, exact, cutMax[1], act, d2v, bs)
 	} else {
 		clear(d2v)
 	}
@@ -287,10 +274,10 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 		t.TraceDistance(t.v)
 		r := bs.rads[j]
 		if d1v[i] <= r {
-			bs.outs[j] = append(bs.outs[j], n.sv1)
+			bs.outs[j] = append(bs.outs[j], sv[0])
 		}
-		if n.hasSV2 && d2v[i] <= r {
-			bs.outs[j] = append(bs.outs[j], n.sv2)
+		if t.v == 2 && d2v[i] <= r {
+			bs.outs[j] = append(bs.outs[j], sv[1])
 		}
 	}
 	// PATH windows meet stored codes: slack wider than the shells'.
@@ -311,8 +298,9 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 	// the recursion windows store slots. Stats mirror rangeNode: a
 	// pruned g shell charges len(row) (nil children included), the
 	// inner loop skips nil children before the d2 window check.
-	for g, row := range n.children {
-		lo1, hi1 := shellBounds(n.cut1, g)
+	for g := 0; g <= len(cut1); g++ {
+		row, cut2 := sh.next()
+		lo1, hi1 := shellBounds(cut1, g)
 		gBase := len(bs.act)
 		for i, j := range act {
 			r := bs.rads[j]
@@ -326,10 +314,10 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 		gPos := bs.act[gBase:]
 		if len(gPos) > 0 {
 			for h, c := range row {
-				if c == nil {
+				if c == noChild {
 					continue
 				}
-				lo2, hi2 := shellBounds(n.cut2[g], h)
+				lo2, hi2 := shellBounds(cut2, h)
 				hBase := len(bs.act)
 				for _, pi := range gPos {
 					j := act[pi]
@@ -353,31 +341,31 @@ func (t *Tree[T]) rangeBatchNode(n *node[T], act []int32, plen int, bs *batchScr
 	bs.dstack = bs.dstack[:dBase]
 }
 
-// vantageBlock is vantageDistance for a group, one blocked call: while
-// the query PATH is filling every distance is exact; afterwards each
-// query abandons past r+cutMax unless sv is a stamped cascade pivot the
-// query's cache still wants, which is computed exactly (+Inf bound) and
-// registered. A node's d1 registrations so land before any d2 Wants()
+// vantageBlock is vantageDistance for a group, one blocked call on the
+// vantage point in slot: while the query PATH is filling every distance
+// is exact; afterwards each query abandons past r+cutMax unless the point
+// is a stamped cascade pivot the query's cache still wants, which is
+// computed exactly (+Inf bound) and registered. A node's d1 registrations so land before any d2 Wants()
 // decision, preserving the per-query registration order (and the cache's
 // per-query limit cut) of the sequential code.
-func (t *Tree[T]) vantageBlock(sv T, stamp int32, exact bool, cutMax float64, act []int32, dv []float64, bs *batchScratch[T]) {
+func (t *Tree[T]) vantageBlock(slot int, exact bool, cutMax float64, act []int32, dv []float64, bs *batchScratch[T]) {
 	var bounds []float64 // nil: every distance exact
 	if !exact {
 		bounds = growF(bs.bounds, len(act))
 		bs.bounds = bounds
 		for i, j := range act {
-			if cc := bs.ccs[j]; cc != nil && stamp != 0 && cc.Wants() {
+			if t.stamp(bs.ccs[j], slot) != 0 {
 				bounds[i] = math.Inf(1)
 			} else {
 				bounds[i] = bs.rads[j] + cutMax
 			}
 		}
 	}
-	t.dist.BlockKernel()(sv, bs.pts, bounds, dv)
-	if stamp != 0 {
+	t.dist.BlockKernel()(t.vps[slot], bs.pts, bounds, dv)
+	if t.cas != nil && t.casStamp[slot] != 0 {
 		for i, j := range act {
-			if cc := bs.ccs[j]; cc != nil && cc.Wants() {
-				cc.Register(stamp-1, dv[i])
+			if stamp := t.stamp(bs.ccs[j], slot); stamp != 0 {
+				bs.ccs[j].Register(stamp-1, dv[i])
 			}
 		}
 	}
@@ -388,15 +376,13 @@ func (t *Tree[T]) vantageBlock(sv T, stamp int32, exact bool, cutMax float64, ac
 // item-major — every still-interested query filters item i through its
 // D1/D2 windows, PATH prefix, cascade and quantized bounds in the
 // sequential order, and one blocked call evaluates the survivors.
-func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScratch[T]) {
+func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 	for _, j := range act {
 		bs.stats[j].LeavesVisited++
 	}
+	n, sv := &t.nodes[ni], t.vantages(ni)
 	if n.cnt == 0 {
-		t.rangeBatchBare(n, act, bs)
-		return
-	}
-	if !n.hasSV1 {
+		t.rangeBatchBare(ni, act, bs)
 		return
 	}
 	blk := t.dist.BlockKernel()
@@ -413,49 +399,31 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 	dv2 := growF(bs.dv2, na)
 	bs.dv2 = dv2
 
-	for i, j := range act {
-		if cc := bs.ccs[j]; cc != nil && n.cas1 != 0 && cc.Wants() {
-			bounds[i] = math.Inf(1)
-		} else {
-			bounds[i] = bs.rads[j] + n.maxD1
-		}
-	}
-	blk(n.sv1, pts, bounds, dv1)
-	for i, j := range act {
-		d1 := dv1[i]
-		if cc := bs.ccs[j]; cc != nil && n.cas1 != 0 && cc.Wants() {
-			cc.Register(n.cas1-1, d1)
-		}
-		s := &bs.stats[j]
-		s.VantagePoints++
-		t.TraceDistance(1)
-		if d1 <= bs.rads[j] {
-			bs.outs[j] = append(bs.outs[j], n.sv1)
-		}
-	}
-	vantages := 1
-	if n.hasSV2 {
+	// The leaf's vantage points, each with one blocked call: abandoned
+	// past r+maxD, or exact (+Inf) and registered where it is a stamped
+	// cascade pivot the query's cache still wants.
+	vantages, hasSV2, maxD := int(n.svs), n.hasSV2(), t.maxD(n)
+	for v, dv := range [][]float64{dv1, dv2}[:vantages] {
+		slot := int(ni)*t.v + v
 		for i, j := range act {
-			if cc := bs.ccs[j]; cc != nil && n.cas2 != 0 && cc.Wants() {
+			if t.stamp(bs.ccs[j], slot) != 0 {
 				bounds[i] = math.Inf(1)
 			} else {
-				bounds[i] = bs.rads[j] + n.maxD2
+				bounds[i] = bs.rads[j] + maxD[v]
 			}
 		}
-		blk(n.sv2, pts, bounds, dv2)
+		blk(sv[v], pts, bounds, dv)
 		for i, j := range act {
-			d2 := dv2[i]
-			if cc := bs.ccs[j]; cc != nil && n.cas2 != 0 && cc.Wants() {
-				cc.Register(n.cas2-1, d2)
+			if stamp := t.stamp(bs.ccs[j], slot); stamp != 0 {
+				bs.ccs[j].Register(stamp-1, dv[i])
 			}
 			s := &bs.stats[j]
 			s.VantagePoints++
 			t.TraceDistance(1)
-			if d2 <= bs.rads[j] {
-				bs.outs[j] = append(bs.outs[j], n.sv2)
+			if dv[i] <= bs.rads[j] {
+				bs.outs[j] = append(bs.outs[j], sv[v])
 			}
 		}
-		vantages = 2
 	}
 
 	for i, j := range act {
@@ -466,9 +434,8 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 	}
 
 	items, rows, stride := t.leaf(n)
-	hasSV2 := n.hasSV2
-	cas, base := t.cas, n.casBase
-	qset, qcodes := t.qset, n.qcodes
+	cas, base := t.cas, t.itemBase(ni)
+	qset, qcodes := t.qset, t.leafCodes(n)
 	hasQuant := qcodes != nil
 	p := t.p
 	for i := range items {
@@ -521,28 +488,7 @@ func (t *Tree[T]) rangeBatchLeaf(n *node[T], act []int32, plen int, bs *batchScr
 	total := 0
 	for _, j := range act {
 		total += vantages + bs.comp[j]
-		s := &bs.stats[j]
-		s.Candidates += len(items)
-		s.FilteredByD += bs.fD[j]
-		s.FilteredByPath += bs.fP[j]
-		s.FilteredByCascade += bs.fC[j]
-		s.Computed += bs.comp[j]
-		bs.quantPruned[j] += bs.fQ[j]
-		if bs.fD[j] > 0 {
-			t.TracePrune(obs.FilterD, bs.fD[j])
-		}
-		if bs.fP[j] > 0 {
-			t.TracePrune(obs.FilterPath, bs.fP[j])
-		}
-		if bs.fC[j] > 0 {
-			t.TracePrune(obs.FilterCascade, bs.fC[j])
-		}
-		if bs.fQ[j] > 0 {
-			t.TracePrune(obs.FilterQuantized, bs.fQ[j])
-		}
-		if bs.comp[j] > 0 {
-			t.TraceDistance(bs.comp[j])
-		}
+		t.reportLeaf(&bs.stats[j], &bs.quantPruned[j], len(items), bs.fD[j], bs.fP[j], bs.fC[j], bs.fQ[j], bs.comp[j])
 	}
 	t.dist.Add(int64(total))
 }
@@ -567,17 +513,13 @@ func (t *Tree[T]) measureSurvivors(pt T, bs *batchScratch[T]) {
 // rangeBatchBare is rangeBare for a group: each point of the item-less
 // leaf is measured, with one blocked call, for the queries whose cascade
 // bound does not already exclude it.
-func (t *Tree[T]) rangeBatchBare(n *node[T], act []int32, bs *batchScratch[T]) {
-	total := 0
-	for i := 0; i < 2; i++ {
-		pt, ok := n.point(i)
-		if !ok {
-			break
-		}
+func (t *Tree[T]) rangeBatchBare(ni int32, act []int32, bs *batchScratch[T]) {
+	total, base := 0, t.itemBase(ni)
+	for i, pt := range t.points(ni) {
 		surv, spts, sbounds := bs.sslots[:0], bs.spts[:0], bs.sbounds[:0]
 		for _, j := range act {
 			s, r := &bs.stats[j], bs.rads[j]
-			if cc := bs.ccs[j]; cc != nil && cc.Registered() > 0 && t.cas.LowerBound(cc, n.casBase+int32(i)) > r {
+			if cc := bs.ccs[j]; cc != nil && cc.Registered() > 0 && t.cas.LowerBound(cc, base+int32(i)) > r {
 				s.Candidates++
 				s.FilteredByCascade++
 				t.TracePrune(obs.FilterCascade, 1)
@@ -588,7 +530,7 @@ func (t *Tree[T]) rangeBatchBare(n *node[T], act []int32, bs *batchScratch[T]) {
 			surv, spts, sbounds = append(surv, j), append(spts, bs.qs[j]), append(sbounds, r)
 		}
 		bs.sslots, bs.spts, bs.sbounds = surv, spts, sbounds
-		t.measureSurvivors(*pt, bs)
+		t.measureSurvivors(pt, bs)
 		total += len(surv)
 	}
 	t.dist.Add(int64(total))

@@ -8,11 +8,15 @@ import "mvptree/internal/build"
 // of the distance row and of the sort keys, so no level copies its
 // points and no node allocates scratch. paths is the n×p PATH arena:
 // row id accumulates item id's distances to the vantage points above
-// it. The tree's item arena and raw, the filter arena's rows as the
-// float64s measured, are allocated whole beforehand: where a subtree's
-// leaves land depends on its size and depth alone (leafLoad), so every
-// leaf writes its items and rows straight into place. raw lives until
-// Tree.encodeLeaves has put it on the tree's grid.
+// it. The tree's arenas and raw, the filter arena's rows as the float64s
+// measured, are allocated whole beforehand: what a subtree adds to each
+// depends on its size and depth alone (load), so every node writes its
+// row, cutoffs, children, items and filter rows straight into place, and
+// sibling subtrees into disjoint ranges. raw lives until
+// Tree.encodeLeaves has put it on the tree's grid. tasks runs parallel to
+// the tree's child arena: the subtree whose index is kids[i] is built
+// from tasks[i], by run — buildTask as one func value, where a closure
+// per fork would be an allocation per node.
 type construction[T any] struct {
 	t     *Tree[T]
 	b     *build.Builder[T]
@@ -21,47 +25,83 @@ type construction[T any] struct {
 	build.Scratch
 	paths []float64
 	raw   []float64
+	tasks []task
+	run   func(int)
+}
+
+// load is what a subtree adds to each arena: node rows, leaf items,
+// filter codes, cutoffs and child slots. Nodes are numbered, and the
+// arenas filled, in pre-order: a subtree owns a contiguous range of each,
+// starting with its root's.
+type load struct{ nodes, items, floats, cuts, kids int }
+
+func (l load) plus(o load) load {
+	return load{l.nodes + o.nodes, l.items + o.items, l.floats + o.floats, l.cuts + o.cuts, l.kids + o.kids}
+}
+
+// task is one subtree to build: over the permutation's slots [lo, hi), at
+// depth, into the arenas from at on. rng is the splittable RNG fixed by
+// the subtree's position, so the tree is identical for every worker count.
+type task struct {
+	lo, hi, depth int
+	rng           build.RNG
+	at            load
 }
 
 // pathLen is the number of PATH entries every point of a subtree at
 // depth already holds: v per internal level above it, capped at p.
 func (c *construction[T]) pathLen(depth int) int { return min(c.t.p, c.t.v*depth) }
 
-// build recursively constructs the subtree over slots [lo, hi),
-// following the paper's construction algorithm (§4.2) generalized from
-// m=2 to any m, and its vp-tree construction (§3.3) where v is 1.
-//
-// src is the splittable RNG fixed by this subtree's position, so the
-// tree is identical for every worker count; off and foff are where the
-// subtree's leaves start in the tree's item and filter arenas.
-func (c *construction[T]) build(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
-	switch {
-	case lo == hi:
-		return nil
-	case hi-lo <= c.t.k+c.t.v:
-		return c.buildLeaf(lo, hi, src, depth, off, foff)
+func (c *construction[T]) buildTask(i int) { c.build(c.tasks[i]) }
+
+// build recursively constructs the subtree tk describes, following the
+// paper's construction algorithm (§4.2) generalized from m=2 to any m,
+// and its vp-tree construction (§3.3) where v is 1.
+func (c *construction[T]) build(tk task) {
+	switch size := tk.hi - tk.lo; {
+	case size == 0: // the child slot says noChild
+	case size <= c.t.k+c.t.v:
+		c.buildLeaf(tk)
 	default:
-		return c.buildInternal(lo, hi, src, depth, off, foff)
+		c.buildInternal(tk)
 	}
 }
 
-// leafLoad is the number of leaf items, and of stored distances, in the
-// subtree build makes of size points at depth: splits are by rank, so
-// sizes alone decide it (shellRange is shared with buildInternal).
-func (c *construction[T]) leafLoad(size, depth int) (items, floats int) {
-	if v := c.t.v; size <= c.t.k+v {
-		items = max(size-v, 0)
-		return items, items * (2 + c.pathLen(depth))
+// load is what the subtree build makes of size points at depth adds to
+// the arenas: splits are by rank, so sizes alone decide it (own,
+// shellRange and parts are shared with buildInternal).
+func (c *construction[T]) load(size, depth int) load {
+	switch v := c.t.v; {
+	case size == 0:
+		return load{}
+	case size <= c.t.k+v:
+		items := max(size-v, 0)
+		return load{nodes: 1, items: items, floats: items * (2 + c.pathLen(depth))}
 	}
+	l := c.own(size)
 	for g := 0; g < min(c.t.m, size-1); g++ {
 		lo, hi := c.shellRange(size, g)
 		for h, parts := 0, c.parts(hi-lo); h < parts; h++ {
 			partLo, partHi := build.GroupBounds(hi-lo, parts, h)
-			i, f := c.leafLoad(partHi-partLo, depth+1)
-			items, floats = items+i, floats+f
+			l = l.plus(c.load(partHi-partLo, depth+1))
 		}
 	}
-	return items, floats
+	return l
+}
+
+// own is what an internal node of size points adds to the arenas itself
+// (Tree.inner): its row; v cached bounds, a cutoff between shells and one
+// between each shell's children; with two vantage points a count per
+// shell, and a slot per child.
+func (c *construction[T]) own(size int) load {
+	v, shells := c.t.v, min(c.t.m, size-1)
+	l := load{nodes: 1, cuts: v + shells - 1, kids: (v - 1) * shells}
+	for g := 0; g < shells; g++ {
+		lo, hi := c.shellRange(size, g)
+		parts := c.parts(hi - lo)
+		l.cuts, l.kids = l.cuts+parts-1, l.kids+parts
+	}
+	return l
 }
 
 // shellRange is the rank range of shell g among the size-1 points an
@@ -75,21 +115,23 @@ func (c *construction[T]) shellRange(size, g int) (lo, hi int) {
 	return lo, hi
 }
 
-// parts is the number of children a shell of size points gets: one per
+// parts is the number of child slots a shell of size points gets: one per
 // sub-shell the second vantage point cuts it into, else the shell itself.
+// A shell left empty (sv2 came from a shell of one) keeps one slot, for
+// noChild, so the cutoff and child rows stay aligned with the shells.
 func (c *construction[T]) parts(size int) int {
 	if c.t.v == 1 {
 		return 1 // its shells are never empty: none gave up a vantage point
 	}
-	return min(c.t.m, size)
+	return max(1, min(c.t.m, size))
 }
 
-// firstVantage makes the point at slot pick the node's first vantage
+// firstVantage makes the point at slot pick node ni's first vantage
 // point, moves it to the last slot and returns the remaining slots.
-func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int32 {
+func (c *construction[T]) firstVantage(ni int, perm []int32, pick int) []int32 {
 	last := len(perm) - 1
 	perm[pick], perm[last] = perm[last], perm[pick]
-	n.sv1, n.hasSV1 = c.items[perm[last]], true
+	c.t.vps[ni*c.t.v] = c.items[perm[last]]
 	return perm[:last]
 }
 
@@ -99,18 +141,22 @@ func (c *construction[T]) firstVantage(n *node[T], perm []int32, pick int) []int
 // most a point of query cost for 6–35 points of build distances,
 // docs/TUNING.md), the second — when v is 2 — as the farthest point from
 // the first, and store exact distances D1, D2 for the remaining points.
-func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
-	c.b.Node(depth)
-	n := &node[T]{}
-	rest := c.firstVantage(n, c.Perm[lo:hi], src.Pick(hi-lo))
+func (c *construction[T]) buildLeaf(tk task) {
+	c.b.Node(tk.depth)
+	t, ni := c.t, tk.at.nodes
+	n := &t.nodes[ni]
+	rng := c.b.Rand(tk.rng)
+	rest := c.firstVantage(ni, c.Perm[tk.lo:tk.hi], rng.IntN(tk.hi-tk.lo))
+	c.b.Done(rng)
+	*n = node{svs: 1}
 	if len(rest) == 0 {
-		return n
+		return
 	}
 
-	d1 := c.Dist[lo : lo+len(rest)]
-	c.b.MeasureIDs(n.sv1, c.items, rest, d1)
-	v := c.t.v
-	if v == 2 {
+	sv := t.vantages(int32(ni))
+	d1 := c.Dist[tk.lo : tk.lo+len(rest)]
+	c.b.MeasureIDs(sv[0], c.items, rest, d1)
+	if t.v == 2 {
 		far := 0
 		for i := range rest {
 			if d1[i] > d1[far] {
@@ -123,31 +169,30 @@ func (c *construction[T]) buildLeaf(lo, hi int, src build.RNG, depth, off, foff 
 		last := len(rest) - 1
 		rest[far], rest[last] = rest[last], rest[far]
 		d1[far], d1[last] = d1[last], d1[far]
-		n.sv2, n.hasSV2 = c.items[rest[last]], true
+		sv[1], n.svs = c.items[rest[last]], 2
 		rest, d1 = rest[:last], d1[:last]
 		if len(rest) == 0 {
-			return n
+			return
 		}
 	}
 
 	// D1 goes into the rows first, so its slots of Dist can take D2.
-	p, held := c.t.p, c.pathLen(depth)
-	n.off, n.foff, n.cnt, n.held = int32(off), foff, int32(len(rest)), int32(held)
-	items, stride := c.t.items[off:off+len(rest)], 2+held
-	rows := c.raw[foff : foff+len(rest)*stride]
+	p, held := t.p, c.pathLen(tk.depth)
+	n.off, n.foff, n.cnt, n.held = int32(tk.at.items), tk.at.floats, int32(len(rest)), uint16(held)
+	items, stride := t.items[tk.at.items:tk.at.items+len(rest)], 2+held
+	rows := c.raw[tk.at.floats : tk.at.floats+len(rest)*stride]
 	for i, id := range rest {
 		items[i] = c.items[id]
 		row := rows[i*stride : (i+1)*stride]
 		row[0] = d1[i]
 		copy(row[2:], c.paths[int(id)*p:int(id)*p+held])
 	}
-	if v == 2 {
-		c.b.MeasureIDs(n.sv2, c.items, rest, d1)
+	if t.v == 2 {
+		c.b.MeasureIDs(sv[1], c.items, rest, d1)
 		for i := range rest {
 			rows[i*stride+1] = d1[i]
 		}
 	}
-	return n
 }
 
 // measure fills keys with the distances from v to the points in ids and
@@ -167,32 +212,36 @@ func (c *construction[T]) measure(v T, ids []int32, dist []float64, keys []build
 // set into m equal shells; one second vantage point (from the outermost
 // shell) splits every shell into m more — with v = 1 there is none, and
 // each shell is a child (the vp-tree's node). Child subtrees build through
-// the shared pool via Fork, each over its own slot range and with its
-// own position-derived RNG.
+// the shared pool via ForkRange, each over its own slot range and arena
+// ranges and with its own position-derived RNG.
 //
 // The paper draws the first vantage point; here it is the candidate of
 // largest sampled spread (build.SelectVantage, the [Yia93] heuristic),
 // because every PATH entry and shell boundary below is a distance to
 // it. Nodes too small to sample, and every node under
 // RandomFirstVantage, take the single draw.
-func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, foff int) *node[T] {
-	c.b.Node(depth)
-	rng := src.Rand()
-	n := &node[T]{}
-	sample := build.SpreadSample(hi - lo)
+func (c *construction[T]) buildInternal(tk task) {
+	c.b.Node(tk.depth)
+	t, ni, lo, size := c.t, tk.at.nodes, tk.lo, tk.hi-tk.lo
+	rng := c.b.Rand(tk.rng)
+	sample := build.SpreadSample(size)
 	if c.opts.RandomFirstVantage {
 		sample = 0
 	}
-	perm := c.Perm[lo:hi]
-	rest := c.firstVantage(n, perm, c.b.SelectVantage(c.items, perm, rng, build.SpreadCandidates, sample))
+	perm := c.Perm[lo:tk.hi]
+	rest := c.firstVantage(ni, perm, c.b.SelectVantage(c.items, perm, rng.Rand, build.SpreadCandidates, sample))
 	dist, keys := c.Dist[lo:lo+len(rest)], c.Keys[lo:lo+len(rest)]
-	held := c.pathLen(depth)
+	held := c.pathLen(tk.depth)
 
-	c.measure(n.sv1, rest, dist, keys, held)
-	shells := min(c.t.m, len(keys))
-	n.cut1 = build.SplitEqual(keys, shells)
+	v, sv, shells := t.v, t.vantages(int32(ni)), min(t.m, len(keys))
+	t.nodes[ni] = node{internal: true, svs: uint8(v), cnt: int32(shells), off: int32(tk.at.cuts), foff: tk.at.kids}
+	cuts, kids := t.cuts[tk.at.cuts:], t.kids[tk.at.kids:]
+	cut1, cut2 := cuts[v:v+shells-1], cuts[v+shells-1:]
+	c.measure(sv[0], rest, dist, keys, held)
+	build.SplitEqual(keys, cut1)
+	cuts[0] = cutMax(cut1)
 
-	if c.t.v == 2 {
+	if v == 2 {
 		// Second vantage point: from the outermost shell — the farthest
 		// point from sv1 by default, or a random member for the ablation.
 		outerLo, outerHi := build.GroupBounds(len(keys), shells, shells-1)
@@ -201,7 +250,7 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, f
 			pick = outerLo + rng.IntN(outerHi-outerLo)
 		}
 		sv2 := keys[pick].ID
-		n.sv2, n.hasSV2 = c.items[sv2], true
+		sv[1] = c.items[sv2]
 		// Remove the picked key from the order (and from the outer shell);
 		// its slot is the one after the points that go on to the children.
 		keys = append(keys[:pick], keys[pick+1:]...)
@@ -212,52 +261,46 @@ func (c *construction[T]) buildInternal(lo, hi int, src build.RNG, depth, off, f
 		rest, dist = rest[:len(keys)], dist[:len(keys)]
 
 		// Distances to sv2 for every remaining point, across all shells.
-		c.measure(n.sv2, rest, dist, keys, held+1)
+		c.measure(sv[1], rest, dist, keys, held+1)
 	}
+	c.b.Done(rng)
 
-	// Partition every shell again (cheap: no distance computations),
-	// then recurse through the pool. Each task writes one distinct
-	// child slot, works on its own slot range and derives its RNG from
-	// the child's position.
-	type childTask struct {
-		g, h      int
-		lo, hi    int
-		rng       build.RNG
-		off, foff int
-	}
-	tasks := make([]childTask, 0, shells*c.t.m)
-	n.cut2 = make([][]float64, shells)
-	n.children = make([][]*node[T], shells)
-	for g := range n.children {
-		shellLo, shellHi := c.shellRange(hi-lo, g)
+	// Partition every shell again (cheap: no distance computations), then
+	// recurse through the pool: one task per child slot, each with the
+	// ranges of the permutation and of the arenas that are its subtree's
+	// and an RNG derived from the child's position.
+	own := c.own(size)
+	first, next, children := tk.at.kids+(v-1)*shells, tk.at.plus(own), 0
+	slot := first
+	for g := 0; g < shells; g++ {
+		shellLo, shellHi := c.shellRange(size, g)
 		shell := keys[shellLo:shellHi]
-		if len(shell) == 0 {
-			// An empty shell (possible when sv2 came from a shell of
-			// size one): keep a placeholder so cut2/children stay
-			// index-aligned with cut1 shells.
-			n.children[g] = []*node[T]{nil}
-			continue
-		}
-		// Order the shell's points by distance to sv2 and split again.
 		parts := c.parts(len(shell))
-		if c.t.v == 2 {
-			n.cut2[g] = build.SplitEqual(shell, parts)
+		if v == 2 {
+			// Order the shell's points by distance to sv2 and split again.
+			kids[g] = int32(parts)
+			build.SplitEqual(shell, cut2[:parts-1])
+			cut2 = cut2[parts-1:]
 		}
-		n.children[g] = make([]*node[T], parts)
-		for h := range n.children[g] {
+		for h := 0; h < parts; h++ {
 			partLo, partHi := build.GroupBounds(len(shell), parts, h)
-			tasks = append(tasks, childTask{g, h, lo + shellLo + partLo, lo + shellLo + partHi, src.Child(len(tasks)), off, foff})
-			items, floats := c.leafLoad(partHi-partLo, depth+1)
-			off, foff = off+items, foff+floats
+			child := task{lo: lo + shellLo + partLo, hi: lo + shellLo + partHi, depth: tk.depth + 1, at: next}
+			t.kids[slot] = noChild
+			if child.hi > child.lo {
+				t.kids[slot] = int32(next.nodes)
+				child.rng = tk.rng.Child(children)
+				children++
+				next = next.plus(c.load(child.hi-child.lo, child.depth))
+			}
+			c.tasks[slot] = child
+			slot++
 		}
 	}
 	for i, k := range keys {
 		rest[i] = k.ID
 	}
-	n.setDerived()
-	c.b.Fork(len(tasks), func(i int) {
-		ct := tasks[i]
-		n.children[ct.g][ct.h] = c.build(ct.lo, ct.hi, ct.rng, depth+1, ct.off, ct.foff)
-	})
-	return n
+	if v == 2 {
+		cuts[1] = cutMax(cuts[v+shells-1 : own.cuts])
+	}
+	c.b.ForkRange(first, slot, c.run)
 }

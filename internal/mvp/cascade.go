@@ -29,39 +29,39 @@ import "mvptree/internal/cascade"
 // budgeted ones included (their leaf filter compares the bound against
 // the shrunken threshold).
 func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return nil
 	}
 	b, err := cascade.NewBuilder[T](opts)
 	if err != nil {
 		return err
 	}
-	queue := []*node[T]{t.root}
+	// What the walk gives the nodes: per vantage-point slot its stamp as a
+	// cascade pivot (the pivot index plus one; zero means unstamped), and
+	// per leaf the cascade id of its first item — in a leaf without items,
+	// of its first vantage point.
+	stamp, base := make([]int32, len(t.vps)), make([]int32, len(t.nodes))
+	queue := []int32{0}
 	for len(queue) > 0 {
-		n := queue[0]
+		i := queue[0]
 		queue = queue[1:]
+		n := &t.nodes[i]
 		if n.isLeaf() && n.cnt == 0 {
-			n.casBase = b.AddItems(nil) // the id the first point gets
-			for i := 0; i < 2; i++ {
-				if pt, ok := n.point(i); ok {
-					b.AddItem(*pt)
-				}
-			}
+			base[i] = b.AddItems(t.points(i)) // the id the first point gets
 			continue
 		}
-		if n.hasSV1 {
-			n.cas1 = b.AddPivot(n.sv1)
-		}
-		if n.hasSV2 {
-			n.cas2 = b.AddPivot(n.sv2)
+		for j, sv := range t.points(i) {
+			stamp[int(i)*t.v+j] = b.AddPivot(sv)
 		}
 		if n.isLeaf() {
-			n.casBase = b.AddItems(t.items[n.off : n.off+n.cnt])
+			base[i] = b.AddItems(t.items[n.off : n.off+n.cnt])
 			continue
 		}
-		for _, row := range n.children {
+		cut1, _, sh := t.inner(n)
+		for range len(cut1) + 1 {
+			row, _ := sh.next()
 			for _, c := range row {
-				if c != nil {
+				if c != noChild {
 					queue = append(queue, c)
 				}
 			}
@@ -74,8 +74,17 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	if err != nil {
 		return err
 	}
-	t.cas = f
+	t.cas, t.casStamp, t.casBase = f, stamp, base
 	return nil
+}
+
+// itemBase returns the cascade id of leaf i's first candidate, zero while
+// no cascade is armed.
+func (t *Tree[T]) itemBase(i int32) int32 {
+	if t.cas == nil {
+		return 0
+	}
+	return t.casBase[i]
 }
 
 // Cascade returns the tree's cascade filter, nil unless EnableCascade

@@ -17,56 +17,49 @@ import (
 
 // RangeFarther returns every indexed item at distance ≥ r from q.
 func (t *Tree[T]) RangeFarther(q T, r float64) []T {
-	if t.root == nil {
+	if len(t.nodes) == 0 {
 		return nil
 	}
 	var out []T
 	if r <= 0 {
-		t.collectAll(t.root, &out)
+		t.collectAll(0, &out)
 		return out
 	}
 	qpath := make([]float64, 0, t.p)
-	t.rangeFartherNode(t.root, q, r, qpath, &out)
+	t.rangeFartherNode(0, q, r, qpath, &out)
 	return out
 }
 
-func (t *Tree[T]) rangeFartherNode(n *node[T], q T, r float64, qpath []float64, out *[]T) {
-	if n == nil {
-		return
-	}
+func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out *[]T) {
+	n := &t.nodes[i]
 	if n.isLeaf() {
-		t.rangeFartherLeaf(n, q, r, qpath, out)
+		t.rangeFartherLeaf(i, q, r, qpath, out)
 		return
-	}
-	d1 := t.dist.Distance(q, n.sv1)
-	if d1 >= r {
-		*out = append(*out, n.sv1)
-	}
-	if len(qpath) < t.p {
-		qpath = append(qpath, d1)
 	}
 	// Without a second vantage point d2 is 0 and each shell's one
 	// sub-shell [0, +Inf]: neither test on them below ever fires.
-	var d2 float64
-	if n.hasSV2 {
-		d2 = t.dist.Distance(q, n.sv2)
-		if d2 >= r {
-			*out = append(*out, n.sv2)
+	var d [2]float64
+	for j, sv := range t.vantages(i) {
+		if d[j] = t.dist.Distance(q, sv); d[j] >= r {
+			*out = append(*out, sv)
 		}
 		if len(qpath) < t.p {
-			qpath = append(qpath, d2)
+			qpath = append(qpath, d[j])
 		}
 	}
-	for g, row := range n.children {
-		lo1, hi1 := shellBounds(n.cut1, g)
+	d1, d2 := d[0], d[1]
+	cut1, _, sh := t.inner(n)
+	for g := 0; g <= len(cut1); g++ {
+		row, cut2 := sh.next()
+		lo1, hi1 := shellBounds(cut1, g)
 		if d1+hi1 < r {
 			continue // every point in the shell is provably too close
 		}
 		for h, c := range row {
-			if c == nil {
+			if c == noChild {
 				continue
 			}
-			lo2, hi2 := shellBounds(n.cut2[g], h)
+			lo2, hi2 := shellBounds(cut2, h)
 			if d2+hi2 < r {
 				continue
 			}
@@ -81,27 +74,17 @@ func (t *Tree[T]) rangeFartherNode(n *node[T], q T, r float64, qpath []float64, 
 	}
 }
 
-func (t *Tree[T]) rangeFartherLeaf(n *node[T], q T, r float64, qpath []float64, out *[]T) {
-	if !n.hasSV1 {
-		return
-	}
-	d1 := t.dist.Distance(q, n.sv1)
-	if d1 >= r {
-		*out = append(*out, n.sv1)
-	}
-	var d2 float64
-	if n.hasSV2 {
-		d2 = t.dist.Distance(q, n.sv2)
-		if d2 >= r {
-			*out = append(*out, n.sv2)
+func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out *[]T) {
+	var d [2]float64
+	for j, sv := range t.points(i) {
+		if d[j] = t.dist.Distance(q, sv); d[j] >= r {
+			*out = append(*out, sv)
 		}
 	}
-	if n.cnt == 0 {
-		return
-	}
+	n := &t.nodes[i]
 	items, rows, stride := t.leaf(n)
 	for i, it := range items {
-		lb, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2, d1, d2, qpath)
+		lb, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2(), d[0], d[1], qpath)
 		switch {
 		case ub < r:
 			// Provably too close.
@@ -133,25 +116,22 @@ func (t *Tree[T]) leafBounds(row []uint16, hasSV2 bool, d1, d2 float64, qpath []
 	return lb - t.slack, ub + t.slack
 }
 
-// collectAll appends every data point in the subtree without any
-// distance computations.
-func (t *Tree[T]) collectAll(n *node[T], out *[]T) {
-	if n == nil {
-		return
-	}
-	if n.hasSV1 {
-		*out = append(*out, n.sv1)
-	}
-	if n.hasSV2 {
-		*out = append(*out, n.sv2)
-	}
+// collectAll appends every data point in the subtree of node i without
+// any distance computations.
+func (t *Tree[T]) collectAll(i int32, out *[]T) {
+	n := &t.nodes[i]
+	*out = append(*out, t.points(i)...)
 	if n.isLeaf() {
 		*out = append(*out, t.items[n.off:n.off+n.cnt]...)
 		return
 	}
-	for _, row := range n.children {
+	cut1, _, sh := t.inner(n)
+	for range len(cut1) + 1 {
+		row, _ := sh.next()
 		for _, c := range row {
-			t.collectAll(c, out)
+			if c != noChild {
+				t.collectAll(c, out)
+			}
 		}
 	}
 }
@@ -159,18 +139,18 @@ func (t *Tree[T]) collectAll(n *node[T], out *[]T) {
 // KFarthest returns the k indexed items farthest from q in descending
 // distance order, by best-first traversal on distance upper bounds.
 func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
-	if k <= 0 || t.root == nil {
+	if k <= 0 || len(t.nodes) == 0 {
 		return nil
 	}
 	best := heapx.NewKLargest[T](k)
 	type pending struct {
-		n     *node[T]
+		n     int32
 		qpath []float64
 	}
 	// NodeQueue is a min-heap; store the negated upper bound so the
 	// most promising (largest upper bound) subtree pops first.
 	var queue heapx.NodeQueue[pending]
-	queue.PushNode(pending{t.root, make([]float64, 0, t.p)}, 0)
+	queue.PushNode(pending{0, make([]float64, 0, t.p)}, 0)
 	for {
 		pn, negUB, ok := queue.PopNode()
 		if !ok {
@@ -179,38 +159,36 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		if !best.Accepts(-negUB) {
 			break
 		}
-		n, qpath := pn.n, pn.qpath
+		n, qpath := &t.nodes[pn.n], pn.qpath
 		if n.isLeaf() {
-			t.kFarthestLeaf(n, q, qpath, best)
+			t.kFarthestLeaf(pn.n, q, qpath, best)
 			continue
 		}
-		d1 := t.dist.Distance(q, n.sv1)
-		best.Push(n.sv1, d1)
-		var d2 float64 // 0 without a second vantage point; so is its shell's upper bound +Inf
-		if n.hasSV2 {
-			d2 = t.dist.Distance(q, n.sv2)
-			best.Push(n.sv2, d2)
-		}
 		if len(qpath) < t.p {
-			ext := make([]float64, len(qpath), t.p)
-			copy(ext, qpath)
-			ext = append(ext, d1)
-			if n.hasSV2 && len(ext) < t.p {
-				ext = append(ext, d2)
-			}
-			qpath = ext
+			qpath = append(make([]float64, 0, t.p), qpath...)
 		}
-		for g, row := range n.children {
-			_, hi1 := shellBounds(n.cut1, g)
+		var d [2]float64 // d2 is 0 without a second vantage point; so is its shell's upper bound +Inf
+		for j, sv := range t.vantages(pn.n) {
+			d[j] = t.dist.Distance(q, sv)
+			best.Push(sv, d[j])
+			if len(qpath) < t.p {
+				qpath = append(qpath, d[j])
+			}
+		}
+		d1, d2 := d[0], d[1]
+		cut1, _, sh := t.inner(n)
+		for g := 0; g <= len(cut1); g++ {
+			row, cut2 := sh.next()
+			_, hi1 := shellBounds(cut1, g)
 			ub1 := d1 + hi1
 			if !best.Accepts(ub1) {
 				continue
 			}
 			for h, c := range row {
-				if c == nil {
+				if c == noChild {
 					continue
 				}
-				_, hi2 := shellBounds(n.cut2[g], h)
+				_, hi2 := shellBounds(cut2, h)
 				ub := min(ub1, d2+hi2)
 				if best.Accepts(ub) {
 					queue.PushNode(pending{c, qpath}, -ub)
@@ -221,23 +199,16 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	return best.Sorted()
 }
 
-func (t *Tree[T]) kFarthestLeaf(n *node[T], q T, qpath []float64, best *heapx.KLargest[T]) {
-	if !n.hasSV1 {
-		return
+func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, best *heapx.KLargest[T]) {
+	var d [2]float64
+	for j, sv := range t.points(i) {
+		d[j] = t.dist.Distance(q, sv)
+		best.Push(sv, d[j])
 	}
-	d1 := t.dist.Distance(q, n.sv1)
-	best.Push(n.sv1, d1)
-	var d2 float64
-	if n.hasSV2 {
-		d2 = t.dist.Distance(q, n.sv2)
-		best.Push(n.sv2, d2)
-	}
-	if n.cnt == 0 {
-		return
-	}
+	n := &t.nodes[i]
 	items, rows, stride := t.leaf(n)
 	for i, it := range items {
-		_, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2, d1, d2, qpath)
+		_, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2(), d[0], d[1], qpath)
 		if best.Accepts(ub) {
 			best.Push(it, t.dist.Distance(q, it))
 		}

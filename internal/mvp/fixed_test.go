@@ -189,7 +189,7 @@ func TestFilterSoundAtBoundaryRadii(t *testing.T) {
 			}
 			var radii []float64
 			for _, q := range w.Queries {
-				for _, v := range []int{tree.root.sv1, tree.root.sv2}[:tree.v] {
+				for _, v := range tree.vantages(0) {
 					x := w.Items[rng.IntN(n)]
 					r := math.Abs(w.Dist(q, v) - w.Dist(x, v))
 					radii = append(radii, math.Nextafter(r, 0), r, math.Nextafter(r, 2))
@@ -417,7 +417,11 @@ func TestLoadsFloat64LeafStream(t *testing.T) {
 		// item; from MVPTREE2 only the header differs, by v's one byte.
 		saved := -1
 		if magic == loadMagicV1 {
-			fresh.root.eachLeaf(func(n *node[[]float64]) { saved += int(n.cnt) * (6*(2+int(n.held)) + 1) })
+			for _, n := range fresh.nodes {
+				if n.isLeaf() {
+					saved += int(n.cnt) * (6*(2+int(n.held)) + 1)
+				}
+			}
 		}
 		if got := len(old) - len(v2); got < saved-8 || got > saved {
 			t.Errorf("%s: %d bytes as %s, %d as %s: want about %d fewer", name, len(old), magic, len(v2), saveMagic, saved)
@@ -531,9 +535,11 @@ func BenchmarkLeafFilter(b *testing.B) {
 				var s SearchStats
 				for b.Loop() {
 					out, s = out[:0], SearchStats{}
-					tree.root.eachLeaf(func(leaf *node[float64]) {
-						tree.rangeLeaf(leaf, mode.q, mode.r, mode.r, int(leaf.held), sc, nil, &out, &s)
-					})
+					for i, n := range tree.nodes {
+						if n.isLeaf() {
+							tree.rangeLeaf(int32(i), mode.q, mode.r, mode.r, int(n.held), sc, nil, &out, &s)
+						}
+					}
 				}
 				if s.Candidates != shape.LeafItems || (s.Computed == shape.LeafItems) != mode.pass || !mode.pass && s.Computed != 0 {
 					b.Fatalf("%d leaf items: %+v", shape.LeafItems, s)

@@ -13,32 +13,31 @@ import (
 	"mvptree/internal/testutil"
 )
 
-// checkNode recursively verifies subtree invariants. ancestors holds the
-// vantage points of the nodes above, in PATH order (sv1 then sv2 per
-// level); raw is the uncounted distance function.
-func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFunc[int], ancestors []int) {
+// checkNode recursively verifies the invariants of the subtree of node i.
+// ancestors holds the vantage points of the nodes above, in PATH order
+// (sv1 then sv2 per level); raw is the uncounted distance function.
+func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int], ancestors []int) {
 	t.Helper()
-	if n == nil {
-		return
-	}
+	n, sv := &tr.nodes[i], tr.vantages(i)
 	if n.isLeaf() {
 		// Stored precision: the leaf holds the code of each distance.
 		items, rows, stride := tr.leaf(n)
 		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
 			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
 		}
-		if n.hasSV2 != (tr.v == 2 && len(items) > 0) && len(items) > 0 {
-			t.Fatalf("leaf of %d items in a tree of %d vantage points: second vantage point %v", len(items), tr.v, n.hasSV2)
+		if len(items) > 0 && int(n.svs) != tr.v {
+			t.Fatalf("leaf of %d items in a tree of %d vantage points has %d", len(items), tr.v, n.svs)
 		}
 		for i, it := range items {
 			row := rows[i*stride : (i+1)*stride]
-			if got := raw(it, n.sv1); encode(got, tr.step) != row[0] {
+			if got := raw(it, sv[0]); encode(got, tr.step) != row[0] {
 				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, tr.decode(row[0]), got)
 			}
-			if got := raw(it, n.sv2); tr.v == 2 && encode(got, tr.step) != row[1] {
-				t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, tr.decode(row[1]), got)
-			}
-			if tr.v == 1 && row[1] != 0 {
+			if tr.v == 2 {
+				if got := raw(it, sv[1]); encode(got, tr.step) != row[1] {
+					t.Fatalf("leaf D2[%d] = %g, recomputed %g", i, tr.decode(row[1]), got)
+				}
+			} else if row[1] != 0 {
 				t.Fatalf("leaf row %d of a one-vantage tree has %d in the D2 slot it does not use", i, row[1])
 			}
 			for l, stored := range row[2:] {
@@ -50,29 +49,33 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 		return
 	}
 
-	if len(n.cut2) != len(n.children) {
-		t.Fatalf("internal node: %d cut2 rows for %d child rows", len(n.cut2), len(n.children))
+	if int(n.svs) != tr.v {
+		t.Fatalf("internal node in a tree of %d vantage points has %d", tr.v, n.svs)
 	}
-	if n.hasSV2 != (tr.v == 2) {
-		t.Fatalf("internal node in a tree of %d vantage points: second vantage point %v", tr.v, n.hasSV2)
-	}
-	next := append(append([]int(nil), ancestors...), n.sv1, n.sv2)[:len(ancestors)+tr.v]
-	for g, row := range n.children {
-		if tr.v == 1 && (len(row) != 1 || len(n.cut2[g]) != 0) {
-			t.Fatalf("shell %d of a one-vantage node has %d children and %d cutoffs", g, len(row), len(n.cut2[g]))
+	next := append(append([]int(nil), ancestors...), sv...)
+	cut1, _, sh := tr.inner(n)
+	for g := 0; g <= len(cut1); g++ {
+		row, cut2 := sh.next()
+		if tr.v == 1 && (len(row) != 1 || len(cut2) != 0) {
+			t.Fatalf("shell %d of a one-vantage node has %d children and %d cutoffs", g, len(row), len(cut2))
 		}
-		lo1, hi1 := shellBounds(n.cut1, g)
+		lo1, hi1 := shellBounds(cut1, g)
 		for h, c := range row {
-			lo2, hi2 := shellBounds(n.cut2[g], h)
+			if c == noChild {
+				continue
+			}
+			lo2, hi2 := shellBounds(cut2, h)
 			var points []int
 			tr.collectAll(c, &points)
 			for _, pt := range points {
-				d1 := raw(pt, n.sv1)
+				d1 := raw(pt, sv[0])
 				if d1 < lo1 || d1 > hi1 {
 					t.Fatalf("point %d in shell %d has d1 = %g outside [%g, %g]", pt, g, d1, lo1, hi1)
 				}
-				d2 := raw(pt, n.sv2)
-				if tr.v == 2 && (d2 < lo2 || d2 > hi2) {
+				if tr.v == 1 {
+					continue
+				}
+				if d2 := raw(pt, sv[1]); d2 < lo2 || d2 > hi2 {
 					t.Fatalf("point %d in sub-shell (%d,%d) has d2 = %g outside [%g, %g]", pt, g, h, d2, lo2, hi2)
 				}
 			}
@@ -81,20 +84,33 @@ func checkNode(t *testing.T, tr *Tree[int], n *node[int], raw metric.DistanceFun
 	}
 }
 
-// checkArenasTiled verifies that the leaves, in order, tile the tree's
-// two arenas exactly — what construction's leafLoad promises before any
-// leaf exists.
+// checkArenasTiled verifies that the nodes, in order, tile the tree's
+// arenas exactly — what construction's load promises before any node
+// exists: the leaves the item and filter arenas (checkShape), the internal
+// nodes the cutoff and child arenas.
 func checkArenasTiled[T any](t *testing.T, tr *Tree[T]) {
 	t.Helper()
-	items, floats := 0, 0
-	tr.root.eachLeaf(func(n *node[T]) {
-		if n.cnt > 0 && (int(n.off) != items || n.foff != floats) {
-			t.Fatalf("leaf at items[%d], filter[%d]; the leaves before it end at %d, %d", n.off, n.foff, items, floats)
+	if err := tr.checkShape(); err != nil {
+		t.Fatal(err)
+	}
+	cuts, kids := 0, 0
+	for i := range tr.nodes {
+		n := &tr.nodes[i]
+		if n.isLeaf() {
+			continue
 		}
-		items, floats = items+int(n.cnt), floats+int(n.cnt)*(2+int(n.held))
-	})
-	if items != len(tr.items) || floats != len(tr.filter) {
-		t.Fatalf("leaves hold %d items and %d floats, arenas %d and %d", items, floats, len(tr.items), len(tr.filter))
+		if int(n.off) != cuts || n.foff != kids {
+			t.Fatalf("internal node at cuts[%d], kids[%d]; the nodes before it end at %d, %d", n.off, n.foff, cuts, kids)
+		}
+		cut1, _, sh := tr.inner(n)
+		cuts, kids = cuts+tr.v+len(cut1), kids+(tr.v-1)*(len(cut1)+1)
+		for range len(cut1) + 1 {
+			row, cut2 := sh.next()
+			cuts, kids = cuts+len(cut2), kids+len(row)
+		}
+	}
+	if cuts != len(tr.cuts) || kids != len(tr.kids) {
+		t.Fatalf("internal nodes hold %d cutoffs and %d child slots, arenas %d and %d", cuts, kids, len(tr.cuts), len(tr.kids))
 	}
 }
 
@@ -136,7 +152,7 @@ func TestStructuralInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			checkNode(t, tree, tree.root, w.Dist, nil)
+			checkNode(t, tree, 0, w.Dist, nil)
 			checkArenasTiled(t, tree)
 		}
 	}
@@ -153,18 +169,18 @@ func TestSecondVantageIsFarthestInLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := tree.root
+	n, sv := &tree.nodes[0], tree.vantages(0)
 	if !n.isLeaf() {
 		t.Fatal("expected a single leaf")
 	}
 	// Whatever sv1 is, sv2 must maximize distance from it.
 	want := 0.0
 	for _, id := range ids {
-		if d := dist(id, n.sv1); d > want {
+		if d := dist(id, sv[0]); d > want {
 			want = d
 		}
 	}
-	if got := dist(n.sv2, n.sv1); got != want {
+	if got := dist(sv[1], sv[0]); got != want {
 		t.Errorf("sv2 at distance %g from sv1, farthest is %g", got, want)
 	}
 }
@@ -177,15 +193,15 @@ func TestInternalSecondVantageFromOutermostShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := tree.root
+	n, sv := &tree.nodes[0], tree.vantages(0)
 	if n.isLeaf() {
 		t.Fatal("root unexpectedly a leaf")
 	}
 	// sv2 must lie in the outermost shell of sv1's partition: its
 	// distance to sv1 must be ≥ the last cutoff.
-	d := w.Dist(n.sv2, n.sv1)
-	if last := n.cut1[len(n.cut1)-1]; d < last {
-		t.Errorf("sv2 at distance %g from sv1, outermost shell starts at %g", d, last)
+	d := w.Dist(sv[1], sv[0])
+	if cut1, _, _ := tree.inner(n); d < cut1[len(cut1)-1] {
+		t.Errorf("sv2 at distance %g from sv1, outermost shell starts at %g", d, cut1[len(cut1)-1])
 	}
 }
 

@@ -51,13 +51,13 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
-	if k <= 0 || t.root == nil {
+	if k <= 0 || len(t.nodes) == 0 {
 		span.Done(&s)
 		return index.Result[T]{Stats: s}
 	}
 	sc := t.getScratch(o)
 	a, ext := &sc.ap, o.Bound
-	t.prepareQuant(sc, q)
+	sc.quantOn, sc.quantPruned = t.prepareQuant(&sc.qprep, q), 0
 	if sc.best == nil {
 		sc.best = heapx.NewKBest[T](k)
 	} else {
@@ -68,7 +68,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	queue.PushNode(pendingRef[T]{n: t.root}, 0)
+	queue.PushNode(pendingRef{}, 0)
 	for !a.Stop() {
 		pn, bound, ok := queue.PopNode()
 		if !ok {
@@ -87,15 +87,15 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		if bound >= a.Shrink(tau) {
 			break
 		}
-		n := pn.n
+		i, n := pn.n, &t.nodes[pn.n]
 		s.NodesVisited++
 		t.TraceNode(n.isLeaf())
 		if n.isLeaf() {
 			s.LeavesVisited++
 			if n.cnt == 0 {
-				t.knnBare(n, q, best, ext, cc, a, &s)
+				t.knnBare(i, q, best, ext, cc, a, &s)
 			} else {
-				t.knnLeaf(n, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
+				t.knnLeaf(i, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
 			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
@@ -115,17 +115,15 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		// the unconditional push: an out-of-bound value is ≥ τ_local
 		// and the heap would reject it.
 		exact := int(pn.plen) < t.p
-		d1 := t.vantageDistance(q, n.sv1, n.cas1, exact, tau+n.cut1Max, cc)
-		var d2 float64 // 0 without a second vantage point: inside the one sub-shell
-		if n.hasSV2 {
-			d2 = t.vantageDistance(q, n.sv2, n.cas2, exact, tau+n.cut2Max, cc)
+		cut1, cutMax, sh := t.inner(n)
+		var d [2]float64 // d2 is 0 without a second vantage point: inside the one sub-shell
+		for j, sv := range t.vantages(i) {
+			d[j] = t.vantageDistance(q, i, j, exact, tau+cutMax[j], cc)
+			if d[j] <= tau+cutMax[j] {
+				best.Push(sv, d[j])
+			}
 		}
-		if d1 <= tau+n.cut1Max {
-			best.Push(n.sv1, d1)
-		}
-		if n.hasSV2 && d2 <= tau+n.cut2Max {
-			best.Push(n.sv2, d2)
-		}
+		d1, d2 := d[0], d[1]
 		s.VantagePoints += t.v
 		t.TraceDistance(t.v)
 		extTau := math.Inf(1)
@@ -142,7 +140,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			noff := int32(len(sc.arena))
 			sc.arena = append(sc.arena, sc.arena[off:off+plen]...)
 			sc.arena = append(sc.arena, d1)
-			if n.hasSV2 && int(plen)+1 < t.p {
+			if t.v == 2 && int(plen)+1 < t.p {
 				sc.arena = append(sc.arena, d2)
 			}
 			off, plen = noff, int32(len(sc.arena))-noff
@@ -150,8 +148,9 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		// No push happens below, so the prune threshold — the shrunken
 		// τ′ — is fixed for the whole child loop.
 		tauP := a.Shrink(min(best.Threshold(), extTau))
-		for g, row := range n.children {
-			lo1, hi1 := shellBounds(n.cut1, g)
+		for g := 0; g <= len(cut1); g++ {
+			row, cut2 := sh.next()
+			lo1, hi1 := shellBounds(cut1, g)
 			lb1 := intervalGap(d1, lo1, hi1)
 			if gb := max(lb1, bound); gb >= tauP {
 				s.ShellsPruned += len(row)
@@ -159,13 +158,13 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 				continue
 			}
 			for h, c := range row {
-				if c == nil {
+				if c == noChild {
 					continue
 				}
-				lo2, hi2 := shellBounds(n.cut2[g], h)
+				lo2, hi2 := shellBounds(cut2, h)
 				lb := max(bound, lb1, intervalGap(d2, lo2, hi2))
 				if lb < tauP {
-					queue.PushNode(pendingRef[T]{n: c, off: off, plen: plen}, lb)
+					queue.PushNode(pendingRef{n: c, off: off, plen: plen}, lb)
 				} else {
 					s.ShellsPruned++
 					t.TracePrune(obs.FilterShell, 1)
@@ -177,7 +176,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	if t.cas != nil {
 		t.cas.Put(cc)
 	}
-	t.finishQuant(sc)
+	t.ObserveQuantPruned(sc.quantPruned)
 	a.Finish(&s)
 	t.putScratch(sc)
 	s.Results = len(out)
@@ -196,11 +195,8 @@ func (t *Tree[T]) storedBound(tauP float64) float64 {
 	return tauP + t.slack
 }
 
-func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
-	a := &sc.ap
-	if !n.hasSV1 || !a.Pay(1) {
-		return
-	}
+func (t *Tree[T]) knnLeaf(i int32, q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
+	a, n := &sc.ap, &t.nodes[i]
 	extTau := math.Inf(1)
 	if ext != nil {
 		extTau = ext.Tau()
@@ -214,57 +210,52 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 	// D-filters every item, in both the abandoned and the exact world.
 	// Stamped cascade pivots are computed exactly (bound +Inf) and
 	// registered; the push decisions below are unchanged.
-	b1 := min(best.Threshold(), extTau) + n.maxD1
-	var d1 float64
-	if cc != nil && n.cas1 != 0 && cc.Wants() {
-		d1 = kernel(q, n.sv1, math.Inf(1))
-		cc.Register(n.cas1-1, d1)
-	} else {
-		d1 = kernel(q, n.sv1, b1)
-	}
-	if d1 <= b1 {
-		best.Push(n.sv1, d1)
-	}
-	vantages := 1
-	s.VantagePoints++
-	t.TraceDistance(1)
-	var d2 float64
-	if n.hasSV2 {
+	var d [2]float64
+	maxD, vantages := t.maxD(n), int(n.svs)
+	for j, sv := range t.points(i) {
 		if !a.Pay(1) {
-			t.dist.Add(1)
+			t.dist.Add(int64(j))
 			return
 		}
-		b2 := min(best.Threshold(), extTau) + n.maxD2
-		if cc != nil && n.cas2 != 0 && cc.Wants() {
-			d2 = kernel(q, n.sv2, math.Inf(1))
-			cc.Register(n.cas2-1, d2)
+		b := min(best.Threshold(), extTau) + maxD[j]
+		if stamp := t.stamp(cc, int(i)*t.v+j); stamp != 0 {
+			d[j] = kernel(q, sv, math.Inf(1))
+			cc.Register(stamp-1, d[j])
 		} else {
-			d2 = kernel(q, n.sv2, b2)
+			d[j] = kernel(q, sv, b)
 		}
-		if d2 <= b2 {
-			best.Push(n.sv2, d2)
+		if d[j] <= b {
+			best.Push(sv, d[j])
 		}
-		vantages = 2
 		s.VantagePoints++
 		t.TraceDistance(1)
 	}
-	// Hot candidate loop: slice headers and the budget test hoisted,
-	// stage tallies kept in locals and reported once per leaf (totals
-	// identical, trace event granularity coarsens — the same batching
-	// the shell filter uses). cb = τ′ is the acceptance bound, tauP =
-	// τ′/(1+ε) the prune bound, tauS the one for bounds from the stored
-	// codes (storedBound), which are decoded here: a kNN bound is a
-	// magnitude, not a window. All move only when a push tightens the heap.
+	computed := t.scanNearest(i, q, qpath, d[0], d[1], extTau, best, cc, sc, s)
+	if ext != nil {
+		ext.Publish(best.Threshold())
+	}
+	t.dist.Add(int64(vantages + computed))
+}
+
+// scanNearest is the candidate loop of knnLeaf, given the distances d1 and
+// d2 from q to the leaf's vantage points, and returns how many candidates
+// it computed; a function of its own, with the rare stages' state fetched
+// where they run, for scanLeaf's reason. Slice headers are hoisted, stage
+// tallies kept in locals and reported once per leaf (totals identical,
+// trace event granularity coarsens — the same batching the shell filter
+// uses). cb = τ′ is the acceptance bound, tauP = τ′/(1+ε) the prune
+// bound, tauS the one for bounds from the stored codes (storedBound),
+// which are decoded here: a kNN bound is a magnitude, not a window. All
+// move only when a push tightens the heap.
+func (t *Tree[T]) scanNearest(ni int32, q T, qpath []float64, d1, d2, extTau float64, best *heapx.KBest[T], cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) int {
+	a, n, kernel := &sc.ap, &t.nodes[ni], t.dist.Kernel()
+	hasSV2 := n.hasSV2()
 	items, rows, stride := t.leaf(n)
-	hasSV2 := n.hasSV2
 	qpath = qpath[:n.held] // held == len(qpath): both are min(p, v·depth)
-	cas, base := t.cas, n.casBase
 	useCas := cc != nil && cc.Registered() > 0
-	// Quantized pre-filter state (quantize.go); a pruned candidate still
-	// joins computed, standing in for an abandoned kernel call.
-	useQuant := sc.quantOn && n.qcodes != nil
-	qset, qprep, qcodes := t.qset, &sc.qprep, n.qcodes
-	limited := sc.limited
+	// A candidate the quantized stage prunes still joins computed,
+	// standing in for an abandoned kernel call (quantize.go).
+	useQuant := sc.quantOn && t.qcodes != nil
 	cand := len(items)
 	cb := min(best.Threshold(), extTau)
 	tauP := a.Shrink(cb)
@@ -301,12 +292,12 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 		// proves the true distance would be rejected too, so skipping
 		// the computation changes nothing.
 		if useCas {
-			if clb := cas.LowerBound(cc, base+int32(i)); clb >= tauP {
+			if clb := t.cas.LowerBound(cc, t.casBase[ni]+int32(i)); clb >= tauP {
 				filteredCascade++
 				continue
 			}
 		}
-		if limited && !a.Pay(1) {
+		if sc.limited && !a.Pay(1) {
 			cand = i // not considered: the budget stopped the scan first
 			break
 		}
@@ -314,7 +305,7 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 		// The quantized lower bound certifies d > cb, so the kernel call
 		// would abandon (> cb) and never push; skipping it changes no
 		// heap state, stat or count (computed was charged above).
-		if useQuant && qset.PruneAt(qprep, qcodes, i, cb) {
+		if useQuant && t.qset.PruneAt(&sc.qprep, t.leafCodes(n), i, cb) {
 			filteredQuant++
 			continue
 		}
@@ -325,51 +316,24 @@ func (t *Tree[T]) knnLeaf(n *node[T], q T, qpath []float64, best *heapx.KBest[T]
 			tauS = t.storedBound(tauP)
 		}
 	}
-	if ext != nil {
-		ext.Publish(best.Threshold())
-	}
-	t.dist.Add(int64(vantages + computed))
-	s.Candidates += cand
-	s.FilteredByD += filteredD
-	s.FilteredByPath += filteredPath
-	s.FilteredByCascade += filteredCascade
-	s.Computed += computed
-	sc.quantPruned += filteredQuant
-	if filteredD > 0 {
-		t.TracePrune(obs.FilterD, filteredD)
-	}
-	if filteredPath > 0 {
-		t.TracePrune(obs.FilterPath, filteredPath)
-	}
-	if filteredCascade > 0 {
-		t.TracePrune(obs.FilterCascade, filteredCascade)
-	}
-	if filteredQuant > 0 {
-		t.TracePrune(obs.FilterQuantized, filteredQuant)
-	}
-	if computed > 0 {
-		t.TraceDistance(computed)
-	}
+	t.reportLeaf(s, &sc.quantPruned, cand, filteredD, filteredPath, filteredCascade, filteredQuant, computed)
+	return computed
 }
 
 // knnBare is knnLeaf for a leaf without items (see rangeBare): each of
 // its points is measured up to τ′ and pushed when within it, unless the
 // cascade bound already reaches the prune threshold.
-func (t *Tree[T]) knnBare(n *node[T], q T, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, a *index.Approx, s *SearchStats) {
+func (t *Tree[T]) knnBare(i int32, q T, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, a *index.Approx, s *SearchStats) {
 	extTau := math.Inf(1)
 	if ext != nil {
 		extTau = ext.Tau()
 	}
 	kernel := t.dist.Kernel()
 	useCas := cc != nil && cc.Registered() > 0
-	paid := 0
-	for i := 0; i < 2; i++ {
-		pt, ok := n.point(i)
-		if !ok {
-			break
-		}
+	base, paid := t.itemBase(i), 0
+	for j, pt := range t.points(i) {
 		cb := min(best.Threshold(), extTau)
-		if useCas && t.cas.LowerBound(cc, n.casBase+int32(i)) >= a.Shrink(cb) {
+		if useCas && t.cas.LowerBound(cc, base+int32(j)) >= a.Shrink(cb) {
 			s.Candidates++
 			s.FilteredByCascade++
 			t.TracePrune(obs.FilterCascade, 1)
@@ -380,8 +344,8 @@ func (t *Tree[T]) knnBare(n *node[T], q T, best *heapx.KBest[T], ext index.KNNBo
 		}
 		paid++
 		t.TraceDistance(1)
-		if d := kernel(q, *pt, cb); d <= cb {
-			best.Push(*pt, d)
+		if d := kernel(q, pt, cb); d <= cb {
+			best.Push(pt, d)
 		}
 	}
 	if ext != nil {

@@ -157,15 +157,27 @@ func (o *Options) validate() error {
 // embedded obs.Hooks let callers attach an Observer and/or Tracer
 // (SetObserver / SetTracer); with neither attached the query paths pay
 // only nil checks.
+//
+// The tree holds no pointer from node to node: a node is an index into
+// nodes, numbered in construction pre-order (the root is 0, a child's
+// index is above its parent's), and everything a node owns is a range of
+// an arena the tree owns whole.
 type Tree[T any] struct {
 	obs.Hooks
-	root *node[T]
-	dist *metric.Counter[T]
-	size int
-	v    int
-	m    int
-	k    int
-	p    int
+	dist   *metric.Counter[T]
+	size   int
+	v      int
+	m      int
+	k      int
+	p      int
+	height int
+	// The node arenas. vps holds v vantage-point slots per node, node i's
+	// at vps[i·v]; cuts and kids hold the internal nodes' cutoffs and
+	// child indices (Tree.inner).
+	nodes []node
+	vps   []T
+	cuts  []float64
+	kids  []int32
 	// The two leaf arenas, in leaf order: every leaf item, and per item
 	// one filter row (D1, D2, the leaf's held PATH entries) of fixed-point
 	// codes: a code c stands for the distance c·step, and slack is what
@@ -177,98 +189,118 @@ type Tree[T any] struct {
 	buildStats build.Stats
 	scratch    sync.Pool // *queryScratch[T]; see pool.go
 	bscratch   sync.Pool // *batchScratch[T]; see batch.go
-	// cas is the cross-query bound cascade, nil unless EnableCascade
-	// built one; see cascade.go.
-	cas *cascade.Filter[T]
-	// qset is the trained quantized pre-filter, nil unless
-	// EnableQuantize built one; see quantize.go.
-	qset *quant.Set
+	// cas is the cross-query bound cascade, nil unless EnableCascade built
+	// one, with the stamps and item ids it gave the nodes; see cascade.go.
+	cas      *cascade.Filter[T]
+	casStamp []int32
+	casBase  []int32
+	// qset is the trained quantized pre-filter and qcodes its companion to
+	// the item arena, nil unless EnableQuantize built them; see quantize.go.
+	qset   *quant.Set
+	qcodes []byte
 }
 
 var _ index.StatsIndex[int] = (*Tree[int])(nil)
 
-// node is either an internal node (children != nil) or a leaf. Both
-// kinds carry up to v vantage points, which are real data points.
-type node[T any] struct {
-	sv1, sv2 T
-	hasSV1   bool
-	hasSV2   bool
-
-	// Internal node: cut1 partitions by distance to sv1 into
-	// len(cut1)+1 shells; cut2[g] partitions shell g by distance to
-	// sv2. children[g][h] indexes shell g, sub-shell h. With one vantage
-	// point cut2[g] is empty — one sub-shell, [0, +Inf] — and every shell
-	// has the one child children[g][0]. cut1Max and
-	// cut2Max cache the largest finite shell boundary per vantage
-	// point: any query-to-vantage distance certified to exceed
-	// radius+cutMax prunes every inner shell and leaves only the
-	// unbounded outermost one, which is what lets the search pass a
-	// finite bound to the distance kernel without changing a single
-	// traversal decision.
-	cut1     []float64
-	cut2     [][]float64
-	children [][]*node[T]
-	cut1Max  float64
-	cut2Max  float64
-
-	// Leaf node: a view into the tree's arenas (Tree.leaf): cnt items
-	// from items[off], their filter rows from filter[foff]. A row is the
-	// item's distances to the leaf vantage points (the paper's D1, D2;
-	// with one vantage point the D2 slot is a zero no scan reads, so that
-	// the PATH codes sit at a constant offset in both trees: an offset of
-	// v cost the mvp-tree's leaf scans 2–6 % on uniform vectors, and only
-	// a bucketed vp-tree has rows to waste the 2 bytes in) and
-	// held = min(p, v·depth) PATH entries. maxD1/maxD2 cache the
-	// largest stored leaf distance plus the tree's slack, the abandonment
-	// bounds for the leaf's vantage-point kernels (sealLeaves).
-	off, cnt, held int32
-	foff           int
-	maxD1, maxD2   float64
-
-	// Cascade stamps (see cascade.go; all zero until EnableCascade).
-	// cas1/cas2 mark the node's vantage points as cascade pivots (the
-	// stamp is the pivot index plus one; zero means unstamped) and
-	// casBase is the cascade id of the leaf's first item — in a leaf
-	// without items, of its first vantage point.
-	cas1, cas2 int32
-	casBase    int32
-
-	// Quantized companion view of items (non-nil when the tree's qset
-	// is armed): len(items)·dim codes, item i's block at i·dim. See
-	// quantize.go.
-	qcodes []byte
+// node is one row of Tree.nodes, an internal node or a leaf. Both kinds
+// carry up to v vantage points, which are real data points: svs of them,
+// a second never without a first. What a visit reads of a node is one
+// 24-byte row, not a column per field: one cache line, where columns of
+// the same widths would be as many bytes in up to seven.
+//
+// Internal node: shells = cnt shells by distance to the first vantage
+// point, each cut again by distance to the second; the cutoffs start at
+// cuts[off] and the child indices at kids[foff], laid out as Tree.inner
+// reads them. With one vantage point a shell is not cut again — one
+// sub-shell, [0, +Inf] — and is its one child.
+//
+// Leaf node: a view into the tree's leaf arenas (Tree.leaf): cnt items
+// from items[off], their filter rows from filter[foff]. A row is the
+// item's distances to the leaf vantage points (the paper's D1, D2;
+// with one vantage point the D2 slot is a zero no scan reads, so that
+// the PATH codes sit at a constant offset in both trees: an offset of
+// v cost the mvp-tree's leaf scans 2–6 % on uniform vectors, and only
+// a bucketed vp-tree has rows to waste the 2 bytes in) and
+// held = min(p, v·depth) PATH entries. top1/top2 are the largest D1 and
+// D2 codes in the rows: what they stand for plus the tree's slack is the
+// abandonment bound for the leaf's vantage-point kernels (Tree.maxD).
+type node struct {
+	off, cnt   int32
+	foff       int
+	top1, top2 uint16
+	held       uint16
+	svs        uint8
+	internal   bool
 }
 
-func (n *node[T]) isLeaf() bool { return n.children == nil }
+// noChild is the child index of a shell the build left empty.
+const noChild = -1
 
-// point returns the i-th point, of at most two, of a leaf without items:
-// its i-th vantage point (checkShape: no second without a first).
-func (n *node[T]) point(i int) (*T, bool) {
-	if i == 0 {
-		return &n.sv1, n.hasSV1
-	}
-	return &n.sv2, n.hasSV2
-}
+func (n *node) isLeaf() bool { return !n.internal }
+func (n *node) hasSV2() bool { return n.svs > 1 }
+
+// vantages returns node i's vantage-point slots, of which the first
+// nodes[i].svs hold one.
+func (t *Tree[T]) vantages(i int32) []T { return t.vps[int(i)*t.v:][:t.v] }
+
+// points returns the vantage points node i holds — all there is to a leaf
+// without items, where they are candidates like any leaf item (rangeBare).
+func (t *Tree[T]) points(i int32) []T { return t.vantages(i)[:t.nodes[i].svs] }
 
 // leaf returns leaf n's items and rows; item i's is rows[i*stride:][:stride].
-func (t *Tree[T]) leaf(n *node[T]) (items []T, rows []uint16, stride int) {
+func (t *Tree[T]) leaf(n *node) (items []T, rows []uint16, stride int) {
 	stride = 2 + int(n.held)
 	return t.items[n.off : n.off+n.cnt], t.filter[n.foff : n.foff+int(n.cnt)*stride], stride
 }
 
-// eachLeaf calls f on every leaf below n, in arena order.
-func (n *node[T]) eachLeaf(f func(*node[T])) {
-	switch {
-	case n == nil:
-	case n.isLeaf():
-		f(n)
-	default:
-		for _, row := range n.children {
-			for _, c := range row {
-				c.eachLeaf(f)
-			}
-		}
+// maxD returns what the kernels of leaf n's two vantage points may
+// abandon past, over the radius: the largest stored D1 and D2 plus the
+// slack. A vantage distance certified past r+maxD must fail every window
+// of half-width r+slack.
+func (t *Tree[T]) maxD(n *node) [2]float64 {
+	return [2]float64{t.decode(n.top1) + t.slack, t.decode(n.top2) + t.slack}
+}
+
+// shells walks the shells of one internal node, innermost first.
+type shells struct {
+	parts []int32 // children per shell; nil with one vantage point: one each
+	kids  []int32
+	cut2  []float64
+}
+
+// inner returns what internal node n keeps in the cutoff and child
+// arenas. Its cutoffs are v cached bounds, cut1 and then each shell's
+// cut2 row; its children, with two vantage points, a count per shell and
+// then each shell's row. cut1 partitions by distance to the first vantage
+// point into len(cut1)+1 shells, and sh.next returns them in turn.
+//
+// cutMax caches the largest finite shell boundary per vantage point: any
+// query-to-vantage distance certified to exceed radius+cutMax prunes
+// every inner shell and leaves only the unbounded outermost one, which is
+// what lets the search pass a finite bound to the distance kernel without
+// changing a single traversal decision.
+func (t *Tree[T]) inner(n *node) (cut1 []float64, cutMax [2]float64, sh shells) {
+	cuts, kids, s := t.cuts[n.off:], t.kids[n.foff:], int(n.cnt)
+	copy(cutMax[:], cuts[:t.v])
+	if t.v == 2 {
+		sh.parts, kids = kids[:s], kids[s:]
 	}
+	cuts = cuts[t.v:]
+	sh.kids, sh.cut2 = kids, cuts[s-1:]
+	return cuts[:s-1], cutMax, sh
+}
+
+// next returns the next shell: row[h] is the index of the child over
+// sub-shell h, noChild where there is none, and cut2 partitions the shell
+// by distance to the second vantage point into len(row) sub-shells.
+func (sh *shells) next() (row []int32, cut2 []float64) {
+	parts := 1
+	if sh.parts != nil {
+		parts, sh.parts = int(sh.parts[0]), sh.parts[1:]
+	}
+	row, sh.kids = sh.kids[:parts], sh.kids[parts:]
+	cut2, sh.cut2 = sh.cut2[:parts-1], sh.cut2[parts-1:]
+	return row, cut2
 }
 
 // encodeLeaves puts raw, the leaves' distances laid out as the filter
@@ -283,31 +315,24 @@ func (t *Tree[T]) encodeLeaves(raw []float64, exp int) {
 }
 
 // sealLeaves derives from the filled filter arena the tree's slack and
-// every leaf's maxD, the largest D1 and D2 in its rows plus that slack: a
-// vantage distance certified past r+maxD must fail every window of
-// half-width r+slack. Build and Load end here.
+// every leaf's top1 and top2. Build and Load end here.
 func (t *Tree[T]) sealLeaves() {
 	t.slack = slackOf(t.filter, t.step)
-	t.root.eachLeaf(func(n *node[T]) {
-		var top1, top2 uint16
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		if n.internal {
+			continue
+		}
+		n.top1, n.top2 = 0, 0
 		_, rows, stride := t.leaf(n)
 		for ; len(rows) > 0; rows = rows[stride:] {
-			top1, top2 = max(top1, rows[0]), max(top2, rows[1])
+			n.top1, n.top2 = max(n.top1, rows[0]), max(n.top2, rows[1])
 		}
-		n.maxD1, n.maxD2 = t.decode(top1)+t.slack, t.decode(top2)+t.slack
-	})
-}
-
-// setDerived recomputes an internal node's cached filter bounds from its
-// cutoffs; construction and Load both route through it.
-func (n *node[T]) setDerived() {
-	n.cut1Max, n.cut2Max = maxOf(n.cut1), 0
-	for _, row := range n.cut2 {
-		n.cut2Max = max(n.cut2Max, maxOf(row))
 	}
 }
 
-func maxOf(xs []float64) float64 {
+// cutMax is the bound inner caches for a vantage point's cutoffs.
+func cutMax(xs []float64) float64 {
 	var m float64
 	for _, x := range xs {
 		if x > m {
@@ -350,12 +375,20 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 		Scratch: build.NewScratch(len(items)),
 		paths:   make([]float64, len(items)*t.p),
 	}
-	leafItems, floats := c.leafLoad(len(items), 0)
-	t.items, c.raw = make([]T, leafItems), make([]float64, floats)
-	t.root = c.build(0, len(items), build.NewRNG(opts.Seed, rngSalt[t.v]), 0, 0, 0)
+	c.run = c.buildTask
+	// Where a subtree's nodes, leaves and cutoffs land depends on its size
+	// and depth alone, so the arenas are allocated whole and every node
+	// writes itself straight into place.
+	all := c.load(len(items), 0)
+	t.nodes, t.vps = make([]node, all.nodes), make([]T, all.nodes*t.v)
+	t.cuts, t.kids = make([]float64, all.cuts), make([]int32, all.kids)
+	t.items, c.raw = make([]T, all.items), make([]float64, all.floats)
+	c.tasks = make([]task, all.kids)
+	c.build(task{hi: len(items), rng: build.NewRNG(opts.Seed, rngSalt[t.v])})
 	t.encodeLeaves(c.raw, stepExp(c.raw))
 	t.sealLeaves()
 	t.buildStats = c.b.Finish()
+	t.height = t.buildStats.MaxDepth
 	if opts.Quantize != quant.Off {
 		if err := t.EnableQuantize(opts.Quantize); err != nil {
 			return nil, build.Stats{}, err
@@ -391,7 +424,7 @@ func (t *Tree[T]) PathLength() int   { return t.p }
 
 // Height reports the height of the tree in node levels below the root; a
 // tree that is a single leaf has height 0.
-func (t *Tree[T]) Height() int { return t.Shape().Height }
+func (t *Tree[T]) Height() int { return t.height }
 
 // Stats describes the shape of a built tree.
 type Stats struct {
@@ -402,6 +435,10 @@ type Stats struct {
 	Height        int
 	MaxPathLen    int // longest retained PATH across all leaf points
 	FilterBytes   int // the filter arena: 2·(2+held) per leaf item
+	// NodeBytes is the four node arenas: a 24-byte row and v vantage-point
+	// slots per node and, per internal node, its cutoffs and child indices.
+	// With LeafItems item slots and FilterBytes it is the whole index.
+	NodeBytes int
 	// FilterStep is the grid the leaf distances are stored on and
 	// FilterSlack what that may have cost each of them: 0 (every distance
 	// is on the grid), FilterStep, or +Inf (a distance was not a number
@@ -411,40 +448,27 @@ type Stats struct {
 	FilterStep, FilterSlack float64
 }
 
-// Shape walks the tree and reports its Stats.
+// Shape reports the tree's Stats, from one pass over the node rows.
 func (t *Tree[T]) Shape() Stats {
+	var zero T
 	s := Stats{
+		Nodes: len(t.nodes), LeafItems: len(t.items), Height: t.height,
 		FilterBytes: len(t.filter) * int(unsafe.Sizeof(t.filter[0])),
-		FilterStep:  t.step, FilterSlack: t.slack,
+		NodeBytes: len(t.nodes)*int(unsafe.Sizeof(node{})) + len(t.vps)*int(unsafe.Sizeof(zero)) +
+			len(t.cuts)*int(unsafe.Sizeof(t.cuts[0])) + len(t.kids)*int(unsafe.Sizeof(t.kids[0])),
+		FilterStep: t.step, FilterSlack: t.slack,
 	}
-	walkShape(t.root, 0, &s)
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		s.VantagePoints += int(n.svs)
+		if n.isLeaf() {
+			s.Leaves++
+			if n.cnt > 0 {
+				s.MaxPathLen = max(s.MaxPathLen, int(n.held))
+			}
+		}
+	}
 	return s
-}
-
-func walkShape[T any](n *node[T], depth int, s *Stats) {
-	if n == nil {
-		return
-	}
-	s.Nodes++
-	s.Height = max(s.Height, depth)
-	if n.hasSV1 {
-		s.VantagePoints++
-	}
-	if n.hasSV2 {
-		s.VantagePoints++
-	}
-	if n.isLeaf() {
-		s.Leaves++
-		s.LeafItems += int(n.cnt)
-		if n.cnt > 0 {
-			s.MaxPathLen = max(s.MaxPathLen, int(n.held))
-		}
-	}
-	for _, row := range n.children {
-		for _, c := range row {
-			walkShape(c, depth+1, s)
-		}
-	}
 }
 
 // shellBounds returns the closed distance interval covered by shell g of

@@ -35,7 +35,7 @@ func TestParallelBuildIdenticalToSequential(t *testing.T) {
 			}
 		}
 		// And identical invariants.
-		checkNode(t, par, par.root, w.Dist, nil)
+		checkNode(t, par, 0, w.Dist, nil)
 	})
 }
 

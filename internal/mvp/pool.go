@@ -26,7 +26,7 @@ type queryScratch[T any] struct {
 	// because heapx.NewKBest requires k up front; Reset re-arms it for
 	// each query's k.
 	best  *heapx.KBest[T]
-	queue heapx.NodeQueue[pendingRef[T]]
+	queue heapx.NodeQueue[pendingRef]
 	// arena backs the per-node query PATHs of best-first kNN: each
 	// pending node references a stable (offset, length) window instead
 	// of owning a copied slice, which removes the dominant allocation
@@ -40,14 +40,10 @@ type queryScratch[T any] struct {
 	quantPruned int
 }
 
-// pendingRef is a queued subtree plus its query PATH as a window into
-// the scratch arena. Offsets stay valid across arena growth, unlike
-// slices into it.
-type pendingRef[T any] struct {
-	n    *node[T]
-	off  int32
-	plen int32
-}
+// pendingRef is a queued subtree, by its root's index, plus its query PATH
+// as a window into the scratch arena. Offsets stay valid across arena
+// growth, unlike slices into it.
+type pendingRef struct{ n, off, plen int32 }
 
 func (t *Tree[T]) getScratch(o index.SearchOptions) *queryScratch[T] {
 	var sc *queryScratch[T]
@@ -67,8 +63,7 @@ func (t *Tree[T]) getScratch(o index.SearchOptions) *queryScratch[T] {
 	return sc
 }
 
-// putScratch returns sc to the pool. The queue is reset here (not at
-// Get) so pooled scratch never pins tree nodes between queries.
+// putScratch returns sc to the pool, its queue empty.
 func (t *Tree[T]) putScratch(sc *queryScratch[T]) {
 	sc.arena = sc.arena[:0]
 	sc.quantOn = false

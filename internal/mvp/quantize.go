@@ -8,9 +8,9 @@ import (
 	"mvptree/internal/quant"
 )
 
-// EnableQuantize builds the quantized pre-filter for the tree: every
-// leaf's item vectors are encoded into a companion arena (SQ8 byte
-// codes, internal/quant) that Range and KNN leaf scans consult before
+// EnableQuantize builds the quantized pre-filter for the tree: the item
+// arena's vectors are encoded into a companion arena in the same order
+// (SQ8 byte codes, internal/quant) that Range and KNN leaf scans consult before
 // the exact kernel — a candidate whose quantized
 // lower bound certifies its distance exceeds the query threshold skips
 // the float64 evaluation. The skip is an abandonment certificate, so
@@ -35,71 +35,46 @@ import (
 // budget like the kernel call it replaces.
 func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	if mode == quant.Off {
-		t.disableQuantize()
+		t.qset, t.qcodes = nil, nil
 		return nil
 	}
 	if mode != quant.SQ8 {
 		return fmt.Errorf("mvp: unknown quantize mode %v", mode)
 	}
-	if t.root == nil {
-		return nil
-	}
 	kind := t.dist.QuantKind()
 	if kind == metric.QuantNone {
 		return nil
 	}
-	var leaves []*node[T]
-	var groups [][]T
-	t.root.eachLeaf(func(n *node[T]) {
-		if n.cnt > 0 {
-			leaves = append(leaves, n)
-			groups = append(groups, t.items[n.off:n.off+n.cnt])
-		}
-	})
-	q, ok := build.QuantizeVectors(groups, kind, mode)
+	q, ok := build.QuantizeVectors([][]T{t.items}, kind, mode)
 	if !ok {
 		return nil
 	}
-	t.disableQuantize()
-	for i, n := range leaves {
-		n.qcodes = q.Codes[i]
-	}
-	t.qset = q.Set
+	t.qset, t.qcodes = q.Set, q.Codes[0]
 	return nil
 }
 
-// disableQuantize drops the filter state so pruning stops immediately.
-func (t *Tree[T]) disableQuantize() {
+// leafCodes returns the companion rows of leaf n's items, item i's at
+// i·Dim; nil while no filter is armed.
+func (t *Tree[T]) leafCodes(n *node) []byte {
 	if t.qset == nil {
-		return
+		return nil
 	}
-	t.qset = nil
-	t.root.eachLeaf(func(n *node[T]) { n.qcodes = nil })
+	return t.qcodes[int(n.off)*t.qset.Dim():]
 }
 
 // Quantized reports the trained pre-filter, nil unless EnableQuantize
 // armed one.
 func (t *Tree[T]) Quantized() *quant.Set { return t.qset }
 
-// prepareQuant arms the scratch's pre-filter state for one query.
-// Queries of non-vector type leave it off (the arenas only exist for
-// []float64 items, but T is erased here, so the query is re-checked).
-func (t *Tree[T]) prepareQuant(sc *queryScratch[T], q T) {
-	sc.quantOn = false
-	sc.quantPruned = 0
-	if t.qset == nil {
-		return
-	}
+// prepareQuant arms p, a query's pre-filter state, for q and reports
+// whether the filter applies to it. Queries of non-vector type leave it
+// off (the arenas only exist for []float64 items, but T is erased here, so
+// the query is re-checked).
+func (t *Tree[T]) prepareQuant(p *quant.Prepared, q T) bool {
 	qv, ok := any(q).([]float64)
-	if !ok {
-		return
+	if t.qset == nil || !ok {
+		return false
 	}
-	t.qset.Prepare(&sc.qprep, qv)
-	sc.quantOn = true
-}
-
-// finishQuant flushes the query's skipped-evaluation tally to the
-// Observer (no-op when nothing was pruned or no Observer is attached).
-func (t *Tree[T]) finishQuant(sc *queryScratch[T]) {
-	t.ObserveQuantPruned(sc.quantPruned)
+	t.qset.Prepare(p, qv)
+	return true
 }

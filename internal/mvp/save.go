@@ -53,7 +53,11 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	_, e := math.Frexp(t.step) // step = 0.5 · 2^e
 	pw.Int(e - 1 - minStepExp)
 	pw.Int(t.v)
-	if err := t.saveNode(pw, t.root, enc); err != nil {
+	root := int32(noChild)
+	if len(t.nodes) > 0 {
+		root = 0
+	}
+	if err := t.saveNode(pw, root, enc); err != nil {
 		return err
 	}
 	if err := pw.Flush(); err != nil {
@@ -72,11 +76,12 @@ const (
 	tagInternal = 2
 )
 
-func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error {
-	if n == nil {
+func (t *Tree[T]) saveNode(w *wire.Writer, i int32, enc ItemEncoder[T]) error {
+	if i == noChild {
 		w.Byte(tagNil)
 		return w.Err()
 	}
+	n := &t.nodes[i]
 	item := func(it T) error {
 		b, err := enc(it)
 		if err != nil {
@@ -87,18 +92,17 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 	}
 	if n.isLeaf() {
 		w.Byte(tagLeaf)
-		w.Bool(n.hasSV1)
-		w.Bool(n.hasSV2)
-		if n.hasSV1 {
-			if err := item(n.sv1); err != nil {
-				return err
-			}
+		w.Bool(n.svs > 0)
+		w.Bool(n.hasSV2())
+	} else {
+		w.Byte(tagInternal)
+	}
+	for _, sv := range t.points(i) {
+		if err := item(sv); err != nil {
+			return err
 		}
-		if n.hasSV2 {
-			if err := item(n.sv2); err != nil {
-				return err
-			}
-		}
+	}
+	if n.isLeaf() {
 		items, rows, stride := t.leaf(n)
 		w.Int(len(items))
 		for i, it := range items {
@@ -115,21 +119,14 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 		}
 		return w.Err()
 	}
-	w.Byte(tagInternal)
-	if err := item(n.sv1); err != nil {
-		return err
-	}
-	if n.hasSV2 {
-		if err := item(n.sv2); err != nil {
-			return err
-		}
-	}
-	w.Floats(n.cut1)
-	w.Int(len(n.children))
-	for g, row := range n.children {
+	cut1, _, sh := t.inner(n)
+	w.Floats(cut1)
+	w.Int(len(cut1) + 1)
+	for range len(cut1) + 1 {
+		row, cut2 := sh.next()
 		// One vantage point: each shell is its one child.
-		if n.hasSV2 {
-			w.Floats(n.cut2[g])
+		if t.v == 2 {
+			w.Floats(cut2)
 			w.Int(len(row))
 		}
 		for _, c := range row {
@@ -146,7 +143,8 @@ func (t *Tree[T]) saveNode(w *wire.Writer, n *node[T], enc ItemEncoder[T]) error
 // the older grammar, whose leaf distances are doubles, is put on a grid
 // as a fresh build's are, so it loads as the tree that build gives.
 // A checksum only proves the payload is the one written: nothing is
-// allocated on the word of a count in it, and what loads passes checkShape.
+// allocated on the word of a count in it, and what loads passes checkShape,
+// which is where a cutoff that is no distance, or out of order, is caught.
 func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	outer := wire.NewReader(r)
 	magic := string(outer.Bytes())
@@ -200,10 +198,10 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 		doubles := make([]float64, 0, min(t.size*(2+t.p), len(payload)/8))
 		raw = &doubles
 	}
-	var err error
-	if t.root, err = t.loadNode(rr, dec, 0, raw); err != nil {
+	if _, err := t.loadNode(rr, dec, 0, raw); err != nil {
 		return nil, err
 	}
+	t.nodes, t.vps, t.cuts, t.kids = slices.Clone(t.nodes), slices.Clone(t.vps), slices.Clone(t.cuts), slices.Clone(t.kids)
 	t.items = slices.Clone(t.items)
 	if raw != nil {
 		t.encodeLeaves(*raw, max(stepExp(*raw), minStepExpV1))
@@ -211,7 +209,10 @@ func Load[T any](r io.Reader, dist *metric.Counter[T], dec ItemDecoder[T]) (*Tre
 		t.filter = slices.Clone(t.filter)
 	}
 	t.sealLeaves()
-	return t, t.checkShape()
+	if err := t.checkShape(); err != nil {
+		return nil, fmt.Errorf("%w (corrupt stream)", err)
+	}
+	return t, nil
 }
 
 // A v1 leaf distance is the double measured (PR 14 and before) or, from
@@ -243,9 +244,13 @@ var errRetiredVP = errors.New("mvp: a " + retiredVPMagic + " stream: the vp-tree
 // deep recursion.
 const maxLoadDepth = 64
 
-func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[]float64) (*node[T], error) {
+// loadNode reads the subtree at depth and returns its root's index,
+// noChild for none. Nodes join the arenas in the order of the stream,
+// which is pre-order; an internal node's cutoffs and child indices are
+// complete only once its subtrees are read, and follow theirs.
+func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[]float64) (int32, error) {
 	if depth > maxLoadDepth {
-		return nil, fmt.Errorf("mvp: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
+		return 0, fmt.Errorf("mvp: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
 	item := func() (it T, err error) {
 		b := r.Bytes()
@@ -256,45 +261,59 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[
 		}
 		return it, err
 	}
-	switch tag := r.Byte(); tag {
+	tag, svs := r.Byte(), t.v
+	switch tag {
 	case tagNil:
-		return nil, r.Err()
+		return noChild, r.Err()
 	case tagLeaf:
-		n := &node[T]{}
-		n.hasSV1 = r.Bool()
-		n.hasSV2 = r.Bool()
+		switch hasSV1, hasSV2 := r.Bool(), r.Bool(); {
+		case hasSV2 && (!hasSV1 || t.v == 1):
+			return 0, fmt.Errorf("mvp: leaf at depth %d has a second vantage point without a first, or in a tree of one per node (corrupt stream)", depth)
+		case !hasSV1:
+			svs = 0
+		case !hasSV2:
+			svs = 1
+		}
+	case tagInternal:
+	default:
+		return 0, fmt.Errorf("mvp: unknown node tag %d (corrupt stream)", tag)
+	}
+	i := len(t.nodes)
+	t.nodes = append(t.nodes, node{internal: tag == tagInternal, svs: uint8(svs)})
+	t.vps = append(t.vps, make([]T, t.v)...)
+	t.height = max(t.height, depth)
+	for j := 0; j < svs; j++ {
 		var err error
-		if n.hasSV1 {
-			if n.sv1, err = item(); err != nil {
-				return nil, err
-			}
+		if t.vps[i*t.v+j], err = item(); err != nil {
+			return 0, err
 		}
-		if n.hasSV2 {
-			if n.sv2, err = item(); err != nil {
-				return nil, err
-			}
-		}
+	}
+	if tag == tagLeaf {
 		count := r.Int()
 		if err := r.Err(); err != nil {
-			return nil, err
+			return 0, err
+		}
+		if count > t.k {
+			return 0, fmt.Errorf("mvp: leaf of %d items, k=%d (corrupt stream)", count, t.k)
 		}
 		// A leaf's rows have one PATH length, the depth's; the v1 grammar
 		// gives each item its own.
+		n := &t.nodes[i]
 		n.off, n.foff, n.cnt = int32(len(t.items)), len(t.filter), int32(count)
 		if raw != nil {
 			n.foff = len(*raw)
 		}
 		if count > 0 {
-			n.held = int32(min(t.p, t.v*depth))
+			n.held = uint16(min(t.p, t.v*depth))
 		}
 		for i := 0; i < count; i++ {
 			it, err := item()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			t.items = append(t.items, it)
 			if raw == nil {
-				for l := int32(0); l < 2+n.held; l++ {
+				for l := 0; l < 2+int(n.held); l++ {
 					var c uint16 // the D2 slot a one-vantage stream leaves out
 					if l != 1 || t.v == 2 {
 						c = r.Uint16()
@@ -305,56 +324,54 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, raw *[
 			}
 			*raw = append(*raw, v1Distance(r), v1Distance(r))
 			if held := r.Int(); held != int(n.held) && r.Err() == nil {
-				return nil, fmt.Errorf("mvp: PATH length %d at depth %d, want %d (corrupt stream)", held, depth, n.held)
+				return 0, fmt.Errorf("mvp: PATH length %d at depth %d, want %d (corrupt stream)", held, depth, n.held)
 			}
-			for l := int32(0); l < n.held; l++ {
+			for l := 0; l < int(n.held); l++ {
 				*raw = append(*raw, v1Distance(r))
 			}
 		}
-		return n, r.Err()
-	case tagInternal:
-		n := &node[T]{hasSV1: true, hasSV2: t.v == 2}
-		var err error
-		if n.sv1, err = item(); err != nil {
-			return nil, err
-		}
-		if n.hasSV2 {
-			if n.sv2, err = item(); err != nil {
-				return nil, err
-			}
-		}
-		n.cut1 = r.Floats()
-		rows := r.Int()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if rows != len(n.cut1)+1 {
-			return nil, fmt.Errorf("mvp: %d shells for %d cutoffs (corrupt stream)", rows, len(n.cut1))
-		}
-		n.cut2 = make([][]float64, rows)
-		n.children = make([][]*node[T], rows)
-		for g := 0; g < rows; g++ {
-			cols := 1 // one vantage point: each shell is its one child
-			if n.hasSV2 {
-				n.cut2[g] = r.Floats()
-				cols = r.Int()
-			}
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			if cols != len(n.cut2[g])+1 {
-				return nil, fmt.Errorf("mvp: %d sub-shells for %d cutoffs (corrupt stream)", cols, len(n.cut2[g]))
-			}
-			n.children[g] = make([]*node[T], cols)
-			for h := 0; h < cols; h++ {
-				if n.children[g][h], err = t.loadNode(r, dec, depth+1, raw); err != nil {
-					return nil, err
-				}
-			}
-		}
-		n.setDerived()
-		return n, r.Err()
-	default:
-		return nil, fmt.Errorf("mvp: unknown node tag %d (corrupt stream)", tag)
+		return int32(i), r.Err()
 	}
+
+	cut1 := r.Floats()
+	shells := r.Int()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if shells != len(cut1)+1 {
+		return 0, fmt.Errorf("mvp: %d shells for %d cutoffs (corrupt stream)", shells, len(cut1))
+	}
+	// The node's own rows of the cutoff and child arenas (Tree.inner).
+	cuts := append(make([]float64, t.v, t.v+len(cut1)), cut1...)
+	var parts, kids []int32
+	for g := 0; g < shells; g++ {
+		var cut2 []float64
+		cols := 1 // one vantage point: each shell is its one child
+		if t.v == 2 {
+			cut2, cols = r.Floats(), r.Int()
+		}
+		if err := r.Err(); err != nil {
+			return 0, err
+		}
+		if cols != len(cut2)+1 {
+			return 0, fmt.Errorf("mvp: %d sub-shells for %d cutoffs (corrupt stream)", cols, len(cut2))
+		}
+		cuts, parts = append(cuts, cut2...), append(parts, int32(cols))
+		for h := 0; h < cols; h++ {
+			c, err := t.loadNode(r, dec, depth+1, raw)
+			if err != nil {
+				return 0, err
+			}
+			kids = append(kids, c)
+		}
+	}
+	cuts[0] = cutMax(cut1)
+	if t.v == 2 {
+		cuts[1] = cutMax(cuts[t.v+len(cut1):])
+		kids = append(parts, kids...)
+	}
+	n := &t.nodes[i]
+	n.cnt, n.off, n.foff = int32(shells), int32(len(t.cuts)), len(t.kids)
+	t.cuts, t.kids = append(t.cuts, cuts...), append(t.kids, kids...)
+	return int32(i), r.Err()
 }

@@ -3,6 +3,8 @@ package mvp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"mvptree/internal/codec"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
+	"mvptree/internal/wire"
 )
 
 func encodeID(id int) ([]byte, error) {
@@ -48,7 +51,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		// satisfy all structural invariants.
 		testutil.CheckRange(t, "loaded-mvpt", loaded, w, []float64{0, 0.2, 0.6, 1.5})
 		testutil.CheckKNN(t, "loaded-mvpt", loaded, w, []int{1, 5, 50})
-		checkNode(t, loaded, loaded.root, w.Dist, nil)
+		checkNode(t, loaded, 0, w.Dist, nil)
 	}
 }
 
@@ -129,6 +132,56 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLoadRejectsBadCutoffs: behind a valid checksum, a row of cutoffs
+// that is not distances in ascending order — which would put points
+// outside every shell the search looks in — is a corrupt stream, where it
+// used to load as a tree that answers wrongly. Each payload is one
+// internal node over no children, and is checked in as a seed of FuzzLoad
+// (which seals it under every magic) so the fuzz smoke starts from them.
+func TestLoadRejectsBadCutoffs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, c := range map[string]struct {
+		cut1 []float64
+		cut2 [][]float64
+		ok   bool
+	}{
+		"cutoffs-ascending": {[]float64{2, 4}, [][]float64{{1, 2}, {1, 1}, {0, inf}}, true},
+		"cut1-nan":          {[]float64{2, nan}, [][]float64{{1, 2}, {1, 1}, {0, inf}}, false},
+		"cut1-negative":     {[]float64{-2, 4}, [][]float64{{1, 2}, {1, 1}, {0, inf}}, false},
+		"cut1-descending":   {[]float64{4, 2}, [][]float64{{1, 2}, {1, 1}, {0, inf}}, false},
+		"cut2-nan":          {[]float64{2, 4}, [][]float64{{1, 2}, {nan, 1}, {0, inf}}, false},
+		"cut2-negative":     {[]float64{2, 4}, [][]float64{{1, 2}, {1, 1}, {-1, inf}}, false},
+		"cut2-descending":   {[]float64{2, 4}, [][]float64{{2, 1}, {1, 1}, {0, inf}}, false},
+	} {
+		payload := testutil.Payload(func(w *wire.Writer) {
+			for _, x := range []int{3, 4, 2, 2, -minStepExp, 2} { // m, k, p, n, step 2⁰, v
+				w.Int(x)
+			}
+			w.Byte(tagInternal)
+			w.Bytes([]byte("sv1"))
+			w.Bytes([]byte("sv2"))
+			w.Floats(c.cut1)
+			w.Int(len(c.cut2))
+			for _, row := range c.cut2 {
+				w.Floats(row)
+				w.Int(len(row) + 1)
+				for range len(row) + 1 {
+					w.Byte(tagNil)
+				}
+			}
+		})
+		_, err := Load(bytes.NewReader(testutil.Seal(saveMagic, payload)), metric.NewCounter(metric.Edit),
+			func(b []byte) (string, error) { return string(b), nil })
+		if c.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "corrupt stream") {
+			t.Errorf("%s: Load: %v", name, err)
+		}
+		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
+		if got, _ := os.ReadFile("testdata/fuzz/FuzzLoad/" + name); string(got) != seed {
+			t.Errorf("testdata/fuzz/FuzzLoad/%s is not this payload's seed:\n%s", name, seed)
+		}
+	}
 }
 
 // TestLoadNamesRetiredVPStream: a stream internal/vptree saved while it

@@ -63,22 +63,22 @@ func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
 func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindRange)
 	var s SearchStats
-	if r < 0 || t.root == nil {
+	if r < 0 || len(t.nodes) == 0 {
 		span.Done(&s)
 		return index.Result[T]{Stats: s}
 	}
 	var out []T
 	sc := t.getScratch(o)
-	t.prepareQuant(sc, q)
+	sc.quantOn, sc.quantPruned = t.prepareQuant(&sc.qprep, q), 0
 	var cc *cascade.Cache
 	if t.cas != nil {
 		cc = t.cas.Get()
 	}
-	t.rangeNode(t.root, q, r, sc.ap.Shrink(r), 0, sc, cc, &out, &s)
+	t.rangeNode(0, q, r, sc.ap.Shrink(r), 0, sc, cc, &out, &s)
 	if t.cas != nil {
 		t.cas.Put(cc)
 	}
-	t.finishQuant(sc)
+	t.ObserveQuantPruned(sc.quantPruned)
 	sc.ap.Finish(&s)
 	t.putScratch(sc)
 	s.Results = len(out)
@@ -89,19 +89,20 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 // rangeNode descends with two radii: r decides membership and bounds
 // the kernels, rp = r/(1+ε) (== r when exact) decides every prune, so
 // each reported item is within r and nothing within rp is skipped.
-func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
 	a := &sc.ap
-	if n == nil || a.Stop() {
+	if a.Stop() {
 		return
 	}
+	n := &t.nodes[i]
 	s.NodesVisited++
 	t.TraceNode(n.isLeaf())
 	if n.isLeaf() {
 		s.LeavesVisited++
 		if n.cnt == 0 {
-			t.rangeBare(n, q, r, rp, a, cc, out, s)
+			t.rangeBare(i, q, r, rp, a, cc, out, s)
 		} else {
-			t.rangeLeaf(n, q, r, rp, plen, sc, cc, out, s)
+			t.rangeLeaf(i, q, r, rp, plen, sc, cc, out, s)
 		}
 		return
 	}
@@ -118,44 +119,39 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	// (rp ≤ r, so an abandoned value and the true one also land on the
 	// same side of every rp-window test).
 	exact, w := plen < t.p, rp+t.slack // PATH windows meet stored codes: slack wider than the shells'
-	d1 := t.vantageDistance(q, n.sv1, n.cas1, exact, r+n.cut1Max, cc)
-	if d1 <= r {
-		*out = append(*out, n.sv1)
-	}
-	if plen < t.p {
-		sc.qlo[plen], sc.qhi[plen] = t.window(d1-w, d1+w)
-		plen++
-	}
+	cut1, cutMax, sh := t.inner(n)
 	// Without a second vantage point d2 stays 0, inside the one
 	// sub-shell [0, +Inf] each shell then has.
-	var d2 float64
-	if n.hasSV2 {
-		d2 = t.vantageDistance(q, n.sv2, n.cas2, exact, r+n.cut2Max, cc)
-		if d2 <= r {
-			*out = append(*out, n.sv2)
+	var d [2]float64
+	for j, sv := range t.vantages(i) {
+		d[j] = t.vantageDistance(q, i, j, exact, r+cutMax[j], cc)
+		if d[j] <= r {
+			*out = append(*out, sv)
 		}
 		if plen < t.p {
-			sc.qlo[plen], sc.qhi[plen] = t.window(d2-w, d2+w)
+			sc.qlo[plen], sc.qhi[plen] = t.window(d[j]-w, d[j]+w)
 			plen++
 		}
 	}
+	d1, d2 := d[0], d[1]
 	s.VantagePoints += t.v
 	t.TraceDistance(t.v)
 
 	// Steps 3.2/3.3 generalized: visit shell (g, h) only if the query
 	// ball intersects both its sv1 shell and its sv2 sub-shell.
-	for g, row := range n.children {
-		lo1, hi1 := shellBounds(n.cut1, g)
+	for g := 0; g <= len(cut1); g++ {
+		row, cut2 := sh.next()
+		lo1, hi1 := shellBounds(cut1, g)
 		if d1+rp < lo1 || d1-rp > hi1 {
 			s.ShellsPruned += len(row)
 			t.TracePrune(obs.FilterShell, len(row))
 			continue
 		}
 		for h, c := range row {
-			if c == nil {
+			if c == noChild {
 				continue
 			}
-			lo2, hi2 := shellBounds(n.cut2[g], h)
+			lo2, hi2 := shellBounds(cut2, h)
 			if d2+rp < lo2 || d2-rp > hi2 {
 				s.ShellsPruned++
 				t.TracePrune(obs.FilterShell, 1)
@@ -169,22 +165,32 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	}
 }
 
-// vantageDistance is the distance from q to an internal node's vantage
-// point sv: exact when the caller records it (a PATH still filling) or
-// when sv is stamped as a cascade pivot and the query's cache still wants
-// registrations — an exact value is a valid bounded-kernel result, so
-// every decision is unchanged, and the distance doubles as a global
+// vantageDistance is the distance from q to internal node i's vantage
+// point j: exact when the caller records it (a PATH still filling) or
+// when the point is stamped as a cascade pivot and the query's cache still
+// wants registrations — an exact value is a valid bounded-kernel result,
+// so every decision is unchanged, and the distance doubles as a global
 // filter bound — and otherwise abandoned past bound.
-func (t *Tree[T]) vantageDistance(q, sv T, stamp int32, exact bool, bound float64, cc *cascade.Cache) float64 {
-	register := cc != nil && stamp != 0 && cc.Wants()
-	if !exact && !register {
-		return t.dist.DistanceUpTo(q, sv, bound)
+func (t *Tree[T]) vantageDistance(q T, i int32, j int, exact bool, bound float64, cc *cascade.Cache) float64 {
+	slot := int(i)*t.v + j
+	stamp := t.stamp(cc, slot)
+	if !exact && stamp == 0 {
+		return t.dist.DistanceUpTo(q, t.vps[slot], bound)
 	}
-	d := t.dist.Distance(q, sv)
-	if register {
+	d := t.dist.Distance(q, t.vps[slot])
+	if stamp != 0 {
 		cc.Register(stamp-1, d)
 	}
 	return d
+}
+
+// stamp returns the cascade stamp of the vantage point in slot when the
+// query's cache cc still wants its distance registered, else zero.
+func (t *Tree[T]) stamp(cc *cascade.Cache, slot int) int32 {
+	if cc == nil || !cc.Wants() {
+		return 0
+	}
+	return t.casStamp[slot]
 }
 
 // rangeLeaf implements step 2 of the search algorithm: filter each leaf
@@ -193,11 +199,8 @@ func (t *Tree[T]) vantageDistance(q, sv T, stamp int32, exact bool, bound float6
 // into the codes they hold once per leaf so the scan compares integers —
 // computing the real distance only for survivors, and only up to r,
 // since membership is all that matters.
-func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
-	a := &sc.ap
-	if !n.hasSV1 || !a.Pay(1) {
-		return
-	}
+func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
+	a, n := &sc.ap, &t.nodes[i]
 	// Every distance in a leaf — the two vantage points and the
 	// surviving candidates — is threshold-only, so all of them go
 	// through the uncounted kernel and the whole batch is settled on the
@@ -208,59 +211,52 @@ func (t *Tree[T]) rangeLeaf(n *node[T], q T, r, rp float64, plen int, sc *queryS
 	// abandon there: the same points get filtered, just cheaper. A
 	// stamped cascade pivot is computed exactly instead (bound +Inf) and
 	// registered; decisions are unchanged.
-	var d1 float64
-	if cc != nil && n.cas1 != 0 && cc.Wants() {
-		d1 = kernel(q, n.sv1, math.Inf(1))
-		cc.Register(n.cas1-1, d1)
-	} else {
-		d1 = kernel(q, n.sv1, r+n.maxD1)
-	}
-	s.VantagePoints++
-	t.TraceDistance(1)
-	if d1 <= r {
-		*out = append(*out, n.sv1)
-	}
-	vantages := 1
-	var d2 float64
-	if n.hasSV2 {
+	var d [2]float64
+	maxD, vantages := t.maxD(n), int(n.svs)
+	for j, sv := range t.points(i) {
 		if !a.Pay(1) {
-			t.dist.Add(1)
+			t.dist.Add(int64(j))
 			return
 		}
-		if cc != nil && n.cas2 != 0 && cc.Wants() {
-			d2 = kernel(q, n.sv2, math.Inf(1))
-			cc.Register(n.cas2-1, d2)
+		if stamp := t.stamp(cc, int(i)*t.v+j); stamp != 0 {
+			d[j] = kernel(q, sv, math.Inf(1))
+			cc.Register(stamp-1, d[j])
 		} else {
-			d2 = kernel(q, n.sv2, r+n.maxD2)
+			d[j] = kernel(q, sv, r+maxD[j])
 		}
-		vantages = 2
 		s.VantagePoints++
 		t.TraceDistance(1)
-		if d2 <= r {
-			*out = append(*out, n.sv2)
+		if d[j] <= r {
+			*out = append(*out, sv)
 		}
 	}
-	// The candidate loop is the hottest code in the tree: hoist the
-	// filter windows, slice headers and the budget test, keep the stage
-	// tallies in locals, and report stats and trace events once per leaf
-	// (the same batching rangeNode applies to shell pruning — totals are
-	// identical, only the event granularity coarsens).
+	t.dist.Add(int64(vantages + t.scanLeaf(i, q, r, rp, d[0], d[1], sc, cc, out, s)))
+}
+
+// scanLeaf is the candidate loop of rangeLeaf, given the distances d1 and
+// d2 from q to the leaf's vantage points, and returns how many candidates
+// it computed for the caller to settle on the counter. It is the hottest
+// code in the tree and a function of its own so that nothing outside it
+// competes for its registers: it hoists the filter windows, slice headers
+// and the budget test, keeps the stage tallies in locals, and reports
+// stats and trace events once per leaf (the same batching rangeNode
+// applies to shell pruning — totals are identical, only the event
+// granularity coarsens).
+func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) int {
+	n, kernel := &t.nodes[ni], t.dist.Kernel()
+	hasSV2 := n.hasSV2()
 	w := rp + t.slack
 	d1lo, d1hi := t.window(d1-w, d1+w)
 	d2lo, d2hi := t.window(d2-w, d2+w)
 	items, rows, stride := t.leaf(n)
-	hasSV2 := n.hasSV2
 	// held == plen: both are min(p, v·depth) (Load checks the stream's).
 	qlo := sc.qlo[:n.held]
 	qhi := sc.qhi[:n.held]
-	cas, base := t.cas, n.casBase
+	// What only the rare stages read — the cascade's filter and ids, the
+	// budget, the quantized codes — is fetched where they run, not held
+	// across the loop: the loop keeps enough live without it.
 	useCas := cc != nil && cc.Registered() > 0
-	// Quantized pre-filter state (quantize.go). A pruned candidate is
-	// still counted in computed — the skip stands in for an abandoned
-	// kernel call — so every stat and counter below is unchanged.
-	useQuant := sc.quantOn && n.qcodes != nil
-	qset, qprep, qcodes := t.qset, &sc.qprep, n.qcodes
-	limited := sc.limited
+	useQuant := sc.quantOn && t.qcodes != nil
 	cand := len(items)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 items:
@@ -295,12 +291,12 @@ items:
 		// It only ever skips candidates whose true distance provably
 		// exceeds rp, so nothing within rp is lost.
 		if useCas {
-			if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
+			if lb := t.cas.LowerBound(cc, t.casBase[ni]+int32(i)); lb > rp {
 				filteredCascade++
 				continue
 			}
 		}
-		if limited && !a.Pay(1) {
+		if sc.limited && !sc.ap.Pay(1) {
 			cand = i // not considered: the budget stopped the scan first
 			break
 		}
@@ -309,7 +305,7 @@ items:
 		// representation alone; the exact kernel would have returned a
 		// value > r (abandoning), so skipping it changes nothing — the
 		// candidate already joined computed above.
-		if useQuant && qset.PruneAt(qprep, qcodes, i, r) {
+		if useQuant && t.qset.PruneAt(&sc.qprep, t.leafCodes(n), i, r) {
 			filteredQuant++
 			continue
 		}
@@ -317,24 +313,30 @@ items:
 			*out = append(*out, items[i])
 		}
 	}
-	t.dist.Add(int64(vantages + computed))
+	t.reportLeaf(s, &sc.quantPruned, cand, filteredD, filteredPath, filteredCascade, filteredQuant, computed)
+	return computed
+}
+
+// reportLeaf adds the stage tallies of one leaf scan to the query's stats
+// and its count of quantized skips, and traces each stage that filtered.
+func (t *Tree[T]) reportLeaf(s *SearchStats, quantPruned *int, cand, byD, byPath, byCascade, byQuant, computed int) {
 	s.Candidates += cand
-	s.FilteredByD += filteredD
-	s.FilteredByPath += filteredPath
-	s.FilteredByCascade += filteredCascade
+	s.FilteredByD += byD
+	s.FilteredByPath += byPath
+	s.FilteredByCascade += byCascade
 	s.Computed += computed
-	sc.quantPruned += filteredQuant
-	if filteredD > 0 {
-		t.TracePrune(obs.FilterD, filteredD)
+	*quantPruned += byQuant
+	if byD > 0 {
+		t.TracePrune(obs.FilterD, byD)
 	}
-	if filteredPath > 0 {
-		t.TracePrune(obs.FilterPath, filteredPath)
+	if byPath > 0 {
+		t.TracePrune(obs.FilterPath, byPath)
 	}
-	if filteredCascade > 0 {
-		t.TracePrune(obs.FilterCascade, filteredCascade)
+	if byCascade > 0 {
+		t.TracePrune(obs.FilterCascade, byCascade)
 	}
-	if filteredQuant > 0 {
-		t.TracePrune(obs.FilterQuantized, filteredQuant)
+	if byQuant > 0 {
+		t.TracePrune(obs.FilterQuantized, byQuant)
 	}
 	if computed > 0 {
 		t.TraceDistance(computed)
@@ -346,16 +348,12 @@ items:
 // nothing to filter, so they are candidates like any leaf item: measured
 // up to r, unless the cascade — which numbers them as it does items
 // (EnableCascade) — already puts them past rp.
-func (t *Tree[T]) rangeBare(n *node[T], q T, r, rp float64, a *index.Approx, cc *cascade.Cache, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeBare(i int32, q T, r, rp float64, a *index.Approx, cc *cascade.Cache, out *[]T, s *SearchStats) {
 	kernel := t.dist.Kernel()
 	useCas := cc != nil && cc.Registered() > 0
-	paid := 0
-	for i := 0; i < 2; i++ {
-		pt, ok := n.point(i)
-		if !ok {
-			break
-		}
-		if useCas && t.cas.LowerBound(cc, n.casBase+int32(i)) > rp {
+	base, paid := t.itemBase(i), 0
+	for j, pt := range t.points(i) {
+		if useCas && t.cas.LowerBound(cc, base+int32(j)) > rp {
 			s.Candidates++
 			s.FilteredByCascade++
 			t.TracePrune(obs.FilterCascade, 1)
@@ -366,8 +364,8 @@ func (t *Tree[T]) rangeBare(n *node[T], q T, r, rp float64, a *index.Approx, cc 
 		}
 		paid++
 		t.TraceDistance(1)
-		if kernel(q, *pt, r) <= r {
-			*out = append(*out, *pt)
+		if kernel(q, pt, r) <= r {
+			*out = append(*out, pt)
 		}
 	}
 	t.dist.Add(int64(paid))

@@ -24,7 +24,10 @@ func (t *Tree[T]) Validate() error {
 	if err := t.checkGrid(); err != nil {
 		return err
 	}
-	return t.validateNode(t.root, nil)
+	if len(t.nodes) == 0 {
+		return nil
+	}
+	return t.validateNode(0, nil)
 }
 
 // checkGrid verifies what decode and window assume of the filter arena:
@@ -40,65 +43,83 @@ func (t *Tree[T]) checkGrid() error {
 	return nil
 }
 
-// checkShape is the half of Validate that needs no metric: the header's
-// point count, no second vantage point where v is 1 (a leaf row has no
-// slot for its D2), leaves within capacity holding min(p, v·depth) PATH
-// entries, and one child row per shell and one child per sub-shell, which
-// keeps shellBounds inside the cutoff arrays. Load ends with it.
+// checkShape is the half of Validate that needs no metric, one pass over
+// the node rows: the header's point count; leaves within capacity, with no
+// more vantage points than v and none missing above items, holding
+// min(p, v·depth) PATH entries and tiling the two leaf arenas in order;
+// internal nodes with v vantage points, children numbered above them and
+// cutoff rows that are distances in ascending order — a row that is not
+// puts points outside every shell the search would look in. What the rows
+// cannot say needs no check: a second vantage point without a first, or a
+// shell without its cutoff and child rows. Load ends with it.
 func (t *Tree[T]) checkShape() error {
-	points, err := t.shapeOf(t.root, 0)
-	if err == nil && points != t.size {
-		err = fmt.Errorf("mvp: tree holds %d points, header says %d", points, t.size)
-	}
-	return err
-}
-
-func (t *Tree[T]) shapeOf(n *node[T], depth int) (points int, err error) {
-	switch {
-	case n == nil:
-		return 0, nil
-	case n.hasSV2 && (t.v == 1 || !n.hasSV1):
-		return 0, fmt.Errorf("mvp: node at depth %d has a second vantage point without a first, or in a tree of one per node", depth)
-	case n.isLeaf() && (int(n.cnt) > t.k || n.cnt > 0 && int(n.held) != min(t.p, t.v*depth)):
-		return 0, fmt.Errorf("mvp: leaf at depth %d holds %d items with %d PATH entries (k=%d, p=%d)", depth, n.cnt, n.held, t.k, t.p)
-	case !n.isLeaf() && (len(n.children) != len(n.cut1)+1 || len(n.cut2) != len(n.children)):
-		return 0, fmt.Errorf("mvp: internal node has %d child rows for %d cut1 and %d cut2 rows", len(n.children), len(n.cut1), len(n.cut2))
-	}
-	if n.hasSV1 {
-		points++
-	}
-	if n.hasSV2 {
-		points++
-	}
-	points += int(n.cnt)
-	for g, row := range n.children {
-		if len(row) != len(n.cut2[g])+1 {
-			return 0, fmt.Errorf("mvp: shell %d has %d children for %d cutoffs", g, len(row), len(n.cut2[g]))
-		}
-		for _, c := range row {
-			sub, err := t.shapeOf(c, depth+1)
-			if err != nil {
-				return 0, err
+	points, items, floats := 0, 0, 0
+	depth := make([]int, len(t.nodes))
+	for i := range t.nodes {
+		n, d := &t.nodes[i], depth[i]
+		points += int(n.svs)
+		if n.isLeaf() {
+			held := 0
+			if n.cnt > 0 {
+				held = min(t.p, t.v*d)
 			}
-			points += sub
+			if int(n.svs) > t.v || int(n.cnt) > t.k || int(n.held) != held ||
+				n.cnt > 0 && (n.svs == 0 || int(n.off) != items || n.foff != floats) {
+				return fmt.Errorf("mvp: leaf at depth %d holds %d vantage points and %d items with %d PATH entries at items[%d], filter[%d] (v=%d, k=%d, p=%d; the leaves before it end at %d, %d)",
+					d, n.svs, n.cnt, n.held, n.off, n.foff, t.v, t.k, t.p, items, floats)
+			}
+			points, items, floats = points+int(n.cnt), items+int(n.cnt), floats+int(n.cnt)*(2+held)
+			continue
+		}
+		cut1, _, sh := t.inner(n)
+		ordered := ascending(cut1)
+		for range len(cut1) + 1 {
+			row, cut2 := sh.next()
+			ordered = ordered && ascending(cut2)
+			for _, c := range row {
+				if c == noChild {
+					continue
+				}
+				if int(c) <= i || int(c) >= len(t.nodes) {
+					return fmt.Errorf("mvp: node %d of %d has child %d", i, len(t.nodes), c)
+				}
+				depth[c] = d + 1
+			}
+		}
+		if int(n.svs) != t.v || !ordered {
+			return fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances", d, n.svs, t.v)
 		}
 	}
-	return points, nil
+	if points != t.size || items != len(t.items) || floats != len(t.filter) {
+		return fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d", points, t.size, items, floats, len(t.items), len(t.filter))
+	}
+	return nil
 }
 
-func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
-	if n == nil {
-		return nil
+// ascending reports whether xs can be a row of cutoffs: distances — not
+// NaN, not negative — none below the one before.
+func ascending(xs []float64) bool {
+	prev := 0.0
+	for _, x := range xs {
+		if !(x >= prev) {
+			return false
+		}
+		prev = x
 	}
+	return true
+}
+
+func (t *Tree[T]) validateNode(i int32, ancestors []T) error {
+	n, sv := &t.nodes[i], t.vantages(i)
 	if n.isLeaf() {
 		items, rows, stride := t.leaf(n)
 		for i, it := range items {
 			row := rows[i*stride : (i+1)*stride]
-			if got := t.dist.Distance(it, n.sv1); encode(got, t.step) != row[0] {
+			if got := t.dist.Distance(it, sv[0]); encode(got, t.step) != row[0] {
 				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(row[0]), got)
 			}
-			if n.hasSV2 {
-				if got := t.dist.Distance(it, n.sv2); encode(got, t.step) != row[1] {
+			if n.hasSV2() {
+				if got := t.dist.Distance(it, sv[1]); encode(got, t.step) != row[1] {
 					return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(row[1]), got)
 				}
 			}
@@ -110,21 +131,26 @@ func (t *Tree[T]) validateNode(n *node[T], ancestors []T) error {
 		}
 		return nil
 	}
-	next := append(append([]T(nil), ancestors...), n.sv1, n.sv2)[:len(ancestors)+t.v]
-	for g, row := range n.children {
-		lo1, hi1 := shellBounds(n.cut1, g)
+	next := append(append([]T(nil), ancestors...), sv...)
+	cut1, _, sh := t.inner(n)
+	for g := 0; g <= len(cut1); g++ {
+		row, cut2 := sh.next()
+		lo1, hi1 := shellBounds(cut1, g)
 		for h, c := range row {
-			lo2, hi2 := shellBounds(n.cut2[g], h)
+			if c == noChild {
+				continue
+			}
+			lo2, hi2 := shellBounds(cut2, h)
 			var points []T
 			t.collectAll(c, &points)
 			for _, pt := range points {
-				if d := t.dist.Distance(pt, n.sv1); d < lo1 || d > hi1 {
+				if d := t.dist.Distance(pt, sv[0]); d < lo1 || d > hi1 {
 					return fmt.Errorf("mvp: point at distance %g from first vantage point outside shell [%g, %g]", d, lo1, hi1)
 				}
-				if !n.hasSV2 {
+				if t.v == 1 {
 					continue
 				}
-				if d := t.dist.Distance(pt, n.sv2); d < lo2 || d > hi2 {
+				if d := t.dist.Distance(pt, sv[1]); d < lo2 || d > hi2 {
 					return fmt.Errorf("mvp: point at distance %g from second vantage point outside sub-shell [%g, %g]", d, lo2, hi2)
 				}
 			}
