@@ -12,6 +12,7 @@ import (
 	"mvptree/internal/codec"
 	"mvptree/internal/dataset"
 	"mvptree/internal/gmvp"
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 	"mvptree/internal/vptree"
@@ -61,8 +62,63 @@ var goldenSave = map[string]string{
 	"gmvp/clustered/7":       "b116b83d4ba4c40da8af0bad66967c3ac8efa18184d90dc172d783825c64be58",
 }
 
-func TestGoldenSaveBytes(t *testing.T) {
+// goldenGMVP pins the generalized trees without a serializer: SHA-256
+// over Shape() and, for a fixed grid of range and kNN queries, every
+// answer, its SearchStats and the counter delta it cost. Recorded from
+// the same trees as the gmvp/* rows of goldenSave (same options, data
+// and seeds), at the commit that still had both.
+var goldenGMVP = map[string]string{
+	"gmvp/uniform/1":   "40066f24d6e02a7dff93bbc7697c8f4e6d59e93469a023822799b04d80b3bec5",
+	"gmvp/uniform/7":   "2c29d3f32d30adbb0b87de54c9f30497bb3ef4ccfc8e86e6fa6d1411cef1538b",
+	"gmvp/clustered/1": "876173bfd1e7d74ba2bfb0a51bc41cbf9d7d388857d8a38c0cb3d9fee9f39689",
+	"gmvp/clustered/7": "3134ede10b55c95f32fec36369671fb9580a8ca138d7ee7ecf3e585519b8f0ad",
+}
+
+// goldenItems is the dataset of one (data, seed) row of the golden tables.
+func goldenItems(data string, seed uint64) [][]float64 {
 	const n, dim = 5000, 8
+	rng := rand.New(rand.NewPCG(seed, 14))
+	items := dataset.UniformVectors(rng, n, dim)
+	if data == "clustered" { // drawn after the uniform set, as the rows were recorded
+		items = dataset.ClusteredVectors(rng, n, dim, 250, 0.15)
+	}
+	return items
+}
+
+func TestGMVPFingerprint(t *testing.T) {
+	for _, data := range []string{"uniform", "clustered"} {
+		for _, seed := range []uint64{1, 7} {
+			key := fmt.Sprintf("gmvp/%s/%d", data, seed)
+			items := goldenItems(data, seed)
+			queries := dataset.UniformQueries(rand.New(rand.NewPCG(seed, 15)), 6, 8)
+			queries = append(queries, items[17], items[4242])
+			for _, workers := range []int{1, 2, 4} {
+				c := metric.NewCounter(metric.L2)
+				tr, err := gmvp.New(items, c, gmvp.Options{Build: build.Options{Workers: workers, Seed: seed}, Vantages: 3, Partitions: 2, LeafCapacity: 20, PathLength: 7})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", key, workers, err)
+				}
+				h := sha256.New()
+				fmt.Fprintf(h, "%+v\n", tr.Shape())
+				for _, q := range queries {
+					for _, req := range []index.Query[[]float64]{
+						index.RangeQuery(q, 0.25), index.RangeQuery(q, 0.5),
+						index.KNNQuery(q, 1), index.KNNQuery(q, 10),
+					} {
+						before := c.Count()
+						res := tr.Search(req)
+						fmt.Fprintf(h, "%v %v %+v %d\n", res.Items, res.Neighbors, res.Stats, c.Count()-before)
+					}
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != goldenGMVP[key] {
+					t.Errorf("%s workers=%d: fingerprint %s, want %s", key, workers, got, goldenGMVP[key])
+				}
+			}
+		}
+	}
+}
+
+func TestGoldenSaveBytes(t *testing.T) {
 	type saveFn func(opts build.Options, items [][]float64, buf *bytes.Buffer) error
 	structures := []struct {
 		name string
@@ -112,11 +168,7 @@ func TestGoldenSaveBytes(t *testing.T) {
 				if !ok {
 					continue
 				}
-				rng := rand.New(rand.NewPCG(seed, 14))
-				items := dataset.UniformVectors(rng, n, dim)
-				if data == "clustered" {
-					items = dataset.ClusteredVectors(rng, n, dim, 250, 0.15)
-				}
+				items := goldenItems(data, seed)
 				for _, workers := range []int{1, 2, 4} {
 					var buf bytes.Buffer
 					if err := s.save(build.Options{Workers: workers, Seed: seed}, items, &buf); err != nil {
