@@ -8,14 +8,15 @@ import (
 	"mvptree/internal/dataset"
 )
 
-// The cross-structure invariance table: every structure supporting
-// WithCascade, on every workload class of the paper's evaluation plus
-// the [BK73] word corpus, must answer byte-identically with the cascade
-// on and off while never spending more distance computations. This is
-// the facade-level twin of the per-package cascade tests: it exercises
-// the WithCascade construction option itself and pins the guarantee
-// over uniform vectors, clustered vectors and the discrete edit-distance
-// metric in one table.
+// The cascade invariance table: the two trees supporting WithCascade,
+// on every workload class of the paper's evaluation plus the [BK73]
+// word corpus, must answer byte-identically with the cascade on and off
+// while never spending more distance computations. This is the
+// facade-level twin of the per-package cascade tests: it exercises the
+// WithCascade construction option itself and pins the guarantee over
+// uniform vectors, clustered vectors and the discrete edit-distance
+// metric in one table. (The comparison structures refuse the option:
+// TestCapabilitiesTable.)
 
 // cascadeCase builds the cascade-off and cascade-on twins of one
 // structure over the same items and seed.
@@ -39,37 +40,16 @@ func cascadeCases[T any]() []cascadeCase[T] {
 		{"vpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
 			return NewVP(items, dist, VPOptions{Order: 2, Build: seed}, opt(cas)...)
 		}},
-		{"gmvpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
-			return NewGeneral(items, dist, GeneralOptions{Build: seed}, opt(cas)...)
-		}},
-		{"gnat", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
-			return NewGNAT(items, dist, GNATOptions{Build: seed}, opt(cas)...)
-		}},
-		{"ght", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
-			return NewGH(items, dist, GHOptions{Build: seed}, opt(cas)...)
-		}},
-		{"ball", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
-			return NewBall(items, dist, BallOptions{Build: seed}, opt(cas)...)
-		}},
-		{"bkt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
-			return NewBK(items, dist, opt(cas)...)
-		}},
 	}
 }
 
-// checkCascadeInvariance runs the off/on twins of every structure over
-// the query grid. discrete marks integer-valued metrics — the BK-tree
-// only accepts those, so it sits out the vector workloads. wantPruned
-// names structures that must report a nonzero FilteredByCascade
-// somewhere in the grid — proof the cascade engaged, not just stayed
-// harmless.
+// checkCascadeInvariance runs the off/on twins of both trees over the
+// query grid. Each must report a nonzero FilteredByCascade somewhere in
+// it — proof the cascade engaged, not just stayed harmless.
 func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
-	dist DistanceFunc[T], radii []float64, ks []int, discrete bool, wantPruned map[string]bool) {
+	dist DistanceFunc[T], radii []float64, ks []int) {
 	t.Helper()
 	for _, tc := range cascadeCases[T]() {
-		if tc.name == "bkt" && !discrete {
-			continue
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			off, err := tc.build(items, dist, false)
 			if err != nil {
@@ -121,7 +101,7 @@ func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
 					}
 				}
 			}
-			if wantPruned[tc.name] && pruned == 0 {
+			if pruned == 0 {
 				t.Errorf("cascade never pruned a candidate on this workload")
 			}
 		})
@@ -133,8 +113,7 @@ func TestCascadeInvarianceUniformVectors(t *testing.T) {
 	items := dataset.UniformVectors(rng, 1200, 12)
 	queries := dataset.UniformQueries(rng, 12, 12)
 	checkCascadeInvariance(t, items, queries, L2,
-		[]float64{0.15, 0.3, 0.5}, []int{1, 5, 10}, false,
-		map[string]bool{"mvpt": true, "vpt": true})
+		[]float64{0.15, 0.3, 0.5}, []int{1, 5, 10})
 }
 
 func TestCascadeInvarianceClusteredVectors(t *testing.T) {
@@ -142,8 +121,7 @@ func TestCascadeInvarianceClusteredVectors(t *testing.T) {
 	items := dataset.ClusteredVectors(rng, 1200, 12, 60, 0.1)
 	queries := dataset.SampleQueries(rng, items, 12)
 	checkCascadeInvariance(t, items, queries, L2,
-		[]float64{0.2, 0.4, 0.8}, []int{1, 5, 10}, false,
-		map[string]bool{"mvpt": true, "vpt": true})
+		[]float64{0.2, 0.4, 0.8}, []int{1, 5, 10})
 }
 
 func TestCascadeInvarianceEditDistance(t *testing.T) {
@@ -152,6 +130,5 @@ func TestCascadeInvarianceEditDistance(t *testing.T) {
 	queries := dataset.SampleQueries(rng, words, 10)
 	queries = append(queries, dataset.Words(rng, 5, dataset.WordOptions{})...)
 	checkCascadeInvariance(t, words, queries, EditDistance,
-		[]float64{1, 2, 3}, []int{1, 5, 10}, true,
-		map[string]bool{"mvpt": true, "vpt": true, "bkt": true})
+		[]float64{1, 2, 3}, []int{1, 5, 10})
 }

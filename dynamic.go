@@ -21,7 +21,8 @@ type DynamicOptions = dynamic.Options
 // NewDynamic builds a dynamic store over the initial items. WithObserver
 // and WithTracer attach telemetry; WithCounter is ignored — the store
 // owns an internal counter over its ID space (read it via
-// DistanceCount).
+// DistanceCount) — and WithCascade and WithQuantized are refused with
+// an error: the store has neither mode.
 func NewDynamic[T any](items []T, dist DistanceFunc[T], opts DynamicOptions, ixOpts ...IndexOption[T]) (*DynamicStore[T], error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	s, err := dynamic.New(items, metric.DistanceFunc[T](dist), opts)

@@ -1,11 +1,6 @@
 package mvptree
 
-import (
-	"io"
-
-	"mvptree/internal/gmvp"
-	"mvptree/internal/metric"
-)
+import "mvptree/internal/gmvp"
 
 // GeneralTree is the generalized multi-vantage-point tree: any number v
 // of vantage points per node, fanout mᵛ. It realizes the paper's §4.2
@@ -33,15 +28,4 @@ func NewGeneralWithStats[T any](items []T, dist DistanceFunc[T], opts GeneralOpt
 		return nil, bs, err
 	}
 	return t, bs, nil
-}
-
-// SaveGeneralTree writes a generalized tree to w in the same
-// CRC-protected envelope as SaveTree.
-func SaveGeneralTree[T any](w io.Writer, t *GeneralTree[T], enc ItemEncoder[T]) error {
-	return t.Save(w, gmvp.ItemEncoder[T](enc))
-}
-
-// LoadGeneralTree reads a tree written by SaveGeneralTree.
-func LoadGeneralTree[T any](r io.Reader, dist DistanceFunc[T], dec ItemDecoder[T]) (*GeneralTree[T], error) {
-	return gmvp.Load(r, metric.NewCounter(dist), gmvp.ItemDecoder[T](dec))
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 
 	"mvptree/internal/build"
-	"mvptree/internal/cascade"
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
@@ -59,7 +58,6 @@ type Tree[T any] struct {
 	obs.Hooks
 	root       *node[T]
 	dist       *metric.Counter[T]
-	cas        *cascade.Filter[T]
 	size       int
 	buildStats build.Stats
 }
@@ -75,10 +73,6 @@ type node[T any] struct {
 	children []*node[T]
 	leaf     bool
 	items    []T
-
-	// Cascade stamps (see cascade.go; all zero until EnableCascade).
-	casC    []int32 // casC[j] stamps centers[j]; nil when no center is a pivot
-	casBase int32
 }
 
 // New builds a tree over items using the counted metric dist.
@@ -211,8 +205,8 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 
 // Search is the tree's one query implementation (index.Searcher): one
 // range traversal and one best-first kNN traversal, each threaded with
-// the request's index.Approx (inert at zero options, so the cascade
-// serves every mode). Workers and Bound are ignored.
+// the request's index.Approx (inert at zero options). Workers and Bound
+// are ignored.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return t.knn(req.Point, req.K, req.Opts)
@@ -244,14 +238,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 	}
 	a := index.StartApprox(o)
 	var out []T
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
-	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
-	if cc != nil {
-		t.cas.Put(cc)
-	}
+	t.rangeNode(t.root, q, r, a.Shrink(r), &a, &out, &s)
 	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
@@ -260,7 +247,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 
 // rangeNode descends with two radii: r decides membership and bounds
 // the kernels, rp = r/(1+ε) (== r when exact) decides every prune.
-func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, a *index.Approx, out *[]T, s *SearchStats) {
 	if n == nil || a.Stop() {
 		return
 	}
@@ -268,17 +255,8 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 	t.TraceNode(n.leaf)
 	if n.leaf {
 		s.LeavesVisited++
-		cas, base := t.cas, n.casBase
-		useCas := cc != nil && cc.Registered() > 0
-		filtered := 0
-		for i, it := range n.items {
+		for _, it := range n.items {
 			s.Candidates++
-			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
-					filtered++
-					continue
-				}
-			}
 			if !a.Pay(1) {
 				s.Candidates-- // not considered: the budget stopped the scan first
 				break
@@ -290,10 +268,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 				*out = append(*out, it)
 			}
 		}
-		if filtered > 0 {
-			s.FilteredByCascade += filtered
-			t.TracePrune(obs.FilterCascade, filtered)
-		}
 		return
 	}
 	for j, c := range n.centers {
@@ -302,24 +276,15 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 		}
 		// A center distance is used one-sidedly — membership and the
 		// prune test d−ρ > rp ≤ r — so abandoning past r+ρ forces the
-		// same prune the exact distance would. When the center is a cascade
-		// pivot the exact distance is computed instead (exact is itself
-		// a valid bounded kernel, so every decision is unchanged) and
-		// shared with the leaf filter.
-		var d float64
-		if cc != nil && n.casC != nil && n.casC[j] != 0 && cc.Wants() {
-			d = t.dist.Distance(q, c)
-			cc.Register(n.casC[j]-1, d)
-		} else {
-			d = t.dist.DistanceUpTo(q, c, r+n.radii[j])
-		}
+		// same prune the exact distance would.
+		d := t.dist.DistanceUpTo(q, c, r+n.radii[j])
 		s.VantagePoints++
 		t.TraceDistance(1)
 		if d <= r {
 			*out = append(*out, c)
 		}
 		if d-n.radii[j] <= rp {
-			t.rangeNode(n.children[j], q, r, rp, cc, a, out, s)
+			t.rangeNode(n.children[j], q, r, rp, a, out, s)
 			if a.Stop() {
 				return
 			}
@@ -358,11 +323,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	}
 	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-		defer t.cas.Put(cc)
-	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
 search:
@@ -379,21 +339,8 @@ search:
 		t.TraceNode(n.leaf)
 		if n.leaf {
 			s.LeavesVisited++
-			cas, base := t.cas, n.casBase
-			useCas := cc != nil && cc.Registered() > 0
-			filtered := 0
-			for i, it := range n.items {
+			for _, it := range n.items {
 				s.Candidates++
-				if useCas {
-					// With ε = 0 a candidate whose lower bound the heap
-					// would reject cannot change the result set: the
-					// bounded kernel below would return a value ≥ the
-					// bound.
-					if clb := cas.LowerBound(cc, base+int32(i)); clb >= a.Shrink(best.Threshold()) {
-						filtered++
-						continue
-					}
-				}
 				if !a.Pay(1) {
 					s.Candidates-- // not considered: the budget stopped the scan first
 					break
@@ -403,10 +350,6 @@ search:
 				// Push ignores anything ≥ the k-th best: abandon at τ.
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
 			}
-			if filtered > 0 {
-				s.FilteredByCascade += filtered
-				t.TracePrune(obs.FilterCascade, filtered)
-			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
@@ -415,16 +358,8 @@ search:
 				break search
 			}
 			// One-sided use (τ in place of r): abandoning past τ+ρ
-			// rejects the center and prunes the child either way. A
-			// stamped center is computed exactly instead (same
-			// decisions, see cascade.go) and shared with the cascade.
-			var d float64
-			if cc != nil && n.casC != nil && n.casC[j] != 0 && cc.Wants() {
-				d = t.dist.Distance(q, c)
-				cc.Register(n.casC[j]-1, d)
-			} else {
-				d = t.dist.DistanceUpTo(q, c, best.Threshold()+n.radii[j])
-			}
+			// rejects the center and prunes the child either way.
+			d := t.dist.DistanceUpTo(q, c, best.Threshold()+n.radii[j])
 			best.Push(c, d)
 			s.VantagePoints++
 			t.TraceDistance(1)

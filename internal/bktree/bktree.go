@@ -26,7 +26,6 @@ import (
 	"slices"
 
 	"mvptree/internal/build"
-	"mvptree/internal/cascade"
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
@@ -60,7 +59,6 @@ type Tree[T any] struct {
 	obs.Hooks
 	root       *node[T]
 	dist       *metric.Counter[T]
-	cas        *cascade.Filter[T]
 	size       int
 	buildStats build.Stats
 }
@@ -71,14 +69,10 @@ type node[T any] struct {
 	item T
 	// keys (ascending) and kids are parallel: kids[i] roots every item at
 	// integer distance keys[i] from item. Both are nil on a leaf. Every
-	// traversal walks them in ascending key order, so result order, kNN
-	// queue order and cascade pivot ids are the same run to run.
+	// traversal walks them in ascending key order, so result order and
+	// kNN queue order are the same run to run.
 	keys []int
 	kids []*node[T]
-
-	// Cascade stamps (see cascade.go; both zero until EnableCascade).
-	cas   int32 // pivot stamp, set on internal nodes
-	casID int32 // item id + 1, set on nodes that were leaves at enable time
 }
 
 func (n *node[T]) isLeaf() bool { return n.kids == nil }
@@ -203,8 +197,8 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 
 // Search is the tree's one query implementation (index.Searcher): one
 // range traversal and one best-first kNN traversal, each threaded with
-// the request's index.Approx (inert at zero options, so the cascade
-// serves every mode). Workers and Bound are ignored.
+// the request's index.Approx (inert at zero options). Workers and Bound
+// are ignored.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return t.knn(req.Point, req.K, req.Opts)
@@ -233,14 +227,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 	}
 	a := index.StartApprox(o)
 	var out []T
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
-	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
-	if cc != nil {
-		t.cas.Put(cc)
-	}
+	t.rangeNode(t.root, q, r, a.Shrink(r), &a, &out, &s)
 	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
@@ -248,45 +235,30 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 }
 
 // rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
-// (== r when exact) positions the child key window and the cascade
-// skip. A node is entered only once its one distance is paid for.
-func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
-	leaf := n.isLeaf()
-	// A leaf's distance only decides membership — so the cascade may
-	// skip the computation outright, before it is paid for, when the
-	// registered-pivot lower bound already exceeds rp.
-	skip := leaf && cc != nil && n.casID != 0 && cc.Registered() > 0 &&
-		t.cas.LowerBound(cc, n.casID-1) > rp
-	if a.Stop() || (!skip && !a.Pay(1)) {
+// (== r when exact) positions the child key window. A node is entered
+// only once its one distance is paid for.
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, a *index.Approx, out *[]T, s *SearchStats) {
+	if a.Stop() || !a.Pay(1) {
 		return
 	}
+	leaf := n.isLeaf()
 	s.NodesVisited++
 	t.TraceNode(leaf)
 	s.Candidates++
+	s.Computed++
+	t.TraceDistance(1)
 	if leaf {
 		s.LeavesVisited++
-		if skip {
-			s.FilteredByCascade++
-			t.TracePrune(obs.FilterCascade, 1)
-			return
-		}
-		s.Computed++
-		t.TraceDistance(1)
 		// Membership only: the kernel may abandon at r.
 		if t.dist.DistanceUpTo(q, n.item, r) <= r {
 			*out = append(*out, n.item)
 		}
 		return
 	}
-	s.Computed++
-	t.TraceDistance(1)
 	// An internal node's distance positions the child key window
 	// [⌈d−rp⌉, ⌊d+rp⌋] — a two-sided use an understated distance would
-	// corrupt — so it stays exact, and the cascade shares it for free.
+	// corrupt — so it stays exact.
 	d := t.dist.Distance(q, n.item)
-	if cc != nil && n.cas != 0 && cc.Wants() {
-		cc.Register(n.cas-1, d)
-	}
 	if d <= r {
 		*out = append(*out, n.item)
 	}
@@ -294,7 +266,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 	hi := int(math.Floor(d + rp))
 	for i, c := range n.kids {
 		if key := n.keys[i]; key >= lo && key <= hi {
-			t.rangeNode(c, q, r, rp, cc, a, out, s)
+			t.rangeNode(c, q, r, rp, a, out, s)
 			if a.Stop() {
 				return
 			}
@@ -335,11 +307,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	}
 	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-		defer t.cas.Put(cc)
-	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
 	for !a.Stop() {
@@ -352,27 +319,16 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		if bound >= tauP {
 			break
 		}
-		leaf := n.isLeaf()
-		// A leaf with no children contributes only a heap push; with
-		// ε = 0 a lower bound the heap would reject proves the push
-		// would be rejected too, so the computation is skipped outright
-		// — before it is paid for.
-		skip := leaf && cc != nil && n.casID != 0 && cc.Registered() > 0 &&
-			t.cas.LowerBound(cc, n.casID-1) >= tauP
-		if !skip && !a.Pay(1) {
+		if !a.Pay(1) {
 			break
 		}
+		leaf := n.isLeaf()
 		s.NodesVisited++
 		t.TraceNode(leaf)
 		if leaf {
 			s.LeavesVisited++
 		}
 		s.Candidates++
-		if skip {
-			s.FilteredByCascade++
-			t.TracePrune(obs.FilterCascade, 1)
-			continue
-		}
 		s.Computed++
 		t.TraceDistance(1)
 		var d float64
@@ -382,9 +338,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			d = t.dist.DistanceUpTo(q, n.item, best.Threshold())
 		} else {
 			d = t.dist.Distance(q, n.item)
-			if cc != nil && n.cas != 0 && cc.Wants() {
-				cc.Register(n.cas-1, d) // already exact; free to share
-			}
 		}
 		best.Push(n.item, d)
 		if leaf {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"mvptree/internal/cascade"
 	"mvptree/internal/dataset"
 	"mvptree/internal/linear"
 	"mvptree/internal/metric"
@@ -170,9 +169,8 @@ func TestPruningSavesWork(t *testing.T) {
 
 // Two builds of the same words must behave identically: children are
 // walked in ascending key order, so range result order, the kNN queue
-// order (hence its SearchStats) and the cascade's pivot choice are a
-// function of the data alone. With children in a Go map — the earlier
-// layout — every one of these varied run to run.
+// order (hence its SearchStats) are a function of the data alone. With
+// children in a Go map — the earlier layout — both varied run to run.
 func TestTwoBuildsBehaveIdentically(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 4))
 	corpus := dataset.Words(rng, 600, dataset.WordOptions{MisspellingsPer: 2})
@@ -180,9 +178,6 @@ func TestTwoBuildsBehaveIdentically(t *testing.T) {
 	mk := func() *Tree[string] {
 		tree, err := New(corpus, metric.NewCounter(metric.Edit), Options{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.EnableCascade(cascade.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return tree

@@ -47,11 +47,6 @@ func words(n int, seed uint64) []string {
 	return out
 }
 
-// saver abstracts the Save method the serializable structures share.
-type saver interface {
-	Save(w *bytes.Buffer) error
-}
-
 // buildCase builds one structure at the given worker count and returns
 // its Save bytes (nil buf means the structure is compared by shape
 // instead) plus its construction stats.
@@ -94,6 +89,9 @@ func determinismCases() []buildCase {
 			}
 			return buf.Bytes(), st
 		}},
+		// The comparison structures have no Save; compare by the answers
+		// they give — a full range scan at several radii pins the tree
+		// shape tightly (same partitions, same pivots).
 		{name: "gmvp", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := gmvp.NewWithStats(items, metric.NewCounter(metric.L2), gmvp.Options{
 				Vantages: 3, Partitions: 2, LeafCapacity: 20, PathLength: 4, Build: opt(workers),
@@ -101,11 +99,7 @@ func determinismCases() []buildCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := tr.Save(&buf, codec.EncodeVector); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes(), st
+			return rangeFingerprint(tr, items, vectorRadii), st
 		}},
 		{name: "laesa", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tb, st, err := laesa.NewWithStats(items, metric.NewCounter(metric.L2), laesa.Options{
@@ -114,11 +108,7 @@ func determinismCases() []buildCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := tb.Save(&buf, codec.EncodeVector); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes(), st
+			return rangeFingerprint(tb, items, vectorRadii), st
 		}},
 		{name: "bktree", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := bktree.NewWithStats(ws, metric.NewCounter(metric.Edit), bktree.Options{
@@ -127,15 +117,8 @@ func determinismCases() []buildCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := tr.Save(&buf, codec.EncodeString); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes(), st
+			return rangeFingerprint(tr, ws, []float64{1, 2, 4}), st
 		}},
-		// ghtree, gnat and balltree have no Save; compare by the answers
-		// they give — a full range scan at several radii pins the tree
-		// shape tightly (same partitions, same pivots).
 		{name: "ghtree", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := ghtree.NewWithStats(items, metric.NewCounter(metric.L2), ghtree.Options{
 				LeafCapacity: 4, Build: opt(workers),
@@ -143,7 +126,7 @@ func determinismCases() []buildCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rangeFingerprint(tr, items), st
+			return rangeFingerprint(tr, items, vectorRadii), st
 		}},
 		{name: "gnat", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := gnat.NewWithStats(items, metric.NewCounter(metric.L2), gnat.Options{
@@ -152,7 +135,7 @@ func determinismCases() []buildCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rangeFingerprint(tr, items), st
+			return rangeFingerprint(tr, items, vectorRadii), st
 		}},
 		{name: "balltree", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := balltree.NewWithStats(items, metric.NewCounter(metric.L2), balltree.Options{
@@ -161,29 +144,31 @@ func determinismCases() []buildCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rangeFingerprint(tr, items), st
+			return rangeFingerprint(tr, items, vectorRadii), st
 		}},
 	}
 }
 
 // ranger is the query surface shared by the non-serializable trees.
-type ranger interface {
-	Range(q []float64, r float64) [][]float64
-	Counter() *metric.Counter[[]float64]
+type ranger[T any] interface {
+	Range(q T, r float64) []T
+	Counter() *metric.Counter[T]
 }
+
+var vectorRadii = []float64{0.3, 0.6, 0.9}
 
 // rangeFingerprint captures result ORDER as well as content (result
 // order follows traversal order, which follows tree shape) plus the
 // exact number of distance computations spent answering, so two trees
 // fingerprinting equal are the same tree for every practical purpose.
-func rangeFingerprint(tr ranger, items [][]float64) any {
+func rangeFingerprint[T any](tr ranger[T], items []T, radii []float64) any {
 	type answer struct {
-		Results [][]float64
+		Results []T
 		Cost    int64
 	}
 	var fp []answer
 	for qi := 0; qi < 5; qi++ {
-		for _, r := range []float64{0.3, 0.6, 0.9} {
+		for _, r := range radii {
 			before := tr.Counter().Count()
 			res := tr.Range(items[qi*37], r)
 			fp = append(fp, answer{Results: res, Cost: tr.Counter().Count() - before})

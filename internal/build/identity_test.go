@@ -34,8 +34,8 @@ import (
 // The vptree rows were re-recorded in PR 20 too, as the v = 1 streams the
 // constructor's trees save now that VPTREE1 is retired; that those are the
 // trees internal/vptree built is pinned where the old bytes cannot be, by
-// their answers (vptree.TestSameTreesAsSeparatePackage). gmvp rows are
-// the originals.
+// their answers (vptree.TestSameTreesAsSeparatePackage). The gmvp rows
+// left with gmvp's serializer (PR 22); goldenGMVP pins the same trees.
 //
 // The mvp and mvp-random2 rows are built with RandomFirstVantage and
 // were not otherwise re-recorded when the first vantage point became a
@@ -56,17 +56,13 @@ var goldenSave = map[string]string{
 	"vptree/uniform/7":       "01328602ba06b02a0df64cece61c04d17cfb906acdc154c594db94df623787fa",
 	"vptree/clustered/1":     "158e0dcd073336b16177e89e196f3f634f1fc70b5b5bf5985e26bc645c93e183",
 	"vptree/clustered/7":     "a8acf3c9bf3299fe560daf91b1ab18e09e4cce4bef161639175915992d4eeaf0",
-	"gmvp/uniform/1":         "a4255b6a102474d81afbb8d3be9432aa7a9962bcbbb5d8cc98d784b076b21bab",
-	"gmvp/uniform/7":         "003e2767371c1e269129cce832e68ed1dc76ebc11fa510555582680e1ec1fcfe",
-	"gmvp/clustered/1":       "d1e459f640274aa63f4fcc61831665d7a25bcb474041261d193f87dd40798cde",
-	"gmvp/clustered/7":       "b116b83d4ba4c40da8af0bad66967c3ac8efa18184d90dc172d783825c64be58",
 }
 
 // goldenGMVP pins the generalized trees without a serializer: SHA-256
 // over Shape() and, for a fixed grid of range and kNN queries, every
 // answer, its SearchStats and the counter delta it cost. Recorded from
-// the same trees as the gmvp/* rows of goldenSave (same options, data
-// and seeds), at the commit that still had both.
+// the trees the gmvp/* rows of goldenSave hashed (same options, data and
+// seeds) at the last commit that had both, and never re-recorded since.
 var goldenGMVP = map[string]string{
 	"gmvp/uniform/1":   "40066f24d6e02a7dff93bbc7697c8f4e6d59e93469a023822799b04d80b3bec5",
 	"gmvp/uniform/7":   "2c29d3f32d30adbb0b87de54c9f30497bb3ef4ccfc8e86e6fa6d1411cef1538b",
@@ -147,13 +143,6 @@ func TestGoldenSaveBytes(t *testing.T) {
 		}},
 		{"vptree", func(o build.Options, items [][]float64, buf *bytes.Buffer) error {
 			tr, err := vptree.New(items, metric.NewCounter(metric.L2), vptree.Options{Build: o, Order: 3, LeafCapacity: 10})
-			if err != nil {
-				return err
-			}
-			return tr.Save(buf, codec.EncodeVector)
-		}},
-		{"gmvp", func(o build.Options, items [][]float64, buf *bytes.Buffer) error {
-			tr, err := gmvp.New(items, metric.NewCounter(metric.L2), gmvp.Options{Build: o, Vantages: 3, Partitions: 2, LeafCapacity: 20, PathLength: 7})
 			if err != nil {
 				return err
 			}

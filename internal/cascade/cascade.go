@@ -1,11 +1,15 @@
 // Package cascade is the composable cross-query bound cascade: the
 // pivot lower-bound machinery of the LAESA table (internal/laesa)
-// extracted into a filter layer any index structure can consult.
+// extracted into a filter layer an index structure can consult. Two
+// do: the mvp-tree core (internal/mvp, so the vp-tree and the sharded
+// index over them), which enables it on request, and the laesa table,
+// which is built on it. The comparison structures of the paper's figures
+// do not (DESIGN.md "Two tiers").
 //
 // The idea, following the Cascading Metric Tree (arXiv 2112.10900), is
 // that a query should waste none of the distances it pays for. Every
-// tree traversal computes distances from the query q to vantage points,
-// split points or centers and uses each one once — for the local
+// tree traversal computes distances from the query q to vantage points
+// and uses each one once — for the local
 // routing decision — and then drops it. But any point p with a
 // precomputed distance row d(p, ·) over the stored items turns that one
 // paid distance into a global filter: by the triangle inequality,
@@ -111,7 +115,6 @@ func (o Options) Validate() error {
 type Filter[T any] struct {
 	pivots []T
 	rows   [][]float64 // rows[j][id] = d(pivots[j], item id)
-	items  int
 	maxPer int
 	built  int64 // distance computations spent on rows
 	pool   sync.Pool
@@ -126,18 +129,15 @@ func NewFilter[T any](pivots []T, rows [][]float64, maxPerQuery int) (*Filter[T]
 	if len(pivots) != len(rows) {
 		return nil, fmt.Errorf("cascade: %d pivots but %d rows", len(pivots), len(rows))
 	}
-	n := 0
 	for j, row := range rows {
-		if j == 0 {
-			n = len(row)
-		} else if len(row) != n {
-			return nil, fmt.Errorf("cascade: row %d has %d entries, row 0 has %d", j, len(row), n)
+		if len(row) != len(rows[0]) {
+			return nil, fmt.Errorf("cascade: row %d has %d entries, row 0 has %d", j, len(row), len(rows[0]))
 		}
 	}
 	if maxPerQuery <= 0 || maxPerQuery > len(pivots) {
 		maxPerQuery = len(pivots)
 	}
-	return &Filter[T]{pivots: pivots, rows: rows, items: n, maxPer: maxPerQuery}, nil
+	return &Filter[T]{pivots: pivots, rows: rows, maxPer: maxPerQuery}, nil
 }
 
 // Pivots reports the number of pivot rows.
@@ -145,13 +145,6 @@ func (f *Filter[T]) Pivots() int { return len(f.pivots) }
 
 // Pivot returns the j-th pivot item.
 func (f *Filter[T]) Pivot(j int) T { return f.pivots[j] }
-
-// Row returns the j-th pivot's distance row over the stored items. The
-// returned slice is the filter's own state; callers must not modify it.
-func (f *Filter[T]) Row(j int) []float64 { return f.rows[j] }
-
-// Items reports the number of stored items covered by the rows.
-func (f *Filter[T]) Items() int { return f.items }
 
 // MaxPerQuery reports the per-query registration cap in effect.
 func (f *Filter[T]) MaxPerQuery() int { return f.maxPer }
@@ -234,7 +227,7 @@ func (c *Cache) Registered() int { return len(c.pivot) }
 // post-build tree walk of EnableCascade, then precomputes the rows.
 // The walk calls AddPivot for each vantage/split/center in visit order
 // (breadth-first from the root, so the pivots every query evaluates
-// first get rows) and AddItems/AddItem for the leaf-stored items, whose
+// first get rows) and AddItems for the leaf-stored items, whose
 // returned ids the structure stamps onto its nodes.
 type Builder[T any] struct {
 	opts   Options
@@ -269,13 +262,6 @@ func (b *Builder[T]) AddItems(items []T) int32 {
 	base := int32(len(b.items))
 	b.items = append(b.items, items...)
 	return base
-}
-
-// AddItem appends a single stored item and returns its id.
-func (b *Builder[T]) AddItem(item T) int32 {
-	id := int32(len(b.items))
-	b.items = append(b.items, item)
-	return id
 }
 
 // NumPivots reports how many pivots the walk has collected so far.

@@ -131,11 +131,8 @@ func TestBuilderStampsAndIDs(t *testing.T) {
 	if base := b.AddItems([][]float64{v, v, v}); base != 0 {
 		t.Fatalf("first AddItems base = %d, want 0", base)
 	}
-	if id := b.AddItem(v); id != 3 {
-		t.Fatalf("AddItem id = %d, want 3", id)
-	}
-	if base := b.AddItems([][]float64{v}); base != 4 {
-		t.Fatalf("second AddItems base = %d, want 4", base)
+	if base := b.AddItems([][]float64{v}); base != 3 {
+		t.Fatalf("second AddItems base = %d, want 3", base)
 	}
 }
 

@@ -27,6 +27,7 @@ package dynamic
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -104,8 +105,8 @@ func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T]
 	if opts.RebuildFraction == 0 {
 		opts.RebuildFraction = 0.25
 	}
-	if opts.RebuildFraction <= 0 {
-		return nil, errors.New("dynamic: RebuildFraction must be positive")
+	if !validFraction(opts.RebuildFraction) {
+		return nil, errors.New("dynamic: RebuildFraction must be positive and finite")
 	}
 	s := &Store[T]{opts: opts}
 	s.bindMetric(dist)
@@ -120,6 +121,11 @@ func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T]
 	}
 	return s, nil
 }
+
+// validFraction reports whether f can be a RebuildFraction: NaN and
+// +Inf compare their way past maybeRebuild's test, one to a rebuild on
+// every update, the other to none ever.
+func validFraction(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
 // bindMetric points the store's counter — a metric over IDs — at the
 // item metric dist. The ID closure is not a registered top-level

@@ -25,6 +25,11 @@ type ItemDecoder[T any] func([]byte) (T, error)
 
 const saveMagic = "MVPDYN1"
 
+// maxWorkers is the most build workers Load takes a header's word for:
+// construction sizes its pool by the number, so a corrupt one would cost
+// the next rebuild gigabytes.
+const maxWorkers = 1 << 12
+
 // Save compacts the store and writes it to w. Note the compaction: Save
 // is a mutating operation (equivalent to a rebuild), which is also what
 // makes the saved form simple — pure tree, no buffer, no tombstones.
@@ -110,16 +115,30 @@ func encodeIDItem(id int) ([]byte, error) {
 	return buf[:n], nil
 }
 
-func decodeIDItem(b []byte) (int, error) {
-	u, n := binary.Uvarint(b)
-	if n <= 0 || n != len(b) {
-		return 0, fmt.Errorf("dynamic: invalid ID encoding")
+// idDecoder decodes the inner tree's items for a table of len(seen)
+// entries, refusing an ID the table does not have or the tree has
+// already used: a tree that loads through it holds each ID at most once.
+func idDecoder(seen []bool) mvp.ItemDecoder[int] {
+	return func(b []byte) (int, error) {
+		u, n := binary.Uvarint(b)
+		if n <= 0 || n != len(b) {
+			return 0, fmt.Errorf("dynamic: invalid ID encoding")
+		}
+		if u >= uint64(len(seen)) || seen[u] {
+			return 0, fmt.Errorf("dynamic: tree item %d is repeated or not in the table of %d (corrupt stream)", u, len(seen))
+		}
+		seen[u] = true
+		return int(u), nil
 	}
-	return int(u), nil
 }
 
 // Load reads a store written by Save. dist must be the same metric the
-// store was built with.
+// store was built with. As in mvp.Load, the checksum only proves the
+// payload is the one written: the item count is charged against the
+// payload's length before anything is allocated for it, the inner tree's
+// items must be the table's IDs, each once, and the options header must
+// be the one that built that tree — so the next rebuild is handed nothing
+// Load did not check.
 func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (*Store[T], error) {
 	outer := wire.NewReader(r)
 	if string(outer.Bytes()) != saveMagic {
@@ -144,8 +163,11 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if s.opts.RebuildFraction <= 0 {
-		return nil, fmt.Errorf("dynamic: corrupt header (rebuild fraction %g)", s.opts.RebuildFraction)
+	if !validFraction(s.opts.RebuildFraction) {
+		return nil, fmt.Errorf("dynamic: rebuild fraction %g (corrupt stream)", s.opts.RebuildFraction)
+	}
+	if count > len(payload) { // an item is a byte of the payload at least
+		return nil, fmt.Errorf("dynamic: %d items announced in a %d-byte payload (corrupt stream)", count, len(payload))
 	}
 	s.items = make([]T, count)
 	s.alive = make([]bool, count)
@@ -167,12 +189,29 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	tree, err := mvp.Load(bytes.NewReader(treeBytes), s.dist, decodeIDItem)
+	tree, err := mvp.Load(bytes.NewReader(treeBytes), s.dist, idDecoder(make([]bool, count)))
 	if err != nil {
 		return nil, err
 	}
 	if tree.Len() != count {
-		return nil, fmt.Errorf("dynamic: tree holds %d items, table %d", tree.Len(), count)
+		return nil, fmt.Errorf("dynamic: tree holds %d items, table %d (corrupt stream)", tree.Len(), count)
+	}
+	// The header does not say how many vantage points a node has; the
+	// tree does. What it does say has to validate and come to the
+	// parameters of the tree it built: a tree over nothing, which costs
+	// nothing once the worker pool is bounded, shows what mvp.New makes
+	// of it.
+	s.opts.Tree.Vantages = tree.Vantages()
+	if s.opts.Tree.Workers > maxWorkers {
+		return nil, fmt.Errorf("dynamic: %d build workers (corrupt stream)", s.opts.Tree.Workers)
+	}
+	built, err := mvp.New[int](nil, s.dist, s.opts.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("%w (corrupt stream)", err)
+	}
+	if built.Partitions() != tree.Partitions() || built.LeafCapacity() != tree.LeafCapacity() || built.PathLength() != tree.PathLength() {
+		return nil, fmt.Errorf("dynamic: tree options m=%d k=%d p=%d, tree built with m=%d k=%d p=%d (corrupt stream)",
+			built.Partitions(), built.LeafCapacity(), built.PathLength(), tree.Partitions(), tree.LeafCapacity(), tree.PathLength())
 	}
 	s.tree = tree
 	s.treeIDs = count

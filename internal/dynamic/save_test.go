@@ -155,9 +155,14 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// The header has no field for Vantages: Load reads it off the tree, so a
+// store built with the default spelled 0 comes back saying 2.
 func TestOptionsSurviveReload(t *testing.T) {
-	for _, sw := range []struct{ sv1, sv2 bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-		tree := mvp.Options{Partitions: 4, LeafCapacity: 7, PathLength: 3, Build: mvp.Build{Seed: 5},
+	for _, sw := range []struct {
+		v        int
+		sv1, sv2 bool
+	}{{0, false, false}, {2, true, false}, {2, false, true}, {0, true, true}, {1, false, false}, {1, true, false}} {
+		tree := mvp.Options{Vantages: sw.v, Partitions: 4, LeafCapacity: 7, PathLength: 3, Build: mvp.Build{Seed: 5},
 			RandomFirstVantage: sw.sv1, RandomSecondVantage: sw.sv2}
 		s, err := New([][]float64{{1}, {2}, {3}}, metric.L2, Options{Tree: tree, RebuildFraction: 0.5})
 		if err != nil {
@@ -173,6 +178,9 @@ func TestOptionsSurviveReload(t *testing.T) {
 		}
 		if loaded.opts.RebuildFraction != 0.5 {
 			t.Errorf("RebuildFraction = %g", loaded.opts.RebuildFraction)
+		}
+		if tree.Vantages == 0 {
+			tree.Vantages = 2
 		}
 		if o := loaded.opts.Tree; o != tree {
 			t.Errorf("tree options = %+v, want %+v", o, tree)

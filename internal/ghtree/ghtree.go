@@ -17,7 +17,6 @@ import (
 	"errors"
 
 	"mvptree/internal/build"
-	"mvptree/internal/cascade"
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
@@ -52,7 +51,6 @@ type Tree[T any] struct {
 	obs.Hooks
 	root       *node[T]
 	dist       *metric.Counter[T]
-	cas        *cascade.Filter[T]
 	size       int
 	buildStats build.Stats
 }
@@ -65,10 +63,6 @@ type node[T any] struct {
 	left, right *node[T] // closer to p1 / closer to p2
 	leaf        bool
 	items       []T
-
-	// Cascade stamps (see cascade.go; all zero until EnableCascade).
-	cas1, cas2 int32
-	casBase    int32
 }
 
 // New builds a gh-tree over items using the counted metric dist.
@@ -175,8 +169,8 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 
 // Search is the tree's one query implementation (index.Searcher): one
 // range traversal and one best-first kNN traversal, each threaded with
-// the request's index.Approx (inert at zero options, so the cascade
-// serves every mode). Workers and Bound are ignored.
+// the request's index.Approx (inert at zero options). Workers and Bound
+// are ignored.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return t.knn(req.Point, req.K, req.Opts)
@@ -205,14 +199,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 	}
 	a := index.StartApprox(o)
 	var out []T
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
-	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
-	if cc != nil {
-		t.cas.Put(cc)
-	}
+	t.rangeNode(t.root, q, r, a.Shrink(r), &a, &out, &s)
 	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
@@ -221,7 +208,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 
 // rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
 // (== r when exact) decides every prune.
-func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, a *index.Approx, out *[]T, s *SearchStats) {
 	if n == nil || a.Stop() {
 		return
 	}
@@ -229,17 +216,8 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 	t.TraceNode(n.leaf)
 	if n.leaf {
 		s.LeavesVisited++
-		cas, base := t.cas, n.casBase
-		useCas := cc != nil && cc.Registered() > 0
-		filtered := 0
-		for i, it := range n.items {
+		for _, it := range n.items {
 			s.Candidates++
-			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
-					filtered++
-					continue
-				}
-			}
 			if !a.Pay(1) {
 				s.Candidates-- // not considered: the budget stopped the scan first
 				break
@@ -253,19 +231,12 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 				*out = append(*out, it)
 			}
 		}
-		if filtered > 0 {
-			s.FilteredByCascade += filtered
-			t.TracePrune(obs.FilterCascade, filtered)
-		}
 		return
 	}
 	if !a.Pay(1) {
 		return
 	}
 	d1 := t.dist.Distance(q, n.p1)
-	if cc != nil && n.cas1 != 0 && cc.Wants() {
-		cc.Register(n.cas1-1, d1) // already exact; free to share
-	}
 	s.VantagePoints++
 	t.TraceDistance(1)
 	if d1 <= r {
@@ -275,9 +246,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 		return
 	}
 	d2 := t.dist.Distance(q, n.p2)
-	if cc != nil && n.cas2 != 0 && cc.Wants() {
-		cc.Register(n.cas2-1, d2)
-	}
 	s.VantagePoints++
 	t.TraceDistance(1)
 	if d2 <= r {
@@ -287,13 +255,13 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 	// d(x,p1) ≤ d(x,p2); the query ball reaches that side only if
 	// (d1 − d2)/2 ≤ rp. Symmetrically for the p2 side.
 	if (d1-d2)/2 <= rp {
-		t.rangeNode(n.left, q, r, rp, cc, a, out, s)
+		t.rangeNode(n.left, q, r, rp, a, out, s)
 	} else if n.left != nil {
 		s.ShellsPruned++
 		t.TracePrune(obs.FilterShell, 1)
 	}
 	if (d2-d1)/2 <= rp {
-		t.rangeNode(n.right, q, r, rp, cc, a, out, s)
+		t.rangeNode(n.right, q, r, rp, a, out, s)
 	} else if n.right != nil {
 		s.ShellsPruned++
 		t.TracePrune(obs.FilterShell, 1)
@@ -329,11 +297,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	}
 	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-		defer t.cas.Put(cc)
-	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
 	for !a.Stop() {
@@ -349,21 +312,8 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		t.TraceNode(n.leaf)
 		if n.leaf {
 			s.LeavesVisited++
-			cas, base := t.cas, n.casBase
-			useCas := cc != nil && cc.Registered() > 0
-			filtered := 0
-			for i, it := range n.items {
+			for _, it := range n.items {
 				s.Candidates++
-				if useCas {
-					// With ε = 0 a candidate whose lower bound the heap
-					// would reject cannot change the result set: the
-					// bounded kernel below would return a value ≥ the
-					// bound.
-					if clb := cas.LowerBound(cc, base+int32(i)); clb >= a.Shrink(best.Threshold()) {
-						filtered++
-						continue
-					}
-				}
 				if !a.Pay(1) {
 					s.Candidates-- // not considered: the budget stopped the scan first
 					break
@@ -375,10 +325,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 				// hyperplane bound uses them two-sidedly).
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
 			}
-			if filtered > 0 {
-				s.FilteredByCascade += filtered
-				t.TracePrune(obs.FilterCascade, filtered)
-			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
@@ -386,9 +332,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			break
 		}
 		d1 := t.dist.Distance(q, n.p1)
-		if cc != nil && n.cas1 != 0 && cc.Wants() {
-			cc.Register(n.cas1-1, d1) // already exact; free to share
-		}
 		best.Push(n.p1, d1)
 		s.VantagePoints++
 		t.TraceDistance(1)
@@ -399,9 +342,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			break
 		}
 		d2 := t.dist.Distance(q, n.p2)
-		if cc != nil && n.cas2 != 0 && cc.Wants() {
-			cc.Register(n.cas2-1, d2)
-		}
 		best.Push(n.p2, d2)
 		s.VantagePoints++
 		t.TraceDistance(1)

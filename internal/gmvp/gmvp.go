@@ -24,7 +24,6 @@ import (
 	"math/rand/v2"
 
 	"mvptree/internal/build"
-	"mvptree/internal/cascade"
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
@@ -94,7 +93,6 @@ type Tree[T any] struct {
 	obs.Hooks
 	root       *node[T]
 	dist       *metric.Counter[T]
-	cas        *cascade.Filter[T]
 	size       int
 	v, m, k    int
 	p          int
@@ -119,10 +117,6 @@ type node[T any] struct {
 	items []T
 	dists [][]float64
 	paths [][]float64
-
-	// Cascade stamps (see cascade.go; all zero until EnableCascade).
-	casV    []int32 // casV[j] stamps vantages[j]; nil when none is a pivot
-	casBase int32
 }
 
 func (n *node[T]) isLeaf() bool { return n.top == nil }
@@ -353,8 +347,8 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 
 // Search is the tree's one query implementation (index.Searcher): one
 // range traversal and one best-first kNN traversal, each threaded with
-// the request's index.Approx (inert at zero options, so the cascade
-// serves every mode). Workers and Bound are ignored.
+// the request's index.Approx (inert at zero options). Workers and Bound
+// are ignored.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return t.knn(req.Point, req.K, req.Opts)
@@ -387,14 +381,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 	a := index.StartApprox(o)
 	var out []T
 	qpath := make([]float64, 0, t.p)
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
-	t.rangeNode(t.root, q, r, a.Shrink(r), qpath, cc, &a, &out, &s)
-	if cc != nil {
-		t.cas.Put(cc)
-	}
+	t.rangeNode(t.root, q, r, a.Shrink(r), qpath, &a, &out, &s)
 	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
@@ -403,7 +390,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 
 // rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
 // (== r when exact) decides every prune and filter.
-func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, a *index.Approx, out *[]T, s *SearchStats) {
 	if n == nil || a.Stop() {
 		return
 	}
@@ -415,9 +402,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, cc 
 			return
 		}
 		dq[j] = t.dist.Distance(q, v)
-		if cc != nil && n.casV != nil && n.casV[j] != 0 && cc.Wants() {
-			cc.Register(n.casV[j]-1, dq[j]) // already exact; free to share
-		}
 		s.VantagePoints++
 		t.TraceDistance(1)
 		if dq[j] <= r {
@@ -429,9 +413,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, cc 
 	}
 	if n.isLeaf() {
 		s.LeavesVisited++
-		cas, base := t.cas, n.casBase
-		useCas := cc != nil && cc.Registered() > 0
-		filtered := 0
 	items:
 		for i, it := range n.items {
 			s.Candidates++
@@ -450,14 +431,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, cc 
 					continue items
 				}
 			}
-			// Last chance to skip the real computation: the cascade's
-			// registered-pivot lower bound.
-			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
-					filtered++
-					continue items
-				}
-			}
 			if !a.Pay(1) {
 				s.Candidates-- // not considered: the budget stopped the scan first
 				break
@@ -471,16 +444,12 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, qpath []float64, cc 
 				*out = append(*out, it)
 			}
 		}
-		if filtered > 0 {
-			s.FilteredByCascade += filtered
-			t.TracePrune(obs.FilterCascade, filtered)
-		}
 		return
 	}
-	t.rangeSplit(n.top, q, r, rp, dq, qpath, cc, a, out, s)
+	t.rangeSplit(n.top, q, r, rp, dq, qpath, a, out, s)
 }
 
-func (t *Tree[T]) rangeSplit(sp *split[T], q T, r, rp float64, dq, qpath []float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeSplit(sp *split[T], q T, r, rp float64, dq, qpath []float64, a *index.Approx, out *[]T, s *SearchStats) {
 	d := dq[sp.level]
 	count := len(sp.cutoffs) + 1
 	for g := 0; g < count; g++ {
@@ -494,9 +463,9 @@ func (t *Tree[T]) rangeSplit(sp *split[T], q T, r, rp float64, dq, qpath []float
 			continue
 		}
 		if sp.subs != nil {
-			t.rangeSplit(sp.subs[g], q, r, rp, dq, qpath, cc, a, out, s)
+			t.rangeSplit(sp.subs[g], q, r, rp, dq, qpath, a, out, s)
 		} else if sp.children[g] != nil {
-			t.rangeNode(sp.children[g], q, r, rp, qpath, cc, a, out, s)
+			t.rangeNode(sp.children[g], q, r, rp, qpath, a, out, s)
 		}
 	}
 }
@@ -533,11 +502,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	}
 	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-		defer t.cas.Put(cc)
-	}
 	var queue heapx.NodeQueue[knnPending[T]]
 	queue.PushNode(knnPending[T]{t.root, make([]float64, 0, t.p)}, 0)
 search:
@@ -559,9 +523,6 @@ search:
 				break search
 			}
 			dq[j] = t.dist.Distance(q, v)
-			if cc != nil && n.casV != nil && n.casV[j] != 0 && cc.Wants() {
-				cc.Register(n.casV[j]-1, dq[j]) // already exact; free to share
-			}
 			s.VantagePoints++
 			t.TraceDistance(1)
 			best.Push(v, dq[j])
@@ -578,9 +539,6 @@ search:
 		}
 		if n.isLeaf() {
 			s.LeavesVisited++
-			cas, base := t.cas, n.casBase
-			useCas := cc != nil && cc.Registered() > 0
-			filtered := 0
 			for i, it := range n.items {
 				s.Candidates++
 				lbD := 0.0
@@ -607,15 +565,6 @@ search:
 					t.TracePrune(obs.FilterPath, 1)
 					continue
 				}
-				// Last chance to skip the real computation: with ε = 0 a
-				// cascade lower bound the heap would reject proves the
-				// push below would be rejected too.
-				if useCas {
-					if clb := cas.LowerBound(cc, base+int32(i)); clb >= tauP {
-						filtered++
-						continue
-					}
-				}
 				if !a.Pay(1) {
 					s.Candidates-- // not considered: the budget stopped the scan first
 					break
@@ -625,10 +574,6 @@ search:
 				// Abandon at τ; vantage distances stay exact (qpath and
 				// two-sided D-filters).
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
-			}
-			if filtered > 0 {
-				s.FilteredByCascade += filtered
-				t.TracePrune(obs.FilterCascade, filtered)
 			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue

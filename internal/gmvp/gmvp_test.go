@@ -179,3 +179,31 @@ func TestStringsWorkToo(t *testing.T) {
 		t.Errorf("Range(book, 1) = %v, want 5 words", got)
 	}
 }
+
+func TestShapeAccounting(t *testing.T) {
+	rng := rand.New(rand.NewPCG(14, 7))
+	for _, opts := range optionMatrix {
+		for _, n := range []int{0, 1, 5, 333, 1000} {
+			w := testutil.NewVectorWorkload(rng, n, 6, 1, metric.L2)
+			tree, _ := buildWorkloadTree(t, w, opts)
+			s := tree.Shape()
+			if s.VantagePoints+s.LeafItems != n {
+				t.Errorf("opts %+v n=%d: %d vantage points + %d leaf items != n",
+					opts, n, s.VantagePoints, s.LeafItems)
+			}
+			if s.MaxPathLen > tree.PathLength() {
+				t.Errorf("MaxPathLen %d exceeds p %d", s.MaxPathLen, tree.PathLength())
+			}
+		}
+	}
+}
+
+func TestHeightShrinksWithFanout(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 7))
+	w := testutil.NewVectorWorkload(rng, 3000, 6, 1, metric.L2)
+	small, _ := buildWorkloadTree(t, w, Options{Vantages: 1, Partitions: 2, LeafCapacity: 5, PathLength: 4, Build: Build{Seed: 2}})
+	big, _ := buildWorkloadTree(t, w, Options{Vantages: 3, Partitions: 3, LeafCapacity: 5, PathLength: 4, Build: Build{Seed: 2}})
+	if big.Height() >= small.Height() {
+		t.Errorf("fanout 27 height %d ≥ fanout 2 height %d", big.Height(), small.Height())
+	}
+}

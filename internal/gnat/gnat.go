@@ -20,7 +20,6 @@ import (
 	"errors"
 
 	"mvptree/internal/build"
-	"mvptree/internal/cascade"
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
@@ -91,7 +90,6 @@ type Tree[T any] struct {
 	obs.Hooks
 	root       *node[T]
 	dist       *metric.Counter[T]
-	cas        *cascade.Filter[T]
 	size       int
 	buildStats build.Stats
 }
@@ -104,10 +102,6 @@ type node[T any] struct {
 	children []*node[T]
 	leaf     bool
 	items    []T
-
-	// Cascade stamps (see cascade.go; all zero until EnableCascade).
-	casS    []int32 // casS[i] stamps splits[i]; nil when no split is a pivot
-	casBase int32
 }
 
 // New builds a GNAT over items using the counted metric dist.
@@ -311,8 +305,8 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 
 // Search is the tree's one query implementation (index.Searcher): one
 // range traversal and one best-first kNN traversal, each threaded with
-// the request's index.Approx (inert at zero options, so the cascade
-// serves every mode). Workers and Bound are ignored.
+// the request's index.Approx (inert at zero options). Workers and Bound
+// are ignored.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return t.knn(req.Point, req.K, req.Opts)
@@ -343,14 +337,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 	}
 	a := index.StartApprox(o)
 	var out []T
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
-	t.rangeNode(t.root, q, r, a.Shrink(r), cc, &a, &out, &s)
-	if cc != nil {
-		t.cas.Put(cc)
-	}
+	t.rangeNode(t.root, q, r, a.Shrink(r), &a, &out, &s)
 	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
@@ -360,7 +347,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 // rangeNode descends with two radii: r decides membership, rp = r/(1+ε)
 // (== r when exact) decides every prune — a dataset is killed as soon
 // as it provably contains nothing within rp of q.
-func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a *index.Approx, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, a *index.Approx, out *[]T, s *SearchStats) {
 	if n == nil || a.Stop() {
 		return
 	}
@@ -368,17 +355,8 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 	t.TraceNode(n.leaf)
 	if n.leaf {
 		s.LeavesVisited++
-		cas, base := t.cas, n.casBase
-		useCas := cc != nil && cc.Registered() > 0
-		filtered := 0
-		for i, it := range n.items {
+		for _, it := range n.items {
 			s.Candidates++
-			if useCas {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > rp {
-					filtered++
-					continue
-				}
-			}
 			if !a.Pay(1) {
 				s.Candidates-- // not considered: the budget stopped the scan first
 				break
@@ -391,10 +369,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 			if t.dist.DistanceUpTo(q, it, r) <= r {
 				*out = append(*out, it)
 			}
-		}
-		if filtered > 0 {
-			s.FilteredByCascade += filtered
-			t.TracePrune(obs.FilterCascade, filtered)
 		}
 		return
 	}
@@ -421,9 +395,6 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 			return
 		}
 		d := t.dist.Distance(q, n.splits[i])
-		if cc != nil && n.casS != nil && n.casS[i] != 0 && cc.Wants() {
-			cc.Register(n.casS[i]-1, d) // already exact; free to share
-		}
 		s.VantagePoints++
 		t.TraceDistance(1)
 		if d <= r {
@@ -442,7 +413,7 @@ func (t *Tree[T]) rangeNode(n *node[T], q T, r, rp float64, cc *cascade.Cache, a
 	}
 	for j := 0; j < k; j++ {
 		if alive[j] {
-			t.rangeNode(n.children[j], q, r, rp, cc, a, out, s)
+			t.rangeNode(n.children[j], q, r, rp, a, out, s)
 			if a.Stop() {
 				return
 			}
@@ -479,11 +450,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	}
 	a := index.StartApprox(o)
 	best := heapx.NewKBest[T](k)
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-		defer t.cas.Put(cc)
-	}
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
 search:
@@ -500,21 +466,8 @@ search:
 		t.TraceNode(n.leaf)
 		if n.leaf {
 			s.LeavesVisited++
-			cas, base := t.cas, n.casBase
-			useCas := cc != nil && cc.Registered() > 0
-			filtered := 0
-			for i, it := range n.items {
+			for _, it := range n.items {
 				s.Candidates++
-				if useCas {
-					// With ε = 0 a candidate whose lower bound the heap
-					// would reject cannot change the result set: the
-					// bounded kernel below would return a value ≥ the
-					// bound.
-					if clb := cas.LowerBound(cc, base+int32(i)); clb >= a.Shrink(best.Threshold()) {
-						filtered++
-						continue
-					}
-				}
 				if !a.Pay(1) {
 					s.Candidates-- // not considered: the budget stopped the scan first
 					break
@@ -524,10 +477,6 @@ search:
 				// Abandon at τ; split point distances stay exact (the
 				// range tables use them two-sidedly).
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
-			}
-			if filtered > 0 {
-				s.FilteredByCascade += filtered
-				t.TracePrune(obs.FilterCascade, filtered)
 			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
@@ -542,9 +491,6 @@ search:
 				break search
 			}
 			d := t.dist.Distance(q, n.splits[i])
-			if cc != nil && n.casS != nil && n.casS[i] != 0 && cc.Wants() {
-				cc.Register(n.casS[i]-1, d) // already exact; free to share
-			}
 			best.Push(n.splits[i], d)
 			s.VantagePoints++
 			t.TraceDistance(1)

@@ -16,8 +16,8 @@
 // The pivot machinery itself — the greedy max-min selection, the rows,
 // the per-query registered-distance cache and the lower-bound consult —
 // lives in internal/cascade; this package is the flat-table index built
-// directly on that shared core, which the tree structures consult as a
-// leaf filter via their EnableCascade option.
+// directly on that shared core, which the mvp-tree consults as a leaf
+// filter via its EnableCascade option.
 //
 // Queries (Range, KNN and their variants) read only immutable state and
 // are safe to run concurrently against one instance; the shared
@@ -137,10 +137,6 @@ func (t *Table[T]) Pivots() int {
 	}
 	return t.filter.Pivots()
 }
-
-// Filter exposes the underlying cascade filter (pivots, rows, pooled
-// caches); nil for an empty table.
-func (t *Table[T]) Filter() *cascade.Filter[T] { return t.filter }
 
 // BuildCost reports the number of distance computations made during
 // construction (pivots × n).

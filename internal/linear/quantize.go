@@ -23,7 +23,7 @@ import (
 //
 // The filter applies only to []float64 items under a metric whose
 // kernel registered a quantized lower-bound shape
-// (metric.RegisterQuantized); any other scan, and any dataset
+// (metric.Register); any other scan, and any dataset
 // quant.Build rejects, is left unfiltered silently. mode Off tears the
 // filter down.
 //

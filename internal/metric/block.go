@@ -1,10 +1,6 @@
 package metric
 
-import (
-	"math"
-	"reflect"
-	"sync"
-)
+import "math"
 
 // BlockDistanceFunc is the blocked one-to-many form of a DistanceFunc:
 // it evaluates one point p against a resident block of queries qs,
@@ -29,48 +25,6 @@ import (
 // length. Kernels panic on length mismatches, mirroring the one-to-one
 // kernels' checkLen.
 type BlockDistanceFunc[T any] func(p T, qs []T, bounds []float64, out []float64)
-
-// blockRegistry maps the code pointer of a registered exact kernel to
-// its blocked counterpart, exactly as boundedRegistry does for the
-// early-abandoning one-to-one fast paths.
-var blockRegistry sync.Map // uintptr → BlockDistanceFunc[X] (as any)
-
-// RegisterBlock associates block as the blocked one-to-many kernel of
-// the top-level distance function exact. Counters created by NewCounter
-// over exact answer DistanceBlock/DistanceBlockUpTo through it. The two
-// functions must satisfy the BlockDistanceFunc contract; violating it
-// silently corrupts batched query results. Do not register closures —
-// every closure from one function literal shares a code pointer (use
-// Counter.SetBlock for those).
-func RegisterBlock[T any](exact DistanceFunc[T], block BlockDistanceFunc[T]) {
-	if exact == nil || block == nil {
-		panic("metric: RegisterBlock requires non-nil functions")
-	}
-	blockRegistry.Store(reflect.ValueOf(exact).Pointer(), block)
-}
-
-// lookupBlock returns the registered blocked kernel for fn, or nil.
-func lookupBlock[T any](fn DistanceFunc[T]) BlockDistanceFunc[T] {
-	if fn == nil {
-		return nil
-	}
-	v, ok := blockRegistry.Load(reflect.ValueOf(fn).Pointer())
-	if !ok {
-		return nil
-	}
-	b, _ := v.(BlockDistanceFunc[T])
-	return b
-}
-
-func init() {
-	RegisterBlock[[]float64](L1, L1Block)
-	RegisterBlock[[]float64](L2, L2Block)
-	RegisterBlock[[]float64](LInf, LInfBlock)
-	// Cosine is exactly L2 on its (unit-vector) domain, so the L2 block
-	// kernel is its blocked counterpart — same reasoning as the
-	// RegisterBounded(Cosine, L2UpTo) entry.
-	RegisterBlock[[]float64](Cosine, L2Block)
-}
 
 // checkBlockLens validates the slice-length invariants shared by every
 // block kernel.

@@ -1,10 +1,6 @@
 package metric
 
-import (
-	"math"
-	"reflect"
-	"sync"
-)
+import "math"
 
 // BoundedDistanceFunc is the early-abandoning fast path of a
 // DistanceFunc. The contract, which every kernel here honours and which
@@ -23,53 +19,6 @@ import (
 // side of the bound as the exact kernel's rounded result, so query
 // results and traversal decisions are bit-identical either way.
 type BoundedDistanceFunc[T any] func(a, b T, bound float64) float64
-
-// boundedRegistry maps the code pointer of a registered exact kernel to
-// its bounded counterpart, so NewCounter can attach the fast path
-// automatically. Only top-level functions may be registered: closures
-// produced by the same function literal share one code pointer, which
-// would make the lookup ambiguous (use Counter.SetBounded for those).
-var boundedRegistry sync.Map // uintptr → BoundedDistanceFunc[X] (as any)
-
-// RegisterBounded associates bounded as the early-abandoning fast path
-// of the top-level distance function exact. Counters created by
-// NewCounter over exact (or over a distinct top-level wrapper that was
-// itself registered) will answer DistanceUpTo through bounded. The two
-// functions must satisfy the BoundedDistanceFunc contract; violating it
-// silently corrupts query results. Do not register closures — every
-// closure from one function literal shares a code pointer.
-func RegisterBounded[T any](exact DistanceFunc[T], bounded BoundedDistanceFunc[T]) {
-	if exact == nil || bounded == nil {
-		panic("metric: RegisterBounded requires non-nil functions")
-	}
-	boundedRegistry.Store(reflect.ValueOf(exact).Pointer(), bounded)
-}
-
-// lookupBounded returns the registered fast path for fn, or nil.
-func lookupBounded[T any](fn DistanceFunc[T]) BoundedDistanceFunc[T] {
-	if fn == nil {
-		return nil
-	}
-	v, ok := boundedRegistry.Load(reflect.ValueOf(fn).Pointer())
-	if !ok {
-		return nil
-	}
-	b, _ := v.(BoundedDistanceFunc[T])
-	return b
-}
-
-func init() {
-	RegisterBounded[[]float64](L1, L1UpTo)
-	RegisterBounded[[]float64](L2, L2UpTo)
-	RegisterBounded[[]float64](LInf, LInfUpTo)
-	RegisterBounded[[]float64](Canberra, CanberraUpTo)
-	RegisterBounded[[]float64](Angular, AngularUpTo)
-	// Cosine is exactly L2 on its (unit-vector) domain, so the L2
-	// kernel is its early-abandoning fast path.
-	RegisterBounded[[]float64](Cosine, L2UpTo)
-	RegisterBounded[string](Edit, EditUpTo)
-	RegisterBounded[string](Hamming, HammingUpTo)
-}
 
 // AngularUpTo is the bounded kernel for Angular. The angle admits no
 // sound partial-sum abandonment: the three accumulators (dot product

@@ -1,0 +1,66 @@
+package metric
+
+import (
+	"reflect"
+	"sync"
+)
+
+// Kernels is what a top-level distance function may carry beside its
+// exact form: the early-abandoning one-to-one kernel DistanceUpTo runs
+// (BoundedDistanceFunc), the blocked one-to-many kernel DistanceBlock
+// runs (BlockDistanceFunc) and the shape that licenses the quantized
+// pre-filter (QuantKind). Each field is optional — its zero value means
+// the Counter falls back to the exact function, a loop over the
+// one-to-one kernel, and no pre-filter — and each non-zero field is a
+// contract with the exact function, stated on its type; breaking one
+// silently corrupts query results.
+type Kernels[T any] struct {
+	Bounded BoundedDistanceFunc[T]
+	Block   BlockDistanceFunc[T]
+	Quant   QuantKind
+}
+
+// registry maps the code pointer of a registered exact function to its
+// Kernels[X] (stored as any), so NewCounter can attach every fast path
+// with one probe. Only top-level functions may be registered: closures
+// produced by the same function literal share one code pointer, which
+// would make the lookup ambiguous (use Counter.SetBounded, SetBlock and
+// SetQuantKind for those).
+var registry sync.Map
+
+// Register records k as the kernels of the top-level distance function
+// exact, replacing any earlier record: Counters created by NewCounter
+// over exact afterwards dispatch through them. A distinct top-level
+// wrapper of exact has its own code pointer and needs its own record.
+func Register[T any](exact DistanceFunc[T], k Kernels[T]) {
+	if exact == nil {
+		panic("metric: Register requires a non-nil function")
+	}
+	registry.Store(reflect.ValueOf(exact).Pointer(), k)
+}
+
+// Alias registers wrapper — a distinct top-level function that computes
+// exactly what exact does — with whatever exact has registered, so the
+// two cannot drift apart.
+func Alias[T any](wrapper, exact DistanceFunc[T]) { Register(wrapper, lookup(exact)) }
+
+// lookup returns the registered kernels of fn, or the zero record (a nil
+// fn has code pointer 0, which Register never stores).
+func lookup[T any](fn DistanceFunc[T]) Kernels[T] {
+	v, _ := registry.Load(reflect.ValueOf(fn).Pointer())
+	k, _ := v.(Kernels[T])
+	return k
+}
+
+func init() {
+	Register(L1, Kernels[[]float64]{Bounded: L1UpTo, Block: L1Block, Quant: QuantL1})
+	Register(L2, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2})
+	Register(LInf, Kernels[[]float64]{Bounded: LInfUpTo, Block: LInfBlock, Quant: QuantLInf})
+	// Cosine is exactly L2 on its (unit-vector) domain, so every L2
+	// kernel serves it.
+	Register(Cosine, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2})
+	Register(Canberra, Kernels[[]float64]{Bounded: CanberraUpTo})
+	Register(Angular, Kernels[[]float64]{Bounded: AngularUpTo})
+	Register(Edit, Kernels[string]{Bounded: EditUpTo})
+	Register(Hamming, Kernels[string]{Bounded: HammingUpTo})
+}

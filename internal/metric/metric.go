@@ -47,14 +47,15 @@ type Counter[T any] struct {
 }
 
 // NewCounter returns a Counter wrapping fn. If fn is a top-level
-// function with a registered early-abandoning counterpart (see
-// RegisterBounded), the Counter picks it up automatically and serves
-// DistanceUpTo through it; otherwise DistanceUpTo falls back to the
-// exact kernel. Use SetBounded to attach a fast path to a closure.
-// The quantized lower-bound shape (RegisterQuantized) is probed the
-// same way and reported by QuantKind.
+// function with registered kernels (see Register), the Counter picks
+// them up with one probe: DistanceUpTo runs the early-abandoning kernel,
+// DistanceBlock the blocked one, and QuantKind reports the quantized
+// lower-bound shape; each falls back to the exact function where the
+// record has nothing. Use SetBounded, SetBlock and SetQuantKind to
+// attach fast paths to a closure.
 func NewCounter[T any](fn DistanceFunc[T]) *Counter[T] {
-	c := &Counter[T]{fn: fn, bounded: lookupBounded(fn), block: lookupBlock(fn), quant: lookupQuantized(fn)}
+	k := lookup(fn)
+	c := &Counter[T]{fn: fn, bounded: k.Bounded, block: k.Block, quant: k.Quant}
 	if fn != nil {
 		c.fallback = func(a, b T, _ float64) float64 { return fn(a, b) }
 		// The block fallback loops the one-to-one kernel with the query as
@@ -132,7 +133,7 @@ func (c *Counter[T]) Func() DistanceFunc[T] { return c.fn }
 // DistanceBlock computes the distance between p and every query in qs,
 // writing d(p, qs[j]) into out[j] exactly, and counts len(qs) distance
 // computations — the same total as len(qs) Distance calls. When the
-// wrapped function has a blocked kernel (RegisterBlock / SetBlock) the
+// wrapped function has a blocked kernel (Register / SetBlock) the
 // data vector is streamed once against the whole resident block;
 // otherwise a loop over the one-to-one kernel produces identical
 // values.

@@ -1,19 +1,18 @@
 package metric
 
-import (
-	"reflect"
-	"sync"
-)
-
 // QuantKind names the aggregation shape of a vector metric, which is
 // all the quantized pre-filter layer (internal/quant) needs to build a
 // guaranteed lower-bound kernel over a compressed companion
 // representation: per-dimension interval distances are summed (L1),
-// summed in squared space (L2) or maxed (LInf). It is the quantized
-// analogue of the bounded-kernel registry — NewCounter probes it the
-// same way it probes RegisterBounded — but where a bounded kernel
-// replaces the exact computation, a QuantKind only licenses a cheap
-// pre-filter whose survivors still pay the exact kernel.
+// summed in squared space (L2) or maxed (LInf). It is registered beside
+// the bounded and blocked kernels (Kernels.Quant) — but where those
+// replace the exact computation, a QuantKind only licenses a cheap
+// pre-filter whose survivors still pay the exact kernel. Declaring a
+// kind is a contract: for []float64 vectors a and b the exact function
+// must be ≥ the interval lower bound the kind implies (true for
+// L1/L2/LInf themselves and for any metric equal to one of them, such
+// as Cosine = L2 on unit vectors); a kind that overstates the metric
+// silently corrupts query results.
 type QuantKind uint8
 
 const (
@@ -44,41 +43,6 @@ func (k QuantKind) String() string {
 	}
 }
 
-// quantRegistry maps the code pointer of a registered exact kernel to
-// its QuantKind, mirroring boundedRegistry. Only top-level functions
-// may be registered (closures share code pointers); use
-// Counter.SetQuantKind for closure-built metrics.
-var quantRegistry sync.Map // uintptr → QuantKind
-
-// RegisterQuantized declares that the top-level distance function exact
-// aggregates per-dimension contributions with the given QuantKind, so
-// the quantized pre-filter (internal/quant) can serve a guaranteed
-// lower bound for it. The declaration is a contract: for []float64
-// vectors a and b, exact(a, b) must be ≥ the interval lower bound the
-// kind implies (true for L1/L2/LInf themselves and for any metric
-// equal to one of them, such as Cosine = L2 on unit vectors).
-// Registering a kind that overstates the metric silently corrupts
-// query results. Do not register closures.
-func RegisterQuantized[T any](exact DistanceFunc[T], kind QuantKind) {
-	if exact == nil {
-		panic("metric: RegisterQuantized requires a non-nil function")
-	}
-	quantRegistry.Store(reflect.ValueOf(exact).Pointer(), kind)
-}
-
-// lookupQuantized returns the registered QuantKind for fn, or QuantNone.
-func lookupQuantized[T any](fn DistanceFunc[T]) QuantKind {
-	if fn == nil {
-		return QuantNone
-	}
-	v, ok := quantRegistry.Load(reflect.ValueOf(fn).Pointer())
-	if !ok {
-		return QuantNone
-	}
-	k, _ := v.(QuantKind)
-	return k
-}
-
 // QuantKind reports the quantized lower-bound shape of the wrapped
 // metric (QuantNone when the metric has none). Index structures probe
 // this before building a quantized companion arena.
@@ -86,15 +50,7 @@ func (c *Counter[T]) QuantKind() QuantKind { return c.quant }
 
 // SetQuantKind overrides the QuantKind NewCounter discovered in the
 // registry — the hook for closure-built metrics that are known to be
-// one of the registered shapes. The same contract as RegisterQuantized
-// applies. Not synchronized with in-flight queries; set before
-// building quantized arenas.
+// one of the registered shapes. The QuantKind contract applies. Not
+// synchronized with in-flight queries; set before building quantized
+// arenas.
 func (c *Counter[T]) SetQuantKind(k QuantKind) { c.quant = k }
-
-func init() {
-	RegisterQuantized[[]float64](L1, QuantL1)
-	RegisterQuantized[[]float64](L2, QuantL2)
-	RegisterQuantized[[]float64](LInf, QuantLInf)
-	// Cosine is L2 on unit vectors, so the L2 lower bound serves it.
-	RegisterQuantized[[]float64](Cosine, QuantL2)
-}

@@ -102,7 +102,7 @@ type Options struct {
 	// for the ablation experiment that quantifies the claim.
 	RandomSecondVantage bool
 	// Quantize, for []float64 items under a metric with a registered
-	// quantized lower-bound shape (metric.RegisterQuantized), builds a
+	// quantized lower-bound shape (metric.Register), builds a
 	// small companion representation of every leaf (internal/quant) that
 	// leaf scans consult before the exact kernel: candidates whose
 	// quantized lower bound certifies d > threshold skip the float64

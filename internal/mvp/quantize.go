@@ -23,7 +23,7 @@ import (
 //
 // The filter applies only to []float64 items under a metric whose
 // kernel registered a quantized lower-bound shape
-// (metric.RegisterQuantized — L1, L2, LInf and Cosine do); any other
+// (metric.Register — L1, L2, LInf and Cosine do); any other
 // tree is left unfiltered silently, as are datasets quant.Build
 // rejects (empty, inconsistent dimensions, non-finite coordinates).
 // mode Off tears the filter down.

@@ -10,32 +10,21 @@ import (
 
 // The facade wrappers below are distinct top-level functions from the
 // internal kernels they delegate to, so they carry their own code
-// pointers. Register every kernel their internal twins carry, so a
-// Counter built over e.g. mvptree.L2 picks up the same fast paths as
-// one built over metric.L2 (TestFacadeMetricsCarryInternalKernels).
+// pointers. Each takes over the whole record its internal twin carries,
+// so a Counter built over e.g. mvptree.L2 picks up the same fast paths
+// as one built over metric.L2 (TestFacadeMetricsCarryInternalKernels):
+// early abandoning, the blocked kernels SearchBatch streams data
+// vectors through, and the quantized lower-bound shape behind
+// WithQuantized.
 func init() {
-	metric.RegisterBounded(L1, metric.L1UpTo)
-	metric.RegisterBounded(L2, metric.L2UpTo)
-	metric.RegisterBounded(LInf, metric.LInfUpTo)
-	metric.RegisterBounded(Canberra, metric.CanberraUpTo)
-	metric.RegisterBounded(EditDistance, metric.EditUpTo)
-	metric.RegisterBounded(HammingDistance, metric.HammingUpTo)
-	metric.RegisterBounded(Angular, metric.AngularUpTo)
-	metric.RegisterBounded(Cosine, metric.L2UpTo)
-
-	// Blocked one-to-many kernels, so SearchBatch over a facade metric
-	// streams each data vector once per batch instead of once per query.
-	metric.RegisterBlock(L1, metric.L1Block)
-	metric.RegisterBlock(L2, metric.L2Block)
-	metric.RegisterBlock(LInf, metric.LInfBlock)
-	metric.RegisterBlock(Cosine, metric.L2Block)
-
-	// Quantized lower-bound shapes (WithQuantized) for the same
-	// wrappers; Cosine is L2 on the caller's pre-normalized vectors.
-	metric.RegisterQuantized(L1, metric.QuantL1)
-	metric.RegisterQuantized(L2, metric.QuantL2)
-	metric.RegisterQuantized(LInf, metric.QuantLInf)
-	metric.RegisterQuantized(Cosine, metric.QuantL2)
+	metric.Alias(L1, metric.L1)
+	metric.Alias(L2, metric.L2)
+	metric.Alias(LInf, metric.LInf)
+	metric.Alias(Cosine, metric.Cosine)
+	metric.Alias(Canberra, metric.Canberra)
+	metric.Alias(Angular, metric.Angular)
+	metric.Alias(EditDistance, metric.Edit)
+	metric.Alias(HammingDistance, metric.Hamming)
 }
 
 // BoundedDistanceFunc computes d(a,b) with permission to stop early once
@@ -45,11 +34,21 @@ func init() {
 // compared against a threshold.
 type BoundedDistanceFunc[T any] = metric.BoundedDistanceFunc[T]
 
-// RegisterBounded associates a bounded kernel with a top-level distance
-// function so Counters over fn (built afterwards) use it automatically.
-// For closures, use Counter.SetBounded instead.
-func RegisterBounded[T any](fn DistanceFunc[T], bounded BoundedDistanceFunc[T]) {
-	metric.RegisterBounded(fn, bounded)
+// Kernels is the record of fast paths a top-level distance function may
+// register beside its exact form: Bounded (early abandoning), Block
+// (one data item against a block of queries; see
+// metric.BlockDistanceFunc) and Quant (the shape that lets indexes over
+// []float64 items arm the WithQuantized pre-filter: QuantL1, QuantL2 or
+// QuantLInf). Every field is optional; every field set is a contract
+// with the exact function.
+type Kernels[T any] = metric.Kernels[T]
+
+// RegisterKernels associates k with the top-level distance function fn,
+// so Counters over fn (built afterwards) use its fast paths
+// automatically. The built-in metrics are pre-registered. For closures,
+// use Counter.SetBounded, SetBlock and SetQuantKind instead.
+func RegisterKernels[T any](fn DistanceFunc[T], k Kernels[T]) {
+	metric.Register(fn, k)
 }
 
 // L1 is the Manhattan distance on float64 vectors.
@@ -123,15 +122,7 @@ func NormalizeL2(v []float64) []float64 { return metric.NormalizeL2(v) }
 // slice.
 func NormalizeL2Set(vs [][]float64) [][]float64 { return metric.NormalizeL2Set(vs) }
 
-// RegisterQuantized declares that exact (a top-level []float64 metric
-// function) admits the quantized lower-bound shape kind, so indexes
-// built over it can arm the WithQuantized pre-filter. The built-in
-// L1/L2/LInf/Cosine are pre-registered.
-func RegisterQuantized(exact DistanceFunc[[]float64], kind metric.QuantKind) {
-	metric.RegisterQuantized(exact, kind)
-}
-
-// Quantized lower-bound shapes for RegisterQuantized.
+// Quantized lower-bound shapes for Kernels.Quant.
 const (
 	QuantL1   = metric.QuantL1
 	QuantL2   = metric.QuantL2

@@ -8,10 +8,10 @@ import (
 )
 
 // TestFacadeMetricsCarryInternalKernels: every built-in wrapper is its
-// own code pointer, so each kernel registered for the internal function
-// has to be registered again for the wrapper. A missing entry is silent
-// (the Counter falls back to the exact kernel in a loop), hence the
-// table.
+// own code pointer, so it has to take over its internal twin's kernel
+// record (metric.Alias, one line per wrapper in metrics.go). A missing
+// line is silent (the Counter falls back to the exact kernel in a
+// loop), hence the table.
 func TestFacadeMetricsCarryInternalKernels(t *testing.T) {
 	sameKernels(t, "L1", L1, metric.L1)
 	sameKernels(t, "L2", L2, metric.L2)

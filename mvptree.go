@@ -263,11 +263,14 @@ func NewPivotTableWithStats[T any](items []T, dist DistanceFunc[T], opts PivotOp
 type LinearScan[T any] = linear.Scan[T]
 
 // NewLinear builds a linear scan over items with a fresh internal
-// Counter unless WithCounter overrides it. WithQuantized is honored
-// (a quantizable dataset never errors here, so the error is dropped);
-// WithCascade is ignored — a scan has no vantage distances to reuse.
+// Counter unless WithCounter overrides it. It is the one constructor
+// with no error to return, so it is the one that can drop an option:
+// WithCascade is ignored — a scan has no vantage distances to reuse —
+// and WithQuantized is honored where the items can be quantized and
+// ignored where they cannot.
 func NewLinear[T any](items []T, dist DistanceFunc[T], ixOpts ...IndexOption[T]) *LinearScan[T] {
 	cfg := resolveIndexConfig(dist, ixOpts)
+	cfg.cascade = nil
 	s := linear.New(items, cfg.counter)
 	_ = cfg.equip(s, nil)
 	return s

@@ -1,6 +1,7 @@
 package mvptree
 
 import (
+	"fmt"
 	"io"
 
 	"mvptree/internal/cascade"
@@ -110,8 +111,8 @@ type indexConfig[T any] struct {
 }
 
 // CascadeOptions tune the cross-query bound cascade enabled with
-// WithCascade (or a structure's EnableCascade method): Pivots caps how
-// many vantage/split/center points get precomputed distance rows,
+// WithCascade (or Tree.EnableCascade): Pivots caps how many vantage
+// points get precomputed distance rows,
 // MaxPerQuery caps how many pivot distances one query registers
 // (DefaultMaxPerQuery = 8 — beyond that the per-candidate max-loop
 // costs more than the extra bound tightness buys), and Workers
@@ -146,10 +147,12 @@ func WithTracer[T any](tr Tracer) IndexOption[T] {
 // skip leaf candidates by the triangle inequality, before paying an
 // exact distance. Results are byte-identical with and without the
 // cascade; per-query distance counts can only decrease. Supported by
-// every tree structure (New, NewVP, NewGeneral, NewGNAT, NewGH,
-// NewBall, NewBK); NewPivotTable and NewLinear ignore it — the pivot
-// table is this mechanism in standalone form, and a linear scan has no
-// vantage distances to reuse.
+// New and NewVP (and the sharded index over them). The comparison
+// structures of the paper's figures and the dynamic store have no
+// cascade: their constructors return an error naming the structure
+// rather than drop the option — the pivot table is this mechanism in
+// standalone form — and NewLinear, which has no error to return,
+// ignores it.
 func WithCascade[T any](opts CascadeOptions) IndexOption[T] {
 	return func(cfg *indexConfig[T]) { cfg.cascade = &opts }
 }
@@ -175,9 +178,10 @@ func ParseQuantizeMode(s string) (QuantizeMode, error) { return quant.ParseMode(
 // rejection. Results, order, SearchStats and distance
 // counts are byte-identical with the filter on or off — the win is
 // memory bandwidth, which dominates high-dimensional scans. Supported
-// by New, NewVP and NewLinear; the filter arms only for []float64
+// by New, NewVP and NewLinear — every other constructor returns an
+// error naming its structure; the filter arms only for []float64
 // items under a metric with a registered quantized shape
-// (RegisterQuantized) and silently stays off otherwise. Skipped
+// (RegisterKernels) and silently stays off otherwise. Skipped
 // evaluations surface as FilterQuantized trace events and in Snapshot
 // search totals as filtered_by_quantized.
 func WithQuantized[T any](mode QuantizeMode) IndexOption[T] {
@@ -205,10 +209,10 @@ type hooked interface {
 }
 
 // equip ends every constructor: unless the build failed with err, it
-// attaches the configured observer and tracer to h and switches on what
-// the options asked for and the structure has — the bound cascade (every
-// tree; see WithCascade for the two structures that ignore it) and the
-// quantized pre-filter (see WithQuantized).
+// attaches the configured observer and tracer to h and switches on the
+// bound cascade and the quantized pre-filter when the options ask for
+// them. A structure that has no such mode refuses the option, by name
+// (its type's), instead of dropping it.
 func (cfg indexConfig[T]) equip(h hooked, err error) error {
 	if err != nil {
 		return err
@@ -219,14 +223,22 @@ func (cfg indexConfig[T]) equip(h hooked, err error) error {
 	if cfg.tracer != nil {
 		h.SetTracer(cfg.tracer)
 	}
-	if c, ok := h.(interface {
-		EnableCascade(cascade.Options) error
-	}); ok && cfg.cascade != nil {
+	if cfg.cascade != nil {
+		c, ok := h.(interface {
+			EnableCascade(cascade.Options) error
+		})
+		if !ok {
+			return fmt.Errorf("mvptree: %T has no bound cascade (WithCascade)", h)
+		}
 		if err := c.EnableCascade(*cfg.cascade); err != nil {
 			return err
 		}
 	}
-	if q, ok := h.(interface{ EnableQuantize(quant.Mode) error }); ok && cfg.quantize != quant.Off {
+	if cfg.quantize != quant.Off {
+		q, ok := h.(interface{ EnableQuantize(quant.Mode) error })
+		if !ok {
+			return fmt.Errorf("mvptree: %T has no quantized pre-filter (WithQuantized)", h)
+		}
 		return q.EnableQuantize(cfg.quantize)
 	}
 	return nil

@@ -3,9 +3,7 @@ package mvptree
 import (
 	"io"
 
-	"mvptree/internal/bktree"
 	"mvptree/internal/codec"
-	"mvptree/internal/laesa"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 )
@@ -62,24 +60,3 @@ func DecodeString(b []byte) (string, error) { return codec.DecodeString(b) }
 // EncodeImage and DecodeImage persist gray-level images (as binary PGM).
 func EncodeImage(im *Image) ([]byte, error) { return codec.EncodeImage(im) }
 func DecodeImage(b []byte) (*Image, error)  { return codec.DecodeImage(b) }
-
-// SaveBKTree writes a BK-tree to w.
-func SaveBKTree[T any](w io.Writer, t *BKTree[T], enc ItemEncoder[T]) error {
-	return t.Save(w, bktree.ItemEncoder[T](enc))
-}
-
-// LoadBKTree reads a BK-tree written by SaveBKTree.
-func LoadBKTree[T any](r io.Reader, dist DistanceFunc[T], dec ItemDecoder[T]) (*BKTree[T], error) {
-	return bktree.Load(r, metric.NewCounter(dist), bktree.ItemDecoder[T](dec))
-}
-
-// SavePivotTable writes a pivot table to w. Reloading avoids the
-// pivots × n distance computations of construction.
-func SavePivotTable[T any](w io.Writer, t *PivotTable[T], enc ItemEncoder[T]) error {
-	return t.Save(w, laesa.ItemEncoder[T](enc))
-}
-
-// LoadPivotTable reads a pivot table written by SavePivotTable.
-func LoadPivotTable[T any](r io.Reader, dist DistanceFunc[T], dec ItemDecoder[T]) (*PivotTable[T], error) {
-	return laesa.Load(r, metric.NewCounter(dist), laesa.ItemDecoder[T](dec))
-}

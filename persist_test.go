@@ -61,19 +61,20 @@ func TestSaveLoadVPTreePublicAPI(t *testing.T) {
 
 func TestLoadTreeRejectsWrongKind(t *testing.T) {
 	// A vp-tree stream is a Tree's (TestSaveLoadVPTreePublicAPI); the
-	// wrong kinds are the other structures' streams and the vp-tree's
-	// retired format, which is refused by name.
+	// wrong kinds are the one other stream this library writes, the
+	// dynamic store's, and the vp-tree's retired format, which is
+	// refused by name.
 	words := []string{"a", "b", "c"}
-	g, err := mvptree.NewGeneral(words, mvptree.EditDistance, mvptree.GeneralOptions{})
+	d, err := mvptree.NewDynamic(words, mvptree.EditDistance, mvptree.DynamicOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := mvptree.SaveGeneralTree(&buf, g, mvptree.EncodeString); err != nil {
+	if err := mvptree.SaveDynamic(&buf, d, mvptree.EncodeString); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mvptree.LoadTree(&buf, mvptree.EditDistance, mvptree.DecodeString); err == nil {
-		t.Error("LoadTree accepted a generalized tree's stream")
+		t.Error("LoadTree accepted a dynamic store's stream")
 	}
 	old, err := os.ReadFile("internal/mvp/testdata/pr19_vptree1.vp")
 	if err != nil {
@@ -132,78 +133,6 @@ func TestDynamicStorePublicAPI(t *testing.T) {
 	}
 	if got := store.Range(v, 0); len(got) != 0 {
 		t.Errorf("deleted item still found: %v", got)
-	}
-}
-
-func TestSaveLoadGeneralTreePublicAPI(t *testing.T) {
-	rng := rand.New(rand.NewPCG(14, 1))
-	vectors := mvptree.UniformVectors(rng, 300, 6)
-	orig, err := mvptree.NewGeneral(vectors, mvptree.L2, mvptree.GeneralOptions{
-		Vantages: 3, Partitions: 2, LeafCapacity: 10, PathLength: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := mvptree.SaveGeneralTree(&buf, orig, mvptree.EncodeVector); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := mvptree.LoadGeneralTree(&buf, mvptree.L2, mvptree.DecodeVector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Counter().Count() != 0 {
-		t.Errorf("loading computed %d distances", loaded.Counter().Count())
-	}
-	q := vectors[5]
-	a, b := orig.KNN(q, 4), loaded.KNN(q, 4)
-	for i := range a {
-		if a[i].Dist != b[i].Dist {
-			t.Fatalf("KNN differs after reload")
-		}
-	}
-}
-
-func TestSaveLoadBKAndPivotTablePublicAPI(t *testing.T) {
-	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	bk, err := mvptree.NewBK(words, mvptree.EditDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := mvptree.SaveBKTree(&buf, bk, mvptree.EncodeString); err != nil {
-		t.Fatal(err)
-	}
-	bk2, err := mvptree.LoadBKTree(&buf, mvptree.EditDistance, mvptree.DecodeString)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bk2.Range("beta", 0); len(got) != 1 {
-		t.Errorf("BK reload: %v", got)
-	}
-
-	rng := rand.New(rand.NewPCG(15, 1))
-	vectors := mvptree.UniformVectors(rng, 200, 5)
-	pt, err := mvptree.NewPivotTable(vectors, mvptree.L2, mvptree.PivotOptions{Pivots: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := mvptree.SavePivotTable(&buf, pt, mvptree.EncodeVector); err != nil {
-		t.Fatal(err)
-	}
-	pt2, err := mvptree.LoadPivotTable(&buf, mvptree.L2, mvptree.DecodeVector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt2.Counter().Count() != 0 {
-		t.Errorf("pivot table reload computed %d distances", pt2.Counter().Count())
-	}
-	a, b := pt.KNN(vectors[3], 4), pt2.KNN(vectors[3], 4)
-	for i := range a {
-		if a[i].Dist != b[i].Dist {
-			t.Fatal("pivot table KNN differs after reload")
-		}
 	}
 }
 

@@ -12,44 +12,85 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mvptree"
 	"mvptree/internal/shard"
 )
 
-// vecSearchers builds each vector-capable structure over items; every
-// constructor is handed ixOpts and honors the ones it supports.
-func vecSearchers(t *testing.T, items [][]float64, ixOpts ...mvptree.IndexOption[[]float64]) map[string]mvptree.Searcher[[]float64] {
+type (
+	vecOpt      = mvptree.IndexOption[[]float64]
+	vecSearcher = mvptree.Searcher[[]float64]
+)
+
+// vecBuilders is one constructor per vector-capable structure, each
+// handing its options to the facade: the tests below build with none
+// (vecSearchers), with the accelerators on the structures that have them
+// (accelerated) and with options a structure must refuse
+// (TestCapabilitiesTable).
+func vecBuilders(items [][]float64) map[string]func(...vecOpt) (vecSearcher, error) {
+	bo := mvptree.BuildOptions{Seed: 5}
+	return map[string]func(...vecOpt) (vecSearcher, error){
+		"mvp": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.New(items, mvptree.L2, mvptree.Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: bo}, o...)
+		},
+		"vp": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewVP(items, mvptree.L2, mvptree.VPOptions{Order: 3, Build: bo}, o...)
+		},
+		"gh": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewGH(items, mvptree.L2, mvptree.GHOptions{Build: bo}, o...)
+		},
+		"gnat": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewGNAT(items, mvptree.L2, mvptree.GNATOptions{Build: bo}, o...)
+		},
+		"ball": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewBall(items, mvptree.L2, mvptree.BallOptions{Build: bo}, o...)
+		},
+		"pivot": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewPivotTable(items, mvptree.L2, mvptree.PivotOptions{Pivots: 8, Build: bo}, o...)
+		},
+		"general": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewGeneral(items, mvptree.L2, mvptree.GeneralOptions{Vantages: 3, Partitions: 2, Build: bo}, o...)
+		},
+		"linear": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewLinear(items, mvptree.L2, o...), nil
+		},
+		"dynamic": func(o ...vecOpt) (vecSearcher, error) {
+			return mvptree.NewDynamic(items, mvptree.L2, mvptree.DynamicOptions{
+				Tree: mvptree.Options{Partitions: 2, LeafCapacity: 20, PathLength: 3, Build: bo},
+			}, o...)
+		},
+	}
+}
+
+// accelerated names the structures that take WithCascade and
+// WithQuantized (the linear scan arms the second and ignores the
+// first); every other constructor refuses both.
+var accelerated = []string{"mvp", "vp", "linear"}
+
+// buildVec builds the named structures (all of them when names is nil).
+func buildVec(t *testing.T, items [][]float64, names []string, ixOpts ...vecOpt) map[string]vecSearcher {
 	t.Helper()
-	out := map[string]mvptree.Searcher[[]float64]{}
-	mustVec := func(name string, idx mvptree.Searcher[[]float64], err error) {
+	out := map[string]vecSearcher{}
+	for name, build := range vecBuilders(items) {
+		if names != nil && !slices.Contains(names, name) {
+			continue
+		}
+		idx, err := build(ixOpts...)
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)
 		}
 		out[name] = idx
 	}
-	bo := mvptree.BuildOptions{Seed: 5}
-	tree, err := mvptree.New(items, mvptree.L2, mvptree.Options{Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: bo}, ixOpts...)
-	mustVec("mvp", tree, err)
-	vp, err := mvptree.NewVP(items, mvptree.L2, mvptree.VPOptions{Order: 3, Build: bo}, ixOpts...)
-	mustVec("vp", vp, err)
-	gh, err := mvptree.NewGH(items, mvptree.L2, mvptree.GHOptions{Build: bo}, ixOpts...)
-	mustVec("gh", gh, err)
-	gn, err := mvptree.NewGNAT(items, mvptree.L2, mvptree.GNATOptions{Build: bo}, ixOpts...)
-	mustVec("gnat", gn, err)
-	ball, err := mvptree.NewBall(items, mvptree.L2, mvptree.BallOptions{Build: bo}, ixOpts...)
-	mustVec("ball", ball, err)
-	pv, err := mvptree.NewPivotTable(items, mvptree.L2, mvptree.PivotOptions{Pivots: 8, Build: bo}, ixOpts...)
-	mustVec("pivot", pv, err)
-	gen, err := mvptree.NewGeneral(items, mvptree.L2, mvptree.GeneralOptions{Vantages: 3, Partitions: 2, Build: bo}, ixOpts...)
-	mustVec("general", gen, err)
-	out["linear"] = mvptree.NewLinear(items, mvptree.L2, ixOpts...)
-	dyn, err := mvptree.NewDynamic(items, mvptree.L2, mvptree.DynamicOptions{
-		Tree: mvptree.Options{Partitions: 2, LeafCapacity: 20, PathLength: 3, Build: bo},
-	}, ixOpts...)
-	mustVec("dynamic", dyn, err)
 	return out
+}
+
+// vecSearchers builds each vector-capable structure over items.
+func vecSearchers(t *testing.T, items [][]float64) map[string]vecSearcher {
+	t.Helper()
+	return buildVec(t, items, nil)
 }
 
 // editSearchers builds each structure over a word set under edit
@@ -139,7 +180,12 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 // TestCapabilitiesTable pins the three-field capability report over the
 // eleven Searcher implementations: the nine structures, the dynamic
 // store and the sharded index all report Stats and Search, and exactly
-// the mvp-tree, the vp-tree and the sharded index report Batch.
+// the mvp-tree, the vp-tree and the sharded index report Batch. It also
+// pins the line between the two tiers (DESIGN.md "Two tiers"): which of
+// the optional surfaces each implementation has — every one of them on
+// the served core, none on the six comparison structures — and that a
+// constructor handed WithCascade or WithQuantized for a structure with
+// no such mode returns an error naming it.
 func TestCapabilitiesTable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 7))
 	words := mvptree.Words(rng, 200, mvptree.WordOptions{})
@@ -162,6 +208,14 @@ func TestCapabilitiesTable(t *testing.T) {
 		t.Fatalf("table covers %d implementations, want 11", len(all))
 	}
 	batch := map[string]bool{"mvp": true, "vp": true, "shard": true}
+	core := "EnableCascade EnableQuantize KFarthest Save SearchBatch"
+	surfaces := map[string]string{
+		"mvp": core, "vp": core,
+		"shard":   "EnableCascade EnableQuantize SaveDir SearchBatch",
+		"dynamic": "KFarthest Save",
+		"linear":  "EnableQuantize KFarthest",
+		"general": "", "gh": "", "gnat": "", "ball": "", "bk": "", "pivot": "",
+	}
 	for name, idx := range all {
 		caps := mvptree.CapabilitiesOf(idx)
 		if caps.Stats == nil || caps.Search == nil {
@@ -170,7 +224,39 @@ func TestCapabilitiesTable(t *testing.T) {
 		if got := caps.Batch != nil; got != batch[name] {
 			t.Errorf("%s: Batch reported %v, want %v", name, got, batch[name])
 		}
+		var has []string
+		for _, m := range []string{"EnableCascade", "EnableQuantize", "KFarthest", "Save", "SaveDir", "SearchBatch"} {
+			if _, ok := reflect.TypeOf(idx).MethodByName(m); ok {
+				has = append(has, m)
+			}
+		}
+		if got := strings.Join(has, " "); got != surfaces[name] {
+			t.Errorf("%s: optional surfaces %q, want %q", name, got, surfaces[name])
+		}
 	}
+
+	refused := func(name string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: option the structure cannot honour was accepted", name)
+		} else if !strings.Contains(err.Error(), "has no") {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	vectors := mvptree.UniformVectors(rng, 50, 4)
+	for name, build := range vecBuilders(vectors) {
+		if slices.Contains(accelerated, name) {
+			continue
+		}
+		_, err := build(mvptree.WithCascade[[]float64](mvptree.CascadeOptions{}))
+		refused(name+"/cascade", err)
+		_, err = build(mvptree.WithQuantized[[]float64](mvptree.QuantizeSQ8))
+		refused(name+"/sq8", err)
+	}
+	_, err = mvptree.NewBK(words, mvptree.EditDistance, mvptree.WithCascade[string](mvptree.CascadeOptions{}))
+	refused("bk/cascade", err)
+	_, err = mvptree.NewBK(words, mvptree.EditDistance, mvptree.WithQuantized[string](mvptree.QuantizeSQ8))
+	refused("bk/sq8", err)
 }
 
 // TestSearchZeroOptionsByteIdentical is the cross-structure invariance
@@ -214,9 +300,9 @@ func TestSearchZeroOptionsByteIdentical(t *testing.T) {
 		idx mvptree.Searcher[[]float64]
 		ob  *mvptree.Observer
 	}{
-		"mvp":             {vecSearchers(t, uniform, mvptree.WithObserver[[]float64](plainOb))["mvp"], plainOb},
-		"mvp+cascade+sq8": {vecSearchers(t, uniform, accel(mvpOb)...)["mvp"], mvpOb},
-		"vp+cascade+sq8":  {vecSearchers(t, uniform, accel(vpOb)...)["vp"], vpOb},
+		"mvp":             {buildVec(t, uniform, []string{"mvp"}, mvptree.WithObserver[[]float64](plainOb))["mvp"], plainOb},
+		"mvp+cascade+sq8": {buildVec(t, uniform, []string{"mvp"}, accel(mvpOb)...)["mvp"], mvpOb},
+		"vp+cascade+sq8":  {buildVec(t, uniform, []string{"vp"}, accel(vpOb)...)["vp"], vpOb},
 	}
 	for name, c := range budgeted {
 		t.Run("budget/"+name, func(t *testing.T) {
@@ -254,10 +340,10 @@ func TestSearchZeroOptionsByteIdentical(t *testing.T) {
 // within (1+ε) of the true ones rank by rank; budgeted queries never
 // spend more than the budget and report exhaustion; and
 // Stats.Distances() equals the counter delta even mid-traversal. The
-// table runs twice: plain, and with the cascade enabled on every
-// structure that has one and the SQ8 pre-filter armed on the three
-// that support it — the approximate query is the one traversal, so
-// the contracts must hold with its accelerators switched on.
+// table runs twice: plain, and with the cascade and the SQ8 pre-filter
+// on the structures that have them (the linear scan: SQ8 only) — the
+// approximate query is the one traversal, so the contracts must hold
+// with its accelerators switched on.
 func TestApproxSemanticsAllStructures(t *testing.T) {
 	rng := rand.New(rand.NewPCG(53, 9))
 	items := mvptree.ClusteredVectors(rng, 1500, 10, 75, 0.15)
@@ -273,7 +359,7 @@ func TestApproxSemanticsAllStructures(t *testing.T) {
 	for name, idx := range vecSearchers(t, items) {
 		all[name] = idx
 	}
-	for name, idx := range vecSearchers(t, items,
+	for name, idx := range buildVec(t, items, accelerated,
 		mvptree.WithCascade[[]float64](mvptree.CascadeOptions{}),
 		mvptree.WithQuantized[[]float64](mvptree.QuantizeSQ8)) {
 		all["cascade+sq8/"+name] = idx
