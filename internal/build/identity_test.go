@@ -70,6 +70,31 @@ var goldenGMVP = map[string]string{
 	"gmvp/clustered/7": "3134ede10b55c95f32fec36369671fb9580a8ca138d7ee7ecf3e585519b8f0ad",
 }
 
+// goldenShape pins, for every structure of the two tables above, what a
+// build owes to sizes alone, so that a re-recorded hash cannot hide it
+// moving: the tree's Shape — node, leaf and vantage-point counts, height,
+// arena bytes — and the build's distances, nodes and depth. Splits are by
+// rank, so none of it depends on which points a split put where, nor on
+// the data: every (data, seed) row of a structure has the same line.
+// Recorded at the commit before the partition step became a selection
+// (PR 23).
+var goldenShape = map[string]string{
+	"mvp":         "{Nodes:820 Leaves:729 VantagePoints:1640 LeafItems:3360 Height:3 MaxPathLen:5 FilterBytes:47040 NodeBytes:70688 FilterStep:0 FilterSlack:0}; build: 37132 distances, 0 of them selecting, 820 nodes, depth 3",
+	"mvp-spread":  "{Nodes:820 Leaves:729 VantagePoints:1640 LeafItems:3360 Height:3 MaxPathLen:5 FilterBytes:47040 NodeBytes:70688 FilterStep:0 FilterSlack:0}; build: 38868 distances, 1736 of them selecting, 820 nodes, depth 3",
+	"mvp-random2": "{Nodes:1365 Leaves:1024 VantagePoints:2730 LeafItems:2270 Height:5 MaxPathLen:3 FilterBytes:22700 NodeBytes:120104 FilterStep:0 FilterSlack:0}; build: 54093 distances, 0 of them selecting, 1365 nodes, depth 5",
+	"vptree":      "{Nodes:1093 Leaves:729 VantagePoints:1093 LeafItems:3907 Height:6 MaxPathLen:0 FilterBytes:15628 NodeBytes:65568 FilterStep:0 FilterSlack:0}; build: 33364 distances, 0 of them selecting, 1093 nodes, depth 6",
+	"gmvp":        "{Nodes:585 Leaves:512 VantagePoints:1755 LeafItems:3245 Height:3 MaxPathLen:7}; build: 55743 distances, 0 of them selecting, 585 nodes, depth 3",
+}
+
+// shapeLine is a row of goldenShape.
+func shapeLine(shape any, st build.Stats) string {
+	if sh, ok := shape.(mvp.Stats); ok {
+		sh.FilterStep, sh.FilterSlack = 0, 0 // the grid follows the data's largest distance
+		shape = sh
+	}
+	return fmt.Sprintf("%+v; build: %d distances, %d of them selecting, %d nodes, depth %d", shape, st.Distances, st.SelectionDistances, st.Nodes, st.MaxDepth)
+}
+
 // goldenItems is the dataset of one (data, seed) row of the golden tables.
 func goldenItems(data string, seed uint64) [][]float64 {
 	const n, dim = 5000, 8
@@ -90,9 +115,12 @@ func TestGMVPFingerprint(t *testing.T) {
 			queries = append(queries, items[17], items[4242])
 			for _, workers := range []int{1, 2, 4} {
 				c := metric.NewCounter(metric.L2)
-				tr, err := gmvp.New(items, c, gmvp.Options{Build: build.Options{Workers: workers, Seed: seed}, Vantages: 3, Partitions: 2, LeafCapacity: 20, PathLength: 7})
+				tr, st, err := gmvp.NewWithStats(items, c, gmvp.Options{Build: build.Options{Workers: workers, Seed: seed}, Vantages: 3, Partitions: 2, LeafCapacity: 20, PathLength: 7})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", key, workers, err)
+				}
+				if got := shapeLine(tr.Shape(), st); got != goldenShape["gmvp"] {
+					t.Errorf("%s workers=%d: %s, want %s", key, workers, got, goldenShape["gmvp"])
 				}
 				h := sha256.New()
 				fmt.Fprintf(h, "%+v\n", tr.Shape())
@@ -114,58 +142,53 @@ func TestGMVPFingerprint(t *testing.T) {
 	}
 }
 
-func TestGoldenSaveBytes(t *testing.T) {
-	type saveFn func(opts build.Options, items [][]float64, buf *bytes.Buffer) error
-	structures := []struct {
-		name string
-		save saveFn
-	}{
-		{"mvp", func(o build.Options, items [][]float64, buf *bytes.Buffer) error {
-			tr, err := mvp.New(items, metric.NewCounter(metric.L2), mvp.Options{Build: o, Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true})
-			if err != nil {
-				return err
-			}
-			return tr.Save(buf, codec.EncodeVector)
-		}},
-		{"mvp-spread", func(o build.Options, items [][]float64, buf *bytes.Buffer) error {
-			tr, err := mvp.New(items, metric.NewCounter(metric.L2), mvp.Options{Build: o, Partitions: 3, LeafCapacity: 20, PathLength: 5})
-			if err != nil {
-				return err
-			}
-			return tr.Save(buf, codec.EncodeVector)
-		}},
-		{"mvp-random2", func(o build.Options, items [][]float64, buf *bytes.Buffer) error {
-			tr, err := mvp.New(items, metric.NewCounter(metric.L2), mvp.Options{Build: o, Partitions: 2, LeafCapacity: 9, PathLength: 3, RandomFirstVantage: true, RandomSecondVantage: true})
-			if err != nil {
-				return err
-			}
-			return tr.Save(buf, codec.EncodeVector)
-		}},
-		{"vptree", func(o build.Options, items [][]float64, buf *bytes.Buffer) error {
-			tr, err := vptree.New(items, metric.NewCounter(metric.L2), vptree.Options{Build: o, Order: 3, LeafCapacity: 10})
-			if err != nil {
-				return err
-			}
-			return tr.Save(buf, codec.EncodeVector)
-		}},
+// goldenTrees are the builds goldenSave hashes: name and options.
+var goldenTrees = []struct {
+	name string
+	opts mvp.Options
+}{
+	{"mvp", mvp.Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true}},
+	{"mvp-spread", mvp.Options{Partitions: 3, LeafCapacity: 20, PathLength: 5}},
+	{"mvp-random2", mvp.Options{Partitions: 2, LeafCapacity: 9, PathLength: 3, RandomFirstVantage: true, RandomSecondVantage: true}},
+}
+
+// goldenTree builds one row of goldenSave: an mvp-tree of goldenTrees, or
+// the vp-tree of order 3 and bucket size 10.
+func goldenTree(name string, o build.Options, items [][]float64) (*mvp.Tree[[]float64], build.Stats, error) {
+	for _, g := range goldenTrees {
+		if g.name == name {
+			g.opts.Build = o
+			return mvp.NewWithStats(items, metric.NewCounter(metric.L2), g.opts)
+		}
 	}
-	for _, s := range structures {
+	return vptree.NewWithStats(items, metric.NewCounter(metric.L2), vptree.Options{Build: o, Order: 3, LeafCapacity: 10})
+}
+
+func TestGoldenSaveBytes(t *testing.T) {
+	for _, name := range []string{"mvp", "mvp-spread", "mvp-random2", "vptree"} {
 		for _, data := range []string{"uniform", "clustered"} {
 			for _, seed := range []uint64{1, 7} {
-				key := fmt.Sprintf("%s/%s/%d", s.name, data, seed)
+				key := fmt.Sprintf("%s/%s/%d", name, data, seed)
 				want, ok := goldenSave[key]
 				if !ok {
 					continue
 				}
 				items := goldenItems(data, seed)
 				for _, workers := range []int{1, 2, 4} {
+					tr, st, err := goldenTree(name, build.Options{Workers: workers, Seed: seed}, items)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", key, workers, err)
+					}
 					var buf bytes.Buffer
-					if err := s.save(build.Options{Workers: workers, Seed: seed}, items, &buf); err != nil {
+					if err := tr.Save(&buf, codec.EncodeVector); err != nil {
 						t.Fatalf("%s workers=%d: %v", key, workers, err)
 					}
 					sum := sha256.Sum256(buf.Bytes())
 					if got := hex.EncodeToString(sum[:]); got != want {
 						t.Errorf("%s workers=%d: Save bytes hash %s, want %s", key, workers, got, want)
+					}
+					if got := shapeLine(tr.Shape(), st); got != goldenShape[name] {
+						t.Errorf("%s workers=%d: %s, want %s", key, workers, got, goldenShape[name])
 					}
 				}
 			}

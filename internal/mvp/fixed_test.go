@@ -14,6 +14,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mvptree/internal/codec"
@@ -309,16 +310,40 @@ func TestFilterSoundOnDegenerateLeaves(t *testing.T) {
 // at the commit before leaves stopped being float64 (PR 14). Edit
 // distances sit on even codes, so slack is 0 and every filter decision,
 // tie prune and count is the one a float64 leaf made. The recorded tree
-// drew its first vantage points, hence RandomFirstVantage.
+// is the fixture: PR 22's Save of the build PR 14 made of these words
+// (m = 3, k = 20, p = 5, seed 9, first vantage points drawn), written
+// before the partition step stopped sorting (PR 23) and a build of the
+// same options became another draw of the same lottery. A fresh build
+// has to cost what that one did and sit on the same grid.
 func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 	words := dataset.Words(rand.New(rand.NewPCG(15, 1)), 3000, dataset.WordOptions{MinLen: 4, MaxLen: 11, MisspellingsPer: 3})
-	c := metric.NewCounter(metric.Edit)
-	tree, err := New(words, c, Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true, Build: Build{Seed: 9}})
+	fresh, err := New(words, metric.NewCounter(metric.Edit), Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true, Build: Build{Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.slack != 0 {
-		t.Fatalf("slack = %g over edit distances, want 0", tree.slack)
+	stream, err := os.ReadFile("testdata/pr22_words_m3k20p5.mvp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := metric.NewCounter(metric.Edit)
+	tree, err := Load(bytes.NewReader(stream), c, codec.DecodeString)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.slack != 0 || fresh.slack != 0 || fresh.step != tree.step {
+		t.Fatalf("slack = %g recorded, %g fresh, over edit distances, want 0; step %g and %g", tree.slack, fresh.slack, tree.step, fresh.step)
+	}
+	if got, want := fresh.Shape(), tree.Shape(); got != want || fresh.BuildCost() != 21132 {
+		t.Errorf("fresh build: %d distances, %+v; the recorded tree 21132, %+v", fresh.BuildCost(), got, want)
+	}
+	held, generated := tree.Range("", math.Inf(1)), slices.Clone(words)
+	slices.Sort(held)
+	slices.Sort(generated)
+	if !slices.Equal(held, generated) {
+		t.Fatalf("the fixture holds %d words, not the %d generated", len(held), len(generated))
 	}
 	h := sha256.New()
 	var sum SearchStats
@@ -355,8 +380,8 @@ func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 	}
 	want := SearchStats{NodesVisited: 198134, LeavesVisited: 172844, ShellsPruned: 25327, Candidates: 322151,
 		FilteredByD: 82597, FilteredByPath: 33910, Computed: 205644, VantagePoints: 396268, Results: 2660}
-	if tree.BuildCost() != 21132 || sum != want || total != 601912 {
-		t.Errorf("build %d distances, queries %+v, %d distances;\nrecorded 21132, %+v, 601912", tree.BuildCost(), sum, total, want)
+	if sum != want || total != 601912 {
+		t.Errorf("queries %+v, %d distances;\nrecorded %+v, 601912", sum, total, want)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != "3e33aa1598638b108a41ed94412fc2704ce22106e37310b319682bffafabb221" {
 		t.Errorf("per-query stats hash %s differs from the recorded one", got)
@@ -366,16 +391,13 @@ func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 // TestLoadsFloat64LeafStream loads the two kinds of MVPTREE1 stream there
 // are — PR 14's, whose leaf distances have all 53 bits, and PR 18's,
 // whose are float32 values — and PR 19's MVPTREE2, which has the codes
-// but no v in its header, and holds each to a fresh build of the same
-// items: same Save bytes (MVPTREE3), same step and slack, same answers
-// at the same cost. All drew their first vantage points, so the fresh
-// build does too.
+// but no v in its header, and holds each to the MVPTREE3 stream of the
+// same tree: same Save bytes, same step and slack, same answers at the
+// same cost. That stream is PR 22's Save of its build of these items,
+// which until the partition step stopped sorting (PR 23) was the build
+// every fixture here recorded; a build now is another draw of the same
+// shape.
 func TestLoadsFloat64LeafStream(t *testing.T) {
-	items := dataset.UniformVectors(rand.New(rand.NewPCG(15, 3)), 400, 6)
-	fresh, err := New(items, metric.NewCounter(metric.L2), Options{Partitions: 2, LeafCapacity: 7, PathLength: 4, RandomFirstVantage: true, Build: Build{Seed: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	save := func(tr *Tree[[]float64]) []byte {
 		var buf bytes.Buffer
 		if err := tr.Save(&buf, codec.EncodeVector); err != nil {
@@ -393,9 +415,21 @@ func TestLoadsFloat64LeafStream(t *testing.T) {
 		}
 		return tr
 	}
-	want := save(fresh)
+	want, err := os.ReadFile("testdata/pr22_mvptree3.mvp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := load(want)
 	if fresh.slack != fresh.step {
-		t.Errorf("fresh build: step %g, slack %g", fresh.step, fresh.slack)
+		t.Errorf("the %s stream: step %g, slack %g", saveMagic, fresh.step, fresh.slack)
+	}
+	items := dataset.UniformVectors(rand.New(rand.NewPCG(15, 3)), 400, 6)
+	built, err := New(items, metric.NewCounter(metric.L2), Options{Partitions: 2, LeafCapacity: 7, PathLength: 4, RandomFirstVantage: true, Build: Build{Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := built.Shape(), fresh.Shape(); got != want {
+		t.Errorf("a build of the items: %+v; the streams' tree %+v", got, want)
 	}
 	queries := dataset.UniformVectors(rand.New(rand.NewPCG(15, 4)), 40, 6)
 	for name, magic := range map[string]string{

@@ -161,3 +161,34 @@ func raggedHashes(t *testing.T, name string, opts Options, query bool) (save, st
 	}
 	return hex.EncodeToString(saveHash.Sum(nil)), hex.EncodeToString(statsHash.Sum(nil))
 }
+
+// TestRaggedShapesAreSizesAlone pins, in one hash recorded at the commit
+// before the partition step became a selection (PR 23), what raggedGolden's
+// re-recorded Save hashes cannot show unmoved: the Shape and build cost of
+// every one of its trees. Splits are by rank, so which points tie, and
+// where a tie's points go, changes neither.
+func TestRaggedShapesAreSizesAlone(t *testing.T) {
+	h := sha256.New()
+	for _, v := range []int{1, 2} {
+		for _, m := range []int{2, 3, 4} {
+			for _, k := range []int{-1, 1, 13} {
+				for _, p := range []int{-1, 5} {
+					for n := 0; n <= 200; n++ {
+						opts := Options{Vantages: v, Partitions: m, LeafCapacity: k, PathLength: p, Build: Build{Seed: uint64(n)}}
+						tree, st, err := NewWithStats(testutil.IDs(n), metric.NewCounter(raggedDist), opts)
+						if err != nil {
+							t.Fatalf("v%d/m%d/k%d/p%d n=%d: %v", v, m, k, p, n, err)
+						}
+						shape := tree.Shape()
+						shape.FilterStep, shape.FilterSlack = 0, 0 // the grid follows the largest distance stored
+						fmt.Fprintf(h, "%+v %d %d %d\n", shape, st.Distances, st.Nodes, st.MaxDepth)
+					}
+				}
+			}
+		}
+	}
+	const want = "29125ba3569e203c36cc2ab311c714e48623571aa9ad94d07925dfdd9a8c6a47"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("shapes and build costs hash to %s, want %s", got, want)
+	}
+}
