@@ -15,9 +15,10 @@
 //
 //   - SplitEqual over a Scratch, the partition step of the vp-tree
 //     family: the tree is built over one permutation of item positions
-//     partitioned in place, each node ordering its own range of packed
-//     (distance, id) keys and cutting it into equal-cardinality shells
-//     (see partition.go);
+//     partitioned in place, each node cutting its own range of packed
+//     (distance, id) keys into equal-cardinality shells by selection —
+//     a shell is the keys of its ranks under (distance, id), in no
+//     particular order (see partition.go);
 //
 //   - Fork, subtree-level task spawning for the recursive builders,
 //     paired with a splittable deterministic RNG (see RNG) so that the
@@ -158,44 +159,29 @@ func (b *Builder[T]) Workers() int { return b.workers }
 // distance on a cache line every worker shares), and the resulting
 // distances and the final count are identical.
 func (b *Builder[T]) Measure(v T, item func(int) T, out []float64) {
-	n := len(out)
-	if b.workers <= 1 || n < MeasureThreshold {
-		for i := range out {
+	b.fanOut(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			out[i] = b.raw(item(i), v)
 		}
-		b.dist.Add(int64(n))
+	})
+	b.dist.Add(int64(len(out)))
+}
+
+// fansOut reports whether a batch of n distances is spread over the
+// pool.
+func (b *Builder[T]) fansOut(n int) bool { return b.workers > 1 && n >= MeasureThreshold }
+
+// fanOut runs chunk over [0, n): whole if the batch does not fan out,
+// else cut into one piece per worker, as the tasks of a Fork — whoever
+// is free takes the next piece, and with the pool saturated the caller
+// takes them all.
+func (b *Builder[T]) fanOut(n int, chunk func(lo, hi int)) {
+	if !b.fansOut(n) {
+		chunk(0, n)
 		return
 	}
-	chunk := (n + b.workers - 1) / b.workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		if hi == n {
-			// Run the last chunk on this goroutine: it is a worker too.
-			for i := lo; i < hi; i++ {
-				out[i] = b.raw(item(i), v)
-			}
-			break
-		}
-		select {
-		case b.sem <- struct{}{}:
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				defer func() { <-b.sem }()
-				for i := lo; i < hi; i++ {
-					out[i] = b.raw(item(i), v)
-				}
-			}(lo, hi)
-		default:
-			// Pool saturated: do the work inline rather than queue.
-			for i := lo; i < hi; i++ {
-				out[i] = b.raw(item(i), v)
-			}
-		}
-	}
-	wg.Wait()
-	b.dist.Add(int64(n))
+	size := (n + b.workers - 1) / b.workers
+	b.Fork((n+size-1)/size, func(i int) { chunk(i*size, min((i+1)*size, n)) })
 }
 
 // Rand returns src.Rand() — the source of the random decisions at tree
@@ -221,39 +207,70 @@ func (b *Builder[T]) Done(g *Generator) {
 	}
 }
 
-// Fork runs task(i) for every i in [0, n), spawning pool goroutines
-// when worker tokens are free and running inline otherwise, and returns
-// when all tasks finished. Tasks may themselves call Fork and Measure:
-// token acquisition never blocks (a saturated pool degrades to inline
-// execution), so nested forks cannot deadlock. Tasks must write to
-// disjoint state — typically distinct child slots of one node.
+// Fork runs task(i) for every i in [0, n) and returns when all tasks
+// finished: on the calling goroutine and on as many pool goroutines as
+// worker tokens are free, all claiming the next index from one cursor,
+// so none waits while a task is unclaimed. Tasks may themselves call
+// Fork and Measure: token acquisition never blocks (a saturated pool
+// degrades to inline execution), so nested forks cannot deadlock, and a
+// helper that finds no task left hands its token back at once, to
+// whichever fork inside a task still running asks next. Tasks must
+// write to disjoint state — typically distinct child slots of one node.
 func (b *Builder[T]) Fork(n int, task func(int)) { b.ForkRange(0, n, task) }
 
 // ForkRange is Fork over the i in [lo, hi): a builder whose tasks are
 // rows of one table forks a range of it through one func value, where a
 // closure per fork would be an allocation per node.
 func (b *Builder[T]) ForkRange(lo, hi int, task func(int)) {
-	if b.workers <= 1 || hi-lo <= 1 {
+	helpers := 0
+	if b.workers > 1 {
+		for helpers < hi-lo-1 && b.acquire() {
+			helpers++
+		}
+	}
+	if helpers == 0 {
 		for i := lo; i < hi; i++ {
 			task(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	for i := lo; i < hi; i++ {
-		select {
-		case b.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-b.sem }()
-				task(i)
-			}(i)
-		default:
-			task(i)
-		}
+	f := &fork{hi: int64(hi), task: task}
+	f.next.Store(int64(lo))
+	f.helpers.Add(helpers)
+	for range helpers {
+		go func() {
+			defer f.helpers.Done()
+			defer func() { <-b.sem }()
+			f.run()
+		}()
 	}
-	wg.Wait()
+	f.run()
+	f.helpers.Wait()
+}
+
+// acquire takes a worker token if one is free.
+func (b *Builder[T]) acquire() bool {
+	select {
+	case b.sem <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// fork is a ForkRange that found helpers: the cursor they and the
+// forker claim task indices from.
+type fork struct {
+	next    atomic.Int64
+	hi      int64
+	task    func(int)
+	helpers sync.WaitGroup
+}
+
+func (f *fork) run() {
+	for i := f.next.Add(1) - 1; i < f.hi; i = f.next.Add(1) - 1 {
+		f.task(int(i))
+	}
 }
 
 // Node records one node created at the given depth (root = 0) for the

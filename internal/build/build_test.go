@@ -2,9 +2,12 @@ package build
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvptree/internal/metric"
 )
@@ -100,6 +103,119 @@ func TestForkBoundsConcurrency(t *testing.T) {
 	if p := peak.Load(); p > workers {
 		t.Errorf("observed %d concurrent tasks, worker bound is %d", p, workers)
 	}
+}
+
+// gate is a set of tasks that say when they start and then wait to be
+// let go, so a test decides which task finishes when.
+type gate struct{ started, release []chan struct{} }
+
+func newGate(n int) gate {
+	g := gate{make([]chan struct{}, n), make([]chan struct{}, n)}
+	for i := range g.started {
+		g.started[i], g.release[i] = make(chan struct{}), make(chan struct{})
+	}
+	return g
+}
+
+func (g gate) task(i int) {
+	close(g.started[i])
+	<-g.release[i]
+}
+
+// await fails the test if ch is not closed soon; it reports whether it was.
+func await(t *testing.T, ch chan struct{}, what string) bool {
+	t.Helper()
+	select {
+	case <-ch:
+		return true
+	case <-time.After(5 * time.Second):
+		t.Errorf("%s: not within 5 s", what)
+		return false
+	}
+}
+
+// TestForkClaimsTheNextTaskWhenOneFinishes holds Fork to its cursor: with
+// two workers and three tasks, whoever finishes task 0 takes task 2 while
+// task 1 is still running — before, a helper that finished went home and
+// task 2 waited for the forker to come back from task 1 — and no more
+// than Workers tasks are ever in flight.
+func TestForkClaimsTheNextTaskWhenOneFinishes(t *testing.T) {
+	b := Start(metric.NewCounter(absDiff), Options{Workers: 2})
+	g := newGate(3)
+	var inFlight atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.Fork(3, func(i int) {
+			if n := inFlight.Add(1); n > 2 {
+				t.Errorf("%d tasks in flight, Workers is 2", n)
+			}
+			g.task(i)
+			inFlight.Add(-1)
+		})
+	}()
+	if await(t, g.started[0], "task 0 starting") && await(t, g.started[1], "task 1 starting") {
+		close(g.release[0])
+		await(t, g.started[2], "task 2 starting while task 1 still runs")
+	} else {
+		close(g.release[0])
+	}
+	close(g.release[1])
+	close(g.release[2])
+	await(t, done, "Fork returning")
+}
+
+// goroutineID reads the running goroutine's number off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestForkHelperHandsItsTokenToANestedFork: a helper that finds no task
+// left gives its token back at once, so a Fork inside the last task still
+// running — on the forker — gets a helper of its own instead of running
+// its tasks one after the other.
+func TestForkHelperHandsItsTokenToANestedFork(t *testing.T) {
+	b := Start(metric.NewCounter(absDiff), Options{Workers: 2})
+	outer, inner := newGate(2), newGate(2)
+	forkers := make(chan int, 1) // the index of the task the forker took
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		forker := goroutineID()
+		b.Fork(2, func(i int) {
+			if goroutineID() != forker {
+				outer.task(i)
+				return
+			}
+			forkers <- i
+			outer.task(i)
+			b.Fork(2, inner.task)
+		})
+	}()
+	mine := -1
+	select {
+	case mine = <-forkers:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the forker took no task within 5 s")
+	}
+	if await(t, outer.started[1-mine], "the helper's task starting") {
+		close(outer.release[1-mine]) // it ends, and no task is left for the helper
+		for deadline := time.Now().Add(5 * time.Second); len(b.sem) > 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("the helper kept its token for 5 s with nothing left to claim")
+				break
+			}
+		}
+	}
+	close(outer.release[mine])
+	// Both nested tasks are running at once only if the nested Fork found
+	// the token.
+	await(t, inner.started[0], "nested task 0 starting")
+	await(t, inner.started[1], "nested task 1 starting beside it")
+	close(inner.release[0])
+	close(inner.release[1])
+	await(t, done, "Fork returning")
 }
 
 func TestNodeTracksCountAndDepth(t *testing.T) {

@@ -76,6 +76,24 @@ func determinismCases() []buildCase {
 			}
 			return buf.Bytes(), st
 		}},
+		// Edit distance over short words takes a handful of values, so
+		// nearly every split is decided among equal distances.
+		{name: "mvp-words", build: func(t *testing.T, workers int) (any, build.Stats) {
+			tr, st, err := mvp.NewWithStats(ws, metric.NewCounter(metric.Edit), mvp.Options{
+				Partitions: 3, LeafCapacity: 8, PathLength: 4, Build: opt(workers),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tr.Save(&buf, codec.EncodeString); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes(), st
+		}},
 		{name: "vptree", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := vptree.NewWithStats(items, metric.NewCounter(metric.L2), vptree.Options{
 				Order: 3, LeafCapacity: 4, Build: opt(workers),
@@ -178,37 +196,34 @@ func rangeFingerprint[T any](tr ranger[T], items []T, radii []float64) any {
 }
 
 // TestWorkerCountInvariance is the tentpole guarantee: the index built
-// with Workers=1 and Workers=8 is identical — same Save bytes where the
-// structure serializes, same traversal fingerprint where it does not —
-// and the distance-computation count, node count and depth agree
+// with Workers=1 and with 2, 4 and 8 is identical — same Save bytes where
+// the structure serializes, same traversal fingerprint where it does
+// not — and the distance-computation count, node count and depth agree
 // exactly.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, tc := range determinismCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			serial, sStats := tc.build(t, 1)
-			parallel, pStats := tc.build(t, 8)
-			if sb, ok := serial.([]byte); ok {
-				if !bytes.Equal(sb, parallel.([]byte)) {
-					t.Fatalf("%s: Workers=1 and Workers=8 Save bytes differ (%d vs %d bytes)",
-						tc.name, len(sb), len(parallel.([]byte)))
-				}
-			} else if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("%s: Workers=1 and Workers=8 trees answer differently", tc.name)
-			}
-			if sStats.Distances != pStats.Distances {
-				t.Errorf("%s: build cost %d (serial) != %d (parallel)", tc.name, sStats.Distances, pStats.Distances)
-			}
-			if sStats.Nodes != pStats.Nodes {
-				t.Errorf("%s: node count %d (serial) != %d (parallel)", tc.name, sStats.Nodes, pStats.Nodes)
-			}
-			if sStats.MaxDepth != pStats.MaxDepth {
-				t.Errorf("%s: max depth %d (serial) != %d (parallel)", tc.name, sStats.MaxDepth, pStats.MaxDepth)
-			}
 			if sStats.Distances <= 0 {
 				t.Errorf("%s: build made no distance computations", tc.name)
 			}
-			if sStats.Workers != 1 || pStats.Workers != 8 {
-				t.Errorf("%s: Stats.Workers = %d/%d, want 1/8", tc.name, sStats.Workers, pStats.Workers)
+			for _, workers := range []int{2, 4, 8} {
+				parallel, pStats := tc.build(t, workers)
+				if sb, ok := serial.([]byte); ok {
+					if !bytes.Equal(sb, parallel.([]byte)) {
+						t.Fatalf("%s: Workers=1 and Workers=%d Save bytes differ (%d vs %d bytes)",
+							tc.name, workers, len(sb), len(parallel.([]byte)))
+					}
+				} else if !reflect.DeepEqual(serial, parallel) {
+					t.Fatalf("%s: Workers=1 and Workers=%d trees answer differently", tc.name, workers)
+				}
+				if sStats.Workers != 1 || pStats.Workers != workers {
+					t.Errorf("%s: Stats.Workers = %d/%d, want 1/%d", tc.name, sStats.Workers, pStats.Workers, workers)
+				}
+				sStats.Wall, pStats.Wall, pStats.Workers = 0, 0, 1
+				if sStats != pStats {
+					t.Errorf("%s: build stats %+v (serial) != %+v (Workers=%d)", tc.name, sStats, pStats, workers)
+				}
 			}
 		})
 	}

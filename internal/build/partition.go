@@ -1,10 +1,16 @@
 package build
 
-// Key is one packed sort key of construction: a distance to the current
-// vantage point and the id of the item it was measured for. Sorting
-// keys moves sixteen contiguous bytes per swap and compares without an
-// indirection, which is what makes ordering a node's points cheap next
-// to measuring them.
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
+
+// Key is one packed partition key of construction: a distance to the
+// current vantage point and the id of the item it was measured for.
+// Partitioning keys moves sixteen contiguous bytes per swap and compares
+// without an indirection, which is what makes splitting a node's points
+// cheap next to measuring them.
 type Key struct {
 	D  float64
 	ID int32
@@ -14,7 +20,7 @@ type Key struct {
 // items. Perm holds the item positions 0..n-1 and is partitioned in
 // place: the subtree built over slots [lo, hi) reads and reorders only
 // Perm[lo:hi], and uses only Dist[lo:hi] and Keys[lo:hi] as its
-// distance row and sort keys. Sibling subtrees therefore own disjoint
+// distance row and partition keys. Sibling subtrees therefore own disjoint
 // ranges of all three, so Fork tasks share the arenas without
 // synchronization and no node allocates scratch of its own.
 type Scratch struct {
@@ -37,20 +43,27 @@ func NewScratch(n int) Scratch {
 // small to fan out — every node below the top few levels — are
 // measured without allocating.
 func (b *Builder[T]) MeasureIDs(v T, items []T, ids []int32, out []float64) {
-	if b.workers > 1 && len(ids) >= MeasureThreshold {
-		b.Measure(v, func(i int) T { return items[ids[i]] }, out)
+	if !b.fansOut(len(ids)) {
+		b.measureSerial(v, items, ids, out)
 		return
 	}
-	b.measureSerial(v, items, ids, out)
+	b.fanOut(len(ids), func(lo, hi int) { b.distances(v, items, ids[lo:hi], out[lo:hi]) })
+	b.dist.Add(int64(len(ids)))
 }
 
 // measureSerial is MeasureIDs on the calling goroutine. It retains
 // neither ids nor out, so a caller's stack arrays stay on its stack.
 func (b *Builder[T]) measureSerial(v T, items []T, ids []int32, out []float64) {
+	b.distances(v, items, ids, out)
+	b.dist.Add(int64(len(ids)))
+}
+
+// distances is the loop of MeasureIDs, whole or one worker's piece of
+// it; the caller settles the counter.
+func (b *Builder[T]) distances(v T, items []T, ids []int32, out []float64) {
 	for i, id := range ids {
 		out[i] = b.raw(items[id], v)
 	}
-	b.dist.Add(int64(len(ids)))
 }
 
 // MeasureKeys is MeasureIDs that also packs the (distance, id) keys, in
@@ -63,22 +76,143 @@ func (b *Builder[T]) MeasureKeys(v T, items []T, ids []int32, dist []float64, ke
 	}
 }
 
-// SplitEqual is the partition step the vp-tree family shares: it orders
-// keys by distance and fills cutoffs with the cutoffs of the split into
-// m = len(cutoffs)+1 groups of equal cardinality (sizes differ by at most
-// one; group g is keys[lo:hi] for lo, hi = GroupBounds(len(keys), m, g)).
-// A cutoff is the midpoint between the last distance of one group and
-// the first of the next, so every group's distances lie within its
-// closed shell. It requires m <= len(keys), and allocates nothing: the
-// caller's cutoffs are its tree's.
+// SplitEqual is the partition step the vp-tree family shares: it cuts
+// keys into m = len(cutoffs)+1 groups of equal cardinality (sizes differ
+// by at most one; group g is keys[lo:hi] for lo, hi =
+// GroupBounds(len(keys), m, g)) and fills cutoffs with the cutoffs
+// between them. A group is the keys of its ranks under the total order
+// (D, ID), so which keys it holds is a property of the keys and not of
+// the algorithm. A cutoff is the midpoint between the largest distance
+// of one group and the smallest of the next, so every group's distances
+// lie within its closed shell. The largest key of all is left in the
+// last slot; otherwise the order inside a group is unspecified (a
+// function of the keys' arrangement on entry and of nothing else). It
+// requires m <= len(keys), or no keys at all, and allocates nothing:
+// the caller's cutoffs are its tree's.
 //
-// The ids take no part in the comparison; the order among equal
-// distances is the one sortKeys documents.
+// That is selection, not sorting: linear in len(keys) for a fixed m.
 func SplitEqual(keys []Key, cutoffs []float64) {
-	sortKeys(keys)
-	for g := range cutoffs {
-		_, hi := GroupBounds(len(keys), len(cutoffs)+1, g)
-		cutoffs[g] = (keys[hi-1].D + keys[hi].D) / 2
+	n, m := len(keys), len(cutoffs)+1
+	if n == 0 {
+		return
+	}
+	splitter{keys, m}.cut(0, n, 4*bits.Len(uint(n)), false)
+	top := 0 // the largest key of the group before
+	for g := 0; g < m; g++ {
+		lo, hi := GroupBounds(n, m, g)
+		least, prev := keys[lo].D, top
+		top = lo
+		for i := lo + 1; i < hi; i++ {
+			if keys[i].D < least {
+				least = keys[i].D
+			}
+			if keys[top].less(keys[i]) {
+				top = i
+			}
+		}
+		if g > 0 {
+			cutoffs[g-1] = (keys[prev].D + least) / 2
+		}
+	}
+	keys[top], keys[n-1] = keys[n-1], keys[top]
+}
+
+func (k Key) less(o Key) bool { return k.D < o.D || k.D == o.D && k.ID < o.ID }
+
+// splitter is one SplitEqual: keys, to be cut into m groups.
+type splitter struct {
+	keys []Key
+	m    int
+}
+
+// splits reports whether a group starts at a rank strictly inside
+// (a, b): the first to start after rank a is the one after a's own.
+func (s splitter) splits(a, b int) bool {
+	n := len(s.keys)
+	g := a / (n/s.m + 1) // a's group, if it is one of the n%m larger ones
+	if larger := n % s.m; g >= larger {
+		g = larger + (a-larger*(n/s.m+1))/(n/s.m)
+	}
+	_, hi := GroupBounds(n, s.m, g)
+	return hi < b
+}
+
+// insertionMax is the longest range cut orders outright.
+const insertionMax = 12
+
+// cut is a quickselect for several ranks at once. keys[a:b] hold the
+// keys of ranks a to b-1 in some order; cut arranges them so that every
+// group boundary inside the range has the keys of lower rank on its
+// left. A range is partitioned three ways on distance alone — below,
+// equal to and above a pivot — and only the parts a boundary falls
+// strictly inside are looked at again, so a metric of few distinct
+// values (edit distance) pays for its ties once: inside a block of equal
+// distances rank is by id, and only a block a boundary falls in is cut
+// by it (byID: every D holds its key's ID meanwhile). limit bounds the
+// rounds a range may take however its pivots fall; past it the range is
+// sorted.
+func (s splitter) cut(a, b, limit int, byID bool) {
+	keys := s.keys
+	for s.splits(a, b) {
+		if b-a <= insertionMax {
+			for i := a + 1; i < b; i++ {
+				for j := i; j > a && keys[j].less(keys[j-1]); j-- {
+					keys[j], keys[j-1] = keys[j-1], keys[j]
+				}
+			}
+			return
+		}
+		if limit == 0 {
+			slices.SortFunc(keys[a:b], func(x, y Key) int {
+				return cmp.Or(cmp.Compare(x.D, y.D), cmp.Compare(x.ID, y.ID))
+			})
+			return
+		}
+		limit--
+
+		// The pivot is the median of the first, middle and last distance.
+		p, q, r := keys[a].D, keys[a+(b-a)/2].D, keys[b-1].D
+		p = max(min(p, q), min(max(p, q), r))
+		// Two sweeps from both ends: keys[a:lt] < p <= keys[lt:b], then
+		// keys[lt:gt] == p < keys[gt:b].
+		lt := a
+		for j := b - 1; ; lt, j = lt+1, j-1 {
+			for lt <= j && keys[lt].D < p {
+				lt++
+			}
+			for lt <= j && !(keys[j].D < p) {
+				j--
+			}
+			if lt >= j {
+				break
+			}
+			keys[lt], keys[j] = keys[j], keys[lt]
+		}
+		gt := lt
+		for j := b - 1; ; gt, j = gt+1, j-1 {
+			for gt <= j && !(keys[gt].D > p) {
+				gt++
+			}
+			for gt <= j && keys[j].D > p {
+				j--
+			}
+			if gt >= j {
+				break
+			}
+			keys[gt], keys[j] = keys[j], keys[gt]
+		}
+
+		if !byID && s.splits(lt, gt) { // under byID a tie is the same key twice
+			for i := lt; i < gt; i++ {
+				keys[i].D = float64(keys[i].ID)
+			}
+			s.cut(lt, gt, limit, true)
+			for i := lt; i < gt; i++ {
+				keys[i].D = p
+			}
+		}
+		s.cut(a, lt, limit, byID)
+		a = gt
 	}
 }
 

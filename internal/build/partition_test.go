@@ -1,64 +1,48 @@
 package build
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"testing"
 )
 
-// TestSortKeysMatchesStandardLibrary pins sortKeys to the permutation
-// construction produced when it sorted an index slice with sort.Slice
-// by distance alone — the arrangement among equal distances included —
-// and to slices.SortFunc over the packed keys, on inputs that drive
-// every branch of the quicksort: short and long, tie-free, tie-heavy
-// (few distinct integer distances, like edit distance), constant,
-// ascending, descending and a sorted run with a scrambled tail.
-func TestSortKeysMatchesStandardLibrary(t *testing.T) {
-	rng := rand.New(rand.NewPCG(14, 1))
-	shapes := map[string]func(i, n int) float64{
-		"tie-free":   func(int, int) float64 { return rng.Float64() },
-		"tie-heavy":  func(int, int) float64 { return float64(rng.IntN(12)) },
-		"two-valued": func(int, int) float64 { return float64(rng.IntN(2)) },
-		"constant":   func(int, int) float64 { return 3 },
-		"ascending":  func(i, _ int) float64 { return float64(i / 3) },
-		"descending": func(i, n int) float64 { return float64((n - i) / 2) },
-		"sorted-then-noise": func(i, n int) float64 {
-			if i < n*9/10 {
-				return float64(i)
-			}
-			return float64(rng.IntN(n))
-		},
-		"with-inf": func(int, int) float64 { return []float64{0, 1, math.Inf(1)}[rng.IntN(3)] },
+func compareKeys(a, b Key) int { return cmp.Or(cmp.Compare(a.D, b.D), cmp.Compare(a.ID, b.ID)) }
+
+// checkSplit holds SplitEqual to a full sort under (D, ID): group g is
+// the set of the oracle's ranks GroupBounds(n, m, g), each cutoff is the
+// midpoint between the oracle's neighbours across the boundary, the
+// last slot holds the maximum, and nothing was allocated.
+func checkSplit(t *testing.T, name string, keys []Key, m int) {
+	t.Helper()
+	n := len(keys)
+	oracle := slices.Clone(keys)
+	slices.SortFunc(oracle, compareKeys)
+	work, cutoffs := slices.Clone(keys), make([]float64, m-1)
+	if allocs := testing.AllocsPerRun(1, func() {
+		copy(work, keys)
+		SplitEqual(work, cutoffs)
+	}); allocs != 0 {
+		t.Errorf("%s n=%d m=%d: %v allocations", name, n, m, allocs)
 	}
-	for name, shape := range shapes {
-		for _, n := range []int{0, 1, 2, 7, 12, 13, 49, 50, 51, 200, 1000, 20000} {
-			d := make([]float64, n)
-			keys := make([]Key, n)
-			ord := make([]int, n)
-			for i := range d {
-				d[i] = shape(i, n)
-				keys[i] = Key{D: d[i], ID: int32(i)}
-				ord[i] = i
-			}
-			viaFunc := slices.Clone(keys)
-			sortKeys(keys)
-			sort.Slice(ord, func(a, b int) bool { return d[ord[a]] < d[ord[b]] })
-			slices.SortFunc(viaFunc, func(a, b Key) int {
-				switch {
-				case a.D < b.D:
-					return -1
-				case b.D < a.D:
-					return 1
-				}
-				return 0
-			})
-			for i := range keys {
-				if int(keys[i].ID) != ord[i] || keys[i] != viaFunc[i] {
-					t.Fatalf("%s n=%d: rank %d holds id %d, sort.Slice %d, slices.SortFunc %d",
-						name, n, i, keys[i].ID, ord[i], viaFunc[i].ID)
-				}
+	if n == 0 {
+		return
+	}
+	if work[n-1] != oracle[n-1] {
+		t.Errorf("%s n=%d m=%d: last slot holds %v, the maximum is %v", name, n, m, work[n-1], oracle[n-1])
+	}
+	for g := 0; g < m; g++ {
+		lo, hi := GroupBounds(n, m, g)
+		group := slices.Clone(work[lo:hi])
+		slices.SortFunc(group, compareKeys)
+		if !slices.Equal(group, oracle[lo:hi]) {
+			t.Fatalf("%s n=%d m=%d: group %d holds %v, ranks [%d, %d) are %v", name, n, m, g, group, lo, hi, oracle[lo:hi])
+		}
+		if g < m-1 {
+			if want := (oracle[hi-1].D + oracle[hi].D) / 2; cutoffs[g] != want {
+				t.Errorf("%s n=%d m=%d: cutoff %d = %g, want %g", name, n, m, g, cutoffs[g], want)
 			}
 		}
 	}
@@ -71,18 +55,147 @@ func TestSplitEqual(t *testing.T) {
 	if want := []float64{3.5, 6}; !slices.Equal(cut, want) {
 		t.Fatalf("cutoffs %v, want %v", cut, want)
 	}
-	var ids []int32
-	for _, k := range keys {
-		ids = append(ids, k.ID)
-	}
-	if want := []int32{1, 3, 4, 2, 0, 6, 5}; !slices.Equal(ids, want) {
-		t.Fatalf("order %v, want %v", ids, want)
-	}
 	// Seven ranks in three groups: sizes 3, 2, 2, the larger first.
 	for g, want := range [][2]int{{0, 3}, {3, 5}, {5, 7}} {
 		if lo, hi := GroupBounds(7, 3, g); lo != want[0] || hi != want[1] {
 			t.Fatalf("group %d = [%d,%d), want %v", g, lo, hi, want)
 		}
 	}
+	// Equal distances go to groups by id, whatever order they came in.
+	ties := []Key{{1, 4}, {1, 0}, {2, 9}, {1, 3}, {1, 1}, {1, 2}, {0, 7}}
+	checkSplit(t, "ties", ties, 3)
+	SplitEqual(ties, cut)
+	if want := []float64{1, 1}; !slices.Equal(cut, want) {
+		t.Fatalf("cutoffs %v, want %v", cut, want)
+	}
 	SplitEqual(keys[:1], nil) // one group: no cutoffs
+	SplitEqual(nil, nil)      // and none of nothing
+}
+
+// TestSplitEqualIsRankUnderDistanceThenID is the partition's contract on
+// every shape of input the builders feed it and the ones a selection
+// gets wrong: continuous keys, a handful of distinct values (edit
+// distance), one value, ascending, descending, an organ pipe, infinities.
+func TestSplitEqualIsRankUnderDistanceThenID(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 1))
+	shapes := []struct {
+		name string
+		d    func(i, n int) float64
+	}{
+		{"continuous", func(int, int) float64 { return rng.Float64() }},
+		{"twelve-valued", func(int, int) float64 { return float64(rng.IntN(12)) }},
+		{"four-valued", func(int, int) float64 { return float64(rng.IntN(4)) }},
+		{"two-valued", func(int, int) float64 { return float64(rng.IntN(2)) }},
+		{"all-equal", func(int, int) float64 { return 3 }},
+		{"sorted", func(i, _ int) float64 { return float64(i) }},
+		{"sorted-with-ties", func(i, _ int) float64 { return float64(i / 3) }},
+		{"reversed", func(i, n int) float64 { return float64(n - i) }},
+		{"reversed-with-ties", func(i, n int) float64 { return float64((n - i) / 2) }},
+		{"organ-pipe", func(i, n int) float64 { return float64(min(i, n-i)) }},
+		{"with-inf", func(int, int) float64 { return []float64{0, 1, math.Inf(1)}[rng.IntN(3)] }},
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{0, 1, 2, 3, 7, 12, 13, 14, 49, 50, 200, 1000, 20000} {
+			keys := make([]Key, n)
+			for i := range keys {
+				keys[i] = Key{D: shape.d(i, n), ID: int32(i)}
+			}
+			for _, shuffleIDs := range []bool{false, true} {
+				if shuffleIDs { // ids in no relation to position
+					for i, j := range rng.Perm(n) {
+						keys[i].ID = int32(j)
+					}
+				}
+				for _, m := range []int{1, 2, 3, 4, 7, n} {
+					if m >= 1 && (m <= n || n == 0 && m == 1) {
+						checkSplit(t, shape.name, keys, m)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSplitEqualSortsWhenPivotsRunOut drives the guard a test cannot
+// reach through pivots: a range that has used up its rounds is sorted,
+// and the groups are the same sets.
+func TestSplitEqualSortsWhenPivotsRunOut(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 3))
+	for _, values := range []int{4, 1 << 30} {
+		keys := make([]Key, 1000)
+		for i := range keys {
+			keys[i] = Key{D: float64(rng.IntN(values)), ID: int32(i)}
+		}
+		oracle := slices.Clone(keys)
+		slices.SortFunc(oracle, compareKeys)
+		for limit := 0; limit < 4; limit++ {
+			work := slices.Clone(keys)
+			splitter{work, 3}.cut(0, len(work), limit, false)
+			for g := 0; g < 3; g++ {
+				lo, hi := GroupBounds(len(work), 3, g)
+				slices.SortFunc(work[lo:hi], compareKeys)
+			}
+			if !slices.Equal(work, oracle) {
+				t.Errorf("%d values, %d rounds: the groups are not the ranks' keys", values, limit)
+			}
+		}
+	}
+}
+
+// FuzzSplitEqual is the same contract over keys read off the fuzzer's
+// bytes: two bytes a key, the first its distance (so ties are common),
+// ids a permutation chosen by the second.
+func FuzzSplitEqual(f *testing.F) {
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{3, 0, 3, 1, 3, 2, 3, 3}, uint8(4))
+	f.Add(binary.BigEndian.AppendUint64(nil, 0x0102030405060708), uint8(2))
+	f.Add(slices.Repeat([]byte{7, 1, 7, 0, 2, 9}, 40), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, groups uint8) {
+		n := len(data) / 2
+		keys := make([]Key, n)
+		for i := range keys {
+			keys[i] = Key{D: float64(data[2*i]), ID: int32(i)}
+		}
+		// The second bytes order the ids: a stable sort by them is a
+		// permutation of 0..n-1.
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(data[2*a+1], data[2*b+1]) })
+		for rank, i := range order {
+			keys[i].ID = int32(rank)
+		}
+		m := 1
+		if n > 0 {
+			m = 1 + int(groups)%n
+		}
+		checkSplit(t, "fuzz", keys, m)
+	})
+}
+
+// BenchmarkSplitEqual cuts 50 000 keys in three, as the root of the
+// benchmark's trees does: continuous distances, and the dozen values of
+// an edit distance.
+func BenchmarkSplitEqual(b *testing.B) {
+	rng := rand.New(rand.NewPCG(23, 2))
+	for _, shape := range []struct {
+		name string
+		d    func() float64
+	}{
+		{"continuous", rng.Float64},
+		{"twelve-valued", func() float64 { return float64(rng.IntN(12)) }},
+	} {
+		keys := make([]Key, 50000)
+		for i := range keys {
+			keys[i] = Key{D: shape.d(), ID: int32(i)}
+		}
+		work, cutoffs := make([]Key, len(keys)), make([]float64, 2)
+		b.Run(shape.name, func(b *testing.B) {
+			for b.Loop() {
+				copy(work, keys)
+				SplitEqual(work, cutoffs)
+			}
+		})
+	}
 }

@@ -73,7 +73,10 @@ func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 
 // The vantage-selection switches share the byte that was a bool for
 // RandomSecondVantage alone, so streams written before
-// RandomFirstVantage existed read as that switch unset.
+// RandomFirstVantage existed read as that switch unset. The options say
+// how the store's next rebuild builds; the tree in the stream is loaded
+// as saved, and a rebuild of the same items under the same options is
+// another draw, not that tree again.
 const (
 	flagRandomSV2 = 1 << iota
 	flagRandomSV1

@@ -301,7 +301,9 @@ type childTask[T any] struct {
 
 // buildSplit partitions the region holding the points rest[keys[i].ID]
 // by the distance slice dists[level], recursing down the cascade and
-// finally into child subtrees.
+// finally into child subtrees. A key's ID is its point's position in
+// rest, so equal distances go to regions in that order (build.SplitEqual)
+// and a child's entries arrive in whatever order the split left them.
 func (t *Tree[T]) buildSplit(rest []entry[T], dists [][]float64, keys []build.Key, level int, tasks *[]childTask[T]) *split[T] {
 	for i := range keys {
 		keys[i].D = dists[level][keys[i].ID]

@@ -5,7 +5,7 @@ import "mvptree/internal/build"
 // construction is the state of one tree build. The tree is built over a
 // permutation of item positions partitioned in place (build.Scratch):
 // the subtree over slots [lo, hi) owns those slots of the permutation,
-// of the distance row and of the sort keys, so no level copies its
+// of the distance row and of the partition keys, so no level copies its
 // points and no node allocates scratch. paths is the n×p PATH arena:
 // row id accumulates item id's distances to the vantage points above
 // it. The tree's arenas and raw, the filter arena's rows as the float64s
@@ -245,13 +245,13 @@ func (c *construction[T]) buildInternal(tk task) {
 		// Second vantage point: from the outermost shell — the farthest
 		// point from sv1 by default, or a random member for the ablation.
 		outerLo, outerHi := build.GroupBounds(len(keys), shells, shells-1)
-		pick := outerHi - 1 // keys are sorted by d1: the farthest point
+		pick := outerHi - 1 // SplitEqual leaves the farthest point last
 		if c.opts.RandomSecondVantage {
 			pick = outerLo + rng.IntN(outerHi-outerLo)
 		}
 		sv2 := keys[pick].ID
 		sv[1] = c.items[sv2]
-		// Remove the picked key from the order (and from the outer shell);
+		// Remove the picked key from the keys (and from the outer shell);
 		// its slot is the one after the points that go on to the children.
 		keys = append(keys[:pick], keys[pick+1:]...)
 		for i, k := range keys {
@@ -277,7 +277,7 @@ func (c *construction[T]) buildInternal(tk task) {
 		shell := keys[shellLo:shellHi]
 		parts := c.parts(len(shell))
 		if v == 2 {
-			// Order the shell's points by distance to sv2 and split again.
+			// Split the shell's points again, by distance to sv2.
 			kids[g] = int32(parts)
 			build.SplitEqual(shell, cut2[:parts-1])
 			cut2 = cut2[parts-1:]

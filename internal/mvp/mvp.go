@@ -89,11 +89,12 @@ type Options struct {
 	// RandomFirstVantage, when true, draws the first vantage point of
 	// every internal node uniformly at random, as the paper's
 	// implementation does, instead of keeping the candidate with the
-	// largest sampled spread of distances (build.SelectVantage). The
-	// draw consumes the node's random stream exactly as construction
-	// did before selection existed, so the trees are those builds' byte
-	// for byte; this switch exists for the ablation experiment that
-	// quantifies the choice and for the paper's tables.
+	// largest sampled spread of distances (build.SelectVantage). This
+	// is the paper's build, for its tables and for the ablation that
+	// quantifies the choice. It is a draw from the same lottery as any
+	// earlier version's, not the same tree: which point a draw lands on
+	// depends on the order the partition step left a node's points in,
+	// and that order is pinned only as far as build.SplitEqual says.
 	RandomFirstVantage bool
 	// RandomSecondVantage, when true, picks the second vantage point
 	// uniformly from the outermost shell instead of taking the point

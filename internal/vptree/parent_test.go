@@ -73,7 +73,7 @@ func runParentGrid(items [][]float64, search func([]index.Query[[]float64]) []in
 // parentRows were recorded from internal/vptree at PR 19, while it was a
 // tree of its own, by this file's grid (Order 3; plain is Search,
 // SearchBatch and SQ8 alike, which agreed; cascade is with EnableCascade's
-// defaults).
+// defaults, kept as the record of what the package paid).
 var parentRows = []struct {
 	capacity       int
 	data           string
@@ -90,20 +90,26 @@ var parentRows = []struct {
 	{10, "clustered", 7, parentRun{ordered: "50c748298f39435a", set: "e56ee1b947b6abbc", costs: "f04874b21c8b4137", total: 140152}, parentRun{ordered: "50c748298f39435a", set: "e56ee1b947b6abbc", costs: "c9bea2a0bcdceb56", total: 63154}},
 }
 
-// TestSameTreesAsSeparatePackage holds the constructor to what the
-// package it replaced answered. At LeafCapacity 1 the tree is the same
-// tree: every query's results in the same order at the same cost, plain,
-// batched and with SQ8 on. With the cascade on the results are the same
-// in the same order and the range costs too, but a kNN query pays a
-// handful of distances more or fewer: the core queues a child under
-// max(its parent's bound, its own gap) where the package queued it under
-// its own gap, so the stamped vantage points a query meets first, and
-// registers, are not always the same eight. At LeafCapacity 10 a leaf's
-// first point is now its vantage point and filters the rest, so the
-// answers are the same sets, at no more distances unless the cascade is
-// on: it used to filter all ten points of a bucket and now filters nine
-// after the leaf's vantage point is paid for.
-func TestSameTreesAsSeparatePackage(t *testing.T) {
+// drawSpread is how far a tree's total cost over the grid may sit from
+// the recorded tree's and still be a draw of the same lottery: the rows
+// read −2.2 … +1.9 % when the trees first changed.
+const drawSpread = 0.05
+
+// TestAnswersAndCostsOfSeparatePackage holds the constructor to what the
+// package it replaced answered. From PR 20 to PR 22 its trees were the
+// package's trees (every query's results in the same order at the same
+// cost, which this test pinned under the name TestSameTreesAs…); since
+// the partition step selects instead of sorting (PR 23) the order inside
+// a shell is another one, a child draws another vantage point, and a
+// tree is a different draw of the same lottery. What holds across draws:
+// the answers are the recorded ones as sets; Search, SearchBatch and SQ8
+// agree with one another on order and on every query's cost; and the
+// grid's total cost is the package's within drawSpread at LeafCapacity 1,
+// where the tree has the package's shape, and no more than that above it
+// at LeafCapacity 10, where a leaf's first point is its vantage point and
+// filters the rest. The cascade changes no answer and costs no more than
+// going without.
+func TestAnswersAndCostsOfSeparatePackage(t *testing.T) {
 	const n, dim = 5000, 8
 	for _, row := range parentRows {
 		rng := rand.New(rand.NewPCG(row.seed, 14))
@@ -141,30 +147,26 @@ func TestSameTreesAsSeparatePackage(t *testing.T) {
 			}
 			return out
 		}
-		for _, mode := range []struct {
-			name   string
-			search func([]index.Query[[]float64]) []index.Result[[]float64]
-			want   parentRun
-		}{
-			{"search", each(plain), row.plain},
-			{"batch", batch, row.plain},
-			{"sq8", each(sq8), row.plain},
-			{"cascade", each(cas), row.cascade},
-		} {
-			got := runParentGrid(items, mode.search, row.seed)
-			where := fmt.Sprintf("capacity %d %s/%d %s", row.capacity, row.data, row.seed, mode.name)
-			switch cascaded := mode.name == "cascade"; {
-			case row.capacity == 1 && !cascaded && got != mode.want:
-				t.Errorf("%s: %+v, the separate package gave %+v", where, got, mode.want)
-			case row.capacity == 1 && got.ordered != mode.want.ordered, got.set != mode.want.set:
-				t.Errorf("%s: answers differ from the separate package's", where)
-			case row.capacity == 1 && (got.total-mode.want.total)*200 > mode.want.total:
-				t.Errorf("%s: %d distances, the separate package paid %d", where, got.total, mode.want.total)
-			case row.capacity > 1 && !cascaded && got.total > mode.want.total:
-				t.Errorf("%s: %d distances, the separate package paid %d", where, got.total, mode.want.total)
-			case cascaded && got.total > row.plain.total:
-				t.Errorf("%s: %d distances, more than the %d without", where, got.total, row.plain.total)
-			}
+		where := fmt.Sprintf("capacity %d %s/%d", row.capacity, row.data, row.seed)
+		search := runParentGrid(items, each(plain), row.seed)
+		if search.set != row.plain.set {
+			t.Errorf("%s: answers differ from the separate package's", where)
+		}
+		if got := runParentGrid(items, batch, row.seed); got != search {
+			t.Errorf("%s: SearchBatch %+v, Search %+v", where, got, search)
+		}
+		if got := runParentGrid(items, each(sq8), row.seed); got != search {
+			t.Errorf("%s: with SQ8 %+v, without %+v", where, got, search)
+		}
+		lo, hi := float64(row.plain.total)*(1-drawSpread), float64(row.plain.total)*(1+drawSpread)
+		if row.capacity > 1 {
+			lo = 0
+		}
+		if total := float64(search.total); total < lo || total > hi {
+			t.Errorf("%s: %d distances, the separate package paid %d", where, search.total, row.plain.total)
+		}
+		if got := runParentGrid(items, each(cas), row.seed); got.ordered != search.ordered || got.total > search.total {
+			t.Errorf("%s cascade: %+v, without %+v", where, got, search)
 		}
 	}
 }
