@@ -19,55 +19,47 @@ import (
 )
 
 // goldenSave pins the trees themselves: SHA-256 of the Save bytes of
-// each structure, recorded from the commit before construction moved to
-// the range-partitioned permutation (PR 14). The data are tie-free
-// (continuous coordinates), so the hashes do not depend on how the
-// sort breaks ties and stand in for the deleted copying build: any
-// change of vantage choice, cutoff, leaf order or stored distance
-// changes a hash. The mvp rows were re-recorded three times, each time
-// because Save's bytes changed and the tree did not: when the leaf
-// distances became float32 values (PR 15), when they became 16-bit codes
-// under the MVPTREE2 grammar (PR 19), and when the header gained v under
-// MVPTREE3 (PR 20). Each PR 19 and PR 20 row is the hash of what that
-// commit's Save writes after its Load has read the parent commit's bytes
-// for the same build — the same tree — checked once for all nine rows.
-// The vptree rows were re-recorded in PR 20 too, as the v = 1 streams the
-// constructor's trees save now that VPTREE1 is retired; that those are the
-// trees internal/vptree built is pinned where the old bytes cannot be, by
-// their answers (vptree.TestSameTreesAsSeparatePackage). The gmvp rows
-// left with gmvp's serializer (PR 22); goldenGMVP pins the same trees.
+// each structure. The data are tie-free (continuous coordinates), so any
+// change of vantage choice, cutoff, leaf order or stored distance changes
+// a hash. From PR 14 to PR 22 the rows were re-recorded only when Save's
+// bytes changed and the tree did not (float32 leaves, 16-bit codes,
+// MVPTREE3's header; each checked by loading the parent commit's bytes).
+// PR 23 re-recorded every row because every tree changed: the partition
+// step selects where it sorted, a shell's points reach its child in
+// another order, and the child's draw lands on another point. What that
+// re-recording cannot show unmoved is pinned beside it — goldenShape
+// here, and the answers the separate vp-tree package gave
+// (vptree.TestAnswersAndCostsOfSeparatePackage). Re-record again only
+// for a change that says, as that one did, why the trees are others.
 //
-// The mvp and mvp-random2 rows are built with RandomFirstVantage and
-// were not otherwise re-recorded when the first vantage point became a
-// selection: that they matched is the proof the switch restores the
-// drawn build byte for byte. The mvp-spread rows pin the default, the
-// same options without the switch.
+// The mvp and mvp-random2 rows are built with RandomFirstVantage, the
+// paper's drawn build; the mvp-spread rows pin the default, the same
+// options without the switch.
 var goldenSave = map[string]string{
-	"mvp/uniform/1":          "9ebaa51fd1f70e90ac0e577c23deeac7e61783db8d45767e13ac6a93473fd442",
-	"mvp/uniform/7":          "7002104309eb42c677e869e00b1e87965a569289dd5add327f0113b78113c0f2",
-	"mvp/clustered/1":        "65d93ec71e2c8cfde907051b1e1c45a7bdb3000bfcfca946d274588a3642f7d0",
-	"mvp/clustered/7":        "73e751447a9bb13992039b98833a48e4cc9e144304f9f155059b33b23cd6523e",
-	"mvp-spread/uniform/1":   "a3f0d1c953ee2e9c110a630237087557180f58bfa402f1c2d027fd78c984f7e6",
-	"mvp-spread/uniform/7":   "f072834c745fcb521866381045f6bfe5e8dcf38f5fa2a516fc48939fd4babe5d",
-	"mvp-spread/clustered/1": "62f6dc91e1720ae5d2202f5357b593db2255b0c7498d57f39e4419964349d47f",
-	"mvp-spread/clustered/7": "c31999f5fca22c64b0bddf56b36a2cbc21dcd97af0cbae736819895326734981",
-	"mvp-random2/uniform/1":  "7d01f436062dcf638a8d77f4761531f01119182795d32c11daa6d7a9a81ef99e",
-	"vptree/uniform/1":       "d20fb3544d2384c83524e3b2e265dcdc9379f5f8b0e30045a8e151fdf793ae8f",
-	"vptree/uniform/7":       "01328602ba06b02a0df64cece61c04d17cfb906acdc154c594db94df623787fa",
-	"vptree/clustered/1":     "158e0dcd073336b16177e89e196f3f634f1fc70b5b5bf5985e26bc645c93e183",
-	"vptree/clustered/7":     "a8acf3c9bf3299fe560daf91b1ab18e09e4cce4bef161639175915992d4eeaf0",
+	"mvp/uniform/1":          "c190c0fd27aa4f05661ac518f1194ecc71ce5f43d59c74c553db19442ffc508c",
+	"mvp/uniform/7":          "b911d337c1738be023048fcfaa2f1e5883e76d1157499ce3e2ec640b21a8202f",
+	"mvp/clustered/1":        "4d703af02b75456aa2d4c05defa785551f0057494c3a3b0b8e9bbc8ed0466552",
+	"mvp/clustered/7":        "4ae1580b4bfdce0e235fd204a917379f5c3ff3834950d3e0ad4efd61ccf7857f",
+	"mvp-spread/uniform/1":   "ac0f7be2e8ac093b7538c53575b53c617183224028839245b6634a03f73005da",
+	"mvp-spread/uniform/7":   "ff3630854577fdffd94abf45e07936becd257aff93d5424c55d0e9d0d6ec0a8c",
+	"mvp-spread/clustered/1": "8a27948ae9980b5edecb6e9fb812dbb5c31133c592486bb73a5934f5dc800fe0",
+	"mvp-spread/clustered/7": "0bde69366d6c444236b56992d19aae9a9c0bce3a6472930fef506c662d602e87",
+	"mvp-random2/uniform/1":  "28184d7647b8ea39d8518050e7e2f7ecbe14e2e2b09eb4b19c493c70c0cd28b6",
+	"vptree/uniform/1":       "532acb372fbe60308afc179ee20da3e314f98334c73806066f8e5f275731ccff",
+	"vptree/uniform/7":       "3b8a1ccfff0046656b6a0d9c04bb16031a43265a3c11133c18a15ca292be7d39",
+	"vptree/clustered/1":     "3456094beff4cf72b43a9061ff5258cbaba6eca2a5b9941559072c0c171736a0",
+	"vptree/clustered/7":     "9b3964b4a6a5d6d3974491392b7a431fe081eb25912a2f281cd2d836b5da7890",
 }
 
 // goldenGMVP pins the generalized trees without a serializer: SHA-256
 // over Shape() and, for a fixed grid of range and kNN queries, every
-// answer, its SearchStats and the counter delta it cost. Recorded from
-// the trees the gmvp/* rows of goldenSave hashed (same options, data and
-// seeds) at the last commit that had both, and never re-recorded since.
+// answer, its SearchStats and the counter delta it cost. Re-recorded
+// with goldenSave in PR 23, for the same reason.
 var goldenGMVP = map[string]string{
-	"gmvp/uniform/1":   "40066f24d6e02a7dff93bbc7697c8f4e6d59e93469a023822799b04d80b3bec5",
-	"gmvp/uniform/7":   "2c29d3f32d30adbb0b87de54c9f30497bb3ef4ccfc8e86e6fa6d1411cef1538b",
-	"gmvp/clustered/1": "876173bfd1e7d74ba2bfb0a51bc41cbf9d7d388857d8a38c0cb3d9fee9f39689",
-	"gmvp/clustered/7": "3134ede10b55c95f32fec36369671fb9580a8ca138d7ee7ecf3e585519b8f0ad",
+	"gmvp/uniform/1":   "1066869b706c9796a73aa99e2971fe1d9a009d6264ab92815a3996991f1ea3a5",
+	"gmvp/uniform/7":   "4b9606ca530a614f05f9c1ce22813d196670c681a160699f2847071425141110",
+	"gmvp/clustered/1": "fa55dbcd73d24e17803311849ca44b312c926071ae5df10e8bec143dc1ec32fe",
+	"gmvp/clustered/7": "12af1c8699b6245fd19c133b001dd338600493e11d89b1717e27c6887251821c",
 }
 
 // goldenShape pins, for every structure of the two tables above, what a

@@ -29,42 +29,42 @@ import (
 // shell stopped being a sort's (PR 23); TestRaggedShapesAreSizesAlone
 // holds the shapes across it, and the stats column moved with the trees.
 var raggedGolden = map[string]struct{ save, stats string }{
-	"v1/m2/k-1/p-1": {"01a92bace3feb9dda0d023bf3381ae2140b28b4d85dafaa8c607e77480c51f91", "dfd27c6b4d97a57e8ef34bd8fb702d0073304754b0a185258f7c3907b128f7a6"},
-	"v1/m2/k-1/p5":  {"6d087db7dd449995f490d68848f0299d697a2dfff6fdb43a7c2559dd6c208f74", "dfd27c6b4d97a57e8ef34bd8fb702d0073304754b0a185258f7c3907b128f7a6"},
-	"v1/m2/k1/p-1":  {"ea48430d708649b3bd840e8a6ddde470cb261f8f7e89844b28a82474f2142413", "96f29f56c701ae0f25c78492aaf4d2c37cbf20f18be1add4e6ce8b57a2fe2cb2"},
-	"v1/m2/k1/p5":   {"51273df63366022d1a541fae97bd6d3ea799d49a9db1a98290aacf0765ced0be", "f753ff47aa6138a611f0af5fad9eb814ee6a934813ef6ffc68708b53a4d2a41a"},
-	"v1/m2/k13/p-1": {"5804a21b99c5522eb0dd9feaee1aa64c216bdeaeb65198c5cc0d26f82728cd17", "3c288fed9808602a4a37e96a4623c5b5e8052aae9fdb61212a44091cbf3489f0"},
-	"v1/m2/k13/p5":  {"58cd38b2c91000676d9a01f968b410afc8094d325be7d62e20ea995a3af01553", "8b1f5d22248d0d69d4689b3bee76c127ff825416a786f1ed7a0d40025a9cdad1"},
-	"v1/m3/k-1/p-1": {"aae8b5b6760155005c1fe9c4b6f824d1c45029a8105a77ba226551a0f7c3a32a", "abe5e4ee8ab63d90324e719120d5c3ccb790ec609d295947d2d14db536b346a9"},
-	"v1/m3/k-1/p5":  {"07ff9f61875522e21a1aa4e3dd58ef6912901319e9da67d7c4c0b361d2dae905", "abe5e4ee8ab63d90324e719120d5c3ccb790ec609d295947d2d14db536b346a9"},
-	"v1/m3/k1/p-1":  {"12ab779fdb8e7ac3e93252a338861f5dc7e7dfbf4d7f141946d840599f9ba661", "d5745e4efbba14a7f11efd73fe86ea2e0638b118859ac2fc9c57a2cd699f7462"},
-	"v1/m3/k1/p5":   {"083ac3bd2acd8703bdaf0514483b55bdfabdf0e46ae9494f0f6311c1a140adf2", "3f34b8e45bba9a940d7bedc9ddc90a172ed5e8f3eac8f72a23a501691afd1224"},
-	"v1/m3/k13/p-1": {"7f303502c8d6ac3957c395970070ba116c45ea148744cb099f44c83924aa7d2d", "13d930e61102aaa69e321d82e6216621ae5872b021f435b24d48b8be6c9f8f67"},
-	"v1/m3/k13/p5":  {"aab16842e0397c2613180ef1e8b69c74d549f5d27d7be1bc496d493af1641225", "ac06a44f11c1250217a4efdf39f7967565df9418490307edc2667d43f7b6a36e"},
-	"v1/m4/k-1/p-1": {"cf876542f77ddc5bfbba773847c93348c4fff918959715f4a5df00a2c0bbda44", "5a20e7821702265a6026b4307d3c7f26f34e2f57caa1f33da3e74835a522f50c"},
-	"v1/m4/k-1/p5":  {"72db30a3e2c5b90469c68b5be689ce8105183c8b59971bdac8152adc16ea0688", "5a20e7821702265a6026b4307d3c7f26f34e2f57caa1f33da3e74835a522f50c"},
-	"v1/m4/k1/p-1":  {"066dc42b7cb70a600ebe226bab337e2abe52766c78fd49586efde729bc1ba3ee", "0675b388002f7e61576e0611e2029d7f353f3abba9754c5aa5c31dfa0bc9a459"},
-	"v1/m4/k1/p5":   {"0057967885c235e8d9972d5e3b9461ec229b2b8872ab82f982e61a04f3628cbf", "ef999de9cfd08d1546e1669113a6cf6124a47b34a69f9e62264c148053f5db20"},
-	"v1/m4/k13/p-1": {"af03c46e6016bad8ae37760921e5101bcf77e28b8cfeaa17db40aadf035ef95e", "1664d4feee3d604393a8058d7130b6bb0264aac5c97efab361bd102e16b23fd8"},
-	"v1/m4/k13/p5":  {"a03d463638074b677e3558a95969746e5f0f36904de48a8fd32eb0532a23161d", "16aab388c67c5e423b278aa7ce92da3d84c7a002e5096b100d57ee8f859a9345"},
-	"v2/m2/k-1/p-1": {"3e4cc60c4b6d5591353d1d7cedb41b8543edca5258aff7f62c24f106c70f6978", "f694fe6047da8351a3eb358e088636df42ecc787d69fbbe724ae9a6e2d282e2f"},
-	"v2/m2/k-1/p5":  {"7ad1b052e55190b16c531980d84b643fbeb7d20b90439ac6b970b6415da23e19", "f694fe6047da8351a3eb358e088636df42ecc787d69fbbe724ae9a6e2d282e2f"},
-	"v2/m2/k1/p-1":  {"90b92da6d1e9ff21aa09a8437d9862a682f607758ab41c26926a47eb9493f49b", "d656e5f669bfb9b5491e9e5a405f23cf0485d875c511bce08fe5ffc99311651e"},
-	"v2/m2/k1/p5":   {"5b532b917f9209f9dea9c2818b92667ffc0388aaf3ee8f05ed9a7cf141c3d370", "b2d0bc414308cf6ee5cf3429f7f93b39baa26b197b50ed33607ea587a598e91a"},
-	"v2/m2/k13/p-1": {"b2d82cc268a5ccd392c2ac48e17b088d51de890aade9019d08665fdb620bee3d", "7adc9b0252b05628b3942c32128bee12969d328d228271a23fe4d06368eab108"},
-	"v2/m2/k13/p5":  {"e5bc11b64ab1d96e2081407c48ac73d1fd18a7ab609f6712e9e456b3c008b9ac", "c79acdd9b579c27588e898d0820c4a8af6f57be3d22c89f73339fcbacda6c51c"},
-	"v2/m3/k-1/p-1": {"05d8e03feb2e849080d0b7afc19d975680aba8e298ef5005aa5bb5ee81a88cf4", "eb6e753147457eb51b2571e30ffb6a81e5f155970ca67d2a616b75061409a1b5"},
-	"v2/m3/k-1/p5":  {"b332ff92f9e703c3fbf6b858d188a6c0552350385f9104ca8bcf8e67de2a116d", "eb6e753147457eb51b2571e30ffb6a81e5f155970ca67d2a616b75061409a1b5"},
-	"v2/m3/k1/p-1":  {"7ac995a07b2c9ca57c185e7f730e826517fe00738bf74f3a7f78852e3ff491a6", "dec21b0b0a06f7d36d28c31fa4b81c6993c4ec7277f6101da645cb02afd12e37"},
-	"v2/m3/k1/p5":   {"b015a895dfbf3845a8a8336a46e856e77c7955145dd39190bc58f25156439516", "d29112771207e2dd082e53656bca617562329db0e0d213a47812d5c107c7d196"},
-	"v2/m3/k13/p-1": {"3cc32b20d288e0bdb6fbfb736803f758da605626a8507830d6ce4208c548c522", "4559a01e804287c03f5b431e6e555dc23dd99f7a06192c0289fddebc4a6521ee"},
-	"v2/m3/k13/p5":  {"88ed361cd88d2b7c4d877ab7ed6b0b984acb041e3fe8029153e838415f82b9ef", "d026fcb678b819953b003b744a633852430e721c281376b8c47f0b5c8ac5b2b8"},
-	"v2/m4/k-1/p-1": {"83bb2da299e8349ee1aa66cf6c816814369d6d9af6f57fcd62495b34a9516601", "e39fe82fd12fe30da5a726e43017690700a5923bc2cc31339a486e5154696dc1"},
-	"v2/m4/k-1/p5":  {"81313893c888613dc0791f84418c603b90edca36c7350f9c2e2c4c9f24477a85", "e39fe82fd12fe30da5a726e43017690700a5923bc2cc31339a486e5154696dc1"},
-	"v2/m4/k1/p-1":  {"0bb512fa5519ecb78d8322037ec789a8363231067425967e265ec99bbd5225f5", "87f3bf5c6d35c3857ab61cd3144a8cf15aaa36f9c038c8b3938e3e7b1dd079f8"},
-	"v2/m4/k1/p5":   {"a86593df39eb8ca3ee0503e7c8200f39c06c5e75ddc52a009d70aa1facde7e41", "a73a741b9c4828088bd92d31fceb17fa0d76aca71f4c3773264b4f2d5454a18c"},
-	"v2/m4/k13/p-1": {"3e0142fccf37bdb354d21e99951867f7b94a669d42723ac8d7ac5e77b3e36f85", "b29a89a2ae2417f151a7255978888d370e37b6e0acae9dc4bdd0e49b84dc31b2"},
-	"v2/m4/k13/p5":  {"33744911e5173999273c3488ee265f992fc1908a20edd091a74f7ad4dc0ab688", "758b64c25635165be04663942ec8c49a13f7949e4b45cb8c7bdfc81ce87f6ece"},
+	"v1/m2/k-1/p-1": {"2d2aa18d2926db09e0a8ab18b0dbf47956de034be52fe6d5940f17c87f91bece", "5f4eb81c81ed07a8ca07b554eeb475c092d21fea82507f983d535773e846caca"},
+	"v1/m2/k-1/p5":  {"59d37bf5c95722c4c82008d604498e33a4d92d4e2957b35e2722be52562bcb30", "5f4eb81c81ed07a8ca07b554eeb475c092d21fea82507f983d535773e846caca"},
+	"v1/m2/k1/p-1":  {"35af85adfc4430cb5b25d1b0e8ad7c7a4661048a0811a26f7683525ad6d29eef", "120cbecbabc260d31fa9e1b8e0064aec9267670ca0c53599b87e5fa827ef7f81"},
+	"v1/m2/k1/p5":   {"cedbf43f571a128bf03427e3d024708b767485cf836071ab68b7356c53e322ad", "813cfe75c21deb82ba7aa13ab4cf235a860b5814ac63654ba8ad6f1265607fd2"},
+	"v1/m2/k13/p-1": {"add1ac1d9c9693ca7d0564f007f6fdfdb0166e0c5cf7294b233b904d8aa5b2bf", "f81d579cc5ab45f0e1b856b93122e10bc33903cb632246e89c88ca8e663ba6a1"},
+	"v1/m2/k13/p5":  {"271265d09c58f810cbc21a3be7981ea6df49cdbf60cecadd23b2d211df7dc961", "b5ec26e738647f9f50347559b1b6bda07f0094dc86f5d7a672ec15478da22afd"},
+	"v1/m3/k-1/p-1": {"e31887eca819419314ddbba17633a764e1e03f268497a57c10ed834c2fba8775", "a0840a55b77220b8910f66120d1cb2fdbb4fef03ec062e9760c7c70a8d0baed2"},
+	"v1/m3/k-1/p5":  {"59b053b8929afac2c8041579be1726a82a5d6b69ae5da734986b4b1d09d1e9d4", "a0840a55b77220b8910f66120d1cb2fdbb4fef03ec062e9760c7c70a8d0baed2"},
+	"v1/m3/k1/p-1":  {"1e14904033d14941d918b7b442ad131353347e7275aaa8aec409d6bf7d7404c4", "a33dcf4fba972e841bec5475ca159ad590dbf6615a0863ce80d4bd376e79ca2b"},
+	"v1/m3/k1/p5":   {"f234519ce9c1b4260b584bc6f1720e7d8a56067ef04c315d2200590506f9bec8", "b1e72141775e5e44a161cd35a00f6ae685d1163412e6c79b592ee8554bd4fc80"},
+	"v1/m3/k13/p-1": {"949314c65ff626a0de8f49e43b8459b3104ce390aef4aea65e1ec7f8d93b7c57", "8e9f155153aeec110d2bb3a18721ce720018da3f25b1904ee4bda7f68c22eec1"},
+	"v1/m3/k13/p5":  {"1601ce0e5c63c44e9d3e696b55158ec08204928a60040c514955ae615948f9ce", "333cf9b8e175d2c79cdd91794c30a6f13b7af40b0820777a78b2f8f71c4ccd78"},
+	"v1/m4/k-1/p-1": {"8ea66a458288ad95b8a488574baf7483788bdc80e4131f70cb086cd1f761c207", "78240a5ccd138dd8cd6919c9c12386f63b8a3dfa41a27e30e75939fd925ef823"},
+	"v1/m4/k-1/p5":  {"22b7b022795ef54804967d317742b170c9c8c116f0f192133351e5ea50e0f735", "78240a5ccd138dd8cd6919c9c12386f63b8a3dfa41a27e30e75939fd925ef823"},
+	"v1/m4/k1/p-1":  {"59d7cdb6af274f46c1c4750dc002798c61ceef79e1a19bd2955518c66efa0387", "d04546e36f37359fd6f57f196278de8e096e58d4435122aba56318a105f8d9bf"},
+	"v1/m4/k1/p5":   {"15337960b7a127a86bcf6291de3119b074c924a3c0e859bc8427ae9ba6fb0e30", "f2a584b0704679119512defe561a41c1d877485dc459ff3753e9725e33a9af1e"},
+	"v1/m4/k13/p-1": {"bd7b1b1b320160596e7d891398f036143c28b61fc26c6aa5599d393c0d4f7f8b", "f55f12aab06d8f656473f838a134287799431b615825df25d857e19f669530a4"},
+	"v1/m4/k13/p5":  {"072ba1ba393f09d3ed5b18c9a43de3724b0eff7c706b86ca6a9e738585157969", "6f058509235804a922b5b13ae11623c32e46e2c897a89479bce99d26f0279355"},
+	"v2/m2/k-1/p-1": {"d5468b1ce19f67c01e7cb77ae86b250d01b3dec709c0e18deeac19dff2bfe91b", "7e6a197b830cf49de90744bab677007e48cf7bf12f9efc6f649ceb9594cb0379"},
+	"v2/m2/k-1/p5":  {"641bc409d65ca212c6822ac6d8a3975b4ffb72dd5b44af6339f41ab076010a3d", "7e6a197b830cf49de90744bab677007e48cf7bf12f9efc6f649ceb9594cb0379"},
+	"v2/m2/k1/p-1":  {"f3e6e3481f7ba60c22feea374b290484ca9869a1875ba7f09eb61cc766028466", "3272d3aaf379872594117a0741bc8371350ee36b7e970dbe4e1ff6128e18b06d"},
+	"v2/m2/k1/p5":   {"49891d2fdc65f74db6683490536bbaf7d7d853ac6d95c965f2ac1c327d902b89", "7599b8b11ac2948bac9f9aa9f228f0228669c1d677e8a1c93df09ba2ef7bf16b"},
+	"v2/m2/k13/p-1": {"fa0abcf0bfae63fcee2d8376ef1a07b4e5b0c84231f80be23fb7e2d23e525c4a", "6686e390c0f1c5d764c5d5d5c881b88da4f7d50ac00d1fab4e605a925aaf8736"},
+	"v2/m2/k13/p5":  {"8eba040241dc664d6cd3d305bb36d14b26cb1ee47b6bb0c3308798a40f5dee0a", "01deea0e49a74c61fb286ed150c16d431d0906dde71a7a4cbb1669357c6bd2b6"},
+	"v2/m3/k-1/p-1": {"3c34a8ee6aa6546addec8be0602ec055055d9d3579383f19d05d236569b9326e", "644a76de023b8cd0bb9f60d7771eb25c8f74202be2e464dfd4a8ff32b68bb6b8"},
+	"v2/m3/k-1/p5":  {"57f461c518b229bdc640b167e1db37d2296c00c1bd8c7afa8ed8527bfdc4c288", "644a76de023b8cd0bb9f60d7771eb25c8f74202be2e464dfd4a8ff32b68bb6b8"},
+	"v2/m3/k1/p-1":  {"aca15d9a5903e4711d12c76da216d409265c8eee627eece800da730c41a05ebb", "5f8c224ec1068f6663f343ac47e33413647ab0fdcedebf89264dcfdefa773afb"},
+	"v2/m3/k1/p5":   {"736164be33b43810b1111c7e78c0a12e2c0d1849a20d517f736eebc3f11f36b5", "fdcc4f3cc1938bcab4defb1143dd94fc581b958879f34ea097b36f7dbff92d5a"},
+	"v2/m3/k13/p-1": {"03b12fc168f245ecdeae326099215396412a4830b484ad333ff2bd7371eb941a", "c99b04a6de18e8f454e7730cfc17d9f3f91aafb1c5185104c6c873f3468321ad"},
+	"v2/m3/k13/p5":  {"3f9e68665112b91ea030743439397ea8fd7ba7bf82ea653e0e8e511d29de4086", "fdbe513f2d585397a4e7762dcc64abea859bbd37cdc2ab590f76acd98202df64"},
+	"v2/m4/k-1/p-1": {"183c51cbaed369bf1b318c7684888aa8c946d16e61135e3a30236d445de8b6a3", "014e7abfe142b13d906525b8a506f934e57f09a6ba6f9b7a8f0e5ca54ef306df"},
+	"v2/m4/k-1/p5":  {"d920350a7fb9014206f983bf2fdc2e588f55f6dfd70bd67fed59e519e4ec1912", "014e7abfe142b13d906525b8a506f934e57f09a6ba6f9b7a8f0e5ca54ef306df"},
+	"v2/m4/k1/p-1":  {"3f74b88c42a37f0a2dfd198319436a81491db9a91805f8da6d7ec799e95ee765", "f85420561161a755f6ff1c44acceccced05e5064fc7d277b5933a961b5703491"},
+	"v2/m4/k1/p5":   {"ffd6cf253359fb5de9448d13cdad1f4a4b470f3203ce14c890821e6abb63a840", "986719d8b5322b32a45bd37c00a8448b419885380c496541e86ce55a68172f3e"},
+	"v2/m4/k13/p-1": {"cf8be8945743e01802e82b77c50bfa5ab2226b9bab087c0cf0bdfe779bb6e04b", "6a71d0a261447fc11d0083c49e284a8e1da9a573b569c95ff4d9aa39d99ed6d4"},
+	"v2/m4/k13/p5":  {"dd2969eae40a79660f97507bfe7d4b7e7d7bbab40c38a3e0db097e10753f9ade", "41c36977cc65cf70bedff3726e8e2ea75543e98b830e1618ad6227ca0f76ad91"},
 }
 
 func raggedPoint(id int) (x, y int) { return id * 7919 % 1013, id * 104729 % 503 }
