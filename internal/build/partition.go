@@ -97,10 +97,10 @@ func SplitEqual(keys []Key, cutoffs []float64) {
 		return
 	}
 	splitter{keys, m}.cut(0, n, 4*bits.Len(uint(n)), false)
-	top := 0 // the largest key of the group before
+	top, below := 0, 0.0 // the group's largest key; the distance of the one before's
 	for g := 0; g < m; g++ {
 		lo, hi := GroupBounds(n, m, g)
-		least, prev := keys[lo].D, top
+		least := keys[lo].D
 		top = lo
 		for i := lo + 1; i < hi; i++ {
 			if keys[i].D < least {
@@ -111,8 +111,9 @@ func SplitEqual(keys []Key, cutoffs []float64) {
 			}
 		}
 		if g > 0 {
-			cutoffs[g-1] = (keys[prev].D + least) / 2
+			cutoffs[g-1] = (below + least) / 2
 		}
+		below = keys[top].D
 	}
 	keys[top], keys[n-1] = keys[n-1], keys[top]
 }
