@@ -167,16 +167,16 @@ func (b *Builder[T]) Measure(v T, item func(int) T, out []float64) {
 	b.dist.Add(int64(len(out)))
 }
 
-// fansOut reports whether a batch of n distances is spread over the
+// pooled reports whether a batch of n distances is spread over the
 // pool.
-func (b *Builder[T]) fansOut(n int) bool { return b.workers > 1 && n >= MeasureThreshold }
+func (b *Builder[T]) pooled(n int) bool { return b.workers > 1 && n >= MeasureThreshold }
 
-// fanOut runs chunk over [0, n): whole if the batch does not fan out,
-// else cut into one piece per worker, as the tasks of a Fork — whoever
-// is free takes the next piece, and with the pool saturated the caller
+// fanOut runs chunk over [0, n): whole if the batch is not pooled, else
+// cut into one piece per worker, as the tasks of a Fork — whoever is
+// free takes the next piece, and with the pool saturated the caller
 // takes them all.
 func (b *Builder[T]) fanOut(n int, chunk func(lo, hi int)) {
-	if !b.fansOut(n) {
+	if !b.pooled(n) {
 		chunk(0, n)
 		return
 	}

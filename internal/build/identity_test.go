@@ -134,24 +134,20 @@ func TestGMVPFingerprint(t *testing.T) {
 	}
 }
 
-// goldenTrees are the builds goldenSave hashes: name and options.
-var goldenTrees = []struct {
-	name string
-	opts mvp.Options
-}{
-	{"mvp", mvp.Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true}},
-	{"mvp-spread", mvp.Options{Partitions: 3, LeafCapacity: 20, PathLength: 5}},
-	{"mvp-random2", mvp.Options{Partitions: 2, LeafCapacity: 9, PathLength: 3, RandomFirstVantage: true, RandomSecondVantage: true}},
+// goldenTrees are the mvp-trees goldenSave hashes, by the options that
+// build them.
+var goldenTrees = map[string]mvp.Options{
+	"mvp":         {Partitions: 3, LeafCapacity: 20, PathLength: 5, RandomFirstVantage: true},
+	"mvp-spread":  {Partitions: 3, LeafCapacity: 20, PathLength: 5},
+	"mvp-random2": {Partitions: 2, LeafCapacity: 9, PathLength: 3, RandomFirstVantage: true, RandomSecondVantage: true},
 }
 
 // goldenTree builds one row of goldenSave: an mvp-tree of goldenTrees, or
 // the vp-tree of order 3 and bucket size 10.
 func goldenTree(name string, o build.Options, items [][]float64) (*mvp.Tree[[]float64], build.Stats, error) {
-	for _, g := range goldenTrees {
-		if g.name == name {
-			g.opts.Build = o
-			return mvp.NewWithStats(items, metric.NewCounter(metric.L2), g.opts)
-		}
+	if opts, ok := goldenTrees[name]; ok {
+		opts.Build = o
+		return mvp.NewWithStats(items, metric.NewCounter(metric.L2), opts)
 	}
 	return vptree.NewWithStats(items, metric.NewCounter(metric.L2), vptree.Options{Build: o, Order: 3, LeafCapacity: 10})
 }

@@ -43,7 +43,7 @@ func NewScratch(n int) Scratch {
 // small to fan out — every node below the top few levels — are
 // measured without allocating.
 func (b *Builder[T]) MeasureIDs(v T, items []T, ids []int32, out []float64) {
-	if !b.fansOut(len(ids)) {
+	if !b.pooled(len(ids)) {
 		b.measureSerial(v, items, ids, out)
 		return
 	}
@@ -120,6 +120,9 @@ func SplitEqual(keys []Key, cutoffs []float64) {
 
 func (k Key) less(o Key) bool { return k.D < o.D || k.D == o.D && k.ID < o.ID }
 
+// compareKeys is less as a three-way comparison, for the library's sort.
+func compareKeys(a, b Key) int { return cmp.Or(cmp.Compare(a.D, b.D), cmp.Compare(a.ID, b.ID)) }
+
 // splitter is one SplitEqual: keys, to be cut into m groups.
 type splitter struct {
 	keys []Key
@@ -130,9 +133,10 @@ type splitter struct {
 // (a, b): the first to start after rank a is the one after a's own.
 func (s splitter) splits(a, b int) bool {
 	n := len(s.keys)
-	g := a / (n/s.m + 1) // a's group, if it is one of the n%m larger ones
-	if larger := n % s.m; g >= larger {
-		g = larger + (a-larger*(n/s.m+1))/(n/s.m)
+	base, larger := n/s.m, n%s.m
+	g := a / (base + 1) // a's group, if it is one of the larger ones
+	if g >= larger {
+		g = larger + (a-larger*(base+1))/base
 	}
 	_, hi := GroupBounds(n, s.m, g)
 	return hi < b
@@ -164,9 +168,7 @@ func (s splitter) cut(a, b, limit int, byID bool) {
 			return
 		}
 		if limit == 0 {
-			slices.SortFunc(keys[a:b], func(x, y Key) int {
-				return cmp.Or(cmp.Compare(x.D, y.D), cmp.Compare(x.ID, y.ID))
-			})
+			slices.SortFunc(keys[a:b], compareKeys)
 			return
 		}
 		limit--
