@@ -467,3 +467,49 @@ func BenchmarkDynamicInsert(b *testing.B) {
 		}
 	}
 }
+
+// benchWordStore is the store BenchmarkDynamicRange and BenchmarkDynamicKNN
+// query: 5 000 generated words under edit distance, the paper's tree, then
+// 500 inserts and 250 deletes, so a query pays for a tree with tombstones
+// and a buffer tail.
+func benchWordStore(b *testing.B) (*mvptree.DynamicStore[string], []string) {
+	words := mvptree.Words(rand.New(rand.NewPCG(42, 42)), 5500, mvptree.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	store, err := mvptree.NewDynamic(words[:5000], mvptree.EditDistance, mvptree.DynamicOptions{
+		Tree: mvptree.Options{Partitions: 3, LeafCapacity: 80, PathLength: 5},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, w := range words[5000:] {
+		if err := store.Insert(w); err != nil {
+			b.Fatal(err)
+		}
+		if i%2 == 0 {
+			if _, err := store.Delete(words[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if store.Buffered() == 0 {
+		b.Fatal("the store rebuilt on the way: no buffer tail to measure")
+	}
+	return store, words
+}
+
+func BenchmarkDynamicRange(b *testing.B) {
+	store, words := benchWordStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.Range(words[i%len(words)], 1)
+	}
+}
+
+func BenchmarkDynamicKNN(b *testing.B) {
+	store, words := benchWordStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store.KNN(words[i%len(words)], 10)
+	}
+}

@@ -12,7 +12,7 @@ import (
 
 // TestStoreAttachesBoundedKernel pins the fix for the store silently
 // dropping the early-abandoning kernel: its counter is a closure over
-// IDs, which the bounded-kernel registry cannot match, so the item
+// entries, which the bounded-kernel registry cannot match, so the item
 // metric's registered fast path has to be attached by hand. Attached or
 // detached, answers, order, SearchStats and distance counts must not
 // differ — that is the BoundedDistanceFunc contract.
@@ -110,7 +110,7 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 		t.Fatalf("want every word in the buffer, got %d buffered after %d rebuilds", s.Buffered(), s.Rebuilds())
 	}
 	bounded, calls := s.dist.Bounded(), 0
-	s.dist.SetBounded(func(a, b int, bound float64) float64 {
+	s.dist.SetBounded(func(a, b entry[string], bound float64) float64 {
 		calls++
 		if bound != 0 {
 			t.Errorf("tail scan asked the kernel for bound %g, want 0", bound)

@@ -11,8 +11,8 @@ import (
 
 // TestConcurrentInsertWhileQuerying races readers (Range, KNN, Len)
 // against a writer driving Insert- and Delete-triggered rebuilds. Run
-// under -race this is the regression test for the store's RWMutex and
-// per-query slots; the assertions additionally pin reader invariants
+// under -race this is the regression test for the store's RWMutex; the
+// assertions additionally pin reader invariants
 // that hold at every intermediate state: every Range result really lies
 // within the radius, and KNN returns ascending distances.
 func TestConcurrentInsertWhileQuerying(t *testing.T) {

@@ -16,20 +16,18 @@
 // computations while every query still runs against a balanced mvp-tree
 // plus a small linear tail — the balance guarantee the paper asks for.
 //
-// Internally the store indexes small integer IDs and resolves them to
-// items through its own table, which is what makes tombstoning possible
-// over arbitrary (non-comparable) item types.
+// The tree indexes the items themselves, each paired with a small
+// integer id whose one use is to index the tombstones, which is what
+// makes deleting possible over arbitrary (non-comparable) item types.
 //
-// The store is safe for concurrent use: queries take a read lock and
-// resolve the query item through a private slot, while Insert, Delete
-// and Save take the write lock.
+// The store is safe for concurrent use: queries take a read lock, while
+// Insert, Delete and Save take the write lock.
 package dynamic
 
 import (
 	"errors"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
@@ -62,9 +60,8 @@ type Options struct {
 // queries (Range, KNN, Len, ...) run concurrently with each other while
 // Insert, Delete and Save — which mutate the overflow buffer and
 // tombstones and may trigger a full rebuild — take the write side and
-// run exclusively. Each in-flight query additionally resolves its query
-// item through its own negative slot ID (see resolve), so concurrent
-// readers share no mutable state beyond the atomic distance Counter.
+// run exclusively. Concurrent readers share no mutable state beyond the
+// atomic distance Counter.
 type Store[T any] struct {
 	// Hooks let callers attach an Observer and/or Tracer; with neither
 	// attached the query paths pay only nil checks. Attach before
@@ -75,33 +72,37 @@ type Store[T any] struct {
 
 	opts Options
 
-	// mu guards every field below except dist (whose count is atomic)
-	// and the query-slot machinery (queries, slotSeq), which has its
-	// own synchronization so readers holding only the read lock can
-	// register their query items.
+	// mu guards every field below except dist, whose count is atomic.
 	mu sync.RWMutex
 
-	items []T    // backing table; IDs index into it
-	alive []bool // tombstones
-	live  int    // number of alive items
+	// alive is the tombstones, by id: ids are handed out in insertion
+	// order and renumbered from zero at every rebuild. Every id below
+	// len(alive) is held by the tree or the buffer, or is a buffered
+	// item's that Delete took out.
+	alive []bool
+	live  int // number of alive items
 
-	tree     *mvp.Tree[int] // over the IDs present at the last rebuild
-	treeIDs  int            // how many IDs the tree covers: IDs < treeIDs
-	treeDead int            // tombstoned IDs inside the tree
-	buffer   []int          // IDs inserted since the last rebuild
+	tree     *mvp.Tree[entry[T]] // over the items live at the last rebuild
+	treeDead int                 // tombstoned items inside the tree
+	buffer   []entry[T]          // inserted since the last rebuild; all live, Delete drops the others
 
-	queries  sync.Map     // negative slot ID → in-flight query item (T)
-	slotSeq  atomic.Int64 // allocator for query slots
-	dist     *metric.Counter[int]
-	itemDist metric.DistanceFunc[T]
+	dist     *metric.Counter[entry[T]]
 	rebuilds int
 	seq      uint64 // construction seed sequence
+}
+
+// entry is what the tree and the buffer hold: an item and its index into
+// alive. A query is an entry without an id, which nothing reads: the
+// metric sees the items alone.
+type entry[T any] struct {
+	item T
+	id   int32
 }
 
 var _ index.StatsIndex[int] = (*Store[int])(nil) // Store[T] satisfies StatsIndex[T]
 
 // New builds a dynamic store over the initial items.
-func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T], error) {
+func New[T any](initial []T, dist metric.DistanceFunc[T], opts Options) (*Store[T], error) {
 	if opts.RebuildFraction == 0 {
 		opts.RebuildFraction = 0.25
 	}
@@ -110,13 +111,11 @@ func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T]
 	}
 	s := &Store[T]{opts: opts}
 	s.bindMetric(dist)
-	s.items = append(s.items, items...)
-	s.alive = make([]bool, len(items))
-	for i := range s.alive {
-		s.alive[i] = true
+	entries := make([]entry[T], len(initial))
+	for i, it := range initial {
+		entries[i].item = it
 	}
-	s.live = len(items)
-	if err := s.rebuild(); err != nil {
+	if err := s.build(entries); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -127,50 +126,20 @@ func New[T any](items []T, dist metric.DistanceFunc[T], opts Options) (*Store[T]
 // every update, the other to none ever.
 func validFraction(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
-// bindMetric points the store's counter — a metric over IDs — at the
-// item metric dist. The ID closure is not a registered top-level
-// function, so NewCounter finds no early-abandoning kernel for it; the
-// item metric's own registered fast path (if any) is attached behind
-// the same resolve indirection, or every DistanceUpTo of the tree and
-// of the buffer-tail scans would run the exact kernel.
+// bindMetric makes the store's counter the item metric dist over
+// entries. That closure is not a registered top-level function, so
+// NewCounter finds no early-abandoning kernel for it; the item metric's
+// own registered fast path (if any) is attached the same way, or every
+// DistanceUpTo of the tree and of the buffer-tail scans would run the
+// exact kernel.
 func (s *Store[T]) bindMetric(dist metric.DistanceFunc[T]) {
-	s.itemDist = dist
-	s.dist = metric.NewCounter(func(a, b int) float64 {
-		return dist(s.resolve(a), s.resolve(b))
-	})
+	s.dist = metric.NewCounter(func(a, b entry[T]) float64 { return dist(a.item, b.item) })
 	if bounded := metric.NewCounter(dist).Bounded(); bounded != nil {
-		s.dist.SetBounded(func(a, b int, bound float64) float64 {
-			return bounded(s.resolve(a), s.resolve(b), bound)
+		s.dist.SetBounded(func(a, b entry[T], bound float64) float64 {
+			return bounded(a.item, b.item, bound)
 		})
 	}
 }
-
-// resolve maps an ID to its item: non-negative IDs index the backing
-// table, negative IDs are per-query slots registered by acquireQuery.
-// Slots let any number of concurrent searches present their (distinct)
-// query items to the shared tree-over-IDs without writing a shared
-// field.
-func (s *Store[T]) resolve(id int) T {
-	if id < 0 {
-		v, ok := s.queries.Load(id)
-		if !ok {
-			panic("dynamic: distance requested for released query slot")
-		}
-		return v.(T)
-	}
-	return s.items[id]
-}
-
-// acquireQuery registers q under a fresh negative slot ID for the
-// duration of one search. releaseQuery must be called when the search
-// finishes.
-func (s *Store[T]) acquireQuery(q T) int {
-	slot := int(-s.slotSeq.Add(1)) // -1, -2, -3, ...
-	s.queries.Store(slot, q)
-	return slot
-}
-
-func (s *Store[T]) releaseQuery(slot int) { s.queries.Delete(slot) }
 
 // Len reports the number of live items.
 func (s *Store[T]) Len() int {
@@ -202,11 +171,9 @@ func (s *Store[T]) Buffered() int {
 func (s *Store[T]) Insert(item T) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := len(s.items)
-	s.items = append(s.items, item)
+	s.buffer = append(s.buffer, entry[T]{item, int32(len(s.alive))})
 	s.alive = append(s.alive, true)
 	s.live++
-	s.buffer = append(s.buffer, id)
 	return s.maybeRebuild()
 }
 
@@ -217,31 +184,27 @@ func (s *Store[T]) Delete(item T) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	slot := s.acquireQuery(item)
-	defer s.releaseQuery(slot)
-	for _, id := range s.tree.Range(slot, 0) {
-		if s.alive[id] {
-			s.alive[id] = false
+	probe := entry[T]{item: item}
+	for _, e := range s.tree.Range(probe, 0) {
+		if s.alive[e.id] {
+			s.alive[e.id] = false
 			s.treeDead++
-			s.live--
 			removed++
 		}
 	}
 	kept := s.buffer[:0]
-	for _, id := range s.buffer {
-		if s.alive[id] && s.dist.DistanceUpTo(slot, id, 0) == 0 {
-			s.alive[id] = false
-			s.live--
+	for _, e := range s.buffer {
+		if s.dist.DistanceUpTo(probe, e, 0) == 0 {
+			s.alive[e.id] = false
 			removed++
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, e)
 	}
+	clear(s.buffer[len(kept):]) // let go of the items taken out
 	s.buffer = kept
-	if err := s.maybeRebuild(); err != nil {
-		return removed, err
-	}
-	return removed, nil
+	s.live -= removed
+	return removed, s.maybeRebuild()
 }
 
 func (s *Store[T]) maybeRebuild() error {
@@ -251,35 +214,56 @@ func (s *Store[T]) maybeRebuild() error {
 	return s.rebuild()
 }
 
-// rebuild compacts the backing table to the live items and constructs a
-// fresh balanced tree over all of them.
+// rebuild constructs a fresh balanced tree over the live items. The tree
+// hands its items back in node order, so they are scattered by id first:
+// mvp.New then receives them in the order they were inserted, and the
+// tree built is a function of the operations so far and nothing else.
 func (s *Store[T]) rebuild() error {
-	compact := make([]T, 0, s.live)
+	byID := make([]entry[T], len(s.alive))
+	for _, e := range s.tree.Items() {
+		byID[e.id] = e
+	}
+	for _, e := range s.buffer {
+		byID[e.id] = e
+	}
+	live := byID[:0]
 	for id, a := range s.alive {
 		if a {
-			compact = append(compact, s.items[id])
+			live = append(live, byID[id])
 		}
 	}
-	s.items = compact
-	s.alive = make([]bool, len(compact))
-	ids := make([]int, len(compact))
-	for i := range compact {
-		s.alive[i] = true
-		ids[i] = i
+	return s.build(live)
+}
+
+// build makes the store a tree over live and nothing else: the entries
+// are numbered as they come, no tombstones, an empty buffer.
+func (s *Store[T]) build(live []entry[T]) error {
+	for i := range live {
+		live[i].id = int32(i)
 	}
 	opts := s.opts.Tree
-	opts.Seed = s.opts.Tree.Seed + s.seq
-	s.seq++
-	tree, err := mvp.New(ids, s.dist, opts)
+	opts.Seed += s.seq
+	tree, err := mvp.New(live, s.dist, opts)
 	if err != nil {
 		return err
 	}
-	s.tree = tree
-	s.treeIDs = len(compact)
-	s.treeDead = 0
+	s.seq++
+	s.adopt(tree)
+	return nil
+}
+
+// adopt makes tree, whose entries carry the ids below its length, each
+// once, all the store holds.
+func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]]) {
+	s.tree, s.treeDead = tree, 0
+	s.live = tree.Len()
+	s.alive = make([]bool, s.live)
+	for i := range s.alive {
+		s.alive[i] = true
+	}
+	clear(s.buffer)
 	s.buffer = s.buffer[:0]
 	s.rebuilds++
-	return nil
 }
 
 var _ index.Searcher[int] = (*Store[int])(nil)
@@ -298,16 +282,29 @@ func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
 	return s.rangeSearch(req.Point, req.Radius, req.Opts)
 }
 
-// tailBudget reports how much of the query budget the tree phase left
-// for the buffer tail: -1 for unlimited, never negative otherwise.
-func tailBudget(o index.SearchOptions, treeStats index.SearchStats) int64 {
-	if o.Budget <= 0 {
-		return -1
+// tail hands visit the buffered entries, all of them unless o.Budget is
+// set and what the tree phase left of it runs out first, counts each in
+// st — one candidate, one distance computed — and marks an answer that ε
+// or the budget may have cut short.
+func (s *Store[T]) tail(o index.SearchOptions, st *SearchStats, visit func(entry[T])) {
+	remaining := int64(math.MaxInt64)
+	if o.Budget > 0 {
+		remaining = max(o.Budget-st.Distances(), 0)
 	}
-	if rem := o.Budget - treeStats.Distances(); rem > 0 {
-		return rem
+	for _, e := range s.buffer {
+		if remaining == 0 {
+			st.BudgetExhausted = 1
+			break
+		}
+		remaining--
+		st.Candidates++
+		st.Computed++
+		s.TraceDistance(1)
+		visit(e)
 	}
-	return 0
+	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
+		st.Approximated = 1
+	}
 }
 
 // Range returns every live item within distance r of q. Any number of
@@ -334,40 +331,22 @@ func (s *Store[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	slot := s.acquireQuery(q)
-	defer s.releaseQuery(slot)
-	res := s.tree.Search(index.Query[int]{Point: slot, Radius: r,
+	probe := entry[T]{item: q}
+	res := s.tree.Search(index.Query[entry[T]]{Point: probe, Radius: r,
 		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget}})
 	st = res.Stats
 	var out []T
-	for _, id := range res.Items {
-		if s.alive[id] {
-			out = append(out, s.items[id])
+	for _, e := range res.Items {
+		if s.alive[e.id] {
+			out = append(out, e.item)
 		}
 	}
-	remaining := tailBudget(o, st)
-	for _, id := range s.buffer {
-		if !s.alive[id] {
-			continue
-		}
-		if remaining == 0 {
-			st.BudgetExhausted = 1
-			break
-		}
-		if remaining > 0 {
-			remaining--
-		}
-		st.Candidates++
-		st.Computed++
-		s.TraceDistance(1)
+	s.tail(o, &st, func(e entry[T]) {
 		// Membership only, so the kernel may abandon at r.
-		if s.dist.DistanceUpTo(slot, id, r) <= r {
-			out = append(out, s.items[id])
+		if s.dist.DistanceUpTo(probe, e, r) <= r {
+			out = append(out, e.item)
 		}
-	}
-	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
-		st.Approximated = 1
-	}
+	})
 	st.Results = len(out)
 	span.Done(&st)
 	return index.Result[T]{Items: out, Stats: st}
@@ -399,40 +378,22 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		span.Done(&st)
 		return index.Result[T]{Stats: st}
 	}
-	slot := s.acquireQuery(q)
-	defer s.releaseQuery(slot)
+	probe := entry[T]{item: q}
 	// The tree may return tombstoned items; ask for enough extras to
 	// guarantee k live ones among the answers.
-	res := s.tree.Search(index.Query[int]{Point: slot, K: k + s.treeDead,
+	res := s.tree.Search(index.Query[entry[T]]{Point: probe, K: k + s.treeDead,
 		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget, Patience: o.Patience}})
 	st = res.Stats
 	best := heapx.NewKBest[T](k)
 	for _, nb := range res.Neighbors {
-		if s.alive[nb.Item] {
-			best.Push(s.items[nb.Item], nb.Dist)
+		if s.alive[nb.Item.id] {
+			best.Push(nb.Item.item, nb.Dist)
 		}
 	}
-	remaining := tailBudget(o, st)
-	for _, id := range s.buffer {
-		if !s.alive[id] {
-			continue
-		}
-		if remaining == 0 {
-			st.BudgetExhausted = 1
-			break
-		}
-		if remaining > 0 {
-			remaining--
-		}
-		st.Candidates++
-		st.Computed++
-		s.TraceDistance(1)
+	s.tail(o, &st, func(e entry[T]) {
 		// Push ignores anything ≥ the current k-th best: abandon at τ.
-		best.Push(s.items[id], s.dist.DistanceUpTo(slot, id, best.Threshold()))
-	}
-	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
-		st.Approximated = 1
-	}
+		best.Push(e.item, s.dist.DistanceUpTo(probe, e, best.Threshold()))
+	})
 	out := best.Sorted()
 	st.Results = len(out)
 	span.Done(&st)

@@ -13,17 +13,16 @@ import (
 func (s *Store[T]) RangeFarther(q T, r float64) []T {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	slot := s.acquireQuery(q)
-	defer s.releaseQuery(slot)
+	probe := entry[T]{item: q}
 	var out []T
-	for _, id := range s.tree.RangeFarther(slot, r) {
-		if s.alive[id] {
-			out = append(out, s.items[id])
+	for _, e := range s.tree.RangeFarther(probe, r) {
+		if s.alive[e.id] {
+			out = append(out, e.item)
 		}
 	}
-	for _, id := range s.buffer {
-		if s.alive[id] && s.dist.Distance(slot, id) >= r {
-			out = append(out, s.items[id])
+	for _, e := range s.buffer {
+		if s.dist.Distance(probe, e) >= r {
+			out = append(out, e.item)
 		}
 	}
 	return out
@@ -40,19 +39,15 @@ func (s *Store[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	if s.live == 0 {
 		return nil
 	}
-	slot := s.acquireQuery(q)
-	defer s.releaseQuery(slot)
-	fromTree := s.tree.KFarthest(slot, k+s.treeDead)
+	probe := entry[T]{item: q}
 	best := heapx.NewKLargest[T](k)
-	for _, nb := range fromTree {
-		if s.alive[nb.Item] {
-			best.Push(s.items[nb.Item], nb.Dist)
+	for _, nb := range s.tree.KFarthest(probe, k+s.treeDead) {
+		if s.alive[nb.Item.id] {
+			best.Push(nb.Item.item, nb.Dist)
 		}
 	}
-	for _, id := range s.buffer {
-		if s.alive[id] {
-			best.Push(s.items[id], s.dist.Distance(slot, id))
-		}
+	for _, e := range s.buffer {
+		best.Push(e.item, s.dist.Distance(probe, e))
 	}
 	return best.Sorted()
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,68 +40,123 @@ func savedWords(tb testing.TB, words []string, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// checksumProof is the four payloads a valid checksum used to carry past
-// Load, by name; each is checked in as a seed of FuzzLoad (which seals it)
-// so the fuzz smoke starts from them. The drawn build (RandomFirstVantage)
-// keeps their trees, and so the seeds, out of reach of a change to
-// vantage selection.
-func checksumProof(tb testing.TB) map[string][]byte {
-	words := []string{"ab", "abc", "b", "bcd", "cd"}
-	opts := mvp.Options{Partitions: 2, LeafCapacity: 1, PathLength: 2, RandomFirstVantage: true, Build: mvp.Build{Seed: 3}}
-	// header writes a payload up to its item table, as Save does.
-	header := func(w *wire.Writer, count int) {
-		w.Float(0.25)
-		saveTreeOptions(w, opts)
-		w.Uvarint(1)
-		w.Int(count)
-	}
-	// A tree over IDs the table lacks cannot be built under the store's
-	// metric; |a−b| needs no table.
-	stray, err := mvp.New([]int{0, 1, 2, 3, 9}, metric.NewCounter(func(a, b int) float64 { return math.Abs(float64(a - b)) }), opts)
+// seedV1 returns the payload checked in as the FuzzLoad seed name. The
+// four MVPDYN1 seeds — what a valid checksum carried past Load until
+// PR 22 — were written through that format's Save, which is gone: they
+// are fixtures now, as testdata/pr18_store_v1.dyn is.
+func seedV1(tb testing.TB, name string) []byte {
+	file, err := os.ReadFile("testdata/fuzz/FuzzLoad/" + name)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var strayBytes bytes.Buffer
-	if err := stray.Save(&strayBytes, encodeIDItem); err != nil {
-		tb.Fatal(err)
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(file)), "go test fuzz v1\n[]byte(")
+	payload, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if !ok || err != nil {
+		tb.Fatalf("%s is not a one-value seed file: %v", name, err)
 	}
-	nan := testutil.PayloadOf(savedWords(tb, words, Options{Tree: opts}))
-	copy(nan, testutil.Payload(func(w *wire.Writer) { w.Float(math.NaN()) })) // the fraction is the first field
-	v1 := opts
-	v1.Vantages = 1
-	return map[string][]byte{
-		// 4M items announced, none present: 68 MB allocated on its word.
-		"count-beyond-payload": testutil.Payload(func(w *wire.Writer) { header(w, 1<<22) }),
-		// As many tree items as the table has, one of them not in it: a
-		// panic in resolve at the first query that reaches it.
-		"tree-id-outside-table": testutil.Payload(func(w *wire.Writer) {
-			header(w, len(words))
-			for _, s := range words {
-				w.Bytes([]byte(s))
-			}
-			w.Bytes(strayBytes.Bytes())
-		}),
-		// NaN is not <= 0: every update of the loaded store rebuilt it.
-		"fraction-nan": nan,
-		// Nothing wrong with it: a store of one-vantage trees, which loaded
-		// with options that rebuild it as a two-vantage one.
-		"vantages-1": testutil.PayloadOf(savedWords(tb, words, Options{Tree: v1})),
+	return []byte(payload)
+}
+
+// headerV2 writes an MVPDYN2 payload up to its tree, field by field as
+// docs/FORMAT.md has it.
+func headerV2(w *wire.Writer, fraction float64, o mvp.Options, v int, seq uint64) {
+	w.Float(fraction)
+	w.Int(o.Partitions)
+	w.Int(o.LeafCapacity + 1)
+	w.Int(o.PathLength + 1)
+	w.Int(v)
+	var flags byte
+	if o.RandomSecondVantage {
+		flags |= 1
+	}
+	if o.RandomFirstVantage {
+		flags |= 2
+	}
+	w.Byte(flags)
+	w.Uvarint(o.Seed)
+	w.Uvarint(seq)
+}
+
+// checksumProof is the MVPDYN2 payloads a valid checksum does not vouch
+// for, by name, with what Load must say of each ("" where it must load).
+// Each is checked in as a seed of FuzzLoad (which seals it) so the fuzz
+// smoke starts from them; the drawn build (RandomFirstVantage) keeps
+// their tree out of reach of a change to vantage selection.
+func checksumProof(tb testing.TB) map[string]struct {
+	payload []byte
+	refusal string
+} {
+	words := []string{"ab", "abc", "b", "bcd", "cd"}
+	opts := mvp.Options{Partitions: 2, LeafCapacity: 1, PathLength: 2, RandomFirstVantage: true, Build: mvp.Build{Seed: 3}}
+	whole := testutil.PayloadOf(savedWords(tb, words, Options{Tree: opts}))
+	// One build, so one seed drawn: the next rebuild is the second.
+	plain := testutil.Payload(func(w *wire.Writer) { headerV2(w, 0.25, opts, 2, 1) })
+	tree, ok := bytes.CutPrefix(whole, plain)
+	if !ok {
+		tb.Fatalf("Save wrote the header %x, docs/FORMAT.md reads as %x", whole[:len(plain)], plain)
+	}
+	tree = wire.NewReader(bytes.NewReader(tree)).Bytes() // less its length
+	with := func(fraction float64, o mvp.Options, v int, tree []byte) []byte {
+		return testutil.Payload(func(w *wire.Writer) {
+			headerV2(w, fraction, o, v, 1)
+			w.Bytes(tree)
+		})
+	}
+	bare := opts
+	bare.LeafCapacity = -1
+	return map[string]struct {
+		payload []byte
+		refusal string
+	}{
+		// The tree stops halfway: mvp.Load's to refuse, behind a length
+		// and a checksum that are both right.
+		"v2-truncated-tree": {with(0.25, opts, 2, tree[:len(tree)/2]), "unexpected EOF"},
+		// NaN is not <= 0: every update of the loaded store would rebuild it.
+		"v2-fraction-nan": {with(math.NaN(), opts, 2, tree), "corrupt stream"},
+		// Vantage points a node: more than a tree can have, the 0 that
+		// mvp.New reads as 2, and the 1 this tree was not built with.
+		"v2-vantages-3": {with(0.25, opts, 3, tree), "corrupt stream"},
+		"v2-vantages-0": {with(0.25, opts, 0, tree), "corrupt stream"},
+		"v2-vantages-1": {with(0.25, opts, 1, tree), "corrupt stream"},
+		// k+1 = 0 beside p+1 > 0 in a header whose tree has buckets.
+		"v2-no-buckets-header": {with(0.25, bare, 2, tree), "corrupt stream"},
+		// Nothing wrong with it: the same header before the tree it built,
+		// leaves of vantage points alone, which MVPDYN1 could not spell.
+		"v2-no-buckets": {testutil.PayloadOf(savedWords(tb, words, Options{Tree: bare})), ""},
 	}
 }
 
 func TestLoadRejectsWhatTheChecksumCannot(t *testing.T) {
-	for name, payload := range checksumProof(t) {
-		s, err := loadWords(testutil.Seal(saveMagic, payload))
+	// The recorded MVPDYN1 payloads: 4M items announced and none present
+	// (68 MB allocated on its word); as many tree items as the table has,
+	// one of them not in it (a panic at the first query that reached it);
+	// a NaN fraction; and a store of one-vantage trees, nothing wrong with
+	// it, which loaded with options that rebuilt it as a two-vantage one.
+	for _, name := range []string{"count-beyond-payload", "tree-id-outside-table", "fraction-nan", "vantages-1"} {
+		s, err := loadWords(testutil.Seal(loadMagicV1, seedV1(t, name)))
 		if name == "vantages-1" {
 			if err != nil {
 				t.Errorf("%s: Load: %v", name, err)
-			} else if v := s.opts.Tree.Vantages; v != 1 {
-				t.Errorf("%s: the next rebuild would have %d vantage points a node", name, v)
+			} else if v := s.opts.Tree.Vantages; v != 1 || s.Len() != 5 {
+				t.Errorf("%s: %d items, and the next rebuild would have %d vantage points a node", name, s.Len(), v)
 			}
 		} else if err == nil || !strings.Contains(err.Error(), "corrupt stream") {
 			t.Errorf("%s: Load: %v", name, err)
 		}
-		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
+	}
+	for name, c := range checksumProof(t) {
+		s, err := loadWords(testutil.Seal(saveMagic, c.payload))
+		switch {
+		case c.refusal != "":
+			if err == nil || !strings.Contains(err.Error(), c.refusal) {
+				t.Errorf("%s: Load: %v, want a refusal saying %q", name, err, c.refusal)
+			}
+		case err != nil:
+			t.Errorf("%s: Load: %v", name, err)
+		case s.opts.Tree.LeafCapacity != -1 || s.tree.LeafCapacity() != 0 || s.Len() != 5:
+			t.Errorf("%s: loaded %d items with options %+v", name, s.Len(), s.opts.Tree)
+		}
+		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", c.payload)
 		if got, _ := os.ReadFile("testdata/fuzz/FuzzLoad/" + name); string(got) != seed {
 			t.Errorf("testdata/fuzz/FuzzLoad/%s is not this payload's seed:\n%s", name, seed)
 		}
@@ -140,17 +196,37 @@ func TestOneVantageStoreStaysOneVantage(t *testing.T) {
 	}
 }
 
+// heldItems returns the items of a store just loaded, sorted, having
+// checked that its entries number its tombstones, each once.
+func heldItems(t *testing.T, s *Store[string]) []string {
+	entries := s.tree.Items()
+	if s.Len() != len(entries) || len(s.alive) != len(entries) || s.tree.Len() != len(entries) || s.Buffered() != 0 {
+		t.Fatalf("Len %d, %d tombstones, tree of %d holding %d, %d buffered", s.Len(), len(s.alive), s.tree.Len(), len(entries), s.Buffered())
+	}
+	seen := make([]bool, len(entries))
+	items := make([]string, len(entries))
+	for i, e := range entries {
+		if int(e.id) >= len(seen) || seen[e.id] {
+			t.Fatalf("id %d of %d is out of range or held twice", e.id, len(seen))
+		}
+		seen[e.id], items[i] = true, e.item
+	}
+	slices.Sort(items)
+	return items
+}
+
 // FuzzLoad feeds Load arbitrary payloads, each raw and sealed behind a
-// matching CRC. Load must never panic and never allocate beyond a small
-// multiple of its input; a store it returns holds exactly the items it
-// reports and will rebuild with as many vantage points a node as its tree
-// has; every query kind runs on it (its tree passed mvp.Load's shape
-// check, but nothing says a fuzzed tree's distances are the metric's, so
-// its answers are not held to anything); Save → Load keeps the items; and
-// from there on — both trees built, not read — Save → Load keeps the
-// answers too. Not the bytes: Save rebuilds, and each rebuild draws a new
-// seed. Items decode as strings under edit distance, so any bytes are an
-// item.
+// matching CRC as either format. Load must never panic and never allocate
+// beyond a small multiple of its input; a store it returns holds exactly
+// the items it reports and will rebuild with as many vantage points a node
+// as its tree has; every query kind runs on it (its tree passed mvp.Load's
+// shape check, but nothing says a fuzzed tree's distances are the metric's,
+// so its answers are not held to anything); Save, of a store with nothing
+// to compact, writes a stream that loads and saves again as the same
+// bytes; after an insert, which makes Save rebuild under the loaded
+// options, Save → Load keeps the items and, the tree now built and not
+// read, the answers. Items decode as strings under edit distance, so any
+// bytes are an item.
 func FuzzLoad(f *testing.F) {
 	words := dataset.Words(rand.New(rand.NewPCG(104, 5)), 60, dataset.WordOptions{MinLen: 3, MaxLen: 8, MisspellingsPer: 2})
 	whole := savedWords(f, words, Options{Tree: mvp.Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: mvp.Build{Seed: 1}}})
@@ -160,7 +236,12 @@ func FuzzLoad(f *testing.F) {
 	f.Add(testutil.PayloadOf(savedWords(f, nil, Options{}))) // empty
 	f.Add(payload[:len(payload)/2])                          // truncated
 	f.Add(whole)                                             // a whole stream: loads raw
-	// testdata/fuzz/FuzzLoad holds checksumProof's payloads.
+	v1, err := os.ReadFile("testdata/pr18_store_v1.dyn")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1) // a whole MVPDYN1 stream, of vectors: loads raw, as words
+	// testdata/fuzz/FuzzLoad holds seedV1's payloads and checksumProof's.
 
 	answers := func(s *Store[string]) (out []string) {
 		for _, q := range []string{"", "probe"} {
@@ -174,19 +255,22 @@ func FuzzLoad(f *testing.F) {
 		}
 		return out
 	}
-	reload := func(t *testing.T, s *Store[string]) *Store[string] {
+	save := func(t *testing.T, s *Store[string]) []byte {
 		var buf bytes.Buffer
 		if err := s.Save(&buf, encodeWord); err != nil {
 			t.Fatalf("Save of a loaded store: %v", err)
 		}
-		again, err := loadWords(buf.Bytes())
+		return buf.Bytes()
+	}
+	reload := func(t *testing.T, s *Store[string]) *Store[string] {
+		again, err := loadWords(save(t, s))
 		if err != nil {
 			t.Fatalf("Load of a loaded store's Save: %v", err)
 		}
 		return again
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, stream := range [][]byte{payload, testutil.Seal(saveMagic, payload)} {
+		for _, stream := range [][]byte{payload, testutil.Seal(saveMagic, payload), testutil.Seal(loadMagicV1, payload)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			s, err := loadWords(stream)
@@ -197,20 +281,31 @@ func FuzzLoad(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if s.Len() != len(s.items) || s.tree.Len() != len(s.items) {
-				t.Fatalf("Len %d, tree of %d, table of %d", s.Len(), s.tree.Len(), len(s.items))
-			}
 			if s.opts.Tree.Vantages != s.tree.Vantages() {
 				t.Fatalf("options say v = %d, tree v = %d", s.opts.Tree.Vantages, s.tree.Vantages())
 			}
-			held := slices.Sorted(slices.Values(s.items))
+			held := heldItems(t, s)
 			answers(s)
 
-			second := reload(t, s)
-			if got := slices.Sorted(slices.Values(second.items)); !slices.Equal(got, held) {
+			saved := save(t, s)
+			second, err := loadWords(saved)
+			if err != nil {
+				t.Fatalf("Load of a loaded store's Save: %v", err)
+			}
+			if got := heldItems(t, second); !slices.Equal(got, held) {
 				t.Fatalf("Save -> Load changed the items: %q, had %q", got, held)
 			}
-			if got, want := answers(reload(t, second)), answers(second); !slices.Equal(got, want) {
+			if again := save(t, second); !bytes.Equal(again, saved) {
+				t.Fatalf("Save -> Load -> Save changed the stream:\n%x\n%x", again, saved)
+			}
+			if err := second.Insert("probe"); err != nil {
+				t.Fatalf("Insert into a loaded store: %v", err)
+			}
+			third := reload(t, second)
+			if got, want := heldItems(t, third), slices.Sorted(slices.Values(append(held, "probe"))); !slices.Equal(got, want) {
+				t.Fatalf("Insert -> Save -> Load: items %q, want %q", got, want)
+			}
+			if got, want := answers(third), answers(second); !slices.Equal(got, want) {
 				t.Fatalf("Save -> Load changed the answers:\n%v\n%v", got, want)
 			}
 		}

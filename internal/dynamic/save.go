@@ -14,8 +14,9 @@ import (
 
 // Persistence for the dynamic store. Save first compacts the store (a
 // rebuild, dropping tombstones and folding the overflow buffer into the
-// tree) and then writes the item table followed by the inner mvp-tree,
-// so Load restores a clean store with zero distance computations.
+// tree, when there are any) and then writes the options the next rebuild
+// needs and the tree, so Load restores a clean store with zero distance
+// computations.
 
 // ItemEncoder serializes one item.
 type ItemEncoder[T any] func(T) ([]byte, error)
@@ -23,44 +24,64 @@ type ItemEncoder[T any] func(T) ([]byte, error)
 // ItemDecoder deserializes one item.
 type ItemDecoder[T any] func([]byte) (T, error)
 
-const saveMagic = "MVPDYN1"
+// Save writes saveMagic: a header and an ordinary mvp-tree stream over the
+// caller's encoded items. Load also reads loadMagicV1, written while the
+// store indexed integer IDs: an item table, then a tree stream over
+// positions in it (docs/FORMAT.md).
+const (
+	saveMagic   = "MVPDYN2"
+	loadMagicV1 = "MVPDYN1"
+)
 
-// maxWorkers is the most build workers Load takes a header's word for:
+// maxWorkers is the most build workers Load takes a v1 header's word for:
 // construction sizes its pool by the number, so a corrupt one would cost
 // the next rebuild gigabytes.
 const maxWorkers = 1 << 12
 
 // Save compacts the store and writes it to w. Note the compaction: Save
-// is a mutating operation (equivalent to a rebuild), which is also what
-// makes the saved form simple — pure tree, no buffer, no tombstones.
-// Like Insert and Delete it takes the write lock, excluding queries for
-// its duration.
+// is a mutating operation (a rebuild, unless the store is a tree and
+// nothing else already), which is also what makes the saved form simple
+// — pure tree, no buffer, no tombstones — and, of a store just loaded,
+// the stream it was loaded from. Like Insert and Delete it takes the
+// write lock, excluding queries for its duration.
 func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.rebuild(); err != nil {
+	if len(s.buffer)+s.treeDead > 0 {
+		if err := s.rebuild(); err != nil {
+			return err
+		}
+	}
+	var tree bytes.Buffer
+	if err := s.tree.Save(&tree, func(e entry[T]) ([]byte, error) { return enc(e.item) }); err != nil {
 		return err
 	}
 	var payload bytes.Buffer
 	pw := wire.NewWriter(&payload)
 	pw.Float(s.opts.RebuildFraction)
-	saveTreeOptions(pw, s.opts.Tree)
+	// The options say how the store's next rebuild builds, as the caller
+	// spelled them but for v, which is the tree's: k and p use -1 as
+	// "genuine zero" and are shifted to keep them varint-able. Workers is
+	// left out, being a knob of the machine that built and not of the
+	// store. The tree in the stream is loaded as saved; a rebuild of the
+	// same items under the same options is another draw, not that tree
+	// again.
+	o := s.opts.Tree
+	pw.Int(o.Partitions)
+	pw.Int(o.LeafCapacity + 1)
+	pw.Int(o.PathLength + 1)
+	pw.Int(s.tree.Vantages())
+	var flags byte
+	if o.RandomSecondVantage {
+		flags |= flagRandomSV2
+	}
+	if o.RandomFirstVantage {
+		flags |= flagRandomSV1
+	}
+	pw.Byte(flags)
+	pw.Uvarint(o.Seed)
 	pw.Uvarint(s.seq)
-	pw.Int(len(s.items))
-	for _, it := range s.items {
-		b, err := enc(it)
-		if err != nil {
-			return fmt.Errorf("dynamic: encoding item: %w", err)
-		}
-		pw.Bytes(b)
-	}
-	// The inner tree indexes IDs; persist it with a varint ID codec as
-	// a length-prefixed blob inside the payload.
-	var treeBytes bytes.Buffer
-	if err := s.tree.Save(&treeBytes, encodeIDItem); err != nil {
-		return err
-	}
-	pw.Bytes(treeBytes.Bytes())
+	pw.Bytes(tree.Bytes())
 	if err := pw.Flush(); err != nil {
 		return err
 	}
@@ -71,80 +92,28 @@ func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	return ww.Flush()
 }
 
-// The vantage-selection switches share the byte that was a bool for
-// RandomSecondVantage alone, so streams written before
-// RandomFirstVantage existed read as that switch unset. The options say
-// how the store's next rebuild builds; the tree in the stream is loaded
-// as saved, and a rebuild of the same items under the same options is
-// another draw, not that tree again.
+// The vantage-selection switches share a byte, which in the oldest v1
+// streams was a bool for RandomSecondVantage alone: those read as
+// RandomFirstVantage unset.
 const (
 	flagRandomSV2 = 1 << iota
 	flagRandomSV1
 )
 
-func saveTreeOptions(w *wire.Writer, o mvp.Options) {
-	w.Int(o.Partitions)
-	w.Int(o.LeafCapacity)
-	// PathLength uses -1 as "genuine zero"; shift to keep it varint-able.
-	w.Int(o.PathLength + 1)
-	var flags byte
-	if o.RandomSecondVantage {
-		flags |= flagRandomSV2
-	}
-	if o.RandomFirstVantage {
-		flags |= flagRandomSV1
-	}
-	w.Byte(flags)
-	w.Int(o.Workers)
-	w.Uvarint(o.Seed)
-}
-
-func loadTreeOptions(r *wire.Reader) mvp.Options {
-	var o mvp.Options
-	o.Partitions = r.Int()
-	o.LeafCapacity = r.Int()
-	o.PathLength = r.Int() - 1
-	flags := r.Byte()
+func setFlags(o *mvp.Options, flags byte) {
 	o.RandomSecondVantage = flags&flagRandomSV2 != 0
 	o.RandomFirstVantage = flags&flagRandomSV1 != 0
-	o.Workers = r.Int()
-	o.Seed = r.Uvarint()
-	return o
-}
-
-func encodeIDItem(id int) ([]byte, error) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(id))
-	return buf[:n], nil
-}
-
-// idDecoder decodes the inner tree's items for a table of len(seen)
-// entries, refusing an ID the table does not have or the tree has
-// already used: a tree that loads through it holds each ID at most once.
-func idDecoder(seen []bool) mvp.ItemDecoder[int] {
-	return func(b []byte) (int, error) {
-		u, n := binary.Uvarint(b)
-		if n <= 0 || n != len(b) {
-			return 0, fmt.Errorf("dynamic: invalid ID encoding")
-		}
-		if u >= uint64(len(seen)) || seen[u] {
-			return 0, fmt.Errorf("dynamic: tree item %d is repeated or not in the table of %d (corrupt stream)", u, len(seen))
-		}
-		seen[u] = true
-		return int(u), nil
-	}
 }
 
 // Load reads a store written by Save. dist must be the same metric the
 // store was built with. As in mvp.Load, the checksum only proves the
-// payload is the one written: the item count is charged against the
-// payload's length before anything is allocated for it, the inner tree's
-// items must be the table's IDs, each once, and the options header must
-// be the one that built that tree — so the next rebuild is handed nothing
-// Load did not check.
+// payload is the one written: the rebuild fraction must be one New takes,
+// and the options header must be the one that built the tree beside it —
+// so the next rebuild is handed nothing Load did not check.
 func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (*Store[T], error) {
 	outer := wire.NewReader(r)
-	if string(outer.Bytes()) != saveMagic {
+	magic := string(outer.Bytes())
+	if magic != saveMagic && magic != loadMagicV1 {
 		return nil, fmt.Errorf("dynamic: bad magic (not a dynamic-store stream)")
 	}
 	payload := outer.Bytes()
@@ -160,64 +129,120 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	s := &Store[T]{}
 	s.bindMetric(dist)
 	s.opts.RebuildFraction = rr.Float()
-	s.opts.Tree = loadTreeOptions(rr)
-	s.seq = rr.Uvarint()
-	count := rr.Int()
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
 	if !validFraction(s.opts.RebuildFraction) {
 		return nil, fmt.Errorf("dynamic: rebuild fraction %g (corrupt stream)", s.opts.RebuildFraction)
 	}
-	if count > len(payload) { // an item is a byte of the payload at least
-		return nil, fmt.Errorf("dynamic: %d items announced in a %d-byte payload (corrupt stream)", count, len(payload))
+	var tree *mvp.Tree[entry[T]]
+	var err error
+	if magic == loadMagicV1 {
+		tree, err = s.loadTreeV1(rr, len(payload), dec)
+	} else {
+		tree, err = s.loadTree(rr, dec)
 	}
-	s.items = make([]T, count)
-	s.alive = make([]bool, count)
-	for i := 0; i < count; i++ {
-		b := rr.Bytes()
-		if err := rr.Err(); err != nil {
-			return nil, err
-		}
-		it, err := dec(b)
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: decoding item: %w", err)
-		}
-		s.items[i] = it
-		s.alive[i] = true
-	}
-	s.live = count
-
-	treeBytes := rr.Bytes()
-	if err := rr.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	tree, err := mvp.Load(bytes.NewReader(treeBytes), s.dist, idDecoder(make([]bool, count)))
+	// What the header says has to validate and come to the parameters of
+	// the tree it built: a tree over nothing, which costs nothing, shows
+	// what mvp.New makes of it. v is compared as the header spells it:
+	// mvp.New would read 0 as 2, and no Save wrote that.
+	built, err := mvp.New[entry[T]](nil, s.dist, s.opts.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("%w (corrupt stream)", err)
+	}
+	if v := s.opts.Tree.Vantages; v != tree.Vantages() || built.Partitions() != tree.Partitions() || built.LeafCapacity() != tree.LeafCapacity() || built.PathLength() != tree.PathLength() {
+		return nil, fmt.Errorf("dynamic: tree options v=%d m=%d k=%d p=%d, tree built with v=%d m=%d k=%d p=%d (corrupt stream)",
+			v, built.Partitions(), built.LeafCapacity(), built.PathLength(), tree.Vantages(), tree.Partitions(), tree.LeafCapacity(), tree.PathLength())
+	}
+	s.adopt(tree)
+	return s, nil
+}
+
+// loadTree reads what follows the rebuild fraction in a saveMagic
+// payload: the tree options, the rebuild sequence and the tree, whose
+// items get their ids in the order of the stream.
+func (s *Store[T]) loadTree(r *wire.Reader, dec ItemDecoder[T]) (*mvp.Tree[entry[T]], error) {
+	o := &s.opts.Tree
+	o.Partitions = r.Int()
+	o.LeafCapacity = r.Int() - 1
+	o.PathLength = r.Int() - 1
+	o.Vantages = r.Int()
+	setFlags(o, r.Byte())
+	o.Seed = r.Uvarint()
+	s.seq = r.Uvarint()
+	stream := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	var next int32
+	return mvp.Load(bytes.NewReader(stream), s.dist, func(b []byte) (entry[T], error) {
+		item, err := dec(b)
+		next++
+		return entry[T]{item, next - 1}, err
+	})
+}
+
+// loadTreeV1 is loadTree for a loadMagicV1 payload of size bytes. Its
+// header spells k unshifted, counts build workers and has no field for
+// v, which is read off the tree; its items are a table, and its tree's
+// items varint positions in the table. The item count is charged against
+// the payload's length before anything is allocated for it, and the
+// tree's items must be the table's positions, each once.
+func (s *Store[T]) loadTreeV1(r *wire.Reader, size int, dec ItemDecoder[T]) (*mvp.Tree[entry[T]], error) {
+	o := &s.opts.Tree
+	o.Partitions = r.Int()
+	o.LeafCapacity = r.Int()
+	o.PathLength = r.Int() - 1
+	setFlags(o, r.Byte())
+	o.Workers = r.Int()
+	o.Seed = r.Uvarint()
+	s.seq = r.Uvarint()
+	count := r.Int()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if o.Workers > maxWorkers {
+		return nil, fmt.Errorf("dynamic: %d build workers (corrupt stream)", o.Workers)
+	}
+	if count > size { // an item is a byte of the payload at least
+		return nil, fmt.Errorf("dynamic: %d items announced in a %d-byte payload (corrupt stream)", count, size)
+	}
+	table := make([]T, count)
+	for i := range table {
+		b := r.Bytes()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if table[i], err = dec(b); err != nil {
+			return nil, fmt.Errorf("dynamic: decoding item: %w", err)
+		}
+	}
+	stream := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	seen := make([]bool, count)
+	tree, err := mvp.Load(bytes.NewReader(stream), s.dist, func(b []byte) (entry[T], error) {
+		u, n := binary.Uvarint(b)
+		if n <= 0 || n != len(b) {
+			return entry[T]{}, fmt.Errorf("dynamic: invalid ID encoding")
+		}
+		if u >= uint64(count) || seen[u] {
+			return entry[T]{}, fmt.Errorf("dynamic: tree item %d is repeated or not in the table of %d (corrupt stream)", u, count)
+		}
+		seen[u] = true
+		return entry[T]{table[u], int32(u)}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	if tree.Len() != count {
 		return nil, fmt.Errorf("dynamic: tree holds %d items, table %d (corrupt stream)", tree.Len(), count)
 	}
-	// The header does not say how many vantage points a node has; the
-	// tree does. What it does say has to validate and come to the
-	// parameters of the tree it built: a tree over nothing, which costs
-	// nothing once the worker pool is bounded, shows what mvp.New makes
-	// of it.
-	s.opts.Tree.Vantages = tree.Vantages()
-	if s.opts.Tree.Workers > maxWorkers {
-		return nil, fmt.Errorf("dynamic: %d build workers (corrupt stream)", s.opts.Tree.Workers)
-	}
-	built, err := mvp.New[int](nil, s.dist, s.opts.Tree)
-	if err != nil {
-		return nil, fmt.Errorf("%w (corrupt stream)", err)
-	}
-	if built.Partitions() != tree.Partitions() || built.LeafCapacity() != tree.LeafCapacity() || built.PathLength() != tree.PathLength() {
-		return nil, fmt.Errorf("dynamic: tree options m=%d k=%d p=%d, tree built with m=%d k=%d p=%d (corrupt stream)",
-			built.Partitions(), built.LeafCapacity(), built.PathLength(), tree.Partitions(), tree.LeafCapacity(), tree.PathLength())
-	}
-	s.tree = tree
-	s.treeIDs = count
-	s.rebuilds = 1
-	return s, nil
+	o.Vantages = tree.Vantages()
+	return tree, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"mvptree/internal/dataset"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 	"mvptree/internal/obs"
@@ -112,5 +113,40 @@ func TestStoreObserverTotals(t *testing.T) {
 	if snap.Range.Queries != int64(len(queries)) || snap.KNN.Queries != int64(len(queries)) {
 		t.Fatalf("per-kind query counts: range %d knn %d, want %d each",
 			snap.Range.Queries, snap.KNN.Queries, len(queries))
+	}
+}
+
+// TestQueryAllocations pins what a query allocates on a store with a
+// tree, a buffer and tombstones: the tree's answer, the store's, and for
+// kNN the heap between them. While the store indexed IDs a query parked
+// its item in a sync.Map under a slot ID, and allocated six times.
+func TestQueryAllocations(t *testing.T) {
+	words := dataset.Words(rand.New(rand.NewPCG(15, 3)), 1200, dataset.WordOptions{MinLen: 4, MaxLen: 9, MisspellingsPer: 2})
+	s, err := New(words[:1000], metric.Edit, Options{Tree: mvp.Options{Partitions: 3, LeafCapacity: 80, PathLength: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range words[1000:] {
+		if err := s.Insert(w); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if _, err := s.Delete(words[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s.Buffered() == 0 || s.treeDead == 0 {
+		t.Fatalf("%d buffered, %d tombstones in the tree: want some of each", s.Buffered(), s.treeDead)
+	}
+	i := 0
+	next := func() string { i++; return words[i%len(words)] }
+	s.Range(next(), 1) // warm the tree's pooled scratch
+	s.KNN(next(), 5)
+	if n := testing.AllocsPerRun(200, func() { s.Range(next(), 1) }); n > 3 {
+		t.Errorf("Range allocates %.1f times a query, want at most 3", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.KNN(next(), 5) }); n > 3 {
+		t.Errorf("KNN allocates %.1f times a query, want at most 3", n)
 	}
 }

@@ -136,6 +136,16 @@ func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	}
 }
 
+// Items returns every item the tree stores, vantage points and leaf
+// items in node pre-order, at no distance computations.
+func (t *Tree[T]) Items() []T {
+	out := make([]T, 0, t.size)
+	if len(t.nodes) > 0 {
+		t.collectAll(0, &out)
+	}
+	return out
+}
+
 // KFarthest returns the k indexed items farthest from q in descending
 // distance order, by best-first traversal on distance upper bounds.
 func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
