@@ -69,6 +69,41 @@ func blobName(i int, gen uint64) string {
 	return fmt.Sprintf("shard-%04d-g%08d.bin", i, gen)
 }
 
+// parseManifest decodes a manifest and checks everything it says that
+// needs no backend: the schema version, one size and one blob per shard,
+// and blob names that are the ones SaveDir gives shard i of the stated
+// generation — so none is a path, and LoadDir opens nothing outside the
+// snapshot directory on a manifest's word. A legacy manifest comes back
+// with its fixed names filled in.
+func parseManifest(raw []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return m, fmt.Errorf("shard: bad manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		return m, fmt.Errorf("shard: manifest version %d, want %d", m.Version, manifestVersion)
+	}
+	if m.Shards <= 0 || m.Shards != len(m.Sizes) {
+		return m, fmt.Errorf("shard: manifest inconsistent: %d shards, %d sizes", m.Shards, len(m.Sizes))
+	}
+	if m.Blobs == nil {
+		m.Blobs = make([]string, m.Shards)
+		for i := range m.Blobs {
+			m.Blobs[i] = legacyBlobName(i)
+		}
+		return m, nil
+	}
+	if len(m.Blobs) != m.Shards {
+		return m, fmt.Errorf("shard: manifest inconsistent: %d shards, %d blobs", m.Shards, len(m.Blobs))
+	}
+	for i, name := range m.Blobs {
+		if want := blobName(i, m.Generation); name != want {
+			return m, fmt.Errorf("shard: manifest names shard %d's blob %q, generation %d writes %q", i, name, m.Generation, want)
+		}
+	}
+	return m, nil
+}
+
 // writeFileAtomic writes name inside dir through a same-directory temp
 // file, fsyncs it, and renames it into place, so the file either exists
 // complete under its final name or not at all.
@@ -221,33 +256,16 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 	if err != nil {
 		return nil, err
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("shard: bad manifest: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("shard: manifest version %d, want %d", m.Version, manifestVersion)
+	m, err := parseManifest(raw)
+	if err != nil {
+		return nil, err
 	}
 	if m.Backend != be.Name {
 		return nil, fmt.Errorf("shard: manifest backend %q, loading with %q", m.Backend, be.Name)
 	}
-	if m.Shards <= 0 || m.Shards != len(m.Sizes) {
-		return nil, fmt.Errorf("shard: manifest inconsistent: %d shards, %d sizes", m.Shards, len(m.Sizes))
-	}
 	assignment, err := ParseAssignment(m.Assignment)
 	if err != nil {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
-	}
-	blobs := m.Blobs
-	if blobs == nil {
-		// Legacy manifest from before generation-numbered blobs.
-		blobs = make([]string, m.Shards)
-		for i := range blobs {
-			blobs[i] = legacyBlobName(i)
-		}
-	}
-	if len(blobs) != m.Shards {
-		return nil, fmt.Errorf("shard: manifest inconsistent: %d shards, %d blobs", m.Shards, len(blobs))
 	}
 	x := &Index[T]{
 		shards: make([]index.BatchSearcher[T], m.Shards),
@@ -255,7 +273,7 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 		opts:   Options{Shards: m.Shards, Seed: m.Seed, Assignment: assignment},
 	}
 	for i := range x.shards {
-		f, err := os.Open(filepath.Join(dir, blobs[i]))
+		f, err := os.Open(filepath.Join(dir, m.Blobs[i]))
 		if err != nil {
 			return nil, err
 		}
