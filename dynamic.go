@@ -20,9 +20,9 @@ type DynamicOptions = dynamic.Options
 
 // NewDynamic builds a dynamic store over the initial items. WithObserver
 // and WithTracer attach telemetry; WithCounter is ignored — the store
-// owns an internal counter over its ID space (read it via
-// DistanceCount) — and WithCascade and WithQuantized are refused with
-// an error: the store has neither mode.
+// owns its counter, over the items paired with the ids its tombstones
+// need (read it via DistanceCount) — and WithCascade and WithQuantized
+// are refused with an error: the store has neither mode.
 func NewDynamic[T any](items []T, dist DistanceFunc[T], opts DynamicOptions, ixOpts ...IndexOption[T]) (*DynamicStore[T], error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	s, err := dynamic.New(items, metric.DistanceFunc[T](dist), opts)
@@ -33,7 +33,8 @@ func NewDynamic[T any](items []T, dist DistanceFunc[T], opts DynamicOptions, ixO
 }
 
 // SaveDynamic compacts the store (a rebuild: tombstones dropped, the
-// overflow buffer folded into the tree) and writes it to w.
+// overflow buffer folded into the tree; none if there is neither) and
+// writes it to w.
 func SaveDynamic[T any](w io.Writer, s *DynamicStore[T], enc ItemEncoder[T]) error {
 	return s.Save(w, dynamic.ItemEncoder[T](enc))
 }

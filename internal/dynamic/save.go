@@ -41,9 +41,9 @@ const maxWorkers = 1 << 12
 // Save compacts the store and writes it to w. Note the compaction: Save
 // is a mutating operation (a rebuild, unless the store is a tree and
 // nothing else already), which is also what makes the saved form simple
-// — pure tree, no buffer, no tombstones — and, of a store just loaded,
-// the stream it was loaded from. Like Insert and Delete it takes the
-// write lock, excluding queries for its duration.
+// — pure tree, no buffer, no tombstones. A store just loaded has nothing
+// to compact, and saves as the stream it was loaded from. Like Insert and
+// Delete, Save takes the write lock, excluding queries for its duration.
 func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 	"mvptree/internal/obs"
+	"mvptree/internal/testutil"
 )
 
 // newStatsStore builds a store with a mix of tree-resident, buffered and
@@ -121,6 +122,9 @@ func TestStoreObserverTotals(t *testing.T) {
 // kNN the heap between them. While the store indexed IDs a query parked
 // its item in a sync.Map under a slot ID, and allocated six times.
 func TestQueryAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	words := dataset.Words(rand.New(rand.NewPCG(15, 3)), 1200, dataset.WordOptions{MinLen: 4, MaxLen: 9, MisspellingsPer: 2})
 	s, err := New(words[:1000], metric.Edit, Options{Tree: mvp.Options{Partitions: 3, LeafCapacity: 80, PathLength: 5}})
 	if err != nil {

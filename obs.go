@@ -123,7 +123,7 @@ type CascadeOptions = cascade.Options
 // WithCounter makes the index measure distances through an existing
 // Counter instead of a fresh internal one, so construction and query
 // costs accumulate where the caller wants them. DynamicStore ignores
-// this option: it owns an internal counter over its ID space.
+// this option: it owns its counter, which pairs each item with an id.
 func WithCounter[T any](c *Counter[T]) IndexOption[T] {
 	return func(cfg *indexConfig[T]) { cfg.counter = c }
 }
