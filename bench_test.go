@@ -513,3 +513,22 @@ func BenchmarkDynamicKNN(b *testing.B) {
 		store.KNN(words[i%len(words)], 10)
 	}
 }
+
+// BenchmarkCascadeRangeWords is a range query at r = 1 over the same 5 000
+// words and the paper's tree, static, with the bound cascade armed at its
+// default pivots; dist/op is the paper's cost, the up-front pivots included.
+func BenchmarkCascadeRangeWords(b *testing.B) {
+	words := mvptree.Words(rand.New(rand.NewPCG(42, 42)), 5000, mvptree.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	tree, err := mvptree.New(words, mvptree.EditDistance, mvptree.Options{Partitions: 3, LeafCapacity: 80, PathLength: 5},
+		mvptree.WithCascade[string](mvptree.CascadeOptions{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	before := tree.DistanceCount()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.Range(words[i%len(words)], 1)
+	}
+	b.ReportMetric(float64(tree.DistanceCount()-before)/float64(b.N), "dist/op")
+}

@@ -1,28 +1,32 @@
 package mvptree
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
+	"mvptree/internal/cascade"
 	"mvptree/internal/dataset"
+	"mvptree/internal/testutil"
 )
 
 // The cascade invariance table: the two trees supporting WithCascade,
 // on every workload class of the paper's evaluation plus the [BK73]
-// word corpus, must answer byte-identically with the cascade on and off
-// while never spending more distance computations. This is the
-// facade-level twin of the per-package cascade tests: it exercises the
-// WithCascade construction option itself and pins the guarantee over
-// uniform vectors, clustered vectors and the discrete edit-distance
-// metric in one table. (The comparison structures refuse the option:
-// TestCapabilitiesTable.)
+// word corpus, must hold the cascade's contract
+// (testutil.CheckCascade): byte-identical answers armed and unarmed, at
+// most the pivots' distances more per query and fewer over the grid.
+// This is the facade-level twin of the per-package cascade tests: it
+// exercises the WithCascade construction option itself and pins the
+// guarantee over uniform vectors, clustered vectors and the discrete
+// edit-distance metric in one table. (The comparison structures refuse
+// the option: TestCapabilitiesTable.)
 
 // cascadeCase builds the cascade-off and cascade-on twins of one
-// structure over the same items and seed.
+// structure over the same items and seed; pivots is what arming it pays
+// for, zero where the structure is left uncascaded.
 type cascadeCase[T any] struct {
-	name  string
-	build func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error)
+	name   string
+	pivots int
+	build  func(items []T, dist DistanceFunc[T], cas bool) (*Tree[T], error)
 }
 
 func cascadeCases[T any]() []cascadeCase[T] {
@@ -33,19 +37,24 @@ func cascadeCases[T any]() []cascadeCase[T] {
 		return []IndexOption[T]{WithCascade[T](CascadeOptions{})}
 	}
 	seed := BuildOptions{Seed: 7}
+	vp := func(capacity int) func(items []T, dist DistanceFunc[T], cas bool) (*Tree[T], error) {
+		return func(items []T, dist DistanceFunc[T], cas bool) (*Tree[T], error) {
+			return NewVP(items, dist, VPOptions{Order: 2, LeafCapacity: capacity, Build: seed}, opt(cas)...)
+		}
+	}
 	return []cascadeCase[T]{
-		{"mvpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
+		{"mvpt", cascade.DefaultPivots, func(items []T, dist DistanceFunc[T], cas bool) (*Tree[T], error) {
 			return New(items, dist, Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, Build: seed}, opt(cas)...)
 		}},
-		{"vpt", func(items []T, dist DistanceFunc[T], cas bool) (StatsIndex[T], error) {
-			return NewVP(items, dist, VPOptions{Order: 2, Build: seed}, opt(cas)...)
-		}},
+		{"vpt", cascade.DefaultPivots, vp(20)},
+		// A classic vp-tree keeps no leaf items to choose pivots from:
+		// WithCascade leaves it as it is, silently.
+		{"vpt-classic", 0, vp(1)},
 	}
 }
 
-// checkCascadeInvariance runs the off/on twins of both trees over the
-// query grid. Each must report a nonzero FilteredByCascade somewhere in
-// it — proof the cascade engaged, not just stayed harmless.
+// checkCascadeInvariance runs the off/on twins of the trees over the
+// query grid.
 func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
 	dist DistanceFunc[T], radii []float64, ks []int) {
 	t.Helper()
@@ -59,51 +68,10 @@ func checkCascadeInvariance[T any](t *testing.T, items, queries []T,
 			if err != nil {
 				t.Fatalf("build (cascade on): %v", err)
 			}
-			var pruned int
-			for _, q := range queries {
-				for _, r := range radii {
-					offBefore := off.DistanceCount()
-					resOff, _ := off.RangeWithStats(q, r)
-					offCost := off.DistanceCount() - offBefore
-
-					onBefore := on.DistanceCount()
-					resOn, s := on.RangeWithStats(q, r)
-					onCost := on.DistanceCount() - onBefore
-					pruned += s.FilteredByCascade
-
-					if fmt.Sprint(resOn) != fmt.Sprint(resOff) {
-						t.Fatalf("range r=%g: cascade changed the result sequence", r)
-					}
-					if onCost > offCost {
-						t.Fatalf("range r=%g: cascade cost %d distances, baseline %d", r, onCost, offCost)
-					}
-				}
-				for _, k := range ks {
-					offBefore := off.DistanceCount()
-					nnOff, _ := off.KNNWithStats(q, k)
-					offCost := off.DistanceCount() - offBefore
-
-					onBefore := on.DistanceCount()
-					nnOn, s := on.KNNWithStats(q, k)
-					onCost := on.DistanceCount() - onBefore
-					pruned += s.FilteredByCascade
-
-					if len(nnOff) != len(nnOn) {
-						t.Fatalf("knn k=%d: %d vs %d neighbors", k, len(nnOff), len(nnOn))
-					}
-					for i := range nnOff {
-						if nnOff[i].Dist != nnOn[i].Dist {
-							t.Fatalf("knn k=%d: neighbor %d distance %g vs %g", k, i, nnOff[i].Dist, nnOn[i].Dist)
-						}
-					}
-					if onCost > offCost {
-						t.Fatalf("knn k=%d: cascade cost %d distances, baseline %d", k, onCost, offCost)
-					}
-				}
+			if got := on.Shape().CascadePivots; got != tc.pivots {
+				t.Fatalf("WithCascade armed %d pivots, want %d", got, tc.pivots)
 			}
-			if pruned == 0 {
-				t.Errorf("cascade never pruned a candidate on this workload")
-			}
+			testutil.CheckCascade(t, off, on, tc.pivots, queries, radii, ks)
 		})
 	}
 }

@@ -100,8 +100,8 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		queue      = fs.Int("queue", 256, "per-endpoint admission queue capacity (full queue = 503)")
 		workers    = fs.Int("workers", 0, "executor goroutines per batch (0 = GOMAXPROCS)")
 		retryAfter = fs.Duration("retryafter", time.Second, "Retry-After hint on 503 rejections")
-		casOn      = fs.Bool("cascade", false, "enable the cross-query bound cascade on every shard (identical results, fewer distance computations per query)")
-		casPivots  = fs.Int("cascadepivots", 0, "cascade pivot cap per shard (0 = default)")
+		casOn      = fs.Bool("cascade", false, "arm the bound cascade on every shard (identical results; each query pays the pivots up front and skips the leaf candidates they exclude)")
+		casPivots  = fs.Int("cascadepivots", 0, "cascade pivots per shard, with -cascade (0 = default)")
 		quantize   = fs.String("quantize", "off", "quantized lower-bound pre-filter on every shard: off or sq8 (identical results, less leaf-scan memory traffic)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -109,6 +109,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	}
 	if *dim <= 0 {
 		return fmt.Errorf("-dim must be positive")
+	}
+	if *casPivots != 0 && !*casOn {
+		return fmt.Errorf("-cascadepivots needs -cascade")
 	}
 	qmode, err := quant.ParseMode(*quantize)
 	if err != nil {
@@ -154,9 +157,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		if err != nil {
 			return fmt.Errorf("loading snapshot from %s: %w", *dir, err)
 		}
-		step, slack := filterGrid(idx.(*shard.Index[[]float64]))
+		g := filterGrid(idx.(*shard.Index[[]float64]))
 		fmt.Fprintf(out, "mvpserve: loaded %d items from %s in %v (leaf filter step %.3g, slack %.3g)\n",
-			idx.Len(), *dir, time.Since(start).Round(time.Millisecond), step, slack)
+			idx.Len(), *dir, time.Since(start).Round(time.Millisecond), g.FilterStep, g.FilterSlack)
 	default:
 		start := time.Now()
 		rng := rand.New(rand.NewPCG(*dataSeed, 0))
@@ -173,9 +176,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		// handed (which stays reachable until after the measurement).
 		perItem := (float64(liveHeap()) - float64(heap)) / float64(max(x.Len(), 1))
 		runtime.KeepAlive(items)
-		step, slack := filterGrid(x)
+		g := filterGrid(x)
 		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
-			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, step, slack)
+			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, g.FilterStep, g.FilterSlack)
 		if *dir != "" {
 			if err := x.SaveDir(*dir, be, codec.EncodeVector); err != nil {
 				return fmt.Errorf("saving snapshot to %s: %w", *dir, err)
@@ -187,7 +190,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 			if err := x.EnableCascade(casOpts); err != nil {
 				return fmt.Errorf("enabling cascade: %w", err)
 			}
-			fmt.Fprintf(out, "mvpserve: cascade enabled (%d precomputed distances)\n", x.DistanceCount()-before)
+			g := filterGrid(x)
+			fmt.Fprintf(out, "mvpserve: cascade enabled (%d precomputed distances, %d pivots per shard, arena %.1f B/item, step %.3g, slack %.3g)\n",
+				x.DistanceCount()-before, g.CascadePivots, float64(g.CascadeBytes)/float64(max(g.LeafItems, 1)), g.CascadeStep, g.CascadeSlack)
 		}
 		if qmode != quant.Off {
 			if err := x.EnableQuantize(qmode); err != nil {
@@ -246,16 +251,22 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	return nil
 }
 
-// filterGrid reports the coarsest step any shard's leaf filter stores
-// its distances on, and the largest slack that costs a shard's windows
-// (mvp.Stats). One far outlier coarsens its shard's whole grid; a slack
-// of +Inf means a shard's leaf filter passes everything.
-func filterGrid(x *shard.Index[[]float64]) (step, slack float64) {
+// filterGrid folds the shards' shapes (mvp.Stats) into what the start-up
+// lines print: the coarsest step any shard's leaf filter stores its
+// distances on and the largest slack that costs a shard's windows — one
+// far outlier coarsens its shard's whole grid; a slack of +Inf means a
+// shard's leaf filter passes everything — and, once the cascade is armed,
+// the same of its columns, the most pivots a shard pays per query, and the
+// columns' bytes beside the leaf items they cover.
+func filterGrid(x *shard.Index[[]float64]) (g mvp.Stats) {
 	for i := 0; i < x.Shards(); i++ {
 		s := x.Shard(i).(*mvp.Tree[[]float64]).Shape()
-		step, slack = max(step, s.FilterStep), max(slack, s.FilterSlack)
+		g.FilterStep, g.FilterSlack = max(g.FilterStep, s.FilterStep), max(g.FilterSlack, s.FilterSlack)
+		g.CascadeStep, g.CascadeSlack = max(g.CascadeStep, s.CascadeStep), max(g.CascadeSlack, s.CascadeSlack)
+		g.CascadePivots = max(g.CascadePivots, s.CascadePivots)
+		g.CascadeBytes, g.LeafItems = g.CascadeBytes+s.CascadeBytes, g.LeafItems+s.LeafItems
 	}
-	return step, slack
+	return g
 }
 
 func hasManifest(dir string) bool {

@@ -202,6 +202,11 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err == nil {
 		t.Fatal("dim 0 accepted")
 	}
+	// Pivots for a cascade that is not armed would be silently ignored.
+	err = run(context.Background(), &bytes.Buffer{}, []string{"-cascadepivots", "8"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-cascadepivots needs -cascade") {
+		t.Fatalf("-cascadepivots without -cascade: err=%v", err)
+	}
 	// The float32 arena mode is gone: it must fail at start-up, naming
 	// the modes that remain, not be silently ignored.
 	err = run(context.Background(), &bytes.Buffer{}, []string{"-quantize", "f32"}, nil)

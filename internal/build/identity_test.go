@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"mvptree/internal/build"
@@ -80,11 +81,13 @@ var goldenShape = map[string]string{
 
 // shapeLine is a row of goldenShape.
 func shapeLine(shape any, st build.Stats) string {
+	line := fmt.Sprintf("%+v", shape)
 	if sh, ok := shape.(mvp.Stats); ok {
 		sh.FilterStep, sh.FilterSlack = 0, 0 // the grid follows the data's largest distance
-		shape = sh
+		// Recorded before Stats had the cascade's fields, zero in a tree nothing armed.
+		line = strings.TrimSuffix(fmt.Sprintf("%+v", sh), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0}") + "}"
 	}
-	return fmt.Sprintf("%+v; build: %d distances, %d of them selecting, %d nodes, depth %d", shape, st.Distances, st.SelectionDistances, st.Nodes, st.MaxDepth)
+	return fmt.Sprintf("%s; build: %d distances, %d of them selecting, %d nodes, depth %d", line, st.Distances, st.SelectionDistances, st.Nodes, st.MaxDepth)
 }
 
 // goldenItems is the dataset of one (data, seed) row of the golden tables.

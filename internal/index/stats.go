@@ -10,9 +10,7 @@ package index
 // fills the two Filtered counters (the paper's Observation 2 made
 // measurable). A classic vp-tree is that family's tree with nothing
 // stored: its leaves are a vantage point each, so every distance it pays
-// is counted under VantagePoints and Candidates stays zero unless the
-// cascade excludes a leaf's point, which then counts as a filtered
-// candidate.
+// is counted under VantagePoints and Candidates stays zero.
 type SearchStats struct {
 	// NodesVisited and LeavesVisited count tree nodes entered.
 	NodesVisited  int
@@ -27,10 +25,11 @@ type SearchStats struct {
 	// FilteredByPath counts candidates excluded by a retained PATH
 	// distance — the filter only the mvp-tree family has.
 	FilteredByPath int
-	// FilteredByCascade counts candidates excluded by the cross-query
-	// bound cascade (internal/cascade): the triangle-inequality lower
-	// bound over vantage distances the query registered earlier in its
-	// own traversal. Zero unless the structure has cascading enabled.
+	// FilteredByCascade counts candidates excluded by the bound cascade
+	// (internal/cascade): the triangle-inequality lower bound over the
+	// structure's pivots, whose distances the query paid up front
+	// (counted under VantagePoints). Zero unless the structure has
+	// cascading enabled.
 	FilteredByCascade int
 	// Computed counts real distance computations against leaf data
 	// points; VantagePoints counts those against vantage points. Their

@@ -13,21 +13,18 @@
 // same mechanism the mvp-tree moves into its leaves — measurable in
 // isolation.
 //
-// The pivot machinery itself — the greedy max-min selection, the rows,
-// the per-query registered-distance cache and the lower-bound consult —
-// lives in internal/cascade; this package is the flat-table index built
-// directly on that shared core, which the mvp-tree consults as a leaf
-// filter via its EnableCascade option.
+// The greedy max-min selection is internal/cascade's, which the mvp-tree
+// arms its own pivot columns with (EnableCascade); the table, the
+// query's pivot distances and the bound loop are this package's.
 //
 // Queries (Range, KNN and their variants) read only immutable state and
 // are safe to run concurrently against one instance; the shared
-// distance counter is atomic. The per-query pivot-distance scratch is
-// pooled on the filter, so steady-state queries allocate only the
-// result set.
+// distance counter is atomic.
 package laesa
 
 import (
 	"errors"
+	"math"
 
 	"mvptree/internal/build"
 	"mvptree/internal/cascade"
@@ -68,7 +65,8 @@ type Options struct {
 type Table[T any] struct {
 	obs.Hooks
 	items      []T
-	filter     *cascade.Filter[T] // pivots + rows + pooled query caches
+	pivots     []T
+	rows       [][]float64 // rows[j][i] = d(pivots[j], items[i])
 	dist       *metric.Counter[T]
 	buildStats build.Stats
 }
@@ -110,12 +108,7 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tab
 	// pivots. Each pivot costs one batched distance pass over all
 	// items, which doubles as the pivot's table row.
 	start := build.NewRNG(opts.Seed, 0x6c61657361).Rand().IntN(len(items))
-	pivots, rows := cascade.GreedySelect(b, t.items, p, start)
-	f, err := cascade.NewFilter(pivots, rows, len(pivots))
-	if err != nil {
-		return nil, build.Stats{}, err
-	}
-	t.filter = f
+	t.pivots, t.rows = cascade.GreedySelect(b, t.items, p, start)
 	t.buildStats = b.Finish()
 	return t, t.buildStats, nil
 }
@@ -131,12 +124,7 @@ func (t *Table[T]) Counter() *metric.Counter[T] { return t.dist }
 func (t *Table[T]) DistanceCount() int64 { return t.dist.Count() }
 
 // Pivots reports the number of pivots actually used.
-func (t *Table[T]) Pivots() int {
-	if t.filter == nil {
-		return 0
-	}
-	return t.filter.Pivots()
-}
+func (t *Table[T]) Pivots() int { return len(t.pivots) }
 
 // BuildCost reports the number of distance computations made during
 // construction (pivots × n).
@@ -145,20 +133,31 @@ func (t *Table[T]) BuildCost() int64 { return t.buildStats.Distances }
 // BuildStats reports the full construction report.
 func (t *Table[T]) BuildStats() build.Stats { return t.buildStats }
 
-// queryPivots fills a pooled cascade.Cache with the query's exact
-// distances to the pivots — all of them, or as many as the budget
-// allows: a cache with fewer registered pivots yields looser but still
-// valid lower bounds. The caller must return the cache with
-// t.filter.Put when the scan finishes.
-func (t *Table[T]) queryPivots(q T, a *index.Approx) *cascade.Cache {
-	c := t.filter.Get()
-	for j := 0; j < t.filter.Pivots(); j++ {
+// queryPivots returns the query's exact distances to the pivots — all of
+// them, or as many as the budget allows: fewer yield looser but still
+// valid lower bounds.
+func (t *Table[T]) queryPivots(q T, a *index.Approx) []float64 {
+	qd := make([]float64, 0, len(t.pivots))
+	for _, pv := range t.pivots {
 		if !a.Pay(1) {
 			break
 		}
-		c.Register(int32(j), t.dist.Distance(q, t.filter.Pivot(j)))
+		qd = append(qd, t.dist.Distance(q, pv))
 	}
-	return c
+	return qd
+}
+
+// lowerBound returns max over the pivots measured into qd of
+// |d(q, pivot) − d(pivot, item i)| — by the triangle inequality a lower
+// bound on the distance from the query to item i, 0 with none measured.
+func (t *Table[T]) lowerBound(qd []float64, i int) float64 {
+	var lb float64
+	for j, d := range qd {
+		if b := math.Abs(d - t.rows[j][i]); b > lb {
+			lb = b
+		}
+	}
+	return lb
 }
 
 var _ index.Searcher[int] = (*Table[int])(nil)
@@ -202,16 +201,16 @@ func (t *Table[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 	}
 	a := index.StartApprox(o)
 	rp := a.Shrink(r)
-	c := t.queryPivots(q, &a)
-	s.VantagePoints = c.Registered()
-	t.TraceDistance(c.Registered())
+	qd := t.queryPivots(q, &a)
+	s.VantagePoints = len(qd)
+	t.TraceDistance(len(qd))
 	var out []T
 	for i, it := range t.items {
 		if a.Stop() {
 			break
 		}
 		s.Candidates++
-		if t.filter.LowerBound(c, int32(i)) > rp {
+		if t.lowerBound(qd, i) > rp {
 			s.FilteredByD++
 			t.TracePrune(obs.FilterD, 1)
 			continue
@@ -229,7 +228,6 @@ func (t *Table[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 			out = append(out, it)
 		}
 	}
-	t.filter.Put(c)
 	a.Finish(&s)
 	s.Results = len(out)
 	span.Done(&s)
@@ -265,14 +263,13 @@ func (t *Table[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		return index.Result[T]{Stats: s}
 	}
 	a := index.StartApprox(o)
-	c := t.queryPivots(q, &a)
-	s.VantagePoints = c.Registered()
-	t.TraceDistance(c.Registered())
+	qd := t.queryPivots(q, &a)
+	s.VantagePoints = len(qd)
+	t.TraceDistance(len(qd))
 	var queue heapx.NodeQueue[int]
 	for i := range t.items {
-		queue.PushNode(i, t.filter.LowerBound(c, int32(i)))
+		queue.PushNode(i, t.lowerBound(qd, i))
 	}
-	t.filter.Put(c)
 	best := heapx.NewKBest[T](k)
 	for !a.Stop() {
 		i, lb, ok := queue.PopNode()

@@ -1,9 +1,11 @@
 package laesa
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
 )
@@ -43,6 +45,35 @@ func TestDuplicateHeavyData(t *testing.T) {
 	testutil.CheckRange(t, "laesa-clumped", tbl, w, []float64{0, 0.01, 0.05, 0.5, 3})
 	testutil.CheckKNN(t, "laesa-clumped", tbl, w, []int{1, 3, 10})
 	testutil.CheckContainsAllOnce(t, "laesa-clumped", tbl, w, 1e6)
+}
+
+// TestLowerBoundMatchesBruteForce checks the table's bound loop against
+// max_j |d(q, pivot_j) − d(pivot_j, item)| computed directly, with every
+// pivot measured and with the prefix a budget of three leaves.
+func TestLowerBoundMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 0))
+	items := testutil.RandomVectors(rng, 100, 4)
+	tbl, err := New(items, metric.NewCounter(metric.L2), Options{Pivots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := testutil.RandomVectors(rng, 1, 4)[0]
+	for _, budget := range []int64{0, 3} {
+		a := index.StartApprox(index.SearchOptions{Budget: budget})
+		qd := tbl.queryPivots(q, &a)
+		if want := map[int64]int{0: 4, 3: 3}[budget]; len(qd) != want {
+			t.Fatalf("budget %d: %d pivots measured, want %d", budget, len(qd), want)
+		}
+		for i, it := range items {
+			want := 0.0
+			for _, pv := range tbl.pivots[:len(qd)] {
+				want = math.Max(want, math.Abs(metric.L2(q, pv)-metric.L2(pv, it)))
+			}
+			if got := tbl.lowerBound(qd, i); got != want || got > metric.L2(q, it)+1e-12 {
+				t.Fatalf("budget %d item %d: lowerBound %v, brute force %v, distance %v", budget, i, got, want, metric.L2(q, it))
+			}
+		}
+	}
 }
 
 func TestPivotsCappedAtN(t *testing.T) {

@@ -28,9 +28,6 @@ package mvp
 // calls inside the same invocation, which is trivially byte-identical.
 
 import (
-	"math"
-
-	"mvptree/internal/cascade"
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
 	"mvptree/internal/quant"
@@ -68,14 +65,14 @@ type batchScratch[T any] struct {
 	stats       []SearchStats
 	outs        [][]T
 	spans       []obs.Span
-	ccs         []*cascade.Cache
 	qpreps      []quant.Prepared
 	quantOn     []bool
 	quantPruned []int
 	// qlo/qhi are B×p flat: slot j's PATH windows, as the codes they
-	// hold (Tree.window), live at [j·p, (j+1)·p).
-	qlo []uint16
-	qhi []uint16
+	// hold (window), live at [j·p, (j+1)·p); clo/chi are B×c flat, its
+	// cascade windows (payPivotsBatch).
+	qlo, qhi []uint16
+	clo, chi []uint16
 
 	// Leaf-local per-slot D1/D2 windows, as codes too, and stage tallies
 	// (leaves never recurse, so one set serves every leaf).
@@ -110,18 +107,17 @@ func (t *Tree[T]) getBatchScratch(b int) *batchScratch[T] {
 	} else {
 		bs = &batchScratch[T]{}
 	}
-	bs.reserve(b, t.p)
+	bs.reserve(b, t.p, len(t.cpivots))
 	return bs
 }
 
 // reserve sizes every per-slot array for b slots; rangeLst restarts.
-func (bs *batchScratch[T]) reserve(b, p int) {
+func (bs *batchScratch[T]) reserve(b, p, c int) {
 	bs.qs = growF(bs.qs, b)
 	bs.rads = growF(bs.rads, b)
 	bs.stats = growF(bs.stats, b)
 	bs.outs = growF(bs.outs, b)
 	bs.spans = growF(bs.spans, b)
-	bs.ccs = growF(bs.ccs, b)
 	bs.qpreps = growF(bs.qpreps, b)
 	bs.quantOn = growF(bs.quantOn, b)
 	bs.quantPruned = growF(bs.quantPruned, b)
@@ -136,6 +132,8 @@ func (bs *batchScratch[T]) reserve(b, p int) {
 	bs.comp = growF(bs.comp, b)
 	bs.qlo = growF(bs.qlo, b*p)
 	bs.qhi = growF(bs.qhi, b*p)
+	bs.clo = growF(bs.clo, b*c)
+	bs.chi = growF(bs.chi, b*c)
 	bs.rangeLst = bs.rangeLst[:0]
 }
 
@@ -147,7 +145,6 @@ func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 	for i := range bs.qs {
 		bs.qs[i] = zero
 		bs.outs[i] = nil
-		bs.ccs[i] = nil
 		bs.quantOn[i] = false
 	}
 	clear(bs.pts)
@@ -199,19 +196,13 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 		bs.qs[i] = req.Point
 		bs.rads[i] = req.Radius
 		bs.quantOn[i], bs.quantPruned[i] = t.prepareQuant(&bs.qpreps[i], req.Point), 0
-		if t.cas != nil {
-			bs.ccs[i] = t.cas.Get()
-		}
 		bs.rangeLst = append(bs.rangeLst, int32(i))
 	}
 	if len(bs.rangeLst) > 0 {
+		t.payPivotsBatch(bs.rangeLst, bs)
 		t.rangeBatchNode(0, bs.rangeLst, 0, bs)
 		for _, j := range bs.rangeLst {
 			s := &bs.stats[j]
-			if t.cas != nil {
-				t.cas.Put(bs.ccs[j])
-				bs.ccs[j] = nil
-			}
 			t.ObserveQuantPruned(bs.quantPruned[j])
 			s.Results = len(bs.outs[j])
 			bs.spans[j].Done(s)
@@ -220,6 +211,33 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 		}
 	}
 	t.putBatchScratch(bs)
+}
+
+// payPivotsBatch is payPivots and cascadeWindows for a group: one blocked
+// call per pivot, every distance exact, into slot j's windows at
+// clo/chi[j·c].
+func (t *Tree[T]) payPivotsBatch(act []int32, bs *batchScratch[T]) {
+	c := len(t.cpivots)
+	if c == 0 {
+		return
+	}
+	pts := bs.pts[:0]
+	for _, j := range act {
+		pts = append(pts, bs.qs[j])
+		bs.stats[j].VantagePoints += c
+		t.TraceDistance(c)
+	}
+	bs.pts = pts
+	dv, blk := growF(bs.dv1, len(act)), t.dist.BlockKernel()
+	bs.dv1 = dv
+	for k, pv := range t.cpivots {
+		blk(pv, pts, nil, dv)
+		for i, j := range act {
+			o, w := int(j)*c+k, bs.rads[j]+t.cslack
+			bs.clo[o], bs.chi[o] = window(dv[i]-w, dv[i]+w, t.cstep)
+		}
+	}
+	t.dist.Add(int64(c * len(act)))
 }
 
 // rangeBatchNode is rangeNode for a group: act holds the slots whose
@@ -286,7 +304,7 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 			for i, j := range act {
 				o := int(j)*t.p + plen
 				w := bs.rads[j] + t.slack
-				bs.qlo[o], bs.qhi[o] = t.window(dv[i]-w, dv[i]+w)
+				bs.qlo[o], bs.qhi[o] = window(dv[i]-w, dv[i]+w, t.step)
 			}
 			plen++
 		}
@@ -343,32 +361,17 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 
 // vantageBlock is vantageDistance for a group, one blocked call on the
 // vantage point in slot: while the query PATH is filling every distance
-// is exact; afterwards each query abandons past r+cutMax unless the point
-// is a stamped cascade pivot the query's cache still wants, which is
-// computed exactly (+Inf bound) and registered. A node's d1 registrations so land before any d2 Wants()
-// decision, preserving the per-query registration order (and the cache's
-// per-query limit cut) of the sequential code.
+// is exact; afterwards each query abandons past r+cutMax.
 func (t *Tree[T]) vantageBlock(slot int, exact bool, cutMax float64, act []int32, dv []float64, bs *batchScratch[T]) {
 	var bounds []float64 // nil: every distance exact
 	if !exact {
 		bounds = growF(bs.bounds, len(act))
 		bs.bounds = bounds
 		for i, j := range act {
-			if t.stamp(bs.ccs[j], slot) != 0 {
-				bounds[i] = math.Inf(1)
-			} else {
-				bounds[i] = bs.rads[j] + cutMax
-			}
+			bounds[i] = bs.rads[j] + cutMax
 		}
 	}
 	t.dist.BlockKernel()(t.vps[slot], bs.pts, bounds, dv)
-	if t.cas != nil && t.casStamp[slot] != 0 {
-		for i, j := range act {
-			if stamp := t.stamp(bs.ccs[j], slot); stamp != 0 {
-				bs.ccs[j].Register(stamp-1, dv[i])
-			}
-		}
-	}
 }
 
 // rangeBatchLeaf is rangeLeaf for a group: the vantage points are
@@ -399,24 +402,15 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 	dv2 := growF(bs.dv2, na)
 	bs.dv2 = dv2
 
-	// The leaf's vantage points, each with one blocked call: abandoned
-	// past r+maxD, or exact (+Inf) and registered where it is a stamped
-	// cascade pivot the query's cache still wants.
+	// The leaf's vantage points, each with one blocked call, abandoned
+	// past r+maxD.
 	vantages, hasSV2, maxD := int(n.svs), n.hasSV2(), t.maxD(n)
 	for v, dv := range [][]float64{dv1, dv2}[:vantages] {
-		slot := int(ni)*t.v + v
 		for i, j := range act {
-			if t.stamp(bs.ccs[j], slot) != 0 {
-				bounds[i] = math.Inf(1)
-			} else {
-				bounds[i] = bs.rads[j] + maxD[v]
-			}
+			bounds[i] = bs.rads[j] + maxD[v]
 		}
 		blk(sv[v], pts, bounds, dv)
 		for i, j := range act {
-			if stamp := t.stamp(bs.ccs[j], slot); stamp != 0 {
-				bs.ccs[j].Register(stamp-1, dv[i])
-			}
 			s := &bs.stats[j]
 			s.VantagePoints++
 			t.TraceDistance(1)
@@ -428,13 +422,13 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 
 	for i, j := range act {
 		w := bs.rads[j] + t.slack
-		bs.wlo1[j], bs.whi1[j] = t.window(dv1[i]-w, dv1[i]+w)
-		bs.wlo2[j], bs.whi2[j] = t.window(dv2[i]-w, dv2[i]+w)
+		bs.wlo1[j], bs.whi1[j] = window(dv1[i]-w, dv1[i]+w, t.step)
+		bs.wlo2[j], bs.whi2[j] = window(dv2[i]-w, dv2[i]+w, t.step)
 		bs.fD[j], bs.fP[j], bs.fC[j], bs.fQ[j], bs.comp[j] = 0, 0, 0, 0, 0
 	}
 
 	items, rows, stride := t.leaf(n)
-	cas, base := t.cas, t.itemBase(ni)
+	c := len(t.cpivots)
 	qset, qcodes := t.qset, t.leafCodes(n)
 	hasQuant := qcodes != nil
 	p := t.p
@@ -466,11 +460,9 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 				continue
 			}
 			r := bs.rads[j]
-			if cc := bs.ccs[j]; cc != nil && cc.Registered() > 0 {
-				if lb := cas.LowerBound(cc, base+int32(i)); lb > r {
-					bs.fC[j]++
-					continue
-				}
+			if cb := int(j) * c; c > 0 && t.cascadeMiss(int(n.off)+i, bs.clo[cb:cb+c], bs.chi[cb:cb+c]) {
+				bs.fC[j]++
+				continue
 			}
 			bs.comp[j]++
 			if hasQuant && bs.quantOn[j] && qset.PruneAt(&bs.qpreps[j], qcodes, i, r) {
@@ -511,27 +503,19 @@ func (t *Tree[T]) measureSurvivors(pt T, bs *batchScratch[T]) {
 }
 
 // rangeBatchBare is rangeBare for a group: each point of the item-less
-// leaf is measured, with one blocked call, for the queries whose cascade
-// bound does not already exclude it.
+// leaf is measured for every query, with one blocked call.
 func (t *Tree[T]) rangeBatchBare(ni int32, act []int32, bs *batchScratch[T]) {
-	total, base := 0, t.itemBase(ni)
-	for i, pt := range t.points(ni) {
-		surv, spts, sbounds := bs.sslots[:0], bs.spts[:0], bs.sbounds[:0]
-		for _, j := range act {
-			s, r := &bs.stats[j], bs.rads[j]
-			if cc := bs.ccs[j]; cc != nil && cc.Registered() > 0 && t.cas.LowerBound(cc, base+int32(i)) > r {
-				s.Candidates++
-				s.FilteredByCascade++
-				t.TracePrune(obs.FilterCascade, 1)
-				continue
-			}
-			s.VantagePoints++
-			t.TraceDistance(1)
-			surv, spts, sbounds = append(surv, j), append(spts, bs.qs[j]), append(sbounds, r)
-		}
-		bs.sslots, bs.spts, bs.sbounds = surv, spts, sbounds
-		t.measureSurvivors(pt, bs)
-		total += len(surv)
+	surv, spts, sbounds := bs.sslots[:0], bs.spts[:0], bs.sbounds[:0]
+	for _, j := range act {
+		surv, spts, sbounds = append(surv, j), append(spts, bs.qs[j]), append(sbounds, bs.rads[j])
 	}
-	t.dist.Add(int64(total))
+	bs.sslots, bs.spts, bs.sbounds = surv, spts, sbounds
+	for _, pt := range t.points(ni) {
+		for _, j := range act {
+			bs.stats[j].VantagePoints++
+			t.TraceDistance(1)
+		}
+		t.measureSurvivors(pt, bs)
+	}
+	t.dist.Add(int64(len(t.points(ni)) * len(act)))
 }

@@ -75,10 +75,8 @@ func TestBatchInvarianceUniform(t *testing.T) {
 }
 
 // TestBatchInvarianceClustered pins batch == sequential on clumped,
-// duplicate-heavy vectors under L1 with the cross-query bound cascade
-// enabled — registration order inside the shared traversal must match
-// the sequential one exactly for the cache state (and hence Wants()
-// decisions and prune counts) to agree.
+// duplicate-heavy vectors under L1 with the bound cascade armed — the
+// group's blocked pivot distances and windows must be each query's own.
 func TestBatchInvarianceClustered(t *testing.T) {
 	items := clusteredItems(103, 2000, 10, 6)
 	queries := uniformItems(104, 30, 10)
@@ -100,8 +98,8 @@ func TestBatchInvarianceClustered(t *testing.T) {
 		if err := tree.EnableCascade(cascade.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if tree.Cascade() == nil {
-			t.Fatal("EnableCascade left the filter nil")
+		if sh := tree.Shape(); (sh.CascadePivots > 0) != (sh.LeafItems > 0) {
+			t.Fatalf("EnableCascade armed %d pivots over %d leaf items", sh.CascadePivots, sh.LeafItems)
 		}
 		testutil.CheckBatch(t, tree, dist, reqs, batchSizes, vecEq)
 	})

@@ -1,92 +1,111 @@
 package mvp
 
-import "mvptree/internal/cascade"
+import (
+	"math"
 
-// EnableCascade builds the cross-query bound cascade for the tree: a
-// breadth-first walk collects the first opts.Pivots vantage points as
-// cascade pivots (stamping their nodes) and assigns every leaf item a
-// contiguous id — as it does the points of a leaf too small to have
-// items, which the scans treat as candidates (rangeBare): in a classic
-// vp-tree those are all there is to filter — then precomputes the pivot
-// × item distance rows
-// through the tree's own counter (internal/cascade). Afterwards every
-// Range/KNN query registers the exact distances it computes at stamped
-// vantage points — distances the traversal pays for anyway — and skips
-// leaf candidates whose triangle-inequality lower bound over those
-// registered distances already exceeds the query threshold, before the
-// stored D1/D2 and PATH filters would have let them through to a real
-// distance computation. Results are byte-identical with the cascade on
-// or off; per-query distance counts can only decrease.
+	"mvptree/internal/build"
+	"mvptree/internal/cascade"
+	"mvptree/internal/index"
+)
+
+// EnableCascade arms the tree's bound cascade: c = opts.Pivots of the leaf
+// items, far from one another (cascade.GreedySelect from the first item of
+// the arena, so the choice depends on arena order alone and survives
+// Save/Load), and every leaf item's distance to each of them in a companion
+// to the item arena, as qcodes is: item i's c codes at ccodes[i·c]. The
+// codes are the leaf filter's (fixed.go) on a grid of the cascade's own —
+// the pivots are outliers by construction, and their distances must not
+// coarsen the tree's — with a slack of its own. Selecting the pivots
+// measures exactly the columns, c × LeafItems distances on the tree's
+// counter.
 //
-// The precomputation is lazy — nothing is spent unless this is called —
-// and costs Pivots × LeafItems distance computations, reported by
-// Cascade().BuildDistances. A tree too small to hold leaf items (or
-// vantage points) is left uncascaded silently.
+// Afterwards every Search pays its c pivot distances once, up front, and
+// the leaf scans compare a candidate that passed D1/D2 and PATH against
+// them before computing its distance: c more integer windows for a range
+// query, c more magnitudes for kNN. Results and their order are
+// byte-identical with the cascade on or off; a query computes at most c
+// distances more than the unarmed tree's, and where pruning pays, far
+// fewer. A query whose Budget is below c is answered unarmed.
 //
-// EnableCascade is not synchronized with in-flight queries: enable the
-// cascade before serving. The cascade state is not serialized by Save;
-// re-enable after Load. Every Search consults it, approximate and
-// budgeted ones included (their leaf filter compares the bound against
-// the shrunken threshold).
+// A tree without leaf items — the classic vp-tree — is left uncascaded,
+// silently: its points are all vantage points, computed on the way down.
+// EnableCascade is not synchronized with in-flight queries: arm before
+// serving. The columns are not serialized by Save; re-enable after Load.
 func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
-	if len(t.nodes) == 0 {
-		return nil
-	}
-	b, err := cascade.NewBuilder[T](opts)
+	opts, err := opts.Resolve()
 	if err != nil {
 		return err
 	}
-	// What the walk gives the nodes: per vantage-point slot its stamp as a
-	// cascade pivot (the pivot index plus one; zero means unstamped), and
-	// per leaf the cascade id of its first item — in a leaf without items,
-	// of its first vantage point.
-	stamp, base := make([]int32, len(t.vps)), make([]int32, len(t.nodes))
-	queue := []int32{0}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		n := &t.nodes[i]
-		if n.isLeaf() && n.cnt == 0 {
-			base[i] = b.AddItems(t.points(i)) // the id the first point gets
-			continue
-		}
-		for j, sv := range t.points(i) {
-			stamp[int(i)*t.v+j] = b.AddPivot(sv)
-		}
-		if n.isLeaf() {
-			base[i] = b.AddItems(t.items[n.off : n.off+n.cnt])
-			continue
-		}
-		cut1, _, sh := t.inner(n)
-		for range len(cut1) + 1 {
-			row, _ := sh.next()
-			for _, c := range row {
-				if c != noChild {
-					queue = append(queue, c)
-				}
-			}
-		}
-	}
-	if b.NumPivots() == 0 || b.NumItems() == 0 {
+	if len(t.items) == 0 {
 		return nil
 	}
-	f, err := b.Build(t.dist)
-	if err != nil {
-		return err
+	b := build.Start(t.dist, build.Options{Workers: opts.Workers})
+	pivots, rows := cascade.GreedySelect(b, t.items, min(opts.Pivots, len(t.items)), 0)
+	exp := minStepExp
+	for _, row := range rows {
+		exp = max(exp, stepExp(row))
 	}
-	t.cas, t.casStamp, t.casBase = f, stamp, base
+	c, step := len(pivots), math.Ldexp(1, exp)
+	codes := make([]uint16, len(t.items)*c)
+	for i := range t.items {
+		for j, row := range rows {
+			codes[i*c+j] = encode(row[i], step)
+		}
+	}
+	t.cpivots, t.ccodes, t.cstep, t.cslack = pivots, codes, step, slackOf(codes, step)
 	return nil
 }
 
-// itemBase returns the cascade id of leaf i's first candidate, zero while
-// no cascade is armed.
-func (t *Tree[T]) itemBase(i int32) int32 {
-	if t.cas == nil {
-		return 0
+// payPivots measures q to the cascade's pivots into sc.cqd, exactly and
+// before anything else: all of them, counted as vantage points, or — the
+// cascade is unarmed, or the query's budget does not reach that far — none.
+func (t *Tree[T]) payPivots(q T, o index.SearchOptions, sc *queryScratch[T], s *SearchStats) {
+	c := len(t.cpivots)
+	if o.Budget > 0 && o.Budget < int64(c) {
+		c = 0
 	}
-	return t.casBase[i]
+	sc.cqd = growF(sc.cqd, c)
+	if c == 0 {
+		return
+	}
+	sc.ap.Pay(c)
+	for j, pv := range t.cpivots {
+		sc.cqd[j] = t.dist.Distance(q, pv)
+	}
+	s.VantagePoints += c
+	t.TraceDistance(c)
 }
 
-// Cascade returns the tree's cascade filter, nil unless EnableCascade
-// built one.
-func (t *Tree[T]) Cascade() *cascade.Filter[T] { return t.cas }
+// cascadeWindows turns the pivot distances of a range query into the code
+// windows sc.clo[j] ≤ c ≤ sc.chi[j] a candidate within rp must sit in.
+func (t *Tree[T]) cascadeWindows(sc *queryScratch[T], rp float64) {
+	sc.clo, sc.chi = growF(sc.clo, len(sc.cqd)), growF(sc.chi, len(sc.cqd))
+	w := rp + t.cslack
+	for j, d := range sc.cqd {
+		sc.clo[j], sc.chi[j] = window(d-w, d+w, t.cstep)
+	}
+}
+
+// cascadeMiss reports whether the item at index i of the arena has a code
+// outside the query's windows: it is then farther than rp.
+func (t *Tree[T]) cascadeMiss(i int, lo, hi []uint16) bool {
+	codes := t.ccodes[i*len(lo):][:len(lo)]
+	for j, x := range codes {
+		if x < lo[j] || x > hi[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// cascadeBound returns the cascade's lower bound on the distance from the
+// query with pivot distances qd to the item at index i of the arena, the
+// slack given away: −Inf or NaN, which reach no threshold, when the
+// cascade idles.
+func (t *Tree[T]) cascadeBound(i int, qd []float64) float64 {
+	var lb float64
+	for j, x := range t.ccodes[i*len(qd):][:len(qd)] {
+		lb = max(lb, abs(qd[j]-float64(x)*t.cstep))
+	}
+	return lb - t.cslack
+}

@@ -3,7 +3,8 @@ package mvp
 import "math"
 
 // The leaf filter stores every distance as a uint16 code on one
-// tree-wide grid: code·step with step a power of two, so decoding is
+// tree-wide grid (the bound cascade's columns on a second, cascade.go):
+// code·step with step a power of two, so decoding is
 // exact and a query window becomes two integers compared against the
 // codes with no conversion. A distance off the grid takes the odd code
 // beside it — round-to-odd — and is then less than step away from what
@@ -74,13 +75,13 @@ func slackOf(codes []uint16, step float64) float64 {
 // decode returns the distance code c stands for; exact.
 func (t *Tree[T]) decode(c uint16) float64 { return float64(c) * t.step }
 
-// window returns the codes lo16 ≤ c ≤ hi16 of the grid values inside
-// [lo, hi]. The divisions are exact, so no code in the window is lost and
-// — off the ends of the grid — none outside it is admitted; a bound that
-// overflows, underflows or is NaN (Inf − Inf under an idle filter) moves
-// outward.
-func (t *Tree[T]) window(lo, hi float64) (lo16, hi16 uint16) {
-	lo, hi = lo/t.step, hi/t.step
+// window returns the codes lo16 ≤ c ≤ hi16 of the values inside [lo, hi]
+// on the grid of step. The divisions are exact, so no code in the window
+// is lost and — off the ends of the grid — none outside it is admitted; a
+// bound that overflows, underflows or is NaN (Inf − Inf under an idle
+// filter) moves outward.
+func window(lo, hi, step float64) (lo16, hi16 uint16) {
+	lo, hi = lo/step, hi/step
 	switch {
 	case lo > idleCode:
 		lo16 = idleCode

@@ -62,7 +62,7 @@ func TestNarrow(t *testing.T) {
 			}
 			// A window keeps exactly the codes whose values it holds.
 			y := top * rng.Float64()
-			lo, hi := tree.window(min(x, y), max(x, y))
+			lo, hi := window(min(x, y), max(x, y), tree.step)
 			for _, c := range []uint16{encode(x, step), encode(y, step), uint16(rng.UintN(topCode + 1))} {
 				if v := tree.decode(c); (min(x, y) <= v && v <= max(x, y)) != (lo <= c && c <= hi) {
 					t.Fatalf("window(%g, %g) at step %g = [%d, %d]: wrong about code %d", min(x, y), max(x, y), step, lo, hi, c)
@@ -100,11 +100,11 @@ func TestNarrow(t *testing.T) {
 	tree := &Tree[int]{step: 0.5}
 	inf, nan := math.Inf(1), math.NaN()
 	for _, w := range [][2]float64{{-inf, inf}, {nan, nan}, {-3, 1e9}, {nan, inf}, {-inf, nan}} {
-		if lo, hi := tree.window(w[0], w[1]); lo != 0 || hi != idleCode {
+		if lo, hi := window(w[0], w[1], tree.step); lo != 0 || hi != idleCode {
 			t.Errorf("window(%g, %g) = [%d, %d], want every code", w[0], w[1], lo, hi)
 		}
 	}
-	if lo, hi := tree.window(inf, inf); lo != idleCode || hi != idleCode {
+	if lo, hi := window(inf, inf, tree.step); lo != idleCode || hi != idleCode {
 		t.Errorf("window(+Inf, +Inf) = [%d, %d], want no code a distance takes", lo, hi)
 	}
 }
@@ -571,7 +571,7 @@ func BenchmarkLeafFilter(b *testing.B) {
 					out, s = out[:0], SearchStats{}
 					for i, n := range tree.nodes {
 						if n.isLeaf() {
-							tree.rangeLeaf(int32(i), mode.q, mode.r, mode.r, int(n.held), sc, nil, &out, &s)
+							tree.rangeLeaf(int32(i), mode.q, mode.r, mode.r, sc, &out, &s)
 						}
 					}
 				}

@@ -3,7 +3,6 @@ package mvp
 import (
 	"math"
 
-	"mvptree/internal/cascade"
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
@@ -64,10 +63,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		sc.best.Reset(k)
 	}
 	best, queue := sc.best, &sc.queue
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
+	t.payPivots(q, o, sc, &s)
 	queue.PushNode(pendingRef{}, 0)
 	for !a.Stop() {
 		pn, bound, ok := queue.PopNode()
@@ -93,9 +89,9 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		if n.isLeaf() {
 			s.LeavesVisited++
 			if n.cnt == 0 {
-				t.knnBare(i, q, best, ext, cc, a, &s)
+				t.knnBare(i, q, best, ext, a, &s)
 			} else {
-				t.knnLeaf(i, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, cc, sc, &s)
+				t.knnLeaf(i, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, sc, &s)
 			}
 			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
@@ -118,7 +114,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		cut1, cutMax, sh := t.inner(n)
 		var d [2]float64 // d2 is 0 without a second vantage point: inside the one sub-shell
 		for j, sv := range t.vantages(i) {
-			d[j] = t.vantageDistance(q, i, j, exact, tau+cutMax[j], cc)
+			d[j] = t.vantageDistance(q, sv, exact, tau+cutMax[j])
 			if d[j] <= tau+cutMax[j] {
 				best.Push(sv, d[j])
 			}
@@ -173,9 +169,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		}
 	}
 	out := best.Sorted()
-	if t.cas != nil {
-		t.cas.Put(cc)
-	}
 	t.ObserveQuantPruned(sc.quantPruned)
 	a.Finish(&s)
 	t.putScratch(sc)
@@ -195,7 +188,7 @@ func (t *Tree[T]) storedBound(tauP float64) float64 {
 	return tauP + t.slack
 }
 
-func (t *Tree[T]) knnLeaf(i int32, q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) {
+func (t *Tree[T]) knnLeaf(i int32, q T, qpath []float64, best *heapx.KBest[T], ext index.KNNBound, sc *queryScratch[T], s *SearchStats) {
 	a, n := &sc.ap, &t.nodes[i]
 	extTau := math.Inf(1)
 	if ext != nil {
@@ -208,8 +201,6 @@ func (t *Tree[T]) knnLeaf(i int32, q T, qpath []float64, best *heapx.KBest[T], e
 	// Same bound shape as rangeLeaf with τ′ in place of r: a vantage
 	// distance certified past τ′+maxD rejects the vantage point and
 	// D-filters every item, in both the abandoned and the exact world.
-	// Stamped cascade pivots are computed exactly (bound +Inf) and
-	// registered; the push decisions below are unchanged.
 	var d [2]float64
 	maxD, vantages := t.maxD(n), int(n.svs)
 	for j, sv := range t.points(i) {
@@ -218,19 +209,13 @@ func (t *Tree[T]) knnLeaf(i int32, q T, qpath []float64, best *heapx.KBest[T], e
 			return
 		}
 		b := min(best.Threshold(), extTau) + maxD[j]
-		if stamp := t.stamp(cc, int(i)*t.v+j); stamp != 0 {
-			d[j] = kernel(q, sv, math.Inf(1))
-			cc.Register(stamp-1, d[j])
-		} else {
-			d[j] = kernel(q, sv, b)
-		}
-		if d[j] <= b {
+		if d[j] = kernel(q, sv, b); d[j] <= b {
 			best.Push(sv, d[j])
 		}
 		s.VantagePoints++
 		t.TraceDistance(1)
 	}
-	computed := t.scanNearest(i, q, qpath, d[0], d[1], extTau, best, cc, sc, s)
+	computed := t.scanNearest(i, q, qpath, d[0], d[1], extTau, best, sc, s)
 	if ext != nil {
 		ext.Publish(best.Threshold())
 	}
@@ -247,12 +232,12 @@ func (t *Tree[T]) knnLeaf(i int32, q T, qpath []float64, best *heapx.KBest[T], e
 // bound, tauS the one for bounds from the stored codes (storedBound),
 // which are decoded here: a kNN bound is a magnitude, not a window. All
 // move only when a push tightens the heap.
-func (t *Tree[T]) scanNearest(ni int32, q T, qpath []float64, d1, d2, extTau float64, best *heapx.KBest[T], cc *cascade.Cache, sc *queryScratch[T], s *SearchStats) int {
+func (t *Tree[T]) scanNearest(ni int32, q T, qpath []float64, d1, d2, extTau float64, best *heapx.KBest[T], sc *queryScratch[T], s *SearchStats) int {
 	a, n, kernel := &sc.ap, &t.nodes[ni], t.dist.Kernel()
 	hasSV2 := n.hasSV2()
 	items, rows, stride := t.leaf(n)
 	qpath = qpath[:n.held] // held == len(qpath): both are min(p, v·depth)
-	useCas := cc != nil && cc.Registered() > 0
+	useCas := len(sc.cqd) > 0
 	// A candidate the quantized stage prunes still joins computed,
 	// standing in for an abandoned kernel call (quantize.go).
 	useQuant := sc.quantOn && t.qcodes != nil
@@ -286,16 +271,14 @@ func (t *Tree[T]) scanNearest(ni int32, q T, qpath []float64, d1, d2, extTau flo
 			filteredPath++
 			continue
 		}
-		// Last filter: the cascade lower bound over the vantage
-		// distances this query registered on its way down. With ε = 0 a
-		// bound the heap would reject (or one past the external τ)
-		// proves the true distance would be rejected too, so skipping
-		// the computation changes nothing.
-		if useCas {
-			if clb := t.cas.LowerBound(cc, t.casBase[ni]+int32(i)); clb >= tauP {
-				filteredCascade++
-				continue
-			}
+		// Last filter: the cascade's bound over the pivot distances the
+		// query paid for up front. With ε = 0 a bound the heap would
+		// reject (or one past the external τ) proves the true distance
+		// would be rejected too, so skipping the computation changes
+		// nothing.
+		if useCas && t.cascadeBound(int(n.off)+i, sc.cqd) >= tauP {
+			filteredCascade++
+			continue
 		}
 		if sc.limited && !a.Pay(1) {
 			cand = i // not considered: the budget stopped the scan first
@@ -321,29 +304,21 @@ func (t *Tree[T]) scanNearest(ni int32, q T, qpath []float64, d1, d2, extTau flo
 }
 
 // knnBare is knnLeaf for a leaf without items (see rangeBare): each of
-// its points is measured up to τ′ and pushed when within it, unless the
-// cascade bound already reaches the prune threshold.
-func (t *Tree[T]) knnBare(i int32, q T, best *heapx.KBest[T], ext index.KNNBound, cc *cascade.Cache, a *index.Approx, s *SearchStats) {
+// its points is measured up to τ′ and pushed when within it.
+func (t *Tree[T]) knnBare(i int32, q T, best *heapx.KBest[T], ext index.KNNBound, a *index.Approx, s *SearchStats) {
 	extTau := math.Inf(1)
 	if ext != nil {
 		extTau = ext.Tau()
 	}
 	kernel := t.dist.Kernel()
-	useCas := cc != nil && cc.Registered() > 0
-	base, paid := t.itemBase(i), 0
-	for j, pt := range t.points(i) {
-		cb := min(best.Threshold(), extTau)
-		if useCas && t.cas.LowerBound(cc, base+int32(j)) >= a.Shrink(cb) {
-			s.Candidates++
-			s.FilteredByCascade++
-			t.TracePrune(obs.FilterCascade, 1)
-			continue
-		}
+	paid := 0
+	for _, pt := range t.points(i) {
 		if !a.Pay(1) {
 			break
 		}
 		paid++
 		t.TraceDistance(1)
+		cb := min(best.Threshold(), extTau)
 		if d := kernel(q, pt, cb); d <= cb {
 			best.Push(pt, d)
 		}

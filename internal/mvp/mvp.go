@@ -44,7 +44,6 @@ import (
 	"unsafe"
 
 	"mvptree/internal/build"
-	"mvptree/internal/cascade"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/obs"
@@ -190,11 +189,13 @@ type Tree[T any] struct {
 	buildStats build.Stats
 	scratch    sync.Pool // *queryScratch[T]; see pool.go
 	bscratch   sync.Pool // *batchScratch[T]; see batch.go
-	// cas is the cross-query bound cascade, nil unless EnableCascade built
-	// one, with the stamps and item ids it gave the nodes; see cascade.go.
-	cas      *cascade.Filter[T]
-	casStamp []int32
-	casBase  []int32
+	// cpivots are the bound cascade's pivots and ccodes its companion to the
+	// item arena, one code per pivot and item on the grid of cstep, cslack
+	// what that grid lost; nil unless EnableCascade built them; see
+	// cascade.go.
+	cpivots       []T
+	ccodes        []uint16
+	cstep, cslack float64
 	// qset is the trained quantized pre-filter and qcodes its companion to
 	// the item arena, nil unless EnableQuantize built them; see quantize.go.
 	qset   *quant.Set
@@ -245,7 +246,7 @@ func (n *node) hasSV2() bool { return n.svs > 1 }
 func (t *Tree[T]) vantages(i int32) []T { return t.vps[int(i)*t.v:][:t.v] }
 
 // points returns the vantage points node i holds — all there is to a leaf
-// without items, where they are candidates like any leaf item (rangeBare).
+// without items (rangeBare).
 func (t *Tree[T]) points(i int32) []T { return t.vantages(i)[:t.nodes[i].svs] }
 
 // leaf returns leaf n's items and rows; item i's is rows[i*stride:][:stride].
@@ -447,6 +448,11 @@ type Stats struct {
 	// tree-wide and set by the largest stored distance, so one far outlier
 	// coarsens it for all; see docs/TUNING.md.
 	FilterStep, FilterSlack float64
+	// What EnableCascade armed, zero without: the pivots every query pays
+	// for, the bytes of their columns (2 per pivot and leaf item), and the
+	// columns' own grid, as FilterStep and FilterSlack are the leaf rows'.
+	CascadePivots, CascadeBytes int
+	CascadeStep, CascadeSlack   float64
 }
 
 // Shape reports the tree's Stats, from one pass over the node rows.
@@ -458,6 +464,8 @@ func (t *Tree[T]) Shape() Stats {
 		NodeBytes: len(t.nodes)*int(unsafe.Sizeof(node{})) + len(t.vps)*int(unsafe.Sizeof(zero)) +
 			len(t.cuts)*int(unsafe.Sizeof(t.cuts[0])) + len(t.kids)*int(unsafe.Sizeof(t.kids[0])),
 		FilterStep: t.step, FilterSlack: t.slack,
+		CascadePivots: len(t.cpivots), CascadeBytes: len(t.ccodes) * int(unsafe.Sizeof(t.ccodes[0])),
+		CascadeStep: t.cstep, CascadeSlack: t.cslack,
 	}
 	for i := range t.nodes {
 		n := &t.nodes[i]

@@ -22,6 +22,11 @@ type queryScratch[T any] struct {
 	// (Tree.window). Always p long; the live prefix length is threaded
 	// through the recursion.
 	qlo, qhi []uint16
+	// cqd is the query's distances to the cascade's pivots, paid up front
+	// (payPivots; empty when none were), and clo/chi the windows a range
+	// query makes of them (cascadeWindows).
+	cqd      []float64
+	clo, chi []uint16
 	// best and queue drive best-first kNN. best is created lazily
 	// because heapx.NewKBest requires k up front; Reset re-arms it for
 	// each query's k.

@@ -1,9 +1,6 @@
 package mvp
 
 import (
-	"math"
-
-	"mvptree/internal/cascade"
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
 )
@@ -70,14 +67,10 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 	var out []T
 	sc := t.getScratch(o)
 	sc.quantOn, sc.quantPruned = t.prepareQuant(&sc.qprep, q), 0
-	var cc *cascade.Cache
-	if t.cas != nil {
-		cc = t.cas.Get()
-	}
-	t.rangeNode(0, q, r, sc.ap.Shrink(r), 0, sc, cc, &out, &s)
-	if t.cas != nil {
-		t.cas.Put(cc)
-	}
+	rp := sc.ap.Shrink(r)
+	t.payPivots(q, o, sc, &s)
+	t.cascadeWindows(sc, rp)
+	t.rangeNode(0, q, r, rp, 0, sc, &out, &s)
 	t.ObserveQuantPruned(sc.quantPruned)
 	sc.ap.Finish(&s)
 	t.putScratch(sc)
@@ -89,7 +82,7 @@ func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resul
 // rangeNode descends with two radii: r decides membership and bounds
 // the kernels, rp = r/(1+ε) (== r when exact) decides every prune, so
 // each reported item is within r and nothing within rp is skipped.
-func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScratch[T], out *[]T, s *SearchStats) {
 	a := &sc.ap
 	if a.Stop() {
 		return
@@ -100,9 +93,9 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	if n.isLeaf() {
 		s.LeavesVisited++
 		if n.cnt == 0 {
-			t.rangeBare(i, q, r, rp, a, cc, out, s)
+			t.rangeBare(i, q, r, a, out, s)
 		} else {
-			t.rangeLeaf(i, q, r, rp, plen, sc, cc, out, s)
+			t.rangeLeaf(i, q, r, rp, sc, out, s)
 		}
 		return
 	}
@@ -124,12 +117,12 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	// sub-shell [0, +Inf] each shell then has.
 	var d [2]float64
 	for j, sv := range t.vantages(i) {
-		d[j] = t.vantageDistance(q, i, j, exact, r+cutMax[j], cc)
+		d[j] = t.vantageDistance(q, sv, exact, r+cutMax[j])
 		if d[j] <= r {
 			*out = append(*out, sv)
 		}
 		if plen < t.p {
-			sc.qlo[plen], sc.qhi[plen] = t.window(d[j]-w, d[j]+w)
+			sc.qlo[plen], sc.qhi[plen] = window(d[j]-w, d[j]+w, t.step)
 			plen++
 		}
 	}
@@ -157,7 +150,7 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 				t.TracePrune(obs.FilterShell, 1)
 				continue
 			}
-			t.rangeNode(c, q, r, rp, plen, sc, cc, out, s)
+			t.rangeNode(c, q, r, rp, plen, sc, out, s)
 			if a.Stop() {
 				return
 			}
@@ -165,32 +158,14 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	}
 }
 
-// vantageDistance is the distance from q to internal node i's vantage
-// point j: exact when the caller records it (a PATH still filling) or
-// when the point is stamped as a cascade pivot and the query's cache still
-// wants registrations — an exact value is a valid bounded-kernel result,
-// so every decision is unchanged, and the distance doubles as a global
-// filter bound — and otherwise abandoned past bound.
-func (t *Tree[T]) vantageDistance(q T, i int32, j int, exact bool, bound float64, cc *cascade.Cache) float64 {
-	slot := int(i)*t.v + j
-	stamp := t.stamp(cc, slot)
-	if !exact && stamp == 0 {
-		return t.dist.DistanceUpTo(q, t.vps[slot], bound)
+// vantageDistance is the distance from q to an internal node's vantage
+// point sv: exact when the caller records it (a PATH still filling) and
+// otherwise abandoned past bound.
+func (t *Tree[T]) vantageDistance(q, sv T, exact bool, bound float64) float64 {
+	if exact {
+		return t.dist.Distance(q, sv)
 	}
-	d := t.dist.Distance(q, t.vps[slot])
-	if stamp != 0 {
-		cc.Register(stamp-1, d)
-	}
-	return d
-}
-
-// stamp returns the cascade stamp of the vantage point in slot when the
-// query's cache cc still wants its distance registered, else zero.
-func (t *Tree[T]) stamp(cc *cascade.Cache, slot int) int32 {
-	if cc == nil || !cc.Wants() {
-		return 0
-	}
-	return t.casStamp[slot]
+	return t.dist.DistanceUpTo(q, sv, bound)
 }
 
 // rangeLeaf implements step 2 of the search algorithm: filter each leaf
@@ -199,7 +174,7 @@ func (t *Tree[T]) stamp(cc *cascade.Cache, slot int) int32 {
 // into the codes they hold once per leaf so the scan compares integers —
 // computing the real distance only for survivors, and only up to r,
 // since membership is all that matters.
-func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, plen int, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, sc *queryScratch[T], out *[]T, s *SearchStats) {
 	a, n := &sc.ap, &t.nodes[i]
 	// Every distance in a leaf — the two vantage points and the
 	// surviving candidates — is threshold-only, so all of them go
@@ -208,9 +183,7 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, plen int, sc *queryScra
 	kernel := t.dist.Kernel()
 	// A vantage distance certified to exceed r+maxD guarantees every
 	// stored distance fails the |d−D| ≤ r window, so the kernel may
-	// abandon there: the same points get filtered, just cheaper. A
-	// stamped cascade pivot is computed exactly instead (bound +Inf) and
-	// registered; decisions are unchanged.
+	// abandon there: the same points get filtered, just cheaper.
 	var d [2]float64
 	maxD, vantages := t.maxD(n), int(n.svs)
 	for j, sv := range t.points(i) {
@@ -218,19 +191,14 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, plen int, sc *queryScra
 			t.dist.Add(int64(j))
 			return
 		}
-		if stamp := t.stamp(cc, int(i)*t.v+j); stamp != 0 {
-			d[j] = kernel(q, sv, math.Inf(1))
-			cc.Register(stamp-1, d[j])
-		} else {
-			d[j] = kernel(q, sv, r+maxD[j])
-		}
+		d[j] = kernel(q, sv, r+maxD[j])
 		s.VantagePoints++
 		t.TraceDistance(1)
 		if d[j] <= r {
 			*out = append(*out, sv)
 		}
 	}
-	t.dist.Add(int64(vantages + t.scanLeaf(i, q, r, rp, d[0], d[1], sc, cc, out, s)))
+	t.dist.Add(int64(vantages + t.scanLeaf(i, q, r, rp, d[0], d[1], sc, out, s)))
 }
 
 // scanLeaf is the candidate loop of rangeLeaf, given the distances d1 and
@@ -242,20 +210,20 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, plen int, sc *queryScra
 // stats and trace events once per leaf (the same batching rangeNode
 // applies to shell pruning — totals are identical, only the event
 // granularity coarsens).
-func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, sc *queryScratch[T], cc *cascade.Cache, out *[]T, s *SearchStats) int {
+func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, sc *queryScratch[T], out *[]T, s *SearchStats) int {
 	n, kernel := &t.nodes[ni], t.dist.Kernel()
 	hasSV2 := n.hasSV2()
 	w := rp + t.slack
-	d1lo, d1hi := t.window(d1-w, d1+w)
-	d2lo, d2hi := t.window(d2-w, d2+w)
+	d1lo, d1hi := window(d1-w, d1+w, t.step)
+	d2lo, d2hi := window(d2-w, d2+w, t.step)
 	items, rows, stride := t.leaf(n)
 	// held == plen: both are min(p, v·depth) (Load checks the stream's).
 	qlo := sc.qlo[:n.held]
 	qhi := sc.qhi[:n.held]
-	// What only the rare stages read — the cascade's filter and ids, the
+	// What only the rare stages read — the cascade's windows and codes, the
 	// budget, the quantized codes — is fetched where they run, not held
 	// across the loop: the loop keeps enough live without it.
-	useCas := cc != nil && cc.Registered() > 0
+	useCas := len(sc.clo) > 0
 	useQuant := sc.quantOn && t.qcodes != nil
 	cand := len(items)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
@@ -286,15 +254,11 @@ items:
 				continue items
 			}
 		}
-		// Last, cheapest-to-skip filter: the cascade lower bound over
-		// the vantage distances this query registered on its way down.
-		// It only ever skips candidates whose true distance provably
-		// exceeds rp, so nothing within rp is lost.
-		if useCas {
-			if lb := t.cas.LowerBound(cc, t.casBase[ni]+int32(i)); lb > rp {
-				filteredCascade++
-				continue
-			}
+		// Last filter: the cascade's columns, PATH entries to the pivots
+		// the query paid for up front, in windows of their own grid.
+		if useCas && t.cascadeMiss(int(n.off)+i, sc.clo, sc.chi) {
+			filteredCascade++
+			continue
 		}
 		if sc.limited && !sc.ap.Pay(1) {
 			cand = i // not considered: the budget stopped the scan first
@@ -345,20 +309,11 @@ func (t *Tree[T]) reportLeaf(s *SearchStats, quantPruned *int, cand, byD, byPath
 
 // rangeBare is rangeLeaf for a leaf without items, which is every leaf
 // of a classic vp-tree. Its one or two points are vantage points with
-// nothing to filter, so they are candidates like any leaf item: measured
-// up to r, unless the cascade — which numbers them as it does items
-// (EnableCascade) — already puts them past rp.
-func (t *Tree[T]) rangeBare(i int32, q T, r, rp float64, a *index.Approx, cc *cascade.Cache, out *[]T, s *SearchStats) {
+// nothing to filter them by, so each is measured up to r.
+func (t *Tree[T]) rangeBare(i int32, q T, r float64, a *index.Approx, out *[]T, s *SearchStats) {
 	kernel := t.dist.Kernel()
-	useCas := cc != nil && cc.Registered() > 0
-	base, paid := t.itemBase(i), 0
-	for j, pt := range t.points(i) {
-		if useCas && t.cas.LowerBound(cc, base+int32(j)) > rp {
-			s.Candidates++
-			s.FilteredByCascade++
-			t.TracePrune(obs.FilterCascade, 1)
-			continue
-		}
+	paid := 0
+	for _, pt := range t.points(i) {
 		if !a.Pay(1) {
 			break
 		}

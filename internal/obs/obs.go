@@ -71,10 +71,9 @@ const (
 	// FilterPath: a leaf candidate was rejected by its PATH of
 	// ancestor vantage-point distances (Observation 2).
 	FilterPath
-	// FilterCascade: a leaf candidate was rejected by the cross-query
-	// bound cascade — the triangle-inequality lower bound over vantage
-	// distances registered earlier in the same traversal
-	// (internal/cascade).
+	// FilterCascade: a leaf candidate was rejected by the bound
+	// cascade — the triangle-inequality lower bound over the tree's
+	// pivots, paid for at the start of the query (internal/cascade).
 	FilterCascade
 	// FilterQuantized: a leaf candidate's exact float64 evaluation was
 	// skipped because the quantized companion representation's lower

@@ -25,7 +25,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mvptree/internal/build"
 	"mvptree/internal/cascade"
@@ -231,7 +233,9 @@ func assign[T any](items []T, s int, dist *metric.Counter[T], b *build.Builder[T
 		for i := range order {
 			order[i] = i
 		}
-		sortByDistanceThenIndex(order, d)
+		slices.SortFunc(order, func(i, j int) int {
+			return cmp.Or(cmp.Compare(d[i], d[j]), cmp.Compare(i, j))
+		})
 		for rank, i := range order {
 			parts[rank%s] = append(parts[rank%s], items[i])
 		}
@@ -239,62 +243,6 @@ func assign[T any](items []T, s int, dist *metric.Counter[T], b *build.Builder[T
 	default:
 		return nil, 0, fmt.Errorf("shard: unknown assignment %d", int(opts.Assignment))
 	}
-}
-
-// sortByDistanceThenIndex sorts order by (d[i], i) ascending: a plain
-// deterministic tie-broken sort, kept dependency-free.
-func sortByDistanceThenIndex(order []int, d []float64) {
-	less := func(a, b int) bool {
-		if d[a] != d[b] {
-			return d[a] < d[b]
-		}
-		return a < b
-	}
-	// order is a permutation of [0,n); quicksort with median-of-three.
-	var qs func(lo, hi int)
-	qs = func(lo, hi int) {
-		for hi-lo > 12 {
-			mid := lo + (hi-lo)/2
-			if less(order[mid], order[lo]) {
-				order[mid], order[lo] = order[lo], order[mid]
-			}
-			if less(order[hi-1], order[lo]) {
-				order[hi-1], order[lo] = order[lo], order[hi-1]
-			}
-			if less(order[hi-1], order[mid]) {
-				order[hi-1], order[mid] = order[mid], order[hi-1]
-			}
-			p := order[mid]
-			i, j := lo, hi-1
-			for {
-				for less(order[i], p) {
-					i++
-				}
-				for less(p, order[j]) {
-					j--
-				}
-				if i >= j {
-					break
-				}
-				order[i], order[j] = order[j], order[i]
-				i++
-				j--
-			}
-			if j-lo < hi-j-1 {
-				qs(lo, j+1)
-				lo = j + 1
-			} else {
-				qs(j+1, hi)
-				hi = j + 1
-			}
-		}
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && less(order[j], order[j-1]); j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-	}
-	qs(0, len(order))
 }
 
 // Shards reports the shard count.
@@ -310,17 +258,17 @@ func (x *Index[T]) Len() int { return x.size }
 // made by any shard, build and queries alike.
 func (x *Index[T]) DistanceCount() int64 { return x.dist.Count() }
 
-// EnableCascade builds the cross-query bound cascade (internal/cascade)
-// on every shard: each shard precomputes its own pivot × item distance
-// rows through the shared counter and thereafter reuses query-time
-// vantage distances to skip leaf candidates by the triangle inequality.
-// Results are byte-identical with the cascade on or off and per-query
-// distance counts can only decrease, shard by shard. It errors if the
-// backend's structure does not expose EnableCascade (both built-in
-// backends, mvp and vptree, do). Like the per-structure method, it is
-// not synchronized with in-flight queries — enable before serving —
-// and the cascade is not serialized by SaveDir: re-enable after
-// LoadDir.
+// EnableCascade arms the bound cascade (internal/mvp) on every shard:
+// each shard selects its own pivots and precomputes their distance
+// columns through the shared counter, and thereafter every query pays
+// its pivot distances on each shard it visits, up front, to skip leaf
+// candidates by the triangle inequality. Results are byte-identical with
+// the cascade on or off; a query computes at most Pivots distances more
+// per shard. It errors if the backend's structure does not expose
+// EnableCascade (both built-in backends, mvp and vptree, do). Like the
+// per-structure method, it is not synchronized with in-flight queries —
+// enable before serving — and the cascade is not serialized by SaveDir:
+// re-enable after LoadDir.
 func (x *Index[T]) EnableCascade(opts cascade.Options) error {
 	for i, s := range x.shards {
 		c, ok := s.(interface {

@@ -109,8 +109,8 @@ const drawSpread = 0.05
 // grid's total cost is the package's within drawSpread at LeafCapacity 1,
 // where the tree has the package's shape, and no more than that above it
 // at LeafCapacity 10, where a leaf's first point is its vantage point and
-// filters the rest. The cascade changes no answer and costs no more than
-// going without.
+// filters the rest. The cascade changes no answer and costs, over the
+// grid, no more than going without.
 func TestAnswersAndCostsOfSeparatePackage(t *testing.T) {
 	const n, dim = 5000, 8
 	for _, row := range parentRows {

@@ -110,12 +110,10 @@ type indexConfig[T any] struct {
 	quantize quant.Mode
 }
 
-// CascadeOptions tune the cross-query bound cascade enabled with
-// WithCascade (or Tree.EnableCascade): Pivots caps how many vantage
-// points get precomputed distance rows,
-// MaxPerQuery caps how many pivot distances one query registers
-// (DefaultMaxPerQuery = 8 — beyond that the per-candidate max-loop
-// costs more than the extra bound tightness buys), and Workers
+// CascadeOptions tune the bound cascade armed with WithCascade (or
+// Tree.EnableCascade): Pivots is how many leaf items become pivots
+// (default 16) — each costs one pass over the leaf items to arm, one
+// distance per query and 2 bytes per leaf item — and Workers
 // parallelizes the one-time precomputation. The zero value uses the
 // defaults.
 type CascadeOptions = cascade.Options
@@ -140,14 +138,18 @@ func WithTracer[T any](tr Tracer) IndexOption[T] {
 	return func(cfg *indexConfig[T]) { cfg.tracer = tr }
 }
 
-// WithCascade enables the cross-query bound cascade on the built index:
-// stored pivot–item distances are precomputed once (costing Pivots ×
-// LeafItems distance computations, on top of construction) and every
-// query thereafter reuses the vantage distances it computes anyway to
-// skip leaf candidates by the triangle inequality, before paying an
-// exact distance. Results are byte-identical with and without the
-// cascade; per-query distance counts can only decrease. Supported by
-// New and NewVP (and the sharded index over them). The comparison
+// WithCascade arms the bound cascade on the built index: Pivots leaf
+// items far from one another are chosen once and every leaf item's
+// distance to each is stored beside the leaf rows (costing Pivots ×
+// LeafItems distance computations, on top of construction); every query
+// thereafter pays its Pivots distances up front and skips leaf
+// candidates they exclude by the triangle inequality, before paying an
+// exact distance. Results and their order are byte-identical with and
+// without the cascade; a query computes at most Pivots distances more
+// per tree than without, and where pruning pays, far fewer. Supported
+// by New and NewVP (and the sharded index over them); a classic
+// vp-tree (VPOptions.LeafCapacity 1, its default) keeps no leaf items
+// and is left uncascaded, silently. The comparison
 // structures of the paper's figures and the dynamic store have no
 // cascade: their constructors return an error naming the structure
 // rather than drop the option — the pivot table is this mechanism in

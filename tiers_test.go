@@ -15,9 +15,10 @@ import (
 // structures of the paper's figures are construction plus one Search:
 // none of them may grow a bound cascade, a stream format or a quantized
 // companion again, which they could not do without importing the package
-// that provides it. The pivot table is built on cascade.Filter — that is
-// its one implementation, not a copy — so for it only persistence and
-// quantization are out of bounds. Non-test files only: a test may use
+// that provides it. The pivot table selects its pivots with
+// cascade.GreedySelect — the one implementation, which the tree's cascade
+// calls too — so for it only persistence and quantization are out of
+// bounds. Non-test files only: a test may use
 // what it likes.
 func TestComparisonStructuresStayBuildAndSearch(t *testing.T) {
 	served := []string{"cascade", "wire", "quant", "codec"}
