@@ -94,8 +94,7 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		leafCap    = fs.Int("leafcap", 50, "mvp-tree leaf capacity")
 		partitions = fs.Int("partitions", 3, "mvp-tree partitions per vantage point")
 		pathLen    = fs.Int("pathlen", 5, "mvp-tree retained path length")
-		maxBatch   = fs.Int("maxbatch", 32, "max queries per executed batch")
-		batch      = fs.Int("batch", 0, "shared-traversal batch size (0 = maxbatch, 1 = per-query execution)")
+		maxBatch   = fs.Int("maxbatch", 32, "max queries per executed batch (one shared traversal per worker)")
 		maxWait    = fs.Duration("maxwait", 2*time.Millisecond, "batching window")
 		queue      = fs.Int("queue", 256, "per-endpoint admission queue capacity (full queue = 503)")
 		workers    = fs.Int("workers", 0, "executor goroutines per batch (0 = GOMAXPROCS)")
@@ -128,7 +127,7 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	})
 
 	casOpts := cascade.Options{Pivots: *casPivots, Workers: *buildW}
-	load := func() (index.StatsIndex[[]float64], error) {
+	load := func() (*shard.Index[[]float64], error) {
 		x, err := shard.LoadDir(*dir, metric.NewCounter(distFn), be, codec.DecodeVector)
 		if err != nil {
 			return nil, err
@@ -149,23 +148,24 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		return x, nil
 	}
 
-	var idx index.StatsIndex[[]float64]
+	var x *shard.Index[[]float64]
 	switch {
 	case *dir != "" && hasManifest(*dir):
 		start := time.Now()
-		idx, err = load()
+		x, err = load()
 		if err != nil {
 			return fmt.Errorf("loading snapshot from %s: %w", *dir, err)
 		}
-		g := filterGrid(idx.(*shard.Index[[]float64]))
+		g := filterGrid(x)
 		fmt.Fprintf(out, "mvpserve: loaded %d items from %s in %v (leaf filter step %.3g, slack %.3g)\n",
-			idx.Len(), *dir, time.Since(start).Round(time.Millisecond), g.FilterStep, g.FilterSlack)
+			x.Len(), *dir, time.Since(start).Round(time.Millisecond), g.FilterStep, g.FilterSlack)
 	default:
 		start := time.Now()
 		rng := rand.New(rand.NewPCG(*dataSeed, 0))
 		items := dataset.UniformVectors(rng, *n, *dim)
 		heap := liveHeap()
-		x, bs, err := shard.NewWithStats(items, metric.NewCounter(distFn), be, shard.Options{
+		var bs shard.BuildStats
+		x, bs, err = shard.NewWithStats(items, metric.NewCounter(distFn), be, shard.Options{
 			Shards: *shards, Workers: *buildW, Seed: *dataSeed,
 		})
 		if err != nil {
@@ -200,12 +200,10 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 			}
 			fmt.Fprintf(out, "mvpserve: quantized pre-filter enabled (%s)\n", qmode)
 		}
-		idx = x
 	}
 
-	s := serve.New[[]float64](idx, serve.VectorCodec(*dim), serve.Options{
+	s := serve.New[[]float64](x, serve.VectorCodec(*dim), serve.Options{
 		MaxBatch:   *maxBatch,
-		Batch:      *batch,
 		MaxWait:    *maxWait,
 		Queue:      *queue,
 		Workers:    *workers,
@@ -214,7 +212,13 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	})
 	defer s.Close()
 	if *dir != "" {
-		s.SetReloader(load)
+		s.SetReloader(func() (index.Searcher[[]float64], error) {
+			x, err := load()
+			if err != nil {
+				return nil, err
+			}
+			return x, nil
+		})
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -260,7 +264,7 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 // columns' bytes beside the leaf items they cover.
 func filterGrid(x *shard.Index[[]float64]) (g mvp.Stats) {
 	for i := 0; i < x.Shards(); i++ {
-		s := x.Shard(i).(*mvp.Tree[[]float64]).Shape()
+		s := x.Shard(i).Shape()
 		g.FilterStep, g.FilterSlack = max(g.FilterStep, s.FilterStep), max(g.FilterSlack, s.FilterSlack)
 		g.CascadeStep, g.CascadeSlack = max(g.CascadeStep, s.CascadeStep), max(g.CascadeSlack, s.CascadeSlack)
 		g.CascadePivots = max(g.CascadePivots, s.CascadePivots)

@@ -51,10 +51,11 @@
 // local traversal state. BatchRange and BatchKNN run a whole query
 // batch across a worker pool with deterministic results and counts:
 //
-//	results, stats := mvptree.BatchRange(tree, queries, 0.3,
+//	results, stats, err := mvptree.BatchRange(tree, queries, 0.3,
 //		mvptree.BatchOptions{Workers: 8})
 //	// results[i] answers queries[i]; stats.Distances is identical
-//	// for any worker count.
+//	// for any worker count. Both take any Searcher — every structure,
+//	// the dynamic store, a sharded index.
 //
 // Construction (with or without Workers) and BK-tree or dynamic-store
 // mutation must still be externally serialized against queries on the

@@ -265,7 +265,7 @@ func TestBatchExecutorPublicAPI(t *testing.T) {
 			t.Errorf("query %d: %d results sequential, %d parallel", i, len(seqRes[i]), len(parRes[i]))
 		}
 	}
-	if _, stats, _ := mvptree.BatchKNN[[]float64](tree, queries, 5, mvptree.BatchOptions{Workers: 4}); !stats.HasSearch {
-		t.Error("BatchKNN over an mvp-tree should aggregate SearchStats")
+	if _, stats, _ := mvptree.BatchKNN[[]float64](tree, queries, 5, mvptree.BatchOptions{Workers: 4}); stats.Search.Distances() != stats.Distances || stats.Distances == 0 {
+		t.Errorf("BatchKNN over an mvp-tree: aggregated SearchStats account for %d computations, Counter delta %d", stats.Search.Distances(), stats.Distances)
 	}
 }

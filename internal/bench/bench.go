@@ -28,7 +28,7 @@ import (
 // count); it reports the uniform construction Stats.
 type Structure[T any] struct {
 	Name  string
-	Build func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error)
+	Build func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error)
 }
 
 // Cell is one (sweep value, structure) measurement.
@@ -91,7 +91,7 @@ func RunRange[T any](items, queries []T, distFn metric.DistanceFunc[T],
 	structures []Structure[T], radii []float64, seeds []uint64, workers ...int) (*Table, error) {
 	qw, bw := optWorkers(workers)
 	return run(items, queries, distFn, structures, radii, seeds, qw, bw, "r",
-		func(idx index.Index[T], qs []T, r float64, w int) []int {
+		func(idx index.Searcher[T], qs []T, r float64, w int) []int {
 			res, _, _ := qexec.RunRange(idx, qs, r, qexec.Options{Workers: w})
 			return resultCounts(res)
 		})
@@ -107,7 +107,7 @@ func RunKNN[T any](items, queries []T, distFn metric.DistanceFunc[T],
 	}
 	qw, bw := optWorkers(workers)
 	return run(items, queries, distFn, structures, vals, seeds, qw, bw, "k",
-		func(idx index.Index[T], qs []T, k float64, w int) []int {
+		func(idx index.Searcher[T], qs []T, k float64, w int) []int {
 			res, _, _ := qexec.RunKNN(idx, qs, int(k), qexec.Options{Workers: w})
 			return resultCounts(res)
 		})
@@ -138,7 +138,7 @@ func resultCounts[R any](res []([]R)) []int {
 
 func run[T any](items, queries []T, distFn metric.DistanceFunc[T],
 	structures []Structure[T], values []float64, seeds []uint64, workers, buildWorkers int, label string,
-	batch func(idx index.Index[T], qs []T, v float64, w int) []int) (*Table, error) {
+	batch func(idx index.Searcher[T], qs []T, v float64, w int) []int) (*Table, error) {
 
 	if len(structures) == 0 || len(values) == 0 {
 		return nil, errors.New("bench: need at least one structure and one sweep value")

@@ -128,7 +128,7 @@ func TestBuildErrorPropagates(t *testing.T) {
 	items, queries := smallWorkload()
 	failing := Structure[[]float64]{
 		Name: "failing",
-		Build: func(items [][]float64, dist *metric.Counter[[]float64], opts build.Options) (index.Index[[]float64], build.Stats, error) {
+		Build: func(items [][]float64, dist *metric.Counter[[]float64], opts build.Options) (index.Searcher[[]float64], build.Stats, error) {
 			return nil, build.Stats{}, errors.New("boom")
 		},
 	}

@@ -26,7 +26,7 @@ import (
 func VPT[T any](order int) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("vpt(%d)", order),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return vptree.NewWithStats(items, dist, vptree.Options{Build: opts, Order: order})
 		},
 	}
@@ -62,7 +62,7 @@ func MVPTRandomSV2[T any](m, k, p int) Structure[T] {
 func mvpt[T any](name string, o mvp.Options) Structure[T] {
 	return Structure[T]{
 		Name: name,
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			o := o // builds of one structure run concurrently
 			o.Build = opts
 			return mvp.NewWithStats(items, dist, o)
@@ -74,7 +74,7 @@ func mvpt[T any](name string, o mvp.Options) Structure[T] {
 func GHT[T any](leafCapacity int) Structure[T] {
 	return Structure[T]{
 		Name: "ght",
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return ghtree.NewWithStats(items, dist, ghtree.Options{Build: opts, LeafCapacity: leafCapacity})
 		},
 	}
@@ -84,7 +84,7 @@ func GHT[T any](leafCapacity int) Structure[T] {
 func GNAT[T any](degree int) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("gnat(%d)", degree),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return gnat.NewWithStats(items, dist, gnat.Options{Build: opts, Degree: degree})
 		},
 	}
@@ -94,7 +94,7 @@ func GNAT[T any](degree int) Structure[T] {
 func LAESA[T any](pivots int) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("laesa(%d)", pivots),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return laesa.NewWithStats(items, dist, laesa.Options{Build: opts, Pivots: pivots})
 		},
 	}
@@ -104,7 +104,7 @@ func LAESA[T any](pivots int) Structure[T] {
 func BKT[T any]() Structure[T] {
 	return Structure[T]{
 		Name: "bkt",
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return bktree.NewWithStats(items, dist, bktree.Options{Build: opts})
 		},
 	}
@@ -114,7 +114,7 @@ func BKT[T any]() Structure[T] {
 func Linear[T any]() Structure[T] {
 	return Structure[T]{
 		Name: "linear",
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return linear.New(items, dist), build.Stats{}, nil
 		},
 	}
@@ -125,7 +125,7 @@ func Linear[T any]() Structure[T] {
 func GMVPT[T any](v, m, k, p int) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("gmvpt(%d,%d,%d)", v, m, k),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return gmvp.NewWithStats(items, dist, gmvp.Options{
 				Build: opts, Vantages: v, Partitions: m, LeafCapacity: k, PathLength: p,
 			})
@@ -138,7 +138,7 @@ func GMVPT[T any](v, m, k, p int) Structure[T] {
 func BallTree[T any](fanout int) Structure[T] {
 	return Structure[T]{
 		Name: fmt.Sprintf("ball(%d)", fanout),
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Index[T], build.Stats, error) {
+		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
 			return balltree.NewWithStats(items, dist, balltree.Options{Build: opts, Fanout: fanout})
 		},
 	}

@@ -379,12 +379,15 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		return index.Result[T]{Stats: st}
 	}
 	probe := entry[T]{item: q}
+	// No answer is longer than the live set, so a k beyond it — a
+	// request's word — neither sizes a heap nor overflows the sum below.
+	k = min(k, s.live)
 	// The tree may return tombstoned items; ask for enough extras to
 	// guarantee k live ones among the answers.
 	res := s.tree.Search(index.Query[entry[T]]{Point: probe, K: k + s.treeDead,
 		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget, Patience: o.Patience}})
 	st = res.Stats
-	best := heapx.NewKBest[T](k)
+	best := heapx.NewKBest[T](k, k)
 	for _, nb := range res.Neighbors {
 		if s.alive[nb.Item.id] {
 			best.Push(nb.Item.item, nb.Dist)

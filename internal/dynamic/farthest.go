@@ -40,7 +40,8 @@ func (s *Store[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		return nil
 	}
 	probe := entry[T]{item: q}
-	best := heapx.NewKLargest[T](k)
+	k = min(k, s.live) // as kNN: the live set bounds the answer, the heap and the sum
+	best := heapx.NewKLargest[T](k, k)
 	for _, nb := range s.tree.KFarthest(probe, k+s.treeDead) {
 		if s.alive[nb.Item.id] {
 			best.Push(nb.Item.item, nb.Dist)

@@ -28,7 +28,7 @@ func AblationP(c Config) (*bench.Table, error) {
 		p := p
 		structures = append(structures, bench.Structure[[]float64]{
 			Name: fmt.Sprintf("mvpt-p=%d", p),
-			Build: func(items [][]float64, dist *metric.Counter[[]float64], opts build.Options) (index.Index[[]float64], build.Stats, error) {
+			Build: func(items [][]float64, dist *metric.Counter[[]float64], opts build.Options) (index.Searcher[[]float64], build.Stats, error) {
 				pl := p
 				if pl == 0 {
 					pl = -1 // mvp.Options: -1 requests a genuine zero

@@ -296,7 +296,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		return index.Result[T]{Stats: s}
 	}
 	a := index.StartApprox(o)
-	best := heapx.NewKBest[T](k)
+	best := heapx.NewKBest[T](k, t.Len())
 	var queue heapx.NodeQueue[*node[T]]
 	queue.PushNode(t.root, 0)
 	for !a.Stop() {

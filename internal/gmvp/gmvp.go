@@ -503,7 +503,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		return index.Result[T]{Stats: s}
 	}
 	a := index.StartApprox(o)
-	best := heapx.NewKBest[T](k)
+	best := heapx.NewKBest[T](k, t.Len())
 	var queue heapx.NodeQueue[knnPending[T]]
 	queue.PushNode(knnPending[T]{t.root, make([]float64, 0, t.p)}, 0)
 search:

@@ -22,13 +22,16 @@ type KBest[T any] struct {
 	items []index.Neighbor[T]
 }
 
-// NewKBest returns a KBest that retains at most k neighbors. k must be
-// positive or NewKBest panics.
-func NewKBest[T any](k int) *KBest[T] {
+// NewKBest returns a KBest that retains at most k neighbors. most is
+// how many candidates it can be offered — the structure's item count —
+// and bounds the backing array at min(k, most): k may be the word of a
+// request, and nothing is allocated on that alone. k must be positive
+// or NewKBest panics.
+func NewKBest[T any](k, most int) *KBest[T] {
 	if k <= 0 {
 		panic("heapx: NewKBest requires k > 0")
 	}
-	return &KBest[T]{k: k, items: make([]index.Neighbor[T], 0, k)}
+	return &KBest[T]{k: k, items: make([]index.Neighbor[T], 0, min(k, most))}
 }
 
 // Len reports how many neighbors are currently held (≤ k).
@@ -58,17 +61,18 @@ func (h *KBest[T]) Threshold() float64 {
 	return h.items[0].Dist
 }
 
-// Reset empties the heap and re-arms it for at most k neighbors,
-// retaining the backing array so a pooled KBest can serve queries with
-// varying k without reallocating (the slice grows only when k exceeds
-// every previous capacity). k must be positive or Reset panics.
-func (h *KBest[T]) Reset(k int) {
+// Reset empties the heap and re-arms it for at most k neighbors out of
+// most candidates (as NewKBest), retaining the backing array so a
+// pooled KBest can serve queries with varying k without reallocating
+// (the slice grows only when min(k, most) exceeds every previous
+// capacity). k must be positive or Reset panics.
+func (h *KBest[T]) Reset(k, most int) {
 	if k <= 0 {
 		panic("heapx: Reset requires k > 0")
 	}
 	h.k = k
-	if cap(h.items) < k {
-		h.items = make([]index.Neighbor[T], 0, k)
+	if c := min(k, most); cap(h.items) < c {
+		h.items = make([]index.Neighbor[T], 0, c)
 	} else {
 		clear(h.items)
 		h.items = h.items[:0]

@@ -8,7 +8,7 @@ import (
 )
 
 func TestKBestKeepsSmallest(t *testing.T) {
-	h := NewKBest[int](3)
+	h := NewKBest[int](3, 3)
 	dists := []float64{5, 1, 9, 3, 7, 2, 8}
 	for i, d := range dists {
 		h.Push(i, d)
@@ -26,7 +26,7 @@ func TestKBestKeepsSmallest(t *testing.T) {
 }
 
 func TestKBestUnderfull(t *testing.T) {
-	h := NewKBest[string](10)
+	h := NewKBest[string](10, 10)
 	h.Push("a", 2)
 	h.Push("b", 1)
 	if h.Full() {
@@ -42,7 +42,7 @@ func TestKBestUnderfull(t *testing.T) {
 }
 
 func TestKBestBoundAndAccepts(t *testing.T) {
-	h := NewKBest[int](2)
+	h := NewKBest[int](2, 2)
 	h.Push(0, 4)
 	h.Push(1, 6)
 	if w, ok := h.Bound(); !ok || w != 6 {
@@ -66,7 +66,7 @@ func TestKBestPanicsOnNonPositiveK(t *testing.T) {
 			t.Fatal("NewKBest(0) did not panic")
 		}
 	}()
-	NewKBest[int](0)
+	NewKBest[int](0, 0)
 }
 
 // Property: KBest(k) over any distance sequence returns exactly the k
@@ -74,7 +74,7 @@ func TestKBestPanicsOnNonPositiveK(t *testing.T) {
 func TestKBestMatchesSortQuick(t *testing.T) {
 	f := func(raw []float64, kRaw uint8) bool {
 		k := int(kRaw%8) + 1
-		h := NewKBest[int](k)
+		h := NewKBest[int](k, k)
 		clean := make([]float64, 0, len(raw))
 		for i, d := range raw {
 			if d != d || d < 0 { // skip NaN and negatives; distances are non-negative

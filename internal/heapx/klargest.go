@@ -11,13 +11,14 @@ type KLargest[T any] struct {
 	items []index.Neighbor[T]
 }
 
-// NewKLargest returns a KLargest that retains at most k neighbors. k
-// must be positive or NewKLargest panics.
-func NewKLargest[T any](k int) *KLargest[T] {
+// NewKLargest returns a KLargest that retains at most k neighbors out
+// of most candidates; as NewKBest, the backing array is min(k, most)
+// long. k must be positive or NewKLargest panics.
+func NewKLargest[T any](k, most int) *KLargest[T] {
 	if k <= 0 {
 		panic("heapx: NewKLargest requires k > 0")
 	}
-	return &KLargest[T]{k: k, items: make([]index.Neighbor[T], 0, k)}
+	return &KLargest[T]{k: k, items: make([]index.Neighbor[T], 0, min(k, most))}
 }
 
 // Len reports how many neighbors are currently held (≤ k).

@@ -7,7 +7,7 @@ import (
 )
 
 func TestKLargestKeepsLargest(t *testing.T) {
-	h := NewKLargest[int](3)
+	h := NewKLargest[int](3, 3)
 	for i, d := range []float64{5, 1, 9, 3, 7, 2, 8} {
 		h.Push(i, d)
 	}
@@ -24,7 +24,7 @@ func TestKLargestKeepsLargest(t *testing.T) {
 }
 
 func TestKLargestAccepts(t *testing.T) {
-	h := NewKLargest[int](2)
+	h := NewKLargest[int](2, 2)
 	h.Push(0, 4)
 	h.Push(1, 6)
 	if h.Accepts(4) {
@@ -46,13 +46,13 @@ func TestKLargestPanicsOnNonPositiveK(t *testing.T) {
 			t.Fatal("NewKLargest(0) did not panic")
 		}
 	}()
-	NewKLargest[int](0)
+	NewKLargest[int](0, 0)
 }
 
 func TestKLargestMatchesSortQuick(t *testing.T) {
 	f := func(raw []float64, kRaw uint8) bool {
 		k := int(kRaw%8) + 1
-		h := NewKLargest[int](k)
+		h := NewKLargest[int](k, k)
 		clean := make([]float64, 0, len(raw))
 		for i, d := range raw {
 			if d != d || d < 0 {

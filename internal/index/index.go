@@ -29,8 +29,7 @@ type Index[T any] interface {
 
 // StatsIndex is an Index whose query paths also report per-query cost
 // breakdowns. Every structure in this repository implements it (as does
-// the dynamic store), and the batch executor uses it — instead of
-// package-private assertions — to collect telemetry uniformly.
+// the dynamic store); it is the direct-call half of Searcher.
 //
 // The stats variants answer exactly the same traversal as Range/KNN:
 // results (and their order within one query) are identical, and the

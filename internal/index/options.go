@@ -44,14 +44,6 @@ type SearchOptions struct {
 	// non-improving leaves once k candidates are held. 0 disables.
 	Patience int
 
-	// Workers is the sharded index's fan-out width: a range query (or
-	// an approximate kNN query) is answered by up to this many
-	// goroutines, one shard per task (values <= 1 run sequentially).
-	// Results, order, SearchStats and distance counts are identical at
-	// every value. Single structures ignore it, as does sharded exact
-	// kNN (a sequential carried-τ walk).
-	Workers int
-
 	// Bound is an optional external kNN pruning bound (cross-shard τ
 	// sharing). Honored by mvp and vptree on every kNN query, exact or
 	// approximate; every other structure ignores it.
@@ -59,8 +51,7 @@ type SearchOptions struct {
 }
 
 // Approximate reports whether any approximation knob is active, i.e.
-// whether the answer may differ from the exact one. Batching layers use
-// it to keep such queries out of a shared traversal.
+// whether the answer may differ from the exact one.
 func (o SearchOptions) Approximate() bool {
 	return o.Epsilon > 0 || o.Budget > 0 || o.Patience > 0
 }
@@ -76,8 +67,19 @@ type Query[T any] struct {
 	Radius float64
 	// K requests a k-nearest-neighbor query when > 0.
 	K int
-	// Opts carries the exact/approximate/budget/parallel knobs.
+	// Opts carries the exact/approximate/budget knobs.
 	Opts SearchOptions
+}
+
+// Shareable reports whether the request may ride a group's shared
+// traversal in SearchBatch: an exact range query with no external
+// Bound. Everything else — kNN (best-first pops diverge, and a sharded
+// walk carries a per-query τ), ε, Budget, Patience — is answered by
+// per-query Search inside the same SearchBatch call. It is the one
+// place that question is decided; executors above hand SearchBatch a
+// mixed group as it is.
+func (q Query[T]) Shareable() bool {
+	return q.K <= 0 && !q.Opts.Approximate() && q.Opts.Bound == nil
 }
 
 // RangeQuery builds an exact range request; chain option tweaks on the
@@ -137,9 +139,9 @@ type BatchSearcher[T any] interface {
 	// len(results) == len(reqs). Every results[i] — items, neighbor
 	// order, SearchStats, and the structure's Counter delta — is
 	// byte-identical to what Search(reqs[i]) produces, at every batch
-	// size; batching changes memory traffic, never answers. Queries the
-	// shared traversal does not batch (kNN, approximate modes) are
-	// answered by per-query Search calls inside the same invocation.
+	// size; batching changes memory traffic, never answers. Queries that
+	// are not Shareable are answered by per-query Search calls inside
+	// the same invocation.
 	SearchBatch(reqs []Query[T], results []Result[T])
 }
 

@@ -270,7 +270,7 @@ func (t *Table[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	for i := range t.items {
 		queue.PushNode(i, t.lowerBound(qd, i))
 	}
-	best := heapx.NewKBest[T](k)
+	best := heapx.NewKBest[T](k, t.Len())
 	for !a.Stop() {
 		i, lb, ok := queue.PopNode()
 		tau := best.Threshold()

@@ -23,7 +23,7 @@ func (s *Scan[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	if k <= 0 || len(s.items) == 0 {
 		return nil
 	}
-	h := heapx.NewKLargest[T](k)
+	h := heapx.NewKLargest[T](k, len(s.items))
 	for _, it := range s.items {
 		h.Push(it, s.dist.Distance(q, it))
 	}

@@ -137,7 +137,7 @@ func (s *Scan[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	qp := s.prepareQuant(q)
 	qset, qcodes := s.qset, s.qcodes
 	filteredQuant := 0
-	h := heapx.NewKBest[T](k)
+	h := heapx.NewKBest[T](k, len(s.items))
 	for i, it := range s.items {
 		if a.Stop() || !a.Pay(1) {
 			break

@@ -158,9 +158,10 @@ func (t *Tree[T]) putBatchScratch(bs *batchScratch[T]) {
 
 // SearchBatch answers reqs[i] into results[i] with one shared traversal
 // per query group (index.BatchSearcher). It panics unless len(results)
-// == len(reqs). Exact range queries share one DFS and everything else
-// (kNN, approximate) goes to per-query Search within the
-// same call; every results[i] is byte-identical to Search(reqs[i]).
+// == len(reqs). Shareable requests (index.Query.Shareable: exact range
+// queries) share one DFS and everything else goes to per-query Search
+// within the same call; every results[i] is byte-identical to
+// Search(reqs[i]).
 //
 // SearchBatch is safe to call concurrently with itself and with Search;
 // like Search, per-query counter attribution requires the per-Result
@@ -182,7 +183,7 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	bs := t.getBatchScratch(len(reqs))
 	for i := range reqs {
 		req := &reqs[i]
-		if req.K > 0 || req.Opts.Approximate() {
+		if !req.Shareable() {
 			results[i] = t.Search(*req)
 			continue
 		}

@@ -152,7 +152,7 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	if k <= 0 || len(t.nodes) == 0 {
 		return nil
 	}
-	best := heapx.NewKLargest[T](k)
+	best := heapx.NewKLargest[T](k, t.size)
 	type pending struct {
 		n     int32
 		qpath []float64

@@ -58,9 +58,9 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	a, ext := &sc.ap, o.Bound
 	sc.quantOn, sc.quantPruned = t.prepareQuant(&sc.qprep, q), 0
 	if sc.best == nil {
-		sc.best = heapx.NewKBest[T](k)
+		sc.best = heapx.NewKBest[T](k, t.size)
 	} else {
-		sc.best.Reset(k)
+		sc.best.Reset(k, t.size)
 	}
 	best, queue := sc.best, &sc.queue
 	t.payPivots(q, o, sc, &s)

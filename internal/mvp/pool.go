@@ -74,7 +74,7 @@ func (t *Tree[T]) putScratch(sc *queryScratch[T]) {
 	sc.quantOn = false
 	sc.queue.Reset()
 	if sc.best != nil {
-		sc.best.Reset(1) // clears retained neighbors; re-armed per query
+		sc.best.Reset(1, 1) // clears retained neighbors; re-armed per query
 	}
 	t.scratch.Put(sc)
 }

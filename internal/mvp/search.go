@@ -22,8 +22,7 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 // the shrunken threshold, every acceptance test against the full one,
 // and Pay precedes every distance computation. The cascade, the
 // quantized pre-filter, Opts.Bound and the pooled scratch therefore
-// serve every query, approximate or not. Opts.Workers is a sharded
-// fan-out knob and means nothing to a single tree.
+// serve every query, approximate or not.
 func (t *Tree[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return t.knn(req.Point, req.K, req.Opts)

@@ -72,18 +72,20 @@ func TestRunBatchMatchesUnbatched(t *testing.T) {
 
 // TestRunBatchApproximate routes a budgeted batch through the Batch
 // option: SearchBatch answers approximate members by per-query Search
-// fallback, so results and the ExhaustedMask match the unbatched
-// approximate run exactly.
+// fallback, so every result — its Exhausted flag included — matches the
+// unbatched approximate run exactly, and RunRange spells the same
+// requests from Options.Search.
 func TestRunBatchApproximate(t *testing.T) {
 	tree, c, queries := testTree(t)
-	opts := Options{Workers: 1, Search: index.SearchOptions{Budget: 150}}
+	budget := index.SearchOptions{Budget: 150}
+	reqs := make([]index.Query[[]float64], len(queries))
+	for i, q := range queries {
+		reqs[i] = index.Query[[]float64]{Point: q, Radius: 0.6, Opts: budget}
+	}
 	c.Reset()
-	want, wantStats, _ := RunRange[[]float64](tree, queries, 0.6, opts)
-
-	optsB := opts
-	optsB.Batch = 8
+	want, wantStats, _ := Run[[]float64](tree, reqs, Options{Workers: 1})
 	c.Reset()
-	got, gotStats, err := RunRange[[]float64](tree, queries, 0.6, optsB)
+	got, gotStats, err := Run[[]float64](tree, reqs, Options{Workers: 1, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +95,23 @@ func TestRunBatchApproximate(t *testing.T) {
 	if gotStats.Distances != wantStats.Distances || gotStats.Search != wantStats.Search {
 		t.Errorf("batched budgeted stats differ: %+v vs %+v", gotStats.Search, wantStats.Search)
 	}
-	if gotStats.ExhaustedMask == nil {
-		t.Fatal("budgeted batch did not produce an ExhaustedMask")
+	exhausted := 0
+	for _, res := range got {
+		if res.Exhausted() {
+			exhausted++
+		}
 	}
-	if !reflect.DeepEqual(gotStats.ExhaustedMask, wantStats.ExhaustedMask) {
-		t.Errorf("ExhaustedMask differs: %v vs %v", gotStats.ExhaustedMask, wantStats.ExhaustedMask)
+	if exhausted == 0 || exhausted != gotStats.Search.BudgetExhausted {
+		t.Errorf("%d results say Exhausted, summed stats say %d, want the same and > 0", exhausted, gotStats.Search.BudgetExhausted)
+	}
+	items, _, err := RunRange[[]float64](tree, queries, 0.6, Options{Workers: 1, Batch: 8, Search: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		if !reflect.DeepEqual(items[i], want[i].Items) {
+			t.Fatalf("RunRange with Options.Search: results[%d] differs from Run", i)
+		}
 	}
 }
 

@@ -10,21 +10,16 @@ import (
 	"mvptree/internal/obs"
 )
 
-// slowIndex wraps a StatsIndex, sleeping per query so a short context
+// slowIndex wraps a Searcher, sleeping per query so a short context
 // deadline reliably lands mid-batch.
 type slowIndex struct {
-	index.StatsIndex[[]float64]
+	index.Searcher[[]float64]
 	delay time.Duration
 }
 
-func (s slowIndex) Range(q []float64, r float64) [][]float64 {
+func (s slowIndex) Search(index.Query[[]float64]) index.Result[[]float64] {
 	time.Sleep(s.delay)
-	return nil
-}
-
-func (s slowIndex) RangeWithStats(q []float64, r float64) ([][]float64, index.SearchStats) {
-	time.Sleep(s.delay)
-	return nil, index.SearchStats{}
+	return index.Result[[]float64]{}
 }
 
 func TestContextCancelStopsBatch(t *testing.T) {
@@ -45,7 +40,7 @@ func TestContextCancelStopsBatch(t *testing.T) {
 
 func TestContextTimeoutMidBatch(t *testing.T) {
 	tree, _, queries := testTree(t)
-	slow := slowIndex{StatsIndex: tree, delay: 5 * time.Millisecond}
+	slow := slowIndex{Searcher: tree, delay: 5 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 12*time.Millisecond)
 	defer cancel()
 	_, stats, err := RunRange[[]float64](slow, queries, 0.5, Options{Workers: 1, Context: ctx})
@@ -65,17 +60,18 @@ func TestContextTimeoutMidBatch(t *testing.T) {
 // entry, so a test can park workers mid-query deterministically.
 // Queries are told apart by their first coordinate.
 type gatedIndex struct {
-	index.StatsIndex[[]float64]
+	index.Searcher[[]float64]
 	gates   map[float64]chan struct{} // q[0] → gate the query waits on
 	entered chan float64              // signals q[0] on query entry
 }
 
-func (g gatedIndex) RangeWithStats(q []float64, r float64) ([][]float64, index.SearchStats) {
+func (g gatedIndex) Search(req index.Query[[]float64]) index.Result[[]float64] {
+	q := req.Point
 	g.entered <- q[0]
 	if gate, ok := g.gates[q[0]]; ok {
 		<-gate
 	}
-	return [][]float64{q}, index.SearchStats{Results: 1}
+	return index.Result[[]float64]{Items: [][]float64{q}, Stats: index.SearchStats{Results: 1}}
 }
 
 // A cancelled multi-worker batch leaves non-contiguous filled slots:
@@ -97,7 +93,7 @@ func TestCancelledBatchAnsweredMask(t *testing.T) {
 		queries[i] = []float64{float64(i), 0}
 	}
 	g := gatedIndex{
-		StatsIndex: tree,
+		Searcher: tree,
 		gates: map[float64]chan struct{}{
 			0: make(chan struct{}),
 			3: make(chan struct{}),

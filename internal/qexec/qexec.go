@@ -1,5 +1,5 @@
 // Package qexec is a worker-pool batch-query executor over any
-// index.Index. It exists because the indexes in this repository are
+// index.Searcher. It exists because the indexes in this repository are
 // read-mostly after a static build and — now that the distance Counter
 // is atomic and every query path has been audited free of shared
 // mutable state — a single shared index can legally serve many queries
@@ -24,10 +24,12 @@
 //     queries w, w+W, w+2W, ...), so per-worker SearchStats aggregates
 //     are reproducible run to run, not an artifact of scheduling.
 //
-// Indexes are probed for the exported index.StatsIndex surface (every
-// structure in this repository implements it); when present, the
-// executor uses the WithStats query variants and reports per-query
-// filtering breakdowns plus the exact distance-count delta.
+// One value travels the whole path: the executor takes index.Query
+// values and returns index.Result values, the same currency every
+// structure's Search speaks, so a slice may mix range and kNN requests
+// with any radii, k's and approximation knobs. Whether members of a
+// chunk share a traversal is the index's decision (Query.Shareable,
+// consulted inside SearchBatch), not the executor's.
 package qexec
 
 import (
@@ -86,21 +88,16 @@ type Options struct {
 	// so the run is refused with ErrSharedObserver.
 	Observer *obs.Observer
 	// Search carries the approximation knobs (index.SearchOptions:
-	// Epsilon, Budget, Patience) applied to every query in the batch.
-	// The zero value is the exact query. Every query of an index that
-	// implements index.Searcher goes through its Search (or SearchBatch)
-	// entry point with these knobs; the per-query Budget is each
-	// query's own (not a batch total). Indexes without the Searcher
-	// surface ignore the knobs and answer exactly. Workers/Bound inside
-	// this struct are ignored: the executor's parallelism is across
-	// queries.
+	// Epsilon, Budget, Patience) RunRange and RunKNN put on every
+	// request they spell; the per-query Budget is each query's own (not
+	// a batch total) and a Bound — one query's state — is dropped. The
+	// zero value is the exact query. Run ignores the field: its requests
+	// carry their own options.
 	Search index.SearchOptions
 }
 
 // WorkerStats is the per-worker slice of a batch: how many queries the
-// worker answered and, when the index exposes the stats query variants
-// (index.StatsIndex, as every structure in this repository does), the
-// sum of its queries' SearchStats.
+// worker answered and the sum of their SearchStats.
 type WorkerStats struct {
 	Queries int
 	Search  index.SearchStats
@@ -116,15 +113,11 @@ type Stats struct {
 	// the worker pool. Unlike Distances it depends on the worker count
 	// and machine load.
 	Wall time.Duration
-	// Distances is the DistanceCount delta across the whole batch when
-	// the index is an index.StatsIndex, 0 otherwise. The underlying
-	// counter is shared and atomic, so this is exact for the batch as a
-	// whole; for per-query attribution use the SearchStats aggregates.
+	// Distances is the index's DistanceCount delta across the whole
+	// batch. The underlying counter is shared and atomic, so this is
+	// exact for the batch as a whole; for per-query attribution use the
+	// SearchStats each Result carries.
 	Distances int64
-	// HasSearch reports whether the index exposed the stats query
-	// variants; Search and the PerWorker Search fields are only
-	// meaningful when it is true.
-	HasSearch bool
 	// Search is the SearchStats sum over the whole batch.
 	Search index.SearchStats
 	// PerWorker is indexed by worker; worker w answered queries
@@ -138,125 +131,27 @@ type Stats struct {
 	// the batch, so the filled slots are generally NOT a contiguous
 	// prefix — worker w stops at its own next pickup, leaving holes
 	// wherever slower workers had not reached. A zero-value result slot
-	// (nil slice) is also a legal answer for an empty result set, so
-	// the mask — not a nil check — is the only way to tell "answered
-	// empty" from "never run". Always len(Queries); all true when the
-	// run completed.
+	// is also a legal answer for an empty result set, so the mask — not
+	// a nil check — is the only way to tell "answered empty" from
+	// "never run". Always len(Queries); all true when the run
+	// completed.
 	AnsweredMask []bool
-	// ExhaustedMask[i] reports whether query i's answer was cut short
-	// by its distance budget (Result.Exhausted). Non-nil only when the
-	// batch ran with approximate Search options over an index
-	// implementing index.Searcher; nil for exact batches.
-	ExhaustedMask []bool
 }
 
-// approxOpts is the per-query option set derived from the batch
-// options: only the approximation knobs pass through.
-func approxOpts(opts Options) index.SearchOptions {
-	return index.SearchOptions{
-		Epsilon:  opts.Search.Epsilon,
-		Budget:   opts.Search.Budget,
-		Patience: opts.Search.Patience,
-	}
-}
-
-// RunRange answers a range query at radius r for every query point,
-// returning results[i] = idx.Range(queries[i], r) plus batch stats.
-func RunRange[T any](idx index.Index[T], queries []T, r float64, opts Options) ([][]T, Stats, error) {
-	caps := index.CapabilitiesOf(idx)
-	o := approxOpts(opts)
-	exact := func(q T) ([]T, index.SearchStats) { return idx.Range(q, r), index.SearchStats{} }
-	if si := caps.Stats; si != nil {
-		exact = func(q T) ([]T, index.SearchStats) { return si.RangeWithStats(q, r) }
-	}
-	return route(caps, idx, queries, opts, obs.KindRange, exact,
-		func(q T) index.Query[T] { return index.Query[T]{Point: q, Radius: r, Opts: o} },
-		func(res *index.Result[T]) []T { return res.Items })
-}
-
-// RunKNN answers a k-nearest-neighbor query for every query point,
-// returning results[i] = idx.KNN(queries[i], k) plus batch stats.
-func RunKNN[T any](idx index.Index[T], queries []T, k int, opts Options) ([][]index.Neighbor[T], Stats, error) {
-	caps := index.CapabilitiesOf(idx)
-	if k <= 0 {
-		// index.Query reads K <= 0 as a range request; an empty kNN
-		// answer is only spelled by the per-mode methods.
-		caps.Search, caps.Batch = nil, nil
-	}
-	o := approxOpts(opts)
-	exact := func(q T) ([]index.Neighbor[T], index.SearchStats) { return idx.KNN(q, k), index.SearchStats{} }
-	if si := caps.Stats; si != nil {
-		exact = func(q T) ([]index.Neighbor[T], index.SearchStats) { return si.KNNWithStats(q, k) }
-	}
-	return route(caps, idx, queries, opts, obs.KindKNN, exact,
-		func(q T) index.Query[T] { return index.Query[T]{Point: q, K: k, Opts: o} },
-		func(res *index.Result[T]) []index.Neighbor[T] { return res.Neighbors })
-}
-
-// route picks how each query is answered from the index's capability
-// report: SearchBatch per chunk when Batch > 1, else Search; fallback
-// is what an index without the Searcher surface gets — the StatsIndex
-// method, or the plain Index method when it has no stats surface
-// either. mk builds the request for one query point, extract pulls the
-// endpoint's result kind out of the unified Result.
-func route[T any, R any](caps index.Capabilities[T], idx index.Index[T], queries []T, opts Options,
-	kind obs.Kind, fallback func(q T) (R, index.SearchStats),
-	mk func(q T) index.Query[T], extract func(res *index.Result[T]) R) ([]R, Stats, error) {
-
-	one := fallback
-	if sr := caps.Search; sr != nil {
-		one = func(q T) (R, index.SearchStats) {
-			res := sr.Search(mk(q))
-			return extract(&res), res.Stats
-		}
-	}
-	var many batchFn[T, R]
-	if bi := caps.Batch; bi != nil && opts.Batch > 1 {
-		many = func(qs []T) ([]R, []index.SearchStats) {
-			return runBatch(bi, qs, mk, extract)
-		}
-	}
-	return run(caps.Stats, idx, queries, opts, kind, one, many)
-}
-
-// batchFn answers one contiguous query group with a shared traversal,
-// returning the per-query results and SearchStats positionally.
-type batchFn[T any, R any] func(qs []T) ([]R, []index.SearchStats)
-
-// runBatch adapts one index.BatchSearcher call to the executor's
-// (results, stats) shape: mk builds the request for one query point,
-// extract pulls the endpoint's result kind out of the unified Result.
-func runBatch[T any, R any](bi index.BatchSearcher[T], qs []T,
-	mk func(q T) index.Query[T], extract func(res *index.Result[T]) R) ([]R, []index.SearchStats) {
-	reqs := make([]index.Query[T], len(qs))
-	for i, q := range qs {
-		reqs[i] = mk(q)
-	}
-	res := make([]index.Result[T], len(qs))
-	bi.SearchBatch(reqs, res)
-	out := make([]R, len(qs))
-	ss := make([]index.SearchStats, len(qs))
-	for i := range res {
-		out[i] = extract(&res[i])
-		ss[i] = res[i].Stats
-	}
-	return out, ss
-}
-
-// run stripes the batch over the worker pool. one answers a single
-// query; si is non-nil exactly when the index exposes index.StatsIndex,
-// in which case the per-query SearchStats are real. many, when non-nil,
-// answers a whole group with one shared traversal — each worker then
-// walks its stripe in chunks of opts.Batch, with identical per-query
-// answers and attribution.
-func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, opts Options,
-	kind obs.Kind, one func(q T) (R, index.SearchStats),
-	many batchFn[T, R]) ([]R, Stats, error) {
-
-	if opts.Observer != nil {
+// Run answers reqs[i] into results[i] against the shared index, striped
+// over the worker pool: worker w answers w, w+W, w+2W, ... in chunks of
+// up to max(1, opts.Batch), a chunk longer than one through SearchBatch
+// and a lone request through Search. Every results[i] — items,
+// neighbors, SearchStats — is what idx.Search(reqs[i]) returns, at every
+// worker count and batch size. Cancellation is checked per chunk: a
+// chunk never started stays unanswered (mask false), exactly like the
+// queries a sequential loop never reached.
+func Run[T any](idx index.Searcher[T], reqs []index.Query[T], opts Options) ([]index.Result[T], Stats, error) {
+	observer := opts.Observer
+	if observer != nil {
 		// Refuse the double-counting footgun: the same Observer wired
 		// both here and into the index's own query spans.
-		if h, ok := idx.(interface{ Observer() *obs.Observer }); ok && h.Observer() == opts.Observer {
+		if h, ok := idx.(interface{ Observer() *obs.Observer }); ok && h.Observer() == observer {
 			return nil, Stats{}, ErrSharedObserver
 		}
 	}
@@ -264,29 +159,21 @@ func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers < 1 {
-		workers = 1
+	workers = max(1, min(workers, len(reqs)))
+	bi, _ := idx.(index.BatchSearcher[T])
+	batch := 1
+	if bi != nil {
+		batch = max(1, opts.Batch)
 	}
 	stats := Stats{
-		Queries:      len(queries),
+		Queries:      len(reqs),
 		Workers:      workers,
-		HasSearch:    si != nil,
 		PerWorker:    make([]WorkerStats, workers),
-		AnsweredMask: make([]bool, len(queries)),
+		AnsweredMask: make([]bool, len(reqs)),
 	}
-	if si != nil && opts.Search.Approximate() {
-		stats.ExhaustedMask = make([]bool, len(queries))
-	}
-	var before int64
-	if si != nil {
-		before = si.DistanceCount()
-	}
-	observer := opts.Observer
+	before := idx.DistanceCount()
 	ctx := opts.Context
-	results := make([]R, len(queries))
+	results := make([]index.Result[T], len(reqs))
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -294,85 +181,57 @@ func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, 
 		go func(w int) {
 			defer wg.Done()
 			ws := &stats.PerWorker[w]
-			if many != nil {
-				// Chunked stripe: same query-to-worker assignment, same
-				// per-query answers and stats, one shared traversal per
-				// chunk. Cancellation is checked per chunk; a pending,
-				// never-executed chunk stays unanswered (mask false),
-				// exactly like queries the sequential loop never reached.
-				chunk := make([]T, 0, opts.Batch)
-				idxs := make([]int, 0, opts.Batch)
-				flush := func() {
-					if len(chunk) == 0 {
-						return
-					}
-					var cStart time.Time
-					if observer != nil {
-						cStart = time.Now()
-					}
-					res, ss := many(chunk)
-					if observer != nil {
-						per := time.Since(cStart) / time.Duration(len(chunk))
-						for _, s := range ss {
-							observer.ObserveShard(w, kind, per, s)
+			chunk := make([]index.Query[T], 0, batch)
+			slots := make([]int, 0, batch)
+			out := make([]index.Result[T], batch)
+			flush := func() {
+				if len(chunk) == 0 {
+					return
+				}
+				var began time.Time
+				if observer != nil {
+					began = time.Now()
+				}
+				if len(chunk) > 1 {
+					bi.SearchBatch(chunk, out[:len(chunk)])
+				} else {
+					out[0] = idx.Search(chunk[0])
+				}
+				if observer != nil {
+					per := time.Since(began) / time.Duration(len(chunk))
+					for ci, req := range chunk {
+						kind := obs.KindRange
+						if req.K > 0 {
+							kind = obs.KindKNN
 						}
-					}
-					for ci, i := range idxs {
-						results[i] = res[ci]
-						stats.AnsweredMask[i] = true
-						if stats.ExhaustedMask != nil && ss[ci].BudgetExhausted > 0 {
-							stats.ExhaustedMask[i] = true
-						}
-						ws.Queries++
-						ws.Search.Add(ss[ci])
-					}
-					chunk = chunk[:0]
-					idxs = idxs[:0]
-				}
-				for i := w; i < len(queries); i += workers {
-					if ctx != nil && ctx.Err() != nil {
-						return
-					}
-					chunk = append(chunk, queries[i])
-					idxs = append(idxs, i)
-					if len(chunk) == opts.Batch {
-						flush()
+						observer.ObserveShard(w, kind, per, out[ci].Stats)
 					}
 				}
-				if ctx == nil || ctx.Err() == nil {
-					flush()
+				for ci, i := range slots {
+					results[i] = out[ci]
+					stats.AnsweredMask[i] = true
+					ws.Queries++
+					ws.Search.Add(out[ci].Stats)
 				}
-				return
+				chunk, slots = chunk[:0], slots[:0]
 			}
-			for i := w; i < len(queries); i += workers {
+			for i := w; i < len(reqs); i += workers {
 				if ctx != nil && ctx.Err() != nil {
 					return
 				}
-				var qStart time.Time
-				if observer != nil {
-					qStart = time.Now()
+				chunk, slots = append(chunk, reqs[i]), append(slots, i)
+				if len(chunk) == batch {
+					flush()
 				}
-				res, s := one(queries[i])
-				if observer != nil {
-					observer.ObserveShard(w, kind, time.Since(qStart), s)
-				}
-				results[i] = res
-				stats.AnsweredMask[i] = true
-				if stats.ExhaustedMask != nil && s.BudgetExhausted > 0 {
-					stats.ExhaustedMask[i] = true
-				}
-				ws.Queries++
-				if si != nil {
-					ws.Search.Add(s)
-				}
+			}
+			if ctx == nil || ctx.Err() == nil {
+				flush()
 			}
 		}(w)
 	}
 	wg.Wait()
 	stats.Wall = time.Since(start)
-	if si != nil {
-		stats.Distances = si.DistanceCount() - before
-	}
+	stats.Distances = idx.DistanceCount() - before
 	for _, ws := range stats.PerWorker {
 		stats.Search.Add(ws.Search)
 		stats.Answered += ws.Queries
@@ -381,4 +240,48 @@ func run[T any, R any](si index.StatsIndex[T], idx index.Index[T], queries []T, 
 		return results, stats, ctx.Err()
 	}
 	return results, stats, nil
+}
+
+// requests spells one request per query point with the batch-wide
+// knobs, less a Bound: that is one query's state, not a batch's.
+func requests[T any](queries []T, r float64, k int, o index.SearchOptions) []index.Query[T] {
+	o.Bound = nil
+	reqs := make([]index.Query[T], len(queries))
+	for i, q := range queries {
+		reqs[i] = index.Query[T]{Point: q, Radius: r, K: k, Opts: o}
+	}
+	return reqs
+}
+
+// RunRange answers a range query at radius r for every query point,
+// returning results[i] = idx.Range(queries[i], r) plus batch stats.
+func RunRange[T any](idx index.Searcher[T], queries []T, r float64, opts Options) ([][]T, Stats, error) {
+	res, stats, err := Run(idx, requests(queries, r, 0, opts.Search), opts)
+	out := make([][]T, len(res))
+	for i := range res {
+		out[i] = res[i].Items
+	}
+	return out, stats, err
+}
+
+// RunKNN answers a k-nearest-neighbor query for every query point,
+// returning results[i] = idx.KNN(queries[i], k) plus batch stats.
+func RunKNN[T any](idx index.Searcher[T], queries []T, k int, opts Options) ([][]index.Neighbor[T], Stats, error) {
+	if k <= 0 {
+		// index.Query spells K <= 0 as a range request; the empty kNN
+		// answers are nobody's traversal, so they are made here.
+		n := len(queries)
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = true
+		}
+		return make([][]index.Neighbor[T], n), Stats{Queries: n, Workers: 1,
+			PerWorker: []WorkerStats{{Queries: n}}, Answered: n, AnsweredMask: mask}, nil
+	}
+	res, stats, err := Run(idx, requests(queries, 0, k, opts.Search), opts)
+	out := make([][]index.Neighbor[T], len(res))
+	for i := range res {
+		out[i] = res[i].Neighbors
+	}
+	return out, stats, err
 }

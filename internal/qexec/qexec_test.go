@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"mvptree/internal/dataset"
-	"mvptree/internal/index"
-	"mvptree/internal/linear"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 )
@@ -74,9 +72,6 @@ func TestRunRangeOrderingAndStats(t *testing.T) {
 			t.Fatalf("results[%d] does not answer queries[%d]", i, i)
 		}
 	}
-	if !stats.HasSearch {
-		t.Fatal("mvp-tree exposes RangeWithStats but HasSearch is false")
-	}
 	if got := int64(stats.Search.Computed + stats.Search.VantagePoints); got != stats.Distances {
 		t.Fatalf("SearchStats account for %d computations, Counter delta is %d", got, stats.Distances)
 	}
@@ -123,9 +118,6 @@ func TestRunKNNMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	if !stats.HasSearch {
-		t.Fatal("mvp-tree exposes KNNWithStats but HasSearch is false")
-	}
 	if got := int64(stats.Search.Computed + stats.Search.VantagePoints); got != stats.Distances {
 		t.Fatalf("SearchStats account for %d computations, Counter delta is %d", got, stats.Distances)
 	}
@@ -140,41 +132,6 @@ func TestRunKNNMatchesSequential(t *testing.T) {
 		}
 		if stats.Distances != 0 {
 			t.Fatalf("batch=%d: k=0 computed %d distances, want 0", opts.Batch, stats.Distances)
-		}
-	}
-}
-
-// plainIndex hides an index's stats surface so only the bare
-// index.Index methods remain visible to the executor's probe.
-type plainIndex struct{ s *linear.Scan[[]float64] }
-
-func (p plainIndex) Len() int                                 { return p.s.Len() }
-func (p plainIndex) Range(q []float64, r float64) [][]float64 { return p.s.Range(q, r) }
-func (p plainIndex) KNN(q []float64, k int) []index.Neighbor[[]float64] {
-	return p.s.KNN(q, k)
-}
-
-// TestRunRangePlainIndex exercises the fallback path for indexes that
-// implement only index.Index: results still deterministic, HasSearch
-// false, Distances unmeasured (the executor reads costs through
-// index.StatsIndex, which every structure in this repository — but not
-// this wrapper — implements).
-func TestRunRangePlainIndex(t *testing.T) {
-	rng := rand.New(rand.NewPCG(34, 7))
-	items := dataset.UniformVectors(rng, 500, 6)
-	queries := dataset.UniformQueries(rng, 10, 6)
-	scan := linear.New(items, metric.NewCounter(metric.L2))
-
-	res, stats, _ := RunRange[[]float64](plainIndex{scan}, queries, 0.5, Options{Workers: 4})
-	if stats.HasSearch {
-		t.Fatal("plain index has no stats variants but HasSearch is true")
-	}
-	if stats.Distances != 0 {
-		t.Fatalf("plain index cannot report distances, got %d", stats.Distances)
-	}
-	for i, q := range queries {
-		if !reflect.DeepEqual(res[i], scan.Range(q, 0.5)) {
-			t.Fatalf("results[%d] differs from direct call", i)
 		}
 	}
 }

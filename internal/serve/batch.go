@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mvptree/internal/index"
+	"mvptree/internal/obs"
 	"mvptree/internal/qexec"
 )
 
@@ -27,9 +28,10 @@ import (
 //     expires. Under load, batches fill instantly and the window never
 //     costs latency; when idle, a lone request pays at most the window.
 //
-//   - One executed batch serves many HTTP requests: requests are
-//     grouped by identical parameter (radius or k) and answered by one
-//     qexec.RunRange/RunKNN call over the swap's current index.
+//   - One executed batch serves many HTTP requests: every member is an
+//     index.Query with its own radius or k and its own ε and budget, and
+//     the batch is one qexec.Run over the swap's current index. Which
+//     members share a traversal is the index's call (Query.Shareable).
 //
 // Cancellation passes through: each request carries its own context,
 // and a batch runs under a context that cancels only when every member
@@ -50,35 +52,19 @@ var ErrShuttingDown = errors.New("serve: shutting down")
 // because every member of the batch had been cancelled.
 var ErrCancelled = errors.New("serve: request cancelled before execution")
 
-// groupKey identifies requests that may share one executor call: the
-// query parameter (radius or k) plus the approximation knobs. Two
-// requests batch together only when the whole key matches — an exact
-// query is never answered by a budgeted batch or vice versa.
-type groupKey struct {
-	param   float64
-	epsilon float64
-	budget  int64
-}
-
 // pending is one admitted request waiting for its batch.
-type pending[T, R any] struct {
-	ctx   context.Context
-	query T
-	// key is the batch-grouping key: the radius for range queries,
-	// float64(k) for kNN, plus the request's approximation knobs.
-	key groupKey
+type pending[T any] struct {
+	ctx context.Context
+	req index.Query[T]
 	// done receives exactly one reply; buffered so the collector never
 	// blocks on a handler that stopped listening.
-	done chan reply[R]
+	done chan reply[T]
 }
 
 // reply is the batcher's answer to one pending request.
-type reply[R any] struct {
-	result R
-	// exhausted reports that the answer was cut short by the request's
-	// distance budget (always false for exact requests).
-	exhausted bool
-	err       error
+type reply[T any] struct {
+	result index.Result[T]
+	err    error
 }
 
 // batchStats are the batcher's own counters, read by the stats
@@ -88,37 +74,34 @@ type batchStats struct {
 	rejected  atomic.Int64 // requests refused: queue full
 	cancelled atomic.Int64 // admitted requests whose slot went unanswered
 	batches   atomic.Int64 // executed batches
-	grouped   atomic.Int64 // executed per-parameter groups
 	queries   atomic.Int64 // queries answered through batches
 }
 
 // batcher is one endpoint's admission queue plus collector.
-type batcher[T, R any] struct {
-	queue chan *pending[T, R]
+type batcher[T any] struct {
+	queue chan *pending[T]
 	stop  chan struct{}
 	done  chan struct{}
 
-	swap     *Swap[T]
-	maxBatch int
-	maxWait  time.Duration
-	exec     func(idx index.StatsIndex[T], queries []T, param float64, opts qexec.Options) ([]R, qexec.Stats, error)
-	execOpts func() qexec.Options
+	swap    *Swap[T]
+	maxWait time.Duration
+	// opts is what every batch runs with (its Context aside). Batch is
+	// both how many requests one batch collects (Options.MaxBatch) and
+	// the executor's group size: a collected batch is the
+	// shared-traversal group.
+	opts qexec.Options
 
 	stats batchStats
 }
 
-func newBatcher[T, R any](swap *Swap[T], queueCap, maxBatch int, maxWait time.Duration,
-	execOpts func() qexec.Options,
-	exec func(idx index.StatsIndex[T], queries []T, param float64, opts qexec.Options) ([]R, qexec.Stats, error)) *batcher[T, R] {
-	b := &batcher[T, R]{
-		queue:    make(chan *pending[T, R], queueCap),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		swap:     swap,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		exec:     exec,
-		execOpts: execOpts,
+func newBatcher[T any](swap *Swap[T], opts Options, observer *obs.Observer) *batcher[T] {
+	b := &batcher[T]{
+		queue:   make(chan *pending[T], opts.Queue),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		swap:    swap,
+		maxWait: opts.MaxWait,
+		opts:    qexec.Options{Workers: opts.Workers, Batch: opts.MaxBatch, Observer: observer},
 	}
 	go b.loop()
 	return b
@@ -126,8 +109,8 @@ func newBatcher[T, R any](swap *Swap[T], queueCap, maxBatch int, maxWait time.Du
 
 // submit admits one request, or rejects it immediately when the queue
 // is full. The returned channel yields exactly one reply.
-func (b *batcher[T, R]) submit(ctx context.Context, query T, key groupKey) (<-chan reply[R], error) {
-	p := &pending[T, R]{ctx: ctx, query: query, key: key, done: make(chan reply[R], 1)}
+func (b *batcher[T]) submit(ctx context.Context, req index.Query[T]) (<-chan reply[T], error) {
+	p := &pending[T]{ctx: ctx, req: req, done: make(chan reply[T], 1)}
 	select {
 	case b.queue <- p:
 		b.stats.admitted.Add(1)
@@ -140,12 +123,12 @@ func (b *batcher[T, R]) submit(ctx context.Context, query T, key groupKey) (<-ch
 
 // close stops the collector and waits for it: the in-flight batch
 // finishes, then everything still queued is refused.
-func (b *batcher[T, R]) close() {
+func (b *batcher[T]) close() {
 	close(b.stop)
 	<-b.done
 }
 
-func (b *batcher[T, R]) loop() {
+func (b *batcher[T]) loop() {
 	defer close(b.done)
 	for {
 		select {
@@ -153,10 +136,10 @@ func (b *batcher[T, R]) loop() {
 			b.refuseQueued()
 			return
 		case first := <-b.queue:
-			batch := append(make([]*pending[T, R], 0, b.maxBatch), first)
+			batch := append(make([]*pending[T], 0, b.opts.Batch), first)
 			timer := time.NewTimer(b.maxWait)
 		collect:
-			for len(batch) < b.maxBatch {
+			for len(batch) < b.opts.Batch {
 				select {
 				case p := <-b.queue:
 					batch = append(batch, p)
@@ -172,59 +155,40 @@ func (b *batcher[T, R]) loop() {
 
 // refuseQueued drains whatever raced into the queue after stop and
 // replies ErrShuttingDown.
-func (b *batcher[T, R]) refuseQueued() {
+func (b *batcher[T]) refuseQueued() {
 	for {
 		select {
 		case p := <-b.queue:
-			p.done <- reply[R]{err: ErrShuttingDown}
+			p.done <- reply[T]{err: ErrShuttingDown}
 		default:
 			return
 		}
 	}
 }
 
-// execute answers one collected batch: members are grouped by their
-// full group key (first-seen order) and each group runs as one
-// executor call against the index the swap serves right now.
-func (b *batcher[T, R]) execute(batch []*pending[T, R]) {
+// execute answers one collected batch with one executor call against
+// the index the swap serves right now.
+func (b *batcher[T]) execute(batch []*pending[T]) {
 	b.stats.batches.Add(1)
-	idx := b.swap.Load()
-	var order []groupKey
-	groups := make(map[groupKey][]*pending[T, R], 1)
-	for _, p := range batch {
-		if _, ok := groups[p.key]; !ok {
-			order = append(order, p.key)
-		}
-		groups[p.key] = append(groups[p.key], p)
+	reqs := make([]index.Query[T], len(batch))
+	for i, p := range batch {
+		reqs[i] = p.req
 	}
-	for _, key := range order {
-		b.executeGroup(idx, key, groups[key])
-	}
-}
-
-func (b *batcher[T, R]) executeGroup(idx index.StatsIndex[T], key groupKey, group []*pending[T, R]) {
-	b.stats.grouped.Add(1)
-	queries := make([]T, len(group))
-	for i, p := range group {
-		queries[i] = p.query
-	}
-	ctx, release := mergedContext(group)
+	ctx, release := mergedContext(batch)
 	defer release()
-	opts := b.execOpts()
+	opts := b.opts
 	opts.Context = ctx
-	opts.Search = index.SearchOptions{Epsilon: key.epsilon, Budget: key.budget}
-	results, stats, err := b.exec(idx, queries, key.param, opts)
-	for i, p := range group {
+	results, stats, err := qexec.Run(b.swap.Load(), reqs, opts)
+	for i, p := range batch {
 		switch {
 		case i < len(stats.AnsweredMask) && stats.AnsweredMask[i]:
 			b.stats.queries.Add(1)
-			p.done <- reply[R]{result: results[i],
-				exhausted: i < len(stats.ExhaustedMask) && stats.ExhaustedMask[i]}
+			p.done <- reply[T]{result: results[i]}
 		case err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
-			p.done <- reply[R]{err: err}
+			p.done <- reply[T]{err: err}
 		default:
 			b.stats.cancelled.Add(1)
-			p.done <- reply[R]{err: ErrCancelled}
+			p.done <- reply[T]{err: ErrCancelled}
 		}
 	}
 }
@@ -235,7 +199,7 @@ func (b *batcher[T, R]) executeGroup(idx index.StatsIndex[T], key groupKey, grou
 // stops wasting distance computations (qexec's partial-results
 // contract picks up from there). The release func detaches the
 // watchers; it must be called once the batch is done.
-func mergedContext[T, R any](group []*pending[T, R]) (context.Context, func()) {
+func mergedContext[T any](group []*pending[T]) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var remaining atomic.Int64
 	remaining.Store(int64(len(group)))
@@ -256,4 +220,4 @@ func mergedContext[T, R any](group []*pending[T, R]) (context.Context, func()) {
 }
 
 // queueDepth reports how many admitted requests wait in the queue.
-func (b *batcher[T, R]) queueDepth() int { return len(b.queue) }
+func (b *batcher[T]) queueDepth() int { return len(b.queue) }

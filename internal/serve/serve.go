@@ -1,5 +1,5 @@
 // Package serve is the network serving layer: a stdlib net/http JSON
-// query server over any index.StatsIndex — a single tree or a sharded
+// query server over any index.Searcher — a single tree or a sharded
 // shard.Index alike — built for sustained concurrent load:
 //
 //   - Bounded admission. Each endpoint owns a fixed-capacity queue;
@@ -44,14 +44,17 @@ import (
 
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
-	"mvptree/internal/qexec"
 )
 
 // Options tune the serving layer. The zero value serves sensible
 // defaults.
 type Options struct {
-	// MaxBatch bounds how many requests one executed batch may carry.
-	// Default 32.
+	// MaxBatch bounds how many requests one executed batch may carry; a
+	// collected batch is also the executor's shared-traversal group
+	// (qexec.Options.Batch), so the members an index can answer together
+	// (index.Query.Shareable) descend it once per worker. Answers are
+	// byte-identical at every value; per-query latency samples in /stats
+	// are amortized over a group. Default 32.
 	MaxBatch int
 	// MaxWait is the batching window: how long the collector waits to
 	// fill a batch after its first request arrives. Under saturation
@@ -64,15 +67,6 @@ type Options struct {
 	// Workers is the executor worker count per batch. Default
 	// GOMAXPROCS.
 	Workers int
-	// Batch is the shared-traversal micro-batch size handed to the
-	// executor (qexec.Options.Batch): each worker answers its stripe of
-	// a collected batch in groups of up to Batch queries through one
-	// SearchBatch shared traversal when the served index supports it.
-	// Answers are byte-identical to unbatched execution; per-query
-	// latency samples in /stats are amortized over a group. 0 defaults
-	// to MaxBatch (micro-batches execute as one shared traversal); 1
-	// disables batched execution.
-	Batch int
 	// RetryAfter is the hint sent with 503 rejections. Default 1s.
 	RetryAfter time.Duration
 	// ExpvarName, when non-empty, publishes the server's observer
@@ -92,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Batch <= 0 {
-		o.Batch = o.MaxBatch
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
@@ -143,11 +134,13 @@ type Server[T any] struct {
 	swap  *Swap[T]
 	obs   *obs.Observer
 
-	rangeB *batcher[T, []T]
-	knnB   *batcher[T, []index.Neighbor[T]]
+	// One batcher per endpoint, so each has its own admission queue and
+	// /stats counters and a flood of one kind cannot starve the other.
+	rangeB *batcher[T]
+	knnB   *batcher[T]
 
 	reloadMu sync.Mutex
-	reloader func() (index.StatsIndex[T], error)
+	reloader func() (index.Searcher[T], error)
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -157,7 +150,7 @@ type Server[T any] struct {
 // New starts a Server over idx. The collectors run immediately; attach
 // the value returned by Handler to an http.Server and call Close on
 // the way out.
-func New[T any](idx index.StatsIndex[T], codec Codec[T], opts Options) *Server[T] {
+func New[T any](idx index.Searcher[T], codec Codec[T], opts Options) *Server[T] {
 	opts = opts.withDefaults()
 	s := &Server[T]{
 		opts:    opts,
@@ -166,17 +159,8 @@ func New[T any](idx index.StatsIndex[T], codec Codec[T], opts Options) *Server[T
 		obs:     obs.NewObserver(0),
 		started: time.Now(),
 	}
-	execOpts := func() qexec.Options {
-		return qexec.Options{Workers: opts.Workers, Batch: opts.Batch, Observer: s.obs}
-	}
-	s.rangeB = newBatcher(s.swap, opts.Queue, opts.MaxBatch, opts.MaxWait, execOpts,
-		func(idx index.StatsIndex[T], queries []T, param float64, qo qexec.Options) ([][]T, qexec.Stats, error) {
-			return qexec.RunRange[T](idx, queries, param, qo)
-		})
-	s.knnB = newBatcher(s.swap, opts.Queue, opts.MaxBatch, opts.MaxWait, execOpts,
-		func(idx index.StatsIndex[T], queries []T, param float64, qo qexec.Options) ([][]index.Neighbor[T], qexec.Stats, error) {
-			return qexec.RunKNN[T](idx, queries, int(param), qo)
-		})
+	s.rangeB = newBatcher(s.swap, opts, s.obs)
+	s.knnB = newBatcher(s.swap, opts, s.obs)
 	if opts.ExpvarName != "" {
 		obs.PublishExpvar(opts.ExpvarName, s.obs)
 	}
@@ -191,7 +175,7 @@ func New[T any](idx index.StatsIndex[T], codec Codec[T], opts Options) *Server[T
 // Must run before idx starts serving (construction, or reload before
 // the swap publishes); indexes without the hook serve unfiltered and
 // are skipped.
-func (s *Server[T]) attachQuantRelay(idx index.StatsIndex[T]) {
+func (s *Server[T]) attachQuantRelay(idx index.Searcher[T]) {
 	if h, ok := any(idx).(interface{ SetQuantObserver(*obs.Observer) }); ok {
 		h.SetQuantObserver(s.obs)
 	}
@@ -199,7 +183,7 @@ func (s *Server[T]) attachQuantRelay(idx index.StatsIndex[T]) {
 
 // SetReloader installs the snapshot loader behind POST /admin/reload.
 // Without one the endpoint answers 501.
-func (s *Server[T]) SetReloader(fn func() (index.StatsIndex[T], error)) { s.reloader = fn }
+func (s *Server[T]) SetReloader(fn func() (index.Searcher[T], error)) { s.reloader = fn }
 
 // Swap exposes the underlying atomic index holder (for tests and for
 // processes that rebuild in-process instead of reloading from disk).
@@ -244,20 +228,18 @@ func (s *Server[T]) Handler() http.Handler {
 	return mux
 }
 
-// rangeRequest / knnRequest are the POST bodies. epsilon and budget
-// are the optional approximation knobs (index.SearchOptions): epsilon
-// allows answers within a (1+ε) factor, budget caps the distance
-// computations one query may spend. Both default to zero — exact —
-// and requests batch only with requests carrying the same knobs.
-type rangeRequest struct {
+// maxBodyBytes bounds a request body: a query is one item and three
+// numbers, so anything larger is refused before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// queryRequest is the POST body of both query endpoints: r for /range,
+// k for /knn. epsilon and budget are the optional approximation knobs
+// (index.SearchOptions): epsilon allows answers within a (1+ε) factor,
+// budget caps the distance computations one query may spend. Both
+// default to zero — exact.
+type queryRequest struct {
 	Query   json.RawMessage `json:"query"`
 	R       *float64        `json:"r"`
-	Epsilon float64         `json:"epsilon"`
-	Budget  int64           `json:"budget"`
-}
-
-type knnRequest struct {
-	Query   json.RawMessage `json:"query"`
 	K       *int            `json:"k"`
 	Epsilon float64         `json:"epsilon"`
 	Budget  int64           `json:"budget"`
@@ -285,121 +267,119 @@ func (s *Server[T]) overloaded(w http.ResponseWriter) {
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: ErrQueueFull.Error()})
 }
 
-func (s *Server[T]) handleRange(w http.ResponseWriter, r *http.Request) {
+// parse reads what the two query endpoints share out of the body: the
+// query point and the approximation knobs. When ok is false the
+// rejection has been written.
+func (s *Server[T]) parse(w http.ResponseWriter, r *http.Request) (body queryRequest, req index.Query[T], ok bool) {
 	if s.closed.Load() {
 		s.overloaded(w)
-		return
+		return body, req, false
 	}
-	var req rangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
 		badRequest(w, "bad request body: %v", err)
+		return body, req, false
+	}
+	if body.Epsilon < 0 || body.Budget < 0 {
+		badRequest(w, "negative %q or %q", "epsilon", "budget")
+		return body, req, false
+	}
+	q, err := s.codec.DecodeQuery(body.Query)
+	if err != nil {
+		badRequest(w, "bad query: %v", err)
+		return body, req, false
+	}
+	req = index.Query[T]{Point: q, Opts: index.SearchOptions{Epsilon: body.Epsilon, Budget: body.Budget}}
+	return body, req, true
+}
+
+// answer admits req to its endpoint's batcher and waits for the reply.
+// When ok is false the response is written, or the client is gone and
+// the buffered reply is dropped on the floor.
+func (s *Server[T]) answer(w http.ResponseWriter, r *http.Request, b *batcher[T], req index.Query[T]) (res index.Result[T], ok bool) {
+	done, err := b.submit(r.Context(), req)
+	if err != nil {
+		s.overloaded(w)
+		return res, false
+	}
+	select {
+	case rep := <-done:
+		if rep.err != nil {
+			s.replyError(w, rep.err)
+			return res, false
+		}
+		return rep.result, true
+	case <-r.Context().Done():
+		return res, false
+	}
+}
+
+// writeAnswer writes a 200: the endpoint's list under key, its length and, for
+// an approximate request, "exhausted" (the budget cut the traversal
+// short) and "approximate" (the answer is not certified exact: an ε was
+// in play or the budget ran out). Exact requests keep the original
+// response shape.
+func writeAnswer[L any](w http.ResponseWriter, key string, list []L, o index.SearchOptions, exhausted bool) {
+	body := map[string]any{key: list, "count": len(list)}
+	if o.Epsilon != 0 || o.Budget != 0 {
+		body["exhausted"] = exhausted
+		body["approximate"] = o.Epsilon > 0 || exhausted
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+func (s *Server[T]) handleRange(w http.ResponseWriter, r *http.Request) {
+	body, req, ok := s.parse(w, r)
+	if !ok {
 		return
 	}
-	if req.R == nil || *req.R < 0 {
+	if body.R == nil || *body.R < 0 {
 		badRequest(w, "missing or negative radius %q", "r")
 		return
 	}
-	if req.Epsilon < 0 || req.Budget < 0 {
-		badRequest(w, "negative %q or %q", "epsilon", "budget")
+	req.Radius = *body.R
+	res, ok := s.answer(w, r, s.rangeB, req)
+	if !ok {
 		return
 	}
-	q, err := s.codec.DecodeQuery(req.Query)
-	if err != nil {
-		badRequest(w, "bad query: %v", err)
-		return
-	}
-	key := groupKey{param: *req.R, epsilon: req.Epsilon, budget: req.Budget}
-	done, err := s.rangeB.submit(r.Context(), q, key)
-	if err != nil {
-		s.overloaded(w)
-		return
-	}
-	select {
-	case rep := <-done:
-		if rep.err != nil {
-			s.replyError(w, rep.err)
+	items := make([]any, len(res.Items))
+	for i, it := range res.Items {
+		var err error
+		if items[i], err = s.codec.EncodeItem(it); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 			return
 		}
-		items := make([]any, len(rep.result))
-		for i, it := range rep.result {
-			if items[i], err = s.codec.EncodeItem(it); err != nil {
-				writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-				return
-			}
-		}
-		body := map[string]any{"results": items, "count": len(items)}
-		addApproxFields(body, key, rep.exhausted)
-		writeJSON(w, http.StatusOK, body)
-	case <-r.Context().Done():
-		// Client gone; the buffered reply is dropped on the floor.
 	}
-}
-
-// addApproxFields annotates an approximate request's response:
-// "exhausted" says the budget cut the traversal short, "approximate"
-// that the answer is not certified exact (an ε was in play or the
-// budget ran out). Exact requests keep the original response shape.
-func addApproxFields(body map[string]any, key groupKey, exhausted bool) {
-	if key.epsilon == 0 && key.budget == 0 {
-		return
-	}
-	body["exhausted"] = exhausted
-	body["approximate"] = key.epsilon > 0 || exhausted
+	writeAnswer(w, "results", items, req.Opts, res.Exhausted())
 }
 
 func (s *Server[T]) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		s.overloaded(w)
+	body, req, ok := s.parse(w, r)
+	if !ok {
 		return
 	}
-	var req knnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		badRequest(w, "bad request body: %v", err)
-		return
-	}
-	if req.K == nil || *req.K < 1 {
+	if body.K == nil || *body.K < 1 {
 		badRequest(w, "missing or non-positive %q", "k")
 		return
 	}
-	if req.Epsilon < 0 || req.Budget < 0 {
-		badRequest(w, "negative %q or %q", "epsilon", "budget")
+	req.K = *body.K
+	res, ok := s.answer(w, r, s.knnB, req)
+	if !ok {
 		return
 	}
-	q, err := s.codec.DecodeQuery(req.Query)
-	if err != nil {
-		badRequest(w, "bad query: %v", err)
-		return
+	type wireNeighbor struct {
+		Item any     `json:"item"`
+		Dist float64 `json:"dist"`
 	}
-	key := groupKey{param: float64(*req.K), epsilon: req.Epsilon, budget: req.Budget}
-	done, err := s.knnB.submit(r.Context(), q, key)
-	if err != nil {
-		s.overloaded(w)
-		return
-	}
-	select {
-	case rep := <-done:
-		if rep.err != nil {
-			s.replyError(w, rep.err)
+	neighbors := make([]wireNeighbor, len(res.Neighbors))
+	for i, nb := range res.Neighbors {
+		item, err := s.codec.EncodeItem(nb.Item)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 			return
 		}
-		type wireNeighbor struct {
-			Item any     `json:"item"`
-			Dist float64 `json:"dist"`
-		}
-		neighbors := make([]wireNeighbor, len(rep.result))
-		for i, nb := range rep.result {
-			item, err := s.codec.EncodeItem(nb.Item)
-			if err != nil {
-				writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-				return
-			}
-			neighbors[i] = wireNeighbor{Item: item, Dist: nb.Dist}
-		}
-		body := map[string]any{"neighbors": neighbors, "count": len(neighbors)}
-		addApproxFields(body, key, rep.exhausted)
-		writeJSON(w, http.StatusOK, body)
-	case <-r.Context().Done():
+		neighbors[i] = wireNeighbor{Item: item, Dist: nb.Dist}
 	}
+	writeAnswer(w, "neighbors", neighbors, req.Opts, res.Exhausted())
 }
 
 func (s *Server[T]) replyError(w http.ResponseWriter, err error) {
@@ -420,18 +400,16 @@ type EndpointStats struct {
 	Rejected   int64 `json:"rejected"`
 	Cancelled  int64 `json:"cancelled"`
 	Batches    int64 `json:"batches"`
-	Groups     int64 `json:"groups"`
 	Queries    int64 `json:"queries"`
 	QueueDepth int   `json:"queue_depth"`
 }
 
-func endpointStats[T, R any](b *batcher[T, R]) EndpointStats {
+func endpointStats[T any](b *batcher[T]) EndpointStats {
 	return EndpointStats{
 		Admitted:   b.stats.admitted.Load(),
 		Rejected:   b.stats.rejected.Load(),
 		Cancelled:  b.stats.cancelled.Load(),
 		Batches:    b.stats.batches.Load(),
-		Groups:     b.stats.grouped.Load(),
 		Queries:    b.stats.queries.Load(),
 		QueueDepth: b.queueDepth(),
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,8 +70,8 @@ type knnResponse struct {
 }
 
 // Concurrent HTTP range and kNN traffic — with mixed radii and k values
-// forcing per-parameter batch groups — answers byte-identically to the
-// index queried directly.
+// inside the collected batches — answers byte-identically to the index
+// queried directly.
 func TestServeMatchesDirectQueries(t *testing.T) {
 	tree, _ := testIndex(t, 800, 11)
 	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxBatch: 8, MaxWait: time.Millisecond})
@@ -170,6 +171,10 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"/knn", `{"query": [0.1,0.2,0.3,0.4,0.5,0.6], "k": 0}`},
 		{"/knn", `{"query": [], "k": 3}`},
 		{"/knn", `not json`},
+		// Oversized bodies are refused before they are buffered, whatever
+		// they would have decoded to.
+		{"/range", `{"query": [0.1,0.2,0.3,0.4,0.5,0.6], "r": 0.5, "pad": "` + strings.Repeat("x", 1<<20) + `"}`},
+		{"/knn", `{"query": [` + strings.Repeat("0.5,", 300_000) + `0.5], "k": 3}`},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))
@@ -178,7 +183,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("POST %s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+			t.Fatalf("POST %s %.80s: status %d, want 400", c.path, c.body, resp.StatusCode)
 		}
 	}
 }
@@ -186,22 +191,22 @@ func TestServeRejectsBadRequests(t *testing.T) {
 // blockingIndex parks every range query on a gate, signalling entry, so
 // the admission queue can be filled deterministically.
 type blockingIndex struct {
-	index.StatsIndex[[]float64]
+	index.Searcher[[]float64]
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (b *blockingIndex) RangeWithStats(q []float64, r float64) ([][]float64, index.SearchStats) {
+func (b *blockingIndex) Search(req index.Query[[]float64]) index.Result[[]float64] {
 	b.entered <- struct{}{}
 	<-b.gate
-	return b.StatsIndex.RangeWithStats(q, r)
+	return b.Searcher.Search(req)
 }
 
 // When the bounded queue is full the server sheds load: 503 with a
 // Retry-After hint, immediately, without growing any queue.
 func TestServeBackpressure(t *testing.T) {
 	tree, _ := testIndex(t, 200, 17)
-	blocked := &blockingIndex{StatsIndex: tree, entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	blocked := &blockingIndex{Searcher: tree, entered: make(chan struct{}, 16), gate: make(chan struct{})}
 	s := New[[]float64](blocked, VectorCodec(testDim), Options{MaxBatch: 1, Queue: 1, MaxWait: time.Millisecond, Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -298,7 +303,7 @@ func TestReloadUnderLoadZeroFailures(t *testing.T) {
 	}
 	s := New[[]float64](loaded, VectorCodec(testDim), Options{MaxBatch: 8, MaxWait: time.Millisecond})
 	defer s.Close()
-	s.SetReloader(func() (index.StatsIndex[[]float64], error) {
+	s.SetReloader(func() (index.Searcher[[]float64], error) {
 		return shard.LoadDir(dir, metric.NewCounter(metric.L2), be, codec.DecodeVector)
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -379,7 +384,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	tree, _ := testIndex(t, 300, 29)
 	s := New[[]float64](tree, VectorCodec(testDim), Options{})
 	defer s.Close()
-	s.SetReloader(func() (index.StatsIndex[[]float64], error) {
+	s.SetReloader(func() (index.Searcher[[]float64], error) {
 		return nil, fmt.Errorf("synthetic corruption")
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -475,5 +480,94 @@ func TestCloseRefusesNewWork(t *testing.T) {
 	resp, _ := postJSON(t, ts.Client(), ts.URL+"/range", map[string]any{"query": q, "r": 0.2})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-Close status %d, want 503", resp.StatusCode)
+	}
+}
+
+// A k far beyond the item count is a request for every item, not for a
+// heap of that many slots: the daemon answers it and stays up.
+func TestHugeKAnswersEveryItem(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 1))
+	items := dataset.UniformVectors(rng, 300, testDim)
+	x, err := shard.New(items, metric.NewCounter(metric.L2),
+		shard.MVP[[]float64](mvp.Options{Partitions: 2, LeafCapacity: 16, PathLength: 4}), shard.Options{Shards: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New[[]float64](x, VectorCodec(testDim), Options{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/knn", map[string]any{"query": items[0], "k": 1 << 40})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k = 1<<40: status %d: %s", resp.StatusCode, body)
+	}
+	var got knnResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Count != len(items) || len(got.Neighbors) != len(items) {
+		t.Fatalf("k = 1<<40: %d neighbors (count %d), want all %d items", len(got.Neighbors), got.Count, len(items))
+	}
+	for i := 1; i < len(got.Neighbors); i++ {
+		if got.Neighbors[i].Dist < got.Neighbors[i-1].Dist {
+			t.Fatalf("neighbors not ascending at %d", i)
+		}
+	}
+	health, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the huge-k request: status %d", health.StatusCode)
+	}
+}
+
+// Requests that differ in radius and in ε are one batch and one executor
+// call when they arrive inside one window; each still gets its own
+// answer.
+func TestMixedRequestsShareOneBatch(t *testing.T) {
+	tree, _ := testIndex(t, 400, 47)
+	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxBatch: 3, MaxWait: 5 * time.Second})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	rng := rand.New(rand.NewPCG(53, 1))
+	q := dataset.UniformVectors(rng, 1, testDim)[0]
+	bodies := []map[string]any{
+		{"query": q, "r": 0.3},
+		{"query": q, "r": 0.6},
+		{"query": q, "r": 0.6, "epsilon": 0.5},
+	}
+	var wg sync.WaitGroup
+	for _, b := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postJSON(t, ts.Client(), ts.URL+"/range", b)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("status %d: %s", resp.StatusCode, body)
+				return
+			}
+			var got rangeResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Error(err)
+				return
+			}
+			req := index.RangeQuery(q, b["r"].(float64))
+			if eps, ok := b["epsilon"]; ok {
+				req.Opts.Epsilon = eps.(float64)
+			}
+			want := tree.Search(req).Items
+			if !reflect.DeepEqual(append([][]float64{}, want...), append([][]float64{}, got.Results...)) {
+				t.Errorf("%v: got %d results, want %d (or order differs)", b, got.Count, len(want))
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Range.Batches != 1 || st.Range.Queries != 3 {
+		t.Fatalf("batches %d, queries %d; want 1 and 3", st.Range.Batches, st.Range.Queries)
 	}
 }

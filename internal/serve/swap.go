@@ -24,11 +24,11 @@ type Swap[T any] struct {
 // swapCell boxes the interface value: atomic.Pointer needs a concrete
 // pointee type.
 type swapCell[T any] struct {
-	idx index.StatsIndex[T]
+	idx index.Searcher[T]
 }
 
 // NewSwap returns a Swap serving idx.
-func NewSwap[T any](idx index.StatsIndex[T]) *Swap[T] {
+func NewSwap[T any](idx index.Searcher[T]) *Swap[T] {
 	s := &Swap[T]{}
 	s.p.Store(&swapCell[T]{idx: idx})
 	return s
@@ -36,11 +36,11 @@ func NewSwap[T any](idx index.StatsIndex[T]) *Swap[T] {
 
 // Load returns the currently served index. The caller should Load once
 // per unit of work and reuse the value, not re-Load mid-query.
-func (s *Swap[T]) Load() index.StatsIndex[T] { return s.p.Load().idx }
+func (s *Swap[T]) Load() index.Searcher[T] { return s.p.Load().idx }
 
 // Store atomically publishes idx as the served index. In-flight work
 // holding the previous index finishes against it unaffected.
-func (s *Swap[T]) Store(idx index.StatsIndex[T]) {
+func (s *Swap[T]) Store(idx index.Searcher[T]) {
 	s.p.Store(&swapCell[T]{idx: idx})
 	s.gen.Add(1)
 }

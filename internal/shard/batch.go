@@ -10,17 +10,13 @@ import (
 // SearchBatch answers a query group against the sharded index
 // (index.BatchSearcher), byte-identical to per-query Search calls.
 //
-// Exact single-worker range members are the batched path: the whole
-// group fans out shard by shard, each shard answering it through its
-// own SearchBatch in one shared traversal, and per-query merges then
-// concatenate shard answers in ascending shard order exactly as Search
-// does.
-//
-// kNN members fall back to per-query Search: the sequential-tightening
-// τ carried across shards is a per-query external bound, which the
-// per-shard batch surface deliberately refuses. Approximate and
-// multi-worker members fall back for the same reason Search routes
-// them specially — their fan-out is already per-query.
+// Shareable members (index.Query.Shareable: exact range requests) are
+// the batched path: the whole group fans out shard by shard, each shard
+// answering it through its own SearchBatch in one shared traversal, and
+// per-query merges then concatenate shard answers in ascending shard
+// order exactly as Search does. Every other member goes to Search: a
+// kNN walk carries a per-query τ across shards and an approximate one a
+// per-query budget share, neither of which a group shares.
 func (x *Index[T]) SearchBatch(reqs []index.Query[T], out []index.Result[T]) {
 	if len(reqs) != len(out) {
 		panic(fmt.Sprintf("shard: SearchBatch called with %d queries and %d result slots", len(reqs), len(out)))
@@ -36,11 +32,9 @@ func (x *Index[T]) SearchBatch(reqs []index.Query[T], out []index.Result[T]) {
 		return
 	}
 
-	// Classify: exact single-worker range members batch, the rest take
-	// the sequential entry point unchanged.
 	idxs := make([]int, 0, len(reqs))
 	for i, req := range reqs {
-		if req.K <= 0 && !req.Opts.Approximate() && req.Opts.Workers <= 1 && req.Opts.Bound == nil {
+		if req.Shareable() {
 			idxs = append(idxs, i)
 		} else {
 			out[i] = x.Search(req)

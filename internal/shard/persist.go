@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 
-	"mvptree/internal/index"
 	"mvptree/internal/metric"
+	"mvptree/internal/mvp"
 )
 
 // Directory persistence for a sharded index: a JSON manifest naming the
-// layout plus one blob per shard in the backend's own wire format
+// layout plus one blob per shard in the tree's own wire format
 // (which carries its own magic, version and integrity checks). The
 // manifest is the source of truth for the shard count, the backend and
 // the blob file names; LoadDir cross-checks all three before touching a
@@ -173,9 +173,6 @@ func nextGeneration(dir string) uint64 {
 // loading exactly the previous snapshot (or failing loudly if there
 // never was one), never a mix.
 func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error)) error {
-	if be.Save == nil {
-		return fmt.Errorf("shard: backend %q cannot save", be.Name)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -198,7 +195,7 @@ func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error
 	// references is touched.
 	for i, s := range x.shards {
 		err := writeFileAtomic(dir, m.Blobs[i], func(f *os.File) error {
-			return be.Save(s, f, enc)
+			return s.Save(f, enc)
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -249,9 +246,6 @@ func gcStaleBlobs(dir string, keep []string) {
 // LoadDir reads an index previously written by SaveDir. The backend
 // must match the one named in the manifest.
 func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func([]byte) (T, error)) (*Index[T], error) {
-	if be.Load == nil {
-		return nil, fmt.Errorf("shard: backend %q cannot load", be.Name)
-	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
@@ -268,7 +262,7 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
 	x := &Index[T]{
-		shards: make([]index.BatchSearcher[T], m.Shards),
+		shards: make([]*mvp.Tree[T], m.Shards),
 		dist:   dist,
 		opts:   Options{Shards: m.Shards, Seed: m.Seed, Assignment: assignment},
 	}
@@ -277,7 +271,7 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 		if err != nil {
 			return nil, err
 		}
-		s, err := be.Load(f, dist, dec)
+		s, err := mvp.Load(f, dist, dec)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

@@ -2,8 +2,6 @@ package shard
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
@@ -24,17 +22,33 @@ func (b *carriedBound) Publish(t float64) {
 	}
 }
 
+// Search is the unified query entry point (index.Searcher) and the
+// index's one implementation: the shards are visited in ascending id
+// order on the calling goroutine, so results, order, SearchStats and
+// distance counts are a function of the request alone (the executor
+// parallelises across queries). Epsilon and Patience pass through to
+// every shard unchanged; a distance budget is dealt across the shards —
+// Budget/S each, the remainder to the lowest shard ids — so the logical
+// query never spends more than its budget no matter how many shards it
+// touches. An external Bound is ignored: cross-shard τ sharing is the
+// shard layer's own machinery.
+func (x *Index[T]) Search(req index.Query[T]) index.Result[T] {
+	if req.K > 0 {
+		return x.knn(req)
+	}
+	return x.rangeSearch(req)
+}
+
 // Range returns every item within r of q: the concatenation of each
 // shard's answer in ascending shard order.
 func (x *Index[T]) Range(q T, r float64) []T {
-	out, _ := x.RangeWithStats(q, r)
-	return out
+	return x.Search(index.RangeQuery(q, r)).Items
 }
 
-// RangeWithStats fans the query out over the shards sequentially and
-// returns the per-shard stats summed in shard order.
+// RangeWithStats is Range plus the per-shard stats summed in shard
+// order.
 func (x *Index[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
-	res := x.rangeSearch(index.RangeQuery(q, r))
+	res := x.Search(index.RangeQuery(q, r))
 	return res.Items, res.Stats
 }
 
@@ -42,68 +56,115 @@ func (x *Index[T]) RangeWithStats(q T, r float64) ([]T, index.SearchStats) {
 // ascending distance (ties by shard order, then by the shard's own
 // output order).
 func (x *Index[T]) KNN(q T, k int) []index.Neighbor[T] {
-	out, _ := x.KNNWithStats(q, k)
-	return out
+	return x.knn(index.KNNQuery(q, k)).Neighbors
 }
 
-// KNNWithStats is the deterministic sequential-tightening walk: shards
-// are searched in ascending id order, each bounded by the tightest
-// k-th-best distance published so far (SearchOptions.Bound). The
-// distance count is reproducible run to run — it is the paper's cost
-// metric for a sharded kNN query.
+// KNNWithStats is KNN plus the summed stats (not through Search, which
+// reads k <= 0 as a range request).
 func (x *Index[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], index.SearchStats) {
-	span := x.StartQuery(obs.KindKNN)
-	var s index.SearchStats
-	if k <= 0 {
-		span.Done(&s)
-		return nil, s
+	res := x.knn(index.KNNQuery(q, k))
+	return res.Neighbors, res.Stats
+}
+
+// budgetShare is shard i's slice of a logical distance budget dealt
+// across s shards: base share total/s, remainder to the lowest shard
+// ids. A zero or negative total means unlimited, reported as zero.
+func budgetShare(total int64, s, i int) int64 {
+	if total <= 0 {
+		return 0
 	}
-	req := index.KNNQuery(q, k)
-	req.Opts.Bound = &carriedBound{tau: math.Inf(1)}
-	lists := make([][]index.Neighbor[T], len(x.shards))
+	share := total / int64(s)
+	if int64(i) < total%int64(s) {
+		share++
+	}
+	return share
+}
+
+// fanOut answers req on every shard in ascending id order: each shard
+// runs its slice of the request — Epsilon and Patience unchanged, its
+// share of the budget, bound attached. Shards whose budget share is zero
+// (more shards than budget) are skipped entirely and reported as
+// exhausted.
+func (x *Index[T]) fanOut(req index.Query[T], bound index.KNNBound) []index.Result[T] {
+	limited := req.Opts.Budget > 0
+	results := make([]index.Result[T], len(x.shards))
 	for i, sh := range x.shards {
-		res := sh.Search(req)
-		lists[i] = res.Neighbors
-		s.Add(res.Stats)
+		budget := budgetShare(req.Opts.Budget, len(x.shards), i)
+		if limited && budget == 0 {
+			results[i].Stats = index.SearchStats{BudgetExhausted: 1, Approximated: 1}
+			continue
+		}
+		sub := req
+		sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget, Patience: req.Opts.Patience, Bound: bound}
+		results[i] = sh.Search(sub)
 	}
-	out := mergeKNN(lists, k)
+	return results
+}
+
+// rangeSearch answers a range request, exact or approximate: the merge
+// is concatenation in ascending shard order.
+func (x *Index[T]) rangeSearch(req index.Query[T]) index.Result[T] {
+	span := x.StartQuery(obs.KindRange)
+	results := x.fanOut(req, nil)
+	var s index.SearchStats
+	total := 0
+	for _, r := range results {
+		total += len(r.Items)
+	}
+	var out []T
+	if total > 0 {
+		out = make([]T, 0, total)
+	}
+	for _, r := range results {
+		out = append(out, r.Items...)
+		s.Add(r.Stats)
+	}
+	clampApproxFlags(&s)
 	s.Results = len(out)
 	span.Done(&s)
-	return out, s
+	return index.Result[T]{Items: out, Stats: s}
 }
 
-// fanOut runs task(i) for every shard on up to workers goroutines
-// (the calling goroutine included), claiming shard indices from an
-// atomic cursor. workers <= 1 runs sequentially in shard order.
-func (x *Index[T]) fanOut(workers int, task func(int)) {
-	n := len(x.shards)
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
+// knn answers a kNN request. The exact one is the deterministic
+// sequential-tightening walk: each shard is bounded by the tightest
+// k-th-best distance published so far (SearchOptions.Bound), so its
+// distance count is reproducible run to run — the paper's cost metric
+// for a sharded kNN query. An approximate one carries no τ: its shards
+// answer their budget shares independently.
+func (x *Index[T]) knn(req index.Query[T]) index.Result[T] {
+	span := x.StartQuery(obs.KindKNN)
+	var s index.SearchStats
+	if req.K <= 0 {
+		span.Done(&s)
+		return index.Result[T]{Stats: s}
 	}
-	w := min(workers, n)
-	var cursor atomic.Int64
-	run := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			task(i)
-		}
+	var bound index.KNNBound
+	if !req.Opts.Approximate() {
+		bound = &carriedBound{tau: math.Inf(1)}
 	}
-	var wg sync.WaitGroup
-	for g := 1; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
+	lists := make([][]index.Neighbor[T], len(x.shards))
+	for i, r := range x.fanOut(req, bound) {
+		lists[i] = r.Neighbors
+		s.Add(r.Stats)
 	}
-	run()
-	wg.Wait()
+	clampApproxFlags(&s)
+	out := mergeKNN(lists, req.K)
+	s.Results = len(out)
+	span.Done(&s)
+	return index.Result[T]{Neighbors: out, Stats: s}
+}
+
+// clampApproxFlags reduces summed per-shard 0/1 flags back to the
+// logical query's 0/1: any exhausted or approximate slice makes the
+// whole answer so.
+func clampApproxFlags(s *index.SearchStats) {
+	if s.BudgetExhausted > 0 {
+		s.BudgetExhausted = 1
+		s.Approximated = 1
+	}
+	if s.Approximated > 0 {
+		s.Approximated = 1
+	}
 }
 
 // mergeKNN merges per-shard neighbor lists (each ascending) into the

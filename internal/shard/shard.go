@@ -7,10 +7,10 @@
 //     intra-tree forking — shards build concurrently, each with its own
 //     worker budget;
 //
-//   - fan-out query serving: one range query runs over all shards
-//     concurrently, with a deterministic merge (results are exactly the
-//     concatenation of per-shard answers in ascending shard order, at
-//     every worker count);
+//   - fan-out query serving: one range query visits every shard, with
+//     a deterministic merge (results are exactly the concatenation of
+//     per-shard answers in ascending shard order); queries run beside
+//     each other through the batch executor, not shards;
 //
 //   - cross-shard kNN bound sharing: shards are searched in ascending
 //     id order and the shrinking k-th-best distance τ is carried from
@@ -33,6 +33,7 @@ import (
 	"mvptree/internal/cascade"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
+	"mvptree/internal/mvp"
 	"mvptree/internal/obs"
 	"mvptree/internal/quant"
 )
@@ -113,21 +114,15 @@ func (o Options) shards() int {
 // batch executor, the experiment harness, telemetry — serves a sharded
 // index unchanged.
 //
-// The embedded obs.Hooks observe logical queries (one span per Range /
-// KNN call, carrying the merged cross-shard stats). Per-shard
-// observers, when wanted, are attached with AttachShardObservers and
-// read back with ShardSnapshots.
+// The embedded obs.Hooks observe logical queries (one span per Search,
+// carrying the merged cross-shard stats).
 type Index[T any] struct {
 	obs.Hooks
 
-	shards []index.BatchSearcher[T]
+	shards []*mvp.Tree[T]
 	dist   *metric.Counter[T]
 	size   int
 	opts   Options
-
-	// shardObs[i] observes shard i's logical sub-queries; nil until
-	// AttachShardObservers.
-	shardObs []*obs.Observer
 }
 
 // BuildStats extends the uniform construction report with the sharded
@@ -152,9 +147,6 @@ func New[T any](items []T, dist *metric.Counter[T], be Backend[T], opts Options)
 // NewWithStats is New plus the construction report.
 func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts Options) (*Index[T], BuildStats, error) {
 	var bs BuildStats
-	if be.New == nil {
-		return nil, bs, fmt.Errorf("shard: backend %q has no constructor", be.Name)
-	}
 	s := opts.shards()
 	if s > len(items) && len(items) > 0 {
 		s = len(items)
@@ -172,11 +164,14 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 	if per < 1 {
 		per = 1
 	}
-	shards := make([]index.BatchSearcher[T], s)
+	shards := make([]*mvp.Tree[T], s)
 	stats := make([]build.Stats, s)
 	errs := make([]error, s)
 	b.Fork(s, func(i int) {
-		shards[i], stats[i], errs[i] = be.New(parts[i], dist, per, opts.Seed+uint64(i)*0x9e3779b97f4a7c15)
+		o := be.opts
+		o.Build.Workers = per
+		o.Build.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
+		shards[i], stats[i], errs[i] = mvp.NewWithStats(parts[i], dist, o)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -248,8 +243,8 @@ func assign[T any](items []T, s int, dist *metric.Counter[T], b *build.Builder[T
 // Shards reports the shard count.
 func (x *Index[T]) Shards() int { return len(x.shards) }
 
-// Shard returns shard i's underlying index, for inspection and tests.
-func (x *Index[T]) Shard(i int) index.BatchSearcher[T] { return x.shards[i] }
+// Shard returns shard i's tree, for inspection and tests.
+func (x *Index[T]) Shard(i int) *mvp.Tree[T] { return x.shards[i] }
 
 // Len reports the total number of indexed items.
 func (x *Index[T]) Len() int { return x.size }
@@ -264,20 +259,12 @@ func (x *Index[T]) DistanceCount() int64 { return x.dist.Count() }
 // its pivot distances on each shard it visits, up front, to skip leaf
 // candidates by the triangle inequality. Results are byte-identical with
 // the cascade on or off; a query computes at most Pivots distances more
-// per shard. It errors if the backend's structure does not expose
-// EnableCascade (both built-in backends, mvp and vptree, do). Like the
-// per-structure method, it is not synchronized with in-flight queries —
-// enable before serving — and the cascade is not serialized by SaveDir:
-// re-enable after LoadDir.
+// per shard. Like the per-structure method, it is not synchronized with
+// in-flight queries — enable before serving — and the cascade is not
+// serialized by SaveDir: re-enable after LoadDir.
 func (x *Index[T]) EnableCascade(opts cascade.Options) error {
 	for i, s := range x.shards {
-		c, ok := s.(interface {
-			EnableCascade(cascade.Options) error
-		})
-		if !ok {
-			return fmt.Errorf("shard %d: backend does not support the bound cascade", i)
-		}
-		if err := c.EnableCascade(opts); err != nil {
+		if err := s.EnableCascade(opts); err != nil {
 			return fmt.Errorf("shard %d: enable cascade: %w", i, err)
 		}
 	}
@@ -290,19 +277,12 @@ func (x *Index[T]) EnableCascade(opts cascade.Options) error {
 // Results, stats and counter deltas are byte-identical with the filter
 // on or off, shard by shard; shards whose metric has no quantized
 // shape are left unfiltered silently, exactly as the per-structure
-// method behaves. It errors if the backend's structure does not expose
-// EnableQuantize (both built-in backends, mvp and vptree, do). Not
-// synchronized with in-flight queries — arm before serving — and the
-// arenas are not serialized by SaveDir: re-enable after LoadDir.
+// method behaves. Not synchronized with in-flight queries — arm before
+// serving — and the arenas are not serialized by SaveDir: re-enable
+// after LoadDir.
 func (x *Index[T]) EnableQuantize(mode quant.Mode) error {
 	for i, s := range x.shards {
-		q, ok := s.(interface {
-			EnableQuantize(quant.Mode) error
-		})
-		if !ok {
-			return fmt.Errorf("shard %d: backend does not support the quantized pre-filter", i)
-		}
-		if err := q.EnableQuantize(mode); err != nil {
+		if err := s.EnableQuantize(mode); err != nil {
 			return fmt.Errorf("shard %d: enable quantize: %w", i, err)
 		}
 	}
@@ -310,12 +290,12 @@ func (x *Index[T]) EnableQuantize(mode quant.Mode) error {
 }
 
 // SetObserver attaches the Observer to the index's own hooks (logical
-// whole-index queries) and additionally registers it as each backend's
+// whole-index queries) and additionally registers it as each shard's
 // quantize-prune relay: quantized pre-filter tallies are flushed on the
-// backend hosting the arenas and deliberately bypass the per-query
+// tree hosting the arenas and deliberately bypass the per-query
 // SearchStats the shard layer merges, so without the relay they would
 // never reach a shard-level Observer (or /stats in production). Only
-// the prune channel is forwarded — backends do not record their own
+// the prune channel is forwarded — shards do not record their own
 // query spans into o, so nothing double counts.
 func (x *Index[T]) SetObserver(o *obs.Observer) {
 	x.Hooks.SetObserver(o)
@@ -328,42 +308,8 @@ func (x *Index[T]) SetObserver(o *obs.Observer) {
 // hook so sharded daemons report filtered_by_quantized.
 func (x *Index[T]) SetQuantObserver(o *obs.Observer) {
 	for _, s := range x.shards {
-		if h, ok := s.(interface{ SetQuantObserver(*obs.Observer) }); ok {
-			h.SetQuantObserver(o)
-		}
+		s.SetQuantObserver(o)
 	}
-}
-
-// AttachShardObservers gives every shard its own obs.Observer (sharded
-// over conc slots, as obs.NewObserver), so per-shard query telemetry
-// can be read back with ShardSnapshots. Logical whole-index queries are
-// observed by the Index's own hooks independently; attaching the same
-// Observer at both levels would double count, which is why this method
-// creates fresh per-shard observers instead of accepting one.
-func (x *Index[T]) AttachShardObservers(conc int) {
-	x.shardObs = make([]*obs.Observer, len(x.shards))
-	for i, s := range x.shards {
-		o := obs.NewObserver(conc)
-		x.shardObs[i] = o
-		if h, ok := s.(interface{ SetObserver(*obs.Observer) }); ok {
-			h.SetObserver(o)
-		}
-	}
-}
-
-// ShardSnapshots returns each shard observer's snapshot plus their
-// merge. It returns nils before AttachShardObservers.
-func (x *Index[T]) ShardSnapshots() ([]obs.Snapshot, *obs.Snapshot) {
-	if x.shardObs == nil {
-		return nil, nil
-	}
-	snaps := make([]obs.Snapshot, len(x.shardObs))
-	var merged obs.Snapshot
-	for i, o := range x.shardObs {
-		snaps[i] = o.Snapshot()
-		merged.Merge(snaps[i])
-	}
-	return snaps, &merged
 }
 
 var _ index.BatchSearcher[int] = (*Index[int])(nil)

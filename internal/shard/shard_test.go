@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -30,7 +31,7 @@ func sortedIDs(items []int) []int {
 
 // The headline invariance: a sharded index answers every range query
 // with exactly the same item set as the unsharded tree over the same
-// points, for every shard count, assignment, worker count and backend.
+// points, for every shard count, assignment and backend.
 func TestShardedRangeMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 2))
 	w := testutil.NewVectorWorkload(rng, 500, 8, 10, metric.L2)
@@ -60,26 +61,12 @@ func TestShardedRangeMatchesUnsharded(t *testing.T) {
 				testutil.CheckRange(t, name+"-sharded", x, w, []float64{0, 0.2, 0.5, 1.0})
 				testutil.CheckKNN(t, name+"-sharded", x, w, []int{1, 3, 10, 600})
 
-				// Fan-out determinism: every worker count returns the
-				// byte-identical merged slice and summed stats.
+				// Search is what the wrappers answer, stats included.
 				for _, q := range w.Queries[:4] {
 					want, wantStats := x.RangeWithStats(q, 0.6)
-					for _, workers := range []int{1, 2, 3, 8} {
-						req := index.RangeQuery(q, 0.6)
-						req.Opts.Workers = workers
-						res := x.Search(req)
-						got, gotStats := res.Items, res.Stats
-						if len(got) != len(want) {
-							t.Fatalf("%s S=%d W=%d: %d results, want %d", name, s, workers, len(got), len(want))
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("%s S=%d W=%d: result[%d]=%d, want %d", name, s, workers, i, got[i], want[i])
-							}
-						}
-						if gotStats != wantStats {
-							t.Fatalf("%s S=%d W=%d: stats %+v, want %+v", name, s, workers, gotStats, wantStats)
-						}
+					res := x.Search(index.RangeQuery(q, 0.6))
+					if !slices.Equal(res.Items, want) || res.Stats != wantStats {
+						t.Fatalf("%s S=%d: Search %v / %+v, RangeWithStats %v / %+v", name, s, res.Items, res.Stats, want, wantStats)
 					}
 				}
 			}
@@ -124,49 +111,6 @@ func TestShardedKNNSequentialDeterministic(t *testing.T) {
 				if gotStats := firstStats; int64(gotStats.Computed+gotStats.VantagePoints) != firstCost {
 					t.Fatalf("%s q=%d k=%d: stats say %d distances, counter says %d",
 						name, q, k, gotStats.Computed+gotStats.VantagePoints, firstCost)
-				}
-			}
-		}
-	}
-}
-
-// Sharded kNN is the sequential carried-τ walk at every Workers value:
-// Search with Opts.Workers set returns the identical neighbor list,
-// SearchStats and counter delta as the plain walk, so no distance count
-// in the repository depends on scheduling.
-func TestShardedKNNIgnoresWorkers(t *testing.T) {
-	rng := rand.New(rand.NewPCG(33, 2))
-	w := testutil.NewVectorWorkload(rng, 400, 6, 8, metric.L2)
-	for name, mk := range backends() {
-		c := metric.NewCounter(w.Dist)
-		x, err := New(w.Items, c, mk(), Options{Shards: 4, Workers: 2, Seed: 7})
-		if err != nil {
-			t.Fatalf("%s: New: %v", name, err)
-		}
-		for _, q := range w.Queries {
-			for _, k := range []int{1, 4, 15} {
-				before := c.Count()
-				want, wantStats := x.KNNWithStats(q, k)
-				wantCost := c.Count() - before
-				for _, workers := range []int{1, 2, 8} {
-					req := index.KNNQuery(q, k)
-					req.Opts.Workers = workers
-					before = c.Count()
-					got := x.Search(req)
-					cost := c.Count() - before
-					if got.Stats != wantStats || cost != wantCost {
-						t.Fatalf("%s q=%d k=%d W=%d: stats/cost %+v/%d, want %+v/%d",
-							name, q, k, workers, got.Stats, cost, wantStats, wantCost)
-					}
-					if len(got.Neighbors) != len(want) {
-						t.Fatalf("%s q=%d k=%d W=%d: %d results, want %d", name, q, k, workers, len(got.Neighbors), len(want))
-					}
-					for i := range want {
-						if got.Neighbors[i] != want[i] {
-							t.Fatalf("%s q=%d k=%d W=%d: neighbor[%d]=%+v, want %+v",
-								name, q, k, workers, i, got.Neighbors[i], want[i])
-						}
-					}
 				}
 			}
 		}
@@ -219,7 +163,7 @@ func TestBalancedAssignmentDeterministic(t *testing.T) {
 // mergeKNNHeap is the threshold-merge reference mergeKNN is checked
 // against: push everything through a k-best heap.
 func mergeKNNHeap[T any](lists [][]index.Neighbor[T], k int) []index.Neighbor[T] {
-	best := heapx.NewKBest[T](k)
+	best := heapx.NewKBest[T](k, k)
 	for _, l := range lists {
 		for _, nb := range l {
 			best.Push(nb.Item, nb.Dist)

@@ -32,9 +32,8 @@ type Neighbor[T any] = index.Neighbor[T]
 // SearchOptions are the per-query knobs of the unified Search entry
 // point every structure implements: Epsilon ((1+ε)-approximation),
 // Budget (distance-computation cap), Patience (early kNN
-// termination), Workers (the sharded index's per-query fan-out width;
-// single structures ignore it) and Bound (an external kNN pruning
-// bound). The zero value asks for the exact answer. Each structure
+// termination) and Bound (an external kNN pruning bound). The zero
+// value asks for the exact answer. Each structure
 // runs one range traversal and one kNN traversal in every mode, so the
 // bound cascade and the quantized pre-filter serve approximate and
 // budgeted queries exactly as they serve exact ones.
@@ -57,18 +56,9 @@ type Searcher[T any] = index.Searcher[T]
 // BatchSearcher is the shared-traversal batch surface: SearchBatch
 // answers a group of queries with one descent per structure, results,
 // stats and distance counts byte-identical to per-query Search calls.
-// The mvp-tree, the vp-tree and the sharded index implement it; probe
-// with CapabilitiesOf (the Batch field) rather than type-asserting.
+// The mvp-tree, the vp-tree and the sharded index implement it; which
+// members of a group share the descent is Query.Shareable.
 type BatchSearcher[T any] = index.BatchSearcher[T]
-
-// Capabilities is the one-call capability report of an index; obtain
-// one with CapabilitiesOf instead of chaining type assertions.
-type Capabilities[T any] = index.Capabilities[T]
-
-// CapabilitiesOf probes idx once for every optional query surface.
-func CapabilitiesOf[T any](idx Index[T]) Capabilities[T] {
-	return index.CapabilitiesOf(idx)
-}
 
 // NewRangeQuery and NewKNNQuery build the common request shapes.
 func NewRangeQuery[T any](q T, r float64) Query[T] { return index.RangeQuery(q, r) }

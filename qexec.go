@@ -20,7 +20,8 @@ type SearchStats = mvp.SearchStats
 // size. When the index implements BatchSearcher and Batch > 1, each
 // worker answers its stripe in groups of Batch through one SearchBatch
 // call per group; results, stats and distance counts stay
-// byte-identical to the unbatched run.
+// byte-identical to the unbatched run. Search carries the approximation
+// knobs BatchRange and BatchKNN put on every query.
 type BatchOptions = qexec.Options
 
 // BatchStats summarize a batch run: total Counter delta, batch wall
@@ -41,16 +42,17 @@ var ErrSharedObserver = qexec.ErrSharedObserver
 // shared index, striped over opts.Workers goroutines. results[i] is
 // exactly idx.Range(queries[i], r): the answers — and the number of
 // distance computations the batch performs — are identical for every
-// worker count; parallelism changes wall-clock time only. All indexes
-// in this library are safe to share this way (their query paths touch
-// no mutable state beyond the atomic Counter).
+// worker count; parallelism changes wall-clock time only. Every
+// structure in this library (and the dynamic store) is a Searcher and
+// safe to share this way (their query paths touch no mutable state
+// beyond the atomic Counter).
 //
 // The error is non-nil in two cases: opts.Context was cancelled before
 // the batch finished (the results are partially filled and the error is
 // the context's), or opts.Observer is also attached to the index's own
 // hooks (qexec.ErrSharedObserver — that wiring would record every query
 // twice).
-func BatchRange[T any](idx Index[T], queries []T, r float64, opts BatchOptions) ([][]T, BatchStats, error) {
+func BatchRange[T any](idx Searcher[T], queries []T, r float64, opts BatchOptions) ([][]T, BatchStats, error) {
 	return qexec.RunRange(idx, queries, r, opts)
 }
 
@@ -58,6 +60,6 @@ func BatchRange[T any](idx Index[T], queries []T, r float64, opts BatchOptions) 
 // against a shared index, striped over opts.Workers goroutines.
 // results[i] is exactly idx.KNN(queries[i], k). Errors as in
 // BatchRange.
-func BatchKNN[T any](idx Index[T], queries []T, k int, opts BatchOptions) ([][]Neighbor[T], BatchStats, error) {
+func BatchKNN[T any](idx Searcher[T], queries []T, k int, opts BatchOptions) ([][]Neighbor[T], BatchStats, error) {
 	return qexec.RunKNN(idx, queries, k, opts)
 }

@@ -10,6 +10,7 @@ package mvptree_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -177,10 +178,10 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 	}
 }
 
-// TestCapabilitiesTable pins the three-field capability report over the
-// eleven Searcher implementations: the nine structures, the dynamic
-// store and the sharded index all report Stats and Search, and exactly
-// the mvp-tree, the vp-tree and the sharded index report Batch. It also
+// TestCapabilitiesTable pins the query surfaces of the eleven
+// implementations: the nine structures, the dynamic store and the
+// sharded index are all Searchers, and exactly the mvp-tree, the
+// vp-tree and the sharded index are BatchSearchers. It also
 // pins the line between the two tiers (DESIGN.md "Two tiers"): which of
 // the optional surfaces each implementation has — every one of them on
 // the served core, none on the six comparison structures — and that a
@@ -189,7 +190,7 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 func TestCapabilitiesTable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 7))
 	words := mvptree.Words(rng, 200, mvptree.WordOptions{})
-	all := map[string]mvptree.Index[string]{}
+	all := map[string]mvptree.Searcher[string]{}
 	for name, idx := range editSearchers(t, words) {
 		all[name] = idx
 	}
@@ -217,12 +218,8 @@ func TestCapabilitiesTable(t *testing.T) {
 		"general": "", "gh": "", "gnat": "", "ball": "", "bk": "", "pivot": "",
 	}
 	for name, idx := range all {
-		caps := mvptree.CapabilitiesOf(idx)
-		if caps.Stats == nil || caps.Search == nil {
-			t.Errorf("%s: Stats=%v Search=%v, want both non-nil", name, caps.Stats != nil, caps.Search != nil)
-		}
-		if got := caps.Batch != nil; got != batch[name] {
-			t.Errorf("%s: Batch reported %v, want %v", name, got, batch[name])
+		if _, got := idx.(mvptree.BatchSearcher[string]); got != batch[name] {
+			t.Errorf("%s: BatchSearcher %v, want %v", name, got, batch[name])
 		}
 		var has []string
 		for _, m := range []string{"EnableCascade", "EnableQuantize", "KFarthest", "Save", "SaveDir", "SearchBatch"} {
@@ -453,6 +450,75 @@ func TestPatienceStopsEarly(t *testing.T) {
 		want, _ := tree.KNNWithStats(q, 5)
 		if !reflect.DeepEqual(want, res.Neighbors) {
 			t.Fatal("patience run flagged exact but differs from the exact answer")
+		}
+	}
+}
+
+// TestHugeKAllocatesNothingOnItsWord asks every implementation for far
+// more neighbours than it holds. The answer is every item, nearest (or
+// farthest) first, exactly as the scan orders their distances — and no
+// heap was sized by k, which would end the process in makeslice rather
+// than fail this test.
+func TestHugeKAllocatesNothingOnItsWord(t *testing.T) {
+	const hugeK = math.MaxInt // also overflows any k + extras sum left unclamped
+	rng := rand.New(rand.NewPCG(43, 7))
+	words := mvptree.Words(rng, 120, mvptree.WordOptions{})
+	all := editSearchers(t, words)
+	dyn, err := mvptree.NewDynamic(words[:100], mvptree.EditDistance, mvptree.DynamicOptions{RebuildFraction: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range words[100:] {
+		if err := dyn.Insert(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range words[:10] { // tombstones: the store asks its tree for k + dead
+		if _, err := dyn.Delete(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all["dynamic"] = dyn
+	for _, s := range []int{1, 3} {
+		x, err := shard.New(words, mvptree.NewCounter(mvptree.EditDistance), shard.MVP[string](mvptree.Options{}), shard.Options{Shards: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[fmt.Sprintf("shard%d", s)] = x
+	}
+
+	dists := func(nbs []mvptree.Neighbor[string]) []float64 {
+		out := make([]float64, len(nbs))
+		for i, nb := range nbs {
+			out[i] = nb.Dist
+		}
+		return out
+	}
+	for name, idx := range all {
+		for _, q := range []string{words[17], "zzzzzz"} {
+			// The scan over what idx holds right now (the store deleted some).
+			scan := mvptree.NewLinear(idx.Range(q, 100), mvptree.EditDistance) // no two words are 100 edits apart
+			if scan.Len() != idx.Len() {
+				t.Fatalf("%s: a range query wider than the space found %d of %d items", name, scan.Len(), idx.Len())
+			}
+			want := dists(scan.KNN(q, scan.Len()))
+			for label, got := range map[string][]mvptree.Neighbor[string]{
+				"KNN":    idx.KNN(q, hugeK),
+				"Search": idx.Search(mvptree.NewKNNQuery(q, hugeK)).Neighbors,
+			} {
+				if !slices.Equal(dists(got), want) {
+					t.Errorf("%s %s(%q, MaxInt): %d neighbours %v, the scan orders %d", name, label, q, len(got), dists(got), len(want))
+				}
+			}
+			if kf, ok := idx.(interface {
+				KFarthest(string, int) []mvptree.Neighbor[string]
+			}); ok {
+				got, far := dists(kf.KFarthest(q, hugeK)), slices.Clone(want)
+				slices.Reverse(far)
+				if !slices.Equal(got, far) {
+					t.Errorf("%s KFarthest(%q, MaxInt): %d neighbours, the scan orders %d", name, q, len(got), len(far))
+				}
+			}
 		}
 	}
 }
