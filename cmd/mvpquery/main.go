@@ -30,9 +30,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"mvptree"
+	"mvptree/internal/shard"
 	"mvptree/internal/vector"
 )
 
@@ -162,21 +164,17 @@ func run(out io.Writer, in io.Reader, args []string) error {
 	return serve(out, in, idx, parse, vector.Format, *queryStr, *rangeR, *knnK, *maxShow, *jsonOut, *stats)
 }
 
-// saveIndex persists a just-built mvp or vp index.
+// saveIndex persists a just-built mvp or vp index. The file at path is
+// replaced whole or not at all: an index it refuses, or a save that
+// fails, leaves it as it was.
 func saveIndex[T any](path, id string, idx counted[T], enc mvptree.ItemEncoder[T]) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	t, ok := idx.(*mvptree.Tree[T]) // -index vp builds one too
 	if !ok {
 		return fmt.Errorf("index %q does not support -saveindex (mvp and vp only)", id)
 	}
-	if err := mvptree.SaveTree(f, t, enc); err != nil {
-		return err
-	}
-	return f.Close()
+	return shard.WriteFileAtomic(filepath.Dir(path), filepath.Base(path), func(f *os.File) error {
+		return mvptree.SaveTree(f, t, enc)
+	})
 }
 
 // loadIndex reads a persisted mvp or vp index: one loader, the stream

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -180,6 +181,36 @@ func TestPersistenceFlagValidation(t *testing.T) {
 		if err := run(&sb, strings.NewReader(""), args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRefusedSaveKeepsTheFile: -saveindex with an index it cannot save
+// fails before it touches the file, which keeps the index saved there.
+func TestRefusedSaveKeepsTheFile(t *testing.T) {
+	data := writeTemp(t, "v.txt", vecData)
+	idxPath := filepath.Join(t.TempDir(), "keep.mvp")
+	var sb strings.Builder
+	if err := run(&sb, strings.NewReader(""), []string{
+		"-data", data, "-index", "mvp", "-k", "2", "-saveindex", idxPath, "-range", "1.5", "-query", "0 0",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(idxPath)
+	if err != nil || len(saved) == 0 {
+		t.Fatalf("saved %d bytes: %v", len(saved), err)
+	}
+	err = run(&sb, strings.NewReader(""), []string{
+		"-data", data, "-index", "gnat", "-k", "2", "-saveindex", idxPath, "-range", "1.5", "-query", "0 0",
+	})
+	if err == nil || !strings.Contains(err.Error(), "does not support -saveindex") {
+		t.Fatalf("-saveindex of a gnat index: %v", err)
+	}
+	if after, err := os.ReadFile(idxPath); err != nil || !bytes.Equal(after, saved) {
+		t.Fatalf("the refused save left %d bytes of %d: %v", len(after), len(saved), err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(idxPath))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("the directory holds %d files, want the index alone: %v", len(entries), err)
 	}
 }
 

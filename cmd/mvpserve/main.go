@@ -180,10 +180,17 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
 			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, g.FilterStep, g.FilterSlack)
 		if *dir != "" {
+			start := time.Now()
 			if err := x.SaveDir(*dir, be, codec.EncodeVector); err != nil {
 				return fmt.Errorf("saving snapshot to %s: %w", *dir, err)
 			}
-			fmt.Fprintf(out, "mvpserve: snapshot saved to %s\n", *dir)
+			saved := time.Since(start)
+			size, err := dirBytes(*dir)
+			if err != nil {
+				return fmt.Errorf("sizing snapshot in %s: %w", *dir, err)
+			}
+			fmt.Fprintf(out, "mvpserve: snapshot saved to %s in %v (%.1f B/item on disk)\n",
+				*dir, saved.Round(time.Millisecond), float64(size)/float64(max(x.Len(), 1)))
 		}
 		if *casOn {
 			before := x.DistanceCount()
@@ -271,6 +278,26 @@ func filterGrid(x *shard.Index[[]float64]) (g mvp.Stats) {
 		g.CascadeBytes, g.LeafItems = g.CascadeBytes+s.CascadeBytes, g.LeafItems+s.LeafItems
 	}
 	return g
+}
+
+// dirBytes is the size of the files in dir: after SaveDir, the manifest
+// and the blobs it names.
+func dirBytes(dir string) (int64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	var size int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			return 0, err
+		}
+		if info.Mode().IsRegular() {
+			size += info.Size()
+		}
+	}
+	return size, nil
 }
 
 func hasManifest(dir string) bool {

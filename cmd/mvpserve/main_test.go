@@ -174,7 +174,7 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("reload reply: %+v", reload)
 	}
 	shutdown()
-	if !strings.Contains(out.String(), "snapshot saved") {
+	if !strings.Contains(out.String(), "snapshot saved to "+dir+" in ") || !strings.Contains(out.String(), " B/item on disk)") {
 		t.Fatalf("first run did not save a snapshot:\n%s", out.String())
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {

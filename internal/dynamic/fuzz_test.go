@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -108,9 +109,9 @@ func checksumProof(tb testing.TB) map[string]struct {
 		payload []byte
 		refusal string
 	}{
-		// The tree stops halfway: mvp.Load's to refuse, behind a length
-		// and a checksum that are both right.
-		"v2-truncated-tree": {with(0.25, opts, 2, tree[:len(tree)/2]), "unexpected EOF"},
+		// The tree stops halfway: mvp.Load's to refuse, by the tree's own
+		// checksum, behind a length and a checksum that are both right.
+		"v2-truncated-tree": {with(0.25, opts, 2, tree[:len(tree)/2]), "corrupt stream"},
 		// NaN is not <= 0: every update of the loaded store would rebuild it.
 		"v2-fraction-nan": {with(math.NaN(), opts, 2, tree), "corrupt stream"},
 		// Vantage points a node: more than a tree can have, the 0 that
@@ -242,6 +243,23 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(v1) // a whole MVPDYN1 stream, of vectors: loads raw, as words
 	// testdata/fuzz/FuzzLoad holds seedV1's payloads and checksumProof's.
+	// The MVPTREE4 streams mvp.Load must refuse, behind a store's header.
+	opts := mvp.Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: mvp.Build{Seed: 1}}
+	tree, err := mvp.New(words, metric.NewCounter(metric.Edit), opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := tree.Save(&stream, encodeWord); err != nil {
+		f.Fatal(err)
+	}
+	faults := testutil.ArenaFaults(stream.Bytes())
+	for _, name := range slices.Sorted(maps.Keys(faults)) {
+		f.Add(testutil.Payload(func(w *wire.Writer) {
+			headerV2(w, 0.25, opts, 2, 1)
+			w.Bytes(faults[name])
+		}))
+	}
 
 	answers := func(s *Store[string]) (out []string) {
 		for _, q := range []string{"", "probe"} {

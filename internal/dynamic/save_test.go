@@ -19,7 +19,7 @@ import (
 // TestSaveLoadRoundTrip runs over a store just built and over one Load
 // read from an MVPDYN1 stream around an MVPTREE1 one (written by PR 18
 // from the same 400 items and options): what Save writes next is MVPDYN2
-// around MVPTREE3 either way.
+// around MVPTREE4 either way.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	for _, from := range []string{"built", "loaded from v1"} {
 		t.Run(from, func(t *testing.T) {
@@ -89,8 +89,8 @@ func reloadVectors(t *testing.T, s *Store[[]float64]) *Store[[]float64] {
 		t.Fatal(err)
 	}
 	stream := buf.Bytes()
-	if !bytes.HasPrefix(stream[1:], []byte(saveMagic)) || !bytes.Contains(stream, []byte("MVPTREE3")) {
-		t.Fatalf("Save wrote %q..., not an MVPTREE3 stream inside a %s one", stream[:12], saveMagic)
+	if !bytes.HasPrefix(stream[1:], []byte(saveMagic)) || !bytes.Contains(stream, []byte("MVPTREE4")) {
+		t.Fatalf("Save wrote %q..., not an MVPTREE4 stream inside a %s one", stream[:12], saveMagic)
 	}
 	loaded, err := Load(bytes.NewReader(stream), metric.L2, codec.DecodeVector)
 	if err != nil {

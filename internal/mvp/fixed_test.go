@@ -390,13 +390,14 @@ func TestIntegerMetricIdenticalToFloat64Leaves(t *testing.T) {
 
 // TestLoadsFloat64LeafStream loads the two kinds of MVPTREE1 stream there
 // are — PR 14's, whose leaf distances have all 53 bits, and PR 18's,
-// whose are float32 values — and PR 19's MVPTREE2, which has the codes
-// but no v in its header, and holds each to the MVPTREE3 stream of the
-// same tree: same Save bytes, same step and slack, same answers at the
-// same cost. That stream is PR 22's Save of its build of these items,
-// which until the partition step stopped sorting (PR 23) was the build
-// every fixture here recorded; a build now is another draw of the same
-// shape.
+// whose are float32 values — PR 19's MVPTREE2, which has the codes but no
+// v in its header, and PR 22's MVPTREE3, and holds each to the MVPTREE4
+// stream of the same tree: same Save bytes, same step and slack, same
+// answers at the same cost. The MVPTREE3 stream is PR 22's Save of its
+// build of these items, which until the partition step stopped sorting
+// (PR 23) was the build every fixture here recorded; a build now is
+// another draw of the same shape. The MVPTREE4 one is that stream loaded
+// and saved again (PR 30).
 func TestLoadsFloat64LeafStream(t *testing.T) {
 	save := func(tr *Tree[[]float64]) []byte {
 		var buf bytes.Buffer
@@ -415,13 +416,20 @@ func TestLoadsFloat64LeafStream(t *testing.T) {
 		}
 		return tr
 	}
-	want, err := os.ReadFile("testdata/pr22_mvptree3.mvp")
+	want, err := os.ReadFile("testdata/pr30_mvptree4.mvp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile("testdata/pr22_mvptree3.mvp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := load(want)
 	if fresh.slack != fresh.step {
 		t.Errorf("the %s stream: step %g, slack %g", saveMagic, fresh.step, fresh.slack)
+	}
+	if !bytes.Equal(save(fresh), want) {
+		t.Errorf("the %s stream saves differently once loaded", saveMagic)
 	}
 	items := dataset.UniformVectors(rand.New(rand.NewPCG(15, 3)), 400, 6)
 	built, err := New(items, metric.NewCounter(metric.L2), Options{Partitions: 2, LeafCapacity: 7, PathLength: 4, RandomFirstVantage: true, Build: Build{Seed: 4}})
@@ -434,6 +442,7 @@ func TestLoadsFloat64LeafStream(t *testing.T) {
 	queries := dataset.UniformVectors(rand.New(rand.NewPCG(15, 4)), 40, 6)
 	for name, magic := range map[string]string{
 		"testdata/pr14_float64_leaves.mvp": loadMagicV1, "testdata/pr18_float32_leaves.mvp": loadMagicV1, "testdata/pr19_mvptree2.mvp": loadMagicV2,
+		"testdata/pr22_mvptree3.mvp": loadMagicV3,
 	} {
 		old, err := os.ReadFile(name)
 		if err != nil {
@@ -443,34 +452,38 @@ func TestLoadsFloat64LeafStream(t *testing.T) {
 			t.Fatalf("%s is not an %s stream", name, magic)
 		}
 		loaded := load(old)
-		v2 := save(loaded)
-		if !bytes.Equal(v2, want) {
-			t.Errorf("%s: the loaded tree saves differently (%d bytes) from a fresh build of the same items (%d)", name, len(v2), len(want))
+		v4 := save(loaded)
+		if !bytes.Equal(v4, want) {
+			t.Errorf("%s: the loaded tree saves differently (%d bytes) from the %s stream of the same tree (%d)", name, len(v4), saveMagic, len(want))
 		}
-		// Two bytes a leaf distance for eight, and no PATH length per
-		// item; from MVPTREE2 only the header differs, by v's one byte.
+		// Against the MVPTREE3 stream: two bytes a leaf distance for eight,
+		// and no PATH length per item; from MVPTREE2 only the header
+		// differs, by v's one byte.
 		saved := -1
-		if magic == loadMagicV1 {
+		switch magic {
+		case loadMagicV1:
 			for _, n := range fresh.nodes {
 				if n.isLeaf() {
 					saved += int(n.cnt) * (6*(2+int(n.held)) + 1)
 				}
 			}
+		case loadMagicV3:
+			saved = 0
 		}
-		if got := len(old) - len(v2); got < saved-8 || got > saved {
-			t.Errorf("%s: %d bytes as %s, %d as %s: want about %d fewer", name, len(old), magic, len(v2), saveMagic, saved)
+		if got := len(old) - len(v3); got < saved-8 || got > saved {
+			t.Errorf("%s: %d bytes as %s, %d as %s: want about %d fewer", name, len(old), magic, len(v3), loadMagicV3, saved)
 		}
-		if p2, p3 := testutil.PayloadOf(old), testutil.PayloadOf(v2); magic == loadMagicV2 {
+		if p2, p3 := testutil.PayloadOf(old), testutil.PayloadOf(v3); magic == loadMagicV2 {
 			i := 0 // v is where the payloads first differ
 			for i < len(p2) && p2[i] == p3[i] {
 				i++
 			}
 			if i > 8 || !bytes.Equal(p3[i+1:], p2[i:]) {
-				t.Errorf("%s: the %s payload is not the %s one with v in the header", name, saveMagic, magic)
+				t.Errorf("%s: the %s payload is not the %s one with v in the header", name, loadMagicV3, magic)
 			}
 		}
-		again := load(v2)
-		if !bytes.Equal(save(again), v2) {
+		again := load(v4)
+		if !bytes.Equal(save(again), v4) {
 			t.Errorf("%s: Save → Load → Save is not byte-stable", name)
 		}
 		for _, tr := range []*Tree[[]float64]{loaded, again} {

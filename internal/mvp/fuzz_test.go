@@ -2,9 +2,11 @@ package mvp
 
 import (
 	"bytes"
+	"maps"
 	"math/rand/v2"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mvptree/internal/codec"
@@ -28,7 +30,7 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 }
 
 // FuzzLoad feeds Load arbitrary payloads, each raw and sealed behind a
-// matching CRC under every magic Load knows — the three it reads and the
+// matching CRC under every magic Load knows — the four it reads and the
 // retired one it refuses. Load must never panic, never allocate beyond a
 // small multiple of its input, and whatever it returns must pass the
 // shape half of Validate, answer every query kind without panicking and
@@ -37,7 +39,13 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 func FuzzLoad(f *testing.F) {
 	enc := func(s string) ([]byte, error) { return []byte(s), nil }
 	words := dataset.Words(rand.New(rand.NewPCG(15, 8)), 120, dataset.WordOptions{MinLen: 3, MaxLen: 8, MisspellingsPer: 2})
-	wordTree := testutil.PayloadOf(saved(f, words, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}}))
+	wordStream := saved(f, words, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}})
+	wordTree := testutil.PayloadOf(wordStream)
+	// Whole streams that load raw: MVPTREE4 ones Load must refuse.
+	faults := testutil.ArenaFaults(wordStream)
+	for _, name := range slices.Sorted(maps.Keys(faults)) {
+		f.Add(faults[name])
+	}
 	for _, payload := range [][]byte{
 		wordTree,
 		testutil.PayloadOf(saved(f, dataset.UniformVectors(rand.New(rand.NewPCG(15, 9)), 80, 3), metric.L2, codec.EncodeVector,
@@ -53,8 +61,8 @@ func FuzzLoad(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Add(saved(f, words[:20], metric.Edit, enc, Options{})) // a whole stream: loads raw, nests sealed
-	// What Save writes is MVPTREE3; the payloads earlier versions wrote.
-	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp", "testdata/pr19_mvptree2.mvp", "testdata/pr19_vptree1.vp"} {
+	// What Save writes is MVPTREE4; the payloads earlier versions wrote.
+	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp", "testdata/pr19_mvptree2.mvp", "testdata/pr19_vptree1.vp", "testdata/pr22_mvptree3.mvp", "testdata/pr30_mvptree4.mvp"} {
 		old, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
@@ -68,7 +76,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		streams := [][]byte{payload}
-		for _, magic := range []string{saveMagic, loadMagicV2, loadMagicV1, retiredVPMagic} {
+		for _, magic := range []string{saveMagic, loadMagicV3, loadMagicV2, loadMagicV1, retiredVPMagic} {
 			streams = append(streams, testutil.Seal(magic, payload))
 		}
 		for _, stream := range streams {
@@ -82,7 +90,7 @@ func FuzzLoad(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if err := tree.checkShape(); err != nil {
+			if _, err := tree.checkShape(); err != nil {
 				t.Fatalf("loaded tree fails the shape check: %v", err)
 			}
 			for _, q := range []string{"", "probe"} {

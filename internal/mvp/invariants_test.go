@@ -90,7 +90,7 @@ func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int
 // nodes the cutoff and child arenas.
 func checkArenasTiled[T any](t *testing.T, tr *Tree[T]) {
 	t.Helper()
-	if err := tr.checkShape(); err != nil {
+	if _, err := tr.checkShape(); err != nil {
 		t.Fatal(err)
 	}
 	cuts, kids := 0, 0

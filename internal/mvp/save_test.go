@@ -7,10 +7,12 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mvptree/internal/codec"
+	"mvptree/internal/dataset"
 	"mvptree/internal/metric"
 	"mvptree/internal/testutil"
 	"mvptree/internal/wire"
@@ -172,7 +174,7 @@ func TestLoadRejectsBadCutoffs(t *testing.T) {
 				}
 			}
 		})
-		_, err := Load(bytes.NewReader(testutil.Seal(saveMagic, payload)), metric.NewCounter(metric.Edit),
+		_, err := Load(bytes.NewReader(testutil.Seal(loadMagicV3, payload)), metric.NewCounter(metric.Edit),
 			func(b []byte) (string, error) { return string(b), nil })
 		if c.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "corrupt stream") {
 			t.Errorf("%s: Load: %v", name, err)
@@ -182,6 +184,70 @@ func TestLoadRejectsBadCutoffs(t *testing.T) {
 			t.Errorf("testdata/fuzz/FuzzLoad/%s is not this payload's seed:\n%s", name, seed)
 		}
 	}
+}
+
+// TestSaveLoadSaveByteStable: what Save writes loads as a tree that saves
+// as the same bytes, at both v, over vectors and over words.
+func TestSaveLoadSaveByteStable(t *testing.T) {
+	vecs := testutil.RandomVectors(rand.New(rand.NewPCG(75, 3)), 400, 5)
+	words := dataset.Words(rand.New(rand.NewPCG(75, 4)), 400, dataset.WordOptions{})
+	eachV(t, Options{Partitions: 3, LeafCapacity: 9, PathLength: 5, Build: Build{Seed: 5}}, func(t *testing.T, opts Options) {
+		checkByteStable(t, vecs, metric.L2, codec.EncodeVector, codec.DecodeVector, opts)
+		checkByteStable(t, words, metric.Edit, codec.EncodeString, codec.DecodeString, opts)
+	})
+}
+
+func checkByteStable[T any](t *testing.T, items []T, dist metric.DistanceFunc[T], enc ItemEncoder[T], dec ItemDecoder[T], opts Options) {
+	t.Helper()
+	tree, err := New(items, metric.NewCounter(dist), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if err := tree.Save(&first, enc); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(first.Bytes()), metric.NewCounter(dist), dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(&second, enc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) || loaded.Height() != tree.Height() || loaded.Shape() != tree.Shape() {
+		t.Errorf("Save → Load → Save: %d bytes became %d, height %d became %d", first.Len(), second.Len(), tree.Height(), loaded.Height())
+	}
+}
+
+// TestLoadRejectsArenaFaults: the streams testutil.ArenaFaults makes of an
+// MVPTREE4 stream — cut at each arena boundary, counts announced past the
+// arenas, a child of two parents, rows past their arena, a bad trailer —
+// are refused as corrupt, allocating no more than the stream's bytes and
+// a buffer.
+func TestLoadRejectsArenaFaults(t *testing.T) {
+	words := dataset.Words(rand.New(rand.NewPCG(76, 3)), 120, dataset.WordOptions{})
+	eachV(t, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}}, func(t *testing.T, opts Options) {
+		tree, err := New(words, metric.NewCounter(metric.Edit), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tree.Save(&buf, codec.EncodeString); err != nil {
+			t.Fatal(err)
+		}
+		for name, stream := range testutil.ArenaFaults(buf.Bytes()) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), codec.DecodeString)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "corrupt stream") {
+				t.Errorf("%s: Load: %v", name, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*len(stream)+64<<10) {
+				t.Errorf("%s: Load allocated %d bytes for a %d-byte stream", name, got, len(stream))
+			}
+		}
+	})
 }
 
 // TestLoadNamesRetiredVPStream: a stream internal/vptree saved while it

@@ -18,7 +18,7 @@ import (
 // O(n·(log n + p)) distance computations through the tree's Counter; it
 // is a diagnostic, not something to run per query.
 func (t *Tree[T]) Validate() error {
-	if err := t.checkShape(); err != nil {
+	if _, err := t.checkShape(); err != nil {
 		return err
 	}
 	if err := t.checkGrid(); err != nil {
@@ -44,56 +44,100 @@ func (t *Tree[T]) checkGrid() error {
 }
 
 // checkShape is the half of Validate that needs no metric, one pass over
-// the node rows: the header's point count; leaves within capacity, with no
-// more vantage points than v and none missing above items, holding
-// min(p, v·depth) PATH entries and tiling the two leaf arenas in order;
-// internal nodes with v vantage points, children numbered above them and
-// cutoff rows that are distances in ascending order — a row that is not
-// puts points outside every shell the search would look in. What the rows
-// cannot say needs no check: a second vantage point without a first, or a
-// shell without its cutoff and child rows. Load ends with it.
-func (t *Tree[T]) checkShape() error {
-	points, items, floats := 0, 0, 0
+// the node rows that returns the tree's height. It checks the header's
+// point count; that the rows make a tree, every node but the root the
+// child of exactly one node numbered below it; leaves within capacity,
+// with no more vantage points than v and none missing above items,
+// holding min(p, v·depth) PATH entries and tiling the two leaf arenas in
+// order (a leaf without items at offset 0, where a build leaves it);
+// internal nodes with v vantage points, rows of the cutoff and child
+// arenas that tile those in order, and cutoff rows that are distances in
+// ascending order under cached bounds that are their largest — a row
+// that is not puts points outside every shell the search would look in.
+// Every offset is checked before anything is sliced by it, which is what
+// lets Load take a stream's rows in bulk. What the rows cannot say needs
+// no check: a second vantage point without a first, or a shell without
+// its cutoff and child rows.
+func (t *Tree[T]) checkShape() (height int, err error) {
+	points, items, floats, cuts, kids := 0, 0, 0, 0, 0
 	depth := make([]int, len(t.nodes))
+	for i := 1; i < len(depth); i++ {
+		depth[i] = -1 // no node's child yet
+	}
 	for i := range t.nodes {
 		n, d := &t.nodes[i], depth[i]
-		points += int(n.svs)
+		if d < 0 {
+			return 0, fmt.Errorf("mvp: node %d of %d is no node's child", i, len(t.nodes))
+		}
+		height, points = max(height, d), points+int(n.svs)
 		if n.isLeaf() {
 			held := 0
 			if n.cnt > 0 {
 				held = min(t.p, t.v*d)
 			}
-			if int(n.svs) > t.v || int(n.cnt) > t.k || int(n.held) != held ||
-				n.cnt > 0 && (n.svs == 0 || int(n.off) != items || n.foff != floats) {
-				return fmt.Errorf("mvp: leaf at depth %d holds %d vantage points and %d items with %d PATH entries at items[%d], filter[%d] (v=%d, k=%d, p=%d; the leaves before it end at %d, %d)",
+			if int(n.svs) > t.v || n.cnt < 0 || int(n.cnt) > t.k || int(n.held) != held ||
+				n.cnt > 0 && (n.svs == 0 || int(n.off) != items || n.foff != floats) ||
+				n.cnt == 0 && (n.off != 0 || n.foff != 0) {
+				return 0, fmt.Errorf("mvp: leaf at depth %d holds %d vantage points and %d items with %d PATH entries at items[%d], filter[%d] (v=%d, k=%d, p=%d; the leaves before it end at %d, %d)",
 					d, n.svs, n.cnt, n.held, n.off, n.foff, t.v, t.k, t.p, items, floats)
 			}
 			points, items, floats = points+int(n.cnt), items+int(n.cnt), floats+int(n.cnt)*(2+held)
 			continue
 		}
-		cut1, _, sh := t.inner(n)
-		ordered := ascending(cut1)
+		c, k, ok := t.innerLen(n)
+		if !ok || int(n.off) != cuts || n.foff != kids {
+			return 0, fmt.Errorf("mvp: internal node %d of %d shells at cuts[%d], kids[%d] (of %d and %d): its rows run past them, or the nodes before it end at %d, %d",
+				i, n.cnt, n.off, n.foff, len(t.cuts), len(t.kids), cuts, kids)
+		}
+		cuts, kids = cuts+c, kids+k
+		cut1, bounds, sh := t.inner(n)
+		ordered, top2 := ascending(cut1), 0.0
 		for range len(cut1) + 1 {
 			row, cut2 := sh.next()
-			ordered = ordered && ascending(cut2)
+			ordered, top2 = ordered && ascending(cut2), max(top2, cutMax(cut2))
 			for _, c := range row {
 				if c == noChild {
 					continue
 				}
-				if int(c) <= i || int(c) >= len(t.nodes) {
-					return fmt.Errorf("mvp: node %d of %d has child %d", i, len(t.nodes), c)
+				if int(c) <= i || int(c) >= len(t.nodes) || depth[c] >= 0 {
+					return 0, fmt.Errorf("mvp: node %d of %d has child %d: not above it, past the last node, or another's", i, len(t.nodes), c)
 				}
 				depth[c] = d + 1
 			}
 		}
-		if int(n.svs) != t.v || !ordered {
-			return fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances", d, n.svs, t.v)
+		if int(n.svs) != t.v || !ordered || bounds[0] != cutMax(cut1) || t.v == 2 && bounds[1] != top2 {
+			return 0, fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances under bounds %v that are their largest", d, n.svs, t.v, bounds[:t.v])
 		}
 	}
-	if points != t.size || items != len(t.items) || floats != len(t.filter) {
-		return fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d", points, t.size, items, floats, len(t.items), len(t.filter))
+	if points != t.size || items != len(t.items) || floats != len(t.filter) || cuts != len(t.cuts) || kids != len(t.kids) {
+		return 0, fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d, its internal nodes %d cutoffs and %d child slots of %d and %d",
+			points, t.size, items, floats, len(t.items), len(t.filter), cuts, kids, len(t.cuts), len(t.kids))
 	}
-	return nil
+	return height, nil
+}
+
+// innerLen returns how many entries of the cutoff and child arenas
+// internal node n owns from its offsets on (Tree.inner), and whether they
+// are all inside the arenas, with a shell at least and a child slot at
+// least per shell.
+func (t *Tree[T]) innerLen(n *node) (cuts, kids int, ok bool) {
+	s := int(n.cnt)
+	if s < 1 || n.off < 0 || n.foff < 0 {
+		return 0, 0, false
+	}
+	cuts, kids = t.v+s-1, s
+	if t.v == 2 {
+		if n.foff > len(t.kids)-s {
+			return 0, 0, false
+		}
+		for _, parts := range t.kids[n.foff:][:s] {
+			if parts < 1 {
+				return 0, 0, false
+			}
+			cuts, kids = cuts+int(parts)-1, kids+int(parts)
+		}
+	}
+	return cuts, kids, int(n.off) <= len(t.cuts)-cuts && n.foff <= len(t.kids)-kids
 }
 
 // ascending reports whether xs can be a row of cutoffs: distances — not

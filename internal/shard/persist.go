@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
@@ -104,10 +106,11 @@ func parseManifest(raw []byte) (manifest, error) {
 	return m, nil
 }
 
-// writeFileAtomic writes name inside dir through a same-directory temp
+// WriteFileAtomic writes name inside dir through a same-directory temp
 // file, fsyncs it, and renames it into place, so the file either exists
-// complete under its final name or not at all.
-func writeFileAtomic(dir, name string, write func(f *os.File) error) (err error) {
+// complete under its final name or not at all: a write that fails leaves
+// whatever was there before untouched, and no temp file behind.
+func WriteFileAtomic(dir, name string, write func(f *os.File) error) (err error) {
 	f, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
 		return err
@@ -172,6 +175,13 @@ func nextGeneration(dir string) uint64 {
 // commit point — a crash anywhere during SaveDir leaves the directory
 // loading exactly the previous snapshot (or failing loudly if there
 // never was one), never a mix.
+//
+// The blobs are written side by side, as many at once as the Workers the
+// index was built with (one at a time at Workers ≤ 1, and for an index
+// LoadDir read), so enc may run on several goroutines at once. A shard
+// that fails fails the save, with that shard's error, once every blob
+// under way has finished: the manifest is not touched, and a blob another
+// shard got into place is garbage the next save collects.
 func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error)) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -193,10 +203,19 @@ func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error
 	}
 	// Blobs first: fresh generation names, so nothing the live manifest
 	// references is touched.
+	errs := make([]error, len(x.shards))
+	sem := make(chan struct{}, max(1, x.opts.Workers))
+	var wg sync.WaitGroup
 	for i, s := range x.shards {
-		err := writeFileAtomic(dir, m.Blobs[i], func(f *os.File) error {
-			return s.Save(f, enc)
-		})
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			errs[i] = WriteFileAtomic(dir, m.Blobs[i], func(f *os.File) error { return s.Save(f, enc) })
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -207,7 +226,7 @@ func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error
 		return err
 	}
 	// Manifest last: the commit point.
-	err = writeFileAtomic(dir, manifestName, func(f *os.File) error {
+	err = WriteFileAtomic(dir, manifestName, func(f *os.File) error {
 		_, werr := f.Write(append(raw, '\n'))
 		return werr
 	})
@@ -267,12 +286,12 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 		opts:   Options{Shards: m.Shards, Seed: m.Seed, Assignment: assignment},
 	}
 	for i := range x.shards {
-		f, err := os.Open(filepath.Join(dir, m.Blobs[i]))
+		// Whole, so that Load reads it into one buffer of its size.
+		raw, err := os.ReadFile(filepath.Join(dir, m.Blobs[i]))
 		if err != nil {
 			return nil, err
 		}
-		s, err := mvp.Load(f, dist, dec)
-		f.Close()
+		s, err := mvp.Load(bytes.NewReader(raw), dist, dec)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

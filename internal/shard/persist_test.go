@@ -3,14 +3,21 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"mvptree/internal/codec"
+	"mvptree/internal/dataset"
 	"mvptree/internal/index"
 	"mvptree/internal/metric"
+	"mvptree/internal/mvp"
 	"mvptree/internal/obs"
 	"mvptree/internal/testutil"
 )
@@ -154,72 +161,84 @@ func readManifest(t *testing.T, dir string) manifest {
 // after a budget of calls, aborting SaveDir at every possible depth
 // (before any blob, between blobs, mid-blob). The manifest-written-last
 // discipline plus generation-numbered blob names make every such torn
-// state load as the old snapshot.
+// state load as the old snapshot — with the blobs written one at a time,
+// and three at once, where the budget runs out in whichever shard's
+// encoder asks last.
 func TestSaveDirTornWriteKeepsOldSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewPCG(44, 2))
-	w1 := testutil.NewVectorWorkload(rng, 240, 6, 5, metric.L2)
-	w2 := testutil.NewVectorWorkload(rng, 180, 6, 5, metric.L2)
-	enc, dec := intCodec()
-	be := MVP[int](mvpOpts)
-	v1, err := New(w1.Items, metric.NewCounter(w1.Dist), be, Options{Shards: 3, Seed: 9})
-	if err != nil {
-		t.Fatalf("New v1: %v", err)
-	}
-	v2, err := New(w2.Items, metric.NewCounter(w2.Dist), be, Options{Shards: 3, Seed: 9})
-	if err != nil {
-		t.Fatalf("New v2: %v", err)
-	}
-	dir := filepath.Join(t.TempDir(), "idx")
-	if err := v1.SaveDir(dir, be, enc); err != nil {
-		t.Fatalf("SaveDir v1: %v", err)
-	}
-	gen1 := readManifest(t, dir).Generation
-
-	// Kill the v2 save after `budget` successful item encodes, for
-	// every budget until the save finally succeeds.
-	succeeded := false
-	for budget := 0; budget < 10_000; budget += 1 + budget/2 {
-		calls := 0
-		killEnc := func(v int) ([]byte, error) {
-			if calls >= budget {
-				return nil, fmt.Errorf("injected crash after %d encodes", calls)
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(44, 2))
+			w1 := testutil.NewVectorWorkload(rng, 240, 6, 5, metric.L2)
+			w2 := testutil.NewVectorWorkload(rng, 180, 6, 5, metric.L2)
+			enc, dec := intCodec()
+			be := MVP[int](mvpOpts)
+			v1, err := New(w1.Items, metric.NewCounter(w1.Dist), be, Options{Shards: 3, Seed: 9})
+			if err != nil {
+				t.Fatalf("New v1: %v", err)
 			}
-			calls++
-			return enc(v)
-		}
-		err := v2.SaveDir(dir, be, killEnc)
-		if err == nil {
-			succeeded = true
-			break
-		}
-		// Torn state: the old snapshot must load, byte-identically.
-		got, lerr := LoadDir(dir, metric.NewCounter(w1.Dist), be, dec)
-		if lerr != nil {
-			t.Fatalf("budget %d: LoadDir after torn save failed: %v", budget, lerr)
-		}
-		if got.Len() != v1.Len() {
-			t.Fatalf("budget %d: torn dir loaded %d items, want old snapshot's %d", budget, got.Len(), v1.Len())
-		}
-		if g := readManifest(t, dir).Generation; g != gen1 {
-			t.Fatalf("budget %d: manifest generation %d, want untouched %d", budget, g, gen1)
-		}
-		assertSameAnswers(t, fmt.Sprintf("budget-%d", budget), v1, got, w1)
-	}
-	if !succeeded {
-		t.Fatalf("SaveDir v2 never succeeded within the budget sweep")
-	}
+			v2, err := New(w2.Items, metric.NewCounter(w2.Dist), be, Options{Shards: 3, Seed: 9, Workers: workers})
+			if err != nil {
+				t.Fatalf("New v2: %v", err)
+			}
+			dir := filepath.Join(t.TempDir(), "idx")
+			if err := v1.SaveDir(dir, be, enc); err != nil {
+				t.Fatalf("SaveDir v1: %v", err)
+			}
+			gen1 := readManifest(t, dir).Generation
 
-	// After the completed save the new snapshot is live...
-	got, err := LoadDir(dir, metric.NewCounter(w2.Dist), be, dec)
-	if err != nil {
-		t.Fatalf("LoadDir after completed save: %v", err)
-	}
-	if got.Len() != v2.Len() {
-		t.Fatalf("loaded %d items, want new snapshot's %d", got.Len(), v2.Len())
-	}
-	assertSameAnswers(t, "committed-v2", v2, got, w2)
+			// Kill the v2 save after `budget` successful item encodes, for
+			// every budget until the save finally succeeds.
+			succeeded := false
+			for budget := int64(0); budget < 10_000; budget += 1 + budget/2 {
+				var calls atomic.Int64
+				killEnc := func(v int) ([]byte, error) {
+					if n := calls.Add(1); n > budget {
+						return nil, fmt.Errorf("injected crash after %d encodes", n-1)
+					}
+					return enc(v)
+				}
+				err := v2.SaveDir(dir, be, killEnc)
+				if err == nil {
+					succeeded = true
+					break
+				}
+				// Torn state: the old snapshot must load, byte-identically.
+				got, lerr := LoadDir(dir, metric.NewCounter(w1.Dist), be, dec)
+				if lerr != nil {
+					t.Fatalf("budget %d: LoadDir after torn save failed: %v", budget, lerr)
+				}
+				if got.Len() != v1.Len() {
+					t.Fatalf("budget %d: torn dir loaded %d items, want old snapshot's %d", budget, got.Len(), v1.Len())
+				}
+				if g := readManifest(t, dir).Generation; g != gen1 {
+					t.Fatalf("budget %d: manifest generation %d, want untouched %d", budget, g, gen1)
+				}
+				assertSameAnswers(t, fmt.Sprintf("budget-%d", budget), v1, got, w1)
+			}
+			if !succeeded {
+				t.Fatalf("SaveDir v2 never succeeded within the budget sweep")
+			}
 
-	// ...and GC left exactly the manifest plus the live blobs.
+			// After the completed save the new snapshot is live...
+			got, err := LoadDir(dir, metric.NewCounter(w2.Dist), be, dec)
+			if err != nil {
+				t.Fatalf("LoadDir after completed save: %v", err)
+			}
+			if got.Len() != v2.Len() {
+				t.Fatalf("loaded %d items, want new snapshot's %d", got.Len(), v2.Len())
+			}
+			assertSameAnswers(t, "committed-v2", v2, got, w2)
+
+			// ...and GC left exactly the manifest plus the live blobs.
+			assertOnlyLive(t, dir)
+		})
+	}
+}
+
+// assertOnlyLive asserts dir holds the manifest and the blobs it names,
+// nothing else.
+func assertOnlyLive(t *testing.T, dir string) {
+	t.Helper()
 	m := readManifest(t, dir)
 	live := map[string]bool{manifestName: true}
 	for _, b := range m.Blobs {
@@ -234,6 +253,69 @@ func TestSaveDirTornWriteKeepsOldSnapshot(t *testing.T) {
 			t.Fatalf("stale file %q survived GC", e.Name())
 		}
 	}
+}
+
+// When one shard's encoder fails while the others are written beside it,
+// SaveDir returns that shard's error once they are done: the manifest and
+// its generation are untouched, no temp file is left, and the blobs the
+// other shards got into place are garbage the next save collects.
+func TestSaveDirOneShardFails(t *testing.T) {
+	rng := rand.New(rand.NewPCG(49, 2))
+	w := testutil.NewVectorWorkload(rng, 300, 6, 4, metric.L2)
+	enc, dec := intCodec()
+	be := MVP[int](mvpOpts)
+	x, err := New(w.Items, metric.NewCounter(w.Dist), be, Options{Shards: 3, Seed: 2, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := x.SaveDir(dir, be, enc); err != nil {
+		t.Fatal(err)
+	}
+	before := readManifest(t, dir)
+	// Shard 1's items, by value: the encoder fails on the first it meets.
+	doomed := map[int]bool{}
+	for _, it := range x.Shard(1).Items() {
+		doomed[it] = true
+	}
+	boom := errors.New("boom")
+	err = x.SaveDir(dir, be, func(v int) ([]byte, error) {
+		if doomed[v] {
+			return nil, boom
+		}
+		return enc(v)
+	})
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "shard 1: ") {
+		t.Fatalf("SaveDir with shard 1 failing: %v", err)
+	}
+	if m := readManifest(t, dir); m.Generation != before.Generation || !slices.Equal(m.Blobs, before.Blobs) {
+		t.Fatalf("manifest moved to generation %d %v, was %d %v", m.Generation, m.Blobs, before.Generation, before.Blobs)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Fatalf("temp file %q survived the failed save", e.Name())
+		}
+		if e.Name() == blobName(0, before.Generation+1) || e.Name() == blobName(2, before.Generation+1) {
+			stale++
+		}
+	}
+	if stale != 2 {
+		t.Fatalf("%d of the other shards' blobs are in place, want both", stale)
+	}
+	got, err := LoadDir(dir, metric.NewCounter(w.Dist), be, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, "after-failed-save", x, got, w)
+	if err := x.SaveDir(dir, be, enc); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyLive(t, dir)
 }
 
 // The other torn shape: every new blob written but the manifest rename
@@ -503,5 +585,43 @@ func TestShardObserverMerge(t *testing.T) {
 	}
 	if ls.Distances != wantComputed {
 		t.Fatalf("logical observer distance total %d, want %d", ls.Distances, wantComputed)
+	}
+}
+
+// benchIndex is what the persistence benchmarks save and load: 50 000
+// uniform vectors of dim 20 in 2 shards built with 2 workers, as mvpserve
+// builds its index on the serve-mixed workload.
+func benchIndex(b *testing.B) (*Index[[]float64], Backend[[]float64]) {
+	items := dataset.UniformVectors(rand.New(rand.NewPCG(1, 0)), 50_000, 20)
+	be := MVP[[]float64](mvp.Options{Partitions: 3, LeafCapacity: 50, PathLength: 5})
+	x, err := New(items, metric.NewCounter(metric.L2), be, Options{Shards: 2, Workers: 2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return x, be
+}
+
+func BenchmarkSaveDir(b *testing.B) {
+	x, be := benchIndex(b)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := x.SaveDir(dir, be, codec.EncodeVector); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLoadDir(b *testing.B) {
+	x, be := benchIndex(b)
+	dir := b.TempDir()
+	if err := x.SaveDir(dir, be, codec.EncodeVector); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := LoadDir(dir, metric.NewCounter(metric.L2), be, codec.DecodeVector); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

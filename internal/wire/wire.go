@@ -6,6 +6,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -127,12 +128,13 @@ func (w *Writer) Byte(b byte) {
 // Reader deserializes values with sticky errors.
 type Reader struct {
 	r   *bufio.Reader
+	src io.Reader
 	err error
 }
 
 // NewReader returns a Reader on r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: bufio.NewReader(r), src: r}
 }
 
 // Err reports the first error encountered.
@@ -226,6 +228,27 @@ func (r *Reader) Bytes() []byte {
 		}
 		out = append(out, make([]byte, min(read, n-read))...)
 	}
+}
+
+// Rest reads everything left in the stream: into one allocation of the
+// right size where the stream says how much is left (a bytes.Reader
+// does), else growing with what arrives.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	left := r.r.Buffered()
+	if s, ok := r.src.(interface{ Len() int }); ok {
+		left += s.Len()
+	}
+	// ReadFrom wants MinRead bytes of room before every read, the last one
+	// too, which finds the end.
+	buf := bytes.NewBuffer(make([]byte, 0, left+bytes.MinRead))
+	if _, err := buf.ReadFrom(r.r); err != nil {
+		r.fail(fmt.Errorf("wire: reading to the end: %w", err))
+		return nil
+	}
+	return buf.Bytes()
 }
 
 // Bool reads a boolean.

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -69,6 +71,30 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRest: what is left after a read, from a stream that says how much
+// that is — read into one allocation of that size — and from one that
+// does not, larger than the read buffer.
+func TestRest(t *testing.T) {
+	rest := bytes.Repeat([]byte("0123456789"), 1000)
+	stream := append([]byte{7}, rest...)
+	for name, src := range map[string]io.Reader{
+		"sized":   bytes.NewReader(stream),
+		"unsized": iotest.HalfReader(bytes.NewReader(stream)),
+	} {
+		r := NewReader(src)
+		r.Byte()
+		if got := r.Rest(); !bytes.Equal(got, rest) || r.Err() != nil {
+			t.Errorf("%s: Rest = %d bytes, %v; want %d", name, len(got), r.Err(), len(rest))
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() { NewReader(bytes.NewReader(stream)).Rest() }); allocs > 4 {
+		t.Errorf("Rest of a sized stream allocated %.0f times", allocs)
+	}
+	if got := NewReader(iotest.ErrReader(errors.New("boom"))).Rest(); got != nil {
+		t.Errorf("Rest of a failing stream = %q", got)
 	}
 }
 
