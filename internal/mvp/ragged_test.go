@@ -29,43 +29,47 @@ import (
 // was re-recorded once, when that became "by id" and the order inside a
 // shell stopped being a sort's (PR 23); TestRaggedShapesAreSizesAlone
 // holds the shapes across it, and the stats column moved with the trees.
+// It was re-recorded again, alone, when Save began writing MVPTREE4 and
+// the trees did not move (PR 30): each row's hash is that of the parent
+// commit's MVPTREE3 streams of the same trees, loaded and saved again,
+// and the stats column is untouched.
 var raggedGolden = map[string]struct{ save, stats string }{
-	"v1/m2/k-1/p-1": {"2d2aa18d2926db09e0a8ab18b0dbf47956de034be52fe6d5940f17c87f91bece", "5f4eb81c81ed07a8ca07b554eeb475c092d21fea82507f983d535773e846caca"},
-	"v1/m2/k-1/p5":  {"59d37bf5c95722c4c82008d604498e33a4d92d4e2957b35e2722be52562bcb30", "5f4eb81c81ed07a8ca07b554eeb475c092d21fea82507f983d535773e846caca"},
-	"v1/m2/k1/p-1":  {"35af85adfc4430cb5b25d1b0e8ad7c7a4661048a0811a26f7683525ad6d29eef", "120cbecbabc260d31fa9e1b8e0064aec9267670ca0c53599b87e5fa827ef7f81"},
-	"v1/m2/k1/p5":   {"cedbf43f571a128bf03427e3d024708b767485cf836071ab68b7356c53e322ad", "813cfe75c21deb82ba7aa13ab4cf235a860b5814ac63654ba8ad6f1265607fd2"},
-	"v1/m2/k13/p-1": {"add1ac1d9c9693ca7d0564f007f6fdfdb0166e0c5cf7294b233b904d8aa5b2bf", "f81d579cc5ab45f0e1b856b93122e10bc33903cb632246e89c88ca8e663ba6a1"},
-	"v1/m2/k13/p5":  {"271265d09c58f810cbc21a3be7981ea6df49cdbf60cecadd23b2d211df7dc961", "b5ec26e738647f9f50347559b1b6bda07f0094dc86f5d7a672ec15478da22afd"},
-	"v1/m3/k-1/p-1": {"e31887eca819419314ddbba17633a764e1e03f268497a57c10ed834c2fba8775", "a0840a55b77220b8910f66120d1cb2fdbb4fef03ec062e9760c7c70a8d0baed2"},
-	"v1/m3/k-1/p5":  {"59b053b8929afac2c8041579be1726a82a5d6b69ae5da734986b4b1d09d1e9d4", "a0840a55b77220b8910f66120d1cb2fdbb4fef03ec062e9760c7c70a8d0baed2"},
-	"v1/m3/k1/p-1":  {"1e14904033d14941d918b7b442ad131353347e7275aaa8aec409d6bf7d7404c4", "a33dcf4fba972e841bec5475ca159ad590dbf6615a0863ce80d4bd376e79ca2b"},
-	"v1/m3/k1/p5":   {"f234519ce9c1b4260b584bc6f1720e7d8a56067ef04c315d2200590506f9bec8", "b1e72141775e5e44a161cd35a00f6ae685d1163412e6c79b592ee8554bd4fc80"},
-	"v1/m3/k13/p-1": {"949314c65ff626a0de8f49e43b8459b3104ce390aef4aea65e1ec7f8d93b7c57", "8e9f155153aeec110d2bb3a18721ce720018da3f25b1904ee4bda7f68c22eec1"},
-	"v1/m3/k13/p5":  {"1601ce0e5c63c44e9d3e696b55158ec08204928a60040c514955ae615948f9ce", "333cf9b8e175d2c79cdd91794c30a6f13b7af40b0820777a78b2f8f71c4ccd78"},
-	"v1/m4/k-1/p-1": {"8ea66a458288ad95b8a488574baf7483788bdc80e4131f70cb086cd1f761c207", "78240a5ccd138dd8cd6919c9c12386f63b8a3dfa41a27e30e75939fd925ef823"},
-	"v1/m4/k-1/p5":  {"22b7b022795ef54804967d317742b170c9c8c116f0f192133351e5ea50e0f735", "78240a5ccd138dd8cd6919c9c12386f63b8a3dfa41a27e30e75939fd925ef823"},
-	"v1/m4/k1/p-1":  {"59d7cdb6af274f46c1c4750dc002798c61ceef79e1a19bd2955518c66efa0387", "d04546e36f37359fd6f57f196278de8e096e58d4435122aba56318a105f8d9bf"},
-	"v1/m4/k1/p5":   {"15337960b7a127a86bcf6291de3119b074c924a3c0e859bc8427ae9ba6fb0e30", "f2a584b0704679119512defe561a41c1d877485dc459ff3753e9725e33a9af1e"},
-	"v1/m4/k13/p-1": {"bd7b1b1b320160596e7d891398f036143c28b61fc26c6aa5599d393c0d4f7f8b", "f55f12aab06d8f656473f838a134287799431b615825df25d857e19f669530a4"},
-	"v1/m4/k13/p5":  {"072ba1ba393f09d3ed5b18c9a43de3724b0eff7c706b86ca6a9e738585157969", "6f058509235804a922b5b13ae11623c32e46e2c897a89479bce99d26f0279355"},
-	"v2/m2/k-1/p-1": {"d5468b1ce19f67c01e7cb77ae86b250d01b3dec709c0e18deeac19dff2bfe91b", "7e6a197b830cf49de90744bab677007e48cf7bf12f9efc6f649ceb9594cb0379"},
-	"v2/m2/k-1/p5":  {"641bc409d65ca212c6822ac6d8a3975b4ffb72dd5b44af6339f41ab076010a3d", "7e6a197b830cf49de90744bab677007e48cf7bf12f9efc6f649ceb9594cb0379"},
-	"v2/m2/k1/p-1":  {"f3e6e3481f7ba60c22feea374b290484ca9869a1875ba7f09eb61cc766028466", "3272d3aaf379872594117a0741bc8371350ee36b7e970dbe4e1ff6128e18b06d"},
-	"v2/m2/k1/p5":   {"49891d2fdc65f74db6683490536bbaf7d7d853ac6d95c965f2ac1c327d902b89", "7599b8b11ac2948bac9f9aa9f228f0228669c1d677e8a1c93df09ba2ef7bf16b"},
-	"v2/m2/k13/p-1": {"fa0abcf0bfae63fcee2d8376ef1a07b4e5b0c84231f80be23fb7e2d23e525c4a", "6686e390c0f1c5d764c5d5d5c881b88da4f7d50ac00d1fab4e605a925aaf8736"},
-	"v2/m2/k13/p5":  {"8eba040241dc664d6cd3d305bb36d14b26cb1ee47b6bb0c3308798a40f5dee0a", "01deea0e49a74c61fb286ed150c16d431d0906dde71a7a4cbb1669357c6bd2b6"},
-	"v2/m3/k-1/p-1": {"3c34a8ee6aa6546addec8be0602ec055055d9d3579383f19d05d236569b9326e", "644a76de023b8cd0bb9f60d7771eb25c8f74202be2e464dfd4a8ff32b68bb6b8"},
-	"v2/m3/k-1/p5":  {"57f461c518b229bdc640b167e1db37d2296c00c1bd8c7afa8ed8527bfdc4c288", "644a76de023b8cd0bb9f60d7771eb25c8f74202be2e464dfd4a8ff32b68bb6b8"},
-	"v2/m3/k1/p-1":  {"aca15d9a5903e4711d12c76da216d409265c8eee627eece800da730c41a05ebb", "5f8c224ec1068f6663f343ac47e33413647ab0fdcedebf89264dcfdefa773afb"},
-	"v2/m3/k1/p5":   {"736164be33b43810b1111c7e78c0a12e2c0d1849a20d517f736eebc3f11f36b5", "fdcc4f3cc1938bcab4defb1143dd94fc581b958879f34ea097b36f7dbff92d5a"},
-	"v2/m3/k13/p-1": {"03b12fc168f245ecdeae326099215396412a4830b484ad333ff2bd7371eb941a", "c99b04a6de18e8f454e7730cfc17d9f3f91aafb1c5185104c6c873f3468321ad"},
-	"v2/m3/k13/p5":  {"3f9e68665112b91ea030743439397ea8fd7ba7bf82ea653e0e8e511d29de4086", "fdbe513f2d585397a4e7762dcc64abea859bbd37cdc2ab590f76acd98202df64"},
-	"v2/m4/k-1/p-1": {"183c51cbaed369bf1b318c7684888aa8c946d16e61135e3a30236d445de8b6a3", "014e7abfe142b13d906525b8a506f934e57f09a6ba6f9b7a8f0e5ca54ef306df"},
-	"v2/m4/k-1/p5":  {"d920350a7fb9014206f983bf2fdc2e588f55f6dfd70bd67fed59e519e4ec1912", "014e7abfe142b13d906525b8a506f934e57f09a6ba6f9b7a8f0e5ca54ef306df"},
-	"v2/m4/k1/p-1":  {"3f74b88c42a37f0a2dfd198319436a81491db9a91805f8da6d7ec799e95ee765", "f85420561161a755f6ff1c44acceccced05e5064fc7d277b5933a961b5703491"},
-	"v2/m4/k1/p5":   {"ffd6cf253359fb5de9448d13cdad1f4a4b470f3203ce14c890821e6abb63a840", "986719d8b5322b32a45bd37c00a8448b419885380c496541e86ce55a68172f3e"},
-	"v2/m4/k13/p-1": {"cf8be8945743e01802e82b77c50bfa5ab2226b9bab087c0cf0bdfe779bb6e04b", "6a71d0a261447fc11d0083c49e284a8e1da9a573b569c95ff4d9aa39d99ed6d4"},
-	"v2/m4/k13/p5":  {"dd2969eae40a79660f97507bfe7d4b7e7d7bbab40c38a3e0db097e10753f9ade", "41c36977cc65cf70bedff3726e8e2ea75543e98b830e1618ad6227ca0f76ad91"},
+	"v1/m2/k-1/p-1": {"0528d6d1267560c700503e34d51cd35f55c3e86fc074c71fa78fa95ed00a6ac4", "5f4eb81c81ed07a8ca07b554eeb475c092d21fea82507f983d535773e846caca"},
+	"v1/m2/k-1/p5":  {"0bc8ab32a190c34f768afcea04eef63fdddb72c71a22125bef3d8a1be915a0ae", "5f4eb81c81ed07a8ca07b554eeb475c092d21fea82507f983d535773e846caca"},
+	"v1/m2/k1/p-1":  {"894a802ad52af786bbd121d984f23744838c8608b5b4341963915b65735be38d", "120cbecbabc260d31fa9e1b8e0064aec9267670ca0c53599b87e5fa827ef7f81"},
+	"v1/m2/k1/p5":   {"8b4cf3d06a0e3c18b2417b2097f731922e26c43e2240dff101990e361a0d3e66", "813cfe75c21deb82ba7aa13ab4cf235a860b5814ac63654ba8ad6f1265607fd2"},
+	"v1/m2/k13/p-1": {"7756468d593ea304b0e552f4f9c78a298a10f5f43e7478e01e5f778a0bddf7f8", "f81d579cc5ab45f0e1b856b93122e10bc33903cb632246e89c88ca8e663ba6a1"},
+	"v1/m2/k13/p5":  {"7802550329a8ec79b7e731f791004c94332b5da19483a171f437da6461dbfb07", "b5ec26e738647f9f50347559b1b6bda07f0094dc86f5d7a672ec15478da22afd"},
+	"v1/m3/k-1/p-1": {"4a63f7250bb6a2f6f9788921a07eceffe5ab7be9ea0b9f2133f8da06f1431773", "a0840a55b77220b8910f66120d1cb2fdbb4fef03ec062e9760c7c70a8d0baed2"},
+	"v1/m3/k-1/p5":  {"e416e1834004a6d3653886c18b3898c1df05d20754743a4613ecb4e0bf76e39f", "a0840a55b77220b8910f66120d1cb2fdbb4fef03ec062e9760c7c70a8d0baed2"},
+	"v1/m3/k1/p-1":  {"911b3c33ee0fb037012a4c4920fbefbc8658bf5971d7eda19675488ee3e3f6b9", "a33dcf4fba972e841bec5475ca159ad590dbf6615a0863ce80d4bd376e79ca2b"},
+	"v1/m3/k1/p5":   {"3e7c416c5a7d573d5d8b5ab4448a479d0cedcf2b47cdaff83ec3289d097c372e", "b1e72141775e5e44a161cd35a00f6ae685d1163412e6c79b592ee8554bd4fc80"},
+	"v1/m3/k13/p-1": {"ac5b74c5a394acf9082335301469324905012b86b0671fe40ecb7d60018114e8", "8e9f155153aeec110d2bb3a18721ce720018da3f25b1904ee4bda7f68c22eec1"},
+	"v1/m3/k13/p5":  {"7a3c20a2edbbbae5d9f11f10903bf7fe28ece4ae4a8db6887201a1bd75d46ce3", "333cf9b8e175d2c79cdd91794c30a6f13b7af40b0820777a78b2f8f71c4ccd78"},
+	"v1/m4/k-1/p-1": {"247205cef17a6a0e2794ac50ce9f47f62d00454d9b01c0ff8a6387053d8855b1", "78240a5ccd138dd8cd6919c9c12386f63b8a3dfa41a27e30e75939fd925ef823"},
+	"v1/m4/k-1/p5":  {"00341f1fb7983778ebbf5288c030380e3aaeb16b7c15ec81e53abac3d33c4961", "78240a5ccd138dd8cd6919c9c12386f63b8a3dfa41a27e30e75939fd925ef823"},
+	"v1/m4/k1/p-1":  {"0bd29ff12268c05c862ac8b0bdb4e4c503e2cccd2225613b2fbf2e68020ec768", "d04546e36f37359fd6f57f196278de8e096e58d4435122aba56318a105f8d9bf"},
+	"v1/m4/k1/p5":   {"90822d3c47b1e40745f473f476740e7f2378dadfa1c9e089fe08f487e26445af", "f2a584b0704679119512defe561a41c1d877485dc459ff3753e9725e33a9af1e"},
+	"v1/m4/k13/p-1": {"75a36c15a1260fac1c627da697d19f5974d0e81d14a26f62139e4c80d2657898", "f55f12aab06d8f656473f838a134287799431b615825df25d857e19f669530a4"},
+	"v1/m4/k13/p5":  {"7812aa51b537b548d3d03b973b2d4c405b922dd639e27f4fcf09ebde5f1e8d01", "6f058509235804a922b5b13ae11623c32e46e2c897a89479bce99d26f0279355"},
+	"v2/m2/k-1/p-1": {"ed632a7c4d9456903deef169bfafecbe3432d79f8a85c78e238d6b303433748d", "7e6a197b830cf49de90744bab677007e48cf7bf12f9efc6f649ceb9594cb0379"},
+	"v2/m2/k-1/p5":  {"6210bd18c7b963fba5f70014fc6bebbaa10eb59db8381a4f26ebb6f0138f0e27", "7e6a197b830cf49de90744bab677007e48cf7bf12f9efc6f649ceb9594cb0379"},
+	"v2/m2/k1/p-1":  {"29c286ea2b832597d4c105d1bfb24a52669ebb0fc38ba388d688dfc85fe3fe9c", "3272d3aaf379872594117a0741bc8371350ee36b7e970dbe4e1ff6128e18b06d"},
+	"v2/m2/k1/p5":   {"a56f39d2aac33d3b862d71e216b10baf11e5bb4b6c62b8f1713c37552f73e194", "7599b8b11ac2948bac9f9aa9f228f0228669c1d677e8a1c93df09ba2ef7bf16b"},
+	"v2/m2/k13/p-1": {"18b66e262d3d98af3550f178becad19452e9930a5e2129d738cd8818029b016b", "6686e390c0f1c5d764c5d5d5c881b88da4f7d50ac00d1fab4e605a925aaf8736"},
+	"v2/m2/k13/p5":  {"f6972569a1d435e3f125a344b302c710569a48322f650f8837e2335083665441", "01deea0e49a74c61fb286ed150c16d431d0906dde71a7a4cbb1669357c6bd2b6"},
+	"v2/m3/k-1/p-1": {"774c33b96d62afb7fae5ce0eeeb40b0848b5e7a063c12e3f11b0ba7d64134042", "644a76de023b8cd0bb9f60d7771eb25c8f74202be2e464dfd4a8ff32b68bb6b8"},
+	"v2/m3/k-1/p5":  {"a8663305694b54ece88057d3da39780e6864a24c681ed1f2a52b280c706340f1", "644a76de023b8cd0bb9f60d7771eb25c8f74202be2e464dfd4a8ff32b68bb6b8"},
+	"v2/m3/k1/p-1":  {"03d4c015d051aa7d836ff709033e019f9c942dad0026a64cd56061ff22fe42ef", "5f8c224ec1068f6663f343ac47e33413647ab0fdcedebf89264dcfdefa773afb"},
+	"v2/m3/k1/p5":   {"a45a8165bd50773ff79b9281312c895db938d407f67627a90bbb095782ca7c70", "fdcc4f3cc1938bcab4defb1143dd94fc581b958879f34ea097b36f7dbff92d5a"},
+	"v2/m3/k13/p-1": {"69888a2a14e9e0c7bbc3cca3244f555d893ae7f952a9095618a4d29104ebad42", "c99b04a6de18e8f454e7730cfc17d9f3f91aafb1c5185104c6c873f3468321ad"},
+	"v2/m3/k13/p5":  {"e8e1a39136f67740d87ef42d5430632a06ece8928f64c5397fa742fcb0d59e33", "fdbe513f2d585397a4e7762dcc64abea859bbd37cdc2ab590f76acd98202df64"},
+	"v2/m4/k-1/p-1": {"8e8aa939e544cb564a9d9439319a9d75e66e4d51d1c0172ba9e3825e70622ae2", "014e7abfe142b13d906525b8a506f934e57f09a6ba6f9b7a8f0e5ca54ef306df"},
+	"v2/m4/k-1/p5":  {"6faadefb6808e8b42ab23312c7f43f77b8e4e45cc558b3ec83d659725d3b486f", "014e7abfe142b13d906525b8a506f934e57f09a6ba6f9b7a8f0e5ca54ef306df"},
+	"v2/m4/k1/p-1":  {"c7f4f8b0fafe73ed7d03618f17b1ae7b5112bbbbf2eec737fb2ed967593982d2", "f85420561161a755f6ff1c44acceccced05e5064fc7d277b5933a961b5703491"},
+	"v2/m4/k1/p5":   {"4ce01b41116aa86249c5f5d70900de80b6b45e479ecf250b86baac691ebcff4d", "986719d8b5322b32a45bd37c00a8448b419885380c496541e86ce55a68172f3e"},
+	"v2/m4/k13/p-1": {"c3d7cae27d2b4bd9e0e88b0e8a8dead8a7c28dfe46ab2e33218173678d7c5f80", "6a71d0a261447fc11d0083c49e284a8e1da9a573b569c95ff4d9aa39d99ed6d4"},
+	"v2/m4/k13/p5":  {"50101ed0984245c284f280b60d8434e2dfa21d536289a0e8f91617e04b95b07d", "41c36977cc65cf70bedff3726e8e2ea75543e98b830e1618ad6227ca0f76ad91"},
 }
 
 func raggedPoint(id int) (x, y int) { return id * 7919 % 1013, id * 104729 % 503 }
