@@ -29,7 +29,7 @@ func SaveTree[T any](w io.Writer, t *Tree[T], enc ItemEncoder[T]) error {
 
 // LoadTree reads a tree written by SaveTree — an mvp-tree or a vp-tree,
 // as the stream says — measuring future queries through a fresh Counter
-// over dist.
+// over dist. The stream is the rest of r: LoadTree reads r to its end.
 func LoadTree[T any](r io.Reader, dist DistanceFunc[T], dec ItemDecoder[T]) (*Tree[T], error) {
 	return mvp.Load(r, metric.NewCounter(dist), mvp.ItemDecoder[T](dec))
 }
