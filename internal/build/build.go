@@ -11,7 +11,11 @@
 //
 //   - Measure, a batch-distance evaluator that spreads the distances
 //     from one vantage point to a set of items over a bounded worker
-//     pool shared across the whole build;
+//     pool shared across the whole build; its MeasureIDs form measures
+//     each row, or each worker's piece of one, through the counter's
+//     exact row kernel (metric.Counter.Row) when the metric has one —
+//     edit distance builds the vantage point's match table once per row
+//     — and one pair at a time otherwise;
 //
 //   - SplitEqual over a Scratch, the partition step of the vp-tree
 //     family: the tree is built over one permutation of item positions
@@ -119,6 +123,7 @@ const MeasureThreshold = 256
 type Builder[T any] struct {
 	dist    *metric.Counter[T]
 	raw     metric.DistanceFunc[T]
+	row     metric.RowDistanceFunc[T] // nil: rows loop raw
 	workers int
 	sem     chan struct{} // worker tokens; capacity workers-1
 	// gens holds the generators no node is drawing from: at most one per
@@ -137,6 +142,7 @@ func Start[T any](dist *metric.Counter[T], opts Options) *Builder[T] {
 	b := &Builder[T]{
 		dist:    dist,
 		raw:     dist.Func(),
+		row:     dist.Row(),
 		workers: opts.WorkerCount(),
 		gens:    make(chan *Generator, opts.WorkerCount()),
 		start:   time.Now(),

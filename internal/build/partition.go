@@ -43,24 +43,30 @@ func NewScratch(n int) Scratch {
 // small to fan out — every node below the top few levels — are
 // measured without allocating.
 func (b *Builder[T]) MeasureIDs(v T, items []T, ids []int32, out []float64) {
-	if !b.pooled(len(ids)) {
-		b.measureSerial(v, items, ids, out)
-		return
+	if b.pooled(len(ids)) {
+		b.fanOut(len(ids), func(lo, hi int) { b.distances(v, items, ids[lo:hi], out[lo:hi]) })
+	} else {
+		b.distances(v, items, ids, out)
 	}
-	b.fanOut(len(ids), func(lo, hi int) { b.distances(v, items, ids[lo:hi], out[lo:hi]) })
-	b.dist.Add(int64(len(ids)))
-}
-
-// measureSerial is MeasureIDs on the calling goroutine. It retains
-// neither ids nor out, so a caller's stack arrays stay on its stack.
-func (b *Builder[T]) measureSerial(v T, items []T, ids []int32, out []float64) {
-	b.distances(v, items, ids, out)
 	b.dist.Add(int64(len(ids)))
 }
 
 // distances is the loop of MeasureIDs, whole or one worker's piece of
-// it; the caller settles the counter.
+// it; the caller settles the counter. It goes through the counter's row
+// kernel when the metric has one, which is exact, so the distances are
+// those of the pair loop.
 func (b *Builder[T]) distances(v T, items []T, ids []int32, out []float64) {
+	if b.row != nil {
+		b.row(v, items, ids, out)
+		return
+	}
+	b.pairs(v, items, ids, out)
+}
+
+// pairs is distances one pair at a time, through the exact function. It
+// retains neither ids nor out, so a caller's stack arrays stay on its
+// stack, which a row kernel's call cannot promise.
+func (b *Builder[T]) pairs(v T, items []T, ids []int32, out []float64) {
 	for i, id := range ids {
 		out[i] = b.raw(items[id], v)
 	}

@@ -65,11 +65,12 @@ func (b *Builder[T]) SelectVantage(items []T, perm []int32, rng *rand.Rand, cand
 	best, bestSpread := 0, -1.0
 	for range candidates {
 		slot := rng.IntN(len(perm))
-		b.measureSerial(items[perm[slot]], items, ids, dist)
+		b.pairs(items[perm[slot]], items, ids, dist)
 		if s := spread(dist, ids, perm[slot]); s > bestSpread {
 			best, bestSpread = slot, s
 		}
 	}
+	b.dist.Add(int64(candidates * sample))
 	b.selection.Add(int64(candidates * sample))
 	return best
 }

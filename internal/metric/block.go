@@ -26,6 +26,18 @@ import "math"
 // kernels' checkLen.
 type BlockDistanceFunc[T any] func(p T, qs []T, bounds []float64, out []float64)
 
+// RowDistanceFunc is the exact one-to-many form of a DistanceFunc that
+// construction measures its rows through: one point p against the items
+// picked by ids, writing into out[i] a value bit-for-bit equal to
+// exact(items[ids[i]], p). There is no bound and nothing is abandoned.
+// The ids name the items in place, so a caller partitioning a
+// permutation of positions never gathers them. len(out) must be at least
+// len(ids).
+//
+// The payoff is whatever of p a kernel can prepare once for the whole
+// row: EditRow builds p's match table once instead of once per pair.
+type RowDistanceFunc[T any] func(p T, items []T, ids []int32, out []float64)
+
 // checkBlockLens validates the slice-length invariants shared by every
 // block kernel.
 func checkBlockLens[T any](qs []T, bounds, out []float64) {

@@ -162,10 +162,12 @@ func TestBoundedStringKernelsAgreeWithExact(t *testing.T) {
 }
 
 // FuzzEditKernels is the one differential fuzzer of the edit kernels:
-// Edit must equal the two-row reference program, and EditUpTo must obey
-// the BoundedDistanceFunc contract at the bounds either side of the
+// Edit must equal the two-row reference program, EditUpTo must obey the
+// BoundedDistanceFunc contract at the bounds either side of the
 // distance, the degenerate ones and the fuzzer's own, in both argument
-// orders. The seeds sit on the kernels' seams: the 64-byte word of the
+// orders, and EditRow must give the reference with either string as the
+// row's point, in a row of one and in a row whose ids repeat and run out
+// of order. The seeds sit on the kernels' seams: the 64-byte word of the
 // bit-parallel sweep (63/64/65 bytes, on one side and on both), bytes
 // ≥ 0x80 and NUL in the match table, long shared prefixes and suffixes
 // (trimmed before any kernel runs), and empty strings.
@@ -198,6 +200,23 @@ func FuzzEditKernels(f *testing.F) {
 		for _, bnd := range []float64{0, d - 1, d - 0.5, d, d + 0.5, math.Inf(1), math.Abs(bound)} {
 			checkContract(t, "EditUpTo", d, EditUpTo(a, b, bnd), bnd)
 			checkContract(t, "EditUpTo swapped", d, EditUpTo(b, a, bnd), bnd)
+		}
+		var out [5]float64
+		EditRow(a, []string{b}, []int32{0}, out[:1])
+		if out[0] != d {
+			t.Fatalf("EditRow(%q, [%q]) = %v, reference %v", a, b, out[0], d)
+		}
+		EditRow(b, []string{a}, []int32{0}, out[:1])
+		if out[0] != d {
+			t.Fatalf("EditRow(%q, [%q]) = %v, reference %v", b, a, out[0], d)
+		}
+		items := []string{a, b, a + b, ""}
+		ids := []int32{2, 0, 3, 0, 1}
+		EditRow(a, items, ids, out[:])
+		for i, id := range ids {
+			if want := editReference(items[id], a); out[i] != want {
+				t.Fatalf("EditRow(%q, …)[%d] over %q = %v, reference %v", a, i, items[id], out[i], want)
+			}
 		}
 	})
 }

@@ -107,9 +107,7 @@ func trimCommon(a, b string) (string, string) {
 // then never fire).
 func editBits(a, b string, k int) int {
 	var peq [256]uint64
-	for i := 0; i < len(b); i++ {
-		peq[b[i]] |= 1 << uint(i)
-	}
+	matchTable(&peq, b)
 	var (
 		pv    = ^uint64(0)
 		mv    uint64
@@ -117,24 +115,64 @@ func editBits(a, b string, k int) int {
 		last  = uint64(1) << uint(len(b)-1)
 	)
 	for i := 0; i < len(a); i++ {
-		eq := peq[a[i]]
-		xv := eq | mv
-		xh := (((eq & pv) + pv) ^ pv) | eq
-		ph := mv | ^(xh | pv)
-		mh := pv & xh
-		if ph&last != 0 {
-			score++
-		} else if mh&last != 0 {
-			score--
-		}
+		pv, mv, score = editColumn(peq[a[i]], pv, mv, last, score)
 		if low := score - (len(a) - 1 - i); low > k {
 			return low
 		}
-		ph = ph<<1 | 1
-		pv = mh<<1 | ^(xv | ph)
-		mv = ph & xv
 	}
 	return score
+}
+
+// matchTable fills the zeroed peq with b's match masks: bit i of peq[c]
+// is set where b[i] == c, for 1 ≤ len(b) ≤ wordBits.
+func matchTable(peq *[256]uint64, b string) {
+	for i := 0; i < len(b); i++ {
+		peq[b[i]] |= 1 << uint(i)
+	}
+}
+
+// editColumn advances the column of editBits and EditRow by one text
+// byte whose match mask is eq: pv and mv are the column's vertical +1
+// and −1 deltas, score its bottom cell, last the bottom row's bit.
+func editColumn(eq, pv, mv, last uint64, score int) (uint64, uint64, int) {
+	xv := eq | mv
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	if ph&last != 0 {
+		score++
+	} else if mh&last != 0 {
+		score--
+	}
+	ph = ph<<1 | 1
+	return mh<<1 | ^(xv | ph), ph & xv, score
+}
+
+// EditRow is Edit from one point to many under the RowDistanceFunc
+// contract: out[i] = Edit(items[ids[i]], p). Edit sets up p's match
+// table for every pair; here a p of 1 to wordBits bytes has it built
+// once, and each item is swept against it as the text, exactly — no
+// trimCommon and no cut-off, which only pay back per pair. An empty or
+// longer p runs Edit per pair.
+func EditRow(p string, items []string, ids []int32, out []float64) {
+	out = out[:len(ids)]
+	if len(p) == 0 || len(p) > wordBits {
+		for i, id := range ids {
+			out[i] = Edit(items[id], p)
+		}
+		return
+	}
+	var peq [256]uint64
+	matchTable(&peq, p)
+	last := uint64(1) << uint(len(p)-1)
+	for i, id := range ids {
+		a := items[id]
+		pv, mv, score := ^uint64(0), uint64(0), len(p)
+		for j := 0; j < len(a); j++ {
+			pv, mv, score = editColumn(peq[a[j]], pv, mv, last, score)
+		}
+		out[i] = float64(score)
+	}
 }
 
 // rowPool recycles the dynamic-programming rows of pairs whose shorter

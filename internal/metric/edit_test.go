@@ -148,4 +148,39 @@ func TestEditKernelsAgainstReference(t *testing.T) {
 			checkContract(t, "EditUpTo", d, EditUpTo(string(a), string(b), bound), bound)
 		}
 	}
+
+	// EditRow: points of every length either side of the 64-byte seam,
+	// each against a row of items of the same lengths — the point itself
+	// and a copy one substitution away among them — picked by ids that
+	// repeat and run out of order.
+	rowLengths := []int{0, 1, 63, 64, 65}
+	var items []string
+	for _, n := range rowLengths {
+		for range 3 {
+			items = append(items, string(word(n, 2+rng.IntN(6))))
+		}
+	}
+	near := len(items)
+	items = append(items, "", "")
+	ids := []int32{int32(near), int32(near + 1)}
+	for range 3 * len(items) {
+		ids = append(ids, int32(rng.IntN(len(items))))
+	}
+	out := make([]float64, len(ids))
+	for _, n := range rowLengths {
+		for range 6 {
+			p := word(n, 2+rng.IntN(6))
+			items[near] = string(p)
+			if n > 0 {
+				p[rng.IntN(n)] ^= 0x80
+			}
+			items[near+1] = string(p)
+			EditRow(items[near], items, ids, out)
+			for i, id := range ids {
+				if want := editReference(items[id], items[near]); out[i] != want {
+					t.Fatalf("EditRow(%q, …)[%d] over %q = %v, reference %v", items[near], i, items[id], out[i], want)
+				}
+			}
+		}
+	}
 }

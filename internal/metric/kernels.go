@@ -8,16 +8,20 @@ import (
 // Kernels is what a top-level distance function may carry beside its
 // exact form: the early-abandoning one-to-one kernel DistanceUpTo runs
 // (BoundedDistanceFunc), the blocked one-to-many kernel DistanceBlock
-// runs (BlockDistanceFunc) and the shape that licenses the quantized
-// pre-filter (QuantKind). Each field is optional — its zero value means
-// the Counter falls back to the exact function, a loop over the
-// one-to-one kernel, and no pre-filter — and each non-zero field is a
-// contract with the exact function, stated on its type; breaking one
-// silently corrupts query results.
+// runs (BlockDistanceFunc), the shape that licenses the quantized
+// pre-filter (QuantKind) and the exact one-to-many kernel construction
+// measures its rows through (RowDistanceFunc: out[i] is bit-for-bit
+// exact(items[ids[i]], p), always exact, with no bound). Each field is
+// optional — its zero value means the Counter falls back to the exact
+// function, a loop over the one-to-one kernel, no pre-filter, and a
+// loop over the exact function — and each non-zero field is a contract
+// with the exact function, stated on its type; breaking one silently
+// corrupts query results or trees.
 type Kernels[T any] struct {
 	Bounded BoundedDistanceFunc[T]
 	Block   BlockDistanceFunc[T]
 	Quant   QuantKind
+	Row     RowDistanceFunc[T]
 }
 
 // registry maps the code pointer of a registered exact function to its
@@ -61,6 +65,6 @@ func init() {
 	Register(Cosine, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2})
 	Register(Canberra, Kernels[[]float64]{Bounded: CanberraUpTo})
 	Register(Angular, Kernels[[]float64]{Bounded: AngularUpTo})
-	Register(Edit, Kernels[string]{Bounded: EditUpTo})
+	Register(Edit, Kernels[string]{Bounded: EditUpTo, Row: EditRow})
 	Register(Hamming, Kernels[string]{Bounded: HammingUpTo})
 }

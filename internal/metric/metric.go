@@ -43,19 +43,21 @@ type Counter[T any] struct {
 	block    BlockDistanceFunc[T]
 	blockFB  BlockDistanceFunc[T] // loop over Kernel(); built once
 	quant    QuantKind
+	row      RowDistanceFunc[T]
 	count    atomic.Int64
 }
 
 // NewCounter returns a Counter wrapping fn. If fn is a top-level
 // function with registered kernels (see Register), the Counter picks
 // them up with one probe: DistanceUpTo runs the early-abandoning kernel,
-// DistanceBlock the blocked one, and QuantKind reports the quantized
-// lower-bound shape; each falls back to the exact function where the
-// record has nothing. Use SetBounded, SetBlock and SetQuantKind to
-// attach fast paths to a closure.
+// DistanceBlock the blocked one, QuantKind reports the quantized
+// lower-bound shape and Row returns the exact row kernel; each falls
+// back to the exact function where the record has nothing. Use
+// SetBounded, SetBlock and SetQuantKind to attach fast paths to a
+// closure (a closure has no row kernel).
 func NewCounter[T any](fn DistanceFunc[T]) *Counter[T] {
 	k := lookup(fn)
-	c := &Counter[T]{fn: fn, bounded: k.Bounded, block: k.Block, quant: k.Quant}
+	c := &Counter[T]{fn: fn, bounded: k.Bounded, block: k.Block, quant: k.Quant, row: k.Row}
 	if fn != nil {
 		c.fallback = func(a, b T, _ float64) float64 { return fn(a, b) }
 		// The block fallback loops the one-to-one kernel with the query as
@@ -163,6 +165,11 @@ func (c *Counter[T]) SetBlock(fn BlockDistanceFunc[T]) { c.block = fn }
 
 // Block returns the attached blocked kernel, or nil.
 func (c *Counter[T]) Block() BlockDistanceFunc[T] { return c.block }
+
+// Row returns the registered exact row kernel, uncounted, or nil when
+// the wrapped function has none; a caller without one loops Func. Like
+// Kernel, its caller settles the count with Add(len(ids)).
+func (c *Counter[T]) Row() RowDistanceFunc[T] { return c.row }
 
 // BlockKernel returns the uncounted function DistanceBlock dispatches
 // to: the attached blocked kernel, or a cached wrapper that loops the

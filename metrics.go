@@ -37,10 +37,12 @@ type BoundedDistanceFunc[T any] = metric.BoundedDistanceFunc[T]
 // Kernels is the record of fast paths a top-level distance function may
 // register beside its exact form: Bounded (early abandoning), Block
 // (one data item against a block of queries; see
-// metric.BlockDistanceFunc) and Quant (the shape that lets indexes over
+// metric.BlockDistanceFunc), Quant (the shape that lets indexes over
 // []float64 items arm the WithQuantized pre-filter: QuantL1, QuantL2 or
-// QuantLInf). Every field is optional; every field set is a contract
-// with the exact function.
+// QuantLInf) and Row (construction's exact one-to-many kernel, one
+// vantage point against the items picked by ids; see
+// metric.RowDistanceFunc). Every field is optional; every field set is a
+// contract with the exact function.
 type Kernels[T any] = metric.Kernels[T]
 
 // RegisterKernels associates k with the top-level distance function fn,

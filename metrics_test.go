@@ -38,4 +38,7 @@ func sameKernels[T any](t *testing.T, name string, facade, twin DistanceFunc[T])
 	if got, want := f.QuantKind(), w.QuantKind(); got != want {
 		t.Errorf("%s: QuantKind() = %v, internal twin %v", name, got, want)
 	}
+	if got, want := f.Row() != nil, w.Row() != nil; got != want {
+		t.Errorf("%s: Row() != nil is %v, internal twin %v", name, got, want)
+	}
 }
