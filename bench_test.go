@@ -260,6 +260,23 @@ func BenchmarkBuildMVP(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildMVPVectors is the build the repository benchmark's
+// uniform-l2 workload times: 50 000 uniform vectors of dimension 20
+// under L2, the paper's options, two workers. (BenchmarkBuildMVP builds
+// a fifth of that at other worker counts.)
+func BenchmarkBuildMVPVectors(b *testing.B) {
+	items := mvptree.UniformVectors(rand.New(rand.NewPCG(42, 42)), 50000, 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mvptree.New(items, mvptree.L2, mvptree.Options{
+			Partitions: 3, LeafCapacity: 80, PathLength: 5,
+			Build: mvptree.BuildOptions{Workers: 2},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildMVPWords is the build the repository benchmark's
 // words-edit workload times: 50 000 words under edit distance, the
 // paper's options, two workers.

@@ -40,9 +40,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"mvptree/internal/cascade"
 	"mvptree/internal/codec"
@@ -163,7 +163,6 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		start := time.Now()
 		rng := rand.New(rand.NewPCG(*dataSeed, 0))
 		items := dataset.UniformVectors(rng, *n, *dim)
-		heap := liveHeap()
 		var bs shard.BuildStats
 		x, bs, err = shard.NewWithStats(items, metric.NewCounter(distFn), be, shard.Options{
 			Shards: *shards, Workers: *buildW, Seed: *dataSeed,
@@ -172,11 +171,12 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 			return fmt.Errorf("building index: %w", err)
 		}
 		built := time.Since(start)
-		// What the index adds to the live heap beside the data it was
-		// handed (which stays reachable until after the measurement).
-		perItem := (float64(liveHeap()) - float64(heap)) / float64(max(x.Len(), 1))
-		runtime.KeepAlive(items)
 		g := filterGrid(x)
+		// What the index adds to the heap beside the data it was handed:
+		// its arenas and an item header per leaf item, which the live heap
+		// matches (mvp's TestIndexBytesPerItem), counted without forcing a
+		// collection on the way to the first reply.
+		perItem := float64(g.NodeBytes+g.FilterBytes+g.LeafItems*int(unsafe.Sizeof(items[0]))) / float64(max(x.Len(), 1))
 		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
 			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, g.FilterStep, g.FilterSlack)
 		if *dir != "" {
@@ -263,12 +263,13 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 }
 
 // filterGrid folds the shards' shapes (mvp.Stats) into what the start-up
-// lines print: the coarsest step any shard's leaf filter stores its
-// distances on and the largest slack that costs a shard's windows — one
-// far outlier coarsens its shard's whole grid; a slack of +Inf means a
-// shard's leaf filter passes everything — and, once the cascade is armed,
-// the same of its columns, the most pivots a shard pays per query, and the
-// columns' bytes beside the leaf items they cover.
+// lines print: the arenas' bytes and the leaf items; the coarsest step any
+// shard's leaf filter stores its distances on and the largest slack that
+// costs a shard's windows — one far outlier coarsens its shard's whole
+// grid; a slack of +Inf means a shard's leaf filter passes everything —
+// and, once the cascade is armed, the same of its columns, the most pivots
+// a shard pays per query, and the columns' bytes beside the leaf items
+// they cover.
 func filterGrid(x *shard.Index[[]float64]) (g mvp.Stats) {
 	for i := 0; i < x.Shards(); i++ {
 		s := x.Shard(i).Shape()
@@ -276,6 +277,7 @@ func filterGrid(x *shard.Index[[]float64]) (g mvp.Stats) {
 		g.CascadeStep, g.CascadeSlack = max(g.CascadeStep, s.CascadeStep), max(g.CascadeSlack, s.CascadeSlack)
 		g.CascadePivots = max(g.CascadePivots, s.CascadePivots)
 		g.CascadeBytes, g.LeafItems = g.CascadeBytes+s.CascadeBytes, g.LeafItems+s.LeafItems
+		g.NodeBytes, g.FilterBytes = g.NodeBytes+s.NodeBytes, g.FilterBytes+s.FilterBytes
 	}
 	return g
 }
@@ -303,12 +305,4 @@ func dirBytes(dir string) (int64, error) {
 func hasManifest(dir string) bool {
 	_, err := os.Stat(dir + string(os.PathSeparator) + "manifest.json")
 	return err == nil
-}
-
-// liveHeap is the heap in use after a collection.
-func liveHeap() uint64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +181,15 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		t.Fatalf("manifest missing: %v", err)
+	}
+	// The built line counts the index from its arenas: an item header per
+	// leaf item and its filter row at least.
+	m := regexp.MustCompile(`index ([0-9.]+) B/item`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no index B/item on the built line:\n%s", out.String())
+	}
+	if perItem, _ := strconv.ParseFloat(m[1], 64); perItem <= 24 {
+		t.Fatalf("the built line's index is %s B/item, want more than an item header", m[1])
 	}
 
 	// Second run must load from disk, not rebuild.

@@ -58,7 +58,7 @@ func lookup[T any](fn DistanceFunc[T]) Kernels[T] {
 
 func init() {
 	Register(L1, Kernels[[]float64]{Bounded: L1UpTo, Block: L1Block, Quant: QuantL1})
-	Register(L2, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2})
+	Register(L2, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2, Row: L2Row})
 	Register(LInf, Kernels[[]float64]{Bounded: LInfUpTo, Block: LInfBlock, Quant: QuantLInf})
 	// Cosine is exactly L2 on its (unit-vector) domain, so every L2
 	// kernel serves it.

@@ -49,6 +49,36 @@ func L2(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// L2Row is L2 from one point to many under the RowDistanceFunc
+// contract: out[i] = L2(items[ids[i]], p). It sums four items at once,
+// each in L2's order, so every distance is L2's bit for bit; what the
+// four independent sums buy is overlap — of their additions, which in
+// one sum wait on each other, and of their cache misses, on a row whose
+// items lie in no particular memory order (a node's row below the
+// root). It panics, as L2 does, on a vector of another length than p.
+func L2Row(p []float64, items [][]float64, ids []int32, out []float64) {
+	out = out[:len(ids)]
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		a, b, c, d := items[ids[i]], items[ids[i+1]], items[ids[i+2]], items[ids[i+3]]
+		if len(a) != len(p) || len(b) != len(p) || len(c) != len(p) || len(d) != len(p) {
+			break // L2 panics on the pair
+		}
+		var sa, sb, sc, sd float64
+		for k, x := range p {
+			da, db, dc, dd := a[k]-x, b[k]-x, c[k]-x, d[k]-x
+			sa += da * da
+			sb += db * db
+			sc += dc * dc
+			sd += dd * dd
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = math.Sqrt(sa), math.Sqrt(sb), math.Sqrt(sc), math.Sqrt(sd)
+	}
+	for ; i < len(ids); i++ {
+		out[i] = L2(items[ids[i]], p)
+	}
+}
+
 // LInf returns the Chebyshev (maximum) distance between two vectors.
 // It panics if the vectors have different lengths.
 func LInf(a, b []float64) float64 {

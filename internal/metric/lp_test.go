@@ -103,6 +103,48 @@ func TestLengthMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestL2RowIsL2 holds the row kernel to L2 bit for bit: every dimension
+// the four-wide loops split differently, rows of every length around a
+// multiple of four and ids out of order and repeated, with infinities
+// and NaN among the coordinates; and a vector of another length panics.
+func TestL2RowIsL2(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 2))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -0.5}
+	for _, dim := range []int{0, 1, 3, 4, 5, 20, 33} {
+		items := make([][]float64, 64)
+		for i := range items {
+			items[i] = make([]float64, dim)
+			for j := range items[i] {
+				items[i][j] = rng.NormFloat64()
+				if rng.IntN(50) == 0 {
+					items[i][j] = specials[rng.IntN(len(specials))]
+				}
+			}
+		}
+		for _, n := range []int{0, 1, 3, 4, 5, 8, 9, 1000} {
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(rng.IntN(len(items)))
+			}
+			p := items[rng.IntN(len(items))]
+			out := make([]float64, n+1)
+			L2Row(p, items, ids, out)
+			for i, id := range ids {
+				if want := L2(items[id], p); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("dim %d, row of %d: out[%d] = %v, L2 = %v", dim, n, i, out[i], want)
+				}
+			}
+		}
+	}
+	items := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2, 3}, {1, 2}}
+	defer func() {
+		if recover() == nil {
+			t.Error("L2Row did not panic on a vector of another length")
+		}
+	}()
+	L2Row([]float64{0, 0}, items, []int32{0, 1, 2, 3, 4}, make([]float64, 5))
+}
+
 func TestWeightedLpUnitWeightsMatchLp(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	w := []float64{1, 1, 1, 1, 1}

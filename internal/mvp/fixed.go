@@ -28,13 +28,22 @@ const (
 
 // stepExp returns e such that 2^e is the smallest step that puts the
 // largest finite distance in raw on a code ≤ topCode.
-func stepExp(raw []float64) int {
+func stepExp(raw []float64) int { return expFor(largest(raw)) }
+
+// largest returns the largest finite distance in raw, 0 if none is
+// positive.
+func largest(raw []float64) float64 {
 	var top float64
 	for _, x := range raw {
 		if x > top && x <= math.MaxFloat64 {
 			top = x
 		}
 	}
+	return top
+}
+
+// expFor is stepExp of a row whose largest finite distance is top.
+func expFor(top float64) int {
 	// top = f·2^e with f in [0.5, 1): 2^(e−16) is the step unless f·2¹⁶
 	// passes topCode.
 	_, e := math.Frexp(top)
