@@ -45,6 +45,7 @@ func TestMeasureMatchesSerialAndSettlesCounter(t *testing.T) {
 func TestMeasureEmptyAndSmallBatches(t *testing.T) {
 	ctr := metric.NewCounter(absDiff)
 	b := Start(ctr, Options{Workers: 8})
+	defer b.Finish()
 	b.Measure(1, func(i int) float64 { t.Fatal("item called for empty batch"); return 0 }, nil)
 	out := make([]float64, 3) // below MeasureThreshold: serial path
 	b.Measure(1, func(i int) float64 { return float64(i) }, out)
@@ -57,6 +58,7 @@ func TestForkRunsEveryTaskExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		ctr := metric.NewCounter(absDiff)
 		b := Start(ctr, Options{Workers: workers})
+		defer b.Finish()
 		const n = 500
 		ran := make([]atomic.Int32, n)
 		b.Fork(n, func(i int) { ran[i].Add(1) })
@@ -71,6 +73,7 @@ func TestForkRunsEveryTaskExactlyOnce(t *testing.T) {
 func TestForkNestedDoesNotDeadlock(t *testing.T) {
 	ctr := metric.NewCounter(absDiff)
 	b := Start(ctr, Options{Workers: 4})
+	defer b.Finish()
 	var total atomic.Int64
 	b.Fork(8, func(i int) {
 		b.Fork(8, func(j int) {
@@ -86,6 +89,7 @@ func TestForkBoundsConcurrency(t *testing.T) {
 	const workers = 4
 	ctr := metric.NewCounter(absDiff)
 	b := Start(ctr, Options{Workers: workers})
+	defer b.Finish()
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
 	b.Fork(64, func(i int) {
@@ -141,6 +145,7 @@ func await(t *testing.T, ch chan struct{}, what string) bool {
 // than Workers tasks are ever in flight.
 func TestForkClaimsTheNextTaskWhenOneFinishes(t *testing.T) {
 	b := Start(metric.NewCounter(absDiff), Options{Workers: 2})
+	defer b.Finish()
 	g := newGate(3)
 	var inFlight atomic.Int32
 	done := make(chan struct{})
@@ -177,6 +182,7 @@ func goroutineID() string {
 // its tasks one after the other.
 func TestForkHelperHandsItsTokenToANestedFork(t *testing.T) {
 	b := Start(metric.NewCounter(absDiff), Options{Workers: 2})
+	defer b.Finish()
 	outer, inner := newGate(2), newGate(2)
 	forkers := make(chan int, 1) // the index of the task the forker took
 	done := make(chan struct{})
@@ -216,6 +222,23 @@ func TestForkHelperHandsItsTokenToANestedFork(t *testing.T) {
 	close(inner.release[0])
 	close(inner.release[1])
 	await(t, done, "Fork returning")
+}
+
+// TestFinishStopsTheHelpers: the pool's helpers live from Start to
+// Finish, and a build leaves no goroutine behind.
+func TestFinishStopsTheHelpers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b := Start(metric.NewCounter(absDiff), Options{Workers: 8})
+	if n := runtime.NumGoroutine(); n != before+7 {
+		t.Errorf("%d goroutines after Start with 8 workers, want %d", n, before+7)
+	}
+	b.Fork(64, func(int) {})
+	b.Finish()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after Finish, %d before Start", runtime.NumGoroutine(), before)
+		}
+	}
 }
 
 func TestNodeTracksCountAndDepth(t *testing.T) {

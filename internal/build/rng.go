@@ -58,4 +58,5 @@ const randStream = 0x6275696c642e726e // "build.rn"
 type Generator struct {
 	pcg rand.PCG
 	*rand.Rand
+	next *Generator // the next spare one (Builder.spare)
 }

@@ -157,8 +157,9 @@ func TestSelectVantageAllocatesNothing(t *testing.T) {
 		perm[i] = int32(i)
 	}
 	// Workers > 1: MeasureIDs would fan a large batch out through a
-	// closure; selection batches never reach that path.
+	// fork; selection batches never reach that path.
 	b := Start(metric.NewCounter(metric.L2), Options{Workers: 4})
+	defer b.Finish()
 	rng := NewRNG(1, 9).Rand()
 	sink := 0
 	if avg := testing.AllocsPerRun(50, func() {

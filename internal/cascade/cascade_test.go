@@ -25,7 +25,9 @@ func uniform(rng *rand.Rand, n, dim int) [][]float64 {
 // counter of its own.
 func selectPivots(items [][]float64, p, workers int) (pivots [][]float64, rows [][]float64, dist *metric.Counter[[]float64]) {
 	dist = metric.NewCounter(metric.L2)
-	pivots, rows = GreedySelect(build.Start(dist, build.Options{Workers: workers}), items, p, 0)
+	b := build.Start(dist, build.Options{Workers: workers})
+	pivots, rows = GreedySelect(b, items, p, 0)
+	b.Finish()
 	return pivots, rows, dist
 }
 

@@ -41,6 +41,7 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	}
 	b := build.Start(t.dist, build.Options{Workers: opts.Workers})
 	pivots, rows := cascade.GreedySelect(b, t.items, min(opts.Pivots, len(t.items)), 0)
+	b.Finish()
 	exp := minStepExp
 	for _, row := range rows {
 		exp = max(exp, stepExp(row))

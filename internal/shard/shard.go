@@ -154,6 +154,7 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 	b := build.Start(dist, build.Options{Workers: opts.Workers, Seed: opts.Seed})
 	parts, assignCost, err := assign(items, s, dist, b, opts)
 	if err != nil {
+		b.Finish()
 		return nil, bs, err
 	}
 
@@ -173,12 +174,12 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 		o.Build.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
 		shards[i], stats[i], errs[i] = mvp.NewWithStats(parts[i], dist, o)
 	})
+	bs.Stats = b.Finish()
 	for i, err := range errs {
 		if err != nil {
-			return nil, bs, fmt.Errorf("shard %d: %w", i, err)
+			return nil, BuildStats{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	bs.Stats = b.Finish()
 	bs.AssignDistances = assignCost
 	bs.ShardBuilds = stats
 	bs.ShardSizes = make([]int, s)
