@@ -8,17 +8,21 @@ import (
 )
 
 // DynamicStore is a mutable similarity index: an mvp-tree plus an
-// overflow buffer and tombstones, rebuilt when updates accumulate. It
-// addresses the open problem the paper closes with (§6) — insertions
-// and deletions without unbalancing the tree — at amortized O(log n)
-// distance computations per update. See internal/dynamic for the
-// scheme's details.
+// overflow buffer and tombstones. It addresses the open problem the
+// paper closes with (§6) — insertions and deletions without unbalancing
+// the tree — by rent-or-buy: the first write after the distances that
+// queries and deletes have spent on the buffer and the tombstones reach
+// what the last build cost rebuilds the tree, which spends at most twice
+// what the best rebuild schedule chosen in hindsight would, whatever the
+// mix of reads and writes. See internal/dynamic for the scheme's details.
 type DynamicStore[T any] = dynamic.Store[T]
 
-// DynamicOptions configure a DynamicStore.
+// DynamicOptions configure a DynamicStore: the options of the trees it
+// builds. When to rebuild is the store's rule and has no option.
 type DynamicOptions = dynamic.Options
 
-// NewDynamic builds a dynamic store over the initial items. WithObserver
+// NewDynamic builds a dynamic store over the initial items; the build's
+// distances are the price its first rebuild waits for. WithObserver
 // and WithTracer attach telemetry; WithCounter is ignored — the store
 // owns its counter, over the items paired with the ids its tombstones
 // need (read it via DistanceCount) — and WithCascade and WithQuantized

@@ -1,11 +1,15 @@
 package dynamic
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"mvptree/internal/build"
 	"mvptree/internal/dataset"
+	"mvptree/internal/index"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
 )
@@ -20,8 +24,7 @@ func TestStoreAttachesBoundedKernel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 3))
 	words := dataset.Words(rng, 1500, dataset.WordOptions{MinLen: 4, MaxLen: 9, MisspellingsPer: 2})
 	opts := Options{
-		Tree:            mvp.Options{Partitions: 2, LeafCapacity: 10, PathLength: 4, Build: mvp.Build{Seed: 3}},
-		RebuildFraction: 0.3,
+		Tree: mvp.Options{Partitions: 2, LeafCapacity: 10, PathLength: 4, Build: mvp.Build{Seed: 3}},
 	}
 	build := func() *Store[string] {
 		s, err := New(words[:1000], metric.Edit, opts)
@@ -40,8 +43,8 @@ func TestStoreAttachesBoundedKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if closure.dist.Bounded() != nil {
-		t.Fatal("an unregistered item metric must leave the store on the exact kernel")
+	if closure.dist.Bounded() != nil || closure.dist.Row() != nil {
+		t.Fatal("an unregistered item metric must leave the store on the exact kernel and the pair loop")
 	}
 
 	for step, w := range words[1000:] {
@@ -93,11 +96,15 @@ func TestStoreAttachesBoundedKernel(t *testing.T) {
 // TestDeleteTailScanAbandons pins Delete's buffer-tail scan to the
 // bounded kernel: "is the distance zero" is a threshold question, so
 // EditUpTo's length and first-mismatch exits must get to answer it. The
-// store is all buffer (no tree to muddy the tally), and the removed
-// count and the counter total must not care which kernel ran.
+// store is a tree of filler words with the words in its buffer — as many
+// of them as the tree has items, so the cap keeps them there — and the
+// tally is the buffer's calls and the counter total less the tree's
+// query; the removed count and that total must not care which kernel
+// ran.
 func TestDeleteTailScanAbandons(t *testing.T) {
 	words := []string{"alpha", "alphas", "beta", "gamma", "alpha", "delta", "epsilons"}
-	s, err := New[string](nil, metric.Edit, Options{RebuildFraction: 100})
+	filler := []string{"1", "22", "333", "4444", "55555", "666666", "7777777"}
+	s, err := New(filler, metric.Edit, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,23 +116,81 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 	if s.Rebuilds() != 1 || s.Buffered() != len(words) {
 		t.Fatalf("want every word in the buffer, got %d buffered after %d rebuilds", s.Buffered(), s.Rebuilds())
 	}
+	tree := s.tree.Search(index.RangeQuery(entry[string]{item: "alpha"}, 0)).Stats.Distances()
 	bounded, calls := s.dist.Bounded(), 0
 	s.dist.SetBounded(func(a, b entry[string], bound float64) float64 {
-		calls++
-		if bound != 0 {
-			t.Errorf("tail scan asked the kernel for bound %g, want 0", bound)
+		if int(b.id) >= len(filler) { // a buffered word
+			calls++
+			if bound != 0 {
+				t.Errorf("tail scan asked the kernel for bound %g, want 0", bound)
+			}
 		}
 		return bounded(a, b, bound)
 	})
 	before := s.DistanceCount()
 	removed, err := s.Delete("alpha")
-	if err != nil || removed != 2 {
-		t.Fatalf("Delete removed %d (%v), want 2", removed, err)
+	if err != nil || removed != 2 || s.Rebuilds() != 1 {
+		t.Fatalf("Delete removed %d (%v) and left %d rebuilds, want 2 and 1", removed, err, s.Rebuilds())
 	}
 	if calls != len(words) {
 		t.Errorf("bounded kernel ran %d times over a buffer of %d", calls, len(words))
 	}
-	if got := s.DistanceCount() - before; got != int64(len(words)) {
-		t.Errorf("Delete counted %d distances, want %d", got, len(words))
+	if got := s.DistanceCount() - before; got != int64(len(words))+tree {
+		t.Errorf("Delete counted %d distances, want %d and the tree's %d", got, len(words), tree)
+	}
+}
+
+// TestStoreAttachesRowKernel: the store's counter is a closure over
+// entries, so the item metric's row kernel is attached through gatherRow,
+// which gathers a row's items for it. A rebuild measured through it
+// builds the tree the pair loop builds, at the same cost, at any worker
+// count.
+func TestStoreAttachesRowKernel(t *testing.T) {
+	words := dataset.Words(rand.New(rand.NewPCG(16, 3)), 3000, dataset.WordOptions{MinLen: 3, MaxLen: 12, MisspellingsPer: 2})
+	for _, workers := range []int{1, 3} {
+		opts := Options{Tree: mvp.Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, Build: mvp.Build{Workers: workers, Seed: 4}}}
+		var saved [2][]byte
+		var stats [2]build.Stats
+		for i, kernel := range []bool{true, false} {
+			s, err := New(words[:2000], metric.Edit, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, rows := s.dist.Row(), atomic.Int64{}
+			if row == nil {
+				t.Fatal("store over metric.Edit has no row kernel attached")
+			}
+			s.dist.SetRow(func(p entry[string], items []entry[string], ids []int32, out []float64) {
+				rows.Add(1)
+				row(p, items, ids, out)
+			})
+			if !kernel {
+				s.dist.SetRow(nil)
+			}
+			for j, w := range words[2000:] {
+				if err := s.Insert(w); err != nil {
+					t.Fatal(err)
+				}
+				if j%5 == 0 {
+					if _, err := s.Delete(words[j]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Save compacts: a rebuild through the counter as it stands.
+			var buf bytes.Buffer
+			if err := s.Save(&buf, encodeWord); err != nil {
+				t.Fatal(err)
+			}
+			if got := rows.Load() > 0; got != kernel {
+				t.Fatalf("Workers %d, kernel %v: the rebuild measured %d rows through it", workers, kernel, rows.Load())
+			}
+			saved[i], stats[i] = buf.Bytes(), s.tree.BuildStats()
+			stats[i].Wall = 0
+		}
+		if !bytes.Equal(saved[0], saved[1]) || stats[0] != stats[1] {
+			t.Errorf("Workers %d: the row kernel's rebuild saves %d bytes with %+v, the pair loop's %d with %+v",
+				workers, len(saved[0]), stats[0], len(saved[1]), stats[1])
+		}
 	}
 }

@@ -24,15 +24,14 @@ func TestConcurrentInsertWhileQuerying(t *testing.T) {
 	}
 	s, err := New(initial, metric.L2, Options{
 		Tree: mvp.Options{Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: mvp.Build{Seed: 1}},
-		// Small fraction so the writer triggers many rebuilds while
-		// readers are in flight.
-		RebuildFraction: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	extra := make([][]float64, 300)
+	// Twice the initial items and more: the cap alone rebuilds, however
+	// little the readers waste before the writer is done.
+	extra := make([][]float64, 1000)
 	for i := range extra {
 		extra[i] = randVec(rng, dim)
 	}

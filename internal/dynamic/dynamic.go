@@ -1,33 +1,46 @@
 // Package dynamic addresses the open problem the paper closes with
 // (§6): "handling update operations (insertion and deletion) without
 // major restructuring, and without violating the balanced structure of
-// the tree". It wraps the static mvp-tree in the classic amortized
-// scheme:
+// the tree". It wraps the static mvp-tree in an overflow buffer and
+// tombstones, rebuilt by a rent-or-buy rule:
 //
 //   - insertions accumulate in an overflow buffer that every query scans
 //     linearly alongside the tree;
 //   - deletions tombstone their targets (delete-by-value: every stored
 //     item at distance zero from the argument);
-//   - when buffered plus tombstoned items exceed a fraction of the live
-//     set, the tree is rebuilt from scratch over the live items.
+//   - every distance a query or a delete spends on the buffer, and its
+//     share of the tree's distances that tombstoned items drew, is waste
+//     (the rent); the first write after the waste since the last build
+//     reaches that build's cost (the price of buying) rebuilds the tree
+//     from scratch over the live items.
 //
-// The rebuild costs O(n log n) distance computations but is triggered
-// only after Ω(n) updates, so updates cost amortized O(log n) distance
-// computations while every query still runs against a balanced mvp-tree
-// plus a small linear tail — the balance guarantee the paper asks for.
+// That is the ski-rental rule, and it is 2-competitive: between two
+// rebuilds the store wastes one build's cost, and what the reads since
+// the last write add past it, so against any schedule of rebuilds chosen
+// knowing the operations to come — rebuilding at writes, as the store
+// does, and priced at the last build's cost — it spends at most twice
+// the distances on the buffer, the tombstones and the rebuilds together,
+// whatever the mix of reads and writes, where a fixed fraction of the
+// live set is right for one mix only. Reads alone never rebuild. The waste must also reach the number of live items, so a store
+// whose build cost nothing does not rebuild at every write, and a cap
+// rebuilds when the buffered and tombstoned items outnumber the tree's
+// live ones, so a phase of writes alone cannot leave a long buffer for
+// the reads after it. Every query still runs against a balanced mvp-tree
+// plus a linear tail — the balance guarantee the paper asks for.
 //
 // The tree indexes the items themselves, each paired with a small
 // integer id whose one use is to index the tombstones, which is what
 // makes deleting possible over arbitrary (non-comparable) item types.
 //
-// The store is safe for concurrent use: queries take a read lock, while
-// Insert, Delete and Save take the write lock.
+// The store is safe for concurrent use: queries take a read lock, and
+// only add to the waste, which is atomic; Insert, Delete and Save take
+// the write lock.
 package dynamic
 
 import (
-	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
@@ -46,12 +59,8 @@ type SearchStats = index.SearchStats
 // Options configure a dynamic store.
 type Options struct {
 	// Tree configures the underlying mvp-trees built at each rebuild.
+	// When to rebuild is the store's rule and has no option.
 	Tree mvp.Options
-	// RebuildFraction triggers a rebuild when
-	// (buffered + tombstoned) > RebuildFraction × live items.
-	// Default 0.25. Lower values keep queries closer to pure-tree
-	// speed at the price of more frequent rebuilds.
-	RebuildFraction float64
 }
 
 // Store is a dynamic similarity index over a mutable item set.
@@ -61,7 +70,7 @@ type Options struct {
 // Insert, Delete and Save — which mutate the overflow buffer and
 // tombstones and may trigger a full rebuild — take the write side and
 // run exclusively. Concurrent readers share no mutable state beyond the
-// atomic distance Counter.
+// atomic distance Counter and the atomic waste.
 type Store[T any] struct {
 	// Hooks let callers attach an Observer and/or Tracer; with neither
 	// attached the query paths pay only nil checks. Attach before
@@ -72,7 +81,8 @@ type Store[T any] struct {
 
 	opts Options
 
-	// mu guards every field below except dist, whose count is atomic.
+	// mu guards every field below except dist, whose count is atomic, and
+	// waste.
 	mu sync.RWMutex
 
 	// alive is the tombstones, by id: ids are handed out in insertion
@@ -89,6 +99,13 @@ type Store[T any] struct {
 	dist     *metric.Counter[entry[T]]
 	rebuilds int
 	seq      uint64 // construction seed sequence
+
+	// cost is what the last build measured, or for a loaded tree what
+	// building it would: the price of a rebuild. waste is what the buffer
+	// and the tombstones have cost since, in distances (maybeRebuild);
+	// queries add to it under the read lock.
+	cost  int64
+	waste atomic.Int64
 }
 
 // entry is what the tree and the buffer hold: an item and its index into
@@ -103,12 +120,6 @@ var _ index.StatsIndex[int] = (*Store[int])(nil) // Store[T] satisfies StatsInde
 
 // New builds a dynamic store over the initial items.
 func New[T any](initial []T, dist metric.DistanceFunc[T], opts Options) (*Store[T], error) {
-	if opts.RebuildFraction == 0 {
-		opts.RebuildFraction = 0.25
-	}
-	if !validFraction(opts.RebuildFraction) {
-		return nil, errors.New("dynamic: RebuildFraction must be positive and finite")
-	}
 	s := &Store[T]{opts: opts}
 	s.bindMetric(dist)
 	entries := make([]entry[T], len(initial))
@@ -121,23 +132,53 @@ func New[T any](initial []T, dist metric.DistanceFunc[T], opts Options) (*Store[
 	return s, nil
 }
 
-// validFraction reports whether f can be a RebuildFraction: NaN and
-// +Inf compare their way past maybeRebuild's test, one to a rebuild on
-// every update, the other to none ever.
-func validFraction(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
-
 // bindMetric makes the store's counter the item metric dist over
 // entries. That closure is not a registered top-level function, so
-// NewCounter finds no early-abandoning kernel for it; the item metric's
-// own registered fast path (if any) is attached the same way, or every
-// DistanceUpTo of the tree and of the buffer-tail scans would run the
-// exact kernel.
+// NewCounter finds no kernel for it; the item metric's own registered
+// ones (if any) are attached the same way, or every DistanceUpTo of the
+// tree and of the buffer-tail scans would run the exact kernel, and every
+// row of a rebuild the pair loop.
 func (s *Store[T]) bindMetric(dist metric.DistanceFunc[T]) {
 	s.dist = metric.NewCounter(func(a, b entry[T]) float64 { return dist(a.item, b.item) })
-	if bounded := metric.NewCounter(dist).Bounded(); bounded != nil {
+	kernels := metric.NewCounter(dist)
+	if bounded := kernels.Bounded(); bounded != nil {
 		s.dist.SetBounded(func(a, b entry[T], bound float64) float64 {
 			return bounded(a.item, b.item, bound)
 		})
+	}
+	if row := kernels.Row(); row != nil {
+		s.dist.SetRow(gatherRow(row))
+	}
+}
+
+// rowScratch is what gatherRow hands the item kernel: a row's items, and
+// the ids that name them there, 0 to len-1.
+type rowScratch[T any] struct {
+	items []T
+	ids   []int32
+}
+
+// gatherRow adapts the item metric's row kernel to entries: it gathers
+// the items the ids pick into scratch of its own, reused across rows and
+// across the build's workers through a pool, and measures them in place
+// there.
+func gatherRow[T any](row metric.RowDistanceFunc[T]) metric.RowDistanceFunc[entry[T]] {
+	var pool sync.Pool
+	return func(p entry[T], entries []entry[T], ids []int32, out []float64) {
+		sc, _ := pool.Get().(*rowScratch[T])
+		if sc == nil {
+			sc = new(rowScratch[T])
+		}
+		for len(sc.ids) < len(ids) {
+			sc.ids = append(sc.ids, int32(len(sc.ids)))
+		}
+		for _, id := range ids {
+			sc.items = append(sc.items, entries[id].item)
+		}
+		row(p.item, sc.items, sc.ids[:len(ids)], out)
+		clear(sc.items) // hold no item past its row
+		sc.items = sc.items[:0]
+		pool.Put(sc)
 	}
 }
 
@@ -167,7 +208,8 @@ func (s *Store[T]) Buffered() int {
 	return len(s.buffer)
 }
 
-// Insert adds one item. Amortized cost: O(log n) distance computations.
+// Insert adds one item. It measures nothing, unless the rebuild rule
+// fires (maybeRebuild).
 func (s *Store[T]) Insert(item T) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,7 +227,9 @@ func (s *Store[T]) Delete(item T) (int, error) {
 	defer s.mu.Unlock()
 	removed := 0
 	probe := entry[T]{item: item}
-	for _, e := range s.tree.Range(probe, 0) {
+	res := s.tree.Search(index.RangeQuery(probe, 0))
+	s.waste.Add(s.deadShare(res.Stats) + int64(len(s.buffer)))
+	for _, e := range res.Items {
 		if s.alive[e.id] {
 			s.alive[e.id] = false
 			s.treeDead++
@@ -207,11 +251,31 @@ func (s *Store[T]) Delete(item T) (int, error) {
 	return removed, s.maybeRebuild()
 }
 
+// maybeRebuild is the rent-or-buy rule, run after every write: rebuild
+// once the waste since the last build has reached that build's cost, and
+// the number of live items — the floor that keeps a store whose build
+// cost little from rebuilding at every write — or once the buffered and
+// tombstoned items outnumber the tree's live ones. A store with neither
+// has nothing a rebuild would fold in.
 func (s *Store[T]) maybeRebuild() error {
-	if float64(len(s.buffer)+s.treeDead) <= s.opts.RebuildFraction*float64(max(s.live, 1)) {
+	stale := len(s.buffer) + s.treeDead
+	if stale == 0 {
+		return nil
+	}
+	if s.waste.Load() < max(s.cost, int64(s.live)) && stale <= s.live-len(s.buffer) {
 		return nil
 	}
 	return s.rebuild()
+}
+
+// deadShare is the waste of a tree query that reports st: the share of
+// its candidates' distances the tombstoned items drew, as their share of
+// the tree, in integers so the rule fires at the same write on every run.
+func (s *Store[T]) deadShare(st SearchStats) int64 {
+	if s.treeDead == 0 {
+		return 0
+	}
+	return int64(st.Computed) * int64(s.treeDead) / int64(s.tree.Len())
 }
 
 // rebuild constructs a fresh balanced tree over the live items. The tree
@@ -243,19 +307,21 @@ func (s *Store[T]) build(live []entry[T]) error {
 	}
 	opts := s.opts.Tree
 	opts.Seed += s.seq
-	tree, err := mvp.New(live, s.dist, opts)
+	tree, st, err := mvp.NewWithStats(live, s.dist, opts)
 	if err != nil {
 		return err
 	}
 	s.seq++
-	s.adopt(tree)
+	s.adopt(tree, st.Distances)
 	return nil
 }
 
 // adopt makes tree, whose entries carry the ids below its length, each
-// once, all the store holds.
-func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]]) {
+// once, all the store holds; cost is what building it measured.
+func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]], cost int64) {
 	s.tree, s.treeDead = tree, 0
+	s.cost = cost
+	s.waste.Store(0)
 	s.live = tree.Len()
 	s.alive = make([]bool, s.live)
 	for i := range s.alive {
@@ -285,8 +351,10 @@ func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
 // tail hands visit the buffered entries, all of them unless o.Budget is
 // set and what the tree phase left of it runs out first, counts each in
 // st — one candidate, one distance computed — and marks an answer that ε
-// or the budget may have cut short.
-func (s *Store[T]) tail(o index.SearchOptions, st *SearchStats, visit func(entry[T])) {
+// or the budget may have cut short. tree is the tree phase's stats: what
+// the query wasted on the tombstones there and on the buffer here is
+// added to the store's waste.
+func (s *Store[T]) tail(o index.SearchOptions, tree SearchStats, st *SearchStats, visit func(entry[T])) {
 	remaining := int64(math.MaxInt64)
 	if o.Budget > 0 {
 		remaining = max(o.Budget-st.Distances(), 0)
@@ -301,6 +369,7 @@ func (s *Store[T]) tail(o index.SearchOptions, st *SearchStats, visit func(entry
 		st.Computed++
 		visit(e)
 	}
+	s.waste.Add(s.deadShare(tree) + int64(st.Computed-tree.Computed))
 	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
 		st.Approximated = 1
 	}
@@ -340,7 +409,7 @@ func (s *Store[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 			out = append(out, e.item)
 		}
 	}
-	s.tail(o, &st, func(e entry[T]) {
+	s.tail(o, res.Stats, &st, func(e entry[T]) {
 		// Membership only, so the kernel may abandon at r.
 		if s.dist.DistanceUpTo(probe, e, r) <= r {
 			out = append(out, e.item)
@@ -392,7 +461,7 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			best.Push(nb.Item.item, nb.Dist)
 		}
 	}
-	s.tail(o, &st, func(e entry[T]) {
+	s.tail(o, res.Stats, &st, func(e entry[T]) {
 		// Push ignores anything ≥ the current k-th best: abandon at τ.
 		best.Push(e.item, s.dist.DistanceUpTo(probe, e, best.Threshold()))
 	})

@@ -54,8 +54,7 @@ func TestRandomizedOperationsMatchModel(t *testing.T) {
 		m.insert(initial[i])
 	}
 	s, err := New(initial, metric.L2, Options{
-		Tree:            mvp.Options{Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: mvp.Build{Seed: 1}},
-		RebuildFraction: 0.2,
+		Tree: mvp.Options{Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: mvp.Build{Seed: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func TestRandomizedOperationsMatchModel(t *testing.T) {
 	}
 	check(300)
 	if s.Rebuilds() < 2 {
-		t.Errorf("only %d rebuilds over 300 updates at fraction 0.2; threshold not firing", s.Rebuilds())
+		t.Errorf("only %d rebuilds over 300 updates; the rebuild rule is not firing", s.Rebuilds())
 	}
 }
 
@@ -174,7 +173,9 @@ func TestDuplicateDeleteRemovesAllCopies(t *testing.T) {
 }
 
 func TestDeleteFromBuffer(t *testing.T) {
-	s, err := New(nil, metric.L2, Options{RebuildFraction: 100}) // never rebuild
+	// A tree of two, far from the queries below: two inserts are not more
+	// than its live items, and waste nothing, so they stay buffered.
+	s, err := New([][]float64{{10}, {11}}, metric.L2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +192,8 @@ func TestDeleteFromBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || s.Len() != 1 {
-		t.Errorf("Delete from buffer: n=%d Len=%d", n, s.Len())
+	if n != 1 || s.Len() != 3 || s.Buffered() != 1 || s.Rebuilds() != 1 {
+		t.Errorf("Delete from buffer: n=%d Len=%d, %d buffered after %d rebuilds", n, s.Len(), s.Buffered(), s.Rebuilds())
 	}
 	got := s.Range([]float64{0}, 5)
 	if len(got) != 1 || got[0][0] != 2 {
@@ -220,15 +221,20 @@ func TestEmptyStore(t *testing.T) {
 	}
 }
 
+// TestInvalidOptions: when to rebuild is the store's rule, so the
+// options New can refuse are its trees'.
 func TestInvalidOptions(t *testing.T) {
-	if _, err := New[[]float64](nil, metric.L2, Options{RebuildFraction: -1}); err == nil {
-		t.Error("negative RebuildFraction accepted")
+	for _, tree := range []mvp.Options{{Partitions: 1}, {Vantages: 3}, {LeafCapacity: -2}, {Vantages: 1, RandomSecondVantage: true}} {
+		if _, err := New[[]float64](nil, metric.L2, Options{Tree: tree}); err == nil {
+			t.Errorf("tree options %+v accepted", tree)
+		}
 	}
 }
 
 func TestAmortizedCostBeatsPerUpdateRebuild(t *testing.T) {
-	// 500 inserts into a 2000-item store must cost far less than 500
-	// full reconstructions.
+	// 800 inserts into a 2000-item store, each followed by a query that
+	// scans the buffer, must cost far less than 800 full reconstructions:
+	// the queries' waste rebuilds the store every few hundred inserts.
 	rng := rand.New(rand.NewPCG(92, 5))
 	initial := make([][]float64, 2000)
 	for i := range initial {
@@ -240,18 +246,19 @@ func TestAmortizedCostBeatsPerUpdateRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.DistanceCount()
-	const inserts = 800 // enough to cross the 0.25 rebuild threshold
+	base, build := s.DistanceCount(), s.cost
+	const inserts = 800
 	for i := 0; i < inserts; i++ {
 		if err := s.Insert(randVec(rng, 6)); err != nil {
 			t.Fatal(err)
 		}
+		s.Range(randVec(rng, 6), 0.05)
 	}
 	perInsert := float64(s.DistanceCount()-base) / inserts
-	// One rebuild costs ~n·log n ≈ 2000·11 ≈ 22k computations; per
-	// insert cost must be orders of magnitude below that.
-	if perInsert > 2000 {
-		t.Errorf("amortized insert cost %.0f distance computations; scheme not amortizing", perInsert)
+	// One rebuild costs ~n·log n ≈ 2000·11 ≈ 22k computations; an insert
+	// and its query must cost orders of magnitude below that.
+	if perInsert > float64(build)/10 {
+		t.Errorf("amortized cost %.0f distance computations an insert and its query, a build %d; scheme not amortizing", perInsert, build)
 	}
 	if s.Rebuilds() < 2 {
 		t.Errorf("expected a rebuild during %d inserts, got %d total", inserts, s.Rebuilds())
@@ -295,7 +302,7 @@ func TestFarthestQueriesMatchModel(t *testing.T) {
 	for _, v := range initial {
 		m.insert(v)
 	}
-	s, err := New(initial, metric.L2, Options{RebuildFraction: 0.3})
+	s, err := New(initial, metric.L2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 
 // Farthest-object queries over the dynamic store: the tree answers for
 // its live members, the overflow buffer is scanned, tombstones are
-// filtered.
+// filtered. The buffer's distances are waste (maybeRebuild); the tree's
+// farthest traversals report no stats, so their tombstones' share is not
+// charged.
 
 // RangeFarther returns every live item at distance ≥ r from q.
 func (s *Store[T]) RangeFarther(q T, r float64) []T {
@@ -25,6 +27,7 @@ func (s *Store[T]) RangeFarther(q T, r float64) []T {
 			out = append(out, e.item)
 		}
 	}
+	s.waste.Add(int64(len(s.buffer)))
 	return out
 }
 
@@ -50,5 +53,6 @@ func (s *Store[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	for _, e := range s.buffer {
 		best.Push(e.item, s.dist.Distance(probe, e))
 	}
+	s.waste.Add(int64(len(s.buffer)))
 	return best.Sorted()
 }

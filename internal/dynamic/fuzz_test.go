@@ -233,7 +233,7 @@ func FuzzLoad(f *testing.F) {
 	whole := savedWords(f, words, Options{Tree: mvp.Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: mvp.Build{Seed: 1}}})
 	payload := testutil.PayloadOf(whole)
 	f.Add(payload)
-	f.Add(testutil.PayloadOf(savedWords(f, words, Options{RebuildFraction: 0.5, Tree: mvp.Options{Vantages: 1, LeafCapacity: 1}})))
+	f.Add(testutil.PayloadOf(savedWords(f, words, Options{Tree: mvp.Options{Vantages: 1, LeafCapacity: 1}})))
 	f.Add(testutil.PayloadOf(savedWords(f, nil, Options{}))) // empty
 	f.Add(payload[:len(payload)/2])                          // truncated
 	f.Add(whole)                                             // a whole stream: loads raw

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
@@ -16,7 +17,9 @@ import (
 // rebuild, dropping tombstones and folding the overflow buffer into the
 // tree, when there are any) and then writes the options the next rebuild
 // needs and the tree, so Load restores a clean store with zero distance
-// computations.
+// computations. The price of the loaded store's next rebuild is what
+// building its tree would measure (mvp.BuildDistances), and its waste
+// starts at zero, as after a build.
 
 // ItemEncoder serializes one item.
 type ItemEncoder[T any] func(T) ([]byte, error)
@@ -32,6 +35,11 @@ const (
 	saveMagic   = "MVPDYN2"
 	loadMagicV1 = "MVPDYN1"
 )
+
+// reserved is what Save writes in the payload's first field, which held
+// a rebuild fraction while the store rebuilt at one; Load checks it is a
+// number such a store took, and ignores it.
+const reserved = 0.25
 
 // maxWorkers is the most build workers Load takes a v1 header's word for:
 // construction sizes its pool by the number, so a corrupt one would cost
@@ -58,7 +66,7 @@ func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	}
 	var payload bytes.Buffer
 	pw := wire.NewWriter(&payload)
-	pw.Float(s.opts.RebuildFraction)
+	pw.Float(reserved)
 	// The options say how the store's next rebuild builds, as the caller
 	// spelled them but for v, which is the tree's: k and p use -1 as
 	// "genuine zero" and are shifted to keep them varint-able. Workers is
@@ -107,9 +115,10 @@ func setFlags(o *mvp.Options, flags byte) {
 
 // Load reads a store written by Save. dist must be the same metric the
 // store was built with. As in mvp.Load, the checksum only proves the
-// payload is the one written: the rebuild fraction must be one New takes,
-// and the options header must be the one that built the tree beside it —
-// so the next rebuild is handed nothing Load did not check.
+// payload is the one written: the reserved field must be a fraction a
+// store once took, and the options header must be the one that built the
+// tree beside it — so the next rebuild is handed nothing Load did not
+// check.
 func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (*Store[T], error) {
 	outer := wire.NewReader(r)
 	magic := string(outer.Bytes())
@@ -128,12 +137,14 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 
 	s := &Store[T]{}
 	s.bindMetric(dist)
-	s.opts.RebuildFraction = rr.Float()
+	// The reserved field, Options.RebuildFraction when the store had it:
+	// any positive finite number, as New took then.
+	fraction := rr.Float()
 	if err := rr.Err(); err != nil {
 		return nil, err
 	}
-	if !validFraction(s.opts.RebuildFraction) {
-		return nil, fmt.Errorf("dynamic: rebuild fraction %g (corrupt stream)", s.opts.RebuildFraction)
+	if !(fraction > 0) || math.IsInf(fraction, 1) {
+		return nil, fmt.Errorf("dynamic: reserved field %g (corrupt stream)", fraction)
 	}
 	var tree *mvp.Tree[entry[T]]
 	var err error
@@ -157,11 +168,15 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 		return nil, fmt.Errorf("dynamic: tree options v=%d m=%d k=%d p=%d, tree built with v=%d m=%d k=%d p=%d (corrupt stream)",
 			v, built.Partitions(), built.LeafCapacity(), built.PathLength(), tree.Vantages(), tree.Partitions(), tree.LeafCapacity(), tree.PathLength())
 	}
-	s.adopt(tree)
+	cost, err := mvp.BuildDistances(tree.Len(), s.opts.Tree)
+	if err != nil {
+		return nil, err
+	}
+	s.adopt(tree, cost)
 	return s, nil
 }
 
-// loadTree reads what follows the rebuild fraction in a saveMagic
+// loadTree reads what follows the reserved field in a saveMagic
 // payload: the tree options, the rebuild sequence and the tree, whose
 // items get their ids in the order of the stream.
 func (s *Store[T]) loadTree(r *wire.Reader, dec ItemDecoder[T]) (*mvp.Tree[entry[T]], error) {

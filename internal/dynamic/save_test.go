@@ -219,7 +219,9 @@ func TestLoadRejectsCorruption(t *testing.T) {
 // The header's v is the tree's, so a store built with the default spelled
 // 0 comes back saying 2; k = -1, leaves of vantage points alone, has an
 // encoding since MVPDYN2 (Save failed on it: "wire: negative length");
-// Workers has none, being the building machine's.
+// Workers has none, being the building machine's. The reserved field
+// reads 0.25, and the loaded store prices its next rebuild as the store
+// that built the tree did.
 func TestOptionsSurviveReload(t *testing.T) {
 	for _, sw := range []struct {
 		v, k     int
@@ -228,13 +230,21 @@ func TestOptionsSurviveReload(t *testing.T) {
 		{1, -1, false, false}, {2, -1, false, false}, {0, 0, false, false}} {
 		tree := mvp.Options{Vantages: sw.v, Partitions: 4, LeafCapacity: sw.k, PathLength: 3, Build: mvp.Build{Workers: 2, Seed: 5},
 			RandomFirstVantage: sw.sv1, RandomSecondVantage: sw.sv2}
-		s, err := New([][]float64{{1}, {2}, {3}, {4}, {5}, {6}, {7}}, metric.L2, Options{Tree: tree, RebuildFraction: 0.5})
+		s, err := New([][]float64{{1}, {2}, {3}, {4}, {5}, {6}, {7}}, metric.L2, Options{Tree: tree})
 		if err != nil {
 			t.Fatal(err)
 		}
 		loaded := reloadVectors(t, s)
-		if loaded.opts.RebuildFraction != 0.5 {
-			t.Errorf("RebuildFraction = %g", loaded.opts.RebuildFraction)
+		var saved bytes.Buffer
+		if err := loaded.Save(&saved, codec.EncodeVector); err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(bytes.NewReader(testutil.PayloadOf(saved.Bytes())))
+		if f := r.Float(); f != reserved {
+			t.Errorf("reserved field = %g", f)
+		}
+		if loaded.cost != s.cost || loaded.cost == 0 {
+			t.Errorf("%+v: a loaded store prices its rebuild at %d distances, its build measured %d", tree, loaded.cost, s.cost)
 		}
 		if tree.Vantages == 0 {
 			tree.Vantages = 2

@@ -22,8 +22,7 @@ func newStatsStore(t *testing.T) (*Store[[]float64], [][]float64) {
 		initial[i] = randVec(rng, dim)
 	}
 	s, err := New(initial, metric.L2, Options{
-		Tree:            mvp.Options{Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: mvp.Build{Seed: 3}},
-		RebuildFraction: 0.5,
+		Tree: mvp.Options{Partitions: 2, LeafCapacity: 8, PathLength: 3, Build: mvp.Build{Seed: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -210,3 +210,31 @@ func TestRaggedShapesAreSizesAlone(t *testing.T) {
 		t.Errorf("shapes and build costs hash to %s, want %s", got, want)
 	}
 }
+
+// TestBuildDistancesIsTheBuildsCount: BuildDistances, which sees sizes
+// alone, counts what a build measures, at sizes that draw every vantage
+// point and at sizes whose nodes sample their first.
+func TestBuildDistancesIsTheBuildsCount(t *testing.T) {
+	for _, v := range []int{1, 2} {
+		for _, m := range []int{2, 3} {
+			for _, k := range []int{-1, 9} {
+				for _, drawn := range []bool{false, true} {
+					for _, n := range []int{0, 1, 2, 3, 17, 200, 255, 256, 700, 2500} {
+						opts := Options{Vantages: v, Partitions: m, LeafCapacity: k, PathLength: 4,
+							RandomFirstVantage: drawn, RandomSecondVantage: drawn && v == 2, Build: Build{Seed: uint64(n)}}
+						_, st, err := NewWithStats(testutil.IDs(n), metric.NewCounter(raggedDist), opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, err := BuildDistances(n, opts); err != nil || got != st.Distances {
+							t.Errorf("%+v n=%d: BuildDistances = %d (%v), the build measured %d", opts, n, got, err, st.Distances)
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, err := BuildDistances(10, Options{Partitions: 1}); err == nil {
+		t.Error("BuildDistances took options New refuses")
+	}
+}

@@ -36,7 +36,7 @@ func mixedSearchers(t *testing.T, items [][]float64) map[string]index.Searcher[[
 			t.Fatal(err)
 		}
 	}
-	store, err := dynamic.New(items[:len(items)-40], metric.L2, dynamic.Options{Tree: opts, RebuildFraction: 0.5})
+	store, err := dynamic.New(items[:len(items)-40], metric.L2, dynamic.Options{Tree: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

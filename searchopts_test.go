@@ -468,7 +468,7 @@ func TestHugeKAllocatesNothingOnItsWord(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 7))
 	words := mvptree.Words(rng, 120, mvptree.WordOptions{})
 	all := editSearchers(t, words)
-	dyn, err := mvptree.NewDynamic(words[:100], mvptree.EditDistance, mvptree.DynamicOptions{RebuildFraction: 0.9})
+	dyn, err := mvptree.NewDynamic(words[:100], mvptree.EditDistance, mvptree.DynamicOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
