@@ -306,9 +306,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 
 // knn is the one best-first kNN traversal: a child ball and a candidate
 // are discarded once their lower bound reaches τ/(1+ε) while the heap
-// keeps accepting against the full τ, the budget is debited before
-// every computation, and patience stops the search after the
-// configured number of consecutive leaves that fail to tighten τ.
+// keeps accepting against the full τ, and the budget is debited before
+// every computation.
 func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
@@ -343,7 +342,6 @@ search:
 				// Push ignores anything ≥ the k-th best: abandon at τ.
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
 			}
-			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		for j, c := range n.centers {

@@ -290,10 +290,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 
 // knn is the one best-first kNN traversal: a child is discarded once
 // its lower bound |d − key| reaches τ/(1+ε) while the heap keeps
-// accepting against the full τ, the budget is debited before every
-// computation, and patience stops the search after the configured
-// number of consecutive non-improving leaves (for the bk-tree, nodes
-// whose push failed to tighten τ).
+// accepting against the full τ, and the budget is debited before every
+// computation.
 func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
@@ -335,7 +333,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		}
 		best.Push(n.item, d)
 		if leaf {
-			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		tauP = a.Shrink(best.Threshold())

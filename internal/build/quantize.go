@@ -9,7 +9,7 @@ import (
 // vectors held in groups (one group per leaf) and encodes each group
 // into a shared arena, returning per-group views parallel to the input.
 // It is the construction half of the opt-in quantized pre-filter behind
-// the index packages' Quantize option.
+// the index packages' EnableQuantize methods.
 //
 // It is generic so index packages can call it on []T leaves without
 // knowing T; it reports false — callers then leave the pre-filter off —

@@ -335,12 +335,11 @@ func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]], cost int64) {
 var _ index.Searcher[int] = (*Store[int])(nil)
 
 // Search is the store's one query implementation (index.Searcher).
-// Epsilon, Budget and Patience are forwarded to the underlying
-// mvp-tree; the overflow buffer's linear tail then spends whatever
-// budget the tree left (ε and patience do not apply to a plain scan —
-// every live buffered item the budget allows is checked exactly). With
-// zero options the query is exact. Bound is not supported by the store
-// and is ignored.
+// Epsilon and Budget are forwarded to the underlying mvp-tree; the
+// overflow buffer's linear tail then spends whatever budget the tree
+// left (ε does not apply to a plain scan — every live buffered item the
+// budget allows is checked exactly). With zero options the query is
+// exact. Bound is not supported by the store and is ignored.
 func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return s.knn(req.Point, req.K, req.Opts)
@@ -453,7 +452,7 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	// The tree may return tombstoned items; ask for enough extras to
 	// guarantee k live ones among the answers.
 	res := s.tree.Search(index.Query[entry[T]]{Point: probe, K: k + s.treeDead,
-		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget, Patience: o.Patience}})
+		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget}})
 	st = res.Stats
 	best := heapx.NewKBest[T](k, k)
 	for _, nb := range res.Neighbors {

@@ -277,10 +277,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 
 // knn is the one best-first kNN traversal: a side of the hyperplane and
 // a candidate are discarded once their lower bound reaches τ/(1+ε)
-// while the heap keeps accepting against the full τ, the budget is
-// debited before every computation, and patience stops the search
-// after the configured number of consecutive leaves that fail to
-// tighten τ.
+// while the heap keeps accepting against the full τ, and the budget is
+// debited before every computation.
 func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
@@ -316,7 +314,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 				// hyperplane bound uses them two-sidedly).
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
 			}
-			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		if !a.Pay(1) {

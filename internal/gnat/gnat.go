@@ -432,10 +432,8 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 
 // knn is the only best-first kNN traversal implementation: child
 // datasets and candidates are discarded once their lower bound reaches
-// τ/(1+ε) while the heap keeps accepting against the full τ, the budget
-// is debited before every computation, and patience stops the search
-// after the configured number of consecutive leaves that fail to
-// tighten τ.
+// τ/(1+ε) while the heap keeps accepting against the full τ, and the
+// budget is debited before every computation.
 func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
@@ -471,7 +469,6 @@ search:
 				// range tables use them two-sidedly).
 				best.Push(it, t.dist.DistanceUpTo(q, it, best.Threshold()))
 			}
-			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		nk := len(n.splits)

@@ -7,8 +7,7 @@ import (
 
 // TestApprox pins the contract every traversal in the repository leans
 // on: zero options are inert, a budget is spent to the unit and never
-// past it, patience counts only full non-improving leaves, and a
-// negative ε is no ε.
+// past it, and a negative ε is no ε.
 func TestApprox(t *testing.T) {
 	t.Run("zero options are exact", func(t *testing.T) {
 		a := StartApprox(SearchOptions{})
@@ -21,10 +20,9 @@ func TestApprox(t *testing.T) {
 			if !a.Pay(1 + i%3) {
 				t.Fatalf("Pay refused at call %d with no budget set", i)
 			}
-			a.LeafDone(false, true)
 		}
 		if a.Stop() {
-			t.Error("Stop fired with no budget and no patience")
+			t.Error("Stop fired with no budget")
 		}
 		var s SearchStats
 		a.Finish(&s)
@@ -73,28 +71,6 @@ func TestApprox(t *testing.T) {
 			if s.BudgetExhausted != want || s.Approximated != want {
 				t.Errorf("budget %d, pays %v: flags %d/%d, want %d/%d", tc.budget, tc.pays, s.BudgetExhausted, s.Approximated, want, want)
 			}
-		}
-	})
-
-	t.Run("patience counts full non-improving leaves", func(t *testing.T) {
-		a := StartApprox(SearchOptions{Patience: 3})
-		a.LeafDone(false, false) // heap not full: does not count
-		a.LeafDone(false, true)
-		a.LeafDone(false, true)
-		a.LeafDone(true, true) // improvement resets the streak
-		a.LeafDone(false, true)
-		a.LeafDone(false, true)
-		if a.Stop() {
-			t.Fatal("patience fired after a streak of 2 of 3")
-		}
-		a.LeafDone(false, true)
-		if !a.Stop() {
-			t.Fatal("patience did not fire after 3 full non-improving leaves")
-		}
-		var s SearchStats
-		a.Finish(&s)
-		if s.Approximated != 1 || s.BudgetExhausted != 0 {
-			t.Errorf("flags after patience: %+v", s)
 		}
 	})
 

@@ -8,7 +8,7 @@ package index
 // WithStats forms) remain for direct callers as wrappers over the same
 // traversal and answer exactly what a zero-options Search does.
 //
-// The options cover three approximation axes on top of the exact knobs:
+// The options cover two approximation axes on top of the exact knobs:
 //
 //   - Epsilon: (1+ε)-approximate search. Range queries prune subtrees
 //     and filter candidates against the shrunken radius r/(1+ε) while
@@ -21,14 +21,10 @@ package index
 //     traversal debits the budget before every computation and stops
 //     (returning the best partial answer) when it cannot pay;
 //     SearchStats.BudgetExhausted records whether that happened.
-//   - Patience: early-terminating kNN. Once k candidates are held,
-//     stop after this many consecutive leaves (or candidates, for
-//     scan-shaped structures) that fail to tighten the k-th-best
-//     distance.
 //
 // Each structure has one range traversal and one kNN traversal, and
 // the knobs only change the number in its pruning rule (see Approx): a
-// query with all three at their zero values is exact, and everything
+// query with both at their zero values is exact, and everything
 // that accelerates an exact query — the bound cascade, the quantized
 // pre-filter, Bound, pooled scratch — serves an approximate one too.
 type SearchOptions struct {
@@ -40,10 +36,6 @@ type SearchOptions struct {
 	// means unlimited.
 	Budget int64
 
-	// Patience, for kNN queries only: stop after this many consecutive
-	// non-improving leaves once k candidates are held. 0 disables.
-	Patience int
-
 	// Bound is an optional external kNN pruning bound (cross-shard τ
 	// sharing). Honored by mvp and vptree on every kNN query, exact or
 	// approximate; every other structure ignores it.
@@ -53,7 +45,7 @@ type SearchOptions struct {
 // Approximate reports whether any approximation knob is active, i.e.
 // whether the answer may differ from the exact one.
 func (o SearchOptions) Approximate() bool {
-	return o.Epsilon > 0 || o.Budget > 0 || o.Patience > 0
+	return o.Epsilon > 0 || o.Budget > 0
 }
 
 // Query is one search request against a structure's unified Search
@@ -74,7 +66,7 @@ type Query[T any] struct {
 // Shareable reports whether the request may ride a group's shared
 // traversal in SearchBatch: an exact range query with no external
 // Bound. Everything else — kNN (best-first pops diverge, and a sharded
-// walk carries a per-query τ), ε, Budget, Patience — is answered by
+// walk carries a per-query τ), ε or a budget — is answered by
 // per-query Search inside the same SearchBatch call. It is the one
 // place that question is decided; executors above hand SearchBatch a
 // mixed group as it is.
@@ -111,8 +103,7 @@ type Result[T any] struct {
 func (r Result[T]) Exhausted() bool { return r.Stats.BudgetExhausted > 0 }
 
 // Exact reports whether the answer is certified exact — no ε slack was
-// requested and neither the budget nor kNN patience terminated the
-// traversal early.
+// requested and the budget did not cut the traversal short.
 func (r Result[T]) Exact() bool { return r.Stats.Approximated == 0 }
 
 // Searcher is the unified query entry point every structure in this

@@ -42,9 +42,8 @@ type SearchStats struct {
 	// Results is the answer-set size.
 	Results int
 	// Approximated is 1 when the query's answer is not certified
-	// exact: ε > 0 was requested, the distance budget ran out, or kNN
-	// patience terminated the search early. Summing over a batch gives
-	// the number of approximate answers.
+	// exact: ε > 0 was requested or the distance budget ran out.
+	// Summing over a batch gives the number of approximate answers.
 	Approximated int
 	// BudgetExhausted is 1 when the distance budget cut the traversal
 	// short, i.e. the answer is partial.

@@ -165,7 +165,7 @@ var _ index.Searcher[int] = (*Table[int])(nil)
 // Search is the table's one query implementation (index.Searcher): a
 // single range scan and a single bound-ordered kNN scan, each threaded
 // with the request's index.Approx. Zero-valued SearchOptions are the
-// exact query; Epsilon, Budget and Patience only change the number in
+// exact query; Epsilon and Budget only change the number in
 // the filtering rule — the lower-bound filter compares against the
 // shrunken threshold, acceptance against the full one, Pay precedes
 // every distance computation (pivot distances included). Workers and
@@ -249,9 +249,7 @@ func (t *Table[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 }
 
 // knn visits candidates in ascending lower-bound order and stops once
-// the next bound reaches τ/(1+ε), the budget runs out, or patience sees
-// the configured number of consecutive candidates that fail to tighten
-// τ.
+// the next bound reaches τ/(1+ε) or the budget runs out.
 func (t *Table[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	span := t.StartQuery(obs.KindKNN)
 	var s SearchStats
@@ -267,7 +265,7 @@ func (t *Table[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		queue.PushNode(i, t.lowerBound(qd, i))
 	}
 	best := heapx.NewKBest[T](k, t.Len())
-	for !a.Stop() {
+	for {
 		i, lb, ok := queue.PopNode()
 		tau := best.Threshold()
 		if !ok || lb >= a.Shrink(tau) || !a.Pay(1) {
@@ -277,7 +275,6 @@ func (t *Table[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		// Push ignores anything ≥ the current k-th best, so the kernel
 		// may abandon at τ (exact while the heap is still filling).
 		best.Push(t.items[i], t.dist.DistanceUpTo(q, t.items[i], tau))
-		a.LeafDone(best.Threshold() < tau, best.Full())
 	}
 	s.Candidates = len(t.items)
 	s.FilteredByD = s.Candidates - s.Computed

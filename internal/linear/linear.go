@@ -52,8 +52,7 @@ var _ index.Searcher[int] = (*Scan[int])(nil)
 // Search is the scan's one query implementation (index.Searcher). A
 // scan has no pruning, so Epsilon changes nothing here beyond flagging
 // the answer; Budget truncates the scan after the allowed number of
-// computations and Patience stops kNN after the configured number of
-// consecutive non-improving candidates. The quantized pre-filter
+// computations. The quantized pre-filter
 // serves every query: a skipped evaluation is paid for like the kernel
 // call it replaces. Bound is ignored.
 func (s *Scan[T]) Search(req index.Query[T]) index.Result[T] {
@@ -133,7 +132,7 @@ func (s *Scan[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	qset, qcodes := s.qset, s.qcodes
 	h := heapx.NewKBest[T](k, len(s.items))
 	for i, it := range s.items {
-		if a.Stop() || !a.Pay(1) {
+		if !a.Pay(1) {
 			break
 		}
 		st.Candidates++
@@ -150,7 +149,6 @@ func (s *Scan[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			// filling).
 			h.Push(it, s.dist.DistanceUpTo(q, it, tau))
 		}
-		a.LeafDone(h.Threshold() < tau, h.Full())
 	}
 	s.releaseQuant(qp)
 	out := h.Sorted()

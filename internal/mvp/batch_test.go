@@ -40,9 +40,9 @@ func mixedVectorRequests(queries [][]float64, radii []float64, ks []int) []index
 			r := index.KNNQuery(q, ks[0])
 			r.Opts.Budget = 200
 			reqs = append(reqs, r)
-		case 2: // patience kNN: fallback path.
+		case 2: // (1+ε)-approximate kNN: fallback path.
 			r := index.KNNQuery(q, ks[len(ks)-1])
-			r.Opts.Patience = 2
+			r.Opts.Epsilon = 1
 			reqs = append(reqs, r)
 		case 3: // zero-radius point query on the shared path.
 			reqs = append(reqs, index.RangeQuery(q, 0))
@@ -62,12 +62,14 @@ func TestBatchInvarianceUniform(t *testing.T) {
 	queries = append(queries, items[3], items[1234])
 	reqs := mixedVectorRequests(queries, []float64{0.4, 0.9}, []int{1, 10})
 	eachV(t, Options{
-		Partitions: 3, LeafCapacity: 20, PathLength: 4,
-		Quantize: quant.SQ8, Build: Build{Seed: 9},
+		Partitions: 3, LeafCapacity: 20, PathLength: 4, Build: Build{Seed: 9},
 	}, func(t *testing.T, opts Options) {
 		dist := metric.NewCounter(metric.L2)
 		tree, err := New(items, dist, opts)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableQuantize(quant.SQ8); err != nil {
 			t.Fatal(err)
 		}
 		testutil.CheckBatch(t, tree, dist, reqs, batchSizes, vecEq)

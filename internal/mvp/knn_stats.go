@@ -31,10 +31,9 @@ func (t *Tree[T]) KNNWithStats(q T, k int) ([]index.Neighbor[T], SearchStats) {
 // subtrees and leaf candidates are discarded once their lower bound
 // reaches τ/(1+ε) (so each returned distance is within (1+ε) of the
 // true i-th nearest) while the heap keeps accepting against the full
-// τ; the budget is debited before every computation (anytime: the heap
-// always holds the best candidates seen so far); and patience stops the
-// search after the configured number of consecutive leaves that fail
-// to tighten τ. With zero options all three are inert.
+// τ; and the budget is debited before every computation (anytime: the
+// heap always holds the best candidates seen so far). With zero options
+// both are inert.
 //
 // o.Bound is an optional external pruning bound (index.KNNBound), the
 // hook the sharded index uses to share the shrinking k-th-best distance
@@ -92,7 +91,6 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			} else {
 				t.knnLeaf(i, q, sc.arena[pn.off:pn.off+pn.plen], best, ext, sc, &s)
 			}
-			a.LeafDone(best.Threshold() < tau, best.Full())
 			continue
 		}
 		if !a.Pay(t.v) {

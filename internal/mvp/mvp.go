@@ -101,16 +101,6 @@ type Options struct {
 	// farthest point is the best candidate (§4.2); this switch exists
 	// for the ablation experiment that quantifies the claim.
 	RandomSecondVantage bool
-	// Quantize, for []float64 items under a metric with a registered
-	// quantized lower-bound shape (metric.Register), builds a
-	// small companion representation of every leaf (internal/quant) that
-	// leaf scans consult before the exact kernel: candidates whose
-	// quantized lower bound certifies d > threshold skip the float64
-	// evaluation. Results, order, SearchStats and counter deltas are
-	// byte-identical on or off; the option is silently ignored when the
-	// items or metric cannot be quantized. Equivalent to calling
-	// EnableQuantize after construction.
-	Quantize quant.Mode
 }
 
 func (o *Options) setDefaults() {
@@ -411,11 +401,6 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], opts Options) (*Tre
 	c.seal()
 	t.buildStats = c.b.Finish()
 	t.height = t.buildStats.MaxDepth
-	if opts.Quantize != quant.Off {
-		if err := t.EnableQuantize(opts.Quantize); err != nil {
-			return nil, build.Stats{}, err
-		}
-	}
 	return t, t.buildStats, nil
 }
 

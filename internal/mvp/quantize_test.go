@@ -69,11 +69,12 @@ func TestQuantizeEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						optsQ := opts
-						optsQ.Quantize = mode
 						distQ := metric.NewCounter(m.fn)
-						quantized, err := New(w.items, distQ, optsQ)
+						quantized, err := New(w.items, distQ, opts)
 						if err != nil {
+							t.Fatal(err)
+						}
+						if err := quantized.EnableQuantize(mode); err != nil {
 							t.Fatal(err)
 						}
 						if quantized.Quantized() == nil {
@@ -149,8 +150,11 @@ func TestQuantizeEquivalence(t *testing.T) {
 func TestQuantizeTelemetry(t *testing.T) {
 	items := uniformItems(71, 1500, 12)
 	tree, err := New(items, metric.NewCounter(metric.L2),
-		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 5}, Quantize: quant.SQ8})
+		Options{Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 5}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.EnableQuantize(quant.SQ8); err != nil {
 		t.Fatal(err)
 	}
 	ob := obs.NewObserver(1)
@@ -181,8 +185,11 @@ func TestQuantizeZeroAlloc(t *testing.T) {
 	items := uniformItems(81, 2000, 8)
 	for _, v := range []int{2, 1} {
 		tree, err := New(items, metric.NewCounter(metric.L2),
-			Options{Vantages: v, Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}, Quantize: quant.SQ8})
+			Options{Vantages: v, Partitions: 3, LeafCapacity: 40, PathLength: 4, Build: Build{Seed: 7}})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableQuantize(quant.SQ8); err != nil {
 			t.Fatal(err)
 		}
 		far := []float64{100, 100, 100, 100, 100, 100, 100, 100}
@@ -229,8 +236,11 @@ func TestQuantizeLifecycle(t *testing.T) {
 
 	// Angular has no quantized shape: the tree must stay unfiltered.
 	ang, err := New(items, metric.NewCounter(metric.Angular),
-		Options{Partitions: 2, LeafCapacity: 15, Build: Build{Seed: 3}, Quantize: quant.SQ8})
+		Options{Partitions: 2, LeafCapacity: 15, Build: Build{Seed: 3}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ang.EnableQuantize(quant.SQ8); err != nil {
 		t.Fatal(err)
 	}
 	if ang.Quantized() != nil {

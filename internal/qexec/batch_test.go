@@ -73,8 +73,7 @@ func TestRunBatchMatchesUnbatched(t *testing.T) {
 // TestRunBatchApproximate routes a budgeted batch through the Batch
 // option: SearchBatch answers approximate members by per-query Search
 // fallback, so every result — its Exhausted flag included — matches the
-// unbatched approximate run exactly, and RunRange spells the same
-// requests from Options.Search.
+// unbatched approximate run exactly.
 func TestRunBatchApproximate(t *testing.T) {
 	tree, c, queries := testTree(t)
 	budget := index.SearchOptions{Budget: 150}
@@ -103,15 +102,6 @@ func TestRunBatchApproximate(t *testing.T) {
 	}
 	if exhausted == 0 || exhausted != gotStats.Search.BudgetExhausted {
 		t.Errorf("%d results say Exhausted, summed stats say %d, want the same and > 0", exhausted, gotStats.Search.BudgetExhausted)
-	}
-	items, _, err := RunRange[[]float64](tree, queries, 0.6, Options{Workers: 1, Batch: 8, Search: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range items {
-		if !reflect.DeepEqual(items[i], want[i].Items) {
-			t.Fatalf("RunRange with Options.Search: results[%d] differs from Run", i)
-		}
 	}
 }
 

@@ -129,11 +129,10 @@ func TestRunMixedSlice(t *testing.T) {
 			}
 		}
 
-		eps := index.SearchOptions{Epsilon: 0.3}
-		opts := Options{Workers: 2, Batch: 4, Search: eps}
+		opts := Options{Workers: 2, Batch: 4}
 		rr, rstats, _ := RunRange(idx, queries, 0.5, opts)
 		kk, kstats, _ := RunKNN(idx, queries, 5, opts)
-		rreqs, kreqs := requests(queries, 0.5, 0, eps), requests(queries, 0, 5, eps)
+		rreqs, kreqs := requests(queries, 0.5, 0), requests(queries, 0, 5)
 		rwant, rws, _ := Run(idx, rreqs, opts)
 		kwant, kws, _ := Run(idx, kreqs, opts)
 		for i := range queries {

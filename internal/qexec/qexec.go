@@ -87,13 +87,6 @@ type Options struct {
 	// itself via its obs.Hooks — that would record every query twice,
 	// so the run is refused with ErrSharedObserver.
 	Observer *obs.Observer
-	// Search carries the approximation knobs (index.SearchOptions:
-	// Epsilon, Budget, Patience) RunRange and RunKNN put on every
-	// request they spell; the per-query Budget is each query's own (not
-	// a batch total) and a Bound — one query's state — is dropped. The
-	// zero value is the exact query. Run ignores the field: its requests
-	// carry their own options.
-	Search index.SearchOptions
 }
 
 // WorkerStats is the per-worker slice of a batch: how many queries the
@@ -242,13 +235,12 @@ func Run[T any](idx index.Searcher[T], reqs []index.Query[T], opts Options) ([]i
 	return results, stats, nil
 }
 
-// requests spells one request per query point with the batch-wide
-// knobs, less a Bound: that is one query's state, not a batch's.
-func requests[T any](queries []T, r float64, k int, o index.SearchOptions) []index.Query[T] {
-	o.Bound = nil
+// requests spells one exact request per query point. A caller that
+// wants ε or a distance budget builds index.Query values and calls Run.
+func requests[T any](queries []T, r float64, k int) []index.Query[T] {
 	reqs := make([]index.Query[T], len(queries))
 	for i, q := range queries {
-		reqs[i] = index.Query[T]{Point: q, Radius: r, K: k, Opts: o}
+		reqs[i] = index.Query[T]{Point: q, Radius: r, K: k}
 	}
 	return reqs
 }
@@ -256,7 +248,7 @@ func requests[T any](queries []T, r float64, k int, o index.SearchOptions) []ind
 // RunRange answers a range query at radius r for every query point,
 // returning results[i] = idx.Range(queries[i], r) plus batch stats.
 func RunRange[T any](idx index.Searcher[T], queries []T, r float64, opts Options) ([][]T, Stats, error) {
-	res, stats, err := Run(idx, requests(queries, r, 0, opts.Search), opts)
+	res, stats, err := Run(idx, requests(queries, r, 0), opts)
 	out := make([][]T, len(res))
 	for i := range res {
 		out[i] = res[i].Items
@@ -278,7 +270,7 @@ func RunKNN[T any](idx index.Searcher[T], queries []T, k int, opts Options) ([][
 		return make([][]index.Neighbor[T], n), Stats{Queries: n, Workers: 1,
 			PerWorker: []WorkerStats{{Queries: n}}, Answered: n, AnsweredMask: mask}, nil
 	}
-	res, stats, err := Run(idx, requests(queries, 0, k, opts.Search), opts)
+	res, stats, err := Run(idx, requests(queries, 0, k), opts)
 	out := make([][]index.Neighbor[T], len(res))
 	for i := range res {
 		out[i] = res[i].Neighbors

@@ -584,8 +584,11 @@ func TestSwapKeepsQuantizedTally(t *testing.T) {
 	trees := make([]*mvp.Tree[[]float64], 2)
 	for i := range trees {
 		tree, err := mvp.New(items, metric.NewCounter(metric.L2),
-			mvp.Options{Partitions: 2, LeafCapacity: 32, PathLength: 4, Build: mvp.Build{Seed: uint64(60 + i)}, Quantize: quant.SQ8})
+			mvp.Options{Partitions: 2, LeafCapacity: 32, PathLength: 4, Build: mvp.Build{Seed: uint64(60 + i)}})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.EnableQuantize(quant.SQ8); err != nil {
 			t.Fatal(err)
 		}
 		trees[i] = tree

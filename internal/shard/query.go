@@ -26,8 +26,8 @@ func (b *carriedBound) Publish(t float64) {
 // index's one implementation: the shards are visited in ascending id
 // order on the calling goroutine, so results, order, SearchStats and
 // distance counts are a function of the request alone (the executor
-// parallelises across queries). Epsilon and Patience pass through to
-// every shard unchanged; a distance budget is dealt across the shards —
+// parallelises across queries). Epsilon passes through to every shard
+// unchanged; a distance budget is dealt across the shards —
 // Budget/S each, the remainder to the lowest shard ids — so the logical
 // query never spends more than its budget no matter how many shards it
 // touches. An external Bound is ignored: cross-shard τ sharing is the
@@ -81,7 +81,7 @@ func budgetShare(total int64, s, i int) int64 {
 }
 
 // fanOut answers req on every shard in ascending id order: each shard
-// runs its slice of the request — Epsilon and Patience unchanged, its
+// runs its slice of the request — Epsilon unchanged, its
 // share of the budget, bound attached. Shards whose budget share is zero
 // (more shards than budget) are skipped entirely and reported as
 // exhausted.
@@ -95,7 +95,7 @@ func (x *Index[T]) fanOut(req index.Query[T], bound index.KNNBound) []index.Resu
 			continue
 		}
 		sub := req
-		sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget, Patience: req.Opts.Patience, Bound: bound}
+		sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget, Bound: bound}
 		results[i] = sh.Search(sub)
 	}
 	return results

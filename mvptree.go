@@ -32,10 +32,9 @@ type Neighbor[T any] = index.Neighbor[T]
 
 // SearchOptions are the per-query knobs of the unified Search entry
 // point every structure implements: Epsilon ((1+ε)-approximation),
-// Budget (distance-computation cap), Patience (early kNN
-// termination) and Bound (an external kNN pruning bound). The zero
-// value asks for the exact answer. Each structure
-// runs one range traversal and one kNN traversal in every mode, so the
+// Budget (distance-computation cap) and Bound (an external kNN pruning
+// bound). The zero value asks for the exact answer. Each structure runs
+// one range traversal and one kNN traversal in every mode, so the
 // bound cascade and the quantized pre-filter serve approximate and
 // budgeted queries exactly as they serve exact ones.
 type SearchOptions = index.SearchOptions

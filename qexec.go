@@ -20,8 +20,9 @@ type SearchStats = mvp.SearchStats
 // size. When the index implements BatchSearcher and Batch > 1, each
 // worker answers its stripe in groups of Batch through one SearchBatch
 // call per group; results, stats and distance counts stay
-// byte-identical to the unbatched run. Search carries the approximation
-// knobs BatchRange and BatchKNN put on every query.
+// byte-identical to the unbatched run. BatchRange and BatchKNN ask exact
+// queries; an approximate or budgeted one goes through Search (or a
+// tree's SearchBatch) with its own SearchOptions.
 type BatchOptions = qexec.Options
 
 // BatchStats summarize a batch run: total Counter delta, batch wall

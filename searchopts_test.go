@@ -431,33 +431,6 @@ func TestApproxSemanticsAllStructures(t *testing.T) {
 	}
 }
 
-// TestPatienceStopsEarly checks the early-termination knob on the
-// primary tree: a patient-less search visits no fewer candidates and
-// an impatient one still returns k neighbors, flagged approximate.
-func TestPatienceStopsEarly(t *testing.T) {
-	rng := rand.New(rand.NewPCG(71, 3))
-	items := mvptree.UniformVectors(rng, 3000, 12)
-	q := mvptree.UniformVectors(rng, 1, 12)[0]
-	tree, err := mvptree.New(items, mvptree.L2, mvptree.Options{Partitions: 3, LeafCapacity: 25, PathLength: 4, Build: mvptree.BuildOptions{Seed: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := mvptree.NewKNNQuery(q, 5)
-	req.Opts.Patience = 2
-	res := tree.Search(req)
-	if len(res.Neighbors) != 5 {
-		t.Fatalf("patience run returned %d neighbors", len(res.Neighbors))
-	}
-	if res.Exact() {
-		// Patience may legitimately never fire on an easy query, but it
-		// must then have run the full traversal: compare to exact.
-		want, _ := tree.KNNWithStats(q, 5)
-		if !reflect.DeepEqual(want, res.Neighbors) {
-			t.Fatal("patience run flagged exact but differs from the exact answer")
-		}
-	}
-}
-
 // TestHugeKAllocatesNothingOnItsWord asks every implementation for far
 // more neighbours than it holds. The answer is every item, nearest (or
 // farthest) first, exactly as the scan orders their distances — and no
