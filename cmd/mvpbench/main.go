@@ -198,7 +198,7 @@ var table = []experiment{
 	{"structures", "extension: §3.2 structures (gh-tree, GNAT, LAESA) vs vpt/mvpt", costs(experiments.StructureStudy)},
 	{"words", "extension: [BK73] word search under edit distance", costs(experiments.WordStudy)},
 	{"build", "extension: construction cost across structures", study(experiments.BuildStudy, writeBuildCosts)},
-	{"approx", "extension: anytime kNN — recall vs distance-computation budget", study(experiments.ApproxStudy, experiments.WriteApproxResults)},
+	{"approx", "extension: approximate kNN — recall vs distances for budget, ε and exact k'", study(experiments.ApproxStudy, experiments.WriteApproxResults)},
 	{"filters", "extension: leaf-filter breakdown (Observations 1 & 2 measured)", study(experiments.FilterStudy, experiments.WriteFilterRows)},
 	{"telemetry", "extension: per-structure query telemetry (observer snapshots)", study(experiments.TelemetryStudy, experiments.WriteTelemetry)},
 }

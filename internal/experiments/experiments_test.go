@@ -5,6 +5,7 @@ package experiments
 // documents at full scale.
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -338,25 +339,36 @@ func TestVantageStudy(t *testing.T) {
 	}
 }
 
+// TestApproxStudy checks the two facts the approximate-mode table leans
+// on: a budget row never spends more than its budget on any query, and
+// the exact competitor at k′ reaches recall k′/ApproxK exactly.
 func TestApproxStudy(t *testing.T) {
 	results, err := ApproxStudy(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(ApproxBudgetFractions) {
-		t.Fatalf("got %d results", len(results))
+	if want := len(ApproxBudgetFractions) + len(ApproxEpsilons) + ApproxK - 1; len(results) != want {
+		t.Fatalf("got %d results, want %d", len(results), want)
 	}
-	for i, r := range results {
-		if r.Recall < 0 || r.Recall > 1 || r.ExactFraction < 0 || r.ExactFraction > 1 {
-			t.Errorf("result %d out of range: %+v", i, r)
+	exact := 0
+	for _, r := range results {
+		switch {
+		case r.Budget > 0:
+			if r.MaxDistances > r.Budget {
+				t.Errorf("budget %d: a query spent %d distances", r.Budget, r.MaxDistances)
+			}
+		case r.Epsilon == 0:
+			exact++
+			if want := float64(r.K) / ApproxK; math.Abs(r.Recall-want) > 1e-9 {
+				t.Errorf("exact k'=%d: recall %.4f, want %.4f", r.K, r.Recall, want)
+			}
+		}
+		if r.Recall < 0 || r.Recall > 1 || r.Distances <= 0 {
+			t.Errorf("row out of range: %+v", r)
 		}
 	}
-	last := results[len(results)-1]
-	if last.Recall < 0.999 {
-		t.Errorf("full-budget recall = %.3f, want ≈ 1", last.Recall)
-	}
-	if results[0].Recall >= last.Recall {
-		t.Errorf("recall not increasing: %.3f at smallest budget vs %.3f at full", results[0].Recall, last.Recall)
+	if exact != ApproxK-1 {
+		t.Errorf("%d exact rows, want %d", exact, ApproxK-1)
 	}
 }
 

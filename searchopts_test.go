@@ -365,6 +365,9 @@ func TestApproxSemanticsAllStructures(t *testing.T) {
 		mvptree.WithQuantized[[]float64](mvptree.QuantizeSQ8)) {
 		all["cascade+sq8/"+name] = idx
 	}
+	// The sharded index the daemon serves deals a budget across shards.
+	all["shard2"] = shardedVec(t, items, 2)
+	all["shard3"] = shardedVec(t, items, 3)
 	for name, idx := range all {
 		t.Run(name, func(t *testing.T) {
 			for qi, q := range queries {
@@ -429,6 +432,24 @@ func TestApproxSemanticsAllStructures(t *testing.T) {
 			}
 		})
 	}
+
+	// A budget below the shard count: budgetShare deals the third shard
+	// nothing, so it is skipped and the query is still exhausted.
+	t.Run("shard3_budget2", func(t *testing.T) {
+		x := all["shard3"]
+		for qi, q := range queries {
+			for _, req := range []mvptree.Query[[]float64]{mvptree.NewRangeQuery(q, r), mvptree.NewKNNQuery(q, k)} {
+				req.Opts.Budget = 2
+				c0 := x.DistanceCount()
+				res := x.Search(req)
+				delta := x.DistanceCount() - c0
+				if delta > 2 || res.Stats.Distances() != delta || !res.Exhausted() {
+					t.Errorf("q%d k=%d: budget 2 spent %d (stats say %d), exhausted %v",
+						qi, req.K, delta, res.Stats.Distances(), res.Exhausted())
+				}
+			}
+		}
+	})
 }
 
 // TestHugeKAllocatesNothingOnItsWord asks every implementation for far
