@@ -24,7 +24,7 @@ package mvp
 //
 // Queries the shared traversal does not batch — kNN (best-first pops
 // diverge per query, so there is no traversal to share) and approximate
-// modes (Epsilon/Budget/Patience) — are answered by per-query Search
+// modes (Epsilon/Budget) — are answered by per-query Search
 // calls inside the same invocation, which is trivially byte-identical.
 
 import (

@@ -17,8 +17,8 @@ var _ index.Searcher[int] = (*Tree[int])(nil)
 // single range traversal and a single best-first kNN traversal, each
 // threaded with the request's index.Approx. Zero-valued SearchOptions
 // are the exact query — Shrink(r) is r, Pay always succeeds, Stop never
-// fires — and Epsilon, Budget and Patience only change the number in
-// the pruning rule, never the rule: every prune test compares against
+// fires — and Epsilon and Budget only change the number in the
+// pruning rule, never the rule: every prune test compares against
 // the shrunken threshold, every acceptance test against the full one,
 // and Pay precedes every distance computation. The cascade, the
 // quantized pre-filter, Opts.Bound and the pooled scratch therefore

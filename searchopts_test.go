@@ -335,8 +335,8 @@ func TestSearchZeroOptionsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestApproxSemanticsAllStructures checks the three knobs' contracts
-// on every vector structure: ε-range answers sit between the exact
+// TestApproxSemanticsAllStructures checks the two knobs' contracts
+// on every vector structure and the sharded index: ε-range answers sit between the exact
 // answer at r/(1+ε) and the exact answer at r; ε-kNN distances are
 // within (1+ε) of the true ones rank by rank; budgeted queries never
 // spend more than the budget and report exhaustion; and
