@@ -325,8 +325,7 @@ search:
 		if !ok {
 			break
 		}
-		tau := best.Threshold()
-		if bound >= a.Shrink(tau) {
+		if bound >= a.Shrink(best.Threshold()) {
 			break
 		}
 		s.NodesVisited++

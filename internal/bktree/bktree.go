@@ -308,8 +308,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		if !ok {
 			break
 		}
-		tau := best.Threshold()
-		tauP := a.Shrink(tau)
+		tauP := a.Shrink(best.Threshold())
 		if bound >= tauP {
 			break
 		}

@@ -295,8 +295,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		if !ok {
 			break
 		}
-		tau := best.Threshold()
-		if bound >= a.Shrink(tau) {
+		if bound >= a.Shrink(best.Threshold()) {
 			break
 		}
 		s.NodesVisited++

@@ -504,8 +504,7 @@ search:
 		if !ok {
 			break
 		}
-		tau := best.Threshold()
-		if bound >= a.Shrink(tau) {
+		if bound >= a.Shrink(best.Threshold()) {
 			break
 		}
 		n, qpath := pn.n, pn.qpath
