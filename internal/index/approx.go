@@ -5,10 +5,10 @@ package index
 // Structures construct one with StartApprox, consult Shrink for every
 // prune decision, call Pay before every distance computation, poll Stop
 // at loop heads, and stamp the outcome into the query's SearchStats
-// with Finish. Compiled from zero-valued
-// SearchOptions it is inert — Shrink(r) is r·1, Pay always succeeds,
-// Stop never fires, Finish sets no flag — so the exact query is the
-// same code with nothing switched on, not a second traversal.
+// with Finish. Compiled from zero-valued SearchOptions it is inert —
+// Shrink(r) is r·1, Pay always succeeds, Stop never fires, Finish sets
+// no flag — so the exact query is the same code with nothing switched
+// on, not a second traversal.
 //
 // The discipline that keeps budget accounting exact (Distances() ==
 // Counter delta even on budget-terminated queries): Pay debits the
