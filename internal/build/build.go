@@ -139,18 +139,20 @@ type Builder[T any] struct {
 	// send never waits; served counts the helpers still running.
 	work   chan *fork[T]
 	served sync.WaitGroup
-	// mu guards two free lists, both filled by Start: idle, the fork
+	// mu guards three free lists, all filled by Start: idle, the fork
 	// states no fork is using, forkDepth a worker (a fork that finds none
 	// left runs its tasks inline, as one that finds no token free does),
-	// and spare, the generators no node is drawing from, one a worker
-	// (Rand: at most one a worker is ever out).
-	mu     sync.Mutex
-	idle   *fork[T]
-	spare  *Generator
-	start  time.Time
-	before int64
-	nodes  atomic.Int64
-	depth  atomic.Int64
+	// spare, the generators no node is drawing from, one a worker (Rand:
+	// at most one a worker is ever out), and samples, SelectVantage's
+	// scratch no selection is using, one a worker too.
+	mu      sync.Mutex
+	idle    *fork[T]
+	spare   *Generator
+	samples *sampleScratch
+	start   time.Time
+	before  int64
+	nodes   atomic.Int64
+	depth   atomic.Int64
 	// selection tallies the distances SelectVantage made.
 	selection atomic.Int64
 }
@@ -182,6 +184,10 @@ func Start[T any](dist *metric.Counter[T], opts Options) *Builder[T] {
 	for i := range gens {
 		gens[i].Rand = rand.New(&gens[i].pcg)
 		b.Done(&gens[i])
+	}
+	scratch := make([]sampleScratch, w)
+	for i := range scratch {
+		scratch[i].next, b.samples = b.samples, &scratch[i]
 	}
 	if w > 1 {
 		b.sem = make(chan struct{}, w-1)

@@ -73,21 +73,14 @@ func (r *batch[T]) piece(b *Builder[T], i int) {
 }
 
 // distances is the loop of MeasureIDs, whole or one worker's piece of
-// it; the caller settles the counter. It goes through the counter's row
-// kernel when the metric has one, which is exact, so the distances are
-// those of the pair loop.
+// it, and SelectVantage's candidate rows; the caller settles the
+// counter. It goes through the counter's row kernel when the metric has
+// one, which is exact, so the distances are those of the pair loop.
 func (b *Builder[T]) distances(v T, items []T, ids []int32, out []float64) {
 	if b.row != nil {
 		b.row(v, items, ids, out)
 		return
 	}
-	b.pairs(v, items, ids, out)
-}
-
-// pairs is distances one pair at a time, through the exact function. It
-// retains neither ids nor out, so a caller's stack arrays stay on its
-// stack, which a row kernel's call cannot promise.
-func (b *Builder[T]) pairs(v T, items []T, ids []int32, out []float64) {
 	for i, id := range ids {
 		out[i] = b.raw(items[id], v)
 	}

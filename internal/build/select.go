@@ -14,7 +14,7 @@ const (
 	// selection compares at a node.
 	SpreadCandidates = 8
 	// MaxSample caps the sample every candidate is measured against; it
-	// is also the size of SelectVantage's stack arrays.
+	// is also the size of SelectVantage's scratch.
 	MaxSample = 64
 	// sampleShare is the node size per sample point (SpreadCandidates
 	// candidates then cost a node size/4 distances at most, against the
@@ -46,33 +46,60 @@ func SpreadSample(size int) int {
 // rng.IntN(len(perm)), rng's first.
 //
 // rng is the node's position-derived source (RNG.Rand), so the choice
-// is identical for every worker count. The candidates·sample distances
-// are counted in Stats.Distances and reported apart as
+// is identical for every worker count. A candidate's row goes through
+// the metric's row kernel where it has one, as a node's rows do, and the
+// sample lives in scratch the build owns; the candidates·sample
+// distances are counted in Stats.Distances and reported apart as
 // Stats.SelectionDistances; nothing is allocated.
 func (b *Builder[T]) SelectVantage(items []T, perm []int32, rng *rand.Rand, candidates, sample int) int {
 	sample = min(sample, MaxSample, len(perm)-1)
 	if candidates < 2 || sample < 2 {
 		return rng.IntN(len(perm))
 	}
-	var (
-		idArr   [MaxSample]int32
-		distArr [MaxSample]float64
-	)
-	ids, dist := idArr[:sample], distArr[:sample]
+	sc := b.takeSamples()
+	ids, dist := sc.ids[:sample], sc.dist[:sample]
 	for i := range ids {
 		ids[i] = perm[rng.IntN(len(perm))]
 	}
 	best, bestSpread := 0, -1.0
 	for range candidates {
 		slot := rng.IntN(len(perm))
-		b.pairs(items[perm[slot]], items, ids, dist)
+		b.distances(items[perm[slot]], items, ids, dist)
 		if s := spread(dist, ids, perm[slot]); s > bestSpread {
 			best, bestSpread = slot, s
 		}
 	}
+	b.mu.Lock()
+	sc.next, b.samples = b.samples, sc
+	b.mu.Unlock()
 	b.dist.Add(int64(candidates * sample))
 	b.selection.Add(int64(candidates * sample))
 	return best
+}
+
+// sampleScratch is SelectVantage's scratch: the sample's ids and a
+// candidate's distances to them.
+type sampleScratch struct {
+	ids  [MaxSample]int32
+	dist [MaxSample]float64
+	next *sampleScratch // the next spare one (Builder.samples)
+}
+
+// takeSamples takes scratch for one selection off the spare list, which
+// Start fills with one a worker: a selection forks nothing, so no more
+// are out at once; a new one is for a caller that selects from
+// goroutines of its own.
+func (b *Builder[T]) takeSamples() *sampleScratch {
+	b.mu.Lock()
+	s := b.samples
+	if s != nil {
+		b.samples = s.next
+	}
+	b.mu.Unlock()
+	if s == nil {
+		s = new(sampleScratch)
+	}
+	return s
 }
 
 // spread is the variance of dist over the sample points other than the

@@ -1,6 +1,9 @@
 package metric
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Edit returns the Levenshtein edit distance between two strings: the
 // minimum number of single-character insertions, deletions and
@@ -131,9 +134,9 @@ func matchTable(peq *[256]uint64, b string) {
 	}
 }
 
-// editColumn advances the column of editBits and EditRow by one text
-// byte whose match mask is eq: pv and mv are the column's vertical +1
-// and −1 deltas, score its bottom cell, last the bottom row's bit.
+// editColumn advances the column of editBits by one text byte whose
+// match mask is eq: pv and mv are the column's vertical +1 and −1
+// deltas, score its bottom cell, last the bottom row's bit.
 func editColumn(eq, pv, mv, last uint64, score int) (uint64, uint64, int) {
 	xv := eq | mv
 	xh := (((eq & pv) + pv) ^ pv) | eq
@@ -148,12 +151,28 @@ func editColumn(eq, pv, mv, last uint64, score int) (uint64, uint64, int) {
 	return mh<<1 | ^(xv | ph), ph & xv, score
 }
 
+// rowColumn advances a column as editColumn does, without the score:
+// EditRow reads the distance off the last column (rowFinish), so a
+// column is a dozen word operations and no branch.
+func rowColumn(eq, pv, mv uint64) (uint64, uint64) {
+	xv := eq | mv
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	ph = ph<<1 | 1
+	return mh<<1 | ^(xv | ph), ph & xv
+}
+
 // EditRow is Edit from one point to many under the RowDistanceFunc
 // contract: out[i] = Edit(items[ids[i]], p). Edit sets up p's match
 // table for every pair; here a p of 1 to wordBits bytes has it built
 // once, and each item is swept against it as the text, exactly — no
-// trimCommon and no cut-off, which only pay back per pair. An empty or
-// longer p runs Edit per pair.
+// trimCommon and no cut-off, which only pay back per pair. The items go
+// four at a time: one column is a dozen word operations that each wait
+// on the last, so four independent columns interleaved fill the cycles
+// one leaves idle. The four run together over their common length and
+// each finishes its own remainder. An empty or longer p runs Edit per
+// pair.
 func EditRow(p string, items []string, ids []int32, out []float64) {
 	out = out[:len(ids)]
 	if len(p) == 0 || len(p) > wordBits {
@@ -164,15 +183,42 @@ func EditRow(p string, items []string, ids []int32, out []float64) {
 	}
 	var peq [256]uint64
 	matchTable(&peq, p)
-	last := uint64(1) << uint(len(p)-1)
-	for i, id := range ids {
-		a := items[id]
-		pv, mv, score := ^uint64(0), uint64(0), len(p)
-		for j := 0; j < len(a); j++ {
-			pv, mv, score = editColumn(peq[a[j]], pv, mv, last, score)
+	mask := ^uint64(0) >> (wordBits - len(p))
+	i := 0
+	for ; i+4 <= len(ids); i += 4 {
+		a0, a1, a2, a3 := items[ids[i]], items[ids[i+1]], items[ids[i+2]], items[ids[i+3]]
+		n := min(len(a0), len(a1), len(a2), len(a3))
+		pv0, mv0 := ^uint64(0), uint64(0)
+		pv1, mv1 := pv0, mv0
+		pv2, mv2 := pv0, mv0
+		pv3, mv3 := pv0, mv0
+		t0, t1, t2, t3 := a0[:n], a1[:n], a2[:n], a3[:n]
+		for j := 0; j < len(t0); j++ {
+			pv0, mv0 = rowColumn(peq[t0[j]], pv0, mv0)
+			pv1, mv1 = rowColumn(peq[t1[j]], pv1, mv1)
+			pv2, mv2 = rowColumn(peq[t2[j]], pv2, mv2)
+			pv3, mv3 = rowColumn(peq[t3[j]], pv3, mv3)
 		}
-		out[i] = float64(score)
+		out[i] = float64(rowFinish(&peq, a0, n, pv0, mv0, mask))
+		out[i+1] = float64(rowFinish(&peq, a1, n, pv1, mv1, mask))
+		out[i+2] = float64(rowFinish(&peq, a2, n, pv2, mv2, mask))
+		out[i+3] = float64(rowFinish(&peq, a3, n, pv3, mv3, mask))
 	}
+	for ; i < len(ids); i++ {
+		out[i] = float64(rowFinish(&peq, items[ids[i]], 0, ^uint64(0), 0, mask))
+	}
+}
+
+// rowFinish sweeps the text a on from its byte j, (pv, mv) being the
+// column after a[:j], and returns the last column's bottom cell: the top
+// cell is len(a), and the cells below it step by the vertical deltas of
+// the pattern's rows, the bits of mask (carries and shifts only move up
+// the word, so the bits above the pattern never reach them).
+func rowFinish(peq *[256]uint64, a string, j int, pv, mv, mask uint64) int {
+	for ; j < len(a); j++ {
+		pv, mv = rowColumn(peq[a[j]], pv, mv)
+	}
+	return len(a) + bits.OnesCount64(pv&mask) - bits.OnesCount64(mv&mask)
 }
 
 // rowPool recycles the dynamic-programming rows of pairs whose shorter
