@@ -48,6 +48,15 @@ func run(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
+	// The generators panic on a negative size; say which flag it was.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"n", *n, 0}, {"dim", *dim, 1}, {"cluster", *cluster, 1}, {"imgdim", *imgDim, 1}, {"subjects", *subjects, 1}} {
+		if f.val < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.val)
+		}
+	}
 	rng := rand.New(rand.NewPCG(*seed, 1))
 
 	switch *kind {

@@ -103,10 +103,18 @@ func splitNonEmpty(s string) []string {
 }
 
 func TestRejectsBadArguments(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x")
 	cases := [][]string{
 		{"-kind", "uniform"},                                      // no -out
 		{"-kind", "nonsense", "-out", "/tmp/x"},                   // bad kind
 		{"-kind", "uniform", "-out", "/nonexistent/dir/file.txt"}, // unwritable
+		{"-kind", "uniform", "-n", "-1", "-out", out},             // negative size
+		{"-kind", "uniform", "-dim", "-1", "-out", out},
+		{"-kind", "uniform", "-dim", "0", "-out", out},
+		{"-kind", "words", "-n", "-2", "-out", out},
+		{"-kind", "clustered", "-cluster", "0", "-out", out},
+		{"-kind", "images", "-imgdim", "-3", "-out", out},
+		{"-kind", "images", "-subjects", "-1", "-out", out},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -106,6 +106,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *n < 0 {
+		return fmt.Errorf("-n must be non-negative")
+	}
 	if *dim <= 0 {
 		return fmt.Errorf("-dim must be positive")
 	}

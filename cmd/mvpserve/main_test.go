@@ -213,6 +213,11 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err == nil {
 		t.Fatal("dim 0 accepted")
 	}
+	// A negative size reached the dataset generator and panicked there.
+	err = run(context.Background(), &bytes.Buffer{}, []string{"-n", "-1"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-n must be non-negative") {
+		t.Fatalf("-n -1: err=%v", err)
+	}
 	// Pivots for a cascade that is not armed would be silently ignored.
 	err = run(context.Background(), &bytes.Buffer{}, []string{"-cascadepivots", "8"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "-cascadepivots needs -cascade") {

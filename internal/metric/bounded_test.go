@@ -166,8 +166,10 @@ func TestBoundedStringKernelsAgreeWithExact(t *testing.T) {
 // BoundedDistanceFunc contract at the bounds either side of the
 // distance, the degenerate ones and the fuzzer's own, in both argument
 // orders, and EditRow must give the reference with either string as the
-// row's point, in a row of one and in a row whose ids repeat and run out
-// of order. The seeds sit on the kernels' seams: the 64-byte word of the
+// row's point, in a row of one, in a row whose ids repeat and run out
+// of order, and in rows of every length up to nine over texts of mixed
+// lengths, so every lane of the four-text sweep and every remainder is
+// used. The seeds sit on the kernels' seams: the 64-byte word of the
 // bit-parallel sweep (63/64/65 bytes, on one side and on both), bytes
 // ≥ 0x80 and NUL in the match table, long shared prefixes and suffixes
 // (trimmed before any kernel runs), and empty strings.
@@ -216,6 +218,29 @@ func FuzzEditKernels(f *testing.F) {
 		for i, id := range ids {
 			if want := editReference(items[id], a); out[i] != want {
 				t.Fatalf("EditRow(%q, …)[%d] over %q = %v, reference %v", a, i, items[id], out[i], want)
+			}
+		}
+		// Every lane shape: rows of 0 to 9 ids, which is every remainder
+		// mod 4, whose first group of four holds texts of 200, 0, 64 and 1
+		// bytes and whose second 65, 63 and the fuzzer's two, against
+		// points either side of the 64-byte seam.
+		fill := a + b + "q"
+		fit := func(n int) string { return strings.Repeat(fill, n/len(fill)+1)[:n] }
+		items = append(items, fit(0), fit(1), fit(63), fit(64), fit(65), fit(200))
+		ids = []int32{9, 4, 7, 5, 8, 6, 0, 1, 2, 3}
+		var row, want [10]float64
+		for _, n := range []int{0, 1, 64, 65} {
+			p := fit(n)
+			for i, x := range items {
+				want[i] = editReference(x, p)
+			}
+			for l := range len(ids) {
+				EditRow(p, items, ids[:l], row[:l])
+				for i, id := range ids[:l] {
+					if row[i] != want[id] {
+						t.Fatalf("EditRow(%q, …)[%d] of %d over %q = %v, reference %v", p, i, l, items[id], row[i], want[id])
+					}
+				}
 			}
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"mvptree/internal/dataset"
 )
 
 func TestEditKnownValues(t *testing.T) {
@@ -180,6 +182,31 @@ func TestEditKernelsAgainstReference(t *testing.T) {
 				if want := editReference(items[id], items[near]); out[i] != want {
 					t.Fatalf("EditRow(%q, …)[%d] over %q = %v, reference %v", items[near], i, items[id], out[i], want)
 				}
+			}
+		}
+	}
+}
+
+// TestEditRowLanesAgainstReference runs EditRow over words of 1 to 70
+// bytes, so the four texts of one group end at different columns and
+// points fall either side of the 64-byte seam, in rows of every length
+// mod 4 and in random order: a text swept in another text's lane, or a
+// remainder not swept, gives a wrong distance here without fuzzing.
+func TestEditRowLanesAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 4))
+	words := dataset.Words(rng, 400, dataset.WordOptions{MinLen: 1, MaxLen: 70, MisspellingsPer: 2})
+	out := make([]float64, 0, len(words))
+	for trial := range 60 {
+		p := words[rng.IntN(len(words))]
+		ids := make([]int32, 40+trial%4+rng.IntN(8)*4)
+		for i := range ids {
+			ids[i] = int32(rng.IntN(len(words)))
+		}
+		out = out[:len(ids)]
+		EditRow(p, words, ids, out)
+		for i, id := range ids {
+			if want := editReference(words[id], p); out[i] != want {
+				t.Fatalf("EditRow(%q, …)[%d] of %d over %q = %v, reference %v", p, i, len(ids), words[id], out[i], want)
 			}
 		}
 	}
