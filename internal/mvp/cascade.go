@@ -21,11 +21,11 @@ import (
 //
 // Afterwards every Search pays its c pivot distances once, up front, and
 // the leaf scans compare a candidate that passed D1/D2 and PATH against
-// them before computing its distance: c more integer windows for a range
-// query, c more magnitudes for kNN. Results and their order are
-// byte-identical with the cascade on or off; a query computes at most c
-// distances more than the unarmed tree's, and where pruning pays, far
-// fewer. A query whose Budget is below c is answered unarmed.
+// them before computing its distance: c more integer windows, for range
+// and kNN alike. Results and their order are byte-identical with the
+// cascade on or off; a query computes at most c distances more than the
+// unarmed tree's, and where pruning pays, far fewer. A query whose Budget
+// is below c is answered unarmed.
 //
 // A tree without leaf items — the classic vp-tree — is left uncascaded,
 // silently: its points are all vantage points, computed on the way down.
@@ -60,12 +60,13 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 // payPivots measures q to the cascade's pivots into sc.cqd, exactly and
 // before anything else: all of them, counted as vantage points, or — the
 // cascade is unarmed, or the query's budget does not reach that far — none.
+// It sizes the windows sc.clo/chi to match, for the query to fill.
 func (t *Tree[T]) payPivots(q T, o index.SearchOptions, sc *queryScratch[T], s *SearchStats) {
 	c := len(t.cpivots)
 	if o.Budget > 0 && o.Budget < int64(c) {
 		c = 0
 	}
-	sc.cqd = growF(sc.cqd, c)
+	sc.cqd, sc.clo, sc.chi = growF(sc.cqd, c), growF(sc.clo, c), growF(sc.chi, c)
 	if c == 0 {
 		return
 	}
@@ -78,8 +79,8 @@ func (t *Tree[T]) payPivots(q T, o index.SearchOptions, sc *queryScratch[T], s *
 
 // cascadeWindows turns the pivot distances of a range query into the code
 // windows sc.clo[j] ≤ c ≤ sc.chi[j] a candidate within rp must sit in.
+// (kNN derives its own from τ′ at every leaf: knnWindows.)
 func (t *Tree[T]) cascadeWindows(sc *queryScratch[T], rp float64) {
-	sc.clo, sc.chi = growF(sc.clo, len(sc.cqd)), growF(sc.chi, len(sc.cqd))
 	w := rp + t.cslack
 	for j, d := range sc.cqd {
 		sc.clo[j], sc.chi[j] = window(d-w, d+w, t.cstep)
@@ -96,16 +97,4 @@ func (t *Tree[T]) cascadeMiss(i int, lo, hi []uint16) bool {
 		}
 	}
 	return false
-}
-
-// cascadeBound returns the cascade's lower bound on the distance from the
-// query with pivot distances qd to the item at index i of the arena, the
-// slack given away: −Inf or NaN, which reach no threshold, when the
-// cascade idles.
-func (t *Tree[T]) cascadeBound(i int, qd []float64) float64 {
-	var lb float64
-	for j, x := range t.ccodes[i*len(qd):][:len(qd)] {
-		lb = max(lb, abs(qd[j]-float64(x)*t.cstep))
-	}
-	return lb - t.cslack
 }

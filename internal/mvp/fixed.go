@@ -109,3 +109,49 @@ func window(lo, hi, step float64) (lo16, hi16 uint16) {
 	}
 	return lo16, hi16
 }
+
+// knnWindow returns the codes lo ≤ c ≤ hi (lo > hi when there are none)
+// that a kNN bound keeps on the grid of step: those with
+// !(|d − c·step| − s ≥ b), the float comparison of a bound decoded from
+// the code, to the last rounding. The leaf scan's columns take s = 0 and
+// b = τ′/(1+ε) + slack, the cascade's s = cslack and b = τ′/(1+ε). c·step
+// is exact and subtraction rounds monotonically, so d − c·step never
+// rises as c does: while it is above zero the kept codes are a run that
+// ends where it crosses, past that a run that starts there, and together
+// one interval. window guesses its ends and the predicate settles each
+// (settle). A NaN d or b keeps every code; b is never −Inf (it bounds a
+// distance).
+func knnWindow(d, s, b, step float64) (lo, hi uint16) {
+	f := func(c int) float64 { return d - float64(c)*step }
+	keep := func(c int) bool { return !(abs(f(c))-s >= b) }
+	glo, ghi := window(d-(b+s), d+(b+s), step)
+	// lo is the first code kept or past the crossing, hi+1 the first code
+	// neither kept nor before it.
+	l := settle(int(glo), func(c int) bool { return f(c) < 0 || keep(c) })
+	if l > idleCode || !keep(l) {
+		return 1, 0
+	}
+	h := settle(int(ghi)+1, func(c int) bool { return !(f(c) > 0 || keep(c)) })
+	return uint16(l), uint16(h - 1)
+}
+
+// settle returns the first c in [0, 65536] at which ok holds, for an ok
+// that fails below that code and holds from it on; 65536 stands for none
+// and is never tested. It tests the guess g, then its neighbour on the
+// side the first test points to, and bisects what is left: at most 18
+// tests, two when the guess is at most one code off.
+func settle(g int, ok func(int) bool) int {
+	lo, hi := 0, 1<<16
+	for tests := 0; lo < hi; tests++ {
+		m := lo + (hi-lo)/2
+		if tests < 2 {
+			m = min(max(g, lo), hi-1)
+		}
+		if ok(m) {
+			hi, g = m, m-1
+		} else {
+			lo, g = m+1, m+1
+		}
+	}
+	return lo
+}

@@ -584,7 +584,7 @@ func BenchmarkLeafFilter(b *testing.B) {
 					out, s = out[:0], SearchStats{}
 					for i, n := range tree.nodes {
 						if n.isLeaf() {
-							tree.rangeLeaf(int32(i), mode.q, mode.r, mode.r, sc, &out, &s)
+							tree.rangeLeaf(int32(i), mode.q, mode.r, mode.r, nil, sc, &out, &s)
 						}
 					}
 				}
@@ -596,4 +596,67 @@ func BenchmarkLeafFilter(b *testing.B) {
 			})
 		}
 	}
+}
+
+// checkKNNWindow compares knnWindow with the float predicates it stands
+// for at every one of the 65 536 codes: the leaf scan's, which skips a
+// code when |d − code·step| ≥ b, and the cascade's, which skips it when
+// |d − code·step| − s ≥ b. Both are spelled here as the scans spelled them
+// when they decoded the codes.
+func checkKNNWindow(t testing.TB, d, s, b, step float64) {
+	for _, form := range []struct {
+		name string
+		s    float64
+		skip func(x float64) bool
+	}{
+		{"leaf", 0, func(x float64) bool { return abs(d-x) >= b }},
+		{"cascade", s, func(x float64) bool { return abs(d-x)-s >= b }},
+	} {
+		lo, hi := knnWindow(d, form.s, b, step)
+		for c := range 1 << 16 {
+			in := uint16(c) >= lo && uint16(c) <= hi
+			if keep := !form.skip(float64(c) * step); in != keep {
+				t.Fatalf("%s form, d %v, s %v, b %v, step %v: window [%d, %d] holds code %d is %v, the predicate keeps it %v",
+					form.name, d, form.s, b, step, lo, hi, c, in, keep)
+			}
+		}
+	}
+}
+
+// TestKNNWindowMatchesPredicate holds knnWindow to the predicates over
+// query distances on codes and one ulp either side, far past the grid,
+// infinite and NaN; bounds of 0, on and off the grid, +Inf and NaN; and
+// the smallest, a middling and the largest step.
+func TestKNNWindowMatchesPredicate(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, step := range []float64{math.Ldexp(1, minStepExp), math.Ldexp(1, -5), math.Ldexp(1, maxStepExp)} {
+		ds := []float64{-step, 70000 * step, 1e9 * step, inf, -inf, nan}
+		for _, c := range []float64{0, 1, 2, 1000, 32767, 65534, 65535} {
+			x := c * step
+			ds = append(ds, math.Nextafter(x, -inf), x, math.Nextafter(x, inf))
+		}
+		bs := []float64{0, step, 2.5 * step, 1000 * step, math.Nextafter(1000*step, inf), 70000 * step, inf, nan}
+		for _, d := range ds {
+			for _, b := range bs {
+				checkKNNWindow(t, d, step, b, step)
+			}
+		}
+	}
+}
+
+// FuzzKNNWindow is TestKNNWindowMatchesPredicate's check on arbitrary
+// query distances, slacks, bounds and steps; a bound is never −Inf.
+func FuzzKNNWindow(f *testing.F) {
+	f.Add(0.5, 0.0, 0.25, -5)
+	f.Add(3.0, 1.0, 1.0, 0)
+	f.Add(math.Inf(1), 0.0, math.Inf(1), maxStepExp)
+	f.Add(1e300, 1e300, 0.0, maxStepExp)
+	f.Add(math.NaN(), 0.0, 1.0, minStepExp)
+	f.Fuzz(func(t *testing.T, d, s, b float64, e int) {
+		if math.IsInf(b, -1) {
+			t.Skip()
+		}
+		step := math.Ldexp(1, minStepExp+int(uint(e)%uint(maxStepExp-minStepExp+1)))
+		checkKNNWindow(t, d, s, b, step)
+	})
 }

@@ -16,15 +16,17 @@ type queryScratch[T any] struct {
 	// before calling ap.Pay per candidate.
 	ap      index.Approx
 	limited bool
-	// qlo/qhi are the recursive range search's query PATH as the leaf
-	// scan needs it: per level, the codes inside the filter window
-	// d(q, vantage point) ± (r+slack), computed once on the way down
-	// (Tree.window). Always p long; the live prefix length is threaded
-	// through the recursion.
+	// qlo/qhi are the query PATH as the leaf scan reads it: per level,
+	// the codes a candidate's PATH entry must lie in. The range recursion
+	// writes d(q, vantage point) ± (r+slack) once per level on the way
+	// down (window), threading the live prefix length; kNN writes a leaf's
+	// whole prefix from its arena window on entering the leaf and after a
+	// push that moves τ′ (knnWindows). Always p long.
 	qlo, qhi []uint16
 	// cqd is the query's distances to the cascade's pivots, paid up front
-	// (payPivots; empty when none were), and clo/chi the windows a range
-	// query makes of them (cascadeWindows).
+	// (payPivots; empty when none were), and clo/chi their windows: a
+	// range query's made once (cascadeWindows), kNN's per leaf
+	// (knnWindows).
 	cqd      []float64
 	clo, chi []uint16
 	// best and queue drive best-first kNN. best is created lazily

@@ -90,9 +90,9 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	if n.isLeaf() {
 		s.LeavesVisited++
 		if n.cnt == 0 {
-			t.rangeBare(i, q, r, a, out, s)
+			t.rangeBare(i, q, r, nil, a, out, s)
 		} else {
-			t.rangeLeaf(i, q, r, rp, sc, out, s)
+			t.rangeLeaf(i, q, r, rp, nil, sc, out, s)
 		}
 		return
 	}
@@ -168,7 +168,13 @@ func (t *Tree[T]) vantageDistance(q, sv T, exact bool, bound float64) float64 {
 // into the codes they hold once per leaf so the scan compares integers —
 // computing the real distance only for survivors, and only up to r,
 // since membership is all that matters.
-func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, sc *queryScratch[T], out *[]T, s *SearchStats) {
+//
+// A kNN query visits its leaves here too, as a range query whose radius
+// is τ′ and shrinks as the heap fills: nb carries the heap, and the leaf's
+// windows are those of the kNN bound (knnWindows), derived again whenever
+// a push moves τ′. Only acceptance differs by mode: range reports a point
+// within r, kNN pushes one within the bound it was measured to.
+func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, nb *nearest[T], sc *queryScratch[T], out *[]T, s *SearchStats) {
 	a, n := &sc.ap, &t.nodes[i]
 	// Every distance in a leaf — the two vantage points and the
 	// surviving candidates — is threshold-only, so all of them go
@@ -185,13 +191,22 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, sc *queryScratch[T], ou
 			t.dist.Add(int64(j))
 			return
 		}
-		d[j] = kernel(q, sv, r+maxD[j])
+		b := r + maxD[j]
+		d[j] = kernel(q, sv, b)
 		s.VantagePoints++
-		if d[j] <= r {
-			*out = append(*out, sv)
+		if nb == nil {
+			if d[j] <= r {
+				*out = append(*out, sv)
+			}
+		} else if d[j] <= b {
+			r = nb.push(sv, d[j])
 		}
 	}
-	t.dist.Add(int64(vantages + t.scanLeaf(i, q, r, rp, d[0], d[1], sc, out, s)))
+	if nb != nil {
+		rp, nb.d = a.Shrink(r), d
+	}
+	t.dist.Add(int64(vantages + t.scanLeaf(i, q, r, rp, d[0], d[1], nb, sc, out, s)))
+	nb.publish()
 }
 
 // scanLeaf is the candidate loop of rangeLeaf, given the distances d1 and
@@ -201,12 +216,17 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, sc *queryScratch[T], ou
 // competes for its registers: it hoists the filter windows, slice headers
 // and the budget test, keeps the stage tallies in locals, and adds them
 // to the query's stats once per leaf.
-func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, sc *queryScratch[T], out *[]T, s *SearchStats) int {
+func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, nb *nearest[T], sc *queryScratch[T], out *[]T, s *SearchStats) int {
 	n, kernel := &t.nodes[ni], t.dist.Kernel()
 	hasSV2 := n.hasSV2()
-	w := rp + t.slack
-	d1lo, d1hi := window(d1-w, d1+w, t.step)
-	d2lo, d2hi := window(d2-w, d2+w, t.step)
+	var d1lo, d1hi, d2lo, d2hi uint16
+	if nb == nil {
+		w := rp + t.slack
+		d1lo, d1hi = window(d1-w, d1+w, t.step)
+		d2lo, d2hi = window(d2-w, d2+w, t.step)
+	} else {
+		d1lo, d1hi, d2lo, d2hi = t.knnWindows(rp, nb, sc)
+	}
 	items, rows, stride := t.leaf(n)
 	// held == plen: both are min(p, v·depth) (Load checks the stream's).
 	qlo := sc.qlo[:n.held]
@@ -264,8 +284,13 @@ items:
 			filteredQuant++
 			continue
 		}
-		if kernel(q, items[i], r) <= r {
-			*out = append(*out, items[i])
+		if d := kernel(q, items[i], r); d <= r {
+			if nb == nil {
+				*out = append(*out, items[i])
+			} else if tau := nb.push(items[i], d); tau != r {
+				r = tau
+				d1lo, d1hi, d2lo, d2hi = t.knnWindows(sc.ap.Shrink(r), nb, sc)
+			}
 		}
 	}
 	reportLeaf(s, cand, filteredD, filteredPath, filteredCascade, filteredQuant, computed)
@@ -284,8 +309,9 @@ func reportLeaf(s *SearchStats, cand, byD, byPath, byCascade, byQuant, computed 
 
 // rangeBare is rangeLeaf for a leaf without items, which is every leaf
 // of a classic vp-tree. Its one or two points are vantage points with
-// nothing to filter them by, so each is measured up to r.
-func (t *Tree[T]) rangeBare(i int32, q T, r float64, a *index.Approx, out *[]T, s *SearchStats) {
+// nothing to filter them by, so each is measured up to r — for kNN up to
+// τ′ as it stands after the pushes before it.
+func (t *Tree[T]) rangeBare(i int32, q T, r float64, nb *nearest[T], a *index.Approx, out *[]T, s *SearchStats) {
 	kernel := t.dist.Kernel()
 	paid := 0
 	for _, pt := range t.points(i) {
@@ -293,10 +319,15 @@ func (t *Tree[T]) rangeBare(i int32, q T, r float64, a *index.Approx, out *[]T, 
 			break
 		}
 		paid++
-		if kernel(q, pt, r) <= r {
-			*out = append(*out, pt)
+		if d := kernel(q, pt, r); d <= r {
+			if nb == nil {
+				*out = append(*out, pt)
+			} else {
+				r = nb.push(pt, d)
+			}
 		}
 	}
+	nb.publish()
 	t.dist.Add(int64(paid))
 	s.VantagePoints += paid
 }
