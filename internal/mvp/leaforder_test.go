@@ -8,6 +8,7 @@ import (
 	"mvptree/internal/bench"
 	"mvptree/internal/codec"
 	"mvptree/internal/dataset"
+	"mvptree/internal/index"
 	"mvptree/internal/linear"
 	"mvptree/internal/metric"
 	"mvptree/internal/mvp"
@@ -16,6 +17,7 @@ import (
 // ranger is what BenchmarkLeafOrder times of the scan and the tree.
 type ranger interface {
 	Range(q []float64, r float64) [][]float64
+	KNN(q []float64, k int) []index.Neighbor[[]float64]
 }
 
 // BenchmarkLeafOrder prices memory order on the uniform-l2 workload's
@@ -35,9 +37,11 @@ type ranger interface {
 //   - tree/loaded: the same tree after Save → Load, whose decoder
 //     allocates the items one after another in leaf order.
 //
-// The last two differ in memory order alone.
+// The last two differ in memory order alone. The knn/ cases answer the
+// same queries' 10 nearest neighbors over scan/generation, tree/built and
+// tree/loaded.
 func BenchmarkLeafOrder(b *testing.B) {
-	const n, dim = 50000, 20
+	const n, dim, k = 50000, 20, 10
 	items := dataset.UniformVectors(rand.New(rand.NewPCG(1, 0)), n, dim)
 	queries := dataset.UniformQueries(rand.New(rand.NewPCG(1, 1)), 64, dim)
 	r, err := bench.CalibrateRadius(rand.New(rand.NewPCG(1, 2)), items, metric.L2, 0.02, 0)
@@ -57,17 +61,20 @@ func BenchmarkLeafOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want := 0
-	for _, c := range []struct {
+	scan := linear.New(items, metric.NewCounter(metric.L2))
+	type leafCase struct {
 		name  string
 		index ranger
-	}{
-		{"scan/generation", linear.New(items, metric.NewCounter(metric.L2))},
+	}
+	cases := []leafCase{
+		{"scan/generation", scan},
 		{"scan/leaf-order", linear.New(built.Items(), metric.NewCounter(metric.L2))},
 		{"scan/loaded", linear.New(loaded.Items(), metric.NewCounter(metric.L2))},
 		{"tree/built", built},
 		{"tree/loaded", loaded},
-	} {
+	}
+	want := 0
+	for _, c := range cases {
 		found := 0
 		for _, q := range queries {
 			found += len(c.index.Range(q, r))
@@ -78,13 +85,35 @@ func BenchmarkLeafOrder(b *testing.B) {
 		if found != want {
 			b.Fatalf("%s: %d results over %d queries, want %d", c.name, found, len(queries), want)
 		}
-		b.Run(c.name, func(b *testing.B) {
-			i := 0
-			for b.Loop() {
-				c.index.Range(queries[i%len(queries)], r)
-				i++
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/item")
-		})
+		timeLeafOrder(b, c.name, func(q []float64) { c.index.Range(q, r) }, queries, n)
 	}
+	var wantSum float64
+	for _, c := range []leafCase{{"knn/scan/generation", scan}, {"knn/tree/built", built}, {"knn/tree/loaded", loaded}} {
+		var sum float64
+		for _, q := range queries {
+			for _, nb := range c.index.KNN(q, k) {
+				sum += nb.Dist
+			}
+		}
+		if wantSum == 0 {
+			wantSum = sum
+		}
+		if sum != wantSum {
+			b.Fatalf("%s: neighbor distances over %d queries sum to %v, want %v", c.name, len(queries), sum, wantSum)
+		}
+		timeLeafOrder(b, c.name, func(q []float64) { c.index.KNN(q, k) }, queries, n)
+	}
+}
+
+// timeLeafOrder runs one BenchmarkLeafOrder case, cycling through the
+// queries, and reports ns/item.
+func timeLeafOrder(b *testing.B, name string, query func([]float64), queries [][]float64, n int) {
+	b.Run(name, func(b *testing.B) {
+		i := 0
+		for b.Loop() {
+			query(queries[i%len(queries)])
+			i++
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/item")
+	})
 }
