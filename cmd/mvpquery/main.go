@@ -77,6 +77,9 @@ func run(out io.Writer, in io.Reader, args []string) error {
 	if (*rangeR < 0) == (*knnK <= 0) {
 		return fmt.Errorf("specify exactly one of -range or -knn")
 	}
+	if *maxShow < 0 {
+		return fmt.Errorf("-show must be at least 0, got %d", *maxShow)
+	}
 
 	stringMetric := *metricID == "edit" || *metricID == "hamming"
 	if stringMetric {

@@ -88,6 +88,7 @@ func TestArgumentValidation(t *testing.T) {
 		{"-data", data, "-range", "1", "-metric", "cosine"}, // unknown metric
 		{"-data", data, "-range", "1", "-index", "rtree"},   // unknown index
 		{"-data", "/does/not/exist", "-range", "1"},         // missing file
+		{"-data", data, "-range", "1", "-show", "-1"},       // negative -show
 	}
 	for _, args := range cases {
 		var sb strings.Builder
