@@ -195,7 +195,7 @@ var table = []experiment{
 	{"ablation-sv2", "ablation: farthest vs random second vantage point (§4.2)", costs(experiments.AblationSV2)},
 	{"ablation-v", "ablation: vantage points per node at fixed fanout (§4.2 remark)", costs(experiments.VantageStudy)},
 	{"knn", "extension: k-nearest-neighbor cost across structures", costs(experiments.KNNStudy)},
-	{"structures", "extension: §3.2 structures (gh-tree, GNAT, LAESA) vs vpt/mvpt", costs(experiments.StructureStudy)},
+	{"structures", "extension: every structure on distances and time, range and kNN, five workloads", study(experiments.StructureStudy, experiments.WriteStructures)},
 	{"words", "extension: [BK73] word search under edit distance", costs(experiments.WordStudy)},
 	{"build", "extension: construction cost across structures", study(experiments.BuildStudy, writeBuildCosts)},
 	{"approx", "extension: approximate kNN — recall vs distances for budget, ε and exact k'", study(experiments.ApproxStudy, experiments.WriteApproxResults)},

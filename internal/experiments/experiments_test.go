@@ -7,10 +7,16 @@ package experiments
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 
 	"mvptree/internal/bench"
+	"mvptree/internal/build"
 	"mvptree/internal/dataset"
+	"mvptree/internal/index"
+	"mvptree/internal/linear"
+	"mvptree/internal/metric"
 )
 
 // tinyConfig is even smaller than QuickConfig, for unit-test latency.
@@ -259,32 +265,59 @@ func TestKNNStudy(t *testing.T) {
 }
 
 func TestStructureStudy(t *testing.T) {
-	tbl, err := StructureStudy(tinyConfig())
+	c := tinyConfig()
+	rep, err := StructureStudy(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every indexed structure must beat the linear scan at the
-	// smallest radius, and all must agree on result counts.
-	r := Fig8Radii[0]
-	lin, err := tbl.Cell(r, "linear")
-	if err != nil {
-		t.Fatal(err)
+	if len(rep.Cells) != 10 {
+		t.Fatalf("%d cells, want 10 (five workloads, range and kNN)", len(rep.Cells))
 	}
-	for _, s := range tbl.Structures {
-		if s == "linear" {
-			continue
+	for _, cell := range rep.Cells {
+		want := len(comparisonStructures[[]float64]())
+		if cell.Workload == "words edit" {
+			want++ // the BK-tree needs integer distances
 		}
-		cell, err := tbl.Cell(r, s)
-		if err != nil {
-			t.Fatal(err)
+		if len(cell.Rows) != want {
+			t.Errorf("%s %s: %d rows, want %d", cell.Workload, cell.Query, len(cell.Rows), want)
 		}
-		if cell.AvgDistComps >= lin.AvgDistComps {
-			t.Errorf("%s cost %.0f ≥ linear %.0f at r=%g", s, cell.AvgDistComps, lin.AvgDistComps, r)
-		}
-		if cell.AvgResults != lin.AvgResults {
-			t.Errorf("%s found %.2f results, linear %.2f", s, cell.AvgResults, lin.AvgResults)
+		for _, r := range cell.Rows {
+			if r.Distances <= 0 || r.NsPerQuery <= 0 || (r.BuildDistances <= 0) != (r.Structure == "linear") {
+				t.Errorf("%s %s: %s measured %+v", cell.Workload, cell.Query, r.Structure, r)
+			}
+			if slices.Contains(r.DominatedBy, r.Structure) {
+				t.Errorf("%s %s: %s dominates itself", cell.Workload, cell.Query, r.Structure)
+			}
 		}
 	}
+	var sb strings.Builder
+	if err := WriteStructures(&sb, rep); err != nil || !strings.Contains(sb.String(), "## cells where nothing dominates") {
+		t.Errorf("report: %v\n%s", err, sb.String())
+	}
+
+	// A structure that loses one range answer is caught.
+	lossy := bench.Structure[[]float64]{
+		Name: "lossy",
+		Build: func(items [][]float64, dist *metric.Counter[[]float64], opts build.Options) (index.Searcher[[]float64], build.Stats, error) {
+			return dropOne{linear.New(items, dist)}, build.Stats{}, nil
+		},
+	}
+	_, err = structureCells("uniform L2", c.UniformVectors(), c.VectorQueries(), metric.L2,
+		[]bench.Structure[[]float64]{lossy}, 1.5, c.TreeSeeds, 1)
+	if err == nil || !strings.Contains(err.Error(), "lossy") || !strings.Contains(err.Error(), "range results") {
+		t.Errorf("a structure that drops a range answer passed: %v", err)
+	}
+}
+
+// dropOne answers range queries one item short.
+type dropOne struct{ index.Searcher[[]float64] }
+
+func (d dropOne) Search(req index.Query[[]float64]) index.Result[[]float64] {
+	res := d.Searcher.Search(req)
+	if len(res.Items) > 0 {
+		res.Items = res.Items[1:]
+	}
+	return res
 }
 
 func TestWordStudy(t *testing.T) {
