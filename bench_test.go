@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"mvptree"
@@ -214,11 +215,16 @@ func BenchmarkKNNStudy(b *testing.B) {
 func BenchmarkStructureStudy(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.StructureStudy(cfg)
+		rep, err := experiments.StructureStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportCells(b, tbl)
+		for _, c := range rep.Cells {
+			cell := strings.ReplaceAll(c.Workload, " ", "-") + "/" + strings.Fields(c.Query)[0]
+			for _, r := range c.Rows {
+				b.ReportMetric(r.Distances, r.Structure+"@"+cell)
+			}
+		}
 	}
 }
 
