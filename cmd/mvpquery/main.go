@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,13 +51,13 @@ func run(out io.Writer, in io.Reader, args []string) error {
 	var (
 		dataPath = fs.String("data", "", "dataset file: vectors (one per line) or words (required)")
 		metricID = fs.String("metric", "l2", "l1 | l2 | linf | edit | hamming")
-		indexID  = fs.String("index", "mvp", "mvp | gmvp | vp | gh | gnat | ball | bk | laesa | linear")
+		indexID  = fs.String("index", "mvp", "mvp | gmvp | vp | gnat | ball | bk | laesa | linear")
 		rangeR   = fs.Float64("range", -1, "range query radius")
 		knnK     = fs.Int("knn", 0, "k-nearest-neighbor query size")
 		queryStr = fs.String("query", "", "query item; stdin if omitted")
 		m        = fs.Int("m", 3, "mvp/gmvp partitions / vp order")
 		v        = fs.Int("v", 2, "gmvp vantage points per node")
-		k        = fs.Int("k", 80, "mvp/gh/gnat leaf capacity")
+		k        = fs.Int("k", 80, "mvp/gmvp/gnat/ball leaf capacity")
 		p        = fs.Int("p", 5, "mvp retained path length")
 		seed     = fs.Uint64("seed", 101, "construction seed")
 		maxShow  = fs.Int("show", 10, "maximum results printed per query")
@@ -73,6 +74,9 @@ func run(out io.Writer, in io.Reader, args []string) error {
 	}
 	if *loadIdx != "" && *saveIdx != "" {
 		return fmt.Errorf("-saveindex and -loadindex are mutually exclusive")
+	}
+	if math.IsNaN(*rangeR) {
+		return fmt.Errorf("-range must be a number, got NaN")
 	}
 	if (*rangeR < 0) == (*knnK <= 0) {
 		return fmt.Errorf("specify exactly one of -range or -knn")
@@ -123,13 +127,16 @@ func run(out io.Writer, in io.Reader, args []string) error {
 		return fmt.Errorf("unknown vector metric %q", *metricID)
 	}
 	var idx counted[[]float64]
-	dim := 0 // query dimension check only when the dataset was read
+	dim := 0 // the indexed vectors' length; 0 for an empty index
 	if *loadIdx != "" {
-		var err error
-		idx, err = loadIndex(*loadIdx, *indexID, dist, mvptree.DecodeVector)
+		t, err := loadIndex(*loadIdx, *indexID, dist, mvptree.DecodeVector)
 		if err != nil {
 			return err
 		}
+		if items := t.Items(); len(items) > 0 {
+			dim = len(items[0])
+		}
+		idx = t
 	} else {
 		f, err := os.Open(*dataPath)
 		if err != nil {
@@ -182,7 +189,7 @@ func saveIndex[T any](path, id string, idx counted[T], enc mvptree.ItemEncoder[T
 
 // loadIndex reads a persisted mvp or vp index: one loader, the stream
 // says which it holds, and id is only checked to be one of the two.
-func loadIndex[T any](path, id string, dist mvptree.DistanceFunc[T], dec mvptree.ItemDecoder[T]) (counted[T], error) {
+func loadIndex[T any](path, id string, dist mvptree.DistanceFunc[T], dec mvptree.ItemDecoder[T]) (*mvptree.Tree[T], error) {
 	if id != "mvp" && id != "vp" {
 		return nil, fmt.Errorf("index %q does not support -loadindex (mvp and vp only)", id)
 	}
@@ -210,8 +217,6 @@ func buildIndex[T any](items []T, dist mvptree.DistanceFunc[T], id string, v, m,
 		})
 	case "vp":
 		return mvptree.NewVP(items, dist, mvptree.VPOptions{Order: m, Build: mvptree.BuildOptions{Seed: seed}})
-	case "gh":
-		return mvptree.NewGH(items, dist, mvptree.GHOptions{LeafCapacity: k, Build: mvptree.BuildOptions{Seed: seed}})
 	case "gnat":
 		return mvptree.NewGNAT(items, dist, mvptree.GNATOptions{LeafCapacity: k, Build: mvptree.BuildOptions{Seed: seed}})
 	case "ball":

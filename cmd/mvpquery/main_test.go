@@ -22,7 +22,7 @@ const vecData = "0 0\n1 0\n0 1\n3 4\n10 10\n"
 
 func TestVectorRangeQuery(t *testing.T) {
 	data := writeTemp(t, "v.txt", vecData)
-	for _, idx := range []string{"mvp", "vp", "gh", "gnat", "laesa", "linear"} {
+	for _, idx := range []string{"mvp", "vp", "gnat", "laesa", "linear"} {
 		var sb strings.Builder
 		err := run(&sb, strings.NewReader(""), []string{
 			"-data", data, "-index", idx, "-range", "1.5", "-query", "0 0", "-k", "2", "-p", "2",
@@ -89,6 +89,7 @@ func TestArgumentValidation(t *testing.T) {
 		{"-data", data, "-range", "1", "-index", "rtree"},   // unknown index
 		{"-data", "/does/not/exist", "-range", "1"},         // missing file
 		{"-data", data, "-range", "1", "-show", "-1"},       // negative -show
+		{"-data", data, "-range", "NaN"},                    // not a radius
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -96,16 +97,28 @@ func TestArgumentValidation(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	var sb strings.Builder
+	if err := run(&sb, strings.NewReader(""), []string{"-data", data, "-range", "Inf", "-query", "0 0"}); err != nil || !strings.Contains(sb.String(), "5 results") {
+		t.Errorf("-range Inf: %v\n%s", err, sb.String())
+	}
 }
 
 func TestDimensionMismatchReported(t *testing.T) {
 	data := writeTemp(t, "v.txt", vecData)
+	idxPath := filepath.Join(t.TempDir(), "idx.mvpt")
 	var sb strings.Builder
 	err := run(&sb, strings.NewReader(""), []string{
-		"-data", data, "-range", "1", "-query", "1 2 3",
+		"-data", data, "-saveindex", idxPath, "-range", "1", "-query", "1 2 3",
 	})
 	if err == nil || !strings.Contains(err.Error(), "coordinates") {
 		t.Errorf("dimension mismatch not reported: %v", err)
+	}
+	// The loaded index knows its dimension without -data.
+	err = run(&sb, strings.NewReader(""), []string{
+		"-loadindex", idxPath, "-range", "1", "-query", "1 2 3",
+	})
+	if err == nil || !strings.Contains(err.Error(), "coordinates") {
+		t.Errorf("dimension mismatch on a loaded index not reported: %v", err)
 	}
 }
 
