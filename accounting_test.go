@@ -94,8 +94,8 @@ func TestAccountingTable(t *testing.T) {
 		x.SetTracer(r.tr)
 		rows[fmt.Sprintf("shard%d", shards)] = r
 	}
-	if len(rows) != 11 {
-		t.Fatalf("table covers %d indexes, want 11", len(rows))
+	if len(rows) != 10 {
+		t.Fatalf("table covers %d indexes, want 10", len(rows))
 	}
 
 	for name, r := range rows {

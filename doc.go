@@ -2,8 +2,8 @@
 // high-dimensional metric spaces, implementing the multi-vantage-point
 // (mvp) tree of Bozkaya & Ozsoyoglu (SIGMOD 1997) together with the
 // family of related metric index structures: vantage-point trees
-// [Uhl91, Yia93], generalized hyperplane trees [Uhl91], GNAT [Bri95],
-// BK-trees [BK73] and a pivot-table index in the spirit of [SW90].
+// [Uhl91, Yia93], GNAT [Bri95], ball trees and BK-trees [BK73] and a
+// pivot-table index in the spirit of [SW90].
 //
 // All structures answer the same two similarity queries over any metric
 // space — range queries ("all items within distance r of q") and

@@ -150,9 +150,6 @@ func TestConcurrentQueriesAllStructures(t *testing.T) {
 		{"vp", func() (mvptree.Index[[]float64], error) {
 			return mvptree.NewVP(vectors, mvptree.L2, mvptree.VPOptions{Order: 3, Build: mvptree.BuildOptions{Seed: 1}})
 		}},
-		{"gh", func() (mvptree.Index[[]float64], error) {
-			return mvptree.NewGH(vectors, mvptree.L2, mvptree.GHOptions{})
-		}},
 		{"gnat", func() (mvptree.Index[[]float64], error) {
 			return mvptree.NewGNAT(vectors, mvptree.L2, mvptree.GNATOptions{})
 		}},

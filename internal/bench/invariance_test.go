@@ -147,7 +147,6 @@ func TestBoundedKernelInvarianceVectors(t *testing.T) {
 		MVPT[[]float64](3, 12, 4),
 		MVPTRandomSV2[[]float64](3, 8, 3),
 		GMVPT[[]float64](3, 2, 8, 3),
-		GHT[[]float64](8),
 		GNAT[[]float64](4),
 		LAESA[[]float64](8),
 		BallTree[[]float64](3),
@@ -172,7 +171,6 @@ func TestBoundedKernelInvarianceStrings(t *testing.T) {
 		BKT[string](),
 		VPT[string](2),
 		MVPT[string](2, 6, 2),
-		GHT[string](6),
 	}
 	for _, s := range structures {
 		s := s

@@ -6,7 +6,6 @@ import (
 	"mvptree/internal/balltree"
 	"mvptree/internal/bktree"
 	"mvptree/internal/build"
-	"mvptree/internal/ghtree"
 	"mvptree/internal/gmvp"
 	"mvptree/internal/gnat"
 	"mvptree/internal/index"
@@ -66,16 +65,6 @@ func mvpt[T any](name string, o mvp.Options) Structure[T] {
 			o := o // builds of one structure run concurrently
 			o.Build = opts
 			return mvp.NewWithStats(items, dist, o)
-		},
-	}
-}
-
-// GHT returns a gh-tree structure.
-func GHT[T any](leafCapacity int) Structure[T] {
-	return Structure[T]{
-		Name: "ght",
-		Build: func(items []T, dist *metric.Counter[T], opts build.Options) (index.Searcher[T], build.Stats, error) {
-			return ghtree.NewWithStats(items, dist, ghtree.Options{Build: opts, LeafCapacity: leafCapacity})
 		},
 	}
 }

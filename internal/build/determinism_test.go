@@ -12,7 +12,6 @@ import (
 	"mvptree/internal/bktree"
 	"mvptree/internal/build"
 	"mvptree/internal/codec"
-	"mvptree/internal/ghtree"
 	"mvptree/internal/gmvp"
 	"mvptree/internal/gnat"
 	"mvptree/internal/laesa"
@@ -136,15 +135,6 @@ func determinismCases() []buildCase {
 				t.Fatal(err)
 			}
 			return rangeFingerprint(tr, ws, []float64{1, 2, 4}), st
-		}},
-		{name: "ghtree", build: func(t *testing.T, workers int) (any, build.Stats) {
-			tr, st, err := ghtree.NewWithStats(items, metric.NewCounter(metric.L2), ghtree.Options{
-				LeafCapacity: 4, Build: opt(workers),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rangeFingerprint(tr, items, vectorRadii), st
 		}},
 		{name: "gnat", build: func(t *testing.T, workers int) (any, build.Stats) {
 			tr, st, err := gnat.NewWithStats(items, metric.NewCounter(metric.L2), gnat.Options{
@@ -303,14 +293,6 @@ func TestValidationErrors(t *testing.T) {
 		}()},
 		{"gmvp/leafcap", "gmvp", func() error {
 			_, err := gmvp.New(items, c(), gmvp.Options{LeafCapacity: -1})
-			return err
-		}()},
-		{"ghtree/workers", "ghtree", func() error {
-			_, err := ghtree.New(items, c(), ghtree.Options{Build: bad})
-			return err
-		}()},
-		{"ghtree/leafcap", "ghtree", func() error {
-			_, err := ghtree.New(items, c(), ghtree.Options{LeafCapacity: -1})
 			return err
 		}()},
 		{"gnat/workers", "gnat", func() error {

@@ -58,7 +58,6 @@ func TelemetryStudy(c Config) (*TelemetryReport, error) {
 		bench.Linear[[]float64](),
 		bench.VPT[[]float64](2),
 		bench.MVPT[[]float64](3, 80, 5),
-		bench.GHT[[]float64](8),
 		bench.GNAT[[]float64](8),
 		bench.BallTree[[]float64](8),
 		bench.LAESA[[]float64](32),

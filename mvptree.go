@@ -4,7 +4,6 @@ import (
 	"mvptree/internal/balltree"
 	"mvptree/internal/bktree"
 	"mvptree/internal/build"
-	"mvptree/internal/ghtree"
 	"mvptree/internal/gnat"
 	"mvptree/internal/index"
 	"mvptree/internal/laesa"
@@ -144,29 +143,6 @@ func NewVP[T any](items []T, dist DistanceFunc[T], opts VPOptions, ixOpts ...Ind
 func NewVPWithStats[T any](items []T, dist DistanceFunc[T], opts VPOptions, ixOpts ...IndexOption[T]) (*VPTree[T], BuildStats, error) {
 	cfg := resolveIndexConfig(dist, ixOpts)
 	t, bs, err := vptree.NewWithStats(items, cfg.counter, opts)
-	if err = cfg.equip(t, err); err != nil {
-		return nil, bs, err
-	}
-	return t, bs, nil
-}
-
-// GHTree is a generalized hyperplane tree [Uhl91].
-type GHTree[T any] = ghtree.Tree[T]
-
-// GHOptions configure gh-tree construction.
-type GHOptions = ghtree.Options
-
-// NewGH builds a gh-tree over items with a fresh internal Counter
-// unless WithCounter overrides it.
-func NewGH[T any](items []T, dist DistanceFunc[T], opts GHOptions, ixOpts ...IndexOption[T]) (*GHTree[T], error) {
-	t, _, err := NewGHWithStats(items, dist, opts, ixOpts...)
-	return t, err
-}
-
-// NewGHWithStats is NewGH plus the construction report.
-func NewGHWithStats[T any](items []T, dist DistanceFunc[T], opts GHOptions, ixOpts ...IndexOption[T]) (*GHTree[T], BuildStats, error) {
-	cfg := resolveIndexConfig(dist, ixOpts)
-	t, bs, err := ghtree.NewWithStats(items, cfg.counter, opts)
 	if err = cfg.equip(t, err); err != nil {
 		return nil, bs, err
 	}

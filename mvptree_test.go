@@ -68,8 +68,6 @@ func TestAllStructuresAgree(t *testing.T) {
 	mustBuild("mvp", mvpTree, err)
 	vpTree, err := mvptree.NewVP(vectors, mvptree.L2, mvptree.VPOptions{})
 	mustBuild("vp", vpTree, err)
-	ghTree, err := mvptree.NewGH(vectors, mvptree.L2, mvptree.GHOptions{})
-	mustBuild("gh", ghTree, err)
 	gnatTree, err := mvptree.NewGNAT(vectors, mvptree.L2, mvptree.GNATOptions{})
 	mustBuild("gnat", gnatTree, err)
 	pivots, err := mvptree.NewPivotTable(vectors, mvptree.L2, mvptree.PivotOptions{})

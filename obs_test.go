@@ -154,7 +154,6 @@ var (
 	_ StatsIndex[[]float64] = (*Tree[[]float64])(nil)
 	_ StatsIndex[[]float64] = (*GeneralTree[[]float64])(nil)
 	_ StatsIndex[[]float64] = (*VPTree[[]float64])(nil)
-	_ StatsIndex[[]float64] = (*GHTree[[]float64])(nil)
 	_ StatsIndex[[]float64] = (*GNATree[[]float64])(nil)
 	_ StatsIndex[string]    = (*BKTree[string])(nil)
 	_ StatsIndex[[]float64] = (*BallTree[[]float64])(nil)

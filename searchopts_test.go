@@ -40,9 +40,6 @@ func vecBuilders(items [][]float64) map[string]func(...vecOpt) (vecSearcher, err
 		"vp": func(o ...vecOpt) (vecSearcher, error) {
 			return mvptree.NewVP(items, mvptree.L2, mvptree.VPOptions{Order: 3, Build: bo}, o...)
 		},
-		"gh": func(o ...vecOpt) (vecSearcher, error) {
-			return mvptree.NewGH(items, mvptree.L2, mvptree.GHOptions{Build: bo}, o...)
-		},
 		"gnat": func(o ...vecOpt) (vecSearcher, error) {
 			return mvptree.NewGNAT(items, mvptree.L2, mvptree.GNATOptions{Build: bo}, o...)
 		},
@@ -111,8 +108,6 @@ func editSearchers(t *testing.T, words []string) map[string]mvptree.Searcher[str
 	must("mvp", tree, err)
 	vp, err := mvptree.NewVP(words, mvptree.EditDistance, mvptree.VPOptions{Order: 2, Build: bo})
 	must("vp", vp, err)
-	gh, err := mvptree.NewGH(words, mvptree.EditDistance, mvptree.GHOptions{Build: bo})
-	must("gh", gh, err)
 	gn, err := mvptree.NewGNAT(words, mvptree.EditDistance, mvptree.GNATOptions{Build: bo})
 	must("gnat", gn, err)
 	ball, err := mvptree.NewBall(words, mvptree.EditDistance, mvptree.BallOptions{Build: bo})
@@ -178,13 +173,13 @@ func checkZeroOptsIdentical[T any](t *testing.T, name string, idx mvptree.Search
 	}
 }
 
-// TestCapabilitiesTable pins the query surfaces of the eleven
-// implementations: the nine structures, the dynamic store and the
+// TestCapabilitiesTable pins the query surfaces of the ten
+// implementations: the eight structures, the dynamic store and the
 // sharded index are all Searchers, and exactly the mvp-tree, the
 // vp-tree and the sharded index are BatchSearchers. It also
 // pins the line between the two tiers (DESIGN.md "Two tiers"): which of
 // the optional surfaces each implementation has — every one of them on
-// the served core, none on the six comparison structures — and that a
+// the served core, none on the five comparison structures — and that a
 // constructor handed WithCascade or WithQuantized for a structure with
 // no such mode returns an error naming it.
 func TestCapabilitiesTable(t *testing.T) {
@@ -205,8 +200,8 @@ func TestCapabilitiesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	all["shard"] = sharded
-	if len(all) != 11 {
-		t.Fatalf("table covers %d implementations, want 11", len(all))
+	if len(all) != 10 {
+		t.Fatalf("table covers %d implementations, want 10", len(all))
 	}
 	batch := map[string]bool{"mvp": true, "vp": true, "shard": true}
 	core := "EnableCascade EnableQuantize KFarthest Save SearchBatch"
@@ -215,7 +210,7 @@ func TestCapabilitiesTable(t *testing.T) {
 		"shard":   "EnableCascade EnableQuantize SaveDir SearchBatch",
 		"dynamic": "KFarthest Save",
 		"linear":  "EnableQuantize KFarthest",
-		"general": "", "gh": "", "gnat": "", "ball": "", "bk": "", "pivot": "",
+		"general": "", "gnat": "", "ball": "", "bk": "", "pivot": "",
 	}
 	for name, idx := range all {
 		if _, got := idx.(mvptree.BatchSearcher[string]); got != batch[name] {

@@ -23,7 +23,7 @@ import (
 func TestComparisonStructuresStayBuildAndSearch(t *testing.T) {
 	served := []string{"cascade", "wire", "quant", "codec"}
 	for pkg, banned := range map[string][]string{
-		"gmvp": served, "gnat": served, "ghtree": served, "balltree": served, "bktree": served,
+		"gmvp": served, "gnat": served, "balltree": served, "bktree": served,
 		"laesa": served[1:],
 	} {
 		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
