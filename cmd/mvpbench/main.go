@@ -65,6 +65,19 @@ func run(out io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// 0 keeps a size at its default; a negative one is a flag error.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"n", *n}, {"dim", *dim}, {"queries", *queries}, {"seeds", *seeds},
+		{"imgcount", *imgCount}, {"imgdim", *imgDim}, {"pairs", *pairs},
+		{"workers", *workers}, {"buildworkers", *buildWorkers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must be at least 0, got %d", f.name, f.v)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

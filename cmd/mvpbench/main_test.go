@@ -51,9 +51,16 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"-queryjson", "x.json"}, {"-buildjson", "x.json"}, {"-shards", "2"}} {
+	for _, args := range [][]string{
+		{"-bogus"}, {"-queryjson", "x.json"}, {"-buildjson", "x.json"}, {"-shards", "2"},
+		{"-n", "-5"}, {"-dim", "-1"}, {"-queries", "-3"}, {"-seeds", "-1"},
+		{"-imgcount", "-1"}, {"-imgdim", "-1"}, {"-pairs", "-1"},
+		{"-workers", "-1"}, {"-buildworkers", "-1"},
+	} {
 		var sb strings.Builder
-		if err := run(&sb, append(args, "-experiment", "fig4", "-quick", "-n", "300", "-pairs", "1000")); err == nil {
+		// The row's flags come last, so they override the small scale.
+		base := []string{"-experiment", "fig4", "-quick", "-n", "300", "-pairs", "1000"}
+		if err := run(&sb, append(base, args...)); err == nil {
 			t.Errorf("flag %s accepted", args[0])
 		}
 	}

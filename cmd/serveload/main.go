@@ -133,8 +133,18 @@ func run(out io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *rate <= 0 || *duration <= 0 {
-		return fmt.Errorf("-rate and -duration must be positive")
+	// !(x > 0) also rejects NaN, which every comparison fails.
+	switch {
+	case !(*rate > 0) || math.IsInf(*rate, 1):
+		return fmt.Errorf("-rate must be finite and positive, got %v", *rate)
+	case *duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", *duration)
+	case *dim < 1:
+		return fmt.Errorf("-dim must be at least 1, got %d", *dim)
+	case !(*knnFrac >= 0 && *knnFrac <= 1):
+		return fmt.Errorf("-knnfrac must be in [0, 1], got %v", *knnFrac)
+	case *maxInFlight < 1:
+		return fmt.Errorf("-maxinflight must be at least 1, got %d", *maxInFlight)
 	}
 	base := *addr
 	if !strings.Contains(base, "://") {

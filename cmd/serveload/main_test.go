@@ -86,10 +86,20 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(&bytes.Buffer{}, []string{"-rate", "0"}); err == nil {
-		t.Fatal("rate 0 accepted")
-	}
-	if err := run(&bytes.Buffer{}, []string{"-duration", "-1s"}); err == nil {
-		t.Fatal("negative duration accepted")
+	for _, args := range [][]string{
+		{"-rate", "0"},
+		{"-rate", "Inf"},
+		{"-rate", "NaN"},
+		{"-duration", "-1s"},
+		{"-dim", "0"},
+		{"-dim", "-1"},
+		{"-knnfrac", "-0.1"},
+		{"-knnfrac", "1.5"},
+		{"-knnfrac", "NaN"},
+		{"-maxinflight", "0"},
+	} {
+		if err := run(&bytes.Buffer{}, args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

@@ -59,9 +59,12 @@ func checkBlockLens[T any](qs []T, bounds, out []float64) {
 // hoisted — for scattered per-element accesses across B query vectors
 // plus mask bookkeeping, and measures ~2x slower per distance at
 // typical dimensions. Query-major keeps per-distance cost identical to
-// the sequential path; the batch's win is that p (the streamed leaf
-// arena or node vantage) is read once instead of B times, and that the
-// caller settles counting once per block. Bit-identity with
+// the sequential path; the block's share of the batch's win is that p
+// (a vantage point the whole group meets) is read once instead of B
+// times, and that the caller settles counting once per block. A leaf's
+// items are not measured through these kernels: each member of a group
+// scans them with its own filters, one after another, while the shared
+// descent keeps the leaf in cache. Bit-identity with
 // UpTo(qs[j], p, bounds[j]) is by construction: it is the same code.
 
 // L1Block is the blocked Manhattan kernel: L1UpTo per query against the

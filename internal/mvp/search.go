@@ -57,24 +57,51 @@ func (t *Tree[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
 }
 
 func (t *Tree[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Result[T] {
-	span := t.StartQuery(obs.KindRange)
-	var s SearchStats
-	if r < 0 || len(t.nodes) == 0 {
-		span.Done(&s)
-		return index.Result[T]{Stats: s}
+	var m member[T]
+	if t.startRange(&m, q, r, o) {
+		t.rangeNode(0, q, r, m.rp, 0, m.sc, &m.out, &m.s)
 	}
-	var out []T
+	return t.finishRange(&m)
+}
+
+// member is one range query from set-up to result: Search runs one
+// through rangeNode, SearchBatch a group through one shared descent.
+type member[T any] struct {
+	q     T
+	r, rp float64 // the radius and the pruning radius (Approx.Shrink)
+	sc    *queryScratch[T]
+	out   []T
+	s     SearchStats
+	span  obs.Span
+}
+
+// startRange opens m for the range query (q, r, o): its span and, unless
+// the answer is empty without a traversal, its scratch, quantized state,
+// pruning radius and the cascade's pivots and windows. It reports whether
+// a traversal follows.
+func (t *Tree[T]) startRange(m *member[T], q T, r float64, o index.SearchOptions) bool {
+	*m = member[T]{q: q, r: r, span: t.StartQuery(obs.KindRange)}
+	if r < 0 || len(t.nodes) == 0 {
+		return false
+	}
 	sc := t.getScratch(o)
 	sc.quantOn = t.prepareQuant(&sc.qprep, q)
-	rp := sc.ap.Shrink(r)
-	t.payPivots(q, o, sc, &s)
-	t.cascadeWindows(sc, rp)
-	t.rangeNode(0, q, r, rp, 0, sc, &out, &s)
-	sc.ap.Finish(&s)
-	t.putScratch(sc)
-	s.Results = len(out)
-	span.Done(&s)
-	return index.Result[T]{Items: out, Stats: s}
+	m.sc, m.rp = sc, sc.ap.Shrink(r)
+	t.payPivots(q, o, sc, &m.s)
+	t.cascadeWindows(sc, m.rp)
+	return true
+}
+
+// finishRange closes m: it returns the scratch to the pool and reports
+// the query's result to its span and the caller.
+func (t *Tree[T]) finishRange(m *member[T]) index.Result[T] {
+	if m.sc != nil {
+		m.sc.ap.Finish(&m.s)
+		t.putScratch(m.sc)
+	}
+	m.s.Results = len(m.out)
+	m.span.Done(&m.s)
+	return index.Result[T]{Items: m.out, Stats: m.s}
 }
 
 // rangeNode descends with two radii: r decides membership and bounds
