@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -56,6 +57,10 @@ func run(args []string) error {
 		if f.val < f.min {
 			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.val)
 		}
+	}
+	// A NaN or infinite amplitude would write NaN coordinates.
+	if math.IsNaN(*eps) || math.IsInf(*eps, 0) {
+		return fmt.Errorf("-eps must be a finite number, got %g", *eps)
 	}
 	rng := rand.New(rand.NewPCG(*seed, 1))
 

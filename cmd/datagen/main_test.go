@@ -115,6 +115,9 @@ func TestRejectsBadArguments(t *testing.T) {
 		{"-kind", "clustered", "-cluster", "0", "-out", out},
 		{"-kind", "images", "-imgdim", "-3", "-out", out},
 		{"-kind", "images", "-subjects", "-1", "-out", out},
+		{"-kind", "clustered", "-eps", "NaN", "-out", out},
+		{"-kind", "clustered", "-eps", "Inf", "-out", out},
+		{"-kind", "clustered", "-eps", "-Inf", "-out", out},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

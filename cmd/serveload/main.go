@@ -145,6 +145,16 @@ func run(out io.Writer, args []string) error {
 		return fmt.Errorf("-knnfrac must be in [0, 1], got %v", *knnFrac)
 	case *maxInFlight < 1:
 		return fmt.Errorf("-maxinflight must be at least 1, got %d", *maxInFlight)
+	// The daemon answers 400 to every query of the first two kinds; a
+	// JSON body cannot carry a NaN or an infinity at all.
+	case *k < 1:
+		return fmt.Errorf("-k must be at least 1, got %d", *k)
+	case !(*radius >= 0) || math.IsInf(*radius, 1):
+		return fmt.Errorf("-r must be finite and not negative, got %v", *radius)
+	case !(*epsilon >= 0) || math.IsInf(*epsilon, 1):
+		return fmt.Errorf("-epsilon must be finite and not negative, got %v", *epsilon)
+	case *budget < 0:
+		return fmt.Errorf("-budget must not be negative, got %d", *budget)
 	}
 	base := *addr
 	if !strings.Contains(base, "://") {

@@ -97,6 +97,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-knnfrac", "1.5"},
 		{"-knnfrac", "NaN"},
 		{"-maxinflight", "0"},
+		{"-k", "0"},
+		{"-k", "-3"},
+		{"-r", "-0.1"},
+		{"-r", "NaN"},
+		{"-r", "Inf"},
+		{"-epsilon", "-0.5"},
+		{"-epsilon", "NaN"},
+		{"-epsilon", "Inf"},
+		{"-budget", "-1"},
 	} {
 		if err := run(&bytes.Buffer{}, args); err == nil {
 			t.Errorf("%v accepted", args)

@@ -190,7 +190,7 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 			for i, j := range act {
 				m := &ms[j]
 				w := m.rp + t.slack
-				m.sc.qlo[plen], m.sc.qhi[plen] = window(dv[i]-w, dv[i]+w, t.step)
+				m.sc.qlo[plen], m.sc.qhi[plen] = t.window(dv[i]-w, dv[i]+w)
 			}
 			plen++
 		}
@@ -298,7 +298,7 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 		if n.hasSV2() {
 			d2 = bs.dv[1][i]
 		}
-		total += t.scanLeaf(ni, m.q, m.r, m.rp, bs.dv[0][i], d2, nil, m.sc, &m.out, &m.s)
+		total += t.scan(ni, m.q, m.r, m.rp, bs.dv[0][i], d2, nil, m.sc, &m.out, &m.s)
 	}
 	t.dist.Add(int64(total))
 }

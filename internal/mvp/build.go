@@ -2,6 +2,7 @@ package mvp
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"mvptree/internal/build"
@@ -34,7 +35,8 @@ type construction[T any] struct {
 	paths  []float64
 	raw    []float64
 	top    atomic.Uint64 // the bits of raw's largest finite distance, leaf by leaf
-	slack  atomic.Uint64 // the bits of the filter's slack, piece by piece
+	mu     sync.Mutex
+	sum    codeSum // the filter's codes, piece by piece (sealPiece)
 	tasks  []task
 	splits []split
 	span   int // the task indices of one node's split tasks of one kind
@@ -300,15 +302,16 @@ func raise(a *atomic.Uint64, x float64) {
 
 // seal puts the leaves' distances on the tree's grid, whose step the
 // largest of them set as the leaves were built, and finishes every leaf,
-// in pieces of the node rows on the build's pool (sealPiece). Load stamps
-// the codes it reads in one piece.
+// in pieces of the node rows on the build's pool (sealPiece), then the
+// filter (Tree.settle). Load stamps the codes it reads in one piece
+// (sealLeaves).
 func (c *construction[T]) seal() {
 	t := c.t
 	t.step = math.Ldexp(1, expFor(math.Float64frombits(c.top.Load())))
 	t.filter = make([]uint16, len(c.raw))
 	first := c.splitTasks(len(c.splits), 0)
 	c.b.ForkRange(first, first+c.sealPieces(), c.run)
-	t.slack = math.Float64frombits(c.slack.Load())
+	t.settle(c.sum)
 }
 
 // sealPieces is the number of pieces seal cuts the node rows into: one a
@@ -320,11 +323,14 @@ func (c *construction[T]) sealPieces() int {
 	return 1
 }
 
-// sealPiece stamps the leaves of seal's piece i (Tree.stamp) and raises
-// the tree's slack to theirs.
+// sealPiece stamps the leaves of seal's piece i (Tree.stamp) and adds
+// the sum of their codes to the build's.
 func (c *construction[T]) sealPiece(i int) {
 	lo, hi := build.GroupBounds(len(c.t.nodes), c.sealPieces(), i)
-	raise(&c.slack, c.t.stamp(c.raw, lo, hi))
+	sum := c.t.stamp(c.raw, lo, hi)
+	c.mu.Lock()
+	c.sum = c.sum.add(sum)
+	c.mu.Unlock()
 }
 
 // measure fills keys with the distances from v to the points in ids and

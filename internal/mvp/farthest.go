@@ -82,9 +82,8 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out
 		}
 	}
 	n := &t.nodes[i]
-	items, rows, stride := t.leaf(n)
-	for i, it := range items {
-		lb, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2(), d[0], d[1], qpath)
+	for i, it := range t.leafItems(n) {
+		lb, ub := t.itemBounds(n, i, d[0], d[1], qpath)
 		switch {
 		case ub < r:
 			// Provably too close.
@@ -99,18 +98,30 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out
 	}
 }
 
+// itemBounds is leafBounds of item i of leaf n, over the filter arena the
+// tree holds.
+func (t *Tree[T]) itemBounds(n *node, i int, d1, d2 float64, qpath []float64) (lb, ub float64) {
+	if t.narrow != nil {
+		rows, stride := leafRows(t.narrow, n)
+		return leafBounds(t, rows[i*stride:][:stride], n.hasSV2(), d1, d2, qpath)
+	}
+	rows, stride := leafRows(t.filter, n)
+	return leafBounds(t, rows[i*stride:][:stride], n.hasSV2(), d1, d2, qpath)
+}
+
 // leafBounds returns lower and upper triangle-inequality bounds on the
 // distance from the query to a leaf item, from its stored filter row and
-// the query's qpath; the row is codes, so both give the slack away.
-func (t *Tree[T]) leafBounds(row []uint16, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
-	x1 := t.decode(row[0])
+// the query's qpath; the row is codes, so both give the slack away. A
+// narrow code is decoded as the wide code it stands for.
+func leafBounds[T any, C code](t *Tree[T], row []C, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
+	x1 := t.decode(uint16(row[0]) << t.shift)
 	lb, ub = abs(d1-x1), d1+x1
 	if hasSV2 {
-		x2 := t.decode(row[1])
+		x2 := t.decode(uint16(row[1]) << t.shift)
 		lb, ub = max(lb, abs(d2-x2)), min(ub, d2+x2)
 	}
 	for l, c := range row[2:] {
-		pd := t.decode(c)
+		pd := t.decode(uint16(c) << t.shift)
 		lb, ub = max(lb, abs(qpath[l]-pd)), min(ub, qpath[l]+pd)
 	}
 	return lb - t.slack, ub + t.slack
@@ -216,9 +227,8 @@ func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, best *heapx.KLarg
 		best.Push(sv, d[j])
 	}
 	n := &t.nodes[i]
-	items, rows, stride := t.leaf(n)
-	for i, it := range items {
-		_, ub := t.leafBounds(rows[i*stride:(i+1)*stride], n.hasSV2(), d[0], d[1], qpath)
+	for i, it := range t.leafItems(n) {
+		_, ub := t.itemBounds(n, i, d[0], d[1], qpath)
 		if best.Accepts(ub) {
 			best.Push(it, t.dist.Distance(q, it))
 		}

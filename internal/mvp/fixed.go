@@ -70,19 +70,118 @@ func encode(x, step float64) uint16 {
 }
 
 // slackOf bounds what encode may have rounded off the stored distances.
-func slackOf(codes []uint16, step float64) float64 {
-	var odd uint16
+func slackOf(codes []uint16, step float64) float64 { return sumOf(codes).slack(step) }
+
+// codeSum is what the filter's rules read of a set of codes: all, their
+// OR, and top, the largest.
+type codeSum struct{ all, top uint16 }
+
+// sumOf returns the codeSum of codes; add joins two sums.
+func sumOf(codes []uint16) (s codeSum) {
 	for _, c := range codes {
-		if c == idleCode {
-			return math.Inf(1)
-		}
-		odd |= c
+		s.all, s.top = s.all|c, max(s.top, c)
 	}
-	return float64(odd&1) * step
+	return s
+}
+
+func (s codeSum) add(o codeSum) codeSum { return codeSum{s.all | o.all, max(s.top, o.top)} }
+
+// slack is slackOf the codes: +Inf when one is idleCode, the largest
+// there is, else step when one is odd, else 0.
+func (s codeSum) slack(step float64) float64 {
+	if s.top == idleCode {
+		return math.Inf(1)
+	}
+	return float64(s.all&1) * step
 }
 
 // decode returns the distance code c stands for; exact.
 func (t *Tree[T]) decode(c uint16) float64 { return float64(c) * t.step }
+
+// The tree holds its leaf codes in bytes when a byte loses nothing: the
+// slack is 0 and every code is a multiple of 2^s, s the smallest shift
+// that brings the largest code to narrowTop or below. The arena then
+// holds c>>s, codes on the grid of step·2^s, which stand for the same
+// distances. Integer distances up to 254 always are (edit distances over
+// words: a few dozen at most). The rule reads only the codes, so a build
+// and a Load of its Save reach the same width; Save writes the codes
+// widened again (wideCode), and the step, top1 and top2 are the wide
+// grid's whatever the width.
+const narrowTop = 1<<8 - 2
+
+// code is the type of a leaf filter code: uint16 on the tree's grid, or
+// a byte on the grid 2^shift times as coarse.
+type code interface{ uint8 | uint16 }
+
+// shift returns the shift that puts every code in a byte exactly, and
+// whether there is one: an odd code is off the grid or idle, slack a
+// byte would hide.
+func (s codeSum) shift() (shift uint8, ok bool) {
+	for s.top>>shift > narrowTop {
+		shift++
+	}
+	return shift, s.all&1 == 0 && s.all&(1<<shift-1) == 0
+}
+
+// settle sets the tree's slack from sum, the sum of its codes, and moves
+// the filter arena into bytes where they hold every code exactly: one
+// pass over the codes once they are all in place. The build's seal and
+// Load end here.
+func (t *Tree[T]) settle(sum codeSum) {
+	t.slack = sum.slack(t.step)
+	shift, ok := sum.shift()
+	if !ok || len(t.filter) == 0 {
+		return
+	}
+	narrow := make([]uint8, len(t.filter))
+	for i, c := range t.filter {
+		narrow[i] = uint8(c >> shift)
+	}
+	t.filter, t.narrow, t.shift = nil, narrow, shift
+}
+
+// wideCode returns the code on the tree's grid that the byte c of a
+// narrow arena stands for: what Save writes for it.
+func (t *Tree[T]) wideCode(c uint8) uint16 { return uint16(c) << t.shift }
+
+// codeAt returns the j-th code of the filter arena on the tree's grid,
+// whatever its width.
+func (t *Tree[T]) codeAt(j int) uint16 {
+	if t.narrow != nil {
+		return t.wideCode(t.narrow[j])
+	}
+	return t.filter[j]
+}
+
+// Widen keeps the leaf filter in 16-bit codes from now on, as a tree
+// whose codes a byte cannot hold does: answers, stats, counts and Save
+// bytes are the same either way, FilterBytes doubles. It is the wide twin
+// of the differential tests. It is not synchronized with in-flight
+// queries.
+func (t *Tree[T]) Widen() {
+	if t.narrow == nil {
+		return
+	}
+	t.filter = make([]uint16, len(t.narrow))
+	for i, c := range t.narrow {
+		t.filter[i] = t.wideCode(c)
+	}
+	t.narrow, t.shift = nil, 0
+}
+
+// window is window on the tree's grid, narrowed to the arena it holds.
+func (t *Tree[T]) window(lo, hi float64) (lo16, hi16 uint16) {
+	return t.narrowed(window(lo, hi, t.step))
+}
+
+// narrowed returns, of a window lo ≤ c ≤ hi of codes on the tree's grid,
+// the codes of the arena the tree holds whose wide codes it keeps: the
+// same window when the arena is wide, else the bytes b with
+// lo ≤ b<<shift ≤ hi. Every byte then passes exactly where its wide code
+// would, whatever the bounds (docs/CORRECTNESS.md §2).
+func (t *Tree[T]) narrowed(lo, hi uint16) (uint16, uint16) {
+	return uint16((uint32(lo) + 1<<t.shift - 1) >> t.shift), hi >> t.shift
+}
 
 // window returns the codes lo16 ≤ c ≤ hi16 of the values inside [lo, hi]
 // on the grid of step. The divisions are exact, so no code in the window

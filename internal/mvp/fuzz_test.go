@@ -33,7 +33,8 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 // matching CRC under every magic Load knows — the four it reads and the
 // retired one it refuses. Load must never panic, never allocate beyond a
 // small multiple of its input, and whatever it returns must pass the
-// shape half of Validate, answer every query kind without panicking and
+// shape half of Validate, answer every query kind without panicking, as
+// its wide twin (the same stream loaded again and widened) does, and
 // survive Save → Load → Save byte for byte. Items decode as strings under
 // edit distance, so any bytes are an item.
 func FuzzLoad(f *testing.F) {
@@ -62,7 +63,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(saved(f, words[:20], metric.Edit, enc, Options{})) // a whole stream: loads raw, nests sealed
 	// What Save writes is MVPTREE4; the payloads earlier versions wrote.
-	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp", "testdata/pr19_mvptree2.mvp", "testdata/pr19_vptree1.vp", "testdata/pr22_mvptree3.mvp", "testdata/pr30_mvptree4.mvp"} {
+	for _, name := range []string{"testdata/pr14_float64_leaves.mvp", "testdata/pr18_float32_leaves.mvp", "testdata/pr19_mvptree2.mvp", "testdata/pr19_vptree1.vp", "testdata/pr22_mvptree3.mvp", "testdata/pr22_words_m3k20p5.mvp", "testdata/pr30_mvptree4.mvp"} {
 		old, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
@@ -73,6 +74,10 @@ func FuzzLoad(f *testing.F) {
 	dec := func(b []byte) (string, error) { return string(b), nil }
 	load := func(stream []byte) (*Tree[string], error) {
 		return Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)
+	}
+	var probes []index.Query[string]
+	for _, q := range []string{"", "probe"} {
+		probes = append(probes, index.RangeQuery(q, 0), index.RangeQuery(q, 1), index.RangeQuery(q, 2), index.KNNQuery(q, 3))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		streams := [][]byte{payload}
@@ -93,14 +98,14 @@ func FuzzLoad(f *testing.F) {
 			if _, err := tree.checkShape(); err != nil {
 				t.Fatalf("loaded tree fails the shape check: %v", err)
 			}
-			for _, q := range []string{"", "probe"} {
-				tree.Range(q, 1)
-				tree.KNN(q, 3)
-				tree.RangeFarther(q, 2)
-				tree.KFarthest(q, 3)
+			wide, err := load(stream)
+			if err != nil {
+				t.Fatalf("the same stream loaded, then failed to: %v", err)
 			}
-			reqs := []index.Query[string]{index.RangeQuery("probe", 2), index.RangeQuery("", 0)}
-			tree.SearchBatch(reqs, make([]index.Result[string], len(reqs)))
+			wide.Widen()
+			if err := wideDiff(tree, wide, probes); err != nil {
+				t.Fatalf("the loaded tree and its wide twin: %v", err)
+			}
 
 			var first, second bytes.Buffer
 			if err := tree.Save(&first, enc); err != nil {

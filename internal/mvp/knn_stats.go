@@ -205,22 +205,23 @@ func (nb *nearest[T]) publish() {
 // knnWindows derives a kNN leaf scan's code windows from tauP = τ′/(1+ε):
 // D1's and D2's, returned, the PATH's into sc.qlo/qhi and the cascade's
 // into sc.clo/chi. Each is the run of codes its column's float bound
-// keeps (knnWindow), and a NaN opens what it opened in the bound's max
-// over the columns: a NaN d1 every column of the leaf's own, a NaN pivot
-// distance every cascade column, any other NaN its own column. An idle
-// filter (slack +Inf) keeps every code, even against a bound of +Inf.
+// keeps (knnWindow; the leaf's columns narrowed to the arena the tree
+// holds), and a NaN opens what it opened in the bound's max over the
+// columns: a NaN d1 every column of the leaf's own, a NaN pivot distance
+// every cascade column, any other NaN its own column. An idle filter
+// (slack +Inf) keeps every code, even against a bound of +Inf.
 func (t *Tree[T]) knnWindows(tauP float64, nb *nearest[T], sc *queryScratch[T]) (d1lo, d1hi, d2lo, d2hi uint16) {
 	b := tauP + t.slack
 	if math.IsInf(t.slack, 1) {
 		b = math.NaN()
 	}
-	d1lo, d1hi = knnWindow(nb.d[0], 0, b, t.step)
+	d1lo, d1hi = t.narrowed(knnWindow(nb.d[0], 0, b, t.step))
 	if math.IsNaN(nb.d[0]) {
 		b = math.NaN()
 	}
-	d2lo, d2hi = knnWindow(nb.d[1], 0, b, t.step)
+	d2lo, d2hi = t.narrowed(knnWindow(nb.d[1], 0, b, t.step))
 	for l, qd := range nb.qpath {
-		sc.qlo[l], sc.qhi[l] = knnWindow(qd, 0, b, t.step)
+		sc.qlo[l], sc.qhi[l] = t.narrowed(knnWindow(qd, 0, b, t.step))
 	}
 	if slices.ContainsFunc(sc.cqd, math.IsNaN) {
 		tauP = math.NaN()

@@ -28,9 +28,10 @@
 // vantage point is the paper's: the farthest point from the first.
 //
 // Leaves also store each point's distances to the leaf's own two vantage
-// points (the D1/D2 arrays of the paper; 16-bit codes, see fixed.go), and k is
-// typically made large so that most points live in leaves, delaying the
-// major filtering step to the leaf level where it is cheapest.
+// points (the D1/D2 arrays of the paper; 16-bit codes, or bytes where a
+// byte is exact, see fixed.go), and k is typically made large so that
+// most points live in leaves, delaying the major filtering step to the
+// leaf level where it is cheapest.
 //
 // Queries (Range, KNN and their variants) read only immutable state and
 // are safe to run concurrently against one instance; the shared
@@ -171,9 +172,13 @@ type Tree[T any] struct {
 	// The two leaf arenas, in leaf order: every leaf item, and per item
 	// one filter row (D1, D2, the leaf's held PATH entries) of fixed-point
 	// codes: a code c stands for the distance c·step, and slack is what
-	// putting the distances on that grid may have lost; see fixed.go.
+	// putting the distances on that grid may have lost; see fixed.go. The
+	// rows are in filter, or in narrow as c>>shift when a byte holds every
+	// code exactly (settle); the other is nil.
 	items      []T
 	filter     []uint16
+	narrow     []uint8
+	shift      uint8
 	step       float64
 	slack      float64
 	buildStats build.Stats
@@ -239,11 +244,18 @@ func (t *Tree[T]) vantages(i int32) []T { return t.vps[int(i)*t.v:][:t.v] }
 // without items (rangeBare).
 func (t *Tree[T]) points(i int32) []T { return t.vantages(i)[:t.nodes[i].svs] }
 
-// leaf returns leaf n's items and rows; item i's is rows[i*stride:][:stride].
-func (t *Tree[T]) leaf(n *node) (items []T, rows []uint16, stride int) {
+// leafItems returns leaf n's items.
+func (t *Tree[T]) leafItems(n *node) []T { return t.items[n.off : n.off+n.cnt] }
+
+// leafRows returns leaf n's rows in codes, the filter arena at either
+// width; item i's is rows[i*stride:][:stride].
+func leafRows[C code](codes []C, n *node) (rows []C, stride int) {
 	stride = 2 + int(n.held)
-	return t.items[n.off : n.off+n.cnt], t.filter[n.foff : n.foff+int(n.cnt)*stride], stride
+	return codes[n.foff : n.foff+int(n.cnt)*stride], stride
 }
+
+// codes is the length of the filter arena, whatever its width.
+func (t *Tree[T]) codes() int { return len(t.filter) + len(t.narrow) }
 
 // maxD returns what the kernels of leaf n's two vantage points may
 // abandon past, over the radius: the largest stored D1 and D2 plus the
@@ -307,22 +319,22 @@ func (t *Tree[T]) encodeLeaves(raw []float64, exp int) {
 }
 
 // sealLeaves derives from the filled filter arena the tree's slack and
-// every leaf's top1 and top2; Load ends here. It is the build's seal in
-// one piece, over codes already in place.
-func (t *Tree[T]) sealLeaves() { t.slack = t.stamp(nil, 0, len(t.nodes)) }
+// every leaf's top1 and top2, and moves the arena into bytes where a byte
+// is exact; Load ends here. It is the build's seal in one piece, over
+// codes already in place.
+func (t *Tree[T]) sealLeaves() { t.settle(t.stamp(nil, 0, len(t.nodes))) }
 
 // stamp finishes the leaves among nodes [lo, hi): it puts their rows of
 // raw — the distances laid out as the filter arena is — on the tree's
 // grid (raw nil: the codes are in place), sets each one's top1 and top2,
-// and returns the slack of their codes (slackOf). The tree's slack is the
-// largest of its pieces'.
-func (t *Tree[T]) stamp(raw []float64, lo, hi int) (slack float64) {
+// and returns the sum of their codes. The tree's is that of its pieces'.
+func (t *Tree[T]) stamp(raw []float64, lo, hi int) (sum codeSum) {
 	for i := lo; i < hi; i++ {
 		n := &t.nodes[i]
 		if n.internal {
 			continue
 		}
-		_, rows, stride := t.leaf(n)
+		rows, stride := leafRows(t.filter, n)
 		if raw != nil {
 			for j, x := range raw[n.foff : n.foff+len(rows)] {
 				rows[j] = encode(x, t.step)
@@ -332,9 +344,9 @@ func (t *Tree[T]) stamp(raw []float64, lo, hi int) (slack float64) {
 		for r := rows; len(r) > 0; r = r[stride:] {
 			n.top1, n.top2 = max(n.top1, r[0]), max(n.top2, r[1])
 		}
-		slack = max(slack, slackOf(rows, t.step))
+		sum = sum.add(sumOf(rows))
 	}
-	return slack
+	return sum
 }
 
 // cutMax is the bound inner caches for a vantage point's cutoffs.
@@ -441,15 +453,17 @@ type Stats struct {
 	LeafItems     int // data points stored in leaves
 	Height        int
 	MaxPathLen    int // longest retained PATH across all leaf points
-	FilterBytes   int // the filter arena: 2·(2+held) per leaf item
+	FilterBytes   int // the filter arena: w·(2+held) per leaf item, w 1 or 2 (settle)
 	// NodeBytes is the four node arenas: a 24-byte row and v vantage-point
 	// slots per node and, per internal node, its cutoffs and child indices.
 	// With LeafItems item slots and FilterBytes it is the whole index.
 	NodeBytes int
-	// FilterStep is the grid the leaf distances are stored on and
-	// FilterSlack what that may have cost each of them: 0 (every distance
-	// is on the grid), FilterStep, or +Inf (a distance was not a number
-	// the grid holds, and the leaf filter passes everything). The step is
+	// FilterStep is the grid the leaf distances are stored on — the
+	// 16-bit codes' grid, which Save writes, also when the arena holds
+	// them in bytes — and FilterSlack what that may have cost each of
+	// them: 0 (every distance is on the grid), FilterStep, or +Inf (a
+	// distance was not a number the grid holds, and the leaf filter passes
+	// everything). The step is
 	// tree-wide and set by the largest stored distance, so one far outlier
 	// coarsens it for all; see docs/TUNING.md.
 	FilterStep, FilterSlack float64
@@ -465,7 +479,7 @@ func (t *Tree[T]) Shape() Stats {
 	var zero T
 	s := Stats{
 		Nodes: len(t.nodes), LeafItems: len(t.items), Height: t.height,
-		FilterBytes: len(t.filter) * int(unsafe.Sizeof(t.filter[0])),
+		FilterBytes: len(t.filter)*int(unsafe.Sizeof(t.filter[0])) + len(t.narrow),
 		NodeBytes: len(t.nodes)*int(unsafe.Sizeof(node{})) + len(t.vps)*int(unsafe.Sizeof(zero)) +
 			len(t.cuts)*int(unsafe.Sizeof(t.cuts[0])) + len(t.kids)*int(unsafe.Sizeof(t.kids[0])),
 		FilterStep: t.step, FilterSlack: t.slack,

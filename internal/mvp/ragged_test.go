@@ -194,6 +194,8 @@ func TestRaggedShapesAreSizesAlone(t *testing.T) {
 						}
 						shape := tree.Shape()
 						shape.FilterStep, shape.FilterSlack = 0, 0 // the grid follows the largest distance stored
+						// The codes' width follows their values (settle); their number is the sizes'.
+						shape.FilterBytes = 2 * tree.codes()
 						// Recorded before Stats had the cascade's fields, zero in a tree nothing armed.
 						line, ok := strings.CutSuffix(fmt.Sprintf("%+v", shape), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0}")
 						if !ok {

@@ -21,7 +21,8 @@ import (
 // costly domains). Items are serialized through caller-supplied
 // encode/decode functions; everything else (cutoffs, D1/D2, PATH
 // arrays, shape) is stored verbatim — the leaf distances as the 16-bit
-// codes the tree holds, with the step they count in the header.
+// codes of the tree's grid, with the step they count in the header, also
+// when the tree holds them in bytes.
 
 // ItemEncoder serializes one item.
 type ItemEncoder[T any] func(T) ([]byte, error)
@@ -65,7 +66,7 @@ const saveBuffer = 64 << 10
 func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	_, e := math.Frexp(t.step) // step = 0.5 · 2^e
 	header := []int{t.m, t.k, t.p, t.size, e - 1 - minStepExp, t.v,
-		len(t.nodes), t.size - len(t.items), len(t.items), len(t.cuts), len(t.kids), len(t.filter)}
+		len(t.nodes), t.size - len(t.items), len(t.items), len(t.cuts), len(t.kids), t.codes()}
 	for _, x := range header[6:] {
 		if x > wire.MaxBytes {
 			return fmt.Errorf("mvp: an arena of %d entries is past what a stream holds (%d)", x, wire.MaxBytes)
@@ -116,13 +117,20 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	}); err != nil {
 		return err
 	}
-	if err := putAll(bw, t.filter, 2, binary.LittleEndian.AppendUint16); err != nil {
+	// The codes on the tree's grid, a narrow arena's widened.
+	err := putAll(bw, t.filter, 2, binary.LittleEndian.AppendUint16)
+	if err == nil && t.narrow != nil {
+		err = putAll(bw, t.narrow, 2, func(b []byte, c uint8) []byte {
+			return binary.LittleEndian.AppendUint16(b, t.wideCode(c))
+		})
+	}
+	if err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, cw.sum))
+	_, err = w.Write(binary.LittleEndian.AppendUint32(nil, cw.sum))
 	return err
 }
 

@@ -146,7 +146,7 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 			*out = append(*out, sv)
 		}
 		if plen < t.p {
-			sc.qlo[plen], sc.qhi[plen] = window(d[j]-w, d[j]+w, t.step)
+			sc.qlo[plen], sc.qhi[plen] = t.window(d[j]-w, d[j]+w)
 			plen++
 		}
 	}
@@ -232,8 +232,16 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, nb *nearest[T], sc *que
 	if nb != nil {
 		rp, nb.d = a.Shrink(r), d
 	}
-	t.dist.Add(int64(vantages + t.scanLeaf(i, q, r, rp, d[0], d[1], nb, sc, out, s)))
+	t.dist.Add(int64(vantages + t.scan(i, q, r, rp, d[0], d[1], nb, sc, out, s)))
 	nb.publish()
+}
+
+// scan runs scanLeaf over the filter arena the tree holds.
+func (t *Tree[T]) scan(ni int32, q T, r, rp, d1, d2 float64, nb *nearest[T], sc *queryScratch[T], out *[]T, s *SearchStats) int {
+	if t.narrow != nil {
+		return scanLeaf(t, t.narrow, ni, q, r, rp, d1, d2, nb, sc, out, s)
+	}
+	return scanLeaf(t, t.filter, ni, q, r, rp, d1, d2, nb, sc, out, s)
 }
 
 // scanLeaf is the candidate loop of rangeLeaf, given the distances d1 and
@@ -242,19 +250,22 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, nb *nearest[T], sc *que
 // code in the tree and a function of its own so that nothing outside it
 // competes for its registers: it hoists the filter windows, slice headers
 // and the budget test, keeps the stage tallies in locals, and adds them
-// to the query's stats once per leaf.
-func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, nb *nearest[T], sc *queryScratch[T], out *[]T, s *SearchStats) int {
+// to the query's stats once per leaf. codes is the tree's filter arena,
+// 16-bit or narrow; the windows are on its grid (Tree.narrowed), and a
+// code is compared zero-extended.
+func scanLeaf[T any, C code](t *Tree[T], codes []C, ni int32, q T, r, rp, d1, d2 float64, nb *nearest[T], sc *queryScratch[T], out *[]T, s *SearchStats) int {
 	n, kernel := &t.nodes[ni], t.dist.Kernel()
 	hasSV2 := n.hasSV2()
 	var d1lo, d1hi, d2lo, d2hi uint16
 	if nb == nil {
 		w := rp + t.slack
-		d1lo, d1hi = window(d1-w, d1+w, t.step)
-		d2lo, d2hi = window(d2-w, d2+w, t.step)
+		d1lo, d1hi = t.window(d1-w, d1+w)
+		d2lo, d2hi = t.window(d2-w, d2+w)
 	} else {
 		d1lo, d1hi, d2lo, d2hi = t.knnWindows(rp, nb, sc)
 	}
-	items, rows, stride := t.leaf(n)
+	items := t.leafItems(n)
+	rows, stride := leafRows(codes, n)
 	// held == plen: both are min(p, v·depth) (Load checks the stream's).
 	qlo := sc.qlo[:n.held]
 	qhi := sc.qhi[:n.held]
@@ -265,32 +276,40 @@ func (t *Tree[T]) scanLeaf(ni int32, q T, r, rp, d1, d2 float64, nb *nearest[T],
 	useQuant := sc.quantOn && t.qcodes != nil
 	cand := len(items)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
-items:
-	for i := range items {
+	for i := 0; i < len(items); i++ {
 		// |d(Q,SV) − d(Si,SV)| > rp ⟹ d(Q,Si) > rp by the triangle
 		// inequality; likewise for every retained PATH entry. The D2
 		// window only applies when the leaf actually has a second
 		// vantage point (a single-vantage leaf stores no D2 distances,
-		// and d2 would be a meaningless zero).
-		o := i * stride
-		if x := rows[o]; x < d1lo || x > d1hi {
-			filteredD++
-			continue
-		}
-		if hasSV2 {
-			if x := rows[o+1]; x < d2lo || x > d2hi {
+		// and d2 would be a meaningless zero). The rows these windows
+		// exclude are skipped in a loop of their own, which calls nothing
+		// and so keeps what it reads in registers.
+	skip:
+		for ; i < len(items); i++ {
+			o := i * stride
+			if x := uint16(rows[o]); x < d1lo || x > d1hi {
 				filteredD++
 				continue
 			}
-		}
-		// Ranging over the window slice lets the compiler drop the
-		// path[l] bounds check.
-		path := rows[o+2:][:len(qlo)]
-		for l, lo := range qlo {
-			if pd := path[l]; pd < lo || pd > qhi[l] {
-				filteredPath++
-				continue items
+			if hasSV2 {
+				if x := uint16(rows[o+1]); x < d2lo || x > d2hi {
+					filteredD++
+					continue
+				}
 			}
+			// Ranging over the window slice lets the compiler drop the
+			// path[l] bounds check.
+			path := rows[o+2:][:len(qlo)]
+			for l, lo := range qlo {
+				if pd := uint16(path[l]); pd < lo || pd > qhi[l] {
+					filteredPath++
+					continue skip
+				}
+			}
+			break
+		}
+		if i == len(items) {
+			break
 		}
 		// Last filter: the cascade's columns, PATH entries to the pivots
 		// the query paid for up front, in windows of their own grid.

@@ -32,12 +32,27 @@ func (t *Tree[T]) Validate() error {
 
 // checkGrid verifies what decode and window assume of the filter arena:
 // a step that is a power of two, and the slack the codes call for — so no
-// odd code under slack 0, and none past topCode under a finite slack.
+// odd code under slack 0, and none past topCode under a finite slack. A
+// narrow arena holds no byte past narrowTop, and widened it is an arena
+// of slack 0 (settle).
 func (t *Tree[T]) checkGrid() error {
 	if f, e := math.Frexp(t.step); f != 0.5 || e-1 < minStepExp || e-1 > maxStepExp {
 		return fmt.Errorf("mvp: filter step %g is not a power of two a tree can have", t.step)
 	}
-	if want := slackOf(t.filter, t.step); t.slack != want {
+	codes := t.filter
+	if t.narrow != nil {
+		codes = make([]uint16, len(t.narrow))
+		for i, c := range t.narrow {
+			if c > narrowTop || uint32(c)<<t.shift > topCode {
+				return fmt.Errorf("mvp: narrow filter code %d at shift %d: past a byte code, or past the grid", c, t.shift)
+			}
+			codes[i] = t.wideCode(c)
+		}
+		if s := slackOf(codes, t.step); s != 0 {
+			return fmt.Errorf("mvp: a narrow filter arena widens to codes of slack %g", s)
+		}
+	}
+	if want := slackOf(codes, t.step); t.slack != want {
 		return fmt.Errorf("mvp: filter slack %g, the stored codes call for %g", t.slack, want)
 	}
 	return nil
@@ -109,9 +124,9 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 			return 0, fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances under bounds %v that are their largest", d, n.svs, t.v, bounds[:t.v])
 		}
 	}
-	if points != t.size || items != len(t.items) || floats != len(t.filter) || cuts != len(t.cuts) || kids != len(t.kids) {
+	if points != t.size || items != len(t.items) || floats != t.codes() || cuts != len(t.cuts) || kids != len(t.kids) {
 		return 0, fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d, its internal nodes %d cutoffs and %d child slots of %d and %d",
-			points, t.size, items, floats, len(t.items), len(t.filter), cuts, kids, len(t.cuts), len(t.kids))
+			points, t.size, items, floats, len(t.items), t.codes(), cuts, kids, len(t.cuts), len(t.kids))
 	}
 	return height, nil
 }
@@ -156,19 +171,19 @@ func ascending(xs []float64) bool {
 func (t *Tree[T]) validateNode(i int32, ancestors []T) error {
 	n, sv := &t.nodes[i], t.vantages(i)
 	if n.isLeaf() {
-		items, rows, stride := t.leaf(n)
-		for i, it := range items {
-			row := rows[i*stride : (i+1)*stride]
-			if got := t.dist.Distance(it, sv[0]); encode(got, t.step) != row[0] {
-				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(row[0]), got)
+		stride := 2 + int(n.held)
+		for i, it := range t.leafItems(n) {
+			row := n.foff + i*stride
+			if got, stored := t.dist.Distance(it, sv[0]), t.codeAt(row); encode(got, t.step) != stored {
+				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(stored), got)
 			}
 			if n.hasSV2() {
-				if got := t.dist.Distance(it, sv[1]); encode(got, t.step) != row[1] {
-					return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(row[1]), got)
+				if got, stored := t.dist.Distance(it, sv[1]), t.codeAt(row+1); encode(got, t.step) != stored {
+					return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(stored), got)
 				}
 			}
-			for l, stored := range row[2:] {
-				if got := t.dist.Distance(it, ancestors[l]); encode(got, t.step) != stored {
+			for l := range int(n.held) {
+				if got, stored := t.dist.Distance(it, ancestors[l]), t.codeAt(row+2+l); encode(got, t.step) != stored {
 					return fmt.Errorf("mvp: PATH[%d] = %g, metric now yields %g", l, t.decode(stored), got)
 				}
 			}
