@@ -10,11 +10,16 @@
 //
 // With -dir pointing at a directory containing a snapshot (written by a
 // previous run or by shard.Index.SaveDir), the index is loaded from
-// disk; otherwise a synthetic uniform-vector index is built at startup
-// and — when -dir is set — saved there, so a later POST /admin/reload
-// (or a fresh process) can pick it up. Reload loads the snapshot beside
-// the serving index and swaps it in atomically: in-flight requests
-// finish on the old index, no request fails.
+// disk, and every vector in it must have -dim coordinates. Otherwise a
+// synthetic uniform-vector index is built at startup, its filters are
+// armed, and the daemon listens; when -dir is set the snapshot is then
+// written there beside serving, one blob at a time, so a later POST
+// /admin/reload (or a fresh process) can pick it up. A reload, and the
+// shutdown, wait until that snapshot is committed; a save that fails
+// ends the daemon with a non-zero exit once in-flight requests drain.
+// Reload loads the snapshot beside the serving index and swaps it in
+// atomically: in-flight requests finish on the old index, no request
+// fails.
 //
 // Endpoints:
 //
@@ -26,7 +31,8 @@
 //	GET  /debug/vars   expvar, including the observer snapshot
 //
 // The process exits cleanly on SIGINT/SIGTERM: the listener stops, in
-// flight requests drain, the batchers shut down.
+// flight requests drain, the batchers shut down, and a snapshot still
+// being written is committed first.
 package main
 
 import (
@@ -106,14 +112,26 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n < 0 {
-		return fmt.Errorf("-n must be non-negative")
-	}
-	if *dim <= 0 {
-		return fmt.Errorf("-dim must be positive")
-	}
-	if *casPivots != 0 && !*casOn {
-		return fmt.Errorf("-cascadepivots needs -cascade")
+	// A value no default may stand in for silently; 0 keeps the meaning
+	// the help text gives it.
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*n < 0, "-n must be non-negative"},
+		{*dim <= 0, "-dim must be positive"},
+		{*shards < 1, "-shards must be at least 1"},
+		{*buildW < 0, "-buildworkers must be non-negative (0 = GOMAXPROCS)"},
+		{*maxBatch < 1, "-maxbatch must be at least 1"},
+		{*maxWait <= 0, "-maxwait must be positive"},
+		{*queue < 1, "-queue must be at least 1"},
+		{*workers < 0, "-workers must be non-negative (0 = GOMAXPROCS)"},
+		{*retryAfter <= 0, "-retryafter must be positive"},
+		{*casPivots != 0 && !*casOn, "-cascadepivots needs -cascade"},
+	} {
+		if c.bad {
+			return errors.New(c.msg)
+		}
 	}
 	qmode, err := quant.ParseMode(*quantize)
 	if err != nil {
@@ -130,8 +148,17 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	})
 
 	casOpts := cascade.Options{Pivots: *casPivots, Workers: *buildW}
+	// Every vector of every shard is held to -dim as it is decoded: the
+	// queries are, and the metric panics on two lengths.
+	decode := func(b []byte) ([]float64, error) {
+		v, err := codec.DecodeVector(b)
+		if err == nil && len(v) != *dim {
+			err = fmt.Errorf("snapshot holds %d-dimensional vectors, -dim is %d", len(v), *dim)
+		}
+		return v, err
+	}
 	load := func() (*shard.Index[[]float64], error) {
-		x, err := shard.LoadDir(*dir, metric.NewCounter(distFn), be, codec.DecodeVector)
+		x, err := shard.LoadDir(*dir, metric.NewCounter(distFn), be, decode)
 		if err != nil {
 			return nil, err
 		}
@@ -152,6 +179,11 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 	}
 
 	var x *shard.Index[[]float64]
+	// A built index is only read from here on, so its snapshot is written
+	// beside the queries; saveDone is nil once the save's outcome is
+	// reported, and when there is nothing to save.
+	var save *pendingSave
+	var saveDone <-chan struct{}
 	switch {
 	case *dir != "" && hasManifest(*dir):
 		start := time.Now()
@@ -173,7 +205,7 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		if err != nil {
 			return fmt.Errorf("building index: %w", err)
 		}
-		built := time.Since(start)
+		took := time.Since(start)
 		g := filterGrid(x)
 		// What the index adds to the heap beside the data it was handed:
 		// its arenas and an item header per leaf item, which the live heap
@@ -181,20 +213,7 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		// collection on the way to the first reply.
 		perItem := float64(g.NodeBytes+g.FilterBytes+g.LeafItems*int(unsafe.Sizeof(items[0]))) / float64(max(x.Len(), 1))
 		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
-			x.Len(), x.Shards(), built.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, g.FilterStep, g.FilterSlack)
-		if *dir != "" {
-			start := time.Now()
-			if err := x.SaveDir(*dir, be, codec.EncodeVector); err != nil {
-				return fmt.Errorf("saving snapshot to %s: %w", *dir, err)
-			}
-			saved := time.Since(start)
-			size, err := dirBytes(*dir)
-			if err != nil {
-				return fmt.Errorf("sizing snapshot in %s: %w", *dir, err)
-			}
-			fmt.Fprintf(out, "mvpserve: snapshot saved to %s in %v (%.1f B/item on disk)\n",
-				*dir, saved.Round(time.Millisecond), float64(size)/float64(max(x.Len(), 1)))
-		}
+			x.Len(), x.Shards(), took.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, perItem, g.FilterStep, g.FilterSlack)
 		if *casOn {
 			before := x.DistanceCount()
 			if err := x.EnableCascade(casOpts); err != nil {
@@ -210,6 +229,10 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 			}
 			fmt.Fprintf(out, "mvpserve: quantized pre-filter enabled (%s)\n", qmode)
 		}
+		if *dir != "" {
+			save = startSave(x, *dir, be)
+			saveDone = save.done
+		}
 	}
 
 	s := serve.New[[]float64](x, serve.VectorCodec(*dim), serve.Options{
@@ -221,19 +244,24 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		ExpvarName: "mvpserve",
 	})
 	defer s.Close()
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		_ = save.wait() // err is what failed; the save is only not left running
+		return err
+	}
 	if *dir != "" {
 		s.SetReloader(func() (index.Searcher[[]float64], error) {
+			// A reload reads what the first save commits.
+			if err := save.wait(); err != nil {
+				return nil, err
+			}
 			x, err := load()
 			if err != nil {
 				return nil, err
 			}
 			return x, nil
 		})
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
 	}
 	srv := &http.Server{Handler: s.Handler()}
 	fmt.Fprintf(out, "mvpserve: listening on %s\n", ln.Addr())
@@ -243,10 +271,30 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	// committed waits for the snapshot and prints its line from this
+	// goroutine, the only one that writes out.
+	committed := func() error {
+		saveDone = nil
+		if err := save.wait(); err != nil {
+			return err
+		}
+		fmt.Fprint(out, save.line)
+		return nil
+	}
+	var saveErr error
+serving:
+	for {
+		select {
+		case err := <-errc:
+			_ = save.wait() // as after a failed Listen
+			return err
+		case <-saveDone:
+			if saveErr = committed(); saveErr != nil {
+				break serving
+			}
+		case <-ctx.Done():
+			break serving
+		}
 	}
 	fmt.Fprintf(out, "mvpserve: shutting down\n")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -258,11 +306,61 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		return err
 	}
 	s.Close()
+	// The process leaves a loadable snapshot behind, or says it did not.
+	if saveDone != nil {
+		saveErr = committed()
+	}
 	st := s.Stats()
 	fmt.Fprintf(out, "mvpserve: served %d queries (%d range, %d knn), rejected %d, %d swaps\n",
 		st.Range.Queries+st.KNN.Queries, st.Range.Queries, st.KNN.Queries,
 		st.Range.Rejected+st.KNN.Rejected, st.Swaps)
-	return nil
+	return saveErr
+}
+
+// saveSnapshot writes a built index into dir one blob at a time, so the
+// save holds one P and leaves the rest to the queries beside it.
+var saveSnapshot = func(x *shard.Index[[]float64], dir string, be shard.Backend[[]float64]) error {
+	return x.SaveDirSerial(dir, be, codec.EncodeVector)
+}
+
+// pendingSave is a snapshot being written beside serving. Its goroutine
+// sets err, or the line run prints, and then closes done.
+type pendingSave struct {
+	done chan struct{}
+	err  error
+	line string
+}
+
+// startSave writes x's snapshot into dir on a goroutine of its own.
+func startSave(x *shard.Index[[]float64], dir string, be shard.Backend[[]float64]) *pendingSave {
+	p := &pendingSave{done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		start := time.Now()
+		if err := saveSnapshot(x, dir, be); err != nil {
+			p.err = fmt.Errorf("saving snapshot to %s: %w", dir, err)
+			return
+		}
+		took := time.Since(start)
+		size, err := dirBytes(dir)
+		if err != nil {
+			p.err = fmt.Errorf("sizing snapshot in %s: %w", dir, err)
+			return
+		}
+		p.line = fmt.Sprintf("mvpserve: snapshot saved to %s in %v (%.1f B/item on disk)\n",
+			dir, took.Round(time.Millisecond), float64(size)/float64(max(x.Len(), 1)))
+	}()
+	return p
+}
+
+// wait blocks until the snapshot is committed and returns the save's
+// error; there is nothing to wait for on a nil p.
+func (p *pendingSave) wait() error {
+	if p == nil {
+		return nil
+	}
+	<-p.done
+	return p.err
 }
 
 // filterGrid folds the shards' shapes (mvp.Stats) into what the start-up

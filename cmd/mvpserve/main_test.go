@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mvptree"
+	"mvptree/internal/shard"
 )
 
 // startDaemon runs the daemon on an ephemeral port and returns its base
@@ -232,4 +234,166 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if _, err := mvptree.ParseQuantizeMode("f32"); err == nil || !strings.Contains(err.Error(), "off, sq8") {
 		t.Fatalf("ParseQuantizeMode(f32): err=%v", err)
 	}
+	// Values a default used to replace silently fail, naming their flag.
+	for _, args := range [][]string{
+		{"-shards", "-3"},
+		{"-shards", "0"},
+		{"-maxbatch", "0"},
+		{"-queue", "0"},
+		{"-workers", "-1"},
+		{"-buildworkers", "-1"},
+		{"-maxwait", "0s"},
+		{"-retryafter", "-1s"},
+	} {
+		err := run(context.Background(), &bytes.Buffer{}, args, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" must be") {
+			t.Fatalf("%v: err=%v", args, err)
+		}
+	}
+}
+
+// saveSnapshotAt runs the daemon once at dim into dir and stops it, which
+// leaves a committed snapshot there.
+func saveSnapshotAt(t *testing.T, dim int, dir string) {
+	t.Helper()
+	_, _, shutdown := startDaemon(t, "-n", "300", "-dim", fmt.Sprint(dim), "-shards", "2", "-dir", dir)
+	shutdown()
+}
+
+// A snapshot of another dimension is refused: at start-up, naming both
+// dimensions, and on reload, where the old index keeps serving.
+func TestDaemonRefusesSnapshotOfOtherDimension(t *testing.T) {
+	six, eight := t.TempDir(), t.TempDir()
+	saveSnapshotAt(t, 6, six)
+	saveSnapshotAt(t, 8, eight)
+
+	// Cancelled up front: a daemon that loaded the snapshot stops at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := run(ctx, &bytes.Buffer{}, []string{"-addr", "127.0.0.1:0", "-dim", "8", "-dir", six}, nil)
+	if err == nil || !strings.Contains(err.Error(), "6-dimensional") || !strings.Contains(err.Error(), "-dim is 8") {
+		t.Fatalf("a 6-dimensional snapshot at -dim 8: err=%v", err)
+	}
+
+	base, _, shutdown := startDaemon(t, "-dim", "6", "-dir", six)
+	defer shutdown()
+	// Both snapshots are a first generation of two shards, so the 8-dim
+	// files replace the 6-dim ones name for name.
+	entries, err := os.ReadDir(eight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(eight, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(six, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, body := postJSON(t, base+"/admin/reload", nil)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "8-dimensional vectors, -dim is 6") {
+		t.Fatalf("reload of an 8-dimensional snapshot at -dim 6: status %d body %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, base+"/knn", map[string]any{"query": query(6, 0.5), "k": 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("knn after the refused reload: status %d body %s", resp.StatusCode, body)
+	}
+}
+
+// Stopped the moment it is ready, as the benchmark starts and stops it,
+// the daemon still commits the snapshot it was writing, and a fresh one
+// loads it.
+func TestDaemonCommitsSnapshotBeforeExit(t *testing.T) {
+	dir := t.TempDir()
+	for i := range 3 {
+		run := filepath.Join(dir, fmt.Sprint(i))
+		_, out, shutdown := startDaemon(t, "-n", "5000", "-dim", "8", "-shards", "2", "-dir", run)
+		shutdown()
+		if !strings.Contains(out.String(), "snapshot saved to "+run+" in ") {
+			t.Fatalf("run %d stopped without reporting its snapshot:\n%s", i, out.String())
+		}
+		if _, err := os.Stat(filepath.Join(run, "manifest.json")); err != nil {
+			t.Fatalf("run %d stopped without committing: %v", i, err)
+		}
+	}
+	_, out, shutdown := startDaemon(t, "-dim", "8", "-dir", filepath.Join(dir, "2"))
+	defer shutdown()
+	if !strings.Contains(out.String(), "loaded 5000 items") {
+		t.Fatalf("the committed snapshot did not load:\n%s", out.String())
+	}
+}
+
+// A save that fails ends run with its error once the daemon has served,
+// and a reload waiting for that save answers with the same error.
+func TestDaemonFailedSaveEndsRun(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "snap")
+	// The save is held until the reload waits for it.
+	release := make(chan struct{})
+	orig := saveSnapshot
+	saveSnapshot = func(x *shard.Index[[]float64], dir string, be shard.Backend[[]float64]) error {
+		<-release
+		return orig(x, dir, be)
+	}
+	defer func() { saveSnapshot = orig }()
+
+	ready, errc := make(chan string, 1), make(chan error, 1)
+	var out bytes.Buffer
+	go func() {
+		errc <- run(context.Background(), &out, []string{"-addr", "127.0.0.1:0", "-n", "300", "-dim", "6", "-dir", dir}, ready)
+	}()
+	var base string
+	select {
+	case addr := <-ready:
+		base = "http://" + addr
+	case err := <-errc:
+		t.Fatalf("run ended before it was ready: %v", err)
+	}
+	type reply struct {
+		status int
+		body   string
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(base+"/admin/reload", "application/json", nil)
+		if err != nil {
+			replies <- reply{body: err.Error()}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		replies <- reply{resp.StatusCode, buf.String()}
+	}()
+	for deadline := time.Now().Add(30 * time.Second); !strings.Contains(goroutines(), "(*pendingSave).wait"); {
+		if time.Now().After(deadline) {
+			t.Fatal("the reload never waited for the save")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	var err error
+	select {
+	case err = <-errc:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not end after its save failed")
+	}
+	if err == nil || !strings.HasPrefix(err.Error(), "saving snapshot to "+dir+": ") {
+		t.Fatalf("run returned %v\noutput:\n%s", err, out.String())
+	}
+	if r := <-replies; r.status != http.StatusInternalServerError || !strings.Contains(r.body, err.Error()) {
+		t.Fatalf("reload waiting for the failed save: status %d body %s", r.status, r.body)
+	}
+}
+
+// goroutines is the stack of every goroutine in the process.
+func goroutines() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
 }

@@ -183,6 +183,19 @@ func nextGeneration(dir string) uint64 {
 // under way has finished: the manifest is not touched, and a blob another
 // shard got into place is garbage the next save collects.
 func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error)) error {
+	return x.saveDir(dir, be, enc, x.opts.Workers)
+}
+
+// SaveDirSerial is SaveDir writing one blob at a time, whatever the
+// Workers: a save that runs beside serving then holds one P, and leaves
+// the others to the queries. The index is only read, so queries need no
+// ordering against it.
+func (x *Index[T]) SaveDirSerial(dir string, be Backend[T], enc func(T) ([]byte, error)) error {
+	return x.saveDir(dir, be, enc, 1)
+}
+
+// saveDir is SaveDir writing up to workers blobs at once (at least one).
+func (x *Index[T]) saveDir(dir string, be Backend[T], enc func(T) ([]byte, error), workers int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -204,7 +217,7 @@ func (x *Index[T]) SaveDir(dir string, be Backend[T], enc func(T) ([]byte, error
 	// Blobs first: fresh generation names, so nothing the live manifest
 	// references is touched.
 	errs := make([]error, len(x.shards))
-	sem := make(chan struct{}, max(1, x.opts.Workers))
+	sem := make(chan struct{}, max(1, workers))
 	var wg sync.WaitGroup
 	for i, s := range x.shards {
 		sem <- struct{}{}

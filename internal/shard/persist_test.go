@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvptree/internal/codec"
 	"mvptree/internal/dataset"
@@ -316,6 +317,58 @@ func TestSaveDirOneShardFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOnlyLive(t, dir)
+}
+
+// SaveDirSerial writes the blobs SaveDir writes, one shard after another
+// at whatever Workers the index was built with: while shard 0's first
+// item is held, no other shard's item is encoded.
+func TestSaveDirSerialOneBlobAtATime(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 2))
+	w := testutil.NewVectorWorkload(rng, 300, 6, 4, metric.L2)
+	enc, _ := intCodec()
+	be := MVP[int](mvpOpts)
+	x, err := New(w.Items, metric.NewCounter(w.Dist), be, Options{Shards: 3, Seed: 2, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inShard0 := map[int]bool{}
+	for _, it := range x.Shard(0).Items() {
+		inShard0[it] = true
+	}
+	var held atomic.Bool
+	beside := make(chan struct{}, 1)
+	serial, parallel := filepath.Join(t.TempDir(), "serial"), filepath.Join(t.TempDir(), "parallel")
+	if err := x.SaveDirSerial(serial, be, func(v int) ([]byte, error) {
+		if !inShard0[v] {
+			select {
+			case beside <- struct{}{}:
+			default:
+			}
+		} else if held.CompareAndSwap(false, true) {
+			select {
+			case <-beside:
+				t.Error("another shard was encoded beside shard 0")
+			case <-time.After(50 * time.Millisecond):
+			}
+		}
+		return enc(v)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.SaveDir(parallel, be, enc); err != nil {
+		t.Fatal(err)
+	}
+	m := readManifest(t, serial)
+	if p := readManifest(t, parallel); !slices.Equal(m.Blobs, p.Blobs) || !slices.Equal(m.Sizes, p.Sizes) {
+		t.Fatalf("manifests differ: %+v and %+v", m, p)
+	}
+	for _, name := range m.Blobs {
+		a, errA := os.ReadFile(filepath.Join(serial, name))
+		b, errB := os.ReadFile(filepath.Join(parallel, name))
+		if errA != nil || errB != nil || !slices.Equal(a, b) {
+			t.Fatalf("blob %s differs between the two saves (%v, %v)", name, errA, errB)
+		}
+	}
 }
 
 // The other torn shape: every new blob written but the manifest rename
