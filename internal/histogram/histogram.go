@@ -18,10 +18,15 @@ import (
 
 // Histogram is a fixed-bucket-width histogram over [0, ∞). Values are
 // assigned to bucket ⌊v / BucketWidth⌋; the bucket slice grows on demand.
+// A value with no bucket — NaN, +Inf (a metric whose arithmetic
+// overflowed) or one whose bucket index does not fit an int — is counted
+// in an overflow tally instead: it is in Total but not in Counts, Mean or
+// Max.
 type Histogram struct {
 	BucketWidth float64
 	Counts      []int64
 	total       int64
+	overflow    int64
 	sum         float64
 	max         float64
 }
@@ -36,40 +41,51 @@ func New(bucketWidth float64) *Histogram {
 }
 
 // Add records one value. Negative values are clamped to bucket 0 (they
-// cannot occur for metric distances).
+// cannot occur for metric distances); a value with no bucket goes to the
+// overflow tally.
 func (h *Histogram) Add(v float64) {
+	h.total++
+	f := v / h.BucketWidth
+	if math.IsNaN(f) || f >= math.MaxInt {
+		h.overflow++
+		return
+	}
 	b := 0
-	if v > 0 {
-		b = int(v / h.BucketWidth)
+	if f > 0 {
+		b = int(f)
 	}
 	for b >= len(h.Counts) {
 		h.Counts = append(h.Counts, 0)
 	}
 	h.Counts[b]++
-	h.total++
 	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
 }
 
-// Total reports the number of recorded values.
+// Total reports the number of recorded values, overflowed ones included.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Mean reports the mean of recorded values (0 when empty).
+// Overflow reports the number of recorded values that have no bucket.
+func (h *Histogram) Overflow() int64 { return h.overflow }
+
+// Mean reports the mean of the values in buckets (0 when there are none).
 func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
+	if h.total == h.overflow {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	return h.sum / float64(h.total-h.overflow)
 }
 
-// Max reports the largest recorded value.
+// Max reports the largest value in a bucket.
 func (h *Histogram) Max() float64 { return h.max }
 
 // Quantile returns an upper bound of the q-quantile (0 ≤ q ≤ 1) of the
 // recorded values, at bucket resolution: the right edge of the first
-// bucket whose cumulative count reaches q·Total.
+// bucket whose cumulative count reaches q·Total, or +Inf when the
+// quantile falls among the overflowed values, which rank above every
+// bucket.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -84,6 +100,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 		if cum >= target {
 			return float64(b+1) * h.BucketWidth
 		}
+	}
+	if h.overflow > 0 {
+		return math.Inf(1)
 	}
 	return float64(len(h.Counts)) * h.BucketWidth
 }
@@ -203,7 +222,8 @@ func PairwiseSampled[T any](rng *rand.Rand, items []T, fn metric.DistanceFunc[T]
 }
 
 // WriteTo prints the histogram as "bucket_start<TAB>count" rows followed
-// by a summary line, the textual form of the paper's Figures 4–7.
+// by a summary line, the textual form of the paper's Figures 4–7. The
+// summary names the overflow tally when it is not empty.
 func (h *Histogram) WriteTo(w io.Writer) (int64, error) {
 	var sb strings.Builder
 	for b, c := range h.Counts {
@@ -212,7 +232,11 @@ func (h *Histogram) WriteTo(w io.Writer) (int64, error) {
 		}
 		fmt.Fprintf(&sb, "%.4f\t%d\n", float64(b)*h.BucketWidth, c)
 	}
-	fmt.Fprintf(&sb, "# total=%d mean=%.4f max=%.4f\n", h.total, h.Mean(), h.max)
+	fmt.Fprintf(&sb, "# total=%d mean=%.4f max=%.4f", h.total, h.Mean(), h.max)
+	if h.overflow > 0 {
+		fmt.Fprintf(&sb, " overflow=%d", h.overflow)
+	}
+	sb.WriteByte('\n')
 	n, err := io.WriteString(w, sb.String())
 	return int64(n), err
 }

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -57,6 +58,46 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 	if peaks := h.Peaks(3, 0.1); peaks != nil {
 		t.Errorf("empty Peaks = %v", peaks)
+	}
+}
+
+// TestOverflowTally: NaN, +Inf and a value whose bucket index no int
+// holds have no bucket. They go to the overflow tally, stay out of Counts,
+// Mean and Max, rank above every bucket in Quantile and show in WriteTo's
+// summary; none of them may panic, and a pairwise histogram over a metric
+// that overflows to +Inf takes them too.
+func TestOverflowTally(t *testing.T) {
+	h := New(0.01)
+	for _, v := range []float64{1, 2, math.Inf(1), math.NaN(), 1e30} {
+		h.Add(v)
+	}
+	var inBuckets int64
+	for _, c := range h.Counts {
+		inBuckets += c
+	}
+	if h.Total() != 5 || h.Overflow() != 3 || inBuckets != 2 {
+		t.Fatalf("Total %d, Overflow %d, in buckets %d; want 5, 3, 2", h.Total(), h.Overflow(), inBuckets)
+	}
+	if h.Mean() != 1.5 || h.Max() != 2 {
+		t.Errorf("Mean %g, Max %g; want 1.5, 2", h.Mean(), h.Max())
+	}
+	if q := h.Quantile(0.4); math.IsInf(q, 0) || q < 2 {
+		t.Errorf("Quantile(0.4) = %g, want the bucket edge above 2", q)
+	}
+	if q := h.Quantile(0.5); !math.IsInf(q, 1) {
+		t.Errorf("Quantile(0.5) = %g, want +Inf", q)
+	}
+	var sb strings.Builder
+	if _, err := h.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "overflow=3") {
+		t.Errorf("WriteTo does not report the overflow:\n%s", sb.String())
+	}
+
+	p := Pairwise([][]float64{{0, 0}, {1e200, 1e200}}, metric.L2, 0.01)
+	if p.Total() != 1 || p.Overflow() != 1 || !math.IsInf(p.Quantile(1), 1) {
+		t.Errorf("Pairwise over an overflowing L2: Total %d, Overflow %d, Quantile(1) %g", p.Total(), p.Overflow(), p.Quantile(1))
 	}
 }
 

@@ -120,9 +120,9 @@ type Searcher[T any] interface {
 
 // BatchSearcher is implemented by structures that can answer a group of
 // queries with one shared traversal: the tree is descended once per
-// group, each node's vantage distances are computed for all still-active
-// queries with one blocked metric call, and each leaf arena is streamed
-// once for the whole group.
+// group, each node's vantage points are measured against every
+// still-active query while they are in cache, and each leaf arena is
+// read while it is in cache for the whole group.
 type BatchSearcher[T any] interface {
 	Searcher[T]
 

@@ -6,65 +6,52 @@ import (
 	"testing"
 )
 
-// TestBlockKernelsBitIdenticalToUpTo pins the stronger-than-contract
-// property the batched traversals rely on: every out[j] a block kernel
-// produces — abandoned or not — is bit-identical to what the one-to-one
-// bounded kernel returns for the same (query, point, bound) triple,
-// because both walk the same element order and take the same per-chunk
-// abandonment decisions.
+// TestBlockKernelsBitIdenticalToUpTo pins L2Block, which the benchmark
+// harness times, to what it claims to be: every out[j] — abandoned or
+// not — is bit-identical to L2UpTo for the same (query, point, bound)
+// triple.
 func TestBlockKernelsBitIdenticalToUpTo(t *testing.T) {
-	kernels := []struct {
-		name  string
-		upTo  BoundedDistanceFunc[[]float64]
-		block BlockDistanceFunc[[]float64]
-	}{
-		{"L1", L1UpTo, L1Block},
-		{"L2", L2UpTo, L2Block},
-		{"LInf", LInfUpTo, LInfBlock},
-	}
 	rng := rand.New(rand.NewPCG(7, 11))
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 20, 33}
 	blockSizes := []int{1, 2, 5, 63, 64, 65, 130}
-	for _, k := range kernels {
-		for _, dim := range dims {
-			for _, nq := range blockSizes {
-				p := randVec(rng, dim)
-				qs := make([][]float64, nq)
-				for j := range qs {
-					qs[j] = randVec(rng, dim)
-				}
-				// Reference distances to craft adversarial bounds.
-				ref := make([]float64, nq)
-				inf := math.Inf(1)
-				for j := range qs {
-					ref[j] = k.upTo(qs[j], p, inf)
-				}
-				bounds := make([]float64, nq)
-				out := make([]float64, nq)
+	for _, dim := range dims {
+		for _, nq := range blockSizes {
+			p := randVec(rng, dim)
+			qs := make([][]float64, nq)
+			for j := range qs {
+				qs[j] = randVec(rng, dim)
+			}
+			// Reference distances to craft adversarial bounds.
+			ref := make([]float64, nq)
+			inf := math.Inf(1)
+			for j := range qs {
+				ref[j] = L2UpTo(qs[j], p, inf)
+			}
+			bounds := make([]float64, nq)
+			out := make([]float64, nq)
 
-				// nil bounds: exact everywhere.
-				k.block(p, qs, nil, out)
-				for j := range qs {
-					if out[j] != ref[j] {
-						t.Fatalf("%s dim=%d B=%d nil bounds: out[%d]=%v want %v", k.name, dim, nq, j, out[j], ref[j])
-					}
+			// nil bounds: exact everywhere.
+			L2Block(p, qs, nil, out)
+			for j := range qs {
+				if out[j] != ref[j] {
+					t.Fatalf("dim=%d B=%d nil bounds: out[%d]=%v want %v", dim, nq, j, out[j], ref[j])
 				}
+			}
 
-				// A spread of per-query bounds around each true distance,
-				// cycling through degenerate and near-threshold values so
-				// some queries in every block abandon and others survive.
-				for trial := 0; trial < 4; trial++ {
-					for j := range qs {
-						sched := boundsFor(ref[j])
-						bounds[j] = sched[(j+trial*3)%len(sched)]
-					}
-					k.block(p, qs, bounds, out)
-					for j := range qs {
-						want := k.upTo(qs[j], p, bounds[j])
-						if out[j] != want && !(math.IsNaN(out[j]) && math.IsNaN(want)) {
-							t.Fatalf("%s dim=%d B=%d trial=%d: out[%d]=%v want %v (bound %v)",
-								k.name, dim, nq, trial, j, out[j], want, bounds[j])
-						}
+			// A spread of per-query bounds around each true distance,
+			// cycling through degenerate and near-threshold values so
+			// some queries in every block abandon and others survive.
+			for trial := 0; trial < 4; trial++ {
+				for j := range qs {
+					sched := boundsFor(ref[j])
+					bounds[j] = sched[(j+trial*3)%len(sched)]
+				}
+				L2Block(p, qs, bounds, out)
+				for j := range qs {
+					want := L2UpTo(qs[j], p, bounds[j])
+					if out[j] != want && !(math.IsNaN(out[j]) && math.IsNaN(want)) {
+						t.Fatalf("dim=%d B=%d trial=%d: out[%d]=%v want %v (bound %v)",
+							dim, nq, trial, j, out[j], want, bounds[j])
 					}
 				}
 			}
@@ -89,126 +76,4 @@ func TestBlockKernelLengthChecks(t *testing.T) {
 	mustPanic("short out", func() { L2Block(p, qs, nil, make([]float64, 1)) })
 	mustPanic("short bounds", func() { L2Block(p, qs, make([]float64, 1), make([]float64, 2)) })
 	mustPanic("dim mismatch", func() { L2Block(p, [][]float64{{1, 2, 3}}, nil, make([]float64, 1)) })
-}
-
-// TestCounterBlockDispatch covers the Counter integration: registry
-// probing, counting, the fallback loop for unregistered metrics (in the
-// sequential query-first orientation), and SetBlock/SetBounded
-// interplay.
-func TestCounterBlockDispatch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	p := randVec(rng, 12)
-	qs := make([][]float64, 10)
-	for j := range qs {
-		qs[j] = randVec(rng, 12)
-	}
-	out := make([]float64, len(qs))
-
-	t.Run("registered", func(t *testing.T) {
-		c := NewCounter(L2)
-		if c.Block() == nil {
-			t.Fatal("NewCounter(L2) did not probe the block registry")
-		}
-		c.DistanceBlock(p, qs, out)
-		if got := c.Count(); got != int64(len(qs)) {
-			t.Fatalf("DistanceBlock counted %d, want %d", got, len(qs))
-		}
-		for j := range qs {
-			if want := L2(qs[j], p); out[j] != want {
-				t.Fatalf("out[%d] = %v, want %v", j, out[j], want)
-			}
-		}
-		bounds := make([]float64, len(qs))
-		for j := range bounds {
-			bounds[j] = out[j] * 0.5
-		}
-		c.Reset()
-		c.DistanceBlockUpTo(p, qs, bounds, out)
-		if got := c.Count(); got != int64(len(qs)) {
-			t.Fatalf("DistanceBlockUpTo counted %d, want %d", got, len(qs))
-		}
-		for j := range qs {
-			if want := L2UpTo(qs[j], p, bounds[j]); out[j] != want {
-				t.Fatalf("bounded out[%d] = %v, want %v", j, out[j], want)
-			}
-		}
-	})
-
-	t.Run("cosine aliases L2Block", func(t *testing.T) {
-		if NewCounter(Cosine).Block() == nil {
-			t.Fatal("NewCounter(Cosine) did not pick up the L2 block kernel")
-		}
-	})
-
-	t.Run("fallback orientation", func(t *testing.T) {
-		// A deliberately orientation-asymmetric closure: the fallback
-		// must call kernel(query, point), matching sequential leaf scans.
-		asym := func(a, b []float64) float64 {
-			return a[0]*1000 + b[0]
-		}
-		c := NewCounter(asym)
-		if c.Block() != nil {
-			t.Fatal("closure metric unexpectedly found in block registry")
-		}
-		c.DistanceBlock(p, qs, out)
-		if got := c.Count(); got != int64(len(qs)) {
-			t.Fatalf("fallback DistanceBlock counted %d, want %d", got, len(qs))
-		}
-		for j := range qs {
-			if want := asym(qs[j], p); out[j] != want {
-				t.Fatalf("fallback out[%d] = %v, want %v (query-first orientation)", j, out[j], want)
-			}
-		}
-	})
-
-	t.Run("fallback honours SetBounded", func(t *testing.T) {
-		exact := func(a, b []float64) float64 { return L1(a, b) }
-		c := NewCounter(exact)
-		c.SetBounded(L1UpTo)
-		bounds := make([]float64, len(qs))
-		for j := range bounds {
-			bounds[j] = 0.5
-		}
-		c.DistanceBlockUpTo(p, qs, bounds, out)
-		for j := range qs {
-			if want := L1UpTo(qs[j], p, bounds[j]); out[j] != want {
-				t.Fatalf("out[%d] = %v, want bounded-kernel value %v", j, out[j], want)
-			}
-		}
-	})
-
-	t.Run("SetBlock override and detach", func(t *testing.T) {
-		exact := func(a, b []float64) float64 { return L1(a, b) }
-		c := NewCounter(exact)
-		c.SetBounded(L1UpTo)
-		c.SetBlock(L1Block)
-		c.DistanceBlock(p, qs, out)
-		for j := range qs {
-			if want := L1(qs[j], p); out[j] != want {
-				t.Fatalf("SetBlock out[%d] = %v, want %v", j, out[j], want)
-			}
-		}
-		c.SetBlock(nil)
-		if c.Block() != nil {
-			t.Fatal("SetBlock(nil) did not detach")
-		}
-		c.DistanceBlock(p, qs, out) // falls back to the loop
-		for j := range qs {
-			if want := L1(qs[j], p); out[j] != want {
-				t.Fatalf("detached out[%d] = %v, want %v", j, out[j], want)
-			}
-		}
-	})
-
-	t.Run("string metric fallback", func(t *testing.T) {
-		c := NewCounter(Edit)
-		words := []string{"kitten", "sitting", "", "block"}
-		sout := make([]float64, len(words))
-		c.DistanceBlock("mitten", words, sout)
-		for j, w := range words {
-			if want := Edit(w, "mitten"); sout[j] != want {
-				t.Fatalf("edit out[%d] = %v, want %v", j, sout[j], want)
-			}
-		}
-	})
 }

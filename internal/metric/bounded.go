@@ -173,9 +173,7 @@ const powAbandonSlack = 1e-12
 // and Lp(+Inf) callers should prefer L1UpTo/L2UpTo/LInfUpTo, which
 // NewCounter already wires automatically.
 func LpUpTo(p float64) BoundedDistanceFunc[[]float64] {
-	if p < 1 {
-		panic("metric: LpUpTo requires p >= 1")
-	}
+	checkLpArgs("LpUpTo", p, nil)
 	if math.IsInf(p, 1) {
 		return LInfUpTo
 	}
@@ -205,14 +203,7 @@ func LpUpTo(p float64) BoundedDistanceFunc[[]float64] {
 // distance, the bounded counterpart of WeightedLp(p, w). Attach it to a
 // Counter with SetBounded.
 func WeightedLpUpTo(p float64, w []float64) BoundedDistanceFunc[[]float64] {
-	if p < 1 {
-		panic("metric: WeightedLpUpTo requires p >= 1")
-	}
-	for _, x := range w {
-		if x <= 0 {
-			panic("metric: WeightedLpUpTo requires positive weights")
-		}
-	}
+	checkLpArgs("WeightedLpUpTo", p, w)
 	weights := make([]float64, len(w))
 	copy(weights, w)
 	if math.IsInf(p, 1) {

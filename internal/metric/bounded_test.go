@@ -246,25 +246,56 @@ func FuzzEditKernels(f *testing.F) {
 	})
 }
 
+// FuzzL2UpTo holds the kernels that measure vector vantage distances in
+// Search and SearchBatch — L1UpTo, L2UpTo and LInfUpTo — to the
+// BoundedDistanceFunc contract against their exact forms. The five floats
+// are the first two coordinates of a and b and the bound; more supplies
+// the other coordinates, a byte each, alternately to a and b (missing
+// ones are 0). A vector has at least 9 coordinates, two four-wide chunks
+// and a tail, so the unrolled loops' per-chunk abandon runs as well as
+// their tails.
 func FuzzL2UpTo(f *testing.F) {
-	f.Add(0.1, 0.2, 0.3, 0.4, 0.25)
-	f.Add(1.0, 1.0, 1.0, 1.0, 0.0)
-	f.Fuzz(func(t *testing.T, a0, a1, b0, b1, bound float64) {
+	f.Add(0.1, 0.2, 0.3, 0.4, 0.25, []byte(nil))
+	f.Add(1.0, 1.0, 1.0, 1.0, 0.0, []byte(nil))
+	// Everything in the second chunk: the first check passes, the second
+	// abandons.
+	f.Add(0.0, 0.0, 0.0, 0.0, 1.0, []byte{0, 0, 0, 0, 0, 0, 32})
+	kernels := []struct {
+		name  string
+		exact DistanceFunc[[]float64]
+		upTo  BoundedDistanceFunc[[]float64]
+	}{
+		{"L1", L1, L1UpTo},
+		{"L2", L2, L2UpTo},
+		{"LInf", LInf, LInfUpTo},
+	}
+	f.Fuzz(func(t *testing.T, a0, a1, b0, b1, bound float64, more []byte) {
 		for _, v := range []float64{a0, a1, b0, b1, bound} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return
 			}
 		}
-		a := []float64{a0, a1}
-		b := []float64{b0, b1}
-		exact := L2(a, b)
-		got := L2UpTo(a, b, math.Abs(bound))
-		bnd := math.Abs(bound)
-		if got <= bnd && got != exact {
-			t.Fatalf("L2UpTo within bound %v returned %v, exact %v", bnd, got, exact)
+		more = more[:min(len(more), 64)]
+		dim := max(9, 2+(len(more)+1)/2)
+		a, b := make([]float64, dim), make([]float64, dim)
+		a[0], a[1], b[0], b[1] = a0, a1, b0, b1
+		for k, c := range more {
+			v := float64(int8(c)) / 16
+			if k%2 == 0 {
+				a[2+k/2] = v
+			} else {
+				b[2+k/2] = v
+			}
 		}
-		if got > bnd && exact <= bnd {
-			t.Fatalf("L2UpTo abandoned (%v) but exact %v ≤ bound %v", got, exact, bnd)
+		bnd := math.Abs(bound)
+		for _, k := range kernels {
+			exact, got := k.exact(a, b), k.upTo(a, b, bnd)
+			if got <= bnd && got != exact {
+				t.Fatalf("%sUpTo within bound %v returned %v, exact %v", k.name, bnd, got, exact)
+			}
+			if got > bnd && exact <= bnd {
+				t.Fatalf("%sUpTo abandoned (%v) but exact %v ≤ bound %v", k.name, got, exact, bnd)
+			}
 		}
 	})
 }

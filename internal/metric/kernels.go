@@ -7,19 +7,16 @@ import (
 
 // Kernels is what a top-level distance function may carry beside its
 // exact form: the early-abandoning one-to-one kernel DistanceUpTo runs
-// (BoundedDistanceFunc), the blocked one-to-many kernel DistanceBlock
-// runs (BlockDistanceFunc), the shape that licenses the quantized
+// (BoundedDistanceFunc), the shape that licenses the quantized
 // pre-filter (QuantKind) and the exact one-to-many kernel construction
 // measures its rows through (RowDistanceFunc: out[i] is bit-for-bit
 // exact(items[ids[i]], p), always exact, with no bound). Each field is
 // optional — its zero value means the Counter falls back to the exact
-// function, a loop over the one-to-one kernel, no pre-filter, and a
-// loop over the exact function — and each non-zero field is a contract
-// with the exact function, stated on its type; breaking one silently
-// corrupts query results or trees.
+// function, no pre-filter, and a loop over the exact function — and
+// each non-zero field is a contract with the exact function, stated on
+// its type; breaking one silently corrupts query results or trees.
 type Kernels[T any] struct {
 	Bounded BoundedDistanceFunc[T]
-	Block   BlockDistanceFunc[T]
 	Quant   QuantKind
 	Row     RowDistanceFunc[T]
 }
@@ -28,7 +25,7 @@ type Kernels[T any] struct {
 // Kernels[X] (stored as any), so NewCounter can attach every fast path
 // with one probe. Only top-level functions may be registered: closures
 // produced by the same function literal share one code pointer, which
-// would make the lookup ambiguous (use Counter.SetBounded, SetBlock and
+// would make the lookup ambiguous (use Counter.SetBounded, SetRow and
 // SetQuantKind for those).
 var registry sync.Map
 
@@ -57,12 +54,12 @@ func lookup[T any](fn DistanceFunc[T]) Kernels[T] {
 }
 
 func init() {
-	Register(L1, Kernels[[]float64]{Bounded: L1UpTo, Block: L1Block, Quant: QuantL1})
-	Register(L2, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2, Row: L2Row})
-	Register(LInf, Kernels[[]float64]{Bounded: LInfUpTo, Block: LInfBlock, Quant: QuantLInf})
+	Register(L1, Kernels[[]float64]{Bounded: L1UpTo, Quant: QuantL1})
+	Register(L2, Kernels[[]float64]{Bounded: L2UpTo, Quant: QuantL2, Row: L2Row})
+	Register(LInf, Kernels[[]float64]{Bounded: LInfUpTo, Quant: QuantLInf})
 	// Cosine is exactly L2 on its (unit-vector) domain, so every L2
 	// kernel serves it.
-	Register(Cosine, Kernels[[]float64]{Bounded: L2UpTo, Block: L2Block, Quant: QuantL2})
+	Register(Cosine, Kernels[[]float64]{Bounded: L2UpTo, Quant: QuantL2})
 	Register(Canberra, Kernels[[]float64]{Bounded: CanberraUpTo})
 	Register(Angular, Kernels[[]float64]{Bounded: AngularUpTo})
 	Register(Edit, Kernels[string]{Bounded: EditUpTo, Row: EditRow})

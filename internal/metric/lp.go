@@ -94,14 +94,13 @@ func LInf(a, b []float64) float64 {
 }
 
 // Lp returns the Minkowski distance of order p as a DistanceFunc.
-// p must be >= 1 for the result to be a metric; Lp panics otherwise.
+// p must be >= 1 for the result to be a metric; Lp panics otherwise
+// (a NaN p included).
 // Lp(1), Lp(2) and Lp(+Inf) return the specialized L1, L2 and LInf
 // kernels, which skip the generic math.Pow loop and carry registered
 // early-abandoning fast paths.
 func Lp(p float64) DistanceFunc[[]float64] {
-	if p < 1 {
-		panic("metric: Lp requires p >= 1")
-	}
+	checkLpArgs("Lp", p, nil)
 	if math.IsInf(p, 1) {
 		return LInf
 	}
@@ -123,19 +122,14 @@ func Lp(p float64) DistanceFunc[[]float64] {
 
 // WeightedLp returns a weighted Minkowski distance of order p, where the
 // absolute difference at dimension i is multiplied by w[i] before
-// accumulation. All weights must be positive and p >= 1, or WeightedLp
-// panics. The paper (§5.1.B) describes the weighted-L1 variant for
-// emphasizing image regions; the weighted form is a metric because it is
-// the Lp distance after a fixed per-axis rescaling.
+// accumulation. All weights must be positive and finite and p >= 1, or
+// WeightedLp panics (NaN is none of these): an infinite weight would
+// make d(x, x) = 0·Inf = NaN. The paper (§5.1.B) describes the
+// weighted-L1 variant for emphasizing image regions; the weighted form
+// is a metric because it is the Lp distance after a fixed per-axis
+// rescaling.
 func WeightedLp(p float64, w []float64) DistanceFunc[[]float64] {
-	if p < 1 {
-		panic("metric: WeightedLp requires p >= 1")
-	}
-	for _, x := range w {
-		if x <= 0 {
-			panic("metric: WeightedLp requires positive weights")
-		}
-	}
+	checkLpArgs("WeightedLp", p, w)
 	weights := make([]float64, len(w))
 	copy(weights, w)
 	inf := math.IsInf(p, 1)
@@ -171,6 +165,20 @@ func Scaled[T any](fn DistanceFunc[T], factor float64) DistanceFunc[T] {
 		panic("metric: Scaled requires a positive finite factor")
 	}
 	return func(a, b T) float64 { return fn(a, b) * factor }
+}
+
+// checkLpArgs panics, naming the constructor, unless p >= 1 and every
+// weight is positive and finite. The comparisons are written so that a
+// NaN fails them.
+func checkLpArgs(name string, p float64, w []float64) {
+	if !(p >= 1) {
+		panic("metric: " + name + " requires p >= 1")
+	}
+	for _, x := range w {
+		if !(x > 0) || math.IsInf(x, 1) {
+			panic("metric: " + name + " requires positive finite weights")
+		}
+	}
 }
 
 func checkLen(a, b []float64) {

@@ -78,13 +78,24 @@ func TestLpInfinity(t *testing.T) {
 	}
 }
 
+// TestLpPanicsBelowOne: an order below one is no metric, and a NaN one
+// would make every distance NaN; Lp and LpUpTo refuse both.
 func TestLpPanicsBelowOne(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Lp(0.5) did not panic")
+	for _, p := range []float64{0.5, 0, -1, math.Inf(-1), math.NaN()} {
+		for name, mk := range map[string]func(){
+			"Lp":     func() { Lp(p) },
+			"LpUpTo": func() { LpUpTo(p) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", name, p)
+					}
+				}()
+				mk()
+			}()
 		}
-	}()
-	Lp(0.5)
+	}
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
@@ -168,16 +179,38 @@ func TestWeightedLpScalesAxes(t *testing.T) {
 	}
 }
 
+// TestWeightedLpRejectsBadWeights: a weight must be positive and
+// finite (an infinite one makes d(x, x) = 0·Inf = NaN) and the order at
+// least one, NaN failing both; WeightedLp and WeightedLpUpTo refuse the
+// same arguments.
 func TestWeightedLpRejectsBadWeights(t *testing.T) {
-	for _, w := range [][]float64{{0, 1}, {-1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WeightedLp accepted weights %v", w)
-				}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		p float64
+		w []float64
+	}{
+		{2, []float64{0, 1}},
+		{2, []float64{-1, 1}},
+		{2, []float64{nan, 1}},
+		{2, []float64{inf, 1}},
+		{inf, []float64{1, inf}},
+		{0.5, []float64{1, 1}},
+		{nan, []float64{1, 1}},
+	}
+	for _, c := range bad {
+		for name, mk := range map[string]func(){
+			"WeightedLp":     func() { WeightedLp(c.p, c.w) },
+			"WeightedLpUpTo": func() { WeightedLpUpTo(c.p, c.w) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted p = %v, weights %v", name, c.p, c.w)
+					}
+				}()
+				mk()
 			}()
-			WeightedLp(2, w)
-		}()
+		}
 	}
 }
 

@@ -15,10 +15,7 @@
 // the metric exclusively through a Counter.
 package metric
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // DistanceFunc computes the distance between two items of type T. It must
 // satisfy the metric axioms documented in the package comment for the
@@ -40,8 +37,6 @@ type Counter[T any] struct {
 	fn       DistanceFunc[T]
 	bounded  BoundedDistanceFunc[T]
 	fallback BoundedDistanceFunc[T] // fn ignoring the bound; built once
-	block    BlockDistanceFunc[T]
-	blockFB  BlockDistanceFunc[T] // loop over Kernel(); built once
 	quant    QuantKind
 	row      RowDistanceFunc[T]
 	count    atomic.Int64
@@ -50,36 +45,15 @@ type Counter[T any] struct {
 // NewCounter returns a Counter wrapping fn. If fn is a top-level
 // function with registered kernels (see Register), the Counter picks
 // them up with one probe: DistanceUpTo runs the early-abandoning kernel,
-// DistanceBlock the blocked one, QuantKind reports the quantized
-// lower-bound shape and Row returns the exact row kernel; each falls
-// back to the exact function where the record has nothing. Use
-// SetBounded, SetBlock, SetRow and SetQuantKind to attach fast paths to
-// a closure.
+// QuantKind reports the quantized lower-bound shape and Row returns the
+// exact row kernel; each falls back to the exact function where the
+// record has nothing. Use SetBounded, SetRow and SetQuantKind to attach
+// fast paths to a closure.
 func NewCounter[T any](fn DistanceFunc[T]) *Counter[T] {
 	k := lookup(fn)
-	c := &Counter[T]{fn: fn, bounded: k.Bounded, block: k.Block, quant: k.Quant, row: k.Row}
+	c := &Counter[T]{fn: fn, bounded: k.Bounded, quant: k.Quant, row: k.Row}
 	if fn != nil {
 		c.fallback = func(a, b T, _ float64) float64 { return fn(a, b) }
-		// The block fallback loops the one-to-one kernel with the query as
-		// the first argument — the orientation every sequential leaf scan
-		// and vantage evaluation uses — so batched and per-query paths
-		// agree bit-for-bit even for metrics whose float rounding is not
-		// orientation-symmetric. It reads c.bounded at call time, so a
-		// later SetBounded is honoured.
-		c.blockFB = func(p T, qs []T, bounds, out []float64) {
-			checkBlockLens(qs, bounds, out)
-			k := c.Kernel()
-			if bounds == nil {
-				inf := math.Inf(1)
-				for j, q := range qs {
-					out[j] = k(q, p, inf)
-				}
-				return
-			}
-			for j, q := range qs {
-				out[j] = k(q, p, bounds[j])
-			}
-		}
 	}
 	return c
 }
@@ -132,40 +106,6 @@ func (c *Counter[T]) Reset() { c.count.Store(0) }
 // Func returns the wrapped distance function, uncounted.
 func (c *Counter[T]) Func() DistanceFunc[T] { return c.fn }
 
-// DistanceBlock computes the distance between p and every query in qs,
-// writing d(p, qs[j]) into out[j] exactly, and counts len(qs) distance
-// computations — the same total as len(qs) Distance calls. When the
-// wrapped function has a blocked kernel (Register / SetBlock) the
-// data vector is streamed once against the whole resident block;
-// otherwise a loop over the one-to-one kernel produces identical
-// values.
-func (c *Counter[T]) DistanceBlock(p T, qs []T, out []float64) {
-	c.count.Add(int64(len(qs)))
-	c.BlockKernel()(p, qs, nil, out)
-}
-
-// DistanceBlockUpTo is DistanceBlock with a per-query abandonment
-// threshold: each out[j] obeys the BoundedDistanceFunc contract with
-// respect to bounds[j] (see BlockDistanceFunc). Every query counts as
-// one distance computation regardless of abandonment, so cost
-// accounting matches len(qs) DistanceUpTo calls exactly.
-func (c *Counter[T]) DistanceBlockUpTo(p T, qs []T, bounds, out []float64) {
-	c.count.Add(int64(len(qs)))
-	c.BlockKernel()(p, qs, bounds, out)
-}
-
-// SetBlock attaches (or, with nil, detaches) a blocked one-to-many
-// kernel, overriding whatever NewCounter discovered in the registry.
-// fn must satisfy the BlockDistanceFunc contract with respect to the
-// wrapped exact kernel. This is the hook for closure-built metrics,
-// which cannot be registered globally. Like SetBounded, it is not
-// synchronized with in-flight queries; attach fast paths before
-// serving.
-func (c *Counter[T]) SetBlock(fn BlockDistanceFunc[T]) { c.block = fn }
-
-// Block returns the attached blocked kernel, or nil.
-func (c *Counter[T]) Block() BlockDistanceFunc[T] { return c.block }
-
 // Row returns the exact row kernel, registered or attached with SetRow,
 // uncounted, or nil when there is none; a caller without one loops
 // Func. Like Kernel, its caller settles the count with Add(len(ids)).
@@ -177,17 +117,6 @@ func (c *Counter[T]) Row() RowDistanceFunc[T] { return c.row }
 // kernel. Like SetBounded, it is not synchronized with a build in
 // flight; attach it before building.
 func (c *Counter[T]) SetRow(fn RowDistanceFunc[T]) { c.row = fn }
-
-// BlockKernel returns the uncounted function DistanceBlock dispatches
-// to: the attached blocked kernel, or a cached wrapper that loops the
-// one-to-one Kernel over the block. Hot loops may call it directly and
-// settle the count with Add(n·B), exactly as with Kernel.
-func (c *Counter[T]) BlockKernel() BlockDistanceFunc[T] {
-	if c.block != nil {
-		return c.block
-	}
-	return c.blockFB
-}
 
 // Kernel returns the uncounted function DistanceUpTo dispatches to: the
 // attached early-abandoning kernel, or a cached wrapper that ignores

@@ -5,7 +5,7 @@ package metric
 // guaranteed lower-bound kernel over a compressed companion
 // representation: per-dimension interval distances are summed (L1),
 // summed in squared space (L2) or maxed (LInf). It is registered beside
-// the bounded and blocked kernels (Kernels.Quant) — but where those
+// the bounded and row kernels (Kernels.Quant) — but where those
 // replace the exact computation, a QuantKind only licenses a cheap
 // pre-filter whose survivors still pay the exact kernel. Declaring a
 // kind is a contract: for []float64 vectors a and b the exact function

@@ -5,13 +5,13 @@ package mvp
 // node's arenas are read once while they are in cache for every member
 // that reaches them. Each member is a range query of its own, opened and
 // closed by rangeSearch's own steps (startRange, finishRange) on its own
-// pooled queryScratch. What the group shares is the descent and the
-// vantage points: each point that meets the whole group — an internal
-// node's, a leaf's, and the points of an item-less leaf — is measured
-// against every member with one blocked metric call
-// (metric.Counter.BlockKernel). At a leaf with items each member then
-// runs rangeLeaf's own candidate loop, scanLeaf, in turn. Every
-// per-query result, order, SearchStats and counter delta is
+// pooled queryScratch. What the group shares is the descent: each
+// vantage point it meets — an internal node's, a leaf's, and the points
+// of an item-less leaf — is measured against each member in turn
+// through the Counter's one bounded kernel (metric.Counter.Kernel), and
+// the node's count is settled once for the group. At a leaf with items
+// each member then runs rangeLeaf's own candidate loop, scanLeaf, in
+// turn. Every per-query result, order, SearchStats and counter delta is
 // byte-identical to Search at every batch size; batching changes memory
 // traffic, never answers.
 //
@@ -22,9 +22,9 @@ package mvp
 //     shared DFS with per-query active lists visits, per query, exactly
 //     the sequential node set in the same (g ascending, h ascending)
 //     order, and appends in the sequential order.
-//   - The block kernels produce bit-identical values to the one-to-one
-//     bounded kernels for every (query, point, bound) triple (see
-//     metric.BlockDistanceFunc), so no traversal decision can differ.
+//   - Each member's vantage distances are the same kernel call, in the
+//     same (query, point) orientation and under the same bound, as
+//     Search makes, so no traversal decision can differ.
 //
 // Queries the shared traversal does not batch — kNN (best-first pops
 // diverge per query, so there is no traversal to share) and approximate
@@ -32,22 +32,22 @@ package mvp
 // calls inside the same invocation, which is trivially byte-identical.
 
 import (
+	"math"
+
 	"mvptree/internal/index"
 )
 
 var _ index.BatchSearcher[int] = (*Tree[int])(nil)
 
 // batchScratch is the pooled working state of one SearchBatch call: a
-// member per request, at the request's position in reqs; the gather
-// buffers of one blocked kernel call; and the stack-discipline arenas of
-// the shared DFS — act holds the active members of every live recursion
+// member per request, at the request's position in reqs; the members'
+// distances to a leaf's points; and the stack-discipline arenas of the
+// shared DFS — act holds the active members of every live recursion
 // level (member indices, or positions for the g-shell sublists), dstack
 // the matching per-node d1‖d2 values — so steady-state batches allocate
 // nothing once capacities warm.
 type batchScratch[T any] struct {
 	members []member[T]
-	pts     []T
-	bounds  []float64
 	dv      [2][]float64
 	act     []int32
 	dstack  []float64
@@ -119,20 +119,8 @@ func (t *Tree[T]) SearchBatch(reqs []index.Query[T], results []index.Result[T]) 
 	// Drop every reference the scratch took from the caller (query
 	// objects, result slices) so pooling never pins them.
 	clear(bs.members)
-	clear(bs.pts)
 	bs.act, bs.dstack = bs.act[:0], bs.dstack[:0]
 	t.bscratch.Put(bs)
-}
-
-// gather puts the queries of act's members in bs.pts, the group side of
-// a blocked call, and returns them.
-func (bs *batchScratch[T]) gather(act []int32) []T {
-	pts := bs.pts[:0]
-	for _, j := range act {
-		pts = append(pts, bs.members[j].q)
-	}
-	bs.pts = pts
-	return pts
 }
 
 // rangeBatchNode is rangeNode for a group: act holds the members whose
@@ -152,23 +140,21 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 	}
 
 	// Per-node d1‖d2 values live on the dstack so sibling recursion
-	// cannot clobber them; the block kernels write into the windows
-	// directly.
+	// cannot clobber them.
 	na := len(act)
 	dBase := len(bs.dstack)
 	bs.dstack = growTo(bs.dstack, dBase+2*na)
 	d1v := bs.dstack[dBase : dBase+na]
 	d2v := bs.dstack[dBase+na : dBase+2*na]
 
-	// The vantage phases replicate rangeNode exactly, one blocked call
-	// per vantage point (vantageBlock); without a second one d2v stays
-	// the zeros rangeNode's d2 is.
+	// The vantage phases replicate rangeNode exactly, one pass over the
+	// group per vantage point (vantageGroup); without a second one d2v
+	// stays the zeros rangeNode's d2 is.
 	exact, sv := plen < t.p, t.vantages(ni)
 	cut1, cutMax, sh := t.inner(n)
-	bs.gather(act)
-	t.vantageBlock(sv[0], exact, cutMax[0], act, d1v, bs)
+	t.vantageGroup(sv[0], exact, cutMax[0], act, d1v, ms)
 	if t.v == 2 {
-		t.vantageBlock(sv[1], exact, cutMax[1], act, d2v, bs)
+		t.vantageGroup(sv[1], exact, cutMax[1], act, d2v, ms)
 	} else {
 		clear(d2v)
 	}
@@ -240,26 +226,25 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 	bs.dstack = bs.dstack[:dBase]
 }
 
-// vantageBlock is vantageDistance for a group, one blocked call on the
-// vantage point sv against the queries gathered in bs.pts: while the
-// query PATH is filling every distance is exact; afterwards each query
-// abandons past r+cutMax.
-func (t *Tree[T]) vantageBlock(sv T, exact bool, cutMax float64, act []int32, dv []float64, bs *batchScratch[T]) {
-	var bounds []float64 // nil: every distance exact
-	if !exact {
-		bounds = growF(bs.bounds, len(act))
-		bs.bounds = bounds
-		for i, j := range act {
-			bounds[i] = bs.members[j].r + cutMax
+// vantageGroup is vantageDistance for a group: the vantage point sv
+// against each member's query through the uncounted bounded kernel.
+// While the query PATH is filling every distance is exact; afterwards
+// each query abandons past r+cutMax. The caller settles the count.
+func (t *Tree[T]) vantageGroup(sv T, exact bool, cutMax float64, act []int32, dv []float64, ms []member[T]) {
+	k, bound := t.dist.Kernel(), math.Inf(1)
+	for i, j := range act {
+		m := &ms[j]
+		if !exact {
+			bound = m.r + cutMax
 		}
+		dv[i] = k(m.q, sv, bound)
 	}
-	t.dist.BlockKernel()(sv, bs.pts, bounds, dv)
 }
 
 // rangeBatchLeaf is rangeLeaf, or rangeBare, for a group: each of the
-// leaf's points meets the whole group with one blocked call, and then
-// each member scans the leaf's items with scanLeaf, the candidate loop
-// of every range and kNN query.
+// leaf's points is measured against each member, and then each member
+// scans the leaf's items with scanLeaf, the candidate loop of every
+// range and kNN query.
 func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 	n, ms := &t.nodes[ni], bs.members
 	// A leaf with items abandons its vantage points past r+maxD, as
@@ -269,18 +254,13 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 	if n.cnt > 0 {
 		over = t.maxD(n)
 	}
-	pts, blk := bs.gather(act), t.dist.BlockKernel()
-	bounds := growF(bs.bounds, len(act))
-	bs.bounds = bounds
+	k := t.dist.Kernel()
 	for v, pt := range t.points(ni) {
 		dv := growF(bs.dv[v], len(act))
 		bs.dv[v] = dv
 		for i, j := range act {
-			bounds[i] = ms[j].r + over[v]
-		}
-		blk(pt, pts, bounds, dv)
-		for i, j := range act {
 			m := &ms[j]
+			dv[i] = k(m.q, pt, m.r+over[v])
 			m.s.VantagePoints++
 			if dv[i] <= m.r {
 				m.out = append(m.out, pt)

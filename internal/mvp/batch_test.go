@@ -55,7 +55,7 @@ var batchSizes = []int{1, 4, 16, 64}
 
 // TestBatchInvarianceUniform pins batch == sequential on uniform
 // vectors under L2 with the quantized pre-filter armed — the registered
-// block-kernel path plus quant consultation.
+// bounded kernel plus quant consultation.
 func TestBatchInvarianceUniform(t *testing.T) {
 	items := uniformItems(101, 2500, 12)
 	queries := uniformItems(102, 30, 12)
@@ -78,7 +78,7 @@ func TestBatchInvarianceUniform(t *testing.T) {
 
 // TestBatchInvarianceClustered pins batch == sequential on clumped,
 // duplicate-heavy vectors under L1 with the bound cascade armed — the
-// group's blocked pivot distances and windows must be each query's own.
+// group's pivot distances and windows must be each query's own.
 func TestBatchInvarianceClustered(t *testing.T) {
 	items := clusteredItems(103, 2000, 10, 6)
 	queries := uniformItems(104, 30, 10)
@@ -108,8 +108,7 @@ func TestBatchInvarianceClustered(t *testing.T) {
 }
 
 // TestBatchInvarianceEdit pins batch == sequential over strings under
-// edit distance — a metric with no registered block kernel, so the
-// fallback one-at-a-time block adapter carries the traversal.
+// edit distance, a metric that is not over vectors.
 func TestBatchInvarianceEdit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(105, 106))
 	const letters = "abcdef"

@@ -59,8 +59,8 @@ type Options struct {
 	// Batch is the shared-traversal micro-batch size. When > 1 and the
 	// index implements index.BatchSearcher, each worker answers its
 	// stripe in groups of up to Batch queries through one SearchBatch
-	// call: the tree is descended once per group with blocked distance
-	// kernels instead of once per query. Results, order, per-query
+	// call: the tree is descended once per group instead of once per
+	// query. Results, order, per-query
 	// SearchStats and the batch's Distances delta are byte-identical to
 	// the unbatched run (the BatchSearcher contract); batching changes
 	// memory traffic and wall-clock time only. Two behavioral edges

@@ -18,23 +18,38 @@ var batchSizes = []int{1, 4, 16, 64}
 // orders and leaf capacities, mixing exact range, exact kNN,
 // approximate and budgeted requests (the latter two exercise the
 // per-query fallback inside the batch), with the quantized pre-filter
-// and the cascade armed on one variant each.
+// and the cascade armed on one variant each. The metric is L2 but for
+// two variants: LInf, and a closure, Lp(3) with LpUpTo(3) attached by
+// SetBounded — a vantage distance goes through whichever bounded kernel
+// the Counter holds, registered or attached.
 func TestBatchInvariance(t *testing.T) {
 	items := vectors(201, 2200, 10)
+	lp3 := func() *metric.Counter[[]float64] {
+		c := metric.NewCounter(metric.Lp(3))
+		c.SetBounded(metric.LpUpTo(3))
+		return c
+	}
 	variants := []struct {
 		name              string
 		opts              Options
 		quantize, cascade bool
+		counter           func() *metric.Counter[[]float64] // nil: L2
 	}{
-		{"binary", Options{Order: 2, LeafCapacity: 8, Build: Build{Seed: 5}}, false, false},
-		{"m4/quantized", Options{Order: 4, LeafCapacity: 16, Build: Build{Seed: 6}}, true, false},
-		{"m3/cascade", Options{Order: 3, LeafCapacity: 12, Build: Build{Seed: 7}}, false, true},
+		{"binary", Options{Order: 2, LeafCapacity: 8, Build: Build{Seed: 5}}, false, false, nil},
+		{"m4/quantized", Options{Order: 4, LeafCapacity: 16, Build: Build{Seed: 6}}, true, false, nil},
+		{"m3/cascade", Options{Order: 3, LeafCapacity: 12, Build: Build{Seed: 7}}, false, true, nil},
+		{"m3/linf", Options{Order: 3, LeafCapacity: 12, Build: Build{Seed: 7}}, false, false,
+			func() *metric.Counter[[]float64] { return metric.NewCounter(metric.LInf) }},
+		{"m3/lp3-closure", Options{Order: 3, LeafCapacity: 12, Build: Build{Seed: 7}}, false, false, lp3},
 	}
 	queries := vectors(202, 30, 10)
 	queries = append(queries, items[5], items[1717])
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			dist := metric.NewCounter(metric.L2)
+			if v.counter != nil {
+				dist = v.counter()
+			}
 			tree, err := New(items, dist, v.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -72,8 +87,7 @@ func TestBatchInvariance(t *testing.T) {
 }
 
 // TestBatchEdit pins batch == sequential over strings under edit
-// distance — no registered block kernel, so the fallback one-at-a-time
-// block adapter carries the traversal.
+// distance, whose bounded kernel measures the vantage distances.
 func TestBatchEdit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(203, 204))
 	const letters = "abcde"

@@ -13,9 +13,8 @@ import (
 // pointers. Each takes over the whole record its internal twin carries,
 // so a Counter built over e.g. mvptree.L2 picks up the same fast paths
 // as one built over metric.L2 (TestFacadeMetricsCarryInternalKernels):
-// early abandoning, the blocked kernels SearchBatch streams data
-// vectors through, and the quantized lower-bound shape behind
-// WithQuantized.
+// early abandoning, construction's row kernels, and the quantized
+// lower-bound shape behind WithQuantized.
 func init() {
 	metric.Alias(L1, metric.L1)
 	metric.Alias(L2, metric.L2)
@@ -35,20 +34,18 @@ func init() {
 type BoundedDistanceFunc[T any] = metric.BoundedDistanceFunc[T]
 
 // Kernels is the record of fast paths a top-level distance function may
-// register beside its exact form: Bounded (early abandoning), Block
-// (one data item against a block of queries; see
-// metric.BlockDistanceFunc), Quant (the shape that lets indexes over
-// []float64 items arm the WithQuantized pre-filter: QuantL1, QuantL2 or
-// QuantLInf) and Row (construction's exact one-to-many kernel, one
-// vantage point against the items picked by ids; see
-// metric.RowDistanceFunc). Every field is optional; every field set is a
-// contract with the exact function.
+// register beside its exact form: Bounded (early abandoning), Quant
+// (the shape that lets indexes over []float64 items arm the
+// WithQuantized pre-filter: QuantL1, QuantL2 or QuantLInf) and Row
+// (construction's exact one-to-many kernel, one vantage point against
+// the items picked by ids; see metric.RowDistanceFunc). Every field is
+// optional; every field set is a contract with the exact function.
 type Kernels[T any] = metric.Kernels[T]
 
 // RegisterKernels associates k with the top-level distance function fn,
 // so Counters over fn (built afterwards) use its fast paths
 // automatically. The built-in metrics are pre-registered. For closures,
-// use Counter.SetBounded, SetBlock and SetQuantKind instead.
+// use Counter.SetBounded, SetRow and SetQuantKind instead.
 func RegisterKernels[T any](fn DistanceFunc[T], k Kernels[T]) {
 	metric.Register(fn, k)
 }
@@ -66,7 +63,7 @@ func LInf(a, b []float64) float64 { return metric.LInf(a, b) }
 func Lp(p float64) DistanceFunc[[]float64] { return metric.Lp(p) }
 
 // WeightedLp returns a per-axis-weighted Minkowski distance of order
-// p ≥ 1 with positive weights, the weighted variant the paper sketches
+// p ≥ 1 with positive finite weights, the weighted variant the paper sketches
 // for emphasizing image regions (§5.1.B).
 func WeightedLp(p float64, w []float64) DistanceFunc[[]float64] { return metric.WeightedLp(p, w) }
 

@@ -32,9 +32,6 @@ func sameKernels[T any](t *testing.T, name string, facade, twin DistanceFunc[T])
 	if got, want := f.Bounded() != nil, w.Bounded() != nil; got != want {
 		t.Errorf("%s: Bounded() != nil is %v, internal twin %v", name, got, want)
 	}
-	if got, want := f.Block() != nil, w.Block() != nil; got != want {
-		t.Errorf("%s: Block() != nil is %v, internal twin %v", name, got, want)
-	}
 	if got, want := f.QuantKind(), w.QuantKind(); got != want {
 		t.Errorf("%s: QuantKind() = %v, internal twin %v", name, got, want)
 	}
