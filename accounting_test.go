@@ -39,8 +39,9 @@ func shardedVec(t *testing.T, items [][]float64, shards int) *shard.Index[[]floa
 // TestAccountingTable is the one place a query's accounting is pinned: a
 // query reports once, in its SearchStats, and everything else reads that
 // value. Over every structure (the BK-tree over words, the rest over
-// vectors), the store and the sharded index at one and two shards —
-// cascade and SQ8 armed where they arm — and over exact,
+// vectors), the store — holding a buffer and tombstones — and the
+// sharded index at one and two shards — cascade and SQ8 armed where they
+// arm — and over exact,
 // ε and budgeted range and kNN requests, each answered alone and in
 // SearchBatch groups where the index has them: the Tracer sees one start
 // and one done per query with the Result's stats, the Observer's totals
@@ -77,6 +78,9 @@ func TestAccountingTable(t *testing.T) {
 		idx, err := build(opts...)
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)
+		}
+		if s, ok := idx.(*mvptree.DynamicStore[[]float64]); ok {
+			churn(t, s, items)
 		}
 		r.idx = idx
 		rows[name] = r
@@ -118,6 +122,26 @@ func TestAccountingTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("bk", func(t *testing.T) { checkAccounting[string](t, bk, wreqs, ob, tr, false) })
+}
+
+// churn inserts into the store and deletes from its tree, short of any
+// rebuild, so its answers come from a tree with tombstones it skips and
+// from a buffer filtered by the pivots' bounds.
+func churn(t *testing.T, s *mvptree.DynamicStore[[]float64], items [][]float64) {
+	t.Helper()
+	for _, v := range mvptree.ClusteredVectors(rand.New(rand.NewPCG(29, 2)), 120, 8, 60, 0.15) {
+		if err := s.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range items[:40] {
+		if _, err := s.Delete(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Rebuilds() != 1 || s.Buffered() != 120 || s.Len() != len(items)+120-40 {
+		t.Fatalf("store after churn: %d rebuilds, %d buffered, %d live; want 1, 120, %d", s.Rebuilds(), s.Buffered(), s.Len(), len(items)+80)
+	}
 }
 
 // checkAccounting answers reqs on idx alone and, where idx has

@@ -11,10 +11,13 @@ import (
 // overflow buffer and tombstones. It addresses the open problem the
 // paper closes with (§6) — insertions and deletions without unbalancing
 // the tree — by rent-or-buy: the first write after the distances that
-// queries and deletes have spent on the buffer and the tombstones reach
-// what the last build cost rebuilds the tree, which spends at most twice
-// what the best rebuild schedule chosen in hindsight would, whatever the
-// mix of reads and writes. See internal/dynamic for the scheme's details.
+// queries and deletes have spent on the buffer reach what the last build
+// cost rebuilds the tree, which spends at most twice what the best
+// rebuild schedule chosen in hindsight would, whatever the mix of reads
+// and writes. The tree never measures a tombstoned item as a candidate,
+// and a query measures only the buffered items that the triangle
+// inequality over the tree root's vantage points leaves in reach. See
+// internal/dynamic for the scheme's details.
 type DynamicStore[T any] = dynamic.Store[T]
 
 // DynamicOptions configure a DynamicStore: the options of the trees it

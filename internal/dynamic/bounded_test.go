@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"sync/atomic"
@@ -99,8 +100,10 @@ func TestStoreAttachesBoundedKernel(t *testing.T) {
 // store is a tree of filler words with the words in its buffer — as many
 // of them as the tree has items, so the cap keeps them there — and the
 // tally is the buffer's calls and the counter total less the tree's
-// query; the removed count and that total must not care which kernel
-// ran.
+// query. Delete measures its distances to the pivots, the tree root's
+// vantage points, and then only the buffered words at the same distance
+// from each as the argument; the removed count and that total must not
+// care which kernel ran.
 func TestDeleteTailScanAbandons(t *testing.T) {
 	words := []string{"alpha", "alphas", "beta", "gamma", "alpha", "delta", "epsilons"}
 	filler := []string{"1", "22", "333", "4444", "55555", "666666", "7777777"}
@@ -117,6 +120,23 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 		t.Fatalf("want every word in the buffer, got %d buffered after %d rebuilds", s.Buffered(), s.Rebuilds())
 	}
 	tree := s.tree.Search(index.RangeQuery(entry[string]{item: "alpha"}, 0)).Stats.Distances()
+	pivots := mvp.RootPoints(s.tree)
+	if len(pivots) != 2 {
+		t.Fatalf("the tree's root has %d vantage points, want 2", len(pivots))
+	}
+	measured := 0
+	for _, w := range words {
+		lb := 0.0
+		for _, p := range pivots {
+			lb = max(lb, math.Abs(metric.Edit("alpha", p.item)-metric.Edit(w, p.item)))
+		}
+		if lb == 0 {
+			measured++
+		}
+	}
+	if measured == len(words) {
+		t.Fatalf("every buffered word is at alpha's distances from the pivots %v: nothing to filter", pivots)
+	}
 	bounded, calls := s.dist.Bounded(), 0
 	s.dist.SetBounded(func(a, b entry[string], bound float64) float64 {
 		if int(b.id) >= len(filler) { // a buffered word
@@ -132,11 +152,11 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 	if err != nil || removed != 2 || s.Rebuilds() != 1 {
 		t.Fatalf("Delete removed %d (%v) and left %d rebuilds, want 2 and 1", removed, err, s.Rebuilds())
 	}
-	if calls != len(words) {
-		t.Errorf("bounded kernel ran %d times over a buffer of %d", calls, len(words))
+	if calls != measured {
+		t.Errorf("bounded kernel ran %d times over a buffer of %d, %d of them not ruled out by the pivots", calls, len(words), measured)
 	}
-	if got := s.DistanceCount() - before; got != int64(len(words))+tree {
-		t.Errorf("Delete counted %d distances, want %d and the tree's %d", got, len(words), tree)
+	if got := s.DistanceCount() - before; got != int64(len(pivots)+measured)+tree {
+		t.Errorf("Delete counted %d distances, want %d pivots, %d buffered words and the tree's %d", got, len(pivots), measured, tree)
 	}
 }
 

@@ -5,28 +5,40 @@
 // tombstones, rebuilt by a rent-or-buy rule:
 //
 //   - insertions accumulate in an overflow buffer that every query scans
-//     linearly alongside the tree;
+//     alongside the tree. Insert measures each item's distances to the
+//     pivots, the one or two vantage points of the tree's root; once the
+//     buffer holds more items than there are pivots, a query measures its
+//     own distances to them and, by the triangle inequality, measures
+//     only the buffered items that could be in its answer;
 //   - deletions tombstone their targets (delete-by-value: every stored
-//     item at distance zero from the argument);
-//   - every distance a query or a delete spends on the buffer, and its
-//     share of the tree's distances that tombstoned items drew, is waste
-//     (the rent); the first write after the waste since the last build
-//     reaches that build's cost (the price of buying) rebuilds the tree
-//     from scratch over the live items.
+//     item at distance zero from the argument), and the tree skips its
+//     tombstoned items (mvp.SetSkip): it never measures one as a leaf
+//     candidate and never returns one;
+//   - every distance a query or a delete spends on the buffer — its
+//     pivot distances and the buffered items it measures — is waste (the
+//     rent); the first write after the waste since the last build reaches
+//     that build's cost (the price of buying) rebuilds the tree from
+//     scratch over the live items.
 //
-// That is the ski-rental rule, and it is 2-competitive: between two
-// rebuilds the store wastes one build's cost, and what the reads since
-// the last write add past it, so against any schedule of rebuilds chosen
-// knowing the operations to come — rebuilding at writes, as the store
-// does, and priced at the last build's cost — it spends at most twice
-// the distances on the buffer, the tombstones and the rebuilds together,
-// whatever the mix of reads and writes, where a fixed fraction of the
-// live set is right for one mix only. Reads alone never rebuild. The waste must also reach the number of live items, so a store
-// whose build cost nothing does not rebuild at every write, and a cap
-// rebuilds when the buffered and tombstoned items outnumber the tree's
-// live ones, so a phase of writes alone cannot leave a long buffer for
-// the reads after it. Every query still runs against a balanced mvp-tree
-// plus a linear tail — the balance guarantee the paper asks for.
+// That is the ski-rental rule, and it is 2-competitive: the waste is
+// what keeping the buffer costs the reads and deletes, which a rebuild
+// would spare them, and between two rebuilds the store wastes one
+// build's cost, and what the reads since the last write add past it. So
+// against any schedule of rebuilds chosen knowing the operations to come
+// — rebuilding at writes, as the store does, and priced at the last
+// build's cost — it spends at most twice the distances on the buffer and
+// the rebuilds together, whatever the mix of reads and writes, where a
+// fixed fraction of the live set is right for one mix only. An insert's
+// pivot distances are not waste: every schedule pays them, as a rebuild
+// does not spare the inserts after it. Tombstones are not waste either,
+// being measured by nothing but the vantage points that steer the
+// descent. Reads alone never rebuild. The waste must also reach the
+// number of live items, so a store whose build cost nothing does not
+// rebuild at every write, and a cap rebuilds when the buffered and
+// tombstoned items outnumber the tree's live ones, so a phase of writes
+// alone cannot leave a long buffer for the reads after it. Every query
+// still runs against a balanced mvp-tree plus a linear tail — the
+// balance guarantee the paper asks for.
 //
 // The tree indexes the items themselves, each paired with a small
 // integer id whose one use is to index the tombstones, which is what
@@ -52,8 +64,10 @@ import (
 // SearchStats is the shared per-query filtering breakdown
 // (index.SearchStats), aliased here so dynamic call sites match the
 // other index packages. A store query reports the underlying mvp-tree's
-// breakdown plus the overflow buffer's linear tail: each live buffered
-// item adds one to both Candidates and Computed.
+// breakdown plus the overflow buffer's tail: the query's distances to the
+// pivots add to VantagePoints, and each buffered item it considers adds
+// one to Candidates and one to FilteredByD, where the pivots' bounds rule
+// it out, or to Computed, where it is measured.
 type SearchStats = index.SearchStats
 
 // Options configure a dynamic store.
@@ -92,9 +106,15 @@ type Store[T any] struct {
 	alive []bool
 	live  int // number of alive items
 
-	tree     *mvp.Tree[entry[T]] // over the items live at the last rebuild
+	tree     *mvp.Tree[entry[T]] // over the items live at the last rebuild; skips the tombstoned
 	treeDead int                 // tombstoned items inside the tree
 	buffer   []entry[T]          // inserted since the last rebuild; all live, Delete drops the others
+
+	// pivots are the tree root's vantage points (mvp.RootPoints), and
+	// pdist the buffered items' distances to them, parallel to buffer:
+	// buffer[i]'s to pivots[j] at pdist[i*len(pivots)+j].
+	pivots []entry[T]
+	pdist  []float64
 
 	dist     *metric.Counter[entry[T]]
 	rebuilds int
@@ -102,7 +122,7 @@ type Store[T any] struct {
 
 	// cost is what the last build measured, or for a loaded tree what
 	// building it would: the price of a rebuild. waste is what the buffer
-	// and the tombstones have cost since, in distances (maybeRebuild);
+	// has cost the queries and deletes since, in distances (maybeRebuild);
 	// queries add to it under the read lock.
 	cost  int64
 	waste atomic.Int64
@@ -208,12 +228,16 @@ func (s *Store[T]) Buffered() int {
 	return len(s.buffer)
 }
 
-// Insert adds one item. It measures nothing, unless the rebuild rule
-// fires (maybeRebuild).
+// Insert adds one item. It measures the item's distances to the pivots
+// and nothing else, unless the rebuild rule fires (maybeRebuild).
 func (s *Store[T]) Insert(item T) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buffer = append(s.buffer, entry[T]{item, int32(len(s.alive))})
+	e := entry[T]{item, int32(len(s.alive))}
+	for _, p := range s.pivots {
+		s.pdist = append(s.pdist, s.dist.Distance(e, p))
+	}
+	s.buffer = append(s.buffer, e)
 	s.alive = append(s.alive, true)
 	s.live++
 	return s.maybeRebuild()
@@ -225,28 +249,33 @@ func (s *Store[T]) Insert(item T) error {
 func (s *Store[T]) Delete(item T) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	removed := 0
 	probe := entry[T]{item: item}
 	res := s.tree.Search(index.RangeQuery(probe, 0))
-	s.waste.Add(s.deadShare(res.Stats) + int64(len(s.buffer)))
 	for _, e := range res.Items {
-		if s.alive[e.id] {
-			s.alive[e.id] = false
-			s.treeDead++
-			removed++
-		}
+		s.alive[e.id] = false
 	}
-	kept := s.buffer[:0]
-	for _, e := range s.buffer {
-		if s.dist.DistanceUpTo(probe, e, 0) == 0 {
-			s.alive[e.id] = false
-			removed++
-			continue
+	s.treeDead += len(res.Items)
+	removed := len(res.Items)
+	// An item at distance zero is at the probe's distance from every
+	// pivot: only a buffered item whose lower bound is zero is measured.
+	var st SearchStats
+	tl := s.startTail(probe, index.SearchOptions{}, &st)
+	kept, keptD, np := s.buffer[:0], s.pdist[:0], len(s.pivots)
+	for i, e := range s.buffer {
+		if lb, _ := tl.bounds(i); lb == 0 {
+			tl.pay(&st)
+			if s.dist.DistanceUpTo(probe, e, 0) == 0 {
+				s.alive[e.id] = false
+				removed++
+				continue
+			}
 		}
+		keptD = append(keptD, s.pdist[i*np:][:np]...)
 		kept = append(kept, e)
 	}
+	s.waste.Add(st.Distances())
 	clear(s.buffer[len(kept):]) // let go of the items taken out
-	s.buffer = kept
+	s.buffer, s.pdist = kept, keptD
 	s.live -= removed
 	return removed, s.maybeRebuild()
 }
@@ -268,35 +297,14 @@ func (s *Store[T]) maybeRebuild() error {
 	return s.rebuild()
 }
 
-// deadShare is the waste of a tree query that reports st: the share of
-// its candidates' distances the tombstoned items drew, as their share of
-// the tree, in integers so the rule fires at the same write on every run.
-func (s *Store[T]) deadShare(st SearchStats) int64 {
-	if s.treeDead == 0 {
-		return 0
-	}
-	return int64(st.Computed) * int64(s.treeDead) / int64(s.tree.Len())
-}
-
-// rebuild constructs a fresh balanced tree over the live items. The tree
-// hands its items back in node order, so they are scattered by id first:
-// mvp.New then receives them in the order they were inserted, and the
-// tree built is a function of the operations so far and nothing else.
+// rebuild constructs a fresh balanced tree over the live items: the
+// tree's, which it hands back in node order without the tombstoned, then
+// the buffer's in the order they were inserted. So the tree built is a
+// function of the tree and the buffer before it and nothing else — of the
+// operations so far, and the same for a store and the one loaded from
+// what it saved, whose ids number the same items differently.
 func (s *Store[T]) rebuild() error {
-	byID := make([]entry[T], len(s.alive))
-	for _, e := range s.tree.Items() {
-		byID[e.id] = e
-	}
-	for _, e := range s.buffer {
-		byID[e.id] = e
-	}
-	live := byID[:0]
-	for id, a := range s.alive {
-		if a {
-			live = append(live, byID[id])
-		}
-	}
-	return s.build(live)
+	return s.build(append(s.tree.Items(), s.buffer...))
 }
 
 // build makes the store a tree over live and nothing else: the entries
@@ -317,9 +325,13 @@ func (s *Store[T]) build(live []entry[T]) error {
 }
 
 // adopt makes tree, whose entries carry the ids below its length, each
-// once, all the store holds; cost is what building it measured.
+// once, all the store holds; cost is what building it measured. The tree
+// skips the items the store tombstones, and its root's vantage points are
+// the buffer's pivots.
 func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]], cost int64) {
 	s.tree, s.treeDead = tree, 0
+	mvp.SetSkip(tree, s.dead)
+	s.pivots = mvp.RootPoints(tree)
 	s.cost = cost
 	s.waste.Store(0)
 	s.live = tree.Len()
@@ -328,17 +340,20 @@ func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]], cost int64) {
 		s.alive[i] = true
 	}
 	clear(s.buffer)
-	s.buffer = s.buffer[:0]
+	s.buffer, s.pdist = s.buffer[:0], s.pdist[:0]
 	s.rebuilds++
 }
+
+// dead reports whether e is tombstoned: the tree's skip predicate.
+func (s *Store[T]) dead(e entry[T]) bool { return !s.alive[e.id] }
 
 var _ index.Searcher[int] = (*Store[int])(nil)
 
 // Search is the store's one query implementation (index.Searcher).
 // Epsilon and Budget are forwarded to the underlying mvp-tree; the
-// overflow buffer's linear tail then spends whatever budget the tree
-// left (ε does not apply to a plain scan — every live buffered item the
-// budget allows is checked exactly). With zero options the query is
+// overflow buffer's tail then spends whatever budget the tree left, its
+// pivot distances first (ε does not apply to the tail — every buffered
+// item it measures is measured exactly). With zero options the query is
 // exact. Bound is not supported by the store and is ignored.
 func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
@@ -347,28 +362,80 @@ func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
 	return s.rangeSearch(req.Point, req.Radius, req.Opts)
 }
 
-// tail hands visit the buffered entries, all of them unless o.Budget is
-// set and what the tree phase left of it runs out first, counts each in
-// st — one candidate, one distance computed — and marks an answer that ε
-// or the budget may have cut short. tree is the tree phase's stats: what
-// the query wasted on the tombstones there and on the buffer here is
-// added to the store's waste.
-func (s *Store[T]) tail(o index.SearchOptions, tree SearchStats, st *SearchStats, visit func(entry[T])) {
-	remaining := int64(math.MaxInt64)
+// tail is one query's pass over the overflow buffer: the distances its
+// budget has left, and its own distances to the pivots when it measured
+// them, beside the buffered items' (Store.pdist).
+type tail struct {
+	remaining int64
+	qd        [2]float64 // d(q, pivots[j])
+	pivots    int        // how many were measured: 0 or len(Store.pivots)
+	pdist     []float64  // Store.pdist when they were
+}
+
+// startTail opens the buffer's tail of the query (probe, o), whose tree
+// phase st reports. When the buffer holds more items than there are
+// pivots and the budget has room for them, the query measures its
+// distances to the pivots, counted in st under VantagePoints, and the
+// tail filters by them (bounds); otherwise it scans the buffer unfiltered.
+func (s *Store[T]) startTail(probe entry[T], o index.SearchOptions, st *SearchStats) tail {
+	tl := tail{remaining: math.MaxInt64}
 	if o.Budget > 0 {
-		remaining = max(o.Budget-st.Distances(), 0)
+		tl.remaining = max(o.Budget-st.Distances(), 0)
 	}
-	for _, e := range s.buffer {
-		if remaining == 0 {
-			st.BudgetExhausted = 1
-			break
+	if n := len(s.pivots); len(s.buffer) > n && tl.remaining >= int64(n) {
+		for j, p := range s.pivots {
+			tl.qd[j] = s.dist.Distance(probe, p)
 		}
-		remaining--
-		st.Candidates++
-		st.Computed++
-		visit(e)
+		tl.remaining -= int64(n)
+		tl.pivots, tl.pdist = n, s.pdist
+		st.VantagePoints += n
 	}
-	s.waste.Add(s.deadShare(tree) + int64(st.Computed-tree.Computed))
+	return tl
+}
+
+// bounds returns lower and upper bounds on the distance from the query to
+// buffered item i by the triangle inequality over the pivots the tail
+// measured: the largest |d(q,p) − d(x,p)| and the smallest
+// d(q,p) + d(x,p), a NaN moving neither. With none measured they are 0
+// and +Inf.
+func (tl *tail) bounds(i int) (lb, ub float64) {
+	ub = math.Inf(1)
+	for j, d := range tl.pdist[i*tl.pivots:][:tl.pivots] {
+		if b := math.Abs(tl.qd[j] - d); b > lb {
+			lb = b
+		}
+		if b := tl.qd[j] + d; b < ub {
+			ub = b
+		}
+	}
+	return lb, ub
+}
+
+// pay charges st one buffered item's distance — a candidate computed —
+// and reports whether the budget had room for it; when it had not, the
+// answer is marked cut short.
+func (tl *tail) pay(st *SearchStats) bool {
+	if tl.remaining == 0 {
+		st.BudgetExhausted = 1
+		return false
+	}
+	tl.remaining--
+	st.Candidates++
+	st.Computed++
+	return true
+}
+
+// filtered counts in st a buffered item the pivots' bounds ruled out.
+func filtered(st *SearchStats) {
+	st.Candidates++
+	st.FilteredByD++
+}
+
+// endTail closes the tail of a query whose tree phase reported tree: what
+// the tail measured is added to the store's waste, and an answer that ε
+// or the budget may have cut short is marked approximate.
+func (s *Store[T]) endTail(o index.SearchOptions, tree SearchStats, st *SearchStats) {
+	s.waste.Add(st.Distances() - tree.Distances())
 	if st.BudgetExhausted > 0 || o.Epsilon > 0 {
 		st.Approximated = 1
 	}
@@ -383,7 +450,7 @@ func (s *Store[T]) Range(q T, r float64) []T {
 }
 
 // RangeWithStats is Range plus the per-query breakdown: the underlying
-// tree's stats with the overflow buffer's linear tail folded in.
+// tree's stats with the overflow buffer's tail folded in.
 func (s *Store[T]) RangeWithStats(q T, r float64) ([]T, SearchStats) {
 	res := s.Search(index.RangeQuery(q, r))
 	return res.Items, res.Stats
@@ -404,16 +471,23 @@ func (s *Store[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 	st = res.Stats
 	var out []T
 	for _, e := range res.Items {
-		if s.alive[e.id] {
-			out = append(out, e.item)
-		}
+		out = append(out, e.item)
 	}
-	s.tail(o, res.Stats, &st, func(e entry[T]) {
+	tl := s.startTail(probe, o, &st)
+	for i, e := range s.buffer {
+		if lb, _ := tl.bounds(i); lb > r {
+			filtered(&st)
+			continue
+		}
+		if !tl.pay(&st) {
+			break
+		}
 		// Membership only, so the kernel may abandon at r.
 		if s.dist.DistanceUpTo(probe, e, r) <= r {
 			out = append(out, e.item)
 		}
-	})
+	}
+	s.endTail(o, res.Stats, &st)
 	st.Results = len(out)
 	span.Done(&st)
 	return index.Result[T]{Items: out, Stats: st}
@@ -447,23 +521,29 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 	}
 	probe := entry[T]{item: q}
 	// No answer is longer than the live set, so a k beyond it — a
-	// request's word — neither sizes a heap nor overflows the sum below.
+	// request's word — does not size a heap.
 	k = min(k, s.live)
-	// The tree may return tombstoned items; ask for enough extras to
-	// guarantee k live ones among the answers.
-	res := s.tree.Search(index.Query[entry[T]]{Point: probe, K: k + s.treeDead,
+	res := s.tree.Search(index.Query[entry[T]]{Point: probe, K: k,
 		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget}})
 	st = res.Stats
 	best := heapx.NewKBest[T](k, k)
 	for _, nb := range res.Neighbors {
-		if s.alive[nb.Item.id] {
-			best.Push(nb.Item.item, nb.Dist)
-		}
+		best.Push(nb.Item.item, nb.Dist)
 	}
-	s.tail(o, res.Stats, &st, func(e entry[T]) {
+	tl := s.startTail(probe, o, &st)
+	for i, e := range s.buffer {
+		// Measured while the heap fills, then only below the k-th best.
+		if lb, _ := tl.bounds(i); !best.Accepts(lb) {
+			filtered(&st)
+			continue
+		}
+		if !tl.pay(&st) {
+			break
+		}
 		// Push ignores anything ≥ the current k-th best: abandon at τ.
 		best.Push(e.item, s.dist.DistanceUpTo(probe, e, best.Threshold()))
-	})
+	}
+	s.endTail(o, res.Stats, &st)
 	out := best.Sorted()
 	st.Results = len(out)
 	span.Done(&st)

@@ -6,10 +6,12 @@ import (
 )
 
 // Farthest-object queries over the dynamic store: the tree answers for
-// its live members, the overflow buffer is scanned, tombstones are
-// filtered. The buffer's distances are waste (maybeRebuild); the tree's
-// farthest traversals report no stats, so their tombstones' share is not
-// charged.
+// its live members, skipping the tombstoned, and the overflow buffer is
+// filtered by the pivots' bounds, reversed: a buffered item whose upper
+// bound falls short is not measured, nor one whose lower bound already
+// clears the range or cannot beat the k-th farthest. What the buffer
+// costs is waste (maybeRebuild); the tree's farthest traversals report no
+// stats.
 
 // RangeFarther returns every live item at distance ≥ r from q.
 func (s *Store[T]) RangeFarther(q T, r float64) []T {
@@ -18,16 +20,24 @@ func (s *Store[T]) RangeFarther(q T, r float64) []T {
 	probe := entry[T]{item: q}
 	var out []T
 	for _, e := range s.tree.RangeFarther(probe, r) {
-		if s.alive[e.id] {
+		out = append(out, e.item)
+	}
+	var st SearchStats
+	tl := s.startTail(probe, index.SearchOptions{}, &st)
+	for i, e := range s.buffer {
+		lb, ub := tl.bounds(i)
+		switch {
+		case ub < r: // provably too close
+		case lb >= r: // provably far enough
 			out = append(out, e.item)
+		default:
+			tl.pay(&st)
+			if s.dist.Distance(probe, e) >= r {
+				out = append(out, e.item)
+			}
 		}
 	}
-	for _, e := range s.buffer {
-		if s.dist.Distance(probe, e) >= r {
-			out = append(out, e.item)
-		}
-	}
-	s.waste.Add(int64(len(s.buffer)))
+	s.waste.Add(st.Distances())
 	return out
 }
 
@@ -43,16 +53,19 @@ func (s *Store[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		return nil
 	}
 	probe := entry[T]{item: q}
-	k = min(k, s.live) // as kNN: the live set bounds the answer, the heap and the sum
+	k = min(k, s.live) // as kNN: the live set bounds the answer and the heap
 	best := heapx.NewKLargest[T](k, k)
-	for _, nb := range s.tree.KFarthest(probe, k+s.treeDead) {
-		if s.alive[nb.Item.id] {
-			best.Push(nb.Item.item, nb.Dist)
+	for _, nb := range s.tree.KFarthest(probe, k) {
+		best.Push(nb.Item.item, nb.Dist)
+	}
+	var st SearchStats
+	tl := s.startTail(probe, index.SearchOptions{}, &st)
+	for i, e := range s.buffer {
+		if _, ub := tl.bounds(i); best.Accepts(ub) {
+			tl.pay(&st)
+			best.Push(e.item, s.dist.Distance(probe, e))
 		}
 	}
-	for _, e := range s.buffer {
-		best.Push(e.item, s.dist.Distance(probe, e))
-	}
-	s.waste.Add(int64(len(s.buffer)))
+	s.waste.Add(st.Distances())
 	return best.Sorted()
 }

@@ -16,12 +16,18 @@ import (
 	"mvptree/internal/metric"
 )
 
+// MaxBuckets is the most buckets a Histogram holds: values from
+// MaxBuckets·BucketWidth up have no bucket. It is far above every
+// histogram the paper's figures and radius calibration draw (those span
+// a few hundred to a couple of thousand buckets), and caps what one
+// value can make Counts allocate at 512 KiB.
+const MaxBuckets = 1 << 16
+
 // Histogram is a fixed-bucket-width histogram over [0, ∞). Values are
-// assigned to bucket ⌊v / BucketWidth⌋; the bucket slice grows on demand.
-// A value with no bucket — NaN, +Inf (a metric whose arithmetic
-// overflowed) or one whose bucket index does not fit an int — is counted
-// in an overflow tally instead: it is in Total but not in Counts, Mean or
-// Max.
+// assigned to bucket ⌊v / BucketWidth⌋; the bucket slice grows on demand,
+// up to MaxBuckets. A value with no bucket — NaN, +Inf (a metric whose
+// arithmetic overflowed) or one past the last bucket — is counted in an
+// overflow tally instead: it is in Total but not in Counts, Mean or Max.
 type Histogram struct {
 	BucketWidth float64
 	Counts      []int64
@@ -46,7 +52,7 @@ func New(bucketWidth float64) *Histogram {
 func (h *Histogram) Add(v float64) {
 	h.total++
 	f := v / h.BucketWidth
-	if math.IsNaN(f) || f >= math.MaxInt {
+	if !(f < MaxBuckets) {
 		h.overflow++
 		return
 	}
@@ -54,8 +60,8 @@ func (h *Histogram) Add(v float64) {
 	if f > 0 {
 		b = int(f)
 	}
-	for b >= len(h.Counts) {
-		h.Counts = append(h.Counts, 0)
+	if b >= len(h.Counts) {
+		h.Counts = append(h.Counts, make([]int64, b+1-len(h.Counts))...)
 	}
 	h.Counts[b]++
 	h.sum += v

@@ -3,6 +3,7 @@ package histogram
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,8 +62,8 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 }
 
-// TestOverflowTally: NaN, +Inf and a value whose bucket index no int
-// holds have no bucket. They go to the overflow tally, stay out of Counts,
+// TestOverflowTally: NaN, +Inf and a value past the last bucket have no
+// bucket. They go to the overflow tally, stay out of Counts,
 // Mean and Max, rank above every bucket in Quantile and show in WriteTo's
 // summary; none of them may panic, and a pairwise histogram over a metric
 // that overflows to +Inf takes them too.
@@ -99,6 +100,56 @@ func TestOverflowTally(t *testing.T) {
 	if p.Total() != 1 || p.Overflow() != 1 || !math.IsInf(p.Quantile(1), 1) {
 		t.Errorf("Pairwise over an overflowing L2: Total %d, Overflow %d, Quantile(1) %g", p.Total(), p.Overflow(), p.Quantile(1))
 	}
+}
+
+// TestOneValueAllocatesBoundedly: one large finite value cannot make
+// Counts allocate past the bucket ceiling — it once grew a bucket at a
+// time up to the value's, 469 MB for New(1).Add(1e7) — and a value in
+// range grows Counts in one step.
+func TestOneValueAllocatesBoundedly(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := New(1)
+	h.Add(1e7)
+	h.Add(1e18)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 || h.Overflow() != 2 || len(h.Counts) != 0 {
+		t.Errorf("two values past the ceiling allocated %d bytes, overflowed %d, made %d buckets", grew, h.Overflow(), len(h.Counts))
+	}
+	top := float64(MaxBuckets) - 0.5
+	if n := testing.AllocsPerRun(10, func() { New(1).Add(top) }); n > 2 {
+		t.Errorf("New(1).Add(%g) allocates %.0f times, want 2: the histogram and its buckets", top, n)
+	}
+	h = New(1)
+	h.Add(top)
+	h.Add(MaxBuckets)
+	if len(h.Counts) != MaxBuckets || h.Counts[MaxBuckets-1] != 1 || h.Overflow() != 1 {
+		t.Errorf("%d buckets, %d in the last, %d overflowed; want %d, 1, 1", len(h.Counts), h.Counts[len(h.Counts)-1], h.Overflow(), MaxBuckets)
+	}
+}
+
+// FuzzAdd feeds Add values and bucket widths from the fuzz input: it
+// must never panic, and every value is in a bucket or in the overflow.
+func FuzzAdd(f *testing.F) {
+	f.Add(1.0, 0.5, 1e7, -3.0)
+	f.Add(0.01, math.Inf(1), math.NaN(), 655.35)
+	f.Add(1e-300, 1e-10, 1e300, 0.0)
+	f.Fuzz(func(t *testing.T, width, a, b, c float64) {
+		if !(width > 0) || math.IsInf(width, 1) {
+			return // New's panic, pinned by TestInvalidBucketWidthPanics
+		}
+		h := New(width)
+		for _, v := range []float64{a, b, c, a * b, b / width} {
+			h.Add(v)
+		}
+		var inBuckets int64
+		for _, n := range h.Counts {
+			inBuckets += n
+		}
+		if len(h.Counts) > MaxBuckets || h.Total() != 5 || inBuckets+h.Overflow() != h.Total() {
+			t.Fatalf("%d buckets, Total %d, %d in buckets, %d overflowed", len(h.Counts), h.Total(), inBuckets, h.Overflow())
+		}
+	})
 }
 
 func TestInvalidBucketWidthPanics(t *testing.T) {

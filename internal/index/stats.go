@@ -21,7 +21,9 @@ type SearchStats struct {
 	// Candidates counts leaf data points considered.
 	Candidates int
 	// FilteredByD counts candidates excluded by stored exact distances
-	// to the leaf's own vantage points (the paper's D1/D2 arrays).
+	// to the leaf's own vantage points (the paper's D1/D2 arrays), and in
+	// the dynamic store's buffer by its items' stored distances to the
+	// tree root's vantage points.
 	FilteredByD int
 	// FilteredByPath counts candidates excluded by a retained PATH
 	// distance — the filter only the mvp-tree family has.

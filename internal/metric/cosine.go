@@ -17,9 +17,10 @@ import "math"
 // NormalizeL2Set) first; the function does not re-normalize, so the
 // normalization cost is paid once per vector, not per distance.
 //
-// Cosine shares every L2 fast path: NewCounter serves DistanceUpTo
-// through the early-abandoning L2UpTo kernel, and the quantized
-// pre-filter uses the L2 lower-bound shape (QuantL2), so
+// Cosine shares every L2 fast path, being registered as L2's alias:
+// NewCounter serves DistanceUpTo through the early-abandoning L2UpTo
+// kernel, construction measures its rows through L2Row, and the
+// quantized pre-filter uses the L2 lower-bound shape (QuantL2), so
 // embedding-style workloads get the whole hot-path stack for free.
 // For non-normalized inputs that should compare by direction only, use
 // Angular instead, which is scale-invariant but has no early-abandoning

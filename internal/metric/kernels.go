@@ -57,9 +57,8 @@ func init() {
 	Register(L1, Kernels[[]float64]{Bounded: L1UpTo, Quant: QuantL1})
 	Register(L2, Kernels[[]float64]{Bounded: L2UpTo, Quant: QuantL2, Row: L2Row})
 	Register(LInf, Kernels[[]float64]{Bounded: LInfUpTo, Quant: QuantLInf})
-	// Cosine is exactly L2 on its (unit-vector) domain, so every L2
-	// kernel serves it.
-	Register(Cosine, Kernels[[]float64]{Bounded: L2UpTo, Quant: QuantL2})
+	// Cosine computes exactly what L2 does, so every L2 kernel serves it.
+	Alias(Cosine, L2)
 	Register(Canberra, Kernels[[]float64]{Bounded: CanberraUpTo})
 	Register(Angular, Kernels[[]float64]{Bounded: AngularUpTo})
 	Register(Edit, Kernels[string]{Bounded: EditUpTo, Row: EditRow})

@@ -163,10 +163,10 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 	for i, j := range act {
 		m := &ms[j]
 		m.s.VantagePoints += t.v
-		if d1v[i] <= m.r {
+		if d1v[i] <= m.r && t.keeps(sv[0]) {
 			m.out = append(m.out, sv[0])
 		}
-		if t.v == 2 && d2v[i] <= m.r {
+		if t.v == 2 && d2v[i] <= m.r && t.keeps(sv[1]) {
 			m.out = append(m.out, sv[1])
 		}
 	}
@@ -262,7 +262,7 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 			m := &ms[j]
 			dv[i] = k(m.q, pt, m.r+over[v])
 			m.s.VantagePoints++
-			if dv[i] <= m.r {
+			if dv[i] <= m.r && t.keeps(pt) {
 				m.out = append(m.out, pt)
 			}
 		}

@@ -40,7 +40,7 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out
 	// sub-shell [0, +Inf]: neither test on them below ever fires.
 	var d [2]float64
 	for j, sv := range t.vantages(i) {
-		if d[j] = t.dist.Distance(q, sv); d[j] >= r {
+		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(sv) {
 			*out = append(*out, sv)
 		}
 		if len(qpath) < t.p {
@@ -77,12 +77,15 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out
 func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out *[]T) {
 	var d [2]float64
 	for j, sv := range t.points(i) {
-		if d[j] = t.dist.Distance(q, sv); d[j] >= r {
+		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(sv) {
 			*out = append(*out, sv)
 		}
 	}
 	n := &t.nodes[i]
 	for i, it := range t.leafItems(n) {
+		if !t.keeps(it) {
+			continue
+		}
 		lb, ub := t.itemBounds(n, i, d[0], d[1], qpath)
 		switch {
 		case ub < r:
@@ -127,13 +130,13 @@ func leafBounds[T any, C code](t *Tree[T], row []C, hasSV2 bool, d1, d2 float64,
 	return lb - t.slack, ub + t.slack
 }
 
-// collectAll appends every data point in the subtree of node i without
-// any distance computations.
+// collectAll appends every data point in the subtree of node i that the
+// tree does not skip, without any distance computations.
 func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	n := &t.nodes[i]
-	*out = append(*out, t.points(i)...)
+	t.appendKept(out, t.points(i))
 	if n.isLeaf() {
-		*out = append(*out, t.items[n.off:n.off+n.cnt]...)
+		t.appendKept(out, t.leafItems(n))
 		return
 	}
 	cut1, _, sh := t.inner(n)
@@ -147,8 +150,22 @@ func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	}
 }
 
-// Items returns every item the tree stores, vantage points and leaf
-// items in node pre-order, at no distance computations.
+// appendKept appends the items of xs the tree does not skip to out.
+func (t *Tree[T]) appendKept(out *[]T, xs []T) {
+	if t.skip == nil {
+		*out = append(*out, xs...)
+		return
+	}
+	for _, x := range xs {
+		if !t.skip(x) {
+			*out = append(*out, x)
+		}
+	}
+}
+
+// Items returns every item the tree stores and does not skip (SetSkip),
+// vantage points and leaf items in node pre-order, at no distance
+// computations.
 func (t *Tree[T]) Items() []T {
 	out := make([]T, 0, t.size)
 	if len(t.nodes) > 0 {
@@ -191,7 +208,9 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		var d [2]float64 // d2 is 0 without a second vantage point; so is its shell's upper bound +Inf
 		for j, sv := range t.vantages(pn.n) {
 			d[j] = t.dist.Distance(q, sv)
-			best.Push(sv, d[j])
+			if t.keeps(sv) {
+				best.Push(sv, d[j])
+			}
 			if len(qpath) < t.p {
 				qpath = append(qpath, d[j])
 			}
@@ -224,10 +243,15 @@ func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, best *heapx.KLarg
 	var d [2]float64
 	for j, sv := range t.points(i) {
 		d[j] = t.dist.Distance(q, sv)
-		best.Push(sv, d[j])
+		if t.keeps(sv) {
+			best.Push(sv, d[j])
+		}
 	}
 	n := &t.nodes[i]
 	for i, it := range t.leafItems(n) {
+		if !t.keeps(it) {
+			continue
+		}
 		_, ub := t.itemBounds(n, i, d[0], d[1], qpath)
 		if best.Accepts(ub) {
 			best.Push(it, t.dist.Distance(q, it))

@@ -114,7 +114,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		var d [2]float64 // d2 is 0 without a second vantage point: inside the one sub-shell
 		for j, sv := range t.vantages(i) {
 			d[j] = t.vantageDistance(q, sv, exact, tau+cutMax[j])
-			if d[j] <= tau+cutMax[j] {
+			if d[j] <= tau+cutMax[j] && t.keeps(sv) {
 				best.Push(sv, d[j])
 			}
 		}

@@ -195,6 +195,8 @@ type Tree[T any] struct {
 	// the item arena, nil unless EnableQuantize built them; see quantize.go.
 	qset   *quant.Set
 	qcodes []byte
+	// skip, when set, names the items no query reports (SetSkip).
+	skip func(T) bool
 }
 
 var _ index.StatsIndex[int] = (*Tree[int])(nil)

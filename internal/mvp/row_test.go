@@ -80,3 +80,30 @@ func sameTreeWithRowKernel[T any](t *testing.T, items []T, dist metric.DistanceF
 		}
 	}
 }
+
+// TestCosineBuildsTheL2Tree: Cosine is L2 on unit vectors and is
+// registered as its alias, so it carries L2's row kernel, and a tree
+// over normalized vectors under either metric saves the same bytes at
+// the same construction count.
+func TestCosineBuildsTheL2Tree(t *testing.T) {
+	if metric.NewCounter(metric.Cosine).Row() == nil {
+		t.Fatal("Cosine has no row kernel: its builds measure pair by pair")
+	}
+	items := metric.NormalizeL2Set(uniformItems(37, 3000, 12))
+	var saved [2][]byte
+	var costs [2]int64
+	for i, dist := range []metric.DistanceFunc[[]float64]{metric.Cosine, metric.L2} {
+		tree, st, err := NewWithStats(items, metric.NewCounter(dist), Options{Partitions: 3, LeafCapacity: 20, PathLength: 5, Build: Build{Seed: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tree.Save(&buf, codec.EncodeVector); err != nil {
+			t.Fatal(err)
+		}
+		saved[i], costs[i] = buf.Bytes(), st.Distances
+	}
+	if !bytes.Equal(saved[0], saved[1]) || costs[0] != costs[1] {
+		t.Errorf("Cosine's tree saves %d bytes at %d distances, L2's %d bytes at %d", len(saved[0]), costs[0], len(saved[1]), costs[1])
+	}
+}

@@ -142,7 +142,7 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	var d [2]float64
 	for j, sv := range t.vantages(i) {
 		d[j] = t.vantageDistance(q, sv, exact, r+cutMax[j])
-		if d[j] <= r {
+		if d[j] <= r && t.keeps(sv) {
 			*out = append(*out, sv)
 		}
 		if plen < t.p {
@@ -221,6 +221,9 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, nb *nearest[T], sc *que
 		b := r + maxD[j]
 		d[j] = kernel(q, sv, b)
 		s.VantagePoints++
+		if !t.keeps(sv) {
+			continue
+		}
 		if nb == nil {
 			if d[j] <= r {
 				*out = append(*out, sv)
@@ -274,7 +277,6 @@ func scanLeaf[T any, C code](t *Tree[T], codes []C, ni int32, q T, r, rp, d1, d2
 	// across the loop: the loop keeps enough live without it.
 	useCas := len(sc.clo) > 0
 	useQuant := sc.quantOn && t.qcodes != nil
-	cand := len(items)
 	var filteredD, filteredPath, filteredCascade, filteredQuant, computed int
 	for i := 0; i < len(items); i++ {
 		// |d(Q,SV) − d(Si,SV)| > rp ⟹ d(Q,Si) > rp by the triangle
@@ -317,9 +319,13 @@ func scanLeaf[T any, C code](t *Tree[T], codes []C, ni int32, q T, r, rp, d1, d2
 			filteredCascade++
 			continue
 		}
+		// An item the tree skips (SetSkip) is not a candidate: it is
+		// neither measured nor counted.
+		if t.skip != nil && t.skip(items[i]) {
+			continue
+		}
 		if sc.limited && !sc.ap.Pay(1) {
-			cand = i // not considered: the budget stopped the scan first
-			break
+			break // not considered: the budget stopped the scan first
 		}
 		computed++
 		// The quantized lower bound certifies d > r from the companion
@@ -339,13 +345,15 @@ func scanLeaf[T any, C code](t *Tree[T], codes []C, ni int32, q T, r, rp, d1, d2
 			}
 		}
 	}
-	reportLeaf(s, cand, filteredD, filteredPath, filteredCascade, filteredQuant, computed)
+	reportLeaf(s, filteredD, filteredPath, filteredCascade, filteredQuant, computed)
 	return computed
 }
 
 // reportLeaf adds the stage tallies of one leaf scan to the query's stats.
-func reportLeaf(s *SearchStats, cand, byD, byPath, byCascade, byQuant, computed int) {
-	s.Candidates += cand
+// Every candidate the scan considered was filtered or computed, so they
+// are the sum of the two.
+func reportLeaf(s *SearchStats, byD, byPath, byCascade, byQuant, computed int) {
+	s.Candidates += byD + byPath + byCascade + computed
 	s.FilteredByD += byD
 	s.FilteredByPath += byPath
 	s.FilteredByCascade += byCascade
@@ -365,7 +373,7 @@ func (t *Tree[T]) rangeBare(i int32, q T, r float64, nb *nearest[T], a *index.Ap
 			break
 		}
 		paid++
-		if d := kernel(q, pt, r); d <= r {
+		if d := kernel(q, pt, r); d <= r && t.keeps(pt) {
 			if nb == nil {
 				*out = append(*out, pt)
 			} else {
