@@ -27,8 +27,8 @@ type DynamicOptions = dynamic.Options
 // NewDynamic builds a dynamic store over the initial items; the build's
 // distances are the price its first rebuild waits for. WithObserver
 // and WithTracer attach telemetry; WithCounter is ignored — the store
-// owns its counter, over the items paired with the ids its tombstones
-// need (read it via DistanceCount) — and WithCascade and WithQuantized
+// owns its counter, which the registry equips with dist's kernels (read
+// it via DistanceCount) — and WithCascade and WithQuantized
 // are refused with an error: the store has neither mode.
 func NewDynamic[T any](items []T, dist DistanceFunc[T], opts DynamicOptions, ixOpts ...IndexOption[T]) (*DynamicStore[T], error) {
 	cfg := resolveIndexConfig(dist, ixOpts)

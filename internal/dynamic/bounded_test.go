@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -16,11 +17,12 @@ import (
 )
 
 // TestStoreAttachesBoundedKernel pins the fix for the store silently
-// dropping the early-abandoning kernel: its counter is a closure over
-// entries, which the bounded-kernel registry cannot match, so the item
-// metric's registered fast path has to be attached by hand. Attached or
-// detached, answers, order, SearchStats and distance counts must not
-// differ — that is the BoundedDistanceFunc contract.
+// dropping the early-abandoning kernel: the store's counter is the item
+// metric's own, so the registry gives it metric.EditUpTo itself, with no
+// adapter between, and a closure metric, which the registry cannot
+// match, gets no kernel. Attached or detached, answers, order,
+// SearchStats and distance counts must not differ — that is the
+// BoundedDistanceFunc contract.
 func TestStoreAttachesBoundedKernel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 3))
 	words := dataset.Words(rng, 1500, dataset.WordOptions{MinLen: 4, MaxLen: 9, MisspellingsPer: 2})
@@ -35,8 +37,8 @@ func TestStoreAttachesBoundedKernel(t *testing.T) {
 		return s
 	}
 	fast, exact := build(), build()
-	if fast.dist.Bounded() == nil {
-		t.Fatal("store over metric.Edit has no early-abandoning kernel attached")
+	if !sameFunc(fast.dist.Bounded(), metric.EditUpTo) || !sameFunc(fast.dist.Row(), metric.EditRow) {
+		t.Fatal("the store's counter over metric.Edit does not have metric.EditUpTo and metric.EditRow")
 	}
 	exact.dist.SetBounded(nil)
 
@@ -119,7 +121,7 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 	if s.Rebuilds() != 1 || s.Buffered() != len(words) {
 		t.Fatalf("want every word in the buffer, got %d buffered after %d rebuilds", s.Buffered(), s.Rebuilds())
 	}
-	tree := s.tree.Search(index.RangeQuery(entry[string]{item: "alpha"}, 0)).Stats.Distances()
+	tree := s.tree.Search(index.RangeQuery("alpha", 0)).Stats.Distances()
 	pivots := mvp.RootPoints(s.tree)
 	if len(pivots) != 2 {
 		t.Fatalf("the tree's root has %d vantage points, want 2", len(pivots))
@@ -128,7 +130,7 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 	for _, w := range words {
 		lb := 0.0
 		for _, p := range pivots {
-			lb = max(lb, math.Abs(metric.Edit("alpha", p.item)-metric.Edit(w, p.item)))
+			lb = max(lb, math.Abs(metric.Edit("alpha", p)-metric.Edit(w, p)))
 		}
 		if lb == 0 {
 			measured++
@@ -138,8 +140,8 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 		t.Fatalf("every buffered word is at alpha's distances from the pivots %v: nothing to filter", pivots)
 	}
 	bounded, calls := s.dist.Bounded(), 0
-	s.dist.SetBounded(func(a, b entry[string], bound float64) float64 {
-		if int(b.id) >= len(filler) { // a buffered word
+	s.dist.SetBounded(func(a, b string, bound float64) float64 {
+		if !slices.Contains(filler, b) { // a buffered word
 			calls++
 			if bound != 0 {
 				t.Errorf("tail scan asked the kernel for bound %g, want 0", bound)
@@ -160,11 +162,10 @@ func TestDeleteTailScanAbandons(t *testing.T) {
 	}
 }
 
-// TestStoreAttachesRowKernel: the store's counter is a closure over
-// entries, so the item metric's row kernel is attached through gatherRow,
-// which gathers a row's items for it. A rebuild measured through it
-// builds the tree the pair loop builds, at the same cost, at any worker
-// count.
+// TestStoreAttachesRowKernel: the store's counter is the item metric's
+// own, so a rebuild measures its rows through the metric's registered row
+// kernel, and builds the tree the pair loop builds, at the same cost, at
+// any worker count.
 func TestStoreAttachesRowKernel(t *testing.T) {
 	words := dataset.Words(rand.New(rand.NewPCG(16, 3)), 3000, dataset.WordOptions{MinLen: 3, MaxLen: 12, MisspellingsPer: 2})
 	for _, workers := range []int{1, 3} {
@@ -177,10 +178,10 @@ func TestStoreAttachesRowKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 			row, rows := s.dist.Row(), atomic.Int64{}
-			if row == nil {
-				t.Fatal("store over metric.Edit has no row kernel attached")
+			if !sameFunc(row, metric.EditRow) {
+				t.Fatal("the store's counter over metric.Edit does not have metric.EditRow")
 			}
-			s.dist.SetRow(func(p entry[string], items []entry[string], ids []int32, out []float64) {
+			s.dist.SetRow(func(p string, items []string, ids []int32, out []float64) {
 				rows.Add(1)
 				row(p, items, ids, out)
 			})
@@ -213,4 +214,9 @@ func TestStoreAttachesRowKernel(t *testing.T) {
 				workers, len(saved[0]), stats[0], len(saved[1]), stats[1])
 		}
 	}
+}
+
+// sameFunc reports whether f is the top-level function g.
+func sameFunc[F, G any](f F, g G) bool {
+	return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
 }

@@ -11,9 +11,10 @@
 //     own distances to them and, by the triangle inequality, measures
 //     only the buffered items that could be in its answer;
 //   - deletions tombstone their targets (delete-by-value: every stored
-//     item at distance zero from the argument), and the tree skips its
-//     tombstoned items (mvp.SetSkip): it never measures one as a leaf
-//     candidate and never returns one;
+//     item at distance zero from the argument): the tree's own
+//     tombstones (mvp.Remove, the range query at r = 0 marking what it
+//     finds), which it never measures as leaf candidates and never
+//     returns, and a buffered target leaves the buffer;
 //   - every distance a query or a delete spends on the buffer — its
 //     pivot distances and the buffered items it measures — is waste (the
 //     rent); the first write after the waste since the last build reaches
@@ -40,9 +41,9 @@
 // still runs against a balanced mvp-tree plus a linear tail — the
 // balance guarantee the paper asks for.
 //
-// The tree indexes the items themselves, each paired with a small
-// integer id whose one use is to index the tombstones, which is what
-// makes deleting possible over arbitrary (non-comparable) item types.
+// The tree indexes the items themselves, and its tombstones are a bit
+// per slot of its arenas, so deleting needs no identity beyond the
+// metric's and works over arbitrary (non-comparable) item types.
 //
 // The store is safe for concurrent use: queries take a read lock, and
 // only add to the waste, which is atomic; Insert, Delete and Save take
@@ -99,24 +100,18 @@ type Store[T any] struct {
 	// waste.
 	mu sync.RWMutex
 
-	// alive is the tombstones, by id: ids are handed out in insertion
-	// order and renumbered from zero at every rebuild. Every id below
-	// len(alive) is held by the tree or the buffer, or is a buffered
-	// item's that Delete took out.
-	alive []bool
-	live  int // number of alive items
-
-	tree     *mvp.Tree[entry[T]] // over the items live at the last rebuild; skips the tombstoned
-	treeDead int                 // tombstoned items inside the tree
-	buffer   []entry[T]          // inserted since the last rebuild; all live, Delete drops the others
+	live     int          // number of live items
+	tree     *mvp.Tree[T] // over the items live at the last rebuild; holds the tombstones
+	treeDead int          // tombstoned items inside the tree
+	buffer   []T          // inserted since the last rebuild; all live, Delete drops the others
 
 	// pivots are the tree root's vantage points (mvp.RootPoints), and
 	// pdist the buffered items' distances to them, parallel to buffer:
-	// buffer[i]'s to pivots[j] at pdist[i*len(pivots)+j].
-	pivots []entry[T]
-	pdist  []float64
+	// buffer[i]'s to pivots[j] at pdist[i][j], NaN past the pivots.
+	pivots []T
+	pdist  [][2]float64
 
-	dist     *metric.Counter[entry[T]]
+	dist     *metric.Counter[T]
 	rebuilds int
 	seq      uint64 // construction seed sequence
 
@@ -128,78 +123,17 @@ type Store[T any] struct {
 	waste atomic.Int64
 }
 
-// entry is what the tree and the buffer hold: an item and its index into
-// alive. A query is an entry without an id, which nothing reads: the
-// metric sees the items alone.
-type entry[T any] struct {
-	item T
-	id   int32
-}
-
 var _ index.StatsIndex[int] = (*Store[int])(nil) // Store[T] satisfies StatsIndex[T]
 
-// New builds a dynamic store over the initial items.
+// New builds a dynamic store over the initial items. The store's counter
+// is metric.NewCounter(dist), so a registered metric brings its bounded
+// and row kernels to every query, delete and rebuild.
 func New[T any](initial []T, dist metric.DistanceFunc[T], opts Options) (*Store[T], error) {
-	s := &Store[T]{opts: opts}
-	s.bindMetric(dist)
-	entries := make([]entry[T], len(initial))
-	for i, it := range initial {
-		entries[i].item = it
-	}
-	if err := s.build(entries); err != nil {
+	s := &Store[T]{opts: opts, dist: metric.NewCounter(dist)}
+	if err := s.build(initial); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// bindMetric makes the store's counter the item metric dist over
-// entries. That closure is not a registered top-level function, so
-// NewCounter finds no kernel for it; the item metric's own registered
-// ones (if any) are attached the same way, or every DistanceUpTo of the
-// tree and of the buffer-tail scans would run the exact kernel, and every
-// row of a rebuild the pair loop.
-func (s *Store[T]) bindMetric(dist metric.DistanceFunc[T]) {
-	s.dist = metric.NewCounter(func(a, b entry[T]) float64 { return dist(a.item, b.item) })
-	kernels := metric.NewCounter(dist)
-	if bounded := kernels.Bounded(); bounded != nil {
-		s.dist.SetBounded(func(a, b entry[T], bound float64) float64 {
-			return bounded(a.item, b.item, bound)
-		})
-	}
-	if row := kernels.Row(); row != nil {
-		s.dist.SetRow(gatherRow(row))
-	}
-}
-
-// rowScratch is what gatherRow hands the item kernel: a row's items, and
-// the ids that name them there, 0 to len-1.
-type rowScratch[T any] struct {
-	items []T
-	ids   []int32
-}
-
-// gatherRow adapts the item metric's row kernel to entries: it gathers
-// the items the ids pick into scratch of its own, reused across rows and
-// across the build's workers through a pool, and measures them in place
-// there.
-func gatherRow[T any](row metric.RowDistanceFunc[T]) metric.RowDistanceFunc[entry[T]] {
-	var pool sync.Pool
-	return func(p entry[T], entries []entry[T], ids []int32, out []float64) {
-		sc, _ := pool.Get().(*rowScratch[T])
-		if sc == nil {
-			sc = new(rowScratch[T])
-		}
-		for len(sc.ids) < len(ids) {
-			sc.ids = append(sc.ids, int32(len(sc.ids)))
-		}
-		for _, id := range ids {
-			sc.items = append(sc.items, entries[id].item)
-		}
-		row(p.item, sc.items, sc.ids[:len(ids)], out)
-		clear(sc.items) // hold no item past its row
-		sc.items = sc.items[:0]
-		pool.Put(sc)
-	}
 }
 
 // Len reports the number of live items.
@@ -233,12 +167,12 @@ func (s *Store[T]) Buffered() int {
 func (s *Store[T]) Insert(item T) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := entry[T]{item, int32(len(s.alive))}
-	for _, p := range s.pivots {
-		s.pdist = append(s.pdist, s.dist.Distance(e, p))
+	pd := [2]float64{math.NaN(), math.NaN()}
+	for j, p := range s.pivots {
+		pd[j] = s.dist.Distance(item, p)
 	}
-	s.buffer = append(s.buffer, e)
-	s.alive = append(s.alive, true)
+	s.pdist = append(s.pdist, pd)
+	s.buffer = append(s.buffer, item)
 	s.live++
 	return s.maybeRebuild()
 }
@@ -249,28 +183,22 @@ func (s *Store[T]) Insert(item T) error {
 func (s *Store[T]) Delete(item T) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	probe := entry[T]{item: item}
-	res := s.tree.Search(index.RangeQuery(probe, 0))
-	for _, e := range res.Items {
-		s.alive[e.id] = false
-	}
-	s.treeDead += len(res.Items)
-	removed := len(res.Items)
-	// An item at distance zero is at the probe's distance from every
+	removed := mvp.Remove(s.tree, item)
+	s.treeDead += removed
+	// An item at distance zero is at item's distance from every
 	// pivot: only a buffered item whose lower bound is zero is measured.
 	var st SearchStats
-	tl := s.startTail(probe, index.SearchOptions{}, &st)
-	kept, keptD, np := s.buffer[:0], s.pdist[:0], len(s.pivots)
+	tl := s.startTail(item, index.SearchOptions{}, &st)
+	kept, keptD := s.buffer[:0], s.pdist[:0]
 	for i, e := range s.buffer {
 		if lb, _ := tl.bounds(i); lb == 0 {
 			tl.pay(&st)
-			if s.dist.DistanceUpTo(probe, e, 0) == 0 {
-				s.alive[e.id] = false
+			if s.dist.DistanceUpTo(item, e, 0) == 0 {
 				removed++
 				continue
 			}
 		}
-		keptD = append(keptD, s.pdist[i*np:][:np]...)
+		keptD = append(keptD, s.pdist[i])
 		kept = append(kept, e)
 	}
 	s.waste.Add(st.Distances())
@@ -302,17 +230,14 @@ func (s *Store[T]) maybeRebuild() error {
 // the buffer's in the order they were inserted. So the tree built is a
 // function of the tree and the buffer before it and nothing else — of the
 // operations so far, and the same for a store and the one loaded from
-// what it saved, whose ids number the same items differently.
+// what it saved.
 func (s *Store[T]) rebuild() error {
 	return s.build(append(s.tree.Items(), s.buffer...))
 }
 
-// build makes the store a tree over live and nothing else: the entries
-// are numbered as they come, no tombstones, an empty buffer.
-func (s *Store[T]) build(live []entry[T]) error {
-	for i := range live {
-		live[i].id = int32(i)
-	}
+// build makes the store a tree over live and nothing else: no
+// tombstones, an empty buffer.
+func (s *Store[T]) build(live []T) error {
 	opts := s.opts.Tree
 	opts.Seed += s.seq
 	tree, st, err := mvp.NewWithStats(live, s.dist, opts)
@@ -324,28 +249,19 @@ func (s *Store[T]) build(live []entry[T]) error {
 	return nil
 }
 
-// adopt makes tree, whose entries carry the ids below its length, each
-// once, all the store holds; cost is what building it measured. The tree
-// skips the items the store tombstones, and its root's vantage points are
-// the buffer's pivots.
-func (s *Store[T]) adopt(tree *mvp.Tree[entry[T]], cost int64) {
+// adopt makes tree, which holds no tombstones, all the store holds; cost
+// is what building it measured. Its root's vantage points are the
+// buffer's pivots.
+func (s *Store[T]) adopt(tree *mvp.Tree[T], cost int64) {
 	s.tree, s.treeDead = tree, 0
-	mvp.SetSkip(tree, s.dead)
 	s.pivots = mvp.RootPoints(tree)
 	s.cost = cost
 	s.waste.Store(0)
 	s.live = tree.Len()
-	s.alive = make([]bool, s.live)
-	for i := range s.alive {
-		s.alive[i] = true
-	}
 	clear(s.buffer)
 	s.buffer, s.pdist = s.buffer[:0], s.pdist[:0]
 	s.rebuilds++
 }
-
-// dead reports whether e is tombstoned: the tree's skip predicate.
-func (s *Store[T]) dead(e entry[T]) bool { return !s.alive[e.id] }
 
 var _ index.Searcher[int] = (*Store[int])(nil)
 
@@ -363,31 +279,30 @@ func (s *Store[T]) Search(req index.Query[T]) index.Result[T] {
 }
 
 // tail is one query's pass over the overflow buffer: the distances its
-// budget has left, and its own distances to the pivots when it measured
-// them, beside the buffered items' (Store.pdist).
+// budget has left, and its own distances to the pivots beside the
+// buffered items' (Store.pdist) — NaN past the pivots, and all NaN when
+// it measured none.
 type tail struct {
 	remaining int64
 	qd        [2]float64 // d(q, pivots[j])
-	pivots    int        // how many were measured: 0 or len(Store.pivots)
-	pdist     []float64  // Store.pdist when they were
+	pdist     [][2]float64
 }
 
-// startTail opens the buffer's tail of the query (probe, o), whose tree
+// startTail opens the buffer's tail of the query (q, o), whose tree
 // phase st reports. When the buffer holds more items than there are
 // pivots and the budget has room for them, the query measures its
 // distances to the pivots, counted in st under VantagePoints, and the
 // tail filters by them (bounds); otherwise it scans the buffer unfiltered.
-func (s *Store[T]) startTail(probe entry[T], o index.SearchOptions, st *SearchStats) tail {
-	tl := tail{remaining: math.MaxInt64}
+func (s *Store[T]) startTail(q T, o index.SearchOptions, st *SearchStats) tail {
+	tl := tail{remaining: math.MaxInt64, qd: [2]float64{math.NaN(), math.NaN()}, pdist: s.pdist}
 	if o.Budget > 0 {
 		tl.remaining = max(o.Budget-st.Distances(), 0)
 	}
 	if n := len(s.pivots); len(s.buffer) > n && tl.remaining >= int64(n) {
 		for j, p := range s.pivots {
-			tl.qd[j] = s.dist.Distance(probe, p)
+			tl.qd[j] = s.dist.Distance(q, p)
 		}
 		tl.remaining -= int64(n)
-		tl.pivots, tl.pdist = n, s.pdist
 		st.VantagePoints += n
 	}
 	return tl
@@ -397,10 +312,11 @@ func (s *Store[T]) startTail(probe entry[T], o index.SearchOptions, st *SearchSt
 // buffered item i by the triangle inequality over the pivots the tail
 // measured: the largest |d(q,p) − d(x,p)| and the smallest
 // d(q,p) + d(x,p), a NaN moving neither. With none measured they are 0
-// and +Inf.
+// and +Inf. It runs on every buffered item a query reaches, so it is
+// kept small enough to inline.
 func (tl *tail) bounds(i int) (lb, ub float64) {
-	ub = math.Inf(1)
-	for j, d := range tl.pdist[i*tl.pivots:][:tl.pivots] {
+	ub = inf
+	for j, d := range tl.pdist[i] {
 		if b := math.Abs(tl.qd[j] - d); b > lb {
 			lb = b
 		}
@@ -410,6 +326,10 @@ func (tl *tail) bounds(i int) (lb, ub float64) {
 	}
 	return lb, ub
 }
+
+// inf is +Inf in a variable: the call math.Inf(1) would cost bounds its
+// inlining.
+var inf = math.Inf(1)
 
 // pay charges st one buffered item's distance — a candidate computed —
 // and reports whether the budget had room for it; when it had not, the
@@ -465,15 +385,11 @@ func (s *Store[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	probe := entry[T]{item: q}
-	res := s.tree.Search(index.Query[entry[T]]{Point: probe, Radius: r,
+	res := s.tree.Search(index.Query[T]{Point: q, Radius: r,
 		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget}})
 	st = res.Stats
-	var out []T
-	for _, e := range res.Items {
-		out = append(out, e.item)
-	}
-	tl := s.startTail(probe, o, &st)
+	out := res.Items
+	tl := s.startTail(q, o, &st)
 	for i, e := range s.buffer {
 		if lb, _ := tl.bounds(i); lb > r {
 			filtered(&st)
@@ -483,8 +399,8 @@ func (s *Store[T]) rangeSearch(q T, r float64, o index.SearchOptions) index.Resu
 			break
 		}
 		// Membership only, so the kernel may abandon at r.
-		if s.dist.DistanceUpTo(probe, e, r) <= r {
-			out = append(out, e.item)
+		if s.dist.DistanceUpTo(q, e, r) <= r {
+			out = append(out, e)
 		}
 	}
 	s.endTail(o, res.Stats, &st)
@@ -519,18 +435,17 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		span.Done(&st)
 		return index.Result[T]{Stats: st}
 	}
-	probe := entry[T]{item: q}
 	// No answer is longer than the live set, so a k beyond it — a
 	// request's word — does not size a heap.
 	k = min(k, s.live)
-	res := s.tree.Search(index.Query[entry[T]]{Point: probe, K: k,
+	res := s.tree.Search(index.Query[T]{Point: q, K: k,
 		Opts: index.SearchOptions{Epsilon: o.Epsilon, Budget: o.Budget}})
 	st = res.Stats
 	best := heapx.NewKBest[T](k, k)
 	for _, nb := range res.Neighbors {
-		best.Push(nb.Item.item, nb.Dist)
+		best.Push(nb.Item, nb.Dist)
 	}
-	tl := s.startTail(probe, o, &st)
+	tl := s.startTail(q, o, &st)
 	for i, e := range s.buffer {
 		// Measured while the heap fills, then only below the k-th best.
 		if lb, _ := tl.bounds(i); !best.Accepts(lb) {
@@ -541,7 +456,7 @@ func (s *Store[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 			break
 		}
 		// Push ignores anything ≥ the current k-th best: abandon at τ.
-		best.Push(e.item, s.dist.DistanceUpTo(probe, e, best.Threshold()))
+		best.Push(e, s.dist.DistanceUpTo(q, e, best.Threshold()))
 	}
 	s.endTail(o, res.Stats, &st)
 	out := best.Sorted()

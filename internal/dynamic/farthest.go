@@ -6,7 +6,7 @@ import (
 )
 
 // Farthest-object queries over the dynamic store: the tree answers for
-// its live members, skipping the tombstoned, and the overflow buffer is
+// its live members, passing over its tombstones, and the overflow buffer is
 // filtered by the pivots' bounds, reversed: a buffered item whose upper
 // bound falls short is not measured, nor one whose lower bound already
 // clears the range or cannot beat the k-th farthest. What the buffer
@@ -17,23 +17,19 @@ import (
 func (s *Store[T]) RangeFarther(q T, r float64) []T {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	probe := entry[T]{item: q}
-	var out []T
-	for _, e := range s.tree.RangeFarther(probe, r) {
-		out = append(out, e.item)
-	}
+	out := s.tree.RangeFarther(q, r)
 	var st SearchStats
-	tl := s.startTail(probe, index.SearchOptions{}, &st)
+	tl := s.startTail(q, index.SearchOptions{}, &st)
 	for i, e := range s.buffer {
 		lb, ub := tl.bounds(i)
 		switch {
 		case ub < r: // provably too close
 		case lb >= r: // provably far enough
-			out = append(out, e.item)
+			out = append(out, e)
 		default:
 			tl.pay(&st)
-			if s.dist.Distance(probe, e) >= r {
-				out = append(out, e.item)
+			if s.dist.Distance(q, e) >= r {
+				out = append(out, e)
 			}
 		}
 	}
@@ -52,18 +48,17 @@ func (s *Store[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	if s.live == 0 {
 		return nil
 	}
-	probe := entry[T]{item: q}
 	k = min(k, s.live) // as kNN: the live set bounds the answer and the heap
 	best := heapx.NewKLargest[T](k, k)
-	for _, nb := range s.tree.KFarthest(probe, k) {
-		best.Push(nb.Item.item, nb.Dist)
+	for _, nb := range s.tree.KFarthest(q, k) {
+		best.Push(nb.Item, nb.Dist)
 	}
 	var st SearchStats
-	tl := s.startTail(probe, index.SearchOptions{}, &st)
+	tl := s.startTail(q, index.SearchOptions{}, &st)
 	for i, e := range s.buffer {
 		if _, ub := tl.bounds(i); best.Accepts(ub) {
 			tl.pay(&st)
-			best.Push(e.item, s.dist.Distance(probe, e))
+			best.Push(e, s.dist.Distance(q, e))
 		}
 	}
 	s.waste.Add(st.Distances())

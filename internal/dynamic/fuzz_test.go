@@ -41,10 +41,12 @@ func savedWords(tb testing.TB, words []string, opts Options) []byte {
 	return buf.Bytes()
 }
 
-// seedV1 returns the payload checked in as the FuzzLoad seed name. The
-// four MVPDYN1 seeds — what a valid checksum carried past Load until
-// PR 22 — were written through that format's Save, which is gone: they
-// are fixtures now, as testdata/pr18_store_v1.dyn is.
+// seedV1 returns the payload checked in as the FuzzLoad seed name. Four
+// of the five MVPDYN1 seeds — what a valid checksum once carried past
+// Load — were written through that format's Save, which is gone:
+// they are fixtures now, as testdata/pr18_store_v1.dyn is. The fifth,
+// tree-position-repeated, is tree-id-outside-table with position 0 where
+// its 9 was and the inner tree's checksum made again.
 func seedV1(tb testing.TB, name string) []byte {
 	file, err := os.ReadFile("testdata/fuzz/FuzzLoad/" + name)
 	if err != nil {
@@ -128,12 +130,13 @@ func checksumProof(tb testing.TB) map[string]struct {
 }
 
 func TestLoadRejectsWhatTheChecksumCannot(t *testing.T) {
-	// The recorded MVPDYN1 payloads: 4M items announced and none present
-	// (68 MB allocated on its word); as many tree items as the table has,
-	// one of them not in it (a panic at the first query that reached it);
-	// a NaN fraction; and a store of one-vantage trees, nothing wrong with
+	// The MVPDYN1 payloads: 4M items announced and none present (68 MB
+	// allocated on its word); as many tree items as the table has, one of
+	// them not in it (a panic at the first query that reached it), or one
+	// of them twice (as many items as the table, one of them missing); a
+	// NaN fraction; and a store of one-vantage trees, nothing wrong with
 	// it, which loaded with options that rebuilt it as a two-vantage one.
-	for _, name := range []string{"count-beyond-payload", "tree-id-outside-table", "fraction-nan", "vantages-1"} {
+	for _, name := range []string{"count-beyond-payload", "tree-id-outside-table", "tree-position-repeated", "fraction-nan", "vantages-1"} {
 		s, err := loadWords(testutil.Seal(loadMagicV1, seedV1(t, name)))
 		if name == "vantages-1" {
 			if err != nil {
@@ -198,19 +201,11 @@ func TestOneVantageStoreStaysOneVantage(t *testing.T) {
 }
 
 // heldItems returns the items of a store just loaded, sorted, having
-// checked that its entries number its tombstones, each once.
+// checked that the store is its tree and nothing else.
 func heldItems(t *testing.T, s *Store[string]) []string {
-	entries := s.tree.Items()
-	if s.Len() != len(entries) || len(s.alive) != len(entries) || s.tree.Len() != len(entries) || s.Buffered() != 0 {
-		t.Fatalf("Len %d, %d tombstones, tree of %d holding %d, %d buffered", s.Len(), len(s.alive), s.tree.Len(), len(entries), s.Buffered())
-	}
-	seen := make([]bool, len(entries))
-	items := make([]string, len(entries))
-	for i, e := range entries {
-		if int(e.id) >= len(seen) || seen[e.id] {
-			t.Fatalf("id %d of %d is out of range or held twice", e.id, len(seen))
-		}
-		seen[e.id], items[i] = true, e.item
+	items := s.tree.Items()
+	if s.Len() != len(items) || s.tree.Len() != len(items) || s.treeDead != 0 || s.Buffered() != 0 {
+		t.Fatalf("Len %d, tree of %d holding %d, %d tombstones, %d buffered", s.Len(), s.tree.Len(), len(items), s.treeDead, s.Buffered())
 	}
 	slices.Sort(items)
 	return items

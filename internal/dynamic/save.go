@@ -61,7 +61,7 @@ func (s *Store[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 		}
 	}
 	var tree bytes.Buffer
-	if err := s.tree.Save(&tree, func(e entry[T]) ([]byte, error) { return enc(e.item) }); err != nil {
+	if err := s.tree.Save(&tree, mvp.ItemEncoder[T](enc)); err != nil {
 		return err
 	}
 	var payload bytes.Buffer
@@ -135,8 +135,7 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	}
 	rr := wire.NewReader(bytes.NewReader(payload))
 
-	s := &Store[T]{}
-	s.bindMetric(dist)
+	s := &Store[T]{dist: metric.NewCounter(dist)}
 	// The reserved field, Options.RebuildFraction when the store had it:
 	// any positive finite number, as New took then.
 	fraction := rr.Float()
@@ -146,7 +145,7 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	if !(fraction > 0) || math.IsInf(fraction, 1) {
 		return nil, fmt.Errorf("dynamic: reserved field %g (corrupt stream)", fraction)
 	}
-	var tree *mvp.Tree[entry[T]]
+	var tree *mvp.Tree[T]
 	var err error
 	if magic == loadMagicV1 {
 		tree, err = s.loadTreeV1(rr, len(payload), dec)
@@ -160,7 +159,7 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 	// the tree it built: a tree over nothing, which costs nothing, shows
 	// what mvp.New makes of it. v is compared as the header spells it:
 	// mvp.New would read 0 as 2, and no Save wrote that.
-	built, err := mvp.New[entry[T]](nil, s.dist, s.opts.Tree)
+	built, err := mvp.New[T](nil, s.dist, s.opts.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("%w (corrupt stream)", err)
 	}
@@ -177,9 +176,8 @@ func Load[T any](r io.Reader, dist metric.DistanceFunc[T], dec ItemDecoder[T]) (
 }
 
 // loadTree reads what follows the reserved field in a saveMagic
-// payload: the tree options, the rebuild sequence and the tree, whose
-// items get their ids in the order of the stream.
-func (s *Store[T]) loadTree(r *wire.Reader, dec ItemDecoder[T]) (*mvp.Tree[entry[T]], error) {
+// payload: the tree options, the rebuild sequence and the tree.
+func (s *Store[T]) loadTree(r *wire.Reader, dec ItemDecoder[T]) (*mvp.Tree[T], error) {
 	o := &s.opts.Tree
 	o.Partitions = r.Int()
 	o.LeafCapacity = r.Int() - 1
@@ -192,12 +190,7 @@ func (s *Store[T]) loadTree(r *wire.Reader, dec ItemDecoder[T]) (*mvp.Tree[entry
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	var next int32
-	return mvp.Load(bytes.NewReader(stream), s.dist, func(b []byte) (entry[T], error) {
-		item, err := dec(b)
-		next++
-		return entry[T]{item, next - 1}, err
-	})
+	return mvp.Load(bytes.NewReader(stream), s.dist, mvp.ItemDecoder[T](dec))
 }
 
 // loadTreeV1 is loadTree for a loadMagicV1 payload of size bytes. Its
@@ -205,8 +198,9 @@ func (s *Store[T]) loadTree(r *wire.Reader, dec ItemDecoder[T]) (*mvp.Tree[entry
 // v, which is read off the tree; its items are a table, and its tree's
 // items varint positions in the table. The item count is charged against
 // the payload's length before anything is allocated for it, and the
-// tree's items must be the table's positions, each once.
-func (s *Store[T]) loadTreeV1(r *wire.Reader, size int, dec ItemDecoder[T]) (*mvp.Tree[entry[T]], error) {
+// tree's items must be the table's positions, each once: a bit per
+// position marks the ones seen.
+func (s *Store[T]) loadTreeV1(r *wire.Reader, size int, dec ItemDecoder[T]) (*mvp.Tree[T], error) {
 	o := &s.opts.Tree
 	o.Partitions = r.Int()
 	o.LeafCapacity = r.Int()
@@ -240,17 +234,18 @@ func (s *Store[T]) loadTreeV1(r *wire.Reader, size int, dec ItemDecoder[T]) (*mv
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	seen := make([]bool, count)
-	tree, err := mvp.Load(bytes.NewReader(stream), s.dist, func(b []byte) (entry[T], error) {
+	seen := make([]uint64, (count+63)/64)
+	tree, err := mvp.Load(bytes.NewReader(stream), s.dist, func(b []byte) (T, error) {
+		var zero T
 		u, n := binary.Uvarint(b)
 		if n <= 0 || n != len(b) {
-			return entry[T]{}, fmt.Errorf("dynamic: invalid ID encoding")
+			return zero, fmt.Errorf("dynamic: invalid ID encoding")
 		}
-		if u >= uint64(count) || seen[u] {
-			return entry[T]{}, fmt.Errorf("dynamic: tree item %d is repeated or not in the table of %d (corrupt stream)", u, count)
+		if u >= uint64(count) || seen[u/64]&(1<<(u%64)) != 0 {
+			return zero, fmt.Errorf("dynamic: tree item %d is repeated or not in the table of %d (corrupt stream)", u, count)
 		}
-		seen[u] = true
-		return entry[T]{table[u], int32(u)}, nil
+		seen[u/64] |= 1 << (u % 64)
+		return table[u], nil
 	})
 	if err != nil {
 		return nil, err

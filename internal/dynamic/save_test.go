@@ -111,10 +111,8 @@ func reloadVectors(t *testing.T, s *Store[[]float64]) *Store[[]float64] {
 // vectorsOf returns the store's items, tree and buffer, in sorted order.
 func vectorsOf(s *Store[[]float64]) []string {
 	var out []string
-	for _, e := range append(s.tree.Items(), s.buffer...) {
-		if s.alive[e.id] {
-			out = append(out, fmt.Sprint(e.item))
-		}
+	for _, v := range append(s.tree.Items(), s.buffer...) {
+		out = append(out, fmt.Sprint(v))
 	}
 	slices.Sort(out)
 	return out

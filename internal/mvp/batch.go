@@ -163,10 +163,10 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 	for i, j := range act {
 		m := &ms[j]
 		m.s.VantagePoints += t.v
-		if d1v[i] <= m.r && t.keeps(sv[0]) {
+		if d1v[i] <= m.r && t.keeps(t.vpSlot(ni, 0)) {
 			m.out = append(m.out, sv[0])
 		}
-		if t.v == 2 && d2v[i] <= m.r && t.keeps(sv[1]) {
+		if t.v == 2 && d2v[i] <= m.r && t.keeps(t.vpSlot(ni, 1)) {
 			m.out = append(m.out, sv[1])
 		}
 	}
@@ -262,7 +262,7 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 			m := &ms[j]
 			dv[i] = k(m.q, pt, m.r+over[v])
 			m.s.VantagePoints++
-			if dv[i] <= m.r && t.keeps(pt) {
+			if dv[i] <= m.r && t.keeps(t.vpSlot(ni, v)) {
 				m.out = append(m.out, pt)
 			}
 		}

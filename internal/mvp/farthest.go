@@ -40,7 +40,7 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out
 	// sub-shell [0, +Inf]: neither test on them below ever fires.
 	var d [2]float64
 	for j, sv := range t.vantages(i) {
-		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(sv) {
+		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(t.vpSlot(i, j)) {
 			*out = append(*out, sv)
 		}
 		if len(qpath) < t.p {
@@ -77,13 +77,13 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out
 func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out *[]T) {
 	var d [2]float64
 	for j, sv := range t.points(i) {
-		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(sv) {
+		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(t.vpSlot(i, j)) {
 			*out = append(*out, sv)
 		}
 	}
 	n := &t.nodes[i]
 	for i, it := range t.leafItems(n) {
-		if !t.keeps(it) {
+		if !t.keeps(int(n.off) + i) {
 			continue
 		}
 		lb, ub := t.itemBounds(n, i, d[0], d[1], qpath)
@@ -130,13 +130,13 @@ func leafBounds[T any, C code](t *Tree[T], row []C, hasSV2 bool, d1, d2 float64,
 	return lb - t.slack, ub + t.slack
 }
 
-// collectAll appends every data point in the subtree of node i that the
-// tree does not skip, without any distance computations.
+// collectAll appends every data point in the subtree of node i that is
+// not tombstoned, without any distance computations.
 func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	n := &t.nodes[i]
-	t.appendKept(out, t.points(i))
+	t.appendKept(out, t.points(i), t.vpSlot(i, 0))
 	if n.isLeaf() {
-		t.appendKept(out, t.leafItems(n))
+		t.appendKept(out, t.leafItems(n), int(n.off))
 		return
 	}
 	cut1, _, sh := t.inner(n)
@@ -150,24 +150,25 @@ func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	}
 }
 
-// appendKept appends the items of xs the tree does not skip to out.
-func (t *Tree[T]) appendKept(out *[]T, xs []T) {
-	if t.skip == nil {
+// appendKept appends to out the items of xs, in the slots from slot on,
+// that are not tombstoned.
+func (t *Tree[T]) appendKept(out *[]T, xs []T, slot int) {
+	if t.dead == nil {
 		*out = append(*out, xs...)
 		return
 	}
-	for _, x := range xs {
-		if !t.skip(x) {
+	for k, x := range xs {
+		if t.keeps(slot + k) {
 			*out = append(*out, x)
 		}
 	}
 }
 
-// Items returns every item the tree stores and does not skip (SetSkip),
-// vantage points and leaf items in node pre-order, at no distance
-// computations.
+// Items returns every item the tree stores and has not tombstoned
+// (Remove), vantage points and leaf items in node pre-order, at no
+// distance computations.
 func (t *Tree[T]) Items() []T {
-	out := make([]T, 0, t.size)
+	out := make([]T, 0, t.size-t.tombs)
 	if len(t.nodes) > 0 {
 		t.collectAll(0, &out)
 	}
@@ -208,7 +209,7 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		var d [2]float64 // d2 is 0 without a second vantage point; so is its shell's upper bound +Inf
 		for j, sv := range t.vantages(pn.n) {
 			d[j] = t.dist.Distance(q, sv)
-			if t.keeps(sv) {
+			if t.keeps(t.vpSlot(pn.n, j)) {
 				best.Push(sv, d[j])
 			}
 			if len(qpath) < t.p {
@@ -243,13 +244,13 @@ func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, best *heapx.KLarg
 	var d [2]float64
 	for j, sv := range t.points(i) {
 		d[j] = t.dist.Distance(q, sv)
-		if t.keeps(sv) {
+		if t.keeps(t.vpSlot(i, j)) {
 			best.Push(sv, d[j])
 		}
 	}
 	n := &t.nodes[i]
 	for i, it := range t.leafItems(n) {
-		if !t.keeps(it) {
+		if !t.keeps(int(n.off) + i) {
 			continue
 		}
 		_, ub := t.itemBounds(n, i, d[0], d[1], qpath)

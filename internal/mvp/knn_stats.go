@@ -88,7 +88,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		if n.isLeaf() {
 			s.LeavesVisited++
 			if n.cnt == 0 {
-				t.rangeBare(i, q, tau, &nb, a, nil, &s)
+				t.rangeBare(i, q, tau, &nb, sc, nil, &s)
 			} else {
 				nb.qpath = sc.arena[pn.off : pn.off+pn.plen]
 				t.rangeLeaf(i, q, tau, 0, &nb, sc, nil, &s)
@@ -114,7 +114,7 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		var d [2]float64 // d2 is 0 without a second vantage point: inside the one sub-shell
 		for j, sv := range t.vantages(i) {
 			d[j] = t.vantageDistance(q, sv, exact, tau+cutMax[j])
-			if d[j] <= tau+cutMax[j] && t.keeps(sv) {
+			if d[j] <= tau+cutMax[j] && t.keeps(t.vpSlot(i, j)) {
 				best.Push(sv, d[j])
 			}
 		}

@@ -195,8 +195,10 @@ type Tree[T any] struct {
 	// the item arena, nil unless EnableQuantize built them; see quantize.go.
 	qset   *quant.Set
 	qcodes []byte
-	// skip, when set, names the items no query reports (SetSkip).
-	skip func(T) bool
+	// dead is the tombstones, a bit per slot, and tombs how many are set;
+	// nil and 0 until Remove first runs (tombstone.go).
+	dead  bitset
+	tombs int
 }
 
 var _ index.StatsIndex[int] = (*Tree[int])(nil)

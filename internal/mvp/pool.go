@@ -43,6 +43,9 @@ type queryScratch[T any] struct {
 	// (quantOn guards staleness across pool reuse).
 	qprep   quant.Prepared
 	quantOn bool
+	// remove makes a range query a Remove: what it would report, it
+	// tombstones (Tree.accept).
+	remove bool
 }
 
 // pendingRef is a queued subtree, by its root's index, plus its query PATH

@@ -62,8 +62,13 @@ const saveBuffer = 64 << 10
 // through one buffer of saveBuffer to w as they are produced, so a Save
 // that fails — enc refusing an item, say — may have written part of the
 // stream. The distance function is not serialized; Load must be given
-// the same metric or queries will be silently wrong.
+// the same metric or queries will be silently wrong. A tree that holds
+// tombstones (Remove) is refused before anything is written: the stream
+// has no place for them, so a caller rebuilds over Items first.
 func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
+	if t.tombs > 0 {
+		return fmt.Errorf("mvp: the tree holds %d tombstoned items, which a stream cannot", t.tombs)
+	}
 	_, e := math.Frexp(t.step) // step = 0.5 · 2^e
 	header := []int{t.m, t.k, t.p, t.size, e - 1 - minStepExp, t.v,
 		len(t.nodes), t.size - len(t.items), len(t.items), len(t.cuts), len(t.kids), t.codes()}

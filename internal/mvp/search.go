@@ -117,7 +117,7 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	if n.isLeaf() {
 		s.LeavesVisited++
 		if n.cnt == 0 {
-			t.rangeBare(i, q, r, nil, a, out, s)
+			t.rangeBare(i, q, r, nil, sc, out, s)
 		} else {
 			t.rangeLeaf(i, q, r, rp, nil, sc, out, s)
 		}
@@ -142,8 +142,8 @@ func (t *Tree[T]) rangeNode(i int32, q T, r, rp float64, plen int, sc *queryScra
 	var d [2]float64
 	for j, sv := range t.vantages(i) {
 		d[j] = t.vantageDistance(q, sv, exact, r+cutMax[j])
-		if d[j] <= r && t.keeps(sv) {
-			*out = append(*out, sv)
+		if slot := t.vpSlot(i, j); d[j] <= r && t.keeps(slot) {
+			t.accept(sc, out, sv, slot)
 		}
 		if plen < t.p {
 			sc.qlo[plen], sc.qhi[plen] = t.window(d[j]-w, d[j]+w)
@@ -221,12 +221,13 @@ func (t *Tree[T]) rangeLeaf(i int32, q T, r, rp float64, nb *nearest[T], sc *que
 		b := r + maxD[j]
 		d[j] = kernel(q, sv, b)
 		s.VantagePoints++
-		if !t.keeps(sv) {
+		slot := t.vpSlot(i, j)
+		if !t.keeps(slot) {
 			continue
 		}
 		if nb == nil {
 			if d[j] <= r {
-				*out = append(*out, sv)
+				t.accept(sc, out, sv, slot)
 			}
 		} else if d[j] <= b {
 			r = nb.push(sv, d[j])
@@ -319,9 +320,9 @@ func scanLeaf[T any, C code](t *Tree[T], codes []C, ni int32, q T, r, rp, d1, d2
 			filteredCascade++
 			continue
 		}
-		// An item the tree skips (SetSkip) is not a candidate: it is
-		// neither measured nor counted.
-		if t.skip != nil && t.skip(items[i]) {
+		// A tombstoned item (Remove) is not a candidate: it is neither
+		// measured nor counted.
+		if !t.keeps(int(n.off) + i) {
 			continue
 		}
 		if sc.limited && !sc.ap.Pay(1) {
@@ -338,7 +339,7 @@ func scanLeaf[T any, C code](t *Tree[T], codes []C, ni int32, q T, r, rp, d1, d2
 		}
 		if d := kernel(q, items[i], r); d <= r {
 			if nb == nil {
-				*out = append(*out, items[i])
+				t.accept(sc, out, items[i], int(n.off)+i)
 			} else if tau := nb.push(items[i], d); tau != r {
 				r = tau
 				d1lo, d1hi, d2lo, d2hi = t.knnWindows(sc.ap.Shrink(r), nb, sc)
@@ -365,17 +366,17 @@ func reportLeaf(s *SearchStats, byD, byPath, byCascade, byQuant, computed int) {
 // of a classic vp-tree. Its one or two points are vantage points with
 // nothing to filter them by, so each is measured up to r — for kNN up to
 // τ′ as it stands after the pushes before it.
-func (t *Tree[T]) rangeBare(i int32, q T, r float64, nb *nearest[T], a *index.Approx, out *[]T, s *SearchStats) {
+func (t *Tree[T]) rangeBare(i int32, q T, r float64, nb *nearest[T], sc *queryScratch[T], out *[]T, s *SearchStats) {
 	kernel := t.dist.Kernel()
 	paid := 0
-	for _, pt := range t.points(i) {
-		if !a.Pay(1) {
+	for j, pt := range t.points(i) {
+		if !sc.ap.Pay(1) {
 			break
 		}
 		paid++
-		if d := kernel(q, pt, r); d <= r && t.keeps(pt) {
+		if d := kernel(q, pt, r); d <= r && t.keeps(t.vpSlot(i, j)) {
 			if nb == nil {
-				*out = append(*out, pt)
+				t.accept(sc, out, pt, t.vpSlot(i, j))
 			} else {
 				r = nb.push(pt, d)
 			}
