@@ -18,7 +18,8 @@ import (
 // against two stores over the same words, one of which widens every tree
 // it builds back to 16-bit filter codes (mvp.Tree.Widen): every answer,
 // its stats, the counter, the rebuilds and the Save bytes must agree, and
-// the other store's trees must hold a byte a code.
+// the other store's trees must hold a leaf item's row of 2 to 6 codes in
+// one uint32 of nibbles, where the wide one spends 2 bytes a code.
 func TestNarrowCodesChangeNothing(t *testing.T) {
 	words := dataset.Words(rand.New(rand.NewPCG(39, 4)), 1200, dataset.WordOptions{MinLen: 3, MaxLen: 9, MisspellingsPer: 3})
 	for _, v := range []int{1, 2} {
@@ -35,8 +36,9 @@ func TestNarrowCodesChangeNothing(t *testing.T) {
 		spare := words[500:]
 		for op := 0; op < 1500; op++ {
 			wide.tree.Widen()
-			if n, w := narrow.tree.Shape().FilterBytes, wide.tree.Shape().FilterBytes; 2*n != w {
-				t.Fatalf("v=%d op %d: the filter arena holds %d bytes narrow, %d wide", v, op, n, w)
+			sh, w := narrow.tree.Shape(), wide.tree.Shape().FilterBytes
+			if sh.FilterBytes != 4*sh.LeafItems || w < 2*2*sh.LeafItems || w > 2*(2+4)*sh.LeafItems {
+				t.Fatalf("v=%d op %d: the filter arena holds %d bytes narrow, %d wide, for %d leaf items", v, op, sh.FilterBytes, w, sh.LeafItems)
 			}
 			q := words[rng.IntN(len(words))]
 			var a, b any

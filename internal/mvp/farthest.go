@@ -104,6 +104,13 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out
 // itemBounds is leafBounds of item i of leaf n, over the filter arena the
 // tree holds.
 func (t *Tree[T]) itemBounds(n *node, i int, d1, d2 float64, qpath []float64) (lb, ub float64) {
+	if t.nibbles != nil {
+		var row [nibbleCols]uint8
+		for l := range row {
+			row[l] = nibble(t.nibbles[int(n.off)+i], l)
+		}
+		return leafBounds(t, row[:2+n.held], n.hasSV2(), d1, d2, qpath)
+	}
 	if t.narrow != nil {
 		rows, stride := leafRows(t.narrow, n)
 		return leafBounds(t, rows[i*stride:][:stride], n.hasSV2(), d1, d2, qpath)
@@ -115,7 +122,7 @@ func (t *Tree[T]) itemBounds(n *node, i int, d1, d2 float64, qpath []float64) (l
 // leafBounds returns lower and upper triangle-inequality bounds on the
 // distance from the query to a leaf item, from its stored filter row and
 // the query's qpath; the row is codes, so both give the slack away. A
-// narrow code is decoded as the wide code it stands for.
+// narrow code, byte or nibble, is decoded as the wide code it stands for.
 func leafBounds[T any, C code](t *Tree[T], row []C, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
 	x1 := t.decode(uint16(row[0]) << t.shift)
 	lb, ub = abs(d1-x1), d1+x1

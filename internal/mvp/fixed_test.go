@@ -550,7 +550,11 @@ func TestLoadV1OutsideFloat32Range(t *testing.T) {
 // metric costs next to nothing, is handed to rangeLeaf with windows that
 // keep every row (all columns read, every row goes on to the kernel) or
 // drop every row at D1 (one column read). ns/row is per leaf item; B/row
-// is what a row adds to the filter arena.
+// is what a row adds to the filter arena. The words/p=5 rows are a word
+// tree at p = 5, whose rows are nibbles, and the same tree after Widen:
+// once built, its metric is swapped for one that costs nothing and
+// returns 0 (all-pass, at r = 15: every edit distance here is at most 12)
+// or 100 (all-fail, at r = 0), so ns/row is the scan's own there too.
 func BenchmarkLeafFilter(b *testing.B) {
 	const n = 50000
 	rng := rand.New(rand.NewPCG(19, 1))
@@ -564,38 +568,56 @@ func BenchmarkLeafFilter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		shape := tree.Shape()
+		benchLeafFilter(b, fmt.Sprintf("p=%d/all-pass", tree.p), tree, 0.5, 2, true)
+		benchLeafFilter(b, fmt.Sprintf("p=%d/all-fail", tree.p), tree, -5, 0, false) // farther from every vantage point than any stored D1
+	}
+	words := dataset.Words(rand.New(rand.NewPCG(19, 2)), n, dataset.WordOptions{MinLen: 5, MaxLen: 12, MisspellingsPer: 3})
+	for _, width := range []string{"nibbles", "wide"} {
+		tree, err := New(words, metric.NewCounter(metric.Edit), Options{Partitions: 3, LeafCapacity: 80, PathLength: 5, Build: Build{Seed: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if width == "wide" {
+			tree.Widen()
+		} else if tree.nibbles == nil {
+			b.Fatal("the word tree's rows are not nibbles")
+		}
 		for _, mode := range []struct {
 			name string
-			q, r float64
-			pass bool
-		}{
-			{"all-pass", 0.5, 2, true},
-			{"all-fail", -5, 0, false}, // farther from every vantage point than any stored D1
-		} {
-			b.Run(fmt.Sprintf("p=%d/%s", tree.p, mode.name), func(b *testing.B) {
-				sc := tree.getScratch(index.SearchOptions{})
-				for l := range sc.qlo {
-					sc.qlo[l], sc.qhi[l] = 0, idleCode
-				}
-				var out []float64
-				var s SearchStats
-				for b.Loop() {
-					out, s = out[:0], SearchStats{}
-					for i, n := range tree.nodes {
-						if n.isLeaf() {
-							tree.rangeLeaf(int32(i), mode.q, mode.r, mode.r, nil, sc, &out, &s)
-						}
-					}
-				}
-				if s.Candidates != shape.LeafItems || (s.Computed == shape.LeafItems) != mode.pass || !mode.pass && s.Computed != 0 {
-					b.Fatalf("%d leaf items: %+v", shape.LeafItems, s)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.LeafItems), "ns/row")
-				b.ReportMetric(float64(shape.FilterBytes)/float64(shape.LeafItems), "B/row")
-			})
+			d, r float64
+		}{{"all-pass", 0, 15}, {"all-fail", 100, 0}} {
+			tree.dist = metric.NewCounter(func(string, string) float64 { return mode.d })
+			benchLeafFilter(b, fmt.Sprintf("words/p=5/%s/%s", width, mode.name), tree, "", mode.r, mode.name == "all-pass")
 		}
 	}
+}
+
+// benchLeafFilter is one row of BenchmarkLeafFilter: every leaf of tree
+// through rangeLeaf at (q, r) with the query PATH open, which must keep
+// every row (pass) or none.
+func benchLeafFilter[T any](b *testing.B, name string, tree *Tree[T], q T, r float64, pass bool) {
+	shape := tree.Shape()
+	b.Run(name, func(b *testing.B) {
+		sc := tree.getScratch(index.SearchOptions{})
+		for l := range sc.qlo {
+			sc.qlo[l], sc.qhi[l] = 0, idleCode
+		}
+		var out []T
+		var s SearchStats
+		for b.Loop() {
+			out, s = out[:0], SearchStats{}
+			for i, n := range tree.nodes {
+				if n.isLeaf() {
+					tree.rangeLeaf(int32(i), q, r, r, nil, sc, &out, &s)
+				}
+			}
+		}
+		if s.Candidates != shape.LeafItems || (s.Computed == shape.LeafItems) != pass || !pass && s.Computed != 0 {
+			b.Fatalf("%d leaf items: %+v", shape.LeafItems, s)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(shape.LeafItems), "ns/row")
+		b.ReportMetric(float64(shape.FilterBytes)/float64(shape.LeafItems), "B/row")
+	})
 }
 
 // checkKNNWindow compares knnWindow with the float predicates it stands

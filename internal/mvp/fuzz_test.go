@@ -36,12 +36,17 @@ func saved[T any](f *testing.F, items []T, dist metric.DistanceFunc[T], enc Item
 // shape half of Validate, answer every query kind without panicking, as
 // its wide twin (the same stream loaded again and widened) does, and
 // survive Save → Load → Save byte for byte. Items decode as strings under
-// edit distance, so any bytes are an item.
+// edit distance, so any bytes are an item; two word seeds load into the
+// two narrow arenas, nibble rows and bytes.
 func FuzzLoad(f *testing.F) {
 	enc := func(s string) ([]byte, error) { return []byte(s), nil }
 	words := dataset.Words(rand.New(rand.NewPCG(15, 8)), 120, dataset.WordOptions{MinLen: 3, MaxLen: 8, MisspellingsPer: 2})
 	wordStream := saved(f, words, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}})
 	wordTree := testutil.PayloadOf(wordStream)
+	// Words past 15 letters are edit distances a nibble cannot hold: this
+	// seed loads into bytes where wordStream loads into nibble rows.
+	long := dataset.Words(rand.New(rand.NewPCG(15, 10)), 60, dataset.WordOptions{MinLen: 16, MaxLen: 24, MisspellingsPer: 2})
+	longStream := saved(f, long, metric.Edit, enc, Options{Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 1}})
 	// Whole streams that load raw: MVPTREE4 ones Load must refuse.
 	faults := testutil.ArenaFaults(wordStream)
 	for _, name := range slices.Sorted(maps.Keys(faults)) {
@@ -51,6 +56,7 @@ func FuzzLoad(f *testing.F) {
 		wordTree,
 		testutil.PayloadOf(saved(f, dataset.UniformVectors(rand.New(rand.NewPCG(15, 9)), 80, 3), metric.L2, codec.EncodeVector,
 			Options{Partitions: 3, LeafCapacity: 4, PathLength: 5, Build: Build{Seed: 2}})),
+		testutil.PayloadOf(longStream),
 		testutil.PayloadOf(saved(f, words, metric.Edit, enc, vpOptions(3, 1, 3))), // a classic vp-tree
 		testutil.PayloadOf(saved(f, words, metric.Edit, enc, Options{Vantages: 1, Partitions: 2, LeafCapacity: 5, PathLength: 3, Build: Build{Seed: 4}})),
 		testutil.PayloadOf(saved(f, words[:6], metric.Edit, enc, Options{LeafCapacity: 13})), // a single leaf
@@ -74,6 +80,14 @@ func FuzzLoad(f *testing.F) {
 	dec := func(b []byte) (string, error) { return string(b), nil }
 	load := func(stream []byte) (*Tree[string], error) {
 		return Load(bytes.NewReader(stream), metric.NewCounter(metric.Edit), dec)
+	}
+	for _, seed := range []struct {
+		stream  []byte
+		nibbles bool
+	}{{wordStream, true}, {longStream, false}} {
+		if tree, err := load(seed.stream); err != nil || (tree.nibbles != nil) != seed.nibbles || tree.nibbles == nil && tree.narrow == nil {
+			f.Fatalf("a word seed does not load into nibble rows (%v), else bytes: %v", seed.nibbles, err)
+		}
 	}
 	var probes []index.Query[string]
 	for _, q := range []string{"", "probe"} {

@@ -21,7 +21,7 @@ func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int
 	n, sv := &tr.nodes[i], tr.vantages(i)
 	if n.isLeaf() {
 		// Stored precision: the leaf holds the code of each distance, on
-		// the tree's grid once a narrow arena's byte is widened.
+		// the tree's grid once a narrow arena's byte or nibble is widened.
 		items, stride := tr.leafItems(n), 2+int(n.held)
 		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
 			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
@@ -32,7 +32,7 @@ func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int
 		for i, it := range items {
 			row := make([]uint16, stride)
 			for l := range row {
-				row[l] = tr.codeAt(n.foff + i*stride + l)
+				row[l] = tr.codeAt(n, i, l)
 			}
 			if got := raw(it, sv[0]); encode(got, tr.step) != row[0] {
 				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, tr.decode(row[0]), got)

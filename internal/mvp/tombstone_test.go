@@ -27,8 +27,8 @@ type tagged[X any] struct {
 // reports as many distances as its counter moved. Each Remove measures
 // what the range query at r = 0 measures and removes what it would
 // return; a second Remove of the same point removes nothing, at that
-// query's cost again. Over vectors and over words, whose filter codes a
-// byte holds, at v = 2, v = 1 and on the classic vp-tree.
+// query's cost again. Over vectors and over words, whose filter rows a
+// uint32 holds in nibbles, at v = 2, v = 1 and on the classic vp-tree.
 func TestSkipAnswersAreScansOfTheKeptItems(t *testing.T) {
 	opts := Options{Partitions: 3, LeafCapacity: 12, PathLength: 4, Build: Build{Seed: 9}}
 	t.Run("vectors", func(t *testing.T) {
@@ -48,8 +48,8 @@ func TestSkipAnswersAreScansOfTheKeptItems(t *testing.T) {
 }
 
 // checkSkip is TestSkipAnswersAreScansOfTheKeptItems over one item type;
-// narrow says the tree's filter codes must be held in bytes.
-func checkSkip[X any](t *testing.T, xs []X, dist metric.DistanceFunc[X], queries []X, radii []float64, opts Options, narrow bool) {
+// nibbles says the tree's filter rows must be held in nibbles.
+func checkSkip[X any](t *testing.T, xs []X, dist metric.DistanceFunc[X], queries []X, radii []float64, opts Options, nibbles bool) {
 	items := make([]tagged[X], len(xs))
 	for i, x := range xs {
 		items[i] = tagged[X]{x, i}
@@ -73,8 +73,8 @@ func checkSkip[X any](t *testing.T, xs []X, dist metric.DistanceFunc[X], queries
 	if err != nil {
 		t.Fatal(err)
 	}
-	if narrow && tree.narrow == nil && tree.Shape().LeafItems > 0 {
-		t.Fatal("the word tree's codes are not in bytes")
+	if nibbles && tree.nibbles == nil && tree.Shape().LeafItems > 0 {
+		t.Fatal("the word tree's rows are not in nibbles")
 	}
 	for _, e := range tree.items {
 		leaf[e.id] = true

@@ -164,10 +164,10 @@ func TestBuildAllocationsConstant(t *testing.T) {
 // item at the paper's options — the benchmark's mem_bytes_per_item,
 // measured the same way — and that Shape accounts for it: one item header
 // and one filter row of seven codes (D1, D2, five PATH entries; FilterBytes)
-// per leaf item, 16-bit over vectors (14 bytes) and bytes over words, whose
-// edit distances a byte holds exactly (7), and the node arenas
-// (NodeBytes). A float64 row alone is 56; pointer nodes took the limits to
-// 50 and 42, 16-bit word rows to 32.
+// per leaf item, 16-bit over vectors (14 bytes) and nibbles in a uint32 over
+// words, whose edit distances a nibble holds exactly (4), and the node
+// arenas (NodeBytes). A float64 row alone is 56; pointer nodes took the
+// limits to 50 and 42, 16-bit word rows to 32, byte rows to 25.
 func TestIndexBytesPerItem(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap sizes are inflated by race-detector instrumentation")
@@ -183,13 +183,13 @@ func TestIndexBytesPerItem(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	check := func(name string, limit float64, width int, itemBytes uintptr, build func() (Stats, any)) {
+	check := func(name string, limit float64, rowBytes int, itemBytes uintptr, build func() (Stats, any)) {
 		before := liveHeap()
 		shape, tree := build()
 		heap := float64(liveHeap() - before)
 		runtime.KeepAlive(tree)
-		if want := width * (2 + 5) * shape.LeafItems; shape.FilterBytes != want {
-			t.Errorf("%s: FilterBytes = %d, want %d (%d per leaf item)", name, shape.FilterBytes, want, width*(2+5))
+		if want := rowBytes * shape.LeafItems; shape.FilterBytes != want {
+			t.Errorf("%s: FilterBytes = %d, want %d (%d per leaf item)", name, shape.FilterBytes, want, rowBytes)
 		}
 		accounted := float64(shape.LeafItems*int(itemBytes) + shape.FilterBytes + shape.NodeBytes)
 		t.Logf("%s: index adds %.1f B/item to the heap; Shape accounts for %.1f (%d nodes: %.1f)",
@@ -201,14 +201,14 @@ func TestIndexBytesPerItem(t *testing.T) {
 			t.Errorf("%s: index adds %.0f bytes to the heap, LeafItems·%d + FilterBytes + NodeBytes = %.0f: want within 2%%", name, heap, itemBytes, accounted)
 		}
 	}
-	check("vectors/L2", 40, 2, unsafe.Sizeof(vectors[0]), func() (Stats, any) {
+	check("vectors/L2", 40, 2*(2+5), unsafe.Sizeof(vectors[0]), func() (Stats, any) {
 		tree, err := New(vectors, metric.NewCounter(metric.L2), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tree.Shape(), tree
 	})
-	check("words/Edit", 25, 1, unsafe.Sizeof(words[0]), func() (Stats, any) {
+	check("words/Edit", 22, 4, unsafe.Sizeof(words[0]), func() (Stats, any) {
 		tree, err := New(words, metric.NewCounter(metric.Edit), opts)
 		if err != nil {
 			t.Fatal(err)
