@@ -26,14 +26,18 @@ func (t *Tree[T]) RangeFarther(q T, r float64) []T {
 		return out
 	}
 	qpath := make([]float64, 0, t.p)
-	t.rangeFartherNode(0, q, r, qpath, &out)
+	sc := t.getScratch(index.SearchOptions{})
+	t.rangeFartherNode(0, q, r, qpath, &sc.rows, &out)
+	t.putScratch(sc)
 	return out
 }
 
-func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out *[]T) {
+// rangeFartherNode adds to out what RangeFarther finds in the subtree of
+// node i; buf is the query's buffer for the leaves' rows (wideRows).
+func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, buf *[]uint16, out *[]T) {
 	n := &t.nodes[i]
 	if n.isLeaf() {
-		t.rangeFartherLeaf(i, q, r, qpath, out)
+		t.rangeFartherLeaf(i, q, r, qpath, buf, out)
 		return
 	}
 	// Without a second vantage point d2 is 0 and each shell's one
@@ -69,12 +73,12 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, out
 				t.collectAll(c, out)
 				continue
 			}
-			t.rangeFartherNode(c, q, r, qpath, out)
+			t.rangeFartherNode(c, q, r, qpath, buf, out)
 		}
 	}
 }
 
-func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out *[]T) {
+func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, buf *[]uint16, out *[]T) {
 	var d [2]float64
 	for j, sv := range t.points(i) {
 		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(t.vpSlot(i, j)) {
@@ -82,11 +86,12 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out
 		}
 	}
 	n := &t.nodes[i]
+	rows, stride := t.wideRows(n, buf)
 	for i, it := range t.leafItems(n) {
 		if !t.keeps(int(n.off) + i) {
 			continue
 		}
-		lb, ub := t.itemBounds(n, i, d[0], d[1], qpath)
+		lb, ub := t.leafBounds(rows[i*stride:][:stride], n.hasSV2(), d[0], d[1], qpath)
 		switch {
 		case ub < r:
 			// Provably too close.
@@ -101,37 +106,19 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, out
 	}
 }
 
-// itemBounds is leafBounds of item i of leaf n, over the filter arena the
-// tree holds.
-func (t *Tree[T]) itemBounds(n *node, i int, d1, d2 float64, qpath []float64) (lb, ub float64) {
-	if t.nibbles != nil {
-		var row [nibbleCols]uint8
-		for l := range row {
-			row[l] = nibble(t.nibbles[int(n.off)+i], l)
-		}
-		return leafBounds(t, row[:2+n.held], n.hasSV2(), d1, d2, qpath)
-	}
-	if t.narrow != nil {
-		rows, stride := leafRows(t.narrow, n)
-		return leafBounds(t, rows[i*stride:][:stride], n.hasSV2(), d1, d2, qpath)
-	}
-	rows, stride := leafRows(t.filter, n)
-	return leafBounds(t, rows[i*stride:][:stride], n.hasSV2(), d1, d2, qpath)
-}
-
 // leafBounds returns lower and upper triangle-inequality bounds on the
 // distance from the query to a leaf item, from its stored filter row and
-// the query's qpath; the row is codes, so both give the slack away. A
-// narrow code, byte or nibble, is decoded as the wide code it stands for.
-func leafBounds[T any, C code](t *Tree[T], row []C, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
-	x1 := t.decode(uint16(row[0]) << t.shift)
+// the query's qpath; the row is codes on the tree's grid (wideRows), so
+// both give the slack away.
+func (t *Tree[T]) leafBounds(row []uint16, hasSV2 bool, d1, d2 float64, qpath []float64) (lb, ub float64) {
+	x1 := t.decode(row[0])
 	lb, ub = abs(d1-x1), d1+x1
 	if hasSV2 {
-		x2 := t.decode(uint16(row[1]) << t.shift)
+		x2 := t.decode(row[1])
 		lb, ub = max(lb, abs(d2-x2)), min(ub, d2+x2)
 	}
 	for l, c := range row[2:] {
-		pd := t.decode(uint16(c) << t.shift)
+		pd := t.decode(c)
 		lb, ub = max(lb, abs(qpath[l]-pd)), min(ub, qpath[l]+pd)
 	}
 	return lb - t.slack, ub + t.slack
@@ -189,6 +176,8 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		return nil
 	}
 	best := heapx.NewKLargest[T](k, t.size)
+	sc := t.getScratch(index.SearchOptions{})
+	defer t.putScratch(sc)
 	type pending struct {
 		n     int32
 		qpath []float64
@@ -207,7 +196,7 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 		}
 		n, qpath := &t.nodes[pn.n], pn.qpath
 		if n.isLeaf() {
-			t.kFarthestLeaf(pn.n, q, qpath, best)
+			t.kFarthestLeaf(pn.n, q, qpath, &sc.rows, best)
 			continue
 		}
 		if len(qpath) < t.p {
@@ -247,7 +236,7 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	return best.Sorted()
 }
 
-func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, best *heapx.KLargest[T]) {
+func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, buf *[]uint16, best *heapx.KLargest[T]) {
 	var d [2]float64
 	for j, sv := range t.points(i) {
 		d[j] = t.dist.Distance(q, sv)
@@ -256,11 +245,12 @@ func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, best *heapx.KLarg
 		}
 	}
 	n := &t.nodes[i]
+	rows, stride := t.wideRows(n, buf)
 	for i, it := range t.leafItems(n) {
 		if !t.keeps(int(n.off) + i) {
 			continue
 		}
-		_, ub := t.itemBounds(n, i, d[0], d[1], qpath)
+		_, ub := t.leafBounds(rows[i*stride:][:stride], n.hasSV2(), d[0], d[1], qpath)
 		if best.Accepts(ub) {
 			best.Push(it, t.dist.Distance(q, it))
 		}

@@ -29,11 +29,10 @@ func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int
 		if len(items) > 0 && int(n.svs) != tr.v {
 			t.Fatalf("leaf of %d items in a tree of %d vantage points has %d", len(items), tr.v, n.svs)
 		}
+		var buf []uint16
+		rows, _ := tr.wideRows(n, &buf)
 		for i, it := range items {
-			row := make([]uint16, stride)
-			for l := range row {
-				row[l] = tr.codeAt(n, i, l)
-			}
+			row := rows[i*stride:][:stride]
 			if got := raw(it, sv[0]); encode(got, tr.step) != row[0] {
 				t.Fatalf("leaf D1[%d] = %g, recomputed %g", i, tr.decode(row[0]), got)
 			}

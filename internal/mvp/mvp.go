@@ -29,9 +29,10 @@
 //
 // Leaves also store each point's distances to the leaf's own two vantage
 // points (the D1/D2 arrays of the paper; 16-bit codes, or bytes where a
-// byte is exact, see fixed.go), and k is typically made large so that
-// most points live in leaves, delaying the major filtering step to the
-// leaf level where it is cheapest.
+// byte is exact, or a leaf item's whole row in one uint32 of nibbles
+// where a nibble is; fixed.go alone knows which, and the leaf scan), and
+// k is typically made large so that most points live in leaves, delaying
+// the major filtering step to the leaf level where it is cheapest.
 //
 // Queries (Range, KNN and their variants) read only immutable state and
 // are safe to run concurrently against one instance; the shared
@@ -263,18 +264,6 @@ func leafRows[C cell](codes []C, n *node) (rows []C, stride int) {
 	return codes[n.foff : n.foff+int(n.cnt)*stride], stride
 }
 
-// codes is the number of codes in the filter arena, whatever its width.
-func (t *Tree[T]) codes() int {
-	if t.nibbles == nil {
-		return len(t.filter) + len(t.narrow)
-	}
-	codes := 0
-	for _, stride := range t.nibbleRows() {
-		codes += stride
-	}
-	return codes
-}
-
 // maxD returns what the kernels of leaf n's two vantage points may
 // abandon past, over the radius: the largest stored D1 and D2 plus the
 // slack. A vantage distance certified past r+maxD must fail every window
@@ -471,14 +460,18 @@ type Stats struct {
 	LeafItems     int // data points stored in leaves
 	Height        int
 	MaxPathLen    int // longest retained PATH across all leaf points
-	FilterBytes   int // the filter arena: w·(2+held) per leaf item, w 1 or 2, or 4 in nibble rows (settle)
+	// FilterBytes is the filter arena at the width the tree holds it
+	// (settle): 2 bytes a code, 1 where a byte holds every code exactly,
+	// or 4 a leaf item where its whole row is one nibble row. A row is
+	// 2+held codes.
+	FilterBytes int
 	// NodeBytes is the four node arenas: a 24-byte row and v vantage-point
 	// slots per node and, per internal node, its cutoffs and child indices.
 	// With LeafItems item slots and FilterBytes it is the whole index.
 	NodeBytes int
 	// FilterStep is the grid the leaf distances are stored on — the
 	// 16-bit codes' grid, which Save writes, also when the arena holds
-	// them in bytes — and FilterSlack what that may have cost each of
+	// them in bytes or nibbles — and FilterSlack what that may have cost each of
 	// them: 0 (every distance is on the grid), FilterStep, or +Inf (a
 	// distance was not a number the grid holds, and the leaf filter passes
 	// everything). The step is
@@ -497,7 +490,7 @@ func (t *Tree[T]) Shape() Stats {
 	var zero T
 	s := Stats{
 		Nodes: len(t.nodes), LeafItems: len(t.items), Height: t.height,
-		FilterBytes: len(t.filter)*int(unsafe.Sizeof(t.filter[0])) + len(t.narrow) + len(t.nibbles)*int(unsafe.Sizeof(t.nibbles[0])),
+		FilterBytes: t.filterBytes(),
 		NodeBytes: len(t.nodes)*int(unsafe.Sizeof(node{})) + len(t.vps)*int(unsafe.Sizeof(zero)) +
 			len(t.cuts)*int(unsafe.Sizeof(t.cuts[0])) + len(t.kids)*int(unsafe.Sizeof(t.kids[0])),
 		FilterStep: t.step, FilterSlack: t.slack,

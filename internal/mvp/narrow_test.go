@@ -13,7 +13,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
 
 	"mvptree/internal/codec"
@@ -212,7 +211,11 @@ func TestNarrowCodesChangeNothing(t *testing.T) {
 		queries := []float64{-3, 0, 1, 7.5, 15, 127, 253.5, 254, 300}
 		enc := func(x float64) ([]byte, error) { return codec.EncodeVector([]float64{x}) }
 		tree := checkTwins(t, tc.name, enc, twinRequests(queries, []float64{0, 1, 50, 300}, []int{1, 3, 9}), tc.cells == "nibbles", build)
-		if top := int(slices.Max(tree.wideArena()) >> tree.shift); int(tree.shift) != tc.shift || top != tc.top {
+		var sum codeSum
+		for rows := range tree.leaves() {
+			sum = sum.add(sumOf(rows))
+		}
+		if top := int(sum.top >> tree.shift); int(tree.shift) != tc.shift || top != tc.top {
 			t.Errorf("%s: shift %d, largest %s %d; want %d, %d", tc.name, tree.shift, tc.cells, top, tc.shift, tc.top)
 		}
 	}

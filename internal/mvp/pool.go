@@ -43,6 +43,9 @@ type queryScratch[T any] struct {
 	// (quantOn guards staleness across pool reuse).
 	qprep   quant.Prepared
 	quantOn bool
+	// rows holds a narrow arena's leaf rows widened for the farthest
+	// queries (Tree.wideRows).
+	rows []uint16
 	// remove makes a range query a Remove: what it would report, it
 	// tombstones (Tree.accept).
 	remove bool

@@ -122,39 +122,15 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	}); err != nil {
 		return err
 	}
-	// The codes on the tree's grid, a narrow or nibble arena's widened.
-	var err error
-	switch {
-	case t.nibbles != nil:
-		b := make([]byte, 0, 4096)
-		for x, stride := range t.nibbleRows() {
-			for l := range stride {
-				b = binary.LittleEndian.AppendUint16(b, t.wideCode(nibble(x, l)))
-			}
-			if len(b) > cap(b)-2*nibbleCols {
-				if _, err = bw.Write(b); err != nil {
-					break
-				}
-				b = b[:0]
-			}
+	for rows := range t.leaves() { // the codes on the tree's grid
+		if err := putAll(bw, rows, 2, binary.LittleEndian.AppendUint16); err != nil {
+			return err
 		}
-		if err == nil {
-			_, err = bw.Write(b)
-		}
-	case t.narrow != nil:
-		err = putAll(bw, t.narrow, 2, func(b []byte, c uint8) []byte {
-			return binary.LittleEndian.AppendUint16(b, t.wideCode(c))
-		})
-	default:
-		err = putAll(bw, t.filter, 2, binary.LittleEndian.AppendUint16)
-	}
-	if err != nil {
-		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	_, err = w.Write(binary.LittleEndian.AppendUint32(nil, cw.sum))
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, cw.sum))
 	return err
 }
 

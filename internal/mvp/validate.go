@@ -33,36 +33,16 @@ func (t *Tree[T]) Validate() error {
 // checkGrid verifies what decode and window assume of the filter arena:
 // a step that is a power of two, and the slack the codes call for — so no
 // odd code under slack 0, and none past topCode under a finite slack. A
-// narrow arena holds no byte past narrowTop, a nibble arena no nibble
-// past its row's stride but zeros, and widened either is an arena of
-// slack 0 with no code past topCode (settle).
+// narrow arena's cells are checked before they are widened (checkCells).
 func (t *Tree[T]) checkGrid() error {
 	if f, e := math.Frexp(t.step); f != 0.5 || e-1 < minStepExp || e-1 > maxStepExp {
 		return fmt.Errorf("mvp: filter step %g is not a power of two a tree can have", t.step)
 	}
-	var top uint8 // the largest byte or nibble
-	for _, c := range t.narrow {
-		top = max(top, c)
+	sum, err := t.checkCells()
+	if err != nil {
+		return err
 	}
-	if top > narrowTop {
-		return fmt.Errorf("mvp: narrow filter code %d: past a byte code", top)
-	}
-	for x, stride := range t.nibbleRows() {
-		if x>>(4*stride) != 0 {
-			return fmt.Errorf("mvp: nibble row %#x of %d codes holds a nibble past them", x, stride)
-		}
-		for l := range stride {
-			top = max(top, nibble(x, l))
-		}
-	}
-	if uint32(top)<<t.shift > topCode {
-		return fmt.Errorf("mvp: filter code %d at shift %d: past the grid", top, t.shift)
-	}
-	codes := t.wideArena()
-	if s := slackOf(codes, t.step); s != 0 && (t.narrow != nil || t.nibbles != nil) {
-		return fmt.Errorf("mvp: a narrow filter arena widens to codes of slack %g", s)
-	}
-	if want := slackOf(codes, t.step); t.slack != want {
+	if want := sum.slack(t.step); t.slack != want {
 		return fmt.Errorf("mvp: filter slack %g, the stored codes call for %g", t.slack, want)
 	}
 	return nil
@@ -100,7 +80,7 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 			if n.cnt > 0 {
 				held = min(t.p, t.v*d)
 			}
-			if int(n.svs) > t.v || n.cnt < 0 || int(n.cnt) > t.k || int(n.held) != held || t.nibbles != nil && 2+held > nibbleCols ||
+			if int(n.svs) > t.v || n.cnt < 0 || int(n.cnt) > t.k || int(n.held) != held ||
 				n.cnt > 0 && (n.svs == 0 || int(n.off) != items || n.foff != floats) ||
 				n.cnt == 0 && (n.off != 0 || n.foff != 0) {
 				return 0, fmt.Errorf("mvp: leaf at depth %d holds %d vantage points and %d items with %d PATH entries at items[%d], filter[%d] (v=%d, k=%d, p=%d; the leaves before it end at %d, %d)",
@@ -134,7 +114,7 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 			return 0, fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances under bounds %v that are their largest", d, n.svs, t.v, bounds[:t.v])
 		}
 	}
-	if points != t.size || items != len(t.items) || floats != t.codes() || t.nibbles != nil && items != len(t.nibbles) || cuts != len(t.cuts) || kids != len(t.kids) {
+	if points != t.size || items != len(t.items) || floats != t.codes() || cuts != len(t.cuts) || kids != len(t.kids) {
 		return 0, fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d, its internal nodes %d cutoffs and %d child slots of %d and %d",
 			points, t.size, items, floats, len(t.items), t.codes(), cuts, kids, len(t.cuts), len(t.kids))
 	}
@@ -181,17 +161,19 @@ func ascending(xs []float64) bool {
 func (t *Tree[T]) validateNode(i int32, ancestors []T) error {
 	n, sv := &t.nodes[i], t.vantages(i)
 	if n.isLeaf() {
+		rows, stride := t.wideRows(n, new([]uint16))
 		for i, it := range t.leafItems(n) {
-			if got, stored := t.dist.Distance(it, sv[0]), t.codeAt(n, i, 0); encode(got, t.step) != stored {
-				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(stored), got)
+			row := rows[i*stride:][:stride]
+			if got := t.dist.Distance(it, sv[0]); encode(got, t.step) != row[0] {
+				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(row[0]), got)
 			}
 			if n.hasSV2() {
-				if got, stored := t.dist.Distance(it, sv[1]), t.codeAt(n, i, 1); encode(got, t.step) != stored {
-					return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(stored), got)
+				if got := t.dist.Distance(it, sv[1]); encode(got, t.step) != row[1] {
+					return fmt.Errorf("mvp: leaf D2[%d] = %g, metric now yields %g", i, t.decode(row[1]), got)
 				}
 			}
-			for l := range int(n.held) {
-				if got, stored := t.dist.Distance(it, ancestors[l]), t.codeAt(n, i, 2+l); encode(got, t.step) != stored {
+			for l, stored := range row[2:] {
+				if got := t.dist.Distance(it, ancestors[l]); encode(got, t.step) != stored {
 					return fmt.Errorf("mvp: PATH[%d] = %g, metric now yields %g", l, t.decode(stored), got)
 				}
 			}
