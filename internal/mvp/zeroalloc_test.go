@@ -301,3 +301,45 @@ func TestSingleVantageLeafFiltering(t *testing.T) {
 		}
 	}
 }
+
+// TestFarthestQueryAllocations pins RangeFarther and KFarthest over the
+// two narrow arenas. They read a leaf's rows widened into the query
+// scratch's one buffer (wideRows), never into one of their own per leaf,
+// so a query allocates what it did when they read the narrow cells in
+// place: its result, and KFarthest its heap and queued PATHs. The pins
+// are those counts, measured on the same trees before the rows were
+// widened; a buffer per leaf made hundreds.
+func TestFarthestQueryAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	for _, tc := range []struct {
+		name             string
+		words            dataset.WordOptions
+		nibbles          bool
+		r                float64
+		ranged, kfarther float64
+	}{
+		{"nibbles", dataset.WordOptions{}, true, 9, 16, 24},
+		{"bytes", dataset.WordOptions{MinLen: 16, MaxLen: 30}, false, 27, 12, 24},
+	} {
+		words := dataset.Words(rand.New(rand.NewPCG(47, 1)), 5000, tc.words)
+		tree, err := New(words, metric.NewCounter(metric.Edit), Options{Build: Build{Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (tree.nibbles != nil) != tc.nibbles || !tc.nibbles && tree.narrow == nil {
+			t.Fatalf("%s: the tree holds %d nibble rows and %d bytes", tc.name, len(tree.nibbles), len(tree.narrow))
+		}
+		q := words[0]
+		if got := len(tree.RangeFarther(q, tc.r)); got < 500 {
+			t.Fatalf("%s: RangeFarther(q, %g) returned %d items, want hundreds", tc.name, tc.r, got)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { tree.RangeFarther(q, tc.r) }); allocs > tc.ranged {
+			t.Errorf("%s: RangeFarther allocated %.1f times per query, want <= %g", tc.name, allocs, tc.ranged)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { tree.KFarthest(q, 10) }); allocs > tc.kfarther {
+			t.Errorf("%s: KFarthest allocated %.1f times per query, want <= %g", tc.name, allocs, tc.kfarther)
+		}
+	}
+}

@@ -44,7 +44,8 @@ func PayloadOf(stream []byte) []byte {
 // ArenaFaults returns, by name, streams that Load must refuse, made from
 // stream, an ArenaMagic stream of a tree of two levels at least. All but
 // one carry a valid CRC: the payload cut at every arena boundary, each
-// arena count announced one larger and announced at wire.MaxBytes, a child
+// arena count announced one larger and announced at wire.MaxBytes, the
+// filter arena one row short in its count and its bytes alike, a child
 // claimed by two parents (the root's first internal child also claims the
 // root's last child), and an internal node (the last) whose rows of the
 // cutoff arena start at its end. The one more has a bad trailer.
@@ -113,6 +114,23 @@ func ArenaFaults(stream []byte) map[string][]byte {
 			slots = append(slots, kids+4*(first+h))
 		}
 		return slots
+	}
+	// The filter arena one row short: the last leaf's last row dropped from
+	// the count and from the bytes, so only the rows' own sum of codes tells.
+	for i := nodes - 1; i >= 0; i-- {
+		if cnt, _, internal, at := row(payload, i); !internal && cnt > 0 {
+			stride := 2 + int(le.Uint16(payload[at+12:]))
+			var b []byte
+			for j, x := range header {
+				if j == 11 {
+					x -= stride
+				}
+				b = binary.AppendUvarint(b, uint64(x))
+			}
+			short := append(b, rest...)
+			faults["filter-short"] = Seal(ArenaMagic, short[:len(short)-2*stride])
+			break
+		}
 	}
 	twice := bytes.Clone(payload)
 	var claimed []int32
