@@ -184,14 +184,16 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
 		t.Fatalf("manifest missing: %v", err)
 	}
-	// The built line counts the index from its arenas: an item header per
-	// leaf item and its filter row at least.
+	// The built line counts the index from its arenas: a pointer per leaf
+	// item — vectors of one length — and its filter row, whose D1 and D2
+	// alone are two 16-bit codes over these distances, at least; and less
+	// than an item header and a row did before (38 B/item).
 	m := regexp.MustCompile(`index ([0-9.]+) B/item`).FindStringSubmatch(out.String())
 	if m == nil {
 		t.Fatalf("no index B/item on the built line:\n%s", out.String())
 	}
-	if perItem, _ := strconv.ParseFloat(m[1], 64); perItem <= 24 {
-		t.Fatalf("the built line's index is %s B/item, want more than an item header", m[1])
+	if perItem, _ := strconv.ParseFloat(m[1], 64); perItem <= 8+2*2 || perItem >= 38 {
+		t.Fatalf("the built line's index is %s B/item, want more than a pointer and a filter row, and less than 38", m[1])
 	}
 
 	// Second run must load from disk, not rebuild.

@@ -89,8 +89,13 @@ func shapeLine(shape any, st build.Stats) string {
 	line := fmt.Sprintf("%+v", shape)
 	if sh, ok := shape.(mvp.Stats); ok {
 		sh.FilterStep, sh.FilterSlack = 0, 0 // the grid follows the data's largest distance
-		// Recorded before Stats had the cascade's fields, zero in a tree nothing armed.
-		line = strings.TrimSuffix(fmt.Sprintf("%+v", sh), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0}") + "}"
+		// Recorded before Stats had the cascade's fields, zero in a tree
+		// nothing armed, and ItemBytes, a pointer a leaf item over vectors
+		// of one length.
+		if sh.ItemBytes == 8*sh.LeafItems {
+			sh.ItemBytes = 0
+		}
+		line = strings.TrimSuffix(fmt.Sprintf("%+v", sh), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0 ItemBytes:0}") + "}"
 	}
 	return fmt.Sprintf("%s; build: %d distances, %d of them selecting, %d nodes, depth %d", line, st.Distances, st.SelectionDistances, st.Nodes, st.MaxDepth)
 }

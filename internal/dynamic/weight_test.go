@@ -13,7 +13,7 @@ import (
 
 // TestStoreBytesPerItem pins what a store weighs beside the tree it holds:
 // its tree indexes the items themselves and carries no tombstones until a
-// delete, so a 5,000-word store adds at most 23.5 B/item of live heap and
+// delete, so a 5,000-word store adds at most 16.5 B/item of live heap and
 // a store of 5,000 vectors at most one byte an item more than a plain
 // mvp-tree over them. The options are the paper's, as dynamic-churn
 // builds with.
@@ -56,8 +56,8 @@ func TestStoreBytesPerItem(t *testing.T) {
 	store := weigh(func() (any, error) { return New(words, metric.Edit, Options{Tree: opts}) })
 	tree := weigh(func() (any, error) { return mvp.New(words, metric.NewCounter(metric.Edit), opts) })
 	t.Logf("words: the store adds %.2f B/item, a plain tree %.2f", store, tree)
-	if store > 23.5 {
-		t.Errorf("a store of %d words adds %.2f B/item to the heap, want <= 23.5", n, store)
+	if store > 16.5 {
+		t.Errorf("a store of %d words adds %.2f B/item to the heap, want <= 16.5", n, store)
 	}
 
 	rng := rand.New(rand.NewPCG(1, 8))

@@ -21,6 +21,22 @@ func NewKLargest[T any](k, most int) *KLargest[T] {
 	return &KLargest[T]{k: k, items: make([]index.Neighbor[T], 0, min(k, most))}
 }
 
+// Reset empties the heap and re-arms it for at most k neighbors out of
+// most candidates, keeping the backing array where it is large enough,
+// as KBest.Reset does. k must be positive or Reset panics.
+func (h *KLargest[T]) Reset(k, most int) {
+	if k <= 0 {
+		panic("heapx: Reset requires k > 0")
+	}
+	h.k = k
+	if c := min(k, most); cap(h.items) < c {
+		h.items = make([]index.Neighbor[T], 0, c)
+	} else {
+		clear(h.items[:cap(h.items)])
+		h.items = h.items[:0]
+	}
+}
+
 // Len reports how many neighbors are currently held (≤ k).
 func (h *KLargest[T]) Len() int { return len(h.items) }
 

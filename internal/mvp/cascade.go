@@ -17,7 +17,9 @@ import (
 // the pivots are outliers by construction, and their distances must not
 // coarsen the tree's — with a slack of its own. Selecting the pivots
 // measures exactly the columns, c × LeafItems distances on the tree's
-// counter.
+// counter. Where the item arena holds pointers (items.go), the selection is
+// handed the items as a []T of their own, which the armed tree keeps none
+// of.
 //
 // Afterwards every Search pays its c pivot distances once, up front, and
 // the leaf scans compare a candidate that passed D1/D2 and PATH against
@@ -36,19 +38,20 @@ func (t *Tree[T]) EnableCascade(opts cascade.Options) error {
 	if err != nil {
 		return err
 	}
-	if len(t.items) == 0 {
+	n := t.items.len()
+	if n == 0 {
 		return nil
 	}
 	b := build.Start(t.dist, build.Options{Workers: opts.Workers})
-	pivots, rows := cascade.GreedySelect(b, t.items, min(opts.Pivots, len(t.items)), 0)
+	pivots, rows := cascade.GreedySelect(b, t.items.all(), min(opts.Pivots, n), 0)
 	b.Finish()
 	exp := minStepExp
 	for _, row := range rows {
 		exp = max(exp, stepExp(row))
 	}
 	c, step := len(pivots), math.Ldexp(1, exp)
-	codes := make([]uint16, len(t.items)*c)
-	for i := range t.items {
+	codes := make([]uint16, n*c)
+	for i := range n {
 		for j, row := range rows {
 			codes[i*c+j] = encode(row[i], step)
 		}

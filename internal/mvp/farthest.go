@@ -1,6 +1,8 @@
 package mvp
 
 import (
+	"slices"
+
 	"mvptree/internal/heapx"
 	"mvptree/internal/index"
 )
@@ -25,15 +27,18 @@ func (t *Tree[T]) RangeFarther(q T, r float64) []T {
 		t.collectAll(0, &out)
 		return out
 	}
-	qpath := make([]float64, 0, t.p)
 	sc := t.getScratch(index.SearchOptions{})
-	t.rangeFartherNode(0, q, r, qpath, &sc.rows, &out)
+	sc.arena = slices.Grow(sc.arena[:0], t.p)
+	t.rangeFartherNode(0, q, r, sc.arena[:0], &sc.rows, &out)
 	t.putScratch(sc)
 	return out
 }
 
 // rangeFartherNode adds to out what RangeFarther finds in the subtree of
-// node i; buf is the query's buffer for the leaves' rows (wideRows).
+// node i; buf is the query's buffer for the leaves' rows (wideRows). qpath
+// is the query PATH down to i, in the scratch arena at its full capacity p:
+// each level appends at its own positions, which only its subtree reads,
+// so the depth-first descent extends one buffer in place.
 func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, buf *[]uint16, out *[]T) {
 	n := &t.nodes[i]
 	if n.isLeaf() {
@@ -87,8 +92,9 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, buf
 	}
 	n := &t.nodes[i]
 	rows, stride := t.wideRows(n, buf)
-	for i, it := range t.leafItems(n) {
-		if !t.keeps(int(n.off) + i) {
+	for i := range int(n.cnt) {
+		slot := int(n.off) + i
+		if !t.keeps(slot) {
 			continue
 		}
 		lb, ub := t.leafBounds(rows[i*stride:][:stride], n.hasSV2(), d[0], d[1], qpath)
@@ -97,9 +103,9 @@ func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, buf
 			// Provably too close.
 		case lb >= r:
 			// Provably far enough: no distance computation needed.
-			*out = append(*out, it)
+			*out = append(*out, t.items.at(slot))
 		default:
-			if t.dist.Distance(q, it) >= r {
+			if it := t.items.at(slot); t.dist.Distance(q, it) >= r {
 				*out = append(*out, it)
 			}
 		}
@@ -128,9 +134,17 @@ func (t *Tree[T]) leafBounds(row []uint16, hasSV2 bool, d1, d2 float64, qpath []
 // not tombstoned, without any distance computations.
 func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	n := &t.nodes[i]
-	t.appendKept(out, t.points(i), t.vpSlot(i, 0))
+	for j, sv := range t.points(i) {
+		if t.keeps(t.vpSlot(i, j)) {
+			*out = append(*out, sv)
+		}
+	}
 	if n.isLeaf() {
-		t.appendKept(out, t.leafItems(n), int(n.off))
+		for slot := int(n.off); slot < int(n.off+n.cnt); slot++ {
+			if t.keeps(slot) {
+				*out = append(*out, t.items.at(slot))
+			}
+		}
 		return
 	}
 	cut1, _, sh := t.inner(n)
@@ -140,20 +154,6 @@ func (t *Tree[T]) collectAll(i int32, out *[]T) {
 			if c != noChild {
 				t.collectAll(c, out)
 			}
-		}
-	}
-}
-
-// appendKept appends to out the items of xs, in the slots from slot on,
-// that are not tombstoned.
-func (t *Tree[T]) appendKept(out *[]T, xs []T, slot int) {
-	if t.dead == nil {
-		*out = append(*out, xs...)
-		return
-	}
-	for k, x := range xs {
-		if t.keeps(slot + k) {
-			*out = append(*out, x)
 		}
 	}
 }
@@ -170,37 +170,34 @@ func (t *Tree[T]) Items() []T {
 }
 
 // KFarthest returns the k indexed items farthest from q in descending
-// distance order, by best-first traversal on distance upper bounds.
+// distance order, by best-first traversal on distance upper bounds. Its
+// heap, queue and the queued nodes' query PATHs are the pooled scratch's,
+// as kNN's are (pendingRef windows into the arena), so a query allocates
+// its result.
 func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 	if k <= 0 || len(t.nodes) == 0 {
 		return nil
 	}
-	best := heapx.NewKLargest[T](k, t.size)
 	sc := t.getScratch(index.SearchOptions{})
 	defer t.putScratch(sc)
-	type pending struct {
-		n     int32
-		qpath []float64
+	if sc.far == nil {
+		sc.far = heapx.NewKLargest[T](k, t.size)
+	} else {
+		sc.far.Reset(k, t.size)
 	}
+	best, queue := sc.far, &sc.queue
 	// NodeQueue is a min-heap; store the negated upper bound so the
 	// most promising (largest upper bound) subtree pops first.
-	var queue heapx.NodeQueue[pending]
-	queue.PushNode(pending{0, make([]float64, 0, t.p)}, 0)
+	queue.PushNode(pendingRef{}, 0)
 	for {
 		pn, negUB, ok := queue.PopNode()
-		if !ok {
+		if !ok || !best.Accepts(-negUB) {
 			break
 		}
-		if !best.Accepts(-negUB) {
-			break
-		}
-		n, qpath := &t.nodes[pn.n], pn.qpath
+		n := &t.nodes[pn.n]
 		if n.isLeaf() {
-			t.kFarthestLeaf(pn.n, q, qpath, &sc.rows, best)
+			t.kFarthestLeaf(pn.n, q, sc.arena[pn.off:pn.off+pn.plen], &sc.rows, best)
 			continue
-		}
-		if len(qpath) < t.p {
-			qpath = append(make([]float64, 0, t.p), qpath...)
 		}
 		var d [2]float64 // d2 is 0 without a second vantage point; so is its shell's upper bound +Inf
 		for j, sv := range t.vantages(pn.n) {
@@ -208,9 +205,17 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 			if t.keeps(t.vpSlot(pn.n, j)) {
 				best.Push(sv, d[j])
 			}
-			if len(qpath) < t.p {
-				qpath = append(qpath, d[j])
+		}
+		off, plen := pn.off, pn.plen
+		if int(plen) < t.p {
+			// The children's query PATH: the parent's window and the new
+			// distances, appended as a window of their own (knn).
+			noff := int32(len(sc.arena))
+			sc.arena = append(sc.arena, sc.arena[off:off+plen]...)
+			for _, x := range d[:min(t.v, t.p-int(plen))] {
+				sc.arena = append(sc.arena, x)
 			}
+			off, plen = noff, int32(len(sc.arena))-noff
 		}
 		d1, d2 := d[0], d[1]
 		cut1, _, sh := t.inner(n)
@@ -228,7 +233,7 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 				_, hi2 := shellBounds(cut2, h)
 				ub := min(ub1, d2+hi2)
 				if best.Accepts(ub) {
-					queue.PushNode(pending{c, qpath}, -ub)
+					queue.PushNode(pendingRef{n: c, off: off, plen: plen}, -ub)
 				}
 			}
 		}
@@ -246,12 +251,14 @@ func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, buf *[]uint16, be
 	}
 	n := &t.nodes[i]
 	rows, stride := t.wideRows(n, buf)
-	for i, it := range t.leafItems(n) {
-		if !t.keeps(int(n.off) + i) {
+	for i := range int(n.cnt) {
+		slot := int(n.off) + i
+		if !t.keeps(slot) {
 			continue
 		}
 		_, ub := t.leafBounds(rows[i*stride:][:stride], n.hasSV2(), d[0], d[1], qpath)
 		if best.Accepts(ub) {
+			it := t.items.at(slot)
 			best.Push(it, t.dist.Distance(q, it))
 		}
 	}

@@ -22,7 +22,7 @@ func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int
 	if n.isLeaf() {
 		// Stored precision: the leaf holds the code of each distance, on
 		// the tree's grid once a narrow arena's byte or nibble is widened.
-		items, stride := tr.leafItems(n), 2+int(n.held)
+		items, stride := tr.items.all()[n.off:][:n.cnt], 2+int(n.held)
 		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
 			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
 		}

@@ -29,15 +29,16 @@ type queryScratch[T any] struct {
 	// (knnWindows).
 	cqd      []float64
 	clo, chi []uint16
-	// best and queue drive best-first kNN. best is created lazily
-	// because heapx.NewKBest requires k up front; Reset re-arms it for
-	// each query's k.
+	// best and queue drive best-first kNN, far and queue KFarthest. The
+	// heaps are created lazily because heapx needs k up front; Reset
+	// re-arms them for each query's k.
 	best  *heapx.KBest[T]
+	far   *heapx.KLargest[T]
 	queue heapx.NodeQueue[pendingRef]
-	// arena backs the per-node query PATHs of best-first kNN: each
-	// pending node references a stable (offset, length) window instead
-	// of owning a copied slice, which removes the dominant allocation
-	// of the previous implementation.
+	// arena backs the per-node query PATHs of the best-first traversals:
+	// each pending node references a stable (offset, length) window
+	// instead of owning a copied slice. RangeFarther's depth-first
+	// descent keeps its one query PATH there too.
 	arena []float64
 	// Quantized pre-filter state, re-armed per query by prepareQuant
 	// (quantOn guards staleness across pool reuse).
@@ -81,6 +82,9 @@ func (t *Tree[T]) putScratch(sc *queryScratch[T]) {
 	sc.queue.Reset()
 	if sc.best != nil {
 		sc.best.Reset(1, 1) // clears retained neighbors; re-armed per query
+	}
+	if sc.far != nil {
+		sc.far.Reset(1, 1)
 	}
 	t.scratch.Put(sc)
 }

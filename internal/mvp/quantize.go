@@ -26,7 +26,9 @@ import (
 // (metric.Register — L1, L2, LInf and Cosine do); any other
 // tree is left unfiltered silently, as are datasets quant.Build
 // rejects (empty, inconsistent dimensions, non-finite coordinates).
-// mode Off tears the filter down.
+// mode Off tears the filter down. The encoder reads the items as a []T,
+// rebuilt from the arena where it holds pointers (items.go) and dropped
+// once the codes are made.
 //
 // EnableQuantize is not synchronized with in-flight queries: arm the
 // filter before serving. The arenas are not serialized by Save;
@@ -45,7 +47,7 @@ func (t *Tree[T]) EnableQuantize(mode quant.Mode) error {
 	if kind == metric.QuantNone {
 		return nil
 	}
-	q, ok := build.QuantizeVectors([][]T{t.items}, kind, mode)
+	q, ok := build.QuantizeVectors([][]T{t.items.all()}, kind, mode)
 	if !ok {
 		return nil
 	}

@@ -5,7 +5,7 @@ import "mvptree/internal/index"
 // A tree over a set that changes — the dynamic store's, whose deleted
 // items stay in the tree until its next rebuild — holds tombstones: one
 // bit per slot, where a slot is a leaf item's position in the item arena,
-// or len(items) + node·v + j for the j-th vantage point of a node. A
+// or the arena's length + node·v + j for the j-th vantage point of a node. A
 // tombstoned item is in no answer of any query: Search's range and kNN,
 // SearchBatch, RangeFarther, KFarthest and Items. A tombstoned leaf item
 // is never measured; a tombstoned vantage point is measured where the
@@ -25,7 +25,7 @@ import "mvptree/internal/index"
 // other query on t.
 func Remove[T any](t *Tree[T], q T) int {
 	if t.dead == nil {
-		t.dead = make(bitset, (len(t.items)+len(t.vps)+63)/64)
+		t.dead = make(bitset, (t.items.len()+len(t.vps)+63)/64)
 	}
 	before := t.tombs
 	var m member[T]
@@ -58,7 +58,7 @@ func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 func (t *Tree[T]) keeps(slot int) bool { return t.dead == nil || !t.dead.has(slot) }
 
 // vpSlot is the slot of node i's j-th vantage point.
-func (t *Tree[T]) vpSlot(i int32, j int) int { return len(t.items) + int(i)*t.v + j }
+func (t *Tree[T]) vpSlot(i int32, j int) int { return t.items.len() + int(i)*t.v + j }
 
 // accept is where a range query reports the item x in slot: it appends x
 // to out, or, in a Remove, tombstones the slot.

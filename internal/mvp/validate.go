@@ -114,9 +114,9 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 			return 0, fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances under bounds %v that are their largest", d, n.svs, t.v, bounds[:t.v])
 		}
 	}
-	if points != t.size || items != len(t.items) || floats != t.codes() || cuts != len(t.cuts) || kids != len(t.kids) {
+	if points != t.size || items != t.items.len() || floats != t.codes() || cuts != len(t.cuts) || kids != len(t.kids) {
 		return 0, fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d, its internal nodes %d cutoffs and %d child slots of %d and %d",
-			points, t.size, items, floats, len(t.items), t.codes(), cuts, kids, len(t.cuts), len(t.kids))
+			points, t.size, items, floats, t.items.len(), t.codes(), cuts, kids, len(t.cuts), len(t.kids))
 	}
 	return height, nil
 }
@@ -162,8 +162,8 @@ func (t *Tree[T]) validateNode(i int32, ancestors []T) error {
 	n, sv := &t.nodes[i], t.vantages(i)
 	if n.isLeaf() {
 		rows, stride := t.wideRows(n, new([]uint16))
-		for i, it := range t.leafItems(n) {
-			row := rows[i*stride:][:stride]
+		for i := range int(n.cnt) {
+			it, row := t.items.at(int(n.off)+i), rows[i*stride:][:stride]
 			if got := t.dist.Distance(it, sv[0]); encode(got, t.step) != row[0] {
 				return fmt.Errorf("mvp: leaf D1[%d] = %g, metric now yields %g (wrong metric for this tree?)", i, t.decode(row[0]), got)
 			}
