@@ -90,12 +90,16 @@ func shapeLine(shape any, st build.Stats) string {
 	if sh, ok := shape.(mvp.Stats); ok {
 		sh.FilterStep, sh.FilterSlack = 0, 0 // the grid follows the data's largest distance
 		// Recorded before Stats had the cascade's fields, zero in a tree
-		// nothing armed, and ItemBytes, a pointer a leaf item over vectors
-		// of one length.
-		if sh.ItemBytes == 8*sh.LeafItems {
+		// nothing armed, ItemBytes, a pointer a leaf item over vectors of
+		// one length, and OwnedBytes, and while NodeBytes held 24-byte node
+		// rows and the v vantage slots a node, a 24-byte header each, which
+		// the point arena holds now as a pointer each beside the leaf items,
+		// under 20-byte rows.
+		if slots := sh.ItemBytes/8 - sh.LeafItems; sh.ItemBytes%8 == 0 && sh.Nodes > 0 && slots%sh.Nodes == 0 {
+			sh.NodeBytes += 4*sh.Nodes + 24*slots
 			sh.ItemBytes = 0
 		}
-		line = strings.TrimSuffix(fmt.Sprintf("%+v", sh), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0 ItemBytes:0}") + "}"
+		line = strings.TrimSuffix(fmt.Sprintf("%+v", sh), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0 ItemBytes:0 OwnedBytes:0}") + "}"
 	}
 	return fmt.Sprintf("%s; build: %d distances, %d of them selecting, %d nodes, depth %d", line, st.Distances, st.SelectionDistances, st.Nodes, st.MaxDepth)
 }

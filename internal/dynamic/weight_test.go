@@ -13,7 +13,8 @@ import (
 
 // TestStoreBytesPerItem pins what a store weighs beside the tree it holds:
 // its tree indexes the items themselves and carries no tombstones until a
-// delete, so a 5,000-word store adds at most 16.5 B/item of live heap and
+// delete, so a 5,000-word store adds at most 16 B/item of live heap (14.25
+// measured, 14.80 before the vantage points joined the point arena) and
 // a store of 5,000 vectors at most one byte an item more than a plain
 // mvp-tree over them. The options are the paper's, as dynamic-churn
 // builds with.
@@ -56,8 +57,8 @@ func TestStoreBytesPerItem(t *testing.T) {
 	store := weigh(func() (any, error) { return New(words, metric.Edit, Options{Tree: opts}) })
 	tree := weigh(func() (any, error) { return mvp.New(words, metric.NewCounter(metric.Edit), opts) })
 	t.Logf("words: the store adds %.2f B/item, a plain tree %.2f", store, tree)
-	if store > 16.5 {
-		t.Errorf("a store of %d words adds %.2f B/item to the heap, want <= 16.5", n, store)
+	if store > 16 {
+		t.Errorf("a store of %d words adds %.2f B/item to the heap, want <= 16", n, store)
 	}
 
 	rng := rand.New(rand.NewPCG(1, 8))

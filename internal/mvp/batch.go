@@ -150,10 +150,11 @@ func (t *Tree[T]) rangeBatchNode(ni int32, act []int32, plen int, bs *batchScrat
 	// The vantage phases replicate rangeNode exactly, one pass over the
 	// group per vantage point (vantageGroup); without a second one d2v
 	// stays the zeros rangeNode's d2 is.
-	exact, sv := plen < t.p, t.vantages(ni)
+	exact, sv := plen < t.p, [2]T{t.point(ni, 0)}
 	cut1, cutMax, sh := t.inner(n)
 	t.vantageGroup(sv[0], exact, cutMax[0], act, d1v, ms)
 	if t.v == 2 {
+		sv[1] = t.point(ni, 1)
 		t.vantageGroup(sv[1], exact, cutMax[1], act, d2v, ms)
 	} else {
 		clear(d2v)
@@ -255,8 +256,8 @@ func (t *Tree[T]) rangeBatchLeaf(ni int32, act []int32, bs *batchScratch[T]) {
 		over = t.maxD(n)
 	}
 	k := t.dist.Kernel()
-	for v, pt := range t.points(ni) {
-		dv := growF(bs.dv[v], len(act))
+	for v := range int(n.svs) {
+		pt, dv := t.point(ni, v), growF(bs.dv[v], len(act))
 		bs.dv[v] = dv
 		for i, j := range act {
 			m := &ms[j]

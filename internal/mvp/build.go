@@ -31,9 +31,10 @@ type construction[T any] struct {
 	b     *build.Builder[T]
 	opts  *Options
 	items []T
-	// leaves is the leaf items in leaf order; the tree holds them as the
-	// rule gives once all are placed (itemsOf).
-	leaves []T
+	// points is the point arena's slots as a []T — the leaf items in leaf
+	// order, then v vantage slots a node (Tree.vpSlot); the tree holds them
+	// as the rule gives once all are placed (itemsOf).
+	points []T
 	build.Scratch
 	paths  []float64
 	raw    []float64
@@ -227,8 +228,13 @@ func (c *construction[T]) distances(size int) int64 {
 func (c *construction[T]) firstVantage(ni int, perm []int32, pick int) []int32 {
 	last := len(perm) - 1
 	perm[pick], perm[last] = perm[last], perm[pick]
-	c.t.vps[ni*c.t.v] = c.items[perm[last]]
+	c.vantages(ni)[0] = c.items[perm[last]]
 	return perm[:last]
+}
+
+// vantages returns node ni's vantage slots of the transient point arena.
+func (c *construction[T]) vantages(ni int) []T {
+	return c.points[c.t.vpSlot(int32(ni), 0):][:c.t.v]
 }
 
 // buildLeaf implements step 2 of the paper's algorithm: pick the first
@@ -249,7 +255,7 @@ func (c *construction[T]) buildLeaf(tk task) {
 		return
 	}
 
-	sv := t.vantages(int32(ni))
+	sv := c.vantages(ni)
 	d1 := c.Dist[tk.lo : tk.lo+len(rest)]
 	c.b.MeasureIDs(sv[0], c.items, rest, d1)
 	if t.v == 2 {
@@ -274,8 +280,8 @@ func (c *construction[T]) buildLeaf(tk task) {
 
 	// D1 goes into the rows first, so its slots of Dist can take D2.
 	p, held := t.p, c.pathLen(tk.depth)
-	n.off, n.foff, n.cnt, n.held = int32(tk.at.items), tk.at.floats, int32(len(rest)), uint16(held)
-	items, stride := c.leaves[tk.at.items:tk.at.items+len(rest)], 2+held
+	n.off, n.foff, n.cnt, n.held = int32(tk.at.items), int32(tk.at.floats), int32(len(rest)), uint16(held)
+	items, stride := c.points[tk.at.items:tk.at.items+len(rest)], 2+held
 	rows := c.raw[tk.at.floats : tk.at.floats+len(rest)*stride]
 	for i, id := range rest {
 		items[i] = c.items[id]
@@ -382,8 +388,8 @@ func (c *construction[T]) buildInternal(tk task) {
 	dist, keys := c.Dist[lo:lo+len(rest)], c.Keys[lo:lo+len(rest)]
 	held := c.pathLen(tk.depth)
 
-	v, sv, shells := t.v, t.vantages(int32(ni)), min(t.m, len(keys))
-	t.nodes[ni] = node{internal: true, svs: uint8(v), cnt: int32(shells), off: int32(tk.at.cuts), foff: tk.at.kids}
+	v, sv, shells := t.v, c.vantages(ni), min(t.m, len(keys))
+	t.nodes[ni] = node{internal: true, svs: uint8(v), cnt: int32(shells), off: int32(tk.at.cuts), foff: int32(tk.at.kids)}
 	cuts := t.cuts[tk.at.cuts:]
 	cut1 := cuts[v : v+shells-1]
 	c.measure(sv[0], rest, dist, keys, held)
@@ -498,7 +504,7 @@ func (c *construction[T]) besideTask(ni, j int) {
 			continue
 		}
 		ids, dist := c.Perm[sp.lo+r[0]:sp.lo+r[1]], c.Dist[sp.lo+r[0]:sp.lo+r[1]]
-		c.b.MeasureIDs(t.vantages(int32(ni))[1], c.items, ids, dist)
+		c.b.MeasureIDs(c.vantages(ni)[1], c.items, ids, dist)
 		if p, held := t.p, sp.held+1; held < p {
 			for i, id := range ids {
 				c.paths[int(id)*p+held] = dist[i]
@@ -516,12 +522,12 @@ func (c *construction[T]) cutShellTask(ni, g int) {
 	// Shell g's cut2 row follows cut1 and the rows of the shells before it,
 	// its child slots the counts and the rows of the shells before it.
 	shells := int(n.cnt)
-	cut, slot := int(n.off)+t.v+shells-1, n.foff+shells
+	cut, slot := int(n.off)+t.v+shells-1, int(n.foff)+shells
 	for h := 0; h < g; h++ {
-		parts := int(t.kids[n.foff+h])
+		parts := int(t.kids[int(n.foff)+h])
 		cut, slot = cut+parts-1, slot+parts
 	}
-	parts := int(t.kids[n.foff+g])
+	parts := int(t.kids[int(n.foff)+g])
 	shellLo, shellHi := c.shellRange(sp.size, g)
 	keys := c.Keys[sp.lo+shellLo : sp.lo+shellHi]
 	build.SplitEqual(keys, t.cuts[cut:cut+parts-1])

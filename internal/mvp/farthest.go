@@ -48,7 +48,8 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, buf
 	// Without a second vantage point d2 is 0 and each shell's one
 	// sub-shell [0, +Inf]: neither test on them below ever fires.
 	var d [2]float64
-	for j, sv := range t.vantages(i) {
+	for j := range t.v {
+		sv := t.point(i, j)
 		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(t.vpSlot(i, j)) {
 			*out = append(*out, sv)
 		}
@@ -84,13 +85,13 @@ func (t *Tree[T]) rangeFartherNode(i int32, q T, r float64, qpath []float64, buf
 }
 
 func (t *Tree[T]) rangeFartherLeaf(i int32, q T, r float64, qpath []float64, buf *[]uint16, out *[]T) {
-	var d [2]float64
-	for j, sv := range t.points(i) {
+	n, d := &t.nodes[i], [2]float64{}
+	for j := range int(n.svs) {
+		sv := t.point(i, j)
 		if d[j] = t.dist.Distance(q, sv); d[j] >= r && t.keeps(t.vpSlot(i, j)) {
 			*out = append(*out, sv)
 		}
 	}
-	n := &t.nodes[i]
 	rows, stride := t.wideRows(n, buf)
 	for i := range int(n.cnt) {
 		slot := int(n.off) + i
@@ -134,9 +135,9 @@ func (t *Tree[T]) leafBounds(row []uint16, hasSV2 bool, d1, d2 float64, qpath []
 // not tombstoned, without any distance computations.
 func (t *Tree[T]) collectAll(i int32, out *[]T) {
 	n := &t.nodes[i]
-	for j, sv := range t.points(i) {
+	for j := range int(n.svs) {
 		if t.keeps(t.vpSlot(i, j)) {
-			*out = append(*out, sv)
+			*out = append(*out, t.point(i, j))
 		}
 	}
 	if n.isLeaf() {
@@ -200,7 +201,8 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 			continue
 		}
 		var d [2]float64 // d2 is 0 without a second vantage point; so is its shell's upper bound +Inf
-		for j, sv := range t.vantages(pn.n) {
+		for j := range t.v {
+			sv := t.point(pn.n, j)
 			d[j] = t.dist.Distance(q, sv)
 			if t.keeps(t.vpSlot(pn.n, j)) {
 				best.Push(sv, d[j])
@@ -242,14 +244,14 @@ func (t *Tree[T]) KFarthest(q T, k int) []index.Neighbor[T] {
 }
 
 func (t *Tree[T]) kFarthestLeaf(i int32, q T, qpath []float64, buf *[]uint16, best *heapx.KLargest[T]) {
-	var d [2]float64
-	for j, sv := range t.points(i) {
+	n, d := &t.nodes[i], [2]float64{}
+	for j := range int(n.svs) {
+		sv := t.point(i, j)
 		d[j] = t.dist.Distance(q, sv)
 		if t.keeps(t.vpSlot(i, j)) {
 			best.Push(sv, d[j])
 		}
 	}
-	n := &t.nodes[i]
 	rows, stride := t.wideRows(n, buf)
 	for i := range int(n.cnt) {
 		slot := int(n.off) + i

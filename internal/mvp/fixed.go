@@ -155,7 +155,7 @@ func (t *Tree[T]) settle(sum codeSum) {
 		return
 	}
 	if shift, ok := sum.shift(nibbleTop); ok && t.rowsFit() {
-		rows := make([]uint32, t.items.len())
+		rows := make([]uint32, t.leafItems)
 		for i := range t.nodes {
 			n := &t.nodes[i]
 			if n.internal {
@@ -249,7 +249,7 @@ func (t *Tree[T]) codes() int {
 	if t.nibbles == nil {
 		return len(t.filter) + len(t.narrow)
 	}
-	if len(t.nibbles) != t.items.len() || !t.rowsFit() {
+	if len(t.nibbles) != t.leafItems || !t.rowsFit() {
 		return -1
 	}
 	codes := 0

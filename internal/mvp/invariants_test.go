@@ -22,7 +22,7 @@ func checkNode(t *testing.T, tr *Tree[int], i int32, raw metric.DistanceFunc[int
 	if n.isLeaf() {
 		// Stored precision: the leaf holds the code of each distance, on
 		// the tree's grid once a narrow arena's byte or nibble is widened.
-		items, stride := tr.items.all()[n.off:][:n.cnt], 2+int(n.held)
+		items, stride := tr.items.first(tr.leafItems)[n.off:][:n.cnt], 2+int(n.held)
 		if want := min(tr.p, len(ancestors)); len(items) > 0 && stride-2 != want {
 			t.Fatalf("leaf PATH length %d, want %d (p=%d, %d ancestors)", stride-2, want, tr.p, len(ancestors))
 		}
@@ -102,7 +102,7 @@ func checkArenasTiled[T any](t *testing.T, tr *Tree[T]) {
 		if n.isLeaf() {
 			continue
 		}
-		if int(n.off) != cuts || n.foff != kids {
+		if int(n.off) != cuts || int(n.foff) != kids {
 			t.Fatalf("internal node at cuts[%d], kids[%d]; the nodes before it end at %d, %d", n.off, n.foff, cuts, kids)
 		}
 		cut1, _, sh := tr.inner(n)

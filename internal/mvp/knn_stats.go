@@ -112,7 +112,8 @@ func (t *Tree[T]) knn(q T, k int, o index.SearchOptions) index.Result[T] {
 		exact := int(pn.plen) < t.p
 		cut1, cutMax, sh := t.inner(n)
 		var d [2]float64 // d2 is 0 without a second vantage point: inside the one sub-shell
-		for j, sv := range t.vantages(i) {
+		for j := range t.v {
+			sv := t.point(i, j)
 			d[j] = t.vantageDistance(q, sv, exact, tau+cutMax[j])
 			if d[j] <= tau+cutMax[j] && t.keeps(t.vpSlot(i, j)) {
 				best.Push(sv, d[j])

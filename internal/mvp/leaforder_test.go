@@ -35,11 +35,13 @@ type ranger interface {
 //   - tree/built: the tree's range query, which reads its leaves' vectors
 //     where the generator put them;
 //   - tree/loaded: the same tree after Save → Load, whose decoder
-//     allocates the items one after another in leaf order.
+//     allocates the items one after another in leaf order;
+//   - tree/packed: the built tree after Own, which copies its points into
+//     one block in leaf order, as mvpserve does after its build.
 //
-// The last two differ in memory order alone. The knn/ cases answer the
-// same queries' 10 nearest neighbors over scan/generation, tree/built and
-// tree/loaded.
+// The last three differ in memory order alone. The knn/ cases answer the
+// same queries' 10 nearest neighbors over scan/generation, tree/built,
+// tree/loaded and tree/packed.
 func BenchmarkLeafOrder(b *testing.B) {
 	const n, dim, k = 50000, 20, 10
 	items := dataset.UniformVectors(rand.New(rand.NewPCG(1, 0)), n, dim)
@@ -61,6 +63,13 @@ func BenchmarkLeafOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	packed, err := mvp.New(items, metric.NewCounter(metric.L2), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !packed.Own() {
+		b.Fatal("Own did not pack the vector tree")
+	}
 	scan := linear.New(items, metric.NewCounter(metric.L2))
 	type leafCase struct {
 		name  string
@@ -72,6 +81,7 @@ func BenchmarkLeafOrder(b *testing.B) {
 		{"scan/loaded", linear.New(loaded.Items(), metric.NewCounter(metric.L2))},
 		{"tree/built", built},
 		{"tree/loaded", loaded},
+		{"tree/packed", packed},
 	}
 	want := 0
 	for _, c := range cases {
@@ -88,7 +98,7 @@ func BenchmarkLeafOrder(b *testing.B) {
 		timeLeafOrder(b, c.name, func(q []float64) { c.index.Range(q, r) }, queries, n)
 	}
 	var wantSum float64
-	for _, c := range []leafCase{{"knn/scan/generation", scan}, {"knn/tree/built", built}, {"knn/tree/loaded", loaded}} {
+	for _, c := range []leafCase{{"knn/scan/generation", scan}, {"knn/tree/built", built}, {"knn/tree/loaded", loaded}, {"knn/tree/packed", packed}} {
 		var sum float64
 		for _, q := range queries {
 			for _, nb := range c.index.KNN(q, k) {

@@ -197,11 +197,15 @@ func TestRaggedShapesAreSizesAlone(t *testing.T) {
 						// The codes' width follows their values (settle); their number is the sizes'.
 						shape.FilterBytes = 2 * tree.codes()
 						// Recorded before Stats had the cascade's fields, zero in a tree
-						// nothing armed, and ItemBytes, an int's 8 bytes a leaf item.
-						if shape.ItemBytes == 8*shape.LeafItems {
+						// nothing armed, ItemBytes, an int's 8 bytes a leaf item, and
+						// OwnedBytes, and while NodeBytes held 24-byte node rows and the
+						// v vantage slots a node, an int's 8 bytes each, which the point
+						// arena holds now beside the leaf items, under 20-byte rows.
+						if vantage := shape.ItemBytes - 8*shape.LeafItems; vantage == 8*v*shape.Nodes {
+							shape.NodeBytes += 4*shape.Nodes + vantage
 							shape.ItemBytes = 0
 						}
-						line, ok := strings.CutSuffix(fmt.Sprintf("%+v", shape), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0 ItemBytes:0}")
+						line, ok := strings.CutSuffix(fmt.Sprintf("%+v", shape), " CascadePivots:0 CascadeBytes:0 CascadeStep:0 CascadeSlack:0 ItemBytes:0 OwnedBytes:0}")
 						if !ok {
 							t.Fatalf("v%d/m%d/k%d/p%d n=%d: a cascade on a fresh tree, or item slots of other than 8 bytes: %+v", v, m, k, p, n, shape)
 						}

@@ -71,7 +71,7 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 	}
 	_, e := math.Frexp(t.step) // step = 0.5 · 2^e
 	header := []int{t.m, t.k, t.p, t.size, e - 1 - minStepExp, t.v,
-		len(t.nodes), t.size - t.items.len(), t.items.len(), len(t.cuts), len(t.kids), t.codes()}
+		len(t.nodes), t.size - t.leafItems, t.leafItems, len(t.cuts), len(t.kids), t.codes()}
 	for _, x := range header[6:] {
 		if x > wire.MaxBytes {
 			return fmt.Errorf("mvp: an arena of %d entries is past what a stream holds (%d)", x, wire.MaxBytes)
@@ -101,13 +101,13 @@ func (t *Tree[T]) Save(w io.Writer, enc ItemEncoder[T]) error {
 		return err
 	}
 	for i := range t.nodes {
-		for _, sv := range t.points(int32(i)) {
-			if err := item(sv); err != nil {
+		for j := range int(t.nodes[i].svs) {
+			if err := item(t.point(int32(i), j)); err != nil {
 				return err
 			}
 		}
 	}
-	for i := range t.items.len() {
+	for i := range t.leafItems {
 		if err := item(t.items.at(i)); err != nil {
 			return err
 		}
@@ -260,10 +260,10 @@ func (t *Tree[T]) loadArenas(in *wire.Reader, dec ItemDecoder[T]) (err error) {
 	if need := nodes*rowBytes + points + items + 8*cuts + 4*kids + 2*filter; need > len(c.b) {
 		return fmt.Errorf("mvp: the header announces %d bytes of arenas, %d follow (corrupt stream)", need, len(c.b))
 	}
-	t.nodes, t.vps = make([]node, nodes), make([]T, nodes*t.v)
+	t.nodes, t.leafItems = make([]node, nodes), items
 	le, held := binary.LittleEndian, 0
 	for i, b := 0, c.next(nodes*rowBytes); i < nodes; i, b = i+1, b[rowBytes:] {
-		t.nodes[i] = node{off: int32(le.Uint32(b)), cnt: int32(le.Uint32(b[4:])), foff: int(le.Uint32(b[8:])),
+		t.nodes[i] = node{off: int32(le.Uint32(b)), cnt: int32(le.Uint32(b[4:])), foff: int32(le.Uint32(b[8:])),
 			held: le.Uint16(b[12:]), svs: b[14], internal: b[15] == 1}
 		if int(b[14]) > t.v || b[15] > 1 {
 			return fmt.Errorf("mvp: node %d has %d vantage points of %d, kind %d (corrupt stream)", i, b[14], t.v, b[15])
@@ -282,22 +282,23 @@ func (t *Tree[T]) loadArenas(in *wire.Reader, dec ItemDecoder[T]) (err error) {
 		}
 		return it, err
 	}
+	// The points are decoded into the point arena's slots as a []T, which
+	// the rule then holds as a build's are (itemsOf): the stream's vantage
+	// points, node by node, then its leaf items.
+	slots := make([]T, items+nodes*t.v)
 	for i := range t.nodes {
-		for j := range t.nodes[i].svs {
-			if t.vps[i*t.v+int(j)], err = item(); err != nil {
+		for j := range int(t.nodes[i].svs) {
+			if slots[t.vpSlot(int32(i), j)], err = item(); err != nil {
 				return err
 			}
 		}
 	}
-	// The items are decoded into a []T, which the rule then holds as a
-	// build's are (itemsOf).
-	leafItems := make([]T, items)
-	for i := range leafItems {
-		if leafItems[i], err = item(); err != nil {
+	for i := range items {
+		if slots[i], err = item(); err != nil {
 			return err
 		}
 	}
-	t.items = itemsOf(leafItems)
+	t.items = itemsOf(slots, t.hole)
 	t.cuts = getAll(c, make([]float64, cuts), 8, func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) })
 	t.kids = getAll(c, make([]int32, kids), 4, func(b []byte) int32 { return int32(le.Uint32(b)) })
 	t.filter = getAll(c, make([]uint16, filter), 2, le.Uint16)
@@ -385,10 +386,10 @@ func (t *Tree[T]) loadNested(in *wire.Reader, magic string, dec ItemDecoder[T]) 
 	// The arenas start at what the header asks for or the payload could
 	// hold (5 bytes a leaf item at least; a code per byte at most, since a
 	// one-vantage row's D2 slot is not in the stream; 8 bytes a double),
-	// whichever is less; cloning then drops the spare. The items are held
-	// as the rule gives once all are read (itemsOf), which clones them only
-	// where it holds them as given.
-	items := make([]T, 0, min(t.size, len(payload)/5))
+	// whichever is less; cloning then drops the spare. The points are held
+	// as the rule gives once all are read (itemsOf): the leaf items, then
+	// the vantage slots, in one []T of their own.
+	pts := &nestedPoints[T]{items: make([]T, 0, min(t.size, len(payload)/5))}
 	var raw *[]float64 // the distances of a v1 stream, nil reading a later one
 	if magic != loadMagicV1 {
 		t.filter = make([]uint16, 0, min(t.size*(2+t.p), len(payload)))
@@ -396,11 +397,11 @@ func (t *Tree[T]) loadNested(in *wire.Reader, magic string, dec ItemDecoder[T]) 
 		doubles := make([]float64, 0, min(t.size*(2+t.p), len(payload)/8))
 		raw = &doubles
 	}
-	if _, err := t.loadNode(rr, dec, 0, &items, raw); err != nil {
+	if _, err := t.loadNode(rr, dec, 0, pts, raw); err != nil {
 		return err
 	}
-	t.nodes, t.vps = slices.Clone(t.nodes), slices.Clone(t.vps)
-	t.items = itemsOf(items)
+	t.nodes, t.leafItems = slices.Clone(t.nodes), len(pts.items)
+	t.items = itemsOf(slices.Concat(pts.items, pts.vps), t.hole)
 	if raw != nil {
 		t.encodeLeaves(*raw, max(stepExp(*raw), minStepExpV1))
 	} else {
@@ -421,7 +422,7 @@ func (t *Tree[T]) preorder() {
 			c, k, _ := t.innerLen(n)
 			off, foff := len(cuts), len(kids)
 			cuts, kids = append(cuts, t.cuts[n.off:][:c]...), append(kids, t.kids[n.foff:][:k]...)
-			n.off, n.foff = int32(off), foff
+			n.off, n.foff = int32(off), int32(foff)
 		}
 	}
 	t.cuts, t.kids = cuts, kids
@@ -463,12 +464,16 @@ const (
 	tagInternal = 2
 )
 
+// nestedPoints is what loadNode reads of the points: the leaf items in
+// leaf order, and v vantage slots a node in node order.
+type nestedPoints[T any] struct{ items, vps []T }
+
 // loadNode reads the subtree at depth of a nested stream and returns its
 // root's index, noChild for none. Nodes join the arenas in the order of
 // the stream, which is pre-order; an internal node's cutoffs and child
 // indices are complete only once its subtrees are read, and follow
 // theirs (preorder puts them back in node order).
-func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, items *[]T, raw *[]float64) (int32, error) {
+func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, pts *nestedPoints[T], raw *[]float64) (int32, error) {
 	if depth > maxLoadDepth {
 		return 0, fmt.Errorf("mvp: tree deeper than %d levels (corrupt stream)", maxLoadDepth)
 	}
@@ -500,10 +505,10 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, items 
 	}
 	i := len(t.nodes)
 	t.nodes = append(t.nodes, node{internal: tag == tagInternal, svs: uint8(svs)})
-	t.vps = append(t.vps, make([]T, t.v)...)
+	pts.vps = append(pts.vps, make([]T, t.v)...)
 	for j := 0; j < svs; j++ {
 		var err error
-		if t.vps[i*t.v+j], err = item(); err != nil {
+		if pts.vps[i*t.v+j], err = item(); err != nil {
 			return 0, err
 		}
 	}
@@ -520,9 +525,9 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, items 
 		// offsets a build gives it.
 		n := &t.nodes[i]
 		if count > 0 {
-			n.off, n.foff, n.cnt, n.held = int32(len(*items)), len(t.filter), int32(count), uint16(min(t.p, t.v*depth))
+			n.off, n.foff, n.cnt, n.held = int32(len(pts.items)), int32(len(t.filter)), int32(count), uint16(min(t.p, t.v*depth))
 			if raw != nil {
-				n.foff = len(*raw)
+				n.foff = int32(len(*raw))
 			}
 		}
 		for i := 0; i < count; i++ {
@@ -530,7 +535,7 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, items 
 			if err != nil {
 				return 0, err
 			}
-			*items = append(*items, it)
+			pts.items = append(pts.items, it)
 			if raw == nil {
 				for l := 0; l < 2+int(n.held); l++ {
 					var c uint16 // the D2 slot a one-vantage stream leaves out
@@ -577,7 +582,7 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, items 
 		}
 		cuts, parts = append(cuts, cut2...), append(parts, int32(cols))
 		for h := 0; h < cols; h++ {
-			c, err := t.loadNode(r, dec, depth+1, items, raw)
+			c, err := t.loadNode(r, dec, depth+1, pts, raw)
 			if err != nil {
 				return 0, err
 			}
@@ -590,7 +595,7 @@ func (t *Tree[T]) loadNode(r *wire.Reader, dec ItemDecoder[T], depth int, items 
 		kids = append(parts, kids...)
 	}
 	n := &t.nodes[i]
-	n.cnt, n.off, n.foff = int32(shells), int32(len(t.cuts)), len(t.kids)
+	n.cnt, n.off, n.foff = int32(shells), int32(len(t.cuts)), int32(len(t.kids))
 	t.cuts, t.kids = append(t.cuts, cuts...), append(t.kids, kids...)
 	return int32(i), r.Err()
 }

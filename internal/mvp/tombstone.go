@@ -4,8 +4,8 @@ import "mvptree/internal/index"
 
 // A tree over a set that changes — the dynamic store's, whose deleted
 // items stay in the tree until its next rebuild — holds tombstones: one
-// bit per slot, where a slot is a leaf item's position in the item arena,
-// or the arena's length + node·v + j for the j-th vantage point of a node. A
+// bit per slot of the point arena: a leaf item's position, or the leaf
+// item count + node·v + j for the j-th vantage point of a node (vpSlot). A
 // tombstoned item is in no answer of any query: Search's range and kNN,
 // SearchBatch, RangeFarther, KFarthest and Items. A tombstoned leaf item
 // is never measured; a tombstoned vantage point is measured where the
@@ -25,7 +25,7 @@ import "mvptree/internal/index"
 // other query on t.
 func Remove[T any](t *Tree[T], q T) int {
 	if t.dead == nil {
-		t.dead = make(bitset, (t.items.len()+len(t.vps)+63)/64)
+		t.dead = make(bitset, (t.items.len()+63)/64)
 	}
 	before := t.tombs
 	var m member[T]
@@ -39,13 +39,13 @@ func Remove[T any](t *Tree[T], q T) int {
 }
 
 // RootPoints returns the vantage points of t's root, one or two, or
-// nothing for an empty tree. They are items of t, tombstoned or not, and
-// the caller must not modify the slice.
+// nothing for an empty tree, in a slice of their own. They are items of
+// t, tombstoned or not, and the caller must not modify them.
 func RootPoints[T any](t *Tree[T]) []T {
 	if len(t.nodes) == 0 {
 		return nil
 	}
-	return t.points(0)
+	return t.vantages(0)
 }
 
 // bitset is one bit per slot.
@@ -56,9 +56,6 @@ func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 // keeps reports whether the item in slot may be reported: t holds no
 // tombstones, or none in slot.
 func (t *Tree[T]) keeps(slot int) bool { return t.dead == nil || !t.dead.has(slot) }
-
-// vpSlot is the slot of node i's j-th vantage point.
-func (t *Tree[T]) vpSlot(i int32, j int) int { return t.items.len() + int(i)*t.v + j }
 
 // accept is where a range query reports the item x in slot: it appends x
 // to out, or, in a Remove, tombstones the slot.

@@ -76,7 +76,7 @@ func checkSkip[X any](t *testing.T, xs []X, dist metric.DistanceFunc[X], queries
 	if nibbles && tree.nibbles == nil && tree.Shape().LeafItems > 0 {
 		t.Fatal("the word tree's rows are not in nibbles")
 	}
-	for _, e := range tree.items.all() {
+	for _, e := range tree.items.first(tree.leafItems) {
 		leaf[e.id] = true
 	}
 	watch = true

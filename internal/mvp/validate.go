@@ -3,6 +3,7 @@ package mvp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Validate recomputes every stored distance and partition bound in the
@@ -81,7 +82,7 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 				held = min(t.p, t.v*d)
 			}
 			if int(n.svs) > t.v || n.cnt < 0 || int(n.cnt) > t.k || int(n.held) != held ||
-				n.cnt > 0 && (n.svs == 0 || int(n.off) != items || n.foff != floats) ||
+				n.cnt > 0 && (n.svs == 0 || int(n.off) != items || int(n.foff) != floats) ||
 				n.cnt == 0 && (n.off != 0 || n.foff != 0) {
 				return 0, fmt.Errorf("mvp: leaf at depth %d holds %d vantage points and %d items with %d PATH entries at items[%d], filter[%d] (v=%d, k=%d, p=%d; the leaves before it end at %d, %d)",
 					d, n.svs, n.cnt, n.held, n.off, n.foff, t.v, t.k, t.p, items, floats)
@@ -90,7 +91,7 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 			continue
 		}
 		c, k, ok := t.innerLen(n)
-		if !ok || int(n.off) != cuts || n.foff != kids {
+		if !ok || int(n.off) != cuts || int(n.foff) != kids {
 			return 0, fmt.Errorf("mvp: internal node %d of %d shells at cuts[%d], kids[%d] (of %d and %d): its rows run past them, or the nodes before it end at %d, %d",
 				i, n.cnt, n.off, n.foff, len(t.cuts), len(t.kids), cuts, kids)
 		}
@@ -114,9 +115,9 @@ func (t *Tree[T]) checkShape() (height int, err error) {
 			return 0, fmt.Errorf("mvp: internal node at depth %d has %d vantage points of %d, or cutoffs that are not ascending distances under bounds %v that are their largest", d, n.svs, t.v, bounds[:t.v])
 		}
 	}
-	if points != t.size || items != t.items.len() || floats != t.codes() || cuts != len(t.cuts) || kids != len(t.kids) {
+	if points != t.size || items != t.leafItems || floats != t.codes() || cuts != len(t.cuts) || kids != len(t.kids) {
 		return 0, fmt.Errorf("mvp: tree holds %d points, header says %d; its leaves %d items and %d codes of %d and %d, its internal nodes %d cutoffs and %d child slots of %d and %d",
-			points, t.size, items, floats, t.items.len(), t.codes(), cuts, kids, len(t.cuts), len(t.kids))
+			points, t.size, items, floats, t.leafItems, t.codes(), cuts, kids, len(t.cuts), len(t.kids))
 	}
 	return height, nil
 }
@@ -132,7 +133,7 @@ func (t *Tree[T]) innerLen(n *node) (cuts, kids int, ok bool) {
 	}
 	cuts, kids = t.v+s-1, s
 	if t.v == 2 {
-		if n.foff > len(t.kids)-s {
+		if int(n.foff) > len(t.kids)-s {
 			return 0, 0, false
 		}
 		for _, parts := range t.kids[n.foff:][:s] {
@@ -142,7 +143,7 @@ func (t *Tree[T]) innerLen(n *node) (cuts, kids int, ok bool) {
 			cuts, kids = cuts+int(parts)-1, kids+int(parts)
 		}
 	}
-	return cuts, kids, int(n.off) <= len(t.cuts)-cuts && n.foff <= len(t.kids)-kids
+	return cuts, kids, int(n.off) <= len(t.cuts)-cuts && int(n.foff) <= len(t.kids)-kids
 }
 
 // ascending reports whether xs can be a row of cutoffs: distances — not
@@ -180,7 +181,7 @@ func (t *Tree[T]) validateNode(i int32, ancestors []T) error {
 		}
 		return nil
 	}
-	next := append(append([]T(nil), ancestors...), sv...)
+	next := append(slices.Clip(ancestors), sv...)
 	cut1, _, sh := t.inner(n)
 	for g := 0; g <= len(cut1); g++ {
 		row, cut2 := sh.next()

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mvptree/internal/dataset"
 	"mvptree/internal/index"
@@ -161,16 +162,18 @@ func TestBuildAllocationsConstant(t *testing.T) {
 
 // TestIndexBytesPerItem pins what the index adds to the live heap per
 // item at the paper's options — the benchmark's mem_bytes_per_item,
-// measured the same way — and that Shape accounts for it: per leaf item
-// one slot of the item arena (ItemBytes: a pointer for a vector of the
-// one length, 8 bytes, and a pointer and a length byte for a short word,
-// 9) and one filter row of seven codes (D1, D2, five PATH entries;
-// FilterBytes), 16-bit over vectors (14 bytes) and nibbles in a uint32
-// over words, whose edit distances a nibble holds exactly (4), and the
-// node arenas (NodeBytes). A float64 row alone is 56; pointer nodes took
-// the limits to 50 and 42, 16-bit word rows to 32, byte rows to 25, nibble
-// rows the words' to 22, and the compact item arena them to 24.5 and 15.5
-// (measured 24.2 and 15.1 on these 20,000 items).
+// measured the same way — and that Shape accounts for it: one slot of the
+// point arena per leaf item and two per node (ItemBytes: a pointer for a
+// vector of the one length, 8 bytes, and a pointer and a length byte for a
+// short word, 9), per leaf item one filter row of seven codes (D1, D2, five
+// PATH entries; FilterBytes), 16-bit over vectors (14 bytes) and nibbles
+// in a uint32 over words, whose edit distances a nibble holds exactly (4),
+// and the node arenas (NodeBytes). A float64 row alone is 56; pointer
+// nodes took the limits to 50 and 42, 16-bit word rows to 32, byte rows to
+// 25, nibble rows the words' to 22, the compact leaf items them to 24.5 and
+// 15.5 (measured 24.2 and 15.1 on these 20,000 items), and the vantage
+// points in the point arena with 20-byte node rows to 23.2 and 14.9
+// (measured 22.9 and 14.5).
 func TestIndexBytesPerItem(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("heap sizes are inflated by race-detector instrumentation")
@@ -186,56 +189,66 @@ func TestIndexBytesPerItem(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	check := func(name string, limit float64, rowBytes, itemBytes int, build func() (Stats, any)) {
+	check := func(name string, limit float64, rowBytes, itemBytes int, build func() (Stats, []int, any)) {
 		before := liveHeap()
-		shape, tree := build()
+		shape, allocs, tree := build()
 		heap := float64(liveHeap() - before)
 		runtime.KeepAlive(tree)
 		if want := rowBytes * shape.LeafItems; shape.FilterBytes != want {
 			t.Errorf("%s: FilterBytes = %d, want %d (%d per leaf item)", name, shape.FilterBytes, want, rowBytes)
 		}
-		if want := itemBytes * shape.LeafItems; shape.ItemBytes != want {
-			t.Errorf("%s: ItemBytes = %d, want %d (%d per leaf item)", name, shape.ItemBytes, want, itemBytes)
+		if want := itemBytes * (shape.LeafItems + 2*shape.Nodes); shape.ItemBytes != want {
+			t.Errorf("%s: ItemBytes = %d, want %d (%d per leaf item and per vantage slot)", name, shape.ItemBytes, want, itemBytes)
 		}
 		// Shape counts the bytes the arenas hold; the heap holds an arena
 		// over 32 KiB in whole 8 KiB pages, up to 8 KiB more each, which is
-		// over 1 % of a 24 B/item index here. The check allows the two leaf
-		// arenas' rounding, and the log shows it is the gap.
+		// over 1 % of a 23 B/item index here. The check allows that rounding
+		// of each allocation (arenaAllocs), and the log shows it is the gap.
 		pages := func(b int) int {
 			if b <= 32<<10 {
 				return b
 			}
 			return (b + 8<<10 - 1) &^ (8<<10 - 1)
 		}
-		shapeBytes := float64(shape.ItemBytes + shape.FilterBytes + shape.NodeBytes)
-		rounding := float64(pages(shape.ItemBytes) - shape.ItemBytes + pages(shape.FilterBytes) - shape.FilterBytes)
-		t.Logf("%s: index adds %.2f B/item to the heap (%.0f bytes); Shape accounts for %.2f (%.0f bytes; %d nodes: %.1f); heap − Shape = %.0f bytes, the leaf arenas' page rounding %.0f",
+		shapeBytes, rounding := float64(shape.ItemBytes+shape.FilterBytes+shape.NodeBytes), 0.0
+		for _, b := range allocs {
+			rounding += float64(pages(b) - b)
+		}
+		t.Logf("%s: index adds %.2f B/item to the heap (%.0f bytes); Shape accounts for %.2f (%.0f bytes; %d nodes: %.1f); heap − Shape = %.0f bytes, the arenas' page rounding %.0f",
 			name, heap/n, heap, shapeBytes/n, shapeBytes, shape.Nodes, float64(shape.NodeBytes)/n, heap-shapeBytes, rounding)
 		if heap/n > limit {
 			t.Errorf("%s: index adds %.2f B/item to the heap, want <= %.1f", name, heap/n, limit)
 		}
 		if math.Abs(heap-shapeBytes-rounding) > 0.02*heap {
-			t.Errorf("%s: index adds %.0f bytes to the heap, ItemBytes + FilterBytes + NodeBytes = %.0f and the leaf arenas' page rounding %.0f: want within 2%%", name, heap, shapeBytes, rounding)
+			t.Errorf("%s: index adds %.0f bytes to the heap, ItemBytes + FilterBytes + NodeBytes = %.0f and the arenas' page rounding %.0f: want within 2%%", name, heap, shapeBytes, rounding)
 		}
 	}
-	check("vectors/L2", 24.5, 2*(2+5), 8, func() (Stats, any) {
+	check("vectors/L2", 23.2, 2*(2+5), 8, func() (Stats, []int, any) {
 		tree, err := New(vectors, metric.NewCounter(metric.L2), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tree.Shape(), tree
+		return tree.Shape(), arenaAllocs(tree), tree
 	})
-	check("words/Edit", 15.5, 4, 9, func() (Stats, any) {
+	check("words/Edit", 14.9, 4, 9, func() (Stats, []int, any) {
 		tree, err := New(words, metric.NewCounter(metric.Edit), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tree.Shape(), tree
+		return tree.Shape(), arenaAllocs(tree), tree
 	})
 	// The inputs outlive both measurements, or collecting their slice
 	// headers would be credited to the index.
 	runtime.KeepAlive(vectors)
 	runtime.KeepAlive(words)
+}
+
+// arenaAllocs is the size of each allocation t's arenas hold: the point
+// arena's pieces, the filter arena and the three node arenas.
+func arenaAllocs[T any](t *Tree[T]) []int {
+	a := &t.items
+	return []int{len(a.plain) * int(unsafe.Sizeof(*new(T))), 8 * len(a.ptrs), len(a.lens), 8 * len(a.block),
+		t.filterBytes(), len(t.nodes) * int(unsafe.Sizeof(node{})), 8 * len(t.cuts), 4 * len(t.kids)}
 }
 
 // TestSingleVantageLeafFiltering is the regression test for the leaf
@@ -251,8 +264,9 @@ func TestSingleVantageLeafFiltering(t *testing.T) {
 	// The row's D2 slot holds a value no query could pass, so a scan
 	// that consulted it would lose results.
 	dist := metric.NewCounter(metric.L2)
-	tree := &Tree[[]float64]{dist: dist, size: len(pts), v: 2, m: 2, k: len(rest), p: 0, items: itemsOf(rest),
-		nodes: []node{{svs: 1, cnt: int32(len(rest))}}, vps: [][]float64{sv1, nil}}
+	tree := &Tree[[]float64]{dist: dist, size: len(pts), v: 2, m: 2, k: len(rest), p: 0, leafItems: len(rest),
+		nodes: []node{{svs: 1, cnt: int32(len(rest))}}}
+	tree.items = itemsOf(append(rest[:len(rest):len(rest)], sv1, nil), tree.hole)
 	var raw []float64
 	for _, it := range rest {
 		raw = append(raw, metric.L2(sv1, it), 50)
