@@ -204,10 +204,10 @@ func TestCapabilitiesTable(t *testing.T) {
 		t.Fatalf("table covers %d implementations, want 10", len(all))
 	}
 	batch := map[string]bool{"mvp": true, "vp": true, "shard": true}
-	core := "EnableCascade EnableQuantize KFarthest Save SearchBatch"
+	core := "EnableCascade EnableQuantize KFarthest Own Save SearchBatch"
 	surfaces := map[string]string{
 		"mvp": core, "vp": core,
-		"shard":   "EnableCascade EnableQuantize SaveDir SearchBatch",
+		"shard":   "EnableCascade EnableQuantize Own SaveDir SearchBatch",
 		"dynamic": "KFarthest Save",
 		"linear":  "EnableQuantize KFarthest",
 		"general": "", "gnat": "", "ball": "", "bk": "", "pivot": "",
@@ -217,7 +217,7 @@ func TestCapabilitiesTable(t *testing.T) {
 			t.Errorf("%s: BatchSearcher %v, want %v", name, got, batch[name])
 		}
 		var has []string
-		for _, m := range []string{"EnableCascade", "EnableQuantize", "KFarthest", "Save", "SaveDir", "SearchBatch"} {
+		for _, m := range []string{"EnableCascade", "EnableQuantize", "KFarthest", "Own", "Save", "SaveDir", "SearchBatch"} {
 			if _, ok := reflect.TypeOf(idx).MethodByName(m); ok {
 				has = append(has, m)
 			}
