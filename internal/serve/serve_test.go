@@ -660,3 +660,17 @@ func TestKNNOverflowAnswersEmpty(t *testing.T) {
 		t.Fatalf("/healthz after the overflowing query: status %d", health.StatusCode)
 	}
 }
+
+// Replace publishes an index as Store does, for every later Load, and is
+// not counted among the swaps.
+func TestSwapReplaceIsNoSwap(t *testing.T) {
+	a, _ := testIndex(t, 50, 62)
+	b, _ := testIndex(t, 60, 63)
+	c, _ := testIndex(t, 70, 64)
+	s := NewSwap[[]float64](a)
+	s.Store(b)
+	s.Replace(c)
+	if got := s.Load(); got.Len() != c.Len() || s.Swaps() != 1 {
+		t.Fatalf("after Store and Replace: serving %d items, %d swaps; want %d and 1", got.Len(), s.Swaps(), c.Len())
+	}
+}

@@ -45,5 +45,13 @@ func (s *Swap[T]) Store(idx index.Searcher[T]) {
 	s.gen.Add(1)
 }
 
+// Replace publishes idx as Store does without counting a swap: for an
+// index that holds what the served one holds and answers as it does, such
+// as a copy repacked in memory (mvpserve's packed index), which is not a
+// new index to anyone watching the swaps.
+func (s *Swap[T]) Replace(idx index.Searcher[T]) {
+	s.p.Store(&swapCell[T]{idx: idx})
+}
+
 // Swaps reports how many times Store has been called.
 func (s *Swap[T]) Swaps() int64 { return s.gen.Load() }
