@@ -214,8 +214,8 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		}
 		took := time.Since(start)
 		g := filterGrid(x)
-		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances, %d of them choosing vantage points, index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
-			x.Len(), x.Shards(), took.Round(time.Millisecond), bs.Distances, bs.SelectionDistances, indexBytes(g, x.Len()), g.FilterStep, g.FilterSlack)
+		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances assigning the shards, %d building the trees, %d of them choosing vantage points; index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
+			x.Len(), x.Shards(), took.Round(time.Millisecond), bs.AssignDistances, bs.Distances-bs.AssignDistances, bs.SelectionDistances, indexBytes(g, x.Len()), g.FilterStep, g.FilterSlack)
 		if *casOn {
 			before := x.DistanceCount()
 			if err := x.EnableCascade(casOpts); err != nil {
@@ -370,11 +370,9 @@ func startPack(x *shard.Index[[]float64], swap *serve.Swap[[]float64]) *pendingP
 		defer close(p.done)
 		start := time.Now()
 		packed := x.Clone()
-		for i := range packed.Shards() {
-			if !packed.Shard(i).Own() {
-				p.x = x
-				return
-			}
+		if !packed.Own() {
+			p.x = x
+			return
 		}
 		swap.Replace(packed)
 		took := time.Since(start)

@@ -166,8 +166,25 @@ func Last(keys []Key) (int, bool) {
 
 func (k Key) less(o Key) bool { return k.D < o.D || k.D == o.D && k.ID < o.ID }
 
-// compareKeys is less as a three-way comparison, for the library's sort.
-func compareKeys(a, b Key) int { return cmp.Or(cmp.Compare(a.D, b.D), cmp.Compare(a.ID, b.ID)) }
+// SortKeys sorts keys by (D, ID), the order whose ranks SplitEqual's
+// groups hold.
+func SortKeys(keys []Key) { slices.SortFunc(keys, compareKeys) }
+
+// compareKeys is less as a three-way comparison, for the library's sort:
+// (D, ID), a NaN distance below every other as cmp.Compare puts it. The
+// ordered cases come first because the sort spends its time there; the
+// last line is the NaN's.
+func compareKeys(a, b Key) int {
+	switch {
+	case a.D < b.D:
+		return -1
+	case a.D > b.D:
+		return 1
+	case a.D == b.D:
+		return cmp.Compare(a.ID, b.ID)
+	}
+	return cmp.Or(cmp.Compare(a.D, b.D), cmp.Compare(a.ID, b.ID))
+}
 
 // splitter is one SplitEqual: keys, to be cut into m groups.
 type splitter struct {

@@ -31,7 +31,8 @@ const knnFloatPin = "65295d64f7b8bfd7bfc3daa23ee3665bd4739bc19d5160c0158d8e9e45f
 // answer (distance and item), SearchStats and counter delta of kNN
 // queries over three datasets × three tree shapes × {plain, cascade, SQ8,
 // both} × k ∈ {1, 10, 50} × {exact, ε 0.5, budget 400}, and of the same
-// requests through 2 and 3 shards, where the shared bound joins τ′.
+// requests through 2 and 3 round-robin shards, where the shared bound
+// joins τ′.
 func TestKNNFloatStatsPinned(t *testing.T) {
 	type data struct {
 		name           string
@@ -107,7 +108,7 @@ func TestKNNFloatStatsPinned(t *testing.T) {
 		}
 		for _, s := range []int{2, 3} {
 			dist := metric.NewCounter(metric.L2)
-			x, err := shard.New(d.items, dist, shard.MVP[[]float64](shapes[0]), shard.Options{Shards: s, Seed: 5})
+			x, err := shard.New(d.items, dist, shard.MVP[[]float64](shapes[0]), shard.Options{Shards: s, Assignment: shard.RoundRobin, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}

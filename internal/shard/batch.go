@@ -11,10 +11,11 @@ import (
 // (index.BatchSearcher), byte-identical to per-query Search calls.
 //
 // Shareable members (index.Query.Shareable: exact range requests) are
-// the batched path: the whole group fans out shard by shard, each shard
-// answering it through its own SearchBatch in one shared traversal, and
-// per-query merges then concatenate shard answers in ascending shard
-// order exactly as Search does. Every other member goes to Search: a
+// the batched path: each pays its pivot distance as Search does, then the
+// group fans out shard by shard, each shard answering the members whose
+// gap it does not exclude through its own SearchBatch in one shared
+// traversal, and per-query merges then concatenate shard answers in
+// ascending shard order exactly as Search does. Every other member goes to Search: a
 // kNN walk carries a per-query τ across shards and an approximate one a
 // per-query budget share, neither of which a group shares.
 func (x *Index[T]) SearchBatch(reqs []index.Query[T], out []index.Result[T]) {
@@ -47,20 +48,35 @@ func (x *Index[T]) SearchBatch(reqs []index.Query[T], out []index.Result[T]) {
 	group := make([]index.Query[T], len(idxs))
 	spans := make([]obs.Span, len(idxs))
 	merged := make([]index.Result[T], len(idxs))
+	gaps := make([][]float64, len(idxs))
 	for gi, i := range idxs {
 		group[gi] = reqs[i]
 		spans[gi] = x.StartQuery(obs.KindRange)
+		gaps[gi] = x.gaps(reqs[i].Point, &merged[gi].Stats)
 	}
 
-	// Shard-major fan-out: each shard sees the whole group once and
-	// amortizes its traversal over it.
-	sub := make([]index.Result[T], len(group))
-	for _, sh := range x.shards {
-		sh.SearchBatch(group, sub)
-		for gi := range group {
-			merged[gi].Items = append(merged[gi].Items, sub[gi].Items...)
-			merged[gi].Stats.Add(sub[gi].Stats)
-			sub[gi] = index.Result[T]{}
+	// Shard-major fan-out: each shard sees the members its shell meets
+	// once and amortizes its traversal over them.
+	members := make([]int, 0, len(group))
+	sub := make([]index.Query[T], 0, len(group))
+	res := make([]index.Result[T], len(group))
+	for i, sh := range x.shards {
+		members, sub = members[:0], sub[:0]
+		for gi, req := range group {
+			if gaps[gi] != nil && excludes(gaps[gi][i], req, nil) {
+				merged[gi].Stats.ShellsPruned++
+				continue
+			}
+			members, sub = append(members, gi), append(sub, req)
+		}
+		if len(sub) == 0 {
+			continue
+		}
+		sh.SearchBatch(sub, res[:len(sub)])
+		for j, gi := range members {
+			merged[gi].Items = append(merged[gi].Items, res[j].Items...)
+			merged[gi].Stats.Add(res[j].Stats)
+			res[j] = index.Result[T]{}
 		}
 	}
 	for gi, i := range idxs {

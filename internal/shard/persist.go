@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,6 +62,11 @@ type manifest struct {
 	// legacy manifests, which used the fixed legacyBlobName layout.
 	Generation uint64   `json:"generation,omitempty"`
 	Blobs      []string `json:"blobs,omitempty"`
+	// Shells is shard i's [min, max] distance to the pivot, and Pivot
+	// the pivot in the blobs' encoding; an index without shells, and
+	// every manifest written before they existed, carries neither.
+	Shells [][]float64 `json:"shells,omitempty"`
+	Pivot  []byte      `json:"pivot,omitempty"`
 }
 
 // legacyBlobName is the fixed pre-generation blob layout, still
@@ -75,8 +81,10 @@ func blobName(i int, gen uint64) string {
 // needs no backend: the schema version, one size and one blob per shard,
 // and blob names that are the ones SaveDir gives shard i of the stated
 // generation — so none is a path, and LoadDir opens nothing outside the
-// snapshot directory on a manifest's word. A legacy manifest comes back
-// with its fixed names filled in.
+// snapshot directory on a manifest's word — and, when it carries shells,
+// that it is a Shells manifest with one finite [min, max] per shard, each
+// shard's above the one before's. A legacy manifest comes back with its
+// fixed names filled in.
 func parseManifest(raw []byte) (manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -87,6 +95,9 @@ func parseManifest(raw []byte) (manifest, error) {
 	}
 	if m.Shards <= 0 || m.Shards != len(m.Sizes) {
 		return m, fmt.Errorf("shard: manifest inconsistent: %d shards, %d sizes", m.Shards, len(m.Sizes))
+	}
+	if err := checkShells(m); err != nil {
+		return m, err
 	}
 	if m.Blobs == nil {
 		m.Blobs = make([]string, m.Shards)
@@ -105,6 +116,33 @@ func parseManifest(raw []byte) (manifest, error) {
 	}
 	return m, nil
 }
+
+// checkShells checks a manifest's shells and pivot (parseManifest).
+func checkShells(m manifest) error {
+	if m.Shells == nil {
+		if m.Pivot != nil {
+			return fmt.Errorf("shard: manifest carries a pivot and no shells")
+		}
+		return nil
+	}
+	if m.Assignment != Shells.String() {
+		return fmt.Errorf("shard: manifest of assignment %q carries shells", m.Assignment)
+	}
+	if len(m.Shells) != m.Shards {
+		return fmt.Errorf("shard: manifest inconsistent: %d shards, %d shells", m.Shards, len(m.Shells))
+	}
+	for i, sh := range m.Shells {
+		if len(sh) != 2 || !finite(sh[0]) || !finite(sh[1]) || sh[0] > sh[1] {
+			return fmt.Errorf("shard: manifest gives shard %d the shell %v, want a finite [min, max]", i, sh)
+		}
+		if i > 0 && sh[0] < m.Shells[i-1][1] {
+			return fmt.Errorf("shard: manifest's shell %d starts below shell %d's end", i, i-1)
+		}
+	}
+	return nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // WriteFileAtomic writes name inside dir through a same-directory temp
 // file, fsyncs it, and renames it into place, so the file either exists
@@ -214,6 +252,16 @@ func (x *Index[T]) saveDir(dir string, be Backend[T], enc func(T) ([]byte, error
 		m.Sizes[i] = s.Len()
 		m.Blobs[i] = blobName(i, gen)
 	}
+	if x.shells != nil {
+		pivot, err := enc(x.pivot)
+		if err != nil {
+			return fmt.Errorf("shard: encoding the shells' pivot: %w", err)
+		}
+		m.Pivot = pivot
+		for _, sh := range x.shells {
+			m.Shells = append(m.Shells, []float64{sh.lo, sh.hi})
+		}
+	}
 	// Blobs first: fresh generation names, so nothing the live manifest
 	// references is touched.
 	errs := make([]error, len(x.shards))
@@ -297,6 +345,15 @@ func LoadDir[T any](dir string, dist *metric.Counter[T], be Backend[T], dec func
 		shards: make([]*mvp.Tree[T], m.Shards),
 		dist:   dist,
 		opts:   Options{Shards: m.Shards, Seed: m.Seed, Assignment: assignment},
+	}
+	if m.Shells != nil {
+		if x.pivot, err = dec(m.Pivot); err != nil {
+			return nil, fmt.Errorf("shard: manifest pivot: %w", err)
+		}
+		x.shells = make([]shell, m.Shards)
+		for i, sh := range m.Shells {
+			x.shells[i] = shell{sh[0], sh[1]}
+		}
 	}
 	for i := range x.shards {
 		// Whole, so that Load reads it into one buffer of its size.

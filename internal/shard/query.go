@@ -1,15 +1,17 @@
 package shard
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
 )
 
 // carriedBound is the sequential-tightening index.KNNBound: single
-// goroutine, shards searched in ascending id order, each inheriting the
-// tightest k-th-best distance any earlier shard published. Entirely
+// goroutine, shards searched one after another in the walk's order, each
+// inheriting the tightest k-th-best distance any earlier shard published. Entirely
 // deterministic — the distance count it produces is a reproducible
 // cost-model quantity.
 type carriedBound struct{ tau float64 }
@@ -23,15 +25,19 @@ func (b *carriedBound) Publish(t float64) {
 }
 
 // Search is the unified query entry point (index.Searcher) and the
-// index's one implementation: the shards are visited in ascending id
-// order on the calling goroutine, so results, order, SearchStats and
-// distance counts are a function of the request alone (the executor
-// parallelises across queries). Epsilon passes through to every shard
-// unchanged; a distance budget is dealt across the shards —
-// Budget/S each, the remainder to the lowest shard ids — so the logical
-// query never spends more than its budget no matter how many shards it
-// touches. An external Bound is ignored: cross-shard τ sharing is the
-// shard layer's own machinery.
+// index's one implementation: the shards are visited on the calling
+// goroutine, so results, order, SearchStats and distance counts are a
+// function of the request alone (the executor parallelises across
+// queries). An exact request pays one distance to the shells' pivot and
+// visits the shards in ascending gap — intervalGap of that distance and
+// the shard's shell, ties by id — skipping every shard its gap excludes;
+// an index without shells pays nothing and visits every shard in id
+// order. An approximate request visits every shard in id order: Epsilon
+// passes through to every shard unchanged; a distance budget is dealt
+// across the shards — Budget/S each, the remainder to the lowest shard
+// ids — so the logical query never spends more than its budget no matter
+// how many shards it touches. An external Bound is ignored: cross-shard
+// τ sharing is the shard layer's own machinery.
 func (x *Index[T]) Search(req index.Query[T]) index.Result[T] {
 	if req.K > 0 {
 		return x.knn(req)
@@ -80,23 +86,87 @@ func budgetShare(total int64, s, i int) int64 {
 	return share
 }
 
-// fanOut answers req on every shard in ascending id order: each shard
-// runs its slice of the request — Epsilon unchanged, its
-// share of the budget, bound attached. Shards whose budget share is zero
-// (more shards than budget) are skipped entirely and reported as
-// exhausted.
-func (x *Index[T]) fanOut(req index.Query[T], bound index.KNNBound) []index.Result[T] {
+// gaps returns, for each shard, the least distance from q its shell
+// allows: intervalGap(d(q, pivot), lo, hi), by the triangle inequality.
+// The pivot distance is counted in s under VantagePoints. An index
+// without shells has every shard at [0, +Inf]: it pays nothing, and gaps
+// is nil.
+func (x *Index[T]) gaps(q T, s *index.SearchStats) []float64 {
+	if x.shells == nil {
+		return nil
+	}
+	d := x.dist.Distance(q, x.pivot)
+	s.VantagePoints++
+	gaps := make([]float64, len(x.shells))
+	for i, sh := range x.shells {
+		gaps[i] = intervalGap(d, sh.lo, sh.hi)
+	}
+	return gaps
+}
+
+// intervalGap is the distance from x to the interval [lo, hi], zero
+// inside it: the tree's rule for its own shells.
+func intervalGap(x, lo, hi float64) float64 {
+	switch {
+	case x < lo:
+		return lo - x
+	case x > hi:
+		return x - hi
+	default:
+		return 0
+	}
+}
+
+// excludes reports whether a shard at gap from req.Point can hold
+// nothing req needs: nothing within the radius of a range request, or
+// nothing strictly below the carried τ of a kNN one (ties at the k-th
+// distance may drop, as the KNN contract permits). A zero gap excludes
+// nothing.
+func excludes[T any](gap float64, req index.Query[T], bound *carriedBound) bool {
+	if gap <= 0 {
+		return false
+	}
+	if req.K > 0 {
+		return gap >= bound.tau
+	}
+	return gap > req.Radius
+}
+
+// fanOut answers req on the shards, each running its slice of the
+// request — Epsilon unchanged, its share of the budget, bound attached
+// when there is one — with results[i] shard i's answer. Without gaps it
+// visits every shard in ascending id order; shards whose budget share is
+// zero (more shards than budget) are skipped entirely and reported as
+// exhausted. With gaps (an exact request) it visits them in ascending
+// (gap, id) and stops at the first shard the gap excludes, since every
+// later one is excluded too: each shard not visited adds one to
+// s.ShellsPruned.
+func (x *Index[T]) fanOut(req index.Query[T], bound *carriedBound, gaps []float64, s *index.SearchStats) []index.Result[T] {
 	limited := req.Opts.Budget > 0
 	results := make([]index.Result[T], len(x.shards))
-	for i, sh := range x.shards {
+	order := make([]int, len(x.shards))
+	for i := range order {
+		order[i] = i
+	}
+	if gaps != nil {
+		slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(gaps[a], gaps[b]), cmp.Compare(a, b)) })
+	}
+	for n, i := range order {
+		if gaps != nil && excludes(gaps[i], req, bound) {
+			s.ShellsPruned += len(order) - n
+			break
+		}
 		budget := budgetShare(req.Opts.Budget, len(x.shards), i)
 		if limited && budget == 0 {
 			results[i].Stats = index.SearchStats{BudgetExhausted: 1, Approximated: 1}
 			continue
 		}
 		sub := req
-		sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget, Bound: bound}
-		results[i] = sh.Search(sub)
+		sub.Opts = index.SearchOptions{Epsilon: req.Opts.Epsilon, Budget: budget}
+		if bound != nil {
+			sub.Opts.Bound = bound
+		}
+		results[i] = x.shards[i].Search(sub)
 	}
 	return results
 }
@@ -105,8 +175,12 @@ func (x *Index[T]) fanOut(req index.Query[T], bound index.KNNBound) []index.Resu
 // is concatenation in ascending shard order.
 func (x *Index[T]) rangeSearch(req index.Query[T]) index.Result[T] {
 	span := x.StartQuery(obs.KindRange)
-	results := x.fanOut(req, nil)
 	var s index.SearchStats
+	var gaps []float64
+	if !req.Opts.Approximate() {
+		gaps = x.gaps(req.Point, &s)
+	}
+	results := x.fanOut(req, nil, gaps, &s)
 	total := 0
 	for _, r := range results {
 		total += len(r.Items)
@@ -126,11 +200,12 @@ func (x *Index[T]) rangeSearch(req index.Query[T]) index.Result[T] {
 }
 
 // knn answers a kNN request. The exact one is the deterministic
-// sequential-tightening walk: each shard is bounded by the tightest
-// k-th-best distance published so far (SearchOptions.Bound), so its
-// distance count is reproducible run to run — the paper's cost metric
-// for a sharded kNN query. An approximate one carries no τ: its shards
-// answer their budget shares independently.
+// sequential-tightening walk: each shard, in ascending gap, is bounded by
+// the tightest k-th-best distance published so far (SearchOptions.Bound),
+// and the walk ends at the first shard whose gap reaches it, so its
+// distance count is reproducible run to run — the paper's cost metric for
+// a sharded kNN query. An approximate one carries no τ: its shards answer
+// their budget shares independently, in id order.
 func (x *Index[T]) knn(req index.Query[T]) index.Result[T] {
 	span := x.StartQuery(obs.KindKNN)
 	var s index.SearchStats
@@ -138,12 +213,14 @@ func (x *Index[T]) knn(req index.Query[T]) index.Result[T] {
 		span.Done(&s)
 		return index.Result[T]{Stats: s}
 	}
-	var bound index.KNNBound
+	var bound *carriedBound
+	var gaps []float64
 	if !req.Opts.Approximate() {
 		bound = &carriedBound{tau: math.Inf(1)}
+		gaps = x.gaps(req.Point, &s)
 	}
 	lists := make([][]index.Neighbor[T], len(x.shards))
-	for i, r := range x.fanOut(req, bound) {
+	for i, r := range x.fanOut(req, bound, gaps, &s) {
 		lists[i] = r.Neighbors
 		s.Add(r.Stats)
 	}

@@ -7,15 +7,16 @@
 //     intra-tree forking — shards build concurrently, each with its own
 //     worker budget;
 //
-//   - fan-out query serving: one range query visits every shard, with
-//     a deterministic merge (results are exactly the concatenation of
-//     per-shard answers in ascending shard order); queries run beside
-//     each other through the batch executor, not shards;
+//   - fan-out query serving: one range query visits every shard its
+//     shell does not exclude (Shells), with a deterministic merge
+//     (results are exactly the concatenation of per-shard answers in
+//     ascending shard order); queries run beside each other through
+//     the batch executor, not shards;
 //
-//   - cross-shard kNN bound sharing: shards are searched in ascending
-//     id order and the shrinking k-th-best distance τ is carried from
-//     one to the next through index.KNNBound, so a tight neighbor
-//     found in an early shard prunes the later ones. The walk is
+//   - cross-shard kNN bound sharing: shards are searched nearest shell
+//     first and the shrinking k-th-best distance τ is carried from one
+//     to the next through index.KNNBound, so a tight neighbor found in
+//     an early shard prunes the later ones. The walk is
 //     deterministic — reproducible distance counts for the paper's
 //     cost metric.
 //
@@ -25,10 +26,9 @@
 package shard
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
 
 	"mvptree/internal/build"
 	"mvptree/internal/cascade"
@@ -39,17 +39,27 @@ import (
 	"mvptree/internal/quant"
 )
 
-// Assignment selects how items are partitioned across shards. Both
-// strategies are deterministic functions of (items, shards, seed) —
+// Assignment selects how items are partitioned across shards. Every
+// strategy is a deterministic function of (items, shards, seed) —
 // independent of worker count — so a sharded build is reproducible.
 type Assignment int
 
 const (
+	// Shells cuts the items into S shells around one seeded pivot item:
+	// shard g holds the ranks [lo, hi) of GroupBounds(n, S, g) under
+	// (distance to the pivot, position), so each shard is a coherent
+	// region, the paper's ball-and-shell partition one level above the
+	// trees. The index keeps the pivot and each shard's [min, max]
+	// distance to it; an exact query pays one distance to the pivot and
+	// skips a shard its annulus cannot meet. It costs n distance
+	// computations, spread over the build worker pool, and is the zero
+	// value.
+	Shells Assignment = iota
 	// RoundRobin deals items[i] to shard i mod S. With i.i.d. data the
-	// shards are statistically interchangeable, and assignment costs no
-	// distance computations.
-	RoundRobin Assignment = iota
-	// Balanced orders items by distance to a seeded reference pivot and
+	// shards are statistically interchangeable, every shard covers the
+	// whole space, and assignment costs no distance computations.
+	RoundRobin
+	// Balanced orders items by distance to the pivot Shells draws and
 	// deals consecutive ranks round-robin, so every shard receives the
 	// same distance profile (near, mid and far items alike). It costs n
 	// distance computations, spread over the build worker pool, and
@@ -60,6 +70,8 @@ const (
 
 func (a Assignment) String() string {
 	switch a {
+	case Shells:
+		return "shells"
 	case RoundRobin:
 		return "roundrobin"
 	case Balanced:
@@ -71,7 +83,7 @@ func (a Assignment) String() string {
 
 // Assignments lists every valid Assignment, in declaration order. It is
 // the single source of truth for name parsing and for table tests.
-var Assignments = []Assignment{RoundRobin, Balanced}
+var Assignments = []Assignment{Shells, RoundRobin, Balanced}
 
 // ParseAssignment maps an Assignment's String form back to the value.
 // Unknown names are an error — the persistence manifest goes through
@@ -97,9 +109,9 @@ type Options struct {
 	// equal slice of the budget). Values <= 1 build serially. The built
 	// shards are identical at every worker count.
 	Workers int
-	// Seed drives the Balanced pivot choice and is mixed into each
-	// shard's backend seed so sibling shards do not repeat vantage
-	// choices.
+	// Seed drives the pivot choice of Shells and Balanced and is mixed
+	// into each shard's backend seed so sibling shards do not repeat
+	// vantage choices.
 	Seed uint64
 }
 
@@ -121,10 +133,19 @@ type Index[T any] struct {
 	obs.Hooks
 
 	shards []*mvp.Tree[T]
+	// shells[i] is shard i's [min, max] distance to pivot; nil when the
+	// index has none (RoundRobin, Balanced), and then every shard is
+	// [0, +Inf] and a query pays no pivot distance.
+	shells []shell
+	pivot  T
 	dist   *metric.Counter[T]
 	size   int
 	opts   Options
 }
+
+// shell is the closed interval of distances to the pivot a shard's items
+// lie in.
+type shell struct{ lo, hi float64 }
 
 // BuildStats extends the uniform construction report with the sharded
 // layer's own numbers.
@@ -153,11 +174,12 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 		s = len(items)
 	}
 	b := build.Start(dist, build.Options{Workers: opts.Workers, Seed: opts.Seed})
-	parts, assignCost, err := assign(items, s, dist, b, opts)
+	a, err := assign(items, s, b, opts.Assignment, opts.Seed)
 	if err != nil {
 		b.Finish()
 		return nil, bs, err
 	}
+	parts := a.parts
 
 	// Build shards concurrently on the same bounded pool the
 	// assignment used; each shard build gets an equal slice of the
@@ -181,7 +203,7 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 			return nil, BuildStats{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	bs.AssignDistances = assignCost
+	bs.AssignDistances = a.cost
 	bs.ShardBuilds = stats
 	bs.ShardSizes = make([]int, s)
 	total := 0
@@ -196,50 +218,89 @@ func NewWithStats[T any](items []T, dist *metric.Counter[T], be Backend[T], opts
 			bs.MaxDepth = st.MaxDepth
 		}
 	}
-	x := &Index[T]{shards: shards, dist: dist, size: total, opts: opts}
+	x := &Index[T]{shards: shards, shells: a.shells, pivot: a.pivot, dist: dist, size: total, opts: opts}
 	x.opts.Shards = s
 	return x, bs, nil
 }
 
-// assign partitions items into s buckets and reports the distance
-// computations the strategy spent.
-func assign[T any](items []T, s int, dist *metric.Counter[T], b *build.Builder[T], opts Options) ([][]T, int64, error) {
-	parts := make([][]T, s)
-	if len(items) == 0 {
-		return parts, 0, nil
+// assignment is what assign makes of the items: the shards' items, the
+// shells and their pivot (none but for Shells), and the distance
+// computations spent.
+type assignment[T any] struct {
+	parts  [][]T
+	shells []shell
+	pivot  T
+	cost   int64
+}
+
+// assign partitions items into s buckets by strategy a. Shells and
+// Balanced draw one pivot item with a seeded draw and measure every item
+// against it on b's pool, counted once; the keys they rank are ordered by
+// (distance, position), so both partitions are deterministic.
+func assign[T any](items []T, s int, b *build.Builder[T], a Assignment, seed uint64) (assignment[T], error) {
+	var out assignment[T]
+	if a != Shells && a != RoundRobin && a != Balanced {
+		return out, fmt.Errorf("shard: unknown assignment %d", int(a))
 	}
-	for i := range parts {
-		parts[i] = make([]T, 0, (len(items)+s-1)/s)
+	n := len(items)
+	out.parts = make([][]T, s)
+	if n == 0 {
+		return out, nil
 	}
-	switch opts.Assignment {
-	case RoundRobin:
+	if a == RoundRobin {
+		for i := range out.parts {
+			out.parts[i] = make([]T, 0, (n+s-1)/s)
+		}
 		for i, it := range items {
-			parts[i%s] = append(parts[i%s], it)
+			out.parts[i%s] = append(out.parts[i%s], it)
 		}
-		return parts, 0, nil
-	case Balanced:
-		// Distance-balanced dealing: rank every item by distance to a
-		// seeded pivot (measured on the shared pool, counted once) and
-		// deal ranks round-robin. Ties rank by original position, so
-		// the partition is deterministic.
-		rng := build.NewRNG(opts.Seed, 0x5ca1ab1e).Rand()
-		pivot := items[rng.IntN(len(items))]
-		d := make([]float64, len(items))
-		b.Measure(pivot, func(i int) T { return items[i] }, d)
-		order := make([]int, len(items))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(i, j int) int {
-			return cmp.Or(cmp.Compare(d[i], d[j]), cmp.Compare(i, j))
-		})
-		for rank, i := range order {
-			parts[rank%s] = append(parts[rank%s], items[i])
-		}
-		return parts, int64(len(items)), nil
-	default:
-		return nil, 0, fmt.Errorf("shard: unknown assignment %d", int(opts.Assignment))
+		return out, nil
 	}
+	rng := build.NewRNG(seed, 0x5ca1ab1e).Rand()
+	out.pivot = items[rng.IntN(n)]
+	out.cost = int64(n)
+	ids, keys := make([]int32, n), make([]build.Key, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	b.MeasureKeys(out.pivot, items, ids, make([]float64, n), keys)
+	if a == Balanced {
+		// Deal the ranks round-robin.
+		build.SortKeys(keys)
+		for i := range out.parts {
+			out.parts[i] = make([]T, 0, (n+s-1)/s)
+		}
+		for rank, k := range keys {
+			out.parts[rank%s] = append(out.parts[rank%s], items[k.ID])
+		}
+		return out, nil
+	}
+	// Shells: select the S rank groups, note each group's interval and
+	// each item's group (in ids, whose identity MeasureKeys has read),
+	// and deal the items in one pass in their order.
+	build.SplitEqual(keys, make([]float64, s-1))
+	out.shells = make([]shell, s)
+	finite := true
+	for g := range out.parts {
+		lo, hi := build.GroupBounds(n, s, g)
+		out.parts[g] = make([]T, 0, hi-lo)
+		sh := shell{math.Inf(1), math.Inf(-1)}
+		for _, k := range keys[lo:hi] {
+			ids[k.ID] = int32(g)
+			sh.lo, sh.hi = min(sh.lo, k.D), max(sh.hi, k.D)
+			finite = finite && !math.IsNaN(k.D) && !math.IsInf(k.D, 0)
+		}
+		out.shells[g] = sh
+	}
+	for i, it := range items {
+		out.parts[ids[i]] = append(out.parts[ids[i]], it)
+	}
+	if !finite {
+		// A distance no rank places, or an unbounded one, bounds
+		// nothing: the shards stay as cut, probed as without shells.
+		out.shells, out.pivot = nil, *new(T)
+	}
+	return out, nil
 }
 
 // Shards reports the shard count.
@@ -296,7 +357,7 @@ func (x *Index[T]) EnableQuantize(mode quant.Mode) error {
 // shards (mvp.Tree.Clone): Own on the copy leaves x as it is, so a
 // server may pack a copy beside queries on x and then swap it in.
 func (x *Index[T]) Clone() *Index[T] {
-	c := &Index[T]{Hooks: x.Hooks, shards: make([]*mvp.Tree[T], len(x.shards)), dist: x.dist, size: x.size, opts: x.opts}
+	c := &Index[T]{Hooks: x.Hooks, shards: make([]*mvp.Tree[T], len(x.shards)), shells: x.shells, pivot: x.pivot, dist: x.dist, size: x.size, opts: x.opts}
 	for i, s := range x.shards {
 		c.shards[i] = s.Clone()
 	}
@@ -304,25 +365,23 @@ func (x *Index[T]) Clone() *Index[T] {
 }
 
 // Own packs every shard's points into a block the shard owns
-// (mvp.Tree.Own), the shards on a goroutine each, and reports whether it
-// packed them all: a shard of words, or of vectors the rule keeps plain,
-// is left as it is. Afterwards the index refers to none of the vectors it
-// was built over, so a caller that keeps none of them lets them go, and
-// the vectors a query returns alias the shards' blocks. Like the
-// per-structure method it is not synchronized with in-flight queries:
+// (mvp.Tree.Own), one shard after the other on the calling goroutine, and
+// copies the shells' pivot into a slice of its own; it reports whether it
+// packed every shard: a shard of words, or of vectors the rule keeps
+// plain, is left as it is. Afterwards the index refers to none of the
+// vectors it was built over, so a caller that keeps none of them lets
+// them go, and the vectors a query returns alias the shards' blocks. Like
+// the per-structure method it is not synchronized with in-flight queries:
 // call it before serving.
 func (x *Index[T]) Own() bool {
-	packed := make([]bool, len(x.shards))
-	var wg sync.WaitGroup
-	for i, s := range x.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			packed[i] = s.Own()
-		}()
+	packed := true
+	for _, s := range x.shards {
+		packed = s.Own() && packed
 	}
-	wg.Wait()
-	return !slices.Contains(packed, false)
+	if p, ok := any(x.pivot).([]float64); ok && p != nil {
+		x.pivot = any(slices.Clone(p)).(T)
+	}
+	return packed
 }
 
 var _ index.BatchSearcher[int] = (*Index[int])(nil)
