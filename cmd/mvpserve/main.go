@@ -53,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"mvptree/internal/cascade"
 	"mvptree/internal/codec"
 	"mvptree/internal/dataset"
 	"mvptree/internal/index"
@@ -104,12 +103,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		partitions = fs.Int("partitions", 3, "mvp-tree partitions per vantage point")
 		pathLen    = fs.Int("pathlen", 5, "mvp-tree retained path length")
 		maxBatch   = fs.Int("maxbatch", 32, "max queries per executed batch (one shared traversal per worker)")
-		maxWait    = fs.Duration("maxwait", 2*time.Millisecond, "batching window")
 		queue      = fs.Int("queue", 256, "per-endpoint admission queue capacity (full queue = 503)")
 		workers    = fs.Int("workers", 0, "executor goroutines per batch (0 = GOMAXPROCS)")
 		retryAfter = fs.Duration("retryafter", time.Second, "Retry-After hint on 503 rejections")
-		casOn      = fs.Bool("cascade", false, "arm the bound cascade on every shard (identical results; each query pays the pivots up front and skips the leaf candidates they exclude)")
-		casPivots  = fs.Int("cascadepivots", 0, "cascade pivots per shard, with -cascade (0 = default)")
 		quantize   = fs.String("quantize", "off", "quantized lower-bound pre-filter on every shard: off or sq8 (identical results, less leaf-scan memory traffic)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -126,11 +122,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		{*shards < 1, "-shards must be at least 1"},
 		{*buildW < 0, "-buildworkers must be non-negative (0 = GOMAXPROCS)"},
 		{*maxBatch < 1, "-maxbatch must be at least 1"},
-		{*maxWait <= 0, "-maxwait must be positive"},
 		{*queue < 1, "-queue must be at least 1"},
 		{*workers < 0, "-workers must be non-negative (0 = GOMAXPROCS)"},
 		{*retryAfter <= 0, "-retryafter must be positive"},
-		{*casPivots != 0 && !*casOn, "-cascadepivots needs -cascade"},
 	} {
 		if c.bad {
 			return errors.New(c.msg)
@@ -150,7 +144,6 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		PathLength:   *pathLen,
 	})
 
-	casOpts := cascade.Options{Pivots: *casPivots, Workers: *buildW}
 	// Every vector of every shard is held to -dim as it is decoded: the
 	// queries are, and the metric panics on two lengths.
 	decode := func(b []byte) ([]float64, error) {
@@ -165,14 +158,9 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		if err != nil {
 			return nil, err
 		}
-		// The cascade and quantized arenas are not serialized; rebuild
-		// them on every load (and reload) so a swapped-in index serves
-		// with the same filters.
-		if *casOn {
-			if err := x.EnableCascade(casOpts); err != nil {
-				return nil, err
-			}
-		}
+		// The quantized arena is not serialized; rebuild it on every
+		// load (and reload) so a swapped-in index serves with the same
+		// filters.
 		if qmode != quant.Off {
 			if err := x.EnableQuantize(qmode); err != nil {
 				return nil, err
@@ -216,15 +204,6 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 		g := filterGrid(x)
 		fmt.Fprintf(out, "mvpserve: built %d items / %d shards in %v (%d distances assigning the shards, %d building the trees, %d of them choosing vantage points; index %.1f B/item, leaf filter step %.3g, slack %.3g)\n",
 			x.Len(), x.Shards(), took.Round(time.Millisecond), bs.AssignDistances, bs.Distances-bs.AssignDistances, bs.SelectionDistances, indexBytes(g, x.Len()), g.FilterStep, g.FilterSlack)
-		if *casOn {
-			before := x.DistanceCount()
-			if err := x.EnableCascade(casOpts); err != nil {
-				return fmt.Errorf("enabling cascade: %w", err)
-			}
-			g := filterGrid(x)
-			fmt.Fprintf(out, "mvpserve: cascade enabled (%d precomputed distances, %d pivots per shard, arena %.1f B/item, step %.3g, slack %.3g)\n",
-				x.DistanceCount()-before, g.CascadePivots, float64(g.CascadeBytes)/float64(max(g.LeafItems, 1)), g.CascadeStep, g.CascadeSlack)
-		}
 		if qmode != quant.Off {
 			if err := x.EnableQuantize(qmode); err != nil {
 				return fmt.Errorf("enabling quantize: %w", err)
@@ -236,7 +215,6 @@ func run(ctx context.Context, out io.Writer, args []string, ready chan<- string)
 
 	s := serve.New[[]float64](x, serve.VectorCodec(*dim), serve.Options{
 		MaxBatch:   *maxBatch,
-		MaxWait:    *maxWait,
 		Queue:      *queue,
 		Workers:    *workers,
 		RetryAfter: *retryAfter,
@@ -446,22 +424,15 @@ func (p *pendingSave) wait() error {
 }
 
 // filterGrid folds the shards' shapes (mvp.Stats) into what the start-up
-// lines print: the arenas' bytes, the point arena's among them, the
-// vectors the shards own, and the leaf items; the coarsest step any
-// shard's leaf filter stores its distances on and the largest slack that
-// costs a shard's windows — one
-// far outlier coarsens its shard's whole grid; a slack of +Inf means a
-// shard's leaf filter passes everything —
-// and, once the cascade is armed, the same of its columns, the most pivots
-// a shard pays per query, and the columns' bytes beside the leaf items
-// they cover.
+// lines print: the arenas' bytes, the point arena's among them, and the
+// vectors the shards own; the coarsest step any shard's leaf filter
+// stores its distances on, and the largest slack that costs a shard's
+// windows — one far outlier coarsens its shard's whole grid; a slack of
+// +Inf means a shard's leaf filter passes everything.
 func filterGrid(x *shard.Index[[]float64]) (g mvp.Stats) {
 	for i := 0; i < x.Shards(); i++ {
 		s := x.Shard(i).Shape()
 		g.FilterStep, g.FilterSlack = max(g.FilterStep, s.FilterStep), max(g.FilterSlack, s.FilterSlack)
-		g.CascadeStep, g.CascadeSlack = max(g.CascadeStep, s.CascadeStep), max(g.CascadeSlack, s.CascadeSlack)
-		g.CascadePivots = max(g.CascadePivots, s.CascadePivots)
-		g.CascadeBytes, g.LeafItems = g.CascadeBytes+s.CascadeBytes, g.LeafItems+s.LeafItems
 		g.NodeBytes, g.FilterBytes = g.NodeBytes+s.NodeBytes, g.FilterBytes+s.FilterBytes
 		g.ItemBytes, g.OwnedBytes = g.ItemBytes+s.ItemBytes, g.OwnedBytes+s.OwnedBytes
 	}

@@ -229,11 +229,6 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-n must be non-negative") {
 		t.Fatalf("-n -1: err=%v", err)
 	}
-	// Pivots for a cascade that is not armed would be silently ignored.
-	err = run(context.Background(), &bytes.Buffer{}, []string{"-cascadepivots", "8"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "-cascadepivots needs -cascade") {
-		t.Fatalf("-cascadepivots without -cascade: err=%v", err)
-	}
 	// The float32 arena mode is gone: it must fail at start-up, naming
 	// the modes that remain, not be silently ignored.
 	err = run(context.Background(), &bytes.Buffer{}, []string{"-quantize", "f32"}, nil)
@@ -251,7 +246,6 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 		{"-queue", "0"},
 		{"-workers", "-1"},
 		{"-buildworkers", "-1"},
-		{"-maxwait", "0s"},
 		{"-retryafter", "-1s"},
 	} {
 		err := run(context.Background(), &bytes.Buffer{}, args, nil)

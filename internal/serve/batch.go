@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"mvptree/internal/index"
 	"mvptree/internal/obs"
@@ -23,10 +22,11 @@ import (
 //     503 + Retry-After), so overload sheds at the door instead of
 //     accumulating goroutines and memory.
 //
-//   - The collector takes the first waiting request, then keeps
-//     collecting until the batch is full or the batching window
-//     expires. Under load, batches fill instantly and the window never
-//     costs latency; when idle, a lone request pays at most the window.
+//   - The collector takes the first waiting request, then whatever
+//     else is already queued, up to MaxBatch, and executes at once: it
+//     waits on no clock. Requests that arrive during an execution form
+//     the next batch, so batch size follows load: a lone request waits
+//     for nobody, and under load the queue refills while a batch runs.
 //
 //   - One executed batch serves many HTTP requests: every member is an
 //     index.Query with its own radius or k and its own ε and budget, and
@@ -83,8 +83,7 @@ type batcher[T any] struct {
 	stop  chan struct{}
 	done  chan struct{}
 
-	swap    *Swap[T]
-	maxWait time.Duration
+	swap *Swap[T]
 	// opts is what every batch runs with (its Context aside). Batch is
 	// both how many requests one batch collects (Options.MaxBatch) and
 	// the executor's group size: a collected batch is the
@@ -96,12 +95,11 @@ type batcher[T any] struct {
 
 func newBatcher[T any](swap *Swap[T], opts Options, observer *obs.Observer) *batcher[T] {
 	b := &batcher[T]{
-		queue:   make(chan *pending[T], opts.Queue),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		swap:    swap,
-		maxWait: opts.MaxWait,
-		opts:    qexec.Options{Workers: opts.Workers, Batch: opts.MaxBatch, Observer: observer},
+		queue: make(chan *pending[T], opts.Queue),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		swap:  swap,
+		opts:  qexec.Options{Workers: opts.Workers, Batch: opts.MaxBatch, Observer: observer},
 	}
 	go b.loop()
 	return b
@@ -137,17 +135,11 @@ func (b *batcher[T]) loop() {
 			return
 		case first := <-b.queue:
 			batch := append(make([]*pending[T], 0, b.opts.Batch), first)
-			timer := time.NewTimer(b.maxWait)
-		collect:
-			for len(batch) < b.opts.Batch {
-				select {
-				case p := <-b.queue:
-					batch = append(batch, p)
-				case <-timer.C:
-					break collect
-				}
+			// The collector is the queue's only reader, so a request
+			// counted by len is there to receive.
+			for len(batch) < b.opts.Batch && len(b.queue) > 0 {
+				batch = append(batch, <-b.queue)
 			}
-			timer.Stop()
 			b.execute(batch)
 		}
 	}

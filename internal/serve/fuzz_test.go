@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"mvptree/internal/index"
 	"mvptree/internal/linear"
@@ -41,7 +40,7 @@ func FuzzRequestBody(f *testing.F) {
 
 	tree, items := testIndex(f, 200, 71)
 	scan := linear.New(items, metric.NewCounter(metric.L2))
-	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxWait: 50 * time.Microsecond})
+	s := New[[]float64](tree, VectorCodec(testDim), Options{})
 	defer s.Close()
 	h := s.Handler()
 

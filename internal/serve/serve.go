@@ -8,10 +8,11 @@
 //     with offered load, and overload degrades into fast rejections
 //     instead of collapse.
 //
-//   - Micro-batching. Queued requests are coalesced (up to MaxBatch,
-//     within MaxWait) and answered through the qexec worker-pool
-//     executor, so concurrent HTTP traffic is served with the same
-//     deterministic batch machinery the experiments use.
+//   - Micro-batching. Whatever is queued when the collector is free
+//     is one batch (up to MaxBatch), answered through the qexec
+//     worker-pool executor, so concurrent HTTP traffic is served with
+//     the same deterministic batch machinery the experiments use. No
+//     clock holds a batch open: batch size follows load.
 //
 //   - Cancellation passthrough. Every request carries its HTTP
 //     context; a batch is cancelled only when all of its members are,
@@ -56,11 +57,6 @@ type Options struct {
 	// byte-identical at every value; per-query latency samples in /stats
 	// are amortized over a group. Default 32.
 	MaxBatch int
-	// MaxWait is the batching window: how long the collector waits to
-	// fill a batch after its first request arrives. Under saturation
-	// batches fill instantly and the window costs nothing; when idle a
-	// lone request pays at most this. Default 2ms.
-	MaxWait time.Duration
 	// Queue is each endpoint's admission-queue capacity; a full queue
 	// rejects with 503. Default 256.
 	Queue int
@@ -77,9 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.Queue <= 0 {
 		o.Queue = 256

@@ -75,7 +75,7 @@ type knnResponse struct {
 // queried directly.
 func TestServeMatchesDirectQueries(t *testing.T) {
 	tree, _ := testIndex(t, 800, 11)
-	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxBatch: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -208,7 +208,7 @@ func (b *blockingIndex) Search(req index.Query[[]float64]) index.Result[[]float6
 func TestServeBackpressure(t *testing.T) {
 	tree, _ := testIndex(t, 200, 17)
 	blocked := &blockingIndex{Searcher: tree, entered: make(chan struct{}, 16), gate: make(chan struct{})}
-	s := New[[]float64](blocked, VectorCodec(testDim), Options{MaxBatch: 1, Queue: 1, MaxWait: time.Millisecond, Workers: 1})
+	s := New[[]float64](blocked, VectorCodec(testDim), Options{MaxBatch: 1, Queue: 1, Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -302,7 +302,7 @@ func TestReloadUnderLoadZeroFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New[[]float64](loaded, VectorCodec(testDim), Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	s := New[[]float64](loaded, VectorCodec(testDim), Options{MaxBatch: 8})
 	defer s.Close()
 	s.SetReloader(func() (index.Searcher[[]float64], error) {
 		return shard.LoadDir(dir, metric.NewCounter(metric.L2), be, codec.DecodeVector)
@@ -413,15 +413,24 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 // member of a batch is gone does the merged context cancel the run.
 func TestCancellationPassthrough(t *testing.T) {
 	tree, _ := testIndex(t, 400, 31)
-	// A long window so the cancelled and surviving requests land in one
-	// batch deterministically.
-	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxBatch: 4, MaxWait: 150 * time.Millisecond})
+	blocked := &blockingIndex{Searcher: tree, entered: make(chan struct{}, 8), gate: make(chan struct{})}
+	s := New[[]float64](blocked, VectorCodec(testDim), Options{MaxBatch: 4, Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	rng := rand.New(rand.NewPCG(37, 1))
-	qs := dataset.UniformVectors(rng, 2, testDim)
+	qs := dataset.UniformVectors(rng, 3, testDim)
+
+	// A first request parks the collector inside its batch, so the
+	// doomed request and the survivor queue behind it and are collected
+	// together once the gate opens.
+	parked := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.Client(), ts.URL+"/range", map[string]any{"query": qs[2], "r": 0.5})
+		parked <- resp.StatusCode
+	}()
+	<-blocked.entered
 
 	ctx, cancel := context.WithCancel(context.Background())
 	raw, _ := json.Marshal(map[string]any{"query": qs[0], "r": 0.5})
@@ -434,9 +443,7 @@ func TestCancellationPassthrough(t *testing.T) {
 		_, err := ts.Client().Do(req)
 		doomed <- err
 	}()
-	// Give the doomed request time to enter the batch window, then add
-	// the survivor and cancel the first client.
-	waitFor(t, time.Second, func() bool { return s.rangeB.queueDepth() == 0 && s.Stats().Range.Admitted >= 1 })
+	waitFor(t, time.Second, func() bool { return s.rangeB.queueDepth() == 1 })
 	survivor := make(chan struct {
 		status int
 		body   []byte
@@ -448,10 +455,14 @@ func TestCancellationPassthrough(t *testing.T) {
 			body   []byte
 		}{resp.StatusCode, body}
 	}()
-	waitFor(t, time.Second, func() bool { return s.Stats().Range.Admitted >= 2 })
+	waitFor(t, time.Second, func() bool { return s.rangeB.queueDepth() == 2 })
 	cancel()
 	if err := <-doomed; err == nil {
 		t.Fatalf("cancelled request returned without error")
+	}
+	close(blocked.gate)
+	if status := <-parked; status != http.StatusOK {
+		t.Fatalf("parked request: status %d", status)
 	}
 
 	got := <-survivor
@@ -465,6 +476,9 @@ func TestCancellationPassthrough(t *testing.T) {
 	want := tree.Range(qs[1], 0.5)
 	if !reflect.DeepEqual(append([][]float64{}, want...), append([][]float64{}, parsed.Results...)) {
 		t.Fatalf("survivor got wrong results")
+	}
+	if st := s.Stats(); st.Range.Batches != 2 || st.Range.Cancelled != 0 {
+		t.Fatalf("batches %d, cancelled %d; want 2 (the parked one, then doomed and survivor together) and 0", st.Range.Batches, st.Range.Cancelled)
 	}
 }
 
@@ -526,15 +540,10 @@ func TestHugeKAnswersEveryItem(t *testing.T) {
 }
 
 // Requests that differ in radius and in ε are one batch and one executor
-// call when they arrive inside one window; each still gets its own
-// answer.
+// call when they are queued together; each still gets its own answer.
+// More queued requests than MaxBatch run as ⌈n/MaxBatch⌉ batches.
 func TestMixedRequestsShareOneBatch(t *testing.T) {
 	tree, _ := testIndex(t, 400, 47)
-	s := New[[]float64](tree, VectorCodec(testDim), Options{MaxBatch: 3, MaxWait: 5 * time.Second})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	rng := rand.New(rand.NewPCG(53, 1))
 	q := dataset.UniformVectors(rng, 1, testDim)[0]
 	bodies := []map[string]any{
@@ -542,10 +551,20 @@ func TestMixedRequestsShareOneBatch(t *testing.T) {
 		{"query": q, "r": 0.6},
 		{"query": q, "r": 0.6, "epsilon": 0.5},
 	}
-	var wg sync.WaitGroup
-	for _, b := range bodies {
-		wg.Add(1)
-		go func() {
+	const maxBatch = 3
+	// serveQueued parks the collector on one request, queues n members
+	// behind it (bodies in turn), opens the gate, checks every member's
+	// answer, and returns the endpoint's stats without the parked
+	// request's batch and query.
+	serveQueued := func(n int) (batches, queries int64) {
+		blocked := &blockingIndex{Searcher: tree, entered: make(chan struct{}, n+1), gate: make(chan struct{})}
+		s := New[[]float64](blocked, VectorCodec(testDim), Options{MaxBatch: maxBatch, Workers: 1})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		var wg sync.WaitGroup
+		post := func(b map[string]any) {
 			defer wg.Done()
 			resp, body := postJSON(t, ts.Client(), ts.URL+"/range", b)
 			if resp.StatusCode != http.StatusOK {
@@ -565,11 +584,27 @@ func TestMixedRequestsShareOneBatch(t *testing.T) {
 			if !reflect.DeepEqual(append([][]float64{}, want...), append([][]float64{}, got.Results...)) {
 				t.Errorf("%v: got %d results, want %d (or order differs)", b, got.Count, len(want))
 			}
-		}()
+		}
+		wg.Add(1)
+		go post(bodies[0])
+		<-blocked.entered
+		for i := range n {
+			wg.Add(1)
+			go post(bodies[i%len(bodies)])
+		}
+		waitFor(t, time.Second, func() bool { return s.rangeB.queueDepth() == n })
+		close(blocked.gate)
+		wg.Wait()
+		st := s.Stats()
+		return st.Range.Batches - 1, st.Range.Queries - 1
 	}
-	wg.Wait()
-	if st := s.Stats(); st.Range.Batches != 1 || st.Range.Queries != 3 {
-		t.Fatalf("batches %d, queries %d; want 1 and 3", st.Range.Batches, st.Range.Queries)
+
+	if batches, queries := serveQueued(len(bodies)); batches != 1 || queries != 3 {
+		t.Fatalf("batches %d, queries %d; want 1 and 3", batches, queries)
+	}
+	const n = 7
+	if batches, queries := serveQueued(n); batches != (n+maxBatch-1)/maxBatch || queries != n {
+		t.Fatalf("%d queued: batches %d, queries %d; want %d and %d", n, batches, queries, (n+maxBatch-1)/maxBatch, n)
 	}
 }
 
@@ -593,7 +628,7 @@ func TestSwapKeepsQuantizedTally(t *testing.T) {
 		}
 		trees[i] = tree
 	}
-	s := New[[]float64](trees[0], VectorCodec(testDim), Options{MaxWait: 100 * time.Microsecond})
+	s := New[[]float64](trees[0], VectorCodec(testDim), Options{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

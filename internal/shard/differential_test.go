@@ -122,7 +122,7 @@ func checkShardLayer[T any](t *testing.T, c diffCase[T], s int, a Assignment) {
 	if err != nil {
 		t.Fatalf("%s: New: %v", name, err)
 	}
-	if (x.shells != nil) != (a == Shells) {
+	if (x.shells != nil) != (a == Shells && x.Shards() > 1) {
 		t.Fatalf("%s: shells %v", name, x.shells)
 	}
 	var reqs []index.Query[T]

@@ -53,7 +53,8 @@ const (
 	// distance to it; an exact query pays one distance to the pivot and
 	// skips a shard its annulus cannot meet. It costs n distance
 	// computations, spread over the build worker pool, and is the zero
-	// value.
+	// value. At one shard it draws no pivot and keeps no shell: the
+	// shard is the items in order, as under RoundRobin.
 	Shells Assignment = iota
 	// RoundRobin deals items[i] to shard i mod S. With i.i.d. data the
 	// shards are statistically interchangeable, every shard covers the
@@ -64,7 +65,7 @@ const (
 	// same distance profile (near, mid and far items alike). It costs n
 	// distance computations, spread over the build worker pool, and
 	// protects fan-out latency from a shard that happens to collect all
-	// the dense clumps.
+	// the dense clumps. At one shard it, too, is RoundRobin.
 	Balanced
 )
 
@@ -152,7 +153,7 @@ type shell struct{ lo, hi float64 }
 type BuildStats struct {
 	build.Stats
 	// AssignDistances is the portion of Stats.Distances spent by the
-	// assignment phase (zero for RoundRobin).
+	// assignment phase (zero for RoundRobin and at one shard).
 	AssignDistances int64
 	// ShardSizes is the item count per shard.
 	ShardSizes []int
@@ -247,7 +248,9 @@ func assign[T any](items []T, s int, b *build.Builder[T], a Assignment, seed uin
 	if n == 0 {
 		return out, nil
 	}
-	if a == RoundRobin {
+	// One shard is all the items in their order whatever the strategy:
+	// a pivot would bound nothing the tree does not.
+	if a == RoundRobin || s == 1 {
 		for i := range out.parts {
 			out.parts[i] = make([]T, 0, (n+s-1)/s)
 		}

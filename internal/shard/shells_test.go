@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"mvptree/internal/bench"
@@ -60,6 +61,48 @@ func TestShellDistances(t *testing.T) {
 		t.Logf("S=%d shells against round robin on the mix: %+.1f %%", s, 100*(mix[1]/mix[0]-1))
 		if mix[1] >= mix[0] {
 			t.Errorf("S=%d: shells cost %.0f distances a query on the mix, round robin %.0f", s, mix[1], mix[0])
+		}
+	}
+}
+
+// TestOneShardIsRoundRobin checks that one shard, asked for or clamped
+// to by a single item, draws no pivot: every assignment builds the tree
+// round robin builds, with no assignment distance, and answers as it
+// does, SearchStats and counter deltas included.
+func TestOneShardIsRoundRobin(t *testing.T) {
+	const dim = 8
+	rng := rand.New(rand.NewPCG(7, 0))
+	items := dataset.UniformVectors(rng, 2000, dim)
+	var reqs []index.Query[[]float64]
+	for _, q := range dataset.UniformQueries(rng, 8, dim) {
+		reqs = append(reqs, index.RangeQuery(q, 0.6), index.KNNQuery(q, 7))
+	}
+	for _, in := range []struct {
+		items  [][]float64
+		shards int
+	}{{items, 1}, {items[:1], 4}} {
+		build := func(a Assignment) (*Index[[]float64], BuildStats) {
+			x, bs, err := NewWithStats(in.items, metric.NewCounter(metric.L2), MVP[[]float64](mvpOpts), Options{Shards: in.shards, Assignment: a, Workers: 2, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return x, bs
+		}
+		rr, rrStats := build(RoundRobin)
+		for _, a := range []Assignment{Shells, Balanced} {
+			x, bs := build(a)
+			if x.Shards() != 1 || bs.AssignDistances != 0 || bs.Distances != rrStats.Distances || x.shells != nil {
+				t.Fatalf("%v at %d items, %d shards asked: %d shards, %d assignment distances, %d build distances (round robin %d), shells %v",
+					a, len(in.items), in.shards, x.Shards(), bs.AssignDistances, bs.Distances, rrStats.Distances, x.shells)
+			}
+			for _, req := range reqs {
+				ca, cb := x.DistanceCount(), rr.DistanceCount()
+				got, want := x.Search(req), rr.Search(req)
+				if !reflect.DeepEqual(got, want) || x.DistanceCount()-ca != rr.DistanceCount()-cb {
+					t.Fatalf("%v at %d items, %+v: %+v (%d distances), round robin %+v (%d)",
+						a, len(in.items), req, got, x.DistanceCount()-ca, want, rr.DistanceCount()-cb)
+				}
+			}
 		}
 	}
 }
